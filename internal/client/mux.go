@@ -214,21 +214,17 @@ func (m *muxConn) fail(err error) {
 }
 
 // readLoop demuxes responses until the connection fails. Each payload
-// lands in a pooled buffer that travels with the reply; the consuming
-// op releases it after decoding.
+// is copied out of the connection's reader into a pooled buffer — drawn
+// once the reply's header is parsed, so an idle connection holds none —
+// that travels with the reply; the consuming op releases it after
+// decoding.
 func (m *muxConn) readLoop() {
+	rd := wire.NewReader(m.conn)
 	for {
-		buf := replyBufs.Get(0)
-		t, id, body, err := wire.ReadFrameIDInto(m.conn, buf[:cap(buf)])
+		t, id, body, err := rd.Next(replyBufs.Get)
 		if err != nil {
-			replyBufs.Put(buf)
 			m.fail(err)
 			return
-		}
-		if cap(body) != cap(buf) {
-			// The payload outgrew the pooled buffer; recycle the original
-			// (the grown one travels with the reply instead).
-			replyBufs.Put(buf)
 		}
 		m.mu.Lock()
 		s := m.inflight[id]

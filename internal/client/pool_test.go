@@ -183,3 +183,29 @@ func TestPlacementPoolRoundTrip(t *testing.T) {
 		t.Fatalf("recycled placements len %d, want 0", len(q))
 	}
 }
+
+// TestMuxIdleConnHoldsNoReplyBuffer: a shared connection whose reader is
+// blocked waiting for the next reply must have taken nothing from
+// replyBufs — the payload buffer is drawn once a reply's header is
+// parsed, not ahead of the read. The pool is pre-filled so every Get is
+// served from it and a buffer not given back shows as a lower idle
+// count.
+func TestMuxIdleConnHoldsNoReplyBuffer(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		replyBufs.Put(make([]byte, 0, 512))
+	}
+	idle := replyBufs.Idle()
+	c, _ := testCluster(t, 4, 1)
+	// One round trip dials the shared connection and proves its reader
+	// is up; Ping has released the pong's body by the time it returns.
+	if err := c.Ping(0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for replyBufs.Idle() != idle {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle shared connection holds %d pooled buffer(s)", idle-replyBufs.Idle())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -176,8 +176,20 @@ func (n *Node) gossipThrottle(units int) {
 // FeatRepair negotiated, strictly one exchange in flight.
 type gossipConn struct {
 	conn net.Conn
+	rd   *wire.Reader
 	next uint64
-	buf  []byte
+	buf  []byte // outgoing frame scratch
+	in   []byte // reply payload, reused by every round trip
+}
+
+// replyBuf hands the reader the connection's reply buffer, replacing it
+// when a reply outgrows it. Reuse is safe because exactly one exchange
+// is in flight and every decoder copies out of the payload.
+func (gc *gossipConn) replyBuf(n int) []byte {
+	if cap(gc.in) < n {
+		gc.in = make([]byte, n)
+	}
+	return gc.in
 }
 
 // dialGossip connects to a peer and negotiates v2 + FeatRepair. A v1
@@ -212,12 +224,13 @@ func dialGossip(addr string) (*gossipConn, error) {
 		return nil, fmt.Errorf("server: peer %s did not grant repair (v%d feat %#x)", addr, v, feat)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return &gossipConn{conn: conn}, nil
+	return &gossipConn{conn: conn, rd: wire.NewReader(conn)}, nil
 }
 
 // roundTrip writes one identified frame and reads its reply. The
 // sweeper never pipelines, so the next frame on the connection is the
-// answer; a mismatched ID means the stream is broken.
+// answer; a mismatched ID means the stream is broken. The returned body
+// is valid until the next roundTrip.
 func (gc *gossipConn) roundTrip(t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
 	gc.next++
 	out, err := wire.AppendFrameID(gc.buf[:0], t, gc.next, payload)
@@ -229,7 +242,7 @@ func (gc *gossipConn) roundTrip(t wire.MsgType, payload []byte) (wire.MsgType, [
 	if _, err := gc.conn.Write(out); err != nil {
 		return 0, nil, fmt.Errorf("server: gossip write: %w", err)
 	}
-	rt, id, body, err := wire.ReadFrameID(gc.conn)
+	rt, id, body, err := gc.rd.Next(gc.replyBuf)
 	if err != nil {
 		return 0, nil, fmt.Errorf("server: gossip read: %w", err)
 	}

@@ -240,3 +240,40 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 		t.Fatalf("draining peer stopped exporting: newer = %+v", newer)
 	}
 }
+
+// TestGossipReplyBufferReused: every round trip on a repair connection
+// reads its reply into the one buffer the connection owns, and what an
+// earlier exchange decoded is untouched by the next — decoders copy.
+func TestGossipReplyBufferReused(t *testing.T) {
+	n, addr := startNode(t)
+	putAll(t, n.Store(), gossipEntry("theirs-a", 5), gossipEntry("theirs-b", 6))
+	gc, err := dialGossip(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gc.conn.Close()
+
+	// An empty page over the whole keyspace: the peer exports everything.
+	_, first, _, err := gc.exchangeDigest(guid.GUID{}, guid.Max(), nil)
+	if err != nil || len(first) != 2 {
+		t.Fatalf("first exchange: %d newer, %v", len(first), err)
+	}
+	buf := &gc.in[:1][0]
+	want := map[guid.GUID]store.Entry{}
+	for _, e := range []store.Entry{gossipEntry("theirs-a", 5), gossipEntry("theirs-b", 6)} {
+		want[e.GUID] = e
+	}
+	for i := 0; i < 3; i++ {
+		if _, again, _, err := gc.exchangeDigest(guid.GUID{}, guid.Max(), nil); err != nil || len(again) != 2 {
+			t.Fatalf("exchange %d: %d newer, %v", i+2, len(again), err)
+		}
+		if &gc.in[:1][0] != buf {
+			t.Fatalf("exchange %d replaced the reply buffer", i+2)
+		}
+	}
+	for _, e := range first {
+		if w, ok := want[e.GUID]; !ok || e.Version != w.Version || len(e.NAs) != len(w.NAs) || e.NAs[0] != w.NAs[0] {
+			t.Fatalf("entry decoded from the first reply changed under later exchanges: %+v", e)
+		}
+	}
+}

@@ -592,12 +592,20 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		if st != nil {
 			st.Eventf("guids=%d", len(gs))
 		}
-		rs := make([]wire.LookupResp, len(gs))
+		// The same copy-out boundary as the single-op arm, once per GUID:
+		// each entry is encoded into dst under the store's read lock, with
+		// no staging slice and no cloned NAs in between.
+		out, err = wire.AppendBatchCount(dst, len(gs))
 		hits := 0
-		for i, g := range gs {
+		for i := 0; err == nil && i < len(gs); i++ {
+			g := gs[i]
 			n.hot.ObserveLookup(g)
-			e, ok := n.store.Get(g)
-			rs[i] = wire.LookupResp{Found: ok, Entry: e}
+			ok := n.store.View(g, func(e store.Entry) {
+				out, err = wire.AppendLookupResp(out, wire.LookupResp{Found: true, Entry: e})
+			})
+			if !ok {
+				out, err = wire.AppendLookupResp(out, wire.LookupResp{})
+			}
 			n.lookups.Add(1)
 			if ok {
 				n.hits.Add(1)
@@ -608,7 +616,6 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			st.Eventf("hits=%d", hits)
 			st.End()
 		}
-		out, err = wire.AppendBatchLookupResp(dst, rs)
 		if err != nil {
 			n.countErr()
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error"), false
@@ -689,6 +696,12 @@ func (n *Node) serveConn(conn net.Conn) {
 			if v >= wire.Version2 {
 				n.v2Conns.Add(1)
 				n.logger.Debug("v2 upgrade", "remote", conn.RemoteAddr(), "feat", granted)
+				// The v2 loop draws its buffers per frame; give the sequential
+				// loop's pair back now rather than pin it for the connection's
+				// lifetime.
+				serverBufs.Put(readBuf)
+				serverBufs.Put(scratch)
+				readBuf, scratch = nil, nil
 				n.serveConnV2(conn, granted, ca)
 				return
 			}
@@ -773,24 +786,21 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 	// A failed flush desynchronizes nothing (identified framing), but the
 	// connection is done for: kill it, which also unblocks the read loop.
 	w := wire.NewWriter(conn, func(error) { conn.Close() })
+	// One read(2) serves every frame the peer pipelined; each payload is
+	// copied out into a pooled buffer drawn only once its header is
+	// parsed, so an idle connection holds none.
+	rd := wire.NewReader(conn)
 	work := make(chan v2Work)
 	workers := 0
 	defer wg.Wait()   // runs second: workers drain after close
 	defer close(work) // runs first: stop the workers
 	for {
-		buf := serverBufs.Get(0)
-		t, id, payload, err := wire.ReadFrameIDInto(conn, buf[:cap(buf)])
+		t, id, payload, err := rd.Next(serverBufs.Get)
 		if err != nil {
-			serverBufs.Put(buf)
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				n.logger.Debug("v2 read failed", "remote", conn.RemoteAddr(), "err", err)
 			}
 			return
-		}
-		if cap(payload) != cap(buf) {
-			// The frame outgrew the pooled buffer; recycle the original.
-			// The worker releases the grown one.
-			serverBufs.Put(buf)
 		}
 		n.v2Frames.Add(1)
 		if ok, global := n.tryAdmit(ca, wire.BaseType(t)); !ok {

@@ -65,6 +65,10 @@ func (p *BufPool) Get(min int) []byte {
 	return make([]byte, 0, min)
 }
 
+// Idle reports how many buffers sit in the free list right now: what a
+// test compares to prove that a blocked connection holds none.
+func (p *BufPool) Idle() int { return len(p.free) }
+
 // Put releases b back to the pool. b may be nil or foreign (never
 // obtained from any pool) — both are accepted, so call sites can
 // release unconditionally. After Put returns the caller no longer owns

@@ -1,0 +1,64 @@
+// Reader: the read half of a v2 connection, one per connection.
+//
+// Handing the bare net.Conn to ReadFrameIDInto costs two read(2)s per
+// frame (header, then payload). Reader parses identified frames out of
+// a fixed connection-owned buffer instead, so one read(2) serves the
+// whole burst of frames the peer pipelined, and it asks for the payload
+// buffer only once a header is parsed — a connection blocked waiting for
+// its next frame holds no pooled buffer.
+//
+// Ownership (DESIGN.md §9): the buffer never leaves the Reader. Every
+// payload is copied out into storage the caller supplies and owns, so
+// nothing Next returns is invalidated by a later Next.
+package wire
+
+import (
+	"bufio"
+	"io"
+)
+
+// readerBufSize is the per-connection read buffer. Single-op frames
+// (tens of bytes) parse from it by the hundred per read; a payload at
+// least this large — batch frames only, it equals MaxFrame — is read
+// straight into the caller's storage instead of through it.
+const readerBufSize = 16 * 1024
+
+// Reader reads identified (v2) frames from one connection. It is not
+// safe for concurrent use: a connection has one reading goroutine.
+type Reader struct {
+	br *bufio.Reader
+}
+
+// NewReader returns a Reader over r. Bytes it has buffered are lost to
+// any other reader of r, so create it only once the connection speaks
+// identified frames and route every later read through it.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
+}
+
+// Next reads one identified frame under ReadFrameIDInto's contract:
+// the length is checked against MaxPayload before anything is sized by
+// it, errors are the ones ReadFrameIDInto reports on the same stream,
+// and the payload is the caller's to keep. get is called once per
+// frame, after the header is validated, with the payload length; the
+// payload is copied into the buffer it returns (grown only if that is
+// too small), so a BufPool's Get serves as get directly.
+func (rd *Reader) Next(get func(n int) []byte) (MsgType, uint64, []byte, error) {
+	hdr, err := rd.br.Peek(FrameIDHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // the stream ended inside a header
+		}
+		return 0, 0, nil, err
+	}
+	t, id, n, err := parseFrameIDHeader(hdr)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	_, _ = rd.br.Discard(FrameIDHeaderLen) // cannot fail: Peek buffered it
+	payload := grow(get(n), n)
+	if _, err := io.ReadFull(rd.br, payload); err != nil {
+		return 0, 0, nil, err
+	}
+	return t, id, payload, nil
+}

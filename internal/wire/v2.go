@@ -165,25 +165,41 @@ func ReadFrameID(r io.Reader) (MsgType, uint64, []byte, error) {
 // The header is staged through dst's own storage rather than a local
 // array: a stack array passed to io.ReadFull escapes through the
 // io.Reader interface and would cost one heap allocation per frame.
+//
+// On a bare connection this is two reads per frame; a connection's read
+// loop goes through Reader, which shares one read among the frames of a
+// pipelined burst under this same contract.
 func ReadFrameIDInto(r io.Reader, dst []byte) (MsgType, uint64, []byte, error) {
 	hdr := grow(dst, FrameIDHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	t := MsgType(hdr[4])
-	if n < idSize {
-		return 0, 0, nil, ErrTruncated
+	t, id, n, err := parseFrameIDHeader(hdr)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	if n-idSize > uint32(MaxPayload(t)) {
-		return 0, 0, nil, ErrFrameTooLarge
-	}
-	id := binary.BigEndian.Uint64(hdr[5:FrameIDHeaderLen])
-	payload := grow(dst, int(n-idSize))
+	// The payload overwrites the header bytes — they are fully parsed.
+	payload := grow(dst, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, 0, nil, err
 	}
 	return t, id, payload, nil
+}
+
+// parseFrameIDHeader decodes an identified frame header and returns the
+// payload length that follows it, rejecting a length below the request
+// ID's width or above the type's payload bound — before any caller
+// sizes a buffer by it. On error the other results are unspecified.
+// (Shaped to stay within the inliner's budget: it runs once per frame.)
+func parseFrameIDHeader(hdr []byte) (t MsgType, id uint64, payloadLen int, err error) {
+	n := binary.BigEndian.Uint32(hdr)
+	t = MsgType(hdr[4])
+	if n < idSize {
+		err = ErrTruncated
+	} else if n-idSize > uint32(MaxPayload(t)) {
+		err = ErrFrameTooLarge
+	}
+	return t, binary.BigEndian.Uint64(hdr[5:]), int(n) - idSize, err
 }
 
 // MaxBatch bounds the entries/GUIDs per batch frame.
@@ -192,8 +208,12 @@ const MaxBatch = 512
 // ErrBatchSize reports a batch outside [1, MaxBatch].
 var ErrBatchSize = errors.New("wire: batch size out of range")
 
-// appendBatchCount validates and encodes the leading uint16 count.
-func appendBatchCount(dst []byte, n int) ([]byte, error) {
+// AppendBatchCount validates and encodes the uint16 count that leads
+// every batch body. The Append* batch encoders call it themselves; it is
+// exported for an encoder that streams its items — the server appends
+// each lookup response under the store's read lock instead of staging
+// a []LookupResp for AppendBatchLookupResp.
+func AppendBatchCount(dst []byte, n int) ([]byte, error) {
 	if n < 1 || n > MaxBatch {
 		return nil, ErrBatchSize
 	}
@@ -215,7 +235,7 @@ func decodeBatchCount(b []byte) (int, []byte, error) {
 // AppendBatchInsert encodes a MsgBatchInsert body:
 // uint16 count ‖ count × entry.
 func AppendBatchInsert(dst []byte, entries []store.Entry) ([]byte, error) {
-	dst, err := appendBatchCount(dst, len(entries))
+	dst, err := AppendBatchCount(dst, len(entries))
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +269,7 @@ func DecodeBatchInsert(b []byte) ([]store.Entry, error) {
 // AppendBatchInsertAck encodes a MsgBatchInsertAck body:
 // uint16 count ‖ count × acked flag (1 = stored, 0 = refused).
 func AppendBatchInsertAck(dst []byte, acked []bool) ([]byte, error) {
-	dst, err := appendBatchCount(dst, len(acked))
+	dst, err := AppendBatchCount(dst, len(acked))
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +308,7 @@ func DecodeBatchInsertAck(b []byte) ([]bool, error) {
 // AppendBatchLookup encodes a MsgBatchLookup body:
 // uint16 count ‖ count × GUID.
 func AppendBatchLookup(dst []byte, gs []guid.GUID) ([]byte, error) {
-	dst, err := appendBatchCount(dst, len(gs))
+	dst, err := AppendBatchCount(dst, len(gs))
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +339,7 @@ func DecodeBatchLookup(b []byte) ([]guid.GUID, error) {
 // AppendBatchLookupResp encodes a MsgBatchLookupResp body:
 // uint16 count ‖ count × lookup response (found flag [+ entry]).
 func AppendBatchLookupResp(dst []byte, rs []LookupResp) ([]byte, error) {
-	dst, err := appendBatchCount(dst, len(rs))
+	dst, err := AppendBatchCount(dst, len(rs))
 	if err != nil {
 		return nil, err
 	}

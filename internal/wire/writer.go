@@ -2,18 +2,26 @@
 // connections.
 //
 // Many goroutines enqueue frames concurrently; whichever goroutine
-// finds no flush in progress becomes the flusher and drains the pending
-// buffer in a small loop, so frames enqueued while a syscall is in
-// flight ride out together on the next one — writev-style coalescing
-// without platform-specific syscalls. Under no contention a frame is
-// exactly one Write; under contention N frames collapse into far fewer
-// syscalls than N. Two persistent buffers ping-pong between "being
-// appended to" and "being written", so the steady state allocates
-// nothing.
+// finds no flush in progress becomes the flusher. Before its first
+// Write it yields the processor once, so every goroutine that is
+// already runnable — the other workers of a pipelined burst, the other
+// callers sharing a client connection — appends its frame first; then
+// it drains the pending buffer in a small loop, so frames enqueued
+// while a syscall is in flight ride out together on the next one —
+// writev-style coalescing without platform-specific syscalls. The
+// flush waits for work that exists, never for time: there is no timer
+// and no flush interval, and with nothing else runnable the yield
+// returns at once. So under no contention a frame is still exactly one
+// Write, issued by the goroutine that enqueued it before WriteFrameID
+// returns; under contention N frames collapse into far fewer syscalls
+// than N, on one processor as well as on many. Two persistent buffers
+// ping-pong between "being appended to" and "being written", so the
+// steady state allocates nothing.
 package wire
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,13 +102,18 @@ func (w *Writer) WriteFrameIDTrace(t MsgType, id uint64, tc trace.Context, paylo
 // flushLocked is called with w.mu held and the caller's frame already
 // appended to pending; it returns with w.mu released. If a flush is in
 // progress the frame is left for the flusher; otherwise this goroutine
-// flushes until the pending buffer stays empty.
+// becomes the flusher: it lets every runnable goroutine append (they
+// see flushing set and return at once), then flushes until the pending
+// buffer stays empty.
 func (w *Writer) flushLocked() error {
 	if w.flushing {
 		w.mu.Unlock()
 		return nil
 	}
 	w.flushing = true
+	w.mu.Unlock()
+	runtime.Gosched()
+	w.mu.Lock()
 	var failed error
 	for w.err == nil && len(w.pending) > 0 {
 		w.pending, w.spare = w.spare[:0], w.pending

@@ -5,11 +5,135 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// atProcs runs f at GOMAXPROCS 1 and 4. The Writer's flush policy is
+// scheduler-dependent: on one P nothing appends while a Write is in
+// flight, so coalescing rests on the flusher's yield alone; on several
+// Ps appenders and the flusher truly overlap.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
+}
+
+// countingConn counts the Write calls that reach the connection: each is
+// one write(2) on a TCP socket.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (dialed, accepted net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err = ln.Accept()
+	if err != nil {
+		dialed.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dialed.Close(); accepted.Close() })
+	return dialed, accepted
+}
+
+// TestWriterLoneFrameIsFlushed is the liveness property a deferred flush
+// can break: one frame from one goroutine reaches the peer with no
+// further call on the Writer to push it out, in exactly one Write.
+func TestWriterLoneFrameIsFlushed(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		c, peer := tcpPair(t)
+		cc := &countingConn{Conn: c}
+		w := NewWriter(cc, nil)
+		for i := uint64(1); i <= 3; i++ {
+			if err := w.WriteFrameID(MsgLookup, i, []byte("alone")); err != nil {
+				t.Fatal(err)
+			}
+			if n := cc.writes.Load(); n != int64(i) {
+				t.Fatalf("frame %d: %d Writes issued by the time WriteFrameID returned, want %d", i, n, i)
+			}
+			_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, id, body, err := ReadFrameID(peer)
+			if err != nil || id != i || string(body) != "alone" {
+				t.Fatalf("frame %d stranded: peer read (id %d, %q, %v)", i, id, body, err)
+			}
+		}
+	})
+}
+
+// TestWriterCoalescesOnOneP: 16 goroutines × 1,000 frames over a real
+// socket at GOMAXPROCS=1, where no goroutine can append while a Write is
+// in flight. Before the flusher yielded, this averaged 1–4 frames per
+// Write; the yield lets every runnable writer append first.
+func TestWriterCoalescesOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const writers, perWriter = 16, 1000
+	c, peer := tcpPair(t)
+	cc := &countingConn{Conn: c}
+	w := NewWriter(cc, nil)
+	read := make(chan error, 1)
+	go func() {
+		rd := NewReader(peer)
+		seen := make(map[uint64]bool, writers*perWriter)
+		for len(seen) < writers*perWriter {
+			typ, id, body, err := rd.Next(freshBuf)
+			if err != nil {
+				read <- err
+				return
+			}
+			if typ != MsgLookup || seen[id] || string(body) != fmt.Sprint(id) {
+				read <- fmt.Errorf("frame (%v, %d, %q) torn or repeated", typ, id, body)
+				return
+			}
+			seen[id] = true
+		}
+		read <- nil
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := uint64(g*perWriter + i)
+				if err := w.WriteFrameID(MsgLookup, id, []byte(fmt.Sprint(id))); err != nil {
+					t.Errorf("WriteFrameID(%d): %v", id, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	perWrite := float64(writers*perWriter) / float64(cc.writes.Load())
+	t.Logf("%d frames in %d Writes: %.1f frames per Write", writers*perWriter, cc.writes.Load(), perWrite)
+	if perWrite < 8 {
+		t.Fatalf("%.1f frames per Write at GOMAXPROCS=1, want >= 8", perWrite)
+	}
+}
 
 // TestWriterConcurrent drives many goroutines through one coalescing
 // Writer and checks that every frame arrives intact: coalescing must
@@ -135,6 +259,10 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                     { return nil }
 
 func TestWriterErrorStickyAndOnFailOnce(t *testing.T) {
+	atProcs(t, testWriterErrorStickyAndOnFailOnce)
+}
+
+func testWriterErrorStickyAndOnFailOnce(t *testing.T) {
 	var fails atomic.Int64
 	conn := &failConn{Conn: discardConn{}}
 	conn.allowed.Store(1)
@@ -144,15 +272,22 @@ func TestWriterErrorStickyAndOnFailOnce(t *testing.T) {
 		t.Fatalf("first write: %v", err)
 	}
 	// Hammer the broken connection from several goroutines: exactly one
-	// flusher records the error and fires onFail; everyone else sees the
-	// sticky error.
+	// flusher records the error and fires onFail; a frame queued behind
+	// the yielding flusher may still be accepted (nil: queued on a then
+	// healthy connection), but once a caller has seen the error every
+	// later call of its own must see it too.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			failed := false
 			for i := 0; i < 50; i++ {
-				_ = w.WriteFrameID(MsgPing, 2, nil)
+				err := w.WriteFrameID(MsgPing, 2, nil)
+				if failed && !errors.Is(err, errInjected) {
+					t.Errorf("write after a failed write = %v, want sticky error", err)
+				}
+				failed = failed || err != nil
 			}
 		}()
 	}

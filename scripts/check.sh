@@ -27,6 +27,15 @@ go test -race ./internal/core/... ./internal/engine/... ./internal/topology/...
 go test -race ./internal/wire/... ./internal/simnet/... ./internal/nodesim/...
 go test -race ./internal/server/... ./internal/client/... ./internal/metrics/... ./internal/obs/...
 go test -race ./internal/trace/... ./internal/store/... ./internal/load/...
+
+# The connection layer once more on a single P: wire.Writer's flush
+# policy (yield once, then drain) is scheduler-dependent, and one P is
+# both the benchmark's configuration and the case where no goroutine can
+# append while a Write is in flight — coalescing there rests on the
+# yield alone, and so does the liveness of a lone frame. -cpu 1 is
+# GOMAXPROCS=1 spelled so that the test cache keys on it: set through
+# the environment, this pass would be served from the pass above.
+go test -race -cpu 1 ./internal/wire/... ./internal/server/... ./internal/client/...
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
 go test -race -run '^$' -bench '^BenchmarkLookup64ClientsV2$' -benchtime=10x .
 
@@ -44,13 +53,20 @@ go test -race ./internal/crashtest/
 # with buffer poisoning on, so a buffer released while still referenced
 # is overwritten with a sentinel instead of silently surviving.
 DMAP_POISON_BUFS=1 go test -race \
-    -run 'TestMux|TestPlacementPool|TestWriter|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
+    -run 'TestMux|TestPlacementPool|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
     ./internal/client/... ./internal/wire/...
 
 # Fuzz smoke on the trace-context wire extension: ten seconds of live
 # fuzzing over DecodeTraceContext (the seed corpus alone replays in the
 # -race run above; this hunts new frames).
 go test -run '^$' -fuzz '^FuzzDecodeTraceContext$' -fuzztime=10s ./internal/wire
+
+# Fuzz smoke on the connection reader: for any byte stream cut into any
+# chunks, wire.Reader must yield the frames and the final error
+# ReadFrameIDInto yields on the unsplit stream. The corpus holds frames
+# larger than the reader's 16 KiB buffer; bounding minimisation keeps
+# the ten seconds on new inputs instead of on shrinking those.
+go test -run '^$' -fuzz '^FuzzReaderChunking$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 
 # Fuzz smoke on the durability decoders: WAL record replay must treat
 # any byte soup as (at worst) a torn tail, and snapshot decode must
@@ -70,3 +86,9 @@ go test -run '^$' -fuzz '^FuzzDecodeRepairDiff$' -fuzztime=10s ./internal/wire
 # DecodeSnapshot, so it must reject malformed telemetry without
 # panicking and re-encode accepted input to a canonical fixed point.
 go test -run '^$' -fuzz '^FuzzDecodeFleetSnapshot$' -fuzztime=10s ./internal/obs
+
+# The benchmark driver (bench/) is a module of its own that compiles
+# against internal/ packages; tier-1 neither builds nor tests it, so an
+# internal API change that breaks it must fail here, not in the
+# benchmark pipeline. -short skips the cluster smoke.
+(cd bench && go vet ./... && go test -short ./...)
