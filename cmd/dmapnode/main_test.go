@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"dmap/internal/client"
 	"dmap/internal/core"
@@ -88,16 +89,25 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get("http://" + dbgAddr + "/debug/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The server releases a request's admission claim after the reply's
+	// write returns, so a client that already holds the last reply can
+	// still scrape an in-flight count of 1: wait for it to settle.
+	var text string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get("http://" + dbgAddr + "/debug/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = string(body)
+		if strings.Contains(text, "gauge server.inflight 0") || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
 	for _, want := range []string{
 		"counter server.inserts 1",
 		"counter server.lookups 2",

@@ -44,17 +44,18 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (ackCounts []int, err error
 	}()
 
 	groups := make(map[int][]int) // replica AS → entry indices
+	place := make([]core.Placement, 0, c.resolver.K())
 	for i, e := range entries {
-		placements, err := c.resolver.Place(e.GUID)
-		if err != nil {
+		if place, err = c.resolver.PlaceInto(e.GUID, place[:0]); err != nil {
 			return nil, err
 		}
-		seen := make(map[int]bool, len(placements))
-		for _, p := range placements {
-			if seen[p.AS] {
-				continue
+	replicas:
+		for j, p := range place {
+			for _, q := range place[:j] {
+				if q.AS == p.AS {
+					continue replicas // replicas collided on one AS: send once
+				}
 			}
-			seen[p.AS] = true
 			groups[p.AS] = append(groups[p.AS], i)
 		}
 	}
@@ -179,33 +180,24 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 		c.tracer.FinishOp(sp, "lookup_batch", guid.GUID{}, opStart, err)
 	}()
 
-	placements := make([][]core.Placement, len(gs))
-	rounds := 0
-	for i, g := range gs {
-		p, err := c.resolver.Place(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		placements[i] = p
-		rounds = max(rounds, len(p))
-	}
-
 	entries := make([]store.Entry, len(gs))
 	found := make([]bool, len(gs))
 	pending := make([]int, len(gs))
 	for i := range pending {
 		pending[i] = i
 	}
+	rounds := c.resolver.K()
 	for r := 0; r < rounds && len(pending) > 0; r++ {
+		// Only the GUIDs still pending are placed, and only at replica r:
+		// a batch every first replica answers runs Algorithm 1 once per
+		// GUID, not K times.
 		groups := make(map[int][]int) // replica AS → GUID indices
 		for _, i := range pending {
-			if r < len(placements[i]) {
-				as := placements[i][r].AS
-				groups[as] = append(groups[as], i)
+			p, err := c.resolver.PlaceReplica(gs[i], r)
+			if err != nil {
+				return nil, nil, err
 			}
-		}
-		if len(groups) == 0 {
-			break
+			groups[p.AS] = append(groups[p.AS], i)
 		}
 		var (
 			wg   sync.WaitGroup

@@ -359,11 +359,6 @@ func (c *Cluster) Lookup(g guid.GUID) (store.Entry, error) {
 // GUIDs with zero heap allocations. On a miss or error e's contents are
 // unspecified.
 func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
-	placements, perr := c.resolver.PlaceInto(g, getPlacements())
-	defer putPlacements(placements) // the replica walk below is sequential
-	if perr != nil {
-		return perr
-	}
 	payload := wire.AppendGUID(payloadBufs.Get(32), g)
 	defer payloadBufs.Put(payload) // the replica walk below is sequential
 	opStart := time.Now()
@@ -374,14 +369,21 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 		c.tracer.FinishOp(sp, "lookup", g, opStart, err)
 	}()
 	var lastErr error
-	for i, p := range placements {
+	// Replica i is placed as the walk reaches it (§III-D3 asks replica
+	// i+1 only once replica i failed or missed): a healthy read runs
+	// Algorithm 1 once, not K times.
+	for i, k := 0, c.resolver.K(); i < k; i++ {
+		p, perr := c.resolver.PlaceReplica(g, i)
+		if perr != nil {
+			return perr
+		}
 		t, body, err := c.call(sp, p.AS, wire.MsgLookup, payload, opDeadline)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrDeadline) {
 				break // out of budget: later replicas cannot be tried either
 			}
-			if i < len(placements)-1 {
+			if i < k-1 {
 				c.m.failovers.Inc()
 				sp.Eventf("failover: AS %d failed: %v", p.AS, err)
 				c.logger.Debug("lookup failover", "guid", g.Short(), "as", p.AS, "err", err)
@@ -530,11 +532,6 @@ collect:
 
 // Delete removes g from all replicas, returning how many held it.
 func (c *Cluster) Delete(g guid.GUID) (removedCount int, err error) {
-	placements, perr := c.resolver.PlaceInto(g, getPlacements())
-	defer putPlacements(placements) // the replica walk below is sequential
-	if perr != nil {
-		return 0, perr
-	}
 	payload := wire.AppendGUID(payloadBufs.Get(32), g)
 	defer payloadBufs.Put(payload) // the replica walk below is sequential
 	opStart := time.Now()
@@ -545,7 +542,11 @@ func (c *Cluster) Delete(g guid.GUID) (removedCount int, err error) {
 		c.tracer.FinishOp(sp, "delete", g, opStart, err)
 	}()
 	removed := 0
-	for _, p := range placements {
+	for i := 0; i < c.resolver.K(); i++ {
+		p, perr := c.resolver.PlaceReplica(g, i)
+		if perr != nil {
+			return removed, perr
+		}
 		t, body, err := c.call(sp, p.AS, wire.MsgDelete, payload, opDeadline)
 		existed := err == nil && t == wire.MsgDeleteAck && len(body) >= 1 && body[0] == 1
 		putBody(body)

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"dmap/internal/core"
 	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
@@ -54,34 +53,6 @@ var payloadBufs = wire.NewBufPool(256)
 // completely done with the body — decoding copies, so nothing decoded
 // from it is at risk.
 func putBody(b []byte) { replyBufs.Put(b) }
-
-// placementBufs recycles the per-op []core.Placement scratch the
-// sequential request paths (Lookup, Delete) resolve into. A channel
-// free list for the same reason as wire.BufPool: slice headers move
-// without boxing, so Get and Put never allocate.
-var placementBufs = make(chan []core.Placement, 64)
-
-// getPlacements returns a zero-length placement scratch slice.
-func getPlacements() []core.Placement {
-	select {
-	case p := <-placementBufs:
-		return p[:0]
-	default:
-		return make([]core.Placement, 0, 8)
-	}
-}
-
-// putPlacements releases a placement scratch. The caller must be done
-// iterating: the backing array is handed to the next getPlacements.
-func putPlacements(p []core.Placement) {
-	if cap(p) == 0 {
-		return
-	}
-	select {
-	case placementBufs <- p:
-	default: // free list full; let the GC have it
-	}
-}
 
 // timerPool recycles the per-request reply timers. A timer is returned
 // only after Stop with its channel drained, so Reset on the next Get is

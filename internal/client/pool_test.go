@@ -167,23 +167,6 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestPlacementPoolRoundTrip pins the placement scratch free list:
-// recycled slices come back empty, and a Put never blocks even when
-// the free list is full.
-func TestPlacementPoolRoundTrip(t *testing.T) {
-	p := getPlacements()
-	if len(p) != 0 {
-		t.Fatalf("getPlacements len %d, want 0", len(p))
-	}
-	for i := 0; i < 200; i++ { // overfill the free list; must not block
-		putPlacements(getPlacements())
-	}
-	putPlacements(nil) // nil must be accepted
-	if q := getPlacements(); len(q) != 0 {
-		t.Fatalf("recycled placements len %d, want 0", len(q))
-	}
-}
-
 // TestMuxIdleConnHoldsNoReplyBuffer: a shared connection whose reader is
 // blocked waiting for the next reply must have taken nothing from
 // replyBufs — the payload buffer is drawn once a reply's header is

@@ -2,11 +2,74 @@ package prefixtable
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"dmap/internal/netaddr"
 )
+
+// trieLookup is longest-prefix matching by walking the trie bit by bit —
+// what Lookup did before the flat index — kept as the reference the index
+// is checked against.
+func (t *Table) trieLookup(a netaddr.Addr) (Entry, bool) {
+	best := nilRef
+	cur := int32(0)
+	for depth := 0; ; depth++ {
+		if e := t.nodes[cur].entry; e != nilRef {
+			best = e
+		}
+		if depth == 32 {
+			break
+		}
+		next := t.nodes[cur].child[bitAt(a, depth)]
+		if next == nilRef {
+			break
+		}
+		cur = next
+	}
+	if best == nilRef {
+		return Entry{}, false
+	}
+	return t.entries[best], true
+}
+
+// edges returns the first and last address of p and the addresses just
+// outside it: where a wrongly painted slot run shows.
+func edges(p netaddr.Prefix) [4]netaddr.Addr {
+	return [4]netaddr.Addr{p.Addr(), p.Last(), p.Addr() - 1, p.Last() + 1}
+}
+
+// checkLookup fails unless the flat index, the trie walk and (when given)
+// the brute-force model agree on a.
+func checkLookup(t testing.TB, tbl *Table, model *refModel, a netaddr.Addr) {
+	t.Helper()
+	got, gok := tbl.Lookup(a)
+	want, wok := tbl.trieLookup(a)
+	if gok != wok || got != want {
+		t.Fatalf("Lookup(%v) = %+v %v, trie walk %+v %v", a, got, gok, want, wok)
+	}
+	if model == nil {
+		return
+	}
+	if want, wok = model.lookup(a); gok != wok || got != want {
+		t.Fatalf("Lookup(%v) = %+v %v, model %+v %v", a, got, gok, want, wok)
+	}
+}
+
+// checkIndexEmpty fails unless the index is back to its initial state:
+// every root slot a hole and every chunk ever made on the free list.
+func checkIndexEmpty(t testing.TB, tbl *Table) {
+	t.Helper()
+	for i, s := range tbl.root {
+		if s != 0 {
+			t.Fatalf("root[%#x] = %#x in an empty table", i, s)
+		}
+	}
+	if len(tbl.freeChunks) != len(tbl.chunks) {
+		t.Fatalf("%d of %d chunks free in an empty table", len(tbl.freeChunks), len(tbl.chunks))
+	}
+}
 
 // refModel is an oracle implementation of the prefix table: a flat slice
 // scanned by brute force.
@@ -46,6 +109,11 @@ func (m *refModel) lookup(a netaddr.Addr) (Entry, bool) {
 // seeds) and checks LPM agreement on random probes after every step.
 func TestTableMatchesModelRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
+		defer func() {
+			if t.Failed() {
+				t.Logf("seed %d", seed)
+			}
+		}()
 		rng := rand.New(rand.NewSource(seed))
 		tbl := New()
 		model := newRefModel()
@@ -80,22 +148,274 @@ func TestTableMatchesModelRandomOps(t *testing.T) {
 			}
 			for probe := 0; probe < 8; probe++ {
 				a := netaddr.Addr(rng.Uint32())
-				got, gok := tbl.Lookup(a)
-				want, wok := model.lookup(a)
-				if gok != wok {
-					t.Logf("seed %d: Lookup(%v) ok=%v, model %v", seed, a, gok, wok)
-					return false
-				}
-				if gok && (got.Prefix != want.Prefix || got.AS != want.AS) {
-					t.Logf("seed %d: Lookup(%v) = %+v, model %+v", seed, a, got, want)
-					return false
-				}
+				checkLookup(t, tbl, model, a)
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// nestedPool returns prefixes of every length 0–32 along a few addresses,
+// each with its sibling (last bit flipped): chains of more-specifics that
+// share /16 and /24 index chunks.
+func nestedPool(rng *rand.Rand) []netaddr.Prefix {
+	var pool []netaddr.Prefix
+	base := netaddr.Addr(rng.Uint32())
+	for _, a := range []netaddr.Addr{base, base ^ 0x80, base ^ 0x4000, netaddr.Addr(rng.Uint32())} {
+		for bits := 0; bits <= 32; bits++ {
+			p, _ := netaddr.NewPrefix(a, bits)
+			pool = append(pool, p)
+			if bits > 0 {
+				sib, _ := netaddr.NewPrefix(a^netaddr.Addr(uint32(1)<<(32-bits)), bits)
+				pool = append(pool, sib)
+			}
+		}
+	}
+	return pool
+}
+
+// TestIndexMatchesTrieAndModel drives announce / withdraw / re-announce
+// over nested prefixes of every length and, after every step, compares
+// the flat index with the trie walk and the brute-force model at the
+// edges of the touched prefix and of a sample of the pool. Withdrawing
+// everything must hand every chunk back.
+func TestIndexMatchesTrieAndModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool := nestedPool(rng)
+		tbl, model := New(), newRefModel()
+		t.Logf("seed %d", seed)
+		for step := 0; step < 1500; step++ {
+			p := pool[rng.Intn(len(pool))]
+			if _, live := model.entries[p.String()]; live && rng.Intn(3) > 0 {
+				if !tbl.Withdraw(p) {
+					t.Fatalf("seed %d step %d: Withdraw(%v) of a live prefix = false", seed, step, p)
+				}
+				model.withdraw(p)
+			} else { // new, or live: an origin change
+				as := rng.Intn(50)
+				if err := tbl.Announce(p, as); err != nil {
+					t.Fatal(err)
+				}
+				model.announce(p, as)
+			}
+			for _, a := range edges(p) {
+				checkLookup(t, tbl, model, a)
+			}
+			for i := 0; i < 8; i++ {
+				for _, a := range edges(pool[rng.Intn(len(pool))]) {
+					checkLookup(t, tbl, model, a)
+				}
+				checkLookup(t, tbl, model, netaddr.Addr(rng.Uint32()))
+			}
+		}
+		for _, e := range tbl.Entries() {
+			tbl.Withdraw(e.Prefix)
+		}
+		checkIndexEmpty(t, tbl)
+		for _, p := range pool {
+			for _, a := range edges(p) {
+				if e, ok := tbl.Lookup(a); ok {
+					t.Fatalf("seed %d: Lookup(%v) = %+v in an empty table", seed, a, e)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexChunkLifecycle scripts the maintenance cases one by one: a
+// covering prefix withdrawn above live more-specifics, the last
+// more-specific of a /16 and of a /24 withdrawn (their chunks collapse),
+// and an origin change (no slot moves).
+func TestIndexChunkLifecycle(t *testing.T) {
+	tbl, model := New(), newRefModel()
+	var all []netaddr.Prefix
+	check := func() {
+		t.Helper()
+		for _, p := range all {
+			for _, a := range edges(p) {
+				checkLookup(t, tbl, model, a)
+			}
+		}
+	}
+	announce := func(s string, as int) netaddr.Prefix {
+		t.Helper()
+		p := mustPfx(t, s)
+		if err := tbl.Announce(p, as); err != nil {
+			t.Fatal(err)
+		}
+		model.announce(p, as)
+		all = append(all, p)
+		check()
+		return p
+	}
+	withdraw := func(p netaddr.Prefix) {
+		t.Helper()
+		if !tbl.Withdraw(p) {
+			t.Fatalf("Withdraw(%v) = false", p)
+		}
+		model.withdraw(p)
+		check()
+	}
+	live := func() int { return len(tbl.chunks) - len(tbl.freeChunks) }
+
+	p8 := announce("10.0.0.0/8", 1)
+	p16 := announce("10.1.0.0/16", 2)
+	if live() != 0 {
+		t.Fatalf("%d chunks for prefixes no longer than /16", live())
+	}
+	p20 := announce("10.1.16.0/20", 3)
+	p24 := announce("10.1.17.0/24", 4)
+	if live() != 1 {
+		t.Fatalf("%d chunks, want the one under 10.1/16", live())
+	}
+	p30 := announce("10.1.17.64/30", 5)
+	p32 := announce("10.1.17.65/32", 6)
+	if live() != 2 {
+		t.Fatalf("%d chunks, want 10.1/16 and 10.1.17/24", live())
+	}
+
+	// Origin change: entries move, slots do not.
+	root := append([]uint32(nil), tbl.root...)
+	chunks := append([]chunk(nil), tbl.chunks...)
+	announce("10.1.17.64/30", 55)
+	announce("10.0.0.0/8", 11)
+	for i := range root {
+		if root[i] != tbl.root[i] {
+			t.Fatalf("re-announce changed root[%#x]", i)
+		}
+	}
+	for i := range chunks {
+		if chunks[i] != tbl.chunks[i] {
+			t.Fatalf("re-announce changed chunk %d", i)
+		}
+	}
+
+	// Covering prefixes go while their more-specifics stay.
+	withdraw(p8)
+	withdraw(p16)
+	withdraw(p24)
+	if live() != 2 {
+		t.Fatalf("%d chunks, want 2: /30 and /32 still need the level-3 chunk", live())
+	}
+	withdraw(p32)
+	if live() != 2 {
+		t.Fatalf("%d chunks, want 2: the /30 is still below 10.1.17/24", live())
+	}
+	withdraw(p30) // last more-specific of the /24
+	if live() != 1 {
+		t.Fatalf("%d chunks, want 1 after the /24's last more-specific went", live())
+	}
+	withdraw(p20) // last more-specific of the /16
+	checkIndexEmpty(t, tbl)
+
+	// The freed chunks are reused, and filled afresh.
+	announce("10.0.0.0/8", 1)
+	announce("10.1.17.65/32", 6)
+	if len(tbl.chunks) != 2 || live() != 2 {
+		t.Fatalf("%d chunks, %d live: want the two freed ones reused", len(tbl.chunks), live())
+	}
+}
+
+// TestIndexMatchesTrieFullScale compares the flat index with the trie walk
+// on the full-scale synthetic DFZ: random addresses and the edges of
+// every announced prefix.
+func TestIndexMatchesTrieFullScale(t *testing.T) {
+	tbl, err := Generate(DefaultGenConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	random := 2_000_000
+	if testing.Short() {
+		random = 100_000
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < random; i++ {
+		checkLookup(t, tbl, nil, netaddr.Addr(rng.Uint32()))
+	}
+	for _, e := range tbl.Entries() {
+		for _, a := range edges(e.Prefix) {
+			checkLookup(t, tbl, nil, a)
+		}
+	}
+	t.Logf("%d prefixes: %d chunks, index %d KiB", tbl.Len(), len(tbl.chunks), (len(tbl.root)*4+len(tbl.chunks)*1024)/1024)
+}
+
+// FuzzTableOps turns a byte stream into announce / withdraw steps (six
+// bytes each: op and AS, length, address) and checks the flat index
+// against the trie walk and the model after every one. The seed corpus in
+// testdata/fuzz holds the nested-prefix sequences the maintenance rules
+// turn on.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, model := New(), newRefModel()
+		var touched []netaddr.Prefix
+		for ; len(data) >= 6; data = data[6:] {
+			a := netaddr.Addr(uint32(data[2])<<24 | uint32(data[3])<<16 | uint32(data[4])<<8 | uint32(data[5]))
+			p, err := netaddr.NewPrefix(a, int(data[1])%33)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[0]&1 == 1 {
+				if got, want := tbl.Withdraw(p), model.withdraw(p); got != want {
+					t.Fatalf("Withdraw(%v) = %v, model %v", p, got, want)
+				}
+			} else {
+				if err := tbl.Announce(p, int(data[0]>>1)); err != nil {
+					t.Fatal(err)
+				}
+				model.announce(p, int(data[0]>>1))
+			}
+			touched = append(touched, p)
+			for _, a := range edges(p) {
+				checkLookup(t, tbl, model, a)
+			}
+		}
+		for _, p := range touched {
+			for _, a := range edges(p) {
+				checkLookup(t, tbl, model, a)
+			}
+		}
+		for _, e := range tbl.Entries() {
+			tbl.Withdraw(e.Prefix)
+		}
+		checkIndexEmpty(t, tbl)
+	})
+}
+
+// BenchmarkTableLookup measures Lookup of uniformly random addresses on
+// the full-scale DFZ (about half fall into holes, as hashed GUIDs do).
+func BenchmarkTableLookup(b *testing.B) {
+	tbl, err := Generate(DefaultGenConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]netaddr.Addr, 1<<16)
+	for i := range addrs {
+		addrs[i] = netaddr.Addr(rng.Uint32())
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tbl.Lookup(addrs[i&(len(addrs)-1)]); ok {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+}
+
+// BenchmarkGenerate measures building the full-scale DFZ, trie and index:
+// 330k announcements.
+func BenchmarkGenerate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(DefaultGenConfig(int64(i))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -136,4 +456,31 @@ func TestCoverageMatchesSampling(t *testing.T) {
 			t.Errorf("AS %d share = %.4f, sampling says %.4f", as, share, emp)
 		}
 	}
+}
+
+// TestLookupConcurrentReaders: every client goroutine resolves against
+// one shared table, so Lookup must write nothing — run under -race by
+// scripts/check.sh.
+func TestLookupConcurrentReaders(t *testing.T) {
+	tbl, err := Generate(GenConfig{NumAS: 64, NumPrefixes: 4096, AnnouncedFraction: 0.52, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				a := netaddr.Addr(rng.Uint32())
+				got, gok := tbl.Lookup(a)
+				if want, wok := tbl.trieLookup(a); gok != wok || got != want {
+					t.Errorf("Lookup(%v) = %+v %v, trie walk %+v %v", a, got, gok, want, wok)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
 }

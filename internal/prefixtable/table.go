@@ -1,6 +1,8 @@
 // Package prefixtable implements the BGP default-free-zone (DFZ) prefix
-// table that DMap piggybacks on: a longest-prefix-match trie mapping
-// announced IPv4 prefixes to the autonomous systems that announce them.
+// table that DMap piggybacks on: a binary trie mapping announced IPv4
+// prefixes to the autonomous systems that announce them, with a flat
+// 16-8-8 index derived from it so longest-prefix matching is at most
+// three array loads (DESIGN.md §4).
 //
 // Beyond ordinary LPM it provides the two operations DMap's hole-handling
 // protocol (Algorithm 1, §III-B of the paper) needs:
@@ -36,20 +38,41 @@ type node struct {
 	entry int32    // index into entries; nilRef if no announcement ends here
 }
 
-// Table is a binary-trie prefix table. The zero value is not usable; call
-// New. Table is not safe for concurrent mutation; wrap it (as
-// internal/server does) when sharing across goroutines.
+// chunkFlag marks an index slot that points at a chunk instead of
+// resolving to an entry.
+const chunkFlag = uint32(1) << 31
+
+// chunk is one 256-slot level of the flat index: the next 8 address bits
+// below a /16 (level 2) or a /24 (level 3).
+type chunk [256]uint32
+
+// Table is a binary-trie prefix table with a flat longest-prefix-match
+// index beside it. The trie is the source of truth; Announce and Withdraw
+// keep the index equal to it, and Lookup reads the index alone and writes
+// nothing. The zero value is not usable; call New. Table is not safe for
+// concurrent mutation; wrap it (as internal/server does) when sharing
+// across goroutines.
 type Table struct {
 	nodes     []node
 	entries   []Entry
 	freeNodes []int32
 	freeEnts  []int32
 	count     int
+
+	// The index is leaf-pushed: a slot is 0 (hole), entry index+1 (the
+	// longest announced prefix covering the slot's whole range) or
+	// chunkFlag|chunk index (something longer than the slot's own length
+	// is announced below it). root is indexed by the top 16 address bits,
+	// a chunk by the next 8. A chunk exists exactly while the trie node at
+	// its depth (16 or 24) has children.
+	root       []uint32 // 1<<16 slots
+	chunks     []chunk
+	freeChunks []uint32
 }
 
 // New returns an empty table.
 func New() *Table {
-	t := &Table{}
+	t := &Table{root: make([]uint32, 1<<16)}
 	t.nodes = append(t.nodes, node{child: [2]int32{nilRef, nilRef}, entry: nilRef}) // root
 	return t
 }
@@ -91,33 +114,114 @@ func (t *Table) Announce(p netaddr.Prefix, as int) error {
 	if as < 0 {
 		return fmt.Errorf("prefixtable: announce %v: negative AS index %d", p, as)
 	}
+	cover := uint32(0) // index slot value of the longest shorter prefix covering p
 	cur := int32(0)
 	for depth := 0; depth < p.Bits(); depth++ {
+		n := &t.nodes[cur]
+		if n.entry != nilRef {
+			cover = uint32(n.entry) + 1
+		}
 		b := bitAt(p.Addr(), depth)
-		next := t.nodes[cur].child[b]
+		next := n.child[b]
 		if next == nilRef {
-			next = t.newNode()
+			next = t.newNode() // may move t.nodes: index again
 			t.nodes[cur].child[b] = next
 		}
 		cur = next
 	}
 	if e := t.nodes[cur].entry; e != nilRef {
-		t.entries[e].AS = as // re-announcement: origin change
+		// Re-announcement: origin change. Index slots hold entry indices,
+		// not ASs, so none of them changes.
+		t.entries[e].AS = as
 		return nil
 	}
-	t.nodes[cur].entry = t.newEntry(Entry{Prefix: p, AS: as})
+	e := t.newEntry(Entry{Prefix: p, AS: as})
+	t.nodes[cur].entry = e
 	t.count++
+	// Every slot under p that still resolves to a shorter prefix resolves
+	// to cover (shorter prefixes covering any part of p cover all of it,
+	// and cover is the longest): those now belong to p. Slots holding
+	// anything else hold a more-specific and stay.
+	t.paint(t.slotsFor(p), cover, uint32(e)+1)
 	return nil
+}
+
+// slotsFor returns the index level whose slots p is painted into — root
+// for lengths ≤ 16, a level-2 chunk for 17–24, a level-3 chunk for 25–32 —
+// and the run of it that p covers. Leaf slots on the way down become
+// chunks; under an announced prefix they already are.
+func (t *Table) slotsFor(p netaddr.Prefix) []uint32 {
+	a, bits := uint32(p.Addr()), p.Bits()
+	if bits <= 16 {
+		return t.root[a>>16:][:1<<(16-bits)]
+	}
+	s := t.root[a>>16]
+	if s&chunkFlag == 0 {
+		s = t.newChunk(s)
+		t.root[a>>16] = s
+	}
+	c := s &^ chunkFlag
+	if bits <= 24 {
+		return t.chunks[c][a>>8&0xff:][:1<<(24-bits)]
+	}
+	s = t.chunks[c][a>>8&0xff]
+	if s&chunkFlag == 0 {
+		s = t.newChunk(s) // may move t.chunks: index again
+		t.chunks[c][a>>8&0xff] = s
+	}
+	return t.chunks[s&^chunkFlag][a&0xff:][:1<<(32-bits)]
+}
+
+// newChunk returns the slot value of a chunk that resolves everywhere to
+// fill, the value of the leaf slot it is about to replace.
+func (t *Table) newChunk(fill uint32) uint32 {
+	var c uint32
+	if n := len(t.freeChunks); n > 0 {
+		c = t.freeChunks[n-1]
+		t.freeChunks = t.freeChunks[:n-1]
+	} else {
+		t.chunks = append(t.chunks, chunk{})
+		c = uint32(len(t.chunks) - 1)
+	}
+	for i := range t.chunks[c] {
+		t.chunks[c][i] = fill
+	}
+	return chunkFlag | c
+}
+
+// collapse replaces the chunk *slot points at, whose slots all hold one
+// leaf value again, with that value.
+func (t *Table) collapse(slot *uint32) {
+	c := *slot &^ chunkFlag
+	*slot = t.chunks[c][0]
+	t.freeChunks = append(t.freeChunks, c)
+}
+
+// paint rewrites every slot in the run, and in the chunks below it, that
+// holds from to hold to.
+func (t *Table) paint(slots []uint32, from, to uint32) {
+	for i, s := range slots {
+		if s == from {
+			slots[i] = to
+		} else if s&chunkFlag != 0 {
+			t.paint(t.chunks[s&^chunkFlag][:], from, to)
+		}
+	}
 }
 
 // Withdraw removes the exact prefix p, pruning now-empty trie branches.
 // It reports whether the prefix was announced.
 func (t *Table) Withdraw(p netaddr.Prefix) bool {
 	var path [33]int32
+	cover := uint32(0) // as in Announce
 	cur := int32(0)
 	path[0] = cur
 	for depth := 0; depth < p.Bits(); depth++ {
-		next := t.nodes[cur].child[bitAt(p.Addr(), depth)]
+		n := &t.nodes[cur]
+		if n.entry != nilRef {
+			cover = uint32(n.entry) + 1
+		}
+		next := n.child[bitAt(p.Addr(), depth)]
 		if next == nilRef {
 			return false
 		}
@@ -128,44 +232,60 @@ func (t *Table) Withdraw(p netaddr.Prefix) bool {
 	if e == nilRef {
 		return false
 	}
+	// The slots that resolved to p fall back to the prefix covering it;
+	// after this no slot holds e and its index may be reused.
+	t.paint(t.slotsFor(p), uint32(e)+1, cover)
 	t.freeEnts = append(t.freeEnts, e)
 	t.nodes[cur].entry = nilRef
 	t.count--
 	// Prune childless, entryless nodes bottom-up (never the root).
-	for depth := p.Bits(); depth > 0; depth-- {
-		n := &t.nodes[path[depth]]
+	kept := p.Bits() // depth of the deepest path node that survives
+	for ; kept > 0; kept-- {
+		n := &t.nodes[path[kept]]
 		if n.entry != nilRef || n.child[0] != nilRef || n.child[1] != nilRef {
 			break
 		}
-		parent := &t.nodes[path[depth-1]]
-		parent.child[bitAt(p.Addr(), depth-1)] = nilRef
-		t.freeNodes = append(t.freeNodes, path[depth])
+		parent := &t.nodes[path[kept-1]]
+		parent.child[bitAt(p.Addr(), kept-1)] = nilRef
+		t.freeNodes = append(t.freeNodes, path[kept])
+	}
+	// A chunk whose trie node has no children left holds nothing longer
+	// than its own depth: the repaint above left it uniform. Deepest first.
+	a := uint32(p.Addr())
+	if p.Bits() > 24 && !t.hasChildren(path[:kept+1], 24) {
+		t.collapse(&t.chunks[t.root[a>>16]&^chunkFlag][a>>8&0xff])
+	}
+	if p.Bits() > 16 && !t.hasChildren(path[:kept+1], 16) {
+		t.collapse(&t.root[a>>16])
 	}
 	return true
 }
 
-// Lookup performs longest-prefix matching on a, returning the
-// most-specific announced prefix containing it.
-func (t *Table) Lookup(a netaddr.Addr) (Entry, bool) {
-	best := nilRef
-	cur := int32(0)
-	for depth := 0; ; depth++ {
-		if e := t.nodes[cur].entry; e != nilRef {
-			best = e
-		}
-		if depth == 32 {
-			break
-		}
-		next := t.nodes[cur].child[bitAt(a, depth)]
-		if next == nilRef {
-			break
-		}
-		cur = next
+// hasChildren reports whether the node at depth on the surviving part of
+// a withdrawn prefix's path still has a child.
+func (t *Table) hasChildren(path []int32, depth int) bool {
+	if depth >= len(path) {
+		return false // pruned
 	}
-	if best == nilRef {
+	n := &t.nodes[path[depth]]
+	return n.child[0] != nilRef || n.child[1] != nilRef
+}
+
+// Lookup performs longest-prefix matching on a, returning the
+// most-specific announced prefix containing it: at most three index loads
+// and the entry itself.
+func (t *Table) Lookup(a netaddr.Addr) (Entry, bool) {
+	s := t.root[a>>16]
+	if s&chunkFlag != 0 {
+		s = t.chunks[s&^chunkFlag][uint8(a>>8)]
+		if s&chunkFlag != 0 {
+			s = t.chunks[s&^chunkFlag][uint8(a)]
+		}
+	}
+	if s == 0 {
 		return Entry{}, false
 	}
-	return t.entries[best], true
+	return t.entries[s-1], true
 }
 
 // Contains reports whether any announced prefix covers a.

@@ -23,7 +23,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-go test -race ./internal/core/... ./internal/engine/... ./internal/topology/...
+# internal/prefixtable rides along: every client goroutine reads one
+# table's flat index at once, which is only sound while Lookup writes
+# nothing.
+go test -race ./internal/prefixtable/... ./internal/core/... ./internal/engine/... ./internal/topology/...
 go test -race ./internal/wire/... ./internal/simnet/... ./internal/nodesim/...
 go test -race ./internal/server/... ./internal/client/... ./internal/metrics/... ./internal/obs/...
 go test -race ./internal/trace/... ./internal/store/... ./internal/load/...
@@ -53,7 +56,7 @@ go test -race ./internal/crashtest/
 # with buffer poisoning on, so a buffer released while still referenced
 # is overwritten with a sentinel instead of silently surviving.
 DMAP_POISON_BUFS=1 go test -race \
-    -run 'TestMux|TestPlacementPool|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
+    -run 'TestMux|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
     ./internal/client/... ./internal/wire/...
 
 # Fuzz smoke on the trace-context wire extension: ten seconds of live
@@ -67,6 +70,11 @@ go test -run '^$' -fuzz '^FuzzDecodeTraceContext$' -fuzztime=10s ./internal/wire
 # larger than the reader's 16 KiB buffer; bounding minimisation keeps
 # the ten seconds on new inputs instead of on shrinking those.
 go test -run '^$' -fuzz '^FuzzReaderChunking$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+
+# Fuzz smoke on the prefix table: any announce / withdraw sequence must
+# leave the flat index answering exactly what the trie walk and the
+# brute-force model answer, and an emptied table must own no chunk.
+go test -run '^$' -fuzz '^FuzzTableOps$' -fuzztime=10s ./internal/prefixtable
 
 # Fuzz smoke on the durability decoders: WAL record replay must treat
 # any byte soup as (at worst) a torn tail, and snapshot decode must
