@@ -9,35 +9,34 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/store"
-	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
 
 // InsertBatch stores every entry at its K replicas using batched
 // frames: entries are grouped per replica AS (deduplicating replicas
-// that collide on one AS for the same entry), chunked to wire.MaxBatch
-// and sent in parallel — one frame per (replica AS, chunk) instead of
-// one round trip per (entry, replica). It returns per-entry ack counts:
-// acks[i] is how many replicas stored entries[i]. An error is returned
-// only when nothing was stored anywhere.
+// that collide on one AS for the same entry) and chunked to
+// wire.MaxBatch; every frame — one per (replica AS, chunk) instead of
+// one round trip per (entry, replica) — is started before any ack is
+// awaited. It returns per-entry ack counts: acks[i] is how many DISTINCT
+// replica ASs stored entries[i], so a fully stored entry whose
+// placements collide reads fewer than K; Insert counts placements. An
+// error is returned only when nothing was stored anywhere.
 //
 // Against a peer that rejects batch frames as unknown (a pre-v2 node),
 // the chunk transparently degrades to per-entry inserts.
-func (c *Cluster) InsertBatch(entries []store.Entry) (ackCounts []int, err error) {
+func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
 	opStart := time.Now()
 	sp := c.tracer.StartOp("client.insert_batch")
 	sp.Eventf("entries=%d", len(entries))
-	opDeadline := opStart.Add(c.cfg.OpDeadline)
+	proto := attempt{sp: sp, t: wire.MsgBatchInsert, opDeadline: opStart.Add(c.cfg.OpDeadline)}
 	defer func() {
 		c.m.opBatchIns.ObserveSinceExemplar(opStart, sp.TraceID())
 		c.tracer.FinishOp(sp, "insert_batch", guid.GUID{}, opStart, err)
@@ -60,113 +59,126 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (ackCounts []int, err error
 		}
 	}
 
-	acks := make([]int32, len(entries))
 	var (
-		wg      sync.WaitGroup
-		errMu   sync.Mutex
-		lastErr error
+		atts  []attempt
+		batch []store.Entry
 	)
 	for as, idxs := range groups {
 		for start := 0; start < len(idxs); start += wire.MaxBatch {
 			chunk := idxs[start:min(start+wire.MaxBatch, len(idxs))]
-			wg.Add(1)
-			go func(as int, chunk []int) {
-				defer wg.Done()
-				got, err := c.insertChunk(sp, as, entries, chunk, opDeadline)
-				if err != nil {
-					errMu.Lock()
-					lastErr = fmt.Errorf("AS %d: %w", as, err)
-					errMu.Unlock()
-					return
-				}
-				for j, ok := range got {
-					if ok {
-						atomic.AddInt32(&acks[chunk[j]], 1)
-					}
-				}
-			}(as, chunk)
+			batch = batch[:0]
+			for _, i := range chunk {
+				batch = append(batch, entries[i])
+			}
+			payload, err := wire.AppendBatchInsert(payloadBufs.Get(256), batch)
+			atts = c.startChunk(atts, proto, as, chunk, payload, err)
 		}
 	}
-	wg.Wait()
+	c.finish(atts, time.Now())
 
-	out := make([]int, len(entries))
+	acks = make([]int, len(entries))
 	total := 0
-	for i := range acks {
-		out[i] = int(acks[i])
-		total += out[i]
+	var lastErr error
+	for k := range atts {
+		a := &atts[k]
+		got, err := c.insertAcks(a, entries)
+		if err != nil {
+			lastErr = fmt.Errorf("AS %d: %w", a.as, err)
+			continue
+		}
+		for j, ok := range got {
+			if ok {
+				acks[a.idxs[j]]++
+				total++
+			}
+		}
 	}
 	if total == 0 {
 		if lastErr != nil {
-			return out, fmt.Errorf("client: batch insert: no entry stored anywhere (last: %v)", lastErr)
+			return acks, fmt.Errorf("client: batch insert: no entry stored anywhere (last: %v)", lastErr)
 		}
-		return out, errors.New("client: batch insert: no entry stored anywhere")
+		return acks, errors.New("client: batch insert: no entry stored anywhere")
 	}
-	return out, nil
+	return acks, nil
 }
 
-// insertChunk sends one batch-insert frame to one replica AS and
-// returns the per-entry acked flags, degrading to per-entry inserts
-// against peers that do not know the batch frame type.
-func (c *Cluster) insertChunk(sp *trace.Span, as int, entries []store.Entry, idxs []int, opDeadline time.Time) ([]bool, error) {
-	batch := make([]store.Entry, len(idxs))
-	for j, i := range idxs {
-		batch[j] = entries[i]
+// startChunk starts proto as one batch frame to replica AS as, carrying
+// the operation's items idxs under a child span of its own, and appends
+// it to atts; a frame that could not be encoded is appended settled
+// with encErr. The attempt owns payload until its reply is read.
+func (c *Cluster) startChunk(atts []attempt, proto attempt, as int, idxs []int, payload []byte, encErr error) []attempt {
+	c.m.batchSize.Observe(float64(len(idxs)))
+	proto.sp = proto.sp.NewChild("chunk")
+	proto.sp.Eventf("as=%d items=%d", as, len(idxs))
+	proto.idxs, proto.payload = idxs, payload
+	atts = append(atts, proto)
+	if a := &atts[len(atts)-1]; encErr != nil {
+		a.as, a.done, a.err = as, true, encErr
+	} else {
+		c.start(a, as, time.Now())
 	}
-	payload, err := wire.AppendBatchInsert(payloadBufs.Get(256), batch)
-	if err != nil {
-		return nil, err
+	return atts
+}
+
+// chunkReply closes a finished chunk's books — no try is in flight and
+// none will be sent, so its payload goes back to the pool — and returns
+// the reply's body once it is known to be of type want.
+func chunkReply(a *attempt, want wire.MsgType) ([]byte, error) {
+	payloadBufs.Put(a.payload)
+	if a.err != nil {
+		return nil, a.err
 	}
-	defer payloadBufs.Put(payload) // c.call is synchronous
-	c.m.batchSize.Observe(float64(len(batch)))
-	ch := sp.NewChild("chunk")
-	ch.Eventf("as=%d entries=%d", as, len(batch))
-	defer ch.End()
-	t, body, err := c.call(ch, as, wire.MsgBatchInsert, payload, opDeadline)
+	if a.rt != want {
+		putBody(a.body)
+		return nil, fmt.Errorf("client: unexpected frame %v", a.rt)
+	}
+	return a.body, nil
+}
+
+// insertAcks reads a finished batch-insert chunk's per-entry acked
+// flags, degrading to per-entry inserts against peers that do not know
+// the batch frame type.
+func (c *Cluster) insertAcks(a *attempt, entries []store.Entry) ([]bool, error) {
+	defer a.sp.End()
+	body, err := chunkReply(a, wire.MsgBatchInsertAck)
 	if err != nil {
-		if isUnknownFrameReject(err) {
-			ch.Eventf("degrading to per-entry inserts: peer rejects batch frames")
-			return c.insertChunkPerItem(ch, as, batch, opDeadline)
+		if !isUnknownFrameReject(err) {
+			return nil, err
 		}
-		return nil, err
-	}
-	if t != wire.MsgBatchInsertAck {
-		putBody(body)
-		return nil, fmt.Errorf("client: unexpected frame %v", t)
+		// The compatibility path for pre-v2 peers.
+		a.sp.Eventf("degrading to per-entry inserts: peer rejects batch frames")
+		acked := make([]bool, len(a.idxs))
+		for j, i := range a.idxs {
+			payload, err := wire.AppendEntry(payloadBufs.Get(128), entries[i])
+			if err != nil {
+				return nil, err
+			}
+			t, body, err := c.call(a.sp, a.as, wire.MsgInsert, payload, a.opDeadline)
+			payloadBufs.Put(payload)
+			putBody(body)
+			acked[j] = err == nil && t == wire.MsgInsertAck
+		}
+		return acked, nil
 	}
 	got, err := wire.DecodeBatchInsertAck(body)
 	putBody(body) // DecodeBatchInsertAck copied the flags
 	if err != nil {
 		return nil, err
 	}
-	if len(got) != len(batch) {
-		return nil, fmt.Errorf("client: batch ack carries %d flags for %d entries", len(got), len(batch))
+	if len(got) != len(a.idxs) {
+		return nil, fmt.Errorf("client: batch ack carries %d flags for %d entries", len(got), len(a.idxs))
 	}
 	return got, nil
-}
-
-// insertChunkPerItem is the compatibility path for pre-v2 peers.
-func (c *Cluster) insertChunkPerItem(sp *trace.Span, as int, batch []store.Entry, opDeadline time.Time) ([]bool, error) {
-	acked := make([]bool, len(batch))
-	for i, e := range batch {
-		payload, err := wire.AppendEntry(payloadBufs.Get(128), e)
-		if err != nil {
-			return nil, err
-		}
-		t, body, err := c.call(sp, as, wire.MsgInsert, payload, opDeadline)
-		payloadBufs.Put(payload)
-		putBody(body)
-		acked[i] = err == nil && t == wire.MsgInsertAck
-	}
-	return acked, nil
 }
 
 // LookupBatch resolves many GUIDs with batched frames, walking
 // Algorithm 1's placement order in rounds: round r groups the
 // still-unresolved GUIDs by their r-th replica AS and asks each AS with
-// at most wire.MaxBatch GUIDs per frame. Misses and failed replicas
-// roll into the next round (§III-D3 failover, amortized). It returns
-// the resolved entries and per-GUID found flags; GUIDs no reachable
-// replica had stay false without failing the call.
+// at most wire.MaxBatch GUIDs per frame, starting every frame of the
+// round before it reads any answer. Misses and failed replicas roll
+// into the next round (§III-D3 failover, amortized). It returns the
+// resolved entries and per-GUID found flags; GUIDs no reachable replica
+// had stay false without failing the call.
 func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bool, err error) {
 	if len(gs) == 0 {
 		return nil, nil, nil
@@ -174,7 +186,7 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 	opStart := time.Now()
 	sp := c.tracer.StartOp("client.lookup_batch")
 	sp.Eventf("guids=%d", len(gs))
-	opDeadline := opStart.Add(c.cfg.OpDeadline)
+	proto := attempt{sp: sp, t: wire.MsgBatchLookup, opDeadline: opStart.Add(c.cfg.OpDeadline)}
 	defer func() {
 		c.m.opBatchLkp.ObserveSinceExemplar(opStart, sp.TraceID())
 		c.tracer.FinishOp(sp, "lookup_batch", guid.GUID{}, opStart, err)
@@ -186,6 +198,10 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 	for i := range pending {
 		pending[i] = i
 	}
+	var (
+		atts  []attempt
+		batch []guid.GUID
+	)
 	rounds := c.resolver.K()
 	for r := 0; r < rounds && len(pending) > 0; r++ {
 		// Only the GUIDs still pending are placed, and only at replica r:
@@ -199,110 +215,81 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 			}
 			groups[p.AS] = append(groups[p.AS], i)
 		}
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next []int
-		)
+		atts = atts[:0]
 		for as, idxs := range groups {
 			for start := 0; start < len(idxs); start += wire.MaxBatch {
 				chunk := idxs[start:min(start+wire.MaxBatch, len(idxs))]
-				wg.Add(1)
-				go func(as int, chunk []int) {
-					defer wg.Done()
-					rs, err := c.lookupChunk(sp, as, gs, chunk, opDeadline)
-					if err != nil {
-						// The whole chunk fails over to its next replica
-						// round, exactly like the sequential walk.
-						if r < rounds-1 {
-							c.m.failovers.Add(int64(len(chunk)))
-							sp.Eventf("failover round=%d as=%d guids=%d: %v", r, as, len(chunk), err)
-						}
-						mu.Lock()
-						next = append(next, chunk...)
-						mu.Unlock()
-						return
-					}
-					var misses []int
-					for j, resp := range rs {
-						if resp.Found {
-							mu.Lock()
-							i := chunk[j]
-							if !found[i] || resp.Entry.Version > entries[i].Version {
-								entries[i], found[i] = resp.Entry, true
-							}
-							mu.Unlock()
-						} else {
-							misses = append(misses, chunk[j])
-						}
-					}
-					mu.Lock()
-					next = append(next, misses...)
-					mu.Unlock()
-				}(as, chunk)
+				batch = batch[:0]
+				for _, i := range chunk {
+					batch = append(batch, gs[i])
+				}
+				payload, err := wire.AppendBatchLookup(payloadBufs.Get(256), batch)
+				atts = c.startChunk(atts, proto, as, chunk, payload, err)
 			}
 		}
-		wg.Wait()
-		pending = next
+		c.finish(atts, time.Now())
+		pending = pending[:0] // the groups hold the indices now
+		for k := range atts {
+			a := &atts[k]
+			rs, err := c.lookupAnswers(a, gs)
+			if err != nil {
+				// The whole chunk fails over to its next replica round,
+				// exactly like the sequential walk.
+				if r < rounds-1 {
+					c.m.failovers.Add(int64(len(a.idxs)))
+					sp.Eventf("failover round=%d as=%d guids=%d: %v", r, a.as, len(a.idxs), err)
+				}
+				pending = append(pending, a.idxs...)
+				continue
+			}
+			for j, resp := range rs {
+				if i := a.idxs[j]; resp.Found {
+					entries[i], found[i] = resp.Entry, true
+				} else {
+					pending = append(pending, i)
+				}
+			}
+		}
 	}
 	return entries, found, nil
 }
 
-// lookupChunk sends one batch-lookup frame to one replica AS, degrading
-// to per-GUID lookups against peers that do not know the batch frame.
-func (c *Cluster) lookupChunk(sp *trace.Span, as int, gs []guid.GUID, idxs []int, opDeadline time.Time) ([]wire.LookupResp, error) {
-	batch := make([]guid.GUID, len(idxs))
-	for j, i := range idxs {
-		batch[j] = gs[i]
-	}
-	payload, err := wire.AppendBatchLookup(payloadBufs.Get(256), batch)
+// lookupAnswers reads a finished batch-lookup chunk's per-GUID answers,
+// degrading to per-GUID lookups against peers that do not know the
+// batch frame.
+func (c *Cluster) lookupAnswers(a *attempt, gs []guid.GUID) ([]wire.LookupResp, error) {
+	defer a.sp.End()
+	body, err := chunkReply(a, wire.MsgBatchLookupResp)
 	if err != nil {
-		return nil, err
-	}
-	defer payloadBufs.Put(payload) // c.call is synchronous
-	c.m.batchSize.Observe(float64(len(batch)))
-	ch := sp.NewChild("chunk")
-	ch.Eventf("as=%d guids=%d", as, len(batch))
-	defer ch.End()
-	t, body, err := c.call(ch, as, wire.MsgBatchLookup, payload, opDeadline)
-	if err != nil {
-		if isUnknownFrameReject(err) {
-			ch.Eventf("degrading to per-GUID lookups: peer rejects batch frames")
-			return c.lookupChunkPerItem(ch, as, batch, opDeadline)
+		if !isUnknownFrameReject(err) {
+			return nil, err
 		}
-		return nil, err
-	}
-	if t != wire.MsgBatchLookupResp {
-		putBody(body)
-		return nil, fmt.Errorf("client: unexpected frame %v", t)
+		// The compatibility path for pre-v2 peers.
+		a.sp.Eventf("degrading to per-GUID lookups: peer rejects batch frames")
+		rs := make([]wire.LookupResp, len(a.idxs))
+		for j, i := range a.idxs {
+			payload := wire.AppendGUID(payloadBufs.Get(32), gs[i])
+			t, body, err := c.call(a.sp, a.as, wire.MsgLookup, payload, a.opDeadline)
+			payloadBufs.Put(payload)
+			if err != nil || t != wire.MsgLookupResp {
+				putBody(body)
+				continue // counts as a miss at this replica
+			}
+			resp, derr := wire.DecodeLookupResp(body)
+			putBody(body)
+			if derr == nil {
+				rs[j] = resp
+			}
+		}
+		return rs, nil
 	}
 	rs, err := wire.DecodeBatchLookupResp(body)
 	putBody(body) // DecodeBatchLookupResp copied every entry
 	if err != nil {
 		return nil, err
 	}
-	if len(rs) != len(batch) {
-		return nil, fmt.Errorf("client: batch resp carries %d answers for %d GUIDs", len(rs), len(batch))
-	}
-	return rs, nil
-}
-
-// lookupChunkPerItem is the compatibility path for pre-v2 peers.
-func (c *Cluster) lookupChunkPerItem(sp *trace.Span, as int, batch []guid.GUID, opDeadline time.Time) ([]wire.LookupResp, error) {
-	rs := make([]wire.LookupResp, len(batch))
-	for i, g := range batch {
-		payload := wire.AppendGUID(payloadBufs.Get(32), g)
-		t, body, err := c.call(sp, as, wire.MsgLookup, payload, opDeadline)
-		payloadBufs.Put(payload)
-		if err != nil || t != wire.MsgLookupResp {
-			putBody(body)
-			continue // counts as a miss at this replica
-		}
-		resp, derr := wire.DecodeLookupResp(body)
-		putBody(body)
-		if derr == nil {
-			rs[i] = resp
-		}
+	if len(rs) != len(a.idxs) {
+		return nil, fmt.Errorf("client: batch resp carries %d answers for %d GUIDs", len(rs), len(a.idxs))
 	}
 	return rs, nil
 }

@@ -97,11 +97,15 @@ type Cluster struct {
 	tracer *trace.Tracer
 	logger *trace.Logger
 
-	// transport performs one request/response attempt, propagating the
+	// transport starts one request/response attempt, propagating the
 	// attempt's trace context (zero when unsampled) to trace-capable v2
-	// peers. It defaults to (*Cluster).roundTrip and exists so tests can
-	// script per-attempt outcomes (e.g. a stale conn on the second
-	// attempt) that are impractical to stage over a real socket.
+	// peers, and returns either its outcome or — the request is on the
+	// wire, the reply is not in — a *muxSlot as the error, from which
+	// finish takes the reply. It defaults to (*Cluster).roundTrip, which
+	// returns a slot for every v2 peer, and exists so tests can script
+	// per-attempt outcomes (e.g. a stale conn on the second attempt, a
+	// reply that takes its time) that are impractical to stage over a
+	// real socket.
 	// Buffer contract (DESIGN.md §9): the payload is only valid for the
 	// duration of the call — implementations must not retain it — and
 	// the returned body may be pool-owned; the op layer releases it with
@@ -251,12 +255,23 @@ var (
 // reached a live server.
 var errStaleConn = errors.New("client: stale pooled connection")
 
-// Insert stores e at all K replicas in parallel and waits for every
-// reachable replica's ack, returning how many acknowledged. An error is
-// returned only when no replica could be reached (partial success is the
-// protocol's normal churn-tolerant mode).
+// Insert stores e at its K replicas: one frame per distinct replica AS,
+// all started before any ack is awaited (placements that share an AS
+// share its one write — a second would be a stale no-op by §III-D2).
+// It returns how many PLACEMENTS were acknowledged, an AS's ack counting
+// for every placement that names it, so a fully stored entry reads K
+// however its placements collide; InsertBatch counts distinct ASs. An
+// error is returned only when no replica could be reached (partial
+// success is the protocol's normal churn-tolerant mode).
 func (c *Cluster) Insert(e store.Entry) (acked int, err error) {
-	placements, err := c.resolver.Place(e.GUID)
+	opStart := time.Now()
+	sp := c.tracer.StartOp("client.insert")
+	defer func() {
+		c.m.opInsert.ObserveSinceExemplar(opStart, sp.TraceID())
+		c.tracer.FinishOp(sp, "insert", e.GUID, opStart, err)
+	}()
+	var pbuf [stackK]core.Placement
+	place, err := c.resolver.PlaceInto(e.GUID, pbuf[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -264,48 +279,56 @@ func (c *Cluster) Insert(e store.Entry) (acked int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	// Every goroutine below is joined by wg.Wait before the payload is
-	// released — the pool never sees a buffer with readers in flight.
+	// fanOut returns with every attempt finished — the pool never sees
+	// a buffer a retry could still send.
 	defer payloadBufs.Put(payload)
-	opStart := time.Now()
-	sp := c.tracer.StartOp("client.insert")
-	opDeadline := opStart.Add(c.cfg.OpDeadline)
-	defer func() {
-		c.m.opInsert.ObserveSinceExemplar(opStart, sp.TraceID())
-		c.tracer.FinishOp(sp, "insert", e.GUID, opStart, err)
-	}()
-
-	var wg sync.WaitGroup
-	acks := make([]bool, len(placements))
-	errs := make([]error, len(placements))
-	for i, p := range placements {
-		i, as := i, p.AS
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t, body, err := c.call(sp, as, wire.MsgInsert, payload, opDeadline)
-			putBody(body) // an insert ack carries no payload worth keeping
-			switch {
-			case err != nil:
-				errs[i] = fmt.Errorf("AS %d: %w", as, err)
-			case t != wire.MsgInsertAck:
-				errs[i] = fmt.Errorf("AS %d: unexpected frame %v", as, t)
-			default:
-				acks[i] = true
-			}
-		}()
+	var abuf [stackK]attempt
+	atts := c.fanOut(abuf[:0], place, attempt{sp: sp, t: wire.MsgInsert, payload: payload, opDeadline: opStart.Add(c.cfg.OpDeadline)}, opStart)
+	for i := range atts {
+		putBody(atts[i].body) // an insert ack carries no payload worth keeping
 	}
-	wg.Wait()
-	n := 0
-	for _, ok := range acks {
-		if ok {
-			n++
+	for _, p := range place {
+		if a := replicaAt(atts, p.AS); a.err == nil && a.rt == wire.MsgInsertAck {
+			acked++
 		}
 	}
-	if n == 0 {
-		return 0, insertFailure(e.GUID, errs)
+	if acked == 0 {
+		return 0, insertFailure(e.GUID, place, atts)
 	}
-	return n, nil
+	return acked, nil
+}
+
+// stackK sizes the placement and attempt scratch the K-replica
+// operations keep on their stack; a larger K spills to the heap.
+const stackK = 8
+
+// fanOut is the K-replica write shape: it starts proto once per
+// distinct replica AS among place — in placement order, from the
+// calling goroutine — and then finishes every attempt in place. The
+// caller owns the replies' bodies.
+func (c *Cluster) fanOut(atts []attempt, place []core.Placement, proto attempt, now time.Time) []attempt {
+	for j, p := range place {
+		if replicaAt(atts, p.AS) != nil {
+			continue // placements collided on one AS: ask it once
+		}
+		if j > 0 {
+			now = time.Now() // a synchronous transport may have spent the budget
+		}
+		atts = append(atts, proto)
+		c.start(&atts[len(atts)-1], p.AS, now)
+	}
+	c.finish(atts, now)
+	return atts
+}
+
+// replicaAt returns the attempt that asked replica AS as, nil if none.
+func replicaAt(atts []attempt, as int) *attempt {
+	for i := range atts {
+		if atts[i].as == as {
+			return &atts[i]
+		}
+	}
+	return nil
 }
 
 // insertFailure explains a total insert failure. "Every replica
@@ -313,15 +336,16 @@ func (c *Cluster) Insert(e store.Entry) (acked int, err error) {
 // (an outage) are different operator stories; the error distinguishes
 // them and carries the last per-replica cause instead of a generic
 // "no replica reachable".
-func insertFailure(g guid.GUID, errs []error) error {
+func insertFailure(g guid.GUID, place []core.Placement, atts []attempt) error {
 	rejected, unreachable := 0, 0
 	var last error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	for _, p := range place {
+		if a := replicaAt(atts, p.AS); a.err != nil {
+			last = fmt.Errorf("AS %d: %w", p.AS, a.err)
+		} else {
+			last = fmt.Errorf("AS %d: unexpected frame %v", p.AS, a.rt)
 		}
-		last = err
-		if errors.Is(err, ErrRejected) {
+		if errors.Is(last, ErrRejected) {
 			rejected++
 		} else {
 			unreachable++
@@ -363,11 +387,16 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 	defer payloadBufs.Put(payload) // the replica walk below is sequential
 	opStart := time.Now()
 	sp := c.tracer.StartOp("client.lookup")
-	opDeadline := opStart.Add(c.cfg.OpDeadline)
+	// now is the walk's last clock reading: a healthy single-attempt
+	// lookup reads the clock at its start and when its reply is in, and
+	// those two readings time the attempt and the operation both.
+	now := opStart
 	defer func() {
-		c.m.opLookup.ObserveSinceExemplar(opStart, sp.TraceID())
+		c.m.opLookup.ObserveExemplar(micros(now.Sub(opStart)), sp.TraceID())
 		c.tracer.FinishOp(sp, "lookup", g, opStart, err)
 	}()
+	walk := [1]attempt{{sp: sp, t: wire.MsgLookup, payload: payload, opDeadline: opStart.Add(c.cfg.OpDeadline)}}
+	a := &walk[0]
 	var lastErr error
 	// Replica i is placed as the walk reaches it (§III-D3 asks replica
 	// i+1 only once replica i failed or missed): a healthy read runs
@@ -375,28 +404,30 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 	for i, k := 0, c.resolver.K(); i < k; i++ {
 		p, perr := c.resolver.PlaceReplica(g, i)
 		if perr != nil {
+			now = time.Now()
 			return perr
 		}
-		t, body, err := c.call(sp, p.AS, wire.MsgLookup, payload, opDeadline)
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, ErrDeadline) {
+		c.start(a, p.AS, now)
+		now = c.finish(walk[:], now)
+		if a.err != nil {
+			lastErr = a.err
+			if errors.Is(a.err, ErrDeadline) {
 				break // out of budget: later replicas cannot be tried either
 			}
 			if i < k-1 {
 				c.m.failovers.Inc()
-				sp.Eventf("failover: AS %d failed: %v", p.AS, err)
-				c.logger.Debug("lookup failover", "guid", g.Short(), "as", p.AS, "err", err)
+				sp.Eventf("failover: AS %d failed: %v", p.AS, a.err)
+				c.logger.Debug("lookup failover", "guid", g.Short(), "as", p.AS, "err", a.err)
 			}
 			continue
 		}
-		if t != wire.MsgLookupResp {
-			putBody(body)
-			lastErr = fmt.Errorf("client: unexpected frame %v", t)
+		if a.rt != wire.MsgLookupResp {
+			putBody(a.body)
+			lastErr = fmt.Errorf("client: unexpected frame %v", a.rt)
 			continue
 		}
-		found, derr := wire.DecodeLookupRespInto(e, body)
-		putBody(body) // DecodeLookupRespInto copied everything it kept
+		found, derr := wire.DecodeLookupRespInto(e, a.body)
+		putBody(a.body) // DecodeLookupRespInto copied everything it kept
 		if derr != nil {
 			lastErr = derr
 			continue
@@ -530,32 +561,30 @@ collect:
 	return store.Entry{}, ErrNotFound
 }
 
-// Delete removes g from all replicas, returning how many held it.
-func (c *Cluster) Delete(g guid.GUID) (removedCount int, err error) {
+// Delete removes g from all replicas, asking each distinct replica AS
+// once and all of them at the same time. It returns how many held it.
+func (c *Cluster) Delete(g guid.GUID) (removed int, err error) {
 	payload := wire.AppendGUID(payloadBufs.Get(32), g)
-	defer payloadBufs.Put(payload) // the replica walk below is sequential
+	defer payloadBufs.Put(payload) // fanOut returns with every attempt finished
 	opStart := time.Now()
 	sp := c.tracer.StartOp("client.delete")
-	opDeadline := opStart.Add(c.cfg.OpDeadline)
 	defer func() {
 		c.m.opDelete.ObserveSinceExemplar(opStart, sp.TraceID())
 		c.tracer.FinishOp(sp, "delete", g, opStart, err)
 	}()
-	removed := 0
-	for i := 0; i < c.resolver.K(); i++ {
-		p, perr := c.resolver.PlaceReplica(g, i)
-		if perr != nil {
-			return removed, perr
-		}
-		t, body, err := c.call(sp, p.AS, wire.MsgDelete, payload, opDeadline)
-		existed := err == nil && t == wire.MsgDeleteAck && len(body) >= 1 && body[0] == 1
-		putBody(body)
-		if err != nil && errors.Is(err, ErrDeadline) {
-			break
-		}
-		if existed {
+	var pbuf [stackK]core.Placement
+	place, err := c.resolver.PlaceInto(g, pbuf[:0])
+	if err != nil {
+		return 0, err
+	}
+	var abuf [stackK]attempt
+	atts := c.fanOut(abuf[:0], place, attempt{sp: sp, t: wire.MsgDelete, payload: payload, opDeadline: opStart.Add(c.cfg.OpDeadline)}, opStart)
+	for i := range atts {
+		a := &atts[i]
+		if a.err == nil && a.rt == wire.MsgDeleteAck && len(a.body) >= 1 && a.body[0] == 1 {
 			removed++
 		}
+		putBody(a.body)
 	}
 	return removed, nil
 }
@@ -573,126 +602,211 @@ func (c *Cluster) Ping(as int) error {
 	return nil
 }
 
-// call runs the retry policy for one replica: up to MaxAttempts
-// round trips with exponential backoff and deterministic jitter, all
-// inside the operation deadline. A stale shared/pooled connection is
-// replaced without consuming an attempt (once per call) — and without
-// sleeping a backoff or ticking the retries counter, since no logical
-// retry happened. A MsgError reply aborts the retries — the node
-// answered and said no — except for ErrKindShed, which means "too busy
-// right now": that consumes an attempt and backs off on the same
-// replica instead of failing over.
-//
-// sp is the operation's span (nil when unsampled): each round trip
-// opens a child attempt span carrying the AS, attempt number and
-// outcome (redial, timeout, rejection), and the attempt's context is
-// what propagates to the server.
+// attempt is one replica's share of an operation on its way from start
+// to finish. Operations keep their attempts on their own stack; nothing
+// in here is shared between goroutines.
+type attempt struct {
+	// What is asked, the same at every replica. sp is the operation's
+	// span (nil when unsampled): each try opens a child span carrying
+	// the AS, try number and outcome, whose context rides to the server.
+	// idxs, on a batch frame, indexes the operation's items it carries.
+	sp         *trace.Span
+	t          wire.MsgType
+	payload    []byte
+	opDeadline time.Time
+	idxs       []int
+
+	as   int // the replica asked and its node, set by start
+	addr string
+
+	// The try in flight, set by send; wake is when the next may be sent.
+	n        int // 1 for the first try at this replica
+	redialed bool
+	att      *trace.Span
+	began    time.Time
+	timeout  time.Duration
+	wake     time.Time
+
+	// The answer, final once done. Between send and settle err may be a
+	// *muxSlot: the reply still to be taken.
+	done bool
+	rt   wire.MsgType
+	body []byte
+	err  error
+}
+
+// call runs one attempt at replica AS as from start to finish, back to
+// back: the whole retry policy for one replica (settle), inside the
+// operation deadline.
 func (c *Cluster) call(sp *trace.Span, as int, t wire.MsgType, payload []byte, opDeadline time.Time) (wire.MsgType, []byte, error) {
+	one := [1]attempt{{sp: sp, t: t, payload: payload, opDeadline: opDeadline}}
+	now := time.Now()
+	c.start(&one[0], as, now)
+	c.finish(one[:], now)
+	return one[0].rt, one[0].body, one[0].err
+}
+
+// start begins a's first try at replica AS as: it resolves the AS's
+// node and sends. It never waits for a v2 peer's reply.
+func (c *Cluster) start(a *attempt, as int, now time.Time) {
 	c.mu.RLock()
 	addr, ok := c.addrs[as]
 	c.mu.RUnlock()
+	a.as, a.addr, a.n, a.redialed, a.done = as, addr, 1, false, !ok
+	a.rt, a.body, a.err = 0, nil, nil
 	if !ok {
-		return 0, nil, fmt.Errorf("client: no node for AS %d", as)
+		a.err = fmt.Errorf("client: no node for AS %d", as)
+		return
 	}
+	c.send(a, now)
+}
 
-	pol := c.cfg.Retry
-	redialed := false
-	var lastErr error
-	attempt := 1
-	for {
-		remaining := time.Until(opDeadline)
-		if remaining <= 0 {
-			c.m.deadlines.Inc()
-			sp.Eventf("deadline exceeded at AS %d", as)
-			if lastErr == nil {
-				return 0, nil, ErrDeadline
-			}
-			return 0, nil, fmt.Errorf("%w (last error: %v)", ErrDeadline, lastErr)
+// send puts try a.n on the wire at time now, or — out of budget —
+// settles the attempt with ErrDeadline.
+func (c *Cluster) send(a *attempt, now time.Time) {
+	remaining := a.opDeadline.Sub(now)
+	if remaining <= 0 {
+		c.m.deadlines.Inc()
+		a.sp.Eventf("deadline exceeded at AS %d", a.as)
+		a.done = true
+		if a.err == nil {
+			a.err = ErrDeadline
+		} else {
+			a.err = fmt.Errorf("%w (last error: %v)", ErrDeadline, a.err)
 		}
-		timeout := c.cfg.Timeout
-		if timeout > remaining {
-			timeout = remaining
-		}
-
-		att := sp.NewChild("attempt")
-		if att != nil { // skip the arg boxing entirely when unsampled
-			att.Eventf("as=%d addr=%s attempt=%d %v", as, addr, attempt, t)
-		}
-		attemptStart := time.Now()
-		rt, body, err := c.transport(addr, t, att.Context(), payload, timeout)
-		c.m.attempt.ObserveSinceExemplar(attemptStart, att.TraceID())
-		if errors.Is(err, errStaleConn) && !redialed {
-			// Observable replacement of a server-closed idle connection.
-			// The request never reached a live server, so this consumes
-			// no policy attempt, pays no backoff and counts no retry.
-			redialed = true
-			c.m.redials.Inc()
-			att.Eventf("redial: stale connection replaced")
-			att.End()
-			c.logger.Debug("redial", "addr", addr, "as", as)
-			continue
-		}
-		if err == nil {
-			if rt != wire.MsgError {
-				att.End()
-				return rt, body, nil
-			}
-			kind, reason, derr := wire.DecodeErrorKind(body)
-			putBody(body) // DecodeErrorKind copied the reason string
-			if derr != nil {
-				reason = "unreadable reason"
-			}
-			if kind != wire.ErrKindShed {
-				// The node answered and said no for a condition that won't
-				// clear by itself (draining, malformed request): abort the
-				// retries so the caller fails over immediately.
-				c.m.rejects.Inc()
-				att.Eventf("rejected: %s", reason)
-				att.End()
-				return 0, nil, fmt.Errorf("%w: %s", ErrRejected, reason)
-			}
-			// Admission shed: the replica is healthy but saturated, and
-			// unlike a drain reject the condition clears on its own.
-			// Consume an attempt and back off on this replica instead of
-			// failing over, which would stampede the load onto the next
-			// replica and take it down too.
-			c.m.sheds.Inc()
-			att.Eventf("shed: %s", reason)
-			err = fmt.Errorf("%w: %s", ErrOverload, reason)
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			c.m.timeouts.Inc()
-			att.Eventf("timeout: %v", err)
-		} else if !errors.Is(err, ErrOverload) {
-			att.Eventf("error: %v", err)
-		}
-		att.End()
-		lastErr = err
-		attempt++
-		if attempt > pol.MaxAttempts {
-			return 0, nil, lastErr
-		}
-		c.m.retries.Inc()
-		pause := pol.Backoff(as, attempt)
-		if remaining := time.Until(opDeadline); pause > remaining {
-			pause = remaining
-		}
-		sp.Eventf("retry %d at AS %d after %v backoff", attempt, as, pause)
-		if pause > 0 {
-			time.Sleep(pause)
-		}
+		return
+	}
+	a.timeout = min(c.cfg.Timeout, remaining)
+	a.att = a.sp.NewChild("attempt")
+	if a.att != nil { // skip the arg boxing entirely when unsampled
+		a.att.Eventf("as=%d addr=%s attempt=%d %v", a.as, a.addr, a.n, a.t)
+	}
+	a.began = now
+	a.rt, a.body, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
+	if _, pending := a.err.(*muxSlot); pending {
+		c.m.inflight.Add(1)
 	}
 }
 
-// roundTrip performs exactly one request/response attempt against addr.
-// It prefers the multiplexed v2 transport — one shared pipelined
-// connection per address — and falls back to the sequential v1 pool for
-// peers that only speak v1 (or when ForceV1 is set). Either transport
-// reports a reused connection dying underneath the request as
-// errStaleConn so call can replace it without consuming an attempt.
-// tc, when sampled, rides to trace-capable v2 peers; v1 peers never
-// see it (the extension is v2-only by design).
+// finish takes the reply of every try in flight among atts — in order,
+// in place, on the calling goroutine — and runs what is left of the
+// retry policy for the ones that failed, in rounds: all replies, then
+// every granted retry sent once its own backoff has passed, then their
+// replies. Retries of different replicas therefore overlap, and the
+// whole of it takes no longer than one replica's worst-case budget. It
+// returns its last clock reading, taken once the last reply was in.
+func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
+	for pending := true; pending; {
+		pending = false
+		for i := range atts {
+			if a := &atts[i]; !a.done {
+				now = c.settle(a, now)
+			}
+		}
+		for i := range atts {
+			if a := &atts[i]; !a.done {
+				pending = true
+				if pause := a.wake.Sub(now); pause > 0 {
+					time.Sleep(pause)
+					now = time.Now()
+				}
+				c.send(a, now)
+			}
+		}
+	}
+	return now
+}
+
+// settle takes the outcome of the try in flight and applies the retry
+// policy to it: up to MaxAttempts tries with exponential backoff and
+// deterministic jitter. A stale shared/pooled connection is replaced
+// without consuming a try (once per replica) — and without a backoff or
+// a tick of the retries counter, since no logical retry happened. A
+// MsgError reply ends the retries — the node answered and said no —
+// except for ErrKindShed, "too busy right now", which consumes a try
+// and backs off on the same replica instead of failing over. It leaves
+// a done, or ready for send at a.wake.
+func (c *Cluster) settle(a *attempt, now time.Time) time.Time {
+	if s, pending := a.err.(*muxSlot); pending {
+		a.rt, a.body, a.err = s.wait(a.timeout - now.Sub(a.began))
+		c.m.inflight.Add(-1)
+	}
+	now = time.Now()
+	c.m.attempt.ObserveExemplar(micros(now.Sub(a.began)), a.att.TraceID())
+	a.wake = now
+	if errors.Is(a.err, errStaleConn) && !a.redialed {
+		// Observable replacement of a server-closed idle connection.
+		// The request never reached a live server, so this consumes
+		// no policy attempt, pays no backoff and counts no retry.
+		a.redialed = true
+		c.m.redials.Inc()
+		a.att.Eventf("redial: stale connection replaced")
+		a.att.End()
+		c.logger.Debug("redial", "addr", a.addr, "as", a.as)
+		return now
+	}
+	if a.err == nil {
+		if a.rt != wire.MsgError {
+			a.att.End()
+			a.done = true
+			return now
+		}
+		kind, reason, derr := wire.DecodeErrorKind(a.body)
+		putBody(a.body) // DecodeErrorKind copied the reason string
+		a.rt, a.body = 0, nil
+		if derr != nil {
+			reason = "unreadable reason"
+		}
+		if kind != wire.ErrKindShed {
+			// The node answered and said no for a condition that won't
+			// clear by itself (draining, malformed request): abort the
+			// retries so the caller fails over immediately.
+			c.m.rejects.Inc()
+			a.att.Eventf("rejected: %s", reason)
+			a.att.End()
+			a.done, a.err = true, fmt.Errorf("%w: %s", ErrRejected, reason)
+			return now
+		}
+		// Admission shed: the replica is healthy but saturated, and
+		// unlike a drain reject the condition clears on its own.
+		// Consume an attempt and back off on this replica instead of
+		// failing over, which would stampede the load onto the next
+		// replica and take it down too.
+		c.m.sheds.Inc()
+		a.att.Eventf("shed: %s", reason)
+		a.err = fmt.Errorf("%w: %s", ErrOverload, reason)
+	}
+	var ne net.Error
+	if errors.As(a.err, &ne) && ne.Timeout() {
+		c.m.timeouts.Inc()
+		a.att.Eventf("timeout: %v", a.err)
+	} else if !errors.Is(a.err, ErrOverload) {
+		a.att.Eventf("error: %v", a.err)
+	}
+	a.att.End()
+	a.n++
+	if a.n > c.cfg.Retry.MaxAttempts {
+		a.done = true
+		return now
+	}
+	c.m.retries.Inc()
+	pause := min(c.cfg.Retry.Backoff(a.as, a.n), a.opDeadline.Sub(now))
+	a.sp.Eventf("retry %d at AS %d after %v backoff", a.n, a.as, pause)
+	a.wake = now.Add(pause)
+	return now
+}
+
+// micros is d in the histograms' unit.
+func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// roundTrip is the real transport. It prefers the multiplexed v2 one —
+// a shared pipelined connection per address — where it only starts the
+// request and returns the reply slot; peers that only speak v1 (or
+// ForceV1) get the whole sequential round trip here and now. Either
+// transport reports a reused connection dying underneath the request as
+// errStaleConn so settle can replace it without consuming a try. tc,
+// when sampled, rides to trace-capable v2 peers; v1 peers never see it
+// (the extension is v2-only by design).
 func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
 	if !c.cfg.ForceV1 {
 		mc, fresh, err := c.muxGet(addr, timeout)
@@ -701,15 +815,16 @@ func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, paylo
 			if fresh {
 				c.m.dials.Inc()
 			}
-			c.m.inflight.Add(1)
-			rt, body, derr := mc.do(t, tc, payload, timeout)
-			c.m.inflight.Add(-1)
-			if derr != nil && errors.Is(derr, errConnDead) && !fresh {
-				// The shared conn died with this request in flight; it
-				// never got an answer from a live server.
-				return 0, nil, fmt.Errorf("%w: %v", errStaleConn, derr)
+			s, err := mc.start(t, tc, payload, timeout)
+			if err != nil {
+				if !fresh {
+					// The shared conn was found dead under this request.
+					err = fmt.Errorf("%w: %v", errStaleConn, err)
+				}
+				return 0, nil, err
 			}
-			return rt, body, derr
+			s.fresh = fresh
+			return 0, nil, s
 		case errors.Is(err, errUseV1):
 			// Peer speaks v1; fall through to the sequential transport.
 		default:

@@ -302,8 +302,8 @@ func TestPooledConnectionReuse(t *testing.T) {
 func TestServerStats(t *testing.T) {
 	c, nodes := testCluster(t, 2, 2)
 	e := clusterEntry("counted", 1)
-	if _, err := c.Insert(e); err != nil {
-		t.Fatal(err)
+	if acks, err := c.Insert(e); err != nil || acks != 2 {
+		t.Fatalf("Insert = %d, %v; want K=2 acks", acks, err)
 	}
 	if _, err := c.Lookup(e.GUID); err != nil {
 		t.Fatal(err)
@@ -315,8 +315,18 @@ func TestServerStats(t *testing.T) {
 		total.Lookups += s.Lookups
 		total.Hits += s.Hits
 	}
-	if total.Inserts != 2 {
-		t.Errorf("inserts = %d, want K=2", total.Inserts)
+	// One write per distinct replica AS: placements that share an AS
+	// share its frame, and the client still acks once per placement.
+	placements, err := cResolver(c).Place(e.GUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[int]bool{}
+	for _, p := range placements {
+		distinct[p.AS] = true
+	}
+	if total.Inserts != int64(len(distinct)) {
+		t.Errorf("inserts = %d, want %d (one per distinct replica AS of %v)", total.Inserts, len(distinct), placements)
 	}
 	if total.Hits < 1 {
 		t.Errorf("hits = %d", total.Hits)

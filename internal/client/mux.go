@@ -92,13 +92,25 @@ type muxReply struct {
 }
 
 // muxSlot is one reusable in-flight table slot: the rendezvous between
-// a waiting requester and the demux reader. Slots are pooled — the
-// buffered channel is created once per slot and reused for the slot's
-// whole lifetime, replacing the per-request channel allocation the
-// in-flight table used to pay.
+// a requester and the demux reader. Slots are pooled — the buffered
+// channel is created once per slot and reused for the slot's whole
+// lifetime, replacing the per-request channel allocation the in-flight
+// table used to pay. A slot belongs to whoever started its request
+// until wait hands it back to the pool.
 type muxSlot struct {
 	ch chan muxReply
+	// The request the slot carries, set by register; whoever dialed the
+	// connection for this very request sets fresh.
+	m     *muxConn
+	id    uint64
+	fresh bool
 }
+
+// Error lets a started request cross the transport seam: a transport
+// whose request is on the wire but whose reply is not in yet returns
+// the slot as its error, and whoever finishes the attempt takes the
+// reply from it with wait.
+func (*muxSlot) Error() string { return "client: reply pending" }
 
 var slotPool = sync.Pool{
 	New: func() any { return &muxSlot{ch: make(chan muxReply, 1)} },
@@ -130,31 +142,31 @@ func newMuxConn(conn net.Conn, feat byte) *muxConn {
 }
 
 // register allocates a request ID and claims a pooled reply slot.
-func (m *muxConn) register() (uint64, *muxSlot, error) {
+func (m *muxConn) register() (*muxSlot, error) {
 	m.mu.Lock()
 	if m.closed {
 		err := m.err
 		m.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %v", errConnDead, err)
+		return nil, fmt.Errorf("%w: %v", errConnDead, err)
 	}
 	m.nextID++
-	id := m.nextID
 	s := slotPool.Get().(*muxSlot)
-	m.inflight[id] = s
+	s.m, s.id, s.fresh = m, m.nextID, false
+	m.inflight[s.id] = s
 	m.mu.Unlock()
-	return id, s, nil
+	return s, nil
 }
 
-// deregister abandons a request. It reports whether the slot was still
-// in the table: false means the reader (or fail) has already claimed it
-// and a reply send is guaranteed — the caller must drain the slot's
-// channel before recycling it.
-func (m *muxConn) deregister(id uint64) bool {
+// claim takes request id's slot out of the in-flight table. Nil means
+// somebody else — the reader, fail, or a requester giving up — already
+// has: a requester that gets nil is guaranteed a reply send and must
+// drain the slot's channel before recycling it.
+func (m *muxConn) claim(id uint64) *muxSlot {
 	m.mu.Lock()
-	_, ok := m.inflight[id]
+	s := m.inflight[id]
 	delete(m.inflight, id)
 	m.mu.Unlock()
-	return ok
+	return s
 }
 
 // dead reports whether the connection has failed.
@@ -197,10 +209,7 @@ func (m *muxConn) readLoop() {
 			m.fail(err)
 			return
 		}
-		m.mu.Lock()
-		s := m.inflight[id]
-		delete(m.inflight, id)
-		m.mu.Unlock()
+		s := m.claim(id)
 		if s == nil {
 			// A reply nobody waits for belonged to a timed-out request.
 			replyBufs.Put(body)
@@ -210,23 +219,23 @@ func (m *muxConn) readLoop() {
 	}
 }
 
-// do runs one pipelined request/response with a per-request reply timer.
-// A sampled trace context is prefixed onto the frame when the server
-// negotiated FeatTrace; otherwise the context is dropped silently (the
-// client's own span still records the attempt). The returned body, when
-// non-nil, is pool-owned: the caller must release it with putBody after
-// decoding.
-func (m *muxConn) do(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	id, s, err := m.register()
+// start registers a reply slot and hands the frame to the connection's
+// coalescing writer; it never waits for the reply. A sampled trace
+// context is prefixed onto the frame when the server negotiated
+// FeatTrace; otherwise the context is dropped silently (the client's
+// own span still records the attempt). The payload is copied into the
+// writer before start returns.
+func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (*muxSlot, error) {
+	s, err := m.register()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	m.w.SetTimeout(timeout)
 	var werr error
 	if tc.Sampled && m.feat&wire.FeatTrace != 0 {
-		werr = m.w.WriteFrameIDTrace(t, id, tc, payload)
+		werr = m.w.WriteFrameIDTrace(t, s.id, tc, payload)
 	} else {
-		werr = m.w.WriteFrameID(t, id, payload)
+		werr = m.w.WriteFrameID(t, s.id, payload)
 	}
 	if werr != nil {
 		// A failed or partial write desynchronizes the stream for every
@@ -234,34 +243,45 @@ func (m *muxConn) do(t wire.MsgType, tc trace.Context, payload []byte, timeout t
 		// onFail hook has already killed the connection; claim the slot
 		// back (draining the error reply if fail got there first).
 		m.fail(werr)
-		if !m.deregister(id) {
+		if m.claim(s.id) == nil {
 			r := <-s.ch
 			putBody(r.body)
 		}
 		slotPool.Put(s)
-		return 0, nil, fmt.Errorf("%w: %v", errConnDead, werr)
+		return nil, fmt.Errorf("%w: %v", errConnDead, werr)
 	}
-	timer := getTimer(timeout)
+	return s, nil
+}
+
+// wait takes the reply of the request s carries and recycles the slot.
+// The reply timer is armed — for d, what is left of the request's
+// timeout — only if the reply is not in already; a reply that races the
+// timer wins (a real answer beats reporting a timeout). A connection
+// that died under a request it was not dialed for reads errStaleConn:
+// the request never got an answer from a live server. The body, when
+// non-nil, is pool-owned: release it with putBody after decoding.
+func (s *muxSlot) wait(d time.Duration) (wire.MsgType, []byte, error) {
+	var r muxReply
 	select {
-	case r := <-s.ch:
-		putTimer(timer)
-		slotPool.Put(s)
-		return r.t, r.body, r.err
-	case <-timer.C:
-		putTimer(timer)
-		if m.deregister(id) {
-			// Removed from the table: no reply will ever be sent, the
-			// slot is clean and reusable.
-			slotPool.Put(s)
-			return 0, nil, timeoutError{}
+	case r = <-s.ch:
+	default:
+		timer := getTimer(d)
+		select {
+		case r = <-s.ch:
+		case <-timer.C:
+			if s.m.claim(s.id) != nil {
+				r.err = timeoutError{} // out of the table: no reply will ever be sent
+			} else {
+				r = <-s.ch // the reader (or fail) claimed it first: its send is guaranteed
+			}
 		}
-		// The reader (or fail) claimed the slot concurrently — the reply
-		// raced the timer and its send is guaranteed. Take it: a real
-		// answer beats reporting a timeout that lost the race.
-		r := <-s.ch
-		slotPool.Put(s)
-		return r.t, r.body, r.err
+		putTimer(timer)
 	}
+	if r.err != nil && !s.fresh && errors.Is(r.err, errConnDead) {
+		r.err = fmt.Errorf("%w: %w", errStaleConn, r.err)
+	}
+	slotPool.Put(s)
+	return r.t, r.body, r.err
 }
 
 // muxEntry is the per-address slot: at most one live muxConn, with the

@@ -162,7 +162,7 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 			t.Fatalf("waiter %d err = %v, want errConnDead", i, err)
 		}
 	}
-	if _, _, err := m.register(); !errors.Is(err, errConnDead) {
+	if _, err := m.register(); !errors.Is(err, errConnDead) {
 		t.Fatalf("register after fail = %v, want errConnDead", err)
 	}
 }
@@ -191,4 +191,13 @@ func TestMuxIdleConnHoldsNoReplyBuffer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// do runs one pipelined request/response: start and wait back to back.
+func (m *muxConn) do(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	s, err := m.start(t, tc, payload, timeout)
+	if err != nil {
+		return 0, nil, err
+	}
+	return s.wait(timeout)
 }

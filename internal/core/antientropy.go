@@ -53,7 +53,7 @@ func DiffDigests(st *store.Store, page []store.Digest, wantMissing bool) (newer 
 // merge returns covered == through. The pull list needs no bound: it
 // only ever names GUIDs from the page, so |want| <= |page|.
 func DiffRange(st *store.Store, after, through guid.GUID, page []store.Digest, wantMissing bool, max int) (newer []store.Entry, want []guid.GUID, covered guid.GUID) {
-	loc := localDigests(st, after, through)
+	loc := st.IntervalDigests(after, through, nil)
 	covered = after
 	i, j := 0, 0
 	for i < len(loc) || j < len(page) {
@@ -94,42 +94,6 @@ func DiffRange(st *store.Store, after, through guid.GUID, page []store.Digest, w
 		covered = g
 	}
 	return newer, want, through
-}
-
-// localDigests collects st's digests inside (after, through] in keyspace
-// order by paging the shard cursors of every overlapping shard — shard
-// ranges tile the keyspace in order, so per-shard order is global order.
-func localDigests(st *store.Store, after, through guid.GUID) []store.Digest {
-	var out []store.Digest
-	page := make([]store.Digest, 0, 128)
-	for i := 0; i < st.ShardCount(); i++ {
-		sa, sth := st.ShardRange(i)
-		if guid.Compare(sth, after) <= 0 {
-			continue // shard entirely below the interval
-		}
-		if guid.Compare(sa, through) >= 0 {
-			break // this and all later shards lie above it
-		}
-		cur := sa
-		if guid.Compare(after, cur) > 0 {
-			cur = after
-		}
-		for {
-			var more bool
-			page, more = st.ShardDigests(i, cur, cap(page), page[:0])
-			for _, d := range page {
-				if guid.Compare(d.GUID, through) > 0 {
-					return out // everything after is above the interval too
-				}
-				out = append(out, d)
-			}
-			if !more || len(page) == 0 {
-				break
-			}
-			cur = page[len(page)-1].GUID
-		}
-	}
-	return out
 }
 
 // ApplyEntries installs pulled or pushed entries into st under

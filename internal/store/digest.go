@@ -6,7 +6,11 @@
 // lock across more than one bounded selection pass.
 package store
 
-import "dmap/internal/guid"
+import (
+	"sort"
+
+	"dmap/internal/guid"
+)
 
 // Digest is the compact per-entry fingerprint exchanged by anti-entropy
 // sweeps: enough to decide staleness under §III-D2 freshest-wins
@@ -27,36 +31,84 @@ func (s *Store) ShardDigests(i int, after guid.GUID, max int, dst []Digest) ([]D
 	if max <= 0 {
 		return dst, false
 	}
-	base := len(dst)
-	more := false
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for g, e := range sh.m {
-		if guid.Compare(g, after) <= 0 {
-			continue
-		}
-		page := dst[base:]
-		if len(page) == max && guid.Compare(g, page[len(page)-1].GUID) > 0 {
-			more = true // beyond the page; a later cursor position covers it
-			continue
-		}
-		// Insert in keyspace order, evicting the page's largest entry
-		// when full — the page is always the max smallest GUIDs > after.
-		pos := base + len(page)
-		for pos > base && guid.Compare(dst[pos-1].GUID, g) > 0 {
-			pos--
-		}
-		if len(page) == max {
-			more = true
-			copy(dst[pos+1:], dst[pos:len(dst)-1])
-		} else {
-			dst = append(dst, Digest{})
-			copy(dst[pos+1:], dst[pos:len(dst)-1])
-		}
-		dst[pos] = Digest{GUID: g, Version: e.Version}
+	return selectDigests(&s.shards[i], after, guid.Max(), max, dst)
+}
+
+// IntervalDigests appends to dst the digest of every entry whose GUID
+// lies in (after, through], in ascending keyspace order — what a repair
+// peer compares a range-complete digest page against. Only the shards
+// overlapping the interval are visited, each in one pass; shard ranges
+// tile the keyspace in order, so per-shard order is global order.
+func (s *Store) IntervalDigests(after, through guid.GUID, dst []Digest) []Digest {
+	if guid.Compare(after, through) >= 0 {
+		return dst
 	}
+	lo := int((uint32(after[0])<<8 | uint32(after[1])) >> s.shift)
+	hi := int((uint32(through[0])<<8 | uint32(through[1])) >> s.shift)
+	for i := lo; i <= hi; i++ {
+		dst, _ = selectDigests(&s.shards[i], after, through, 0, dst)
+	}
+	return dst
+}
+
+// selectDigests appends to dst, in keyspace order, the digests of sh's
+// entries in (after, through] — with max > 0 only the max smallest,
+// reporting whether any were left out — in one pass over the shard map
+// under its read lock plus one sort of what the pass kept. Once the
+// page is full it is a max-heap: a smaller GUID evicts the root, a
+// larger one is left to a later cursor position.
+func selectDigests(sh *shard, after, through guid.GUID, max int, dst []Digest) ([]Digest, bool) {
+	base, more := len(dst), false
+	sh.mu.RLock()
+	for g, e := range sh.m {
+		if !guid.Less(&after, &g) || guid.Less(&through, &g) {
+			continue
+		}
+		switch page := dst[base:]; {
+		case max <= 0 || len(page) < max:
+			dst = append(dst, Digest{GUID: g, Version: e.Version})
+			if page = dst[base:]; len(page) == max {
+				for i := max/2 - 1; i >= 0; i-- {
+					siftDown(page, i)
+				}
+			}
+		case guid.Less(&g, &page[0].GUID):
+			page[0] = Digest{GUID: g, Version: e.Version}
+			siftDown(page, 0)
+			more = true
+		default:
+			more = true
+		}
+	}
+	sh.mu.RUnlock()
+	sort.Sort(inKeyspaceOrder(dst[base:]))
 	return dst, more
+}
+
+// inKeyspaceOrder sorts digests by GUID; sort.Sort compares in place,
+// where a comparison function would be handed two copies per call.
+type inKeyspaceOrder []Digest
+
+func (s inKeyspaceOrder) Len() int           { return len(s) }
+func (s inKeyspaceOrder) Less(i, j int) bool { return guid.Less(&s[i].GUID, &s[j].GUID) }
+func (s inKeyspaceOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// siftDown restores the max-heap order of h below position i.
+func siftDown(h []Digest, i int) {
+	for {
+		big := 2*i + 1
+		if big >= len(h) {
+			return
+		}
+		if r := big + 1; r < len(h) && guid.Less(&h[big].GUID, &h[r].GUID) {
+			big = r
+		}
+		if !guid.Less(&h[i].GUID, &h[big].GUID) {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 // ShardRange returns shard i's slice of the keyspace as an

@@ -28,7 +28,7 @@ go vet ./...
 # nothing.
 go test -race ./internal/prefixtable/... ./internal/core/... ./internal/engine/... ./internal/topology/...
 go test -race ./internal/wire/... ./internal/simnet/... ./internal/nodesim/...
-go test -race ./internal/server/... ./internal/client/... ./internal/metrics/... ./internal/obs/...
+go test -race ./internal/server/... ./internal/metrics/... ./internal/obs/...
 go test -race ./internal/trace/... ./internal/store/... ./internal/load/...
 
 # The connection layer once more on a single P: wire.Writer's flush
@@ -38,7 +38,13 @@ go test -race ./internal/trace/... ./internal/store/... ./internal/load/...
 # yield alone, and so does the liveness of a lone frame. -cpu 1 is
 # GOMAXPROCS=1 spelled so that the test cache keys on it: set through
 # the environment, this pass would be served from the pass above.
-go test -race -cpu 1 ./internal/wire/... ./internal/server/... ./internal/client/...
+go test -race -cpu 1 ./internal/wire/... ./internal/server/...
+# The client on one P and on four: a K-replica operation starts every
+# frame from the calling goroutine and takes the replies in place, so
+# whether a reply is in its slot before finish looks (four Ps: the
+# reader runs beside the caller) or after (one P: only once the caller
+# blocks) is the scheduler's choice, and both orders must be exercised.
+go test -race -cpu 1,4 ./internal/client/...
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
 go test -race -run '^$' -bench '^BenchmarkLookup64ClientsV2$' -benchtime=10x .
 
@@ -54,9 +60,12 @@ go test -race ./internal/crashtest/
 # free lists, so a lifetime bug is a cross-goroutine race by
 # construction. Hammer the mux and the coalescing writer under -race
 # with buffer poisoning on, so a buffer released while still referenced
-# is overwritten with a sentinel instead of silently surviving.
+# is overwritten with a sentinel instead of silently surviving. The
+# fan-out tests ride along: a K-replica operation's request payload is
+# resent by retries, so it must stay out of the pool until the last try
+# is finished.
 DMAP_POISON_BUFS=1 go test -race \
-    -run 'TestMux|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
+    -run 'TestMux|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
     ./internal/client/... ./internal/wire/...
 
 # Fuzz smoke on the trace-context wire extension: ten seconds of live
