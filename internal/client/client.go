@@ -99,19 +99,19 @@ type Cluster struct {
 
 	// transport starts one request/response attempt, propagating the
 	// attempt's trace context (zero when unsampled) to trace-capable v2
-	// peers, and returns either its outcome or — the request is on the
-	// wire, the reply is not in — a *muxSlot as the error, from which
-	// finish takes the reply. It defaults to (*Cluster).roundTrip, which
-	// returns a slot for every v2 peer, and exists so tests can script
-	// per-attempt outcomes (e.g. a stale conn on the second attempt, a
-	// reply that takes its time) that are impractical to stage over a
-	// real socket.
-	// Buffer contract (DESIGN.md §9): the payload is only valid for the
-	// duration of the call — implementations must not retain it — and
-	// the returned body may be pool-owned; the op layer releases it with
+	// peers, and returns either its outcome or — the reply is not in —
+	// a pending the reply is taken from; it must not block on the
+	// network. It defaults to (*Cluster).roundTrip and exists so tests
+	// can script per-attempt outcomes (e.g. a stale conn on the second
+	// attempt, a reply that takes its time) that are impractical to
+	// stage over a real socket.
+	// Buffer contract (DESIGN.md §9): the payload is valid until the
+	// call returns or, if it returns a pending, until that has been
+	// waited on — implementations must not retain it longer — and the
+	// returned body may be pool-owned; the op layer releases it with
 	// putBody once decoded, so implementations must return bodies they
 	// own (fresh or pooled, never a shared buffer they reuse).
-	transport func(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error)
+	transport func(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error)
 }
 
 // clusterMetrics holds the client's resolved metric handles. The
@@ -312,7 +312,7 @@ func (c *Cluster) fanOut(atts []attempt, place []core.Placement, proto attempt, 
 			continue // placements collided on one AS: ask it once
 		}
 		if j > 0 {
-			now = time.Now() // a synchronous transport may have spent the budget
+			now = time.Now() // a transport that answers in the call may have spent the budget
 		}
 		atts = append(atts, proto)
 		c.start(&atts[len(atts)-1], p.AS, now)
@@ -603,8 +603,7 @@ func (c *Cluster) Ping(as int) error {
 }
 
 // attempt is one replica's share of an operation on its way from start
-// to finish. Operations keep their attempts on their own stack; nothing
-// in here is shared between goroutines.
+// to finish. Operations keep their attempts on their own stack.
 type attempt struct {
 	// What is asked, the same at every replica. sp is the operation's
 	// span (nil when unsampled): each try opens a child span carrying
@@ -626,18 +625,17 @@ type attempt struct {
 	began    time.Time
 	timeout  time.Duration
 	wake     time.Time
+	pend     pending // its reply, when still to be taken
 
-	// The answer, final once done. Between send and settle err may be a
-	// *muxSlot: the reply still to be taken.
+	// The answer, final once done.
 	done bool
 	rt   wire.MsgType
 	body []byte
 	err  error
 }
 
-// call runs one attempt at replica AS as from start to finish, back to
-// back: the whole retry policy for one replica (settle), inside the
-// operation deadline.
+// call runs the whole retry policy for one replica, inside the
+// operation deadline: start and finish back to back.
 func (c *Cluster) call(sp *trace.Span, as int, t wire.MsgType, payload []byte, opDeadline time.Time) (wire.MsgType, []byte, error) {
 	one := [1]attempt{{sp: sp, t: t, payload: payload, opDeadline: opDeadline}}
 	now := time.Now()
@@ -646,8 +644,8 @@ func (c *Cluster) call(sp *trace.Span, as int, t wire.MsgType, payload []byte, o
 	return one[0].rt, one[0].body, one[0].err
 }
 
-// start begins a's first try at replica AS as: it resolves the AS's
-// node and sends. It never waits for a v2 peer's reply.
+// start sends a's first try at replica AS as. It does not wait for the
+// reply.
 func (c *Cluster) start(a *attempt, as int, now time.Time) {
 	c.mu.RLock()
 	addr, ok := c.addrs[as]
@@ -682,22 +680,22 @@ func (c *Cluster) send(a *attempt, now time.Time) {
 		a.att.Eventf("as=%d addr=%s attempt=%d %v", a.as, a.addr, a.n, a.t)
 	}
 	a.began = now
-	a.rt, a.body, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
-	if _, pending := a.err.(*muxSlot); pending {
+	a.rt, a.body, a.pend, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
+	if a.pend != nil {
 		c.m.inflight.Add(1)
 	}
 }
 
-// finish takes the reply of every try in flight among atts — in order,
-// in place, on the calling goroutine — and runs what is left of the
-// retry policy for the ones that failed, in rounds: all replies, then
-// every granted retry sent once its own backoff has passed, then their
-// replies. Retries of different replicas therefore overlap, and the
-// whole of it takes no longer than one replica's worst-case budget. It
-// returns its last clock reading, taken once the last reply was in.
+// finish takes the reply of every try in flight among atts, in order,
+// and runs what is left of the retry policy for the ones that failed,
+// in rounds: all replies, then every granted retry sent once its own
+// backoff has passed, then their replies. Retries of different replicas
+// therefore overlap, and the whole takes no longer than one replica's
+// worst-case budget. It returns its last clock reading, taken once the
+// last reply was in.
 func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
-	for pending := true; pending; {
-		pending = false
+	for more := true; more; {
+		more = false
 		for i := range atts {
 			if a := &atts[i]; !a.done {
 				now = c.settle(a, now)
@@ -705,7 +703,7 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 		}
 		for i := range atts {
 			if a := &atts[i]; !a.done {
-				pending = true
+				more = true
 				if pause := a.wake.Sub(now); pause > 0 {
 					time.Sleep(pause)
 					now = time.Now()
@@ -727,8 +725,9 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 // and backs off on the same replica instead of failing over. It leaves
 // a done, or ready for send at a.wake.
 func (c *Cluster) settle(a *attempt, now time.Time) time.Time {
-	if s, pending := a.err.(*muxSlot); pending {
-		a.rt, a.body, a.err = s.wait(a.timeout - now.Sub(a.began))
+	if a.pend != nil {
+		a.rt, a.body, a.err = a.pend.wait(a.timeout - now.Sub(a.began))
+		a.pend = nil
 		c.m.inflight.Add(-1)
 	}
 	now = time.Now()
@@ -799,15 +798,37 @@ func (c *Cluster) settle(a *attempt, now time.Time) time.Time {
 // micros is d in the histograms' unit.
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// roundTrip is the real transport. It prefers the multiplexed v2 one —
-// a shared pipelined connection per address — where it only starts the
-// request and returns the reply slot; peers that only speak v1 (or
-// ForceV1) get the whole sequential round trip here and now. Either
-// transport reports a reused connection dying underneath the request as
-// errStaleConn so settle can replace it without consuming a try. tc,
-// when sampled, rides to trace-capable v2 peers; v1 peers never see it
-// (the extension is v2-only by design).
-func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+// roundTrip is the real transport. A v2 peer whose shared connection is
+// up gets the request started here and now, and the reply slot is
+// handed back. Whatever may block before a request is on the wire — a
+// dial and hello, a v1 peer's (or ForceV1's) sequential exchange — runs
+// beside the caller, so that several replicas' blocks overlap instead
+// of adding up.
+func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+	if mc := c.mux.live(addr); mc != nil {
+		p, err := mc.start(t, tc, payload, timeout, false)
+		return 0, nil, p, err
+	}
+	if conn := c.pool.take(addr); conn != nil {
+		p, err := c.startV1(conn, false, addr, t, payload, timeout)
+		return 0, nil, p, err
+	}
+	d := make(deferred, 1)
+	go func() {
+		rt, body, err := c.exchange(addr, t, tc, payload, timeout)
+		d <- muxReply{rt, body, err}
+	}()
+	return 0, nil, d, nil
+}
+
+// exchange performs one whole request/response against addr, dialing if
+// it must: over the multiplexed v2 transport — a shared pipelined
+// connection per address — or, for peers that only speak v1 (and under
+// ForceV1), the sequential one. Either reports a reused connection
+// dying underneath the request as errStaleConn so settle can replace it
+// without consuming a try. tc, when sampled, rides to trace-capable v2
+// peers; v1 peers never see it (the extension is v2-only by design).
+func (c *Cluster) exchange(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
 	if !c.cfg.ForceV1 {
 		mc, fresh, err := c.muxGet(addr, timeout)
 		switch {
@@ -815,16 +836,11 @@ func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, paylo
 			if fresh {
 				c.m.dials.Inc()
 			}
-			s, err := mc.start(t, tc, payload, timeout)
+			s, err := mc.start(t, tc, payload, timeout, fresh)
 			if err != nil {
-				if !fresh {
-					// The shared conn was found dead under this request.
-					err = fmt.Errorf("%w: %v", errStaleConn, err)
-				}
 				return 0, nil, err
 			}
-			s.fresh = fresh
-			return 0, nil, s
+			return s.wait(timeout)
 		case errors.Is(err, errUseV1):
 			// Peer speaks v1; fall through to the sequential transport.
 		default:
@@ -835,61 +851,73 @@ func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, paylo
 }
 
 // roundTripV1 performs exactly one request/response against addr over
-// the sequential v1 protocol, using a pooled connection when available.
-// A pooled connection failing before any response byte yields
-// errStaleConn so the caller can replace it.
+// the sequential v1 protocol, on a connection dialed for it.
 func (c *Cluster) roundTripV1(addr string, t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	conn, fresh, err := c.pool.get(addr, timeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return 0, nil, fmt.Errorf("client: dial %s: %w", addr, err)
+	}
+	c.m.dials.Inc()
+	r, err := c.startV1(conn, true, addr, t, payload, timeout)
 	if err != nil {
 		return 0, nil, err
 	}
-	if fresh {
-		c.m.dials.Inc()
-	}
+	return r.wait(timeout)
+}
+
+// v1Req is a request written on a v1 connection, which is the
+// request's own until wait has read the reply and pooled it again. A
+// pooled connection (not fresh) failing before any response byte yields
+// errStaleConn so settle can replace it.
+type v1Req struct {
+	c     *Cluster
+	addr  string
+	conn  net.Conn
+	fresh bool
+}
+
+func (c *Cluster) startV1(conn net.Conn, fresh bool, addr string, t wire.MsgType, payload []byte, timeout time.Duration) (pending, error) {
+	r := &v1Req{c, addr, conn, fresh}
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	if err := wire.WriteFrame(conn, t, payload); err != nil {
-		conn.Close()
-		if !fresh {
-			return 0, nil, fmt.Errorf("%w: %v", errStaleConn, err)
-		}
-		return 0, nil, err
+		return nil, r.failed(err)
 	}
-	rt, body, err := wire.ReadFrame(conn)
+	return r, nil
+}
+
+func (r *v1Req) wait(time.Duration) (wire.MsgType, []byte, error) {
+	rt, body, err := wire.ReadFrame(r.conn)
 	if err != nil {
-		conn.Close()
-		if !fresh {
-			return 0, nil, fmt.Errorf("%w: %v", errStaleConn, err)
-		}
-		return 0, nil, err
+		return 0, nil, r.failed(err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	c.pool.put(addr, conn)
+	_ = r.conn.SetDeadline(time.Time{})
+	r.c.pool.put(r.addr, r.conn)
 	return rt, body, nil
+}
+
+func (r *v1Req) failed(err error) error {
+	r.conn.Close()
+	if !r.fresh {
+		return fmt.Errorf("%w: %v", errStaleConn, err)
+	}
+	return err
 }
 
 // connPool keeps one idle connection per address — enough to amortize
 // dials for the sequential request/response protocol while staying
-// trivially correct.
+// trivially correct. Only v1 peers' connections ever get here.
 type connPool struct {
 	mu   sync.Mutex
 	idle map[string]net.Conn
 }
 
-// get returns a pooled connection or dials a fresh one; fresh reports
-// which.
-func (p *connPool) get(addr string, timeout time.Duration) (conn net.Conn, fresh bool, err error) {
+// take returns addr's idle connection, nil if there is none.
+func (p *connPool) take(addr string) net.Conn {
 	p.mu.Lock()
-	if c, ok := p.idle[addr]; ok {
-		delete(p.idle, addr)
-		p.mu.Unlock()
-		return c, false, nil
-	}
-	p.mu.Unlock()
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, true, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
-	return c, true, nil
+	defer p.mu.Unlock()
+	c := p.idle[addr]
+	delete(p.idle, addr)
+	return c
 }
 
 func (p *connPool) put(addr string, conn net.Conn) {

@@ -9,6 +9,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strconv"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/prefixtable"
+	"dmap/internal/server"
 	"dmap/internal/store"
 	"dmap/internal/trace"
 	"dmap/internal/wire"
@@ -36,20 +38,56 @@ const (
 
 func (f tryFate) String() string { return [...]string{"ack", "error", "shed", "reject"}[f] }
 
-// atOnce is the delay of a reply that is already in its slot when the
-// operation comes to take it.
+// synchronous adapts a transport whose whole round trip happens inside
+// the call — it never leaves a reply pending — to the seam.
+func synchronous(rt func(string, wire.MsgType, trace.Context, []byte, time.Duration) (wire.MsgType, []byte, error)) func(string, wire.MsgType, trace.Context, []byte, time.Duration) (wire.MsgType, []byte, pending, error) {
+	return func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+		t, body, err := rt(addr, mt, tc, payload, timeout)
+		return t, body, nil, err
+	}
+}
+
+// lateReply is a scripted pending reply: it is in once ready is
+// readable, which a nil ready never is.
+type lateReply struct {
+	ready <-chan time.Time
+	rt    wire.MsgType
+	body  []byte
+}
+
+func (l *lateReply) wait(d time.Duration) (wire.MsgType, []byte, error) {
+	select {
+	case <-l.ready:
+		return l.rt, l.body, nil
+	default:
+	}
+	select {
+	case <-l.ready:
+		return l.rt, l.body, nil
+	case <-time.After(d):
+		return 0, nil, timeoutError{}
+	}
+}
+
+// atOnce is the delay of a reply that is already in when the operation
+// comes to take it.
 const atOnce = time.Nanosecond
+
+var inAlready = func() <-chan time.Time {
+	ch := make(chan time.Time)
+	close(ch)
+	return ch
+}()
 
 // fanCluster is a K=3 Cluster over the 16-AS walk table whose transport
 // is a script: first[as] decides the first try each AS sees, every later
 // try acks; delay[as] holds the reply back that long — the request goes
-// out and a reply slot comes back, as with the real mux: atOnce puts the
-// reply in the slot before the try returns, a negative delay never
-// replies. frames records every try, in order, per AS.
+// out and a pending reply comes back, as with the real mux: atOnce has
+// the reply in before the try returns, a negative delay never replies.
+// frames records every try, in order, per AS.
 type fanCluster struct {
 	*Cluster
-	t  *testing.T
-	mc *muxConn // a connectionless in-flight table for scripted slots
+	t *testing.T
 
 	mu     sync.Mutex
 	first  map[int]tryFate
@@ -77,7 +115,7 @@ func newFanCluster(t *testing.T, cfg Config) *fanCluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	fc := &fanCluster{Cluster: c, t: t, mc: &muxConn{inflight: make(map[uint64]*muxSlot)}}
+	fc := &fanCluster{Cluster: c, t: t}
 	fc.reset(nil, nil)
 	c.transport = fc.roundTrip
 	return fc
@@ -89,10 +127,10 @@ func (fc *fanCluster) reset(first map[int]tryFate, delay map[int]time.Duration) 
 	fc.first, fc.delay, fc.frames = first, delay, make(map[int][]wire.MsgType)
 }
 
-func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, pending, error) {
 	as, err := strconv.Atoi(addr)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	fc.mu.Lock()
 	fate := tryAck
@@ -110,27 +148,18 @@ func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, p
 	}
 	rt, body, err := scriptedReply(fate, mt, payload)
 	if delay == 0 || err != nil {
-		return rt, body, err
+		return rt, body, nil, err
 	}
-	// The request is on the wire: hand back the slot its reply will land
-	// in, exactly what roundTrip does for a v2 peer.
-	s, err := fc.mc.register()
-	if err != nil {
-		return 0, nil, err
-	}
-	id := s.id // the slot may be recycled before a late reply looks for it
-	deliver := func() {
-		if s := fc.mc.claim(id); s != nil { // nil: the try timed out first
-			s.ch <- muxReply{t: rt, body: body}
-		}
-	}
+	// The request is on the wire and its reply pending, which is what
+	// roundTrip says of a v2 peer.
+	late := &lateReply{rt: rt, body: body}
 	switch {
 	case delay == atOnce:
-		deliver()
+		late.ready = inAlready
 	case delay > 0:
-		time.AfterFunc(delay, deliver)
+		late.ready = time.After(delay)
 	}
-	return 0, nil, s
+	return 0, nil, late, nil
 }
 
 // scriptedReply builds fate's reply to a request of type mt.
@@ -388,6 +417,64 @@ func TestFanOutRetriesOfFailedReplicasOverlap(t *testing.T) {
 	}
 }
 
+// TestFanOutDialsBesideTheCaller is the same over real sockets: two of
+// the three replica nodes accept the connection and never answer the
+// hello, so each try at them blocks in the handshake for the whole
+// timeout. Those blocks must overlap — with each other and with the
+// write to the live replica, which an operation deadline of two timeouts
+// still has to reach.
+func TestFanOutDialsBesideTheCaller(t *testing.T) {
+	const timeout, backoff = 200 * time.Millisecond, 4 * time.Millisecond
+	fc := newFanCluster(t, Config{})
+	g := fc.guidWithDistinct(walkK)
+	ases := fc.placedASs(g)
+	addrs := make(map[int]string)
+	for _, as := range ases[:2] {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				t.Cleanup(func() { conn.Close() }) // held open, never read
+			}
+		}()
+		addrs[as] = ln.Addr().String()
+	}
+	node := server.New(nil, nil)
+	live, err := node.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	addrs[ases[2]] = live
+
+	for _, opDeadline := range []time.Duration{4 * timeout, 2 * timeout} {
+		c, err := NewWithConfig(fc.resolver, addrs, Config{Timeout: timeout, OpDeadline: opDeadline, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: backoff, MaxBackoff: backoff}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		start := time.Now()
+		acks, err := c.Insert(walkEntry(g))
+		elapsed := time.Since(start)
+		if err != nil || acks != 1 {
+			t.Errorf("OpDeadline %v: Insert = %d, %v; want the live replica's ack", opDeadline, acks, err)
+		}
+		if budget := 2*timeout + backoff; elapsed > budget+timeout/2 {
+			t.Errorf("OpDeadline %v: Insert took %v, want one replica's retry budget (%v): the hung handshakes added up", opDeadline, elapsed, budget)
+		}
+	}
+	if got := node.Stats().Inserts; got != 2 {
+		t.Errorf("the live replica stored %d inserts, want 2", got)
+	}
+}
+
 // TestDeleteAsksReplicasAtOnce: K = 3 replicas that each take a while
 // to answer cost one such while, not three.
 func TestDeleteAsksReplicasAtOnce(t *testing.T) {
@@ -509,12 +596,12 @@ func TestInsertAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	fc := newFanCluster(t, Config{})
-	fc.transport = func(_ string, mt wire.MsgType, _ trace.Context, _ []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	fc.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, _ []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		if mt == wire.MsgDelete {
 			return wire.MsgDeleteAck, append(replyBufs.Get(1), 1), nil
 		}
 		return wire.MsgInsertAck, replyBufs.Get(0), nil
-	}
+	})
 	e := walkEntry(fc.guidWithDistinct(walkK))
 	if allocs := testing.AllocsPerRun(200, func() {
 		if acks, err := fc.Insert(e); err != nil || acks != walkK {

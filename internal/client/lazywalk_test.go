@@ -66,7 +66,7 @@ func newWalkCluster(t *testing.T, tbl *prefixtable.Table, cfg Config) *walkClust
 	t.Cleanup(c.Close)
 	sc := &walkCluster{Cluster: c}
 	sc.reset(nil)
-	c.transport = sc.roundTrip
+	c.transport = synchronous(sc.roundTrip)
 	return sc
 }
 
@@ -314,7 +314,7 @@ func TestLazyWalkStopsAtDeadline(t *testing.T) {
 	ases := sc.placedASs(t, g)
 	sc.reset(map[int]replicaFate{ases[0]: fateFail, ases[1]: fateHit, ases[2]: fateHit})
 	inner := sc.transport
-	sc.transport = func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	sc.transport = func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
 		time.Sleep(30 * time.Millisecond) // the first attempt outlives the whole budget
 		return inner(addr, mt, tc, payload, timeout)
 	}
@@ -371,7 +371,7 @@ func TestInsertBatchAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	sc := newWalkCluster(t, walkTable(t), Config{})
-	sc.transport = func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	sc.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		if mt != wire.MsgBatchInsert {
 			return 0, nil, fmt.Errorf("stub transport: unexpected %v", mt)
 		}
@@ -381,7 +381,7 @@ func TestInsertBatchAllocBudget(t *testing.T) {
 			ack = append(ack, 1)
 		}
 		return wire.MsgBatchInsertAck, ack, nil
-	}
+	})
 	entries := make([]store.Entry, 64)
 	for i, g := range sc.distinctGUIDs(t, len(entries)) {
 		entries[i] = walkEntry(g)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dmap/internal/trace"
@@ -91,6 +92,14 @@ type muxReply struct {
 	err  error
 }
 
+// pending is a request that is on its way while its reply is not in
+// yet: what a transport hands back instead of an outcome, and what
+// settle takes the reply from.
+type pending interface {
+	// wait blocks for the reply, for d at most.
+	wait(d time.Duration) (wire.MsgType, []byte, error)
+}
+
 // muxSlot is one reusable in-flight table slot: the rendezvous between
 // a requester and the demux reader. Slots are pooled — the buffered
 // channel is created once per slot and reused for the slot's whole
@@ -99,18 +108,31 @@ type muxReply struct {
 // until wait hands it back to the pool.
 type muxSlot struct {
 	ch chan muxReply
-	// The request the slot carries, set by register; whoever dialed the
-	// connection for this very request sets fresh.
+	// The request the slot carries, set by start.
 	m     *muxConn
 	id    uint64
 	fresh bool
 }
 
-// Error lets a started request cross the transport seam: a transport
-// whose request is on the wire but whose reply is not in yet returns
-// the slot as its error, and whoever finishes the attempt takes the
-// reply from it with wait.
-func (*muxSlot) Error() string { return "client: reply pending" }
+// deferred is the pending reply of an attempt that runs beside the
+// caller (roundTrip); such an attempt times itself out.
+type deferred chan muxReply
+
+func (d deferred) wait(time.Duration) (wire.MsgType, []byte, error) {
+	r := <-d
+	return r.t, r.body, r.err
+}
+
+// staleUnless maps a connection's death under a request to errStaleConn
+// unless the connection was dialed for that very request: on a reused
+// one the request never got an answer from a live server, and settle
+// replaces the connection without consuming a try.
+func staleUnless(fresh bool, err error) error {
+	if fresh || !errors.Is(err, errConnDead) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", errStaleConn, err)
+}
 
 var slotPool = sync.Pool{
 	New: func() any { return &muxSlot{ch: make(chan muxReply, 1)} },
@@ -151,7 +173,7 @@ func (m *muxConn) register() (*muxSlot, error) {
 	}
 	m.nextID++
 	s := slotPool.Get().(*muxSlot)
-	s.m, s.id, s.fresh = m, m.nextID, false
+	s.m, s.id = m, m.nextID
 	m.inflight[s.id] = s
 	m.mu.Unlock()
 	return s, nil
@@ -224,12 +246,13 @@ func (m *muxConn) readLoop() {
 // context is prefixed onto the frame when the server negotiated
 // FeatTrace; otherwise the context is dropped silently (the client's
 // own span still records the attempt). The payload is copied into the
-// writer before start returns.
-func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (*muxSlot, error) {
+// writer before start returns. fresh: m was dialed for this request.
+func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, fresh bool) (pending, error) {
 	s, err := m.register()
 	if err != nil {
-		return nil, err
+		return nil, staleUnless(fresh, err)
 	}
+	s.fresh = fresh
 	m.w.SetTimeout(timeout)
 	var werr error
 	if tc.Sampled && m.feat&wire.FeatTrace != 0 {
@@ -248,7 +271,7 @@ func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeou
 			putBody(r.body)
 		}
 		slotPool.Put(s)
-		return nil, fmt.Errorf("%w: %v", errConnDead, werr)
+		return nil, staleUnless(fresh, fmt.Errorf("%w: %v", errConnDead, werr))
 	}
 	return s, nil
 }
@@ -256,9 +279,7 @@ func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeou
 // wait takes the reply of the request s carries and recycles the slot.
 // The reply timer is armed — for d, what is left of the request's
 // timeout — only if the reply is not in already; a reply that races the
-// timer wins (a real answer beats reporting a timeout). A connection
-// that died under a request it was not dialed for reads errStaleConn:
-// the request never got an answer from a live server. The body, when
+// timer wins (a real answer beats reporting a timeout). The body, when
 // non-nil, is pool-owned: release it with putBody after decoding.
 func (s *muxSlot) wait(d time.Duration) (wire.MsgType, []byte, error) {
 	var r muxReply
@@ -277,19 +298,17 @@ func (s *muxSlot) wait(d time.Duration) (wire.MsgType, []byte, error) {
 		}
 		putTimer(timer)
 	}
-	if r.err != nil && !s.fresh && errors.Is(r.err, errConnDead) {
-		r.err = fmt.Errorf("%w: %w", errStaleConn, r.err)
-	}
+	err := staleUnless(s.fresh, r.err)
 	slotPool.Put(s)
-	return r.t, r.body, r.err
+	return r.t, r.body, err
 }
 
 // muxEntry is the per-address slot: at most one live muxConn, with the
 // entry mutex single-flighting the dial+handshake so a burst of callers
 // against a cold address performs one handshake, not N.
 type muxEntry struct {
-	mu   sync.Mutex
-	conn *muxConn
+	mu   sync.Mutex // held across a dial; conn is written under it
+	conn atomic.Pointer[muxConn]
 }
 
 // muxTable routes addresses to shared connections, remembering which
@@ -317,6 +336,20 @@ func (tb *muxTable) entry(addr string) (*muxEntry, bool) {
 	return e, true
 }
 
+// live returns addr's shared connection if it is up. It never blocks,
+// not on a dial in progress either.
+func (tb *muxTable) live(addr string) *muxConn {
+	tb.mu.Lock()
+	e := tb.entries[addr]
+	tb.mu.Unlock()
+	if e != nil {
+		if mc := e.conn.Load(); mc != nil && !mc.dead() {
+			return mc
+		}
+	}
+	return nil
+}
+
 // markV1 pins addr to the v1 transport for the lifetime of the client.
 func (tb *muxTable) markV1(addr string) {
 	tb.mu.Lock()
@@ -335,9 +368,8 @@ func (tb *muxTable) closeAll() {
 	tb.mu.Unlock()
 	for _, e := range entries {
 		e.mu.Lock()
-		if e.conn != nil {
-			e.conn.fail(net.ErrClosed)
-			e.conn = nil
+		if mc := e.conn.Swap(nil); mc != nil {
+			mc.fail(net.ErrClosed)
 		}
 		e.mu.Unlock()
 	}
@@ -353,11 +385,9 @@ func (tb *muxTable) liveConns() int {
 	tb.mu.Unlock()
 	n := 0
 	for _, e := range entries {
-		e.mu.Lock()
-		if e.conn != nil && !e.conn.dead() {
+		if mc := e.conn.Load(); mc != nil && !mc.dead() {
 			n++
 		}
-		e.mu.Unlock()
 	}
 	return n
 }
@@ -374,11 +404,11 @@ func (c *Cluster) muxGet(addr string, timeout time.Duration) (mc *muxConn, fresh
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.conn != nil {
-		if !e.conn.dead() {
-			return e.conn, false, nil
+	if mc := e.conn.Load(); mc != nil {
+		if !mc.dead() {
+			return mc, false, nil
 		}
-		e.conn = nil
+		e.conn.Store(nil)
 		return nil, false, fmt.Errorf("%w: shared connection died idle", errStaleConn)
 	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
@@ -408,7 +438,7 @@ func (c *Cluster) muxGet(addr string, timeout time.Duration) (mc *muxConn, fresh
 		return nil, true, errUseV1
 	}
 	mc = newMuxConn(conn, feat&wantFeat)
-	e.conn = mc
+	e.conn.Store(mc)
 	go mc.readLoop()
 	return mc, true, nil
 }

@@ -97,7 +97,12 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				want := []byte(fmt.Sprintf("req-%d-%d", g, i))
-				typ, body, err := m.do(wire.MsgLookup, trace.Context{}, want, timeout)
+				var typ wire.MsgType
+				var body []byte
+				s, err := m.start(wire.MsgLookup, trace.Context{}, want, timeout, true)
+				if err == nil {
+					typ, body, err = s.wait(timeout)
+				}
 				switch {
 				case err == nil:
 					if typ != wire.MsgLookupResp || !bytes.Equal(body, want) {
@@ -108,7 +113,7 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 				case errors.Is(err, timeoutError{}):
 					timeouts.Add(1)
 				default:
-					t.Errorf("do(%q): %v", want, err)
+					t.Errorf("request %q: %v", want, err)
 					return
 				}
 			}
@@ -142,8 +147,12 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 		started.Add(1)
 		go func(i int) {
 			started.Done()
-			_, body, err := m.do(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Minute)
-			putBody(body)
+			s, err := m.start(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Minute, true)
+			if err == nil {
+				var body []byte
+				_, body, err = s.wait(time.Minute)
+				putBody(body)
+			}
 			errs <- err
 		}(i)
 	}
@@ -191,13 +200,4 @@ func TestMuxIdleConnHoldsNoReplyBuffer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// do runs one pipelined request/response: start and wait back to back.
-func (m *muxConn) do(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	s, err := m.start(t, tc, payload, timeout)
-	if err != nil {
-		return 0, nil, err
-	}
-	return s.wait(timeout)
 }

@@ -49,7 +49,7 @@ func TestStaleRedialSkipsBackoffAndRetryCount(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	var calls int32
-	c.transport = func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	c.transport = synchronous(func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
 		switch atomic.AddInt32(&calls, 1) {
 		case 1:
 			return 0, nil, errors.New("connection reset")
@@ -58,7 +58,7 @@ func TestStaleRedialSkipsBackoffAndRetryCount(t *testing.T) {
 		default:
 			return wire.MsgPong, nil, nil
 		}
-	}
+	})
 	rt, _, err := c.call(nil, 0, wire.MsgPing, nil, time.Now().Add(5*time.Second))
 	if err != nil || rt != wire.MsgPong {
 		t.Fatalf("call = %v, %v; want pong", rt, err)

@@ -83,28 +83,7 @@ func (g GUID) IsZero() bool { return g == GUID{} }
 // Compare orders GUIDs lexicographically — the global keyspace order
 // the store's deterministic dumps and the anti-entropy range cursors
 // are defined over. It returns -1, 0 or +1.
-func Compare(a, b GUID) int {
-	switch {
-	case a == b:
-		return 0
-	case Less(&a, &b):
-		return -1
-	}
-	return 1
-}
-
-// Less reports whether a sorts before b in keyspace order. GUIDs are
-// hash outputs, so the first eight bytes, compared as one big-endian
-// word, decide all but one comparison in 2^64. It takes pointers for
-// the sorts and heaps over GUID-keyed slices — the digest paging of a
-// repair sweep does little else than compare, and passing two 20-byte
-// arrays by value cost it more than comparing them.
-func Less(a, b *GUID) bool {
-	if x, y := binary.BigEndian.Uint64(a[:]), binary.BigEndian.Uint64(b[:]); x != y {
-		return x < y
-	}
-	return bytes.Compare(a[8:], b[8:]) < 0
-}
+func Compare(a, b GUID) int { return bytes.Compare(a[:], b[:]) }
 
 // Max returns the largest GUID in keyspace order (all bits set), the
 // inclusive upper bound of a full-keyspace range scan.

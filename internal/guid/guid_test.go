@@ -1,7 +1,6 @@
 package guid
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -261,20 +260,5 @@ func TestVerify(t *testing.T) {
 	}
 	if Verify("content:movie-trailer", GUID{}) {
 		t.Error("Verify must reject the zero GUID")
-	}
-}
-
-// TestCompareIsLexicographic: Less decides on the first word where it
-// can, and Compare rests on it; both must order every pair as a
-// byte-wise comparison does, also where GUIDs agree on the first word,
-// the first byte after it, or everywhere.
-func TestCompareIsLexicographic(t *testing.T) {
-	f := func(a, b GUID, share uint8) bool {
-		copy(b[:int(share)%(Size+1)], a[:]) // a common prefix of every length
-		want := bytes.Compare(a[:], b[:])
-		return Compare(a, b) == want && Compare(b, a) == -want && Less(&a, &b) == (want < 0) && Less(&b, &a) == (want > 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
 	}
 }

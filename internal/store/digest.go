@@ -7,6 +7,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"sort"
 
 	"dmap/internal/guid"
@@ -61,7 +63,7 @@ func selectDigests(sh *shard, after, through guid.GUID, max int, dst []Digest) (
 	base, more := len(dst), false
 	sh.mu.RLock()
 	for g, e := range sh.m {
-		if !guid.Less(&after, &g) || guid.Less(&through, &g) {
+		if !less(&after, &g) || less(&through, &g) {
 			continue
 		}
 		switch page := dst[base:]; {
@@ -72,7 +74,7 @@ func selectDigests(sh *shard, after, through guid.GUID, max int, dst []Digest) (
 					siftDown(page, i)
 				}
 			}
-		case guid.Less(&g, &page[0].GUID):
+		case less(&g, &page[0].GUID):
 			page[0] = Digest{GUID: g, Version: e.Version}
 			siftDown(page, 0)
 			more = true
@@ -85,12 +87,24 @@ func selectDigests(sh *shard, after, through guid.GUID, max int, dst []Digest) (
 	return dst, more
 }
 
+// less reports whether a sorts before b in keyspace order, as
+// guid.Compare does. GUIDs are hash outputs, so the first eight bytes,
+// compared as one big-endian word, decide all but one comparison in
+// 2^64; and digest paging does little else than compare, so it passes
+// pointers — two 20-byte arrays by value cost more than comparing them.
+func less(a, b *guid.GUID) bool {
+	if x, y := binary.BigEndian.Uint64(a[:]), binary.BigEndian.Uint64(b[:]); x != y {
+		return x < y
+	}
+	return bytes.Compare(a[8:], b[8:]) < 0
+}
+
 // inKeyspaceOrder sorts digests by GUID; sort.Sort compares in place,
 // where a comparison function would be handed two copies per call.
 type inKeyspaceOrder []Digest
 
 func (s inKeyspaceOrder) Len() int           { return len(s) }
-func (s inKeyspaceOrder) Less(i, j int) bool { return guid.Less(&s[i].GUID, &s[j].GUID) }
+func (s inKeyspaceOrder) Less(i, j int) bool { return less(&s[i].GUID, &s[j].GUID) }
 func (s inKeyspaceOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // siftDown restores the max-heap order of h below position i.
@@ -100,10 +114,10 @@ func siftDown(h []Digest, i int) {
 		if big >= len(h) {
 			return
 		}
-		if r := big + 1; r < len(h) && guid.Less(&h[big].GUID, &h[r].GUID) {
+		if r := big + 1; r < len(h) && less(&h[big].GUID, &h[r].GUID) {
 			big = r
 		}
-		if !guid.Less(&h[i].GUID, &h[big].GUID) {
+		if !less(&h[i].GUID, &h[big].GUID) {
 			return
 		}
 		h[i], h[big] = h[big], h[i]

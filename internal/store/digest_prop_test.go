@@ -159,3 +159,18 @@ func TestShardDigestsPagesTileUnderConcurrentPut(t *testing.T) {
 	}
 	writers.Wait()
 }
+
+// TestLessIsKeyspaceOrder: the pager's word-first comparison orders
+// every pair as guid.Compare does, also where GUIDs agree on the first
+// word, the first byte after it, or everywhere.
+func TestLessIsKeyspaceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		a, b := randomGUID(rng), randomGUID(rng)
+		copy(b[:rng.Intn(guid.Size+1)], a[:]) // a common prefix of every length
+		want := guid.Compare(a, b)
+		if less(&a, &b) != (want < 0) || less(&b, &a) != (want > 0) {
+			t.Fatalf("less(%x, %x) disagrees with guid.Compare = %d", a, b, want)
+		}
+	}
+}
