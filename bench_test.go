@@ -9,7 +9,6 @@ package dmap_test
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -631,10 +630,9 @@ func BenchmarkRequestTraceOn(b *testing.B) {
 
 // benchLookupCluster starts one mapping node owning the whole address
 // space (K=1, so every lookup is one wire round trip) plus a cluster
-// client with the given transport config, pre-loaded with numGUIDs
-// entries. It is the fixture for the sustained-throughput benchmarks
-// comparing the sequential v1 transport against the multiplexed v2 one.
-func benchLookupCluster(b *testing.B, cfg client.Config, numGUIDs int) (*client.Cluster, []guid.GUID) {
+// client, pre-loaded with numGUIDs entries. It is the fixture for the
+// sustained-throughput benchmarks.
+func benchLookupCluster(b *testing.B, numGUIDs int) (*client.Cluster, []guid.GUID) {
 	b.Helper()
 	tbl := prefixtable.New()
 	p, err := netaddr.NewPrefix(0, 0)
@@ -654,7 +652,7 @@ func benchLookupCluster(b *testing.B, cfg client.Config, numGUIDs int) (*client.
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { node.Close() })
-	cl, err := client.NewWithConfig(resolver, map[int]string{0: addr}, cfg)
+	cl, err := client.New(resolver, map[int]string{0: addr}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -718,23 +716,11 @@ func runConcurrentLookups(b *testing.B, do func(i int) error) {
 	wg.Wait()
 }
 
-// BenchmarkLookup64ClientsV1 measures sustained lookups/sec with 64
-// concurrent clients over the sequential v1 transport: the pool keeps
-// one idle conn per address, so most concurrent callers pay a fresh TCP
-// dial per request — the cost the v2 multiplexed transport removes.
-func BenchmarkLookup64ClientsV1(b *testing.B) {
-	cl, gs := benchLookupCluster(b, client.Config{ForceV1: true}, 1024)
-	runConcurrentLookups(b, func(i int) error {
-		_, err := cl.Lookup(gs[i%len(gs)])
-		return err
-	})
-}
-
-// BenchmarkLookup64ClientsV2 is the same workload over the multiplexed
-// v2 transport: all 64 clients pipeline their requests on one shared
+// BenchmarkLookup64ClientsV2 measures sustained lookups/sec with 64
+// concurrent clients: all of them pipeline their requests on one shared
 // connection, demultiplexed by request ID.
 func BenchmarkLookup64ClientsV2(b *testing.B) {
-	cl, gs := benchLookupCluster(b, client.Config{}, 1024)
+	cl, gs := benchLookupCluster(b, 1024)
 	runConcurrentLookups(b, func(i int) error {
 		_, err := cl.Lookup(gs[i%len(gs)])
 		return err
@@ -747,7 +733,7 @@ func BenchmarkLookup64ClientsV2(b *testing.B) {
 // per individual GUID resolved.
 func BenchmarkLookup64ClientsV2Batch(b *testing.B) {
 	const block = 64
-	cl, gs := benchLookupCluster(b, client.Config{}, 1024)
+	cl, gs := benchLookupCluster(b, 1024)
 	var next int64
 	var wg sync.WaitGroup
 	b.ReportAllocs()
@@ -869,7 +855,7 @@ func BenchmarkLookupSoakConns(b *testing.B) {
 // slice — dies in the reused buffer). scripts/bench.sh alloc gates it
 // at 0 allocs/op.
 func BenchmarkLookupInto64ClientsV2(b *testing.B) {
-	cl, gs := benchLookupCluster(b, client.Config{}, 1024)
+	cl, gs := benchLookupCluster(b, 1024)
 	var next int64
 	var wg sync.WaitGroup
 	b.ReportAllocs()
@@ -961,14 +947,11 @@ func BenchmarkRecoverTimeToServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		conn, err := net.Dial("tcp", addr)
+		conn, err := wire.Dial(addr, time.Second, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := wire.WriteFrame(conn, wire.MsgLookup, payload); err != nil {
-			b.Fatal(err)
-		}
-		typ, body, err := wire.ReadFrame(conn)
+		typ, body, err := conn.RoundTrip(wire.MsgLookup, payload, time.Second)
 		if err != nil || typ != wire.MsgLookupResp {
 			b.Fatalf("first lookup = (%v, %v)", typ, err)
 		}

@@ -201,7 +201,6 @@ func demo(args []string) error {
 		objects     = fs.Int("objects", 100, "objects to insert and look up")
 		seed        = fs.Int64("seed", 1, "prefix table seed")
 		batch       = fs.Int("batch", 1, "ops per wire frame: > 1 uses the v2 batched InsertBatch/LookupBatch path")
-		v1          = fs.Bool("v1", false, "force the sequential v1 wire protocol (no multiplexing, no batching upgrade)")
 		showMetrics = fs.Bool("metrics", false, "print client and server metrics snapshots after the run")
 		traceSample = fs.Int("trace-sample", 0, "sample 1 in N client ops into a trace and print the last span tree (0 = off)")
 		slowOpMs    = fs.Int("slow-op-ms", 0, "record ops slower than this many milliseconds in the slow-op log (0 = off)")
@@ -254,7 +253,7 @@ func demo(args []string) error {
 	fmt.Printf("started %d mapping nodes, K=%d, %d prefixes (%.0f%% of space announced)\n",
 		*nodes, *k, tbl.Len(), 100*tbl.AnnouncedFraction())
 
-	c, err := client.NewWithConfig(resolver, addrs, client.Config{ForceV1: *v1, Tracer: tracer})
+	c, err := client.NewWithConfig(resolver, addrs, client.Config{Tracer: tracer})
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"dmap/internal/core"
@@ -26,9 +25,6 @@ import (
 // replica ASs stored entries[i], so a fully stored entry whose
 // placements collide reads fewer than K; Insert counts placements. An
 // error is returned only when nothing was stored anywhere.
-//
-// Against a peer that rejects batch frames as unknown (a pre-v2 node),
-// the chunk transparently degrades to per-entry inserts.
 func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 	if len(entries) == 0 {
 		return nil, nil
@@ -81,7 +77,7 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 	var lastErr error
 	for k := range atts {
 		a := &atts[k]
-		got, err := c.insertAcks(a, entries)
+		got, err := insertAcks(a)
 		if err != nil {
 			lastErr = fmt.Errorf("AS %d: %w", a.as, err)
 			continue
@@ -136,29 +132,12 @@ func chunkReply(a *attempt, want wire.MsgType) ([]byte, error) {
 }
 
 // insertAcks reads a finished batch-insert chunk's per-entry acked
-// flags, degrading to per-entry inserts against peers that do not know
-// the batch frame type.
-func (c *Cluster) insertAcks(a *attempt, entries []store.Entry) ([]bool, error) {
+// flags.
+func insertAcks(a *attempt) ([]bool, error) {
 	defer a.sp.End()
 	body, err := chunkReply(a, wire.MsgBatchInsertAck)
 	if err != nil {
-		if !isUnknownFrameReject(err) {
-			return nil, err
-		}
-		// The compatibility path for pre-v2 peers.
-		a.sp.Eventf("degrading to per-entry inserts: peer rejects batch frames")
-		acked := make([]bool, len(a.idxs))
-		for j, i := range a.idxs {
-			payload, err := wire.AppendEntry(payloadBufs.Get(128), entries[i])
-			if err != nil {
-				return nil, err
-			}
-			t, body, err := c.call(a.sp, a.as, wire.MsgInsert, payload, a.opDeadline)
-			payloadBufs.Put(payload)
-			putBody(body)
-			acked[j] = err == nil && t == wire.MsgInsertAck
-		}
-		return acked, nil
+		return nil, err
 	}
 	got, err := wire.DecodeBatchInsertAck(body)
 	putBody(body) // DecodeBatchInsertAck copied the flags
@@ -231,7 +210,7 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 		pending = pending[:0] // the groups hold the indices now
 		for k := range atts {
 			a := &atts[k]
-			rs, err := c.lookupAnswers(a, gs)
+			rs, err := lookupAnswers(a)
 			if err != nil {
 				// The whole chunk fails over to its next replica round,
 				// exactly like the sequential walk.
@@ -254,34 +233,12 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 	return entries, found, nil
 }
 
-// lookupAnswers reads a finished batch-lookup chunk's per-GUID answers,
-// degrading to per-GUID lookups against peers that do not know the
-// batch frame.
-func (c *Cluster) lookupAnswers(a *attempt, gs []guid.GUID) ([]wire.LookupResp, error) {
+// lookupAnswers reads a finished batch-lookup chunk's per-GUID answers.
+func lookupAnswers(a *attempt) ([]wire.LookupResp, error) {
 	defer a.sp.End()
 	body, err := chunkReply(a, wire.MsgBatchLookupResp)
 	if err != nil {
-		if !isUnknownFrameReject(err) {
-			return nil, err
-		}
-		// The compatibility path for pre-v2 peers.
-		a.sp.Eventf("degrading to per-GUID lookups: peer rejects batch frames")
-		rs := make([]wire.LookupResp, len(a.idxs))
-		for j, i := range a.idxs {
-			payload := wire.AppendGUID(payloadBufs.Get(32), gs[i])
-			t, body, err := c.call(a.sp, a.as, wire.MsgLookup, payload, a.opDeadline)
-			payloadBufs.Put(payload)
-			if err != nil || t != wire.MsgLookupResp {
-				putBody(body)
-				continue // counts as a miss at this replica
-			}
-			resp, derr := wire.DecodeLookupResp(body)
-			putBody(body)
-			if derr == nil {
-				rs[j] = resp
-			}
-		}
-		return rs, nil
+		return nil, err
 	}
 	rs, err := wire.DecodeBatchLookupResp(body)
 	putBody(body) // DecodeBatchLookupResp copied every entry
@@ -292,10 +249,4 @@ func (c *Cluster) lookupAnswers(a *attempt, gs []guid.GUID) ([]wire.LookupResp, 
 		return nil, fmt.Errorf("client: batch resp carries %d answers for %d GUIDs", len(rs), len(a.idxs))
 	}
 	return rs, nil
-}
-
-// isUnknownFrameReject reports a MsgError refusal caused by the peer
-// not understanding the frame type — the pre-v2 compatibility signal.
-func isUnknownFrameReject(err error) bool {
-	return errors.Is(err, ErrRejected) && strings.Contains(err.Error(), "unknown frame")
 }

@@ -45,10 +45,6 @@ type Config struct {
 	OpDeadline time.Duration
 	// Retry is the per-replica retry policy (zero value = defaults).
 	Retry RetryPolicy
-	// ForceV1 disables the multiplexed v2 transport: every request uses
-	// a sequential v1 connection. For benchmarking the old path and for
-	// talking to pre-v2 deployments without paying the hello probe.
-	ForceV1 bool
 	// FreshnessWait is LookupFastest's grace window: after the first
 	// positive reply it keeps collecting answers for this long (or until
 	// every replica answered) and returns the highest Version seen.
@@ -89,16 +85,15 @@ type Cluster struct {
 	mu    sync.RWMutex
 	addrs map[int]string // AS index → node address
 
-	pool connPool // v1 transport: one idle sequential conn per addr
-	mux  muxTable // v2 transport: one shared pipelined conn per addr
-	m    clusterMetrics
+	mux muxTable // one shared pipelined connection per node address
+	m   clusterMetrics
 
 	// tracer and logger mirror cfg.Tracer/cfg.Logger; both are nil-safe.
 	tracer *trace.Tracer
 	logger *trace.Logger
 
 	// transport starts one request/response attempt, propagating the
-	// attempt's trace context (zero when unsampled) to trace-capable v2
+	// attempt's trace context (zero when unsampled) to trace-capable
 	// peers, and returns either its outcome or — the reply is not in —
 	// a pending the reply is taken from; it must not block on the
 	// network. It defaults to (*Cluster).roundTrip and exists so tests
@@ -191,7 +186,6 @@ func NewWithConfig(resolver *core.Resolver, addrs map[int]string, cfg Config) (*
 	c.tracer = c.cfg.Tracer
 	c.logger = c.cfg.Logger
 	c.transport = c.roundTrip
-	c.m.reg.GaugeFunc("client.pool.idle", func() float64 { return float64(c.pool.idleLen()) })
 	c.m.reg.GaugeFunc("client.mux.conns", func() float64 { return float64(c.mux.liveConns()) })
 	return c, nil
 }
@@ -220,17 +214,15 @@ func (c *Cluster) Stats() Stats {
 }
 
 // Metrics returns the cluster's registry: failure-path counters,
-// per-attempt and per-operation latency histograms, and pool gauges.
+// per-attempt and per-operation latency histograms, and the
+// shared-connection gauge.
 func (c *Cluster) Metrics() *metrics.Registry { return c.m.reg }
 
 // Tracer returns the cluster's tracer (nil when tracing is off).
 func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
-// Close releases pooled and shared connections.
-func (c *Cluster) Close() {
-	c.pool.closeAll()
-	c.mux.closeAll()
-}
+// Close releases the shared connections.
+func (c *Cluster) Close() { c.mux.closeAll() }
 
 // Operation errors.
 var (
@@ -249,11 +241,11 @@ var (
 	ErrRejected = errors.New("client: request rejected by node")
 )
 
-// errStaleConn marks a pooled connection that died before carrying any
-// response byte: the server closed it while idle. The retry loop
-// replaces it without consuming a policy attempt — the request never
-// reached a live server.
-var errStaleConn = errors.New("client: stale pooled connection")
+// errStaleConn marks a reused shared connection that died before
+// carrying the request's reply: the server closed it while idle. The
+// retry loop replaces it without consuming a policy attempt — the
+// request never reached a live server.
+var errStaleConn = errors.New("client: stale shared connection")
 
 // Insert stores e at its K replicas: one frame per distinct replica AS,
 // all started before any ack is awaited (placements that share an AS
@@ -717,7 +709,7 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 
 // settle takes the outcome of the try in flight and applies the retry
 // policy to it: up to MaxAttempts tries with exponential backoff and
-// deterministic jitter. A stale shared/pooled connection is replaced
+// deterministic jitter. A stale shared connection is replaced
 // without consuming a try (once per replica) — and without a backoff or
 // a tick of the retries counter, since no logical retry happened. A
 // MsgError reply ends the retries — the node answered and said no —
@@ -798,19 +790,14 @@ func (c *Cluster) settle(a *attempt, now time.Time) time.Time {
 // micros is d in the histograms' unit.
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// roundTrip is the real transport. A v2 peer whose shared connection is
-// up gets the request started here and now, and the reply slot is
-// handed back. Whatever may block before a request is on the wire — a
-// dial and hello, a v1 peer's (or ForceV1's) sequential exchange — runs
-// beside the caller, so that several replicas' blocks overlap instead
-// of adding up.
+// roundTrip is the real transport. A peer whose shared connection is up
+// gets the request started here and now, and the reply slot is handed
+// back. A dial and handshake may block, so an attempt that needs them
+// runs beside the caller: several replicas' blocks overlap instead of
+// adding up.
 func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
 	if mc := c.mux.live(addr); mc != nil {
 		p, err := mc.start(t, tc, payload, timeout, false)
-		return 0, nil, p, err
-	}
-	if conn := c.pool.take(addr); conn != nil {
-		p, err := c.startV1(conn, false, addr, t, payload, timeout)
 		return 0, nil, p, err
 	}
 	d := make(deferred, 1)
@@ -821,130 +808,23 @@ func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, paylo
 	return 0, nil, d, nil
 }
 
-// exchange performs one whole request/response against addr, dialing if
-// it must: over the multiplexed v2 transport — a shared pipelined
-// connection per address — or, for peers that only speak v1 (and under
-// ForceV1), the sequential one. Either reports a reused connection
-// dying underneath the request as errStaleConn so settle can replace it
-// without consuming a try. tc, when sampled, rides to trace-capable v2
-// peers; v1 peers never see it (the extension is v2-only by design).
+// exchange performs one whole request/response against addr on its
+// shared connection, dialing and handshaking if it must. A reused
+// connection dying underneath the request is reported as errStaleConn
+// so settle can replace it without consuming a try; a refused dial and
+// a refused hello are ordinary failed tries. tc, when sampled, rides to
+// peers that granted the trace extension.
 func (c *Cluster) exchange(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	if !c.cfg.ForceV1 {
-		mc, fresh, err := c.muxGet(addr, timeout)
-		switch {
-		case err == nil:
-			if fresh {
-				c.m.dials.Inc()
-			}
-			s, err := mc.start(t, tc, payload, timeout, fresh)
-			if err != nil {
-				return 0, nil, err
-			}
-			return s.wait(timeout)
-		case errors.Is(err, errUseV1):
-			// Peer speaks v1; fall through to the sequential transport.
-		default:
-			return 0, nil, err
-		}
-	}
-	return c.roundTripV1(addr, t, payload, timeout)
-}
-
-// roundTripV1 performs exactly one request/response against addr over
-// the sequential v1 protocol, on a connection dialed for it.
-func (c *Cluster) roundTripV1(addr string, t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return 0, nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
-	c.m.dials.Inc()
-	r, err := c.startV1(conn, true, addr, t, payload, timeout)
+	mc, fresh, err := c.muxGet(addr, timeout)
 	if err != nil {
 		return 0, nil, err
 	}
-	return r.wait(timeout)
-}
-
-// v1Req is a request written on a v1 connection, which is the
-// request's own until wait has read the reply and pooled it again. A
-// pooled connection (not fresh) failing before any response byte yields
-// errStaleConn so settle can replace it.
-type v1Req struct {
-	c     *Cluster
-	addr  string
-	conn  net.Conn
-	fresh bool
-}
-
-func (c *Cluster) startV1(conn net.Conn, fresh bool, addr string, t wire.MsgType, payload []byte, timeout time.Duration) (pending, error) {
-	r := &v1Req{c, addr, conn, fresh}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(conn, t, payload); err != nil {
-		return nil, r.failed(err)
+	if fresh {
+		c.m.dials.Inc()
 	}
-	return r, nil
-}
-
-func (r *v1Req) wait(time.Duration) (wire.MsgType, []byte, error) {
-	rt, body, err := wire.ReadFrame(r.conn)
+	s, err := mc.start(t, tc, payload, timeout, fresh)
 	if err != nil {
-		return 0, nil, r.failed(err)
+		return 0, nil, err
 	}
-	_ = r.conn.SetDeadline(time.Time{})
-	r.c.pool.put(r.addr, r.conn)
-	return rt, body, nil
-}
-
-func (r *v1Req) failed(err error) error {
-	r.conn.Close()
-	if !r.fresh {
-		return fmt.Errorf("%w: %v", errStaleConn, err)
-	}
-	return err
-}
-
-// connPool keeps one idle connection per address — enough to amortize
-// dials for the sequential request/response protocol while staying
-// trivially correct. Only v1 peers' connections ever get here.
-type connPool struct {
-	mu   sync.Mutex
-	idle map[string]net.Conn
-}
-
-// take returns addr's idle connection, nil if there is none.
-func (p *connPool) take(addr string) net.Conn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c := p.idle[addr]
-	delete(p.idle, addr)
-	return c
-}
-
-func (p *connPool) put(addr string, conn net.Conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.idle == nil {
-		p.idle = make(map[string]net.Conn)
-	}
-	if _, ok := p.idle[addr]; ok {
-		conn.Close() // already one idle; drop the extra
-		return
-	}
-	p.idle[addr] = conn
-}
-
-// idleLen reports the number of idle pooled connections.
-func (p *connPool) idleLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}
-
-func (p *connPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.idle {
-		c.Close()
-	}
-	p.idle = nil
+	return s.wait(timeout)
 }

@@ -1,8 +1,7 @@
-// Multiplexed (v2) transport: one shared connection per node address,
-// pipelined identified frames, a demux reader goroutine per connection.
-// Concurrent callers to the same AS no longer race for the single pooled
-// connection or pay a fresh TCP dial each — they enqueue on the shared
-// conn and pool drops are impossible by construction.
+// The transport: one shared connection per node address, pipelined
+// identified frames, a demux reader goroutine per connection. Concurrent
+// callers to the same AS enqueue on the shared connection; none of them
+// pays a dial of its own.
 //
 // The request path is allocation-free in steady state (DESIGN.md §9):
 // reply slots in the in-flight table, response payload buffers and the
@@ -22,10 +21,6 @@ import (
 	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
-
-// errUseV1 routes an address to the sequential v1 transport: its server
-// answered the hello with MsgError (a true v1 peer) or negotiated v1.
-var errUseV1 = errors.New("client: peer speaks v1")
 
 // errConnDead reports that the shared connection failed while the
 // request was in flight or queued. The caller maps it to errStaleConn
@@ -49,10 +44,9 @@ var replyBufs = wire.NewBufPool(256)
 var payloadBufs = wire.NewBufPool(256)
 
 // putBody releases a response body obtained from a transport round
-// trip. Nil and foreign buffers (v1 reads, test transports) are
-// accepted, so ops can release unconditionally. The caller must be
-// completely done with the body — decoding copies, so nothing decoded
-// from it is at risk.
+// trip. Nil and foreign buffers (test transports) are accepted, so ops
+// can release unconditionally. The caller must be completely done with
+// the body — decoding copies, so nothing decoded from it is at risk.
 func putBody(b []byte) { replyBufs.Put(b) }
 
 // timerPool recycles the per-request reply timers. A timer is returned
@@ -138,7 +132,7 @@ var slotPool = sync.Pool{
 	New: func() any { return &muxSlot{ch: make(chan muxReply, 1)} },
 }
 
-// muxConn is one shared v2 connection: writes are coalesced through w,
+// muxConn is one shared connection: writes are coalesced through w,
 // responses are matched to callers through the in-flight table by the
 // reader goroutine.
 type muxConn struct {
@@ -311,20 +305,17 @@ type muxEntry struct {
 	conn atomic.Pointer[muxConn]
 }
 
-// muxTable routes addresses to shared connections, remembering which
-// addresses negotiated down to v1.
+// muxTable routes addresses to shared connections. It remembers nothing
+// else about an address: a node that refused a hello and was upgraded
+// in place is picked up by the next dial.
 type muxTable struct {
 	mu      sync.Mutex
 	entries map[string]*muxEntry
-	v1      map[string]bool
 }
 
-func (tb *muxTable) entry(addr string) (*muxEntry, bool) {
+func (tb *muxTable) entry(addr string) *muxEntry {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	if tb.v1[addr] {
-		return nil, false
-	}
 	if tb.entries == nil {
 		tb.entries = make(map[string]*muxEntry)
 	}
@@ -333,7 +324,7 @@ func (tb *muxTable) entry(addr string) (*muxEntry, bool) {
 		e = &muxEntry{}
 		tb.entries[addr] = e
 	}
-	return e, true
+	return e
 }
 
 // live returns addr's shared connection if it is up. It never blocks,
@@ -350,17 +341,6 @@ func (tb *muxTable) live(addr string) *muxConn {
 	return nil
 }
 
-// markV1 pins addr to the v1 transport for the lifetime of the client.
-func (tb *muxTable) markV1(addr string) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	if tb.v1 == nil {
-		tb.v1 = make(map[string]bool)
-	}
-	tb.v1[addr] = true
-	delete(tb.entries, addr)
-}
-
 func (tb *muxTable) closeAll() {
 	tb.mu.Lock()
 	entries := tb.entries
@@ -375,7 +355,8 @@ func (tb *muxTable) closeAll() {
 	}
 }
 
-// liveConns counts healthy shared connections (for the pool gauge).
+// liveConns counts healthy shared connections (the client.mux.conns
+// gauge).
 func (tb *muxTable) liveConns() int {
 	tb.mu.Lock()
 	entries := make([]*muxEntry, 0, len(tb.entries))
@@ -395,13 +376,9 @@ func (tb *muxTable) liveConns() int {
 // muxGet returns the live shared connection for addr, dialing and
 // handshaking one if needed. fresh reports a new dial. A previously
 // live connection found dead is cleared and reported as errStaleConn so
-// the retry loop replaces it observably — the same contract the v1 pool
-// had. errUseV1 reports a peer that only speaks v1.
+// the retry loop replaces it observably.
 func (c *Cluster) muxGet(addr string, timeout time.Duration) (mc *muxConn, fresh bool, err error) {
-	e, ok := c.mux.entry(addr)
-	if !ok {
-		return nil, false, errUseV1
-	}
+	e := c.mux.entry(addr)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if mc := e.conn.Load(); mc != nil {
@@ -421,52 +398,13 @@ func (c *Cluster) muxGet(addr string, timeout time.Duration) (mc *muxConn, fresh
 	if c.tracer != nil {
 		wantFeat = wire.FeatTrace
 	}
-	version, feat, err := helloExchange(conn, timeout, wantFeat)
+	feat, err := wire.Handshake(conn, timeout, wantFeat)
 	if err != nil {
 		conn.Close()
-		if errors.Is(err, errUseV1) {
-			// True v1 peer: it answered MsgError and closed. Remember and
-			// fall back; we never hello this address again.
-			c.mux.markV1(addr)
-			return nil, true, errUseV1
-		}
-		return nil, true, err
+		return nil, true, fmt.Errorf("client: %s: %w", addr, err)
 	}
-	if version < wire.Version2 {
-		c.mux.markV1(addr)
-		conn.Close()
-		return nil, true, errUseV1
-	}
-	mc = newMuxConn(conn, feat&wantFeat)
+	mc = newMuxConn(conn, feat)
 	e.conn.Store(mc)
 	go mc.readLoop()
 	return mc, true, nil
-}
-
-// helloExchange negotiates the protocol version (and feature flags) on
-// a fresh connection using v1 framing, per DESIGN §7.
-func helloExchange(conn net.Conn, timeout time.Duration, feat byte) (byte, byte, error) {
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	defer conn.SetDeadline(time.Time{})
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, feat)); err != nil {
-		return 0, 0, fmt.Errorf("client: hello write: %w", err)
-	}
-	t, body, err := wire.ReadFrame(conn)
-	if err != nil {
-		return 0, 0, fmt.Errorf("client: hello read: %w", err)
-	}
-	switch t {
-	case wire.MsgHelloAck:
-		v, ackFeat, err := wire.DecodeHelloAck(body)
-		if err != nil {
-			return 0, 0, fmt.Errorf("client: %w", err)
-		}
-		return v, ackFeat, nil
-	case wire.MsgError:
-		// A v1 server rejects the unknown MsgHello frame — that IS the
-		// negotiation result.
-		return 0, 0, errUseV1
-	default:
-		return 0, 0, fmt.Errorf("client: unexpected hello reply %v", t)
-	}
 }

@@ -2,7 +2,7 @@
 // but saturated", so the client backs off and retries the same replica;
 // every other MsgError kind means "retrying is pointless", so the
 // client aborts toward failover. These tests drive the retry loop with
-// a scripted v1 server so each refusal flavor is exact and repeatable.
+// a scripted fake node so each refusal flavor is exact and repeatable.
 package client
 
 import (
@@ -18,17 +18,26 @@ import (
 	"dmap/internal/wire"
 )
 
-// scriptedServer is a v1-only fake node: each received request frame is
-// answered by script(reqNum, type, payload), where reqNum counts
-// requests across all connections starting at 1.
+// scriptedServer is a fake node that grants every hello and answers
+// each request frame by script(reqNum, type, payload), where reqNum
+// counts requests across all connections starting at 1.
 func scriptedServer(t *testing.T, script func(req int64, typ wire.MsgType, payload []byte) (wire.MsgType, []byte)) string {
+	t.Helper()
+	return scriptedNode(t, func(int64) bool { return true }, script)
+}
+
+// scriptedNode is scriptedServer with a say in the handshake: connection
+// number conn (from 1) gets its hello granted when grant(conn) holds,
+// and otherwise the answer of a node that does not know the frame — one
+// un-identified MsgError, then a close.
+func scriptedNode(t *testing.T, grant func(conn int64) bool, script func(req int64, typ wire.MsgType, payload []byte) (wire.MsgType, []byte)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var reqs atomic.Int64
+	var conns, reqs atomic.Int64
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -37,13 +46,23 @@ func scriptedServer(t *testing.T, script func(req int64, typ wire.MsgType, paylo
 			}
 			go func() {
 				defer conn.Close()
+				if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgHello {
+					return
+				}
+				if !grant(conns.Add(1)) {
+					_ = wire.WriteFrame(conn, wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "unknown frame type"))
+					return
+				}
+				if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAck(nil, wire.Version2)); err != nil {
+					return
+				}
 				for {
-					typ, payload, err := wire.ReadFrame(conn)
+					typ, id, payload, err := wire.ReadFrameID(conn)
 					if err != nil {
 						return
 					}
 					rt, body := script(reqs.Add(1), typ, payload)
-					if err := wire.WriteFrame(conn, rt, body); err != nil {
+					if err := wire.WriteFrameID(conn, rt, id, body); err != nil {
 						return
 					}
 				}
@@ -55,7 +74,7 @@ func scriptedServer(t *testing.T, script func(req int64, typ wire.MsgType, paylo
 
 // scriptedCluster wires a single-replica client (K=1, so there is no
 // replica to fail over to — any recovery must come from retrying) to a
-// scripted server, forcing the v1 transport the fake speaks.
+// scripted server.
 func scriptedCluster(t *testing.T, addr string, retry RetryPolicy) *Cluster {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
@@ -75,7 +94,6 @@ func scriptedCluster(t *testing.T, addr string, retry RetryPolicy) *Cluster {
 		Timeout:    time.Second,
 		OpDeadline: 5 * time.Second,
 		Retry:      retry,
-		ForceV1:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +204,12 @@ func TestDrainAbortsRetriesImmediately(t *testing.T) {
 	}
 }
 
-// TestLegacyGenericErrorStillRejects: a bare-reason error from an old
-// peer (kind byte = generic) keeps the abort-and-fail-over behavior.
+// TestLegacyGenericErrorStillRejects: an unclassified error (kind byte
+// = generic, what a peer older than the kinds sends) keeps the
+// abort-and-fail-over behavior.
 func TestLegacyGenericErrorStillRejects(t *testing.T) {
 	addr := scriptedServer(t, func(int64, wire.MsgType, []byte) (wire.MsgType, []byte) {
-		return wire.MsgError, wire.AppendError(nil, "no")
+		return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindGeneric, "no")
 	})
 	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 	_, _, err := c.call(nil, 0, wire.MsgLookup, wire.AppendGUID(nil, guid.New("legacy")), time.Now().Add(5*time.Second))

@@ -184,29 +184,7 @@ func TestTraceSlowOpEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceV1Interop pins the compatibility floor: a tracing client
-// forced onto the v1 wire protocol still works — trace contexts simply
-// never reach the wire (v1 framing has no extension), while client-side
-// spans keep recording.
-func TestTraceV1Interop(t *testing.T) {
-	_, addrs := startTracingNodes(t, 8, 0)
-	tr := trace.New(trace.Config{Sample: 1})
-	c := tracingClient(t, 8, 3, addrs, Config{ForceV1: true, Tracer: tr})
-
-	e := clusterEntry("v1-traced", 1)
-	if _, err := c.Insert(e); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Lookup(e.GUID)
-	if err != nil || got.GUID != e.GUID {
-		t.Fatalf("v1 lookup = %+v, %v", got, err)
-	}
-	if views := tr.Traces(); len(views) != 2 {
-		t.Errorf("client traces over v1 = %d, want 2", len(views))
-	}
-}
-
-// TestTraceNonTracingServerInterop is the v2-peer-without-the-extension
+// TestTraceNonTracingServerInterop is the peer-without-the-extension
 // interop test: a plain server.New node never grants FeatTrace, so the
 // tracing client keeps its frames unprefixed and everything round-trips;
 // the client still records its own spans.

@@ -236,55 +236,143 @@ func TestMuxHammer(t *testing.T) {
 	}
 }
 
-// TestForceV1Interop pins the client to the sequential v1 protocol
-// against a v2 server: the upgrade must be opt-in on the wire, so old
-// clients keep working unchanged.
-func TestForceV1Interop(t *testing.T) {
+// twoNodeCluster wires a K=2 client over a two-AS world to the given
+// node addresses, one try per replica so a failed try is a failover.
+func twoNodeCluster(t *testing.T, addrs map[int]string) *Cluster {
+	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: 8, NumPrefixes: 96, AnnouncedFraction: 0.52, Seed: 5,
+		NumAS: 2, NumPrefixes: 24, AnnouncedFraction: 0.52, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(3, 0), tbl, 0)
+	resolver, err := core.NewResolver(guid.MustHasher(2, 0), tbl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, addrs := startNodes(t, 8)
-	c, err := NewWithConfig(resolver, addrs, Config{Timeout: time.Second, ForceV1: true})
+	c, err := NewWithConfig(resolver, addrs, Config{
+		Timeout:    time.Second,
+		OpDeadline: 5 * time.Second,
+		Retry:      RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	return c
+}
 
-	e := clusterEntry("v1-peer", 1)
-	if _, err := c.Insert(e); err != nil {
+// guidsPlaced returns n GUIDs whose two replicas sit on ASs first and
+// second, in that order.
+func guidsPlaced(t *testing.T, c *Cluster, n, first, second int) []guid.GUID {
+	t.Helper()
+	var gs []guid.GUID
+	for i := 0; len(gs) < n; i++ {
+		if i == 10000 {
+			t.Fatalf("no %d GUIDs placed on AS %d then AS %d", n, first, second)
+		}
+		g := guid.New(fmt.Sprintf("placed-%d-%d-%d", first, second, i))
+		p, err := c.resolver.Place(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p[0].AS == first && p[1].AS == second {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
+// TestRefusedHelloFailsOverAndIsNotRemembered: a node that answers the
+// hello with MsgError is a failed try like a refused dial — the lookup
+// fails over to the next replica — and nothing about the address is
+// remembered: once the node at that same address grants the hello, the
+// next lookup reaches it.
+func TestRefusedHelloFailsOverAndIsNotRemembered(t *testing.T) {
+	found := func(int64, wire.MsgType, []byte) (wire.MsgType, []byte) {
+		return wire.MsgLookupResp, lookupRespBody(t, true)
+	}
+	var upgraded, backup atomic.Int64
+	addrs := map[int]string{
+		// Refuses its first connection's hello, grants every later one.
+		0: scriptedNode(t, func(conn int64) bool { return conn > 1 }, func(req int64, typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+			upgraded.Add(1)
+			return found(req, typ, payload)
+		}),
+		1: scriptedServer(t, func(req int64, typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+			backup.Add(1)
+			return found(req, typ, payload)
+		}),
+	}
+	c := twoNodeCluster(t, addrs)
+	g := guidsPlaced(t, c, 1, 0, 1)[0]
+
+	if _, err := c.Lookup(g); err != nil {
+		t.Fatalf("lookup past a node that refused the hello: %v", err)
+	}
+	if s := c.Stats(); s.Failovers != 1 || upgraded.Load() != 0 || backup.Load() != 1 {
+		t.Fatalf("first lookup: failovers = %d, requests served = %d and %d; want 1 failover to the second replica", s.Failovers, upgraded.Load(), backup.Load())
+	}
+	if _, err := c.Lookup(g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Lookup(e.GUID)
-	if err != nil || got.GUID != e.GUID {
-		t.Fatalf("v1 lookup = %+v, %v", got, err)
+	if s := c.Stats(); s.Failovers != 1 || upgraded.Load() != 1 || backup.Load() != 1 {
+		t.Errorf("second lookup: failovers = %d, requests served = %d and %d; want the first replica reached on a new dial", s.Failovers, upgraded.Load(), backup.Load())
 	}
-	// The batch API still works for a v1-pinned client: batch frames are
-	// legal in sequential framing too (one at a time).
-	entries := []store.Entry{clusterEntry("v1-batch-a", 1), clusterEntry("v1-batch-b", 1)}
+}
+
+// TestRejectedBatchFrameFailsOverWhole: a node that answers a batch
+// frame "unknown frame type" has rejected that chunk, which fails over
+// to its next replica round like any rejection; the items are not
+// re-sent one by one.
+func TestRejectedBatchFrameFailsOverWhole(t *testing.T) {
+	var singles atomic.Int64
+	addrs := map[int]string{
+		0: scriptedServer(t, func(_ int64, typ wire.MsgType, _ []byte) (wire.MsgType, []byte) {
+			if typ != wire.MsgBatchLookup && typ != wire.MsgBatchInsert {
+				singles.Add(1)
+			}
+			return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "unknown frame type")
+		}),
+	}
+	node := server.New(nil, nil)
+	addr, err := node.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	addrs[1] = addr
+	c := twoNodeCluster(t, addrs)
+
+	gs := guidsPlaced(t, c, 5, 0, 1)
+	entries := make([]store.Entry, len(gs))
+	for i, g := range gs {
+		entries[i] = clusterEntry("rejected-batch", 1)
+		entries[i].GUID = g
+	}
 	acks, err := c.InsertBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range acks {
-		if n == 0 {
-			t.Errorf("batch entry %d got no acks over v1", i)
+		if n != 1 {
+			t.Errorf("entry %d acked by %d replicas, want 1 (the node that knows the frame)", i, n)
 		}
 	}
-	held := 0
-	for _, n := range nodes {
-		if _, ok := n.Store().Get(entries[0].GUID); ok {
-			held++
+	_, hits, err := c.LookupBatch(gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range hits {
+		if !ok {
+			t.Errorf("GUID %d not found at the second replica", i)
 		}
 	}
-	if held == 0 {
-		t.Error("no node holds the batch-inserted entry")
+	if s := c.Stats(); s.Failovers != int64(len(gs)) {
+		t.Errorf("failovers = %d, want %d (the rejected chunk's GUIDs, once)", s.Failovers, len(gs))
+	}
+	if n := singles.Load(); n != 0 {
+		t.Errorf("the rejecting node was sent %d single-op frames", n)
 	}
 }
 

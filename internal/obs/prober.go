@@ -18,7 +18,6 @@ package obs
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -118,7 +117,7 @@ type Prober struct {
 	availability *SLOTracker
 	staleness    *SLOTracker
 
-	conns []net.Conn // per target, nil when down
+	conns []*wire.Conn // per target, nil when down
 	// acked[t][s] is the newest version target t directly acknowledged
 	// for sentinel s; maxAcked[s] is the newest version ANY target
 	// acknowledged — the freshness reference for staleness.
@@ -164,7 +163,7 @@ func NewProber(cfg ProberConfig) *Prober {
 		version:      cfg.BaseVersion,
 		availability: NewSLOTracker(cfg.Availability),
 		staleness:    NewSLOTracker(cfg.Staleness),
-		conns:        make([]net.Conn, len(cfg.Targets)),
+		conns:        make([]*wire.Conn, len(cfg.Targets)),
 		acked:        make([][]uint64, len(cfg.Targets)),
 		maxAcked:     make([]uint64, cfg.Sentinels),
 	}
@@ -390,35 +389,26 @@ func respError(t wire.MsgType, payload []byte) error {
 	return fmt.Errorf("probe: unexpected %s response", t)
 }
 
-// roundTrip sends one v1 frame on the target's persistent connection
-// (redialing when needed) and reads the reply. Timed probe latency is
-// recorded into probe.op_us. Any error tears the connection down so the
-// next round redials — a prober must never wedge on a sick peer.
+// roundTrip performs one exchange on the target's persistent
+// connection, dialing and handshaking first when there is none. The
+// exchange alone is timed into probe.op_us, not the dial. Any error
+// tears the connection down so the next round redials — a prober must
+// never wedge on a sick peer.
 func (p *Prober) roundTrip(t int, mt wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
 	conn := p.conns[t]
 	if conn == nil {
-		c, err := net.DialTimeout("tcp", p.cfg.Targets[t].Addr, p.cfg.Timeout)
-		if err != nil {
+		var err error
+		if conn, err = wire.Dial(p.cfg.Targets[t].Addr, p.cfg.Timeout, 0); err != nil {
 			return 0, nil, err
 		}
-		conn = c
-		p.conns[t] = c
+		p.conns[t] = conn
 	}
 	start := time.Now()
-	fail := func(err error) (wire.MsgType, []byte, error) {
+	rt, resp, err := conn.RoundTrip(mt, payload, p.cfg.Timeout)
+	if err != nil {
 		conn.Close()
 		p.conns[t] = nil
 		return 0, nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(p.cfg.Timeout)); err != nil {
-		return fail(err)
-	}
-	if err := wire.WriteFrame(conn, mt, payload); err != nil {
-		return fail(err)
-	}
-	rt, resp, err := wire.ReadFrame(conn)
-	if err != nil {
-		return fail(err)
 	}
 	if p.hOp != nil {
 		p.hOp.ObserveSince(start)

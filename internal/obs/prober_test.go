@@ -183,9 +183,12 @@ func TestProberStaleRead(t *testing.T) {
 	}
 }
 
-// TestProberTalksV1 pins the prober to the plain v1 framing a minimal
-// node understands — no hello, no feature negotiation.
-func TestProberTalksV1(t *testing.T) {
+// TestProberTimesExchangesNotHandshake: probe.op_us measures what a node
+// takes to answer, so the dial and the handshake — slow here — stay
+// outside it, as the dial always did. The fake speaks exactly what a
+// node does: hello ack, then identified replies.
+func TestProberTimesExchangesNotHandshake(t *testing.T) {
+	const helloDelay = 300 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -199,9 +202,16 @@ func TestProberTalksV1(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		if mt, _, err := wire.ReadFrame(conn); err != nil || mt != wire.MsgHello {
+			return
+		}
+		time.Sleep(helloDelay)
+		if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAck(nil, wire.Version2)); err != nil {
+			return
+		}
 		st := store.New()
 		for {
-			mt, payload, err := wire.ReadFrame(conn)
+			mt, id, payload, err := wire.ReadFrameID(conn)
 			if err != nil {
 				return
 			}
@@ -209,29 +219,43 @@ func TestProberTalksV1(t *testing.T) {
 			case wire.MsgInsert:
 				e, _, _ := wire.DecodeEntry(payload)
 				st.Put(e)
-				wire.WriteFrame(conn, wire.MsgInsertAck, nil)
+				wire.WriteFrameID(conn, wire.MsgInsertAck, id, nil)
 			case wire.MsgLookup:
 				g, _, _ := wire.DecodeGUID(payload)
 				e, ok := st.Get(g)
 				resp, _ := wire.AppendLookupResp(nil, wire.LookupResp{Found: ok, Entry: e})
-				wire.WriteFrame(conn, wire.MsgLookupResp, resp)
+				wire.WriteFrameID(conn, wire.MsgLookupResp, id, resp)
 			default:
-				wire.WriteFrame(conn, wire.MsgError, wire.AppendError(nil, "unexpected"))
+				wire.WriteFrameID(conn, wire.MsgError, id, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "unexpected"))
 				return
 			}
 		}
 	}()
 
+	reg := metrics.NewRegistry()
 	p := NewProber(ProberConfig{
-		Targets:     []ProbeTarget{{Name: "v1", Addr: ln.Addr().String()}},
+		Targets:     []ProbeTarget{{Name: "slow-hello", Addr: ln.Addr().String()}},
 		Sentinels:   1,
 		Timeout:     2 * time.Second,
 		BaseVersion: 7,
+		Registry:    reg,
 	})
+	start := time.Now()
 	st := p.Round()
+	elapsed := time.Since(start)
 	p.Close()
-	if ts := st.Targets[0]; !ts.WriteOK || !ts.ReadOK || ts.Stale {
-		t.Fatalf("v1-only node not probed cleanly: %+v", ts)
-	}
 	<-done
+	if ts := st.Targets[0]; !ts.WriteOK || !ts.ReadOK || ts.Stale {
+		t.Fatalf("node not probed cleanly: %+v", ts)
+	}
+	if elapsed < helloDelay {
+		t.Fatalf("round took %v, the handshake alone %v", elapsed, helloDelay)
+	}
+	h := reg.Snapshot().Histograms["probe.op_us"]
+	if h.Count != 2 {
+		t.Fatalf("probe.op_us holds %d samples, want the write and the read", h.Count)
+	}
+	if max := time.Duration(h.Max) * time.Microsecond; max >= helloDelay {
+		t.Errorf("probe.op_us max = %v: the %v handshake was timed into an operation", max, helloDelay)
+	}
 }

@@ -47,9 +47,9 @@ func (l *limiter) inflight() int64 { return l.n.Load() }
 
 // Pre-encoded shed reply bodies: admission refusals happen on the read
 // loop under overload, exactly when allocating is most harmful, so the
-// MsgError payload (kind ‖ reason) is built once. wire.Writer and
-// WriteFrame both copy the body before returning, so sharing one slice
-// across connections is safe.
+// MsgError payload (kind ‖ reason) is built once. wire.Writer copies
+// the body before returning, so sharing one slice across connections is
+// safe.
 var (
 	shedConnBody   = wire.AppendErrorKind(nil, wire.ErrKindShed, "overloaded: connection in-flight limit")
 	shedGlobalBody = wire.AppendErrorKind(nil, wire.ErrKindShed, "overloaded: node in-flight limit")
@@ -79,9 +79,8 @@ func (n *Node) tryAdmit(ca *limiter, t wire.MsgType) (ok bool, global bool) {
 }
 
 // admitRelease returns the slots tryAdmit claimed. It runs when the
-// handler completes — on a worker for v2, inline for v1 — so a dying
-// connection drains its claims as its workers finish, never leaking
-// global capacity.
+// handler completes, on a worker, so a dying connection drains its
+// claims as its workers finish, never leaking global capacity.
 func (n *Node) admitRelease(ca *limiter) {
 	ca.release()
 	n.admit.release()

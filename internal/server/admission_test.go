@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -119,13 +118,9 @@ func TestShedDistinctFromDrainOverWire(t *testing.T) {
 
 	refusal := func(n *Node, addr string) wire.ErrKind {
 		t.Helper()
-		conn := dial(t, addr)
-		if err := wire.WriteFrame(conn, wire.MsgInsert, insert); err != nil {
-			t.Fatal(err)
-		}
-		typ, body, err := wire.ReadFrame(conn)
-		if err != nil || typ != wire.MsgError {
-			t.Fatalf("reply = (%v, %v), want MsgError", typ, err)
+		typ, body := exchange(t, dialConn(t, addr, 0), wire.MsgInsert, insert)
+		if typ != wire.MsgError {
+			t.Fatalf("reply = %v, want MsgError", typ)
 		}
 		kind, _, err := wire.DecodeErrorKind(body)
 		if err != nil {
@@ -166,28 +161,8 @@ func TestPingNeverShed(t *testing.T) {
 	n, addr := startNodeOpts(t, Options{MaxInflight: 1})
 	n.admit.acquire()
 	defer n.admit.release()
-	conn := dial(t, addr)
-	if err := wire.WriteFrame(conn, wire.MsgPing, nil); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgPong {
-		t.Fatalf("ping on saturated node = (%v, %v), want MsgPong", typ, err)
-	}
-}
-
-// upgradeV2 negotiates v2 framing on a raw conn.
-func upgradeV2(t *testing.T, conn net.Conn) {
-	t.Helper()
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.AppendHello(nil, wire.Version2)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgHelloAck {
-		t.Fatalf("hello reply = (%v, %v)", typ, err)
-	}
-	if v, _, err := wire.DecodeHelloAck(body); err != nil || v != wire.Version2 {
-		t.Fatalf("negotiated (%v, %v), want v2", v, err)
+	if typ, _ := exchange(t, dialConn(t, addr, 0), wire.MsgPing, nil); typ != wire.MsgPong {
+		t.Fatalf("ping on saturated node = %v, want MsgPong", typ)
 	}
 }
 
@@ -198,7 +173,7 @@ func upgradeV2(t *testing.T, conn net.Conn) {
 func TestShedPipelinedV2(t *testing.T) {
 	n, addr := startNodeOpts(t, Options{MaxInflight: 1})
 	conn := dial(t, addr)
-	upgradeV2(t, conn)
+	hello(t, conn)
 
 	n.admit.acquire() // saturate
 	const burst = 64
@@ -259,7 +234,7 @@ func TestShedPipelinedV2(t *testing.T) {
 func TestLimiterReleaseOnConnDeath(t *testing.T) {
 	n, addr := startNodeOpts(t, Options{MaxInflight: 16, MaxConnInflight: 8})
 	conn := dial(t, addr)
-	upgradeV2(t, conn)
+	hello(t, conn)
 
 	var reqs []byte
 	for id := uint64(1); id <= 200; id++ {
@@ -283,12 +258,8 @@ func TestLimiterReleaseOnConnDeath(t *testing.T) {
 	}
 
 	// The freed capacity is usable by a new connection.
-	conn2 := dial(t, addr)
-	if err := wire.WriteFrame(conn2, wire.MsgLookup, wire.AppendGUID(nil, guid.New("alive"))); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn2); err != nil || typ != wire.MsgLookupResp {
-		t.Fatalf("post-death lookup = (%v, %v), want MsgLookupResp", typ, err)
+	if typ, _ := exchange(t, dialConn(t, addr, 0), wire.MsgLookup, wire.AppendGUID(nil, guid.New("alive"))); typ != wire.MsgLookupResp {
+		t.Fatalf("post-death lookup = %v, want MsgLookupResp", typ)
 	}
 }
 

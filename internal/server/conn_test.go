@@ -33,8 +33,8 @@ func (c *countedConn) Write(b []byte) (int, error) {
 }
 
 // serveCounted runs n.serveConn on the accepted end of a loopback TCP
-// pair, wrapped in a countedConn, and returns the dialed end already
-// upgraded to v2.
+// pair, wrapped in a countedConn, and returns the dialed end with the
+// handshake done.
 func serveCounted(t *testing.T, n *Node) (net.Conn, *countedConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -61,8 +61,8 @@ func serveCounted(t *testing.T, n *Node) (net.Conn, *countedConn) {
 		conn.Close()
 		<-done
 	})
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	upgradeV2(t, conn)
+	hello(t, conn)
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second)) // after hello, which clears the deadline
 	return conn, cc
 }
 
@@ -217,10 +217,10 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 }
 
 // TestIdleV2ConnHoldsNoPooledBuffer: a connection blocked waiting for its
-// next frame must have taken nothing from serverBufs — neither a payload
-// buffer drawn ahead of the read nor the sequential loop's pair kept
-// across the upgrade. The pool is pre-filled so every Get is served from
-// it and a buffer not given back shows as a lower idle count.
+// next frame must have taken nothing from serverBufs — no payload
+// buffer drawn ahead of the read, nothing kept from the handshake. The
+// pool is pre-filled so every Get is served from it and a buffer not
+// given back shows as a lower idle count.
 func TestIdleV2ConnHoldsNoPooledBuffer(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		serverBufs.Put(make([]byte, 0, 512))
@@ -282,9 +282,9 @@ func TestBatchLookupBytesMatchStagedEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A too-small dst: the reply must survive growing out of it.
-		typ, got, fatal := n.handle(wire.MsgBatchLookup, req, nil, nil, make([]byte, 0, 16))
-		if typ != wire.MsgBatchLookupResp || fatal {
-			t.Fatalf("%d GUIDs: reply (%v, fatal=%t)", count, typ, fatal)
+		typ, got := n.handle(wire.MsgBatchLookup, req, nil, nil, make([]byte, 0, 16))
+		if typ != wire.MsgBatchLookupResp {
+			t.Fatalf("%d GUIDs: reply %v", count, typ)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%d GUIDs: reply differs from the staged encoder's bytes (%d vs %d bytes)", count, len(got), len(want))

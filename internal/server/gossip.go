@@ -2,7 +2,7 @@
 //
 // A node configured with gossip peers periodically walks its store in
 // shard order and sends each peer bounded range-complete digest pages
-// over a dedicated v2 connection (negotiated with wire.FeatRepair). The
+// over a dedicated connection (negotiated with wire.FeatRepair). The
 // peer answers each page with a MsgRepairDiff: its fresher copies (the
 // sweeper pulls them) and the GUIDs the sweeper's side holds fresher
 // (the sweeper pushes them back as ordinary MsgBatchInsert frames, made
@@ -16,7 +16,6 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"dmap/internal/core"
@@ -93,7 +92,7 @@ func (n *Node) gossipSweep(addr string) error {
 		n.repairPeerErrs.Add(1)
 		return err
 	}
-	defer gc.conn.Close()
+	defer gc.Close()
 
 	batch := n.gossipOpts.Batch
 	if batch <= 0 || batch > wire.MaxRepairDigests {
@@ -121,7 +120,7 @@ func (n *Node) gossipSweep(addr string) error {
 			if more && len(page) > 0 {
 				pageThrough = page[len(page)-1].GUID
 			}
-			covered, newer, want, err := gc.exchangeDigest(cursor, pageThrough, page)
+			covered, newer, want, err := exchangeDigest(gc, cursor, pageThrough, page)
 			if err != nil {
 				if err == errPeerShed {
 					n.repairBackoffs.Add(1)
@@ -137,7 +136,7 @@ func (n *Node) gossipSweep(addr string) error {
 				n.repairPeerErrs.Add(1)
 				return fmt.Errorf("server: applying repair pull: %w", err)
 			}
-			pushed, err := gc.pushWanted(n.store, want)
+			pushed, err := pushWanted(gc, n.store, want)
 			n.repairPushed.Add(int64(pushed))
 			if err != nil {
 				if err == errPeerShed {
@@ -172,82 +171,29 @@ func (n *Node) gossipThrottle(units int) {
 	}
 }
 
-// gossipConn is the sweeper's side of a repair connection: v2 framing,
-// FeatRepair negotiated, strictly one exchange in flight.
-type gossipConn struct {
-	conn net.Conn
-	rd   *wire.Reader
-	next uint64
-	buf  []byte // outgoing frame scratch
-	in   []byte // reply payload, reused by every round trip
+// dialGossip opens the sweeper's side of a repair connection: one
+// exchange in flight, FeatRepair granted. A peer that does not grant
+// the repair extension is an error: sweeping it would only burn
+// unknown-frame rejections.
+func dialGossip(addr string) (*wire.Conn, error) {
+	gc, err := wire.Dial(addr, gossipDialTimeout, wire.FeatRepair)
+	if err != nil {
+		return nil, fmt.Errorf("server: gossip: %w", err)
+	}
+	if gc.Feat()&wire.FeatRepair == 0 {
+		gc.Close()
+		return nil, fmt.Errorf("server: peer %s did not grant repair", addr)
+	}
+	return gc, nil
 }
 
-// replyBuf hands the reader the connection's reply buffer, replacing it
-// when a reply outgrows it. Reuse is safe because exactly one exchange
-// is in flight and every decoder copies out of the payload.
-func (gc *gossipConn) replyBuf(n int) []byte {
-	if cap(gc.in) < n {
-		gc.in = make([]byte, n)
-	}
-	return gc.in
-}
-
-// dialGossip connects to a peer and negotiates v2 + FeatRepair. A v1
-// peer, or a v2 peer that does not grant the repair extension, is an
-// error: sweeping it would only burn unknown-frame rejections.
-func dialGossip(addr string) (*gossipConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, gossipDialTimeout)
+// repairRoundTrip is one exchange with the peer, whose refusals become
+// errors: errPeerShed when it is overloaded, the reason otherwise. The
+// returned body is valid until the next exchange on gc.
+func repairRoundTrip(gc *wire.Conn, t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
+	rt, body, err := gc.RoundTrip(t, payload, gossipExchangeWait)
 	if err != nil {
-		return nil, fmt.Errorf("server: gossip dial %s: %w", addr, err)
-	}
-	_ = conn.SetDeadline(time.Now().Add(gossipDialTimeout))
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, wire.FeatRepair)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: gossip hello: %w", err)
-	}
-	t, body, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: gossip hello read: %w", err)
-	}
-	if t != wire.MsgHelloAck {
-		conn.Close()
-		return nil, fmt.Errorf("server: peer %s answered hello with %v (v1 peer?)", addr, t)
-	}
-	v, feat, err := wire.DecodeHelloAck(body)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: gossip hello ack: %w", err)
-	}
-	if v < wire.Version2 || feat&wire.FeatRepair == 0 {
-		conn.Close()
-		return nil, fmt.Errorf("server: peer %s did not grant repair (v%d feat %#x)", addr, v, feat)
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return &gossipConn{conn: conn, rd: wire.NewReader(conn)}, nil
-}
-
-// roundTrip writes one identified frame and reads its reply. The
-// sweeper never pipelines, so the next frame on the connection is the
-// answer; a mismatched ID means the stream is broken. The returned body
-// is valid until the next roundTrip.
-func (gc *gossipConn) roundTrip(t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
-	gc.next++
-	out, err := wire.AppendFrameID(gc.buf[:0], t, gc.next, payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	gc.buf = out
-	_ = gc.conn.SetDeadline(time.Now().Add(gossipExchangeWait))
-	if _, err := gc.conn.Write(out); err != nil {
-		return 0, nil, fmt.Errorf("server: gossip write: %w", err)
-	}
-	rt, id, body, err := gc.rd.Next(gc.replyBuf)
-	if err != nil {
-		return 0, nil, fmt.Errorf("server: gossip read: %w", err)
-	}
-	if id != gc.next {
-		return 0, nil, fmt.Errorf("server: gossip reply id %d, want %d", id, gc.next)
+		return 0, nil, fmt.Errorf("server: gossip: %w", err)
 	}
 	if rt == wire.MsgError {
 		kind, reason, _ := wire.DecodeErrorKind(body)
@@ -260,12 +206,12 @@ func (gc *gossipConn) roundTrip(t wire.MsgType, payload []byte) (wire.MsgType, [
 }
 
 // exchangeDigest sends one digest page and decodes the peer's diff.
-func (gc *gossipConn) exchangeDigest(after, through guid.GUID, page []store.Digest) (covered guid.GUID, newer []store.Entry, want []guid.GUID, err error) {
+func exchangeDigest(gc *wire.Conn, after, through guid.GUID, page []store.Digest) (covered guid.GUID, newer []store.Entry, want []guid.GUID, err error) {
 	body, err := wire.AppendRepairDigest(nil, after, through, page)
 	if err != nil {
 		return covered, nil, nil, err
 	}
-	rt, resp, err := gc.roundTrip(wire.MsgRepairDigest, body)
+	rt, resp, err := repairRoundTrip(gc, wire.MsgRepairDigest, body)
 	if err != nil {
 		return covered, nil, nil, err
 	}
@@ -278,7 +224,7 @@ func (gc *gossipConn) exchangeDigest(after, through guid.GUID, page []store.Dige
 // pushWanted sends the peer the entries it asked for, batched into
 // MsgBatchInsert frames, and returns how many the peer acknowledged
 // applying. GUIDs deleted since the digest was cut are skipped.
-func (gc *gossipConn) pushWanted(st *store.Store, want []guid.GUID) (int, error) {
+func pushWanted(gc *wire.Conn, st *store.Store, want []guid.GUID) (int, error) {
 	if len(want) == 0 {
 		return 0, nil
 	}
@@ -299,7 +245,7 @@ func (gc *gossipConn) pushWanted(st *store.Store, want []guid.GUID) (int, error)
 		if err != nil {
 			return pushed, err
 		}
-		rt, resp, err := gc.roundTrip(wire.MsgBatchInsert, body)
+		rt, resp, err := repairRoundTrip(gc, wire.MsgBatchInsert, body)
 		if err != nil {
 			return pushed, err
 		}
@@ -319,7 +265,7 @@ func (gc *gossipConn) pushWanted(st *store.Store, want []guid.GUID) (int, error)
 	return pushed, nil
 }
 
-// handleRepairDigest answers one MsgRepairDigest on a v2 worker. The
+// handleRepairDigest answers one MsgRepairDigest on a worker. The
 // caller has already verified FeatRepair was negotiated. A draining
 // node answers with wantMissing=false: it keeps exporting its fresher
 // copies but asks for nothing — the handoff posture.

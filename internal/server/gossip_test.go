@@ -144,52 +144,26 @@ func TestRepairFrameRequiresNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// v2 connection without FeatRepair: per-frame MsgError, connection
+	// A connection without FeatRepair: per-frame MsgError, connection
 	// stays alive.
-	conn := dial(t, addr)
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgHelloAck {
-		t.Fatalf("hello reply = (%v, %v)", typ, err)
-	}
-	if _, feat, _ := wire.DecodeHelloAck(body); feat&wire.FeatRepair != 0 {
-		t.Fatal("server granted FeatRepair without it being requested")
-	}
-	if err := wire.WriteFrameID(conn, wire.MsgRepairDigest, 1, digest); err != nil {
-		t.Fatal(err)
-	}
-	rt, _, rbody, err := wire.ReadFrameID(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialConn(t, addr, 0)
+	rt, rbody := exchange(t, conn, wire.MsgRepairDigest, digest)
 	if rt != wire.MsgError {
 		t.Fatalf("un-negotiated repair digest answered with %v", rt)
 	}
 	if kind, _, _ := wire.DecodeErrorKind(rbody); kind != wire.ErrKindBadRequest {
 		t.Fatalf("error kind = %v, want bad request", kind)
 	}
+	if rt, _ := exchange(t, conn, wire.MsgPing, nil); rt != wire.MsgPong {
+		t.Fatalf("connection unusable after the refusal: ping answered %v", rt)
+	}
 
 	// A negotiated connection gets a real diff for the same bytes.
-	conn2 := dial(t, addr)
-	if err := wire.WriteFrame(conn2, wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, wire.FeatRepair)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = wire.ReadFrame(conn2)
-	if err != nil || typ != wire.MsgHelloAck {
-		t.Fatalf("hello reply = (%v, %v)", typ, err)
-	}
-	if _, feat, _ := wire.DecodeHelloAck(body); feat&wire.FeatRepair == 0 {
+	conn2 := dialConn(t, addr, wire.FeatRepair)
+	if conn2.Feat()&wire.FeatRepair == 0 {
 		t.Fatal("server refused FeatRepair")
 	}
-	if err := wire.WriteFrameID(conn2, wire.MsgRepairDigest, 1, digest); err != nil {
-		t.Fatal(err)
-	}
-	rt, _, rbody, err = wire.ReadFrameID(conn2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, rbody = exchange(t, conn2, wire.MsgRepairDigest, digest)
 	if rt != wire.MsgRepairDiff {
 		t.Fatalf("negotiated repair digest answered with %v", rt)
 	}
@@ -214,7 +188,7 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gc.conn.Close()
+	defer gc.Close()
 
 	// The peer lacks "ours" (v3) and holds "theirs" (v9, we claim v1):
 	// an eager peer would want "ours" and the fresher "theirs"; a
@@ -226,7 +200,7 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 	if guid.Compare(page[0].GUID, page[1].GUID) > 0 {
 		page[0], page[1] = page[1], page[0]
 	}
-	covered, newer, want, err := gc.exchangeDigest(guid.GUID{}, guid.Max(), page)
+	covered, newer, want, err := exchangeDigest(gc, guid.GUID{}, guid.Max(), page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +216,9 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 }
 
 // TestGossipReplyBufferReused: every round trip on a repair connection
-// reads its reply into the one buffer the connection owns, and what an
-// earlier exchange decoded is untouched by the next — decoders copy.
+// reads its reply into the one buffer the connection owns — a reply is
+// valid until the next round trip — and what an earlier exchange decoded
+// is untouched by the next: decoders copy.
 func TestGossipReplyBufferReused(t *testing.T) {
 	n, addr := startNode(t)
 	putAll(t, n.Store(), gossipEntry("theirs-a", 5), gossipEntry("theirs-b", 6))
@@ -251,25 +226,35 @@ func TestGossipReplyBufferReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gc.conn.Close()
+	defer gc.Close()
 
 	// An empty page over the whole keyspace: the peer exports everything.
-	_, first, _, err := gc.exchangeDigest(guid.GUID{}, guid.Max(), nil)
-	if err != nil || len(first) != 2 {
-		t.Fatalf("first exchange: %d newer, %v", len(first), err)
+	page, err := wire.AppendRepairDigest(nil, guid.GUID{}, guid.Max(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buf := &gc.in[:1][0]
+	var (
+		first []store.Entry
+		buf   *byte
+	)
+	for i := 0; i < 4; i++ {
+		rt, body, err := repairRoundTrip(gc, wire.MsgRepairDigest, page)
+		if err != nil || rt != wire.MsgRepairDiff {
+			t.Fatalf("exchange %d: (%v, %v)", i+1, rt, err)
+		}
+		_, newer, _, err := wire.DecodeRepairDiff(body)
+		if err != nil || len(newer) != 2 {
+			t.Fatalf("exchange %d: %d newer, %v", i+1, len(newer), err)
+		}
+		if i == 0 {
+			first, buf = newer, &body[0]
+		} else if &body[0] != buf {
+			t.Fatalf("exchange %d replaced the reply buffer", i+1)
+		}
+	}
 	want := map[guid.GUID]store.Entry{}
 	for _, e := range []store.Entry{gossipEntry("theirs-a", 5), gossipEntry("theirs-b", 6)} {
 		want[e.GUID] = e
-	}
-	for i := 0; i < 3; i++ {
-		if _, again, _, err := gc.exchangeDigest(guid.GUID{}, guid.Max(), nil); err != nil || len(again) != 2 {
-			t.Fatalf("exchange %d: %d newer, %v", i+2, len(again), err)
-		}
-		if &gc.in[:1][0] != buf {
-			t.Fatalf("exchange %d replaced the reply buffer", i+2)
-		}
 	}
 	for _, e := range first {
 		if w, ok := want[e.GUID]; !ok || e.Version != w.Version || len(e.NAs) != len(w.NAs) || e.NAs[0] != w.NAs[0] {

@@ -34,7 +34,7 @@ type Node struct {
 	ownsStore bool
 	logger    *trace.Logger
 	// tracer, when set, joins sampled request traces arriving over the
-	// v2 trace extension and feeds the slow-op log. Nil = tracing off;
+	// trace extension and feeds the slow-op log. Nil = tracing off;
 	// the frame loop then never touches trace state.
 	tracer *trace.Tracer
 	// hot profiles the per-node request stream (§IV-C): which GUIDs
@@ -241,8 +241,8 @@ func NewWithOptions(st *store.Store, opts Options) *Node {
 	n.admit.max = int64(opts.MaxInflight)
 	n.maxConnInflight = int64(opts.MaxConnInflight)
 	st.Instrument(reg, "store")
-	// Requests currently being handled across every connection, v1 and
-	// v2 alike: the global admission limiter's live count.
+	// Requests currently being handled across every connection: the
+	// global admission limiter's live count.
 	reg.GaugeFunc("server.inflight", func() float64 {
 		return float64(n.admit.inflight())
 	})
@@ -434,42 +434,35 @@ func (n *Node) countErr() {
 	n.errors.Add(1)
 }
 
-// replyErrAndClose best-effort answers a broken request with a MsgError
-// frame so the peer learns why instead of watching its timeout expire;
-// the caller closes the connection (the stream may be desynchronized).
-func (n *Node) replyErrAndClose(conn net.Conn, kind wire.ErrKind, reason string) {
-	_ = wire.WriteFrame(conn, wire.MsgError, wire.AppendErrorKind(nil, kind, reason))
-}
-
 // handle executes one decoded request and returns the response frame.
-// It is shared by the sequential v1 loop and the concurrent v2 loop and
-// is safe for concurrent use: the store has its own locking and every
-// counter is atomic. sp, when non-nil, is the request's server-side
-// span: handle attaches a store child span around the state access.
+// It is safe for concurrent use — a connection's workers all call it —
+// since the store has its own locking and every counter is atomic. sp,
+// when non-nil, is the request's server-side span: handle attaches a
+// store child span around the state access.
 //
 // dst is the caller's response scratch: every returned out slice is dst
 // with the response appended (grown if it did not fit), so the caller
 // owns out's storage and single-op responses never allocate. Callers
 // pass dst with len 0; handle never reads its contents.
 //
-// fatal reports a malformed or unknown frame — v1 closes the connection
-// after replying (its anonymous framing gives no way to resynchronize
-// blame), while v2 replies under the offending request ID and keeps the
-// connection (identified framing stays intact).
-func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace.Span, dst []byte) (respType wire.MsgType, out []byte, fatal bool) {
+// A malformed or unknown frame is answered MsgError like any refusal:
+// the reply goes out under the offending request's ID and the connection
+// stays usable, since identified framing is intact whatever a payload
+// holds.
+func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace.Span, dst []byte) (respType wire.MsgType, out []byte) {
 	start := time.Now()
 	switch t {
 	case wire.MsgInsert:
 		if n.draining.Load() {
 			n.rejects.Add(1)
 			sp.Eventf("rejected: draining")
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
 		}
 		e, _, err := wire.DecodeEntry(payload)
 		if err != nil {
 			n.badReqs.Add(1)
 			n.logger.Warn("bad insert", "remote", remote, "err", err)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed insert"), true
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed insert")
 		}
 		n.hot.ObserveInsert(e.GUID)
 		st := sp.NewChild("store.put")
@@ -480,17 +473,17 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			// reject the request without tearing down the connection.
 			n.countErr()
 			n.logger.Warn("store rejected entry", "remote", remote, "err", err)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "store rejected entry"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "store rejected entry")
 		}
 		n.inserts.Add(1)
 		n.hInsert.ObserveSinceExemplar(start, sp.TraceID())
-		return wire.MsgInsertAck, dst, false
+		return wire.MsgInsertAck, dst
 
 	case wire.MsgLookup:
 		g, _, err := wire.DecodeGUID(payload)
 		if err != nil {
 			n.badReqs.Add(1)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed lookup"), true
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed lookup")
 		}
 		n.hot.ObserveLookup(g)
 		st := sp.NewChild("store.get")
@@ -515,21 +508,21 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		}
 		if aerr != nil {
 			n.countErr()
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error")
 		}
 		n.hLookup.ObserveSinceExemplar(start, sp.TraceID())
-		return wire.MsgLookupResp, out, false
+		return wire.MsgLookupResp, out
 
 	case wire.MsgDelete:
 		if n.draining.Load() {
 			n.rejects.Add(1)
 			sp.Eventf("rejected: draining")
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
 		}
 		g, _, err := wire.DecodeGUID(payload)
 		if err != nil {
 			n.badReqs.Add(1)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed delete"), true
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed delete")
 		}
 		st := sp.NewChild("store.delete")
 		existed := n.store.Delete(g)
@@ -540,21 +533,21 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			flag = 1
 		}
 		n.hDelete.ObserveSinceExemplar(start, sp.TraceID())
-		return wire.MsgDeleteAck, append(dst, flag), false
+		return wire.MsgDeleteAck, append(dst, flag)
 
 	case wire.MsgPing:
-		return wire.MsgPong, dst, false
+		return wire.MsgPong, dst
 
 	case wire.MsgBatchInsert:
 		if n.draining.Load() {
 			n.rejects.Add(1)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
 		}
 		entries, err := wire.DecodeBatchInsert(payload)
 		if err != nil {
 			n.badReqs.Add(1)
 			n.logger.Warn("bad batch insert", "remote", remote, "err", err)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed batch insert"), true
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed batch insert")
 		}
 		n.hBatchSize.Observe(float64(len(entries)))
 		st := sp.NewChild("store.put_batch")
@@ -575,17 +568,17 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		out, err = wire.AppendBatchInsertAck(dst, acked)
 		if err != nil {
 			n.countErr()
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error")
 		}
 		n.hBatchIns.ObserveSinceExemplar(start, sp.TraceID())
-		return wire.MsgBatchInsertAck, out, false
+		return wire.MsgBatchInsertAck, out
 
 	case wire.MsgBatchLookup:
 		gs, err := wire.DecodeBatchLookup(payload)
 		if err != nil {
 			n.badReqs.Add(1)
 			n.logger.Warn("bad batch lookup", "remote", remote, "err", err)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed batch lookup"), true
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed batch lookup")
 		}
 		n.hBatchSize.Observe(float64(len(gs)))
 		st := sp.NewChild("store.get_batch")
@@ -618,15 +611,15 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		}
 		if err != nil {
 			n.countErr()
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error"), false
+			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "internal error")
 		}
 		n.hBatchLkp.ObserveSinceExemplar(start, sp.TraceID())
-		return wire.MsgBatchLookupResp, out, false
+		return wire.MsgBatchLookupResp, out
 
 	default:
 		n.countErr()
 		n.logger.Warn("unknown frame", "type", t, "remote", remote)
-		return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "unknown frame type"), true
+		return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "unknown frame type")
 	}
 }
 
@@ -636,103 +629,59 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 // nothing decoded from it may alias it after release.
 var serverBufs = wire.NewBufPool(256)
 
-// serveConn processes frames until the peer disconnects. A connection
-// starts in sequential v1 framing (strictly request/response); a client
-// that sends MsgHello upgrades it to the multiplexed v2 protocol. v1
-// clients never send MsgHello and keep the sequential loop forever.
-//
-// The loop owns two pooled per-connection buffers: readBuf receives
-// each request frame in place and scratch receives each response, so a
-// steady-state v1 request costs no codec allocations either.
+// helloTimeout bounds the handshake, the server's half of it: a peer
+// that connects and then sends nothing, or half a header, is closed
+// instead of pinning a goroutine and a descriptor for as long as it
+// cares to stay.
+const helloTimeout = 3 * time.Second
+
+// serveConn is the handshake (DESIGN.md §7): the first frame must be a
+// well-formed MsgHello asking for at least Version2, answered with the
+// version and the features granted, after which the connection carries
+// identified frames (serveConnV2). Anything else — a pre-hello client's
+// bare request, a hello for version 1, junk — is answered one
+// un-identified MsgError, which such a client reads as the reply to its
+// request, and closed: no handler runs and no admission slot is taken
+// for a peer that has not said hello.
 func (n *Node) serveConn(conn net.Conn) {
 	defer conn.Close()
-	readBuf := serverBufs.Get(0)
-	scratch := serverBufs.Get(0)
-	defer func() {
-		serverBufs.Put(readBuf)
-		serverBufs.Put(scratch)
-	}()
-	// Per-connection admission limiter; shared with serveConnV2 if the
-	// connection upgrades. Claims always drain when the connection dies:
-	// v1 releases inline, v2 releases as each in-flight worker finishes.
-	ca := &limiter{max: n.maxConnInflight}
-	for {
-		t, payload, err := wire.ReadFrameInto(conn, readBuf[:cap(readBuf)])
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				n.logger.Debug("read failed", "remote", conn.RemoteAddr(), "err", err)
-			}
-			return
+	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
+	// A hello is at most 6 bytes. ReadFrameInto checks the claimed length
+	// against MaxPayload before it sizes anything by it, and consumes a
+	// well-formed stranger's whole frame so that the close which follows
+	// the error reply is a FIN, not a reset that could overtake it.
+	t, payload, err := wire.ReadFrameInto(conn, make([]byte, 0, 16))
+	if err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			n.logger.Debug("hello read failed", "remote", conn.RemoteAddr(), "err", err)
 		}
-		if cap(payload) > cap(readBuf) {
-			// The frame outgrew the pooled buffer; keep the bigger one
-			// for the rest of the connection and recycle the old.
-			serverBufs.Put(readBuf)
-			readBuf = payload
-		}
-		if t == wire.MsgHello {
-			v, feat, err := wire.DecodeHello(payload)
-			if err != nil {
-				n.badReqs.Add(1)
-				n.replyErrAndClose(conn, wire.ErrKindBadRequest, "malformed hello")
-				return
-			}
-			if v > wire.Version2 {
-				v = wire.Version2
-			}
-			// Grant the intersection of what the peer asked for and what
-			// this node supports: repair needs only v2 framing, the trace
-			// extension additionally needs an attached tracer.
-			var granted byte
-			if v >= wire.Version2 {
-				granted = feat & wire.FeatRepair
-				if n.tracer != nil {
-					granted |= feat & wire.FeatTrace
-				}
-			}
-			if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, v, granted)); err != nil {
-				return
-			}
-			if v >= wire.Version2 {
-				n.v2Conns.Add(1)
-				n.logger.Debug("v2 upgrade", "remote", conn.RemoteAddr(), "feat", granted)
-				// The v2 loop draws its buffers per frame; give the sequential
-				// loop's pair back now rather than pin it for the connection's
-				// lifetime.
-				serverBufs.Put(readBuf)
-				serverBufs.Put(scratch)
-				readBuf, scratch = nil, nil
-				n.serveConnV2(conn, granted, ca)
-				return
-			}
-			continue // negotiated v1: stay sequential
-		}
-		if ok, global := n.tryAdmit(ca, t); !ok {
-			// Sequential framing keeps the stream aligned: the shed reply
-			// answers the refused request and the connection lives on.
-			n.countShed(global)
-			if err := wire.WriteFrame(conn, wire.MsgError, shedBody(global)); err != nil {
-				return
-			}
-			continue
-		}
-		respType, out, fatal := n.handle(t, payload, conn.RemoteAddr(), nil, scratch[:0])
-		n.admitRelease(ca)
-		if cap(out) > cap(scratch) {
-			serverBufs.Put(scratch)
-			scratch = out
-		}
-		if fatal {
-			// Anonymous framing cannot attribute the error to a request;
-			// reply and close so the peer does not mispair responses.
-			_ = wire.WriteFrame(conn, respType, out)
-			return
-		}
-		if err := wire.WriteFrame(conn, respType, out); err != nil {
-			n.logger.Debug("write failed", "remote", conn.RemoteAddr(), "err", err)
-			return
-		}
+		return
 	}
+	var v, feat byte
+	if t == wire.MsgHello {
+		v, feat, err = wire.DecodeHello(payload)
+	}
+	if t != wire.MsgHello || err != nil || v < wire.Version2 {
+		n.badReqs.Add(1)
+		n.logger.Debug("no hello", "remote", conn.RemoteAddr(), "type", t)
+		_ = wire.WriteFrame(conn, wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "expected a hello for protocol version 2"))
+		return
+	}
+	// Grant the intersection of what the peer asked for and what this
+	// node supports: repair needs nothing more, the trace extension an
+	// attached tracer.
+	granted := feat & wire.FeatRepair
+	if n.tracer != nil {
+		granted |= feat & wire.FeatTrace
+	}
+	if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, wire.Version2, granted)); err != nil {
+		return
+	}
+	// Idle multiplexed connections are legitimate: the bound ends here.
+	_ = conn.SetDeadline(time.Time{})
+	n.v2Conns.Add(1)
+	n.logger.Debug("connection open", "remote", conn.RemoteAddr(), "feat", granted)
+	n.serveConnV2(conn, granted, &limiter{max: n.maxConnInflight})
 }
 
 // maxConnWorkers bounds concurrent handlers per v2 connection. Beyond
@@ -870,12 +819,8 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work)
 	if tc.Sampled {
 		sp = n.tracer.StartSpanFromContext("server."+t.String(), tc)
 	}
-	// fatal is ignored: a malformed payload under identified framing is
-	// answered with MsgError on its own request ID and the connection
-	// stays usable — only a framing-layer error (handled by the read
-	// loop) desynchronizes the stream.
 	dst := serverBufs.Get(0)
-	respType, out, _ := n.handle(t, payload, conn.RemoteAddr(), sp, dst)
+	respType, out := n.handle(t, payload, conn.RemoteAddr(), sp, dst)
 	sp.End()
 	if n.tracer.SlowEnabled() {
 		n.tracer.ObserveServerOp("server."+t.String(), id, tc, start)

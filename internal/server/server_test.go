@@ -32,6 +32,38 @@ func dial(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// dialConn opens a connection to addr through the handshake, asking for
+// the want feature flags: the one-exchange-at-a-time connection the
+// sweeper and the prober use. Tests that pipeline dial and call hello.
+func dialConn(t *testing.T, addr string, want byte) *wire.Conn {
+	t.Helper()
+	conn, err := wire.Dial(addr, time.Second, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// hello performs the handshake on a raw connection, leaving it ready for
+// identified frames written by hand.
+func hello(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if _, err := wire.Handshake(conn, time.Second, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exchange is one round trip that must not fail at the connection level.
+func exchange(t *testing.T, conn *wire.Conn, typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+	t.Helper()
+	rt, body, err := conn.RoundTrip(typ, payload, time.Second)
+	if err != nil {
+		t.Fatalf("%v round trip: %v", typ, err)
+	}
+	return rt, body
+}
+
 func testEntry() store.Entry {
 	return store.Entry{
 		GUID:    guid.New("raw"),
@@ -42,31 +74,24 @@ func testEntry() store.Entry {
 
 func TestRawProtocolRoundTrip(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dial(t, addr)
+	conn := dialConn(t, addr, 0)
 
 	// Insert.
 	payload, err := wire.AppendEntry(nil, testEntry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgInsert, payload); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgInsertAck {
-		t.Fatalf("insert reply = (%v, %v)", typ, err)
+	if typ, _ := exchange(t, conn, wire.MsgInsert, payload); typ != wire.MsgInsertAck {
+		t.Fatalf("insert reply = %v", typ)
 	}
 	if n.Store().Len() != 1 {
 		t.Fatalf("store len = %d", n.Store().Len())
 	}
 
 	// Lookup hit.
-	if err := wire.WriteFrame(conn, wire.MsgLookup, wire.AppendGUID(nil, testEntry().GUID)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgLookupResp {
-		t.Fatalf("lookup reply = (%v, %v)", typ, err)
+	typ, body := exchange(t, conn, wire.MsgLookup, wire.AppendGUID(nil, testEntry().GUID))
+	if typ != wire.MsgLookupResp {
+		t.Fatalf("lookup reply = %v", typ)
 	}
 	resp, err := wire.DecodeLookupResp(body)
 	if err != nil || !resp.Found || resp.Entry.Version != 3 {
@@ -74,32 +99,20 @@ func TestRawProtocolRoundTrip(t *testing.T) {
 	}
 
 	// Lookup miss.
-	if err := wire.WriteFrame(conn, wire.MsgLookup, wire.AppendGUID(nil, guid.New("missing"))); err != nil {
-		t.Fatal(err)
-	}
-	_, body, err = wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, body = exchange(t, conn, wire.MsgLookup, wire.AppendGUID(nil, guid.New("missing")))
 	if resp, err := wire.DecodeLookupResp(body); err != nil || resp.Found {
 		t.Fatalf("miss resp = (%+v, %v)", resp, err)
 	}
 
 	// Delete.
-	if err := wire.WriteFrame(conn, wire.MsgDelete, wire.AppendGUID(nil, testEntry().GUID)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgDeleteAck || len(body) != 1 || body[0] != 1 {
-		t.Fatalf("delete reply = (%v, %v, %v)", typ, body, err)
+	typ, body = exchange(t, conn, wire.MsgDelete, wire.AppendGUID(nil, testEntry().GUID))
+	if typ != wire.MsgDeleteAck || len(body) != 1 || body[0] != 1 {
+		t.Fatalf("delete reply = (%v, %v)", typ, body)
 	}
 
 	// Ping.
-	if err := wire.WriteFrame(conn, wire.MsgPing, nil); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgPong {
-		t.Fatalf("ping reply = (%v, %v)", typ, err)
+	if typ, _ := exchange(t, conn, wire.MsgPing, nil); typ != wire.MsgPong {
+		t.Fatalf("ping reply = %v", typ)
 	}
 
 	st := n.Stats()
@@ -108,69 +121,57 @@ func TestRawProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMalformedFrameClosesConnection(t *testing.T) {
+// TestMalformedFrameKeepsConnection: an insert frame with a garbage
+// payload must not crash the node; the peer gets a MsgError under the
+// request's own ID saying why, the bad request is counted, and — the
+// framing being intact — the connection goes on serving.
+func TestMalformedFrameKeepsConnection(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dial(t, addr)
+	conn := dialConn(t, addr, 0)
 
-	// An insert frame with garbage payload must not crash the node; the
-	// peer gets a MsgError explaining why, then the (desynchronized)
-	// connection is closed and the bad request counted.
-	if err := wire.WriteFrame(conn, wire.MsgInsert, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
+	typ, body := exchange(t, conn, wire.MsgInsert, []byte{1, 2, 3})
+	if typ != wire.MsgError {
+		t.Fatalf("want MsgError reply, got %v", typ)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-	typ, body, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgError {
-		t.Fatalf("want MsgError reply, got (%v, %v)", typ, err)
+	if kind, reason, err := wire.DecodeErrorKind(body); err != nil || kind != wire.ErrKindBadRequest || reason == "" {
+		t.Fatalf("error = (%v, %q, %v), want a bad request with a reason", kind, reason, err)
 	}
-	if reason, err := wire.DecodeError(body); err != nil || reason == "" {
-		t.Fatalf("error reason = (%q, %v)", reason, err)
-	}
-	if _, _, err := wire.ReadFrame(conn); err == nil {
-		t.Fatal("expected closed connection after the error reply")
-	}
-	// The node still serves new connections.
-	conn2 := dial(t, addr)
-	if err := wire.WriteFrame(conn2, wire.MsgPing, nil); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn2); err != nil || typ != wire.MsgPong {
-		t.Fatalf("node dead after malformed frame: (%v, %v)", typ, err)
+	if typ, _ := exchange(t, conn, wire.MsgPing, nil); typ != wire.MsgPong {
+		t.Fatalf("connection unusable after a malformed frame: ping answered %v", typ)
 	}
 	if n.Stats().BadRequests == 0 {
 		t.Error("malformed frame should be counted")
 	}
 }
 
+// TestUnknownFrameType: a frame type the node does not know is refused
+// under its ID and the connection stays usable.
 func TestUnknownFrameType(t *testing.T) {
 	_, addr := startNode(t)
-	conn := dial(t, addr)
-	if err := wire.WriteFrame(conn, wire.MsgType(200), nil); err != nil {
-		t.Fatal(err)
+	conn := dialConn(t, addr, 0)
+	typ, body := exchange(t, conn, wire.MsgType(200), nil)
+	if typ != wire.MsgError {
+		t.Fatalf("want MsgError reply, got %v", typ)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgError {
-		t.Fatalf("want MsgError reply, got (%v, %v)", typ, err)
+	if kind, _, err := wire.DecodeErrorKind(body); err != nil || kind != wire.ErrKindBadRequest {
+		t.Fatalf("error kind = (%v, %v), want bad request", kind, err)
 	}
-	if _, _, err := wire.ReadFrame(conn); err == nil {
-		t.Fatal("unknown frame should close the connection")
+	if typ, _ := exchange(t, conn, wire.MsgPing, nil); typ != wire.MsgPong {
+		t.Fatalf("connection unusable after an unknown frame: ping answered %v", typ)
 	}
 }
 
 func TestDrainRejectsWritesServesReads(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dial(t, addr)
+	conn := dialConn(t, addr, 0)
 
 	// Seed one entry while healthy.
 	payload, err := wire.AppendEntry(nil, testEntry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgInsert, payload); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgInsertAck {
-		t.Fatalf("healthy insert: (%v, %v)", typ, err)
+	if typ, _ := exchange(t, conn, wire.MsgInsert, payload); typ != wire.MsgInsertAck {
+		t.Fatalf("healthy insert: %v", typ)
 	}
 
 	n.Drain()
@@ -180,31 +181,21 @@ func TestDrainRejectsWritesServesReads(t *testing.T) {
 
 	// Writes are rejected with MsgError on a live connection — no hang,
 	// no disconnect.
-	if err := wire.WriteFrame(conn, wire.MsgInsert, payload); err != nil {
-		t.Fatal(err)
+	typ, body := exchange(t, conn, wire.MsgInsert, payload)
+	if typ != wire.MsgError {
+		t.Fatalf("draining insert: %v, want MsgError", typ)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-	typ, body, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgError {
-		t.Fatalf("draining insert: (%v, %v), want MsgError", typ, err)
-	}
-	if reason, _ := wire.DecodeError(body); reason == "" {
+	if _, reason, _ := wire.DecodeErrorKind(body); reason == "" {
 		t.Error("empty drain reason")
 	}
-	if err := wire.WriteFrame(conn, wire.MsgDelete, wire.AppendGUID(nil, testEntry().GUID)); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err = wire.ReadFrame(conn); err != nil || typ != wire.MsgError {
-		t.Fatalf("draining delete: (%v, %v), want MsgError", typ, err)
+	if typ, _ := exchange(t, conn, wire.MsgDelete, wire.AppendGUID(nil, testEntry().GUID)); typ != wire.MsgError {
+		t.Fatalf("draining delete: %v, want MsgError", typ)
 	}
 
 	// Reads still served on the same connection.
-	if err := wire.WriteFrame(conn, wire.MsgLookup, wire.AppendGUID(nil, testEntry().GUID)); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = wire.ReadFrame(conn)
-	if err != nil || typ != wire.MsgLookupResp {
-		t.Fatalf("draining lookup: (%v, %v)", typ, err)
+	typ, body = exchange(t, conn, wire.MsgLookup, wire.AppendGUID(nil, testEntry().GUID))
+	if typ != wire.MsgLookupResp {
+		t.Fatalf("draining lookup: %v", typ)
 	}
 	resp, err := wire.DecodeLookupResp(body)
 	if err != nil || !resp.Found {
@@ -217,11 +208,8 @@ func TestDrainRejectsWritesServesReads(t *testing.T) {
 
 	// Resume restores writes.
 	n.Resume()
-	if err := wire.WriteFrame(conn, wire.MsgInsert, payload); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgInsertAck {
-		t.Fatalf("post-resume insert: (%v, %v)", typ, err)
+	if typ, _ := exchange(t, conn, wire.MsgInsert, payload); typ != wire.MsgInsertAck {
+		t.Fatalf("post-resume insert: %v", typ)
 	}
 }
 
@@ -248,16 +236,11 @@ func TestCloseIsIdempotentAndStopsAccepting(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal("second close should be a no-op")
 	}
-	if _, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
-		// Dial may succeed briefly on some platforms via backlog; try a
-		// round trip which must fail.
-		conn := dial(t, addr)
-		if err := wire.WriteFrame(conn, wire.MsgPing, nil); err == nil {
-			_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-			if _, _, err := wire.ReadFrame(conn); err == nil {
-				t.Fatal("closed node answered a ping")
-			}
-		}
+	// A dial may succeed briefly on some platforms via the backlog; the
+	// handshake behind it must not.
+	if conn, err := wire.Dial(addr, 300*time.Millisecond, 0); err == nil {
+		conn.Close()
+		t.Fatal("closed node completed a handshake")
 	}
 }
 
@@ -281,7 +264,7 @@ func TestStartBadAddress(t *testing.T) {
 
 func TestVersionConflictOverWire(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dial(t, addr)
+	conn := dialConn(t, addr, 0)
 	put := func(version uint64, as int) {
 		t.Helper()
 		e := testEntry()
@@ -291,11 +274,8 @@ func TestVersionConflictOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteFrame(conn, wire.MsgInsert, payload); err != nil {
-			t.Fatal(err)
-		}
-		if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgInsertAck {
-			t.Fatalf("put reply = (%v, %v)", typ, err)
+		if typ, _ := exchange(t, conn, wire.MsgInsert, payload); typ != wire.MsgInsertAck {
+			t.Fatalf("put reply = %v", typ)
 		}
 	}
 	put(5, 1)

@@ -26,9 +26,8 @@
 //     monitored keys (Space-Saving, Metwally et al.).
 //
 // Trace context (trace ID, parent span ID, sampled flag) propagates on
-// the wire via the v2 frame extension in internal/wire, negotiated per
-// connection in MsgHello; v1 peers and v2 peers without the extension
-// are untouched.
+// the wire via the frame extension in internal/wire, negotiated per
+// connection in MsgHello; peers without the extension are untouched.
 package trace
 
 import "time"

@@ -74,11 +74,11 @@ func appendCases() []appendCase {
 			}
 		}},
 		{"AppendError", func(dst []byte) ([]byte, error) {
-			return AppendError(dst, "kaboom"), nil
+			return AppendErrorKind(dst, ErrKindGeneric, "kaboom"), nil
 		}, func(t *testing.T, enc []byte) {
-			reason, err := DecodeError(enc)
-			if err != nil || reason != "kaboom" {
-				t.Fatalf("DecodeError = %q %v", reason, err)
+			kind, reason, err := DecodeErrorKind(enc)
+			if err != nil || kind != ErrKindGeneric || reason != "kaboom" {
+				t.Fatalf("DecodeErrorKind = %v %q %v", kind, reason, err)
 			}
 		}},
 		{"AppendLookupResp", func(dst []byte) ([]byte, error) {
@@ -202,7 +202,7 @@ func TestDecodedValuesSurvivePoisonedPut(t *testing.T) {
 	}
 	mark := len(buf)
 	buf = AppendGUID(buf, g)
-	buf = AppendError(buf, "poisoned reason")
+	buf = AppendErrorKind(buf, ErrKindGeneric, "poisoned reason")
 
 	dec, _, err := DecodeEntry(buf[:mark])
 	if err != nil {
@@ -212,7 +212,7 @@ func TestDecodedValuesSurvivePoisonedPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reason, err := DecodeError(buf[mark+len(g):])
+	_, reason, err := DecodeErrorKind(buf[mark+len(g):])
 	if err != nil {
 		t.Fatal(err)
 	}

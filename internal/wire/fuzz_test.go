@@ -71,7 +71,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	_ = WriteFrame(&seed, MsgLookupResp, resp)
 	f.Add(append([]byte(nil), seed.Bytes()...))
 	seed.Reset()
-	_ = WriteFrame(&seed, MsgError, AppendError(nil, "draining"))
+	_ = WriteFrame(&seed, MsgError, AppendErrorKind(nil, ErrKindGeneric, "draining"))
 	f.Add(append([]byte(nil), seed.Bytes()...))
 	f.Add([]byte{0, 0, 0, 0, byte(MsgPing)})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
@@ -106,7 +106,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		case MsgLookupResp:
 			_, _ = DecodeLookupResp(payload)
 		case MsgError:
-			_, _ = DecodeError(payload)
+			_, _, _ = DecodeErrorKind(payload)
 		}
 	})
 }
@@ -184,7 +184,7 @@ func FuzzDecodeFrameV2(f *testing.F) {
 		case MsgLookupResp:
 			_, _ = DecodeLookupResp(payload)
 		case MsgError:
-			_, _ = DecodeError(payload)
+			_, _, _ = DecodeErrorKind(payload)
 		case MsgHello:
 			_, _, _ = DecodeHello(payload)
 		case MsgHelloAck:
@@ -228,7 +228,7 @@ func FuzzDecodeBatchInsert(f *testing.F) {
 // FuzzDecodeHello hardens the handshake decoders.
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(AppendHello(nil, Version2))
-	f.Add(AppendHelloAck(nil, Version1))
+	f.Add(AppendHelloAck(nil, 1))
 	f.Add(AppendHelloFeat(nil, Version2, FeatTrace))
 	f.Add(AppendHelloAckFeat(nil, Version2, FeatTrace))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -15,9 +15,8 @@
 // silently truncating. Entry pushes reuse MsgBatchInsert — the store's
 // §III-D2 freshest-wins Put makes them idempotent.
 //
-// Un-negotiated peers never see these types: a v1 server rejects them
-// as unknown frames, and a v2 server that did not grant FeatRepair
-// refuses them per frame.
+// Un-negotiated peers never see these types: a server that did not
+// grant FeatRepair refuses them per frame, as unknown.
 package wire
 
 import (

@@ -1,4 +1,4 @@
-// Trace-context propagation: the v2 frame extension behind the
+// Trace-context propagation: the frame extension behind the
 // internal/trace distributed tracer.
 //
 // The extension is negotiated per connection: a client advertising
@@ -7,10 +7,9 @@
 // byte carries the high TraceBit and whose payload is prefixed with a
 // fixed 17-byte trace context: trace ID(8) ‖ parent span ID(8) ‖
 // flags(1). Responses are never traced (the client already owns the
-// trace). Peers that never negotiated the feature never see the bit:
-// v1 framing is untouched, and a v2 server that did not advertise
-// FeatTrace receives only plain frames — backward compatible by
-// construction rather than by tolerance.
+// trace). Peers that never negotiated the feature never see the bit: a
+// server that did not grant FeatTrace receives only plain frames —
+// compatible by construction rather than by tolerance.
 package wire
 
 import (

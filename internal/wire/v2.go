@@ -1,18 +1,15 @@
-// Protocol v2: multiplexed, pipelined framing with batched operations.
+// The wire protocol's connection framing (DESIGN.md §7): multiplexed,
+// pipelined frames with batched operations.
 //
-// A v2 connection opens with a version handshake — the client sends
-// MsgHello (magic + highest version it speaks) in plain v1 framing, the
-// server answers MsgHelloAck with the version it accepts — and then
-// switches to identified frames: every frame carries an 8-byte request
-// ID between the type byte and the payload, so responses may return in
-// any order and many requests can be in flight on one connection.
-// Request IDs are opaque to the server; it echoes the ID of the request
-// a frame answers.
-//
-// v1 peers keep working by construction: a v1 client never sends
-// MsgHello, so the server falls back to sequential v1 framing on the
-// first frame; a v1 server answers MsgHello with MsgError ("unknown
-// frame type"), which a v2 client treats as "speak v1 here".
+// A connection opens with a two-frame handshake under the plain 5-byte
+// header — MsgHello (magic + version + wanted feature flags), answered
+// by MsgHelloAck with the version and features granted (Handshake in
+// conn.go; the server's half is server.serveConn) — and from then on
+// carries identified frames only: an 8-byte request ID sits between the
+// type byte and the payload, so responses may return in any order and
+// many requests can be in flight on one connection. Request IDs are
+// opaque to the server; it echoes the ID of the request a frame answers.
+// There is one protocol version and no fallback to an older one.
 //
 // Batch frames (MsgBatchInsert/MsgBatchLookup and their acks) carry up
 // to MaxBatch entries/GUIDs each under the larger MaxBatchFrame payload
@@ -30,11 +27,9 @@ import (
 	"dmap/internal/store"
 )
 
-// Protocol versions.
-const (
-	Version1 = 1 // sequential request/response, anonymous frames
-	Version2 = 2 // multiplexed identified frames, batch ops
-)
+// Version2 is the protocol version the hello carries. Version 1,
+// sequential anonymous frames, is no longer spoken by anything.
+const Version2 = 2
 
 // helloMagic guards the handshake against a non-DMap peer that happens
 // to send a length-plausible first frame.
@@ -44,19 +39,18 @@ const helloMagic = 0x444D6150 // "DMaP"
 var ErrBadHello = errors.New("wire: malformed hello")
 
 // AppendHello encodes a MsgHello body with no feature flags:
-// magic(4) ‖ version(1). Kept as the canonical legacy form so peers
-// that predate feature negotiation byte-match what they always sent.
+// magic(4) ‖ version(1).
 func AppendHello(dst []byte, version byte) []byte {
-	return AppendHelloFeat(dst, version, 0)
+	dst = binary.BigEndian.AppendUint32(dst, helloMagic)
+	return append(dst, version)
 }
 
 // AppendHelloFeat encodes a MsgHello body advertising feature flags:
 // magic(4) ‖ version(1) [‖ feat(1)]. A zero feat byte is omitted,
-// producing the exact legacy 5-byte encoding — a peer that requests no
+// producing AppendHello's 5-byte encoding — a peer that requests no
 // extensions is indistinguishable from one that predates them.
 func AppendHelloFeat(dst []byte, version, feat byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, helloMagic)
-	dst = append(dst, version)
+	dst = AppendHello(dst, version)
 	if feat != 0 {
 		dst = append(dst, feat)
 	}
@@ -64,8 +58,8 @@ func AppendHelloFeat(dst []byte, version, feat byte) []byte {
 }
 
 // DecodeHello decodes a MsgHello body and returns the requested
-// version and feature flags. Both the 5-byte legacy form (feat = 0)
-// and the 6-byte feature form are accepted.
+// version and feature flags. Both the 5-byte form (feat = 0) and the
+// 6-byte feature form are accepted.
 func DecodeHello(b []byte) (version, feat byte, err error) {
 	if len(b) != 5 && len(b) != 6 {
 		return 0, 0, ErrBadHello
@@ -74,7 +68,7 @@ func DecodeHello(b []byte) (version, feat byte, err error) {
 		return 0, 0, ErrBadHello
 	}
 	v := b[4]
-	if v < Version1 {
+	if v == 0 {
 		return 0, 0, ErrBadHello
 	}
 	if len(b) == 6 {
@@ -85,14 +79,14 @@ func DecodeHello(b []byte) (version, feat byte, err error) {
 
 // AppendHelloAck encodes a MsgHelloAck body with no feature flags.
 func AppendHelloAck(dst []byte, version byte) []byte {
-	return AppendHelloAckFeat(dst, version, 0)
+	return append(dst, version)
 }
 
 // AppendHelloAckFeat encodes a MsgHelloAck body: the accepted version,
 // then — only when non-zero — the accepted feature flags. The accepted
 // set must be a subset of what the hello advertised.
 func AppendHelloAckFeat(dst []byte, version, feat byte) []byte {
-	dst = append(dst, version)
+	dst = AppendHelloAck(dst, version)
 	if feat != 0 {
 		dst = append(dst, feat)
 	}
@@ -102,7 +96,7 @@ func AppendHelloAckFeat(dst []byte, version, feat byte) []byte {
 // DecodeHelloAck decodes a MsgHelloAck body, returning the accepted
 // version and feature flags (1- and 2-byte forms).
 func DecodeHelloAck(b []byte) (version, feat byte, err error) {
-	if (len(b) != 1 && len(b) != 2) || b[0] < Version1 {
+	if (len(b) != 1 && len(b) != 2) || b[0] == 0 {
 		return 0, 0, fmt.Errorf("wire: malformed hello ack")
 	}
 	if len(b) == 2 {

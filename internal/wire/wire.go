@@ -32,9 +32,9 @@ const (
 	MsgPong
 	MsgError // UTF-8 reason; a node rejecting a request instead of hanging
 
-	// v2 additions. Hello/HelloAck negotiate the protocol version on a
-	// fresh connection (v2.go); the batch types carry up to MaxBatch
-	// entries/GUIDs per frame and are allowed a larger payload bound.
+	// Hello/HelloAck are the handshake that opens every connection
+	// (v2.go); the batch types carry up to MaxBatch entries/GUIDs per
+	// frame and are allowed a larger payload bound.
 	MsgHello          // magic + requested version → hello ack
 	MsgHelloAck       // accepted version
 	MsgBatchInsert    // uint16 count + entries → batch insert ack
@@ -128,10 +128,12 @@ var (
 	ErrTruncated     = errors.New("wire: truncated message")
 )
 
-// FrameHeaderLen is the v1 frame header: uint32 length ‖ type byte.
+// FrameHeaderLen is the un-identified frame header the handshake is
+// spoken in: uint32 length ‖ type byte.
 const FrameHeaderLen = 5
 
-// AppendFrame appends one complete v1 frame (header + payload) to dst.
+// AppendFrame appends one complete un-identified frame (header +
+// payload) to dst.
 // Like every Append* in this package it works against a reused,
 // non-empty dst: existing bytes are preserved and the frame lands after
 // them.
@@ -146,7 +148,8 @@ func AppendFrame(dst []byte, t MsgType, payload []byte) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-// WriteFrame writes one frame: uint32 payload length, type byte, payload.
+// WriteFrame writes one un-identified frame: uint32 payload length,
+// type byte, payload.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if len(payload) > MaxPayload(t) {
 		return ErrFrameTooLarge
@@ -165,9 +168,9 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame, rejecting oversized payloads before
-// allocating. The payload is freshly allocated; prefer ReadFrameInto on
-// hot paths.
+// ReadFrame reads one un-identified frame, rejecting oversized payloads
+// before allocating. The payload is freshly allocated; prefer
+// ReadFrameInto on hot paths.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	return ReadFrameInto(r, nil)
 }
@@ -333,12 +336,6 @@ func (k ErrKind) String() string {
 	}
 }
 
-// AppendError encodes a generic-kind MsgError body, truncating
-// oversized reasons.
-func AppendError(dst []byte, reason string) []byte {
-	return AppendErrorKind(dst, ErrKindGeneric, reason)
-}
-
 // AppendErrorKind encodes a MsgError body — kind(1) ‖ reason —
 // truncating oversized reasons.
 func AppendErrorKind(dst []byte, kind ErrKind, reason string) []byte {
@@ -347,12 +344,6 @@ func AppendErrorKind(dst []byte, kind ErrKind, reason string) []byte {
 	}
 	dst = append(dst, byte(kind))
 	return append(dst, reason...)
-}
-
-// DecodeError decodes a MsgError body, returning the reason only.
-func DecodeError(b []byte) (string, error) {
-	_, reason, err := DecodeErrorKind(b)
-	return reason, err
 }
 
 // DecodeErrorKind decodes a MsgError body into its kind and reason.

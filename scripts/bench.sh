@@ -3,7 +3,6 @@
 #
 #   scripts/bench.sh           # micro-benchmarks -> BENCH_<date>.json
 #   scripts/bench.sh smoke     # CI gate: metrics overhead budget
-#   scripts/bench.sh pipelined # v1 vs v2 transport throughput gate
 #   scripts/bench.sh trace     # tracing-off request overhead gate
 #   scripts/bench.sh alloc     # single-op allocation budget gate
 #   scripts/bench.sh recover   # WAL replay + restart time-to-serve
@@ -33,13 +32,6 @@
 #      and a histogram observation, but what the budget protects is the
 #      served request, and against a full round trip the same delta is
 #      nearly invisible.
-#
-# Pipelined mode runs the concurrent-client sustained-lookup benchmarks
-# (64 clients by default; override with BENCH_CLIENTS) over the
-# sequential v1 transport, the multiplexed v2 transport and the v2
-# batched path, asserts that v2 (batched or pipelined) sustains at least
-# BENCH_SPEEDUP_MIN (default 3) times the v1 throughput, and appends the
-# measurements plus the speedup records to BENCH_<date>.json.
 #
 # Trace mode runs the request-path tracing benchmarks
 # (BenchmarkRequestTraceOff / BenchmarkRequestTraceOn) against the
@@ -268,43 +260,6 @@ smoke)
     echo "metrics overhead within budget"
     ;;
 
-pipelined)
-    speedup_min="${BENCH_SPEEDUP_MIN:-3}"
-    date_tag=$(date +%Y%m%d)
-    out="BENCH_${date_tag}.json"
-    raw=$(mktemp)
-    trap 'rm -f "$raw"' EXIT
-    run_bench '^BenchmarkLookup64Clients(V1|V2|V2Batch)$' | tee "$raw"
-
-    v1=$(min_ns BenchmarkLookup64ClientsV1 "$raw")
-    v2=$(min_ns BenchmarkLookup64ClientsV2 "$raw")
-    v2b=$(min_ns BenchmarkLookup64ClientsV2Batch "$raw")
-
-    # -benchmem is always on, so B/op and allocs/op are real numbers
-    # here, not nulls (taken from the same minimum-ns run the gate uses).
-    records=$(
-        bench_record "$date_tag" BenchmarkLookup64ClientsV1 "$raw"; printf ',\n'
-        bench_record "$date_tag" BenchmarkLookup64ClientsV2 "$raw"; printf ',\n'
-        bench_record "$date_tag" BenchmarkLookup64ClientsV2Batch "$raw"; printf ',\n'
-        awk -v date="$date_tag" -v v1="$v1" -v v2="$v2" -v v2b="$v2b" '
-        BEGIN {
-            printf "  {\"date\": \"%s\", \"name\": \"speedup.v2_vs_v1\", \"ns_per_op\": %.2f, \"bytes_per_op\": 0, \"allocs_per_op\": 0},\n", date, v1 / v2
-            printf "  {\"date\": \"%s\", \"name\": \"speedup.v2batch_vs_v1\", \"ns_per_op\": %.2f, \"bytes_per_op\": 0, \"allocs_per_op\": 0}", date, v1 / v2b
-        }')
-    append_records "$out" "$records"
-    echo "wrote $out"
-
-    awk -v v1="$v1" -v v2="$v2" -v v2b="$v2b" -v minx="$speedup_min" '
-        BEGIN {
-            printf "64-client sustained lookups: v1 %.0f ns/op, v2 %.0f ns/op (%.1fx), v2 batched %.0f ns/op (%.1fx)\n", \
-                v1, v2, v1 / v2, v2b, v1 / v2b
-            best = v1 / v2; if (v1 / v2b > best) best = v1 / v2b
-            exit (best >= minx) ? 0 : 1
-        }' || { echo "FAIL: v2 transport under the ${speedup_min}x throughput target" >&2; exit 1; }
-
-    echo "v2 transport meets the ${speedup_min}x throughput target"
-    ;;
-
 trace)
     date_tag=$(date +%Y%m%d)
     out="BENCH_${date_tag}.json"
@@ -493,7 +448,7 @@ validate)
     ;;
 
 *)
-    echo "usage: $0 [micro|smoke|pipelined|trace|alloc|recover|soak|load|heal|fleet|validate]" >&2
+    echo "usage: $0 [micro|smoke|trace|alloc|recover|soak|load|heal|fleet|validate]" >&2
     exit 2
     ;;
 esac

@@ -3,11 +3,12 @@
 # without tests fail the check), verify formatting, vet everything, then
 # run the concurrency-sensitive packages under the race detector. The
 # engine's determinism guarantee (internal/engine) only holds if these
-# stay race-clean, and the networked stack (client failover, the v2
-# multiplexed transport and its demux reader, server drain, the chaos
-# test, the metrics registry) is only trustworthy under -race. Running
-# the wire tests also replays the checked-in fuzz seed corpus
-# (FuzzDecodeFrame, FuzzDecodeFrameV2 et al.).
+# stay race-clean, and the networked stack (client failover, the
+# multiplexed transport and its demux reader, the server's handshake and
+# per-connection workers, drain, the chaos test, the metrics registry)
+# is only trustworthy under -race. Running the wire tests also replays
+# the checked-in fuzz seed corpus (FuzzDecodeFrame, FuzzDecodeFrameV2 et
+# al.).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -72,6 +73,12 @@ DMAP_POISON_BUFS=1 go test -race \
 # fuzzing over DecodeTraceContext (the seed corpus alone replays in the
 # -race run above; this hunts new frames).
 go test -run '^$' -fuzz '^FuzzDecodeTraceContext$' -fuzztime=10s ./internal/wire
+
+# Fuzz smoke on the server's side of the handshake: whatever bytes a
+# connection opens with, nothing but a well-formed hello may reach a
+# handler or the admission limiter, at most one frame goes back, and the
+# connection ends.
+go test -run '^$' -fuzz '^FuzzServerFirstFrame$' -fuzztime=10s ./internal/server
 
 # Fuzz smoke on the connection reader: for any byte stream cut into any
 # chunks, wire.Reader must yield the frames and the final error
