@@ -70,6 +70,7 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 			atts = c.startChunk(atts, proto, as, chunk, payload, err)
 		}
 	}
+	flush(atts)
 	c.finish(atts, time.Now())
 
 	acks = make([]int, len(entries))
@@ -98,15 +99,15 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 	return acks, nil
 }
 
-// startChunk starts proto as one batch frame to replica AS as, carrying
-// the operation's items idxs under a child span of its own, and appends
-// it to atts; a frame that could not be encoded is appended settled
-// with encErr. The attempt owns payload until its reply is read.
+// startChunk starts proto, corked (the caller flushes the set), as one
+// batch frame to replica AS as, carrying the items idxs under a child
+// span of its own, and appends it to atts — settled with encErr if it
+// could not be encoded. The attempt owns payload until its reply is read.
 func (c *Cluster) startChunk(atts []attempt, proto attempt, as int, idxs []int, payload []byte, encErr error) []attempt {
 	c.m.batchSize.Observe(float64(len(idxs)))
 	proto.sp = proto.sp.NewChild("chunk")
 	proto.sp.Eventf("as=%d items=%d", as, len(idxs))
-	proto.idxs, proto.payload = idxs, payload
+	proto.idxs, proto.payload, proto.cork = idxs, payload, true
 	atts = append(atts, proto)
 	if a := &atts[len(atts)-1]; encErr != nil {
 		a.as, a.done, a.err = as, true, encErr
@@ -206,6 +207,7 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 				atts = c.startChunk(atts, proto, as, chunk, payload, err)
 			}
 		}
+		flush(atts)
 		c.finish(atts, time.Now())
 		pending = pending[:0] // the groups hold the indices now
 		for k := range atts {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -96,10 +97,10 @@ type Cluster struct {
 	// attempt's trace context (zero when unsampled) to trace-capable
 	// peers, and returns either its outcome or — the reply is not in —
 	// a pending the reply is taken from; it must not block on the
-	// network. It defaults to (*Cluster).roundTrip and exists so tests
-	// can script per-attempt outcomes (e.g. a stale conn on the second
-	// attempt, a reply that takes its time) that are impractical to
-	// stage over a real socket.
+	// network. Nil, the default, is (*Cluster).roundTrip; it exists so
+	// tests can script per-attempt outcomes (e.g. a stale conn on the
+	// second attempt, a reply that takes its time) that are impractical
+	// to stage over a real socket.
 	// Buffer contract (DESIGN.md §9): the payload is valid until the
 	// call returns or, if it returns a pending, until that has been
 	// waited on — implementations must not retain it longer — and the
@@ -185,7 +186,6 @@ func NewWithConfig(resolver *core.Resolver, addrs map[int]string, cfg Config) (*
 	c := &Cluster{resolver: resolver, cfg: cfg.withDefaults(), addrs: m, m: newClusterMetrics()}
 	c.tracer = c.cfg.Tracer
 	c.logger = c.cfg.Logger
-	c.transport = c.roundTrip
 	c.m.reg.GaugeFunc("client.mux.conns", func() float64 { return float64(c.mux.liveConns()) })
 	return c, nil
 }
@@ -296,9 +296,10 @@ const stackK = 8
 
 // fanOut is the K-replica write shape: it starts proto once per
 // distinct replica AS among place — in placement order, from the
-// calling goroutine — and then finishes every attempt in place. The
-// caller owns the replies' bodies.
+// calling goroutine, corked — flushes the set and then finishes every
+// attempt in place. The caller owns the replies' bodies.
 func (c *Cluster) fanOut(atts []attempt, place []core.Placement, proto attempt, now time.Time) []attempt {
+	proto.cork = true
 	for j, p := range place {
 		if replicaAt(atts, p.AS) != nil {
 			continue // placements collided on one AS: ask it once
@@ -309,8 +310,24 @@ func (c *Cluster) fanOut(atts []attempt, place []core.Placement, proto attempt, 
 		atts = append(atts, proto)
 		c.start(&atts[len(atts)-1], p.AS, now)
 	}
+	flush(atts)
 	c.finish(atts, now)
 	return atts
+}
+
+// flush sends what a set of corked attempts left enqueued on their live
+// connections: one yield, so that every caller already runnable appends
+// its frames first, then a Flush per connection — a second one finds
+// nothing pending, a failed one reaches its tries through their reply
+// slots. The attempts leave uncorked: a retry goes out by itself.
+func flush(atts []attempt) {
+	runtime.Gosched()
+	for i := range atts {
+		atts[i].cork = false
+		if s, ok := atts[i].pend.(*muxSlot); ok {
+			_ = s.m.w.Flush()
+		}
+	}
 }
 
 // replicaAt returns the attempt that asked replica AS as, nil if none.
@@ -601,11 +618,14 @@ type attempt struct {
 	// span (nil when unsampled): each try opens a child span carrying
 	// the AS, try number and outcome, whose context rides to the server.
 	// idxs, on a batch frame, indexes the operation's items it carries.
+	// cork marks one of a set of attempts started together: its first
+	// try is only enqueued on a live connection, for the set's flush.
 	sp         *trace.Span
 	t          wire.MsgType
 	payload    []byte
 	opDeadline time.Time
 	idxs       []int
+	cork       bool
 
 	as   int // the replica asked and its node, set by start
 	addr string
@@ -672,7 +692,11 @@ func (c *Cluster) send(a *attempt, now time.Time) {
 		a.att.Eventf("as=%d addr=%s attempt=%d %v", a.as, a.addr, a.n, a.t)
 	}
 	a.began = now
-	a.rt, a.body, a.pend, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
+	if c.transport != nil {
+		a.rt, a.body, a.pend, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
+	} else {
+		a.pend, a.err = c.roundTrip(a.addr, a.t, a.att.Context(), a.payload, a.timeout, a.cork)
+	}
 	if a.pend != nil {
 		c.m.inflight.Add(1)
 	}
@@ -791,21 +815,20 @@ func (c *Cluster) settle(a *attempt, now time.Time) time.Time {
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // roundTrip is the real transport. A peer whose shared connection is up
-// gets the request started here and now, and the reply slot is handed
-// back. A dial and handshake may block, so an attempt that needs them
-// runs beside the caller: several replicas' blocks overlap instead of
-// adding up.
-func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+// gets the request started — or, corked, enqueued — here and now, and the
+// reply slot is handed back. A dial and handshake may block, so an
+// attempt that needs them runs beside the caller: several replicas'
+// blocks overlap instead of adding up.
+func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, cork bool) (pending, error) {
 	if mc := c.mux.live(addr); mc != nil {
-		p, err := mc.start(t, tc, payload, timeout, false)
-		return 0, nil, p, err
+		return mc.begin(t, tc, payload, timeout, false, cork)
 	}
 	d := make(deferred, 1)
 	go func() {
 		rt, body, err := c.exchange(addr, t, tc, payload, timeout)
 		d <- muxReply{rt, body, err}
 	}()
-	return 0, nil, d, nil
+	return d, nil
 }
 
 // exchange performs one whole request/response against addr on its

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -472,6 +473,141 @@ func TestFanOutDialsBesideTheCaller(t *testing.T) {
 	}
 	if got := node.Stats().Inserts; got != 2 {
 		t.Errorf("the live replica stored %d inserts, want 2", got)
+	}
+}
+
+// writeCounter counts the Writes the client makes on a connection: each
+// is one write(2) on a TCP socket.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCounter) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// countedMux dials addr, does the handshake and installs the connection,
+// behind a writeCounter, as c's live shared connection to addr.
+func countedMux(t *testing.T, c *Cluster, addr string) *writeCounter {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat, err := wire.Handshake(conn, time.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := &writeCounter{Conn: conn}
+	mc := newMuxConn(wc, feat)
+	c.mux.entry(addr).conn.Store(mc) // c.Close fails it, which closes conn
+	go mc.readLoop()
+	return wc
+}
+
+// TestFanOutOneWritePerConnection runs the K-replica operations over
+// three live connections to real nodes. The frames of one operation are
+// enqueued from the calling goroutine, which yields once and flushes
+// each connection once: one Write per connection however many frames it
+// carries, where each frame used to be written — and the run queue gone
+// round — by itself. Placements that collide on one AS are still one
+// frame there.
+func TestFanOutOneWritePerConnection(t *testing.T) {
+	c, nodes := testCluster(t, 3, 3)
+	conns := make([]*writeCounter, len(nodes))
+	for as := range nodes {
+		conns[as] = countedMux(t, c, c.addrs[as])
+	}
+	// writes runs op and returns how many Writes each connection saw.
+	writes := func(op func()) (per [3]int64) {
+		for as, wc := range conns {
+			per[as] = -wc.writes.Load()
+		}
+		op()
+		for as, wc := range conns {
+			per[as] += wc.writes.Load()
+		}
+		return per
+	}
+	entryAt := func(distinct int) (store.Entry, []int) {
+		t.Helper()
+		for i := 0; i < 1<<16; i++ {
+			e := clusterEntry(fmt.Sprintf("one-write-%d", i), 1)
+			place, err := c.resolver.Place(e.GUID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ases := make([]int, len(place))
+			for j, p := range place {
+				ases[j] = p.AS
+			}
+			if d := distinctOf(ases); len(d) == distinct {
+				return e, d
+			}
+		}
+		t.Fatalf("no GUID with %d distinct replica ASs", distinct)
+		return store.Entry{}, nil
+	}
+
+	spread, _ := entryAt(3)
+	if got := writes(func() {
+		if acks, err := c.Insert(spread); err != nil || acks != 3 {
+			t.Fatalf("Insert = %d, %v", acks, err)
+		}
+	}); got != [3]int64{1, 1, 1} {
+		t.Errorf("K = 3 Insert cost %v Writes per connection, want one each", got)
+	}
+	if got := writes(func() {
+		if removed, err := c.Delete(spread.GUID); err != nil || removed != 3 {
+			t.Fatalf("Delete = %d, %v", removed, err)
+		}
+	}); got != [3]int64{1, 1, 1} {
+		t.Errorf("K = 3 Delete cost %v Writes per connection, want one each", got)
+	}
+
+	collide, ases := entryAt(2)
+	var want [3]int64
+	inserts := make(map[int]int64)
+	for _, as := range ases {
+		want[as] = 1
+		inserts[as] = nodes[as].Stats().Inserts
+	}
+	if got := writes(func() {
+		if acks, err := c.Insert(collide); err != nil || acks != 3 {
+			t.Fatalf("Insert on colliding placements = %d, %v; want every placement acked", acks, err)
+		}
+	}); got != want {
+		t.Errorf("Insert on ASs %v cost %v Writes per connection, want %v", ases, got, want)
+	}
+	for _, as := range ases {
+		if got := nodes[as].Stats().Inserts - inserts[as]; got != 1 {
+			t.Errorf("AS %d stored the entry %d times, want once per distinct AS", as, got)
+		}
+	}
+
+	// Several chunks for one AS ride one Write: 3 × wire.MaxBatch entries
+	// put up to three frames on each connection.
+	entries := make([]store.Entry, 3*wire.MaxBatch)
+	gs := make([]guid.GUID, len(entries))
+	for i := range entries {
+		entries[i] = clusterEntry(fmt.Sprintf("one-write-batch-%d", i), 1)
+		gs[i] = entries[i].GUID
+	}
+	if got := writes(func() {
+		if _, err := c.InsertBatch(entries); err != nil {
+			t.Fatal(err)
+		}
+	}); got != [3]int64{1, 1, 1} {
+		t.Errorf("InsertBatch of %d entries cost %v Writes per connection, want one each", len(entries), got)
+	}
+	if got := writes(func() {
+		if _, found, err := c.LookupBatch(gs); err != nil || !found[0] || !found[len(gs)-1] {
+			t.Fatalf("LookupBatch: %v", err)
+		}
+	}); got[0] > 1 || got[1] > 1 || got[2] > 1 {
+		t.Errorf("LookupBatch of %d GUIDs, all found at their first replica, cost %v Writes per connection, want at most one each", len(gs), got)
 	}
 }
 

@@ -242,17 +242,26 @@ func (m *muxConn) readLoop() {
 // own span still records the attempt). The payload is copied into the
 // writer before start returns. fresh: m was dialed for this request.
 func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, fresh bool) (pending, error) {
+	return m.begin(t, tc, payload, timeout, fresh, false)
+}
+
+// begin is start or, corked, start without the write: the frame is only
+// enqueued, for its set's flush; a failed flush reaches it through its slot.
+func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, fresh, cork bool) (pending, error) {
 	s, err := m.register()
 	if err != nil {
 		return nil, staleUnless(fresh, err)
 	}
 	s.fresh = fresh
 	m.w.SetTimeout(timeout)
+	if m.feat&wire.FeatTrace == 0 {
+		tc = trace.Context{}
+	}
 	var werr error
-	if tc.Sampled && m.feat&wire.FeatTrace != 0 {
-		werr = m.w.WriteFrameIDTrace(t, s.id, tc, payload)
+	if cork {
+		werr = m.w.Enqueue(t, s.id, tc, payload)
 	} else {
-		werr = m.w.WriteFrameID(t, s.id, payload)
+		werr = m.w.WriteFrameIDTrace(t, s.id, tc, payload)
 	}
 	if werr != nil {
 		// A failed or partial write desynchronizes the stream for every

@@ -78,9 +78,11 @@ func (n *Node) tryAdmit(ca *limiter, t wire.MsgType) (ok bool, global bool) {
 	return true, false
 }
 
-// admitRelease returns the slots tryAdmit claimed. It runs when the
-// handler completes, on a worker, so a dying connection drains its
-// claims as its workers finish, never leaking global capacity.
+// admitRelease returns the slots tryAdmit claimed. It runs once the
+// frame's reply is with the Writer's flusher — on the worker that served
+// it, or at the read loop's flush — so a dying connection drains its
+// claims as its workers and its loop finish, never leaking global
+// capacity.
 func (n *Node) admitRelease(ca *limiter) {
 	ca.release()
 	n.admit.release()

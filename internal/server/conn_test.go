@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,30 +14,36 @@ import (
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
 	"dmap/internal/store"
+	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
 
 // countedConn counts the Read and Write calls the server makes on its
-// end of a connection: each is one read(2)/write(2) on a TCP socket.
+// end of a connection: each is one read(2)/write(2) on a TCP socket. A
+// Read counts when it returns, so the one a connection idles in belongs
+// to the burst that ends it.
 type countedConn struct {
 	net.Conn
 	reads, writes atomic.Int64
+	maxWrite      atomic.Int64 // the largest single Write, in bytes
 }
 
 func (c *countedConn) Read(b []byte) (int, error) {
-	c.reads.Add(1)
+	defer c.reads.Add(1)
 	return c.Conn.Read(b)
 }
 
 func (c *countedConn) Write(b []byte) (int, error) {
 	c.writes.Add(1)
+	if n := int64(len(b)); n > c.maxWrite.Load() {
+		c.maxWrite.Store(n) // one flusher at a time: no race to lose
+	}
 	return c.Conn.Write(b)
 }
 
-// serveCounted runs n.serveConn on the accepted end of a loopback TCP
-// pair, wrapped in a countedConn, and returns the dialed end with the
-// handshake done.
-func serveCounted(t *testing.T, n *Node) (net.Conn, *countedConn) {
+// tcpPair returns the two ends of a loopback TCP connection, the
+// accepted one wrapped in a countedConn.
+func tcpPair(t *testing.T) (net.Conn, *countedConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -51,18 +59,39 @@ func serveCounted(t *testing.T, n *Node) (net.Conn, *countedConn) {
 		conn.Close()
 		t.Fatal(err)
 	}
-	cc := &countedConn{Conn: accepted}
+	return conn, &countedConn{Conn: accepted}
+}
+
+// serveOn runs serve on its own goroutine and, at cleanup, closes conn
+// and waits for it to return. The dialed end gets a 10 s deadline.
+func serveOn(t *testing.T, conn net.Conn, serve func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n.serveConn(cc)
+		serve()
 	}()
 	t.Cleanup(func() {
 		conn.Close()
 		<-done
 	})
-	hello(t, conn)
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second)) // after hello, which clears the deadline
+}
+
+// serveCounted runs n.serveConn on the accepted end of a loopback TCP
+// pair, wrapped in a countedConn, and returns the dialed end with the
+// handshake done, the want features asked for.
+func serveCounted(t *testing.T, n *Node, want ...byte) (net.Conn, *countedConn) {
+	t.Helper()
+	conn, cc := tcpPair(t)
+	serveOn(t, conn, func() { n.serveConn(cc) })
+	var ask byte
+	for _, f := range want {
+		ask |= f
+	}
+	if got, err := wire.Handshake(conn, time.Second, ask); err != nil || got != ask {
+		t.Fatalf("handshake: granted %#x of %#x, %v", got, ask, err)
+	}
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second)) // after the handshake, which clears the deadline
 	return conn, cc
 }
 
@@ -92,9 +121,10 @@ func burstEntry(i int) store.Entry {
 }
 
 // TestPipelinedBurstSharesSyscalls pipelines 64 lookups in one write and
-// checks every reply, then the cost: the burst must be read and — on one
-// P, where nothing used to coalesce — answered in a handful of syscalls,
-// not two reads and one write per frame.
+// checks every reply, then the cost: the read loop answers the burst it
+// read into the corked Writer and flushes once per drained buffer, so the
+// burst costs a handful of Reads and no more Writes than Reads — at any
+// number of Ps, since no second goroutine is involved.
 func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		const burst = 64
@@ -141,79 +171,546 @@ func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 		if reads > 16 {
 			t.Fatalf("%d lookups cost %d Reads on the server, want <= 16", burst, reads)
 		}
-		// The write bound holds where the yield decides alone. With idle Ps
-		// the yielding flusher is picked up by one of them at once and
-		// coalesces what workers finish during its Writes, as it always
-		// did — anywhere from 1 to ~40 Writes for this burst.
-		if runtime.GOMAXPROCS(0) == 1 && writes > 16 {
-			t.Fatalf("%d lookups cost %d Writes on the server at GOMAXPROCS=1, want <= 16", burst, writes)
+		if writes > reads || writes > 16 {
+			t.Fatalf("%d lookups cost %d Writes on the server for %d Reads, want one flush per drained buffer and <= 16", burst, writes, reads)
+		}
+		if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != burst || wk != 0 {
+			t.Fatalf("frames_inline = %d, frames_worker = %d; want %d, 0", in, wk, burst)
 		}
 	})
 }
 
-// TestMixedBurstNothingStranded puts one 512-entry batch insert ahead of
-// 32 pings in a single write. Every frame must be answered under its own
-// request ID: in particular no pong may sit in the Writer's pending
-// buffer waiting for a flush that the batch's worker already did.
+// lookupFrame appends a MsgLookup for burstEntry(i) under request id.
+func lookupFrame(t *testing.T, dst []byte, id uint64, i int) []byte {
+	t.Helper()
+	dst, err := wire.AppendFrameID(dst, wire.MsgLookup, id, wire.AppendGUID(nil, burstEntry(i).GUID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// batchFrame appends a MsgBatchInsert of burstEntry(from .. from+count)
+// under request id.
+func batchFrame(t *testing.T, dst []byte, id uint64, from, count int) []byte {
+	t.Helper()
+	entries := make([]store.Entry, count)
+	for i := range entries {
+		entries[i] = burstEntry(from + i)
+	}
+	body, err := wire.AppendBatchInsert(nil, entries)
+	if err == nil {
+		dst, err = wire.AppendFrameID(dst, wire.MsgBatchInsert, id, body)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestMixedBurstNothingStranded puts heavy frames (batch inserts, served
+// by workers) and light ones (pings or lookups, served on the read loop)
+// in a single write. Every frame must be answered under its own request
+// ID: in particular no light reply may sit corked in the Writer's pending
+// buffer waiting for a flush that a batch's worker already did, or that
+// the read loop owed before it blocked handing a batch to a busy pool.
 func TestMixedBurstNothingStranded(t *testing.T) {
+	const light = 32
+	cases := []struct {
+		name      string
+		lightType wire.MsgType
+		heavy     int // batch-insert frames,
+		perBatch  int // of this many entries each
+	}{
+		{"batch-then-pings", wire.MsgPing, 1, wire.MaxBatch},
+		{"batch-then-lookups", wire.MsgLookup, 1, wire.MaxBatch},
+		// More heavy frames than workers, in one read buffer, light frames
+		// before, between and after them: the hand-off blocks mid-burst.
+		{"more-batches-than-workers", wire.MsgLookup, maxConnWorkers + 8, 2},
+	}
 	atProcs(t, func(t *testing.T) {
-		const pings = 32
-		n := New(nil, nil)
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				n := New(nil, nil)
+				conn, _ := serveCounted(t, n)
+				addLight := func(reqs []byte, i int) []byte {
+					if tc.lightType == wire.MsgLookup {
+						return lookupFrame(t, reqs, uint64(1000+i), i)
+					}
+					reqs, err := wire.AppendFrameID(reqs, wire.MsgPing, uint64(1000+i), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return reqs
+				}
+				var reqs []byte
+				sent := 0
+				if tc.heavy > 1 {
+					for ; sent < light/4; sent++ {
+						reqs = addLight(reqs, sent)
+					}
+				}
+				for h := 0; h < tc.heavy; h++ {
+					reqs = batchFrame(t, reqs, uint64(1+h), h*tc.perBatch, tc.perBatch)
+					if tc.heavy > 1 && h%8 == 7 && sent < light/2 {
+						reqs = addLight(reqs, sent)
+						sent++
+					}
+				}
+				for ; sent < light; sent++ {
+					reqs = addLight(reqs, sent)
+				}
+				if _, err := conn.Write(reqs); err != nil {
+					t.Fatal(err)
+				}
+				rd := wire.NewReader(conn)
+				seen := make(map[uint64]bool)
+				lightBeforeAck := 0
+				for len(seen) < light+tc.heavy {
+					typ, id, body, err := rd.Next(freshBuf)
+					if err != nil {
+						t.Fatalf("after %d of %d replies: %v (a reply is stranded)", len(seen), light+tc.heavy, err)
+					}
+					if seen[id] {
+						t.Fatalf("reply id %d repeated", id)
+					}
+					seen[id] = true
+					switch {
+					case id >= 1 && id <= uint64(tc.heavy):
+						acked, err := wire.DecodeBatchInsertAck(body)
+						if typ != wire.MsgBatchInsertAck || err != nil || len(acked) != tc.perBatch {
+							t.Fatalf("batch reply = (%v, %d acks, %v)", typ, len(acked), err)
+						}
+						for i, ok := range acked {
+							if !ok {
+								t.Fatalf("batch %d: entry %d not acked", id, i)
+							}
+						}
+					case id >= 1000 && id < 1000+light:
+						if _, acked := seen[1]; !acked {
+							lightBeforeAck++
+						}
+						if tc.lightType == wire.MsgPing {
+							if typ != wire.MsgPong || len(body) != 0 {
+								t.Fatalf("reply id %d = (%v, %d bytes), want an empty MsgPong", id, typ, len(body))
+							}
+						} else if _, err := wire.DecodeLookupResp(body); typ != wire.MsgLookupResp || err != nil {
+							t.Fatalf("reply id %d = (%v, %v), want a MsgLookupResp", id, typ, err)
+						}
+					default:
+						t.Fatalf("reply under unknown id %d", id)
+					}
+				}
+				if got := n.store.Len(); got != tc.heavy*tc.perBatch {
+					t.Fatalf("store holds %d entries, want %d", got, tc.heavy*tc.perBatch)
+				}
+				if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != light || wk != int64(tc.heavy) {
+					t.Fatalf("frames_inline = %d, frames_worker = %d; want %d, %d", in, wk, light, tc.heavy)
+				}
+				// On one P the order is determined: the batch's worker starts
+				// with the frame in hand and first runs when the read loop
+				// blocks, which it does only with the burst answered and
+				// flushed. (With more Ps the worker runs beside the loop.)
+				if runtime.GOMAXPROCS(0) == 1 && tc.heavy == 1 && lightBeforeAck != light {
+					t.Fatalf("%d of %d light replies arrived before the batch ack at GOMAXPROCS=1, want all", lightBeforeAck, light)
+				}
+			})
+		}
+	})
+}
+
+// TestHalfFrameDoesNotCorkReplies sends three whole lookups and the first
+// half of a fourth in one write. The read loop must not go into the read
+// that completes the fourth with three replies enqueued and unflushed:
+// they arrive before the second half is sent.
+func TestHalfFrameDoesNotCorkReplies(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		conn, _ := serveCounted(t, New(nil, nil))
+		var reqs []byte
+		for i := 0; i < 4; i++ {
+			reqs = lookupFrame(t, reqs, uint64(1+i), i)
+		}
+		cut := len(reqs) - (wire.FrameIDHeaderLen+guid.Size)/2
+		if _, err := conn.Write(reqs[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		rd := wire.NewReader(conn)
+		next := func(want uint64) {
+			t.Helper()
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if typ, id, _, err := rd.Next(freshBuf); err != nil || typ != wire.MsgLookupResp || id != want {
+				t.Fatalf("reply = (%v, id %d, %v), want MsgLookupResp id %d", typ, id, err, want)
+			}
+		}
+		for id := uint64(1); id <= 3; id++ {
+			next(id) // fails on the deadline if the replies wait for the fourth frame
+		}
+		if _, err := conn.Write(reqs[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		next(4)
+	})
+}
+
+// TestRefusedHeaderDoesNotStrandReplies: a header the Reader refuses
+// reads as buffered, so the loop reaches it with the replies to the
+// frames before it still corked; they go out before the connection ends.
+func TestRefusedHeaderDoesNotStrandReplies(t *testing.T) {
+	conn, _ := serveCounted(t, New(nil, nil))
+	var reqs []byte
+	for i := 0; i < 3; i++ {
+		reqs = lookupFrame(t, reqs, uint64(1+i), i)
+	}
+	reqs = append(reqs, 0xff, 0xff, 0xff, 0xff, byte(wire.MsgLookup), 0, 0, 0, 0, 0, 0, 0, 4) // 4 GiB claimed
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewReader(conn)
+	for want := uint64(1); want <= 3; want++ {
+		if typ, id, _, err := rd.Next(freshBuf); err != nil || typ != wire.MsgLookupResp || id != want {
+			t.Fatalf("reply = (%v, id %d, %v), want MsgLookupResp id %d", typ, id, err, want)
+		}
+	}
+	if _, _, _, err := rd.Next(freshBuf); err == nil {
+		t.Fatal("connection still open after a refused header")
+	}
+}
+
+// gate is a log sink whose Write blocks until the gate opens: a handler
+// that logs (a malformed insert does, at warn) stays busy for as long as
+// the test likes.
+type gate struct {
+	entered chan struct{} // one token per Write that arrived
+	open    chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}, 4*maxConnWorkers), open: make(chan struct{})}
+}
+
+func (g *gate) Write(b []byte) (int, error) {
+	g.entered <- struct{}{}
+	<-g.open
+	return len(b), nil
+}
+
+// TestBusyPoolHandOffFlushesCorkedReplies occupies every worker of a
+// connection, then sends lookups, one more heavy frame and more lookups
+// in one write. The read loop blocks handing the heavy frame to the busy
+// pool; the replies it had enqueued by then must be out already — not
+// waiting, corked, for a worker to free up.
+func TestBusyPoolHandOffFlushesCorkedReplies(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		g := newGate()
+		var once sync.Once
+		release := func() { once.Do(func() { close(g.open) }) }
+		n := New(nil, trace.NewLogger(g, trace.LevelWarn))
 		conn, _ := serveCounted(t, n)
-		entries := make([]store.Entry, wire.MaxBatch)
-		for i := range entries {
-			entries[i] = burstEntry(i)
-		}
-		body, err := wire.AppendBatchInsert(nil, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs, err := wire.AppendFrameID(nil, wire.MsgBatchInsert, 1, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < pings; i++ {
-			if reqs, err = wire.AppendFrameID(reqs, wire.MsgPing, uint64(100+i), nil); err != nil {
+		t.Cleanup(release) // registered last, runs first: the workers must finish for serveConn to return
+		badInsert := func(reqs []byte, id uint64) []byte {
+			reqs, err := wire.AppendFrameID(reqs, wire.MsgInsert, id, []byte("not an entry"))
+			if err != nil {
 				t.Fatal(err)
 			}
+			return reqs
+		}
+		var reqs []byte
+		for w := 0; w < maxConnWorkers; w++ {
+			reqs = badInsert(reqs, uint64(1+w))
+		}
+		if _, err := conn.Write(reqs); err != nil {
+			t.Fatal(err)
+		}
+		// The logger serializes its writers, so one Write arriving at the
+		// gate is all there is to see; every other worker is behind it once
+		// frames_worker says the whole burst was handed off.
+		<-g.entered
+		for deadline := time.Now().Add(5 * time.Second); n.framesWorker.Value() != maxConnWorkers; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d heavy frames handed to workers", n.framesWorker.Value(), maxConnWorkers)
+			}
+		}
+
+		const before, after = 5, 3
+		reqs = reqs[:0]
+		for i := 0; i < before; i++ {
+			reqs = lookupFrame(t, reqs, uint64(100+i), i)
+		}
+		reqs = badInsert(reqs, 99)
+		for i := 0; i < after; i++ {
+			reqs = lookupFrame(t, reqs, uint64(200+i), i)
 		}
 		if _, err := conn.Write(reqs); err != nil {
 			t.Fatal(err)
 		}
 		rd := wire.NewReader(conn)
-		seen := make(map[uint64]bool)
-		for len(seen) < pings+1 {
-			typ, id, body, err := rd.Next(freshBuf)
-			if err != nil {
-				t.Fatalf("after %d of %d replies: %v (a reply is stranded)", len(seen), pings+1, err)
-			}
-			if seen[id] {
-				t.Fatalf("reply id %d repeated", id)
-			}
-			seen[id] = true
-			switch {
-			case id == 1:
-				acked, err := wire.DecodeBatchInsertAck(body)
-				if typ != wire.MsgBatchInsertAck || err != nil || len(acked) != wire.MaxBatch {
-					t.Fatalf("batch reply = (%v, %d acks, %v)", typ, len(acked), err)
-				}
-				for i, ok := range acked {
-					if !ok {
-						t.Fatalf("entry %d not acked", i)
-					}
-				}
-			case id >= 100 && id < 100+pings:
-				if typ != wire.MsgPong || len(body) != 0 {
-					t.Fatalf("reply id %d = (%v, %d bytes), want an empty MsgPong", id, typ, len(body))
-				}
-			default:
-				t.Fatalf("reply under unknown id %d", id)
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		for i := 0; i < before; i++ {
+			typ, id, _, err := rd.Next(freshBuf)
+			if err != nil || typ != wire.MsgLookupResp || id != uint64(100+i) {
+				t.Fatalf("with the pool busy: reply = (%v, id %d, %v), want MsgLookupResp id %d (corked behind the hand-off?)", typ, id, err, 100+i)
 			}
 		}
-		if got := n.store.Len(); got != wire.MaxBatch {
-			t.Fatalf("store holds %d entries, want %d", got, wire.MaxBatch)
+		release()
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		seen := make(map[uint64]wire.MsgType)
+		for len(seen) < maxConnWorkers+1+after {
+			typ, id, _, err := rd.Next(freshBuf)
+			if err != nil {
+				t.Fatalf("after %d further replies: %v", len(seen), err)
+			}
+			seen[id] = typ
+		}
+		for id := uint64(200); id < 200+after; id++ {
+			if seen[id] != wire.MsgLookupResp {
+				t.Fatalf("reply id %d = %v, want MsgLookupResp", id, seen[id])
+			}
+		}
+		if seen[99] != wire.MsgError {
+			t.Fatalf("reply id 99 = %v, want MsgError", seen[99])
 		}
 	})
+}
+
+// TestCorkedBytesBounded pipelines far more lookups than one read buffer
+// holds. However the bytes arrive, no flush may carry more than the
+// replies to one 16 KiB read buffer of requests.
+func TestCorkedBytesBounded(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		const burst = 4096
+		n := New(nil, nil)
+		if _, err := n.store.Put(burstEntry(0)); err != nil {
+			t.Fatal(err)
+		}
+		conn, cc := serveCounted(t, n)
+		one := lookupFrame(t, nil, 1, 0)
+		reqs := bytes.Repeat(one, burst) // one hit, asked 4096 times under one ID
+		werr := make(chan error, 1)
+		go func() {
+			_, err := conn.Write(reqs)
+			werr <- err
+		}()
+		rd := wire.NewReader(conn)
+		replyLen := 0
+		for i := 0; i < burst; i++ {
+			typ, _, body, err := rd.Next(freshBuf)
+			if err != nil || typ != wire.MsgLookupResp {
+				t.Fatalf("reply %d = (%v, %v)", i, typ, err)
+			}
+			replyLen = wire.FrameIDHeaderLen + len(body)
+		}
+		if err := <-werr; err != nil {
+			t.Fatal(err)
+		}
+		bound := int64((16*1024/len(one) + 1) * replyLen)
+		t.Logf("%d lookups: %d Writes, largest %d bytes (bound %d)", burst, cc.writes.Load(), cc.maxWrite.Load(), bound)
+		if got := cc.maxWrite.Load(); got > bound {
+			t.Fatalf("a flush carried %d bytes, more than the %d that answer one read buffer", got, bound)
+		}
+	})
+}
+
+// TestInlineLookupShed: a lookup served on the read loop passes the same
+// admission as a worker's frame. Refused by the connection's limiter or
+// by the node's it gets that limit's pre-encoded shed reply and ticks
+// that limit's counter, and it is served once there is room.
+func TestInlineLookupShed(t *testing.T) {
+	n := NewWithOptions(nil, Options{MaxInflight: 1, MaxConnInflight: 1})
+	ca := &limiter{max: n.maxConnInflight}
+	conn, cc := tcpPair(t)
+	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0, ca) })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	ask := func(id uint64) (wire.MsgType, []byte) {
+		t.Helper()
+		if _, err := conn.Write(lookupFrame(t, nil, id, 0)); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, body, err := wire.ReadFrameID(conn)
+		if err != nil || got != id {
+			t.Fatalf("reply = (id %d, %v), want id %d", got, err, id)
+		}
+		return typ, body
+	}
+
+	ca.acquire() // the connection at its limit
+	if typ, body := ask(1); typ != wire.MsgError || !bytes.Equal(body, shedConnBody) {
+		t.Fatalf("over the connection limit: (%v, %q), want the pre-encoded connection shed", typ, body)
+	}
+	ca.release()
+	n.admit.acquire() // the node at its limit
+	if typ, body := ask(2); typ != wire.MsgError || !bytes.Equal(body, shedGlobalBody) {
+		t.Fatalf("over the node limit: (%v, %q), want the pre-encoded node shed", typ, body)
+	}
+	n.admit.release()
+	if typ, _ := ask(3); typ != wire.MsgLookupResp {
+		t.Fatalf("with room again: %v, want MsgLookupResp", typ)
+	}
+	if c, g := n.shedsConn.Value(), n.shedsGlobal.Value(); c != 1 || g != 1 {
+		t.Fatalf("sheds_conn = %d, sheds_global = %d; want 1, 1", c, g)
+	}
+	if all, in, wk := n.v2Frames.Value(), n.framesInline.Value(), n.framesWorker.Value(); all != 3 || in != 1 || wk != 0 {
+		t.Fatalf("v2_frames = %d, frames_inline = %d, frames_worker = %d; want 3, 1, 0 (a shed frame is neither)", all, in, wk)
+	}
+	// A frame served on the loop stays in flight until its burst's flush,
+	// so a limit bounds a pipelined burst of lookups as it did when each
+	// went to a worker: of 64 in one write at most one per read is served.
+	const burst = 64
+	var reqs []byte
+	for i := 0; i < burst; i++ {
+		reqs = lookupFrame(t, reqs, uint64(100+i), i)
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewReader(conn)
+	served := 0
+	for i := 0; i < burst; i++ {
+		typ, _, body, err := rd.Next(freshBuf)
+		if err != nil || (typ != wire.MsgLookupResp && !bytes.Equal(body, shedConnBody)) {
+			t.Fatalf("burst reply %d = (%v, %q, %v), want a lookup reply or the connection shed", i, typ, body, err)
+		}
+		if typ == wire.MsgLookupResp {
+			served++
+		}
+	}
+	if served == 0 || served > 16 || n.shedsConn.Value() != int64(1+burst-served) {
+		t.Fatalf("burst of %d over a connection limit of 1: %d served, sheds_conn = %d; want one served per read and the rest shed", burst, served, n.shedsConn.Value())
+	}
+	// The loop releases a burst's claims after the flush that sent them.
+	for deadline := time.Now().Add(5 * time.Second); ca.inflight() != 0 || n.admit.inflight() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("claims left behind: conn=%d node=%d", ca.inflight(), n.admit.inflight())
+		}
+	}
+}
+
+// TestInlineFramesObservedLikeWorkerFrames: the read loop and the workers
+// run one serveFrameV2, so a traced lookup served inline is joined into a
+// server span with its store child, captured as a slow op, profiled as a
+// hot key and timed, like the traced insert a worker served before it;
+// and only the two memory-only types are served inline.
+func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
+	tr := trace.New(trace.Config{SlowOp: time.Nanosecond})
+	n := NewWithOptions(nil, Options{Tracer: tr, HotKeys: trace.NewHotKeys(4)})
+	conn, _ := serveCounted(t, n, wire.FeatTrace, wire.FeatRepair)
+	e := burstEntry(0)
+	entry, err := wire.AppendEntry(nil, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := wire.AppendGUID(nil, e.GUID)
+	batchL, err := wire.AppendBatchLookup(nil, []guid.GUID{e.GUID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := wire.AppendRepairDigest(nil, guid.GUID{}, guid.Max(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := trace.Context{Trace: 7, Span: 9, Sampled: true}
+	var frames [][]byte
+	for id, f := range []struct {
+		t    wire.MsgType
+		body []byte
+	}{
+		{wire.MsgInsert, entry}, {wire.MsgLookup, key}, {wire.MsgPing, nil}, // traced
+		{wire.MsgBatchLookup, batchL}, {wire.MsgRepairDigest, digest}, {wire.MsgDelete, key},
+	} {
+		var frame []byte
+		if id < 3 {
+			frame, err = wire.AppendFrameIDTrace(nil, f.t, uint64(id), tc, f.body)
+		} else {
+			frame, err = wire.AppendFrameID(nil, f.t, uint64(id), f.body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	frames = append(frames, batchFrame(t, nil, 6, 1, 2))
+	// One frame per write and reply: the insert lands before the lookup.
+	rd := wire.NewReader(conn)
+	for _, frame := range frames {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if typ, id, _, err := rd.Next(freshBuf); err != nil || typ == wire.MsgError {
+			t.Fatalf("reply id %d = (%v, %v)", id, typ, err)
+		}
+	}
+	if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != 2 || wk != 5 {
+		t.Fatalf("frames_inline = %d, frames_worker = %d; want 2 (lookup, ping) and 5", in, wk)
+	}
+	spans := make(map[string]bool)
+	for _, v := range tr.Traces() {
+		for _, sp := range v.Spans {
+			spans[sp.Name] = true
+		}
+	}
+	slow := make(map[string]bool)
+	for _, so := range tr.SlowOps() {
+		slow[so.Op] = true
+	}
+	for _, op := range []string{"server.insert", "server.lookup"} {
+		if !spans[op] || !slow[op] {
+			t.Errorf("%s: span recorded = %t, slow op captured = %t; want both", op, spans[op], slow[op])
+		}
+	}
+	if !spans["store.put"] || !spans["store.get"] {
+		t.Errorf("store child spans missing: %v", spans)
+	}
+	if l, i := n.hot.Totals(); l != 2 || i != 3 { // lookup + batch lookup; insert + 2 batched
+		t.Errorf("hot-key totals = %d lookups, %d inserts; want 2, 3", l, i)
+	}
+	if hs := n.Metrics().Snapshot().Histograms; hs["server.op.lookup_us"].Count != 1 || hs["server.op.insert_us"].Count != 1 {
+		t.Errorf("op histograms: lookup count %d, insert count %d; want 1, 1", hs["server.op.lookup_us"].Count, hs["server.op.insert_us"].Count)
+	}
+}
+
+// failingConn fails every Write and counts Closes.
+type failingConn struct {
+	net.Conn
+	closes atomic.Int64
+}
+
+var errWrite = errors.New("injected write failure")
+
+func (c *failingConn) Write([]byte) (int, error) { return 0, errWrite }
+func (c *failingConn) Close() error              { c.closes.Add(1); return c.Conn.Close() }
+
+// TestFailedFlushKillsConnection: the read loop's own flush failing is a
+// failed write like a worker's — the Writer reports it once, the
+// connection is closed, the loop's next read fails and it returns with
+// every claim released.
+func TestFailedFlushKillsConnection(t *testing.T) {
+	n := New(nil, nil)
+	conn, cc := tcpPair(t)
+	fc := &failingConn{Conn: cc}
+	ca := &limiter{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.serveConnV2(fc, 0, ca)
+	}()
+	defer conn.Close()
+	var reqs []byte
+	for i := 0; i < 8; i++ {
+		reqs = lookupFrame(t, reqs, uint64(1+i), i)
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("read loop still running after its flush failed")
+	}
+	if got := fc.closes.Load(); got != 1 {
+		t.Fatalf("connection closed %d times by the failed flush, want once", got)
+	}
+	if ca.inflight() != 0 || n.admit.inflight() != 0 {
+		t.Fatalf("claims left behind: conn=%d node=%d", ca.inflight(), n.admit.inflight())
+	}
 }
 
 // TestIdleV2ConnHoldsNoPooledBuffer: a connection blocked waiting for its
@@ -282,7 +779,7 @@ func TestBatchLookupBytesMatchStagedEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A too-small dst: the reply must survive growing out of it.
-		typ, got := n.handle(wire.MsgBatchLookup, req, nil, nil, make([]byte, 0, 16))
+		typ, got := n.handle(wire.MsgBatchLookup, req, nil, nil, make([]byte, 0, 16), time.Now())
 		if typ != wire.MsgBatchLookupResp {
 			t.Fatalf("%d GUIDs: reply %v", count, typ)
 		}

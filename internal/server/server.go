@@ -99,6 +99,10 @@ type Node struct {
 	hBatchLkp  *metrics.Histogram
 	v2Conns    *metrics.Counter
 	v2Frames   *metrics.Counter
+	// Admitted frames by who served them: the connection's read loop (the
+	// fast path, memory-only types) or its worker pool. Shed ones: neither.
+	framesInline *metrics.Counter
+	framesWorker *metrics.Counter
 	// Anti-entropy repair activity, both roles: sweeps/digests_sent/
 	// pulled/pushed/backoffs/peer_errors count this node sweeping its
 	// peers; digests_recv counts pages answered for peers sweeping it.
@@ -226,6 +230,9 @@ func NewWithOptions(st *store.Store, opts Options) *Node {
 		hBatchLkp:   reg.Histogram("server.op.batch_lookup_us"),
 		v2Conns:     reg.Counter("server.v2_conns"),
 		v2Frames:    reg.Counter("server.v2_frames"),
+
+		framesInline: reg.Counter("server.frames_inline"),
+		framesWorker: reg.Counter("server.frames_worker"),
 
 		repairSweeps:      reg.Counter("server.repair.sweeps"),
 		repairDigestsSent: reg.Counter("server.repair.digests_sent"),
@@ -443,14 +450,15 @@ func (n *Node) countErr() {
 // dst is the caller's response scratch: every returned out slice is dst
 // with the response appended (grown if it did not fit), so the caller
 // owns out's storage and single-op responses never allocate. Callers
-// pass dst with len 0; handle never reads its contents.
+// pass dst with len 0; handle never reads its contents. start is the
+// frame's one clock reading, taken by the caller: the op histograms time
+// from it.
 //
 // A malformed or unknown frame is answered MsgError like any refusal:
 // the reply goes out under the offending request's ID and the connection
 // stays usable, since identified framing is intact whatever a payload
 // holds.
-func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace.Span, dst []byte) (respType wire.MsgType, out []byte) {
-	start := time.Now()
+func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace.Span, dst []byte, start time.Time) (respType wire.MsgType, out []byte) {
 	switch t {
 	case wire.MsgInsert:
 		if n.draining.Load() {
@@ -689,32 +697,32 @@ func (n *Node) serveConn(conn net.Conn) {
 // misbehaving client cannot fan unbounded goroutines out of one socket.
 const maxConnWorkers = 32
 
-// v2Work is one identified frame awaiting a worker. It travels by value
-// through an unbuffered channel, so handing a frame off allocates
-// nothing. payload is pool-owned; the worker releases it.
+// v2Work is one identified frame on its way to whoever serves it, by
+// value, so handing it to a worker through the unbuffered channel
+// allocates nothing. payload is pool-owned; its server releases it.
 type v2Work struct {
 	t       wire.MsgType
 	id      uint64
 	payload []byte
-	// ca is the connection's admission limiter; the read loop claimed a
-	// per-conn + global slot for this frame, the worker releases both.
-	ca *limiter
 }
 
-// serveConnV2 processes identified frames concurrently on a per-connection
-// worker pool: the read loop hands each frame to an idle worker, lazily
-// spawning up to maxConnWorkers, and workers write responses through a
-// shared coalescing wire.Writer in completion order — which is the whole
-// point: a slow batch insert does not block the pings behind it.
-// Responses carry the request ID they answer; ordering is the client
+// serveConnV2 serves identified frames a burst at a time (DESIGN.md §7).
+// One read(2) brings in every frame the peer pipelined. The ones whose
+// handler only reads memory — MsgLookup and MsgPing, traced or not — are
+// answered where they were read, each reply enqueued on the connection's
+// wire.Writer, and the loop flushes once when no whole frame is left in
+// the reader's buffer: handing a 33-byte frame to a worker and back cost
+// more than serving it. Everything that can take long or touch the disk
+// goes to a per-connection worker pool, lazily spawned up to
+// maxConnWorkers, whose workers write through the same Writer in
+// completion order — a slow batch insert does not block the pings behind
+// it. Responses carry the request ID they answer; ordering is the client
 // demuxer's job.
 //
-// The pool replaces the old goroutine-per-frame dispatch: a sequential
-// request stream is served by one long-lived worker with zero per-frame
-// goroutine or closure allocations, while a pipelined burst still fans
-// out to maxConnWorkers. When every worker is busy the read loop blocks
-// handing off the frame and TCP backpressure throttles the peer,
-// exactly as the old semaphore did.
+// The invariant: the read loop never blocks — in read, or handing a
+// frame to a busy pool, when TCP backpressure throttles the peer — with
+// a reply of its own enqueued and unflushed. Corked bytes are therefore
+// bounded by the replies to one read buffer of frames.
 //
 // feat holds the hello-granted feature flags: when FeatTrace was
 // negotiated, frames with the trace bit carry a trace-context prefix
@@ -724,28 +732,41 @@ type v2Work struct {
 // contract for peers that never asked for the extension.
 //
 // ca is the connection's admission limiter (created by serveConn). The
-// read loop claims per-conn + global slots for each frame before the
-// worker handoff and answers refusals with a pre-encoded ErrKindShed
-// MsgError — so under overload the queue stops at the limiter instead
-// of stacking behind busy workers, and the peer learns to back off
-// rather than fail over. Workers release the claims as they finish,
-// which also drains them naturally when the connection dies mid-burst.
+// read loop claims per-conn + global slots for each frame before it is
+// served or handed off and answers refusals with a pre-encoded
+// ErrKindShed MsgError — so under overload the queue stops at the
+// limiter instead of stacking behind busy workers, and the peer learns
+// to back off rather than fail over. A frame is in flight until its
+// reply has been handed to the Writer's flusher: a worker releases the
+// claims once its write returns, the loop releases its burst's at the
+// flush — so a limit bounds a pipelined burst of lookups as it did when
+// each went to a worker — and both drain when the connection dies.
 func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 	var wg sync.WaitGroup
 	// A failed flush desynchronizes nothing (identified framing), but the
 	// connection is done for: kill it, which also unblocks the read loop.
 	w := wire.NewWriter(conn, func(error) { conn.Close() })
-	// One read(2) serves every frame the peer pipelined; each payload is
-	// copied out into a pooled buffer drawn only once its header is
-	// parsed, so an idle connection holds none.
+	// Each payload is copied out into a pooled buffer drawn only once its
+	// header is parsed, so an idle connection holds none.
 	rd := wire.NewReader(conn)
 	work := make(chan v2Work)
 	workers := 0
 	defer wg.Wait()   // runs second: workers drain after close
 	defer close(work) // runs first: stop the workers
+	corked := 0       // frames served here whose replies wait for the flush
+	flush := func() {
+		_ = w.Flush()
+		for ; corked > 0; corked-- {
+			n.admitRelease(ca)
+		}
+	}
 	for {
+		if !rd.Buffered() {
+			flush() // the burst is answered and the next read may block
+		}
 		t, id, payload, err := rd.Next(serverBufs.Get)
 		if err != nil {
+			flush() // a refused header reads as buffered: its burst's replies still go out
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				n.logger.Debug("v2 read failed", "remote", conn.RemoteAddr(), "err", err)
 			}
@@ -753,43 +774,53 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 		}
 		n.v2Frames.Add(1)
 		if ok, global := n.tryAdmit(ca, wire.BaseType(t)); !ok {
-			// Refuse before the worker handoff: the reply goes out on the
-			// read loop through the shared Writer (safe — workers already
-			// write to it concurrently) with zero allocations.
+			// Refused where it was read, with zero allocations; the reply
+			// leaves with the burst's.
 			n.countShed(global)
-			_ = w.WriteFrameID(wire.MsgError, id, shedBody(global))
+			_ = w.Enqueue(wire.MsgError, id, trace.Context{}, shedBody(global))
 			serverBufs.Put(payload)
 			continue
 		}
-		wk := v2Work{t: t, id: id, payload: payload, ca: ca}
+		wk := v2Work{t: t, id: id, payload: payload}
+		if bt := wire.BaseType(t); bt == wire.MsgLookup || bt == wire.MsgPing {
+			n.framesInline.Add(1)
+			n.serveFrameV2(conn, feat, w, wk, w.Enqueue)
+			corked++
+			continue
+		}
+		n.framesWorker.Add(1)
 		select {
 		case work <- wk: // an idle worker exists
 		default:
-			if workers < maxConnWorkers {
-				workers++
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for wk := range work {
-						n.serveFrameV2(conn, feat, w, wk)
-					}
-				}()
+			if workers == maxConnWorkers {
+				flush() // every worker is busy: the hand-off blocks
+				work <- wk
+				continue
 			}
-			work <- wk // block until some worker frees up
+			workers++
+			wg.Add(1)
+			go func(wk v2Work) { // a new worker starts with its first frame in hand
+				defer wg.Done()
+				for ok := true; ok; wk, ok = <-work {
+					n.serveFrameV2(conn, feat, w, wk, w.WriteFrameIDTrace)
+					n.admitRelease(ca)
+				}
+			}(wk)
 		}
 	}
 }
 
-// serveFrameV2 handles one identified frame on a worker goroutine and
-// writes the response through the connection's shared Writer. It owns
+// serveFrameV2 handles one identified frame and queues the response on
+// the connection's shared Writer through reply: a worker's coalescing
+// write, or the read loop's Enqueue, which leaves it corked for the
+// flush that ends the burst. On failure the Writer's onFail has closed
+// the connection already; there is nothing more to do here. It owns
 // wk.payload (pool-released on return) and draws a response buffer from
 // the pool; the Writer copies the response into its pending buffer
 // before returning, so both buffers recycle immediately.
-func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work) {
-	defer n.admitRelease(wk.ca)
+func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work, reply func(wire.MsgType, uint64, trace.Context, []byte) error) {
 	t, id, payload := wk.t, wk.id, wk.payload
-	readBuf := wk.payload // payload may be re-sliced below; release this
-	defer serverBufs.Put(readBuf)
+	defer serverBufs.Put(wk.payload) // payload is re-sliced below; release the whole
 	start := time.Now()
 	var tc trace.Context
 	if wire.IsTraced(t) && feat&wire.FeatTrace != 0 {
@@ -799,9 +830,7 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work)
 			n.badReqs.Add(1)
 			dst := serverBufs.Get(64)
 			out := wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed trace context")
-			// On write failure the Writer's onFail already closed the
-			// connection; nothing more to do here.
-			_ = w.WriteFrameID(wire.MsgError, id, out)
+			_ = reply(wire.MsgError, id, trace.Context{}, out)
 			serverBufs.Put(out)
 			return
 		}
@@ -820,12 +849,12 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work)
 		sp = n.tracer.StartSpanFromContext("server."+t.String(), tc)
 	}
 	dst := serverBufs.Get(0)
-	respType, out := n.handle(t, payload, conn.RemoteAddr(), sp, dst)
+	respType, out := n.handle(t, payload, conn.RemoteAddr(), sp, dst, start)
 	sp.End()
 	if n.tracer.SlowEnabled() {
 		n.tracer.ObserveServerOp("server."+t.String(), id, tc, start)
 	}
-	_ = w.WriteFrameID(respType, id, out)
+	_ = reply(respType, id, trace.Context{}, out)
 	if cap(out) != cap(dst) {
 		serverBufs.Put(dst) // the response outgrew dst; recycle it too
 	}

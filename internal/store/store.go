@@ -17,8 +17,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -388,9 +389,7 @@ func (s *Store) AppendDump(dst []byte) []byte {
 		all = append(all, e)
 		return true
 	})
-	sort.Slice(all, func(i, j int) bool {
-		return string(all[i].GUID[:]) < string(all[j].GUID[:])
-	})
+	slices.SortFunc(all, func(a, b Entry) int { return bytes.Compare(a.GUID[:], b.GUID[:]) })
 	var cnt [8]byte
 	for i := range cnt {
 		cnt[7-i] = byte(uint64(len(all)) >> (8 * i))

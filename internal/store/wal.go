@@ -33,13 +33,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -631,9 +632,8 @@ func (s *Store) snapshotShard(i int) error {
 	for _, e := range sh.m {
 		entries = append(entries, e)
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		return string(entries[a].GUID[:]) < string(entries[b].GUID[:])
-	})
+	// Not guid.Compare: its by-value GUID copies made this sort 2x dearer (EXPERIMENTS.md).
+	slices.SortFunc(entries, func(a, b Entry) int { return bytes.Compare(a.GUID[:], b.GUID[:]) })
 	img := writeFileHeader(nil, snapMagic, i, len(s.shards))
 	img = binary.BigEndian.AppendUint64(img, lg.seq)
 	img = binary.BigEndian.AppendUint64(img, uint64(len(entries)))

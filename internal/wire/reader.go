@@ -36,6 +36,20 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
 }
 
+// Buffered reports, without reading, whether Next will return without
+// reading from the connection: a whole frame is in the buffer, or a
+// header whose length Next will refuse. A loop that answers a burst into
+// a corked Writer asks it when to flush — before a Next that may block.
+func (rd *Reader) Buffered() bool {
+	have := rd.br.Buffered()
+	if have < FrameIDHeaderLen {
+		return false
+	}
+	hdr, _ := rd.br.Peek(FrameIDHeaderLen) // buffered: no read, no error
+	_, _, n, err := parseFrameIDHeader(hdr)
+	return err != nil || have >= FrameIDHeaderLen+n
+}
+
 // Next reads one identified frame under ReadFrameIDInto's contract:
 // the length is checked against MaxPayload before anything is sized by
 // it, errors are the ones ReadFrameIDInto reports on the same stream,

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -37,15 +38,40 @@ func readAllRef(stream []byte) ([]frameRec, error) {
 // payload lands in storage of its own.
 func freshBuf(int) []byte { return nil }
 
+// readCounter counts the Reads that reach the source.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
 // readAllReader reads src to its end through a Reader. Payloads are kept
 // exactly as Next returned them, not copied: had one aliased the
 // Reader's buffer, the frames parsed after it would have overwritten it
-// by the time the caller compares.
+// by the time the caller compares. Before every Next it asks Buffered,
+// which must issue no Read and must be right: after a yes Next issues
+// none either, after a no Next goes to the source or fails. A wrong
+// answer ends the sequence with an error no reference read ends with.
 func readAllReader(src io.Reader) ([]frameRec, error) {
-	rd := NewReader(src)
+	rc := &readCounter{r: src}
+	rd := NewReader(rc)
 	var out []frameRec
 	for {
+		before := rc.reads
+		buffered := rd.Buffered()
+		if rc.reads != before {
+			return out, fmt.Errorf("frame %d: Buffered issued a Read", len(out))
+		}
 		t, id, p, err := rd.Next(freshBuf)
+		if read := rc.reads != before; buffered && read {
+			return out, fmt.Errorf("frame %d: Buffered said yes, Next issued a Read", len(out))
+		} else if !buffered && !read && err == nil {
+			return out, fmt.Errorf("frame %d: Buffered said no, Next returned a frame without a Read", len(out))
+		}
 		if err != nil {
 			return out, err
 		}
@@ -269,7 +295,7 @@ func TestReaderNextZeroAlloc(t *testing.T) {
 
 // FuzzReaderChunking: for any byte stream and any chunking of it, Reader
 // yields the frames and the final error ReadFrameIDInto yields on the
-// unsplit stream.
+// unsplit stream, and Buffered foretells every Next (readAllReader).
 func FuzzReaderChunking(f *testing.F) {
 	var ok []byte
 	ok = mustFrame(f, ok, MsgLookup, 1, patterned(20, 1))

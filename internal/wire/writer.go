@@ -14,9 +14,11 @@
 // returns at once. So under no contention a frame is still exactly one
 // Write, issued by the goroutine that enqueued it before WriteFrameID
 // returns; under contention N frames collapse into far fewer syscalls
-// than N, on one processor as well as on many. Two persistent buffers
-// ping-pong between "being appended to" and "being written", so the
-// steady state allocates nothing.
+// than N, on one processor as well as on many. A goroutine that knows
+// its own burst (a read loop answering one read's frames, a caller
+// starting a frame per replica) Enqueues each frame and Flushes once.
+// Two persistent buffers ping-pong between "being appended to" and
+// "being written", so the steady state allocates nothing.
 package wire
 
 import (
@@ -66,54 +68,64 @@ func (w *Writer) SetTimeout(d time.Duration) { w.timeout.Store(int64(d)) }
 // reached the kernel; if a later flush fails, onFail fires and every
 // queued frame dies with the connection.
 func (w *Writer) WriteFrameID(t MsgType, id uint64, payload []byte) error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	p, err := AppendFrameID(w.pending, t, id, payload)
-	if err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.pending = p
-	return w.flushLocked()
+	return w.WriteFrameIDTrace(t, id, trace.Context{}, payload)
 }
 
-// WriteFrameIDTrace enqueues one traced identified frame (TraceBit set,
-// payload prefixed with tc). Callers must have negotiated FeatTrace.
+// WriteFrameIDTrace is WriteFrameID for a frame that may be traced:
+// Enqueue, then Flush with the one yield in between.
 func (w *Writer) WriteFrameIDTrace(t MsgType, id uint64, tc trace.Context, payload []byte) error {
+	if err := w.Enqueue(t, id, tc, payload); err != nil {
+		return err
+	}
+	return w.flush(true)
+}
+
+// Enqueue appends one identified frame — traced (TraceBit set, payload
+// prefixed with tc; callers must have negotiated FeatTrace) when tc is
+// sampled — and leaves it there: the caller owes the connection a Flush
+// before it blocks on anything the peer does in answer. One goroutine
+// enqueues a burst of frames this way, on one connection or across
+// several, and pays for one Write per connection.
+func (w *Writer) Enqueue(t MsgType, id uint64, tc trace.Context, payload []byte) (err error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
+		return w.err
+	}
+	p := w.pending
+	if tc.Sampled {
+		p, err = AppendFrameIDTrace(p, t, id, tc, payload)
+	} else {
+		p, err = AppendFrameID(p, t, id, payload)
+	}
+	if err == nil {
+		w.pending = p
+	}
+	return err
+}
+
+// Flush writes out what is pending unless a flusher is active — the
+// frames then ride its next Write — or nothing is. It never yields: who
+// enqueued a burst has already gathered what it meant to send together.
+func (w *Writer) Flush() error { return w.flush(false) }
+
+// flush makes this goroutine the flusher unless one is active or nothing
+// is pending: asked to yield, it first lets every runnable goroutine
+// append (they see flushing set and return at once), then it writes
+// until the pending buffer stays empty.
+func (w *Writer) flush(yield bool) error {
+	w.mu.Lock()
+	if w.flushing || len(w.pending) == 0 {
 		err := w.err
 		w.mu.Unlock()
 		return err
-	}
-	p, err := AppendFrameIDTrace(w.pending, t, id, tc, payload)
-	if err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.pending = p
-	return w.flushLocked()
-}
-
-// flushLocked is called with w.mu held and the caller's frame already
-// appended to pending; it returns with w.mu released. If a flush is in
-// progress the frame is left for the flusher; otherwise this goroutine
-// becomes the flusher: it lets every runnable goroutine append (they
-// see flushing set and return at once), then flushes until the pending
-// buffer stays empty.
-func (w *Writer) flushLocked() error {
-	if w.flushing {
-		w.mu.Unlock()
-		return nil
 	}
 	w.flushing = true
-	w.mu.Unlock()
-	runtime.Gosched()
-	w.mu.Lock()
+	if yield {
+		w.mu.Unlock()
+		runtime.Gosched()
+		w.mu.Lock()
+	}
 	var failed error
 	for w.err == nil && len(w.pending) > 0 {
 		w.pending, w.spare = w.spare[:0], w.pending

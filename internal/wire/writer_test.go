@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dmap/internal/trace"
 )
 
 // atProcs runs f at GOMAXPROCS 1 and 4. The Writer's flush policy is
@@ -297,6 +300,134 @@ func testWriterErrorStickyAndOnFailOnce(t *testing.T) {
 	}
 	if err := w.WriteFrameID(MsgPing, 3, nil); !errors.Is(err, errInjected) {
 		t.Fatalf("write after failure = %v, want sticky error", err)
+	}
+	if n := fails.Load(); n != 1 {
+		t.Fatalf("onFail fired %d times, want exactly 1", n)
+	}
+}
+
+// TestWriterEnqueueThenFlush: Enqueue writes nothing, however many
+// frames; the one Flush that follows is exactly one Write carrying them
+// all, traced and plain alike, and a Flush with nothing pending is none.
+func TestWriterEnqueueThenFlush(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		const frames = 40
+		c, peer := tcpPair(t)
+		cc := &countingConn{Conn: c}
+		w := NewWriter(cc, nil)
+		tc := trace.Context{Trace: 3, Span: 4, Sampled: true}
+		for i := uint64(0); i < frames; i++ {
+			ctx := trace.Context{}
+			if i%4 == 0 {
+				ctx = tc
+			}
+			if err := w.Enqueue(MsgLookup, i, ctx, []byte(fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.Gosched() // nobody else may flush them either
+		if n := cc.writes.Load(); n != 0 {
+			t.Fatalf("%d Writes after %d Enqueues and no Flush, want 0", n, frames)
+		}
+		for i := 0; i < 2; i++ { // the second Flush finds nothing pending
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if n := cc.writes.Load(); n != 1 {
+				t.Fatalf("%d Writes after %d Enqueues and %d Flush, want 1", n, frames, i+1)
+			}
+		}
+		_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		rd := NewReader(peer)
+		for i := uint64(0); i < frames; i++ {
+			typ, id, body, err := rd.Next(freshBuf)
+			if err != nil || id != i {
+				t.Fatalf("frame %d: id %d, %v", i, id, err)
+			}
+			want := []byte(fmt.Sprint(i))
+			if i%4 == 0 {
+				if !IsTraced(typ) {
+					t.Fatalf("frame %d lost its trace bit", i)
+				}
+				var got trace.Context
+				if got, body, err = DecodeTraceContext(body); err != nil || got != tc {
+					t.Fatalf("frame %d: trace context %+v, %v", i, got, err)
+				}
+			}
+			if BaseType(typ) != MsgLookup || !bytes.Equal(body, want) {
+				t.Fatalf("frame %d = (%v, %q), want (MsgLookup, %q)", i, typ, body, want)
+			}
+		}
+	})
+}
+
+// gatedConn holds every Write at a gate: it reports the Write's bytes on
+// arrived and lets it through on a token from pass.
+type gatedConn struct {
+	net.Conn
+	arrived chan []byte
+	pass    chan struct{}
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	c.arrived <- append([]byte(nil), b...)
+	<-c.pass
+	return len(b), nil
+}
+
+// TestWriterFlushBehindActiveFlusher: a Flush that finds another
+// goroutine flushing returns at once without writing, and what it meant
+// to flush rides that flusher's next Write.
+func TestWriterFlushBehindActiveFlusher(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		gc := &gatedConn{Conn: discardConn{}, arrived: make(chan []byte), pass: make(chan struct{})}
+		w := NewWriter(gc, nil)
+		done := make(chan error, 1)
+		go func() { done <- w.WriteFrameID(MsgPing, 1, nil) }()
+		first := <-gc.arrived // the flusher is inside its Write
+		if err := w.Enqueue(MsgLookup, 2, trace.Context{}, []byte("rider")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Enqueue(MsgLookup, 3, trace.Context{}, []byte("rider")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil { // must not block on the gate, nor write
+			t.Fatal(err)
+		}
+		gc.pass <- struct{}{}
+		second := <-gc.arrived
+		gc.pass <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		want := mustFrame(t, mustFrame(t, nil, MsgLookup, 2, []byte("rider")), MsgLookup, 3, []byte("rider"))
+		if !bytes.Equal(first, mustFrame(t, nil, MsgPing, 1, nil)) || !bytes.Equal(second, want) {
+			t.Fatalf("Writes carried %d and %d bytes; want the ping alone, then both riders in one", len(first), len(second))
+		}
+	})
+}
+
+// TestWriterFailedFlushStickyOnFailOnce: a Flush whose Write fails
+// records the error for every later call of any kind and reports it to
+// onFail exactly once.
+func TestWriterFailedFlushStickyOnFailOnce(t *testing.T) {
+	var fails atomic.Int64
+	w := NewWriter(&failConn{Conn: discardConn{}}, func(error) { fails.Add(1) })
+	if err := w.Enqueue(MsgPing, 1, trace.Context{}, nil); err != nil {
+		t.Fatalf("Enqueue on a healthy connection: %v", err)
+	}
+	if err := w.Flush(); !errors.Is(err, errInjected) {
+		t.Fatalf("Flush = %v, want the injected failure", err)
+	}
+	for i, err := range []error{
+		w.Enqueue(MsgPing, 2, trace.Context{}, nil),
+		w.Flush(),
+		w.WriteFrameID(MsgPing, 3, nil),
+		w.Err(),
+	} {
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("call %d after the failed Flush = %v, want the sticky error", i, err)
+		}
 	}
 	if n := fails.Load(); n != 1 {
 		t.Fatalf("onFail fired %d times, want exactly 1", n)

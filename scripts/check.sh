@@ -4,11 +4,16 @@
 # run the concurrency-sensitive packages under the race detector. The
 # engine's determinism guarantee (internal/engine) only holds if these
 # stay race-clean, and the networked stack (client failover, the
-# multiplexed transport and its demux reader, the server's handshake and
-# per-connection workers, drain, the chaos test, the metrics registry)
-# is only trustworthy under -race. Running the wire tests also replays
-# the checked-in fuzz seed corpus (FuzzDecodeFrame, FuzzDecodeFrameV2 et
-# al.).
+# multiplexed transport and its demux reader, the server's handshake, its
+# burst-serving read loop and per-connection workers, drain, the chaos
+# test, the metrics registry) is only trustworthy under -race. The
+# connection layer runs at -cpu 1,4: the server answers lookups on the
+# read loop into a corked writer beside workers that write through the
+# same one, and which of them flushes whose frames is the scheduler's
+# choice. It runs once more with DMAP_POISON_BUFS=1: the read loop is
+# where a request view into the reader's buffer, or a reply in a pooled
+# one, could outlive its release. Running the wire tests also replays the
+# checked-in fuzz seed corpus (FuzzDecodeFrame, FuzzDecodeFrameV2 et al.).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -32,14 +37,19 @@ go test -race ./internal/wire/... ./internal/simnet/... ./internal/nodesim/...
 go test -race ./internal/server/... ./internal/metrics/... ./internal/obs/...
 go test -race ./internal/trace/... ./internal/store/... ./internal/load/...
 
-# The connection layer once more on a single P: wire.Writer's flush
-# policy (yield once, then drain) is scheduler-dependent, and one P is
-# both the benchmark's configuration and the case where no goroutine can
-# append while a Write is in flight — coalescing there rests on the
-# yield alone, and so does the liveness of a lone frame. -cpu 1 is
-# GOMAXPROCS=1 spelled so that the test cache keys on it: set through
-# the environment, this pass would be served from the pass above.
-go test -race -cpu 1 ./internal/wire/... ./internal/server/...
+# The connection layer once more on a single P and on four: wire.Writer's
+# flush policy (yield once, then drain) is scheduler-dependent, and one P
+# is both the benchmark's configuration and the case where no goroutine
+# can append while a Write is in flight — coalescing there rests on the
+# yield alone, and so does the liveness of a lone frame. The server's
+# read loop corks the replies to the lookups it serves itself and shares
+# the Writer with its workers: on one P the order of their frames is
+# determined (and asserted), on four a worker may be mid-Write when the
+# loop flushes. -cpu 1 is GOMAXPROCS=1 spelled so that the test cache
+# keys on it: set through the environment, this pass would be served from
+# the pass above.
+go test -race -cpu 1 ./internal/wire/...
+go test -race -cpu 1,4 ./internal/server/...
 # The client on one P and on four: a K-replica operation starts every
 # frame from the calling goroutine and takes the replies in place, so
 # whether a reply is in its slot before finish looks (four Ps: the
@@ -64,10 +74,18 @@ go test -race ./internal/crashtest/
 # is overwritten with a sentinel instead of silently surviving. The
 # fan-out tests ride along: a K-replica operation's request payload is
 # resent by retries, so it must stay out of the pool until the last try
-# is finished.
+# is finished. So does the server's connection layer, at -cpu 1,4: the
+# read loop serves a lookup from one pooled buffer into another and
+# releases both before it parses the next frame, with the reply corked in
+# the Writer — the inline and cork tests check every reply's bytes, so a
+# reply that aliased a released buffer, or a request view that outlived
+# its Next, reads 0xA5. -count=1 because TestMain reads the variable
+# before the test log that the cache keys on is open: without it this
+# pass is the unpoisoned one above, replayed.
 DMAP_POISON_BUFS=1 go test -race \
     -run 'TestMux|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
     ./internal/client/... ./internal/wire/...
+DMAP_POISON_BUFS=1 go test -count=1 -race -cpu 1,4 ./internal/server/...
 
 # Fuzz smoke on the trace-context wire extension: ten seconds of live
 # fuzzing over DecodeTraceContext (the seed corpus alone replays in the
