@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"dmap/internal/guid"
+	"dmap/internal/netaddr"
+	"dmap/internal/store"
+	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
 
@@ -103,6 +106,80 @@ func TestAdmissionZeroAlloc(t *testing.T) {
 		_ = shedBody(global)
 	}); allocs != 0 {
 		t.Errorf("shed path allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestServedOpsZeroAlloc: with records packed in the store, a served
+// insert decodes into the handler's stack and Put keeps nothing of it,
+// and a served lookup reads into the handler's stack and encodes from
+// there — neither allocates, on a memory-only node or a durable one, at
+// any NA count, with the hot-key tracker on as `serve` has it.
+func TestServedOpsZeroAlloc(t *testing.T) {
+	durable, err := Open(Options{DataDir: t.TempDir(), HotKeys: trace.NewHotKeys(32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	for name, n := range map[string]*Node{"memory": NewWithOptions(nil, Options{HotKeys: trace.NewHotKeys(32)}), "durable": durable} {
+		e := burstEntry(1)
+		for j := 1; j < store.MaxNAs; j++ {
+			e.NAs = append(e.NAs, store.NA{AS: j, Addr: netaddr.AddrFromOctets(10, 2, 0, byte(j))})
+		}
+		nas, dst := e.NAs, make([]byte, 0, 256)
+		var payload []byte
+		if allocs := testing.AllocsPerRun(200, func() {
+			e.Version++
+			e.NAs = nas[:1+e.Version%store.MaxNAs]
+			payload, _ = wire.AppendEntry(payload[:0], e)
+			if typ, _ := n.handle(wire.MsgInsert, payload, nil, nil, dst, time.Now()); typ != wire.MsgInsertAck {
+				t.Fatalf("insert answered %v", typ)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a served insert allocates %.1f/op, want 0", name, allocs)
+		}
+		req := wire.AppendGUID(nil, e.GUID)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if typ, out := n.handle(wire.MsgLookup, req, nil, nil, dst, time.Now()); typ != wire.MsgLookupResp || len(out) < 2 {
+				t.Fatalf("lookup answered %v, %d bytes", typ, len(out))
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a served lookup allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestMalformedBatchInsertKeepsLeadingEntries pins what putBatch's
+// decode-and-store-as-you-go leaves behind when a MsgBatchInsert body is
+// bad part-way: the frame is answered MsgError{BadRequest}, the entries
+// decoded before the fault are stored, nothing after it is.
+func TestMalformedBatchInsertKeepsLeadingEntries(t *testing.T) {
+	entries := []store.Entry{burstEntry(0), burstEntry(1), burstEntry(2)}
+	body, err := wire.AppendBatchInsert(nil, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		stored int
+	}{
+		{"cut inside entry 2", body[:len(body)-3], 2},
+		{"cut inside entry 0", body[:10], 0},
+		{"trailing byte", append(append([]byte(nil), body...), 0), 3},
+	} {
+		n := NewWithOptions(nil, Options{})
+		typ, out := n.handle(wire.MsgBatchInsert, c.body, nil, nil, nil, time.Now())
+		if kind, _, err := wire.DecodeErrorKind(out); typ != wire.MsgError || err != nil || kind != wire.ErrKindBadRequest {
+			t.Errorf("%s: answered %v kind %v (%v), want MsgError BadRequest", c.name, typ, kind, err)
+		}
+		if got := n.Store().Len(); got != c.stored {
+			t.Errorf("%s: %d entries stored, want %d", c.name, got, c.stored)
+		}
+		for i, e := range entries {
+			if _, ok := n.Store().Get(e.GUID); ok != (i < c.stored) {
+				t.Errorf("%s: entry %d stored = %v", c.name, i, ok)
+			}
+		}
 	}
 }
 

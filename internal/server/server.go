@@ -466,7 +466,10 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			sp.Eventf("rejected: draining")
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
 		}
-		e, _, err := wire.DecodeEntry(payload)
+		// Decoded into the stack: Put packs the entry into its table and
+		// retains nothing it is handed.
+		var nas [store.MaxNAs]store.NA
+		e, _, err := wire.DecodeEntryAppend(nas[:0], payload)
 		if err != nil {
 			n.badReqs.Add(1)
 			n.logger.Warn("bad insert", "remote", remote, "err", err)
@@ -495,17 +498,12 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		}
 		n.hot.ObserveLookup(g)
 		st := sp.NewChild("store.get")
-		var aerr error
-		// Encode inside View, under the store's read lock:
-		// AppendLookupResp copies every byte of the entry into dst, so
-		// nothing aliases store memory once View returns — a zero-copy
-		// read with a copy-out boundary, sparing the clone Get pays.
-		ok := n.store.View(g, func(e store.Entry) {
-			out, aerr = wire.AppendLookupResp(dst, wire.LookupResp{Found: true, Entry: e})
-		})
-		if !ok {
-			out, aerr = wire.AppendLookupResp(dst, wire.LookupResp{})
-		}
+		// The store's read is the copy-out boundary: the entry arrives in
+		// nas, on this stack, and is encoded from there with the shard
+		// lock long released — no clone, no callback, no allocation.
+		var nas [store.MaxNAs]store.NA
+		e, ok := n.store.Read(g, &nas)
+		out, aerr := wire.AppendLookupResp(dst, wire.LookupResp{Found: ok, Entry: e})
 		if st != nil { // skip the arg boxing entirely when unsampled
 			st.Eventf("found=%t", ok)
 			st.End()
@@ -551,28 +549,18 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			n.rejects.Add(1)
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
 		}
-		entries, err := wire.DecodeBatchInsert(payload)
+		st := sp.NewChild("store.put_batch")
+		acked, err := n.putBatch(payload)
+		if st != nil {
+			st.Eventf("entries=%d", len(acked))
+			st.End()
+		}
 		if err != nil {
 			n.badReqs.Add(1)
 			n.logger.Warn("bad batch insert", "remote", remote, "err", err)
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed batch insert")
 		}
-		n.hBatchSize.Observe(float64(len(entries)))
-		st := sp.NewChild("store.put_batch")
-		if st != nil {
-			st.Eventf("entries=%d", len(entries))
-		}
-		acked := make([]bool, len(entries))
-		for i, e := range entries {
-			n.hot.ObserveInsert(e.GUID)
-			if _, err := n.store.Put(e); err != nil {
-				n.countErr()
-				continue
-			}
-			acked[i] = true
-			n.inserts.Add(1)
-		}
-		st.End()
+		n.hBatchSize.Observe(float64(len(acked)))
 		out, err = wire.AppendBatchInsertAck(dst, acked)
 		if err != nil {
 			n.countErr()
@@ -594,19 +582,16 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			st.Eventf("guids=%d", len(gs))
 		}
 		// The same copy-out boundary as the single-op arm, once per GUID:
-		// each entry is encoded into dst under the store's read lock, with
-		// no staging slice and no cloned NAs in between.
+		// each entry is read into nas and encoded into dst from there,
+		// with no staging slice in between.
 		out, err = wire.AppendBatchCount(dst, len(gs))
 		hits := 0
+		var nas [store.MaxNAs]store.NA
 		for i := 0; err == nil && i < len(gs); i++ {
 			g := gs[i]
 			n.hot.ObserveLookup(g)
-			ok := n.store.View(g, func(e store.Entry) {
-				out, err = wire.AppendLookupResp(out, wire.LookupResp{Found: true, Entry: e})
-			})
-			if !ok {
-				out, err = wire.AppendLookupResp(out, wire.LookupResp{})
-			}
+			e, ok := n.store.Read(g, &nas)
+			out, err = wire.AppendLookupResp(out, wire.LookupResp{Found: ok, Entry: e})
 			n.lookups.Add(1)
 			if ok {
 				n.hits.Add(1)
@@ -629,6 +614,38 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		n.logger.Warn("unknown frame", "type", t, "remote", remote)
 		return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "unknown frame type")
 	}
+}
+
+// putBatch stores the entries of a MsgBatchInsert body and reports which
+// the store took. Each entry is decoded into the stack and stored before
+// the next is looked at: no []Entry, no NA slice per entry. A body that
+// turns out malformed part-way is refused as a whole with its leading
+// entries stored — each valid on its own, nothing its sender could not
+// have stored with a well-formed frame.
+func (n *Node) putBatch(body []byte) ([]bool, error) {
+	cnt, rest, err := wire.DecodeBatchCount(body)
+	if err != nil {
+		return nil, err
+	}
+	acked := make([]bool, cnt)
+	var nas [store.MaxNAs]store.NA
+	for i := range acked {
+		var e store.Entry
+		if e, rest, err = wire.DecodeEntryAppend(nas[:0], rest); err != nil {
+			return nil, err
+		}
+		n.hot.ObserveInsert(e.GUID)
+		if _, err := n.store.Put(e); err != nil {
+			n.countErr()
+			continue
+		}
+		acked[i] = true
+		n.inserts.Add(1)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after batch insert", len(rest))
+	}
+	return acked, nil
 }
 
 // serverBufs recycles read, scratch and response buffers across every

@@ -2,7 +2,9 @@
 // deterministic dump. The layout deliberately mirrors the §IV-A storage
 // accounting (and the wire protocol's entry encoding), but it is an
 // independent format: the durable files version themselves and may
-// evolve separately from what peers speak on the wire.
+// evolve separately from what peers speak on the wire. It reads and
+// writes the table's own form (record): replay and snapshot load never
+// build an Entry, and a snapshot or a dump never unpacks one.
 package store
 
 import (
@@ -11,7 +13,6 @@ import (
 	"fmt"
 
 	"dmap/internal/guid"
-	"dmap/internal/netaddr"
 )
 
 // ErrShortEntry reports a truncated on-disk entry encoding.
@@ -24,51 +25,49 @@ const entryFixedLen = guid.Size + 8 + 4 + 1
 // maxEntryLen bounds one encoded entry (5 NAs at 8 bytes each).
 const maxEntryLen = entryFixedLen + 8*MaxNAs
 
-// appendEntry encodes e:
+// appendEntry encodes g's record:
 // GUID(20) ‖ version(8) ‖ meta(4) ‖ naCount(1) ‖ naCount × (AS(4) ‖ addr(4)).
-// The caller has validated e; appendEntry never fails.
-func appendEntry(dst []byte, e Entry) []byte {
-	dst = append(dst, e.GUID[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, e.Version)
-	dst = binary.BigEndian.AppendUint32(dst, e.Meta)
-	dst = append(dst, byte(len(e.NAs)))
-	for _, na := range e.NAs {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(na.AS))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(na.Addr))
+// A record is valid by construction; appendEntry never fails.
+func appendEntry(dst []byte, g guid.GUID, r *record) []byte {
+	dst = append(dst, g[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, r.version)
+	dst = binary.BigEndian.AppendUint32(dst, r.meta)
+	dst = append(dst, r.n)
+	dst = binary.BigEndian.AppendUint32(dst, r.na0.as)
+	dst = binary.BigEndian.AppendUint32(dst, r.na0.addr)
+	for _, na := range r.more[:r.n-1] {
+		dst = binary.BigEndian.AppendUint32(dst, na.as)
+		dst = binary.BigEndian.AppendUint32(dst, na.addr)
 	}
 	return dst
 }
 
-// decodeEntry decodes one entry into e, reusing e.NAs' capacity, and
-// returns the remaining bytes. The decoded entry is validated, so a
-// corrupt or hostile file cannot smuggle a structurally invalid entry
-// into the store.
-func decodeEntry(e *Entry, b []byte) ([]byte, error) {
+// decodeEntry decodes one entry into r and returns its GUID and the
+// remaining bytes. What Entry.Validate would refuse is refused here, so
+// a corrupt or hostile file cannot smuggle a structurally invalid entry
+// into the store; an AS index cannot be out of range in four bytes.
+func decodeEntry(r *record, b []byte) (g guid.GUID, rest []byte, err error) {
 	if len(b) < entryFixedLen {
-		return nil, ErrShortEntry
+		return g, nil, ErrShortEntry
 	}
-	copy(e.GUID[:], b[:guid.Size])
+	copy(g[:], b)
+	if g.IsZero() {
+		return g, nil, fmt.Errorf("store: zero GUID")
+	}
 	b = b[guid.Size:]
-	e.Version = binary.BigEndian.Uint64(b)
-	e.Meta = binary.BigEndian.Uint32(b[8:])
 	n := int(b[12])
-	b = b[13:]
 	if n == 0 || n > MaxNAs {
-		return nil, fmt.Errorf("store: NA count %d out of range", n)
+		return g, nil, fmt.Errorf("store: NA count %d out of range", n)
 	}
+	*r = record{slim: slim{version: binary.BigEndian.Uint64(b), meta: binary.BigEndian.Uint32(b[8:]), n: uint8(n)}}
+	b = b[13:]
 	if len(b) < 8*n {
-		return nil, ErrShortEntry
+		return g, nil, ErrShortEntry
 	}
-	e.NAs = e.NAs[:0]
-	for i := 0; i < n; i++ {
-		e.NAs = append(e.NAs, NA{
-			AS:   int(binary.BigEndian.Uint32(b)),
-			Addr: netaddr.Addr(binary.BigEndian.Uint32(b[4:])),
-		})
+	r.na0 = packedNA{binary.BigEndian.Uint32(b), binary.BigEndian.Uint32(b[4:])}
+	for i := range r.more[:n-1] {
 		b = b[8:]
+		r.more[i] = packedNA{binary.BigEndian.Uint32(b), binary.BigEndian.Uint32(b[4:])}
 	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return g, b[8:], nil
 }

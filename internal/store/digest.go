@@ -68,14 +68,14 @@ func selectDigests(sh *shard, after, through guid.GUID, max int, dst []Digest) (
 		}
 		switch page := dst[base:]; {
 		case max <= 0 || len(page) < max:
-			dst = append(dst, Digest{GUID: g, Version: e.Version})
+			dst = append(dst, Digest{GUID: g, Version: e.version})
 			if page = dst[base:]; len(page) == max {
 				for i := max/2 - 1; i >= 0; i-- {
 					siftDown(page, i)
 				}
 			}
 		case less(&g, &page[0].GUID):
-			page[0] = Digest{GUID: g, Version: e.Version}
+			page[0] = Digest{GUID: g, Version: e.version}
 			siftDown(page, 0)
 			more = true
 		default:
@@ -106,6 +106,13 @@ type inKeyspaceOrder []Digest
 func (s inKeyspaceOrder) Len() int           { return len(s) }
 func (s inKeyspaceOrder) Less(i, j int) bool { return less(&s[i].GUID, &s[j].GUID) }
 func (s inKeyspaceOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// keysInOrder is the same sort over bare keys (a snapshot's, a dump's).
+type keysInOrder []guid.GUID
+
+func (s keysInOrder) Len() int           { return len(s) }
+func (s keysInOrder) Less(i, j int) bool { return less(&s[i], &s[j]) }
+func (s keysInOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // siftDown restores the max-heap order of h below position i.
 func siftDown(h []Digest, i int) {
@@ -151,7 +158,7 @@ func (s *Store) ShardRange(i int) (after, through guid.GUID) {
 	return after, through
 }
 
-// Version returns the stored version of g's mapping, without cloning
+// Version returns the stored version of g's mapping, without unpacking
 // the entry — the cheap staleness check the anti-entropy merge paths
 // make once per digest.
 func (s *Store) Version(g guid.GUID) (uint64, bool) {
@@ -162,7 +169,7 @@ func (s *Store) Version(g guid.GUID) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return e.Version, true
+	return e.version, true
 }
 
 // RangeInterval calls fn on a copy of every entry whose GUID lies in

@@ -83,22 +83,32 @@ func FuzzLoadSnapshot(f *testing.F) {
 	img := writeFileHeader(nil, snapMagic, 0, 1)
 	img = binary.BigEndian.AppendUint64(img, 7) // seq
 	img = binary.BigEndian.AppendUint64(img, 1) // count
-	img = appendEntry(img, entry("seed", 7, 1))
+	seed := entry("seed", 7, 1)
+	r := pack(&seed)
+	img = appendEntry(img, seed.GUID, &r)
 	img = binary.BigEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
 	f.Add(img)
 	f.Add(img[:len(img)-5])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, 80))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, entries, err := decodeSnapshot(data, 0, 1, "fuzz")
+		s, err := NewSharded(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n, err := decodeSnapshot(&s.shards[0], data, 0, 1, "fuzz")
 		if err != nil {
 			return
 		}
-		for _, e := range entries {
+		if n < s.Len() {
+			t.Fatalf("snapshot of %d entries loaded %d", n, s.Len())
+		}
+		s.Range(func(e Entry) bool {
 			if err := e.Validate(); err != nil {
 				t.Fatalf("snapshot decoder admitted invalid entry: %v", err)
 			}
-		}
+			return true
+		})
 	})
 }
 

@@ -9,17 +9,26 @@
 // accounting used by the overhead experiment.
 //
 // The table is sharded by GUID prefix: a power-of-two number of shards,
-// each with its own RWMutex, map and incremental storage accounting, so
-// concurrent writers on a many-core node do not serialize on one lock
+// each with its own RWMutex, table and incremental storage accounting,
+// so concurrent writers on a many-core node do not serialize on one lock
 // and the NLR metric is the cheap sum of per-shard counters. A store
 // built with New is memory-only; Open builds a durable store whose
 // shards each keep a write-ahead log and periodic snapshot (wal.go).
+//
+// Entry, with its NA slice, is what callers exchange with the store,
+// never what a shard holds: Put packs the entry into a fixed-size record
+// without a pointer in it (record, below) and retains nothing it was
+// handed; every read unpacks a copy into memory the caller owns. The
+// §IV-A mapping is 44 bytes of numbers, and a table of numbers is one
+// the collector has nothing to scan in (DESIGN.md §10).
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -55,9 +64,9 @@ type Entry struct {
 
 // SizeBits returns the §IV-A wire/storage size of the entry:
 // 160-bit GUID + 32 bits per NA + 32 bits of metadata.
-func (e Entry) SizeBits() int {
-	return guid.Size*8 + 32*len(e.NAs) + 32
-}
+func (e Entry) SizeBits() int { return sizeBits(len(e.NAs)) }
+
+func sizeBits(nas int) int { return guid.Size*8 + 32*nas + 32 }
 
 // Validate checks structural constraints.
 func (e Entry) Validate() error {
@@ -71,19 +80,50 @@ func (e Entry) Validate() error {
 		return fmt.Errorf("store: entry for %s has %d NAs, max %d", e.GUID.Short(), len(e.NAs), MaxNAs)
 	}
 	for _, na := range e.NAs {
-		if na.AS < 0 {
-			return fmt.Errorf("store: entry for %s has negative AS index", e.GUID.Short())
+		// Every codec, and the table itself, carries an AS index in 32
+		// bits: one that does not fit is refused here, the one place,
+		// not truncated in each of them.
+		if na.AS < 0 || uint64(na.AS) > math.MaxUint32 {
+			return fmt.Errorf("store: entry for %s has AS index %d outside [0, 2^32)", e.GUID.Short(), na.AS)
 		}
 	}
 	return nil
 }
 
-// clone deep-copies e so callers cannot alias internal state.
-func (e Entry) clone() Entry {
-	nas := make([]NA, len(e.NAs))
-	copy(nas, e.NAs)
-	e.NAs = nas
-	return e
+// packedNA is an NA as both codecs write it: two 32-bit words.
+type packedNA struct{ as, addr uint32 }
+
+func packNA(na NA) packedNA { return packedNA{uint32(na.AS), uint32(na.Addr)} }
+
+func (p packedNA) na() NA { return NA{AS: int(p.as), Addr: netaddr.Addr(p.addr)} }
+
+// slim is the part of a mapping every GUID has, and all a digest page or
+// a staleness check reads: 24 bytes, so a slot of the shard's main map
+// is the 20-byte key and this. n is the NA count, 1 to MaxNAs.
+type slim struct {
+	version uint64
+	meta    uint32
+	n       uint8
+	na0     packedNA
+}
+
+// moreNAs holds NAs 2 to MaxNAs of a multi-homed mapping, zero beyond n.
+type moreNAs [MaxNAs - 1]packedNA
+
+// record is one mapping in table form, the key aside: what Put makes of
+// an Entry and what the on-disk codec reads and writes.
+type record struct {
+	slim
+	more moreNAs
+}
+
+// pack converts a validated entry.
+func pack(e *Entry) (r record) {
+	r.slim = slim{version: e.Version, meta: e.Meta, n: uint8(len(e.NAs)), na0: packNA(e.NAs[0])}
+	for i, na := range e.NAs[1:] {
+		r.more[i] = packNA(na)
+	}
+	return r
 }
 
 // DefaultShards is the shard count New uses: enough stripes that a
@@ -95,16 +135,81 @@ const DefaultShards = 8
 // first 16 bits of the GUID).
 const MaxShards = 1 << 16
 
-// shard is one lock-striped slice of the table. The map is allocated on
+// shard is one lock-striped slice of the table: m holds every mapping's
+// slim, more the tail of those — the multi-homed minority — with more
+// than one NA, and of no others: more's key set is exactly the GUIDs
+// whose slim has n > 1, so a rewrite down to one NA or a delete leaves
+// no tail behind. Both are written under mu held for writing and read
+// under mu held for reading, together: a reader never pairs the first NA
+// of one version with the tail of another. Each map is allocated on its
 // first write, so an empty shard costs only its header. sizeBits is
-// maintained incrementally under mu — SizeBits never rescans the map.
+// maintained incrementally under mu — SizeBits never rescans the table.
 // The pad keeps two hot shards off one cache line.
 type shard struct {
 	mu       sync.RWMutex
-	m        map[guid.GUID]Entry
+	m        map[guid.GUID]slim
+	more     map[guid.GUID]moreNAs
 	sizeBits int64
 	log      *shardLog // nil on a memory-only store
-	_        [24]byte
+	_        [8]byte
+}
+
+// record returns a copy of g's record. Callers hold sh.mu.
+func (sh *shard) record(g guid.GUID) (r record, ok bool) {
+	if r.slim, ok = sh.m[g]; ok && r.n > 1 {
+		r.more = sh.more[g]
+	}
+	return r, ok
+}
+
+// unpack writes the NAs of g's record, whose slim is v, into nas, which
+// must have room for v.n of them, and returns those. Callers hold sh.mu.
+// Reads go through here and not through a record, and take NAs, not an
+// Entry, from it: the copies that building a record and taking it apart
+// again cost showed as 50 ns a read, a 64-byte Entry stored whole through
+// ViewInto's pointer as 10.
+func (sh *shard) unpack(g guid.GUID, v slim, nas []NA) []NA {
+	nas = nas[:v.n]
+	nas[0] = v.na0.na()
+	if v.n > 1 {
+		more := sh.more[g]
+		for i := range nas[1:] {
+			nas[i+1] = more[i].na()
+		}
+	}
+	return nas
+}
+
+// set stores r as g's record in place of old, the slim sh.m held for g
+// (the zero slim if none). Callers hold sh.mu for writing.
+func (sh *shard) set(g guid.GUID, r *record, old slim) {
+	if sh.m == nil {
+		sh.m = make(map[guid.GUID]slim)
+	}
+	sh.m[g] = r.slim
+	switch {
+	case r.n > 1:
+		if sh.more == nil {
+			sh.more = make(map[guid.GUID]moreNAs)
+		}
+		sh.more[g] = r.more
+	case old.n > 1:
+		delete(sh.more, g)
+	}
+	sh.sizeBits += int64(sizeBits(int(r.n)))
+	if old.n > 0 {
+		sh.sizeBits -= int64(sizeBits(int(old.n)))
+	}
+}
+
+// remove deletes g's record, whose slim is old. Callers hold sh.mu for
+// writing.
+func (sh *shard) remove(g guid.GUID, old slim) {
+	delete(sh.m, g)
+	if old.n > 1 {
+		delete(sh.more, g)
+	}
+	sh.sizeBits -= int64(sizeBits(int(old.n)))
 }
 
 // Store is a thread-safe per-AS mapping table. The zero value is not
@@ -123,7 +228,7 @@ type Store struct {
 // uninstrumented store pays one atomic load per operation; an
 // instrumented one adds a single uncontended atomic add.
 type instruments struct {
-	puts, stalePuts, gets, hits, deletes *metrics.Counter
+	puts, stalePuts, gets, hits, deletes, snapshots *metrics.Counter
 }
 
 // New returns an empty memory-only store with DefaultShards shards.
@@ -159,7 +264,9 @@ func (s *Store) shardFor(g guid.GUID) *shard {
 }
 
 // Instrument registers the store's operation counters and size gauge
-// on reg under prefix (e.g. "store" → "store.puts", "store.size").
+// on reg under prefix (e.g. "store" → "store.puts", "store.size"), and
+// the durability plane's: shard snapshots completed, the bytes its logs
+// hold, and what Open found on disk (all zero on a memory-only store).
 // Call once, before serving traffic; re-instrumenting replaces the
 // counters but leaves gauges registered on the previous registry.
 func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
@@ -169,8 +276,14 @@ func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
 		gets:      reg.Counter(prefix + ".gets"),
 		hits:      reg.Counter(prefix + ".hits"),
 		deletes:   reg.Counter(prefix + ".deletes"),
+		snapshots: reg.Counter(prefix + ".snapshots"),
 	}
 	reg.GaugeFunc(prefix+".size", func() float64 { return float64(s.Len()) })
+	reg.GaugeFunc(prefix+".wal_bytes", func() float64 { return float64(s.walBytes()) })
+	reg.GaugeFunc(prefix+".recovered_entries", func() float64 {
+		return float64(s.rec.SnapshotEntries + s.rec.ReplayedRecords)
+	})
+	reg.GaugeFunc(prefix+".recovery_torn_bytes", func() float64 { return float64(s.rec.TornBytes) })
 	s.ins.Store(ins)
 }
 
@@ -179,12 +292,13 @@ func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
 // freshest-wins semantics under reordered delivery. It reports whether
 // the entry was applied. On a durable store the WAL record is written
 // before the in-memory apply: a Put that returned (true, nil) survives a
-// crash of the process.
+// crash of the process. Put keeps no reference to e.NAs and allocates
+// nothing: the caller may reuse the slice as soon as Put returns.
 func (s *Store) Put(e Entry) (bool, error) {
 	if err := e.Validate(); err != nil {
 		return false, err
 	}
-	e = e.clone()
+	r := pack(&e)
 	ins := s.ins.Load()
 	sh := s.shardFor(e.GUID)
 	sh.mu.Lock()
@@ -193,46 +307,60 @@ func (s *Store) Put(e Entry) (bool, error) {
 		ins.puts.Inc()
 	}
 	old, existed := sh.m[e.GUID]
-	if existed && e.Version <= old.Version {
+	if existed && e.Version <= old.version {
 		if ins != nil {
 			ins.stalePuts.Inc()
 		}
 		return false, nil
 	}
 	if sh.log != nil {
-		if err := sh.log.appendPut(e); err != nil {
+		if err := sh.log.appendPut(e.GUID, &r); err != nil {
 			return false, err
 		}
 	}
-	if sh.m == nil {
-		sh.m = make(map[guid.GUID]Entry)
-	}
-	sh.m[e.GUID] = e
-	sh.sizeBits += int64(e.SizeBits())
-	if existed {
-		sh.sizeBits -= int64(old.SizeBits())
-	}
+	sh.set(e.GUID, &r, old)
 	s.maybeSnapshot(sh)
 	return true, nil
 }
 
-// Get returns a copy of the mapping for g.
-func (s *Store) Get(g guid.GUID) (Entry, bool) {
-	ins := s.ins.Load()
-	sh := s.shardFor(g)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.m[g]
-	if ins != nil {
+// countRead counts one read, a hit or not, on an instrumented store.
+func (s *Store) countRead(hit bool) {
+	if ins := s.ins.Load(); ins != nil {
 		ins.gets.Inc()
-		if ok {
+		if hit {
 			ins.hits.Inc()
 		}
 	}
+}
+
+// Read returns the mapping for g with its NAs in buf, and reports
+// whether it existed: the read that allocates nothing, whatever the
+// entry's NA count. The entry is the caller's copy — writing to buf
+// afterwards touches nothing the store holds — and is valid until buf is
+// reused.
+func (s *Store) Read(g guid.GUID, buf *[MaxNAs]NA) (Entry, bool) {
+	sh := s.shardFor(g)
+	sh.mu.RLock()
+	v, ok := sh.m[g]
+	var nas []NA
+	if ok {
+		nas = sh.unpack(g, v, buf[:])
+	}
+	sh.mu.RUnlock()
+	s.countRead(ok)
 	if !ok {
 		return Entry{}, false
 	}
-	return e.clone(), true
+	return Entry{GUID: g, NAs: nas, Version: v.version, Meta: v.meta}, true
+}
+
+// Get returns a copy of the mapping for g, in a freshly allocated NAs
+// slice.
+func (s *Store) Get(g guid.GUID) (Entry, bool) {
+	var buf [MaxNAs]NA
+	e, ok := s.Read(g, &buf)
+	// Not e with its NAs replaced: that would move buf to the heap too.
+	return Entry{GUID: e.GUID, NAs: slices.Clone(e.NAs), Version: e.Version, Meta: e.Meta}, ok
 }
 
 // ViewInto copies the mapping for g into e, reusing e's NAs capacity,
@@ -241,51 +369,18 @@ func (s *Store) Get(g guid.GUID) (Entry, bool) {
 // count (cap MaxNAs always suffices) — the caller-supplied-buffer read
 // the client's LookupInto path is built on.
 func (s *Store) ViewInto(g guid.GUID, e *Entry) bool {
-	ins := s.ins.Load()
 	sh := s.shardFor(g)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	v, ok := sh.m[g]
-	if ins != nil {
-		ins.gets.Inc()
-		if ok {
-			ins.hits.Inc()
-		}
+	if ok {
+		e.NAs = sh.unpack(g, v, slices.Grow(e.NAs[:0], int(v.n)))
 	}
-	if !ok {
-		return false
+	sh.mu.RUnlock()
+	s.countRead(ok)
+	if ok {
+		e.GUID, e.Version, e.Meta = g, v.version, v.meta
 	}
-	e.GUID = v.GUID
-	e.Version = v.Version
-	e.Meta = v.Meta
-	e.NAs = append(e.NAs[:0], v.NAs...)
-	return true
-}
-
-// View calls fn with the stored entry for g, without cloning, and
-// reports whether the entry existed (fn is not called on a miss). The
-// entry — including its NAs slice — is valid only for the duration of
-// fn and must not be mutated or retained; copy out whatever must
-// outlive the call. This is the zero-allocation read path: servers
-// encode the entry to the wire inside fn, under the entry's shard read
-// lock, so the clone Get pays per call never happens.
-func (s *Store) View(g guid.GUID, fn func(Entry)) bool {
-	ins := s.ins.Load()
-	sh := s.shardFor(g)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.m[g]
-	if ins != nil {
-		ins.gets.Inc()
-		if ok {
-			ins.hits.Inc()
-		}
-	}
-	if !ok {
-		return false
-	}
-	fn(e)
-	return true
+	return ok
 }
 
 // Delete removes the mapping for g, reporting whether it existed. On a
@@ -309,8 +404,7 @@ func (s *Store) Delete(g guid.GUID) bool {
 			return false
 		}
 	}
-	delete(sh.m, g)
-	sh.sizeBits -= int64(old.SizeBits())
+	sh.remove(g, old)
 	s.maybeSnapshot(sh)
 	return true
 }
@@ -369,8 +463,8 @@ func (s *Store) Range(fn func(Entry) bool) {
 func rangeShard(sh *shard, fn func(Entry) bool) bool {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for _, e := range sh.m {
-		if !fn(e.clone()) {
+	for g, v := range sh.m {
+		if !fn(Entry{GUID: g, NAs: sh.unpack(g, v, make([]NA, v.n)), Version: v.version, Meta: v.meta}) {
 			return false
 		}
 	}
@@ -382,21 +476,35 @@ func rangeShard(sh *shard, fn func(Entry) bool) bool {
 // GUID order, in the on-disk entry codec. Two stores holding the same
 // mappings produce byte-identical dumps at any shard count — the
 // cross-shard iteration-determinism invariant the migration and
-// anti-entropy machinery depend on.
+// anti-entropy machinery depend on. Shard ranges tile the keyspace in
+// order, so it is each shard's sorted records, one shard after another.
 func (s *Store) AppendDump(dst []byte) []byte {
-	var all []Entry
-	s.Range(func(e Entry) bool {
-		all = append(all, e)
-		return true
-	})
-	slices.SortFunc(all, func(a, b Entry) int { return bytes.Compare(a.GUID[:], b.GUID[:]) })
-	var cnt [8]byte
-	for i := range cnt {
-		cnt[7-i] = byte(uint64(len(all)) >> (8 * i))
+	head, n := len(dst), 0
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		dst = sh.appendSorted(dst)
+		sh.mu.RUnlock()
 	}
-	dst = append(dst, cnt[:]...)
-	for _, e := range all {
-		dst = appendEntry(dst, e)
+	binary.BigEndian.PutUint64(dst[head:], uint64(n))
+	return dst
+}
+
+// appendSorted appends every record of sh to dst in ascending GUID
+// order, in the on-disk entry codec. Callers hold sh.mu. What is sorted
+// is the 20-byte keys: each record is then looked up as it is encoded,
+// which costs less than copying and sorting whole records would.
+func (sh *shard) appendSorted(dst []byte) []byte {
+	keys := make([]guid.GUID, 0, len(sh.m))
+	for g := range sh.m {
+		keys = append(keys, g)
+	}
+	sort.Sort(keysInOrder(keys))
+	for i := range keys {
+		r, _ := sh.record(keys[i])
+		dst = appendEntry(dst, keys[i], &r)
 	}
 	return dst
 }
@@ -411,7 +519,7 @@ func (s *Store) Extract(pred func(guid.GUID) bool) []Entry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for g, e := range sh.m {
+		for g, v := range sh.m {
 			if !pred(g) {
 				continue
 			}
@@ -420,9 +528,8 @@ func (s *Store) Extract(pred func(guid.GUID) bool) []Entry {
 					continue // keep it: an unlogged removal would resurrect
 				}
 			}
-			out = append(out, e) // already isolated: removed below
-			delete(sh.m, g)
-			sh.sizeBits -= int64(e.SizeBits())
+			out = append(out, Entry{GUID: g, NAs: sh.unpack(g, v, make([]NA, v.n)), Version: v.version, Meta: v.meta})
+			sh.remove(g, v)
 		}
 		sh.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,35 +124,39 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestView(t *testing.T) {
+func TestRead(t *testing.T) {
 	s := New()
 	e := entry("view", 3, 1, 2)
 	if _, err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	var seen Entry
-	if !s.View(e.GUID, func(v Entry) { seen = v.clone() }) {
-		t.Fatal("View missed an existing entry")
+	var buf [MaxNAs]NA
+	seen, ok := s.Read(e.GUID, &buf)
+	if !ok {
+		t.Fatal("Read missed an existing entry")
 	}
-	if seen.GUID != e.GUID || seen.Version != 3 || len(seen.NAs) != 2 {
-		t.Fatalf("View observed %+v", seen)
+	if seen.GUID != e.GUID || seen.Version != 3 || !slices.Equal(seen.NAs, e.NAs) {
+		t.Fatalf("Read observed %+v", seen)
 	}
-	// A miss must not invoke fn.
-	if s.View(guid.New("absent"), func(Entry) { t.Error("fn called on a miss") }) {
-		t.Fatal("View claimed a hit for an absent GUID")
+	if miss, ok := s.Read(guid.New("absent"), &buf); ok || miss.NAs != nil {
+		t.Fatalf("Read of an absent GUID = %+v, %v", miss, ok)
 	}
-	// View hands out the stored entry without cloning, so — unlike Get —
-	// the callback's view aliases the store; that is the point. What is
-	// gated here is that the counters still track it like a read.
+	// Read hands out a copy in the caller's buffer: scribbling over it
+	// must not reach the store.
+	seen.NAs[0].AS, buf[1].AS = 999, 888
+	if again, _ := s.Get(e.GUID); !slices.Equal(again.NAs, e.NAs) {
+		t.Errorf("writing to Read's buffer changed the stored entry: %+v", again)
+	}
+	// The counters track it like any read.
 	reg := metrics.NewRegistry()
 	s.Instrument(reg, "store")
-	if !s.View(e.GUID, func(Entry) {}) {
-		t.Fatal("View missed after instrumentation")
+	if _, ok := s.Read(e.GUID, &buf); !ok {
+		t.Fatal("Read missed after instrumentation")
 	}
-	s.View(guid.New("absent"), func(Entry) {})
+	s.Read(guid.New("absent"), &buf)
 	snap := reg.Snapshot()
 	if got := snap.Counters["store.gets"]; got != 2 {
-		t.Errorf("store.gets = %d after two Views, want 2", got)
+		t.Errorf("store.gets = %d after two Reads, want 2", got)
 	}
 	if got := snap.Counters["store.hits"]; got != 1 {
 		t.Errorf("store.hits = %d, want 1", got)

@@ -33,14 +33,12 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -362,8 +360,7 @@ func (s *Store) replayWAL(sh *shard, lg *shardLog, b []byte, index, shards int) 
 	}
 	off := int64(walHeaderLen)
 	rest := b[walHeaderLen:]
-	var e Entry
-	e.NAs = make([]NA, 0, MaxNAs)
+	var r record
 	for len(rest) > 0 {
 		if len(rest) < recHeaderLen {
 			break // torn record header
@@ -383,11 +380,11 @@ func (s *Store) replayWAL(sh *shard, lg *shardLog, b []byte, index, shards int) 
 		if seq > lg.seq {
 			switch op {
 			case opPut:
-				tail, err := decodeEntry(&e, payload)
+				g, tail, err := decodeEntry(&r, payload)
 				if err != nil || len(tail) != 0 {
 					return off, nil // corrupt payload: treat as torn
 				}
-				applyRecovered(sh, e.clone())
+				sh.set(g, &r, sh.m[g])
 			case opDelete:
 				if len(payload) != guid.Size {
 					return off, nil
@@ -395,8 +392,7 @@ func (s *Store) replayWAL(sh *shard, lg *shardLog, b []byte, index, shards int) 
 				var g guid.GUID
 				copy(g[:], payload)
 				if old, ok := sh.m[g]; ok {
-					delete(sh.m, g)
-					sh.sizeBits -= int64(old.SizeBits())
+					sh.remove(g, old)
 				}
 			default:
 				return off, nil
@@ -408,19 +404,6 @@ func (s *Store) replayWAL(sh *shard, lg *shardLog, b []byte, index, shards int) 
 		off += int64(recHeaderLen + n)
 	}
 	return off, nil
-}
-
-// applyRecovered installs e during recovery (no locking: the store is
-// not yet shared).
-func applyRecovered(sh *shard, e Entry) {
-	if sh.m == nil {
-		sh.m = make(map[guid.GUID]Entry)
-	}
-	if old, ok := sh.m[e.GUID]; ok {
-		sh.sizeBits -= int64(old.SizeBits())
-	}
-	sh.m[e.GUID] = e
-	sh.sizeBits += int64(e.SizeBits())
 }
 
 // loadSnapshot reads a snapshot file into sh, returning the snapshot
@@ -436,54 +419,53 @@ func (s *Store) loadSnapshot(sh *shard, path string, index, shards int) (uint64,
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: read %s: %w", path, err)
 	}
-	seq, entries, err := decodeSnapshot(b, index, shards, path)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, e := range entries {
-		applyRecovered(sh, e)
-	}
-	return seq, len(entries), nil
+	return decodeSnapshot(sh, b, index, shards, path)
 }
 
-// decodeSnapshot parses and fully validates a snapshot image.
-func decodeSnapshot(b []byte, index, shards int, path string) (uint64, []Entry, error) {
+// decodeSnapshot parses and fully validates a snapshot image, storing
+// its entries in sh — not yet shared, so unlocked — as it decodes them:
+// the image's bytes are the only staging. It returns the snapshot seq
+// and entry count. On an error sh holds a prefix of the image, and Open
+// fails as a whole.
+func decodeSnapshot(sh *shard, b []byte, index, shards int, path string) (uint64, int, error) {
 	const fixed = walHeaderLen + 8 + 8 // header ‖ seq ‖ count
 	if len(b) < fixed+4 {
-		return 0, nil, fmt.Errorf("store: %s: short snapshot", path)
+		return 0, 0, fmt.Errorf("store: %s: short snapshot", path)
 	}
 	if err := checkFileHeader(b, snapMagic, index, shards, path); err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(tail) {
-		return 0, nil, fmt.Errorf("store: %s: checksum mismatch", path)
+		return 0, 0, fmt.Errorf("store: %s: checksum mismatch", path)
 	}
 	seq := binary.BigEndian.Uint64(b[walHeaderLen:])
 	count := binary.BigEndian.Uint64(b[walHeaderLen+8:])
 	rest := body[fixed:]
 	if count > uint64(len(rest))/entryFixedLen+1 {
-		return 0, nil, fmt.Errorf("store: %s: entry count %d exceeds file size", path, count)
+		return 0, 0, fmt.Errorf("store: %s: entry count %d exceeds file size", path, count)
 	}
-	entries := make([]Entry, 0, count)
+	if count > 0 && sh.m == nil {
+		sh.m = make(map[guid.GUID]slim, count)
+	}
+	var r record
 	for i := uint64(0); i < count; i++ {
-		var e Entry
-		var err error
-		rest, err = decodeEntry(&e, rest)
+		g, tail, err := decodeEntry(&r, rest)
 		if err != nil {
-			return 0, nil, fmt.Errorf("store: %s: entry %d: %w", path, i, err)
+			return 0, 0, fmt.Errorf("store: %s: entry %d: %w", path, i, err)
 		}
-		entries = append(entries, e)
+		sh.set(g, &r, sh.m[g])
+		rest = tail
 	}
 	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("store: %s: %d trailing bytes", path, len(rest))
+		return 0, 0, fmt.Errorf("store: %s: %d trailing bytes", path, len(rest))
 	}
-	return seq, entries, nil
+	return seq, int(count), nil
 }
 
 // appendPut logs an applied Put. Called under the shard write lock.
-func (lg *shardLog) appendPut(e Entry) error {
-	return lg.appendRecord(opPut, func(dst []byte) []byte { return appendEntry(dst, e) })
+func (lg *shardLog) appendPut(g guid.GUID, r *record) error {
+	return lg.appendRecord(opPut, func(dst []byte) []byte { return appendEntry(dst, g, r) })
 }
 
 // appendDelete logs an applied Delete. Called under the shard write lock.
@@ -532,6 +514,17 @@ func (lg *shardLog) appendRecord(op byte, payload func([]byte) []byte) error {
 // fsyncAlways reports whether this log flushes on every record. Set
 // once at recovery via the store options; read under the shard lock.
 func (lg *shardLog) fsyncAlways() bool { return lg.always }
+
+// walBytes returns the bytes every shard's log holds, 0 on a memory-only
+// store. It takes no lock: a shard's log is set by Open and never after.
+func (s *Store) walBytes() (n int64) {
+	for i := range s.shards {
+		if lg := s.shards[i].log; lg != nil {
+			n += lg.walSize.Load()
+		}
+	}
+	return n
+}
 
 // maybeSnapshot nudges the compactor when sh's log has outgrown the
 // snapshot threshold. Called under the shard lock; never blocks.
@@ -628,18 +621,10 @@ func (s *Store) snapshotShard(i int) error {
 		return ErrClosed
 	}
 
-	entries := make([]Entry, 0, len(sh.m))
-	for _, e := range sh.m {
-		entries = append(entries, e)
-	}
-	// Not guid.Compare: its by-value GUID copies made this sort 2x dearer (EXPERIMENTS.md).
-	slices.SortFunc(entries, func(a, b Entry) int { return bytes.Compare(a.GUID[:], b.GUID[:]) })
 	img := writeFileHeader(nil, snapMagic, i, len(s.shards))
 	img = binary.BigEndian.AppendUint64(img, lg.seq)
-	img = binary.BigEndian.AppendUint64(img, uint64(len(entries)))
-	for _, e := range entries {
-		img = appendEntry(img, e)
-	}
+	img = binary.BigEndian.AppendUint64(img, uint64(len(sh.m)))
+	img = sh.appendSorted(img)
 	img = binary.BigEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
 
 	final := snapPath(s.wal.dir, i)
@@ -651,6 +636,9 @@ func (s *Store) snapshotShard(i int) error {
 		return fmt.Errorf("store: truncate %s: %w", lg.path, err)
 	}
 	lg.walSize.Store(walHeaderLen)
+	if ins := s.ins.Load(); ins != nil {
+		ins.snapshots.Inc()
+	}
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dmap/internal/guid"
+	"dmap/internal/metrics"
 )
 
 func openTemp(t *testing.T, opts Options) *Store {
@@ -580,5 +581,68 @@ func TestViewInto(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ViewInto allocs/op = %v, want 0", allocs)
+	}
+}
+
+// The durability plane's metrics: snapshots completed per shard, the
+// bytes the logs hold, and what Open found — which start-up printed once
+// and then lost.
+func TestDurabilityMetrics(t *testing.T) {
+	dir := t.TempDir()
+	s := openTemp(t, Options{Dir: dir, Shards: 2, SnapshotBytes: -1})
+	reg := metrics.NewRegistry()
+	s.Instrument(reg, "store")
+	for i := 0; i < 20; i++ {
+		mustPut(t, s, entry(fmt.Sprintf("g%d", i), 1, i))
+	}
+	files := func() (n int64) {
+		for i := 0; i < 2; i++ {
+			fi, err := os.Stat(walPath(dir, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	if got := reg.Snapshot().Gauges["store.wal_bytes"]; got != float64(files()) || got <= 2*walHeaderLen {
+		t.Errorf("store.wal_bytes = %g, the logs hold %d bytes", got, files())
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["store.snapshots"]; got != 2 {
+		t.Errorf("store.snapshots = %d after one Snapshot of two shards, want 2", got)
+	}
+	if got := snap.Gauges["store.wal_bytes"]; got != 2*walHeaderLen {
+		t.Errorf("store.wal_bytes = %g after truncation, want the two headers", got)
+	}
+	mustPut(t, s, entry("tail", 1, 1))
+	s.Close()
+	f, err := os.OpenFile(walPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{1, 2, 3}) // a torn record header
+	f.Close()
+
+	r := openTemp(t, Options{Dir: dir, Shards: 2, SnapshotBytes: -1})
+	reg = metrics.NewRegistry()
+	r.Instrument(reg, "store")
+	snap = reg.Snapshot()
+	if got := snap.Gauges["store.recovered_entries"]; got != 21 {
+		t.Errorf("store.recovered_entries = %g, want 20 snapshot entries + 1 replayed record", got)
+	}
+	if got := snap.Gauges["store.recovery_torn_bytes"]; got != 3 {
+		t.Errorf("store.recovery_torn_bytes = %g, want 3", got)
+	}
+	// A memory-only store registers the same names, all zero.
+	reg = metrics.NewRegistry()
+	New().Instrument(reg, "store")
+	for _, name := range []string{"store.wal_bytes", "store.recovered_entries", "store.recovery_torn_bytes"} {
+		if got, ok := reg.Snapshot().Gauges[name]; !ok || got != 0 {
+			t.Errorf("memory-only %s = %g, %v; want 0, registered", name, got, ok)
+		}
 	}
 }

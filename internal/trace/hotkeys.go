@@ -13,6 +13,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
 
@@ -28,13 +29,16 @@ type HotKey struct {
 }
 
 // SpaceSaving is a fixed-capacity top-K frequency tracker. Safe for
-// concurrent use; Observe on a monitored key is a map hit and an
-// increment under a mutex, eviction is a linear min-scan over K
-// entries (K is small: tens).
+// concurrent use. Observe, under a mutex, scans the first eight bytes of
+// the K monitored GUIDs for the key (K is small: tens) and, on a miss,
+// their counts for the minimum to evict. There is no index beside the
+// arrays: on a stream without repeats — a re-homing batch, a uniform
+// update load — every call is a miss, and a map probe, delete and insert
+// per miss cost more than the scan they sat beside (DESIGN.md §8).
 type SpaceSaving struct {
 	mu      sync.Mutex
 	cap     int
-	index   map[guid.GUID]int // GUID → entries slot
+	heads   []uint64 // heads[i] is the first eight bytes of entries[i].GUID
 	entries []HotKey
 	total   uint64
 }
@@ -45,25 +49,31 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving{cap: k, index: make(map[guid.GUID]int, k)}
+	return &SpaceSaving{cap: k}
 }
 
 // Observe counts one occurrence of g.
 func (s *SpaceSaving) Observe(g guid.GUID) {
+	// GUIDs are hash outputs: two monitored keys sharing a head is a
+	// 2^-64 event, so the full comparison runs once, on the hit.
+	head := binary.LittleEndian.Uint64(g[:])
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total++
-	if i, ok := s.index[g]; ok {
-		s.entries[i].Count++
-		return
+	for i, h := range s.heads {
+		if h == head && s.entries[i].GUID == g {
+			s.entries[i].Count++
+			return
+		}
 	}
 	if len(s.entries) < s.cap {
-		s.index[g] = len(s.entries)
+		s.heads = append(s.heads, head)
 		s.entries = append(s.entries, HotKey{GUID: g, Count: 1})
 		return
 	}
-	// Evict the minimum-count key: the newcomer inherits min+1 with
-	// error bound min — the Space-Saving replacement rule.
+	// Evict the minimum-count key (the first of them): the newcomer
+	// inherits min+1 with error bound min — the Space-Saving
+	// replacement rule.
 	mi := 0
 	for i := 1; i < len(s.entries); i++ {
 		if s.entries[i].Count < s.entries[mi].Count {
@@ -71,11 +81,10 @@ func (s *SpaceSaving) Observe(g guid.GUID) {
 		}
 	}
 	e := &s.entries[mi]
-	delete(s.index, e.GUID)
-	s.index[g] = mi
 	e.Err = e.Count
 	e.Count++
 	e.GUID = g
+	s.heads[mi] = head
 }
 
 // Top returns up to n monitored keys, hottest first (ties broken by

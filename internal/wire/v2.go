@@ -214,8 +214,11 @@ func AppendBatchCount(dst []byte, n int) ([]byte, error) {
 	return binary.BigEndian.AppendUint16(dst, uint16(n)), nil
 }
 
-// decodeBatchCount decodes and validates the leading uint16 count.
-func decodeBatchCount(b []byte) (int, []byte, error) {
+// DecodeBatchCount decodes and validates the leading uint16 count and
+// returns the items' bytes: exported, like AppendBatchCount, for a
+// decoder that streams its items — the server stores each entry of a
+// batch insert as it decodes it instead of staging a []store.Entry.
+func DecodeBatchCount(b []byte) (int, []byte, error) {
 	if len(b) < 2 {
 		return 0, nil, ErrTruncated
 	}
@@ -244,7 +247,7 @@ func AppendBatchInsert(dst []byte, entries []store.Entry) ([]byte, error) {
 // DecodeBatchInsert decodes a MsgBatchInsert body. Trailing bytes are
 // rejected: an honest encoder never leaves any.
 func DecodeBatchInsert(b []byte) ([]store.Entry, error) {
-	n, b, err := decodeBatchCount(b)
+	n, b, err := DecodeBatchCount(b)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +282,7 @@ func AppendBatchInsertAck(dst []byte, acked []bool) ([]byte, error) {
 
 // DecodeBatchInsertAck decodes a MsgBatchInsertAck body.
 func DecodeBatchInsertAck(b []byte) ([]bool, error) {
-	n, b, err := decodeBatchCount(b)
+	n, b, err := DecodeBatchCount(b)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +317,7 @@ func AppendBatchLookup(dst []byte, gs []guid.GUID) ([]byte, error) {
 
 // DecodeBatchLookup decodes a MsgBatchLookup body.
 func DecodeBatchLookup(b []byte) ([]guid.GUID, error) {
-	n, b, err := decodeBatchCount(b)
+	n, b, err := DecodeBatchCount(b)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +350,7 @@ func AppendBatchLookupResp(dst []byte, rs []LookupResp) ([]byte, error) {
 
 // DecodeBatchLookupResp decodes a MsgBatchLookupResp body.
 func DecodeBatchLookupResp(b []byte) ([]LookupResp, error) {
-	n, b, err := decodeBatchCount(b)
+	n, b, err := DecodeBatchCount(b)
 	if err != nil {
 		return nil, err
 	}

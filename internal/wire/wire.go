@@ -226,49 +226,57 @@ func AppendEntry(dst []byte, e store.Entry) ([]byte, error) {
 
 // DecodeEntry decodes an entry and returns the remaining bytes. It
 // allocates a fresh NAs slice; hot paths that can reuse a buffer should
-// call DecodeEntryInto.
+// call DecodeEntryInto or DecodeEntryAppend.
 func DecodeEntry(b []byte) (store.Entry, []byte, error) {
-	var e store.Entry
-	rest, err := DecodeEntryInto(&e, b)
-	if err != nil {
-		return store.Entry{}, nil, err
-	}
-	return e, rest, nil
+	return DecodeEntryAppend(nil, b)
 }
 
 // DecodeEntryInto decodes an entry into e, reusing e.NAs' capacity, and
 // returns the remaining bytes. With cap(e.NAs) >= store.MaxNAs it
 // allocates nothing — the caller-supplied-buffer decode the client's
-// LookupInto path is built on. On error e's contents are unspecified.
+// LookupInto path is built on. On error e is left as it was.
 func DecodeEntryInto(e *store.Entry, b []byte) ([]byte, error) {
-	const fixed = guid.Size + 8 + 4 + 1
-	if len(b) < fixed {
-		return nil, ErrTruncated
-	}
-	copy(e.GUID[:], b[:guid.Size])
-	b = b[guid.Size:]
-	e.Version = binary.BigEndian.Uint64(b)
-	e.Meta = binary.BigEndian.Uint32(b[8:])
-	n := int(b[12])
-	b = b[13:]
-	if n == 0 || n > store.MaxNAs {
-		return nil, fmt.Errorf("wire: NA count %d out of range", n)
-	}
-	if len(b) < 8*n {
-		return nil, ErrTruncated
-	}
-	e.NAs = e.NAs[:0]
-	for i := 0; i < n; i++ {
-		e.NAs = append(e.NAs, store.NA{
-			AS:   int(binary.BigEndian.Uint32(b)),
-			Addr: netaddr.Addr(binary.BigEndian.Uint32(b[4:])),
-		})
-		b = b[8:]
-	}
-	if err := e.Validate(); err != nil {
+	d, rest, err := DecodeEntryAppend(e.NAs[:0], b)
+	if err != nil {
 		return nil, err
 	}
-	return b, nil
+	*e = d
+	return rest, nil
+}
+
+// DecodeEntryAppend decodes an entry whose NAs are nas with the decoded
+// ones appended, and returns the remaining bytes. It is the one body of
+// the entry decode, by value so that a buffer on the caller's stack —
+// nas[:0] of a [store.MaxNAs]store.NA, as the server decodes an insert —
+// stays there: handed to DecodeEntryInto the same buffer would move to
+// the heap, since what is stored through a pointer, as e.NAs is there,
+// escapes.
+func DecodeEntryAppend(nas []store.NA, b []byte) (e store.Entry, rest []byte, err error) {
+	const fixed = guid.Size + 8 + 4 + 1
+	if len(b) < fixed {
+		return store.Entry{}, nil, ErrTruncated
+	}
+	n := int(b[fixed-1])
+	if n == 0 || n > store.MaxNAs {
+		return store.Entry{}, nil, fmt.Errorf("wire: NA count %d out of range", n)
+	}
+	if len(b) < fixed+8*n {
+		return store.Entry{}, nil, ErrTruncated
+	}
+	copy(e.GUID[:], b)
+	e.Version = binary.BigEndian.Uint64(b[guid.Size:])
+	e.Meta = binary.BigEndian.Uint32(b[guid.Size+8:])
+	for rest = b[fixed:]; n > 0; n, rest = n-1, rest[8:] {
+		nas = append(nas, store.NA{
+			AS:   int(binary.BigEndian.Uint32(rest)),
+			Addr: netaddr.Addr(binary.BigEndian.Uint32(rest[4:])),
+		})
+	}
+	e.NAs = nas
+	if err := e.Validate(); err != nil {
+		return store.Entry{}, nil, err
+	}
+	return e, rest, nil
 }
 
 // AppendGUID encodes a bare GUID.

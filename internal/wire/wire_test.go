@@ -134,6 +134,31 @@ func TestEntryValidationOnBothSides(t *testing.T) {
 	}
 }
 
+// An AS index travels in four bytes: one that does not fit is refused by
+// the encoder (store.Entry.Validate), never truncated into another AS,
+// and the ends of the range round-trip.
+func TestEntryASIndexBounds(t *testing.T) {
+	for _, c := range []struct {
+		as int
+		ok bool
+	}{{-1, false}, {0, true}, {1<<32 - 1, true}, {1 << 32, false}} {
+		e := sampleEntry(2)
+		e.NAs[1].AS = c.as
+		enc, err := AppendEntry(nil, e)
+		if (err == nil) != c.ok {
+			t.Errorf("AppendEntry with AS %d: err = %v, want accepted = %v", c.as, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		var nas [store.MaxNAs]store.NA
+		if dec, rest, err := DecodeEntryAppend(nas[:0], enc); err != nil || len(rest) != 0 || dec.NAs[1].AS != c.as {
+			t.Errorf("AS %d decoded as %+v, rest %d, %v", c.as, dec.NAs, len(rest), err)
+		}
+	}
+}
+
 func TestDecodeEntryTruncated(t *testing.T) {
 	enc, _ := AppendEntry(nil, sampleEntry(3))
 	for cut := 0; cut < len(enc); cut++ {

@@ -14,6 +14,11 @@
 # where a request view into the reader's buffer, or a reply in a pooled
 # one, could outlive its release. Running the wire tests also replays the
 # checked-in fuzz seed corpus (FuzzDecodeFrame, FuzzDecodeFrameV2 et al.).
+# The store rides the race pass for its packed table: a mapping's first NA
+# and its further ones live in two maps under one shard lock, and
+# TestReadersNeverSeeTwoVersions reads one GUID while a writer flips it
+# between one NA and five. The hot-key tracker (internal/trace) is one
+# mutex over two parallel arrays, observed from every connection.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -116,6 +121,14 @@ go test -run '^$' -fuzz '^FuzzTableOps$' -fuzztime=10s ./internal/prefixtable
 # run above; these hunt new inputs.
 go test -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadSnapshot$' -fuzztime=10s ./internal/store
+
+# Fuzz smoke on the store's packed table (DESIGN.md §10): any sequence of
+# puts that walk a GUID's NA count up and down, stale puts, deletes,
+# extracts and reads must leave the store — at 1, 8 and 64 shards,
+# memory-only and durable across a reopen — agreeing with a plain
+# map[GUID]Entry on every read, on SizeBits and on the dump's bytes, with
+# the overflow map holding exactly the multi-homed GUIDs.
+go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime=10s ./internal/store
 
 # Fuzz smoke on the anti-entropy repair frames (DESIGN.md §12): digest
 # and diff payloads arrive from peers, so their decoders must reject
