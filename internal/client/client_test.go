@@ -22,6 +22,12 @@ import (
 // returns a connected client. Nodes are shut down via t.Cleanup.
 func testCluster(t *testing.T, numAS, k int) (*Cluster, []*server.Node) {
 	t.Helper()
+	return testClusterOpts(t, numAS, k, server.Options{})
+}
+
+// testClusterOpts is testCluster with every node built from opts.
+func testClusterOpts(t *testing.T, numAS, k int, opts server.Options) (*Cluster, []*server.Node) {
+	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
 		NumAS:             numAS,
 		NumPrefixes:       numAS * 12,
@@ -38,7 +44,7 @@ func testCluster(t *testing.T, numAS, k int) (*Cluster, []*server.Node) {
 	nodes := make([]*server.Node, numAS)
 	addrs := make(map[int]string, numAS)
 	for as := 0; as < numAS; as++ {
-		n := server.New(nil, nil)
+		n := server.NewWithOptions(nil, opts)
 		addr, err := n.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +147,7 @@ func TestLookupInto(t *testing.T) {
 // kill: the full TCP round trip must not touch the heap.
 func TestLookupIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates; the alloc budget is asserted in non-race builds and by scripts/bench.sh alloc")
+		t.Skip("race instrumentation allocates; the alloc budget is asserted in non-race builds")
 	}
 	c, _ := testCluster(t, 4, 1)
 	e := clusterEntry("hot", 1)
@@ -163,6 +169,15 @@ func TestLookupIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("LookupInto allocs/op = %v, want 0", allocs)
+	}
+	// The other half of the law: plain Lookup pays for the NAs it
+	// returns and nothing else.
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Lookup(e.GUID); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("Lookup allocs/op = %v, want ≤ 1", allocs)
 	}
 }
 

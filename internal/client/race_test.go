@@ -4,5 +4,5 @@ package client
 
 // raceEnabled gates allocation-count assertions: the race detector's
 // instrumentation allocates on its own, so exact allocs/op is only
-// meaningful in non-race builds (scripts/bench.sh alloc is the gate).
+// meaningful in non-race builds, where the same tests assert it.
 const raceEnabled = true

@@ -7,7 +7,10 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +18,8 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/prefixtable"
+	"dmap/internal/server"
+	"dmap/internal/store"
 	"dmap/internal/wire"
 )
 
@@ -218,5 +223,63 @@ func TestLegacyGenericErrorStillRejects(t *testing.T) {
 	}
 	if st := c.Stats(); st.Sheds != 0 {
 		t.Errorf("Sheds = %d, want 0", st.Sheds)
+	}
+}
+
+// TestPipelinedCallersShedAgainstRealNodes is the one shed test with
+// nothing scripted: many goroutines share a Cluster's connection to real
+// nodes that admit one request per connection. Their frames reach a node
+// as a burst, and a lookup served on the read loop holds its slot until
+// the burst's flush, so the node must shed part of every burst; the
+// client must see those sheds, back off, still get answers, and hand
+// every caller either an entry or the overload.
+func TestPipelinedCallersShedAgainstRealNodes(t *testing.T) {
+	c, nodes := testClusterOpts(t, 2, 1, server.Options{MaxConnInflight: 1})
+	keys := make([]guid.GUID, 32)
+	for i := range keys {
+		e := clusterEntry(fmt.Sprintf("shed-key-%d", i), 1)
+		keys[i] = e.GUID
+		if _, err := c.Insert(e); err != nil { // one in flight: admitted
+			t.Fatal(err)
+		}
+	}
+	const callers, each = 32, 25
+	var served, overloaded atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var e store.Entry
+			for j := 0; j < each; j++ {
+				// K = 1: nowhere to fail over, so a replica that sheds
+				// every attempt surfaces as the lookup's last error.
+				switch err := c.LookupInto(keys[(i+j)%len(keys)], &e); {
+				case err == nil:
+					served.Add(1)
+				case strings.Contains(err.Error(), ErrOverload.Error()):
+					overloaded.Add(1)
+				default:
+					t.Errorf("lookup failed with neither an entry nor the overload: %v", err)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	var nodeSheds int64
+	for _, n := range nodes {
+		nodeSheds += n.Stats().Sheds
+	}
+	if nodeSheds == 0 {
+		t.Errorf("nodes shed nothing with MaxConnInflight=1 under %d pipelined callers", callers)
+	}
+	if c.Stats().Sheds == 0 {
+		t.Error("the client observed no sheds")
+	}
+	if served.Load() == 0 {
+		t.Error("no lookup was served; backing off and retrying should recover some")
+	}
+	if got := served.Load() + overloaded.Load(); got != callers*each {
+		t.Errorf("served + overloaded = %d, issued %d", got, callers*each)
 	}
 }

@@ -17,6 +17,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -398,7 +399,7 @@ func (p *Prober) roundTrip(t int, mt wire.MsgType, payload []byte) (wire.MsgType
 	conn := p.conns[t]
 	if conn == nil {
 		var err error
-		if conn, err = wire.Dial(p.cfg.Targets[t].Addr, p.cfg.Timeout, 0); err != nil {
+		if conn, err = wire.Dial(context.Background(), p.cfg.Targets[t].Addr, p.cfg.Timeout, 0); err != nil {
 			return 0, nil, err
 		}
 		p.conns[t] = conn

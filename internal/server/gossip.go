@@ -15,6 +15,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -62,12 +63,12 @@ func (n *Node) gossipLoop() {
 	next := 0
 	for {
 		select {
-		case <-n.gossipStop:
+		case <-n.gossipCtx.Done():
 			return
 		case <-ticker.C:
 		}
-		if n.draining.Load() {
-			continue
+		if n.gossipCtx.Err() != nil || n.draining.Load() {
+			continue // a tick can win the select against Close
 		}
 		addr := n.gossipOpts.Peers[next%len(n.gossipOpts.Peers)]
 		next++
@@ -87,7 +88,7 @@ var errPeerShed = fmt.Errorf("server: peer shed repair frame")
 // from scratch, and freshest-wins makes re-covered ground free.
 func (n *Node) gossipSweep(addr string) error {
 	n.repairSweeps.Add(1)
-	gc, err := dialGossip(addr)
+	gc, err := dialGossip(n.gossipCtx, addr)
 	if err != nil {
 		n.repairPeerErrs.Add(1)
 		return err
@@ -103,12 +104,7 @@ func (n *Node) gossipSweep(addr string) error {
 		shardAfter, shardThrough := n.store.ShardRange(shard)
 		cursor := shardAfter
 		for guid.Compare(cursor, shardThrough) < 0 {
-			select {
-			case <-n.gossipStop:
-				return nil
-			default:
-			}
-			if n.draining.Load() {
+			if n.gossipCtx.Err() != nil || n.draining.Load() {
 				return nil
 			}
 			var more bool
@@ -166,7 +162,7 @@ func (n *Node) gossipThrottle(units int) {
 	}
 	d := time.Duration(units) * time.Second / time.Duration(rate)
 	select {
-	case <-n.gossipStop:
+	case <-n.gossipCtx.Done():
 	case <-time.After(d):
 	}
 }
@@ -175,8 +171,8 @@ func (n *Node) gossipThrottle(units int) {
 // exchange in flight, FeatRepair granted. A peer that does not grant
 // the repair extension is an error: sweeping it would only burn
 // unknown-frame rejections.
-func dialGossip(addr string) (*wire.Conn, error) {
-	gc, err := wire.Dial(addr, gossipDialTimeout, wire.FeatRepair)
+func dialGossip(ctx context.Context, addr string) (*wire.Conn, error) {
+	gc, err := wire.Dial(ctx, addr, gossipDialTimeout, wire.FeatRepair)
 	if err != nil {
 		return nil, fmt.Errorf("server: gossip: %w", err)
 	}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -184,7 +186,7 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 	putAll(t, n.Store(), gossipEntry("theirs", 9))
 	n.Drain()
 
-	gc, err := dialGossip(addr)
+	gc, err := dialGossip(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 func TestGossipReplyBufferReused(t *testing.T) {
 	n, addr := startNode(t)
 	putAll(t, n.Store(), gossipEntry("theirs-a", 5), gossipEntry("theirs-b", 6))
-	gc, err := dialGossip(addr)
+	gc, err := dialGossip(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +262,73 @@ func TestGossipReplyBufferReused(t *testing.T) {
 		if w, ok := want[e.GUID]; !ok || e.Version != w.Version || len(e.NAs) != len(w.NAs) || e.NAs[0] != w.NAs[0] {
 			t.Fatalf("entry decoded from the first reply changed under later exchanges: %+v", e)
 		}
+	}
+}
+
+// TestCloseDoesNotWaitForSilentGossipPeer: a peer that goes silent — with
+// the sweeper's hello unanswered, or its first digest page — holds a
+// sweep for gossipDialTimeout or gossipExchangeWait, seconds both; Close
+// must end the sweep's connection, not wait the timeout out. The aborted
+// sweep is counted once at most.
+func TestCloseDoesNotWaitForSilentGossipPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ackHello bool
+	}{
+		{"hello unanswered", false},
+		{"digest unanswered", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			waiting := make(chan struct{}) // closed once the sweeper waits for an answer
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.MsgHello {
+					return
+				}
+				if tc.ackHello {
+					if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, wire.Version2, wire.FeatRepair)); err != nil {
+						return
+					}
+					if typ, _, _, err := wire.ReadFrameID(conn); err != nil || typ != wire.MsgRepairDigest {
+						return
+					}
+				}
+				close(waiting)
+				_, _, _ = wire.ReadFrame(conn) // until the sweeper hangs up
+			}()
+
+			n := NewWithOptions(nil, Options{
+				Gossip: GossipOptions{Peers: []string{ln.Addr().String()}, Interval: 5 * time.Millisecond},
+			})
+			if _, err := n.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-waiting:
+			case <-time.After(5 * time.Second):
+				n.Close()
+				t.Fatal("the sweeper never reached the peer")
+			}
+			time.Sleep(20 * time.Millisecond) // a tick queues up behind the sweep: Close must beat it
+			start := time.Now()
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Errorf("Close took %v with a sweep waiting on a silent peer", elapsed)
+			}
+			if sweeps, failed := n.repairSweeps.Value(), n.repairPeerErrs.Value()+n.repairBackoffs.Value(); sweeps != 1 || failed > 1 {
+				t.Errorf("sweeps = %d, peer errors + backoffs = %d; want one sweep, counted once at most", sweeps, failed)
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -63,12 +64,14 @@ type Node struct {
 	admit           limiter
 	maxConnInflight int64
 
-	// Anti-entropy sweeper state (gossip.go). gossipStop is closed by
-	// Close; gossipOn marks the loop as launched so a second Start
-	// cannot double-run it.
-	gossipOpts GossipOptions
-	gossipStop chan struct{}
-	gossipOn   bool
+	// Anti-entropy sweeper state (gossip.go). gossipCtx is the sweeper's
+	// life, every connection it dials included, and Close ends it;
+	// gossipOn marks the loop as launched so a second Start cannot
+	// double-run it.
+	gossipOpts   GossipOptions
+	gossipCtx    context.Context
+	gossipCancel context.CancelFunc
+	gossipOn     bool
 
 	// All operational counters live on the node's metrics registry —
 	// the same numbers Stats() reports are what /debug/metrics serves.
@@ -243,8 +246,8 @@ func NewWithOptions(st *store.Store, opts Options) *Node {
 		repairPeerErrs:    reg.Counter("server.repair.peer_errors"),
 
 		gossipOpts: opts.Gossip,
-		gossipStop: make(chan struct{}),
 	}
+	n.gossipCtx, n.gossipCancel = context.WithCancel(context.Background())
 	n.admit.max = int64(opts.MaxInflight)
 	n.maxConnInflight = int64(opts.MaxConnInflight)
 	st.Instrument(reg, "store")
@@ -409,7 +412,7 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	close(n.gossipStop) // stops the sweeper; closed guards double-close
+	n.gossipCancel() // stops the sweeper and closes the connection it has open
 	ln := n.listener
 	conns := make([]net.Conn, 0, len(n.conns))
 	for c := range n.conns {

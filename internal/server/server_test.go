@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func dial(t *testing.T, addr string) net.Conn {
 // sweeper and the prober use. Tests that pipeline dial and call hello.
 func dialConn(t *testing.T, addr string, want byte) *wire.Conn {
 	t.Helper()
-	conn, err := wire.Dial(addr, time.Second, want)
+	conn, err := wire.Dial(context.Background(), addr, time.Second, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestCloseIsIdempotentAndStopsAccepting(t *testing.T) {
 	}
 	// A dial may succeed briefly on some platforms via the backlog; the
 	// handshake behind it must not.
-	if conn, err := wire.Dial(addr, 300*time.Millisecond, 0); err == nil {
+	if conn, err := wire.Dial(context.Background(), addr, 300*time.Millisecond, 0); err == nil {
 		conn.Close()
 		t.Fatal("closed node completed a handshake")
 	}

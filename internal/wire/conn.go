@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -51,6 +52,7 @@ func Handshake(conn net.Conn, timeout time.Duration, want byte) (feat byte, err 
 // leaves the stream in an unknown state: close it and dial again.
 type Conn struct {
 	conn net.Conn
+	stop func() bool // detaches conn from the context it was dialed under
 	rd   *Reader
 	feat byte
 	next uint64
@@ -59,24 +61,33 @@ type Conn struct {
 }
 
 // Dial connects to addr and performs the handshake, both within timeout.
-func Dial(addr string, timeout time.Duration, want byte) (*Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// The connection lives no longer than ctx: when ctx is done it is closed,
+// which fails the dial, the handshake or the RoundTrip in progress, so
+// whoever owns ctx never waits out a silent peer.
+func Dial(ctx context.Context, addr string, timeout time.Duration, want byte) (*Conn, error) {
+	d := net.Dialer{Timeout: timeout}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	feat, err := Handshake(conn, timeout, want)
 	if err != nil {
+		stop()
 		conn.Close()
 		return nil, err
 	}
-	return &Conn{conn: conn, rd: NewReader(conn), feat: feat}, nil
+	return &Conn{conn: conn, stop: stop, rd: NewReader(conn), feat: feat}, nil
 }
 
 // Feat returns the feature flags the peer granted.
 func (c *Conn) Feat() byte { return c.feat }
 
 // Close closes the connection.
-func (c *Conn) Close() error { return c.conn.Close() }
+func (c *Conn) Close() error {
+	c.stop()
+	return c.conn.Close()
+}
 
 // replyBuf hands the reader the connection's reply buffer, replacing it
 // when a reply outgrows it. Reuse is safe because exactly one exchange

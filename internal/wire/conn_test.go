@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"strings"
@@ -96,7 +97,7 @@ func TestHandshakeBounded(t *testing.T) {
 	addr := fakePeer(t, func(net.Conn) { <-release })
 	defer close(release)
 	start := time.Now()
-	if _, err := Dial(addr, 100*time.Millisecond, 0); err == nil {
+	if _, err := Dial(context.Background(), addr, 100*time.Millisecond, 0); err == nil {
 		t.Fatal("Dial succeeded against a peer that never answers the hello")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -129,7 +130,7 @@ func TestConnRoundTrip(t *testing.T) {
 			}
 		}
 	})
-	c, err := Dial(addr, time.Second, 0)
+	c, err := Dial(context.Background(), addr, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ go vet ./...
 go test -race ./internal/prefixtable/... ./internal/core/... ./internal/engine/... ./internal/topology/...
 go test -race ./internal/wire/... ./internal/simnet/... ./internal/nodesim/...
 go test -race ./internal/server/... ./internal/metrics/... ./internal/obs/...
-go test -race ./internal/trace/... ./internal/store/... ./internal/load/...
+go test -race ./internal/trace/... ./internal/store/...
 
 # The connection layer once more on a single P and on four: wire.Writer's
 # flush policy (yield once, then drain) is scheduler-dependent, and one P
@@ -62,7 +62,6 @@ go test -race -cpu 1,4 ./internal/server/...
 # blocks) is the scheduler's choice, and both orders must be exercised.
 go test -race -cpu 1,4 ./internal/client/...
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
-go test -race -run '^$' -bench '^BenchmarkLookup64ClientsV2$' -benchtime=10x .
 
 # Crash-injection harness (DESIGN.md §10): a durable child node is
 # SIGKILLed mid-write-burst at a seeded random point and restarted;
