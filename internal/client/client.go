@@ -30,11 +30,6 @@ import (
 // DefaultTimeout bounds each network attempt.
 const DefaultTimeout = 2 * time.Second
 
-// DefaultFreshnessWait is how long LookupFastest keeps collecting
-// answers after the first positive reply to prefer the freshest
-// Version — the stale-read window after a partial Update.
-const DefaultFreshnessWait = 2 * time.Millisecond
-
 // Config tunes the cluster client. The zero value selects every
 // default.
 type Config struct {
@@ -46,13 +41,6 @@ type Config struct {
 	OpDeadline time.Duration
 	// Retry is the per-replica retry policy (zero value = defaults).
 	Retry RetryPolicy
-	// FreshnessWait is LookupFastest's grace window: after the first
-	// positive reply it keeps collecting answers for this long (or until
-	// every replica answered) and returns the highest Version seen.
-	// 0 selects DefaultFreshnessWait; negative disables the grace
-	// (first positive answer wins, which may return a stale read after
-	// a partial Update).
-	FreshnessWait time.Duration
 	// Tracer samples operations into traces and captures slow ops. Nil
 	// (the default) disables tracing entirely: the request path takes a
 	// nil-check and nothing else. When set, sampled requests carry their
@@ -69,9 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpDeadline <= 0 {
 		c.OpDeadline = 4 * c.Timeout
-	}
-	if c.FreshnessWait == 0 {
-		c.FreshnessWait = DefaultFreshnessWait
 	}
 	c.Retry = c.Retry.withDefaults()
 	return c
@@ -452,122 +437,6 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 		return fmt.Errorf("%w (last error: %v)", ErrNotFound, lastErr)
 	}
 	return ErrNotFound
-}
-
-// LookupFastest queries all K replicas in parallel — the latency-optimal
-// strategy when the client cannot estimate per-replica RTTs (cf.
-// §III-C's simultaneous local+global lookup). It costs K network round
-// trips of load instead of one.
-//
-// After the first positive reply it keeps collecting answers for the
-// configured FreshnessWait grace (or until every replica has answered)
-// and returns the highest Version seen: after a partial Update (n < K
-// acks) the fastest replica may well be a stale one, and first-answer-
-// wins would serve the old mapping indefinitely. Replicas that had to
-// be looked past because they failed count as read-path failovers.
-func (c *Cluster) LookupFastest(g guid.GUID) (entry store.Entry, err error) {
-	placements, err := c.resolver.Place(g)
-	if err != nil {
-		return store.Entry{}, err
-	}
-	// Deliberately not pooled: the grace window lets LookupFastest
-	// return while slow replicas' goroutines still hold the payload, so
-	// recycling it here would hand the pool a buffer with live readers.
-	payload := wire.AppendGUID(nil, g)
-	opStart := time.Now()
-	sp := c.tracer.StartOp("client.lookup_fastest")
-	opDeadline := opStart.Add(c.cfg.OpDeadline)
-	defer func() {
-		c.m.opLookup.ObserveSinceExemplar(opStart, sp.TraceID())
-		c.tracer.FinishOp(sp, "lookup_fastest", g, opStart, err)
-	}()
-
-	type answer struct {
-		entry store.Entry
-		found bool
-		err   error
-	}
-	results := make(chan answer, len(placements))
-	for _, p := range placements {
-		as := p.AS
-		go func() {
-			t, body, err := c.call(sp, as, wire.MsgLookup, payload, opDeadline)
-			if err != nil {
-				results <- answer{err: err}
-				return
-			}
-			if t != wire.MsgLookupResp {
-				putBody(body)
-				results <- answer{err: fmt.Errorf("client: unexpected frame %v", t)}
-				return
-			}
-			resp, err := wire.DecodeLookupResp(body)
-			putBody(body)
-			if err != nil {
-				results <- answer{err: err}
-				return
-			}
-			results <- answer{entry: resp.Entry, found: resp.Found}
-		}()
-	}
-
-	grace := c.cfg.FreshnessWait
-	if grace < 0 {
-		grace = 0
-	}
-	var (
-		best     store.Entry
-		found    bool
-		errCount int
-		lastErr  error
-		timer    *time.Timer
-		graceC   <-chan time.Time
-	)
-collect:
-	for answered := 0; answered < len(placements); {
-		select {
-		case a := <-results:
-			answered++
-			if a.err != nil {
-				errCount++
-				lastErr = a.err
-				continue
-			}
-			if !a.found {
-				continue
-			}
-			if !found || a.entry.Version > best.Version {
-				best, found = a.entry, true
-			}
-			if grace == 0 {
-				break collect
-			}
-			if timer == nil {
-				timer = time.NewTimer(grace)
-				graceC = timer.C
-			}
-		case <-graceC:
-			break collect
-		}
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-	if found {
-		// Every failed replica whose answer we had to replace with
-		// another's is a read-path failover, same as the sequential walk.
-		c.m.failovers.Add(int64(errCount))
-		return best, nil
-	}
-	if errCount > 1 {
-		// Mirrors Lookup: a failure on the last-resort replica is not a
-		// failover, there was nowhere further to go.
-		c.m.failovers.Add(int64(errCount - 1))
-	}
-	if lastErr != nil {
-		return store.Entry{}, fmt.Errorf("%w (last error: %v)", ErrNotFound, lastErr)
-	}
-	return store.Entry{}, ErrNotFound
 }
 
 // Delete removes g from all replicas, asking each distinct replica AS

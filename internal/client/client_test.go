@@ -348,36 +348,6 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
-func TestLookupFastest(t *testing.T) {
-	c, nodes := testCluster(t, 20, 5)
-	e := clusterEntry("parallel", 1)
-	if _, err := c.Insert(e); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.LookupFastest(e.GUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.GUID != e.GUID {
-		t.Error("wrong entry")
-	}
-	// Still works with most replicas dead.
-	placements, err := cResolver(c).Place(e.GUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range placements[:4] {
-		nodes[p.AS].Close()
-	}
-	if _, err := c.LookupFastest(e.GUID); err != nil {
-		t.Fatalf("parallel lookup with 4 dead replicas: %v", err)
-	}
-	// Unknown GUID reports ErrNotFound.
-	if _, err := c.LookupFastest(guid.New("nobody")); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v, want ErrNotFound", err)
-	}
-}
-
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond,
 		MaxBackoff: 80 * time.Millisecond, JitterSeed: 99}.withDefaults()

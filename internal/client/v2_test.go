@@ -98,99 +98,6 @@ func TestInsertSurfacesRejection(t *testing.T) {
 	}
 }
 
-// TestLookupFastestPrefersFreshest is the stale-read regression test:
-// after a partial Update (only a subset of replicas has the new
-// version), LookupFastest must return the highest Version among the
-// answers it collects, not whichever replica answered first.
-func TestLookupFastestPrefersFreshest(t *testing.T) {
-	c, nodes := testCluster(t, 20, 3)
-	c.cfg.FreshnessWait = time.Second // ample grace: every replica answers in time
-
-	e1 := clusterEntry("stale-read", 1)
-	if _, err := c.Insert(e1); err != nil {
-		t.Fatal(err)
-	}
-	placements, err := cResolver(c).Place(e1.GUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := make([]int, 0, len(placements))
-	seen := make(map[int]bool)
-	for _, p := range placements {
-		if !seen[p.AS] {
-			seen[p.AS] = true
-			distinct = append(distinct, p.AS)
-		}
-	}
-	if len(distinct) < 2 {
-		t.Skip("replicas collided on one AS; no partial update possible")
-	}
-	// Partial update: the new version lands everywhere EXCEPT the first
-	// placement — the replica a sequential walk would consult first and
-	// a fastest-first race can easily hear from first.
-	e2 := clusterEntry("stale-read", 2)
-	for _, as := range distinct[1:] {
-		if _, err := nodes[as].Store().Put(e2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := c.LookupFastest(e1.GUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != 2 {
-		t.Errorf("LookupFastest returned Version %d, want 2 (stale read from the non-updated replica)", got.Version)
-	}
-}
-
-// TestLookupFastestCountsFailovers: replicas that fail while another
-// answers are read-path failovers and must be counted (the counter
-// never moved on this path before).
-func TestLookupFastestCountsFailovers(t *testing.T) {
-	c, nodes := testCluster(t, 20, 3)
-	c.cfg.Retry = RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}.withDefaults()
-
-	// Pick a GUID whose three replicas land on three distinct ASs, so
-	// "two dead replicas" is exactly two dead nodes.
-	var (
-		e          store.Entry
-		placements []core.Placement
-	)
-	for i := 0; i < 200; i++ {
-		cand := clusterEntry(fmt.Sprintf("failover-read-%d", i), 1)
-		p, err := cResolver(c).Place(cand.GUID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p[0].AS != p[1].AS && p[1].AS != p[2].AS && p[0].AS != p[2].AS {
-			e, placements = cand, p
-			break
-		}
-	}
-	if placements == nil {
-		t.Skip("no GUID with three distinct replica ASs in 200 tries")
-	}
-	if _, err := c.Insert(e); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the first two replicas; the third still answers.
-	for _, p := range placements[:2] {
-		if err := nodes[p.AS].Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := c.LookupFastest(e.GUID)
-	if err != nil {
-		t.Fatalf("lookup with one live replica: %v", err)
-	}
-	if got.GUID != e.GUID {
-		t.Error("wrong entry")
-	}
-	if s := c.Stats(); s.Failovers != 2 {
-		t.Errorf("failovers = %d, want 2 (two dead replicas looked past)", s.Failovers)
-	}
-}
-
 // TestMuxHammer drives one address from many goroutines through the
 // shared multiplexed connection (run under -race by scripts/check.sh).
 // Exactly one dial must serve all of it — pool drops and per-caller

@@ -3,15 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
-	"dmap/internal/core"
 	"dmap/internal/engine"
-	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
-	"dmap/internal/workload"
 )
 
 // AvailabilityConfig drives the failure-fraction × K availability sweep:
@@ -124,8 +120,12 @@ func (r *AvailabilityResult) String() string {
 // and results merge in source order, so every worker count yields
 // bit-identical results.
 func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, error) {
-	if len(cfg.Ks) == 0 || len(cfg.FailFracs) == 0 {
-		return nil, fmt.Errorf("experiments: availability sweep needs Ks and FailFracs")
+	maxK, err := maxK(cfg.Ks)
+	if err != nil {
+		return nil, err
+	}
+	if len(cfg.FailFracs) == 0 {
+		return nil, fmt.Errorf("experiments: availability sweep needs FailFracs")
 	}
 	if cfg.Loss < 0 || cfg.Loss >= 1 {
 		return nil, fmt.Errorf("experiments: loss %g out of [0,1)", cfg.Loss)
@@ -137,49 +137,19 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 	if timeout <= 0 {
 		timeout = DefaultAvailabilityTimeout
 	}
-	maxK := 0
-	for _, k := range cfg.Ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("experiments: K must be positive, got %d", k)
-		}
-		if k > maxK {
-			maxK = k
-		}
-	}
 	for _, f := range cfg.FailFracs {
 		if f < 0 || f >= 1 {
 			return nil, fmt.Errorf("experiments: failure fraction %g out of [0,1)", f)
 		}
 	}
 
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	// Placements per GUID at max K; smaller Ks are prefixes (the hash
-	// family is domain-separated on the replica index).
-	resolver, err := core.NewResolver(guid.MustHasher(maxK, 0), w.Table, 0)
+	placements, err := w.placementTable(cfg.NumGUIDs, maxK, 0, false)
 	if err != nil {
 		return nil, err
-	}
-	placements := make([][]int32, cfg.NumGUIDs)
-	for gi := 0; gi < cfg.NumGUIDs; gi++ {
-		g := guid.FromUint64(uint64(gi) + 1)
-		ass := make([]int32, maxK)
-		for r := 0; r < maxK; r++ {
-			p, err := resolver.PlaceReplica(g, r)
-			if err != nil {
-				return nil, err
-			}
-			ass[r] = int32(p.AS)
-		}
-		placements[gi] = ass
 	}
 
 	// One failed set per fraction, shared across Ks: sampled from the
@@ -196,16 +166,7 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 		failedSets[fi] = failed
 	}
 
-	// Group lookups by source AS.
-	bySrc := make(map[int][]int)
-	for i, ev := range trace.Lookups {
-		bySrc[ev.SrcAS] = append(bySrc[ev.SrcAS], i)
-	}
-	sources := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		sources = append(sources, src)
-	}
-	sort.Ints(sources)
+	bySrc, sources := bySource(trace.Lookups)
 
 	type unitCell struct {
 		successes   int
@@ -252,12 +213,7 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 							rtt := w.Graph.RTT(src, as, sc.dist)
 							cands[r] = lookupCand{as: as, rtt: rtt, cost: int64(rtt)}
 						}
-						for i := 1; i < len(cands); i++ {
-							for j := i; j > 0 && (cands[j].cost < cands[j-1].cost ||
-								(cands[j].cost == cands[j-1].cost && cands[j].as < cands[j-1].as)); j-- {
-								cands[j], cands[j-1] = cands[j-1], cands[j]
-							}
-						}
+						orderCands(cands)
 						cell.baselineSum += cands[0].rtt.Millis()
 						cell.baselineObs++
 

@@ -12,7 +12,6 @@ import (
 	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
-	"dmap/internal/workload"
 )
 
 // BaselinesConfig drives the DMap-vs-alternatives comparison (§II-B,
@@ -52,12 +51,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("experiments: K must be positive")
 	}
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,15 +105,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 	// change any value, and hop counts are integers summed exactly in
 	// float64, so the source-order merge is bit-identical at every
 	// worker count.
-	bySrc := make(map[int][]int)
-	for i, ev := range trace.Lookups {
-		bySrc[ev.SrcAS] = append(bySrc[ev.SrcAS], i)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for s := range bySrc {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
+	bySrc, srcs := bySource(trace.Lookups)
 
 	type baselineUnit struct {
 		dmap, chord, oneHop, home *stats.Collector
@@ -287,12 +273,7 @@ func RunMSweep(w *World, ms []int, numGUIDs int) ([]MSweepRow, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("experiments: no M values")
 	}
-	rawShares := w.Table.ShareByAS()
-	announced := w.Table.AnnouncedFraction()
-	shares := make(map[int]float64, len(rawShares))
-	for as, s := range rawShares {
-		shares[as] = s / announced
-	}
+	shares := w.announcedShares()
 
 	rows := make([]MSweepRow, 0, len(ms))
 	for _, m := range ms {

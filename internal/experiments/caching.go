@@ -8,13 +8,11 @@ import (
 	"strings"
 
 	"dmap/internal/cache"
-	"dmap/internal/core"
 	"dmap/internal/engine"
 	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/store"
 	"dmap/internal/topology"
-	"dmap/internal/workload"
 )
 
 // CachingConfig drives the §VII in-network caching extension experiment:
@@ -77,31 +75,13 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 		capacity = 1024
 	}
 
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, 0)
+	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
 	if err != nil {
 		return nil, err
-	}
-	placements := make([][]int32, cfg.NumGUIDs)
-	for gi := 0; gi < cfg.NumGUIDs; gi++ {
-		g := guid.FromUint64(uint64(gi) + 1)
-		ass := make([]int32, cfg.K)
-		for r := 0; r < cfg.K; r++ {
-			p, err := resolver.PlaceReplica(g, r)
-			if err != nil {
-				return nil, err
-			}
-			ass[r] = int32(p.AS)
-		}
-		placements[gi] = ass
 	}
 
 	// Assign each lookup a uniform time in the window, then group by
@@ -112,17 +92,10 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 	for i := range times {
 		times[i] = topology.Micros(rng.Float64() * cfg.DurationSec * 1e6)
 	}
-	bySrc := make(map[int][]int)
-	for i, ev := range trace.Lookups {
-		bySrc[ev.SrcAS] = append(bySrc[ev.SrcAS], i)
-	}
-	sources := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		idx := bySrc[src]
+	bySrc, sources := bySource(trace.Lookups)
+	for _, idx := range bySrc {
 		sort.Slice(idx, func(a, b int) bool { return times[idx[a]] < times[idx[b]] })
-		sources = append(sources, src)
 	}
-	sort.Ints(sources)
 
 	res := &CachingResult{Rows: make([]CachingRow, 0, len(cfg.TTLs))}
 

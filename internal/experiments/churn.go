@@ -6,14 +6,11 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/engine"
 	"dmap/internal/guid"
-	"dmap/internal/netaddr"
 	"dmap/internal/nodesim"
 	"dmap/internal/prefixtable"
 	"dmap/internal/simnet"
 	"dmap/internal/stats"
-	"dmap/internal/store"
 	"dmap/internal/topology"
-	"dmap/internal/workload"
 )
 
 // ChurnSimConfig drives the protocol-level churn experiment: real timed
@@ -69,22 +66,11 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	if cfg.K <= 0 || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 || cfg.DurationSec <= 0 {
 		return nil, fmt.Errorf("experiments: invalid churn-sim config")
 	}
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, 0)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: w.NumAS(), LocalReplica: false,
-	})
+	sys, err := w.populatedSystem(trace, cfg.K)
 	if err != nil {
 		return nil, err
 	}
@@ -95,18 +81,6 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
 	if err != nil {
 		return nil, err
-	}
-
-	// Populate synchronously (state setup, not measured).
-	for gi := 0; gi < cfg.NumGUIDs; gi++ {
-		e := store.Entry{
-			GUID:    guid.FromUint64(uint64(gi) + 1),
-			NAs:     []store.NA{{AS: trace.HomeAS[gi], Addr: netaddr.Addr(gi)}},
-			Version: 1,
-		}
-		if _, err := sys.Insert(e, trace.HomeAS[gi]); err != nil {
-			return nil, err
-		}
 	}
 
 	churn, err := prefixtable.GenerateChurn(w.Table, prefixtable.ChurnConfig{

@@ -6,13 +6,10 @@ import (
 
 	"dmap/internal/core"
 	"dmap/internal/guid"
-	"dmap/internal/netaddr"
 	"dmap/internal/nodesim"
 	"dmap/internal/simnet"
 	"dmap/internal/stats"
-	"dmap/internal/store"
 	"dmap/internal/topology"
-	"dmap/internal/workload"
 )
 
 // CrossValConfig drives the engine cross-validation: the same workload
@@ -43,36 +40,14 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	if cfg.K <= 0 || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 {
 		return nil, fmt.Errorf("experiments: invalid cross-validation config")
 	}
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, 0)
+	// Populated once; both engines read the same state.
+	sys, err := w.populatedSystem(trace, cfg.K)
 	if err != nil {
 		return nil, err
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: w.NumAS(), LocalReplica: false,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Populate the stores once; both engines read the same state.
-	for gi := 0; gi < cfg.NumGUIDs; gi++ {
-		e := store.Entry{
-			GUID:    guid.FromUint64(uint64(gi) + 1),
-			NAs:     []store.NA{{AS: trace.HomeAS[gi], Addr: netaddr.Addr(gi)}},
-			Version: 1,
-		}
-		if _, err := sys.Insert(e, trace.HomeAS[gi]); err != nil {
-			return nil, err
-		}
 	}
 
 	cache, err := topology.NewDistCache(w.Graph, w.NumAS())

@@ -8,7 +8,6 @@ import (
 
 	"dmap/internal/core"
 	"dmap/internal/engine"
-	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 	"dmap/internal/workload"
@@ -64,32 +63,18 @@ type LatencyResult struct {
 // scratch vectors, per-(K, source) seeded miss sampling, and a merge in
 // source order, so every worker count yields bit-identical results.
 func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
-	if len(cfg.Ks) == 0 {
-		return nil, fmt.Errorf("experiments: no K values")
+	maxK, err := maxK(cfg.Ks)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MissRate < 0 || cfg.MissRate >= 1 {
 		return nil, fmt.Errorf("experiments: miss rate %g out of [0,1)", cfg.MissRate)
 	}
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	// Group lookups by source AS.
-	bySrc := make(map[int][]int)
-	for i, ev := range trace.Lookups {
-		bySrc[ev.SrcAS] = append(bySrc[ev.SrcAS], i)
-	}
-	sources := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		sources = append(sources, src)
-	}
-	sort.Ints(sources)
+	bySrc, sources := bySource(trace.Lookups)
 
 	res := &LatencyResult{
 		PerK:      make(map[int]*stats.Collector, len(cfg.Ks)),
@@ -97,40 +82,10 @@ func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
 		Retries:   make(map[int]int, len(cfg.Ks)),
 	}
 
-	// Placements per GUID per K, computed once. Because the hash family
-	// is domain-separated on the replica index, the K=5 placements of a
-	// GUID extend its K=3 placements; one resolver at max K serves all.
-	maxK := 0
-	for _, k := range cfg.Ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("experiments: K must be positive, got %d", k)
-		}
-		if k > maxK {
-			maxK = k
-		}
-	}
-	resolver, err := core.NewResolver(guid.MustHasher(maxK, 0), w.Table, cfg.MaxRehash)
+	// Placements per GUID at max K, computed once and shared by every K.
+	placements, err := w.placementTable(cfg.NumGUIDs, maxK, cfg.MaxRehash, cfg.HashToASNumbers)
 	if err != nil {
 		return nil, err
-	}
-	placements := make([][]int32, cfg.NumGUIDs)
-	for gi := 0; gi < cfg.NumGUIDs; gi++ {
-		g := guid.FromUint64(uint64(gi) + 1)
-		ass := make([]int32, maxK)
-		for r := 0; r < maxK; r++ {
-			var p core.Placement
-			var err error
-			if cfg.HashToASNumbers {
-				p, err = resolver.PlaceByASNumber(g, r, w.NumAS())
-			} else {
-				p, err = resolver.PlaceReplica(g, r)
-			}
-			if err != nil {
-				return nil, err
-			}
-			ass[r] = int32(p.AS)
-		}
-		placements[gi] = ass
 	}
 
 	// One engine unit per distinct source: one Dijkstra serves every K.
@@ -263,14 +218,7 @@ func evalLookup(g *topology.Graph, src int, replicas []int, dist []topology.Micr
 		}
 		cands[i] = c
 	}
-	// Insertion sort: K ≤ 20 and the slice is reused, so this beats
-	// sort.Slice's closure allocation on the hottest loop in the repo.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && (cands[j].cost < cands[j-1].cost ||
-			(cands[j].cost == cands[j-1].cost && cands[j].as < cands[j-1].as)); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
+	orderCands(cands)
 
 	localRTT := topology.Micros(-1)
 	if o.localAS == src {

@@ -49,14 +49,7 @@ func RunLoad(w *World, cfg LoadConfig) (*LoadResult, error) {
 		return nil, err
 	}
 
-	// Normalize per-AS shares to the announced space: an AS announcing
-	// x% of all announced addresses should host x% of all replicas.
-	rawShares := w.Table.ShareByAS()
-	announced := w.Table.AnnouncedFraction()
-	shares := make(map[int]float64, len(rawShares))
-	for as, s := range rawShares {
-		shares[as] = s / announced
-	}
+	shares := w.announcedShares()
 	if cfg.HashToASNumbers {
 		// The AS-number variant spreads uniformly over all ASs, so the
 		// fair share is 1/NumAS for every AS.

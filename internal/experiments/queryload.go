@@ -5,12 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"dmap/internal/core"
 	"dmap/internal/engine"
-	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
-	"dmap/internal/workload"
 )
 
 // QueryLoadConfig drives the query-serving load experiment: Fig. 6
@@ -67,22 +64,12 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	if len(cfg.Ks) == 0 || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 {
 		return nil, fmt.Errorf("experiments: invalid query-load config")
 	}
-	trace, err := workload.Generate(workload.TraceConfig{
-		NumGUIDs:      cfg.NumGUIDs,
-		NumLookups:    cfg.NumLookups,
-		SourceWeights: w.Graph.EndNodeWeights(),
-		Seed:          cfg.Seed,
-	})
+	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	rawShares := w.Table.ShareByAS()
-	announced := w.Table.AnnouncedFraction()
-	shares := make(map[int]float64, len(rawShares))
-	for as, s := range rawShares {
-		shares[as] = s / announced
-	}
+	shares := w.announcedShares()
 
 	batch := cfg.Batch
 	if batch < 1 {
@@ -90,36 +77,15 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	}
 	res := &QueryLoadResult{Rows: make([]QueryLoadRow, 0, len(cfg.Ks)), Batch: batch}
 
+	// Group by source so closest-replica selection reuses Dijkstra;
+	// each source group is one engine work unit.
+	bySrc, srcs := bySource(trace.Lookups)
+
 	for _, k := range cfg.Ks {
-		resolver, err := core.NewResolver(guid.MustHasher(k, 0), w.Table, 0)
+		placements, err := w.placementTable(cfg.NumGUIDs, k, 0, false)
 		if err != nil {
 			return nil, err
 		}
-		placements := make([][]int32, cfg.NumGUIDs)
-		for gi := 0; gi < cfg.NumGUIDs; gi++ {
-			g := guid.FromUint64(uint64(gi) + 1)
-			ass := make([]int32, k)
-			for r := 0; r < k; r++ {
-				p, err := resolver.PlaceReplica(g, r)
-				if err != nil {
-					return nil, err
-				}
-				ass[r] = int32(p.AS)
-			}
-			placements[gi] = ass
-		}
-
-		// Group by source so closest-replica selection reuses Dijkstra;
-		// each source group is one engine work unit.
-		bySrc := make(map[int][]int)
-		for i, ev := range trace.Lookups {
-			bySrc[ev.SrcAS] = append(bySrc[ev.SrcAS], i)
-		}
-		srcs := make([]int, 0, len(bySrc))
-		for s := range bySrc {
-			srcs = append(srcs, s)
-		}
-		sort.Ints(srcs)
 
 		type queryUnit struct {
 			served map[int]int

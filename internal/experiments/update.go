@@ -61,20 +61,12 @@ const HandoffBudgetMs = 500.0
 // over the K replicas of each GUID, evaluated grouped by source AS on
 // the parallel engine (one Dijkstra per distinct source per unit).
 func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
-	if len(cfg.Ks) == 0 {
-		return nil, fmt.Errorf("experiments: no K values")
+	maxK, err := maxK(cfg.Ks)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.NumUpdates <= 0 {
 		return nil, fmt.Errorf("experiments: NumUpdates must be positive")
-	}
-	maxK := 0
-	for _, k := range cfg.Ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("experiments: K must be positive, got %d", k)
-		}
-		if k > maxK {
-			maxK = k
-		}
 	}
 	resolver, err := core.NewResolver(guid.MustHasher(maxK, 0), w.Table, 0)
 	if err != nil {
@@ -94,11 +86,7 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 		s := src.Sample(rng)
 		bySrc[s] = append(bySrc[s], i+1)
 	}
-	sources := make([]int, 0, len(bySrc))
-	for s := range bySrc {
-		sources = append(sources, s)
-	}
-	sort.Ints(sources)
+	sources := sortedSources(bySrc)
 
 	batch := cfg.Batch
 	if batch < 1 {

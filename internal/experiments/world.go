@@ -83,3 +83,16 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 
 // NumAS returns the AS count.
 func (w *World) NumAS() int { return w.Graph.NumAS() }
+
+// announcedShares returns each AS's share of the announced address
+// space: an AS announcing x% of all announced addresses should host x%
+// of all replicas and serve x% of all queries, the fair share every
+// Normalized Load Ratio divides by.
+func (w *World) announcedShares() map[int]float64 {
+	announced := w.Table.AnnouncedFraction()
+	shares := w.Table.ShareByAS()
+	for as, s := range shares {
+		shares[as] = s / announced
+	}
+	return shares
+}

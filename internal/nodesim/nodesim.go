@@ -15,7 +15,6 @@ import (
 	"dmap/internal/guid"
 	"dmap/internal/simnet"
 	"dmap/internal/store"
-	"dmap/internal/trace"
 )
 
 // message payloads
@@ -71,12 +70,6 @@ type Deployment struct {
 	lookups map[uint64]*lookupOp
 	crashed []bool
 	gossip  GossipStats
-
-	// hot, when enabled, profiles each simulated node's request stream
-	// with Space-Saving top-K trackers — the simulated counterpart of a
-	// live node's /debug/hotkeys, for studying §IV-C load skew under
-	// synthetic workloads.
-	hot []*trace.HotKeys
 }
 
 type insertOp struct {
@@ -144,23 +137,6 @@ func (d *Deployment) Network() *simnet.Network { return d.net }
 // System returns the underlying DMap system.
 func (d *Deployment) System() *core.System { return d.sys }
 
-// EnableHotKeys attaches a lookup/insert hot-GUID tracker pair of
-// capacity k to every simulated node. Call before driving traffic.
-func (d *Deployment) EnableHotKeys(k int) {
-	d.hot = make([]*trace.HotKeys, d.sys.NumAS())
-	for i := range d.hot {
-		d.hot[i] = trace.NewHotKeys(k)
-	}
-}
-
-// HotKeys returns AS as's trackers (nil when profiling is not enabled).
-func (d *Deployment) HotKeys(as int) *trace.HotKeys {
-	if as < 0 || as >= len(d.hot) {
-		return nil
-	}
-	return d.hot[as]
-}
-
 // Crash marks an AS's mapping server as dead: requests to it are consumed
 // without reply, so queriers hit their timeout (§III-D3).
 func (d *Deployment) Crash(as int) { d.crashed[as] = true }
@@ -183,7 +159,6 @@ func (d *Deployment) handle(self int, msg simnet.Message) {
 		if err != nil {
 			return
 		}
-		d.HotKeys(self).ObserveInsert(p.entry.GUID)
 		// Put may reject stale versions; the ack is sent either way (the
 		// protocol acknowledges receipt, not freshness).
 		_, _ = st.Put(p.entry)
@@ -207,7 +182,6 @@ func (d *Deployment) handle(self int, msg simnet.Message) {
 		if err != nil {
 			return
 		}
-		d.HotKeys(self).ObserveLookup(p.guid)
 		e, ok := st.Get(p.guid)
 		_ = d.net.Send(self, msg.From, lookupResp{reqID: p.reqID, entry: e, found: ok})
 	case lookupResp:

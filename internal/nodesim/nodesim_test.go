@@ -376,46 +376,3 @@ func TestChurnWithdrawDuringLiveTraffic(t *testing.T) {
 		t.Fatalf("%d lookups failed across the withdrawal", failures)
 	}
 }
-
-// TestHotKeysProfiling: with profiling enabled, the simulated nodes that
-// served traffic report the driven GUID in their lookup and insert
-// profiles, and nodes that served nothing report nothing.
-func TestHotKeysProfiling(t *testing.T) {
-	d, _ := testDeployment(t, 3, false)
-	d.EnableHotKeys(8)
-	e := entryFor("hot-object", 1, 7)
-	if err := d.Insert(7, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	for i := 0; i < 5; i++ {
-		if err := d.Lookup(11, e.GUID, func(LookupResult) {}); err != nil {
-			t.Fatal(err)
-		}
-		d.Sim().Run(0)
-	}
-	lookupHits, insertHits := 0, 0
-	for as := 0; as < d.System().NumAS(); as++ {
-		for _, hk := range d.HotKeys(as).TopLookups(0) {
-			if hk.GUID == e.GUID {
-				lookupHits += int(hk.Count)
-			}
-		}
-		for _, hk := range d.HotKeys(as).TopInserts(0) {
-			if hk.GUID == e.GUID {
-				insertHits += int(hk.Count)
-			}
-		}
-	}
-	if lookupHits != 5 {
-		t.Errorf("lookup observations = %d, want 5 (sequential lookups hit one replica each)", lookupHits)
-	}
-	if insertHits != 3 {
-		t.Errorf("insert observations = %d, want 3 (K replicas)", insertHits)
-	}
-	// Disabled profiling stays inert.
-	d2, _ := testDeployment(t, 3, false)
-	if hk := d2.HotKeys(0); hk != nil {
-		t.Errorf("HotKeys without EnableHotKeys = %v, want nil", hk)
-	}
-}

@@ -1,303 +1,95 @@
-// Deterministic twin of the live black-box prober (internal/obs): the
-// same sentinel-write/read rounds, staleness accounting and SLO burn
-// windows, driven through the simulated network instead of TCP. Probe
-// requests are ordinary insertReq/lookupReq messages with self-armed
-// timeouts, so partitions, crashes, loss and delay faults hit the
-// prober exactly as they hit protocol traffic — which is the point:
-// the chaos suite can assert that an injected partition is VISIBLE to
-// the prober before anti-entropy repairs the divergence.
+// The simulated link under the shipped black-box prober (internal/obs):
+// a probe connection whose RoundTrip is one insertReq or lookupReq sent
+// through the deployment's simnet and awaited in virtual time. The
+// prober's rounds, staleness accounting and SLO windows are obs.Prober's
+// own; partitions, crashes, loss and delay faults hit its requests as
+// they hit protocol traffic, so the chaos suite asserts that an injected
+// partition is VISIBLE to the prober an operator runs before
+// anti-entropy repairs the divergence.
 package nodesim
 
 import (
 	"fmt"
+	"net"
+	"os"
+	"strconv"
+	"time"
 
-	"dmap/internal/guid"
-	"dmap/internal/netaddr"
 	"dmap/internal/obs"
 	"dmap/internal/simnet"
-	"dmap/internal/store"
+	"dmap/internal/wire"
 )
 
-// ProberConfig configures a simulated prober.
-type ProberConfig struct {
-	// Src is the AS the prober runs from (its vantage point).
-	Src int
-	// Targets are the ASs probed each round. Every target acts as a
-	// replica of the sentinel GUIDs — nodes store whatever they are
-	// sent, exactly like the live deployment.
-	Targets []int
-	// Sentinels is the number of sentinel GUIDs (default 2).
-	Sentinels int
-	// Timeout is the per-operation timeout (≤0 selects the
-	// deployment's lookup timeout).
-	Timeout simnet.Time
-	// MaxLag is the acceptable version lag for freshness (default 0).
-	MaxLag uint64
-	// BaseVersion seeds the sentinel version counter (default 0; the
-	// first round writes version 1 — the simulator starts from a clean
-	// world, so no restart-supersession concern exists here).
-	BaseVersion uint64
-	// Availability and Staleness configure the SLO trackers, sharing
-	// the live prober's defaults.
-	Availability obs.SLOConfig
-	Staleness    obs.SLOConfig
+// probeLink is an obs.ProbeConn from AS src to AS dst. RoundTrip steps
+// the simulator, so it is called from a scenario's top level only.
+type probeLink struct {
+	d        *Deployment
+	src, dst int
 }
 
-// Prober drives probe rounds through the deployment's simulated
-// network. Round and ReadRound advance virtual time (they drain the
-// event queue); interleave them with traffic and GossipRound calls as
-// the scenario requires.
-type Prober struct {
-	d   *Deployment
-	cfg ProberConfig
-
-	sentinels []guid.GUID
-	version   uint64
-	rounds    uint64
-	repaired  uint64
-
-	availability *obs.SLOTracker
-	staleness    *obs.SLOTracker
-
-	// acked[t][s] is the newest version target t acknowledged for
-	// sentinel s (grow-only, repair observations included); maxAcked[s]
-	// is the newest version acked anywhere — the freshness reference.
-	acked    [][]uint64
-	maxAcked []uint64
-
-	status obs.ProbeStatus
-}
-
-// NewProber attaches a prober to d.
-func NewProber(d *Deployment, cfg ProberConfig) (*Prober, error) {
-	if cfg.Src < 0 || cfg.Src >= d.sys.NumAS() {
-		return nil, fmt.Errorf("nodesim: prober src AS %d out of range", cfg.Src)
-	}
-	if len(cfg.Targets) == 0 {
-		return nil, fmt.Errorf("nodesim: prober needs at least one target")
-	}
-	for _, t := range cfg.Targets {
-		if t < 0 || t >= d.sys.NumAS() {
-			return nil, fmt.Errorf("nodesim: prober target AS %d out of range", t)
+// probeConfig fills the two seams that put a prober on d's virtual
+// network as seen from AS src: the clock and the dialer, which reads a
+// target's Addr as its AS number.
+func (d *Deployment) probeConfig(src int, cfg obs.ProberConfig) obs.ProberConfig {
+	cfg.Now = func() time.Time { return time.UnixMicro(int64(d.Sim().Now())) }
+	cfg.Dial = func(addr string, _ time.Duration) (obs.ProbeConn, error) {
+		dst, err := strconv.Atoi(addr)
+		if err != nil || dst < 0 || dst >= d.sys.NumAS() {
+			return nil, fmt.Errorf("nodesim: probe target %q is not an AS of this deployment", addr)
 		}
+		return &probeLink{d: d, src: src, dst: dst}, nil
 	}
-	if cfg.Sentinels <= 0 {
-		cfg.Sentinels = 2
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = d.timeout
-	}
-	if cfg.Availability.Name == "" {
-		cfg.Availability.Name = "availability"
-	}
-	if cfg.Staleness.Name == "" {
-		cfg.Staleness.Name = "staleness"
-	}
-	p := &Prober{
-		d:            d,
-		cfg:          cfg,
-		version:      cfg.BaseVersion,
-		availability: obs.NewSLOTracker(cfg.Availability),
-		staleness:    obs.NewSLOTracker(cfg.Staleness),
-		acked:        make([][]uint64, len(cfg.Targets)),
-		maxAcked:     make([]uint64, cfg.Sentinels),
-	}
-	for i := 0; i < cfg.Sentinels; i++ {
-		p.sentinels = append(p.sentinels, guid.New(fmt.Sprintf("dmap.obs.sentinel.%d", i)))
-	}
-	for i := range p.acked {
-		p.acked[i] = make([]uint64, cfg.Sentinels)
-	}
-	return p, nil
+	return cfg
 }
 
-// Status returns the latest round's status.
-func (p *Prober) Status() obs.ProbeStatus { return p.status }
+func (l *probeLink) Close() error { return nil }
 
-// Round runs one full probe round — a write pass, then a read pass —
-// draining the simulator between passes so reads observe the round's
-// acknowledged writes.
-func (p *Prober) Round() obs.ProbeStatus {
-	p.version++
-	targets := p.freshTargetStatus()
-	p.writePass(targets)
-	p.d.Sim().Run(0)
-	p.readPass(targets)
-	p.d.Sim().Run(0)
-	return p.finishRound(targets)
-}
-
-// ReadRound runs a read-only probe round: no sentinel writes, so a
-// stale replica stays observably stale. This is the pass a chaos
-// scenario uses right after a partition heals — the prober must see
-// the divergence BEFORE anti-entropy repairs it.
-func (p *Prober) ReadRound() obs.ProbeStatus {
-	targets := p.freshTargetStatus()
-	p.readPass(targets)
-	p.d.Sim().Run(0)
-	return p.finishRound(targets)
-}
-
-func (p *Prober) freshTargetStatus() []obs.ProbeTargetStatus {
-	targets := make([]obs.ProbeTargetStatus, len(p.cfg.Targets))
-	for i, as := range p.cfg.Targets {
-		targets[i] = obs.ProbeTargetStatus{Name: fmt.Sprintf("as%d", as), WriteOK: true, ReadOK: true}
-	}
-	return targets
-}
-
-func (p *Prober) writePass(targets []obs.ProbeTargetStatus) {
-	v := p.version
-	for ti, as := range p.cfg.Targets {
-		for si, g := range p.sentinels {
-			ti, si := ti, si
-			p.insertAt(as, g, func(acked bool) {
-				p.availability.Observe(acked)
-				if !acked {
-					targets[ti].WriteOK = false
-					targets[ti].Err = "insert timed out"
-					return
-				}
-				if v > p.acked[ti][si] {
-					p.acked[ti][si] = v
-				}
-				if v > p.maxAcked[si] {
-					p.maxAcked[si] = v
-				}
-			})
-		}
-	}
-}
-
-func (p *Prober) readPass(targets []obs.ProbeTargetStatus) {
-	for ti := range p.cfg.Targets {
-		for si, g := range p.sentinels {
-			ti, si := ti, si
-			start := p.d.Sim().Now()
-			p.lookupAt(p.cfg.Targets[ti], g, func(responded, found bool, e store.Entry) {
-				p.availability.Observe(responded)
-				if !responded {
-					targets[ti].ReadOK = false
-					targets[ti].Err = "lookup timed out"
-					return
-				}
-				if lat := uint64(p.d.Sim().Now() - start); lat > targets[ti].LatUs {
-					targets[ti].LatUs = lat
-				}
-				ref := p.maxAcked[si]
-				if ref == 0 {
-					return // nothing acked anywhere yet
-				}
-				var lag uint64
-				switch {
-				case !found:
-					lag = ref
-				case e.Version < ref:
-					lag = ref - e.Version
-				}
-				fresh := lag <= p.cfg.MaxLag
-				p.staleness.Observe(fresh)
-				if !fresh {
-					targets[ti].Stale = true
-				}
-				if lag > targets[ti].Lag {
-					targets[ti].Lag = lag
-				}
-				// Convergence: a version this prober never wrote to the
-				// target arrived there — anti-entropy delivered it.
-				if found && e.Version > p.acked[ti][si] {
-					targets[ti].Repaired = true
-					p.repaired++
-					p.acked[ti][si] = e.Version
-				}
-			})
-		}
-	}
-}
-
-func (p *Prober) finishRound(targets []obs.ProbeTargetStatus) obs.ProbeStatus {
-	p.rounds++
-	// Snapshot status BEFORE advancing: Advance opens an empty round,
-	// and the fast burn window must cover the round just probed.
-	p.status = obs.ProbeStatus{
-		Rounds:    p.rounds,
-		Sentinels: p.cfg.Sentinels,
-		SLOs:      []obs.SLOStatus{p.availability.Status(), p.staleness.Status()},
-		Targets:   targets,
-		Repaired:  p.repaired,
-	}
-	p.availability.Advance()
-	p.staleness.Advance()
-	return p.status
-}
-
-// sentinelEntry builds the canary entry for the current version.
-func (p *Prober) sentinelEntry(g guid.GUID) store.Entry {
-	return store.Entry{
-		GUID:    g,
-		NAs:     []store.NA{{AS: p.cfg.Src, Addr: netaddr.AddrFromOctets(127, 0, 0, 1)}},
-		Version: p.version,
-	}
-}
-
-// insertAt sends one direct insert to target with a self-armed timeout.
-// done fires exactly once: acked=true on the node's ack, false on
-// timeout. (Deployment.Insert offers no timeout — a dropped insertReq
-// would leave the op pending forever, which a prober cannot afford.)
-func (p *Prober) insertAt(target int, g guid.GUID, done func(acked bool)) {
-	d := p.d
+// RoundTrip sends one MsgInsert or MsgLookup as the deployment's own
+// message and steps the simulator until the node's reply or the virtual
+// deadline. A lookup's order is spent on arrival (next = 1 of 1), so a
+// miss is this target's answer, not a reason to ask the next replica.
+func (l *probeLink) RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	d := l.d
 	d.nextReq++
 	reqID := d.nextReq
-	d.inserts[reqID] = &insertOp{
-		start:   d.Sim().Now(),
-		pending: 1,
-		done:    func(InsertResult) { done(true) },
+	var (
+		msg interface{}
+		rt  wire.MsgType // set by the reply
+		res LookupResult
+	)
+	switch t {
+	case wire.MsgInsert:
+		e, _, err := wire.DecodeEntry(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		msg = insertReq{entry: e, reqID: reqID}
+		d.inserts[reqID] = &insertOp{start: d.Sim().Now(), pending: 1,
+			done: func(InsertResult) { rt = wire.MsgInsertAck }}
+	case wire.MsgLookup:
+		g, _, err := wire.DecodeGUID(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		msg = lookupReq{guid: g, reqID: reqID}
+		d.lookups[reqID] = &lookupOp{g: g, src: l.src, start: d.Sim().Now(), order: []int{l.dst}, next: 1, attempts: 1,
+			done: func(r LookupResult) { rt, res = wire.MsgLookupResp, r }}
+	default:
+		return 0, nil, fmt.Errorf("nodesim: probe link carries no %s", t)
 	}
-	if err := d.net.Send(p.cfg.Src, target, insertReq{entry: p.sentinelEntry(g), reqID: reqID}); err != nil {
+	err := d.net.Send(l.src, l.dst, msg)
+	deadline := d.Sim().Now() + simnet.Time(timeout.Microseconds())
+	if err == nil && !d.Sim().StepUntil(deadline, func() bool { return rt != 0 }) {
+		err = &net.OpError{Op: "read", Net: "simnet", Err: os.ErrDeadlineExceeded}
+	}
+	if err != nil {
 		delete(d.inserts, reqID)
-		done(false)
-		return
-	}
-	_ = d.Sim().After(p.cfg.Timeout, func() {
-		if _, ok := d.inserts[reqID]; ok {
-			delete(d.inserts, reqID)
-			done(false)
-		}
-	})
-}
-
-// lookupAt sends one direct lookup to target with a self-armed timeout.
-// done fires exactly once: responded=false means timeout, otherwise
-// found/e carry the node's answer (found=false = the node answered
-// "not here", which is an AVAILABLE but possibly stale answer).
-func (p *Prober) lookupAt(target int, g guid.GUID, done func(responded, found bool, e store.Entry)) {
-	d := p.d
-	d.nextReq++
-	reqID := d.nextReq
-	// order is already exhausted (next=1 of 1): a miss reply answers
-	// immediately instead of retrying elsewhere — the prober wants this
-	// target's own answer, not the cluster's best.
-	d.lookups[reqID] = &lookupOp{
-		g:        g,
-		src:      p.cfg.Src,
-		start:    d.Sim().Now(),
-		order:    []int{target},
-		next:     1,
-		attempts: 1,
-		done:     func(r LookupResult) { done(true, r.Found, r.Entry) },
-	}
-	if err := d.net.Send(p.cfg.Src, target, lookupReq{guid: g, reqID: reqID}); err != nil {
 		delete(d.lookups, reqID)
-		done(false, false, store.Entry{})
-		return
+		return 0, nil, err
 	}
-	_ = d.Sim().After(p.cfg.Timeout, func() {
-		op, ok := d.lookups[reqID]
-		if !ok || op.answered {
-			return
-		}
-		op.answered = true
-		delete(d.lookups, reqID)
-		done(false, false, store.Entry{})
-	})
+	if rt == wire.MsgInsertAck {
+		return rt, nil, nil
+	}
+	reply, err := wire.AppendLookupResp(nil, wire.LookupResp{Found: res.Found, Entry: res.Entry})
+	return rt, reply, err
 }

@@ -1,7 +1,9 @@
 package nodesim
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"dmap/internal/guid"
@@ -9,10 +11,11 @@ import (
 	"dmap/internal/simnet"
 )
 
-// proberWorld builds a deployment plus a prober whose targets are the
+// proberWorld builds a deployment plus the shipped prober, dialing
+// simulated links from a non-replica AS, whose targets are the
 // sentinel's actual replica set — the ASs anti-entropy reconciles — so
 // gossip repair is observable from the outside.
-func proberWorld(t *testing.T, sentinels int, slo obs.SLOConfig) (*Prober, *Deployment, []int) {
+func proberWorld(t *testing.T, sentinels int, slo obs.SLOConfig) (*obs.Prober, *Deployment, []int) {
 	t.Helper()
 	d, _ := testDeployment(t, 3, false)
 
@@ -41,25 +44,24 @@ func proberWorld(t *testing.T, sentinels int, slo obs.SLOConfig) (*Prober, *Depl
 	for seen[src] {
 		src++
 	}
-	p, err := NewProber(d, ProberConfig{
-		Src:          src,
-		Targets:      targets,
-		Sentinels:    1,
-		Availability: slo,
-		Staleness:    slo,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg := obs.ProberConfig{Sentinels: 1, Availability: slo, Staleness: slo}
+	for _, as := range targets {
+		cfg.Targets = append(cfg.Targets, obs.ProbeTarget{Name: fmt.Sprintf("as%d", as), Addr: strconv.Itoa(as)})
 	}
-	return p, d, targets
+	return obs.NewProber(d.probeConfig(src, cfg)), d, targets
 }
 
 var chaosSLO = obs.SLOConfig{Objective: 0.9, Window: 6, ShortWindow: 1, FastBurn: 2, SlowBurn: 2}
 
 func TestProberHealthyRounds(t *testing.T) {
-	p, _, targets := proberWorld(t, 1, chaosSLO)
-	var st obs.ProbeStatus
-	for i := 0; i < 3; i++ {
+	p, d, targets := proberWorld(t, 1, chaosSLO)
+	st := p.Round()
+	// An answered operation waits for its reply, not for its timeout: a
+	// healthy round costs the round trips it made.
+	if now := d.Sim().Now(); now <= 0 || now >= DefaultTimeout {
+		t.Fatalf("virtual clock at %d µs after one healthy round, want within (0, %d)", now, DefaultTimeout)
+	}
+	for i := 1; i < 3; i++ {
 		st = p.Round()
 	}
 	if st.Rounds != 3 || st.Breaching() {
@@ -188,8 +190,9 @@ func TestProberDetectsPartitionBeforeGossipHeals(t *testing.T) {
 	}
 }
 
-// TestProberDeterministic pins the twin to virtual time: two identical
-// scenarios produce identical probe statuses, byte for byte.
+// TestProberDeterministic pins the prober over the link to virtual time:
+// two identical scenarios produce identical probe statuses, LatUs and
+// error strings included.
 func TestProberDeterministic(t *testing.T) {
 	run := func() []obs.ProbeStatus {
 		p, d, targets := proberWorld(t, 1, chaosSLO)

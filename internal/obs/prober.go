@@ -62,8 +62,18 @@ type ProberConfig struct {
 	// (probe.op_us, probe.ops, probe.failures, probe.stale,
 	// probe.repaired).
 	Registry *metrics.Registry
-	// Now overrides the clock (tests).
+	// Now overrides the clock; every time the prober reads goes through it.
 	Now func() time.Time
+	// Dial opens the connection to a target's Addr. Nil selects wire.Dial
+	// (TCP and the handshake); internal/nodesim dials simulated links.
+	Dial func(addr string, timeout time.Duration) (ProbeConn, error)
+}
+
+// ProbeConn is one sequential request/reply connection to a target: what
+// the prober uses of a *wire.Conn.
+type ProbeConn interface {
+	RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error)
+	Close() error
 }
 
 // ProbeTargetStatus is one target's outcome in the latest round.
@@ -80,7 +90,7 @@ type ProbeTargetStatus struct {
 	// target that the prober never directly wrote to it — proof that
 	// anti-entropy (not the prober) delivered it.
 	Repaired bool   `json:"repaired"`
-	LatUs    uint64 `json:"lat_us"`
+	LatUs    uint64 `json:"lat_us"` // spent on this target, both passes
 	Err      string `json:"err,omitempty"`
 }
 
@@ -118,7 +128,10 @@ type Prober struct {
 	availability *SLOTracker
 	staleness    *SLOTracker
 
-	conns []*wire.Conn // per target, nil when down
+	conns []ProbeConn // per target, nil when down
+	// dialErr[t] is the dial failure target t met this round; the rest of
+	// its operations fail with it, so a silent target costs one Timeout.
+	dialErr []error
 	// acked[t][s] is the newest version target t directly acknowledged
 	// for sentinel s; maxAcked[s] is the newest version ANY target
 	// acknowledged — the freshness reference for staleness.
@@ -150,6 +163,11 @@ func NewProber(cfg ProberConfig) *Prober {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Dial == nil {
+		cfg.Dial = func(addr string, timeout time.Duration) (ProbeConn, error) {
+			return wire.Dial(context.Background(), addr, timeout, 0)
+		}
+	}
 	if cfg.Availability.Name == "" {
 		cfg.Availability.Name = "availability"
 	}
@@ -164,7 +182,7 @@ func NewProber(cfg ProberConfig) *Prober {
 		version:      cfg.BaseVersion,
 		availability: NewSLOTracker(cfg.Availability),
 		staleness:    NewSLOTracker(cfg.Staleness),
-		conns:        make([]*wire.Conn, len(cfg.Targets)),
+		conns:        make([]ProbeConn, len(cfg.Targets)),
 		acked:        make([][]uint64, len(cfg.Targets)),
 		maxAcked:     make([]uint64, cfg.Sentinels),
 	}
@@ -184,14 +202,30 @@ func NewProber(cfg ProberConfig) *Prober {
 	return p
 }
 
-// Round runs one probe round: a write pass then a read pass over every
-// target × sentinel, then advances both SLO windows. Returns the
-// round's status.
+// Round runs one probe round: the write pass over every target, then
+// the read pass, so every read is held against the newest version any
+// target acknowledged this round. Returns the round's status.
 func (p *Prober) Round() ProbeStatus {
 	p.version++
+	return p.round(true)
+}
+
+// ReadRound is a round without the write pass, so a stale replica stays
+// observably stale: what a chaos scenario runs between a partition's
+// heal and the repair it must be seen to precede.
+func (p *Prober) ReadRound() ProbeStatus { return p.round(false) }
+
+func (p *Prober) round(write bool) ProbeStatus {
 	targets := make([]ProbeTargetStatus, len(p.cfg.Targets))
-	for t := range p.cfg.Targets {
-		targets[t] = p.probeTarget(t)
+	p.dialErr = make([]error, len(targets))
+	for t := range targets {
+		targets[t] = ProbeTargetStatus{Name: p.cfg.Targets[t].Name, WriteOK: true, ReadOK: true}
+		if write {
+			p.writePass(t, &targets[t])
+		}
+	}
+	for t := range targets {
+		p.readPass(t, &targets[t])
 	}
 	p.rounds++
 	// Snapshot status BEFORE advancing: Advance opens an empty round,
@@ -250,11 +284,9 @@ func (p *Prober) Run(stop <-chan struct{}, interval time.Duration, onRound func(
 	}
 }
 
-// probeTarget runs the write and read pass for one target.
-func (p *Prober) probeTarget(t int) ProbeTargetStatus {
-	st := ProbeTargetStatus{Name: p.cfg.Targets[t].Name, WriteOK: true, ReadOK: true}
+// writePass writes every sentinel at the round's version to target t.
+func (p *Prober) writePass(t int, st *ProbeTargetStatus) {
 	start := p.cfg.Now()
-
 	for s, g := range p.sentinels {
 		err := p.insert(t, g)
 		p.countOp(err)
@@ -274,7 +306,12 @@ func (p *Prober) probeTarget(t int) ProbeTargetStatus {
 			p.maxAcked[s] = p.version
 		}
 	}
+	st.LatUs += uint64(p.cfg.Now().Sub(start).Microseconds())
+}
 
+// readPass reads every sentinel back from target t.
+func (p *Prober) readPass(t int, st *ProbeTargetStatus) {
+	start := p.cfg.Now()
 	for s, g := range p.sentinels {
 		v, found, err := p.lookup(t, g)
 		p.countOp(err)
@@ -322,9 +359,7 @@ func (p *Prober) probeTarget(t int) ProbeTargetStatus {
 			p.acked[t][s] = v
 		}
 	}
-
-	st.LatUs = uint64(p.cfg.Now().Sub(start).Microseconds())
-	return st
+	st.LatUs += uint64(p.cfg.Now().Sub(start).Microseconds())
 }
 
 // countOp books one wire operation (a probe write or read) into the
@@ -391,28 +426,29 @@ func respError(t wire.MsgType, payload []byte) error {
 }
 
 // roundTrip performs one exchange on the target's persistent
-// connection, dialing and handshaking first when there is none. The
-// exchange alone is timed into probe.op_us, not the dial. Any error
-// tears the connection down so the next round redials — a prober must
-// never wedge on a sick peer.
+// connection, dialing first when there is none. The exchange alone is
+// timed into probe.op_us, not the dial. Any error tears the connection
+// down and a failed dial is not repeated before the next round — a
+// prober must never wedge on a sick peer.
 func (p *Prober) roundTrip(t int, mt wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
-	conn := p.conns[t]
-	if conn == nil {
-		var err error
-		if conn, err = wire.Dial(context.Background(), p.cfg.Targets[t].Addr, p.cfg.Timeout, 0); err != nil {
-			return 0, nil, err
+	if p.conns[t] == nil {
+		if p.dialErr[t] == nil {
+			p.conns[t], p.dialErr[t] = p.cfg.Dial(p.cfg.Targets[t].Addr, p.cfg.Timeout)
 		}
-		p.conns[t] = conn
+		if p.dialErr[t] != nil {
+			p.conns[t] = nil // a dialer may hand back a nil *wire.Conn beside its error
+			return 0, nil, p.dialErr[t]
+		}
 	}
-	start := time.Now()
-	rt, resp, err := conn.RoundTrip(mt, payload, p.cfg.Timeout)
+	start := p.cfg.Now()
+	rt, resp, err := p.conns[t].RoundTrip(mt, payload, p.cfg.Timeout)
 	if err != nil {
-		conn.Close()
+		p.conns[t].Close()
 		p.conns[t] = nil
 		return 0, nil, err
 	}
 	if p.hOp != nil {
-		p.hOp.ObserveSince(start)
+		p.hOp.ObserveDuration(p.cfg.Now().Sub(start))
 	}
 	return rt, resp, nil
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -257,5 +258,60 @@ func TestProberTimesExchangesNotHandshake(t *testing.T) {
 	}
 	if max := time.Duration(h.Max) * time.Microsecond; max >= helloDelay {
 		t.Errorf("probe.op_us max = %v: the %v handshake was timed into an operation", max, helloDelay)
+	}
+}
+
+// TestProberDialsSickTargetOncePerRound: a target that accepts and never
+// answers the hello costs a round one dial and one Timeout, not one per
+// operation — Run cannot stop between a round's operations, so at the 2 s
+// default six dials held a round (and a shutdown) for 12 s per sick
+// target. Every operation is still an availability failure, and the next
+// round dials again.
+func TestProberDialsSickTargetOncePerRound(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // held open, never answered
+		}
+	}()
+
+	const timeout = 100 * time.Millisecond
+	dials := 0
+	p := NewProber(ProberConfig{
+		Targets: []ProbeTarget{{Name: "silent", Addr: ln.Addr().String()}},
+		Timeout: timeout,
+		Dial: func(addr string, d time.Duration) (ProbeConn, error) {
+			dials++
+			return wire.Dial(context.Background(), addr, d, 0)
+		},
+	})
+	defer p.Close()
+
+	start := time.Now()
+	st := p.Round()
+	if elapsed := time.Since(start); elapsed >= 250*time.Millisecond {
+		t.Errorf("round against one silent target took %v at a %v timeout", elapsed, timeout)
+	}
+	if dials != 1 {
+		t.Errorf("%d dials in one round, want 1", dials)
+	}
+	if ts := st.Targets[0]; ts.WriteOK || ts.ReadOK || ts.Err == "" {
+		t.Errorf("silent target probed OK: %+v", ts)
+	}
+	// 3 sentinels × (write + read), each one an availability failure.
+	if slo := st.SLOs[0]; slo.Good != 0 || slo.Bad != 6 {
+		t.Errorf("availability good=%d bad=%d, want 0 and 6", slo.Good, slo.Bad)
+	}
+	p.Round()
+	if dials != 2 {
+		t.Errorf("%d dials after two rounds, want 2", dials)
 	}
 }

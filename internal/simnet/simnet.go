@@ -91,6 +91,24 @@ func (s *Sim) RunUntil(deadline Time) int {
 	return n
 }
 
+// StepUntil executes events in timestamp order until done reports true,
+// which it returns, or until the next event lies past deadline: then the
+// clock advances to deadline and StepUntil returns false. It is how a
+// blocking call (one request, one awaited reply) is laid over the event
+// loop, so call it from a scenario's top level, never from a handler.
+func (s *Sim) StepUntil(deadline Time, done func() bool) bool {
+	for !done() {
+		if len(s.events.items) == 0 || s.events.items[0].at > deadline {
+			if s.now < deadline {
+				s.now = deadline
+			}
+			return false
+		}
+		s.Step()
+	}
+	return true
+}
+
 type event struct {
 	at  Time
 	seq uint64

@@ -116,6 +116,33 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestStepUntil: the clock stops at the event that satisfied the
+// predicate — later events stay queued — and a predicate nothing
+// satisfies costs exactly the deadline, without running what lies past it.
+func TestStepUntil(t *testing.T) {
+	s := New()
+	var fired []Time
+	for _, at := range []Time{5, 10, 15, 20} {
+		at := at
+		_ = s.At(at, func() { fired = append(fired, at) })
+	}
+	if !s.StepUntil(100, func() bool { return len(fired) == 2 }) {
+		t.Fatal("predicate satisfied at t=10 reported as a deadline")
+	}
+	if s.Now() != 10 || s.Pending() != 2 {
+		t.Errorf("Now = %d with %d pending, want 10 with 2", s.Now(), s.Pending())
+	}
+	if s.StepUntil(17, func() bool { return false }) {
+		t.Fatal("unsatisfied predicate reported done")
+	}
+	if s.Now() != 17 || len(fired) != 3 || s.Pending() != 1 {
+		t.Errorf("Now = %d, fired %v, %d pending; want the clock at the deadline and t=20 still queued", s.Now(), fired, s.Pending())
+	}
+	if s.StepUntil(50, func() bool { return false }) || s.Now() != 50 || len(fired) != 4 {
+		t.Errorf("Now = %d, fired %v: an empty queue must still advance to the deadline", s.Now(), fired)
+	}
+}
+
 // pairOracle returns fixed latencies: 100 µs between distinct nodes,
 // 10 µs within a node.
 type pairOracle struct{}

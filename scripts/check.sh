@@ -146,3 +146,6 @@ go test -run '^$' -fuzz '^FuzzDecodeFleetSnapshot$' -fuzztime=10s ./internal/obs
 # internal API change that breaks it must fail here, not in the
 # benchmark pipeline. -short skips the cluster smoke.
 (cd bench && go vet ./... && go test -short ./...)
+
+# The size of the tree (ROADMAP aim 2), informational.
+sh scripts/loc.sh
