@@ -78,13 +78,14 @@ func (r *Resolver) Hasher() *guid.Hasher { return r.hasher }
 // ErrNoPrefixes reports an empty prefix table: no AS can host anything.
 var ErrNoPrefixes = fmt.Errorf("core: prefix table is empty")
 
-// PlaceReplica runs Algorithm 1 for one replica index: hash the GUID,
-// rehash up to M−1 times while the address falls into an IP hole, then
-// fall back to the announced prefix nearest in IP distance.
-func (r *Resolver) PlaceReplica(g guid.GUID, replica int) (Placement, error) {
-	addr := netaddr.Addr(r.hasher.Hash(g, replica))
+// walk runs Algorithm 1 for one replica from its first hashed address:
+// rehash up to M−1 times while the address falls into an IP hole (or an
+// excluded one; nil excludes nothing), then fall back to the announced
+// prefix nearest in IP distance.
+func (r *Resolver) walk(first uint32, replica int, exclude func(netaddr.Addr) bool) (Placement, error) {
+	addr := netaddr.Addr(first)
 	for m := 0; m < r.maxRehash; m++ {
-		if e, ok := r.table.Lookup(addr); ok {
+		if e, ok := r.table.Lookup(addr); ok && (exclude == nil || !exclude(addr)) {
 			return Placement{AS: e.AS, Addr: addr, Replica: replica, Rehashes: m}, nil
 		}
 		addr = netaddr.Addr(r.hasher.Rehash(uint32(addr), replica))
@@ -100,6 +101,11 @@ func (r *Resolver) PlaceReplica(g guid.GUID, replica int) (Placement, error) {
 		Rehashes:    r.maxRehash,
 		UsedNearest: true,
 	}, nil
+}
+
+// PlaceReplica runs Algorithm 1 for one replica index.
+func (r *Resolver) PlaceReplica(g guid.GUID, replica int) (Placement, error) {
+	return r.walk(r.hasher.Hash(g, replica), replica, nil)
 }
 
 // Place returns all K placements for g, in replica order. Distinct
@@ -118,8 +124,9 @@ func (r *Resolver) Place(g guid.GUID) ([]Placement, error) {
 // of Place for hot request paths. On error the partially extended dst
 // is returned so callers pooling the slice can still recycle it.
 func (r *Resolver) PlaceInto(g guid.GUID, dst []Placement) ([]Placement, error) {
-	for i := 0; i < r.hasher.K(); i++ {
-		p, err := r.PlaceReplica(g, i)
+	var firsts [8]uint32 // one digest's worth; a larger K spills to the heap
+	for i, first := range r.hasher.AppendAll(firsts[:0], g) {
+		p, err := r.walk(first, i, nil)
 		if err != nil {
 			return dst, err
 		}
@@ -135,24 +142,7 @@ func (r *Resolver) PlaceInto(g guid.GUID, dst []Placement) ([]Placement, error) 
 // announcing AS locates the old deputy by pretending its new prefix is
 // still a hole.
 func (r *Resolver) PlaceExcluding(g guid.GUID, replica int, exclude func(netaddr.Addr) bool) (Placement, error) {
-	addr := netaddr.Addr(r.hasher.Hash(g, replica))
-	for m := 0; m < r.maxRehash; m++ {
-		if e, ok := r.table.Lookup(addr); ok && !exclude(addr) {
-			return Placement{AS: e.AS, Addr: addr, Replica: replica, Rehashes: m}, nil
-		}
-		addr = netaddr.Addr(r.hasher.Rehash(uint32(addr), replica))
-	}
-	e, closest, ok := r.table.Nearest(addr)
-	if !ok {
-		return Placement{}, ErrNoPrefixes
-	}
-	return Placement{
-		AS:          e.AS,
-		Addr:        closest,
-		Replica:     replica,
-		Rehashes:    r.maxRehash,
-		UsedNearest: true,
-	}, nil
+	return r.walk(r.hasher.Hash(g, replica), replica, exclude)
 }
 
 // PlaceByASNumber is the §VII variant that hashes GUIDs directly to AS

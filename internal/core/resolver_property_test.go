@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -203,10 +204,13 @@ func TestReplicaPlacementsExtend(t *testing.T) {
 	}
 }
 
-// Distinct replicas of one GUID should spread out: across a random
-// population, the rate at which replica 0 and replica 1 land on the same
-// AS must stay near the birthday estimate implied by the table's
-// per-AS announced share (Σ share² under independent uniform hashing).
+// Distinct replicas of one GUID must be placed independently: the rate at
+// which replica 0 and replica 1 of the same GUID land on one AS must
+// equal the rate at which replica 0 of one GUID and replica 1 of another
+// do — independent by construction, whatever the table's geometry and
+// however much of it the Nearest fallback decides. The cross-GUID rate
+// is taken over all pairs (Σ_AS P₀(AS)·P₁(AS) from the two marginals), so
+// the band is the same-GUID rate's own 4σ binomial spread.
 func TestReplicaSpreadMatchesShare(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	table, _ := randomTable(t, rng, 80)
@@ -214,25 +218,28 @@ func TestReplicaSpreadMatchesShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expected := 0.0
-	for _, share := range table.ShareByAS() {
-		expected += share * share
-	}
-	const n = 5000
+	const n = 50000
 	same := 0
+	var byAS [2]map[int]float64
+	byAS[0], byAS[1] = map[int]float64{}, map[int]float64{}
+	ps := make([]Placement, 0, 2)
 	for i := 0; i < n; i++ {
-		ps, err := r.Place(guid.FromUint64(uint64(i) + 1))
-		if err != nil {
+		if ps, err = r.PlaceInto(guid.FromUint64(uint64(i)+1), ps[:0]); err != nil {
 			t.Fatal(err)
 		}
 		if ps[0].AS == ps[1].AS {
 			same++
 		}
+		byAS[0][ps[0].AS]++
+		byAS[1][ps[1].AS]++
+	}
+	cross := 0.0
+	for as, c := range byAS[0] {
+		cross += c / n * byAS[1][as] / n
 	}
 	got := float64(same) / n
-	// Rehashing and deputy fallback skew slightly toward big prefixes,
-	// so allow a generous band around the independence estimate.
-	if got > 4*expected+0.02 {
-		t.Errorf("replica collision rate %.4f far above independence estimate %.4f", got, expected)
+	if band := 4 * math.Sqrt(cross*(1-cross)/n); math.Abs(got-cross) > band {
+		t.Errorf("same-GUID replica collision rate %.4f, cross-GUID rate %.4f: apart by more than %.4f, replicas correlate",
+			got, cross, band)
 	}
 }

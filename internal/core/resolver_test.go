@@ -120,6 +120,26 @@ func TestPlacementAddressOwnedByAS(t *testing.T) {
 	}
 }
 
+// Placement is the client's per-request local computation: into a reused
+// slice it must not allocate, for every K one digest serves.
+func TestPlaceZeroAllocs(t *testing.T) {
+	tbl := genTable(t, 3)
+	for _, k := range []int{3, 8} {
+		r, err := NewResolver(guid.MustHasher(k, 0), tbl, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := guid.New("phone-X")
+		dst := make([]Placement, 0, k)
+		if n := testing.AllocsPerRun(200, func() { dst, _ = r.PlaceInto(g, dst[:0]) }); n != 0 {
+			t.Errorf("K=%d: PlaceInto allocates %.1f times per call", k, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { _, _ = r.PlaceReplica(g, k-1) }); n != 0 {
+			t.Errorf("K=%d: PlaceReplica allocates %.1f times per call", k, n)
+		}
+	}
+}
+
 func TestPlaceRehashOnHole(t *testing.T) {
 	// Announce only the lower half: any GUID whose first hash has the top
 	// bit set must rehash at least once, and the final address must land

@@ -16,8 +16,8 @@ func Example() {
 	// The same GUID always hashes to the same K network addresses, on
 	// every router, with no coordination.
 	h := guid.MustHasher(3, 0)
-	a := h.HashAll(g)
-	b := h.HashAll(g)
+	a := h.AppendAll(nil, g)
+	b := h.AppendAll(nil, g)
 	fmt.Println("replicas agree:", a[0] == b[0] && a[1] == b[1] && a[2] == b[2])
 	// Output:
 	// verifies: true

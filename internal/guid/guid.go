@@ -102,19 +102,35 @@ func Max() GUID {
 //
 // The i-th function of the family is
 //
-//	h_i(g) = first 32 bits of SHA-256(salt ‖ i ‖ g)
+//	h_i(g) = big-endian 32-bit word i mod 8 of SHA-256(salt ‖ be32(i / 8) ‖ g)
 //
-// Domain-separating on the replica index i makes the K functions
-// independent while keeping every router's view identical. Rehashing for
-// hole handling (Algorithm 1) feeds the previous 32-bit value back through
-// the same function via Rehash.
+// so one digest yields the first addresses of eight replicas — all of
+// them for the paper's K = 5 — and a smaller K's family is a prefix of a
+// larger one's. Rehashing for hole handling (Algorithm 1) is
+//
+//	Rehash(x, i) = mix32(x ⊕ key_i)
+//
+// with mix32 a bijective multiply-xorshift finaliser and key_i a
+// per-replica word derived from the salt: the chain's input is 32 bits,
+// the only question it answers is whether the next candidate lands in
+// announced space, and a bijection cannot merge two chains. The family
+// is a flag-day parameter — changing it moves every stored mapping's
+// home.
 type Hasher struct {
-	k    int
-	salt [8]byte
+	k     int
+	salt  [8]byte
+	rekey []uint32 // per-replica Rehash key
 }
 
 // DefaultK is the replication factor used in the paper's evaluation.
 const DefaultK = 5
+
+// The digests' domain word: a block index for the first-hash family,
+// with one of these bits set for everything else.
+const (
+	rekeyDomain = 0x40000000
+	rangeDomain = 0x80000000
+)
 
 // NewHasher returns a hash family with k replica functions. The salt lets
 // deployments (and tests) derive disjoint families; the zero salt is the
@@ -125,6 +141,7 @@ func NewHasher(k int, salt uint64) (*Hasher, error) {
 	}
 	h := &Hasher{k: k}
 	binary.BigEndian.PutUint64(h.salt[:], salt)
+	h.rekey = h.appendWords(make([]uint32, 0, k), rekeyDomain, GUID{})
 	return h, nil
 }
 
@@ -141,39 +158,54 @@ func MustHasher(k int, salt uint64) *Hasher {
 // K returns the number of replica hash functions in the family.
 func (h *Hasher) K() int { return h.k }
 
+// digest is SHA-256(salt ‖ be32(domain) ‖ g).
+func (h *Hasher) digest(domain uint32, g GUID) [sha256.Size]byte {
+	var buf [8 + 4 + Size]byte
+	copy(buf[:8], h.salt[:])
+	binary.BigEndian.PutUint32(buf[8:12], domain)
+	copy(buf[12:], g[:])
+	return sha256.Sum256(buf[:])
+}
+
+// appendWords appends K words to dst, word i being word i mod 8 of the
+// digest for domain|i/8.
+func (h *Hasher) appendWords(dst []uint32, domain uint32, g GUID) []uint32 {
+	for i := 0; i < h.k; i += 8 {
+		sum := h.digest(domain|uint32(i/8), g)
+		for j := 0; j < 8 && i+j < h.k; j++ {
+			dst = append(dst, binary.BigEndian.Uint32(sum[4*j:]))
+		}
+	}
+	return dst
+}
+
 // Hash returns h_replica(g) as a 32-bit value in the network address
 // space. replica must be in [0, K).
 func (h *Hasher) Hash(g GUID, replica int) uint32 {
 	if replica < 0 || replica >= h.k {
 		panic(fmt.Sprintf("guid: replica index %d out of range [0,%d)", replica, h.k))
 	}
-	var buf [8 + 4 + Size]byte
-	copy(buf[:8], h.salt[:])
-	binary.BigEndian.PutUint32(buf[8:12], uint32(replica))
-	copy(buf[12:], g[:])
-	sum := sha256.Sum256(buf[:])
-	return binary.BigEndian.Uint32(sum[:4])
+	sum := h.digest(uint32(replica/8), g)
+	return binary.BigEndian.Uint32(sum[4*(replica%8):])
 }
 
-// HashAll returns all K hashed addresses for g, in replica order.
-func (h *Hasher) HashAll(g GUID) []uint32 {
-	out := make([]uint32, h.k)
-	for i := range out {
-		out[i] = h.Hash(g, i)
-	}
-	return out
+// AppendAll appends all K hashed addresses for g to dst, in replica
+// order, from one digest per eight replicas.
+func (h *Hasher) AppendAll(dst []uint32, g GUID) []uint32 {
+	return h.appendWords(dst, 0, g)
 }
 
 // Rehash is the re-hash step of Algorithm 1: when a hashed address falls
-// into an IP hole, the 32-bit value itself is hashed again (still
-// domain-separated on the replica index so replicas stay independent).
+// into an IP hole, the 32-bit value itself is hashed again, keyed on the
+// replica index so replicas stay independent. replica must be in [0, K).
 func (h *Hasher) Rehash(prev uint32, replica int) uint32 {
-	var buf [8 + 4 + 4]byte
-	copy(buf[:8], h.salt[:])
-	binary.BigEndian.PutUint32(buf[8:12], uint32(replica))
-	binary.BigEndian.PutUint32(buf[12:], prev)
-	sum := sha256.Sum256(buf[:])
-	return binary.BigEndian.Uint32(sum[:4])
+	x := prev ^ h.rekey[replica]
+	x ^= x >> 16
+	x *= 0x7feb352d
+	x ^= x >> 15
+	x *= 0x846ca68b
+	x ^= x >> 16
+	return x
 }
 
 // HashToRange maps h_replica(g) uniformly onto [0, n), used by the
@@ -184,10 +216,6 @@ func (h *Hasher) HashToRange(g GUID, replica int, n int) int {
 		panic(fmt.Sprintf("guid: HashToRange n must be positive, got %d", n))
 	}
 	// Use 64 bits of the digest to keep modulo bias negligible.
-	var buf [8 + 4 + Size]byte
-	copy(buf[:8], h.salt[:])
-	binary.BigEndian.PutUint32(buf[8:12], uint32(replica)|0x80000000) // distinct domain
-	copy(buf[12:], g[:])
-	sum := sha256.Sum256(buf[:])
+	sum := h.digest(uint32(replica)|rangeDomain, g)
 	return int(binary.BigEndian.Uint64(sum[:8]) % uint64(n))
 }

@@ -1,7 +1,10 @@
 package guid
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,16 +126,49 @@ func TestHashSaltSeparation(t *testing.T) {
 }
 
 func TestHashAllMatchesHash(t *testing.T) {
-	h := MustHasher(4, 7)
+	// Both sides of the eight-word digest boundary.
 	g := FromUint64(123456)
-	all := h.HashAll(g)
-	if len(all) != 4 {
-		t.Fatalf("HashAll length = %d, want 4", len(all))
-	}
-	for i, v := range all {
-		if v != h.Hash(g, i) {
-			t.Errorf("HashAll[%d] = %#x, want %#x", i, v, h.Hash(g, i))
+	for _, k := range []int{1, 5, 8, 9, 12} {
+		h := MustHasher(k, 7)
+		all := h.AppendAll(nil, g)
+		if len(all) != k {
+			t.Fatalf("K=%d: AppendAll length = %d", k, len(all))
 		}
+		for i, v := range all {
+			if v != h.Hash(g, i) {
+				t.Errorf("K=%d: AppendAll[%d] = %#x, want %#x", k, i, v, h.Hash(g, i))
+			}
+		}
+		if got := h.AppendAll(all[:1], g); len(got) != 1+k || got[0] != all[0] || got[1] != all[0] {
+			t.Errorf("K=%d: AppendAll must extend dst, got %#x", k, got)
+		}
+	}
+}
+
+func TestSmallerFamilyIsAPrefix(t *testing.T) {
+	g := New("laptop-A")
+	two, twelve := MustHasher(2, 3), MustHasher(12, 3)
+	other := MustHasher(12, 4).AppendAll(nil, g)
+	for i, v := range twelve.AppendAll(nil, g) {
+		if i < 2 && two.Hash(g, i) != v {
+			t.Errorf("replica %d: K=2 gives %#x, K=12 gives %#x", i, two.Hash(g, i), v)
+		}
+		if v == other[i] {
+			t.Errorf("replica %d: salts 3 and 4 agree on %#x", i, v)
+		}
+	}
+}
+
+func TestFirstHashPinned(t *testing.T) {
+	// The one pinned vector: replica 0's first address is the leading
+	// word of SHA-256(salt ‖ 0⁴ ‖ g). If this moves, every stored
+	// mapping's home has moved.
+	g := New("phone-X")
+	const salt = 0x0102030405060708
+	pre := append([]byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0}, g[:]...)
+	sum := sha256.Sum256(pre)
+	if got, want := MustHasher(5, salt).Hash(g, 0), binary.BigEndian.Uint32(sum[:4]); got != want {
+		t.Errorf("Hash(g, 0) = %#x, want %#x", got, want)
 	}
 }
 
@@ -183,6 +219,68 @@ func TestRehashChangesValueAndIsDeterministic(t *testing.T) {
 	}
 	if h.Rehash(v, 0) == h.Rehash(v, 1) {
 		t.Error("Rehash must be domain-separated per replica")
+	}
+}
+
+func TestRehashIsInjective(t *testing.T) {
+	// A bijection cannot merge two rehash chains.
+	h := MustHasher(3, 0)
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	for name, input := range map[string]func(i int) uint32{
+		"consecutive": func(i int) uint32 { return 0xfff00000 + uint32(i) },
+		"random":      func(int) uint32 { return rng.Uint32() },
+	} {
+		in, out := make(map[uint32]struct{}, n), make(map[uint32]struct{}, n)
+		for i := 0; i < n; i++ {
+			x := input(i)
+			in[x] = struct{}{}
+			out[h.Rehash(x, 1)] = struct{}{}
+		}
+		if len(out) != len(in) {
+			t.Errorf("%s: %d distinct inputs gave %d outputs", name, len(in), len(out))
+		}
+	}
+}
+
+func TestRehashKeyedBySaltAndReplica(t *testing.T) {
+	h, other := MustHasher(12, 0), MustHasher(12, 1)
+	seen := make(map[uint32]int)
+	for r := 0; r < 12; r++ {
+		v := h.Rehash(0xdeadbeef, r)
+		if prev, dup := seen[v]; dup {
+			t.Errorf("replicas %d and %d rehash alike", prev, r)
+		}
+		seen[v] = r
+		if v == other.Rehash(0xdeadbeef, r) {
+			t.Errorf("replica %d: salts 0 and 1 rehash alike", r)
+		}
+	}
+}
+
+func TestRehashAvalanche(t *testing.T) {
+	// Flipping any one input bit must flip each output bit about half
+	// the time: the next candidate address says nothing about the last.
+	h := MustHasher(2, 0)
+	const samples = 10000
+	rng := rand.New(rand.NewSource(2))
+	var flips [32][32]int
+	for s := 0; s < samples; s++ {
+		x := rng.Uint32()
+		base := h.Rehash(x, 1)
+		for in := 0; in < 32; in++ {
+			diff := base ^ h.Rehash(x^1<<in, 1)
+			for out := 0; out < 32; out++ {
+				flips[in][out] += int(diff >> out & 1)
+			}
+		}
+	}
+	for in := range flips {
+		for out, n := range flips[in] {
+			if f := float64(n) / samples; f < 0.40 || f > 0.60 {
+				t.Errorf("input bit %d flips output bit %d with frequency %.3f", in, out, f)
+			}
+		}
 	}
 }
 

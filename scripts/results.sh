@@ -1,0 +1,54 @@
+#!/bin/sh
+# Regenerates results/: one line per file, carrying the flags that file is
+# made with (EXPERIMENTS.md quotes these files). `results.sh` writes all
+# of them, `results.sh <name>` one. Every output is deterministic per
+# seed and byte-identical for every -workers value; progress goes to the
+# terminal. Run it whenever a change is meant to move a figure — the hash
+# family, the topology or prefix generators, an evaluation driver — and
+# commit what it writes with the reason. Full scale (no -scale flag) is
+# the paper's 26,424 ASs: fig4 takes about ten minutes on one core, fig5
+# three times that, everything else under a minute.
+set -eu
+cd "$(dirname "$0")/.."
+
+only=${1:-}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/dmapsim" ./cmd/dmapsim
+
+ran=0
+run() {
+    name=$1
+    shift
+    if [ -n "$only" ] && [ "$only" != "$name" ]; then
+        return 0
+    fi
+    ran=1
+    echo "== results/$name.txt: dmapsim -experiment $*" >&2
+    "$tmp/dmapsim" -experiment "$@" >"results/$name.txt"
+}
+
+mid="-scale 5000 -guids 20000"
+
+run fig4 fig4 -cdf 20
+run fig5 fig5
+run fig6 fig6
+run fig7 fig7
+run overhead overhead
+run holes holes -guids 200000
+run baselines baselines $mid -lookups 100000
+run ablation-selection ablation-selection $mid -lookups 200000
+run ablation-local ablation-local $mid -lookups 200000
+run ablation-m ablation-m -scale 5000 -guids 100000
+run ablation-asnum ablation-asnum $mid -lookups 200000
+run ablation-k ablation-k $mid -lookups 200000
+run update update -scale 5000 -guids 50000
+run caching caching $mid -lookups 500000
+run crossval crossval -scale 2000 -guids 500 -lookups 2000
+run churnsim churnsim -scale 2000 -guids 2000 -lookups 20000
+run queryload queryload $mid -lookups 200000
+
+if [ "$ran" = 0 ]; then
+    echo "results.sh: no output named '$only'" >&2
+    exit 2
+fi
