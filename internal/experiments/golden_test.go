@@ -19,10 +19,10 @@ import (
 // parent of the change that factored the per-source preamble out of
 // them) and must not be regenerated to make a later change pass:
 // DMAP_WRITE_GOLDEN=1 go test -run TestGoldenAtTestScale ./internal/experiments
-// The one exception so far is the commit that put the hash family on one
-// digest per GUID (guid.Hasher, PR 22): it moved every placement, so it
-// rewrote these files and results/ (scripts/results.sh) in the same
-// commit as the hasher, and no later commit of that change touched them.
+// The one exception so far is commit 8f7783e, which put the hash family
+// on one digest per GUID (guid.Hasher): it moved every placement, so it
+// rewrote these files and results/ (scripts/results.sh) together with
+// the hasher, and no later commit touched them.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what

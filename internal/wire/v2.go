@@ -348,13 +348,18 @@ func AppendBatchLookupResp(dst []byte, rs []LookupResp) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBatchLookupResp decodes a MsgBatchLookupResp body.
+// DecodeBatchLookupResp decodes a MsgBatchLookupResp body. The found
+// entries' NAs are carved from an array the frame shares — sized for one
+// NA per remaining item, with a further one taken when a multi-homed
+// entry would not fit — each capped at its own length, so an append to
+// one entry's NAs copies instead of overwriting its neighbour's.
 func DecodeBatchLookupResp(b []byte) ([]LookupResp, error) {
 	n, b, err := DecodeBatchCount(b)
 	if err != nil {
 		return nil, err
 	}
 	rs := make([]LookupResp, n)
+	var free []store.NA // the part of the shared NA array no entry has taken
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {
 			return nil, ErrTruncated
@@ -363,10 +368,15 @@ func DecodeBatchLookupResp(b []byte) ([]LookupResp, error) {
 		case 0:
 			b = b[1:]
 		case 1:
-			e, rest, err := DecodeEntry(b[1:])
+			if len(free) < store.MaxNAs {
+				free = make([]store.NA, n-i+store.MaxNAs)
+			}
+			e, rest, err := DecodeEntryAppend(free[:0], b[1:])
 			if err != nil {
 				return nil, err
 			}
+			free = free[len(e.NAs):]
+			e.NAs = e.NAs[:len(e.NAs):len(e.NAs)]
 			rs[i] = LookupResp{Found: true, Entry: e}
 			b = rest
 		default:

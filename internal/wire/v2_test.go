@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"dmap/internal/guid"
@@ -287,5 +288,40 @@ func TestBatchLookupRespRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeBatchLookupResp(append(b, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// The entries of one decoded frame share backing arrays for their NAs;
+// growing one entry's must not write into the next one's.
+func TestBatchLookupRespEntriesDoNotAlias(t *testing.T) {
+	rs := make([]LookupResp, 12)
+	for i := range rs {
+		rs[i] = LookupResp{Found: i != 2, Entry: testEntry(i)}
+		for i%2 == 1 && len(rs[i].Entry.NAs) < store.MaxNAs { // enough to need a second array
+			rs[i].Entry.NAs = append(rs[i].Entry.NAs, store.NA{AS: 7, Addr: 7})
+		}
+	}
+	b, err := AppendBatchLookupResp(nil, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBatchLookupResp(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if !got[i].Found {
+			continue
+		}
+		got[i].Entry.NAs = append(got[i].Entry.NAs, store.NA{AS: 0xBAD, Addr: 0xBAD})
+	}
+	for i, r := range rs {
+		if !r.Found {
+			continue
+		}
+		nas := got[i].Entry.NAs
+		if len(nas) != len(r.Entry.NAs)+1 || !reflect.DeepEqual(nas[:len(nas)-1], r.Entry.NAs) {
+			t.Errorf("entry %d: NAs = %v after its neighbours grew, want %v first", i, nas, r.Entry.NAs)
+		}
 	}
 }

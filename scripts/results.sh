@@ -6,8 +6,8 @@
 # terminal. Run it whenever a change is meant to move a figure — the hash
 # family, the topology or prefix generators, an evaluation driver — and
 # commit what it writes with the reason. Full scale (no -scale flag) is
-# the paper's 26,424 ASs: fig4 takes about ten minutes on one core, fig5
-# three times that, everything else under a minute.
+# the paper's 26,424 ASs: fig4 takes about three minutes on two cores,
+# fig5 three times that, everything else under a minute.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -16,37 +16,38 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/dmapsim" ./cmd/dmapsim
 
+# run <experiment> [flags] writes results/<experiment>.txt, once the run
+# has succeeded: an interrupted one leaves the old file.
 ran=0
 run() {
-    name=$1
-    shift
-    if [ -n "$only" ] && [ "$only" != "$name" ]; then
+    if [ -n "$only" ] && [ "$only" != "$1" ]; then
         return 0
     fi
     ran=1
-    echo "== results/$name.txt: dmapsim -experiment $*" >&2
-    "$tmp/dmapsim" -experiment "$@" >"results/$name.txt"
+    echo "== results/$1.txt: dmapsim -experiment $*" >&2
+    "$tmp/dmapsim" -experiment "$@" >"$tmp/out"
+    mv "$tmp/out" "results/$1.txt"
 }
 
 mid="-scale 5000 -guids 20000"
 
-run fig4 fig4 -cdf 20
-run fig5 fig5
-run fig6 fig6
-run fig7 fig7
-run overhead overhead
-run holes holes -guids 200000
-run baselines baselines $mid -lookups 100000
-run ablation-selection ablation-selection $mid -lookups 200000
-run ablation-local ablation-local $mid -lookups 200000
-run ablation-m ablation-m -scale 5000 -guids 100000
-run ablation-asnum ablation-asnum $mid -lookups 200000
-run ablation-k ablation-k $mid -lookups 200000
-run update update -scale 5000 -guids 50000
-run caching caching $mid -lookups 500000
-run crossval crossval -scale 2000 -guids 500 -lookups 2000
-run churnsim churnsim -scale 2000 -guids 2000 -lookups 20000
-run queryload queryload $mid -lookups 200000
+run fig4 -cdf 20
+run fig5
+run fig6
+run fig7
+run overhead
+run holes -guids 200000
+run baselines $mid -lookups 100000
+run ablation-selection $mid -lookups 200000
+run ablation-local $mid -lookups 200000
+run ablation-m -scale 5000 -guids 100000
+run ablation-asnum $mid -lookups 200000
+run ablation-k $mid -lookups 200000
+run update -scale 5000 -guids 50000
+run caching $mid -lookups 500000
+run crossval -scale 2000 -guids 500 -lookups 2000
+run churnsim -scale 2000 -guids 2000 -lookups 20000
+run queryload $mid -lookups 200000
 
 if [ "$ran" = 0 ]; then
     echo "results.sh: no output named '$only'" >&2
