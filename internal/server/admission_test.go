@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -148,37 +150,131 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMalformedBatchInsertKeepsLeadingEntries pins what putBatch's
-// decode-and-store-as-you-go leaves behind when a MsgBatchInsert body is
-// bad part-way: the frame is answered MsgError{BadRequest}, the entries
-// decoded before the fault are stored, nothing after it is.
-func TestMalformedBatchInsertKeepsLeadingEntries(t *testing.T) {
+// batchFrames returns a MsgBatchInsert body of burstEntry(0..n-1), every
+// fifth one multi-homed, and the MsgBatchLookup body for the same GUIDs.
+func batchFrames(t *testing.T, n int) (entries []store.Entry, insert, lookup []byte) {
+	t.Helper()
+	gs := make([]guid.GUID, n)
+	for i := range gs {
+		e := burstEntry(i)
+		if i%5 == 0 {
+			e.NAs = append(e.NAs, store.NA{AS: 7, Addr: netaddr.AddrFromOctets(10, 2, 0, byte(i))})
+		}
+		entries, gs[i] = append(entries, e), e.GUID
+	}
+	insert, err := wire.AppendBatchInsert(nil, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lookup, err = wire.AppendBatchLookup(nil, gs); err != nil {
+		t.Fatal(err)
+	}
+	return entries, insert, lookup
+}
+
+// TestServedBatchAllocBudget: a served 64-GUID batch frame allocates what
+// it did before the node walked a frame twice — the decoded []GUID of a
+// lookup, the []bool of an insert's acks — so the stack arrays of
+// putBatch's first walk and of store.Warm provably stay on the stack.
+func TestServedBatchAllocBudget(t *testing.T) {
+	n := NewWithOptions(nil, Options{HotKeys: trace.NewHotKeys(32)})
+	_, insert, lookup := batchFrames(t, 64)
+	dst := make([]byte, 0, 8<<10)
+	for _, c := range []struct {
+		name string
+		typ  wire.MsgType
+		body []byte
+		want wire.MsgType
+	}{
+		{"insert", wire.MsgBatchInsert, insert, wire.MsgBatchInsertAck},
+		{"lookup", wire.MsgBatchLookup, lookup, wire.MsgBatchLookupResp},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if typ, _ := n.handle(c.typ, c.body, nil, nil, dst, time.Now()); typ != c.want {
+				t.Fatalf("batch %s answered %v", c.name, typ)
+			}
+		}); allocs > 1 {
+			t.Errorf("a served 64-GUID batch %s allocates %.1f/op, want ≤ 1", c.name, allocs)
+		}
+	}
+}
+
+// TestFullBatchFrameSpansWarmChunks: a MaxBatch-entry frame — eight of
+// putBatch's 64-GUID warm chunks, two of store.Warm's 256 — stores and
+// acks every entry, counts the frame once and tells the tracker of each
+// GUID once; and the tracker decides nothing: the replies of a node with
+// -hotkeys 32 and of one with -hotkeys 0 are the same bytes.
+func TestFullBatchFrameSpansWarmChunks(t *testing.T) {
+	entries, insert, lookup := batchFrames(t, wire.MaxBatch)
+	tracked := NewWithOptions(nil, Options{HotKeys: trace.NewHotKeys(32)})
+	plain := NewWithOptions(nil, Options{})
+	for _, c := range []struct {
+		name string
+		typ  wire.MsgType
+		body []byte
+	}{{"insert", wire.MsgBatchInsert, insert}, {"lookup", wire.MsgBatchLookup, lookup}} {
+		typ, out := tracked.handle(c.typ, c.body, nil, nil, nil, time.Now())
+		ptyp, pout := plain.handle(c.typ, c.body, nil, nil, nil, time.Now())
+		if typ != ptyp || !bytes.Equal(out, pout) {
+			t.Fatalf("batch %s: reply %v (%d bytes) with the tracker on, %v (%d bytes) with it off", c.name, typ, len(out), ptyp, len(pout))
+		}
+		switch c.typ {
+		case wire.MsgBatchInsert:
+			acked, err := wire.DecodeBatchInsertAck(out)
+			if err != nil || len(acked) != len(entries) || slices.Contains(acked, false) {
+				t.Fatalf("batch insert: acks %v (%v), want %d of true", acked, err, len(entries))
+			}
+		case wire.MsgBatchLookup:
+			resps, err := wire.DecodeBatchLookupResp(out)
+			if err != nil || len(resps) != len(entries) {
+				t.Fatalf("batch lookup: %d responses (%v), want %d", len(resps), err, len(entries))
+			}
+			for i, r := range resps {
+				if !r.Found || r.Entry.GUID != entries[i].GUID || !slices.Equal(r.Entry.NAs, entries[i].NAs) {
+					t.Fatalf("batch lookup: response %d = %+v, want %+v", i, r, entries[i])
+				}
+			}
+		}
+	}
+	const want = wire.MaxBatch
+	if st := tracked.Stats(); tracked.Store().Len() != want || st.Inserts != want || st.Lookups != want || st.Hits != want {
+		t.Errorf("Len = %d, Stats = %+v; want %d stored, inserted, looked up and hit", tracked.Store().Len(), st, want)
+	}
+	if l, i := tracked.HotKeys().Totals(); l != want || i != want {
+		t.Errorf("tracker totals = %d lookups, %d inserts; want %d each", l, i, want)
+	}
+}
+
+// TestMalformedBatchInsertStoresNothing: a refused frame has no effect.
+// putBatch's first walk sees the whole body before anything is stored,
+// so a MsgBatchInsert bad anywhere — part-way, or only past its last
+// entry — is answered MsgError{BadRequest} with the store, its dump and
+// the tracker's totals exactly as they were.
+func TestMalformedBatchInsertStoresNothing(t *testing.T) {
 	entries := []store.Entry{burstEntry(0), burstEntry(1), burstEntry(2)}
 	body, err := wire.AppendBatchInsert(nil, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name   string
-		body   []byte
-		stored int
+		name string
+		body []byte
 	}{
-		{"cut inside entry 2", body[:len(body)-3], 2},
-		{"cut inside entry 0", body[:10], 0},
-		{"trailing byte", append(append([]byte(nil), body...), 0), 3},
+		{"cut inside entry 2", body[:len(body)-3]},
+		{"cut inside entry 0", body[:10]},
+		{"trailing byte", append(append([]byte(nil), body...), 0)},
 	} {
-		n := NewWithOptions(nil, Options{})
+		n := NewWithOptions(nil, Options{HotKeys: trace.NewHotKeys(32)})
+		dump := n.Store().AppendDump(nil)
 		typ, out := n.handle(wire.MsgBatchInsert, c.body, nil, nil, nil, time.Now())
 		if kind, _, err := wire.DecodeErrorKind(out); typ != wire.MsgError || err != nil || kind != wire.ErrKindBadRequest {
 			t.Errorf("%s: answered %v kind %v (%v), want MsgError BadRequest", c.name, typ, kind, err)
 		}
-		if got := n.Store().Len(); got != c.stored {
-			t.Errorf("%s: %d entries stored, want %d", c.name, got, c.stored)
+		if got := n.Store().Len(); got != 0 || !bytes.Equal(n.Store().AppendDump(nil), dump) {
+			t.Errorf("%s: %d entries stored by a refused frame", c.name, got)
 		}
-		for i, e := range entries {
-			if _, ok := n.Store().Get(e.GUID); ok != (i < c.stored) {
-				t.Errorf("%s: entry %d stored = %v", c.name, i, ok)
-			}
+		if _, ins := n.HotKeys().Totals(); ins != 0 || n.Stats().Inserts != 0 {
+			t.Errorf("%s: a refused frame counted %d tracker inserts, %d inserts", c.name, ins, n.Stats().Inserts)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmap/internal/guid"
 	"dmap/internal/metrics"
 	"dmap/internal/store"
 	"dmap/internal/trace"
@@ -586,21 +587,23 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 		}
 		// The same copy-out boundary as the single-op arm, once per GUID:
 		// each entry is read into nas and encoded into dst from there,
-		// with no staging slice in between.
+		// with no staging slice in between. Warm first has the frame's
+		// cache misses overlap, so each Read's lookup is a cached one; the
+		// tracker and the counters take the frame whole.
+		n.hot.ObserveLookups(gs)
+		n.store.Warm(gs)
 		out, err = wire.AppendBatchCount(dst, len(gs))
 		hits := 0
 		var nas [store.MaxNAs]store.NA
 		for i := 0; err == nil && i < len(gs); i++ {
-			g := gs[i]
-			n.hot.ObserveLookup(g)
-			e, ok := n.store.Read(g, &nas)
+			e, ok := n.store.Read(gs[i], &nas)
 			out, err = wire.AppendLookupResp(out, wire.LookupResp{Found: ok, Entry: e})
-			n.lookups.Add(1)
 			if ok {
-				n.hits.Add(1)
 				hits++
 			}
 		}
+		n.lookups.Add(int64(len(gs)))
+		n.hits.Add(int64(hits))
 		if st != nil {
 			st.Eventf("hits=%d", hits)
 			st.End()
@@ -620,34 +623,53 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 }
 
 // putBatch stores the entries of a MsgBatchInsert body and reports which
-// the store took. Each entry is decoded into the stack and stored before
-// the next is looked at: no []Entry, no NA slice per entry. A body that
-// turns out malformed part-way is refused as a whole with its leading
-// entries stored — each valid on its own, nothing its sender could not
-// have stored with a well-formed frame.
+// the store took. A first walk decodes every entry for its GUID — so a
+// body malformed anywhere is refused before anything is stored or the
+// tracker told: a refused frame has no effect — and warms the store 64
+// GUIDs at a time from the stack (store.Warm). The second decodes each
+// entry into the stack again and stores it before the next is looked at:
+// no []Entry, no NA slice per entry.
 func (n *Node) putBatch(body []byte) ([]bool, error) {
-	cnt, rest, err := wire.DecodeBatchCount(body)
+	cnt, items, err := wire.DecodeBatchCount(body)
 	if err != nil {
 		return nil, err
 	}
-	acked := make([]bool, cnt)
-	var nas [store.MaxNAs]store.NA
-	for i := range acked {
-		var e store.Entry
-		if e, rest, err = wire.DecodeEntryAppend(nas[:0], rest); err != nil {
-			return nil, err
+	var (
+		nas [store.MaxNAs]store.NA
+		gs  [64]guid.GUID
+		e   store.Entry
+	)
+	rest := items
+	for at := 0; at < cnt; at += len(gs) {
+		chunk := gs[:min(len(gs), cnt-at)]
+		for j := range chunk {
+			if e, rest, err = wire.DecodeEntryAppend(nas[:0], rest); err != nil {
+				return nil, err
+			}
+			chunk[j] = e.GUID
 		}
-		n.hot.ObserveInsert(e.GUID)
-		if _, err := n.store.Put(e); err != nil {
-			n.countErr()
-			continue
-		}
-		acked[i] = true
-		n.inserts.Add(1)
+		n.store.Warm(chunk)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after batch insert", len(rest))
 	}
+	acked := make([]bool, cnt)
+	stored := 0
+	for at := 0; at < cnt; at += len(gs) {
+		chunk := gs[:min(len(gs), cnt-at)]
+		for j := range chunk {
+			e, items, _ = wire.DecodeEntryAppend(nas[:0], items) // decoded once above
+			chunk[j] = e.GUID
+			if _, err := n.store.Put(e); err != nil {
+				n.countErr()
+				continue
+			}
+			acked[at+j] = true
+			stored++
+		}
+		n.hot.ObserveInserts(chunk)
+	}
+	n.inserts.Add(int64(stored))
 	return acked, nil
 }
 

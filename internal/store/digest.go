@@ -45,8 +45,8 @@ func (s *Store) IntervalDigests(after, through guid.GUID, dst []Digest) []Digest
 	if guid.Compare(after, through) >= 0 {
 		return dst
 	}
-	lo := int((uint32(after[0])<<8 | uint32(after[1])) >> s.shift)
-	hi := int((uint32(through[0])<<8 | uint32(through[1])) >> s.shift)
+	lo := int(s.shardIndex(after))
+	hi := int(s.shardIndex(through))
 	for i := lo; i <= hi; i++ {
 		dst, _ = selectDigests(&s.shards[i], after, through, 0, dst)
 	}
@@ -181,8 +181,8 @@ func (s *Store) RangeInterval(after, through guid.GUID, fn func(Entry) bool) {
 	if guid.Compare(after, through) >= 0 {
 		return
 	}
-	lo := int((uint32(after[0])<<8 | uint32(after[1])) >> s.shift)
-	hi := int((uint32(through[0])<<8 | uint32(through[1])) >> s.shift)
+	lo := int(s.shardIndex(after))
+	hi := int(s.shardIndex(through))
 	for i := lo; i <= hi; i++ {
 		ok := rangeShard(&s.shards[i], func(e Entry) bool {
 			if guid.Compare(e.GUID, after) <= 0 || guid.Compare(e.GUID, through) > 0 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dmap/internal/guid"
+	"dmap/internal/metrics"
 	"dmap/internal/netaddr"
 )
 
@@ -119,28 +120,39 @@ func checkAgainstModel(t *testing.T, s *Store, model map[guid.GUID]Entry, step s
 	}
 }
 
+// counters reads every operation counter of an instrumented store.
+func counters(s *Store) [6]int64 {
+	ins := s.ins.Load()
+	return [...]int64{ins.puts.Value(), ins.stalePuts.Value(), ins.gets.Value(), ins.hits.Value(), ins.deletes.Value(), ins.snapshots.Value()}
+}
+
 // modelRun applies ops, two bytes each, to s and to the model:
 //
-//	op%8: 0,1 Put of the next version with 1+arg%5 NAs · 2 stale Put ·
-//	      3 Delete · 4 Extract of the keys of arg's parity · 5 Get and
-//	      Read · 6 ViewInto · 7 Version, and on a durable store a snapshot
+//	op%8: 0 Put of the next version with 1+arg%5 NAs · 1 Warm over the
+//	      keys of arg's set bits, the op's own twice and one never stored ·
+//	      2 stale Put · 3 Delete · 4 Extract of the keys of arg's parity ·
+//	      5 Get and Read · 6 ViewInto · 7 Version, and on a durable store a
+//	      snapshot
 //	op/8%8: the key
 //
 // Half-way through, reopen (nil on a memory-only store) replaces s with
-// what a restart recovers.
+// what a restart recovers. The store is instrumented, for the Warm op to
+// show that it moves no counter.
 func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 	model := make(map[guid.GUID]Entry)
 	version := uint64(0)
+	s.Instrument(metrics.NewRegistry(), "store")
 	for i := 0; i+1 < len(ops); i += 2 {
 		if reopen != nil && i == len(ops)/4*2 {
 			s = reopen(s)
+			s.Instrument(metrics.NewRegistry(), "store")
 			checkAgainstModel(t, s, model, "after the reopen")
 		}
 		op, key, arg := ops[i]%8, int(ops[i]/8%8), ops[i+1]
 		g := alphabet[key]
 		step := fmt.Sprintf("op %d (%d on key %d, arg %d)", i/2, op, key, arg)
 		switch op {
-		case 0, 1:
+		case 0:
 			version++
 			e := modelEntry(key, version, 1+int(arg)%MaxNAs)
 			if applied, err := s.Put(e); err != nil || !applied {
@@ -148,6 +160,26 @@ func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 			}
 			e.NAs[0].AS = -1 // Put must have kept nothing of the caller's slice
 			model[g] = modelEntry(key, version, 1+int(arg)%MaxNAs)
+		case 1:
+			gs := []guid.GUID{g, guid.New("never stored"), g}
+			for k := range alphabet {
+				if arg>>k&1 == 1 {
+					gs = append(gs, alphabet[k])
+				}
+			}
+			want := 0
+			for _, g := range gs {
+				if _, held := model[g]; held {
+					want++
+				}
+			}
+			dump, bits, n, counted := s.AppendDump(nil), s.SizeBits(), s.Len(), counters(s)
+			if got := s.Warm(gs); got != want {
+				t.Fatalf("%s: Warm = %d, model holds %d of the %d positions", step, got, want, len(gs))
+			}
+			if !bytes.Equal(s.AppendDump(nil), dump) || s.SizeBits() != bits || s.Len() != n || counters(s) != counted {
+				t.Fatalf("%s: Warm changed the store: Len %d → %d, SizeBits %d → %d, counters %v → %v", step, n, s.Len(), bits, s.SizeBits(), counted, counters(s))
+			}
 		case 2:
 			old, held := model[g]
 			if !held {
@@ -200,7 +232,7 @@ func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 				t.Fatalf("%s: Version = %d, %v; model %d, %v", step, v, ok, want.Version, held)
 			}
 			if s.wal != nil { // the key's shard only: a snapshot is two fsyncs
-				shard := int((uint32(g[0])<<8 | uint32(g[1])) >> s.shift)
+				shard := int(s.shardIndex(g))
 				if err := s.snapshotShard(shard); err != nil {
 					t.Fatalf("%s: snapshot of shard %d: %v", step, shard, err)
 				}
@@ -212,16 +244,18 @@ func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 
 // modelWalk is the sequence the packed layout is most likely to get
 // wrong, on key 1: NA counts 1 → 3 → 1 → 5 → delete → 2, with reads, a
-// stale put and a snapshot in between, then an Extract of everything.
+// stale put, a snapshot and a Warm of every key (held, deleted, never
+// written) in between, then an Extract of everything.
 var modelWalk = []byte{
-	8, 0, 8 + 5, 0, 8, 2, 8 + 6, 1, 8, 0, 8 + 2, 1, 8 + 7, 0, 8, 4, 8 + 5, 0, 16, 2,
-	8 + 3, 0, 8 + 3, 0, 8 + 1, 1, 8 + 6, 5, 16 + 7, 0, 4, 0, 4, 1, 8, 3,
+	8, 0, 8 + 5, 0, 8, 2, 8 + 6, 1, 8, 0, 8 + 2, 1, 8 + 7, 0, 8, 4, 8 + 5, 0, 16, 2, 8 + 1, 0xff,
+	8 + 3, 0, 8 + 3, 0, 8 + 1, 0xff, 8, 1, 8 + 6, 5, 16 + 7, 0, 4, 0, 4, 1, 8 + 1, 6, 8, 3,
 }
 
-// FuzzStoreOps runs every input against memory-only stores of 1, 8 and
-// 64 shards and a durable one reopened half-way, whose shard count — a
-// 64-shard directory is 64 files to create, sync and read back — the
-// input's length picks among the same three.
+// FuzzStoreOps runs every input — puts, stale puts, deletes, extracts,
+// reads and warms — against memory-only stores of 1, 8 and 64 shards and
+// a durable one reopened half-way, whose shard count — a 64-shard
+// directory is 64 files to create, sync and read back — the input's
+// length picks among the same three.
 func FuzzStoreOps(f *testing.F) {
 	for pad := 0; pad < 3; pad++ { // the walk on a durable store of each shard count
 		f.Add(append(modelWalk[:len(modelWalk):len(modelWalk)], make([]byte, pad)...))
@@ -271,6 +305,9 @@ func TestEmptyShardAllocatesNoMap(t *testing.T) {
 	}
 	s.Delete(alphabet[0])
 	s.Extract(func(guid.GUID) bool { return true })
+	if held := s.Warm(alphabet[:]); held != 0 {
+		t.Fatalf("Warm found %d GUIDs in an empty store", held)
+	}
 	for i := range s.shards {
 		if s.shards[i].m != nil || s.shards[i].more != nil {
 			t.Fatalf("shard %d allocated a map without a write", i)
@@ -387,8 +424,8 @@ func TestASIndexBounds(t *testing.T) {
 }
 
 // The allocation gates of the packed table: a Put of a newer version on
-// a loaded store, memory-only or logged, and the read the server uses,
-// allocate nothing; recovery allocates per shard, not per entry.
+// a loaded store, memory-only or logged, the read the server uses and the
+// Warm of a whole frame before it allocate nothing; recovery allocates per shard, not per entry.
 func TestPackedTableAllocations(t *testing.T) {
 	const n = 20000
 	dir := t.TempDir()
@@ -428,6 +465,13 @@ func TestPackedTableAllocations(t *testing.T) {
 			i++
 		}); allocs != 0 {
 			t.Errorf("%s: Read = %v allocs/op, want 0", name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			if held := s.Warm(keys[:512]); held != 512 {
+				t.Fatalf("Warm = %d of 512 held GUIDs", held)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Warm over 512 GUIDs = %v allocs/op, want 0", name, allocs)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

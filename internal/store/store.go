@@ -256,12 +256,14 @@ func NewSharded(shards int) (*Store, error) {
 // ShardCount returns the number of shards.
 func (s *Store) ShardCount() int { return len(s.shards) }
 
-// shardFor returns the shard hosting g: the top bits of the GUID, so
-// contiguous GUID-prefix ranges land on one shard.
-func (s *Store) shardFor(g guid.GUID) *shard {
-	idx := (uint32(g[0])<<8 | uint32(g[1])) >> s.shift
-	return &s.shards[idx]
+// shardIndex is the top bits of the GUID, so contiguous GUID-prefix
+// ranges land on one shard.
+func (s *Store) shardIndex(g guid.GUID) uint32 {
+	return (uint32(g[0])<<8 | uint32(g[1])) >> s.shift
 }
+
+// shardFor returns the shard hosting g.
+func (s *Store) shardFor(g guid.GUID) *shard { return &s.shards[s.shardIndex(g)] }
 
 // Instrument registers the store's operation counters and size gauge
 // on reg under prefix (e.g. "store" → "store.puts", "store.size"), and
@@ -352,6 +354,40 @@ func (s *Store) Read(g guid.GUID, buf *[MaxNAs]NA) (Entry, bool) {
 		return Entry{}, false
 	}
 	return Entry{GUID: g, NAs: nas, Version: v.version, Meta: v.meta}, true
+}
+
+// Warm looks every GUID of gs up and returns how many the store holds:
+// a hint with no semantics, for a caller about to Read or Put each of
+// them. Go has no prefetch; what overlaps a frame's cache misses is a
+// real lookup with no locked instruction — each one a fence — between it
+// and the next, so the positions are ordered by shard, 256 at a time on
+// the stack, and each run of one shard is looked up back to back under
+// that shard's read lock taken once. Never two shard locks at a time, no
+// counter moved, nothing changed, nothing allocated; the count is what
+// keeps the lookups from being compiled away (DESIGN.md §10).
+func (s *Store) Warm(gs []guid.GUID) (held int) {
+	var order [256]uint32 // shard<<8 | position in the chunk
+	for len(gs) > 0 {
+		chunk := gs[:min(len(gs), len(order))]
+		gs = gs[len(chunk):]
+		ord := order[:len(chunk)]
+		for i := range chunk {
+			ord[i] = s.shardIndex(chunk[i])<<8 | uint32(i)
+		}
+		slices.Sort(ord)
+		for i := 0; i < len(ord); {
+			idx := ord[i] >> 8
+			sh := &s.shards[idx]
+			sh.mu.RLock()
+			for ; i < len(ord) && ord[i]>>8 == idx; i++ {
+				if _, ok := sh.m[chunk[ord[i]&0xff]]; ok {
+					held++
+				}
+			}
+			sh.mu.RUnlock()
+		}
+	}
+	return held
 }
 
 // Get returns a copy of the mapping for g, in a freshly allocated NAs

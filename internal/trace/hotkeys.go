@@ -29,18 +29,25 @@ type HotKey struct {
 }
 
 // SpaceSaving is a fixed-capacity top-K frequency tracker. Safe for
-// concurrent use. Observe, under a mutex, scans the first eight bytes of
-// the K monitored GUIDs for the key (K is small: tens) and, on a miss,
-// their counts for the minimum to evict. There is no index beside the
+// concurrent use. An observation, under a mutex, scans the first eight
+// bytes of the K monitored GUIDs for the key (K is small: tens) and, on a
+// miss, evicts a key of minimum count. There is no index beside the
 // arrays: on a stream without repeats — a re-homing batch, a uniform
 // update load — every call is a miss, and a map probe, delete and insert
-// per miss cost more than the scan they sat beside (DESIGN.md §8).
+// per miss cost more than the scan they sat beside (DESIGN.md §8). Nor is
+// the minimum searched for on each miss: it is tracked, with the number
+// of entries at it, and since counts only grow every entry still at it
+// lies at or after the one evicted last, so a cursor walks the entries
+// once per minimum and a rescan finds the next one, once per ≈ K misses.
 type SpaceSaving struct {
 	mu      sync.Mutex
 	cap     int
 	heads   []uint64 // heads[i] is the first eight bytes of entries[i].GUID
 	entries []HotKey
 	total   uint64
+	min     uint64 // the smallest Count, while atMin > 0
+	atMin   int    // entries whose Count is min; 0: not known, rescan
+	cursor  int    // no entry before it has Count min
 }
 
 // NewSpaceSaving builds a tracker monitoring up to k keys (k < 1 is
@@ -54,37 +61,64 @@ func NewSpaceSaving(k int) *SpaceSaving {
 
 // Observe counts one occurrence of g.
 func (s *SpaceSaving) Observe(g guid.GUID) {
+	s.mu.Lock()
+	s.observe(&g)
+	s.mu.Unlock()
+}
+
+// ObserveAll counts one occurrence of each of gs, a batch frame's GUIDs,
+// under one acquisition of the mutex.
+func (s *SpaceSaving) ObserveAll(gs []guid.GUID) {
+	s.mu.Lock()
+	for i := range gs {
+		s.observe(&gs[i])
+	}
+	s.mu.Unlock()
+}
+
+// observe counts one occurrence of *g. Callers hold s.mu.
+func (s *SpaceSaving) observe(g *guid.GUID) {
 	// GUIDs are hash outputs: two monitored keys sharing a head is a
 	// 2^-64 event, so the full comparison runs once, on the hit.
 	head := binary.LittleEndian.Uint64(g[:])
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.total++
 	for i, h := range s.heads {
-		if h == head && s.entries[i].GUID == g {
+		if h == head && s.entries[i].GUID == *g {
+			if s.atMin > 0 && s.entries[i].Count == s.min {
+				s.atMin--
+			}
 			s.entries[i].Count++
 			return
 		}
 	}
 	if len(s.entries) < s.cap {
 		s.heads = append(s.heads, head)
-		s.entries = append(s.entries, HotKey{GUID: g, Count: 1})
+		s.entries = append(s.entries, HotKey{GUID: *g, Count: 1})
 		return
 	}
-	// Evict the minimum-count key (the first of them): the newcomer
-	// inherits min+1 with error bound min — the Space-Saving
-	// replacement rule.
-	mi := 0
-	for i := 1; i < len(s.entries); i++ {
-		if s.entries[i].Count < s.entries[mi].Count {
-			mi = i
+	if s.atMin == 0 {
+		s.min, s.cursor = s.entries[0].Count, 0
+		for i := range s.entries {
+			switch c := s.entries[i].Count; {
+			case c < s.min:
+				s.min, s.atMin = c, 1
+			case c == s.min:
+				s.atMin++
+			}
 		}
 	}
-	e := &s.entries[mi]
+	// Evict a minimum-count key: the newcomer inherits min+1 with error
+	// bound min — the Space-Saving replacement rule.
+	for s.entries[s.cursor].Count != s.min {
+		s.cursor++
+	}
+	e := &s.entries[s.cursor]
 	e.Err = e.Count
 	e.Count++
-	e.GUID = g
-	s.heads[mi] = head
+	e.GUID = *g
+	s.heads[s.cursor] = head
+	s.atMin--
+	s.cursor++
 }
 
 // Top returns up to n monitored keys, hottest first (ties broken by
@@ -133,12 +167,28 @@ func (h *HotKeys) ObserveLookup(g guid.GUID) {
 	h.lookups.Observe(g)
 }
 
+// ObserveLookups counts one lookup of each of gs. No-op on nil.
+func (h *HotKeys) ObserveLookups(gs []guid.GUID) {
+	if h == nil {
+		return
+	}
+	h.lookups.ObserveAll(gs)
+}
+
 // ObserveInsert counts one insert/update of g. No-op on nil.
 func (h *HotKeys) ObserveInsert(g guid.GUID) {
 	if h == nil {
 		return
 	}
 	h.inserts.Observe(g)
+}
+
+// ObserveInserts counts one insert/update of each of gs. No-op on nil.
+func (h *HotKeys) ObserveInserts(gs []guid.GUID) {
+	if h == nil {
+		return
+	}
+	h.inserts.ObserveAll(gs)
 }
 
 // TopLookups returns the hottest lookup keys (nil-safe).

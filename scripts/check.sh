@@ -17,7 +17,9 @@
 # The store rides the race pass for its packed table: a mapping's first NA
 # and its further ones live in two maps under one shard lock, and
 # TestReadersNeverSeeTwoVersions reads one GUID while a writer flips it
-# between one NA and five. The hot-key tracker (internal/trace) is one
+# between one NA and five; TestWarmBesideWriters runs Store.Warm, the
+# batch frame's lookup-ahead, over a GUID set beside that writer and one
+# that extracts and snapshots. The hot-key tracker (internal/trace) is one
 # mutex over two parallel arrays, observed from every connection.
 set -eux
 
@@ -126,7 +128,9 @@ go test -run '^$' -fuzz '^FuzzLoadSnapshot$' -fuzztime=10s ./internal/store
 # extracts and reads must leave the store — at 1, 8 and 64 shards,
 # memory-only and durable across a reopen — agreeing with a plain
 # map[GUID]Entry on every read, on SizeBits and on the dump's bytes, with
-# the overflow map holding exactly the multi-homed GUIDs.
+# the overflow map holding exactly the multi-homed GUIDs; and the warm op
+# (Store.Warm over held, absent and duplicate GUIDs) must count what the
+# model holds and move neither those nor a counter.
 go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime=10s ./internal/store
 
 # Fuzz smoke on the anti-entropy repair frames (DESIGN.md §12): digest
