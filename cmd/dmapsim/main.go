@@ -116,7 +116,13 @@ func run(args []string) error {
 		printTraces()
 		return nil
 	case "heal":
-		intervals, err := parseGossipMs(*gossipMs)
+		intervals, err := parseList(*gossipMs, "gossip interval", func(p string) (simnet.Time, error) {
+			ms, err := strconv.Atoi(p)
+			if err != nil || ms <= 0 {
+				return 0, fmt.Errorf("bad gossip interval %q (want positive ms)", p)
+			}
+			return simnet.Time(ms) * 1000, nil // the sim clock ticks in microseconds
+		})
 		if err != nil {
 			return err
 		}
@@ -301,7 +307,13 @@ func run(args []string) error {
 		fmt.Print(res)
 
 	case "availability":
-		fracs, err := parseFracs(*failFracs)
+		fracs, err := parseList(*failFracs, "failure fraction", func(p string) (float64, error) {
+			v, err := strconv.ParseFloat(p, 64)
+			if err != nil {
+				return 0, fmt.Errorf("bad failure fraction %q: %w", p, err)
+			}
+			return v, nil
+		})
 		if err != nil {
 			return err
 		}
@@ -425,45 +437,23 @@ func run(args []string) error {
 	return nil
 }
 
-// parseFracs parses a comma-separated list of failure fractions.
-// parseGossipMs parses the -gossip-ms list into simulated-time
-// intervals (the sim clock ticks in microseconds).
-func parseGossipMs(s string) ([]simnet.Time, error) {
-	parts := strings.Split(s, ",")
-	out := make([]simnet.Time, 0, len(parts))
-	for _, p := range parts {
+// parseList parses a comma-separated flag value, one element through
+// conv; blank elements are skipped and an empty list is an error.
+func parseList[T any](s, what string, conv func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, p := range strings.Split(s, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
-		ms, err := strconv.Atoi(p)
-		if err != nil || ms <= 0 {
-			return nil, fmt.Errorf("bad gossip interval %q (want positive ms)", p)
-		}
-		out = append(out, simnet.Time(ms)*1000)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no gossip intervals in %q", s)
-	}
-	return out, nil
-}
-
-func parseFracs(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(p, 64)
+		v, err := conv(p)
 		if err != nil {
-			return nil, fmt.Errorf("bad failure fraction %q: %w", p, err)
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no failure fractions in %q", s)
+		return nil, fmt.Errorf("no %ss in %q", what, s)
 	}
 	return out, nil
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"dmap/internal/guid"
-	"dmap/internal/metrics"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
@@ -101,18 +100,6 @@ func (c *Cache) Put(g guid.GUID, e store.Entry, now topology.Micros) {
 	c.m[g] = c.lru.PushFront(&item{g: g, e: e, cachedAt: now})
 }
 
-// Invalidate drops g (e.g. when the querier detects staleness per
-// §III-D2 and re-resolves).
-func (c *Cache) Invalidate(g guid.GUID) bool {
-	el, ok := c.m[g]
-	if !ok {
-		return false
-	}
-	c.lru.Remove(el)
-	delete(c.m, g)
-	return true
-}
-
 // Stats reports cumulative counters.
 type Stats struct {
 	Hits    int64
@@ -123,26 +110,4 @@ type Stats struct {
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Expired: c.expired}
-}
-
-// PublishTo copies the cache's counters and size into reg as gauges
-// under prefix (e.g. "cache" → "cache.hits", "cache.size"). The cache
-// is single-goroutine by design, so this snapshot-style publication —
-// called from the owning goroutine at a quiescent point — is how its
-// numbers reach a concurrently scraped registry.
-func (c *Cache) PublishTo(reg *metrics.Registry, prefix string) {
-	reg.Gauge(prefix + ".hits").Set(float64(c.hits))
-	reg.Gauge(prefix + ".misses").Set(float64(c.misses))
-	reg.Gauge(prefix + ".expired").Set(float64(c.expired))
-	reg.Gauge(prefix + ".size").Set(float64(c.Len()))
-	reg.Gauge(prefix + ".hit_rate").Set(c.HitRate())
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

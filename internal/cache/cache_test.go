@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dmap/internal/guid"
-	"dmap/internal/metrics"
 	"dmap/internal/netaddr"
 	"dmap/internal/store"
 	"dmap/internal/topology"
@@ -40,8 +39,8 @@ func TestPutGetWithinTTL(t *testing.T) {
 	if !ok || got.NAs[0].AS != 7 || cachedAt != 0 {
 		t.Fatalf("Get = (%+v, %v, %v)", got, cachedAt, ok)
 	}
-	if c.HitRate() != 1 {
-		t.Errorf("hit rate = %v", c.HitRate())
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("stats = %+v, want one hit and no miss", st)
 	}
 }
 
@@ -104,21 +103,6 @@ func TestRefreshOnPut(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c, _ := New(2, 100*ms)
-	e := entryAt("a", 1)
-	c.Put(e.GUID, e, 0)
-	if !c.Invalidate(e.GUID) {
-		t.Error("Invalidate should report true")
-	}
-	if c.Invalidate(e.GUID) {
-		t.Error("double Invalidate should report false")
-	}
-	if _, _, ok := c.Get(e.GUID, 1); ok {
-		t.Error("invalidated entry should miss")
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	c, _ := New(2, 100*ms)
 	e := entryAt("a", 1)
@@ -130,16 +114,6 @@ func TestStatsCounters(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 || st.Expired != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if rate := c.HitRate(); rate != 1.0/3 {
-		t.Errorf("hit rate = %v", rate)
-	}
-}
-
-func TestHitRateEmpty(t *testing.T) {
-	c, _ := New(1, ms)
-	if c.HitRate() != 0 {
-		t.Error("empty hit rate should be 0")
-	}
 }
 
 func TestManyEntriesStayBounded(t *testing.T) {
@@ -150,29 +124,5 @@ func TestManyEntriesStayBounded(t *testing.T) {
 	}
 	if c.Len() > 32 {
 		t.Errorf("Len = %d exceeds capacity", c.Len())
-	}
-}
-
-func TestPublishTo(t *testing.T) {
-	reg := metrics.NewRegistry()
-	c, err := New(4, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := guid.New("pub")
-	c.Get(g, 0) // miss
-	c.Put(g, store.Entry{}, 0)
-	c.Get(g, 1) // hit
-	c.PublishTo(reg, "cache")
-	snap := reg.Snapshot()
-	for name, want := range map[string]float64{
-		"cache.hits":     1,
-		"cache.misses":   1,
-		"cache.size":     1,
-		"cache.hit_rate": 0.5,
-	} {
-		if got := snap.Gauges[name]; got != want {
-			t.Errorf("%s = %g, want %g", name, got, want)
-		}
 	}
 }

@@ -203,9 +203,6 @@ func (c *Cluster) Stats() Stats {
 // shared-connection gauge.
 func (c *Cluster) Metrics() *metrics.Registry { return c.m.reg }
 
-// Tracer returns the cluster's tracer (nil when tracing is off).
-func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
-
 // Close releases the shared connections.
 func (c *Cluster) Close() { c.mux.closeAll() }
 
@@ -467,19 +464,6 @@ func (c *Cluster) Delete(g guid.GUID) (removed int, err error) {
 	return removed, nil
 }
 
-// Ping checks liveness of the node serving an AS.
-func (c *Cluster) Ping(as int) error {
-	t, body, err := c.call(nil, as, wire.MsgPing, nil, time.Now().Add(c.cfg.OpDeadline))
-	putBody(body)
-	if err != nil {
-		return err
-	}
-	if t != wire.MsgPong {
-		return fmt.Errorf("client: unexpected frame %v", t)
-	}
-	return nil
-}
-
 // attempt is one replica's share of an operation on its way from start
 // to finish. Operations keep their attempts on their own stack.
 type attempt struct {
@@ -513,16 +497,6 @@ type attempt struct {
 	rt   wire.MsgType
 	body []byte
 	err  error
-}
-
-// call runs the whole retry policy for one replica, inside the
-// operation deadline: start and finish back to back.
-func (c *Cluster) call(sp *trace.Span, as int, t wire.MsgType, payload []byte, opDeadline time.Time) (wire.MsgType, []byte, error) {
-	one := [1]attempt{{sp: sp, t: t, payload: payload, opDeadline: opDeadline}}
-	now := time.Now()
-	c.start(&one[0], as, now)
-	c.finish(one[:], now)
-	return one[0].rt, one[0].body, one[0].err
 }
 
 // start sends a's first try at replica AS as. It does not wait for the

@@ -246,20 +246,6 @@ func TestInsertAllNodesDown(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	c, nodes := testCluster(t, 4, 1)
-	if err := c.Ping(0); err != nil {
-		t.Fatal(err)
-	}
-	nodes[1].Close()
-	if err := c.Ping(1); err == nil {
-		t.Error("ping of dead node should fail")
-	}
-	if err := c.Ping(99); err == nil {
-		t.Error("ping of unknown AS should fail")
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	c, _ := testCluster(t, 24, 3)
 	var wg sync.WaitGroup

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dmap/internal/guid"
 	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
@@ -189,8 +190,8 @@ func TestMuxIdleConnHoldsNoReplyBuffer(t *testing.T) {
 	idle := replyBufs.Idle()
 	c, _ := testCluster(t, 4, 1)
 	// One round trip dials the shared connection and proves its reader
-	// is up; Ping has released the pong's body by the time it returns.
-	if err := c.Ping(0); err != nil {
+	// is up; Lookup has released the reply's body by the time it returns.
+	if _, err := c.Lookup(guid.New("absent")); !errors.Is(err, ErrNotFound) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

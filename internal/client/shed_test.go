@@ -122,6 +122,16 @@ func lookupRespBody(t *testing.T, found bool) []byte {
 	return body
 }
 
+// askAS0 sends one frame to AS 0 under the cluster's retry policy — the
+// K-replica fan-out at K = 1 — and returns that replica's own outcome,
+// which the public operations fold into their error text.
+func askAS0(c *Cluster, t wire.MsgType, payload []byte) (wire.MsgType, error) {
+	now := time.Now()
+	atts := c.fanOut(nil, []core.Placement{{AS: 0}}, attempt{t: t, payload: payload, opDeadline: now.Add(5 * time.Second)}, now)
+	putBody(atts[0].body)
+	return atts[0].rt, atts[0].err
+}
+
 // TestShedBacksOffAndRetriesSameReplica: a shed first attempt must be
 // retried on the same replica after a backoff — and succeed — rather
 // than aborting like a drain reject would. With K=1 there is nowhere to
@@ -166,8 +176,8 @@ func TestShedExhaustionReturnsErrOverload(t *testing.T) {
 	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 
 	// Drive the retry loop directly: Lookup folds the cause into
-	// ErrNotFound text, but call's own error is the contract.
-	_, _, err := c.call(nil, 0, wire.MsgLookup, wire.AppendGUID(nil, guid.New("shed-always")), time.Now().Add(5*time.Second))
+	// ErrNotFound text, but the replica's own error is the contract.
+	_, err := askAS0(c, wire.MsgLookup, wire.AppendGUID(nil, guid.New("shed-always")))
 	if err == nil {
 		t.Fatal("lookup against an always-shedding replica succeeded")
 	}
@@ -193,7 +203,7 @@ func TestDrainAbortsRetriesImmediately(t *testing.T) {
 	})
 	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 
-	_, _, err := c.call(nil, 0, wire.MsgLookup, wire.AppendGUID(nil, guid.New("drained")), time.Now().Add(5*time.Second))
+	_, err := askAS0(c, wire.MsgLookup, wire.AppendGUID(nil, guid.New("drained")))
 	if err == nil {
 		t.Fatal("lookup against a refusing replica succeeded")
 	}
@@ -217,7 +227,7 @@ func TestLegacyGenericErrorStillRejects(t *testing.T) {
 		return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindGeneric, "no")
 	})
 	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
-	_, _, err := c.call(nil, 0, wire.MsgLookup, wire.AppendGUID(nil, guid.New("legacy")), time.Now().Add(5*time.Second))
+	_, err := askAS0(c, wire.MsgLookup, wire.AppendGUID(nil, guid.New("legacy")))
 	if !errors.Is(err, ErrRejected) {
 		t.Errorf("legacy generic error = %v, want ErrRejected", err)
 	}

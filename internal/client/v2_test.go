@@ -59,9 +59,9 @@ func TestStaleRedialSkipsBackoffAndRetryCount(t *testing.T) {
 			return wire.MsgPong, nil, nil
 		}
 	})
-	rt, _, err := c.call(nil, 0, wire.MsgPing, nil, time.Now().Add(5*time.Second))
+	rt, err := askAS0(c, wire.MsgPing, nil)
 	if err != nil || rt != wire.MsgPong {
-		t.Fatalf("call = %v, %v; want pong", rt, err)
+		t.Fatalf("ping = %v, %v; want pong", rt, err)
 	}
 	if got := atomic.LoadInt32(&calls); got != 3 {
 		t.Errorf("transport invoked %d times, want 3", got)

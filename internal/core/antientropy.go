@@ -1,8 +1,8 @@
 // Anti-entropy repair: the version-compare/merge logic shared by the
-// rejoin reconciliation of §III-D1 (ReconcileAS), the nodesim gossip
-// rounds and the server's background repair sweeps (DESIGN.md §12).
+// nodesim gossip rounds and the server's background repair sweeps
+// (DESIGN.md §12).
 //
-// All three paths reduce to the same primitive: given fingerprints of
+// Both paths reduce to the same primitive: given fingerprints of
 // what a peer holds, decide — under §III-D2 highest-seq-wins — which
 // entries the local store should push because its copy is fresher, and
 // which it should pull because the peer's is. The store's freshest-wins
@@ -111,103 +111,4 @@ func ApplyEntries(st *store.Store, entries []store.Entry) (int, error) {
 		}
 	}
 	return applied, nil
-}
-
-// repairSet accumulates repair candidates for a target store, keeping
-// only the freshest offer per GUID and — crucially — only offers
-// strictly fresher than what the target already holds. That keeps its
-// size proportional to the entries actually in need of repair, not to
-// the total state scanned: a rejoin sweep over a large healthy cluster
-// buffers almost nothing.
-type repairSet struct {
-	target *store.Store
-	best   map[guid.GUID]store.Entry
-}
-
-func newRepairSet(target *store.Store) *repairSet {
-	return &repairSet{target: target, best: make(map[guid.GUID]store.Entry)}
-}
-
-// Offer records e as a repair candidate unless the target (or an
-// earlier offer) already holds that GUID at the same or higher version.
-func (r *repairSet) Offer(e store.Entry) {
-	if v, ok := r.target.Version(e.GUID); ok && v >= e.Version {
-		return
-	}
-	if b, ok := r.best[e.GUID]; ok && b.Version >= e.Version {
-		return
-	}
-	r.best[e.GUID] = e
-}
-
-// Len returns the number of buffered repair candidates.
-func (r *repairSet) Len() int { return len(r.best) }
-
-// Apply installs the buffered candidates and returns how many advanced
-// the target. Concurrent writers may have outrun an offer; freshest-wins
-// Put absorbs the race.
-func (r *repairSet) Apply() (int, error) {
-	return ApplyEntries(r.target, flatten(r.best))
-}
-
-func flatten(m map[guid.GUID]store.Entry) []store.Entry {
-	out := make([]store.Entry, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
-	}
-	return out
-}
-
-// hostedAt reports whether as is supposed to host e: one of the K
-// global replica placements, or — with §III-C local replicas on — an
-// attachment AS named in the entry itself.
-func (s *System) hostedAt(e store.Entry, as int) (bool, error) {
-	if s.localReplica {
-		for _, na := range e.NAs {
-			if na.AS == as {
-				return true, nil
-			}
-		}
-	}
-	placements, err := s.res.Place(e.GUID)
-	if err != nil {
-		return false, err
-	}
-	for _, p := range placements {
-		if p.AS == as {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// collectStale scans every peer store for mappings hosted at as that
-// are fresher than as's copy, buffering them in a repairSet.
-func (s *System) collectStale(as int) (*repairSet, error) {
-	set := newRepairSet(s.storeAt(as))
-	for other := range s.stores {
-		if other == as {
-			continue
-		}
-		st := s.loadStore(other)
-		if st == nil {
-			continue
-		}
-		var rangeErr error
-		st.Range(func(e store.Entry) bool {
-			hosted, err := s.hostedAt(e, as)
-			if err != nil {
-				rangeErr = err
-				return false
-			}
-			if hosted {
-				set.Offer(e)
-			}
-			return true
-		})
-		if rangeErr != nil {
-			return nil, rangeErr
-		}
-	}
-	return set, nil
 }

@@ -156,108 +156,6 @@ func TestApplyEntriesFreshestWins(t *testing.T) {
 	}
 }
 
-// TestCollectStaleIsBoundedByStaleness pins the ReconcileAS fix: the
-// candidate buffer must scale with the number of mappings actually in
-// need of repair, not with total cluster state. Before the repairSet
-// rewrite the rejoin path buffered every hosted mapping.
-func TestCollectStaleIsBoundedByStaleness(t *testing.T) {
-	sys := newTestSystem(t, 3, false)
-
-	var hosted []store.Entry
-	const victim = 42
-	for i := 0; hosted == nil || len(hosted) < 50; i++ {
-		e := store.Entry{
-			GUID:    guid.FromUint64(uint64(1000 + i)),
-			NAs:     []store.NA{{AS: 7}},
-			Version: 1,
-		}
-		if _, err := sys.Insert(e, 7); err != nil {
-			t.Fatal(err)
-		}
-		at, err := sys.hostedAt(e, victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at {
-			hosted = append(hosted, e)
-		}
-		if i > 100000 {
-			t.Fatal("could not find 50 mappings hosted at the victim")
-		}
-	}
-
-	// Everything is in sync: a rejoin scan buffers nothing.
-	set, err := sys.collectStale(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != 0 {
-		t.Fatalf("healthy cluster buffered %d candidates, want 0", set.Len())
-	}
-
-	// Advance 3 of the victim's mappings on the *other* replicas only.
-	const stale = 3
-	for i := 0; i < stale; i++ {
-		e := hosted[i]
-		e.Version = 2
-		placements, err := sys.Resolver().Place(e.GUID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range placements {
-			if p.AS == victim {
-				continue
-			}
-			st, err := sys.Store(p.AS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustPut(t, st, e)
-		}
-	}
-
-	set, err = sys.collectStale(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != stale {
-		t.Fatalf("buffered %d candidates, want exactly the %d stale mappings (of %d hosted)",
-			set.Len(), stale, len(hosted))
-	}
-	pulled, err := set.Apply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pulled != stale {
-		t.Fatalf("applied %d, want %d", pulled, stale)
-	}
-}
-
-func TestRepairSetKeepsFreshestOffer(t *testing.T) {
-	target := store.New()
-	mustPut(t, target, aeEntry("held", 5))
-	set := newRepairSet(target)
-
-	set.Offer(aeEntry("held", 4)) // staler than target: dropped
-	set.Offer(aeEntry("held", 5)) // equal: dropped
-	if set.Len() != 0 {
-		t.Fatalf("stale offers buffered: Len = %d", set.Len())
-	}
-	set.Offer(aeEntry("held", 7))
-	set.Offer(aeEntry("held", 6)) // staler than the buffered 7: dropped
-	set.Offer(aeEntry("held", 9))
-	set.Offer(aeEntry("novel", 1))
-	if set.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", set.Len())
-	}
-	if _, err := set.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	if e, _ := target.Get(guid.New("held")); e.Version != 9 {
-		t.Fatalf("held version = %d, want 9", e.Version)
-	}
-}
-
 // sortDigests orders a page by GUID — insertion sort, test-sized input.
 func sortDigests(ds []store.Digest) {
 	for i := 1; i < len(ds); i++ {

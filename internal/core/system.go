@@ -196,23 +196,6 @@ func (s *System) Delete(g guid.GUID, srcAS int) (int, error) {
 	return removed, nil
 }
 
-// UpdateLatency is the paper's update-cost metric: updates go to all K
-// replicas in parallel, so the latency is the largest RTT among them
-// (§III-A).
-func (s *System) UpdateLatency(g guid.GUID, srcAS int, lm LatencyModel) (topology.Micros, error) {
-	placements, err := s.res.Place(g)
-	if err != nil {
-		return 0, err
-	}
-	var max topology.Micros
-	for _, p := range placements {
-		if rtt := lm.RTT(srcAS, p.AS); rtt > max {
-			max = rtt
-		}
-	}
-	return max, nil
-}
-
 // LookupOptions tunes a lookup.
 type LookupOptions struct {
 	// Selection picks the replica-ordering policy; zero value means
@@ -506,56 +489,72 @@ func (s *System) AnnouncePrefix(p netaddr.Prefix, owner int) error {
 }
 
 // RepairMiss is the lazy migration triggered by a "GUID missing" reply
-// from a freshly announcing AS: locate the old deputy by excluding the
-// new prefix from Algorithm 1, pull the mapping from it, and store it at
-// the announcing AS. It reports whether a mapping was recovered.
+// from a freshly announcing AS: for every replica the announcement
+// captured, locate the old deputy by excluding the new prefix from
+// Algorithm 1 and pull the mapping from it to the announcing AS. The
+// deputy gives its copy up only when it hosts g for no other reason —
+// it may be another of g's K placements, or the announcing AS itself.
+// It reports whether a mapping was recovered.
 func (s *System) RepairMiss(g guid.GUID, announced netaddr.Prefix, owner int) (bool, error) {
 	exclude := func(a netaddr.Addr) bool { return announced.Contains(a) }
+	pulled := false
 	for k := 0; k < s.res.K(); k++ {
 		pl, err := s.res.PlaceReplica(g, k)
 		if err != nil {
-			return false, err
+			return pulled, err
 		}
 		if pl.AS != owner || !announced.Contains(pl.Addr) {
 			continue // this replica is not affected by the announcement
 		}
 		deputy, err := s.res.PlaceExcluding(g, k, exclude)
 		if err != nil {
-			return false, err
+			return pulled, err
 		}
-		if st := s.loadStore(deputy.AS); st != nil {
-			if e, ok := st.Get(g); ok {
-				if _, err := s.storeAt(owner).Put(e); err != nil {
-					return false, err
-				}
-				st.Delete(g)
+		if deputy.AS == owner {
+			continue // the rehash chain led back here: nothing to move
+		}
+		st := s.loadStore(deputy.AS)
+		if st == nil {
+			continue
+		}
+		e, ok := st.Get(g)
+		if !ok {
+			continue
+		}
+		if _, err := s.storeAt(owner).Put(e); err != nil {
+			return pulled, err
+		}
+		pulled = true
+		hosted, err := s.hostedAt(e, deputy.AS)
+		if err != nil {
+			return pulled, err
+		}
+		if !hosted {
+			st.Delete(g)
+		}
+	}
+	return pulled, nil
+}
+
+// hostedAt reports whether as is supposed to host e: one of the K
+// global replica placements, or — with §III-C local replicas on — an
+// attachment AS named in the entry itself.
+func (s *System) hostedAt(e store.Entry, as int) (bool, error) {
+	if s.localReplica {
+		for _, na := range e.NAs {
+			if na.AS == as {
 				return true, nil
 			}
 		}
 	}
-	return false, nil
-}
-
-// ReconcileAS implements the rejoin half of §III-D1: a node that
-// restarts from its durable store may have missed updates that its
-// deputies (the other replicas of each GUID it hosts) absorbed while it
-// was down. The restarted AS scans every peer holding a GUID placed at
-// it, compares §III-D2 version numbers, and installs the highest —
-// highest-seq wins, so after reconciliation the node cannot serve a
-// stale read for any mapping it hosts. It returns the number of
-// mappings that were refreshed (pulled at a higher version than the
-// local copy, or missing locally).
-//
-// The candidate buffer holds only entries strictly fresher than the
-// local copy (repairSet in antientropy.go), so a rejoin against a
-// mostly-healthy cluster stays O(stale mappings), not O(cluster state).
-func (s *System) ReconcileAS(as int) (int, error) {
-	if as < 0 || as >= len(s.stores) {
-		return 0, fmt.Errorf("core: AS %d out of range [0,%d)", as, len(s.stores))
-	}
-	set, err := s.collectStale(as)
+	placements, err := s.res.Place(e.GUID)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	return set.Apply()
+	for _, p := range placements {
+		if p.AS == as {
+			return true, nil
+		}
+	}
+	return false, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
+	"dmap/internal/prefixtable"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
@@ -478,26 +479,48 @@ func TestAnnounceLazyMigration(t *testing.T) {
 	}
 }
 
-func TestUpdateLatencyIsMaxOverReplicas(t *testing.T) {
-	sys := newTestSystem(t, 5, false)
-	g := guid.New("upd")
-	placements, err := sys.Resolver().Place(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := flatLatency{}
-	var want topology.Micros
-	for _, p := range placements {
-		if rtt := lm.RTT(3, p.AS); rtt > want {
-			want = rtt
+// TestRepairMissKeepsLivePlacements announces a prefix into a two-AS
+// world where most deputies are themselves placements of the GUID they
+// stand in for — the other AS, or the announcing AS itself. The lazy
+// pull must leave every mapping at all of its placements and nowhere
+// else.
+func TestRepairMissKeepsLivePlacements(t *testing.T) {
+	tbl := prefixtable.New()
+	for as, first := range []netaddr.Addr{0, 1 << 30} {
+		if err := tbl.Announce(netaddr.MustPrefix(first, 2), as); err != nil {
+			t.Fatal(err)
 		}
 	}
-	got, err := sys.UpdateLatency(g, 3, lm)
+	r, err := NewResolver(guid.MustHasher(3, 0), tbl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("UpdateLatency = %v, want max %v", got, want)
+	sys, err := NewSystem(SystemConfig{Resolver: r, NumAS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 1; i <= n; i++ {
+		e := store.Entry{GUID: guid.FromUint64(uint64(i)), NAs: []store.NA{{AS: 0}}, Version: 1}
+		if _, err := sys.Insert(e, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upper := netaddr.MustPrefix(1<<31, 1)
+	if err := sys.AnnouncePrefix(upper, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if _, err := sys.RepairMiss(guid.FromUint64(uint64(i)), upper, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := sys.VerifyConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.Mappings != n {
+		t.Fatalf("after announce + RepairMiss over %d GUIDs: %v", n, rep)
 	}
 }
 

@@ -180,26 +180,6 @@ func (o *OneHop) LookupPath(srcAS int, g guid.GUID) ([]int, error) {
 	return []int{srcAS, owner}, nil
 }
 
-// MaintenanceMessages returns the total membership-update messages needed
-// for the given number of join/leave events: each event must be learned
-// by all n nodes (the overhead DMap sidesteps by reusing BGP
-// reachability, which routers maintain anyway).
-func (o *OneHop) MaintenanceMessages(churnEvents int) int64 {
-	return int64(churnEvents) * int64(o.ring.NumNodes())
-}
-
-// MaintenanceMessages estimates Chord's stabilization cost for the given
-// number of join/leave events: each event triggers O(log² N) messages to
-// repair finger tables (the classic Chord bound) — smaller than one-hop's
-// O(N) but still state DMap maintains for free via BGP.
-func (c *Chord) MaintenanceMessages(churnEvents int) int64 {
-	logN := 0
-	for n := len(c.ids); n > 1; n >>= 1 {
-		logN++
-	}
-	return int64(churnEvents) * int64(logN) * int64(logN)
-}
-
 // HomeAgent resolves every GUID at its fixed home AS, like MobileIP. The
 // home never moves even when the host does — exactly the indirection cost
 // the identifier/locator split removes.

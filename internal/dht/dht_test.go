@@ -128,9 +128,6 @@ func TestOneHop(t *testing.T) {
 	if _, err := o.LookupPath(-1, g); err == nil {
 		t.Error("bad src should fail")
 	}
-	if got := o.MaintenanceMessages(10); got != 1000 {
-		t.Errorf("MaintenanceMessages = %d, want 10×100", got)
-	}
 }
 
 func TestHomeAgent(t *testing.T) {
@@ -154,27 +151,5 @@ func TestHomeAgent(t *testing.T) {
 	}
 	if len(self) != 1 {
 		t.Errorf("home-local path = %v", self)
-	}
-}
-
-func TestMaintenanceCosts(t *testing.T) {
-	c, err := NewChord(1024, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := NewOneHop(1024, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// log2(1024) = 10 → 100 messages per event for Chord; 1024 for
-	// one-hop; DMap: 0 (BGP already carries the state).
-	if got := c.MaintenanceMessages(1); got != 100 {
-		t.Errorf("Chord maintenance = %d, want 100", got)
-	}
-	if got := o.MaintenanceMessages(1); got != 1024 {
-		t.Errorf("one-hop maintenance = %d, want 1024", got)
-	}
-	if c.MaintenanceMessages(7) != 700 {
-		t.Error("linear in events")
 	}
 }

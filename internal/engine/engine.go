@@ -81,9 +81,6 @@ var engTracer atomic.Pointer[trace.Tracer]
 // SetTracer attaches t to all subsequent Map calls (nil detaches).
 func SetTracer(t *trace.Tracer) { engTracer.Store(t) }
 
-// Tracer returns the engine's current tracer (nil when unset).
-func Tracer() *trace.Tracer { return engTracer.Load() }
-
 // ResolveWorkers maps a Workers configuration value to an actual worker
 // count: n <= 0 selects GOMAXPROCS, anything else is used as given.
 func ResolveWorkers(n int) int {

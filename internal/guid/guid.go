@@ -22,28 +22,6 @@ const Size = 20
 // GUID is a flat 160-bit globally unique identifier.
 type GUID [Size]byte
 
-// FromBytes builds a GUID from exactly Size bytes.
-func FromBytes(b []byte) (GUID, error) {
-	var g GUID
-	if len(b) != Size {
-		return g, fmt.Errorf("guid: want %d bytes, got %d", Size, len(b))
-	}
-	copy(g[:], b)
-	return g, nil
-}
-
-// Parse decodes a 40-character hexadecimal GUID string.
-func Parse(s string) (GUID, error) {
-	var g GUID
-	if hex.DecodedLen(len(s)) != Size {
-		return g, fmt.Errorf("guid: want %d hex chars, got %d", hex.EncodedLen(Size), len(s))
-	}
-	if _, err := hex.Decode(g[:], []byte(s)); err != nil {
-		return g, fmt.Errorf("guid: parse %q: %w", s, err)
-	}
-	return g, nil
-}
-
 // New derives a GUID from an arbitrary name, mimicking self-certifying
 // identifiers: the GUID is the (truncated) SHA-256 of the name, so the
 // binding between name and identifier is verifiable by anyone.
@@ -121,9 +99,6 @@ type Hasher struct {
 	salt  [8]byte
 	rekey []uint32 // per-replica Rehash key
 }
-
-// DefaultK is the replication factor used in the paper's evaluation.
-const DefaultK = 5
 
 // The digests' domain word: a block index for the first-hash family,
 // with one of these bits set for everything else.
@@ -209,8 +184,8 @@ func (h *Hasher) Rehash(prev uint32, replica int) uint32 {
 }
 
 // HashToRange maps h_replica(g) uniformly onto [0, n), used by the
-// hash-to-AS-number variant of DMap (§VII future work) and by the sparse
-// bucketing scheme. n must be positive.
+// hash-to-AS-number variant of DMap (§VII future work). n must be
+// positive.
 func (h *Hasher) HashToRange(g GUID, replica int, n int) int {
 	if n <= 0 {
 		panic(fmt.Sprintf("guid: HashToRange n must be positive, got %d", n))

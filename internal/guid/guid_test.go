@@ -11,43 +11,6 @@ import (
 	"testing/quick"
 )
 
-func TestParseRoundTrip(t *testing.T) {
-	g := New("laptop-A")
-	back, err := Parse(g.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != g {
-		t.Errorf("round trip mismatch: %v != %v", back, g)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "abcd", strings.Repeat("z", 40), strings.Repeat("a", 41)} {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) should fail", s)
-		}
-	}
-}
-
-func TestFromBytes(t *testing.T) {
-	b := make([]byte, Size)
-	b[0], b[Size-1] = 0xAB, 0xCD
-	g, err := FromBytes(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g[0] != 0xAB || g[Size-1] != 0xCD {
-		t.Error("bytes not copied")
-	}
-	if _, err := FromBytes(b[:Size-1]); err == nil {
-		t.Error("short input should fail")
-	}
-	if _, err := FromBytes(append(b, 0)); err == nil {
-		t.Error("long input should fail")
-	}
-}
-
 func TestNewIsDeterministicAndDistinct(t *testing.T) {
 	if New("x") != New("x") {
 		t.Error("New must be deterministic")

@@ -133,7 +133,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 // TestExemplars covers the exemplar contract: absent until a non-zero
 // trace ID is observed (keeping old JSON output byte-stable), last
-// writer wins per bucket, text encoding unaffected, reset clears them.
+// writer wins per bucket, text encoding unaffected.
 func TestExemplars(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("h")
@@ -166,11 +166,5 @@ func TestExemplars(t *testing.T) {
 	text := reg.Snapshot().Text()
 	if strings.Contains(text, "exemplar") {
 		t.Fatalf("text encoding mentions exemplars:\n%s", text)
-	}
-
-	reg.Reset()
-	h.Observe(1)
-	if s := reg.Snapshot().Histograms["h"]; s.Exemplars != nil {
-		t.Fatalf("exemplars survived reset: %v", s.Exemplars)
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
-
-	"dmap/internal/stats"
 )
 
 // Snapshot is a point-in-time copy of a registry's metrics.
@@ -101,56 +98,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Stats converts the non-empty buckets into a stats.Histogram so the
-// simulator's existing ASCII renderer (internal/stats) can draw live
-// metrics the same way it draws the paper's CDF figures. Returns nil
-// when empty.
-func (h HistogramSnapshot) Stats() *stats.Histogram {
-	if h.Count == 0 {
-		return nil
-	}
-	// Trim leading/trailing empty buckets so the render spans only the
-	// observed range.
-	first, last := -1, -1
-	for i, c := range h.Counts {
-		if c > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	edges := make([]float64, 0, last-first+2)
-	counts := make([]int, 0, last-first+1)
-	// Outer bounds must keep the edge sequence strictly increasing even
-	// when Min/Max coincide with a bucket edge.
-	var lower float64
-	if first == 0 {
-		lower = math.Min(h.Min, h.Edges[0])
-		if lower >= h.Edges[0] {
-			lower = h.Edges[0] - 1
-		}
-	} else {
-		lower = h.Edges[first-1]
-	}
-	edges = append(edges, lower)
-	for i := first; i <= last; i++ {
-		var hi float64
-		if i < len(h.Edges) {
-			hi = h.Edges[i]
-		} else {
-			hi = math.Max(h.Max, h.Edges[len(h.Edges)-1]+1)
-		}
-		edges = append(edges, hi)
-		counts = append(counts, int(h.Counts[i]))
-	}
-	sh, err := stats.NewHistogramFromBuckets(edges, counts)
-	if err != nil {
-		return nil
-	}
-	return sh
 }
 
 // WriteText writes the deterministic line encoding:

@@ -59,13 +59,9 @@ func newHistogram(edges []float64) *Histogram {
 		counts:    make([]atomic.Uint64, len(edges)+1), // +1 = overflow bucket
 		exemplars: make([]atomic.Uint64, len(edges)+1),
 	}
-	h.resetExtrema()
-	return h
-}
-
-func (h *Histogram) resetExtrema() {
 	h.min.Store(posInfBits)
 	h.max.Store(negInfBits)
+	return h
 }
 
 const (
@@ -80,11 +76,6 @@ func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, 0) }
 // ObserveDuration records d in microseconds (the default edge unit).
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d.Nanoseconds()) / 1e3)
-}
-
-// ObserveSince records the time elapsed since t0 in microseconds.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	h.ObserveDuration(time.Since(t0))
 }
 
 // ObserveExemplar records one sample and, when traceID is non-zero,
@@ -124,23 +115,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	atomicAddFloat(&h.sum, v*float64(n))
 	atomicMinFloat(&h.min, v)
 	atomicMaxFloat(&h.max, v)
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// reset zeroes the histogram (not atomic with concurrent Observe; see
-// Registry.Reset).
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	for i := range h.exemplars {
-		h.exemplars[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.resetExtrema()
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {

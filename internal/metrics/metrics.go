@@ -40,8 +40,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is a float64 level (a value that can go up and down: pool
 // sizes, occupancy, configuration). The zero value reads 0.
 type Gauge struct{ bits atomic.Uint64 }
@@ -187,20 +185,6 @@ func (r *Registry) HistogramWith(name string, edges []float64) *Histogram {
 	h := newHistogram(edges)
 	r.hists[name] = h
 	return h
-}
-
-// Reset zeroes every counter and histogram (gauges are levels and keep
-// their last value). Reset is not atomic with respect to concurrent
-// writers: events landing during the reset may survive it.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
 }
 
 // Snapshot captures every metric's current value. Maps are keyed by

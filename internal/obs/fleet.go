@@ -235,13 +235,6 @@ func (v FleetView) WriteTable(w io.Writer) error {
 	return bw.err
 }
 
-// Table returns the WriteTable rendering as a string.
-func (v FleetView) Table() string {
-	var sb bytes.Buffer
-	_ = v.WriteTable(&sb)
-	return sb.String()
-}
-
 // activeCols filters the preferred column list down to metrics at least
 // one node actually has, preserving order.
 func activeCols(prefer []string, nodes []NodeView, get func(NodeView) map[string]float64) []string {

@@ -19,7 +19,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dmap/internal/guid"
@@ -115,9 +114,8 @@ func (s ProbeStatus) Breaching() bool {
 	return false
 }
 
-// Prober drives probe rounds against the configured targets. Round is
-// not safe for concurrent use with itself; Status may be called from
-// any goroutine.
+// Prober drives probe rounds against the configured targets. It is not
+// safe for concurrent use.
 type Prober struct {
 	cfg       ProberConfig
 	sentinels []guid.GUID
@@ -145,9 +143,6 @@ type Prober struct {
 	cFailures *metrics.Counter
 	cStale    *metrics.Counter
 	cRepaired *metrics.Counter
-
-	mu     sync.Mutex
-	status ProbeStatus
 }
 
 // NewProber returns a prober over cfg.Targets. Sentinel GUIDs are
@@ -239,17 +234,7 @@ func (p *Prober) round(write bool) ProbeStatus {
 	}
 	p.availability.Advance()
 	p.staleness.Advance()
-	p.mu.Lock()
-	p.status = st
-	p.mu.Unlock()
 	return st
-}
-
-// Status returns the latest round's status (zero before any round).
-func (p *Prober) Status() ProbeStatus {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.status
 }
 
 // Close drops the prober's connections.
@@ -258,28 +243,6 @@ func (p *Prober) Close() {
 		if c != nil {
 			c.Close()
 			p.conns[i] = nil
-		}
-	}
-}
-
-// Run probes every interval until stop closes, then closes the
-// connections. onRound, when non-nil, sees every round's status.
-func (p *Prober) Run(stop <-chan struct{}, interval time.Duration, onRound func(ProbeStatus)) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	defer p.Close()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			st := p.Round()
-			if onRound != nil {
-				onRound(st)
-			}
 		}
 	}
 }

@@ -86,9 +86,6 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	}
 }
 
-// Config returns the tracker's (defaulted) configuration.
-func (t *SLOTracker) Config() SLOConfig { return t.cfg }
-
 // Observe records one probe outcome into the current round.
 func (t *SLOTracker) Observe(ok bool) {
 	if ok {

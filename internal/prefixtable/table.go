@@ -288,12 +288,6 @@ func (t *Table) Lookup(a netaddr.Addr) (Entry, bool) {
 	return t.entries[s-1], true
 }
 
-// Contains reports whether any announced prefix covers a.
-func (t *Table) Contains(a netaddr.Addr) bool {
-	_, ok := t.Lookup(a)
-	return ok
-}
-
 // Nearest returns the announced prefix with minimum IP distance to a (and
 // the concrete address within it realizing that minimum), implementing the
 // deputy-AS selection of Algorithm 1: "pick the deputy AS as the one that

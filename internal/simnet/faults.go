@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"dmap/internal/metrics"
 )
 
 // CrashWindow takes one node down for [From, Until). Until ≤ From means
@@ -113,9 +111,6 @@ type FaultStats struct {
 	// PartitionDrops counts messages cut by an open partition.
 	PartitionDrops int
 }
-
-// Total returns all fault-induced drops.
-func (s FaultStats) Total() int { return s.Lost + s.CrashDrops + s.PartitionDrops }
 
 // faultState is a compiled FaultPlan: crash windows sorted per node,
 // partition membership as bitsets, and one PRNG stream drawn in event
@@ -237,20 +232,6 @@ func (n *Network) FaultStats() FaultStats {
 		return FaultStats{}
 	}
 	return n.faults.stats
-}
-
-// PublishMetrics copies the current fault statistics (and the unbound-
-// node drop count) into reg as gauges under prefix (e.g. "simnet" →
-// "simnet.lost"). The sim is single-threaded, so this snapshot-style
-// publication — from the driving goroutine, typically after Run — is
-// how fault accounting reaches a concurrently scraped registry.
-func (n *Network) PublishMetrics(reg *metrics.Registry, prefix string) {
-	st := n.FaultStats()
-	reg.Gauge(prefix + ".lost").Set(float64(st.Lost))
-	reg.Gauge(prefix + ".crash_drops").Set(float64(st.CrashDrops))
-	reg.Gauge(prefix + ".partition_drops").Set(float64(st.PartitionDrops))
-	reg.Gauge(prefix + ".fault_drops").Set(float64(st.Total()))
-	reg.Gauge(prefix + ".unbound_drops").Set(float64(n.Dropped()))
 }
 
 // NodeDown reports whether the installed fault plan has node inside a

@@ -2,8 +2,6 @@ package simnet
 
 import (
 	"testing"
-
-	"dmap/internal/metrics"
 )
 
 // deliverAll binds counting handlers on every node of a fresh network.
@@ -234,31 +232,5 @@ func TestSetFaultsResetsStats(t *testing.T) {
 	}
 	if st := net.FaultStats(); st != (FaultStats{}) {
 		t.Errorf("stats not reset: %+v", st)
-	}
-}
-
-func TestPublishMetrics(t *testing.T) {
-	sim, net, _ := faultNet(t, 3)
-	if err := net.SetFaults(&FaultPlan{
-		Crashes: []CrashWindow{{Node: 1, From: 0, Until: 10_000}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Send(1, 0, "dropped: sender down"); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(1000)
-
-	reg := metrics.NewRegistry()
-	net.PublishMetrics(reg, "simnet")
-	snap := reg.Snapshot()
-	if got := snap.Gauges["simnet.crash_drops"]; got != 1 {
-		t.Errorf("simnet.crash_drops = %g, want 1", got)
-	}
-	if got := snap.Gauges["simnet.fault_drops"]; got != 1 {
-		t.Errorf("simnet.fault_drops = %g, want 1", got)
-	}
-	if got := snap.Gauges["simnet.lost"]; got != 0 {
-		t.Errorf("simnet.lost = %g, want 0", got)
 	}
 }

@@ -193,11 +193,10 @@ type Message struct {
 // Network delivers messages between registered handlers with
 // topology-derived delays on a Sim clock.
 type Network struct {
-	sim     *Sim
-	oracle  LatencyOracle
-	nodes   []Handler
-	dropped int
-	faults  *faultState // nil = fault-free (see faults.go)
+	sim    *Sim
+	oracle LatencyOracle
+	nodes  []Handler
+	faults *faultState // nil = fault-free (see faults.go)
 }
 
 // NewNetwork wires a network of n AS-nodes onto sim.
@@ -223,18 +222,12 @@ func (n *Network) Bind(id int, h Handler) error {
 // Sim returns the underlying scheduler (for timeouts and custom events).
 func (n *Network) Sim() *Sim { return n.sim }
 
-// NumNodes returns the node count.
-func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// Dropped returns how many messages were addressed to unbound nodes.
-func (n *Network) Dropped() int { return n.dropped }
-
 // Send schedules delivery of payload from AS from to AS to after the
-// topology's one-way latency. Messages to unbound nodes are counted and
-// dropped (a crashed router, §III-D3). With a fault plan installed
-// (SetFaults), loss, partitions and a crashed sender kill the message at
-// send time, extra delay and jitter stretch the latency, and a crashed
-// receiver loses it at delivery time.
+// topology's one-way latency. Messages to unbound nodes are dropped (a
+// crashed router, §III-D3). With a fault plan installed (SetFaults),
+// loss, partitions and a crashed sender kill the message at send time,
+// extra delay and jitter stretch the latency, and a crashed receiver
+// loses it at delivery time.
 func (n *Network) Send(from, to int, payload interface{}) error {
 	if from < 0 || from >= len(n.nodes) || to < 0 || to >= len(n.nodes) {
 		return fmt.Errorf("simnet: send %d→%d out of range", from, to)
@@ -252,11 +245,8 @@ func (n *Network) Send(from, to int, payload interface{}) error {
 			n.faults.stats.CrashDrops++
 			return
 		}
-		h := n.nodes[to]
-		if h == nil {
-			n.dropped++
-			return
+		if h := n.nodes[to]; h != nil {
+			h.HandleMessage(n, Message{From: from, To: to, Payload: payload})
 		}
-		h.HandleMessage(n, Message{From: from, To: to, Payload: payload})
 	})
 }

@@ -47,34 +47,6 @@ func (c *Collector) NewHistogram(n int) *Histogram {
 	return h
 }
 
-// NewHistogramFromBuckets builds a Histogram from pre-binned data:
-// len(edges) must be len(counts)+1 with strictly increasing edges. It
-// lets stream-binned sources (internal/metrics) reuse Render, so live
-// /debug/metrics distributions draw exactly like the simulator's CDFs.
-func NewHistogramFromBuckets(edges []float64, counts []int) (*Histogram, error) {
-	if len(counts) == 0 || len(edges) != len(counts)+1 {
-		return nil, fmt.Errorf("stats: need len(edges) == len(counts)+1 > 1, got %d edges, %d counts",
-			len(edges), len(counts))
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("stats: edges must be strictly increasing at %d", i)
-		}
-	}
-	for i, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("stats: negative count at bucket %d", i)
-		}
-	}
-	h := &Histogram{
-		Buckets: make([]int, len(counts)),
-		Edges:   make([]float64, len(edges)),
-	}
-	copy(h.Buckets, counts)
-	copy(h.Edges, edges)
-	return h, nil
-}
-
 // Render draws the histogram with bars up to width characters.
 func (h *Histogram) Render(width int) string {
 	if width <= 0 {

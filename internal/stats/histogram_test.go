@@ -72,32 +72,3 @@ func TestHistogramRender(t *testing.T) {
 		t.Error("width 0 should use a default, not return empty")
 	}
 }
-
-func TestNewHistogramFromBuckets(t *testing.T) {
-	h, err := NewHistogramFromBuckets([]float64{0, 10, 20, 40}, []int{5, 0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Render(10); !strings.Contains(got, "█") {
-		t.Errorf("render: %q", got)
-	}
-	// Inputs are copied, not aliased.
-	h.Buckets[0] = 99
-	h2, _ := NewHistogramFromBuckets([]float64{0, 10, 20, 40}, []int{5, 0, 3})
-	if h2.Buckets[0] != 5 {
-		t.Error("constructor aliased caller slice")
-	}
-	for _, tc := range []struct {
-		edges  []float64
-		counts []int
-	}{
-		{nil, nil},
-		{[]float64{0, 1}, []int{1, 2}},    // length mismatch
-		{[]float64{0, 0, 1}, []int{1, 1}}, // non-increasing
-		{[]float64{0, 1, 2}, []int{1, -1}},
-	} {
-		if _, err := NewHistogramFromBuckets(tc.edges, tc.counts); err == nil {
-			t.Errorf("NewHistogramFromBuckets(%v, %v) should fail", tc.edges, tc.counts)
-		}
-	}
-}

@@ -56,21 +56,6 @@ func (c *Collector) Mean() float64 {
 	return sum / float64(len(c.vals))
 }
 
-// StdDev returns the population standard deviation, or NaN when empty.
-func (c *Collector) StdDev() float64 {
-	n := len(c.vals)
-	if n == 0 {
-		return math.NaN()
-	}
-	mean := c.Mean()
-	var ss float64
-	for _, v := range c.vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks, or NaN when empty.
 func (c *Collector) Percentile(p float64) float64 {

@@ -25,7 +25,6 @@ func TestEmptyCollector(t *testing.T) {
 		"P95":       c.Percentile(95),
 		"Min":       c.Min(),
 		"Max":       c.Max(),
-		"StdDev":    c.StdDev(),
 		"FracBelow": c.FractionBelow(1),
 	} {
 		if !math.IsNaN(v) {
@@ -86,13 +85,6 @@ func TestAddAfterQueryResorts(t *testing.T) {
 	c.Add(0)
 	if c.Min() != 0 {
 		t.Error("Min after add must see new sample")
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	c := collectorOf(2, 4, 4, 4, 5, 5, 7, 9)
-	if got := c.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
 

@@ -171,27 +171,3 @@ func (s *Store) Version(g guid.GUID) (uint64, bool) {
 	}
 	return e.version, true
 }
-
-// RangeInterval calls fn on a copy of every entry whose GUID lies in
-// (after, through], until fn returns false. Only the shards overlapping
-// the interval are visited; within a shard the order is map order, so
-// callers needing determinism must collect and sort. Mutating the store
-// from fn deadlocks.
-func (s *Store) RangeInterval(after, through guid.GUID, fn func(Entry) bool) {
-	if guid.Compare(after, through) >= 0 {
-		return
-	}
-	lo := int(s.shardIndex(after))
-	hi := int(s.shardIndex(through))
-	for i := lo; i <= hi; i++ {
-		ok := rangeShard(&s.shards[i], func(e Entry) bool {
-			if guid.Compare(e.GUID, after) <= 0 || guid.Compare(e.GUID, through) > 0 {
-				return true
-			}
-			return fn(e)
-		})
-		if !ok {
-			return
-		}
-	}
-}

@@ -131,7 +131,7 @@ func TestShardRangePartitionsKeyspace(t *testing.T) {
 	}
 }
 
-func TestVersionAndRangeInterval(t *testing.T) {
+func TestVersion(t *testing.T) {
 	s := New()
 	var all []guid.GUID
 	for i := 0; i < 30; i++ {
@@ -146,44 +146,5 @@ func TestVersionAndRangeInterval(t *testing.T) {
 	}
 	if _, ok := s.Version(guid.New("absent")); ok {
 		t.Fatal("Version found an absent GUID")
-	}
-
-	// A full-keyspace interval visits everything exactly once.
-	seen := make(map[guid.GUID]int)
-	s.RangeInterval(guid.GUID{}, guid.Max(), func(e Entry) bool {
-		seen[e.GUID]++
-		return true
-	})
-	if len(seen) != len(all) {
-		t.Fatalf("full interval visited %d entries, want %d", len(seen), len(all))
-	}
-	for g, c := range seen {
-		if c != 1 {
-			t.Fatalf("%s visited %d times", g.Short(), c)
-		}
-	}
-
-	// A half-open sub-interval respects both bounds.
-	pivot := all[0]
-	in, out := 0, 0
-	s.RangeInterval(pivot, guid.Max(), func(e Entry) bool {
-		if guid.Compare(e.GUID, pivot) <= 0 {
-			out++
-		} else {
-			in++
-		}
-		return true
-	})
-	if out != 0 {
-		t.Fatalf("%d entries ≤ the exclusive lower bound leaked into the interval", out)
-	}
-	want := 0
-	for _, g := range all {
-		if guid.Compare(g, pivot) > 0 {
-			want++
-		}
-	}
-	if in != want {
-		t.Fatalf("interval above pivot visited %d, want %d", in, want)
 	}
 }

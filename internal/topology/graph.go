@@ -15,14 +15,10 @@ package topology
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Micros is a latency in integer microseconds.
 type Micros int64
-
-// Duration converts m to a time.Duration.
-func (m Micros) Duration() time.Duration { return time.Duration(m) * time.Microsecond }
 
 // Millis returns m in floating-point milliseconds (for reporting).
 func (m Micros) Millis() float64 { return float64(m) / 1000 }
@@ -71,9 +67,6 @@ func (g *Graph) Degree(as int) int { return len(g.adj[as]) }
 
 // Intra returns the one-way intra-AS latency of as.
 func (g *Graph) Intra(as int) Micros { return g.intra[as] }
-
-// EndNodes returns the end-node population weight of as.
-func (g *Graph) EndNodes(as int) float64 { return g.endNodes[as] }
 
 // EndNodeWeights returns the per-AS end-node weights (shared slice; do not
 // modify).

@@ -290,9 +290,6 @@ func TestMicrosConversions(t *testing.T) {
 	if m.Millis() != 12.5 {
 		t.Errorf("Millis() = %v", m.Millis())
 	}
-	if m.Duration().Milliseconds() != 12 {
-		t.Errorf("Duration() = %v", m.Duration())
-	}
 }
 
 func TestComputeStats(t *testing.T) {

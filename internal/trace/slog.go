@@ -14,7 +14,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -72,35 +71,24 @@ func ParseLevel(s string) (Level, error) {
 type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer
-	min atomic.Int32
+	min Level
 	// now is stubbed in tests for stable timestamps.
 	now func() time.Time
 }
 
 // NewLogger writes records at or above min to w.
 func NewLogger(w io.Writer, min Level) *Logger {
-	l := &Logger{w: w, now: time.Now}
-	l.min.Store(int32(min))
-	return l
-}
-
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.min.Store(int32(min))
+	return &Logger{w: w, min: min, now: time.Now}
 }
 
 // Enabled reports whether records at lv would be emitted.
 func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= Level(l.min.Load())
+	return l != nil && lv >= l.min
 }
 
-// Debug, Info, Warn and Error emit one record with alternating
-// key/value pairs after the message.
+// Debug, Warn and Error emit one record with alternating key/value
+// pairs after the message.
 func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-func (l *Logger) Info(msg string, kv ...any)  { l.log(LevelInfo, msg, kv) }
 func (l *Logger) Warn(msg string, kv ...any)  { l.log(LevelWarn, msg, kv) }
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
 

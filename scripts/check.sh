@@ -145,6 +145,12 @@ go test -run '^$' -fuzz '^FuzzDecodeRepairDiff$' -fuzztime=10s ./internal/wire
 # panicking and re-encode accepted input to a canonical fixed point.
 go test -run '^$' -fuzz '^FuzzDecodeFleetSnapshot$' -fuzztime=10s ./internal/obs
 
+# results/ is quoted by EXPERIMENTS.md and nothing else compares it: the
+# golden test runs at test scale, and results/churnsim.txt carried a
+# failing audit line for several PRs because its collision needs -scale
+# 2000. These two files take about twenty seconds together.
+sh scripts/results.sh --check churnsim crossval
+
 # The benchmark driver (bench/) is a module of its own that compiles
 # against internal/ packages; tier-1 neither builds nor tests it, so an
 # internal API change that breaks it must fail here, not in the

@@ -1,32 +1,48 @@
 #!/bin/sh
 # Regenerates results/: one line per file, carrying the flags that file is
 # made with (EXPERIMENTS.md quotes these files). `results.sh` writes all
-# of them, `results.sh <name>` one. Every output is deterministic per
-# seed and byte-identical for every -workers value; progress goes to the
-# terminal. Run it whenever a change is meant to move a figure — the hash
-# family, the topology or prefix generators, an evaluation driver — and
-# commit what it writes with the reason. Full scale (no -scale flag) is
-# the paper's 26,424 ASs: fig4 takes about three minutes on two cores,
-# fig5 three times that, everything else under a minute.
+# of them, `results.sh <name>...` the named ones; `results.sh --check
+# [<name>...]` writes none and diffs what it would have written against
+# results/, exiting 1 on drift (scripts/check.sh runs it on two quick
+# ones: a results/ file is only as current as the last run that compared
+# it). Every output is deterministic per seed and byte-identical for
+# every -workers value; progress goes to the terminal. Run it whenever a
+# change is meant to move a figure — the hash family, the topology or
+# prefix generators, an evaluation driver — and commit what it writes
+# with the reason. Full scale (no -scale flag) is the paper's 26,424 ASs:
+# fig4 takes about three minutes on two cores, fig5 three times that,
+# everything else under a minute.
 set -eu
 cd "$(dirname "$0")/.."
 
-only=${1:-}
+check=0
+if [ "${1:-}" = "--check" ]; then
+    check=1
+    shift
+fi
+names=$#
+only=" $* "
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/dmapsim" ./cmd/dmapsim
 
 # run <experiment> [flags] writes results/<experiment>.txt, once the run
-# has succeeded: an interrupted one leaves the old file.
+# has succeeded: an interrupted one leaves the old file. Under --check it
+# compares instead.
 ran=0
+drift=0
 run() {
-    if [ -n "$only" ] && [ "$only" != "$1" ]; then
+    if [ "$names" -gt 0 ] && [ "${only#* $1 }" = "$only" ]; then
         return 0
     fi
-    ran=1
+    ran=$((ran + 1))
     echo "== results/$1.txt: dmapsim -experiment $*" >&2
     "$tmp/dmapsim" -experiment "$@" >"$tmp/out"
-    mv "$tmp/out" "results/$1.txt"
+    if [ "$check" = 1 ]; then
+        diff -u "results/$1.txt" "$tmp/out" || drift=1
+    else
+        mv "$tmp/out" "results/$1.txt"
+    fi
 }
 
 mid="-scale 5000 -guids 20000"
@@ -49,7 +65,8 @@ run crossval -scale 2000 -guids 500 -lookups 2000
 run churnsim -scale 2000 -guids 2000 -lookups 20000
 run queryload $mid -lookups 200000
 
-if [ "$ran" = 0 ]; then
-    echo "results.sh: no output named '$only'" >&2
+if [ "$ran" -lt "$names" ]; then
+    echo "results.sh: no such output among:$only" >&2
     exit 2
 fi
+exit "$drift"
