@@ -49,9 +49,10 @@ var payloadBufs = wire.NewBufPool(256)
 // the body — decoding copies, so nothing decoded from it is at risk.
 func putBody(b []byte) { replyBufs.Put(b) }
 
-// timerPool recycles the per-request reply timers. A timer is returned
-// only after Stop with its channel drained, so Reset on the next Get is
-// race-free.
+// timerPool recycles the per-request reply timers, returned after Stop
+// with their channel drained — but go.mod's 1.22 keeps timer channels
+// asynchronous: a tick in flight when Stop returns false lands on the
+// timer's next user, and wait must tell it from its own.
 var timerPool = sync.Pool{
 	New: func() any {
 		t := time.NewTimer(time.Hour)
@@ -282,8 +283,9 @@ func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, timeou
 // wait takes the reply of the request s carries and recycles the slot.
 // The reply timer is armed — for d, what is left of the request's
 // timeout — only if the reply is not in already; a reply that races the
-// timer wins (a real answer beats reporting a timeout). The body, when
-// non-nil, is pool-owned: release it with putBody after decoding.
+// timer wins (a real answer beats reporting a timeout); a stale tick
+// (timerPool) re-arms it. The body, when non-nil, is pool-owned: release
+// it with putBody after decoding.
 func (s *muxSlot) wait(d time.Duration) (wire.MsgType, []byte, error) {
 	var r muxReply
 	select {
@@ -293,6 +295,10 @@ func (s *muxSlot) wait(d time.Duration) (wire.MsgType, []byte, error) {
 		select {
 		case r = <-s.ch:
 		case <-timer.C:
+			if timer.Stop() { // a stale tick: this arming had not fired
+				putTimer(timer)
+				return s.wait(d)
+			}
 			if s.m.claim(s.id) != nil {
 				r.err = timeoutError{} // out of the table: no reply will ever be sent
 			} else {

@@ -177,6 +177,47 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 	}
 }
 
+// TestStaleTimerTickDoesNotTimeOut: go.mod's 1.22 keeps timer channels
+// asynchronous, so a pooled timer can come back holding the tick its
+// previous user's Stop raced with. Planted in the pool (several: the
+// pool drops entries at random under -race), such ticks must not time
+// out a healthy request: a reply 20 ms late under a 1 s timeout is the
+// request's answer. A timeout that is real still fires.
+func TestStaleTimerTickDoesNotTimeOut(t *testing.T) {
+	for i := 0; i < 32; i++ {
+		tm := time.NewTimer(0)
+		for len(tm.C) == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		timerPool.Put(tm) // tick undrained
+	}
+	cc, sc := net.Pipe()
+	defer sc.Close()
+	m := newMuxConn(cc, 0)
+	defer m.fail(net.ErrClosed)
+	s, err := m.register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		if late := m.claim(s.id); late != nil {
+			late.ch <- muxReply{t: wire.MsgLookupResp}
+		}
+	}()
+	if typ, _, err := s.wait(time.Second); err != nil || typ != wire.MsgLookupResp {
+		t.Fatalf("reply 20 ms late under a 1 s timeout: (%v, %v), want the reply", typ, err)
+	}
+	s, err = m.register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := time.Now()
+	if _, _, err := s.wait(20 * time.Millisecond); !errors.Is(err, timeoutError{}) || time.Since(began) < 20*time.Millisecond {
+		t.Fatalf("no reply under a 20 ms timeout: %v after %v, want a timeout after 20 ms", err, time.Since(began))
+	}
+}
+
 // TestMuxIdleConnHoldsNoReplyBuffer: a shared connection whose reader is
 // blocked waiting for the next reply must have taken nothing from
 // replyBufs — the payload buffer is drawn once a reply's header is

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"slices"
 	"testing"
 	"time"
@@ -112,10 +113,11 @@ func TestAdmissionZeroAlloc(t *testing.T) {
 }
 
 // TestServedOpsZeroAlloc: with records packed in the store, a served
-// insert decodes into the handler's stack and Put keeps nothing of it,
-// and a served lookup reads into the handler's stack and encodes from
-// there — neither allocates, on a memory-only node or a durable one, at
-// any NA count, with the hot-key tracker on as `serve` has it.
+// insert is staged into the connection's run and committed from there
+// with nothing of it kept by the store, and a served lookup reads into
+// the handler's stack and encodes from there — neither allocates, on a
+// memory-only node or a durable one, at any NA count, with the hot-key
+// tracker on as `serve` has it.
 func TestServedOpsZeroAlloc(t *testing.T) {
 	durable, err := Open(Options{DataDir: t.TempDir(), HotKeys: trace.NewHotKeys(32)})
 	if err != nil {
@@ -128,16 +130,30 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 			e.NAs = append(e.NAs, store.NA{AS: j, Addr: netaddr.AddrFromOctets(10, 2, 0, byte(j))})
 		}
 		nas, dst := e.NAs, make([]byte, 0, 256)
-		var payload []byte
+		// The read loop's path: serveFrameV2 stages the frame, the flush
+		// commits the run and writes the ack (to a peer that discards it).
+		peer, conn := tcpPair(t)
+		go io.Copy(io.Discard, peer)
+		t.Cleanup(func() { peer.Close(); conn.Close() })
+		w := wire.NewWriter(conn, nil)
+		var run insertRun
 		if allocs := testing.AllocsPerRun(200, func() {
 			e.Version++
 			e.NAs = nas[:1+e.Version%store.MaxNAs]
-			payload, _ = wire.AppendEntry(payload[:0], e)
-			if typ, _ := n.handle(wire.MsgInsert, payload, nil, nil, dst, time.Now()); typ != wire.MsgInsertAck {
-				t.Fatalf("insert answered %v", typ)
+			payload, _ := wire.AppendEntry(serverBufs.Get(64), e)
+			n.serveFrameV2(conn, 0, w, &run, v2Work{t: wire.MsgInsert, id: e.Version, payload: payload}, w.Enqueue)
+			n.commitInserts(&run, w)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: a served insert allocates %.1f/op, want 0", name, allocs)
+		}
+		if st := n.Stats(); st.Inserts != 201 || st.Errors != 0 || st.BadRequests != 0 {
+			t.Errorf("%s: %+v after 201 inserts", name, st)
+		}
+		if got, ok := n.store.Get(e.GUID); !ok || got.Version != e.Version {
+			t.Errorf("%s: stored %+v, %v; want version %d", name, got, ok, e.Version)
 		}
 		req := wire.AppendGUID(nil, e.GUID)
 		if allocs := testing.AllocsPerRun(200, func() {

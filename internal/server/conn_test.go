@@ -180,6 +180,108 @@ func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 	})
 }
 
+// insertFrame appends a MsgInsert of e under request id.
+func insertFrame(t *testing.T, dst []byte, id uint64, e store.Entry) []byte {
+	t.Helper()
+	body, err := wire.AppendEntry(nil, e)
+	if err == nil {
+		dst, err = wire.AppendFrameID(dst, wire.MsgInsert, id, body)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// readReplies reads count replies and returns them by request ID.
+func readReplies(t *testing.T, conn net.Conn, count int) map[uint64]wire.MsgType {
+	t.Helper()
+	rd := wire.NewReader(conn)
+	got := make(map[uint64]wire.MsgType)
+	for len(got) < count {
+		typ, id, _, err := rd.Next(freshBuf)
+		if err != nil {
+			t.Fatalf("after %d of %d replies: %v", len(got), count, err)
+		}
+		got[id] = typ
+	}
+	return got
+}
+
+// TestPipelinedInsertsOneBurstFreshestWins: two versions of one GUID in
+// one write are one staged burst, stored by one run — in either order
+// both are acked and the newer is what the node holds, on a memory-only
+// node and on a durable one, where the run checks the second against the
+// first before either is in the table.
+func TestPipelinedInsertsOneBurstFreshestWins(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		for _, versions := range [][2]uint64{{5, 6}, {6, 5}} {
+			opts := Options{}
+			if durable {
+				opts.DataDir = t.TempDir()
+			}
+			n, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, _ := serveCounted(t, n)
+			e := burstEntry(0)
+			var reqs []byte
+			for i, v := range versions {
+				e.Version, e.NAs = v, []store.NA{{AS: int(v), Addr: netaddr.AddrFromOctets(10, 0, 0, byte(v))}}
+				reqs = insertFrame(t, reqs, uint64(1+i), e)
+			}
+			if _, err := conn.Write(reqs); err != nil {
+				t.Fatal(err)
+			}
+			if got := readReplies(t, conn, 2); got[1] != wire.MsgInsertAck || got[2] != wire.MsgInsertAck {
+				t.Fatalf("durable=%t, versions %v: replies %v, want two acks", durable, versions, got)
+			}
+			if got, ok := n.Store().Get(e.GUID); !ok || got.Version != 6 || got.NAs[0].AS != 6 {
+				t.Fatalf("durable=%t, versions %v: stored %+v, %v; want version 6", durable, versions, got, ok)
+			}
+			conn.Close()
+			n.Close()
+		}
+	}
+}
+
+// TestInsertBurstOneLogWritePerShard: a burst of pipelined inserts costs
+// the durable node at most one log write(2) per shard per read — the
+// records per write that store.wal_writes and store.wal_records expose.
+func TestInsertBurstOneLogWritePerShard(t *testing.T) {
+	n, err := Open(Options{DataDir: t.TempDir(), Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	conn, cc := serveCounted(t, n)
+	const burst = 64
+	var reqs []byte
+	for i := 0; i < burst; i++ {
+		reqs = insertFrame(t, reqs, uint64(1+i), burstEntry(i))
+	}
+	reads := cc.reads.Load()
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	for id, typ := range readReplies(t, conn, burst) {
+		if typ != wire.MsgInsertAck {
+			t.Fatalf("reply %d = %v, want an ack", id, typ)
+		}
+	}
+	reads = cc.reads.Load() - reads
+	c := n.Metrics().Snapshot().Counters
+	writes, records := c["store.wal_writes"], c["store.wal_records"]
+	t.Logf("%d inserts: %d server reads, %d log writes of %d records", burst, reads, writes, records)
+	if records != burst || n.Store().Len() != burst {
+		t.Fatalf("store.wal_records = %d, %d stored; want %d", records, n.Store().Len(), burst)
+	}
+	if writes > 8*reads {
+		t.Fatalf("%d log writes for %d reads of a burst over 8 shards, want at most one per shard per read", writes, reads)
+	}
+}
+
 // lookupFrame appends a MsgLookup for burstEntry(i) under request id.
 func lookupFrame(t *testing.T, dst []byte, id uint64, i int) []byte {
 	t.Helper()
@@ -377,8 +479,8 @@ func TestRefusedHeaderDoesNotStrandReplies(t *testing.T) {
 }
 
 // gate is a log sink whose Write blocks until the gate opens: a handler
-// that logs (a malformed insert does, at warn) stays busy for as long as
-// the test likes.
+// that logs (a malformed batch insert does, at warn) stays busy for as
+// long as the test likes.
 type gate struct {
 	entered chan struct{} // one token per Write that arrived
 	open    chan struct{}
@@ -407,8 +509,8 @@ func TestBusyPoolHandOffFlushesCorkedReplies(t *testing.T) {
 		n := New(nil, trace.NewLogger(g, trace.LevelWarn))
 		conn, _ := serveCounted(t, n)
 		t.Cleanup(release) // registered last, runs first: the workers must finish for serveConn to return
-		badInsert := func(reqs []byte, id uint64) []byte {
-			reqs, err := wire.AppendFrameID(reqs, wire.MsgInsert, id, []byte("not an entry"))
+		badBatch := func(reqs []byte, id uint64) []byte {
+			reqs, err := wire.AppendFrameID(reqs, wire.MsgBatchInsert, id, []byte("not an entry"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +518,7 @@ func TestBusyPoolHandOffFlushesCorkedReplies(t *testing.T) {
 		}
 		var reqs []byte
 		for w := 0; w < maxConnWorkers; w++ {
-			reqs = badInsert(reqs, uint64(1+w))
+			reqs = badBatch(reqs, uint64(1+w))
 		}
 		if _, err := conn.Write(reqs); err != nil {
 			t.Fatal(err)
@@ -436,7 +538,7 @@ func TestBusyPoolHandOffFlushesCorkedReplies(t *testing.T) {
 		for i := 0; i < before; i++ {
 			reqs = lookupFrame(t, reqs, uint64(100+i), i)
 		}
-		reqs = badInsert(reqs, 99)
+		reqs = badBatch(reqs, 99)
 		for i := 0; i < after; i++ {
 			reqs = lookupFrame(t, reqs, uint64(200+i), i)
 		}
@@ -584,11 +686,50 @@ func TestInlineLookupShed(t *testing.T) {
 	}
 }
 
+// TestStagedInsertsHoldSlotsToFlush: a staged insert is in flight from
+// its read to the flush that carries its ack, so a connection limit of 2
+// lets at most two inserts of a read into the run and sheds the rest
+// where they were read; every claim is back once the burst is answered.
+func TestStagedInsertsHoldSlotsToFlush(t *testing.T) {
+	n := NewWithOptions(nil, Options{MaxConnInflight: 2})
+	ca := &limiter{max: n.maxConnInflight}
+	conn, cc := tcpPair(t)
+	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0, ca) })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	const burst = 16
+	var reqs []byte
+	for i := 0; i < burst; i++ {
+		reqs = insertFrame(t, reqs, uint64(1+i), burstEntry(i))
+	}
+	reads := cc.reads.Load()
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	acked := 0
+	for id, typ := range readReplies(t, conn, burst) {
+		if typ == wire.MsgInsertAck {
+			acked++
+		} else if typ != wire.MsgError {
+			t.Fatalf("reply %d = %v, want an ack or a shed", id, typ)
+		}
+	}
+	reads = cc.reads.Load() - reads
+	if acked == 0 || acked > 2*int(reads) || n.store.Len() != acked || n.shedsConn.Value() != int64(burst-acked) {
+		t.Fatalf("%d inserts over a connection limit of 2 in %d reads: %d acked, %d stored, sheds_conn %d; want at most 2 a read, the rest shed", burst, reads, acked, n.store.Len(), n.shedsConn.Value())
+	}
+	for deadline := time.Now().Add(5 * time.Second); ca.inflight() != 0 || n.admit.inflight() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("claims left behind: conn=%d node=%d", ca.inflight(), n.admit.inflight())
+		}
+	}
+}
+
 // TestInlineFramesObservedLikeWorkerFrames: the read loop and the workers
-// run one serveFrameV2, so a traced lookup served inline is joined into a
-// server span with its store child, captured as a slow op, profiled as a
-// hot key and timed, like the traced insert a worker served before it;
-// and only the two memory-only types are served inline.
+// run one serveFrameV2, so a traced lookup served inline, and a traced
+// insert staged there and committed by the flush, are joined into server
+// spans with their store children, captured as slow ops, profiled as hot
+// keys and timed, like the frames a worker serves; and only the three
+// single-GUID types are served inline.
 func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
 	tr := trace.New(trace.Config{SlowOp: time.Nanosecond})
 	n := NewWithOptions(nil, Options{Tracer: tr, HotKeys: trace.NewHotKeys(4)})
@@ -638,8 +779,8 @@ func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
 			t.Fatalf("reply id %d = (%v, %v)", id, typ, err)
 		}
 	}
-	if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != 2 || wk != 5 {
-		t.Fatalf("frames_inline = %d, frames_worker = %d; want 2 (lookup, ping) and 5", in, wk)
+	if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != 3 || wk != 4 {
+		t.Fatalf("frames_inline = %d, frames_worker = %d; want 3 (insert, lookup, ping) and 4", in, wk)
 	}
 	spans := make(map[string]bool)
 	for _, v := range tr.Traces() {

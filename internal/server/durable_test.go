@@ -3,7 +3,9 @@ package server
 import (
 	"testing"
 
+	"dmap/internal/guid"
 	"dmap/internal/store"
+	"dmap/internal/wire"
 )
 
 // Open → write → Close → Open must serve the written state: the node
@@ -39,6 +41,49 @@ func TestOpenDurableLifecycle(t *testing.T) {
 	got, ok := r.Store().Get(e.GUID)
 	if !ok || got.Version != e.Version {
 		t.Fatalf("recovered entry = (%+v, %v)", got, ok)
+	}
+}
+
+// A store that cannot log an insert is the node's failure, not the
+// peer's: the insert is answered ErrKindInternal and counted as an
+// error, while an entry that is invalid (a zero GUID) is still the
+// peer's fault, ErrKindBadRequest.
+func TestUnloggedInsertIsInternal(t *testing.T) {
+	n, err := Open(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	conn, _ := serveCounted(t, n)
+	n.Store().Close() // closed under the serving node
+	valid, err := wire.AppendEntry(nil, testEntry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := append([]byte(nil), valid...)
+	copy(zero, make([]byte, guid.Size)) // the encoder refuses a zero GUID; a peer need not
+	for _, c := range []struct {
+		name string
+		body []byte
+		want wire.ErrKind
+	}{{"entry", valid, wire.ErrKindInternal}, {"zero-GUID entry", zero, wire.ErrKindBadRequest}} {
+		frame, err := wire.AppendFrameID(nil, wire.MsgInsert, 1, c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, body, err := wire.ReadFrameID(conn)
+		if err != nil || typ != wire.MsgError {
+			t.Fatalf("%s: reply = (%v, %v), want MsgError", c.name, typ, err)
+		}
+		if kind, _, err := wire.DecodeErrorKind(body); err != nil || kind != c.want {
+			t.Fatalf("%s: kind %v (%v), want %v", c.name, kind, err, c.want)
+		}
+	}
+	if st := n.Stats(); st.Errors != 1 || st.BadRequests != 1 || st.Inserts != 0 {
+		t.Fatalf("Stats = %+v, want 1 error, 1 bad request, no insert", st)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -464,36 +465,6 @@ func (n *Node) countErr() {
 // holds.
 func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace.Span, dst []byte, start time.Time) (respType wire.MsgType, out []byte) {
 	switch t {
-	case wire.MsgInsert:
-		if n.draining.Load() {
-			n.rejects.Add(1)
-			sp.Eventf("rejected: draining")
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
-		}
-		// Decoded into the stack: Put packs the entry into its table and
-		// retains nothing it is handed.
-		var nas [store.MaxNAs]store.NA
-		e, _, err := wire.DecodeEntryAppend(nas[:0], payload)
-		if err != nil {
-			n.badReqs.Add(1)
-			n.logger.Warn("bad insert", "remote", remote, "err", err)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed insert")
-		}
-		n.hot.ObserveInsert(e.GUID)
-		st := sp.NewChild("store.put")
-		_, err = n.store.Put(e)
-		st.End()
-		if err != nil {
-			// A store-level refusal (validation) is the peer's fault;
-			// reject the request without tearing down the connection.
-			n.countErr()
-			n.logger.Warn("store rejected entry", "remote", remote, "err", err)
-			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "store rejected entry")
-		}
-		n.inserts.Add(1)
-		n.hInsert.ObserveSinceExemplar(start, sp.TraceID())
-		return wire.MsgInsertAck, dst
-
 	case wire.MsgLookup:
 		g, _, err := wire.DecodeGUID(payload)
 		if err != nil {
@@ -749,22 +720,22 @@ type v2Work struct {
 }
 
 // serveConnV2 serves identified frames a burst at a time (DESIGN.md §7).
-// One read(2) brings in every frame the peer pipelined. The ones whose
-// handler only reads memory — MsgLookup and MsgPing, traced or not — are
-// answered where they were read, each reply enqueued on the connection's
-// wire.Writer, and the loop flushes once when no whole frame is left in
-// the reader's buffer: handing a 33-byte frame to a worker and back cost
-// more than serving it. Everything that can take long or touch the disk
-// goes to a per-connection worker pool, lazily spawned up to
-// maxConnWorkers, whose workers write through the same Writer in
-// completion order — a slow batch insert does not block the pings behind
-// it. Responses carry the request ID they answer; ordering is the client
-// demuxer's job.
+// One read(2) brings in every frame the peer pipelined. The single-GUID
+// ones — MsgLookup, MsgPing and MsgInsert, traced or not — are served
+// where they were read: lookups and pings answered, each reply enqueued
+// on the connection's wire.Writer, inserts staged (insertRun). The loop
+// flushes once when no whole frame is left in the reader's buffer,
+// committing the staged inserts first — a log write per shard — so their
+// acks leave in the same write. Everything else goes to a per-connection
+// worker pool, lazily spawned up to maxConnWorkers, whose workers write
+// through the same Writer in completion order — a slow batch insert does
+// not block the pings behind it. Responses carry the request ID they
+// answer; ordering is the client demuxer's job.
 //
 // The invariant: the read loop never blocks — in read, or handing a
 // frame to a busy pool, when TCP backpressure throttles the peer — with
-// a reply of its own enqueued and unflushed. Corked bytes are therefore
-// bounded by the replies to one read buffer of frames.
+// a reply of its own enqueued and unflushed or an insert uncommitted.
+// Both are therefore bounded by one read buffer of frames.
 //
 // feat holds the hello-granted feature flags: when FeatTrace was
 // negotiated, frames with the trace bit carry a trace-context prefix
@@ -781,8 +752,8 @@ type v2Work struct {
 // to back off rather than fail over. A frame is in flight until its
 // reply has been handed to the Writer's flusher: a worker releases the
 // claims once its write returns, the loop releases its burst's at the
-// flush — so a limit bounds a pipelined burst of lookups as it did when
-// each went to a worker — and both drain when the connection dies.
+// flush — so a limit bounds a pipelined burst as it did when each frame
+// went to a worker — and both drain when the connection dies.
 func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 	var wg sync.WaitGroup
 	// A failed flush desynchronizes nothing (identified framing), but the
@@ -796,7 +767,9 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 	defer wg.Wait()   // runs second: workers drain after close
 	defer close(work) // runs first: stop the workers
 	corked := 0       // frames served here whose replies wait for the flush
+	var run insertRun // the burst's inserts, committed by the flush
 	flush := func() {
+		n.commitInserts(&run, w)
 		_ = w.Flush()
 		for ; corked > 0; corked-- {
 			n.admitRelease(ca)
@@ -824,9 +797,9 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 			continue
 		}
 		wk := v2Work{t: t, id: id, payload: payload}
-		if bt := wire.BaseType(t); bt == wire.MsgLookup || bt == wire.MsgPing {
+		if bt := wire.BaseType(t); bt == wire.MsgLookup || bt == wire.MsgPing || bt == wire.MsgInsert {
 			n.framesInline.Add(1)
-			n.serveFrameV2(conn, feat, w, wk, w.Enqueue)
+			n.serveFrameV2(conn, feat, w, &run, wk, w.Enqueue)
 			corked++
 			continue
 		}
@@ -844,7 +817,7 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 			go func(wk v2Work) { // a new worker starts with its first frame in hand
 				defer wg.Done()
 				for ok := true; ok; wk, ok = <-work {
-					n.serveFrameV2(conn, feat, w, wk, w.WriteFrameIDTrace)
+					n.serveFrameV2(conn, feat, w, nil, wk, w.WriteFrameIDTrace)
 					n.admitRelease(ca)
 				}
 			}(wk)
@@ -859,8 +832,9 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 // the connection already; there is nothing more to do here. It owns
 // wk.payload (pool-released on return) and draws a response buffer from
 // the pool; the Writer copies the response into its pending buffer
-// before returning, so both buffers recycle immediately.
-func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work, reply func(wire.MsgType, uint64, trace.Context, []byte) error) {
+// before returning, so both buffers recycle immediately. A MsgInsert —
+// only the read loop is handed one — is staged in run instead.
+func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *insertRun, wk v2Work, reply func(wire.MsgType, uint64, trace.Context, []byte) error) {
 	t, id, payload := wk.t, wk.id, wk.payload
 	defer serverBufs.Put(wk.payload) // payload is re-sliced below; release the whole
 	start := time.Now()
@@ -890,6 +864,25 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work,
 	if tc.Sampled {
 		sp = n.tracer.StartSpanFromContext("server."+t.String(), tc)
 	}
+	if t == wire.MsgInsert { // staged, for the flush to commit and answer
+		in := stagedInsert{id: id, start: start, tc: tc, sp: sp}
+		run.nas = slices.Grow(run.nas, store.MaxNAs)
+		e, _, err := wire.DecodeEntryAppend(run.nas[len(run.nas):], payload)
+		switch {
+		case n.draining.Load():
+			n.rejects.Add(1)
+			sp.Eventf("rejected: draining")
+			n.answerInsert(w, &in, wire.ErrKindDraining, "draining: writes refused")
+		case err != nil:
+			n.badReqs.Add(1)
+			n.logger.Warn("bad insert", "remote", conn.RemoteAddr(), "err", err)
+			n.answerInsert(w, &in, wire.ErrKindBadRequest, "malformed insert")
+		default:
+			run.nas = run.nas[:len(run.nas)+len(e.NAs)]
+			run.es, run.gs, run.errs, run.reqs = append(run.es, e), append(run.gs, e.GUID), append(run.errs, nil), append(run.reqs, in)
+		}
+		return
+	}
 	dst := serverBufs.Get(0)
 	respType, out := n.handle(t, payload, conn.RemoteAddr(), sp, dst, start)
 	sp.End()
@@ -901,4 +894,68 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, wk v2Work,
 		serverBufs.Put(dst) // the response outgrew dst; recycle it too
 	}
 	serverBufs.Put(out)
+}
+
+// insertRun is the read loop's burst of inserts, decoded where they were
+// read, for commitInserts; its slices are reused burst after burst.
+type insertRun struct {
+	es   []store.Entry
+	nas  []store.NA // es' NAs: a frame's buffer is released at once
+	errs []error
+	gs   []guid.GUID
+	reqs []stagedInsert
+}
+
+// stagedInsert is what answering and observing an insert takes.
+type stagedInsert struct {
+	id     uint64
+	start  time.Time
+	tc     trace.Context
+	sp, st *trace.Span
+}
+
+// commitInserts stores run and enqueues the answers for the flush: acks
+// (a stale version's too), else ErrKindInternal — each entry was
+// validated where it was decoded, so a store error is the node's.
+func (n *Node) commitInserts(run *insertRun, w *wire.Writer) {
+	if len(run.reqs) == 0 {
+		return
+	}
+	n.hot.ObserveInserts(run.gs)
+	for i := range run.reqs {
+		run.reqs[i].st = run.reqs[i].sp.NewChild("store.put")
+	}
+	n.store.PutRun(run.es, run.errs)
+	now, stored := time.Now(), 0
+	for i := range run.reqs {
+		in := &run.reqs[i]
+		in.st.End()
+		if err := run.errs[i]; err != nil {
+			n.countErr()
+			n.logger.Error("insert not stored", "err", err)
+			n.answerInsert(w, in, wire.ErrKindInternal, "internal error")
+			continue
+		}
+		stored++
+		n.hInsert.ObserveExemplar(float64(now.Sub(in.start).Nanoseconds())/1e3, in.sp.TraceID())
+		n.answerInsert(w, in, 0, "")
+	}
+	n.inserts.Add(int64(stored))
+	clear(run.reqs) // no span outlives its trace
+	run.es, run.nas, run.errs, run.gs, run.reqs = run.es[:0], run.nas[:0], run.errs[:0], run.gs[:0], run.reqs[:0]
+}
+
+// answerInsert enqueues an insert's ack, or when reason is set a MsgError,
+// and observes it as serveFrameV2 observes a frame.
+func (n *Node) answerInsert(w *wire.Writer, in *stagedInsert, kind wire.ErrKind, reason string) {
+	in.sp.End()
+	if n.tracer.SlowEnabled() {
+		n.tracer.ObserveServerOp("server.insert", in.id, in.tc, in.start)
+	}
+	t, body := wire.MsgInsertAck, []byte(nil)
+	if reason != "" {
+		t, body = wire.MsgError, wire.AppendErrorKind(serverBufs.Get(64), kind, reason)
+	}
+	_ = w.Enqueue(t, in.id, trace.Context{}, body)
+	serverBufs.Put(body)
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -134,6 +135,8 @@ func counters(s *Store) [6]int64 {
 //	      5 Get and Read · 6 ViewInto · 7 Version, and on a durable store a
 //	      snapshot
 //	op/8%8: the key
+//	op >= 0xc0: instead, a PutRun of 1+arg%6 entries over the key and the
+//	      one after it (modelPutRun)
 //
 // Half-way through, reopen (nil on a memory-only store) replaces s with
 // what a restart recovers. The store is instrumented, for the Warm op to
@@ -151,6 +154,12 @@ func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 		op, key, arg := ops[i]%8, int(ops[i]/8%8), ops[i+1]
 		g := alphabet[key]
 		step := fmt.Sprintf("op %d (%d on key %d, arg %d)", i/2, op, key, arg)
+		if ops[i] >= 0xc0 {
+			step = fmt.Sprintf("op %d (run on key %d, arg %d)", i/2, key, arg)
+			modelPutRun(t, s, model, &version, key, arg, step)
+			checkAgainstModel(t, s, model, step)
+			continue
+		}
 		switch op {
 		case 0:
 			version++
@@ -242,6 +251,60 @@ func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 	}
 }
 
+// modelPutRun stores a run of 1+arg%6 entries on keys key and key+1 — a
+// run of three or more names one twice — by PutRun, and applies
+// Put's rule to the model entry by entry, in order: the reference. By
+// arg/6+j, entry j is a fresh version with one NA or several, a stale one
+// (the version its key holds as of the entries before it, or one below),
+// or an invalid one (no NA). The store must report what the reference
+// did with each and, with nothing fresh in the run, write no log.
+func modelPutRun(t *testing.T, s *Store, model map[guid.GUID]Entry, version *uint64, key int, arg byte, step string) {
+	t.Helper()
+	es := make([]Entry, 1+int(arg)%6)
+	applied, valid := 0, make([]bool, len(es))
+	for j := range es {
+		k := (key + j%2) % len(alphabet)
+		g := alphabet[k]
+		switch (int(arg)/6 + j) % 4 {
+		case 0, 1:
+			*version++
+			es[j] = modelEntry(k, *version, 1+(int(arg)/6+j)%2*(j%MaxNAs))
+		case 2:
+			held, ok := model[g]
+			if !ok {
+				*version++
+				held.Version = *version
+			}
+			es[j] = modelEntry(k, held.Version-uint64(j%2), 2)
+		case 3:
+			es[j] = Entry{GUID: g, Version: *version + 1}
+		}
+		if valid[j] = es[j].Validate() == nil; !valid[j] {
+			continue
+		}
+		if held, ok := model[g]; !ok || es[j].Version > held.Version {
+			model[g] = modelEntry(k, es[j].Version, len(es[j].NAs))
+			applied++
+		}
+	}
+	logged := s.walBytes()
+	errs := make([]error, len(es))
+	if got := s.PutRun(es, errs); got != applied {
+		t.Fatalf("%s: PutRun applied %d, the reference %d", step, got, applied)
+	}
+	for j := range es {
+		if (errs[j] == nil) != valid[j] {
+			t.Fatalf("%s: entry %d (%+v): err %v, valid %t", step, j, es[j], errs[j], valid[j])
+		}
+		for n := range es[j].NAs {
+			es[j].NAs[n].AS = -1 // PutRun must have kept nothing of the caller's slices
+		}
+	}
+	if applied == 0 && s.walBytes() != logged {
+		t.Fatalf("%s: a run with nothing fresh wrote %d bytes of log", step, s.walBytes()-logged)
+	}
+}
+
 // modelWalk is the sequence the packed layout is most likely to get
 // wrong, on key 1: NA counts 1 → 3 → 1 → 5 → delete → 2, with reads, a
 // stale put, a snapshot and a Warm of every key (held, deleted, never
@@ -251,8 +314,8 @@ var modelWalk = []byte{
 	8 + 3, 0, 8 + 3, 0, 8 + 1, 0xff, 8, 1, 8 + 6, 5, 16 + 7, 0, 4, 0, 4, 1, 8 + 1, 6, 8, 3,
 }
 
-// FuzzStoreOps runs every input — puts, stale puts, deletes, extracts,
-// reads and warms — against memory-only stores of 1, 8 and 64 shards and
+// FuzzStoreOps runs every input — puts, runs, stale puts, deletes,
+// extracts, reads and warms — against memory-only stores of 1, 8 and 64 shards and
 // a durable one reopened half-way, whose shard count — a 64-shard
 // directory is 64 files to create, sync and read back — the input's
 // length picks among the same three.
@@ -263,6 +326,8 @@ func FuzzStoreOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0, 4, 3, 0}, 8))
 	f.Add([]byte{0, 2, 9, 4, 18, 1, 27, 3, 4, 0, 36, 0, 45, 2, 4, 1, 54, 4, 63, 0})
+	// Runs of every length and mix, among puts, a delete and snapshots.
+	f.Add([]byte{0xc0, 5, 0xc8, 23, 0xd0, 41, 0, 1, 0xc0, 12, 0xd8, 35, 3, 0, 0xc0, 6, 7, 0, 0xe0, 17, 0xf8, 29, 15, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -351,6 +416,30 @@ func TestUnloggedWriteLeavesTableUntouched(t *testing.T) {
 		t.Fatalf("Extract on a closed log removed %d entries", len(out))
 	}
 	checkAgainstModel(t, s, model, "after the refused writes")
+}
+
+// The same order inside a run: a run whose write the log refuses applies
+// nothing and fails every valid entry of it — the one stale only against
+// an unlogged entry of the run too, which acked would claim a version the
+// store does not hold — while an invalid one keeps its own error.
+func TestRefusedRunAppliesNothing(t *testing.T) {
+	s := openTemp(t, Options{Shards: 1, SnapshotBytes: -1})
+	mustPut(t, s, modelEntry(0, 2, 3))
+	model := map[guid.GUID]Entry{alphabet[0]: modelEntry(0, 2, 3)}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run := []Entry{modelEntry(0, 4, 1), modelEntry(0, 3, 2), modelEntry(1, 1, 5), {GUID: alphabet[2], Version: 1}, modelEntry(0, 1, 1)}
+	errs := make([]error, len(run))
+	if applied := s.PutRun(run, errs); applied != 0 {
+		t.Fatalf("a run on a closed log applied %d entries", applied)
+	}
+	for j, err := range errs {
+		if invalid := j == 3; errors.Is(err, ErrClosed) == invalid || err == nil {
+			t.Errorf("entry %d: %v", j, err)
+		}
+	}
+	checkAgainstModel(t, s, model, "after the refused run")
 }
 
 // One writer flips a GUID between a one-NA and a five-NA version while

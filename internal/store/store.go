@@ -31,6 +31,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dmap/internal/guid"
 	"dmap/internal/metrics"
@@ -180,9 +181,9 @@ func (sh *shard) unpack(g guid.GUID, v slim, nas []NA) []NA {
 	return nas
 }
 
-// set stores r as g's record in place of old, the slim sh.m held for g
-// (the zero slim if none). Callers hold sh.mu for writing.
-func (sh *shard) set(g guid.GUID, r *record, old slim) {
+// set stores r as g's record in place of one of oldN NAs, what sh.m held
+// for g (0 if nothing). Callers hold sh.mu for writing.
+func (sh *shard) set(g guid.GUID, r *record, oldN uint8) {
 	if sh.m == nil {
 		sh.m = make(map[guid.GUID]slim)
 	}
@@ -193,12 +194,12 @@ func (sh *shard) set(g guid.GUID, r *record, old slim) {
 			sh.more = make(map[guid.GUID]moreNAs)
 		}
 		sh.more[g] = r.more
-	case old.n > 1:
+	case oldN > 1:
 		delete(sh.more, g)
 	}
 	sh.sizeBits += int64(sizeBits(int(r.n)))
-	if old.n > 0 {
-		sh.sizeBits -= int64(sizeBits(int(old.n)))
+	if oldN > 0 {
+		sh.sizeBits -= int64(sizeBits(int(oldN)))
 	}
 }
 
@@ -226,9 +227,10 @@ type Store struct {
 
 // instruments are the store's optional metrics handles. An
 // uninstrumented store pays one atomic load per operation; an
-// instrumented one adds a single uncontended atomic add.
+// instrumented one adds a single uncontended atomic add (two a log write).
 type instruments struct {
 	puts, stalePuts, gets, hits, deletes, snapshots *metrics.Counter
+	walWrites, walRecords                           *metrics.Counter
 }
 
 // New returns an empty memory-only store with DefaultShards shards.
@@ -267,8 +269,9 @@ func (s *Store) shardFor(g guid.GUID) *shard { return &s.shards[s.shardIndex(g)]
 
 // Instrument registers the store's operation counters and size gauge
 // on reg under prefix (e.g. "store" → "store.puts", "store.size"), and
-// the durability plane's: shard snapshots completed, the bytes its logs
-// hold, and what Open found on disk (all zero on a memory-only store).
+// the durability plane's: shard snapshots completed, log write(2)s and
+// the records in them, the bytes its logs hold, and what Open found on
+// disk (all zero on a memory-only store).
 // Call once, before serving traffic; re-instrumenting replaces the
 // counters but leaves gauges registered on the previous registry.
 func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
@@ -279,6 +282,9 @@ func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
 		hits:      reg.Counter(prefix + ".hits"),
 		deletes:   reg.Counter(prefix + ".deletes"),
 		snapshots: reg.Counter(prefix + ".snapshots"),
+
+		walWrites:  reg.Counter(prefix + ".wal_writes"),
+		walRecords: reg.Counter(prefix + ".wal_records"),
 	}
 	reg.GaugeFunc(prefix+".size", func() float64 { return float64(s.Len()) })
 	reg.GaugeFunc(prefix+".wal_bytes", func() float64 { return float64(s.walBytes()) })
@@ -294,35 +300,107 @@ func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
 // freshest-wins semantics under reordered delivery. It reports whether
 // the entry was applied. On a durable store the WAL record is written
 // before the in-memory apply: a Put that returned (true, nil) survives a
-// crash of the process. Put keeps no reference to e.NAs and allocates
-// nothing: the caller may reuse the slice as soon as Put returns.
+// crash of the process. Put, the one-entry run, keeps no reference to
+// e.NAs and allocates nothing: the caller may reuse the slice at once.
 func (s *Store) Put(e Entry) (bool, error) {
-	if err := e.Validate(); err != nil {
-		return false, err
+	errs, ord := [1]error{e.Validate()}, [1]uint32{}
+	// A view of e, not a copy: copying the Entry into a one-element array
+	// measured +70 ns a Put on a store larger than the cache.
+	es := unsafe.Slice(&e, 1)
+	if errs[0] == nil && s.putRun(s.shardFor(e.GUID), es, ord[:], errs[:]) == 1 {
+		return true, nil
 	}
-	r := pack(&e)
+	return false, errs[0]
+}
+
+// PutRun stores es as Put would each in turn, a log write per shard (one
+// run each, in the order of es), and returns how many it applied: errs[i]
+// is nil when entry i was applied or stale, else why it was refused.
+func (s *Store) PutRun(es []Entry, errs []error) (applied int) {
+	var order [512]uint32 // shard<<16 | position in the chunk
+	for len(es) > 0 {
+		chunk := es[:min(len(es), len(order))]
+		ord := order[:len(chunk)]
+		for i := range chunk {
+			errs[i] = chunk[i].Validate()
+			ord[i] = s.shardIndex(chunk[i].GUID)<<16 | uint32(i)
+		}
+		slices.Sort(ord) // by shard, and within one in the order of es
+		for i, j := 0, 0; i < len(ord); i = j {
+			for j = i + 1; j < len(ord) && ord[j]>>16 == ord[i]>>16; j++ {
+			}
+			applied += s.putRun(&s.shards[ord[i]>>16], chunk, ord[i:j], errs)
+		}
+		es, errs = es[len(chunk):], errs[len(chunk):]
+	}
+	return applied
+}
+
+// A run's ord: pos bits index es, fresh marks an entry the check passed,
+// and the bits above hold then the NA count of what it replaces.
+const fresh, pos = 1 << 15, 1<<15 - 1
+
+// putRun stores the valid entries of es at ord, all sh's, under sh's lock
+// taken once (DESIGN.md §10): each is checked against the table and the
+// run's earlier fresh entries; the fresh ones are logged by one write(2)
+// and only then applied — or, that refused, none is and every valid one
+// fails. Without a log each is applied as it is checked.
+func (s *Store) putRun(sh *shard, es []Entry, ord []uint32, errs []error) (applied int) {
 	ins := s.ins.Load()
-	sh := s.shardFor(e.GUID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	lg := sh.log
+	valid := 0
+	for k, o := range ord {
+		e := &es[o&pos]
+		if errs[o&pos] != nil {
+			continue
+		}
+		valid++
+		r := pack(e) // ahead of the lookup: measured cheaper on a store larger than the cache
+		old, held := sh.m[e.GUID]
+		for j := k - 1; lg != nil && j >= 0; j-- { // the run is newer than the table
+			if p := ord[j]; p&fresh != 0 && es[p&pos].GUID == e.GUID {
+				old, held = slim{version: es[p&pos].Version, n: uint8(len(es[p&pos].NAs))}, true
+				break
+			}
+		}
+		if held && e.Version <= old.version {
+			continue
+		}
+		ord[k] = o&pos | fresh | uint32(old.n)<<16
+		applied++
+		if lg == nil {
+			sh.set(e.GUID, &r, old.n)
+			continue
+		}
+		lg.scratch = appendRecord(lg.scratch, lg.seq+uint64(applied), opPut, func(b []byte) []byte { return appendEntry(b, e.GUID, &r) })
+	}
 	if ins != nil {
-		ins.puts.Inc()
-	}
-	old, existed := sh.m[e.GUID]
-	if existed && e.Version <= old.version {
-		if ins != nil {
-			ins.stalePuts.Inc()
-		}
-		return false, nil
-	}
-	if sh.log != nil {
-		if err := sh.log.appendPut(e.GUID, &r); err != nil {
-			return false, err
+		ins.puts.Add(int64(valid))
+		if valid > applied { // an atomic add is a fence, even of 0
+			ins.stalePuts.Add(int64(valid - applied))
 		}
 	}
-	sh.set(e.GUID, &r, old)
+	if lg == nil || applied == 0 {
+		return applied
+	}
+	if err := lg.write(applied, ins); err != nil {
+		for _, o := range ord {
+			if errs[o&pos] == nil {
+				errs[o&pos] = err
+			}
+		}
+		return 0
+	}
+	for _, o := range ord {
+		if o&fresh != 0 {
+			r := pack(&es[o&pos])
+			sh.set(es[o&pos].GUID, &r, uint8(o>>16))
+		}
+	}
 	s.maybeSnapshot(sh)
-	return true, nil
+	return applied
 }
 
 // countRead counts one read, a hit or not, on an instrumented store.
@@ -434,7 +512,7 @@ func (s *Store) Delete(g guid.GUID) bool {
 		return false
 	}
 	if sh.log != nil {
-		if err := sh.log.appendDelete(g); err != nil {
+		if err := sh.log.appendDelete(g, ins); err != nil {
 			// The removal could not be made durable; keep serving the
 			// entry rather than resurrect it on the next restart.
 			return false
@@ -552,6 +630,7 @@ func (sh *shard) appendSorted(dst []byte) []byte {
 // restart after a migration does not resurrect the shipped entries.
 func (s *Store) Extract(pred func(guid.GUID) bool) []Entry {
 	var out []Entry
+	ins := s.ins.Load()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -560,7 +639,7 @@ func (s *Store) Extract(pred func(guid.GUID) bool) []Entry {
 				continue
 			}
 			if sh.log != nil {
-				if err := sh.log.appendDelete(g); err != nil {
+				if err := sh.log.appendDelete(g, ins); err != nil {
 					continue // keep it: an unlogged removal would resurrect
 				}
 			}

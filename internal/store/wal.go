@@ -27,9 +27,9 @@
 //
 // Records are appended under the shard write lock through a per-shard
 // reusable scratch buffer (the PR-6 ownership discipline: one owner,
-// zero per-record allocation) and a single write(2) on an O_APPEND
-// handle. A record that fails to write is truncated away so the log
-// never carries a half-record in the middle.
+// zero per-record allocation), a run of them (Store.PutRun) by a single
+// write(2) on an O_APPEND handle. A write that fails is truncated away so
+// the log never carries a half-record in the middle.
 package store
 
 import (
@@ -53,8 +53,8 @@ const (
 	// completed its write(2), so it survives a process crash (SIGKILL),
 	// but an OS crash or power loss can lose the tail. The default.
 	FsyncOS FsyncMode = iota
-	// FsyncAlways fsyncs after every record: acked writes survive power
-	// loss, at a large per-op latency cost.
+	// FsyncAlways fsyncs after every log write — a run's records share
+	// one: acked writes survive power loss, at a large per-op latency cost.
 	FsyncAlways
 	// FsyncInterval fsyncs dirty logs every Options.SyncInterval from a
 	// background goroutine: bounded power-loss window, near-FsyncOS
@@ -149,7 +149,7 @@ type shardLog struct {
 	f       *os.File // O_APPEND write handle
 	seq     uint64   // last seq written (or recovered)
 	scratch []byte   // reusable record buffer; owned by the shard lock
-	always  bool     // FsyncAlways: flush after every record
+	always  bool     // FsyncAlways: flush after every write
 	dirty   atomic.Bool
 	closed  bool
 	// walSize is the validated file length; atomic so the compactor can
@@ -384,7 +384,7 @@ func (s *Store) replayWAL(sh *shard, lg *shardLog, b []byte, index, shards int) 
 				if err != nil || len(tail) != 0 {
 					return off, nil // corrupt payload: treat as torn
 				}
-				sh.set(g, &r, sh.m[g])
+				sh.set(g, &r, sh.m[g].n)
 			case opDelete:
 				if len(payload) != guid.Size {
 					return off, nil
@@ -454,7 +454,7 @@ func decodeSnapshot(sh *shard, b []byte, index, shards int, path string) (uint64
 		if err != nil {
 			return 0, 0, fmt.Errorf("store: %s: entry %d: %w", path, i, err)
 		}
-		sh.set(g, &r, sh.m[g])
+		sh.set(g, &r, sh.m[g].n)
 		rest = tail
 	}
 	if len(rest) != 0 {
@@ -463,45 +463,49 @@ func decodeSnapshot(sh *shard, b []byte, index, shards int, path string) (uint64
 	return seq, int(count), nil
 }
 
-// appendPut logs an applied Put. Called under the shard write lock.
-func (lg *shardLog) appendPut(g guid.GUID, r *record) error {
-	return lg.appendRecord(opPut, func(dst []byte) []byte { return appendEntry(dst, g, r) })
+// appendRecord appends to dst the record with sequence number seq of op,
+// whose payload the payload func appends.
+func appendRecord(dst []byte, seq uint64, op byte, payload func([]byte) []byte) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // crc ‖ len placeholders
+	dst = payload(append(binary.BigEndian.AppendUint64(dst, seq), op))
+	body := dst[at+recHeaderLen:]
+	binary.BigEndian.PutUint32(dst[at:], crc32.Checksum(body, castagnoli))
+	binary.BigEndian.PutUint32(dst[at+4:], uint32(len(body)))
+	return dst
 }
 
-// appendDelete logs an applied Delete. Called under the shard write lock.
-func (lg *shardLog) appendDelete(g guid.GUID) error {
-	return lg.appendRecord(opDelete, func(dst []byte) []byte { return append(dst, g[:]...) })
+// appendDelete logs a Delete before it is applied, under the shard lock.
+func (lg *shardLog) appendDelete(g guid.GUID, ins *instruments) error {
+	lg.scratch = appendRecord(lg.scratch, lg.seq+1, opDelete, func(b []byte) []byte { return append(b, g[:]...) })
+	return lg.write(1, ins)
 }
 
-// appendRecord frames and writes one record through the shard's scratch
-// buffer: a single write(2), no allocation once the scratch has grown
-// to the maximum record size.
-func (lg *shardLog) appendRecord(op byte, payload func([]byte) []byte) error {
+// write issues the scratch — records records, framed with the seqs after
+// lg.seq — as one write(2) and, under FsyncAlways, one fsync, and empties
+// it. A failed write is cut off again and lg.seq does not move. Called
+// under the shard write lock, as the framing before it.
+func (lg *shardLog) write(records int, ins *instruments) error {
+	buf := lg.scratch
+	lg.scratch = buf[:0]
 	if lg.closed {
 		return ErrClosed
 	}
-	seq := lg.seq + 1
-	buf := append(lg.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0) // crc ‖ len placeholders
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = append(buf, op)
-	buf = payload(buf)
-	body := buf[recHeaderLen:]
-	binary.BigEndian.PutUint32(buf, crc32.Checksum(body, castagnoli))
-	binary.BigEndian.PutUint32(buf[4:], uint32(len(body)))
-	lg.scratch = buf[:0]
-
+	if ins != nil {
+		ins.walWrites.Inc()
+		ins.walRecords.Add(int64(records))
+	}
 	n, err := lg.f.Write(buf)
 	if err != nil {
-		// Cut the half-written record off so the log stays well-formed
-		// in the middle; recovery only tolerates tears at the very end.
+		// Recovery only tolerates a tear at the very end of the log.
 		if n > 0 {
 			lg.f.Truncate(lg.walSize.Load())
 		}
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	lg.seq = seq
+	lg.seq += uint64(records)
 	lg.walSize.Add(int64(len(buf)))
-	if lg.fsyncAlways() {
+	if lg.always {
 		if err := lg.f.Sync(); err != nil {
 			return fmt.Errorf("store: wal fsync: %w", err)
 		}
@@ -510,10 +514,6 @@ func (lg *shardLog) appendRecord(op byte, payload func([]byte) []byte) error {
 	}
 	return nil
 }
-
-// fsyncAlways reports whether this log flushes on every record. Set
-// once at recovery via the store options; read under the shard lock.
-func (lg *shardLog) fsyncAlways() bool { return lg.always }
 
 // walBytes returns the bytes every shard's log holds, 0 on a memory-only
 // store. It takes no lock: a shard's log is set by Open and never after.

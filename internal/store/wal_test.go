@@ -244,6 +244,79 @@ func TestTornFinalRecordEveryOffset(t *testing.T) {
 	}
 }
 
+// A run's records leave in one write(2), so a crash can tear the write
+// anywhere in the group. Cut at every byte offset inside it, recovery
+// must keep exactly the records wholly before the cut — the run's prefix,
+// applied in order — and discard the rest as TornBytes. None of the run
+// was acked or visible before the write returned, so either is a state a
+// reader never contradicted.
+func TestTornRunEveryOffset(t *testing.T) {
+	base := t.TempDir()
+	ref := filepath.Join(base, "ref")
+	s, err := Open(Options{Dir: ref, Shards: 1, SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	s.Instrument(reg, "store")
+	before := entry("before", 1, 1)
+	mustPut(t, s, before)
+	start := int(s.shards[0].log.walSize.Load())
+	run := []Entry{entry("r0", 1, 1), entry("r1", 1, 2, 3), entry("r0", 2, 4), entry("r2", 1, 5), entry("r1", 3, 6)}
+	if applied := s.PutRun(run, make([]error, len(run))); applied != len(run) {
+		t.Fatalf("PutRun applied %d of %d", applied, len(run))
+	}
+	if c := reg.Snapshot().Counters; c["store.wal_writes"] != 2 || c["store.wal_records"] != 1+int64(len(run)) {
+		t.Fatalf("wal_writes = %d, wal_records = %d; want the Put's write and the run's, %d records", c["store.wal_writes"], c["store.wal_records"], 1+len(run))
+	}
+	s.Close()
+	full, err := os.ReadFile(walPath(ref, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{start} // ends[k]: where the run's first k records end
+	for off := start; off < len(full); {
+		off += recHeaderLen + int(uint32(full[off+4])<<24|uint32(full[off+5])<<16|uint32(full[off+6])<<8|uint32(full[off+7]))
+		ends = append(ends, off)
+	}
+	if len(ends) != len(run)+1 || ends[len(run)] != len(full) {
+		t.Fatalf("the run's records end at %v in a %d-byte log, want %d records", ends, len(full), len(run))
+	}
+	for cut := start; cut < len(full); cut++ {
+		whole := 0
+		for whole < len(run) && ends[whole+1] <= cut {
+			whole++
+		}
+		want := map[guid.GUID]Entry{before.GUID: before}
+		for _, e := range run[:whole] {
+			want[e.GUID] = e
+		}
+		dir := filepath.Join(base, fmt.Sprintf("cut%d", cut))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(walPath(dir, 0), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(Options{Dir: dir, Shards: 1, SnapshotBytes: -1})
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", cut, err)
+		}
+		if r.Len() != len(want) {
+			t.Fatalf("cut %d: Len = %d, want %d (%d whole records of the run)", cut, r.Len(), len(want), whole)
+		}
+		for g, e := range want {
+			if got, ok := r.Get(g); !ok || got.Version != e.Version || len(got.NAs) != len(e.NAs) {
+				t.Fatalf("cut %d: %s = (%+v, %v), want %+v", cut, g.Short(), got, ok, e)
+			}
+		}
+		if rec := r.Recovery(); rec.TornBytes != int64(cut-ends[whole]) || rec.ReplayedRecords != 1+whole {
+			t.Fatalf("cut %d: Recovery = %+v, want %d torn bytes and %d records", cut, rec, cut-ends[whole], 1+whole)
+		}
+		r.Close()
+	}
+}
+
 // A corrupt record in the middle of the log (not just the tail) must
 // not be skipped over: recovery keeps the longest valid prefix and
 // discards everything after the corruption.

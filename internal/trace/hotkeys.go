@@ -175,14 +175,6 @@ func (h *HotKeys) ObserveLookups(gs []guid.GUID) {
 	h.lookups.ObserveAll(gs)
 }
 
-// ObserveInsert counts one insert/update of g. No-op on nil.
-func (h *HotKeys) ObserveInsert(g guid.GUID) {
-	if h == nil {
-		return
-	}
-	h.inserts.Observe(g)
-}
-
 // ObserveInserts counts one insert/update of each of gs. No-op on nil.
 func (h *HotKeys) ObserveInserts(gs []guid.GUID) {
 	if h == nil {

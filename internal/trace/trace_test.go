@@ -49,7 +49,7 @@ func TestNilSafety(t *testing.T) {
 
 	var hk *HotKeys
 	hk.ObserveLookup(guid.GUID{})
-	hk.ObserveInsert(guid.GUID{})
+	hk.ObserveInserts([]guid.GUID{{}})
 	if got := hk.TopLookups(5); got != nil {
 		t.Fatalf("nil hotkeys TopLookups = %v", got)
 	}
@@ -420,7 +420,7 @@ func TestHotKeysClasses(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		hk.ObserveLookup(a)
 	}
-	hk.ObserveInsert(b)
+	hk.ObserveInserts([]guid.GUID{b})
 	lk, ins := hk.TopLookups(10), hk.TopInserts(10)
 	if len(lk) != 1 || lk[0].GUID != a || lk[0].Count != 5 {
 		t.Fatalf("TopLookups = %+v", lk)
@@ -530,7 +530,7 @@ func TestHotKeysHandler(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		hk.ObserveLookup(g)
 	}
-	hk.ObserveInsert(g)
+	hk.ObserveInserts([]guid.GUID{g})
 
 	rec := httptest.NewRecorder()
 	HotKeysHandler(hk).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hotkeys", nil))

@@ -8,16 +8,17 @@
 # traced one: `bash bench/run.sh --workload <workload> --seed 1 --seconds
 # 60 --trace 1` in the background (warm-up 1 s, one-in-flight serial phase
 # 6 s, then 27 s of the plain closed phase). The run sets its cluster up
-# three times (c0, c1, c2) and only the last one serves the phases, so
-# the node's debug address is read again on every poll, from the newest
-# c*/node-0.log of the run's directory; the workload's mix has started
-# when that node's server.lookups counter — zero through the preload —
-# moves. Nine seconds later, inside the plain closed phase, the node is
-# profiled for the given time and `go tool pprof -top` printed, with the
-# lookups and inserts the node counted meanwhile: samples per GUID is what
-# two commits can be compared on. The run is then stopped. Changes
-# nothing under bench/; the profile and the run's output stay in a
-# temporary directory, whose name is printed.
+# three times (bench/main.go's setupReps: c0, c1, c2) and only the last
+# one serves the phases, so the debug address is read from the run's
+# c2/node-0.log, again on every poll. The cluster is serving once that
+# node's server.lookups + server.inserts moves — the preload's batch
+# inserts move it, a second before the phases; lookups alone stand still
+# through update_durable's timed phase. Nine seconds later, inside the
+# plain closed phase, the node is profiled for the given time and `go tool
+# pprof -top` printed, with the lookups and inserts the node counted
+# meanwhile: samples per GUID is what two commits can be compared on. The
+# run is then stopped. Changes nothing under bench/; the profile and the
+# run's output stay in a temporary directory, whose name is printed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 wl=${1:?usage: scripts/nodeprof.sh <workload> [profile seconds]}
@@ -29,14 +30,12 @@ bash bench/run.sh --workload "$wl" --seed 1 --seconds 60 --trace 1 >"$tmp/run.js
 run=$!
 trap 'kill "$run" 2>/dev/null || true; wait "$run" 2>/dev/null || true' EXIT
 
-# node0 prints the debug address of node 0 of the run's newest cluster.
+# node0 prints the debug address of node 0 of the run's serving cluster.
 node0() {
-    local dir log
+    local dir
     dir=$(find bench/out -mindepth 1 -maxdepth 1 -name "*-$wl-s1-t1-*" -newer "$tmp/started" 2>/dev/null | sort | tail -1)
-    [ -n "$dir" ] || return 0
-    log=$(ls -d "$dir"/c*/node-0.log 2>/dev/null | sort -V | tail -1)
-    [ -n "$log" ] || return 0
-    sed -n 's|^debug endpoint on http://\(.*\)/debug/metrics$|\1|p' "$log" | tail -1
+    [ -n "$dir" ] && [ -f "$dir/c2/node-0.log" ] || return 0
+    sed -n 's|^debug endpoint on http://\(.*\)/debug/metrics$|\1|p' "$dir/c2/node-0.log" | tail -1
 }
 
 # counter prints one counter of the node at $addr, 0 while it has none.
@@ -48,15 +47,16 @@ addr=
 for _ in $(seq 600); do
     kill -0 "$run" 2>/dev/null || { echo "the run ended before its mix started; see $tmp/run.err" >&2; exit 1; }
     addr=$(node0)
-    [ -n "$addr" ] && [ "$(counter server.lookups)" != 0 ] && break
+    [ -n "$addr" ] && [ $(($(counter server.lookups) + $(counter server.inserts))) != 0 ] && break
     addr=
     sleep 0.5
 done
-[ -n "$addr" ] || { echo "no node served a lookup in 300 s; see $tmp/run.err" >&2; exit 1; }
+[ -n "$addr" ] || { echo "no serving node answered a lookup or an insert in 300 s; see $tmp/run.err" >&2; exit 1; }
 
 sleep 9
 echo "profiling node 0 ($addr) of $wl for $secs s; files in $tmp" >&2
 lookups=$(counter server.lookups) inserts=$(counter server.inserts)
-curl -s -o "$tmp/node0.pprof" "http://$addr/debug/pprof/profile?seconds=$secs"
+curl -sf -o "$tmp/node0.pprof" "http://$addr/debug/pprof/profile?seconds=$secs" ||
+    { echo "fetching the profile from node 0 ($addr) failed; see $tmp/run.err" >&2; exit 1; }
 echo "node 0 counted $(($(counter server.lookups) - lookups)) lookups and $(($(counter server.inserts) - inserts)) inserts while profiled"
 go tool pprof -top -nodecount=25 "$tmp/node0.pprof"
