@@ -8,6 +8,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dmap/internal/core"
@@ -38,27 +39,27 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 		c.tracer.FinishOp(sp, "insert_batch", guid.GUID{}, opStart, err)
 	}()
 
+	k := c.resolver.K()
+	gs := make([]guid.GUID, len(entries))
+	for i := range entries {
+		gs[i] = entries[i].GUID
+	}
+	place := make([]core.Placement, len(entries)*k)
+	if err = c.resolver.PlaceBatch(place, gs, 0, k); err != nil {
+		return nil, err
+	}
 	groups := make(map[int][]int) // replica AS → entry indices
-	place := make([]core.Placement, 0, c.resolver.K())
-	for i, e := range entries {
-		if place, err = c.resolver.PlaceInto(e.GUID, place[:0]); err != nil {
-			return nil, err
-		}
-	replicas:
-		for j, p := range place {
-			for _, q := range place[:j] {
-				if q.AS == p.AS {
-					continue replicas // replicas collided on one AS: send once
-				}
+	for i := range entries {
+		ps := place[i*k : i*k+k]
+		for j, p := range ps {
+			if !collided(ps, j) { // replicas that collide on one AS share its frame
+				groups[p.AS] = append(groups[p.AS], i)
 			}
-			groups[p.AS] = append(groups[p.AS], i)
 		}
 	}
 
-	var (
-		atts  []attempt
-		batch []store.Entry
-	)
+	atts := make([]attempt, 0, len(groups))
+	var batch []store.Entry
 	for as, idxs := range groups {
 		for start := 0; start < len(idxs); start += wire.MaxBatch {
 			chunk := idxs[start:min(start+wire.MaxBatch, len(idxs))]
@@ -97,6 +98,16 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 		return acks, errors.New("client: batch insert: no entry stored anywhere")
 	}
 	return acks, nil
+}
+
+// collided reports whether ps[j] is on the AS of an earlier placement.
+func collided(ps []core.Placement, j int) bool {
+	for _, q := range ps[:j] {
+		if q.AS == ps[j].AS {
+			return true
+		}
+	}
+	return false
 }
 
 // startChunk starts proto, corked (the caller flushes the set), as one
@@ -156,9 +167,11 @@ func insertAcks(a *attempt) ([]bool, error) {
 // still-unresolved GUIDs by their r-th replica AS and asks each AS with
 // at most wire.MaxBatch GUIDs per frame, starting every frame of the
 // round before it reads any answer. Misses and failed replicas roll
-// into the next round (§III-D3 failover, amortized). It returns the
-// resolved entries and per-GUID found flags; GUIDs no reachable replica
-// had stay false without failing the call.
+// into the next round (§III-D3 failover, amortized); a GUID whose r-th
+// replica is on an AS it has already asked sits that round out. It
+// returns the resolved entries and per-GUID found flags; GUIDs no
+// reachable replica had stay false, their entries zero, without failing
+// the call.
 func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bool, err error) {
 	if len(gs) == 0 {
 		return nil, nil, nil
@@ -179,23 +192,41 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 		pending[i] = i
 	}
 	var (
-		atts  []attempt
-		batch []guid.GUID
+		atts    []attempt
+		batch   []guid.GUID
+		placing []guid.GUID
+		place   []core.Placement
+		nas     []store.NA // what the found entries' NAs are carved from
 	)
 	rounds := c.resolver.K()
 	for r := 0; r < rounds && len(pending) > 0; r++ {
-		// Only the GUIDs still pending are placed, and only at replica r:
-		// a batch every first replica answers runs Algorithm 1 once per
-		// GUID, not K times.
-		groups := make(map[int][]int) // replica AS → GUID indices
-		for _, i := range pending {
-			p, err := c.resolver.PlaceReplica(gs[i], r)
-			if err != nil {
-				return nil, nil, err
+		// Only the GUIDs still pending are placed, at replicas [0, r] —
+		// the earlier ones say which ASs a GUID has asked — so a batch
+		// every first replica answers runs Algorithm 1 once per GUID.
+		ps := gs // round 0: every GUID, in order
+		if r > 0 {
+			placing = placing[:0]
+			for _, i := range pending {
+				placing = append(placing, gs[i])
 			}
-			groups[p.AS] = append(groups[p.AS], i)
+			ps = placing
 		}
-		atts = atts[:0]
+		n := r + 1
+		place = slices.Grow(place[:0], len(ps)*n)[:len(ps)*n]
+		if err := c.resolver.PlaceBatch(place, ps, 0, n); err != nil {
+			return nil, nil, err
+		}
+		groups := make(map[int][]int) // replica AS → GUID indices
+		skipped := pending[:0]        // replica r is on an AS already asked
+		for j, i := range pending {
+			if gp := place[j*n : j*n+n]; !collided(gp, r) {
+				groups[gp[r].AS] = append(groups[gp[r].AS], i)
+			} else {
+				skipped = append(skipped, i)
+			}
+		}
+		pending = skipped // the round's misses and failures join them below
+		atts = slices.Grow(atts[:0], len(groups))
 		for as, idxs := range groups {
 			for start := 0; start < len(idxs); start += wire.MaxBatch {
 				chunk := idxs[start:min(start+wire.MaxBatch, len(idxs))]
@@ -209,11 +240,9 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 		}
 		flush(atts)
 		c.finish(atts, time.Now())
-		pending = pending[:0] // the groups hold the indices now
 		for k := range atts {
 			a := &atts[k]
-			rs, err := lookupAnswers(a)
-			if err != nil {
+			if err := lookupAnswers(a, entries, found, &nas); err != nil {
 				// The whole chunk fails over to its next replica round,
 				// exactly like the sequential walk.
 				if r < rounds-1 {
@@ -223,10 +252,8 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 				pending = append(pending, a.idxs...)
 				continue
 			}
-			for j, resp := range rs {
-				if i := a.idxs[j]; resp.Found {
-					entries[i], found[i] = resp.Entry, true
-				} else {
+			for _, i := range a.idxs {
+				if !found[i] {
 					pending = append(pending, i)
 				}
 			}
@@ -235,20 +262,54 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 	return entries, found, nil
 }
 
-// lookupAnswers reads a finished batch-lookup chunk's per-GUID answers.
-func lookupAnswers(a *attempt) ([]wire.LookupResp, error) {
+// lookupAnswers decodes a finished batch-lookup chunk's answers straight
+// into entries and found at its indices, carving the NAs from *nas (the
+// call's shared array, topped up by one NA per GUID plus one multi-homed
+// entry) each capped at its own length, so an append to one entry's NAs
+// never overwrites its neighbour's. A chunk commits whole: if any of it
+// fails to decode, every slot it wrote is cleared again.
+func lookupAnswers(a *attempt, entries []store.Entry, found []bool, nas *[]store.NA) (err error) {
 	defer a.sp.End()
 	body, err := chunkReply(a, wire.MsgBatchLookupResp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rs, err := wire.DecodeBatchLookupResp(body)
-	putBody(body) // DecodeBatchLookupResp copied every entry
+	defer func() {
+		putBody(body) // every kept byte was copied out
+		if err != nil {
+			for _, i := range a.idxs {
+				entries[i], found[i] = store.Entry{}, false
+			}
+		}
+	}()
+	n, b, err := wire.DecodeBatchCount(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(rs) != len(a.idxs) {
-		return nil, fmt.Errorf("client: batch resp carries %d answers for %d GUIDs", len(rs), len(a.idxs))
+	if n != len(a.idxs) {
+		return fmt.Errorf("client: batch resp carries %d answers for %d GUIDs", n, len(a.idxs))
 	}
-	return rs, nil
+	for _, i := range a.idxs {
+		if len(b) == 0 {
+			return wire.ErrTruncated
+		}
+		if b[0] > 1 {
+			return fmt.Errorf("client: bad found flag %d", b[0])
+		}
+		if found[i], b = b[0] == 1, b[1:]; !found[i] {
+			continue
+		}
+		if len(*nas) < store.MaxNAs {
+			*nas = make([]store.NA, len(entries)+store.MaxNAs)
+		}
+		if entries[i], b, err = wire.DecodeEntryAppend((*nas)[:0], b); err != nil {
+			return err
+		}
+		*nas = (*nas)[len(entries[i].NAs):]
+		entries[i].NAs = slices.Clip(entries[i].NAs)
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("client: %d trailing bytes after batch lookup resp", len(b))
+	}
+	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -359,7 +360,8 @@ func (c *Cluster) Update(e store.Entry) (int, error) { return c.Insert(e) }
 
 // Lookup resolves g, walking replicas in Algorithm 1's placement order:
 // a miss reply, timeout, connection error or rejection moves to the next
-// replica until the per-operation deadline expires (§III-D3).
+// replica until the per-operation deadline expires (§III-D3). A replica
+// on an AS the walk has already asked is skipped, as fanOut does.
 func (c *Cluster) Lookup(g guid.GUID) (store.Entry, error) {
 	var e store.Entry
 	if err := c.LookupInto(g, &e); err != nil {
@@ -389,6 +391,7 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 	walk := [1]attempt{{sp: sp, t: wire.MsgLookup, payload: payload, opDeadline: opStart.Add(c.cfg.OpDeadline)}}
 	a := &walk[0]
 	var lastErr error
+	asked := make([]int, 0, stackK)
 	// Replica i is placed as the walk reaches it (§III-D3 asks replica
 	// i+1 only once replica i failed or missed): a healthy read runs
 	// Algorithm 1 once, not K times.
@@ -398,6 +401,10 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 			now = time.Now()
 			return perr
 		}
+		if slices.Contains(asked, p.AS) {
+			continue // placements collided on one AS: it has answered for both
+		}
+		asked = append(asked, p.AS)
 		c.start(a, p.AS, now)
 		now = c.finish(walk[:], now)
 		if a.err != nil {

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
@@ -78,34 +79,74 @@ func (r *Resolver) Hasher() *guid.Hasher { return r.hasher }
 // ErrNoPrefixes reports an empty prefix table: no AS can host anything.
 var ErrNoPrefixes = fmt.Errorf("core: prefix table is empty")
 
-// walk runs Algorithm 1 for one replica from its first hashed address:
-// rehash up to M−1 times while the address falls into an IP hole (or an
-// excluded one; nil excludes nothing), then fall back to the announced
-// prefix nearest in IP distance.
-func (r *Resolver) walk(first uint32, replica int, exclude func(netaddr.Addr) bool) (Placement, error) {
-	addr := netaddr.Addr(first)
-	for m := 0; m < r.maxRehash; m++ {
-		if e, ok := r.table.Lookup(addr); ok && (exclude == nil || !exclude(addr)) {
-			return Placement{AS: e.AS, Addr: addr, Replica: replica, Rehashes: m}, nil
+// PlaceBatch runs Algorithm 1 for replicas [from, to) of every GUID in gs,
+// 0 ≤ from ≤ to ≤ K, into dst GUID-major: replica r of gs[i] goes to
+// dst[i·(to−from) + r−from], and dst must hold len(gs)·(to−from)
+// placements. It allocates nothing for K ≤ 8. The walk is staged — the
+// first addresses of the whole batch, one digest per GUID per eight
+// replicas, then one rehash depth at a time over every placement still in
+// a hole, then the nearest deputy for the rest — so a depth's
+// prefix-table lookups are independent and their cache misses overlap.
+func (r *Resolver) PlaceBatch(dst []Placement, gs []guid.GUID, from, to int) error {
+	n := to - from
+	if from < 0 || n < 0 || to > r.hasher.K() || len(dst) < len(gs)*n {
+		panic(fmt.Sprintf("core: replicas [%d,%d) of %d GUIDs into %d placements at K = %d", from, to, len(gs), len(dst), r.hasher.K()))
+	}
+	var words [8]uint32 // one digest's worth; a larger K spills to the heap
+	for i, g := range gs {
+		for j, first := range r.hasher.AppendAll(words[:0], g)[from:to] {
+			dst[i*n+j] = Placement{Addr: netaddr.Addr(first), Replica: from + j}
 		}
-		addr = netaddr.Addr(r.hasher.Rehash(uint32(addr), replica))
 	}
-	e, closest, ok := r.table.Nearest(addr)
-	if !ok {
-		return Placement{}, ErrNoPrefixes
+	for ps := dst[:len(gs)*n]; len(ps) > 0; ps = ps[min(stage, len(ps)):] {
+		if err := r.walk(ps[:min(stage, len(ps))], nil); err != nil {
+			return err
+		}
 	}
-	return Placement{
-		AS:          e.AS,
-		Addr:        closest,
-		Replica:     replica,
-		Rehashes:    r.maxRehash,
-		UsedNearest: true,
-	}, nil
+	return nil
+}
+
+// stage is how many placements walk carries through the depths together:
+// more independent lookups than a core keeps in flight, on the stack.
+const stage = 64
+
+// walk is Algorithm 1's rehash loop over up to stage placements whose
+// Addr holds their first hashed address. Depth m looks every open
+// placement up and rehashes only those that fell into an IP hole (or an
+// excluded address); after M depths the rest take the announced prefix
+// nearest in IP distance.
+func (r *Resolver) walk(ps []Placement, exclude func(netaddr.Addr) bool) error {
+	var worklist [stage]uint8
+	open := worklist[:len(ps)]
+	for j := range open {
+		open[j] = uint8(j)
+	}
+	for m := 0; m < r.maxRehash && len(open) > 0; m++ {
+		holes := open[:0]
+		for _, j := range open {
+			p := &ps[j]
+			if e, ok := r.table.Lookup(p.Addr); ok && (exclude == nil || !exclude(p.Addr)) {
+				p.AS, p.Rehashes = e.AS, m
+				continue
+			}
+			p.Addr = netaddr.Addr(r.hasher.Rehash(uint32(p.Addr), p.Replica))
+			holes = append(holes, j)
+		}
+		open = holes
+	}
+	for _, j := range open {
+		e, closest, ok := r.table.Nearest(ps[j].Addr)
+		if !ok {
+			return ErrNoPrefixes
+		}
+		ps[j] = Placement{AS: e.AS, Addr: closest, Replica: ps[j].Replica, Rehashes: r.maxRehash, UsedNearest: true}
+	}
+	return nil
 }
 
 // PlaceReplica runs Algorithm 1 for one replica index.
 func (r *Resolver) PlaceReplica(g guid.GUID, replica int) (Placement, error) {
-	return r.walk(r.hasher.Hash(g, replica), replica, nil)
+	return r.PlaceExcluding(g, replica, nil)
 }
 
 // Place returns all K placements for g, in replica order. Distinct
@@ -121,18 +162,15 @@ func (r *Resolver) Place(g guid.GUID) ([]Placement, error) {
 
 // PlaceInto appends all K placements for g to dst and returns the
 // extended slice, reusing dst's capacity — the allocation-free variant
-// of Place for hot request paths. On error the partially extended dst
-// is returned so callers pooling the slice can still recycle it.
+// of Place for hot request paths. On error dst is returned unextended
+// so callers pooling the slice can still recycle it.
 func (r *Resolver) PlaceInto(g guid.GUID, dst []Placement) ([]Placement, error) {
-	var firsts [8]uint32 // one digest's worth; a larger K spills to the heap
-	for i, first := range r.hasher.AppendAll(firsts[:0], g) {
-		p, err := r.walk(first, i, nil)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, p)
+	n, k := len(dst), r.hasher.K()
+	out := slices.Grow(dst, k)[:n+k]
+	if err := r.PlaceBatch(out[n:], []guid.GUID{g}, 0, k); err != nil {
+		return dst, err
 	}
-	return dst, nil
+	return out, nil
 }
 
 // PlaceExcluding runs Algorithm 1 for one replica as if exclude(addr)
@@ -142,7 +180,11 @@ func (r *Resolver) PlaceInto(g guid.GUID, dst []Placement) ([]Placement, error) 
 // announcing AS locates the old deputy by pretending its new prefix is
 // still a hole.
 func (r *Resolver) PlaceExcluding(g guid.GUID, replica int, exclude func(netaddr.Addr) bool) (Placement, error) {
-	return r.walk(r.hasher.Hash(g, replica), replica, exclude)
+	p := [1]Placement{{Addr: netaddr.Addr(r.hasher.Hash(g, replica)), Replica: replica}}
+	if err := r.walk(p[:], exclude); err != nil {
+		return Placement{}, err
+	}
+	return p[0], nil
 }
 
 // PlaceByASNumber is the §VII variant that hashes GUIDs directly to AS

@@ -137,6 +137,17 @@ func TestPlaceZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { _, _ = r.PlaceReplica(g, k-1) }); n != 0 {
 			t.Errorf("K=%d: PlaceReplica allocates %.1f times per call", k, n)
 		}
+		if n := testing.AllocsPerRun(200, func() { _, _ = r.PlaceExcluding(g, 0, func(netaddr.Addr) bool { return false }) }); n != 0 {
+			t.Errorf("K=%d: PlaceExcluding allocates %.1f times per call", k, n)
+		}
+		gs := make([]guid.GUID, 100)
+		for i := range gs {
+			gs[i] = guid.FromUint64(uint64(i))
+		}
+		batch := make([]Placement, len(gs)*k)
+		if n := testing.AllocsPerRun(50, func() { _ = r.PlaceBatch(batch, gs, 0, k) }); n != 0 {
+			t.Errorf("K=%d: PlaceBatch allocates %.1f times per call", k, n)
+		}
 	}
 }
 

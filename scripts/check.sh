@@ -65,6 +65,11 @@ go test -race -cpu 1,4 ./internal/server/...
 go test -race -cpu 1,4 ./internal/client/...
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
 
+# The batch client's owner benchmark (batch_mobility's mix over a
+# scripted transport, what the client side of that workload is profiled
+# with) once, so that it cannot rot unnoticed.
+go test -run '^$' -bench '^BenchmarkBatchClient$' -benchtime 1x ./internal/client/
+
 # Crash-injection harness (DESIGN.md §10): a durable child node is
 # SIGKILLed mid-write-burst at a seeded random point and restarted;
 # every acknowledged write must be readable at its acked version. The
@@ -85,11 +90,14 @@ go test -race ./internal/crashtest/
 # releases both before it parses the next frame, with the reply corked in
 # the Writer — the inline and cork tests check every reply's bytes, so a
 # reply that aliased a released buffer, or a request view that outlived
-# its Next, reads 0xA5. -count=1 because TestMain reads the variable
-# before the test log that the cache keys on is open: without it this
-# pass is the unpoisoned one above, replayed.
+# its Next, reads 0xA5. The client's batch lookups ride along too: they
+# decode each chunk's reply straight into the caller's entries and
+# release the body, so an entry that kept a view into it reads 0xA5.
+# -count=1 because TestMain reads the variable before the test log that
+# the cache keys on is open: without it this pass is the unpoisoned one
+# above, replayed.
 DMAP_POISON_BUFS=1 go test -race \
-    -run 'TestMux|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
+    -run 'TestMux|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame|LookupBatch|TestBatchChunking|TestReadWalksAskEachASOnce' \
     ./internal/client/... ./internal/wire/...
 DMAP_POISON_BUFS=1 go test -count=1 -race -cpu 1,4 ./internal/server/...
 
