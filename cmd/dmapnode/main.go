@@ -118,8 +118,6 @@ func serve(args []string) error {
 	maxConnInflight := fs.Int("max-conn-inflight", 0, "shed requests beyond this many in flight per connection (0 = unbounded)")
 	gossipPeers := fs.String("gossip-peers", "", "comma-separated replica addresses for background anti-entropy repair (empty = off)")
 	gossipInterval := fs.Duration("gossip-interval", time.Second, "pause between anti-entropy sweeps (one peer per tick)")
-	gossipRate := fs.Int("gossip-rate", 0, "cap repaired entries per second during a sweep (0 = unlimited)")
-	gossipBatch := fs.Int("gossip-batch", 0, "digests per repair page (0 = wire maximum)")
 	runtimeMetrics := fs.Bool("runtime-metrics", true, "bridge Go runtime telemetry (heap, goroutines, GC pauses, scheduler latency) into /debug/metrics")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,8 +154,6 @@ func serve(args []string) error {
 		Gossip: server.GossipOptions{
 			Peers:    splitPeers(*gossipPeers),
 			Interval: *gossipInterval,
-			Rate:     *gossipRate,
-			Batch:    *gossipBatch,
 		},
 	})
 	if err != nil {

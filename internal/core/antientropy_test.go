@@ -23,43 +23,6 @@ func mustPut(t *testing.T, st *store.Store, e store.Entry) {
 	}
 }
 
-func TestDiffDigests(t *testing.T) {
-	st := store.New()
-	mustPut(t, st, aeEntry("same", 5))
-	mustPut(t, st, aeEntry("fresher-here", 9))
-	mustPut(t, st, aeEntry("staler-here", 2))
-
-	page := []store.Digest{
-		{GUID: guid.New("same"), Version: 5},
-		{GUID: guid.New("fresher-here"), Version: 3},
-		{GUID: guid.New("staler-here"), Version: 7},
-		{GUID: guid.New("missing-here"), Version: 1},
-	}
-	newer, want := DiffDigests(st, page, true)
-	if len(newer) != 1 || newer[0].GUID != guid.New("fresher-here") || newer[0].Version != 9 {
-		t.Fatalf("newer = %+v", newer)
-	}
-	if len(want) != 2 {
-		t.Fatalf("want = %+v", want)
-	}
-	wantSet := map[guid.GUID]bool{want[0]: true, want[1]: true}
-	if !wantSet[guid.New("staler-here")] || !wantSet[guid.New("missing-here")] {
-		t.Fatalf("want = %+v", want)
-	}
-
-	// A draining node keeps serving fresher copies but pulls nothing.
-	newer, want = DiffDigests(st, page, false)
-	if len(newer) != 1 || want != nil {
-		t.Fatalf("draining diff = %+v, %+v", newer, want)
-	}
-
-	// A filtered page never triggers reverse pushes for absent GUIDs:
-	// an empty page yields an empty diff no matter what st holds.
-	if n, w := DiffDigests(st, nil, true); n != nil || w != nil {
-		t.Fatalf("empty page diff = %+v, %+v", n, w)
-	}
-}
-
 func TestDiffRangeDetectsMissingOnBothSides(t *testing.T) {
 	st := store.New()
 	mustPut(t, st, aeEntry("only-local", 4))
@@ -82,8 +45,7 @@ func TestDiffRangeDetectsMissingOnBothSides(t *testing.T) {
 	for _, e := range newer {
 		got[e.GUID] = e.Version
 	}
-	// Range-completeness makes only-local a push — the reverse detection
-	// the filtered diff cannot do.
+	// Range-completeness makes only-local a push: reverse detection.
 	if len(got) != 2 || got[guid.New("only-local")] != 4 || got[guid.New("shared-fresh")] != 8 {
 		t.Fatalf("newer = %+v", newer)
 	}

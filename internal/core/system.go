@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -525,36 +526,37 @@ func (s *System) RepairMiss(g guid.GUID, announced netaddr.Prefix, owner int) (b
 			return pulled, err
 		}
 		pulled = true
-		hosted, err := s.hostedAt(e, deputy.AS)
+		replicas, err := s.ReplicaASs(e, nil)
 		if err != nil {
 			return pulled, err
 		}
-		if !hosted {
+		if !slices.Contains(replicas, deputy.AS) {
 			st.Delete(g)
 		}
 	}
 	return pulled, nil
 }
 
-// hostedAt reports whether as is supposed to host e: one of the K
-// global replica placements, or — with §III-C local replicas on — an
-// attachment AS named in the entry itself.
-func (s *System) hostedAt(e store.Entry, as int) (bool, error) {
+// ReplicaASs appends to dst the ASs that replicate e and dst does not
+// already hold: its K global placements and — with §III-C local
+// replicas on — the attachment ASs the entry names. Passing one dst
+// across entries collects the union of their replica sets.
+func (s *System) ReplicaASs(e store.Entry, dst []int) ([]int, error) {
+	placements, err := s.res.Place(e.GUID)
+	if err != nil {
+		return dst, err
+	}
+	for _, p := range placements {
+		if !slices.Contains(dst, p.AS) {
+			dst = append(dst, p.AS)
+		}
+	}
 	if s.localReplica {
 		for _, na := range e.NAs {
-			if na.AS == as {
-				return true, nil
+			if !slices.Contains(dst, na.AS) {
+				dst = append(dst, na.AS)
 			}
 		}
 	}
-	placements, err := s.res.Place(e.GUID)
-	if err != nil {
-		return false, err
-	}
-	for _, p := range placements {
-		if p.AS == as {
-			return true, nil
-		}
-	}
-	return false, nil
+	return dst, nil
 }

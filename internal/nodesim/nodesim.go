@@ -70,6 +70,7 @@ type Deployment struct {
 	lookups map[uint64]*lookupOp
 	crashed []bool
 	gossip  GossipStats
+	chains  map[uint64]*sweepChain // gossip chains by the reply they await
 }
 
 type insertOp struct {
@@ -114,6 +115,7 @@ func NewDeployment(sys *core.System, sim *simnet.Sim, oracle simnet.LatencyOracl
 		inserts: make(map[uint64]*insertOp),
 		lookups: make(map[uint64]*lookupOp),
 		crashed: make([]bool, sys.NumAS()),
+		chains:  make(map[uint64]*sweepChain),
 	}
 	for as := 0; as < sys.NumAS(); as++ {
 		as := as

@@ -1,8 +1,9 @@
 // Background anti-entropy sweeps between live nodes (DESIGN.md §12).
 //
-// A node configured with gossip peers periodically walks its store in
-// shard order and sends each peer bounded range-complete digest pages
-// over a dedicated connection (negotiated with wire.FeatRepair). The
+// A node configured with gossip peers periodically drives a core.Sweep
+// of its store against one peer over a dedicated connection
+// (negotiated with wire.FeatRepair): bounded range-complete digest
+// pages in shard order, the same sweep nodesim drives over simnet. The
 // peer answers each page with a MsgRepairDiff: its fresher copies (the
 // sweeper pulls them) and the GUIDs the sweeper's side holds fresher
 // (the sweeper pushes them back as ordinary MsgBatchInsert frames, made
@@ -33,12 +34,6 @@ type GossipOptions struct {
 	Peers []string
 	// Interval is the pause between sweeps (default 1s).
 	Interval time.Duration
-	// Batch bounds the digests per page (default and maximum
-	// wire.MaxRepairDigests).
-	Batch int
-	// Rate caps repaired entries (pulled + pushed) per second across a
-	// sweep; the sweeper sleeps to amortize bursts. 0 = unlimited.
-	Rate int
 }
 
 // gossipDialTimeout bounds the dial + hello handshake; gossipExchange
@@ -83,9 +78,11 @@ func (n *Node) gossipLoop() {
 var errPeerShed = fmt.Errorf("server: peer shed repair frame")
 
 // gossipSweep reconciles the whole store against one peer: dial,
-// negotiate FeatRepair, then page every shard's digests through the
-// repair exchange. Any error aborts the sweep — the next tick retries
-// from scratch, and freshest-wins makes re-covered ground free.
+// negotiate FeatRepair, then drive a core.Sweep through the repair
+// exchange, a page at a time. The peer set is static and assumed to
+// replicate the whole keyspace, so the sweep is unscoped. Any error
+// aborts the sweep — the next tick retries from scratch, and
+// freshest-wins makes re-covered ground free.
 func (n *Node) gossipSweep(addr string) error {
 	n.repairSweeps.Add(1)
 	gc, err := dialGossip(n.gossipCtx, addr)
@@ -95,75 +92,41 @@ func (n *Node) gossipSweep(addr string) error {
 	}
 	defer gc.Close()
 
-	batch := n.gossipOpts.Batch
-	if batch <= 0 || batch > wire.MaxRepairDigests {
-		batch = wire.MaxRepairDigests
-	}
-	page := make([]store.Digest, 0, batch)
-	for shard := 0; shard < n.store.ShardCount(); shard++ {
-		shardAfter, shardThrough := n.store.ShardRange(shard)
-		cursor := shardAfter
-		for guid.Compare(cursor, shardThrough) < 0 {
-			if n.gossipCtx.Err() != nil || n.draining.Load() {
-				return nil
-			}
-			var more bool
-			page, more = n.store.ShardDigests(shard, cursor, batch, page[:0])
-			// The page is range-complete over (cursor, pageThrough]: up
-			// to the last fingerprint when the cursor has further to go,
-			// the shard boundary on the final page.
-			pageThrough := shardThrough
-			if more && len(page) > 0 {
-				pageThrough = page[len(page)-1].GUID
-			}
-			covered, newer, want, err := exchangeDigest(gc, cursor, pageThrough, page)
-			if err != nil {
-				if err == errPeerShed {
-					n.repairBackoffs.Add(1)
-				} else {
-					n.repairPeerErrs.Add(1)
-				}
-				return err
-			}
-			n.repairDigestsSent.Add(1)
-			pulled, err := core.ApplyEntries(n.store, newer)
-			n.repairPulled.Add(int64(pulled))
-			if err != nil {
-				n.repairPeerErrs.Add(1)
-				return fmt.Errorf("server: applying repair pull: %w", err)
-			}
-			pushed, err := pushWanted(gc, n.store, want)
-			n.repairPushed.Add(int64(pushed))
-			if err != nil {
-				if err == errPeerShed {
-					n.repairBackoffs.Add(1)
-				} else {
-					n.repairPeerErrs.Add(1)
-				}
-				return err
-			}
-			n.gossipThrottle(len(newer) + pushed)
-			if guid.Compare(covered, cursor) <= 0 {
-				n.repairPeerErrs.Add(1)
-				return fmt.Errorf("server: peer repair cursor did not advance past %s", cursor.Short())
-			}
-			cursor = covered // covered == pageThrough unless the peer truncated
+	sw := core.NewSweep(n.store, nil)
+	for n.gossipCtx.Err() == nil && !n.draining.Load() {
+		after, through, page, ok := sw.Next()
+		if !ok {
+			return nil
+		}
+		covered, newer, want, err := exchangeDigest(gc, after, through, page)
+		if err != nil {
+			n.countRepairErr(err)
+			return err
+		}
+		n.repairDigestsSent.Add(1)
+		pulled, err := sw.Advance(covered, newer)
+		n.repairPulled.Add(int64(pulled))
+		if err != nil {
+			n.repairPeerErrs.Add(1)
+			return err
+		}
+		pushed, err := pushWanted(gc, sw.Wanted(want, nil))
+		n.repairPushed.Add(int64(pushed))
+		if err != nil {
+			n.countRepairErr(err)
+			return err
 		}
 	}
 	return nil
 }
 
-// gossipThrottle sleeps off the transfer budget: units repaired entries
-// at Rate entries/second. Unlimited or idle exchanges cost nothing.
-func (n *Node) gossipThrottle(units int) {
-	rate := n.gossipOpts.Rate
-	if rate <= 0 || units <= 0 {
-		return
-	}
-	d := time.Duration(units) * time.Second / time.Duration(rate)
-	select {
-	case <-n.gossipCtx.Done():
-	case <-time.After(d):
+// countRepairErr counts an aborted exchange: a back-off when the peer
+// shed it under overload, a peer error otherwise.
+func (n *Node) countRepairErr(err error) {
+	if err == errPeerShed {
+		n.repairBackoffs.Add(1)
+	} else {
+		n.repairPeerErrs.Add(1)
 	}
 }
 
@@ -219,17 +182,8 @@ func exchangeDigest(gc *wire.Conn, after, through guid.GUID, page []store.Digest
 
 // pushWanted sends the peer the entries it asked for, batched into
 // MsgBatchInsert frames, and returns how many the peer acknowledged
-// applying. GUIDs deleted since the digest was cut are skipped.
-func pushWanted(gc *wire.Conn, st *store.Store, want []guid.GUID) (int, error) {
-	if len(want) == 0 {
-		return 0, nil
-	}
-	entries := make([]store.Entry, 0, len(want))
-	for _, g := range want {
-		if e, ok := st.Get(g); ok {
-			entries = append(entries, e)
-		}
-	}
+// applying.
+func pushWanted(gc *wire.Conn, entries []store.Entry) (int, error) {
 	pushed := 0
 	for len(entries) > 0 {
 		b := entries
@@ -273,7 +227,7 @@ func (n *Node) handleRepairDigest(w *wire.Writer, id uint64, payload []byte) {
 		return
 	}
 	n.repairDigestsRecv.Add(1)
-	newer, want, covered := core.DiffRange(n.store, after, through, page, !n.draining.Load(), wire.MaxBatch)
+	newer, want, covered := core.DiffRangeIn(n.store, after, through, page, !n.draining.Load(), wire.MaxBatch, nil)
 	body, err := wire.AppendRepairDiff(nil, covered, newer, want)
 	if err != nil {
 		n.countErr()

@@ -102,9 +102,12 @@ func TestGossipConvergesTwoNodes(t *testing.T) {
 // TestGossipRepairsEmptyRestartedNode is the restart-recovery shape: a
 // node that lost everything sweeps a populated peer; empty digest pages
 // elicit pushes of the full keyspace, paged via the covered cursor.
+// With 4,500 entries over 8 shards some shard holds more than the
+// wire.MaxBatch pushes one answer carries, so the sweep must resume
+// inside it: more pages than shards.
 func TestGossipRepairsEmptyRestartedNode(t *testing.T) {
 	peer := New(nil, nil)
-	const n = 300
+	const n = 4500
 	for i := 0; i < n; i++ {
 		putAll(t, peer.Store(), gossipEntry(fmt.Sprintf("bulk-%d", i), uint64(1+i%3)))
 	}
@@ -115,11 +118,7 @@ func TestGossipRepairsEmptyRestartedNode(t *testing.T) {
 	t.Cleanup(func() { peer.Close() })
 
 	restarted := NewWithOptions(nil, Options{
-		Gossip: GossipOptions{
-			Peers:    []string{peerAddr},
-			Interval: 5 * time.Millisecond,
-			Batch:    32, // force multi-page sweeps
-		},
+		Gossip: GossipOptions{Peers: []string{peerAddr}, Interval: 5 * time.Millisecond},
 	})
 	if _, err := restarted.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -131,6 +130,9 @@ func TestGossipRepairsEmptyRestartedNode(t *testing.T) {
 	})
 	if restarted.repairPulled.Value() != int64(n) {
 		t.Fatalf("entries_pulled = %d, want %d", restarted.repairPulled.Value(), n)
+	}
+	if sent, shards := restarted.repairDigestsSent.Value(), restarted.Store().ShardCount(); sent <= int64(shards) {
+		t.Fatalf("digests_sent = %d over %d shards: no page was resumed at the covered cursor", sent, shards)
 	}
 }
 

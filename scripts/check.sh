@@ -63,6 +63,11 @@ go test -race -cpu 1,4 ./internal/server/...
 # reader runs beside the caller) or after (one P: only once the caller
 # blocks) is the scheduler's choice, and both orders must be exercised.
 go test -race -cpu 1,4 ./internal/client/...
+# The anti-entropy sweep (core.Sweep) on one P and on four, under both of
+# its transports: the server's gossip goroutine over TCP beside its
+# request workers, and nodesim's event chains over simnet, plus the
+# partition-heal experiment that times it.
+go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodesim ./internal/server ./internal/experiments
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
