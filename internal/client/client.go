@@ -545,7 +545,7 @@ func (c *Cluster) send(a *attempt, now time.Time) {
 	if c.transport != nil {
 		a.rt, a.body, a.pend, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
 	} else {
-		a.pend, a.err = c.roundTrip(a.addr, a.t, a.att.Context(), a.payload, a.timeout, a.cork)
+		a.pend, a.err = c.roundTrip(a.addr, a.t, a.att.Context(), a.payload, now, a.timeout, a.cork)
 	}
 	if a.pend != nil {
 		c.m.inflight.Add(1)
@@ -564,7 +564,7 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 		more = false
 		for i := range atts {
 			if a := &atts[i]; !a.done {
-				now = c.settle(a, now)
+				now = c.settle(a)
 			}
 		}
 		for i := range atts {
@@ -589,14 +589,14 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 // MsgError reply ends the retries — the node answered and said no —
 // except for ErrKindShed, "too busy right now", which consumes a try
 // and backs off on the same replica instead of failing over. It leaves
-// a done, or ready for send at a.wake.
-func (c *Cluster) settle(a *attempt, now time.Time) time.Time {
+// a done, or ready for send at a.wake, and returns its clock reading.
+func (c *Cluster) settle(a *attempt) time.Time {
 	if a.pend != nil {
-		a.rt, a.body, a.err = a.pend.wait(a.timeout - now.Sub(a.began))
+		a.rt, a.body, a.err = a.pend.wait()
 		a.pend = nil
 		c.m.inflight.Add(-1)
 	}
-	now = time.Now()
+	now := time.Now()
 	c.m.attempt.ObserveExemplar(micros(now.Sub(a.began)), a.att.TraceID())
 	a.wake = now
 	if errors.Is(a.err, errStaleConn) && !a.redialed {
@@ -669,9 +669,9 @@ func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 // reply slot is handed back. A dial and handshake may block, so an
 // attempt that needs them runs beside the caller: several replicas'
 // blocks overlap instead of adding up.
-func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, cork bool) (pending, error) {
+func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, cork bool) (pending, error) {
 	if mc := c.mux.live(addr); mc != nil {
-		return mc.begin(t, tc, payload, timeout, false, cork)
+		return mc.begin(t, tc, payload, began, timeout, false, cork)
 	}
 	d := make(deferred, 1)
 	go func() {
@@ -695,9 +695,9 @@ func (c *Cluster) exchange(addr string, t wire.MsgType, tc trace.Context, payloa
 	if fresh {
 		c.m.dials.Inc()
 	}
-	s, err := mc.start(t, tc, payload, timeout, fresh)
+	s, err := mc.start(t, tc, payload, time.Now(), timeout, fresh)
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.wait(timeout)
+	return s.wait()
 }

@@ -49,14 +49,16 @@ func synchronous(rt func(string, wire.MsgType, trace.Context, []byte, time.Durat
 }
 
 // lateReply is a scripted pending reply: it is in once ready is
-// readable, which a nil ready never is.
+// readable, which a nil ready never is, and times out once expired is,
+// which the transport sets to fire after the try's timeout.
 type lateReply struct {
-	ready <-chan time.Time
-	rt    wire.MsgType
-	body  []byte
+	ready   <-chan time.Time
+	expired <-chan time.Time
+	rt      wire.MsgType
+	body    []byte
 }
 
-func (l *lateReply) wait(d time.Duration) (wire.MsgType, []byte, error) {
+func (l *lateReply) wait() (wire.MsgType, []byte, error) {
 	select {
 	case <-l.ready:
 		return l.rt, l.body, nil
@@ -65,7 +67,7 @@ func (l *lateReply) wait(d time.Duration) (wire.MsgType, []byte, error) {
 	select {
 	case <-l.ready:
 		return l.rt, l.body, nil
-	case <-time.After(d):
+	case <-l.expired:
 		return 0, nil, timeoutError{}
 	}
 }
@@ -128,7 +130,7 @@ func (fc *fanCluster) reset(first map[int]tryFate, delay map[int]time.Duration) 
 	fc.first, fc.delay, fc.frames = first, delay, make(map[int][]wire.MsgType)
 }
 
-func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, pending, error) {
+func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
 	as, err := strconv.Atoi(addr)
 	if err != nil {
 		return 0, nil, nil, err
@@ -153,7 +155,7 @@ func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, p
 	}
 	// The request is on the wire and its reply pending, which is what
 	// roundTrip says of a v2 peer.
-	late := &lateReply{rt: rt, body: body}
+	late := &lateReply{expired: time.After(timeout), rt: rt, body: body}
 	switch {
 	case delay == atOnce:
 		late.ready = inAlready

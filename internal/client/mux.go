@@ -4,10 +4,11 @@
 // pays a dial of its own.
 //
 // The request path is allocation-free in steady state (DESIGN.md §9):
-// reply slots in the in-flight table, response payload buffers and the
-// per-request timer are all recycled through pools, frames are encoded
-// straight into the connection's coalescing writer (wire.Writer), and
-// concurrent senders' frames ride out in shared syscalls.
+// reply slots in the in-flight table and response payload buffers are
+// recycled through pools, one watchdog timer per connection bounds every
+// wait, frames are encoded straight into the connection's coalescing
+// writer (wire.Writer), and concurrent senders' frames ride out in shared
+// syscalls.
 package client
 
 import (
@@ -27,8 +28,8 @@ import (
 // when the connection was not freshly dialed for this request.
 var errConnDead = errors.New("client: multiplexed connection failed")
 
-// timeoutError is the net.Error returned when a request's reply timer
-// expires while the shared connection stays healthy.
+// timeoutError is the net.Error returned when a request's deadline
+// passes while the shared connection stays healthy.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "client: request timed out on multiplexed connection" }
@@ -49,36 +50,6 @@ var payloadBufs = wire.NewBufPool(256)
 // the body — decoding copies, so nothing decoded from it is at risk.
 func putBody(b []byte) { replyBufs.Put(b) }
 
-// timerPool recycles the per-request reply timers, returned after Stop
-// with their channel drained — but go.mod's 1.22 keeps timer channels
-// asynchronous: a tick in flight when Stop returns false lands on the
-// timer's next user, and wait must tell it from its own.
-var timerPool = sync.Pool{
-	New: func() any {
-		t := time.NewTimer(time.Hour)
-		if !t.Stop() {
-			<-t.C
-		}
-		return t
-	},
-}
-
-func getTimer(d time.Duration) *time.Timer {
-	t := timerPool.Get().(*time.Timer)
-	t.Reset(d)
-	return t
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
 // muxReply is one demuxed response. A non-nil body is pool-owned and
 // must be released with putBody by whoever consumes the reply.
 type muxReply struct {
@@ -91,29 +62,32 @@ type muxReply struct {
 // yet: what a transport hands back instead of an outcome, and what
 // settle takes the reply from.
 type pending interface {
-	// wait blocks for the reply, for d at most.
-	wait(d time.Duration) (wire.MsgType, []byte, error)
+	// wait blocks for the reply — or the timeout the request was
+	// started with, which it carries.
+	wait() (wire.MsgType, []byte, error)
 }
 
 // muxSlot is one reusable in-flight table slot: the rendezvous between
-// a requester and the demux reader. Slots are pooled — the buffered
-// channel is created once per slot and reused for the slot's whole
-// lifetime, replacing the per-request channel allocation the in-flight
-// table used to pay. A slot belongs to whoever started its request
-// until wait hands it back to the pool.
+// a requester and whoever claims the slot — the demux reader with the
+// reply, the watchdog with a timeout, or fail. Slots are pooled — the
+// buffered channel is created once per slot and reused for the slot's
+// whole lifetime, replacing the per-request channel allocation the
+// in-flight table used to pay. A slot belongs to whoever started its
+// request until wait hands it back to the pool.
 type muxSlot struct {
 	ch chan muxReply
 	// The request the slot carries, set by start.
-	m     *muxConn
-	id    uint64
-	fresh bool
+	m        *muxConn
+	id       uint64
+	deadline time.Time
+	fresh    bool
 }
 
 // deferred is the pending reply of an attempt that runs beside the
 // caller (roundTrip); such an attempt times itself out.
 type deferred chan muxReply
 
-func (d deferred) wait(time.Duration) (wire.MsgType, []byte, error) {
+func (d deferred) wait() (wire.MsgType, []byte, error) {
 	r := <-d
 	return r.t, r.body, r.err
 }
@@ -148,18 +122,27 @@ type muxConn struct {
 	mu       sync.Mutex
 	nextID   uint64
 	inflight map[uint64]*muxSlot
-	closed   bool
-	err      error // first connection-level failure
+	// watch is the connection's one timer (expire), armed for next, the
+	// earliest deadline in flight, or stopped when next is zero.
+	watch  *time.Timer
+	next   time.Time
+	closed bool
+	err    error // first connection-level failure
 }
 
 func newMuxConn(conn net.Conn, feat byte) *muxConn {
 	m := &muxConn{conn: conn, feat: feat, inflight: make(map[uint64]*muxSlot)}
 	m.w = wire.NewWriter(conn, m.fail)
+	m.watch = time.AfterFunc(time.Hour, m.expire)
+	m.watch.Stop() // until register arms it
 	return m
 }
 
-// register allocates a request ID and claims a pooled reply slot.
-func (m *muxConn) register() (*muxSlot, error) {
+// register allocates a request ID and claims a pooled reply slot whose
+// deadline is began+timeout, re-arming the watchdog only if that is the
+// earliest: for timeout from now, no earlier than the deadline, with no
+// clock read.
+func (m *muxConn) register(began time.Time, timeout time.Duration) (*muxSlot, error) {
 	m.mu.Lock()
 	if m.closed {
 		err := m.err
@@ -168,16 +151,46 @@ func (m *muxConn) register() (*muxSlot, error) {
 	}
 	m.nextID++
 	s := slotPool.Get().(*muxSlot)
-	s.m, s.id = m, m.nextID
+	s.m, s.id, s.deadline = m, m.nextID, began.Add(timeout)
 	m.inflight[s.id] = s
+	if m.next.IsZero() || s.deadline.Before(m.next) {
+		m.next = s.deadline
+		m.watch.Reset(timeout)
+	}
 	m.mu.Unlock()
 	return s, nil
 }
 
+// expire is the watchdog: it claims every slot whose deadline has passed
+// and fails it with timeoutError — under m.mu, since the send cannot
+// block (a claimed slot gets exactly one, into room for one) — then
+// re-arms for the earliest deadline left. A reply that comes after finds
+// its slot claimed and is dropped by the reader.
+func (m *muxConn) expire() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return
+	}
+	now := time.Now()
+	m.next = time.Time{}
+	for id, s := range m.inflight {
+		if !now.Before(s.deadline) {
+			delete(m.inflight, id)
+			s.ch <- muxReply{err: timeoutError{}}
+		} else if m.next.IsZero() || s.deadline.Before(m.next) {
+			m.next = s.deadline
+		}
+	}
+	if !m.next.IsZero() {
+		m.watch.Reset(m.next.Sub(now))
+	}
+}
+
 // claim takes request id's slot out of the in-flight table. Nil means
-// somebody else — the reader, fail, or a requester giving up — already
-// has: a requester that gets nil is guaranteed a reply send and must
-// drain the slot's channel before recycling it.
+// somebody else — the reader, the watchdog, fail, or a requester whose
+// write failed — already has: a requester that gets nil is guaranteed a
+// reply send and must drain the slot's channel before recycling it.
 func (m *muxConn) claim(id uint64) *muxSlot {
 	m.mu.Lock()
 	s := m.inflight[id]
@@ -193,9 +206,9 @@ func (m *muxConn) dead() bool {
 	return m.closed
 }
 
-// fail marks the connection dead and fails every in-flight request; the
-// first error wins. Safe to call from the reader, from writers and from
-// the coalescing writer's onFail hook.
+// fail marks the connection dead, stops its watchdog and fails every
+// in-flight request; the first error wins. Safe to call from the reader,
+// from writers and from the coalescing writer's onFail hook.
 func (m *muxConn) fail(err error) {
 	m.mu.Lock()
 	if m.closed {
@@ -204,6 +217,7 @@ func (m *muxConn) fail(err error) {
 	}
 	m.closed = true
 	m.err = err
+	m.watch.Stop()
 	pending := m.inflight
 	m.inflight = nil
 	m.mu.Unlock()
@@ -221,7 +235,7 @@ func (m *muxConn) fail(err error) {
 func (m *muxConn) readLoop() {
 	rd := wire.NewReader(m.conn)
 	for {
-		t, id, body, err := rd.Next(replyBufs.Get)
+		t, id, body, err := rd.Next(func(_ wire.MsgType, n int) []byte { return replyBufs.Get(n) })
 		if err != nil {
 			m.fail(err)
 			return
@@ -241,15 +255,16 @@ func (m *muxConn) readLoop() {
 // context is prefixed onto the frame when the server negotiated
 // FeatTrace; otherwise the context is dropped silently (the client's
 // own span still records the attempt). The payload is copied into the
-// writer before start returns. fresh: m was dialed for this request.
-func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, fresh bool) (pending, error) {
-	return m.begin(t, tc, payload, timeout, fresh, false)
+// writer before start returns. The request times out at began+timeout.
+// fresh: m was dialed for this request.
+func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, fresh bool) (pending, error) {
+	return m.begin(t, tc, payload, began, timeout, fresh, false)
 }
 
 // begin is start or, corked, start without the write: the frame is only
 // enqueued, for its set's flush; a failed flush reaches it through its slot.
-func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration, fresh, cork bool) (pending, error) {
-	s, err := m.register()
+func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, fresh, cork bool) (pending, error) {
+	s, err := m.register(began, timeout)
 	if err != nil {
 		return nil, staleUnless(fresh, err)
 	}
@@ -280,33 +295,12 @@ func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, timeou
 	return s, nil
 }
 
-// wait takes the reply of the request s carries and recycles the slot.
-// The reply timer is armed — for d, what is left of the request's
-// timeout — only if the reply is not in already; a reply that races the
-// timer wins (a real answer beats reporting a timeout); a stale tick
-// (timerPool) re-arms it. The body, when non-nil, is pool-owned: release
-// it with putBody after decoding.
-func (s *muxSlot) wait(d time.Duration) (wire.MsgType, []byte, error) {
-	var r muxReply
-	select {
-	case r = <-s.ch:
-	default:
-		timer := getTimer(d)
-		select {
-		case r = <-s.ch:
-		case <-timer.C:
-			if timer.Stop() { // a stale tick: this arming had not fired
-				putTimer(timer)
-				return s.wait(d)
-			}
-			if s.m.claim(s.id) != nil {
-				r.err = timeoutError{} // out of the table: no reply will ever be sent
-			} else {
-				r = <-s.ch // the reader (or fail) claimed it first: its send is guaranteed
-			}
-		}
-		putTimer(timer)
-	}
+// wait takes the reply of the request s carries — the answer, the
+// watchdog's timeout or the connection's death, whichever claimed the
+// slot first — and recycles the slot. The body, when non-nil, is
+// pool-owned: release it with putBody after decoding.
+func (s *muxSlot) wait() (wire.MsgType, []byte, error) {
+	r := <-s.ch
 	err := staleUnless(s.fresh, r.err)
 	slotPool.Put(s)
 	return r.t, r.body, err

@@ -1,7 +1,8 @@
-// White-box tests for the mux pools: reply slots, response buffers and
-// timers are recycled across requests, so the dangerous interleavings
-// are timeout-vs-reply races — a slot or buffer recycled while the
-// demux reader still holds a reference would cross-wire two requests.
+// White-box tests for the mux pools and its deadline watchdog: reply
+// slots and response buffers are recycled across requests, so the
+// dangerous interleavings are timeout-vs-reply races — a slot or buffer
+// recycled while the demux reader still holds a reference would
+// cross-wire two requests.
 package client
 
 import (
@@ -33,8 +34,8 @@ func TestMain(m *testing.M) {
 
 // TestMuxSlotRecycleUnderTimeoutRaces drives one muxConn with request
 // timeouts tuned to straddle the server's reply delays, so the three
-// do() outcomes — clean reply, clean timeout, and reply-beats-timer
-// race — all occur while slots, timers and body buffers recycle. Every
+// outcomes — clean reply, clean timeout, and reply racing the watchdog —
+// all occur while slots and body buffers recycle. Every
 // reply is the request's own payload echoed back; any slot cross-wiring
 // or premature buffer recycle surfaces as a payload mismatch.
 func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
@@ -67,9 +68,9 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 	defer m.fail(net.ErrClosed)
 
 	// Echo server: replies carry the request's payload back under its
-	// ID. Delays straddle the client's reply timer — id%3 picks an
-	// instant reply (clean success), a reply at about the timeout (the
-	// reply-beats-timer race) or one well past it (clean timeout).
+	// ID. Delays straddle the client's deadline — id%3 picks an instant
+	// reply (clean success), a reply at about the timeout (the race with
+	// the watchdog) or one well past it (clean timeout).
 	const timeout = 10 * time.Millisecond
 	sw := wire.NewWriter(sc, nil)
 	var pending sync.WaitGroup
@@ -100,9 +101,9 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 				want := []byte(fmt.Sprintf("req-%d-%d", g, i))
 				var typ wire.MsgType
 				var body []byte
-				s, err := m.start(wire.MsgLookup, trace.Context{}, want, timeout, true)
+				s, err := m.start(wire.MsgLookup, trace.Context{}, want, time.Now(), timeout, true)
 				if err == nil {
-					typ, body, err = s.wait(timeout)
+					typ, body, err = s.wait()
 				}
 				switch {
 				case err == nil:
@@ -148,10 +149,10 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 		started.Add(1)
 		go func(i int) {
 			started.Done()
-			s, err := m.start(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Minute, true)
+			s, err := m.start(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Now(), time.Minute, true)
 			if err == nil {
 				var body []byte
-				_, body, err = s.wait(time.Minute)
+				_, body, err = s.wait()
 				putBody(body)
 			}
 			errs <- err
@@ -172,49 +173,155 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 			t.Fatalf("waiter %d err = %v, want errConnDead", i, err)
 		}
 	}
-	if _, err := m.register(); !errors.Is(err, errConnDead) {
+	if _, err := m.register(time.Now(), time.Minute); !errors.Is(err, errConnDead) {
 		t.Fatalf("register after fail = %v, want errConnDead", err)
 	}
 }
 
-// TestStaleTimerTickDoesNotTimeOut: go.mod's 1.22 keeps timer channels
-// asynchronous, so a pooled timer can come back holding the tick its
-// previous user's Stop raced with. Planted in the pool (several: the
-// pool drops entries at random under -race), such ticks must not time
-// out a healthy request: a reply 20 ms late under a 1 s timeout is the
-// request's answer. A timeout that is real still fires.
-func TestStaleTimerTickDoesNotTimeOut(t *testing.T) {
-	for i := 0; i < 32; i++ {
-		tm := time.NewTimer(0)
-		for len(tm.C) == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		timerPool.Put(tm) // tick undrained
-	}
+// idleMux returns a muxConn over one end of a pipe whose other end
+// never answers; its reader is not running, so a test plays the reader
+// with answer.
+func idleMux(t *testing.T) *muxConn {
 	cc, sc := net.Pipe()
-	defer sc.Close()
 	m := newMuxConn(cc, 0)
-	defer m.fail(net.ErrClosed)
-	s, err := m.register()
+	t.Cleanup(func() { m.fail(net.ErrClosed); sc.Close() })
+	return m
+}
+
+// answer does what the demux reader does with a reply to s: it claims
+// the slot and sends, or reports that the watchdog claimed it first.
+func answer(m *muxConn, s *muxSlot) bool {
+	late := m.claim(s.id)
+	if late != nil {
+		late.ch <- muxReply{t: wire.MsgLookupResp}
+	}
+	return late != nil
+}
+
+// TestMuxDeadlineLateReplyIsTheAnswer: a reply 20 ms late under a 1 s
+// deadline is the request's answer, not a timeout.
+func TestMuxDeadlineLateReplyIsTheAnswer(t *testing.T) {
+	m := idleMux(t)
+	s, err := m.register(time.Now(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		if late := m.claim(s.id); late != nil {
-			late.ch <- muxReply{t: wire.MsgLookupResp}
-		}
+		answer(m, s)
 	}()
-	if typ, _, err := s.wait(time.Second); err != nil || typ != wire.MsgLookupResp {
-		t.Fatalf("reply 20 ms late under a 1 s timeout: (%v, %v), want the reply", typ, err)
+	if typ, _, err := s.wait(); err != nil || typ != wire.MsgLookupResp {
+		t.Fatalf("reply 20 ms late under a 1 s deadline: (%v, %v), want the reply", typ, err)
 	}
-	s, err = m.register()
+}
+
+// TestMuxDeadlineSilentPeerTimesOut: a request nobody answers times out
+// through the watchdog, and no earlier than its deadline.
+func TestMuxDeadlineSilentPeerTimesOut(t *testing.T) {
+	m := idleMux(t)
+	began := time.Now()
+	s, err := m.register(began, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.wait(); !errors.Is(err, timeoutError{}) || time.Since(began) < 20*time.Millisecond {
+		t.Fatalf("no reply under a 20 ms deadline: %v after %v, want a timeout after 20 ms", err, time.Since(began))
+	}
+	if m.claim(s.id) != nil {
+		t.Fatal("timed-out request still in the in-flight table")
+	}
+}
+
+// TestMuxDeadlineShorterFiresFirst: a request whose deadline is shorter
+// than one already in flight on the connection — an operation deadline
+// below Timeout — re-arms the watchdog and times out on its own
+// deadline, while the longer one is still waiting and still answerable.
+func TestMuxDeadlineShorterFiresFirst(t *testing.T) {
+	m := idleMux(t)
+	long, err := m.register(time.Now(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	began := time.Now()
-	if _, _, err := s.wait(20 * time.Millisecond); !errors.Is(err, timeoutError{}) || time.Since(began) < 20*time.Millisecond {
-		t.Fatalf("no reply under a 20 ms timeout: %v after %v, want a timeout after 20 ms", err, time.Since(began))
+	short, err := m.register(began, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := short.wait(); !errors.Is(err, timeoutError{}) {
+		t.Fatalf("short deadline: %v, want a timeout", err)
+	}
+	if took := time.Since(began); took < 20*time.Millisecond || took > 10*time.Second {
+		t.Fatalf("short deadline fired after %v, want 20 ms (not the long one's minute)", took)
+	}
+	if !answer(m, long) {
+		t.Fatal("the watchdog took the long request with the short one")
+	}
+	if typ, _, err := long.wait(); err != nil || typ != wire.MsgLookupResp {
+		t.Fatalf("long request: (%v, %v), want its reply", typ, err)
+	}
+}
+
+// TestMuxDeadlineReplyRacesExpiry answers requests at about their
+// deadline, so the reader's claim and the watchdog's race: each request
+// gets exactly one outcome — the reply or the timeout, the loser's send
+// never happens — and its slot goes back to the pool once: a slot put
+// twice would come out of it twice.
+func TestMuxDeadlineReplyRacesExpiry(t *testing.T) {
+	m := idleMux(t)
+	const d = 2 * time.Millisecond
+	var replies, timeouts int
+	for i := 0; i < 200; i++ {
+		s, err := m.register(time.Now(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			time.Sleep(d - time.Millisecond + time.Duration(i%20)*100*time.Microsecond)
+			answer(m, s)
+		}()
+		typ, _, err := s.wait()
+		<-done
+		switch {
+		case err == nil && typ == wire.MsgLookupResp:
+			replies++
+		case errors.Is(err, timeoutError{}):
+			timeouts++
+		default:
+			t.Fatalf("request %d: (%v, %v)", i, typ, err)
+		}
+		if len(s.ch) != 0 {
+			t.Fatalf("request %d: a second outcome was sent into its slot", i)
+		}
+		a, b := slotPool.Get().(*muxSlot), slotPool.Get().(*muxSlot)
+		if a == b {
+			t.Fatalf("request %d: its slot was recycled twice", i)
+		}
+		slotPool.Put(a)
+		slotPool.Put(b)
+	}
+	t.Logf("%d replies, %d timeouts", replies, timeouts)
+}
+
+// TestMuxDeadlineWatchdogStoppedByFail: a dead connection's watchdog is
+// stopped by fail, not left to fire, and its waiter has the
+// connection's error rather than a timeout.
+func TestMuxDeadlineWatchdogStoppedByFail(t *testing.T) {
+	m := idleMux(t)
+	s, err := m.register(time.Now(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.fail(errors.New("injected failure"))
+	if _, _, err := s.wait(); !errors.Is(err, errConnDead) {
+		t.Fatalf("waiter on a failed connection: %v, want errConnDead", err)
+	}
+	m.mu.Lock()
+	running := m.watch.Stop()
+	m.mu.Unlock()
+	if running {
+		t.Fatal("fail left the watchdog armed")
 	}
 }
 

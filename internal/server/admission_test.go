@@ -129,7 +129,7 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 		for j := 1; j < store.MaxNAs; j++ {
 			e.NAs = append(e.NAs, store.NA{AS: j, Addr: netaddr.AddrFromOctets(10, 2, 0, byte(j))})
 		}
-		nas, dst := e.NAs, make([]byte, 0, 256)
+		nas, dst, ins := e.NAs, make([]byte, 0, 256), make([]byte, 0, 256)
 		// The read loop's path: serveFrameV2 stages the frame, the flush
 		// commits the run and writes the ack (to a peer that discards it).
 		peer, conn := tcpPair(t)
@@ -140,9 +140,9 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() {
 			e.Version++
 			e.NAs = nas[:1+e.Version%store.MaxNAs]
-			payload, _ := wire.AppendEntry(serverBufs.Get(64), e)
-			n.serveFrameV2(conn, 0, w, &run, v2Work{t: wire.MsgInsert, id: e.Version, payload: payload}, w.Enqueue)
-			n.commitInserts(&run, w)
+			payload, _ := wire.AppendEntry(ins[:0], e)
+			n.serveFrameV2(conn, 0, w, &run, v2Work{t: wire.MsgInsert, id: e.Version, payload: payload}, dst[:0], w.Enqueue)
+			n.commitInserts(&run, w, dst[:0])
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}

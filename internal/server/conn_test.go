@@ -108,9 +108,9 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// freshBuf is a wire.Reader payload source that supplies nothing, so
-// every payload lands in storage of its own.
-func freshBuf(int) []byte { return nil }
+// freshBuf is a wire.Reader payload source that supplies new storage
+// for every payload, so none is a view and each can be kept.
+func freshBuf(_ wire.MsgType, n int) []byte { return make([]byte, 0, n) }
 
 func burstEntry(i int) store.Entry {
 	return store.Entry{
@@ -178,6 +178,142 @@ func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 			t.Fatalf("frames_inline = %d, frames_worker = %d; want %d, 0", in, wk, burst)
 		}
 	})
+}
+
+// TestInlineBurstTakesNothingFromPool: the read loop serves lookups,
+// inserts and pings from views into the reader's buffer and answers them
+// from its own scratch, so a burst of them neither draws from serverBufs
+// nor gives it anything back. The free list is emptied first: a Get
+// would then make, and the Put after it would leave a buffer idle. Every
+// reply is checked byte for byte — a view read after the next Next holds
+// the frames that came after it — and so is what the inserts stored.
+func TestInlineBurstTakesNothingFromPool(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		const lookups, every = 64, 4 // an insert and a ping after every fourth lookup
+		n := New(nil, nil)
+		for i := 0; i < lookups; i += 2 { // odd GUIDs stay misses
+			if _, err := n.store.Put(burstEntry(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn, _ := serveCounted(t, n)
+		var reqs []byte
+		want := make(map[uint64][]byte) // request ID → the reply frame
+		reply := func(typ wire.MsgType, id uint64, body []byte) {
+			frame, err := wire.AppendFrameID(nil, typ, id, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = frame
+		}
+		for i := 0; i < lookups; i++ {
+			reqs = lookupFrame(t, reqs, uint64(1000+i), i)
+			e, found := burstEntry(i), i%2 == 0
+			if !found {
+				e = store.Entry{}
+			}
+			body, err := wire.AppendLookupResp(nil, wire.LookupResp{Found: found, Entry: e})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply(wire.MsgLookupResp, uint64(1000+i), body)
+			if i%every == 0 {
+				reqs = insertFrame(t, reqs, uint64(2000+i), burstEntry(lookups+i))
+				reply(wire.MsgInsertAck, uint64(2000+i), nil)
+				var err error
+				if reqs, err = wire.AppendFrameID(reqs, wire.MsgPing, uint64(3000+i), nil); err != nil {
+					t.Fatal(err)
+				}
+				reply(wire.MsgPong, uint64(3000+i), nil)
+			}
+		}
+		for serverBufs.Idle() > 0 {
+			serverBufs.Get(0)
+		}
+		if _, err := conn.Write(reqs); err != nil {
+			t.Fatal(err)
+		}
+		rd := wire.NewReader(conn)
+		for got := 0; got < len(want); got++ {
+			typ, id, body, err := rd.Next(freshBuf)
+			if err != nil {
+				t.Fatalf("after %d of %d replies: %v", got, len(want), err)
+			}
+			frame, err := wire.AppendFrameID(nil, typ, id, body)
+			if err != nil || !bytes.Equal(frame, want[id]) {
+				t.Fatalf("reply to %d = (%v, % x), want % x", id, typ, body, want[id])
+			}
+			delete(want, id) // a repeated reply finds nothing to match
+		}
+		if idle := serverBufs.Idle(); idle != 0 {
+			t.Fatalf("the burst left %d buffer(s) in serverBufs, want 0: the read loop made pool trips", idle)
+		}
+		for i := 0; i < lookups; i += every {
+			e := burstEntry(lookups + i)
+			if got, ok := n.store.Get(e.GUID); !ok || got.Version != e.Version || got.NAs[0] != e.NAs[0] {
+				t.Fatalf("insert %d stored %+v, %v; want %+v", i, got, ok, e)
+			}
+		}
+	})
+}
+
+// TestBufferFillingLookupIsRefused: a MsgLookup whose payload fills the
+// reader's whole 16 KiB buffer is still served as a view, refused
+// BadRequest under its own ID — a lookup is one GUID — and the
+// connection goes on serving the frames behind it.
+func TestBufferFillingLookupIsRefused(t *testing.T) {
+	n := New(nil, nil)
+	if _, err := n.store.Put(burstEntry(0)); err != nil {
+		t.Fatal(err)
+	}
+	conn, _ := serveCounted(t, n)
+	reqs, err := wire.AppendFrameID(nil, wire.MsgLookup, 7, patternedGUIDs(wire.MaxFrame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs = lookupFrame(t, reqs, 8, 0)
+	if reqs, err = wire.AppendFrameID(reqs, wire.MsgPing, 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewReader(conn)
+	for range 3 {
+		typ, id, body, err := rd.Next(freshBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch id {
+		case 7:
+			if kind, _, derr := wire.DecodeErrorKind(body); typ != wire.MsgError || derr != nil || kind != wire.ErrKindBadRequest {
+				t.Fatalf("buffer-filling lookup answered (%v, kind %v, %v), want BadRequest", typ, kind, derr)
+			}
+		case 8:
+			if resp, derr := wire.DecodeLookupResp(body); typ != wire.MsgLookupResp || derr != nil || !resp.Found || resp.Entry.Version != burstEntry(0).Version {
+				t.Fatalf("lookup behind it answered (%v, %+v, %v)", typ, resp, derr)
+			}
+		case 9:
+			if typ != wire.MsgPong {
+				t.Fatalf("ping behind it answered %v", typ)
+			}
+		default:
+			t.Fatalf("reply under unknown ID %d", id)
+		}
+	}
+	if st := n.Stats(); st.BadRequests != 1 {
+		t.Fatalf("%d bad requests counted, want 1", st.BadRequests)
+	}
+}
+
+// patternedGUIDs is n bytes of GUIDs back to back: its first GUID alone
+// would be a well-formed lookup.
+func patternedGUIDs(n int) []byte {
+	var b []byte
+	for i := 0; len(b) < n; i++ {
+		b = wire.AppendGUID(b, burstEntry(i).GUID)
+	}
+	return b[:n]
 }
 
 // insertFrame appends a MsgInsert of e under request id.

@@ -466,8 +466,8 @@ func (n *Node) countErr() {
 func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace.Span, dst []byte, start time.Time) (respType wire.MsgType, out []byte) {
 	switch t {
 	case wire.MsgLookup:
-		g, _, err := wire.DecodeGUID(payload)
-		if err != nil {
+		g, rest, err := wire.DecodeGUID(payload)
+		if err != nil || len(rest) != 0 { // a lookup is one GUID
 			n.badReqs.Add(1)
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed lookup")
 		}
@@ -712,18 +712,35 @@ const maxConnWorkers = 32
 
 // v2Work is one identified frame on its way to whoever serves it, by
 // value, so handing it to a worker through the unbuffered channel
-// allocates nothing. payload is pool-owned; its server releases it.
+// allocates nothing. A worker's payload is pool-owned and the worker
+// releases it; the read loop's is a view into the wire.Reader's buffer.
 type v2Work struct {
 	t       wire.MsgType
 	id      uint64
 	payload []byte
 }
 
+// inline reports whether the read loop serves a frame of type t itself.
+func inline(t wire.MsgType) bool {
+	bt := wire.BaseType(t)
+	return bt == wire.MsgLookup || bt == wire.MsgPing || bt == wire.MsgInsert
+}
+
+// requestBuf is the read loop's payload source (wire.Reader.Next): a view
+// for a frame the loop serves itself, a pooled copy for a worker's.
+func requestBuf(t wire.MsgType, n int) []byte {
+	if inline(t) {
+		return nil
+	}
+	return serverBufs.Get(n)
+}
+
 // serveConnV2 serves identified frames a burst at a time (DESIGN.md §7).
 // One read(2) brings in every frame the peer pipelined. The single-GUID
 // ones — MsgLookup, MsgPing and MsgInsert, traced or not — are served
-// where they were read: lookups and pings answered, each reply enqueued
-// on the connection's wire.Writer, inserts staged (insertRun). The loop
+// where they were read, from a view into the reader's buffer: lookups
+// and pings answered into one scratch buffer, each reply enqueued on the
+// connection's wire.Writer, inserts staged (insertRun). The loop
 // flushes once when no whole frame is left in the reader's buffer,
 // committing the staged inserts first — a log write per shard — so their
 // acks leave in the same write. Everything else goes to a per-connection
@@ -759,9 +776,10 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 	// A failed flush desynchronizes nothing (identified framing), but the
 	// connection is done for: kill it, which also unblocks the read loop.
 	w := wire.NewWriter(conn, func(error) { conn.Close() })
-	// Each payload is copied out into a pooled buffer drawn only once its
-	// header is parsed, so an idle connection holds none.
+	// A worker's payload is copied out into a pooled buffer drawn only
+	// once its header is parsed, so an idle connection holds none.
 	rd := wire.NewReader(conn)
+	var scratch []byte // the read loop's reply buffer
 	work := make(chan v2Work)
 	workers := 0
 	defer wg.Wait()   // runs second: workers drain after close
@@ -769,7 +787,7 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 	corked := 0       // frames served here whose replies wait for the flush
 	var run insertRun // the burst's inserts, committed by the flush
 	flush := func() {
-		n.commitInserts(&run, w)
+		n.commitInserts(&run, w, scratch)
 		_ = w.Flush()
 		for ; corked > 0; corked-- {
 			n.admitRelease(ca)
@@ -779,7 +797,7 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 		if !rd.Buffered() {
 			flush() // the burst is answered and the next read may block
 		}
-		t, id, payload, err := rd.Next(serverBufs.Get)
+		t, id, payload, err := rd.Next(requestBuf)
 		if err != nil {
 			flush() // a refused header reads as buffered: its burst's replies still go out
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
@@ -793,13 +811,15 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 			// leaves with the burst's.
 			n.countShed(global)
 			_ = w.Enqueue(wire.MsgError, id, trace.Context{}, shedBody(global))
-			serverBufs.Put(payload)
+			if !inline(t) {
+				serverBufs.Put(payload) // a view is not the pool's
+			}
 			continue
 		}
 		wk := v2Work{t: t, id: id, payload: payload}
-		if bt := wire.BaseType(t); bt == wire.MsgLookup || bt == wire.MsgPing || bt == wire.MsgInsert {
+		if inline(t) {
 			n.framesInline.Add(1)
-			n.serveFrameV2(conn, feat, w, &run, wk, w.Enqueue)
+			scratch = n.serveFrameV2(conn, feat, w, &run, wk, scratch[:0], w.Enqueue)
 			corked++
 			continue
 		}
@@ -817,7 +837,13 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 			go func(wk v2Work) { // a new worker starts with its first frame in hand
 				defer wg.Done()
 				for ok := true; ok; wk, ok = <-work {
-					n.serveFrameV2(conn, feat, w, nil, wk, w.WriteFrameIDTrace)
+					dst := serverBufs.Get(0)
+					out := n.serveFrameV2(conn, feat, w, nil, wk, dst, w.WriteFrameIDTrace)
+					if cap(out) != cap(dst) {
+						serverBufs.Put(dst) // the response outgrew dst; recycle it too
+					}
+					serverBufs.Put(out)
+					serverBufs.Put(wk.payload)
 					n.admitRelease(ca)
 				}
 			}(wk)
@@ -829,14 +855,13 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 // the connection's shared Writer through reply: a worker's coalescing
 // write, or the read loop's Enqueue, which leaves it corked for the
 // flush that ends the burst. On failure the Writer's onFail has closed
-// the connection already; there is nothing more to do here. It owns
-// wk.payload (pool-released on return) and draws a response buffer from
-// the pool; the Writer copies the response into its pending buffer
-// before returning, so both buffers recycle immediately. A MsgInsert —
-// only the read loop is handed one — is staged in run instead.
-func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *insertRun, wk v2Work, reply func(wire.MsgType, uint64, trace.Context, []byte) error) {
+// the connection already; there is nothing more to do here. The reply
+// is encoded into dst (len 0); serveFrameV2 returns dst, or the larger
+// buffer the reply outgrew it into, for the caller to reuse or release —
+// the Writer has copied it by then. wk.payload stays the caller's. A
+// MsgInsert — only the read loop is handed one — is staged in run instead.
+func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *insertRun, wk v2Work, dst []byte, reply func(wire.MsgType, uint64, trace.Context, []byte) error) []byte {
 	t, id, payload := wk.t, wk.id, wk.payload
-	defer serverBufs.Put(wk.payload) // payload is re-sliced below; release the whole
 	start := time.Now()
 	var tc trace.Context
 	if wire.IsTraced(t) && feat&wire.FeatTrace != 0 {
@@ -844,11 +869,9 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 		tc, payload, terr = wire.DecodeTraceContext(payload)
 		if terr != nil {
 			n.badReqs.Add(1)
-			dst := serverBufs.Get(64)
 			out := wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed trace context")
 			_ = reply(wire.MsgError, id, trace.Context{}, out)
-			serverBufs.Put(out)
-			return
+			return out
 		}
 		t = wire.BaseType(t)
 	}
@@ -858,7 +881,7 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 		// identical. Un-negotiated repair frames fall through to handle's
 		// unknown-frame rejection.
 		n.handleRepairDigest(w, id, payload)
-		return
+		return dst
 	}
 	var sp *trace.Span
 	if tc.Sampled {
@@ -872,28 +895,24 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 		case n.draining.Load():
 			n.rejects.Add(1)
 			sp.Eventf("rejected: draining")
-			n.answerInsert(w, &in, wire.ErrKindDraining, "draining: writes refused")
+			n.answerInsert(w, &in, dst, wire.ErrKindDraining, "draining: writes refused")
 		case err != nil:
 			n.badReqs.Add(1)
 			n.logger.Warn("bad insert", "remote", conn.RemoteAddr(), "err", err)
-			n.answerInsert(w, &in, wire.ErrKindBadRequest, "malformed insert")
+			n.answerInsert(w, &in, dst, wire.ErrKindBadRequest, "malformed insert")
 		default:
 			run.nas = run.nas[:len(run.nas)+len(e.NAs)]
 			run.es, run.gs, run.errs, run.reqs = append(run.es, e), append(run.gs, e.GUID), append(run.errs, nil), append(run.reqs, in)
 		}
-		return
+		return dst
 	}
-	dst := serverBufs.Get(0)
 	respType, out := n.handle(t, payload, conn.RemoteAddr(), sp, dst, start)
 	sp.End()
 	if n.tracer.SlowEnabled() {
 		n.tracer.ObserveServerOp("server."+t.String(), id, tc, start)
 	}
 	_ = reply(respType, id, trace.Context{}, out)
-	if cap(out) != cap(dst) {
-		serverBufs.Put(dst) // the response outgrew dst; recycle it too
-	}
-	serverBufs.Put(out)
+	return out
 }
 
 // insertRun is the read loop's burst of inserts, decoded where they were
@@ -916,8 +935,9 @@ type stagedInsert struct {
 
 // commitInserts stores run and enqueues the answers for the flush: acks
 // (a stale version's too), else ErrKindInternal — each entry was
-// validated where it was decoded, so a store error is the node's.
-func (n *Node) commitInserts(run *insertRun, w *wire.Writer) {
+// validated where it was decoded, so a store error is the node's. dst is
+// the read loop's reply scratch.
+func (n *Node) commitInserts(run *insertRun, w *wire.Writer, dst []byte) {
 	if len(run.reqs) == 0 {
 		return
 	}
@@ -933,29 +953,28 @@ func (n *Node) commitInserts(run *insertRun, w *wire.Writer) {
 		if err := run.errs[i]; err != nil {
 			n.countErr()
 			n.logger.Error("insert not stored", "err", err)
-			n.answerInsert(w, in, wire.ErrKindInternal, "internal error")
+			n.answerInsert(w, in, dst, wire.ErrKindInternal, "internal error")
 			continue
 		}
 		stored++
 		n.hInsert.ObserveExemplar(float64(now.Sub(in.start).Nanoseconds())/1e3, in.sp.TraceID())
-		n.answerInsert(w, in, 0, "")
+		n.answerInsert(w, in, dst, 0, "")
 	}
 	n.inserts.Add(int64(stored))
 	clear(run.reqs) // no span outlives its trace
 	run.es, run.nas, run.errs, run.gs, run.reqs = run.es[:0], run.nas[:0], run.errs[:0], run.gs[:0], run.reqs[:0]
 }
 
-// answerInsert enqueues an insert's ack, or when reason is set a MsgError,
-// and observes it as serveFrameV2 observes a frame.
-func (n *Node) answerInsert(w *wire.Writer, in *stagedInsert, kind wire.ErrKind, reason string) {
+// answerInsert enqueues an insert's ack, or when reason is set a MsgError
+// encoded into dst, and observes it as serveFrameV2 observes a frame.
+func (n *Node) answerInsert(w *wire.Writer, in *stagedInsert, dst []byte, kind wire.ErrKind, reason string) {
 	in.sp.End()
 	if n.tracer.SlowEnabled() {
 		n.tracer.ObserveServerOp("server.insert", in.id, in.tc, in.start)
 	}
 	t, body := wire.MsgInsertAck, []byte(nil)
 	if reason != "" {
-		t, body = wire.MsgError, wire.AppendErrorKind(serverBufs.Get(64), kind, reason)
+		t, body = wire.MsgError, wire.AppendErrorKind(dst[:0], kind, reason)
 	}
 	_ = w.Enqueue(t, in.id, trace.Context{}, body)
-	serverBufs.Put(body)
 }

@@ -92,7 +92,7 @@ func (c *Conn) Close() error {
 // replyBuf hands the reader the connection's reply buffer, replacing it
 // when a reply outgrows it. Reuse is safe because exactly one exchange
 // is in flight and every decoder copies out of the payload.
-func (c *Conn) replyBuf(n int) []byte {
+func (c *Conn) replyBuf(_ MsgType, n int) []byte {
 	if cap(c.in) < n {
 		c.in = make([]byte, n)
 	}

@@ -7,9 +7,10 @@
 // buffer only once a header is parsed — a connection blocked waiting for
 // its next frame holds no pooled buffer.
 //
-// Ownership (DESIGN.md §9): the buffer never leaves the Reader. Every
-// payload is copied out into storage the caller supplies and owns, so
-// nothing Next returns is invalidated by a later Next.
+// Ownership (DESIGN.md §9): the buffer is the Reader's. A payload is
+// copied into storage the caller owns, which no later Next invalidates,
+// unless the caller asks for a view: the payload in place in the buffer,
+// valid until the next Next.
 package wire
 
 import (
@@ -50,14 +51,15 @@ func (rd *Reader) Buffered() bool {
 	return err != nil || have >= FrameIDHeaderLen+n
 }
 
-// Next reads one identified frame under ReadFrameIDInto's contract:
-// the length is checked against MaxPayload before anything is sized by
-// it, errors are the ones ReadFrameIDInto reports on the same stream,
-// and the payload is the caller's to keep. get is called once per
-// frame, after the header is validated, with the payload length; the
-// payload is copied into the buffer it returns (grown only if that is
-// too small), so a BufPool's Get serves as get directly.
-func (rd *Reader) Next(get func(n int) []byte) (MsgType, uint64, []byte, error) {
+// Next reads one identified frame under ReadFrameIDInto's contract: the
+// length is checked against MaxPayload before anything is sized by it,
+// and errors are the ones ReadFrameIDInto reports on the same stream.
+// get is called once per frame, after the header is validated, with its
+// type and payload length. The payload is copied into the buffer get
+// returns (grown only if too small), the caller's to keep; nil asks for
+// a view, valid until the next Next, unless the payload is larger than
+// the buffer and so is copied into storage of its own.
+func (rd *Reader) Next(get func(t MsgType, n int) []byte) (MsgType, uint64, []byte, error) {
 	hdr, err := rd.br.Peek(FrameIDHeaderLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -70,8 +72,16 @@ func (rd *Reader) Next(get func(n int) []byte) (MsgType, uint64, []byte, error) 
 		return 0, 0, nil, err
 	}
 	_, _ = rd.br.Discard(FrameIDHeaderLen) // cannot fail: Peek buffered it
-	payload := grow(get(n), n)
-	if _, err := io.ReadFull(rd.br, payload); err != nil {
+	payload := get(t, n)
+	if payload != nil || n > readerBufSize {
+		payload = grow(payload, n)
+		_, err = io.ReadFull(rd.br, payload)
+	} else if payload, err = rd.br.Peek(n); err == nil {
+		_, _ = rd.br.Discard(n) // a view: the bytes stay put until the next read
+	} else if err == io.EOF && len(payload) > 0 {
+		err = io.ErrUnexpectedEOF // the stream ended inside the payload
+	}
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	return t, id, payload, nil

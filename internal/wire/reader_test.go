@@ -34,9 +34,12 @@ func readAllRef(stream []byte) ([]frameRec, error) {
 	}
 }
 
-// freshBuf is a Next payload source that supplies nothing, so every
-// payload lands in storage of its own.
-func freshBuf(int) []byte { return nil }
+// freshBuf is a Next payload source that supplies new storage for every
+// payload, so none is a view and each can be kept.
+func freshBuf(_ MsgType, n int) []byte { return make([]byte, 0, n) }
+
+// viewBuf is a Next payload source that asks for a view of every payload.
+func viewBuf(MsgType, int) []byte { return nil }
 
 // readCounter counts the Reads that reach the source.
 type readCounter struct {
@@ -49,14 +52,16 @@ func (c *readCounter) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// readAllReader reads src to its end through a Reader. Payloads are kept
-// exactly as Next returned them, not copied: had one aliased the
-// Reader's buffer, the frames parsed after it would have overwritten it
-// by the time the caller compares. Before every Next it asks Buffered,
-// which must issue no Read and must be right: after a yes Next issues
-// none either, after a no Next goes to the source or fails. A wrong
-// answer ends the sequence with an error no reference read ends with.
-func readAllReader(src io.Reader) ([]frameRec, error) {
+// readAllReader reads src to its end through a Reader, with get as the
+// payload source. Payloads are kept exactly as Next returned them, not
+// copied: had one aliased the Reader's buffer, the frames parsed after
+// it would have overwritten it by the time the caller compares — except
+// views (get returns nil), which are only valid until the next Next and
+// so are copied at once. Before every Next it asks Buffered, which must
+// issue no Read and must be right: after a yes Next issues none either,
+// after a no Next goes to the source or fails. A wrong answer ends the
+// sequence with an error no reference read ends with.
+func readAllReader(src io.Reader, get func(MsgType, int) []byte) ([]frameRec, error) {
 	rc := &readCounter{r: src}
 	rd := NewReader(rc)
 	var out []frameRec
@@ -66,7 +71,7 @@ func readAllReader(src io.Reader) ([]frameRec, error) {
 		if rc.reads != before {
 			return out, fmt.Errorf("frame %d: Buffered issued a Read", len(out))
 		}
-		t, id, p, err := rd.Next(freshBuf)
+		t, id, p, err := rd.Next(get)
 		if read := rc.reads != before; buffered && read {
 			return out, fmt.Errorf("frame %d: Buffered said yes, Next issued a Read", len(out))
 		} else if !buffered && !read && err == nil {
@@ -75,9 +80,16 @@ func readAllReader(src io.Reader) ([]frameRec, error) {
 		if err != nil {
 			return out, err
 		}
+		if get(t, len(p)) == nil {
+			p = append([]byte(nil), p...)
+		}
 		out = append(out, frameRec{t, id, p})
 	}
 }
+
+// sources are the payload sources every equivalence check reads with:
+// a copy into storage of the caller's, and a view.
+var sources = map[string]func(MsgType, int) []byte{"copy": freshBuf, "view": viewBuf}
 
 // chunkReader hands its source out in seeded random pieces of 1..max
 // bytes, as a TCP stream may.
@@ -181,15 +193,18 @@ func TestReaderMatchesReadFrameIDInto(t *testing.T) {
 	if wantErr != io.EOF || len(want) < 2000 {
 		t.Fatalf("reference read: %d frames, err %v", len(want), wantErr)
 	}
-	for name, src := range chunkings(stream) {
-		got, gotErr := readAllReader(src)
-		assertSameFrames(t, name, got, gotErr, want, wantErr)
+	for mode, get := range sources {
+		for name, src := range chunkings(stream) {
+			got, gotErr := readAllReader(src, get)
+			assertSameFrames(t, mode+"/"+name, got, gotErr, want, wantErr)
+		}
 	}
 }
 
 // TestReaderTruncatedStreamErrors cuts a stream at every offset — inside
 // a header, right after one, inside a payload, between frames — and
-// checks Reader ends the sequence with the error ReadFrameIDInto does.
+// checks Reader ends the sequence with the error ReadFrameIDInto does,
+// copying payloads out or viewing them.
 func TestReaderTruncatedStreamErrors(t *testing.T) {
 	var stream []byte
 	stream = mustFrame(t, stream, MsgLookup, 1, patterned(20, 1))
@@ -197,9 +212,11 @@ func TestReaderTruncatedStreamErrors(t *testing.T) {
 	stream = mustFrame(t, stream, MsgInsert, 3, patterned(45, 2))
 	for cut := 0; cut <= len(stream); cut++ {
 		want, wantErr := readAllRef(stream[:cut])
-		for name, src := range chunkings(stream[:cut]) {
-			got, gotErr := readAllReader(src)
-			assertSameFrames(t, name, got, gotErr, want, wantErr)
+		for mode, get := range sources {
+			for name, src := range chunkings(stream[:cut]) {
+				got, gotErr := readAllReader(src, get)
+				assertSameFrames(t, mode+"/"+name, got, gotErr, want, wantErr)
+			}
 		}
 	}
 }
@@ -229,7 +246,7 @@ func TestReaderRejectsBadLengthBeforeSizing(t *testing.T) {
 			t.Fatalf("%s: ReadFrameIDInto = %v, want %v", tc.name, err, tc.want)
 		}
 		asked := false
-		_, _, _, err := NewReader(bytes.NewReader(stream)).Next(func(int) []byte {
+		_, _, _, err := NewReader(bytes.NewReader(stream)).Next(func(MsgType, int) []byte {
 			asked = true
 			return nil
 		})
@@ -253,10 +270,11 @@ func TestReaderPayloadSurvivesNext(t *testing.T) {
 		stream = mustFrame(t, stream, MsgLookupResp, uint64(i), patterned(1+i%60, byte(i)))
 	}
 	pool := NewBufPool(8)
+	get := func(_ MsgType, n int) []byte { return pool.Get(n) }
 	rd := NewReader(iotest.HalfReader(bytes.NewReader(stream)))
 	var prev []byte
 	for i := 0; i < frames; i++ {
-		_, id, p, err := rd.Next(pool.Get)
+		_, id, p, err := rd.Next(get)
 		if err != nil || id != uint64(i) {
 			t.Fatalf("frame %d: id %d, err %v", i, id, err)
 		}
@@ -274,28 +292,36 @@ func TestReaderPayloadSurvivesNext(t *testing.T) {
 }
 
 // TestReaderNextZeroAlloc: parsing from the buffer into a pooled payload
-// costs no allocation, BufPool.Get passed directly as the source.
+// costs no allocation, and neither does a view.
 func TestReaderNextZeroAlloc(t *testing.T) {
 	frame := mustFrame(t, nil, MsgLookup, 1, patterned(20, 3))
 	const runs = 200
-	stream := bytes.Repeat(frame, runs+2) // AllocsPerRun adds a warm-up call
+	stream := bytes.Repeat(frame, 2*(runs+1)) // AllocsPerRun adds a warm-up call
 	pool := NewBufPool(2)
 	rd := NewReader(bytes.NewReader(stream))
-	allocs := testing.AllocsPerRun(runs, func() {
-		_, _, p, err := rd.Next(pool.Get)
-		if err != nil {
-			t.Fatal(err)
+	for mode, get := range map[string]func(MsgType, int) []byte{
+		"pooled": func(_ MsgType, n int) []byte { return pool.Get(n) },
+		"view":   viewBuf,
+	} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			_, _, p, err := rd.Next(get)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "pooled" {
+				pool.Put(p) // a view is the Reader's
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Next allocs/op = %v, want 0", mode, allocs)
 		}
-		pool.Put(p)
-	})
-	if allocs != 0 {
-		t.Fatalf("Next allocs/op = %v, want 0", allocs)
 	}
 }
 
 // FuzzReaderChunking: for any byte stream and any chunking of it, Reader
 // yields the frames and the final error ReadFrameIDInto yields on the
-// unsplit stream, and Buffered foretells every Next (readAllReader).
+// unsplit stream, copying payloads out or viewing them, and Buffered
+// foretells every Next (readAllReader).
 func FuzzReaderChunking(f *testing.F) {
 	var ok []byte
 	ok = mustFrame(f, ok, MsgLookup, 1, patterned(20, 1))
@@ -310,8 +336,10 @@ func FuzzReaderChunking(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, byte(MsgPing), 0, 0, 0, 0, 0, 0, 0, 1}, int64(6), uint16(2))
 	f.Fuzz(func(t *testing.T, stream []byte, seed int64, maxChunk uint16) {
 		want, wantErr := readAllRef(stream)
-		src := &chunkReader{bytes.NewReader(stream), rand.New(rand.NewSource(seed)), 1 + int(maxChunk)}
-		got, gotErr := readAllReader(src)
-		assertSameFrames(t, "chunked", got, gotErr, want, wantErr)
+		for mode, get := range sources {
+			src := &chunkReader{bytes.NewReader(stream), rand.New(rand.NewSource(seed)), 1 + int(maxChunk)}
+			got, gotErr := readAllReader(src, get)
+			assertSameFrames(t, mode, got, gotErr, want, wantErr)
+		}
 	})
 }

@@ -63,6 +63,10 @@ go test -race -cpu 1,4 ./internal/server/...
 # reader runs beside the caller) or after (one P: only once the caller
 # blocks) is the scheduler's choice, and both orders must be exercised.
 go test -race -cpu 1,4 ./internal/client/...
+# The deadline watchdog (one time.AfterFunc per shared connection) runs
+# on a goroutine of its own and races the demux reader for every slot it
+# expires, and fail for the timer: twenty rounds, at one P and at four.
+go test -race -cpu 1,4 -count 20 -run 'TestMuxDeadline' ./internal/client
 # The anti-entropy sweep (core.Sweep) on one P and on four, under both of
 # its transports: the server's gossip goroutine over TCP beside its
 # request workers, and nodesim's event chains over simnet, plus the
@@ -85,17 +89,19 @@ go test -race ./internal/crashtest/
 # Pool paths under load: the buffer-ownership refactor (DESIGN.md §9)
 # recycles frame payloads, response slots and encode scratch through
 # free lists, so a lifetime bug is a cross-goroutine race by
-# construction. Hammer the mux and the coalescing writer under -race
-# with buffer poisoning on, so a buffer released while still referenced
-# is overwritten with a sentinel instead of silently surviving. The
-# fan-out tests ride along: a K-replica operation's request payload is
-# resent by retries, so it must stay out of the pool until the last try
-# is finished. So does the server's connection layer, at -cpu 1,4: the
-# read loop serves a lookup from one pooled buffer into another and
-# releases both before it parses the next frame, with the reply corked in
-# the Writer — the inline and cork tests check every reply's bytes, so a
-# reply that aliased a released buffer, or a request view that outlived
-# its Next, reads 0xA5. The client's batch lookups ride along too: they
+# construction. Hammer the mux (its deadline watchdog included) and the
+# coalescing writer under -race with buffer poisoning on, so a buffer
+# released while still referenced is overwritten with a sentinel instead
+# of silently surviving. The fan-out tests ride along: a K-replica
+# operation's request payload is resent by retries, so it must stay out
+# of the pool until the last try is finished. So does the server's
+# connection layer, at -cpu 1,4: the read loop serves lookups, pings and
+# inserts from views into its wire.Reader's buffer and answers them from
+# one scratch buffer of its own, with no pool trip, while its workers
+# still take pooled copies and pooled replies — a worker reply that
+# aliased a released buffer reads 0xA5, and the inline and cork tests
+# check every reply's bytes, so a request view that outlived its Next
+# reads the frames after it. The client's batch lookups ride along too: they
 # decode each chunk's reply straight into the caller's entries and
 # release the body, so an entry that kept a view into it reads 0xA5.
 # -count=1 because TestMain reads the variable before the test log that
