@@ -23,7 +23,7 @@ func fleetCluster(t *testing.T, n int) (scrape, probe string) {
 	t.Helper()
 	var scrapes, probes []string
 	for i := 0; i < n; i++ {
-		node := server.New(nil, nil)
+		node := server.NewWithOptions(nil, server.Options{})
 		addr, err := node.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -44,7 +44,7 @@ func TestDemoValidation(t *testing.T) {
 // then scrapes /debug/metrics, checking that the served text exposes
 // the per-op counters and latency quantiles.
 func TestDebugMetricsEndpoint(t *testing.T) {
-	node := server.New(nil, nil)
+	node := server.NewWithOptions(nil, server.Options{})
 	addr, err := node.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.New(resolver, map[int]string{0: addr}, 0)
+	cl, err := client.NewWithConfig(resolver, map[int]string{0: addr}, client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func run() error {
 	nodes := make([]*server.Node, numAS)
 	addrs := make(map[int]string, numAS)
 	for as := range nodes {
-		nodes[as] = server.New(nil, nil)
+		nodes[as] = server.NewWithOptions(nil, server.Options{})
 		bound, err := nodes[as].Start("127.0.0.1:0")
 		if err != nil {
 			return err
@@ -58,7 +58,7 @@ func run() error {
 		fmt.Printf("AS %d mapping node at %s\n", as, bound)
 	}
 
-	c, err := client.New(resolver, addrs, 0)
+	c, err := client.NewWithConfig(resolver, addrs, client.Config{})
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func newChaosCluster(t *testing.T, numAS, k int) *chaosCluster {
 	addrs := make(map[int]string, numAS)
 	for as := 0; as < numAS; as++ {
 		cc.stores[as] = store.New()
-		n := server.New(cc.stores[as], nil)
+		n := server.NewWithOptions(cc.stores[as], server.Options{})
 		addr, err := n.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func (cc *chaosCluster) kill(as int) {
 func (cc *chaosCluster) revive(t *testing.T, as int) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	n := server.New(cc.stores[as], nil)
+	n := server.NewWithOptions(cc.stores[as], server.Options{})
 	addr, err := n.Start("127.0.0.1:0")
 	if err != nil {
 		t.Errorf("revive AS %d: %v", as, err)

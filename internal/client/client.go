@@ -152,15 +152,10 @@ func newClusterMetrics() clusterMetrics {
 	}
 }
 
-// New builds a cluster client with default robustness settings. addrs
-// maps AS indices to node "host:port" addresses; ASs without nodes are
-// treated as unreachable. timeout ≤ 0 selects DefaultTimeout.
-func New(resolver *core.Resolver, addrs map[int]string, timeout time.Duration) (*Cluster, error) {
-	return NewWithConfig(resolver, addrs, Config{Timeout: timeout})
-}
-
-// NewWithConfig builds a cluster client with explicit timeout, deadline
-// and retry configuration.
+// NewWithConfig builds a cluster client. addrs maps AS indices to node
+// "host:port" addresses; ASs without nodes are treated as unreachable.
+// The zero Config selects the default timeout, deadline and retry
+// settings.
 func NewWithConfig(resolver *core.Resolver, addrs map[int]string, cfg Config) (*Cluster, error) {
 	if resolver == nil {
 		return nil, errors.New("client: nil resolver")

@@ -53,7 +53,7 @@ func testClusterOpts(t *testing.T, numAS, k int, opts server.Options) (*Cluster,
 		addrs[as] = addr
 		t.Cleanup(func() { n.Close() })
 	}
-	c, err := New(resolver, addrs, time.Second)
+	c, err := NewWithConfig(resolver, addrs, Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func clusterEntry(name string, version uint64) store.Entry {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil, 0); err == nil {
+	if _, err := NewWithConfig(nil, nil, Config{}); err == nil {
 		t.Error("nil resolver should fail")
 	}
 }
@@ -389,7 +389,7 @@ func TestStaleRedialIsObservableAndRecovers(t *testing.T) {
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := server.New(st, nil)
+	fresh := server.NewWithOptions(st, server.Options{})
 	if _, err := fresh.Start(addr); err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}

@@ -449,7 +449,7 @@ func TestFanOutDialsBesideTheCaller(t *testing.T) {
 		}()
 		addrs[as] = ln.Addr().String()
 	}
-	node := server.New(nil, nil)
+	node := server.NewWithOptions(nil, server.Options{})
 	live, err := node.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -242,7 +242,7 @@ func TestRejectedBatchFrameFailsOverWhole(t *testing.T) {
 			return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "unknown frame type")
 		}),
 	}
-	node := server.New(nil, nil)
+	node := server.NewWithOptions(nil, server.Options{})
 	addr, err := node.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func startNodes(t *testing.T, numAS int) ([]*server.Node, map[int]string) {
 	nodes := make([]*server.Node, numAS)
 	addrs := make(map[int]string, numAS)
 	for as := 0; as < numAS; as++ {
-		n := server.New(nil, nil)
+		n := server.NewWithOptions(nil, server.Options{})
 		addr, err := n.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

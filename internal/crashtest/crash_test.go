@@ -132,7 +132,7 @@ func newClient(t *testing.T, addr string) *client.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.New(resolver, map[int]string{0: addr}, time.Second)
+	cl, err := client.NewWithConfig(resolver, map[int]string{0: addr}, client.Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

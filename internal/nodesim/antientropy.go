@@ -42,7 +42,8 @@ type sweepChain struct {
 
 // GossipStats counts cumulative anti-entropy activity.
 type GossipStats struct {
-	// Sweeps counts GossipSweep calls that ran (crashed sweepers skip).
+	// Sweeps counts GossipSweep calls that ran (none while the sweeper is
+	// down).
 	Sweeps int
 	// DigestsSent counts digest pages sent to peers.
 	DigestsSent int
@@ -74,10 +75,10 @@ func (d *Deployment) scope(st *store.Store, peer int) func(guid.GUID) bool {
 // AS that replicates a mapping as holds, each sweeping the keyspace the
 // pair shares, which reconciles both directions — what the sweeper
 // lacks included. A reply that does not arrive within the deployment's
-// timeout aborts that chain alone; the next sweep starts over. Crashed
-// sweepers do nothing.
+// timeout aborts that chain alone; the next sweep starts over. A sweeper
+// inside a crash window does nothing.
 func (d *Deployment) GossipSweep(as int) error {
-	if d.crashed[as] {
+	if d.net.NodeDown(as, d.Sim().Now()) {
 		return nil
 	}
 	st, err := d.sys.Store(as)
@@ -140,9 +141,6 @@ func (d *Deployment) GossipRound() error {
 func (d *Deployment) handleGossip(self int, msg simnet.Message) bool {
 	switch p := msg.Payload.(type) {
 	case digestReq:
-		if d.crashed[self] {
-			return true
-		}
 		st, err := d.sys.Store(self)
 		if err != nil {
 			return true
@@ -155,9 +153,6 @@ func (d *Deployment) handleGossip(self int, msg simnet.Message) bool {
 			return true // timed out: the chain was aborted
 		}
 		delete(d.chains, p.reqID)
-		if d.crashed[self] {
-			return true
-		}
 		n, err := c.sw.Advance(p.covered, p.newer)
 		d.gossip.EntriesPulled += n
 		if err != nil {
@@ -168,9 +163,6 @@ func (d *Deployment) handleGossip(self int, msg simnet.Message) bool {
 		}
 		_ = d.sendPage(c)
 	case repairPush:
-		if d.crashed[self] {
-			return true
-		}
 		st, err := d.sys.Store(self)
 		if err != nil {
 			return true

@@ -246,7 +246,7 @@ func TestGossipSkipsCrashedNodes(t *testing.T) {
 	reps := replicasOf(t, d, e)
 
 	// Diverge, then crash the stale replica: its sweep is a no-op and
-	// pushes to it are dropped at the node layer.
+	// whatever is sent to it is lost.
 	up := e
 	up.Version = 2
 	st, err := d.System().Store(reps[0])
@@ -256,7 +256,7 @@ func TestGossipSkipsCrashedNodes(t *testing.T) {
 	if _, err := st.Put(up); err != nil {
 		t.Fatal(err)
 	}
-	d.Crash(reps[1])
+	crash(t, d, reps[1])
 	if err := d.GossipSweep(reps[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestGossipSkipsCrashedNodes(t *testing.T) {
 	}
 
 	// Restore: the next full round repairs it.
-	d.Restore(reps[1])
+	restore(t, d)
 	if err := d.GossipRound(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,25 @@ import (
 // mapping server to the querier (§III-D3), and a lossy plan must leave
 // the discrete-event run bit-reproducible.
 
+// crash installs a fault plan that takes as down from now on.
+func crash(t *testing.T, d *Deployment, as int) {
+	t.Helper()
+	if err := d.Network().SetFaults(&simnet.FaultPlan{
+		Crashes: []simnet.CrashWindow{{Node: as, From: d.Sim().Now()}}, // Until ≤ From: down for good
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restore removes the fault plan: every node is up again, its store as
+// the crash left it.
+func restore(t *testing.T, d *Deployment) {
+	t.Helper()
+	if err := d.Network().SetFaults(nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFaultPlanCrashLooksLikeDeadReplica(t *testing.T) {
 	d, _ := testDeployment(t, 2, false)
 	e := entryFor("netcrash", 1, 7)
@@ -20,9 +39,8 @@ func TestFaultPlanCrashLooksLikeDeadReplica(t *testing.T) {
 	}
 	d.Sim().Run(0)
 
-	// The querier tries replicas in RTT order; crash the nearer one at
-	// the network layer (not via d.Crash — the node code is healthy, the
-	// network just eats everything addressed to it).
+	// The querier tries replicas in RTT order; crash the nearer one: the
+	// network eats everything addressed to it.
 	placements, err := d.System().Resolver().Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)

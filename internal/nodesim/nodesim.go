@@ -68,7 +68,6 @@ type Deployment struct {
 	nextReq uint64
 	inserts map[uint64]*insertOp
 	lookups map[uint64]*lookupOp
-	crashed []bool
 	gossip  GossipStats
 	chains  map[uint64]*sweepChain // gossip chains by the reply they await
 }
@@ -114,7 +113,6 @@ func NewDeployment(sys *core.System, sim *simnet.Sim, oracle simnet.LatencyOracl
 		timeout: timeout,
 		inserts: make(map[uint64]*insertOp),
 		lookups: make(map[uint64]*lookupOp),
-		crashed: make([]bool, sys.NumAS()),
 		chains:  make(map[uint64]*sweepChain),
 	}
 	for as := 0; as < sys.NumAS(); as++ {
@@ -139,24 +137,15 @@ func (d *Deployment) Network() *simnet.Network { return d.net }
 // System returns the underlying DMap system.
 func (d *Deployment) System() *core.System { return d.sys }
 
-// Crash marks an AS's mapping server as dead: requests to it are consumed
-// without reply, so queriers hit their timeout (§III-D3).
-func (d *Deployment) Crash(as int) { d.crashed[as] = true }
-
-// Restore brings a crashed AS back (its store contents survive; a real
-// deployment would resynchronize, which the paper leaves to replication).
-func (d *Deployment) Restore(as int) { d.crashed[as] = false }
-
-// handle dispatches a message arriving at AS self.
+// handle dispatches a message arriving at AS self. A crashed node needs
+// no check here: simnet drops every delivery to a node inside a crash
+// window of the installed fault plan, so its queriers time out (§III-D3).
 func (d *Deployment) handle(self int, msg simnet.Message) {
 	if d.handleGossip(self, msg) {
 		return
 	}
 	switch p := msg.Payload.(type) {
 	case insertReq:
-		if d.crashed[self] {
-			return
-		}
 		st, err := d.sys.Store(self)
 		if err != nil {
 			return
@@ -177,9 +166,6 @@ func (d *Deployment) handle(self int, msg simnet.Message) {
 			op.done(InsertResult{Latency: d.Sim().Now() - op.start, Acks: op.acks})
 		}
 	case lookupReq:
-		if d.crashed[self] {
-			return // no reply: querier times out
-		}
 		st, err := d.sys.Store(self)
 		if err != nil {
 			return
@@ -250,8 +236,9 @@ func (d *Deployment) Lookup(srcAS int, g guid.GUID, done func(LookupResult)) err
 	reqID := d.nextReq
 	d.lookups[reqID] = op
 
-	// Parallel local lookup (§III-C): modeled as an intra-AS round trip.
-	if d.sys.LocalReplicaEnabled() && !d.crashed[srcAS] {
+	// Parallel local lookup (§III-C): modeled as an intra-AS round trip,
+	// which a querier inside a crash window cannot make.
+	if d.sys.LocalReplicaEnabled() && !d.net.NodeDown(srcAS, d.Sim().Now()) {
 		st, err := d.sys.Store(srcAS)
 		if err != nil {
 			return err

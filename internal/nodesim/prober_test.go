@@ -85,7 +85,7 @@ func TestProberHealthyRounds(t *testing.T) {
 func TestProberFlagsCrashedTarget(t *testing.T) {
 	p, d, targets := proberWorld(t, 1, chaosSLO)
 	p.Round()
-	d.Crash(targets[1])
+	crash(t, d, targets[1])
 	st := p.Round()
 	ts := st.Targets[1]
 	if ts.WriteOK || ts.ReadOK || ts.Err == "" {
@@ -94,7 +94,6 @@ func TestProberFlagsCrashedTarget(t *testing.T) {
 	if !st.Breaching() {
 		t.Fatal("availability breach not flagged for crashed replica")
 	}
-	d.Restore(targets[1])
 }
 
 // TestProberDetectsPartitionBeforeGossipHeals is the acceptance-path
@@ -198,9 +197,9 @@ func TestProberDeterministic(t *testing.T) {
 		p, d, targets := proberWorld(t, 1, chaosSLO)
 		var out []obs.ProbeStatus
 		out = append(out, p.Round())
-		d.Crash(targets[2])
+		crash(t, d, targets[2])
 		out = append(out, p.Round())
-		d.Restore(targets[2])
+		restore(t, d)
 		out = append(out, p.ReadRound(), p.Round())
 		return out
 	}

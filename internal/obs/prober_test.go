@@ -14,7 +14,7 @@ import (
 
 func startProbeNode(t *testing.T) (*server.Node, string) {
 	t.Helper()
-	n := server.New(nil, nil)
+	n := server.NewWithOptions(nil, server.Options{})
 	addr, err := n.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

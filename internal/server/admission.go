@@ -55,37 +55,35 @@ var (
 	shedGlobalBody = wire.AppendErrorKind(nil, wire.ErrKindShed, "overloaded: node in-flight limit")
 )
 
-// tryAdmit claims a per-connection slot then a global slot for one
-// request frame. On refusal nothing stays claimed; global reports
-// which limit refused (false = the per-conn limit). Pings are always
-// admitted but still occupy slots, so the inflight gauge counts them.
+// tryAdmit claims a global slot for one request frame and counts it in
+// *corked: the frames its connection's read loop has served since the
+// last flush, which is what the per-connection limit bounds. On refusal
+// nothing is claimed or counted; global reports which limit refused
+// (false = the per-conn limit). Pings are always admitted but still
+// claim and count, so the inflight gauge counts them.
 //
-// Both limiters are touched on every frame — including when both are
-// unbounded — which is what keeps server.inflight live on all paths.
-func (n *Node) tryAdmit(ca *limiter, t wire.MsgType) (ok bool, global bool) {
+// The global limiter is touched on every frame — even when unbounded —
+// which is what keeps server.inflight live.
+func (n *Node) tryAdmit(corked *int64, t wire.MsgType) (ok bool, global bool) {
 	if t == wire.MsgPing {
-		ca.acquire()
 		n.admit.acquire()
-		return true, false
-	}
-	if !ca.tryAcquire() {
+	} else if n.maxConnInflight > 0 && *corked >= n.maxConnInflight {
 		return false, false
-	}
-	if !n.admit.tryAcquire() {
-		ca.release()
+	} else if !n.admit.tryAcquire() {
 		return false, true
 	}
+	*corked++
 	return true, false
 }
 
-// admitRelease returns the slots tryAdmit claimed. It runs once the
-// frame's reply is with the Writer's flusher — on the worker that served
-// it, or at the read loop's flush — so a dying connection drains its
-// claims as its workers and its loop finish, never leaking global
-// capacity.
-func (n *Node) admitRelease(ca *limiter) {
-	ca.release()
-	n.admit.release()
+// admitRelease returns the global slots of the *corked frames and zeroes
+// the count. The read loop calls it at each flush, the one that carries
+// their replies, so a dying connection drains its claims with its last
+// flush, never leaking global capacity.
+func (n *Node) admitRelease(corked *int64) {
+	for ; *corked > 0; *corked-- {
+		n.admit.release()
+	}
 }
 
 // countShed records one refused frame against the limit that refused it.

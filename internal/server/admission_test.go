@@ -64,22 +64,22 @@ func TestLimiterEdgeCases(t *testing.T) {
 
 func TestTryAdmitReleasesPerConnOnGlobalRefusal(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxInflight: 1, MaxConnInflight: 8})
-	ca := &limiter{max: n.maxConnInflight}
+	var corked int64  // the connection's count
 	n.admit.acquire() // saturate the global limit
-	ok, global := n.tryAdmit(ca, wire.MsgLookup)
+	ok, global := n.tryAdmit(&corked, wire.MsgLookup)
 	if ok || !global {
 		t.Fatalf("tryAdmit over global limit = (ok=%t, global=%t), want (false, true)", ok, global)
 	}
-	if got := ca.inflight(); got != 0 {
-		t.Fatalf("per-conn claim leaked on global refusal: %d", got)
+	if corked != 0 {
+		t.Fatalf("per-conn claim leaked on global refusal: %d", corked)
 	}
 	n.admit.release()
-	if ok, _ := n.tryAdmit(ca, wire.MsgLookup); !ok {
+	if ok, _ := n.tryAdmit(&corked, wire.MsgLookup); !ok {
 		t.Fatal("tryAdmit refused under both limits")
 	}
-	n.admitRelease(ca)
-	if ca.inflight() != 0 || n.admit.inflight() != 0 {
-		t.Fatalf("admitRelease left claims: conn=%d global=%d", ca.inflight(), n.admit.inflight())
+	n.admitRelease(&corked)
+	if corked != 0 || n.admit.inflight() != 0 {
+		t.Fatalf("admitRelease left claims: conn=%d global=%d", corked, n.admit.inflight())
 	}
 }
 
@@ -88,10 +88,10 @@ func TestTryAdmitReleasesPerConnOnGlobalRefusal(t *testing.T) {
 // atomics over pre-built state.
 func TestAdmissionZeroAlloc(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxInflight: 64, MaxConnInflight: 32})
-	ca := &limiter{max: n.maxConnInflight}
+	var corked int64
 	if allocs := testing.AllocsPerRun(200, func() {
-		if ok, _ := n.tryAdmit(ca, wire.MsgLookup); ok {
-			n.admitRelease(ca)
+		if ok, _ := n.tryAdmit(&corked, wire.MsgLookup); ok {
+			n.admitRelease(&corked)
 		}
 	}); allocs != 0 {
 		t.Errorf("admit/release allocates %.1f/op, want 0", allocs)
@@ -101,7 +101,7 @@ func TestAdmissionZeroAlloc(t *testing.T) {
 	sat := NewWithOptions(nil, Options{MaxInflight: 1})
 	sat.admit.acquire()
 	if allocs := testing.AllocsPerRun(200, func() {
-		ok, global := sat.tryAdmit(ca, wire.MsgLookup)
+		ok, global := sat.tryAdmit(&corked, wire.MsgLookup)
 		if ok {
 			t.Fatal("saturated node admitted")
 		}
@@ -141,7 +141,7 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 			e.Version++
 			e.NAs = nas[:1+e.Version%store.MaxNAs]
 			payload, _ := wire.AppendEntry(ins[:0], e)
-			n.serveFrameV2(conn, 0, w, &run, v2Work{t: wire.MsgInsert, id: e.Version, payload: payload}, dst[:0], w.Enqueue)
+			n.serveFrameV2(conn, 0, w, &run, wire.MsgInsert, e.Version, payload, dst[:0])
 			n.commitInserts(&run, w, dst[:0])
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
@@ -418,8 +418,8 @@ func TestShedPipelinedV2(t *testing.T) {
 
 // TestLimiterReleaseOnConnDeath kills a v2 connection with admitted
 // frames in flight and verifies the global limiter drains back to zero:
-// worker completion releases claims, so a dying conn cannot leak node
-// capacity.
+// the read loop's flush on the way out releases its burst's claims, so a
+// dying conn cannot leak node capacity.
 func TestLimiterReleaseOnConnDeath(t *testing.T) {
 	n, addr := startNodeOpts(t, Options{MaxInflight: 16, MaxConnInflight: 8})
 	conn := dial(t, addr)
@@ -456,20 +456,19 @@ func TestLimiterReleaseOnConnDeath(t *testing.T) {
 // the global limit land on their own counters.
 func TestPerConnVsGlobalAttribution(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxInflight: 100, MaxConnInflight: 1})
-	ca := &limiter{max: n.maxConnInflight}
-	ca.acquire() // conn at its limit
-	if ok, global := n.tryAdmit(ca, wire.MsgLookup); ok || global {
+	corked := int64(1) // conn at its limit
+	if ok, global := n.tryAdmit(&corked, wire.MsgLookup); ok || global {
 		t.Fatalf("per-conn refusal = (ok=%t, global=%t), want (false, false)", ok, global)
 	}
 	n.countShed(false)
 	if n.shedsConn.Value() != 1 || n.shedsGlobal.Value() != 0 {
 		t.Errorf("after conn shed: conn=%d global=%d", n.shedsConn.Value(), n.shedsGlobal.Value())
 	}
-	ca.release()
+	corked = 0
 	for i := 0; i < 100; i++ {
 		n.admit.acquire() // node at its limit
 	}
-	if ok, global := n.tryAdmit(ca, wire.MsgLookup); ok || !global {
+	if ok, global := n.tryAdmit(&corked, wire.MsgLookup); ok || !global {
 		t.Fatalf("global refusal = (ok=%t, global=%t), want (false, true)", ok, global)
 	}
 	n.countShed(true)

@@ -128,7 +128,7 @@ func burstEntry(i int) store.Entry {
 func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		const burst = 64
-		n := New(nil, nil)
+		n := NewWithOptions(nil, Options{})
 		for i := 0; i < burst; i += 2 { // odd GUIDs stay misses
 			if _, err := n.store.Put(burstEntry(i)); err != nil {
 				t.Fatal(err)
@@ -174,8 +174,8 @@ func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 		if writes > reads || writes > 16 {
 			t.Fatalf("%d lookups cost %d Writes on the server for %d Reads, want one flush per drained buffer and <= 16", burst, writes, reads)
 		}
-		if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != burst || wk != 0 {
-			t.Fatalf("frames_inline = %d, frames_worker = %d; want %d, 0", in, wk, burst)
+		if got := n.v2Frames.Value(); got != burst {
+			t.Fatalf("v2_frames = %d, want %d", got, burst)
 		}
 	})
 }
@@ -184,77 +184,116 @@ func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 // inserts and pings from views into the reader's buffer and answers them
 // from its own scratch, so a burst of them neither draws from serverBufs
 // nor gives it anything back. The free list is emptied first: a Get
-// would then make, and the Put after it would leave a buffer idle. Every
-// reply is checked byte for byte — a view read after the next Next holds
-// the frames that came after it — and so is what the inserts stored.
+// would then make, and the Put after it would leave a buffer idle. A
+// second burst mixes 64-GUID batch lookups and batch inserts in, served
+// from views too, their replies encoded into pooled buffers: with the
+// free list holding a few buffers large enough for any reply, exactly
+// those are idle once the burst is answered. Every reply is checked byte
+// for byte — a view read after the next Next holds the frames that came
+// after it — and so is what the inserts stored.
 func TestInlineBurstTakesNothingFromPool(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		const lookups, every = 64, 4 // an insert and a ping after every fourth lookup
-		n := New(nil, nil)
+		const lookups, every, batchEvery = 64, 4, 16 // an insert and a ping after every fourth lookup
+		n := NewWithOptions(nil, Options{})
 		for i := 0; i < lookups; i += 2 { // odd GUIDs stay misses
 			if _, err := n.store.Put(burstEntry(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		conn, _ := serveCounted(t, n)
-		var reqs []byte
-		want := make(map[uint64][]byte) // request ID → the reply frame
-		reply := func(typ wire.MsgType, id uint64, body []byte) {
-			frame, err := wire.AppendFrameID(nil, typ, id, body)
-			if err != nil {
-				t.Fatal(err)
+		rd := wire.NewReader(conn)
+		// The answers for GUIDs 0..lookups-1, which no burst writes.
+		rs, gs := make([]wire.LookupResp, lookups), make([]guid.GUID, lookups)
+		for i := range rs {
+			if gs[i] = burstEntry(i).GUID; i%2 == 0 {
+				rs[i] = wire.LookupResp{Found: true, Entry: burstEntry(i)}
 			}
-			want[id] = frame
 		}
-		for i := 0; i < lookups; i++ {
-			reqs = lookupFrame(t, reqs, uint64(1000+i), i)
-			e, found := burstEntry(i), i%2 == 0
-			if !found {
-				e = store.Entry{}
-			}
-			body, err := wire.AppendLookupResp(nil, wire.LookupResp{Found: found, Entry: e})
-			if err != nil {
-				t.Fatal(err)
-			}
-			reply(wire.MsgLookupResp, uint64(1000+i), body)
-			if i%every == 0 {
-				reqs = insertFrame(t, reqs, uint64(2000+i), burstEntry(lookups+i))
-				reply(wire.MsgInsertAck, uint64(2000+i), nil)
-				var err error
-				if reqs, err = wire.AppendFrameID(reqs, wire.MsgPing, uint64(3000+i), nil); err != nil {
+		burst := func(batches bool) {
+			t.Helper()
+			var reqs []byte
+			want := make(map[uint64][]byte) // request ID → the reply frame
+			add := func(typ wire.MsgType, id uint64, body []byte, rtyp wire.MsgType, rbody []byte, err error) {
+				if err != nil {
 					t.Fatal(err)
 				}
-				reply(wire.MsgPong, uint64(3000+i), nil)
+				reqs = appendFrame(t, reqs, typ, id, body)
+				want[id] = appendFrame(t, nil, rtyp, id, rbody)
+			}
+			for i := 0; i < lookups; i++ {
+				rbody, err := wire.AppendLookupResp(nil, rs[i])
+				add(wire.MsgLookup, uint64(1000+i), wire.AppendGUID(nil, gs[i]), wire.MsgLookupResp, rbody, err)
+				if i%every == 0 {
+					body, err := wire.AppendEntry(nil, burstEntry(lookups+i))
+					add(wire.MsgInsert, uint64(2000+i), body, wire.MsgInsertAck, nil, err)
+					add(wire.MsgPing, uint64(3000+i), nil, wire.MsgPong, nil, nil)
+				}
+				if batches && i%batchEvery == 0 {
+					body, err := wire.AppendBatchLookup(nil, gs)
+					rbody, rerr := wire.AppendBatchLookupResp(nil, rs)
+					add(wire.MsgBatchLookup, uint64(4000+i), body, wire.MsgBatchLookupResp, rbody, errors.Join(err, rerr))
+					entries := make([]store.Entry, 64)
+					for j := range entries {
+						entries[j] = burstEntry(10_000 + i*64 + j)
+					}
+					body, err = wire.AppendBatchInsert(nil, entries)
+					acks := make([]bool, len(entries))
+					for j := range acks {
+						acks[j] = true
+					}
+					rbody, rerr = wire.AppendBatchInsertAck(nil, acks)
+					add(wire.MsgBatchInsert, uint64(5000+i), body, wire.MsgBatchInsertAck, rbody, errors.Join(err, rerr))
+				}
+			}
+			if _, err := conn.Write(reqs); err != nil {
+				t.Fatal(err)
+			}
+			for got, all := 0, len(want); got < all; got++ {
+				typ, id, body, err := rd.Next(freshBuf)
+				if err != nil {
+					t.Fatalf("after %d of %d replies: %v", got, all, err)
+				}
+				if frame := appendFrame(t, nil, typ, id, body); !bytes.Equal(frame, want[id]) {
+					t.Fatalf("reply to %d = (%v, % x), want % x", id, typ, body, want[id])
+				}
+				delete(want, id) // a repeated reply finds nothing to match
+			}
+			for i := 0; i < lookups; i += every {
+				e := burstEntry(lookups + i)
+				if got, ok := n.store.Get(e.GUID); !ok || got.Version != e.Version || got.NAs[0] != e.NAs[0] {
+					t.Fatalf("insert %d stored %+v, %v; want %+v", i, got, ok, e)
+				}
 			}
 		}
 		for serverBufs.Idle() > 0 {
 			serverBufs.Get(0)
 		}
-		if _, err := conn.Write(reqs); err != nil {
-			t.Fatal(err)
-		}
-		rd := wire.NewReader(conn)
-		for got := 0; got < len(want); got++ {
-			typ, id, body, err := rd.Next(freshBuf)
-			if err != nil {
-				t.Fatalf("after %d of %d replies: %v", got, len(want), err)
-			}
-			frame, err := wire.AppendFrameID(nil, typ, id, body)
-			if err != nil || !bytes.Equal(frame, want[id]) {
-				t.Fatalf("reply to %d = (%v, % x), want % x", id, typ, body, want[id])
-			}
-			delete(want, id) // a repeated reply finds nothing to match
-		}
+		burst(false)
 		if idle := serverBufs.Idle(); idle != 0 {
 			t.Fatalf("the burst left %d buffer(s) in serverBufs, want 0: the read loop made pool trips", idle)
 		}
-		for i := 0; i < lookups; i += every {
-			e := burstEntry(lookups + i)
-			if got, ok := n.store.Get(e.GUID); !ok || got.Version != e.Version || got.NAs[0] != e.NAs[0] {
-				t.Fatalf("insert %d stored %+v, %v; want %+v", i, got, ok, e)
-			}
+		const held = 4
+		for range held {
+			serverBufs.Put(make([]byte, 0, wire.MaxBatchFrame))
+		}
+		burst(true)
+		if idle := serverBufs.Idle(); idle != held {
+			t.Fatalf("after a burst with batch frames serverBufs holds %d idle buffer(s), want the %d it held before", idle, held)
+		}
+		if got, ok := n.store.Get(burstEntry(10_000 + 48*64 + 63).GUID); !ok || got.Version != 10_000+48*64+64 {
+			t.Fatalf("the last batch insert stored %+v, %v", got, ok)
 		}
 	})
+}
+
+// appendFrame appends an identified frame of type typ under id.
+func appendFrame(t *testing.T, dst []byte, typ wire.MsgType, id uint64, body []byte) []byte {
+	t.Helper()
+	dst, err := wire.AppendFrameID(dst, typ, id, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }
 
 // TestBufferFillingLookupIsRefused: a MsgLookup whose payload fills the
@@ -262,7 +301,7 @@ func TestInlineBurstTakesNothingFromPool(t *testing.T) {
 // BadRequest under its own ID — a lookup is one GUID — and the
 // connection goes on serving the frames behind it.
 func TestBufferFillingLookupIsRefused(t *testing.T) {
-	n := New(nil, nil)
+	n := NewWithOptions(nil, Options{})
 	if _, err := n.store.Put(burstEntry(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -446,12 +485,12 @@ func batchFrame(t *testing.T, dst []byte, id uint64, from, count int) []byte {
 	return dst
 }
 
-// TestMixedBurstNothingStranded puts heavy frames (batch inserts, served
-// by workers) and light ones (pings or lookups, served on the read loop)
-// in a single write. Every frame must be answered under its own request
-// ID: in particular no light reply may sit corked in the Writer's pending
-// buffer waiting for a flush that a batch's worker already did, or that
-// the read loop owed before it blocked handing a batch to a busy pool.
+// TestMixedBurstNothingStranded puts heavy frames (batch inserts, one
+// larger than the read buffer) and light ones (pings or lookups) in a
+// single write. Every frame must be answered under its own request ID, in
+// the order the frames were sent — one goroutine serves them all — and no
+// reply may sit corked in the Writer's pending buffer once the burst is
+// read.
 func TestMixedBurstNothingStranded(t *testing.T) {
 	const light = 32
 	cases := []struct {
@@ -462,16 +501,18 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 	}{
 		{"batch-then-pings", wire.MsgPing, 1, wire.MaxBatch},
 		{"batch-then-lookups", wire.MsgLookup, 1, wire.MaxBatch},
-		// More heavy frames than workers, in one read buffer, light frames
-		// before, between and after them: the hand-off blocks mid-burst.
-		{"more-batches-than-workers", wire.MsgLookup, maxConnWorkers + 8, 2},
+		// Forty small heavy frames in one read buffer, light frames before,
+		// between and after them.
+		{"more-batches-than-workers", wire.MsgLookup, 40, 2},
 	}
 	atProcs(t, func(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				n := New(nil, nil)
+				n := NewWithOptions(nil, Options{})
 				conn, _ := serveCounted(t, n)
+				var order []uint64 // request IDs as sent
 				addLight := func(reqs []byte, i int) []byte {
+					order = append(order, uint64(1000+i))
 					if tc.lightType == wire.MsgLookup {
 						return lookupFrame(t, reqs, uint64(1000+i), i)
 					}
@@ -489,6 +530,7 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 					}
 				}
 				for h := 0; h < tc.heavy; h++ {
+					order = append(order, uint64(1+h))
 					reqs = batchFrame(t, reqs, uint64(1+h), h*tc.perBatch, tc.perBatch)
 					if tc.heavy > 1 && h%8 == 7 && sent < light/2 {
 						reqs = addLight(reqs, sent)
@@ -503,7 +545,6 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 				}
 				rd := wire.NewReader(conn)
 				seen := make(map[uint64]bool)
-				lightBeforeAck := 0
 				for len(seen) < light+tc.heavy {
 					typ, id, body, err := rd.Next(freshBuf)
 					if err != nil {
@@ -511,6 +552,9 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 					}
 					if seen[id] {
 						t.Fatalf("reply id %d repeated", id)
+					}
+					if want := order[len(seen)]; id != want {
+						t.Fatalf("reply %d answers id %d, want %d: replies leave in the order their frames were sent", len(seen), id, want)
 					}
 					seen[id] = true
 					switch {
@@ -525,9 +569,6 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 							}
 						}
 					case id >= 1000 && id < 1000+light:
-						if _, acked := seen[1]; !acked {
-							lightBeforeAck++
-						}
 						if tc.lightType == wire.MsgPing {
 							if typ != wire.MsgPong || len(body) != 0 {
 								t.Fatalf("reply id %d = (%v, %d bytes), want an empty MsgPong", id, typ, len(body))
@@ -542,16 +583,6 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 				if got := n.store.Len(); got != tc.heavy*tc.perBatch {
 					t.Fatalf("store holds %d entries, want %d", got, tc.heavy*tc.perBatch)
 				}
-				if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != light || wk != int64(tc.heavy) {
-					t.Fatalf("frames_inline = %d, frames_worker = %d; want %d, %d", in, wk, light, tc.heavy)
-				}
-				// On one P the order is determined: the batch's worker starts
-				// with the frame in hand and first runs when the read loop
-				// blocks, which it does only with the burst answered and
-				// flushed. (With more Ps the worker runs beside the loop.)
-				if runtime.GOMAXPROCS(0) == 1 && tc.heavy == 1 && lightBeforeAck != light {
-					t.Fatalf("%d of %d light replies arrived before the batch ack at GOMAXPROCS=1, want all", lightBeforeAck, light)
-				}
 			})
 		}
 	})
@@ -563,7 +594,7 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 // they arrive before the second half is sent.
 func TestHalfFrameDoesNotCorkReplies(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		conn, _ := serveCounted(t, New(nil, nil))
+		conn, _ := serveCounted(t, NewWithOptions(nil, Options{}))
 		var reqs []byte
 		for i := 0; i < 4; i++ {
 			reqs = lookupFrame(t, reqs, uint64(1+i), i)
@@ -594,7 +625,7 @@ func TestHalfFrameDoesNotCorkReplies(t *testing.T) {
 // reads as buffered, so the loop reaches it with the replies to the
 // frames before it still corked; they go out before the connection ends.
 func TestRefusedHeaderDoesNotStrandReplies(t *testing.T) {
-	conn, _ := serveCounted(t, New(nil, nil))
+	conn, _ := serveCounted(t, NewWithOptions(nil, Options{}))
 	var reqs []byte
 	for i := 0; i < 3; i++ {
 		reqs = lookupFrame(t, reqs, uint64(1+i), i)
@@ -623,7 +654,7 @@ type gate struct {
 }
 
 func newGate() *gate {
-	return &gate{entered: make(chan struct{}, 4*maxConnWorkers), open: make(chan struct{})}
+	return &gate{entered: make(chan struct{}, 256), open: make(chan struct{})}
 }
 
 func (g *gate) Write(b []byte) (int, error) {
@@ -632,136 +663,132 @@ func (g *gate) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// TestBusyPoolHandOffFlushesCorkedReplies occupies every worker of a
-// connection, then sends lookups, one more heavy frame and more lookups
-// in one write. The read loop blocks handing the heavy frame to the busy
-// pool; the replies it had enqueued by then must be out already — not
-// waiting, corked, for a worker to free up.
-func TestBusyPoolHandOffFlushesCorkedReplies(t *testing.T) {
+// TestOneGoroutinePerConnection: one goroutine serves a connection,
+// whatever its peer pipelines. 64 malformed batch inserts — each logs at
+// warn, and the first blocks in the shut gate — then a delete and a
+// repair digest go in one write: while the gate is shut the node runs no
+// goroutine beyond the connection's one, and once it opens every frame is
+// answered under its own ID, in the order sent.
+func TestOneGoroutinePerConnection(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		g := newGate()
 		var once sync.Once
 		release := func() { once.Do(func() { close(g.open) }) }
-		n := New(nil, trace.NewLogger(g, trace.LevelWarn))
-		conn, _ := serveCounted(t, n)
-		t.Cleanup(release) // registered last, runs first: the workers must finish for serveConn to return
-		badBatch := func(reqs []byte, id uint64) []byte {
-			reqs, err := wire.AppendFrameID(reqs, wire.MsgBatchInsert, id, []byte("not an entry"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return reqs
-		}
+		n := NewWithOptions(nil, Options{Logger: trace.NewLogger(g, trace.LevelWarn)})
+		base := runtime.NumGoroutine()
+		conn, _ := serveCounted(t, n, wire.FeatRepair)
+		t.Cleanup(release) // registered last, runs first: the loop must finish for serveConn to return
+		const heavy = 64
 		var reqs []byte
-		for w := 0; w < maxConnWorkers; w++ {
-			reqs = badBatch(reqs, uint64(1+w))
+		for id := uint64(1); id <= heavy; id++ {
+			reqs = appendFrame(t, reqs, wire.MsgBatchInsert, id, []byte("not an entry"))
 		}
+		digest, err := wire.AppendRepairDigest(nil, guid.GUID{}, guid.Max(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = appendFrame(t, reqs, wire.MsgDelete, heavy+1, wire.AppendGUID(nil, burstEntry(0).GUID))
+		reqs = appendFrame(t, reqs, wire.MsgRepairDigest, heavy+2, digest)
 		if _, err := conn.Write(reqs); err != nil {
 			t.Fatal(err)
 		}
-		// The logger serializes its writers, so one Write arriving at the
-		// gate is all there is to see; every other worker is behind it once
-		// frames_worker says the whole burst was handed off.
 		<-g.entered
-		for deadline := time.Now().Add(5 * time.Second); n.framesWorker.Value() != maxConnWorkers; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d heavy frames handed to workers", n.framesWorker.Value(), maxConnWorkers)
-			}
+		// A frame handed to a second goroutine would be started by now.
+		peak := 0
+		for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			peak = max(peak, runtime.NumGoroutine()-base)
 		}
-
-		const before, after = 5, 3
-		reqs = reqs[:0]
-		for i := 0; i < before; i++ {
-			reqs = lookupFrame(t, reqs, uint64(100+i), i)
-		}
-		reqs = badBatch(reqs, 99)
-		for i := 0; i < after; i++ {
-			reqs = lookupFrame(t, reqs, uint64(200+i), i)
-		}
-		if _, err := conn.Write(reqs); err != nil {
-			t.Fatal(err)
-		}
-		rd := wire.NewReader(conn)
-		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for i := 0; i < before; i++ {
-			typ, id, _, err := rd.Next(freshBuf)
-			if err != nil || typ != wire.MsgLookupResp || id != uint64(100+i) {
-				t.Fatalf("with the pool busy: reply = (%v, id %d, %v), want MsgLookupResp id %d (corked behind the hand-off?)", typ, id, err, 100+i)
-			}
+		if peak > 1 {
+			t.Fatalf("with its read loop blocked in a handler, the connection ran %d goroutines, want 1", peak)
 		}
 		release()
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		seen := make(map[uint64]wire.MsgType)
-		for len(seen) < maxConnWorkers+1+after {
+		rd := wire.NewReader(conn)
+		for want := uint64(1); want <= heavy+2; want++ {
 			typ, id, _, err := rd.Next(freshBuf)
-			if err != nil {
-				t.Fatalf("after %d further replies: %v", len(seen), err)
+			wantType := wire.MsgError
+			switch want {
+			case heavy + 1:
+				wantType = wire.MsgDeleteAck
+			case heavy + 2:
+				wantType = wire.MsgRepairDiff
 			}
-			seen[id] = typ
-		}
-		for id := uint64(200); id < 200+after; id++ {
-			if seen[id] != wire.MsgLookupResp {
-				t.Fatalf("reply id %d = %v, want MsgLookupResp", id, seen[id])
+			if err != nil || id != want || typ != wantType {
+				t.Fatalf("reply = (%v, id %d, %v), want %v id %d", typ, id, err, wantType, want)
 			}
-		}
-		if seen[99] != wire.MsgError {
-			t.Fatalf("reply id 99 = %v, want MsgError", seen[99])
 		}
 	})
 }
 
-// TestCorkedBytesBounded pipelines far more lookups than one read buffer
-// holds. However the bytes arrive, no flush may carry more than the
-// replies to one 16 KiB read buffer of requests.
+// TestCorkedBytesBounded pipelines far more lookups, and then batch
+// lookups, than one read buffer holds. However the bytes arrive, no flush
+// may carry more than the replies to one 16 KiB read buffer of requests.
 func TestCorkedBytesBounded(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		const burst = 4096
-		n := New(nil, nil)
-		if _, err := n.store.Put(burstEntry(0)); err != nil {
-			t.Fatal(err)
+		n := NewWithOptions(nil, Options{})
+		_, insert, lookup := batchFrames(t, 64)
+		if typ, _ := n.handle(wire.MsgBatchInsert, insert, nil, nil, nil, time.Now()); typ != wire.MsgBatchInsertAck {
+			t.Fatalf("batch insert answered %v", typ)
 		}
-		conn, cc := serveCounted(t, n)
-		one := lookupFrame(t, nil, 1, 0)
-		reqs := bytes.Repeat(one, burst) // one hit, asked 4096 times under one ID
-		werr := make(chan error, 1)
-		go func() {
-			_, err := conn.Write(reqs)
-			werr <- err
-		}()
-		rd := wire.NewReader(conn)
-		replyLen := 0
-		for i := 0; i < burst; i++ {
-			typ, _, body, err := rd.Next(freshBuf)
-			if err != nil || typ != wire.MsgLookupResp {
-				t.Fatalf("reply %d = (%v, %v)", i, typ, err)
+		for _, c := range []struct {
+			name  string
+			one   []byte
+			burst int
+		}{
+			{"lookups", lookupFrame(t, nil, 1, 0), 4096}, // one hit, asked 4096 times under one ID
+			{"batch lookups", appendFrame(t, nil, wire.MsgBatchLookup, 1, lookup), 256},
+		} {
+			conn, cc := serveCounted(t, n)
+			reqs := bytes.Repeat(c.one, c.burst)
+			werr := make(chan error, 1)
+			go func() {
+				_, err := conn.Write(reqs)
+				werr <- err
+			}()
+			rd := wire.NewReader(conn)
+			replyLen := 0
+			for i := 0; i < c.burst; i++ {
+				typ, _, body, err := rd.Next(freshBuf)
+				if err != nil || (typ != wire.MsgLookupResp && typ != wire.MsgBatchLookupResp) {
+					t.Fatalf("%s: reply %d = (%v, %v)", c.name, i, typ, err)
+				}
+				replyLen = wire.FrameIDHeaderLen + len(body)
 			}
-			replyLen = wire.FrameIDHeaderLen + len(body)
-		}
-		if err := <-werr; err != nil {
-			t.Fatal(err)
-		}
-		bound := int64((16*1024/len(one) + 1) * replyLen)
-		t.Logf("%d lookups: %d Writes, largest %d bytes (bound %d)", burst, cc.writes.Load(), cc.maxWrite.Load(), bound)
-		if got := cc.maxWrite.Load(); got > bound {
-			t.Fatalf("a flush carried %d bytes, more than the %d that answer one read buffer", got, bound)
+			if err := <-werr; err != nil {
+				t.Fatal(err)
+			}
+			bound := int64((16*1024/len(c.one) + 1) * replyLen)
+			t.Logf("%d %s: %d Writes, largest %d bytes (bound %d)", c.burst, c.name, cc.writes.Load(), cc.maxWrite.Load(), bound)
+			if got := cc.maxWrite.Load(); got > bound {
+				t.Fatalf("%s: a flush carried %d bytes, more than the %d that answer one read buffer", c.name, got, bound)
+			}
 		}
 	})
 }
 
-// TestInlineLookupShed: a lookup served on the read loop passes the same
-// admission as a worker's frame. Refused by the connection's limiter or
-// by the node's it gets that limit's pre-encoded shed reply and ticks
-// that limit's counter, and it is served once there is room.
+// TestInlineLookupShed: a lookup passes admission where it is read.
+// Refused by the connection's limit or by the node's it gets that limit's
+// pre-encoded shed reply and ticks that limit's counter, and it is served
+// once there is room.
 func TestInlineLookupShed(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxInflight: 1, MaxConnInflight: 1})
-	ca := &limiter{max: n.maxConnInflight}
 	conn, cc := tcpPair(t)
-	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0, ca) })
+	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0) })
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	ask := func(id uint64) (wire.MsgType, []byte) {
+	// ask sends a lookup, after a ping in the same write when ping is set,
+	// and returns the lookup's reply.
+	ask := func(id uint64, ping bool) (wire.MsgType, []byte) {
 		t.Helper()
-		if _, err := conn.Write(lookupFrame(t, nil, id, 0)); err != nil {
+		var reqs []byte
+		if ping {
+			reqs = appendFrame(t, nil, wire.MsgPing, 99, nil)
+		}
+		if _, err := conn.Write(lookupFrame(t, reqs, id, 0)); err != nil {
 			t.Fatal(err)
+		}
+		if ping {
+			if typ, got, _, err := wire.ReadFrameID(conn); err != nil || typ != wire.MsgPong || got != 99 {
+				t.Fatalf("ping reply = (%v, id %d, %v), want MsgPong id 99", typ, got, err)
+			}
 		}
 		typ, got, body, err := wire.ReadFrameID(conn)
 		if err != nil || got != id {
@@ -770,28 +797,28 @@ func TestInlineLookupShed(t *testing.T) {
 		return typ, body
 	}
 
-	ca.acquire() // the connection at its limit
-	if typ, body := ask(1); typ != wire.MsgError || !bytes.Equal(body, shedConnBody) {
+	// The connection at its limit: a ping, never shed, takes its one slot,
+	// and the lookup read in the same burst is over it.
+	if typ, body := ask(1, true); typ != wire.MsgError || !bytes.Equal(body, shedConnBody) {
 		t.Fatalf("over the connection limit: (%v, %q), want the pre-encoded connection shed", typ, body)
 	}
-	ca.release()
 	n.admit.acquire() // the node at its limit
-	if typ, body := ask(2); typ != wire.MsgError || !bytes.Equal(body, shedGlobalBody) {
+	if typ, body := ask(2, false); typ != wire.MsgError || !bytes.Equal(body, shedGlobalBody) {
 		t.Fatalf("over the node limit: (%v, %q), want the pre-encoded node shed", typ, body)
 	}
 	n.admit.release()
-	if typ, _ := ask(3); typ != wire.MsgLookupResp {
+	if typ, _ := ask(3, false); typ != wire.MsgLookupResp {
 		t.Fatalf("with room again: %v, want MsgLookupResp", typ)
 	}
 	if c, g := n.shedsConn.Value(), n.shedsGlobal.Value(); c != 1 || g != 1 {
 		t.Fatalf("sheds_conn = %d, sheds_global = %d; want 1, 1", c, g)
 	}
-	if all, in, wk := n.v2Frames.Value(), n.framesInline.Value(), n.framesWorker.Value(); all != 3 || in != 1 || wk != 0 {
-		t.Fatalf("v2_frames = %d, frames_inline = %d, frames_worker = %d; want 3, 1, 0 (a shed frame is neither)", all, in, wk)
+	if all, served := n.v2Frames.Value(), n.lookups.Value(); all != 4 || served != 1 {
+		t.Fatalf("v2_frames = %d, lookups = %d; want 4, 1 (a shed frame is not served)", all, served)
 	}
-	// A frame served on the loop stays in flight until its burst's flush,
-	// so a limit bounds a pipelined burst of lookups as it did when each
-	// went to a worker: of 64 in one write at most one per read is served.
+	// A frame stays in flight until its burst's flush, so a limit bounds a
+	// pipelined burst of lookups: of 64 in one write at most one per read
+	// is served.
 	const burst = 64
 	var reqs []byte
 	for i := 0; i < burst; i++ {
@@ -814,10 +841,17 @@ func TestInlineLookupShed(t *testing.T) {
 	if served == 0 || served > 16 || n.shedsConn.Value() != int64(1+burst-served) {
 		t.Fatalf("burst of %d over a connection limit of 1: %d served, sheds_conn = %d; want one served per read and the rest shed", burst, served, n.shedsConn.Value())
 	}
-	// The loop releases a burst's claims after the flush that sent them.
-	for deadline := time.Now().Add(5 * time.Second); ca.inflight() != 0 || n.admit.inflight() != 0; time.Sleep(time.Millisecond) {
+	// The loop releases a burst's claims after the flush that sent them;
+	// every frame the connection counts holds a node slot.
+	waitNoClaims(t, n)
+}
+
+// waitNoClaims waits for the node's in-flight count to drain to zero.
+func waitNoClaims(t *testing.T, n *Node) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); n.admit.inflight() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("claims left behind: conn=%d node=%d", ca.inflight(), n.admit.inflight())
+			t.Fatalf("claims left behind: node=%d", n.admit.inflight())
 		}
 	}
 }
@@ -828,9 +862,8 @@ func TestInlineLookupShed(t *testing.T) {
 // where they were read; every claim is back once the burst is answered.
 func TestStagedInsertsHoldSlotsToFlush(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxConnInflight: 2})
-	ca := &limiter{max: n.maxConnInflight}
 	conn, cc := tcpPair(t)
-	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0, ca) })
+	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0) })
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	const burst = 16
 	var reqs []byte
@@ -853,19 +886,14 @@ func TestStagedInsertsHoldSlotsToFlush(t *testing.T) {
 	if acked == 0 || acked > 2*int(reads) || n.store.Len() != acked || n.shedsConn.Value() != int64(burst-acked) {
 		t.Fatalf("%d inserts over a connection limit of 2 in %d reads: %d acked, %d stored, sheds_conn %d; want at most 2 a read, the rest shed", burst, reads, acked, n.store.Len(), n.shedsConn.Value())
 	}
-	for deadline := time.Now().Add(5 * time.Second); ca.inflight() != 0 || n.admit.inflight() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("claims left behind: conn=%d node=%d", ca.inflight(), n.admit.inflight())
-		}
-	}
+	waitNoClaims(t, n)
 }
 
-// TestInlineFramesObservedLikeWorkerFrames: the read loop and the workers
-// run one serveFrameV2, so a traced lookup served inline, and a traced
-// insert staged there and committed by the flush, are joined into server
-// spans with their store children, captured as slow ops, profiled as hot
-// keys and timed, like the frames a worker serves; and only the three
-// single-GUID types are served inline.
+// TestInlineFramesObservedLikeWorkerFrames: every frame is served by one
+// serveFrameV2 on the read loop, so a traced lookup, and a traced insert
+// staged there and committed by the flush, are joined into server spans
+// with their store children, captured as slow ops, profiled as hot keys
+// and timed, beside batch, repair and delete frames served the same way.
 func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
 	tr := trace.New(trace.Config{SlowOp: time.Nanosecond})
 	n := NewWithOptions(nil, Options{Tracer: tr, HotKeys: trace.NewHotKeys(4)})
@@ -915,8 +943,8 @@ func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
 			t.Fatalf("reply id %d = (%v, %v)", id, typ, err)
 		}
 	}
-	if in, wk := n.framesInline.Value(), n.framesWorker.Value(); in != 3 || wk != 4 {
-		t.Fatalf("frames_inline = %d, frames_worker = %d; want 3 (insert, lookup, ping) and 4", in, wk)
+	if got := n.v2Frames.Value(); got != int64(len(frames)) {
+		t.Fatalf("v2_frames = %d, want %d", got, len(frames))
 	}
 	spans := make(map[string]bool)
 	for _, v := range tr.Traces() {
@@ -955,19 +983,17 @@ var errWrite = errors.New("injected write failure")
 func (c *failingConn) Write([]byte) (int, error) { return 0, errWrite }
 func (c *failingConn) Close() error              { c.closes.Add(1); return c.Conn.Close() }
 
-// TestFailedFlushKillsConnection: the read loop's own flush failing is a
-// failed write like a worker's — the Writer reports it once, the
-// connection is closed, the loop's next read fails and it returns with
-// every claim released.
+// TestFailedFlushKillsConnection: the read loop's flush failing — the
+// Writer reports it once, the connection is closed, the loop's next read
+// fails and it returns with every claim released.
 func TestFailedFlushKillsConnection(t *testing.T) {
-	n := New(nil, nil)
+	n := NewWithOptions(nil, Options{})
 	conn, cc := tcpPair(t)
 	fc := &failingConn{Conn: cc}
-	ca := &limiter{}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n.serveConnV2(fc, 0, ca)
+		n.serveConnV2(fc, 0)
 	}()
 	defer conn.Close()
 	var reqs []byte
@@ -985,40 +1011,79 @@ func TestFailedFlushKillsConnection(t *testing.T) {
 	if got := fc.closes.Load(); got != 1 {
 		t.Fatalf("connection closed %d times by the failed flush, want once", got)
 	}
-	if ca.inflight() != 0 || n.admit.inflight() != 0 {
-		t.Fatalf("claims left behind: conn=%d node=%d", ca.inflight(), n.admit.inflight())
+	if n.admit.inflight() != 0 {
+		t.Fatalf("claims left behind: node=%d", n.admit.inflight())
 	}
 }
 
 // TestIdleV2ConnHoldsNoPooledBuffer: a connection blocked waiting for its
 // next frame must have taken nothing from serverBufs — no payload
-// buffer drawn ahead of the read, nothing kept from the handshake. The
-// pool is pre-filled so every Get is served from it and a buffer not
-// given back shows as a lower idle count.
+// buffer drawn ahead of the read, nothing kept from the handshake or
+// from the frame it served last: a ping, a batch insert larger than the
+// read buffer (its payload is pooled) or a MaxBatch-GUID batch lookup
+// (its reply is). The pool is pre-filled so every Get is served from it
+// and a buffer not given back shows as a lower idle count.
 func TestIdleV2ConnHoldsNoPooledBuffer(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		serverBufs.Put(make([]byte, 0, 512))
 	}
 	idle := serverBufs.Idle()
-	conn, _ := serveCounted(t, New(nil, nil))
-	// One round trip proves the v2 loop is up; afterwards the connection
-	// is idle again and the worker has released its buffers.
-	ping, err := wire.AppendFrameID(nil, wire.MsgPing, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	conn, _ := serveCounted(t, NewWithOptions(nil, Options{}))
+	_, insert, lookup := batchFrames(t, wire.MaxBatch)
+	if len(insert) <= wire.MaxFrame {
+		t.Fatalf("a %d-byte batch insert fits the read buffer", len(insert))
 	}
-	if _, err := conn.Write(ping); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, _, err := wire.ReadFrameID(conn); err != nil || typ != wire.MsgPong {
-		t.Fatalf("ping reply = (%v, %v)", typ, err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for serverBufs.Idle() != idle {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle v2 connection holds %d pooled buffer(s)", idle-serverBufs.Idle())
+	for _, c := range []struct {
+		typ, want wire.MsgType
+		body      []byte
+	}{
+		{wire.MsgPing, wire.MsgPong, nil},
+		{wire.MsgBatchInsert, wire.MsgBatchInsertAck, insert},
+		{wire.MsgBatchLookup, wire.MsgBatchLookupResp, lookup},
+	} {
+		if _, err := conn.Write(appendFrame(t, nil, c.typ, 1, c.body)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if typ, _, _, err := wire.ReadFrameID(conn); err != nil || typ != c.want {
+			t.Fatalf("%v reply = (%v, %v), want %v", c.typ, typ, err, c.want)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for serverBufs.Idle() != idle {
+			if time.Now().After(deadline) {
+				t.Fatalf("after a %v, the idle v2 connection holds %d pooled buffer(s)", c.typ, idle-serverBufs.Idle())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestDeleteWithTrailingBytesIsRefused: a delete is one GUID. A payload
+// with bytes after it is refused BadRequest under its own ID, deletes
+// nothing, and the connection goes on serving.
+func TestDeleteWithTrailingBytesIsRefused(t *testing.T) {
+	n := NewWithOptions(nil, Options{})
+	e := burstEntry(0)
+	if _, err := n.store.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	conn, _ := serveCounted(t, n)
+	reqs := appendFrame(t, nil, wire.MsgDelete, 7, append(wire.AppendGUID(nil, e.GUID), "junk"...))
+	if _, err := conn.Write(appendFrame(t, reqs, wire.MsgPing, 8, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, id, body, err := wire.ReadFrameID(conn); err != nil || id != 7 || typ != wire.MsgError {
+		t.Fatalf("delete with trailing bytes answered (%v, id %d, %v), want MsgError id 7", typ, id, err)
+	} else if kind, _, derr := wire.DecodeErrorKind(body); derr != nil || kind != wire.ErrKindBadRequest {
+		t.Fatalf("refusal kind %v (%v), want BadRequest", kind, derr)
+	}
+	if typ, id, _, err := wire.ReadFrameID(conn); err != nil || id != 8 || typ != wire.MsgPong {
+		t.Fatalf("ping behind it answered (%v, id %d, %v)", typ, id, err)
+	}
+	if _, ok := n.store.Get(e.GUID); !ok {
+		t.Fatal("a refused delete deleted the entry")
+	}
+	if st := n.Stats(); st.BadRequests != 1 || st.Deletes != 0 {
+		t.Fatalf("bad_requests = %d, deletes = %d; want 1, 0", st.BadRequests, st.Deletes)
 	}
 }
 
@@ -1027,7 +1092,7 @@ func TestIdleV2ConnHoldsNoPooledBuffer(t *testing.T) {
 // then wire.AppendBatchLookupResp — now that handle encodes each entry
 // under store.View straight into the response.
 func TestBatchLookupBytesMatchStagedEncoder(t *testing.T) {
-	n := New(nil, nil)
+	n := NewWithOptions(nil, Options{})
 	var gs []guid.GUID
 	for i := 0; i < 200; i++ {
 		e := burstEntry(i)

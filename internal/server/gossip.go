@@ -215,24 +215,23 @@ func pushWanted(gc *wire.Conn, entries []store.Entry) (int, error) {
 	return pushed, nil
 }
 
-// handleRepairDigest answers one MsgRepairDigest on a worker. The
-// caller has already verified FeatRepair was negotiated. A draining
-// node answers with wantMissing=false: it keeps exporting its fresher
-// copies but asks for nothing — the handoff posture.
-func (n *Node) handleRepairDigest(w *wire.Writer, id uint64, payload []byte) {
+// handleRepairDigest answers one MsgRepairDigest into dst, as handle
+// answers the other frames. The caller has already verified FeatRepair
+// was negotiated. A draining node answers with wantMissing=false: it
+// keeps exporting its fresher copies but asks for nothing — the handoff
+// posture.
+func (n *Node) handleRepairDigest(payload, dst []byte) (wire.MsgType, []byte) {
 	after, through, page, err := wire.DecodeRepairDigest(payload)
 	if err != nil {
 		n.badReqs.Add(1)
-		_ = w.WriteFrameID(wire.MsgError, id, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "malformed repair digest"))
-		return
+		return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed repair digest")
 	}
 	n.repairDigestsRecv.Add(1)
 	newer, want, covered := core.DiffRangeIn(n.store, after, through, page, !n.draining.Load(), wire.MaxBatch, nil)
-	body, err := wire.AppendRepairDiff(nil, covered, newer, want)
+	out, err := wire.AppendRepairDiff(dst, covered, newer, want)
 	if err != nil {
 		n.countErr()
-		_ = w.WriteFrameID(wire.MsgError, id, wire.AppendErrorKind(nil, wire.ErrKindInternal, "repair diff encode failed"))
-		return
+		return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindInternal, "repair diff encode failed")
 	}
-	_ = w.WriteFrameID(wire.MsgRepairDiff, id, body)
+	return wire.MsgRepairDiff, out
 }

@@ -47,7 +47,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // and pushes back its own fresher ones — without the peer ever
 // sweeping.
 func TestGossipConvergesTwoNodes(t *testing.T) {
-	peer := New(nil, nil)
+	peer := NewWithOptions(nil, Options{})
 	peerAddr, err := peer.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestGossipConvergesTwoNodes(t *testing.T) {
 // wire.MaxBatch pushes one answer carries, so the sweep must resume
 // inside it: more pages than shards.
 func TestGossipRepairsEmptyRestartedNode(t *testing.T) {
-	peer := New(nil, nil)
+	peer := NewWithOptions(nil, Options{})
 	const n = 4500
 	for i := 0; i < n; i++ {
 		putAll(t, peer.Store(), gossipEntry(fmt.Sprintf("bulk-%d", i), uint64(1+i%3)))

@@ -169,7 +169,7 @@ func FuzzServerFirstFrame(f *testing.F) {
 			}
 		}
 
-		n := New(nil, nil)
+		n := NewWithOptions(nil, Options{})
 		srv, cli := net.Pipe()
 		done := make(chan struct{})
 		go func() {

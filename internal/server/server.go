@@ -28,8 +28,8 @@ import (
 	"dmap/internal/wire"
 )
 
-// Node is a TCP mapping server. Create with New, start with Serve or
-// Start, stop with Close.
+// Node is a TCP mapping server. Create with NewWithOptions or Open, start
+// with Start, stop with Close.
 type Node struct {
 	store *store.Store
 	// ownsStore marks a store this node opened itself (Open): Close
@@ -60,9 +60,9 @@ type Node struct {
 	draining atomic.Bool
 
 	// admit is the global in-flight admission limiter; every request
-	// frame claims a slot here (and in its connection's own limiter)
-	// before dispatch, or is answered with an ErrKindShed MsgError.
-	// maxConnInflight seeds each connection's limiter.
+	// frame claims a slot here before it is served, or is answered with
+	// an ErrKindShed MsgError. maxConnInflight bounds the frames one
+	// connection's read loop serves between two flushes.
 	admit           limiter
 	maxConnInflight int64
 
@@ -77,8 +77,8 @@ type Node struct {
 
 	// All operational counters live on the node's metrics registry —
 	// the same numbers Stats() reports are what /debug/metrics serves.
-	// Handles are resolved once in New; the request path never touches
-	// the registry's lock.
+	// Handles are resolved once in NewWithOptions; the request path never
+	// touches the registry's lock.
 	reg     *metrics.Registry
 	inserts *metrics.Counter
 	lookups *metrics.Counter
@@ -104,10 +104,6 @@ type Node struct {
 	hBatchLkp  *metrics.Histogram
 	v2Conns    *metrics.Counter
 	v2Frames   *metrics.Counter
-	// Admitted frames by who served them: the connection's read loop (the
-	// fast path, memory-only types) or its worker pool. Shed ones: neither.
-	framesInline *metrics.Counter
-	framesWorker *metrics.Counter
 	// Anti-entropy repair activity, both roles: sweeps/digests_sent/
 	// pulled/pushed/backoffs/peer_errors count this node sweeping its
 	// peers; digests_recv counts pages answered for peers sweeping it.
@@ -175,12 +171,6 @@ type Options struct {
 	Gossip GossipOptions
 }
 
-// New creates a node around st (a fresh store if nil). logger may be nil
-// to discard logs.
-func New(st *store.Store, logger *trace.Logger) *Node {
-	return NewWithOptions(st, Options{Logger: logger})
-}
-
 // Open creates a node backed by a durable store in opts.DataDir: it
 // recovers whatever a previous process persisted (snapshot + WAL tail,
 // tolerating a torn final record), then serves from it. The node owns
@@ -235,9 +225,6 @@ func NewWithOptions(st *store.Store, opts Options) *Node {
 		hBatchLkp:   reg.Histogram("server.op.batch_lookup_us"),
 		v2Conns:     reg.Counter("server.v2_conns"),
 		v2Frames:    reg.Counter("server.v2_frames"),
-
-		framesInline: reg.Counter("server.frames_inline"),
-		framesWorker: reg.Counter("server.frames_worker"),
 
 		repairSweeps:      reg.Counter("server.repair.sweeps"),
 		repairDigestsSent: reg.Counter("server.repair.digests_sent"),
@@ -447,7 +434,7 @@ func (n *Node) countErr() {
 }
 
 // handle executes one decoded request and returns the response frame.
-// It is safe for concurrent use — a connection's workers all call it —
+// It is safe for concurrent use — every connection's read loop calls it —
 // since the store has its own locking and every counter is atomic. sp,
 // when non-nil, is the request's server-side span: handle attaches a
 // store child span around the state access.
@@ -500,8 +487,8 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 			sp.Eventf("rejected: draining")
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindDraining, "draining: writes refused")
 		}
-		g, _, err := wire.DecodeGUID(payload)
-		if err != nil {
+		g, rest, err := wire.DecodeGUID(payload)
+		if err != nil || len(rest) != 0 { // a delete is one GUID
 			n.badReqs.Add(1)
 			return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed delete")
 		}
@@ -644,10 +631,11 @@ func (n *Node) putBatch(body []byte) ([]bool, error) {
 	return acked, nil
 }
 
-// serverBufs recycles read, scratch and response buffers across every
-// connection and worker on the node. See DESIGN.md §9 for the ownership
-// rules: a buffer obtained from the pool is owned until Put, and
-// nothing decoded from it may alias it after release.
+// serverBufs recycles the payloads too large for a read buffer and the
+// batch and repair replies across every connection on the node. See
+// DESIGN.md §9 for the ownership rules: a buffer obtained from the pool
+// is owned until Put, and nothing decoded from it may alias it after
+// release.
 var serverBufs = wire.NewBufPool(256)
 
 // helloTimeout bounds the handshake, the server's half of it: a peer
@@ -702,57 +690,35 @@ func (n *Node) serveConn(conn net.Conn) {
 	_ = conn.SetDeadline(time.Time{})
 	n.v2Conns.Add(1)
 	n.logger.Debug("connection open", "remote", conn.RemoteAddr(), "feat", granted)
-	n.serveConnV2(conn, granted, &limiter{max: n.maxConnInflight})
-}
-
-// maxConnWorkers bounds concurrent handlers per v2 connection. Beyond
-// this, reads pause and TCP backpressure throttles the peer — a
-// misbehaving client cannot fan unbounded goroutines out of one socket.
-const maxConnWorkers = 32
-
-// v2Work is one identified frame on its way to whoever serves it, by
-// value, so handing it to a worker through the unbuffered channel
-// allocates nothing. A worker's payload is pool-owned and the worker
-// releases it; the read loop's is a view into the wire.Reader's buffer.
-type v2Work struct {
-	t       wire.MsgType
-	id      uint64
-	payload []byte
-}
-
-// inline reports whether the read loop serves a frame of type t itself.
-func inline(t wire.MsgType) bool {
-	bt := wire.BaseType(t)
-	return bt == wire.MsgLookup || bt == wire.MsgPing || bt == wire.MsgInsert
+	n.serveConnV2(conn, granted)
 }
 
 // requestBuf is the read loop's payload source (wire.Reader.Next): a view
-// for a frame the loop serves itself, a pooled copy for a worker's.
-func requestBuf(t wire.MsgType, n int) []byte {
-	if inline(t) {
+// into the reader's buffer for every frame that fits it, and a serverBufs
+// buffer for a larger one — a batch frame over MaxFrame — which the loop
+// releases once the frame is served.
+func requestBuf(_ wire.MsgType, n int) []byte {
+	if n <= wire.MaxFrame {
 		return nil
 	}
 	return serverBufs.Get(n)
 }
 
-// serveConnV2 serves identified frames a burst at a time (DESIGN.md §7).
-// One read(2) brings in every frame the peer pipelined. The single-GUID
-// ones — MsgLookup, MsgPing and MsgInsert, traced or not — are served
-// where they were read, from a view into the reader's buffer: lookups
-// and pings answered into one scratch buffer, each reply enqueued on the
-// connection's wire.Writer, inserts staged (insertRun). The loop
+// serveConnV2 serves identified frames a burst at a time (DESIGN.md §7),
+// every one of them on this goroutine, where it was read. One read(2)
+// brings in every frame the peer pipelined; each is admitted, served
+// through serveFrameV2 and its reply enqueued on the connection's
+// wire.Writer, a single insert staged instead (insertRun). The loop
 // flushes once when no whole frame is left in the reader's buffer,
 // committing the staged inserts first — a log write per shard — so their
-// acks leave in the same write. Everything else goes to a per-connection
-// worker pool, lazily spawned up to maxConnWorkers, whose workers write
-// through the same Writer in completion order — a slow batch insert does
-// not block the pings behind it. Responses carry the request ID they
+// acks leave in the same write. Responses carry the request ID they
 // answer; ordering is the client demuxer's job.
 //
-// The invariant: the read loop never blocks — in read, or handing a
-// frame to a busy pool, when TCP backpressure throttles the peer — with
-// a reply of its own enqueued and unflushed or an insert uncommitted.
-// Both are therefore bounded by one read buffer of frames.
+// The invariant: the loop never goes into a read that may block with a
+// reply enqueued and unflushed or an insert uncommitted, so both are
+// bounded by one read buffer of frames. A burst's replies wait for its
+// slowest frame, and a connection uses at most one core: a peer that
+// wants more parallelism opens more connections.
 //
 // feat holds the hello-granted feature flags: when FeatTrace was
 // negotiated, frames with the trace bit carry a trace-context prefix
@@ -761,37 +727,25 @@ func requestBuf(t wire.MsgType, n int) []byte {
 // simply an unknown type — handle answers MsgError, the interop
 // contract for peers that never asked for the extension.
 //
-// ca is the connection's admission limiter (created by serveConn). The
-// read loop claims per-conn + global slots for each frame before it is
-// served or handed off and answers refusals with a pre-encoded
-// ErrKindShed MsgError — so under overload the queue stops at the
-// limiter instead of stacking behind busy workers, and the peer learns
-// to back off rather than fail over. A frame is in flight until its
-// reply has been handed to the Writer's flusher: a worker releases the
-// claims once its write returns, the loop releases its burst's at the
-// flush — so a limit bounds a pipelined burst as it did when each frame
-// went to a worker — and both drain when the connection dies.
-func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
-	var wg sync.WaitGroup
+// Admission: each frame claims a global slot and counts in corked, the
+// frames served since the last flush, which is what the per-connection
+// limit bounds; a refusal is answered with a pre-encoded ErrKindShed
+// MsgError — so under overload the peer learns to back off rather than
+// fail over. A frame is in flight until the flush that carries its reply,
+// which releases the burst's slots; so do the flushes on the way out when
+// the connection dies.
+func (n *Node) serveConnV2(conn net.Conn, feat byte) {
 	// A failed flush desynchronizes nothing (identified framing), but the
 	// connection is done for: kill it, which also unblocks the read loop.
 	w := wire.NewWriter(conn, func(error) { conn.Close() })
-	// A worker's payload is copied out into a pooled buffer drawn only
-	// once its header is parsed, so an idle connection holds none.
 	rd := wire.NewReader(conn)
-	var scratch []byte // the read loop's reply buffer
-	work := make(chan v2Work)
-	workers := 0
-	defer wg.Wait()   // runs second: workers drain after close
-	defer close(work) // runs first: stop the workers
-	corked := 0       // frames served here whose replies wait for the flush
-	var run insertRun // the burst's inserts, committed by the flush
+	var scratch []byte // the loop's single-op reply buffer
+	var corked int64   // frames served since the last flush
+	var run insertRun  // the burst's inserts, committed by the flush
 	flush := func() {
 		n.commitInserts(&run, w, scratch)
 		_ = w.Flush()
-		for ; corked > 0; corked-- {
-			n.admitRelease(ca)
-		}
+		n.admitRelease(&corked)
 	}
 	for {
 		if !rd.Buffered() {
@@ -806,62 +760,31 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte, ca *limiter) {
 			return
 		}
 		n.v2Frames.Add(1)
-		if ok, global := n.tryAdmit(ca, wire.BaseType(t)); !ok {
+		if ok, global := n.tryAdmit(&corked, wire.BaseType(t)); ok {
+			scratch = n.serveFrameV2(conn, feat, w, &run, t, id, payload, scratch[:0])
+		} else {
 			// Refused where it was read, with zero allocations; the reply
 			// leaves with the burst's.
 			n.countShed(global)
 			_ = w.Enqueue(wire.MsgError, id, trace.Context{}, shedBody(global))
-			if !inline(t) {
-				serverBufs.Put(payload) // a view is not the pool's
-			}
-			continue
 		}
-		wk := v2Work{t: t, id: id, payload: payload}
-		if inline(t) {
-			n.framesInline.Add(1)
-			scratch = n.serveFrameV2(conn, feat, w, &run, wk, scratch[:0], w.Enqueue)
-			corked++
-			continue
-		}
-		n.framesWorker.Add(1)
-		select {
-		case work <- wk: // an idle worker exists
-		default:
-			if workers == maxConnWorkers {
-				flush() // every worker is busy: the hand-off blocks
-				work <- wk
-				continue
-			}
-			workers++
-			wg.Add(1)
-			go func(wk v2Work) { // a new worker starts with its first frame in hand
-				defer wg.Done()
-				for ok := true; ok; wk, ok = <-work {
-					dst := serverBufs.Get(0)
-					out := n.serveFrameV2(conn, feat, w, nil, wk, dst, w.WriteFrameIDTrace)
-					if cap(out) != cap(dst) {
-						serverBufs.Put(dst) // the response outgrew dst; recycle it too
-					}
-					serverBufs.Put(out)
-					serverBufs.Put(wk.payload)
-					n.admitRelease(ca)
-				}
-			}(wk)
+		if len(payload) > wire.MaxFrame {
+			serverBufs.Put(payload) // requestBuf's; a view is the reader's
 		}
 	}
 }
 
-// serveFrameV2 handles one identified frame and queues the response on
-// the connection's shared Writer through reply: a worker's coalescing
-// write, or the read loop's Enqueue, which leaves it corked for the
-// flush that ends the burst. On failure the Writer's onFail has closed
-// the connection already; there is nothing more to do here. The reply
-// is encoded into dst (len 0); serveFrameV2 returns dst, or the larger
-// buffer the reply outgrew it into, for the caller to reuse or release —
-// the Writer has copied it by then. wk.payload stays the caller's. A
-// MsgInsert — only the read loop is handed one — is staged in run instead.
-func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *insertRun, wk v2Work, dst []byte, reply func(wire.MsgType, uint64, trace.Context, []byte) error) []byte {
-	t, id, payload := wk.t, wk.id, wk.payload
+// serveFrameV2 serves one admitted frame and enqueues the reply on w,
+// corked for the flush that ends the burst; a MsgInsert is staged in run
+// instead, for that flush to commit and answer. On a failed write the
+// Writer's onFail has closed the connection already; there is nothing
+// more to do here. A single-op reply is encoded into dst (len 0), and
+// serveFrameV2 returns dst, or the larger buffer the reply outgrew it
+// into, for the loop to reuse. A batch or repair reply, up to a frame's
+// worth, is encoded into a serverBufs buffer instead, back in the pool
+// before serveFrameV2 returns: Enqueue has copied it. payload stays the
+// caller's.
+func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *insertRun, t wire.MsgType, id uint64, payload, dst []byte) []byte {
 	start := time.Now()
 	var tc trace.Context
 	if wire.IsTraced(t) && feat&wire.FeatTrace != 0 {
@@ -870,18 +793,10 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 		if terr != nil {
 			n.badReqs.Add(1)
 			out := wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed trace context")
-			_ = reply(wire.MsgError, id, trace.Context{}, out)
+			_ = w.Enqueue(wire.MsgError, id, trace.Context{}, out)
 			return out
 		}
 		t = wire.BaseType(t)
-	}
-	if t == wire.MsgRepairDigest && feat&wire.FeatRepair != 0 {
-		// Negotiated anti-entropy page (gossip.go): answered outside
-		// handle so the foreground single-op path stays branch-for-branch
-		// identical. Un-negotiated repair frames fall through to handle's
-		// unknown-frame rejection.
-		n.handleRepairDigest(w, id, payload)
-		return dst
 	}
 	var sp *trace.Span
 	if tc.Sampled {
@@ -906,13 +821,29 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 		}
 		return dst
 	}
-	respType, out := n.handle(t, payload, conn.RemoteAddr(), sp, dst, start)
+	buf, pooled := dst, t == wire.MsgBatchInsert || t == wire.MsgBatchLookup || t == wire.MsgRepairDigest
+	if pooled {
+		buf = serverBufs.Get(0)
+	}
+	var respType wire.MsgType
+	var out []byte
+	if t == wire.MsgRepairDigest && feat&wire.FeatRepair != 0 {
+		// A negotiated anti-entropy page (gossip.go). An un-negotiated one
+		// is handle's unknown frame.
+		respType, out = n.handleRepairDigest(payload, buf)
+	} else {
+		respType, out = n.handle(t, payload, conn.RemoteAddr(), sp, buf, start)
+	}
 	sp.End()
 	if n.tracer.SlowEnabled() {
 		n.tracer.ObserveServerOp("server."+t.String(), id, tc, start)
 	}
-	_ = reply(respType, id, trace.Context{}, out)
-	return out
+	_ = w.Enqueue(respType, id, trace.Context{}, out)
+	if !pooled {
+		return out
+	}
+	serverBufs.Put(out) // buf, or the buffer out outgrew it into: a smaller buf goes to the GC
+	return dst
 }
 
 // insertRun is the read loop's burst of inserts, decoded where they were

@@ -14,7 +14,7 @@ import (
 
 func startNode(t *testing.T) (*Node, string) {
 	t.Helper()
-	n := New(nil, nil)
+	n := NewWithOptions(nil, Options{})
 	addr, err := n.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestCloseIsIdempotentAndStopsAccepting(t *testing.T) {
 }
 
 func TestStartAfterCloseFails(t *testing.T) {
-	n := New(nil, nil)
+	n := NewWithOptions(nil, Options{})
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestStartAfterCloseFails(t *testing.T) {
 }
 
 func TestStartBadAddress(t *testing.T) {
-	n := New(nil, nil)
+	n := NewWithOptions(nil, Options{})
 	defer n.Close()
 	if _, err := n.Start("256.256.256.256:99999"); err == nil {
 		t.Fatal("bad address should fail")

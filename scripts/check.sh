@@ -5,14 +5,14 @@
 # engine's determinism guarantee (internal/engine) only holds if these
 # stay race-clean, and the networked stack (client failover, the
 # multiplexed transport and its demux reader, the server's handshake, its
-# burst-serving read loop and per-connection workers, drain, the chaos
-# test, the metrics registry) is only trustworthy under -race. The
-# connection layer runs at -cpu 1,4: the server answers lookups on the
-# read loop into a corked writer beside workers that write through the
-# same one, and which of them flushes whose frames is the scheduler's
-# choice. It runs once more with DMAP_POISON_BUFS=1: the read loop is
-# where a request view into the reader's buffer, or a reply in a pooled
-# one, could outlive its release. Running the wire tests also replays the
+# burst-serving read loop, drain, the chaos test, the metrics registry)
+# is only trustworthy under -race. The connection layer runs at -cpu 1,4:
+# the server serves every frame on one read loop per connection, into a
+# corked writer, beside the gossip sweeper and the node's other
+# connections, and how their work interleaves is the scheduler's choice.
+# It runs once more with DMAP_POISON_BUFS=1: the read loop is where a
+# request view into the reader's buffer, or a reply in a pooled one,
+# could outlive its release. Running the wire tests also replays the
 # checked-in fuzz seed corpus (FuzzDecodeFrame, FuzzDecodeFrameV2 et al.).
 # The store rides the race pass for its packed table: a mapping's first NA
 # and its further ones live in two maps under one shard lock, and
@@ -48,11 +48,11 @@ go test -race ./internal/trace/... ./internal/store/...
 # flush policy (yield once, then drain) is scheduler-dependent, and one P
 # is both the benchmark's configuration and the case where no goroutine
 # can append while a Write is in flight — coalescing there rests on the
-# yield alone, and so does the liveness of a lone frame. The server's
-# read loop corks the replies to the lookups it serves itself and shares
-# the Writer with its workers: on one P the order of their frames is
-# determined (and asserted), on four a worker may be mid-Write when the
-# loop flushes. -cpu 1 is GOMAXPROCS=1 spelled so that the test cache
+# yield alone, and so does the liveness of a lone frame. The server runs
+# one read loop per connection, which corks the replies to every frame it
+# serves and flushes once per drained read buffer: on one P and on four
+# its replies leave in request order (asserted), and it never runs a
+# second goroutine. -cpu 1 is GOMAXPROCS=1 spelled so that the test cache
 # keys on it: set through the environment, this pass would be served from
 # the pass above.
 go test -race -cpu 1 ./internal/wire/...
@@ -69,7 +69,7 @@ go test -race -cpu 1,4 ./internal/client/...
 go test -race -cpu 1,4 -count 20 -run 'TestMuxDeadline' ./internal/client
 # The anti-entropy sweep (core.Sweep) on one P and on four, under both of
 # its transports: the server's gossip goroutine over TCP beside its
-# request workers, and nodesim's event chains over simnet, plus the
+# connections' read loops, and nodesim's event chains over simnet, plus the
 # partition-heal experiment that times it.
 go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodesim ./internal/server ./internal/experiments
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
@@ -95,15 +95,16 @@ go test -race ./internal/crashtest/
 # of silently surviving. The fan-out tests ride along: a K-replica
 # operation's request payload is resent by retries, so it must stay out
 # of the pool until the last try is finished. So does the server's
-# connection layer, at -cpu 1,4: the read loop serves lookups, pings and
-# inserts from views into its wire.Reader's buffer and answers them from
-# one scratch buffer of its own, with no pool trip, while its workers
-# still take pooled copies and pooled replies — a worker reply that
-# aliased a released buffer reads 0xA5, and the inline and cork tests
-# check every reply's bytes, so a request view that outlived its Next
-# reads the frames after it. The client's batch lookups ride along too: they
-# decode each chunk's reply straight into the caller's entries and
-# release the body, so an entry that kept a view into it reads 0xA5.
+# connection layer, at -cpu 1,4: one read loop per connection serves
+# every frame that fits its wire.Reader's buffer from a view into it and
+# a larger one from a pooled copy, single-op replies from one scratch
+# buffer of its own and batch and repair replies from pooled ones. A
+# reply that aliased a released buffer reads 0xA5, and the inline and
+# cork tests check every reply's bytes, so a request view that outlived
+# its Next reads the frames after it. The client's batch lookups ride
+# along too: they decode each chunk's reply straight into the caller's
+# entries and release the body, so an entry that kept a view into it
+# reads 0xA5.
 # -count=1 because TestMain reads the variable before the test log that
 # the cache keys on is open: without it this pass is the unpoisoned one
 # above, replayed.
@@ -111,6 +112,10 @@ DMAP_POISON_BUFS=1 go test -race \
     -run 'TestMux|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame|LookupBatch|TestBatchChunking|TestReadWalksAskEachASOnce' \
     ./internal/client/... ./internal/wire/...
 DMAP_POISON_BUFS=1 go test -count=1 -race -cpu 1,4 ./internal/server/...
+# Batch frames are served from views into the reader's buffer too, so a
+# batch decoder that kept one past the next Next would show here: the
+# burst, cork, goroutine and idle tests twenty times over, poisoned.
+DMAP_POISON_BUFS=1 go test -count 20 -race -cpu 1,4 -run 'Burst|Stranded|Corked|Goroutine|Idle' ./internal/server
 
 # Fuzz smoke on the trace-context wire extension: ten seconds of live
 # fuzzing over DecodeTraceContext (the seed corpus alone replays in the
