@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"dmap/internal/core"
 	"dmap/internal/engine"
 	"dmap/internal/experiments"
 	"dmap/internal/metrics"
@@ -345,8 +344,8 @@ func run(args []string) error {
 		fmt.Println("# Ablation A1: replica selection policy (K=5)")
 		for _, sel := range []struct {
 			name string
-			pol  core.SelectionPolicy
-		}{{"lowest-RTT", core.SelectLowestRTT}, {"least-hops", core.SelectLeastHops}} {
+			pol  experiments.SelectionPolicy
+		}{{"lowest-RTT", experiments.SelectLowestRTT}, {"least-hops", experiments.SelectLeastHops}} {
 			res, err := experiments.RunLatency(w, experiments.LatencyConfig{
 				Ks: []int{*k}, NumGUIDs: *guids, NumLookups: *lookups,
 				LocalReplica: true, Selection: sel.pol, Seed: *seed, Workers: *workers,

@@ -15,7 +15,9 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
+	"dmap/internal/nodesim"
 	"dmap/internal/prefixtable"
+	"dmap/internal/simnet"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
@@ -52,6 +54,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	if err != nil {
+		return err
+	}
 
 	// Figure 1's laptop: WiFi via AS 44's network, 3G via AS 101's.
 	lap := guid.New("LapA")
@@ -83,13 +89,13 @@ func run() error {
 	}
 
 	show := func(name string, g guid.GUID, from int) error {
-		e, outcome, err := sys.Lookup(g, from, cache, core.LookupOptions{})
+		r, err := resolve(dep, from, g)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s resolved from AS %d in %.1f ms → %d locator(s):\n",
-			name, from, outcome.RTT.Millis(), len(e.NAs))
-		for _, na := range e.NAs {
+			name, from, r.Latency.Millis(), len(r.Entry.NAs))
+		for _, na := range r.Entry.NAs {
 			fmt.Printf("    AS %-4d %v\n", na.AS, na.Addr)
 		}
 		return nil
@@ -110,7 +116,7 @@ func run() error {
 	fmt.Println("\n== WiFi detaches (version 2) ==")
 	lapEntry.NAs = lapEntry.NAs[1:]
 	lapEntry.Version = 2
-	if _, err := sys.Update(lapEntry, cellAS); err != nil {
+	if _, err := sys.Insert(lapEntry, cellAS); err != nil {
 		return err
 	}
 	if err := show("LapA", lap, 250); err != nil {
@@ -120,12 +126,23 @@ func run() error {
 	// A correspondent inside the laptop's own 3G network benefits from
 	// the §III-C local replica.
 	fmt.Println("\n== lookup from the laptop's own AS (local replica) ==")
-	e, outcome, err := sys.Lookup(lap, cellAS, cache, core.LookupOptions{})
+	r, err := resolve(dep, cellAS, lap)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("LapA resolved in %.2f ms (local replica: %v, served by AS %d)\n",
-		outcome.RTT.Millis(), outcome.UsedLocal, outcome.ServedBy)
-	_ = e
+		r.Latency.Millis(), r.UsedLocal, r.ServedBy)
 	return nil
+}
+
+// resolve looks g up from AS from and runs the simulation until the
+// answer is in.
+func resolve(dep *nodesim.Deployment, from int, g guid.GUID) (r nodesim.LookupResult, err error) {
+	if err = dep.Lookup(from, g, func(res nodesim.LookupResult) { r = res }); err == nil {
+		dep.Sim().Run(0)
+		if !r.Found {
+			err = fmt.Errorf("GUID %s not found from AS %d", g.Short(), from)
+		}
+	}
+	return r, err
 }

@@ -15,7 +15,9 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
+	"dmap/internal/nodesim"
 	"dmap/internal/prefixtable"
+	"dmap/internal/simnet"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
@@ -76,19 +78,24 @@ func run() error {
 	}
 
 	// 4. A correspondent in AS 9 resolves the GUID: one overlay hop to
-	// the closest replica.
+	// the closest replica. The lookup runs as messages over a simulated
+	// network whose latencies come from the topology.
 	cache, err := topology.NewDistCache(graph, 16)
 	if err != nil {
 		return err
 	}
-	got, outcome, err := sys.Lookup(phone, 9, cache, core.LookupOptions{})
+	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	if err != nil {
+		return err
+	}
+	got, err := resolve(dep, 9, phone)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nlookup from AS 9: served by AS %d in %.1f ms (attempt %d)\n",
-		outcome.ServedBy, outcome.RTT.Millis(), outcome.Attempts)
+		got.ServedBy, got.Latency.Millis(), got.Attempts)
 	fmt.Printf("locators: ")
-	for _, na := range got.NAs {
+	for _, na := range got.Entry.NAs {
 		fmt.Printf("AS %d/%v ", na.AS, na.Addr)
 	}
 	fmt.Println()
@@ -96,14 +103,26 @@ func run() error {
 	// 5. The phone moves to AS 260; version 2 supersedes everywhere.
 	entry.NAs = []store.NA{{AS: 260, Addr: netaddr.AddrFromOctets(172, 16, 9, 1)}}
 	entry.Version = 2
-	if _, err := sys.Update(entry, 260); err != nil {
+	if _, err := sys.Insert(entry, 260); err != nil {
 		return err
 	}
-	got, outcome, err = sys.Lookup(phone, 9, cache, core.LookupOptions{})
+	got, err = resolve(dep, 9, phone)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nafter handoff: locator AS %d, lookup %.1f ms\n",
-		got.NAs[0].AS, outcome.RTT.Millis())
+		got.Entry.NAs[0].AS, got.Latency.Millis())
 	return nil
+}
+
+// resolve looks g up from AS from and runs the simulation until the
+// answer is in.
+func resolve(dep *nodesim.Deployment, from int, g guid.GUID) (r nodesim.LookupResult, err error) {
+	if err = dep.Lookup(from, g, func(res nodesim.LookupResult) { r = res }); err == nil {
+		dep.Sim().Run(0)
+		if !r.Found {
+			err = fmt.Errorf("GUID %s not found from AS %d", g.Short(), from)
+		}
+	}
+	return r, err
 }

@@ -8,11 +8,10 @@ import (
 	"dmap/internal/netaddr"
 	"dmap/internal/prefixtable"
 	"dmap/internal/store"
-	"dmap/internal/topology"
 )
 
-// Example shows the complete DMap flow: build the substrate, place a
-// mapping at its K hosting ASs, and resolve it from elsewhere.
+// Example shows the DMap placement flow: build the substrate, place a
+// mapping at its K hosting ASs, and read it back from one of them.
 func Example() {
 	// The routing substrate every participant shares: announced
 	// prefixes and the agreed hash family.
@@ -31,14 +30,12 @@ func Example() {
 		Version: 1,
 	}, 1)
 
-	// Anyone resolves it with only local computation plus one overlay
-	// hop (constRTT stands in for the Internet here).
-	entry, outcome, _ := sys.Lookup(g, 0, constRTT{}, core.LookupOptions{})
-	fmt.Printf("locator AS %d in %d attempt(s)\n", entry.NAs[0].AS, outcome.Attempts)
-	// Output: locator AS 1 in 1 attempt(s)
+	// Anyone derives the hosting ASs with local computation alone; one
+	// overlay hop to any of them returns the locators.
+	placements, _ := resolver.Place(g)
+	st, _ := sys.Store(placements[0].AS)
+	entry, _ := st.Get(g)
+	fmt.Printf("%d replicas; replica 0 at AS %d holds locator AS %d\n",
+		len(placements), placements[0].AS, entry.NAs[0].AS)
+	// Output: 3 replicas; replica 0 at AS 2 holds locator AS 1
 }
-
-// constRTT is a fixed-latency model for the example.
-type constRTT struct{}
-
-func (constRTT) RTT(src, dst int) topology.Micros { return 10_000 }

@@ -1,0 +1,125 @@
+package core_test
+
+import (
+	"testing"
+
+	"dmap/internal/core"
+	"dmap/internal/guid"
+	"dmap/internal/netaddr"
+	"dmap/internal/nodesim"
+	"dmap/internal/prefixtable"
+	"dmap/internal/simnet"
+	"dmap/internal/store"
+	"dmap/internal/topology"
+)
+
+// The lookup walk over core's placements lives in nodesim; these tests
+// drive it on a system built here, so core's K placements are what the
+// walk tries.
+
+// flatOracle makes the RTT between ASs a and b |a-b|+1 ms: enough
+// structure for "closest replica first" to be observable.
+type flatOracle struct{}
+
+func (flatOracle) OneWay(a, b int) topology.Micros {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	return topology.MicrosFromMillis(float64(d+1) / 2)
+}
+
+func flatRTT(a, b int) topology.Micros {
+	return flatOracle{}.OneWay(a, b) + flatOracle{}.OneWay(b, a)
+}
+
+// lookupDeployment builds a K-replica system over a generated 500-AS
+// table and wraps it in an event-driven deployment with the given
+// per-attempt timeout.
+func lookupDeployment(t *testing.T, k int, timeout simnet.Time) *nodesim.Deployment {
+	t.Helper()
+	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
+		NumAS:             500,
+		NumPrefixes:       5000,
+		AnnouncedFraction: 0.52,
+		Seed:              11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.NewResolver(guid.MustHasher(k, 0), tbl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(core.SystemConfig{Resolver: res, NumAS: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := nodesim.NewDeployment(sys, simnet.New(), flatOracle{}, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func lookup(t *testing.T, d *nodesim.Deployment, src int, g guid.GUID) nodesim.LookupResult {
+	t.Helper()
+	var res *nodesim.LookupResult
+	if err := d.Lookup(src, g, func(r nodesim.LookupResult) { res = &r }); err != nil {
+		t.Fatal(err)
+	}
+	d.Sim().Run(0)
+	if res == nil {
+		t.Fatal("lookup never completed")
+	}
+	return *res
+}
+
+func TestLookupNotFound(t *testing.T) {
+	d := lookupDeployment(t, 3, 0)
+	res := lookup(t, d, 0, guid.New("ghost"))
+	if res.Found {
+		t.Fatal("found a never-inserted GUID")
+	}
+	if res.Attempts != 3 {
+		t.Errorf("attempts = %d, want K=3 (every replica tried)", res.Attempts)
+	}
+	if res.Latency <= 0 {
+		t.Error("failed lookup still costs time")
+	}
+}
+
+func TestLookupCrashTimeout(t *testing.T) {
+	const timeout = simnet.Time(500_000) // 500 ms
+	d := lookupDeployment(t, 2, timeout)
+	e := store.Entry{
+		GUID:    guid.New("crash"),
+		NAs:     []store.NA{{AS: 9, Addr: netaddr.AddrFromOctets(10, 0, 0, 1)}},
+		Version: 1,
+	}
+	placements, err := d.System().Insert(e, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crash the closer replica, for good.
+	first, second := placements[0].AS, placements[1].AS
+	if flatRTT(0, second) < flatRTT(0, first) || (flatRTT(0, second) == flatRTT(0, first) && second < first) {
+		first, second = second, first
+	}
+	if err := d.Network().SetFaults(&simnet.FaultPlan{
+		Crashes: []simnet.CrashWindow{{Node: first, From: d.Sim().Now()}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	res := lookup(t, d, 0, e.GUID)
+	if !res.Found || res.ServedBy != second {
+		t.Fatalf("result = %+v, want served by AS %d", res, second)
+	}
+	if want := timeout + flatRTT(0, second); res.Latency != want {
+		t.Errorf("latency = %v, want timeout+retry %v", res.Latency, want)
+	}
+	if res.Attempts != 2 {
+		t.Errorf("attempts = %d", res.Attempts)
+	}
+}

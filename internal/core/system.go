@@ -3,39 +3,12 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
 	"dmap/internal/store"
-	"dmap/internal/topology"
-)
-
-// LatencyModel abstracts how long a request/response exchange between two
-// ASs takes. topology.DistCache satisfies it; experiments substitute
-// grouped Dijkstra vectors.
-type LatencyModel interface {
-	// RTT is the round-trip time between a requester in AS src and a
-	// mapping server in AS dst (src == dst gives the intra-AS round
-	// trip).
-	RTT(src, dst int) topology.Micros
-}
-
-// SelectionPolicy chooses which of the K replicas a querier contacts
-// first (§IV-B2a).
-type SelectionPolicy int
-
-// Selection policies.
-const (
-	// SelectLowestRTT assumes the querying node can estimate response
-	// times and picks the minimum (the paper's primary assumption).
-	SelectLowestRTT SelectionPolicy = iota + 1
-	// SelectLeastHops uses BGP hop counts, "only partially available"
-	// information that every AS does have; the paper reports similar
-	// results with marginally increased latencies.
-	SelectLeastHops
 )
 
 // SystemConfig assembles a DMap deployment.
@@ -49,13 +22,15 @@ type SystemConfig struct {
 }
 
 // System is an in-memory DMap deployment: one mapping store per AS plus
-// the protocol logic that moves entries between them. Insert, Update,
-// Lookup, Delete and the read-only accessors are safe for concurrent
-// use: per-AS stores are allocated lazily behind atomic pointers with
-// striped locks, and each store serializes its own map. The BGP-churn
-// protocol methods (WithdrawPrefix, AnnouncePrefix) mutate the shared
-// prefix table and must still be serialized with respect to placement
-// reads — drive churn from one goroutine, as the simulator does.
+// the protocol logic that moves entries between them. It holds no
+// latency model: internal/nodesim runs the lookup walk as messages and
+// internal/experiments evaluates it in closed form. Insert, Delete and
+// the read-only accessors are safe for concurrent use: per-AS stores are
+// allocated lazily behind atomic pointers with striped locks, and each
+// store serializes its own map. The BGP-churn protocol methods
+// (WithdrawPrefix, AnnouncePrefix) mutate the shared prefix table and
+// must still be serialized with respect to placement reads — drive churn
+// from one goroutine, as the simulator does.
 type System struct {
 	res          *Resolver
 	stores       []atomic.Pointer[store.Store]
@@ -147,8 +122,9 @@ func (s *System) HostedCounts() map[int]int {
 
 // Insert stores e's mapping at its K global replicas, plus a local copy
 // at srcAS when local replication is on (§III-C). It returns the global
-// placements. Insert and Update share semantics: the store keeps the
-// highest version (§III-D2), so a reordered stale update is a no-op.
+// placements. An update is an Insert with a higher version: the store
+// keeps the highest version (§III-D2), so a reordered stale update is a
+// no-op.
 func (s *System) Insert(e store.Entry, srcAS int) ([]Placement, error) {
 	if srcAS < 0 || srcAS >= len(s.stores) {
 		return nil, fmt.Errorf("core: srcAS %d out of range [0,%d)", srcAS, len(s.stores))
@@ -170,12 +146,6 @@ func (s *System) Insert(e store.Entry, srcAS int) ([]Placement, error) {
 	return placements, nil
 }
 
-// Update is Insert with move semantics: the entry's version must exceed
-// the stored one for the new locators to take effect everywhere.
-func (s *System) Update(e store.Entry, srcAS int) ([]Placement, error) {
-	return s.Insert(e, srcAS)
-}
-
 // Delete removes g's mapping from its K replicas (and the local copy at
 // srcAS), reporting how many copies existed.
 func (s *System) Delete(g guid.GUID, srcAS int) (int, error) {
@@ -195,138 +165,6 @@ func (s *System) Delete(g guid.GUID, srcAS int) (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-// LookupOptions tunes a lookup.
-type LookupOptions struct {
-	// Selection picks the replica-ordering policy; zero value means
-	// SelectLowestRTT.
-	Selection SelectionPolicy
-	// Hops supplies src-relative AS hop counts for SelectLeastHops.
-	Hops []int32
-	// Miss marks ASs that answer "GUID missing" despite being a computed
-	// replica (BGP churn inconsistency, §III-D1 / Fig. 5). A missed
-	// attempt costs its full RTT before the querier tries the next
-	// replica.
-	Miss func(as int) bool
-	// Crashed marks ASs that do not answer at all (router failure,
-	// §III-D3). A crashed attempt costs Timeout.
-	Crashed func(as int) bool
-	// Timeout is the querier's retransmission timeout for crashed
-	// replicas; zero selects DefaultTimeout.
-	Timeout topology.Micros
-}
-
-// DefaultTimeout is the querier's timeout for unresponsive replicas.
-const DefaultTimeout = topology.Micros(2_000_000) // 2 s
-
-// LookupOutcome reports how a lookup went.
-type LookupOutcome struct {
-	// RTT is the total time until the answer arrived, including failed
-	// attempts and timeouts.
-	RTT topology.Micros
-	// ServedBy is the AS that answered.
-	ServedBy int
-	// UsedLocal reports that the local (attachment-AS) replica answered
-	// first.
-	UsedLocal bool
-	// Attempts counts contacted replicas (1 = first try).
-	Attempts int
-}
-
-// ErrNotFound reports that no replica holds a mapping for the GUID.
-var ErrNotFound = fmt.Errorf("core: GUID not found")
-
-// Lookup resolves g from a requester in srcAS. Per §III-C the querier
-// sends a local and a global lookup simultaneously; the effective latency
-// is whichever copy answers first. Global replicas are tried in
-// policy order; replicas marked Miss cost an RTT, crashed ones a timeout.
-func (s *System) Lookup(g guid.GUID, srcAS int, lm LatencyModel, opts LookupOptions) (store.Entry, LookupOutcome, error) {
-	if srcAS < 0 || srcAS >= len(s.stores) {
-		return store.Entry{}, LookupOutcome{}, fmt.Errorf("core: srcAS %d out of range [0,%d)", srcAS, len(s.stores))
-	}
-	placements, err := s.res.Place(g)
-	if err != nil {
-		return store.Entry{}, LookupOutcome{}, err
-	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
-
-	// Order replicas by the selection policy.
-	type cand struct {
-		as   int
-		rtt  topology.Micros
-		cost int64
-	}
-	cands := make([]cand, 0, len(placements))
-	for _, p := range placements {
-		c := cand{as: p.AS, rtt: lm.RTT(srcAS, p.AS)}
-		switch opts.Selection {
-		case SelectLeastHops:
-			if opts.Hops == nil {
-				return store.Entry{}, LookupOutcome{}, fmt.Errorf("core: SelectLeastHops requires Hops")
-			}
-			c.cost = int64(opts.Hops[p.AS])
-		default:
-			c.cost = int64(c.rtt)
-		}
-		cands = append(cands, c)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].as < cands[j].as
-	})
-
-	// The parallel local lookup (if the requester's AS holds a copy).
-	localRTT := topology.Micros(-1)
-	var localEntry store.Entry
-	if s.localReplica {
-		if st := s.loadStore(srcAS); st != nil {
-			if e, ok := st.Get(g); ok {
-				localRTT = lm.RTT(srcAS, srcAS)
-				localEntry = e
-			}
-		}
-	}
-
-	var elapsed topology.Micros
-	attempts := 0
-	for _, c := range cands {
-		attempts++
-		switch {
-		case opts.Crashed != nil && opts.Crashed(c.as):
-			elapsed += timeout
-		case opts.Miss != nil && opts.Miss(c.as):
-			elapsed += c.rtt
-		default:
-			e, ok := func() (store.Entry, bool) {
-				st := s.loadStore(c.as)
-				if st == nil {
-					return store.Entry{}, false
-				}
-				return st.Get(g)
-			}()
-			if !ok {
-				// Genuine miss (e.g. never inserted here): costs an RTT
-				// like a churn miss.
-				elapsed += c.rtt
-				continue
-			}
-			total := elapsed + c.rtt
-			if localRTT >= 0 && localRTT < total {
-				return localEntry, LookupOutcome{RTT: localRTT, ServedBy: srcAS, UsedLocal: true, Attempts: attempts}, nil
-			}
-			return e, LookupOutcome{RTT: total, ServedBy: c.as, Attempts: attempts}, nil
-		}
-	}
-	if localRTT >= 0 {
-		return localEntry, LookupOutcome{RTT: localRTT, ServedBy: srcAS, UsedLocal: true, Attempts: attempts}, nil
-	}
-	return store.Entry{}, LookupOutcome{RTT: elapsed, Attempts: attempts}, ErrNotFound
 }
 
 // ConsistencyReport summarizes an audit of the deployment's invariants.
@@ -371,7 +209,6 @@ func (s *System) VerifyConsistency() (ConsistencyReport, error) {
 		if st == nil {
 			continue
 		}
-		as := as
 		st.Range(func(e store.Entry) bool {
 			m, ok := holders[e.GUID]
 			if !ok {
@@ -453,6 +290,12 @@ func (s *System) WithdrawPrefix(p netaddr.Prefix, owner int) (int, error) {
 	}
 
 	if !s.res.table.Withdraw(p) {
+		// Refused: the owner keeps what it hosted.
+		for _, e := range orphans {
+			if _, err := s.storeAt(owner).Put(e); err != nil {
+				return 0, err
+			}
+		}
 		return 0, fmt.Errorf("core: prefix %v not announced", p)
 	}
 

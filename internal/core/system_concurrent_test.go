@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestSystemConcurrentHammer drives Insert/Update/Lookup/Delete and the
+// TestSystemConcurrentHammer drives Insert/Delete, replica reads and the
 // read-side inspectors from many goroutines at once. Run under -race it
 // exercises the striped lazy store allocation and the atomic store
 // loads; afterwards the surviving GUIDs must still pass the consistency
@@ -34,12 +34,12 @@ func TestSystemConcurrentHammer(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, _, err := sys.Lookup(e.GUID, srcAS, flatLatency{}, LookupOptions{}); err != nil {
+				if _, err := replicaCopies(sys, e.GUID); err != nil {
 					errs <- err
 					return
 				}
 				e.Version = 2
-				if _, err := sys.Update(e, srcAS); err != nil {
+				if _, err := sys.Insert(e, srcAS); err != nil {
 					errs <- err
 					return
 				}
@@ -99,8 +99,8 @@ func TestSystemConcurrentSameGUID(t *testing.T) {
 				up.Version = v
 				// Stale versions are rejected by the store; racing
 				// writers only ever move the version forward.
-				_, _ = sys.Update(up, gr%500)
-				if _, _, err := sys.Lookup(e.GUID, gr%500, flatLatency{}, LookupOptions{}); err != nil {
+				_, _ = sys.Insert(up, gr%500)
+				if _, err := replicaCopies(sys, e.GUID); err != nil {
 					t.Error(err)
 					return
 				}
@@ -109,12 +109,14 @@ func TestSystemConcurrentSameGUID(t *testing.T) {
 	}
 	wg.Wait()
 
-	got, _, err := sys.Lookup(e.GUID, 7, flatLatency{}, LookupOptions{})
+	copies, err := replicaCopies(sys, e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 19 {
-		t.Errorf("final version = %d, want 19", got.Version)
+	for i, got := range copies {
+		if got.Version != 19 {
+			t.Errorf("final version at replica %d = %d, want 19", i, got.Version)
+		}
 	}
 	rep, err := sys.VerifyConsistency()
 	if err != nil {

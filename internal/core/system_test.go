@@ -1,29 +1,14 @@
 package core
 
 import (
-	"errors"
-	"sort"
+	"fmt"
 	"testing"
 
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
 	"dmap/internal/prefixtable"
 	"dmap/internal/store"
-	"dmap/internal/topology"
 )
-
-// flatLatency is a trivial LatencyModel: RTT is |src-dst|+1 ms, and 1 ms
-// within the same AS — enough structure to make "closest replica" and
-// "local is fastest" observable in tests.
-type flatLatency struct{}
-
-func (flatLatency) RTT(src, dst int) topology.Micros {
-	d := src - dst
-	if d < 0 {
-		d = -d
-	}
-	return topology.MicrosFromMillis(float64(d + 1))
-}
 
 func newTestSystem(t *testing.T, k int, local bool) *System {
 	t.Helper()
@@ -58,6 +43,48 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
+// replicaCopies returns g's copy at each of its K placements, or an
+// error naming the first placement that holds none.
+func replicaCopies(sys *System, g guid.GUID) ([]store.Entry, error) {
+	placements, err := sys.Resolver().Place(g)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]store.Entry, len(placements))
+	for i, p := range placements {
+		st, err := sys.Store(p.AS)
+		if err != nil {
+			return nil, err
+		}
+		e, ok := st.Get(g)
+		if !ok {
+			return nil, fmt.Errorf("replica %d (AS %d) holds no copy of %s", i, p.AS, g.Short())
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
+// holds reports whether the store of as holds a copy of g.
+func holds(t *testing.T, sys *System, as int, g guid.GUID) bool {
+	t.Helper()
+	st, err := sys.Store(as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ok := st.Get(g)
+	return ok
+}
+
+func isPlacement(placements []Placement, as int) bool {
+	for _, p := range placements {
+		if p.AS == as {
+			return true
+		}
+	}
+	return false
+}
+
 func TestInsertLookupRoundTrip(t *testing.T) {
 	sys := newTestSystem(t, 5, false)
 	e := testEntry("laptop", 1, 42)
@@ -68,58 +95,25 @@ func TestInsertLookupRoundTrip(t *testing.T) {
 	if len(placements) != 5 {
 		t.Fatalf("placements = %d", len(placements))
 	}
-	// Every replica AS holds the entry.
-	for _, p := range placements {
-		if sys.StoreLen(p.AS) == 0 {
-			t.Errorf("replica AS %d holds nothing", p.AS)
-		}
-	}
-	got, outcome, err := sys.Lookup(e.GUID, 7, flatLatency{}, LookupOptions{})
+	// Every replica AS holds the entry as inserted.
+	copies, err := replicaCopies(sys, e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NAs[0].AS != 42 {
-		t.Errorf("lookup NAs = %+v", got.NAs)
-	}
-	if outcome.Attempts != 1 || outcome.UsedLocal {
-		t.Errorf("outcome = %+v", outcome)
-	}
-	// Closest-replica selection: ServedBy must minimize flat RTT.
-	best := placements[0].AS
-	for _, p := range placements {
-		if d := p.AS - 7; (d < 0 && -(d) < abs(best-7)) || (d >= 0 && d < abs(best-7)) {
-			best = p.AS
+	for i, got := range copies {
+		if got.Version != 1 || len(got.NAs) != 1 || got.NAs[0].AS != 42 {
+			t.Errorf("replica %d (AS %d) holds %+v", i, placements[i].AS, got)
 		}
 	}
-	if outcome.ServedBy != best {
-		t.Errorf("ServedBy = %d, want closest replica %d", outcome.ServedBy, best)
+	// Without local replication the inserting AS holds nothing of its own.
+	if !isPlacement(placements, 7) && holds(t, sys, 7, e.GUID) {
+		t.Error("inserting AS 7 kept a copy with local replication off")
 	}
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func TestLookupNotFound(t *testing.T) {
-	sys := newTestSystem(t, 3, false)
-	_, outcome, err := sys.Lookup(guid.New("ghost"), 0, flatLatency{}, LookupOptions{})
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-	if outcome.Attempts != 3 {
-		t.Errorf("attempts = %d, want K=3 (every replica tried)", outcome.Attempts)
-	}
-	if outcome.RTT <= 0 {
-		t.Error("failed lookup still costs time")
-	}
-}
-
-func TestLookupSrcValidation(t *testing.T) {
+func TestInsertSrcValidation(t *testing.T) {
 	sys := newTestSystem(t, 1, false)
-	if _, _, err := sys.Lookup(guid.New("g"), -1, flatLatency{}, LookupOptions{}); err == nil {
+	if _, err := sys.Insert(testEntry("g", 1, 1), -1); err == nil {
 		t.Error("negative src should fail")
 	}
 	if _, err := sys.Insert(testEntry("g", 1, 1), 1e6); err == nil {
@@ -133,19 +127,21 @@ func TestUpdateVersioning(t *testing.T) {
 	if _, err := sys.Insert(testEntry("phone", 1, 10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Update(testEntry("phone", 2, 20), 0); err != nil {
+	if _, err := sys.Insert(testEntry("phone", 2, 20), 0); err != nil {
 		t.Fatal(err)
 	}
 	// A delayed, reordered stale update must not roll back.
-	if _, err := sys.Update(testEntry("phone", 1, 10), 0); err != nil {
+	if _, err := sys.Insert(testEntry("phone", 1, 10), 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sys.Lookup(g, 0, flatLatency{}, LookupOptions{})
+	copies, err := replicaCopies(sys, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 2 || got.NAs[0].AS != 20 {
-		t.Errorf("after updates: %+v", got)
+	for i, got := range copies {
+		if got.Version != 2 || got.NAs[0].AS != 20 {
+			t.Errorf("after updates, replica %d holds %+v", i, got)
+		}
 	}
 }
 
@@ -162,8 +158,13 @@ func TestDelete(t *testing.T) {
 	if removed < 5 {
 		t.Errorf("removed = %d, want >= K=5", removed)
 	}
-	if _, _, err := sys.Lookup(e.GUID, 3, flatLatency{}, LookupOptions{}); !errors.Is(err, ErrNotFound) {
-		t.Error("deleted GUID should not resolve")
+	// No replica and no local copy is left anywhere.
+	rep, err := sys.VerifyConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mappings != 0 {
+		t.Errorf("deleted GUID still stored: %v", rep)
 	}
 }
 
@@ -171,30 +172,23 @@ func TestLocalReplica(t *testing.T) {
 	sys := newTestSystem(t, 5, true)
 	const home = 123
 	e := testEntry("local", 1, home)
-	placements, err := sys.Insert(e, home)
+	if _, err := sys.Insert(e, home); err != nil {
+		t.Fatal(err)
+	}
+	// The attachment AS holds the §III-C local copy beside the K
+	// global replicas, and the audit counts it as expected.
+	if _, err := replicaCopies(sys, e.GUID); err != nil {
+		t.Fatal(err)
+	}
+	if !holds(t, sys, home, e.GUID) {
+		t.Errorf("home AS %d holds no local copy", home)
+	}
+	rep, err := sys.VerifyConsistency()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Requester in the same AS: local copy answers at intra-AS RTT (1 ms
-	// under flatLatency), unless a global replica happens to be co-located.
-	_, outcome, err := sys.Lookup(e.GUID, home, flatLatency{}, LookupOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coLocated := false
-	for _, p := range placements {
-		if p.AS == home {
-			coLocated = true
-		}
-	}
-	if !coLocated && !outcome.UsedLocal {
-		t.Errorf("outcome = %+v, want local replica win", outcome)
-	}
-	if outcome.RTT != topology.MicrosFromMillis(1) {
-		t.Errorf("local RTT = %v, want 1 ms", outcome.RTT)
-	}
-	if outcome.ServedBy != home {
-		t.Errorf("ServedBy = %d, want home %d", outcome.ServedBy, home)
+	if !rep.Ok() || rep.Mappings != 1 {
+		t.Errorf("audit with a local copy: %v", rep)
 	}
 }
 
@@ -202,164 +196,19 @@ func TestLocalReplicaOffByDefault(t *testing.T) {
 	sys := newTestSystem(t, 5, false)
 	const home = 123
 	e := testEntry("nolocal", 1, home)
-	if _, err := sys.Insert(e, home); err != nil {
-		t.Fatal(err)
-	}
-	_, outcome, err := sys.Lookup(e.GUID, home, flatLatency{}, LookupOptions{})
+	placements, err := sys.Insert(e, home)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcome.UsedLocal {
+	if !isPlacement(placements, home) && holds(t, sys, home, e.GUID) {
 		t.Error("local replica should be disabled")
-	}
-}
-
-func TestLookupMissRetries(t *testing.T) {
-	sys := newTestSystem(t, 5, false)
-	e := testEntry("churny", 1, 9)
-	placements, err := sys.Insert(e, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reproduce the system's replica ordering (RTT, then AS on ties) and
-	// mark the first two distinct ASs as answering "GUID missing".
-	lm := flatLatency{}
-	type cand struct {
-		as  int
-		rtt topology.Micros
-	}
-	cands := make([]cand, 0, 5)
-	for _, p := range placements {
-		cands = append(cands, cand{p.AS, lm.RTT(50, p.AS)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].rtt != cands[j].rtt {
-			return cands[i].rtt < cands[j].rtt
-		}
-		return cands[i].as < cands[j].as
-	})
-	missing := make(map[int]bool)
-	for _, c := range cands {
-		if len(missing) < 2 {
-			missing[c.as] = true
-		}
-	}
-	// Expected: every leading candidate in a missing AS costs its RTT;
-	// the first candidate in a live AS answers.
-	wantAttempts := 0
-	var wantRTT topology.Micros
-	for _, c := range cands {
-		wantAttempts++
-		wantRTT += c.rtt
-		if !missing[c.as] {
-			break
-		}
-	}
-
-	_, outcome, err := sys.Lookup(e.GUID, 50, lm, LookupOptions{
-		Miss: func(as int) bool { return missing[as] },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome.Attempts != wantAttempts {
-		t.Errorf("attempts = %d, want %d", outcome.Attempts, wantAttempts)
-	}
-	if outcome.RTT != wantRTT {
-		t.Errorf("RTT = %v, want cumulative %v", outcome.RTT, wantRTT)
-	}
-	if missing[outcome.ServedBy] {
-		t.Errorf("served by a missing AS %d", outcome.ServedBy)
-	}
-}
-
-func TestLookupCrashTimeout(t *testing.T) {
-	sys := newTestSystem(t, 2, false)
-	e := testEntry("crash", 1, 9)
-	placements, err := sys.Insert(e, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := flatLatency{}
-	// Crash the closer replica.
-	first, second := placements[0].AS, placements[1].AS
-	if lm.RTT(0, second) < lm.RTT(0, first) {
-		first, second = second, first
-	}
-	_, outcome, err := sys.Lookup(e.GUID, 0, lm, LookupOptions{
-		Crashed: func(as int) bool { return as == first },
-		Timeout: topology.MicrosFromMillis(500),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := topology.MicrosFromMillis(500) + lm.RTT(0, second)
-	if outcome.RTT != want {
-		t.Errorf("RTT = %v, want timeout+retry %v", outcome.RTT, want)
-	}
-	if outcome.Attempts != 2 {
-		t.Errorf("attempts = %d", outcome.Attempts)
-	}
-}
-
-func TestLookupAllCrashedFallsBackToLocal(t *testing.T) {
-	sys := newTestSystem(t, 2, true)
-	const home = 77
-	e := testEntry("resilient", 1, home)
-	if _, err := sys.Insert(e, home); err != nil {
-		t.Fatal(err)
-	}
-	got, outcome, err := sys.Lookup(e.GUID, home, flatLatency{}, LookupOptions{
-		Crashed: func(as int) bool { return as != home },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outcome.UsedLocal || got.GUID != e.GUID {
-		t.Errorf("outcome = %+v", outcome)
-	}
-}
-
-func TestSelectLeastHops(t *testing.T) {
-	sys := newTestSystem(t, 5, false)
-	e := testEntry("hops", 1, 1)
-	placements, err := sys.Insert(e, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Craft hop counts that rank the farthest-by-RTT replica first.
-	hops := make([]int32, sys.NumAS())
-	for i := range hops {
-		hops[i] = 100
-	}
-	var farthest int
-	lm := flatLatency{}
-	for _, p := range placements {
-		if lm.RTT(0, p.AS) > lm.RTT(0, farthest) {
-			farthest = p.AS
-		}
-	}
-	hops[farthest] = 1
-	_, outcome, err := sys.Lookup(e.GUID, 0, lm, LookupOptions{
-		Selection: SelectLeastHops,
-		Hops:      hops,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome.ServedBy != farthest {
-		t.Errorf("ServedBy = %d, want hop-selected %d", outcome.ServedBy, farthest)
-	}
-	// Missing hops must error.
-	if _, _, err := sys.Lookup(e.GUID, 0, lm, LookupOptions{Selection: SelectLeastHops}); err == nil {
-		t.Error("SelectLeastHops without Hops should fail")
 	}
 }
 
 func TestWithdrawMigration(t *testing.T) {
 	sys := newTestSystem(t, 5, false)
 	// Insert a population, then withdraw the prefix hosting some replica
-	// of a chosen GUID; the mapping must remain resolvable.
+	// of a chosen GUID; the mapping must remain at all K placements.
 	var entries []store.Entry
 	for i := 1; i <= 50; i++ {
 		e := store.Entry{
@@ -390,15 +239,17 @@ func TestWithdrawMigration(t *testing.T) {
 	if migrated == 0 {
 		t.Error("expected at least one migrated mapping")
 	}
-	// Every entry must still resolve (the withdrawn replica now follows
-	// the hole protocol to the deputy).
+	// Every entry must still be held at each of its placements (the
+	// withdrawn replica now follows the hole protocol to the deputy).
 	for _, e := range entries {
-		got, _, err := sys.Lookup(e.GUID, 0, flatLatency{}, LookupOptions{})
+		copies, err := replicaCopies(sys, e.GUID)
 		if err != nil {
-			t.Fatalf("GUID %s unresolvable after withdrawal: %v", e.GUID.Short(), err)
+			t.Fatalf("GUID %s after withdrawal: %v", e.GUID.Short(), err)
 		}
-		if got.GUID != e.GUID {
-			t.Fatal("wrong entry")
+		for _, got := range copies {
+			if got.GUID != e.GUID {
+				t.Fatal("wrong entry")
+			}
 		}
 	}
 	// The new placement of the victim's replica must differ.
@@ -412,6 +263,47 @@ func TestWithdrawMigration(t *testing.T) {
 	// Withdrawing an unannounced prefix errors.
 	if _, err := sys.WithdrawPrefix(pfxEntry.Prefix, pfxEntry.AS); err == nil {
 		t.Error("double withdrawal should fail")
+	}
+}
+
+// TestRefusedWithdrawKeepsMappings: a withdrawal of a prefix the owner
+// never announced is refused, and must leave the owner's mappings where
+// they were — even those whose placement address lies inside it.
+func TestRefusedWithdrawKeepsMappings(t *testing.T) {
+	tbl := prefixtable.New()
+	if err := tbl.Announce(netaddr.MustPrefix(0, 0), 1); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewResolver(guid.MustHasher(1, 0), tbl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(SystemConfig{Resolver: r, NumAS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry("anchored", 1, 0)
+	placements, err := sys.Insert(e, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An unannounced /8 inside AS 1's 0.0.0.0/0 around the placement.
+	inside, err := netaddr.NewPrefix(placements[0].Addr, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.WithdrawPrefix(inside, 1); err == nil {
+		t.Fatalf("withdrawal of unannounced %v succeeded", inside)
+	}
+	rep, err := sys.VerifyConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.Mappings != 1 {
+		t.Fatalf("after a refused withdrawal: %v, want the one mapping in place", rep)
+	}
+	if !holds(t, sys, 1, e.GUID) {
+		t.Error("owner AS 1 lost its copy")
 	}
 }
 

@@ -205,8 +205,8 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 					for _, li := range lookups {
 						ev := trace.Lookups[li]
 						all := placements[ev.GUIDIndex]
-						// Candidate replicas in lowest-RTT-first order, the
-						// client's selection policy.
+						// Candidate replicas lowest-RTT first, as the simulated
+						// walks order them; the client walks placement order.
 						cands := sc.cands[:k]
 						for r := 0; r < k; r++ {
 							as := int(all[r])

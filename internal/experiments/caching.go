@@ -104,7 +104,6 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 		hits, stale int64
 	}
 	for _, ttl := range cfg.TTLs {
-		ttl := ttl
 		units, err := engine.Map(cfg.Workers, len(sources),
 			func() []topology.Micros { return make([]topology.Micros, w.NumAS()) },
 			func(u int, dist []topology.Micros) (cachingUnit, error) {

@@ -98,7 +98,6 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	sim := dep.Sim()
 
 	for _, ev := range churn {
-		ev := ev
 		at := simnet.Time(ev.AtSec * 1e6)
 		if err := sim.At(at, func() {
 			switch ev.Kind {
@@ -121,7 +120,6 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 
 	rngStep := cfg.DurationSec * 1e6 / float64(cfg.NumLookups)
 	for i, ev := range trace.Lookups {
-		ev := ev
 		at := simnet.Time(float64(i) * rngStep)
 		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
 		if err := sim.At(at, func() {

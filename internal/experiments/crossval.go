@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/nodesim"
 	"dmap/internal/simnet"
@@ -13,10 +12,11 @@ import (
 )
 
 // CrossValConfig drives the engine cross-validation: the same workload
-// evaluated through (a) the closed-form grouped evaluator used for the
-// figure-scale runs and (b) the message-level discrete-event engine. The
-// two implementations share no latency code paths beyond the topology,
-// so agreement validates both (DESIGN.md "Scale strategy").
+// evaluated through (a) evalLookup, the closed-form grouped evaluator
+// every Fig. 4/5 and Table I number comes from, fed exactly what
+// RunLatency feeds it, and (b) nodesim's message-level discrete-event
+// walk. The two implementations share no latency code paths beyond the
+// topology, so agreement validates both (DESIGN.md "Scale strategy").
 type CrossValConfig struct {
 	K          int
 	NumGUIDs   int
@@ -44,31 +44,40 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Populated once; both engines read the same state.
+	// (a) Closed-form: evalLookup per source group, one Dijkstra each,
+	// over the placement table's rows — RunLatency's inputs at one K, no
+	// local replica, no misses — collected in RunLatency's sample order.
+	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	bySrc, sources := bySource(trace.Lookups)
+	closed := stats.NewCollector(cfg.NumLookups)
+	closedVals := make([]topology.Micros, cfg.NumLookups)
+	dist := make([]topology.Micros, w.NumAS())
+	replicas := make([]int, cfg.K)
+	cands := make([]lookupCand, cfg.K)
+	for _, src := range sources {
+		w.Graph.Dijkstra(src, dist)
+		for _, li := range bySrc[src] {
+			for r, as := range placements[trace.Lookups[li].GUIDIndex] {
+				replicas[r] = int(as)
+			}
+			closedVals[li], _, _ = evalLookup(w.Graph, src, replicas, dist, nil, cands, evalOpts{localAS: -1})
+			closed.Add(closedVals[li].Millis())
+		}
+	}
+
+	// (b) Event-driven: the same lookups as scheduled messages against
+	// a populated system.
 	sys, err := w.populatedSystem(trace, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-
 	cache, err := topology.NewDistCache(w.Graph, w.NumAS())
 	if err != nil {
 		return nil, err
 	}
-
-	// (a) Closed-form: core.System.Lookup with the cached latency model.
-	closed := stats.NewCollector(cfg.NumLookups)
-	closedVals := make([]topology.Micros, cfg.NumLookups)
-	for i, ev := range trace.Lookups {
-		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
-		_, outcome, err := sys.Lookup(g, ev.SrcAS, cache, core.LookupOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("closed-form lookup %d: %w", i, err)
-		}
-		closed.Add(outcome.RTT.Millis())
-		closedVals[i] = outcome.RTT
-	}
-
-	// (b) Event-driven: the same lookups as scheduled messages.
 	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
 	if err != nil {
 		return nil, err
@@ -76,7 +85,6 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	eventVals := make([]topology.Micros, cfg.NumLookups)
 	evCol := stats.NewCollector(cfg.NumLookups)
 	for i, ev := range trace.Lookups {
-		i, ev := i, ev
 		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
 		// Space queries far apart so each completes in isolation.
 		at := simnet.Time(i) * 10_000_000

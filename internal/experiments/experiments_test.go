@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"dmap/internal/core"
+	"dmap/internal/topology"
 )
 
 var (
@@ -165,7 +165,7 @@ func TestHopSelectionClose(t *testing.T) {
 	}
 	hops, err := RunLatency(w, LatencyConfig{
 		Ks: []int{5}, NumGUIDs: 500, NumLookups: 5000, Seed: 4,
-		Selection: core.SelectLeastHops,
+		Selection: SelectLeastHops,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,5 +405,64 @@ func TestCrossValValidation(t *testing.T) {
 	w := testWorld(t)
 	if _, err := RunCrossVal(w, CrossValConfig{}); err == nil {
 		t.Error("zero config should fail")
+	}
+}
+
+// TestCrossValClosedFormIsTable1 ties A9 to Table I: on one trace the
+// cross-check's closed-form side is the figure path itself, so its digest
+// equals RunLatency's at the same K bit for bit. If the figures ever
+// stop going through the walk the cross-check validates, this fails.
+func TestCrossValClosedFormIsTable1(t *testing.T) {
+	w := testWorld(t)
+	const k, guids, lookups, seed = 5, 200, 500, 10
+	cv, err := RunCrossVal(w, CrossValConfig{K: k, NumGUIDs: guids, NumLookups: lookups, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := RunLatency(w, LatencyConfig{Ks: []int{k}, NumGUIDs: guids, NumLookups: lookups, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cv.ClosedForm, lat.PerK[k].Summarize(); got != want {
+		t.Errorf("crossval closed form %#v, Table I path %#v", got, want)
+	}
+}
+
+// TestSelectLeastHops: with hop counts the walk asks the fewest-hops
+// replica first even when it is the farthest by RTT; without them, the
+// lowest-RTT one.
+func TestSelectLeastHops(t *testing.T) {
+	w := testWorld(t)
+	const src = 0
+	dist := make([]topology.Micros, w.NumAS())
+	w.Graph.Dijkstra(src, dist)
+	replicas := []int{11, 222, 333, 444, 555}
+	nearest, farthest := replicas[0], replicas[0]
+	for _, as := range replicas {
+		if w.Graph.RTT(src, as, dist) < w.Graph.RTT(src, nearest, dist) {
+			nearest = as
+		}
+		if w.Graph.RTT(src, as, dist) > w.Graph.RTT(src, farthest, dist) {
+			farthest = as
+		}
+	}
+	if nearest == farthest {
+		t.Fatal("replicas all equally far; pick others")
+	}
+	hops := make([]int32, w.NumAS())
+	for i := range hops {
+		hops[i] = 100
+	}
+	hops[farthest] = 1
+	cands := make([]lookupCand, len(replicas))
+	for _, c := range []struct {
+		hops []int32
+		want int
+	}{{nil, nearest}, {hops, farthest}} {
+		rtt, usedLocal, retries := evalLookup(w.Graph, src, replicas, dist, c.hops, cands, evalOpts{localAS: -1})
+		if want := w.Graph.RTT(src, c.want, dist); rtt != want || usedLocal || retries != 0 {
+			t.Errorf("hops=%v: rtt %v local %v retries %d, want one attempt at AS %d (%v)",
+				c.hops != nil, rtt, usedLocal, retries, c.want, want)
+		}
 	}
 }

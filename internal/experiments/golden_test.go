@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dmap/internal/core"
 	"dmap/internal/simnet"
 	"dmap/internal/topology"
 )
@@ -48,7 +47,7 @@ func TestGoldenAtTestScale(t *testing.T) {
 		{"latency_miss_leasthops", func() (fmt.Stringer, error) {
 			return RunLatency(w, LatencyConfig{
 				Ks: []int{1, 3, 5}, NumGUIDs: 400, NumLookups: 4000, LocalReplica: true,
-				MissRate: 0.05, Selection: core.SelectLeastHops, Seed: 21,
+				MissRate: 0.05, Selection: SelectLeastHops, Seed: 21,
 			})
 		}},
 		{"update", func() (fmt.Stringer, error) {

@@ -6,11 +6,25 @@ import (
 	"sort"
 	"strings"
 
-	"dmap/internal/core"
 	"dmap/internal/engine"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 	"dmap/internal/workload"
+)
+
+// SelectionPolicy chooses which of the K replicas a querier contacts
+// first (§IV-B2a).
+type SelectionPolicy int
+
+// Selection policies.
+const (
+	// SelectLowestRTT assumes the querying node can estimate response
+	// times and picks the minimum (the paper's primary assumption).
+	SelectLowestRTT SelectionPolicy = iota + 1
+	// SelectLeastHops uses BGP hop counts, "only partially available"
+	// information that every AS does have; the paper reports similar
+	// results with marginally increased latencies.
+	SelectLeastHops
 )
 
 // LatencyConfig drives the query-response-time experiments (Fig. 4,
@@ -29,7 +43,7 @@ type LatencyConfig struct {
 	// keep it on.
 	LocalReplica bool
 	// Selection is the replica-choice policy; zero means lowest RTT.
-	Selection core.SelectionPolicy
+	Selection SelectionPolicy
 	// MaxRehash is Algorithm 1's M; zero selects the default (10).
 	MaxRehash int
 	// HashToASNumbers switches to the §VII variant placing GUIDs
@@ -100,7 +114,7 @@ func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
 		replica []int
 		cands   []lookupCand
 	}
-	needHops := cfg.Selection == core.SelectLeastHops
+	needHops := cfg.Selection == SelectLeastHops
 	units, err := engine.Map(cfg.Workers, len(sources),
 		func() *latencyScratch {
 			sc := &latencyScratch{
@@ -201,10 +215,12 @@ type lookupCand struct {
 	cost int64
 }
 
-// evalLookup reproduces core.System.Lookup's latency semantics in closed
-// form over a source-rooted distance vector: replicas are tried in
-// selection-policy order; each churn miss costs its RTT; the parallel
-// local lookup wins if it is faster than the eventual global answer.
+// evalLookup is the §III-C/§III-D3 lookup walk in closed form over a
+// source-rooted distance vector, the one every Fig. 4/5 and Table I
+// number comes from: replicas are tried in selection-policy order; each
+// churn miss costs its RTT; the parallel local lookup wins if it is
+// faster than the eventual global answer. RunCrossVal checks it per
+// query against nodesim's event walk.
 // scratch must have capacity ≥ len(replicas); it keeps the hot loop
 // allocation-free.
 func evalLookup(g *topology.Graph, src int, replicas []int, dist []topology.Micros, hops []int32, scratch []lookupCand, o evalOpts) (topology.Micros, bool, int) {

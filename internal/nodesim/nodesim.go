@@ -1,10 +1,10 @@
 // Package nodesim runs DMap as an event-driven protocol over simnet: one
 // node per AS border gateway, real insert/update/lookup messages with
 // topology latencies, querier-side timeouts and retries. Where
-// core.System evaluates latencies in closed form, nodesim exercises the
-// interleavings: a lookup racing a mobility update observes the old
-// mapping (§III-D2), a crashed replica costs a timeout before the next
-// replica is tried (§III-D3).
+// experiments.evalLookup prices the same walk in closed form, nodesim
+// exercises the interleavings: a lookup racing a mobility update observes
+// the old mapping (§III-D2), a crashed replica costs a timeout before the
+// next replica is tried (§III-D3).
 package nodesim
 
 import (

@@ -1,6 +1,7 @@
 package nodesim
 
 import (
+	"sort"
 	"testing"
 
 	"dmap/internal/core"
@@ -208,6 +209,119 @@ func TestCrashedReplicaCostsTimeout(t *testing.T) {
 	}
 	if res.ServedBy == first {
 		t.Error("served by the crashed replica")
+	}
+}
+
+// TestLookupMissRetries: a replica that answers "GUID missing" (a
+// churn inconsistency, §III-D1) costs its round trip, then the querier
+// asks the next replica in RTT order.
+func TestLookupMissRetries(t *testing.T) {
+	d, _ := testDeployment(t, 5, false)
+	sys := d.System()
+	e := entryFor("churny", 1, 9)
+	placements, err := sys.Resolver().Place(e.GUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The querier's order: RTT, then AS on ties. The first two distinct
+	// ASs in it never receive the entry; every other placement does.
+	const src = 50
+	order := make([]int, len(placements))
+	for i, p := range placements {
+		order[i] = p.AS
+	}
+	sort.Slice(order, func(i, j int) bool {
+		ri, rj := d.rtt(src, order[i]), d.rtt(src, order[j])
+		if ri != rj {
+			return ri < rj
+		}
+		return order[i] < order[j]
+	})
+	missing := make(map[int]bool)
+	for _, as := range order {
+		if len(missing) < 2 {
+			missing[as] = true
+		}
+	}
+	for _, as := range order {
+		if missing[as] {
+			continue
+		}
+		st, err := sys.Store(as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every leading replica in a missing AS costs its RTT; the first in
+	// a holding AS answers.
+	wantAttempts := 0
+	var wantLatency simnet.Time
+	for _, as := range order {
+		wantAttempts++
+		wantLatency += d.rtt(src, as)
+		if !missing[as] {
+			break
+		}
+	}
+	if wantAttempts < 3 {
+		t.Fatalf("replica order %v leaves no miss to retry past; pick another GUID", order)
+	}
+
+	var res *LookupResult
+	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
+		t.Fatal(err)
+	}
+	d.Sim().Run(0)
+	if res == nil || !res.Found {
+		t.Fatalf("result = %+v", res)
+	}
+	if res.Attempts != wantAttempts {
+		t.Errorf("attempts = %d, want %d", res.Attempts, wantAttempts)
+	}
+	if res.Latency != wantLatency {
+		t.Errorf("latency = %v, want cumulative %v", res.Latency, wantLatency)
+	}
+	if missing[res.ServedBy] {
+		t.Errorf("served by a missing AS %d", res.ServedBy)
+	}
+}
+
+// TestLookupAllCrashedFallsBackToLocal: with every global replica inside
+// a crash window, the §III-C local copy still answers, at its intra-AS
+// round trip.
+func TestLookupAllCrashedFallsBackToLocal(t *testing.T) {
+	d, g := testDeployment(t, 2, true)
+	sys := d.System()
+	const home = 77
+	e := entryFor("resilient", 1, home)
+	placements, err := sys.Insert(e, home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &simnet.FaultPlan{}
+	for _, p := range placements {
+		if p.AS == home {
+			t.Fatalf("home AS %d is a placement; pick another GUID", home)
+		}
+		plan.Crashes = append(plan.Crashes, simnet.CrashWindow{Node: p.AS}) // down for good
+	}
+	if err := d.Network().SetFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+
+	var res *LookupResult
+	if err := d.Lookup(home, e.GUID, func(r LookupResult) { res = &r }); err != nil {
+		t.Fatal(err)
+	}
+	d.Sim().Run(0)
+	if res == nil || !res.Found || !res.UsedLocal || res.Entry.GUID != e.GUID {
+		t.Fatalf("result = %+v, want the local copy", res)
+	}
+	if want := 2 * g.Intra(home); res.Latency != want {
+		t.Errorf("latency = %v, want local RTT %v", res.Latency, want)
 	}
 }
 

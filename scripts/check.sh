@@ -175,6 +175,13 @@ go test -run '^$' -fuzz '^FuzzDecodeFleetSnapshot$' -fuzztime=10s ./internal/obs
 # 2000. These two files take about twenty seconds together.
 sh scripts/results.sh --check churnsim crossval
 
+# The examples are mains that go build only compiles: run each once, so
+# that a change which stops one running fails here. All four take about
+# a second.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
+
 # The benchmark driver (bench/) is a module of its own that compiles
 # against internal/ packages; tier-1 neither builds nor tests it, so an
 # internal API change that breaks it must fail here, not in the
