@@ -64,6 +64,7 @@ run caching $mid -lookups 500000
 run crossval -scale 2000 -guids 500 -lookups 2000
 run churnsim -scale 2000 -guids 2000 -lookups 20000
 run queryload $mid -lookups 200000
+run availability $mid -lookups 200000 -loss 0.01
 
 if [ "$ran" -lt "$names" ]; then
     echo "results.sh: no such output among:$only" >&2
