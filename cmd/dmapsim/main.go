@@ -197,7 +197,7 @@ func run(args []string) error {
 		printCDFs(res, []int{1, 3, 5})
 
 	case "fig5":
-		fmt.Println("# Figure 5: effect of BGP churn (K=5)")
+		fmt.Printf("# Figure 5: effect of BGP churn (K=%d)\n", *k)
 		for _, rate := range []float64{0, 0.05, 0.10} {
 			res, err := experiments.RunLatency(w, experiments.LatencyConfig{
 				Ks: []int{*k}, NumGUIDs: *guids, NumLookups: *lookups,

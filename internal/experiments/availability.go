@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"dmap/internal/engine"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 )
@@ -112,13 +110,8 @@ func (r *AvailabilityResult) String() string {
 }
 
 // RunAvailability evaluates lookup availability and latency under node
-// failures on w.
-//
-// Like RunLatency, lookups are grouped by source AS (one Dijkstra per
-// distinct source) and the groups are engine work units: loss sampling
-// is seeded per (K, failFrac, source), the failed sets are precomputed,
-// and results merge in source order, so every worker count yields
-// bit-identical results.
+// failures on w: one sweep cell per (fraction, K), plus the same walk
+// with no faults per K as the baseline.
 func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	maxK, err := maxK(cfg.Ks)
 	if err != nil {
@@ -127,22 +120,13 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 	if len(cfg.FailFracs) == 0 {
 		return nil, fmt.Errorf("experiments: availability sweep needs FailFracs")
 	}
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
-		return nil, fmt.Errorf("experiments: loss %g out of [0,1)", cfg.Loss)
-	}
-	if cfg.Retries < 0 {
-		return nil, fmt.Errorf("experiments: negative retries")
+	if cfg.Loss < 0 || cfg.Loss >= 1 || cfg.Retries < 0 {
+		return nil, fmt.Errorf("experiments: loss %g out of [0,1) or retries %d negative", cfg.Loss, cfg.Retries)
 	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = DefaultAvailabilityTimeout
 	}
-	for _, f := range cfg.FailFracs {
-		if f < 0 || f >= 1 {
-			return nil, fmt.Errorf("experiments: failure fraction %g out of [0,1)", f)
-		}
-	}
-
 	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -152,139 +136,37 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 		return nil, err
 	}
 
-	// One failed set per fraction, shared across Ks: sampled from the
-	// seed via a shuffled AS permutation so fractions nest (10% failed ⊃
-	// 5% failed), which makes the sweep monotone by construction.
-	perm := rand.New(rand.NewSource(cfg.Seed + 777)).Perm(w.NumAS())
-	failedSets := make([][]bool, len(cfg.FailFracs))
-	for fi, frac := range cfg.FailFracs {
-		failed := make([]bool, w.NumAS())
-		n := int(frac * float64(w.NumAS()))
-		for _, as := range perm[:n] {
-			failed[as] = true
+	// One failed set per fraction, shared across Ks. The sets nest and the
+	// walk's outcomes do not depend on K, so success is monotone in both
+	// the fraction and K by construction.
+	plans := []*faults{{}} // the baseline: the same walk with no faults
+	for _, frac := range cfg.FailFracs {
+		if frac < 0 || frac >= 1 {
+			return nil, fmt.Errorf("experiments: failure fraction %g out of [0,1)", frac)
 		}
-		failedSets[fi] = failed
+		plans = append(plans, &faults{seed: cfg.Seed, loss: cfg.Loss, failed: w.failedSet(frac, cfg.Seed, nil),
+			timeout: timeout, retries: cfg.Retries})
 	}
-
-	bySrc, sources := bySource(trace.Lookups)
-
-	type unitCell struct {
-		successes   int
-		timeouts    int
-		failovers   int
-		col         *stats.Collector
-		baselineSum float64
-		baselineObs int
+	var cells []cell
+	for _, f := range plans {
+		for _, k := range cfg.Ks {
+			cells = append(cells, cell{k: k, f: f})
+		}
 	}
-	type availScratch struct {
-		dist  []topology.Micros
-		cands []lookupCand
-	}
-	numCells := len(cfg.FailFracs) * len(cfg.Ks)
-	units, err := engine.Map(cfg.Workers, len(sources),
-		func() *availScratch {
-			return &availScratch{
-				dist:  make([]topology.Micros, w.NumAS()),
-				cands: make([]lookupCand, maxK),
-			}
-		},
-		func(u int, sc *availScratch) ([]unitCell, error) {
-			src := sources[u]
-			lookups := bySrc[src]
-			w.Graph.Dijkstra(src, sc.dist)
-			out := make([]unitCell, numCells)
-			for fi := range cfg.FailFracs {
-				failed := failedSets[fi]
-				for ki, k := range cfg.Ks {
-					cell := &out[fi*len(cfg.Ks)+ki]
-					cell.col = stats.NewCollector(len(lookups))
-					var rng *rand.Rand
-					if cfg.Loss > 0 {
-						rng = rand.New(rand.NewSource(availSeed(cfg.Seed, k, fi, src)))
-					}
-					for _, li := range lookups {
-						ev := trace.Lookups[li]
-						all := placements[ev.GUIDIndex]
-						// Candidate replicas lowest-RTT first, as the simulated
-						// walks order them; the client walks placement order.
-						cands := sc.cands[:k]
-						for r := 0; r < k; r++ {
-							as := int(all[r])
-							rtt := w.Graph.RTT(src, as, sc.dist)
-							cands[r] = lookupCand{as: as, rtt: rtt, cost: int64(rtt)}
-						}
-						orderCands(cands)
-						cell.baselineSum += cands[0].rtt.Millis()
-						cell.baselineObs++
-
-						var elapsed topology.Micros
-						ok := false
-					walk:
-						for ci, cand := range cands {
-							alive := !failed[cand.as]
-							for attempt := 0; attempt <= cfg.Retries; attempt++ {
-								lost := false
-								if alive && cfg.Loss > 0 {
-									lost = rng.Float64() < cfg.Loss
-								}
-								if alive && !lost {
-									elapsed += cand.rtt
-									ok = true
-									break walk
-								}
-								elapsed += timeout
-								cell.timeouts++
-							}
-							if ci < len(cands)-1 {
-								cell.failovers++
-							}
-						}
-						if ok {
-							cell.successes++
-							cell.col.Add(elapsed.Millis())
-						}
-					}
-				}
-			}
-			return out, nil
-		})
+	sums, err := w.sweep(trace, placements, cells, false, cfg.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	// Deterministic merge in source order.
 	res := &AvailabilityResult{}
 	for fi, frac := range cfg.FailFracs {
 		for ki, k := range cfg.Ks {
-			cell := AvailabilityCell{
-				K:        k,
-				FailFrac: frac,
-				Lookups:  cfg.NumLookups,
-				Latency:  stats.NewCollector(cfg.NumLookups),
-			}
-			baselineSum := 0.0
-			baselineObs := 0
-			for _, u := range units {
-				uc := u[fi*len(cfg.Ks)+ki]
-				cell.Successes += uc.successes
-				cell.Timeouts += uc.timeouts
-				cell.Failovers += uc.failovers
-				cell.Latency.Merge(uc.col)
-				baselineSum += uc.baselineSum
-				baselineObs += uc.baselineObs
-			}
-			if baselineObs > 0 {
-				cell.BaselineMean = baselineSum / float64(baselineObs)
-			}
-			res.Cells = append(res.Cells, cell)
+			s := sums[(fi+1)*len(cfg.Ks)+ki]
+			res.Cells = append(res.Cells, AvailabilityCell{
+				K: k, FailFrac: frac, Lookups: cfg.NumLookups, Successes: s.col.N(),
+				Timeouts: s.timeouts, Failovers: s.failovers, Latency: s.col,
+				BaselineMean: sums[ki].col.Mean(),
+			})
 		}
 	}
 	return res, nil
-}
-
-// availSeed derives the per-(K, failFrac, source) loss-sampling seed,
-// keeping every engine unit's PRNG stream independent of worker
-// interleaving.
-func availSeed(seed int64, k, fi, src int) int64 {
-	return seed + int64(k)*7919 + int64(fi)*15485863 + int64(src)*104729 + 3
 }

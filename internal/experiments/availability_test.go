@@ -127,6 +127,52 @@ func TestAvailabilityMonotoneInFailures(t *testing.T) {
 	}
 }
 
+// Replicas only add chances: K = 3's replicas are a prefix of K = 5's and
+// meet the same outcomes, loss included, so success cannot fall as K
+// grows at any failure fraction.
+func TestAvailabilityMonotoneInK(t *testing.T) {
+	w := testWorld(t)
+	cfg := availConfig(0)
+	res, err := RunAvailability(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range cfg.FailFracs {
+		prev := 0.0
+		for _, k := range cfg.Ks {
+			c, ok := res.Cell(k, frac)
+			if !ok {
+				t.Fatalf("missing cell (%d, %v)", k, frac)
+			}
+			if c.SuccessRate() < prev {
+				t.Errorf("failFrac %v: success fell from %v to %v as K grew to %d",
+					frac, prev, c.SuccessRate(), k)
+			}
+			prev = c.SuccessRate()
+		}
+	}
+}
+
+// TestWalkAsksEachASOnce: two placements on one dead AS are one replica
+// to the walk, so they cost one timeout before the next replica answers.
+func TestWalkAsksEachASOnce(t *testing.T) {
+	w := testWorld(t)
+	const src, deadAS, liveAS = 0, 222, 333
+	failed := make([]bool, w.NumAS())
+	failed[deadAS] = true
+	wk := newWalker(w.Graph, 3, false)
+	wk.from(src)
+	// Least hops puts the dead AS first whatever the RTTs.
+	wk.hops = make([]int32, w.NumAS())
+	wk.hops[liveAS] = 1
+	f := faults{failed: failed, timeout: DefaultAvailabilityTimeout}
+	r := wk.evalLookup(0, []int32{deadAS, liveAS, deadAS}, -1, &f)
+	want := DefaultAvailabilityTimeout + w.Graph.RTT(src, liveAS, wk.dist)
+	if !r.found || r.servedBy != liveAS || r.latency != want || r.timeouts != 1 || r.failovers != 1 {
+		t.Errorf("walk %+v, want one timeout, one failover and AS %d at %v", r, liveAS, want)
+	}
+}
+
 func TestAvailabilityResultString(t *testing.T) {
 	w := testWorld(t)
 	res, err := RunAvailability(w, AvailabilityConfig{

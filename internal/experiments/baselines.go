@@ -64,7 +64,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 		return nil, err
 	}
 
-	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, 0)
+	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -78,23 +78,12 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 	}
 	home := dht.NewHomeAgent()
 
-	// DMap placements and home registration share the GUID index space.
-	placements := make([][]int, cfg.NumGUIDs)
+	// DMap placements and home registration share the GUID index space;
+	// the first insert AS is the permanent MobileIP home.
 	guids := make([]guid.GUID, cfg.NumGUIDs)
-	for gi := 0; gi < cfg.NumGUIDs; gi++ {
-		g := guid.FromUint64(uint64(gi) + 1)
-		guids[gi] = g
-		pls, err := resolver.Place(g)
-		if err != nil {
-			return nil, err
-		}
-		ass := make([]int, len(pls))
-		for i, p := range pls {
-			ass[i] = p.AS
-		}
-		placements[gi] = ass
-		// The first insert AS is the permanent MobileIP home.
-		home.Register(g, trace.HomeAS[gi])
+	for gi := range guids {
+		guids[gi] = guid.FromUint64(uint64(gi) + 1)
+		home.Register(guids[gi], trace.HomeAS[gi])
 	}
 
 	// Group lookups by source AS: one engine unit per source. All four
@@ -127,7 +116,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 				// DMap: closest of K replicas, single overlay hop.
 				best := topology.InfMicros
 				for _, as := range placements[gi] {
-					if rtt := cache.RTT(src, as); rtt < best {
+					if rtt := cache.RTT(src, int(as)); rtt < best {
 						best = rtt
 					}
 				}

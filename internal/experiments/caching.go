@@ -103,13 +103,14 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 		col         *stats.Collector
 		hits, stale int64
 	}
+	var none faults
 	for _, ttl := range cfg.TTLs {
 		units, err := engine.Map(cfg.Workers, len(sources),
-			func() []topology.Micros { return make([]topology.Micros, w.NumAS()) },
-			func(u int, dist []topology.Micros) (cachingUnit, error) {
+			func() *walker { return newWalker(w.Graph, cfg.K, false) },
+			func(u int, wk *walker) (cachingUnit, error) {
 				src := sources[u]
 				lookups := bySrc[src]
-				w.Graph.Dijkstra(src, dist)
+				wk.from(src)
 				unit := cachingUnit{col: stats.NewCollector(len(lookups))}
 				staleRng := rand.New(rand.NewSource(cfg.Seed + int64(ttl)%7919 + 5 + int64(src)*104729))
 				var cc *cache.Cache
@@ -137,13 +138,7 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 							continue
 						}
 					}
-					best := topology.InfMicros
-					for _, as := range placements[ev.GUIDIndex] {
-						if rtt := w.Graph.RTT(src, int(as), dist); rtt < best {
-							best = rtt
-						}
-					}
-					unit.col.Add(best.Millis())
+					unit.col.Add(wk.evalLookup(li, placements[ev.GUIDIndex], -1, &none).latency.Millis())
 					if cc != nil {
 						// The experiment measures latency and staleness, not
 						// payloads; an empty entry keeps the cache cheap.

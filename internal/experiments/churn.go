@@ -70,7 +70,7 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := w.populatedSystem(trace, cfg.K)
+	sys, err := w.populatedSystem(trace, cfg.K, false)
 	if err != nil {
 		return nil, err
 	}

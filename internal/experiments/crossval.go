@@ -3,17 +3,21 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"dmap/internal/guid"
+	"dmap/internal/metrics"
 	"dmap/internal/nodesim"
 	"dmap/internal/simnet"
 	"dmap/internal/stats"
+	"dmap/internal/store"
 	"dmap/internal/topology"
+	"dmap/internal/workload"
 )
 
 // CrossValConfig drives the engine cross-validation: the same workload
 // evaluated through (a) evalLookup, the closed-form grouped evaluator
-// every Fig. 4/5 and Table I number comes from, fed exactly what
+// every Fig. 4/5, Table I and A12 number comes from, fed exactly what
 // RunLatency feeds it, and (b) nodesim's message-level discrete-event
 // walk. The two implementations share no latency code paths beyond the
 // topology, so agreement validates both (DESIGN.md "Scale strategy").
@@ -24,18 +28,37 @@ type CrossValConfig struct {
 	Seed       int64
 }
 
-// CrossValResult compares the two engines.
-type CrossValResult struct {
-	ClosedForm stats.Summary // ms
-	EventSim   stats.Summary // ms
-	// MaxAbsDiffMs is the largest per-query latency disagreement.
+// crossValMissRate is Fig. 5's 5% miss rate.
+const crossValMissRate = 0.05
+
+// CrossValRow compares the two engines on one configuration.
+type CrossValRow struct {
+	Name string
+	// ClosedForm and EventSim digest the found lookups' latencies (ms).
+	ClosedForm stats.Summary
+	EventSim   stats.Summary
+	// MaxAbsDiffMs is the largest per-query latency disagreement, failed
+	// lookups included (on found/failed the engines must agree).
 	MaxAbsDiffMs float64
-	// Queries is the number of compared lookups.
+	// Failed counts lookups both engines failed; Reasked those whose
+	// every replica answered "missing", so the closest was asked again.
+	Failed, Reasked int
+}
+
+// CrossValResult compares the two engines in four configurations.
+type CrossValResult struct {
+	Rows []CrossValRow
+	// Queries is the number of compared lookups per configuration.
 	Queries int
 }
 
-// RunCrossVal executes the comparison. Failure-free lookups are used so
-// both engines should agree exactly up to integer-microsecond rounding.
+// RunCrossVal executes the comparison in four configurations: no local
+// copy; §III-C local copies (Fig. 4); local copies and 5% misses (Fig.
+// 5); 10% failed ASs, no retries, no loss (A12's walk). Both engines meet
+// the same outcomes from one pure function: a failed AS is a simnet crash
+// window for the whole run, and a replica whose draw misses lacks the
+// GUID's copy until it has answered. Loss is left out: simnet draws it
+// in send order.
 func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	if cfg.K <= 0 || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 {
 		return nil, fmt.Errorf("experiments: invalid cross-validation config")
@@ -44,33 +67,62 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// (a) Closed-form: evalLookup per source group, one Dijkstra each,
-	// over the placement table's rows — RunLatency's inputs at one K, no
-	// local replica, no misses — collected in RunLatency's sample order.
 	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	bySrc, sources := bySource(trace.Lookups)
-	closed := stats.NewCollector(cfg.NumLookups)
-	closedVals := make([]topology.Micros, cfg.NumLookups)
-	dist := make([]topology.Micros, w.NumAS())
-	replicas := make([]int, cfg.K)
-	cands := make([]lookupCand, cfg.K)
-	for _, src := range sources {
-		w.Graph.Dijkstra(src, dist)
-		for _, li := range bySrc[src] {
-			for r, as := range placements[trace.Lookups[li].GUIDIndex] {
-				replicas[r] = int(as)
-			}
-			closedVals[li], _, _ = evalLookup(w.Graph, src, replicas, dist, nil, cands, evalOpts{localAS: -1})
-			closed.Add(closedVals[li].Millis())
-		}
+	_, sources := bySource(trace.Lookups) // a crashed node sends nothing: keep the queriers up
+	names := []string{"no local copy", "local copy (Fig. 4)", "local copy, 5% misses (Fig. 5)", "10% failed, no retries (A12)"}
+	cells := []cell{
+		{cfg.K, false, &faults{}},
+		{cfg.K, true, &faults{}},
+		{cfg.K, true, &faults{seed: cfg.Seed, missRate: crossValMissRate}},
+		{cfg.K, false, &faults{failed: w.failedSet(0.10, cfg.Seed, sources), timeout: DefaultAvailabilityTimeout}},
 	}
+	// (a) Closed form: the sweep RunLatency and RunAvailability run.
+	closed := make([][]walkResult, len(cells))
+	for c := range closed {
+		closed[c] = make([]walkResult, cfg.NumLookups)
+	}
+	sums, err := w.sweep(trace, placements, cells, false, 0, func(c, li int, r walkResult) { closed[c][li] = r })
+	if err != nil {
+		return nil, err
+	}
+	res := &CrossValResult{Queries: cfg.NumLookups}
+	for c, name := range names {
+		// (b) Event-driven: the same lookups as scheduled messages.
+		event, err := w.eventLookups(trace, placements, cells[c])
+		if err != nil {
+			return nil, err
+		}
+		row := CrossValRow{Name: name, ClosedForm: sums[c].col.Summarize()}
+		evCol := stats.NewCollector(cfg.NumLookups)
+		for li, ev := range event {
+			cf := closed[c][li]
+			switch {
+			case cf.found != ev.Found:
+				return nil, fmt.Errorf("experiments: %s: lookup %d found by one engine only", name, li)
+			case !ev.Found:
+				row.Failed++
+			default:
+				evCol.Add(ev.Latency.Millis())
+			}
+			if cf.reasked {
+				row.Reasked++
+			}
+			row.MaxAbsDiffMs = math.Max(row.MaxAbsDiffMs, math.Abs(ev.Latency.Millis()-cf.latency.Millis()))
+		}
+		row.EventSim = evCol.Summarize()
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
+}
 
-	// (b) Event-driven: the same lookups as scheduled messages against
-	// a populated system.
-	sys, err := w.populatedSystem(trace, cfg.K)
+// eventLookups runs trace's lookups one at a time through nodesim's walk
+// on a populated deployment with c's K and local copies, each meeting
+// c's faults, and returns their results in trace order.
+func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell) ([]nodesim.LookupResult, error) {
+	sys, err := w.populatedSystem(trace, c.k, c.local)
 	if err != nil {
 		return nil, err
 	}
@@ -78,54 +130,80 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, DefaultAvailabilityTimeout)
 	if err != nil {
 		return nil, err
 	}
-	eventVals := make([]topology.Micros, cfg.NumLookups)
-	evCol := stats.NewCollector(cfg.NumLookups)
+	plan := &simnet.FaultPlan{}
+	for as, down := range c.f.failed {
+		if down {
+			plan.Crashes = append(plan.Crashes, simnet.CrashWindow{Node: as}) // down for good
+		}
+	}
+	if err := dep.Network().SetFaults(plan); err != nil {
+		return nil, err
+	}
+
+	out := make([]nodesim.LookupResult, len(trace.Lookups))
 	for i, ev := range trace.Lookups {
 		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
-		// Space queries far apart so each completes in isolation.
-		at := simnet.Time(i) * 10_000_000
-		if err := dep.Sim().At(at, func() {
-			err := dep.Lookup(ev.SrcAS, g, func(r nodesim.LookupResult) {
-				if !r.Found {
-					eventVals[i] = -1
-					return
-				}
-				eventVals[i] = r.Latency
-			})
-			if err != nil {
-				eventVals[i] = -1
+		var e store.Entry
+		held := make(map[*store.Store]*metrics.Counter) // withheld copies
+		for _, as := range placements[ev.GUIDIndex] {
+			if c.f.outcome(i, int(as), 0, homeAS(c.local, trace, ev.GUIDIndex)) != miss {
+				continue
 			}
-		}); err != nil {
+			st, err := sys.Store(int(as))
+			if err != nil {
+				return nil, err
+			}
+			if got, ok := st.Get(g); ok { // not yet withheld for a collided placement
+				e = got
+				st.Delete(g)
+				held[st] = nil
+			}
+		}
+		var res *nodesim.LookupResult
+		if err := dep.Lookup(ev.SrcAS, g, func(r nodesim.LookupResult) { res = &r }); err != nil {
 			return nil, err
 		}
-	}
-	dep.Sim().Run(0)
-
-	maxDiff := 0.0
-	for i := range eventVals {
-		if eventVals[i] < 0 {
-			return nil, fmt.Errorf("event-sim lookup %d failed", i)
+		// A withheld copy comes back once its replica has answered
+		// "missing": once its store is read after the querier's local read.
+		for st := range held {
+			reg := metrics.NewRegistry()
+			st.Instrument(reg, "s")
+			held[st] = reg.Counter("s.gets")
 		}
-		evCol.Add(eventVals[i].Millis())
-		if d := math.Abs(eventVals[i].Millis() - closedVals[i].Millis()); d > maxDiff {
-			maxDiff = d
+		for res == nil && dep.Sim().Step() {
+			for st, reads := range held {
+				if reads.Value() > 0 {
+					if _, err := st.Put(e); err != nil {
+						return nil, err
+					}
+					delete(held, st)
+				}
+			}
 		}
+		for st := range held {
+			if _, err := st.Put(e); err != nil {
+				return nil, err
+			}
+		}
+		dep.Sim().Run(0) // drain: the next lookup starts alone
+		if res == nil {
+			return nil, fmt.Errorf("experiments: event-sim lookup %d never completed", i)
+		}
+		out[i] = *res
 	}
-	return &CrossValResult{
-		ClosedForm:   closed.Summarize(),
-		EventSim:     evCol.Summarize(),
-		MaxAbsDiffMs: maxDiff,
-		Queries:      cfg.NumLookups,
-	}, nil
+	return out, nil
 }
 
-// String renders the comparison.
+// String renders the comparison, one block per configuration.
 func (r *CrossValResult) String() string {
-	return fmt.Sprintf(
-		"closed-form: %v\nevent-sim:   %v\nmax per-query |Δ| = %.3f ms over %d queries\n",
-		r.ClosedForm, r.EventSim, r.MaxAbsDiffMs, r.Queries)
+	var b strings.Builder
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "## %s\nclosed-form: %v\nevent-sim:   %v\nmax per-query |Δ| = %.3f ms over %d queries; both failed %d, re-asked %d\n",
+			row.Name, row.ClosedForm, row.EventSim, row.MaxAbsDiffMs, r.Queries, row.Failed, row.Reasked)
+	}
+	return b.String()
 }

@@ -383,18 +383,33 @@ func TestRunMSweep(t *testing.T) {
 
 func TestCrossValidationEnginesAgree(t *testing.T) {
 	w := testWorld(t)
-	res, err := RunCrossVal(w, CrossValConfig{K: 5, NumGUIDs: 200, NumLookups: 500, Seed: 10})
+	// At K = 2 some lookups meet every replica missing (Fig. 5's re-ask)
+	// and some meet every replica dead (A12's failed lookups).
+	res, err := RunCrossVal(w, CrossValConfig{K: 2, NumGUIDs: 200, NumLookups: 2000, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("%d configurations, want 4", len(res.Rows))
+	}
 	// The closed-form evaluator and the message-level event simulator
 	// share no latency arithmetic beyond the topology; they must agree
-	// per query to within integer-microsecond rounding.
-	if res.MaxAbsDiffMs > 0.01 {
-		t.Errorf("engines disagree by up to %.3f ms", res.MaxAbsDiffMs)
+	// per query to within integer-microsecond rounding (and on whether
+	// the lookup was answered at all, or RunCrossVal fails).
+	for _, row := range res.Rows {
+		if row.MaxAbsDiffMs > 0.01 {
+			t.Errorf("%s: engines disagree by up to %.3f ms", row.Name, row.MaxAbsDiffMs)
+		}
+		if row.ClosedForm.N != row.EventSim.N || row.ClosedForm.N+row.Failed != res.Queries {
+			t.Errorf("%s: sample counts %d / %d, %d failed, of %d", row.Name,
+				row.ClosedForm.N, row.EventSim.N, row.Failed, res.Queries)
+		}
 	}
-	if res.ClosedForm.N != res.EventSim.N {
-		t.Errorf("sample counts differ: %d vs %d", res.ClosedForm.N, res.EventSim.N)
+	if got := res.Rows[2].Reasked; got == 0 {
+		t.Errorf("%s: no lookup took the all-miss re-ask", res.Rows[2].Name)
+	}
+	if got := res.Rows[3].Failed; got == 0 {
+		t.Errorf("%s: no lookup failed on both sides", res.Rows[3].Name)
 	}
 	if res.String() == "" {
 		t.Error("String output")
@@ -408,10 +423,12 @@ func TestCrossValValidation(t *testing.T) {
 	}
 }
 
-// TestCrossValClosedFormIsTable1 ties A9 to Table I: on one trace the
-// cross-check's closed-form side is the figure path itself, so its digest
-// equals RunLatency's at the same K bit for bit. If the figures ever
-// stop going through the walk the cross-check validates, this fails.
+// TestCrossValClosedFormIsTable1 ties each A9 configuration to the figure
+// path it claims to check: on one trace the cross-check's closed-form
+// side is RunLatency itself — no local copy, Fig. 4's local copy, Fig. 5's
+// 5% misses — so its digests equal RunLatency's at the same K bit for
+// bit. If the figures ever stop going through the walk the cross-check
+// validates, this fails.
 func TestCrossValClosedFormIsTable1(t *testing.T) {
 	w := testWorld(t)
 	const k, guids, lookups, seed = 5, 200, 500, 10
@@ -419,12 +436,19 @@ func TestCrossValClosedFormIsTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := RunLatency(w, LatencyConfig{Ks: []int{k}, NumGUIDs: guids, NumLookups: lookups, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cv.ClosedForm, lat.PerK[k].Summarize(); got != want {
-		t.Errorf("crossval closed form %#v, Table I path %#v", got, want)
+	for i, lc := range []LatencyConfig{
+		{},
+		{LocalReplica: true},
+		{LocalReplica: true, MissRate: crossValMissRate},
+	} {
+		lc.Ks, lc.NumGUIDs, lc.NumLookups, lc.Seed = []int{k}, guids, lookups, seed
+		lat, err := RunLatency(w, lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cv.Rows[i].ClosedForm, lat.PerK[k].Summarize(); got != want {
+			t.Errorf("crossval %q closed form %#v, figure path %#v", cv.Rows[i].Name, got, want)
+		}
 	}
 }
 
@@ -436,9 +460,10 @@ func TestSelectLeastHops(t *testing.T) {
 	const src = 0
 	dist := make([]topology.Micros, w.NumAS())
 	w.Graph.Dijkstra(src, dist)
-	replicas := []int{11, 222, 333, 444, 555}
-	nearest, farthest := replicas[0], replicas[0]
-	for _, as := range replicas {
+	replicas := []int32{11, 222, 333, 444, 555}
+	nearest, farthest := int(replicas[0]), int(replicas[0])
+	for _, r := range replicas {
+		as := int(r)
 		if w.Graph.RTT(src, as, dist) < w.Graph.RTT(src, nearest, dist) {
 			nearest = as
 		}
@@ -454,15 +479,18 @@ func TestSelectLeastHops(t *testing.T) {
 		hops[i] = 100
 	}
 	hops[farthest] = 1
-	cands := make([]lookupCand, len(replicas))
-	for _, c := range []struct {
-		hops []int32
-		want int
-	}{{nil, nearest}, {hops, farthest}} {
-		rtt, usedLocal, retries := evalLookup(w.Graph, src, replicas, dist, c.hops, cands, evalOpts{localAS: -1})
-		if want := w.Graph.RTT(src, c.want, dist); rtt != want || usedLocal || retries != 0 {
-			t.Errorf("hops=%v: rtt %v local %v retries %d, want one attempt at AS %d (%v)",
-				c.hops != nil, rtt, usedLocal, retries, c.want, want)
+	var none faults
+	for _, leastHops := range []bool{false, true} {
+		wk := newWalker(w.Graph, len(replicas), leastHops)
+		wk.from(src)
+		want := nearest
+		if leastHops {
+			copy(wk.hops, hops)
+			want = farthest
+		}
+		r := wk.evalLookup(0, replicas, -1, &none)
+		if r.latency != w.Graph.RTT(src, want, dist) || r.servedBy != want || r.local || r.misses != 0 {
+			t.Errorf("leastHops=%v: %+v, want one attempt at AS %d", leastHops, r, want)
 		}
 	}
 }

@@ -26,7 +26,13 @@ import (
 // began counting every copy as converging, the writers' §III-C local
 // copies outside the replica sets included, and ending a round when its
 // sweep chains finish: those copies take a second round, so rounds,
-// entries repaired and convergence time all moved.
+// entries repaired and convergence time all moved. The third rewrote
+// latency_miss_leasthops.txt, availability.txt and crossval.txt, when
+// evalLookup became the only closed-form walk: its misses and losses are
+// drawn by a pure function of (seed, lookup, AS, attempt) instead of
+// per-unit PRNG streams, it asks each replica AS once, the local lookup
+// reads a querier that is itself a replica, and crossval checks four
+// configurations instead of one.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what

@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -68,14 +69,8 @@ type LatencyResult struct {
 	Retries map[int]int
 }
 
-// RunLatency evaluates DMap query response times on w.
-//
-// Queries are evaluated grouped by source AS — one Dijkstra per distinct
-// source — which is exact for these experiments because lookups are
-// mutually independent (DESIGN.md, "Scale strategy"). The groups are the
-// engine's work units: they run on cfg.Workers workers with per-worker
-// scratch vectors, per-(K, source) seeded miss sampling, and a merge in
-// source order, so every worker count yields bit-identical results.
+// RunLatency evaluates DMap query response times on w, one sweep cell
+// per K.
 func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
 	maxK, err := maxK(cfg.Ks)
 	if err != nil {
@@ -88,77 +83,73 @@ func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bySrc, sources := bySource(trace.Lookups)
-
-	res := &LatencyResult{
-		PerK:      make(map[int]*stats.Collector, len(cfg.Ks)),
-		LocalHits: make(map[int]int, len(cfg.Ks)),
-		Retries:   make(map[int]int, len(cfg.Ks)),
-	}
-
 	// Placements per GUID at max K, computed once and shared by every K.
 	placements, err := w.placementTable(cfg.NumGUIDs, maxK, cfg.MaxRehash, cfg.HashToASNumbers)
 	if err != nil {
 		return nil, err
 	}
+	f := faults{seed: cfg.Seed, missRate: cfg.MissRate}
+	cells := make([]cell, len(cfg.Ks))
+	for i, k := range cfg.Ks {
+		cells[i] = cell{k: k, local: cfg.LocalReplica, f: &f}
+	}
+	sums, err := w.sweep(trace, placements, cells, cfg.Selection == SelectLeastHops, cfg.Workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := &LatencyResult{PerK: map[int]*stats.Collector{}, LocalHits: map[int]int{}, Retries: map[int]int{}}
+	for i, k := range cfg.Ks {
+		res.PerK[k], res.LocalHits[k], res.Retries[k] = sums[i].col, sums[i].local, sums[i].misses
+	}
+	return res, nil
+}
 
-	// One engine unit per distinct source: one Dijkstra serves every K.
-	type unitK struct {
-		col       *stats.Collector
-		localHits int
-		retries   int
-	}
-	type latencyScratch struct {
-		dist    []topology.Micros
-		hops    []int32
-		replica []int
-		cands   []lookupCand
-	}
-	needHops := cfg.Selection == SelectLeastHops
-	units, err := engine.Map(cfg.Workers, len(sources),
-		func() *latencyScratch {
-			sc := &latencyScratch{
-				dist:    make([]topology.Micros, w.NumAS()),
-				replica: make([]int, maxK),
-				cands:   make([]lookupCand, maxK),
-			}
-			if needHops {
-				sc.hops = make([]int32, w.NumAS())
-			}
-			return sc
-		},
-		func(u int, sc *latencyScratch) ([]unitK, error) {
-			src := sources[u]
-			lookups := bySrc[src]
-			w.Graph.Dijkstra(src, sc.dist)
-			if sc.hops != nil {
-				w.Graph.HopBFS(src, sc.hops)
-			}
-			out := make([]unitK, len(cfg.Ks))
-			for i, k := range cfg.Ks {
-				st := &out[i]
-				st.col = stats.NewCollector(len(lookups))
-				var rng *rand.Rand
-				if cfg.MissRate > 0 {
-					rng = rand.New(rand.NewSource(missSeed(cfg.Seed, k, src)))
-				}
+// cell is one point of a closed-form sweep: a replication factor,
+// whether §III-C local copies are on, and the faults the walk meets.
+type cell struct {
+	k     int
+	local bool
+	f     *faults
+}
+
+// cellSums adds up a cell's walks; col holds the found lookups'
+// latencies (ms).
+type cellSums struct {
+	col                                *stats.Collector
+	local, misses, timeouts, failovers int
+}
+
+// sweep walks every lookup of trace through evalLookup in every cell and
+// hands each result to each, if not nil (from several workers, once per
+// cell and lookup). Lookups grouped by source AS — one Dijkstra each,
+// exact because lookups are independent (DESIGN.md, "Scale strategy") —
+// are the engine's work units, and their sums merge in source order, so
+// every worker count yields bit-identical results.
+func (w *World) sweep(trace *workload.Trace, placements [][]int32, cells []cell, leastHops bool, workers int, each func(c, li int, r walkResult)) ([]cellSums, error) {
+	bySrc, sources := bySource(trace.Lookups)
+	units, err := engine.Map(workers, len(sources),
+		func() *walker { return newWalker(w.Graph, len(placements[0]), leastHops) },
+		func(u int, wk *walker) ([]cellSums, error) {
+			lookups := bySrc[sources[u]]
+			wk.from(sources[u])
+			out := make([]cellSums, len(cells))
+			for c, cl := range cells {
+				out[c].col = stats.NewCollector(len(lookups))
 				for _, li := range lookups {
-					ev := trace.Lookups[li]
-					all := placements[ev.GUIDIndex]
-					replicas := sc.replica[:k]
-					for r := range replicas {
-						replicas[r] = int(all[r])
+					gi := trace.Lookups[li].GUIDIndex
+					r := wk.evalLookup(li, placements[gi][:cl.k], homeAS(cl.local, trace, gi), cl.f)
+					if each != nil {
+						each(c, li, r)
 					}
-					rtt, usedLocal, extra := evalLookup(w.Graph, src, replicas, sc.dist, sc.hops, sc.cands, evalOpts{
-						localAS:  localASFor(cfg, trace, ev.GUIDIndex),
-						missRate: cfg.MissRate,
-						rng:      rng,
-					})
-					st.col.Add(rtt.Millis())
-					if usedLocal {
-						st.localHits++
+					if r.found {
+						out[c].col.Add(r.latency.Millis())
 					}
-					st.retries += extra
+					if r.local {
+						out[c].local++
+					}
+					out[c].misses += r.misses
+					out[c].timeouts += r.timeouts
+					out[c].failovers += r.failovers
 				}
 			}
 			return out, nil
@@ -166,46 +157,88 @@ func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Deterministic merge: per-unit collectors concatenate in source
-	// order, so sample order — and every float statistic computed from
-	// it — is independent of how workers interleaved.
-	for i, k := range cfg.Ks {
-		col := stats.NewCollector(cfg.NumLookups)
-		localHits, retries := 0, 0
+	sums := make([]cellSums, len(cells))
+	for c := range sums {
+		m := &sums[c]
+		m.col = stats.NewCollector(len(trace.Lookups))
 		for _, u := range units {
-			col.Merge(u[i].col)
-			localHits += u[i].localHits
-			retries += u[i].retries
+			m.col.Merge(u[c].col)
+			m.local += u[c].local
+			m.misses += u[c].misses
+			m.timeouts += u[c].timeouts
+			m.failovers += u[c].failovers
 		}
-		res.PerK[k] = col
-		res.LocalHits[k] = localHits
-		res.Retries[k] = retries
 	}
-	return res, nil
+	return sums, nil
 }
 
-// missSeed derives the per-(K, source) miss-sampling seed. Seeding each
-// unit independently — instead of drawing from one stream shared across
-// sources — is what lets the engine evaluate sources in any order and
-// still produce bit-identical results at every worker count.
-func missSeed(seed int64, k, src int) int64 {
-	return seed + int64(k)*7919 + int64(src)*104729 + 1
-}
-
-func localASFor(cfg LatencyConfig, trace *workload.Trace, guidIdx int) int {
-	if !cfg.LocalReplica {
+// homeAS is the attachment AS holding the GUID's §III-C local copy, or
+// -1 without local copies.
+func homeAS(local bool, trace *workload.Trace, guidIdx int) int {
+	if !local {
 		return -1
 	}
 	return trace.HomeAS[guidIdx]
 }
 
-type evalOpts struct {
-	// localAS is the GUID's attachment AS holding the §III-C local copy
-	// (-1 when local replication is off).
-	localAS  int
-	missRate float64
-	rng      *rand.Rand
+// outcome is what one attempt at one replica meets.
+type outcome uint8
+
+const (
+	hit  outcome = iota // the replica answers with the mapping
+	miss                // it answers "GUID missing" (churn, §III-D1): the RTT, then the next replica
+	dead                // its node is down (§III-D3): the timeout, no answer
+	lost                // the request or its reply is lost: the timeout, no answer
+)
+
+// faults is what a closed-form walk can meet; the zero value is the
+// fault-free walk of Fig. 4 and Table I.
+type faults struct {
+	seed     int64           // keys every draw
+	missRate float64         // P(a live replica answers "GUID missing"), Fig. 5
+	loss     float64         // P(an attempt's request or reply is lost)
+	failed   []bool          // ASs whose mapping node never answers; nil: none
+	timeout  topology.Micros // charged per dead or lost attempt
+	// retries is how many same-replica attempts follow a timeout before
+	// the walk fails over (client.RetryPolicy's MaxAttempts − 1).
+	retries int
+}
+
+// outcome returns what attempt `attempt` of trace lookup li meets at
+// replica AS as. It is a pure function, so a replica meets the same
+// outcome at every K (K = 3's replicas are a prefix of K = 5's), in any
+// evaluation order, and on RunCrossVal's event side. home is the AS
+// holding the GUID's §III-C local copy (-1: none); it never misses.
+func (f *faults) outcome(li, as, attempt, home int) outcome {
+	if f.failed != nil && f.failed[as] {
+		return dead
+	}
+	if f.loss == 0 && f.missRate == 0 {
+		return hit
+	}
+	// A uniform [0, 1) draw: splitmix64 over (seed, lookup, AS, attempt),
+	// the pattern of client.RetryPolicy's jitter.
+	h := mix64(uint64(f.seed) ^ 0x9e3779b97f4a7c15)
+	h = mix64(h ^ uint64(li))
+	h = mix64(h ^ uint64(as))
+	h = mix64(h ^ uint64(attempt))
+	switch u := float64(h>>11) / (1 << 53); {
+	case u < f.loss:
+		return lost
+	case u < f.loss+f.missRate && as != home:
+		return miss
+	}
+	return hit
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // lookupCand is one replica candidate during closed-form evaluation.
@@ -215,58 +248,111 @@ type lookupCand struct {
 	cost int64
 }
 
-// evalLookup is the §III-C/§III-D3 lookup walk in closed form over a
-// source-rooted distance vector, the one every Fig. 4/5 and Table I
-// number comes from: replicas are tried in selection-policy order; each
-// churn miss costs its RTT; the parallel local lookup wins if it is
-// faster than the eventual global answer. RunCrossVal checks it per
-// query against nodesim's event walk.
-// scratch must have capacity ≥ len(replicas); it keeps the hot loop
-// allocation-free.
-func evalLookup(g *topology.Graph, src int, replicas []int, dist []topology.Micros, hops []int32, scratch []lookupCand, o evalOpts) (topology.Micros, bool, int) {
-	cands := scratch[:len(replicas)]
-	for i, as := range replicas {
-		c := lookupCand{as: as, rtt: g.RTT(src, as, dist)}
-		if hops != nil {
-			c.cost = int64(hops[as])
-		} else {
-			c.cost = int64(c.rtt)
-		}
-		cands[i] = c
-	}
-	orderCands(cands)
+// walker is the closed-form walk's per-worker state: the querier, its
+// distances, its hop counts for least-hops selection, and scratch.
+type walker struct {
+	g     *topology.Graph
+	src   int
+	dist  []topology.Micros
+	hops  []int32
+	cands []lookupCand
+}
 
-	localRTT := topology.Micros(-1)
-	if o.localAS == src {
-		localRTT = 2 * g.Intra(src)
+func newWalker(g *topology.Graph, maxK int, leastHops bool) *walker {
+	wk := &walker{g: g, dist: make([]topology.Micros, g.NumAS()), cands: make([]lookupCand, 0, maxK)}
+	if leastHops {
+		wk.hops = make([]int32, g.NumAS())
 	}
+	return wk
+}
 
-	var elapsed topology.Micros
-	retries := 0
-	for i, c := range cands {
-		if o.missRate > 0 && o.rng.Float64() < o.missRate {
-			elapsed += c.rtt
-			retries++
-			// If every replica misses this round, the querier retries the
-			// closest replica once more; churn inconsistency is transient
-			// and a repeat attempt succeeds (cf. §III-D2's re-check).
-			if i == len(cands)-1 {
-				total := elapsed + cands[0].rtt
-				if localRTT >= 0 && localRTT < total {
-					return localRTT, true, retries
-				}
-				return total, false, retries
-			}
+// from makes src the querier: one Dijkstra (and hop BFS).
+func (wk *walker) from(src int) {
+	wk.src = src
+	wk.g.Dijkstra(src, wk.dist)
+	if wk.hops != nil {
+		wk.g.HopBFS(src, wk.hops)
+	}
+}
+
+// walkResult is one closed-form lookup.
+type walkResult struct {
+	latency   topology.Micros // until the answer, or until the walk gave up
+	found     bool
+	local     bool // answered by the §III-C local copy
+	servedBy  int  // the answering AS (the querier's for a local answer); -1 if none
+	misses    int  // "GUID missing" answers
+	timeouts  int  // dead or lost attempts
+	failovers int  // moves to the next replica after one timed out
+	reasked   bool // every replica was spent and the closest missing one asked again
+}
+
+// evalLookup is the §III-C/§III-D3 lookup walk in closed form, behind
+// every Fig. 4/5, Table I and A12 number. Each distinct replica AS is
+// asked once, in selection-policy order, each attempt meeting f's
+// outcome; a timed-out replica is retried up to f.retries times. When
+// every replica is spent and one answered "missing", the closest such
+// one is asked again and answers: §III-D1 pulls the copy on the first
+// miss. With local copies (home ≥ 0) a parallel local lookup wins if it
+// is faster than the global answer, or if there is none.
+func (wk *walker) evalLookup(li int, replicas []int32, home int, f *faults) walkResult {
+	src := wk.src
+	cands := wk.cands[:0]
+	srcReplica := false
+	for _, r := range replicas {
+		as := int(r)
+		srcReplica = srcReplica || as == src
+		if slices.ContainsFunc(cands, func(c lookupCand) bool { return c.as == as }) {
 			continue
 		}
-		total := elapsed + c.rtt
-		if localRTT >= 0 && localRTT < total {
-			return localRTT, true, retries
+		rtt := wk.g.RTT(src, as, wk.dist)
+		c := lookupCand{as: as, rtt: rtt, cost: int64(rtt)}
+		if wk.hops != nil {
+			c.cost = int64(wk.hops[as])
 		}
-		return total, false, retries
+		cands = append(cands, c)
 	}
-	// Unreachable: the loop always returns.
-	return elapsed, false, retries
+	slices.SortFunc(cands, func(a, b lookupCand) int { // cheapest first, ties by AS number
+		return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(a.as, b.as))
+	})
+
+	r := walkResult{servedBy: -1}
+	firstMiss := -1
+walk:
+	for i, c := range cands {
+		for attempt := 0; attempt <= f.retries; attempt++ {
+			switch f.outcome(li, c.as, attempt, home) {
+			case hit:
+				r.latency += c.rtt
+				r.found, r.servedBy = true, c.as
+				break walk
+			case miss:
+				r.latency += c.rtt
+				r.misses++
+				if firstMiss < 0 {
+					firstMiss = i
+				}
+				continue walk
+			}
+			r.latency += f.timeout
+			r.timeouts++
+		}
+		if i < len(cands)-1 {
+			r.failovers++
+		}
+	}
+	if !r.found && firstMiss >= 0 {
+		r.latency += cands[firstMiss].rtt
+		r.found, r.servedBy, r.reasked = true, cands[firstMiss].as, true
+	}
+	// The local lookup reads the querier's own mapping server: it holds
+	// the GUID at its home and, unless churn lost the copy, at a replica.
+	if home >= 0 && (home == src || srcReplica && f.outcome(li, src, 0, home) != miss) {
+		if local := 2 * wk.g.Intra(src); !r.found || local < r.latency {
+			r.latency, r.found, r.local, r.servedBy = local, true, true, src
+		}
+	}
+	return r
 }
 
 // Table1 summarizes the Fig. 4 distributions the way Table I does.

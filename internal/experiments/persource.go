@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 
 	"dmap/internal/core"
@@ -93,27 +95,34 @@ func sortedSources(bySrc map[int][]int) []int {
 	return sources
 }
 
-// orderCands sorts replica candidates cheapest first, ties by AS number.
-// Insertion sort: K ≤ 20 and the slice is reused, so this beats
-// sort.Slice's closure allocation on the hottest loop in the repo.
-func orderCands(cands []lookupCand) {
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && (cands[j].cost < cands[j-1].cost ||
-			(cands[j].cost == cands[j-1].cost && cands[j].as < cands[j-1].as)); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+// failedSet marks the ASs whose mapping nodes are down: the first
+// frac·N of one seeded permutation, so the sets of one seed nest across
+// fractions (10% failed ⊃ 5% failed). ASs in keepUp are passed over, not
+// counted.
+func (w *World) failedSet(frac float64, seed int64, keepUp []int) []bool {
+	failed := make([]bool, w.NumAS())
+	n := int(frac * float64(w.NumAS()))
+	for _, as := range rand.New(rand.NewSource(seed + 777)).Perm(w.NumAS()) {
+		if n == 0 {
+			break
+		}
+		if !slices.Contains(keepUp, as) {
+			failed[as] = true
+			n--
 		}
 	}
+	return failed
 }
 
-// populatedSystem returns a K-replica system over w, without §III-C
-// local copies, holding version 1 of every GUID of trace, inserted from
-// its home AS (state setup, not measured).
-func (w *World) populatedSystem(trace *workload.Trace, k int) (*core.System, error) {
+// populatedSystem returns a K-replica system over w, with §III-C local
+// copies if local, holding version 1 of every GUID of trace, inserted
+// from its home AS (state setup, not measured).
+func (w *World) populatedSystem(trace *workload.Trace, k int, local bool) (*core.System, error) {
 	resolver, err := core.NewResolver(guid.MustHasher(k, 0), w.Table, 0)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(core.SystemConfig{Resolver: resolver, NumAS: w.NumAS()})
+	sys, err := core.NewSystem(core.SystemConfig{Resolver: resolver, NumAS: w.NumAS(), LocalReplica: local})
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"dmap/internal/engine"
 	"dmap/internal/stats"
-	"dmap/internal/topology"
 )
 
 // QueryLoadConfig drives the query-serving load experiment: Fig. 6
@@ -61,68 +59,43 @@ type QueryLoadResult struct {
 
 // RunQueryLoad evaluates query-serving concentration.
 func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
-	if len(cfg.Ks) == 0 || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 {
+	maxK, err := maxK(cfg.Ks)
+	if err != nil || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 {
 		return nil, fmt.Errorf("experiments: invalid query-load config")
 	}
 	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	placements, err := w.placementTable(cfg.NumGUIDs, maxK, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	// The AS serving each lookup, per K: the walk's closest replica.
+	cells := make([]cell, len(cfg.Ks))
+	servedBy := make([][]int, len(cfg.Ks))
+	for i, k := range cfg.Ks {
+		cells[i], servedBy[i] = cell{k: k, f: &faults{}}, make([]int, cfg.NumLookups)
+	}
+	if _, err := w.sweep(trace, placements, cells, false, cfg.Workers, func(c, li int, r walkResult) {
+		servedBy[c][li] = r.servedBy
+	}); err != nil {
+		return nil, err
+	}
 
 	shares := w.announcedShares()
-
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(cfg.Batch, 1)
 	res := &QueryLoadResult{Rows: make([]QueryLoadRow, 0, len(cfg.Ks)), Batch: batch}
-
-	// Group by source so closest-replica selection reuses Dijkstra;
-	// each source group is one engine work unit.
-	bySrc, srcs := bySource(trace.Lookups)
-
-	for _, k := range cfg.Ks {
-		placements, err := w.placementTable(cfg.NumGUIDs, k, 0, false)
-		if err != nil {
-			return nil, err
-		}
-
-		type queryUnit struct {
-			served map[int]int
-			frames int64
-		}
-		units, err := engine.Map(cfg.Workers, len(srcs),
-			func() []topology.Micros { return make([]topology.Micros, w.NumAS()) },
-			func(u int, dist []topology.Micros) (queryUnit, error) {
-				src := srcs[u]
-				w.Graph.Dijkstra(src, dist)
-				served := make(map[int]int)
-				for _, li := range bySrc[src] {
-					gi := trace.Lookups[li].GUIDIndex
-					best, bestRTT := -1, topology.InfMicros
-					for _, as := range placements[gi] {
-						if rtt := w.Graph.RTT(src, int(as), dist); rtt < bestRTT {
-							best, bestRTT = int(as), rtt
-						}
-					}
-					served[best]++
-				}
-				var frames int64
-				for _, n := range served {
-					frames += int64((n + batch - 1) / batch)
-				}
-				return queryUnit{served: served, frames: frames}, nil
-			})
-		if err != nil {
-			return nil, err
-		}
+	for i, k := range cfg.Ks {
 		served := make(map[int]int, w.NumAS())
+		perPair := make(map[[2]int]int) // (source AS, serving AS) → lookups
+		for li, as := range servedBy[i] {
+			served[as]++
+			perPair[[2]int{trace.Lookups[li].SrcAS, as}]++
+		}
 		var frames int64
-		for _, u := range units {
-			for as, n := range u.served {
-				served[as] += n
-			}
-			frames += u.frames
+		for _, n := range perPair {
+			frames += int64((n + batch - 1) / batch)
 		}
 
 		counts := make([]int, 0, len(served))
@@ -146,18 +119,17 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 // from the sequential protocol's.
 func (r *QueryLoadResult) String() string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "%-4s %12s %12s %12s", "K", "maxAS share", "top-10 share", "queryNLR p99")
 	if r.Batch > 1 {
-		fmt.Fprintf(&b, "%-4s %12s %12s %12s %12s\n", "K", "maxAS share", "top-10 share", "queryNLR p99", fmt.Sprintf("frames(B=%d)", r.Batch))
-		for _, row := range r.Rows {
-			fmt.Fprintf(&b, "%-4d %11.2f%% %11.2f%% %12.1f %12d\n",
-				row.K, 100*row.MaxShare, 100*row.Top10Share, row.NLRp99, row.Frames)
-		}
-		return b.String()
+		fmt.Fprintf(&b, " %12s", fmt.Sprintf("frames(B=%d)", r.Batch))
 	}
-	fmt.Fprintf(&b, "%-4s %12s %12s %12s\n", "K", "maxAS share", "top-10 share", "queryNLR p99")
+	b.WriteByte('\n')
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-4d %11.2f%% %11.2f%% %12.1f\n",
-			row.K, 100*row.MaxShare, 100*row.Top10Share, row.NLRp99)
+		fmt.Fprintf(&b, "%-4d %11.2f%% %11.2f%% %12.1f", row.K, 100*row.MaxShare, 100*row.Top10Share, row.NLRp99)
+		if r.Batch > 1 {
+			fmt.Fprintf(&b, " %12d", row.Frames)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"dmap/internal/core"
 	"dmap/internal/engine"
-	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 	"dmap/internal/workload"
@@ -68,7 +66,7 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	if cfg.NumUpdates <= 0 {
 		return nil, fmt.Errorf("experiments: NumUpdates must be positive")
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(maxK, 0), w.Table, 0)
+	placements, err := w.placementTable(cfg.NumUpdates, maxK, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -81,37 +79,25 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	// Group events by source — the engine's work units — preserving
 	// GUID order within each group.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	bySrc := make(map[int][]int) // src → guid indices (1-based)
+	bySrc := make(map[int][]int) // src → placement-table indices
 	for i := 0; i < cfg.NumUpdates; i++ {
 		s := src.Sample(rng)
-		bySrc[s] = append(bySrc[s], i+1)
+		bySrc[s] = append(bySrc[s], i)
 	}
 	sources := sortedSources(bySrc)
 
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(cfg.Batch, 1)
 
-	type updateScratch struct {
-		dist      []topology.Micros
-		replicaAS []int
-	}
 	type updateUnit struct {
 		cols   []*stats.Collector
 		frames []int64 // per-K wire frames from this source
 	}
 	units, err := engine.Map(cfg.Workers, len(sources),
-		func() *updateScratch {
-			return &updateScratch{
-				dist:      make([]topology.Micros, w.NumAS()),
-				replicaAS: make([]int, maxK),
-			}
-		},
-		func(u int, sc *updateScratch) (updateUnit, error) {
+		func() []topology.Micros { return make([]topology.Micros, w.NumAS()) },
+		func(u int, dist []topology.Micros) (updateUnit, error) {
 			s := sources[u]
 			guids := bySrc[s]
-			w.Graph.Dijkstra(s, sc.dist)
+			w.Graph.Dijkstra(s, dist)
 			out := updateUnit{
 				cols:   make([]*stats.Collector, len(cfg.Ks)),
 				frames: make([]int64, len(cfg.Ks)),
@@ -126,21 +112,13 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 				perAS[i] = make(map[int]int)
 			}
 			for _, gi := range guids {
-				g := guid.FromUint64(uint64(gi))
-				for r := 0; r < maxK; r++ {
-					p, err := resolver.PlaceReplica(g, r)
-					if err != nil {
-						return updateUnit{}, err
-					}
-					sc.replicaAS[r] = p.AS
-				}
 				for i, k := range cfg.Ks {
 					var max topology.Micros
-					for r := 0; r < k; r++ {
-						if rtt := w.Graph.RTT(s, sc.replicaAS[r], sc.dist); rtt > max {
+					for _, as := range placements[gi][:k] {
+						if rtt := w.Graph.RTT(s, int(as), dist); rtt > max {
 							max = rtt
 						}
-						perAS[i][sc.replicaAS[r]]++
+						perAS[i][int(as)]++
 					}
 					out.cols[i].Add(max.Millis())
 				}
@@ -186,20 +164,19 @@ func (r *UpdateResult) String() string {
 	}
 	sort.Ints(ks)
 	var b strings.Builder
+	fmt.Fprintf(&b, "%-4s %10s %10s %10s %16s", "K", "mean(ms)", "median(ms)", "p95(ms)", "within 500ms")
 	if r.Batch > 1 {
-		fmt.Fprintf(&b, "%-4s %10s %10s %10s %16s %12s\n", "K", "mean(ms)", "median(ms)", "p95(ms)", "within 500ms", fmt.Sprintf("frames(B=%d)", r.Batch))
-		for _, k := range ks {
-			c := r.PerK[k]
-			fmt.Fprintf(&b, "%-4d %10.1f %10.1f %10.1f %15.2f%% %12d\n",
-				k, c.Mean(), c.Median(), c.Percentile(95), 100*r.WithinBudget[k], r.Frames[k])
-		}
-		return b.String()
+		fmt.Fprintf(&b, " %12s", fmt.Sprintf("frames(B=%d)", r.Batch))
 	}
-	fmt.Fprintf(&b, "%-4s %10s %10s %10s %16s\n", "K", "mean(ms)", "median(ms)", "p95(ms)", "within 500ms")
+	b.WriteByte('\n')
 	for _, k := range ks {
 		c := r.PerK[k]
-		fmt.Fprintf(&b, "%-4d %10.1f %10.1f %10.1f %15.2f%%\n",
+		fmt.Fprintf(&b, "%-4d %10.1f %10.1f %10.1f %15.2f%%",
 			k, c.Mean(), c.Median(), c.Percentile(95), 100*r.WithinBudget[k])
+		if r.Batch > 1 {
+			fmt.Fprintf(&b, " %12d", r.Frames[k])
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

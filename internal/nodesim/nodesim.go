@@ -9,6 +9,7 @@ package nodesim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dmap/internal/core"
@@ -83,8 +84,9 @@ type lookupOp struct {
 	g         guid.GUID
 	src       int
 	start     simnet.Time
-	order     []int // replica ASs in selection order
+	order     []int // distinct replica ASs in selection order
 	next      int   // next index in order to try
+	missed    bool  // a replica answered "missing"
 	attempts  int
 	answered  bool
 	localHit  bool
@@ -205,17 +207,19 @@ func (d *Deployment) Insert(srcAS int, e store.Entry, done func(InsertResult)) e
 	return nil
 }
 
-// Lookup resolves g from srcAS: the closest replica (by the oracle's RTT
-// estimate) is tried first, with a parallel local check, falling to the
-// next replica on a miss reply or timeout. done fires exactly once.
+// Lookup resolves g from srcAS: the closest replica AS (by the oracle's
+// RTT estimate) is tried first, with a parallel local check, falling to
+// the next replica AS on a miss reply or timeout. done fires exactly once.
 func (d *Deployment) Lookup(srcAS int, g guid.GUID, done func(LookupResult)) error {
 	placements, err := d.sys.Resolver().Place(g)
 	if err != nil {
 		return err
 	}
-	order := make([]int, len(placements))
-	for i, p := range placements {
-		order[i] = p.AS
+	order := make([]int, 0, len(placements)) // each AS once
+	for _, p := range placements {
+		if !slices.Contains(order, p.AS) {
+			order = append(order, p.AS)
+		}
 	}
 	sort.Slice(order, func(i, j int) bool {
 		ri, rj := d.rtt(srcAS, order[i]), d.rtt(srcAS, order[j])
@@ -327,7 +331,13 @@ func (d *Deployment) handleLookupResp(from int, p lookupResp) {
 		return
 	}
 	if !p.found {
-		// "GUID missing" (churn inconsistency): move on immediately.
+		// "GUID missing" (churn inconsistency): move on immediately. The
+		// first replica to answer so is asked again once all are spent:
+		// churn is transient and §III-D1 pulls the copy on the first miss.
+		if !op.missed {
+			op.missed = true
+			op.order = append(op.order, from)
+		}
 		_ = d.tryNext(p.reqID)
 		return
 	}

@@ -1,6 +1,7 @@
 package nodesim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -95,10 +96,22 @@ func TestInsertThenLookup(t *testing.T) {
 	}
 }
 
+// TestLookupMissingGUID: a never-inserted GUID is missing at every
+// replica, so the walk asks each distinct replica AS once, asks the
+// closest once more (the all-miss re-ask), and fails.
 func TestLookupMissingGUID(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
+	g := guid.New("ghost")
+	placements, err := d.System().Resolver().Place(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[int]bool{}
+	for _, p := range placements {
+		distinct[p.AS] = true
+	}
 	var res *LookupResult
-	if err := d.Lookup(0, guid.New("ghost"), func(r LookupResult) { res = &r }); err != nil {
+	if err := d.Lookup(0, g, func(r LookupResult) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
 	d.Sim().Run(0)
@@ -108,8 +121,8 @@ func TestLookupMissingGUID(t *testing.T) {
 	if res.Found {
 		t.Error("found a never-inserted GUID")
 	}
-	if res.Attempts != 3 {
-		t.Errorf("attempts = %d, want K=3", res.Attempts)
+	if want := len(distinct) + 1; res.Attempts != want {
+		t.Errorf("attempts = %d, want %d distinct replica ASs and one re-ask", res.Attempts, want)
 	}
 }
 
@@ -286,6 +299,96 @@ func TestLookupMissRetries(t *testing.T) {
 	}
 	if missing[res.ServedBy] {
 		t.Errorf("served by a missing AS %d", res.ServedBy)
+	}
+}
+
+// TestCollidedDeadReplicaCostsOneTimeout: two placements on one crashed
+// AS are one replica to the walk, asked once, so the lookup gives up
+// after one timeout, not two.
+func TestCollidedDeadReplicaCostsOneTimeout(t *testing.T) {
+	d, _ := testDeployment(t, 2, false)
+	var e store.Entry
+	var as int
+	for i := 0; ; i++ {
+		if i == 10000 {
+			t.Fatal("no GUID with both placements on one AS")
+		}
+		e = entryFor(fmt.Sprintf("collided-%d", i), 1, 7)
+		placements, err := d.System().Resolver().Place(e.GUID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if as = placements[0].AS; placements[1].AS == as && as != 99 {
+			break
+		}
+	}
+	if _, err := d.System().Insert(e, 7); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, d, as)
+
+	var res *LookupResult
+	if err := d.Lookup(99, e.GUID, func(r LookupResult) { res = &r }); err != nil {
+		t.Fatal(err)
+	}
+	d.Sim().Run(0)
+	if res == nil || res.Found {
+		t.Fatalf("result = %+v, want a failed lookup", res)
+	}
+	if res.Attempts != 1 || res.Latency != DefaultTimeout {
+		t.Errorf("attempts %d, latency %v; want one attempt costing one %v timeout",
+			res.Attempts, res.Latency, DefaultTimeout)
+	}
+}
+
+// TestAllMissedAsksClosestAgain: when every replica answers "missing",
+// the walk asks the closest one once more — churn is transient and
+// §III-D1 pulls the copy on the first miss — and that answer counts.
+func TestAllMissedAsksClosestAgain(t *testing.T) {
+	d, _ := testDeployment(t, 3, false)
+	const src = 50
+	e := entryFor("all-missed", 1, 9)
+	placements, err := d.System().Resolver().Place(e.GUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closest := placements[0].AS
+	var sum simnet.Time
+	seen := map[int]bool{}
+	for _, p := range placements {
+		if seen[p.AS] {
+			continue
+		}
+		seen[p.AS] = true
+		sum += d.rtt(src, p.AS)
+		if r := d.rtt(src, p.AS); r < d.rtt(src, closest) || (r == d.rtt(src, closest) && p.AS < closest) {
+			closest = p.AS
+		}
+	}
+	// No replica holds the entry when asked; the closest gets its copy
+	// back once its "missing" answer is home, before the re-ask arrives.
+	st, err := d.System().Store(closest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sim().At(d.rtt(src, closest), func() {
+		if _, err := st.Put(e); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var res *LookupResult
+	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
+		t.Fatal(err)
+	}
+	d.Sim().Run(0)
+	if res == nil || !res.Found || res.ServedBy != closest {
+		t.Fatalf("result = %+v, want the closest replica %d to answer the re-ask", res, closest)
+	}
+	if want := sum + d.rtt(src, closest); res.Latency != want || res.Attempts != len(seen)+1 {
+		t.Errorf("latency %v, attempts %d; want %v over %d attempts", res.Latency, res.Attempts, want, len(seen)+1)
 	}
 }
 

@@ -172,8 +172,9 @@ go test -run '^$' -fuzz '^FuzzDecodeFleetSnapshot$' -fuzztime=10s ./internal/obs
 # results/ is quoted by EXPERIMENTS.md and nothing else compares it: the
 # golden test runs at test scale, and results/churnsim.txt carried a
 # failing audit line for several PRs because its collision needs -scale
-# 2000. These two files take about twenty seconds together.
-sh scripts/results.sh --check churnsim crossval
+# 2000. availability.txt is A12's table, the one loss-bearing path
+# crossval cannot check. The three take about half a minute together.
+sh scripts/results.sh --check churnsim crossval availability
 
 # The examples are mains that go build only compiles: run each once, so
 # that a change which stops one running fails here. All four take about
