@@ -1,9 +1,10 @@
 // Mobility: the paper's motivating scenario (§I) — a voice call to a
 // vehicle that changes network attachment points mid-session.
 //
-// The example runs the event-driven deployment (internal/nodesim) so the
+// The example runs the shipped client over the simulated link
+// (internal/nodesim), each update and query a simnet process, so the
 // race the paper discusses in §III-D2 is actually visible: a query issued
-// microseconds after a handoff can return the previous locator; the
+// milliseconds after a handoff can return the previous locator; the
 // caller detects the stale version and re-queries.
 //
 // Run with: go run ./examples/mobility
@@ -76,14 +77,13 @@ func run() error {
 			NAs:     []store.NA{{AS: attachAS, Addr: netaddr.AddrFromOctets(10, byte(i), 0, 1)}},
 			Version: version,
 		}
-		if err := sim.At(at, func() {
-			err := dep.Insert(attachAS, entry, func(r nodesim.InsertResult) {
-				fmt.Printf("  t=%8.1f ms  attached to AS %-4d (update latency %.1f ms, %d replicas)\n",
-					float64(sim.Now())/1000, attachAS, float64(r.Latency)/1000, r.Acks)
-			})
+		if err := dep.Sim().Go(at, func() {
+			acks, err := dep.Write(attachAS, entry)
 			if err != nil {
 				log.Fatal(err)
 			}
+			fmt.Printf("  t=%8.1f ms  attached to AS %-4d (update latency %.1f ms, %d replicas)\n",
+				float64(sim.Now())/1000, attachAS, float64(sim.Now()-at)/1000, acks)
 		}); err != nil {
 			return err
 		}
@@ -98,18 +98,17 @@ func run() error {
 	fmt.Println("\ncaller lookups (from AS 700):")
 	for _, at := range queryTimes {
 		at := at
-		if err := sim.At(at, func() {
-			err := dep.Lookup(callerAS, vehicle, func(r nodesim.LookupResult) {
-				if !r.Found {
-					fmt.Printf("  t=%8.1f ms  NOT FOUND\n", float64(sim.Now())/1000)
-					return
-				}
-				fmt.Printf("  t=%8.1f ms  locator AS %-4d (version %d, %.1f ms, served by AS %d)\n",
-					float64(sim.Now())/1000, r.Entry.NAs[0].AS, r.Entry.Version,
-					float64(r.Latency)/1000, r.ServedBy)
-			})
-			if err != nil {
+		if err := dep.Sim().Go(at, func() {
+			r, err := dep.Read(callerAS, vehicle)
+			switch {
+			case err != nil:
 				log.Fatal(err)
+			case !r.Found:
+				fmt.Printf("  t=%8.1f ms  NOT FOUND\n", float64(at+r.Latency)/1000)
+			default:
+				fmt.Printf("  t=%8.1f ms  locator AS %-4d (version %d, %.1f ms, served by AS %d)\n",
+					float64(at+r.Latency)/1000, r.Entry.NAs[0].AS, r.Entry.Version,
+					float64(r.Latency)/1000, r.ServedBy)
 			}
 		}); err != nil {
 			return err

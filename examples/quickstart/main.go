@@ -115,14 +115,12 @@ func run() error {
 	return nil
 }
 
-// resolve looks g up from AS from and runs the simulation until the
-// answer is in.
-func resolve(dep *nodesim.Deployment, from int, g guid.GUID) (r nodesim.LookupResult, err error) {
-	if err = dep.Lookup(from, g, func(res nodesim.LookupResult) { r = res }); err == nil {
-		dep.Sim().Run(0)
-		if !r.Found {
-			err = fmt.Errorf("GUID %s not found from AS %d", g.Short(), from)
-		}
+// resolve looks g up from AS from with the shipped client, the
+// simulation running until the answer is in.
+func resolve(dep *nodesim.Deployment, from int, g guid.GUID) (nodesim.LookupResult, error) {
+	r, err := dep.Read(from, g)
+	if err == nil && !r.Found {
+		err = fmt.Errorf("GUID %s not found from AS %d", g.Short(), from)
 	}
 	return r, err
 }

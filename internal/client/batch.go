@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"dmap/internal/core"
 	"dmap/internal/guid"
@@ -30,12 +29,12 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	opStart := time.Now()
+	opStart := c.now()
 	sp := c.tracer.StartOp("client.insert_batch")
 	sp.Eventf("entries=%d", len(entries))
 	proto := attempt{sp: sp, t: wire.MsgBatchInsert, opDeadline: opStart.Add(c.cfg.OpDeadline)}
 	defer func() {
-		c.m.opBatchIns.ObserveSinceExemplar(opStart, sp.TraceID())
+		c.m.opBatchIns.ObserveExemplar(micros(c.now().Sub(opStart)), sp.TraceID())
 		c.tracer.FinishOp(sp, "insert_batch", guid.GUID{}, opStart, err)
 	}()
 
@@ -72,7 +71,7 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 		}
 	}
 	flush(atts)
-	c.finish(atts, time.Now())
+	c.finish(atts, c.now())
 
 	acks = make([]int, len(entries))
 	total := 0
@@ -123,7 +122,7 @@ func (c *Cluster) startChunk(atts []attempt, proto attempt, as int, idxs []int, 
 	if a := &atts[len(atts)-1]; encErr != nil {
 		a.as, a.done, a.err = as, true, encErr
 	} else {
-		c.start(a, as, time.Now())
+		c.start(a, as, c.now())
 	}
 	return atts
 }
@@ -176,12 +175,12 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 	if len(gs) == 0 {
 		return nil, nil, nil
 	}
-	opStart := time.Now()
+	opStart := c.now()
 	sp := c.tracer.StartOp("client.lookup_batch")
 	sp.Eventf("guids=%d", len(gs))
 	proto := attempt{sp: sp, t: wire.MsgBatchLookup, opDeadline: opStart.Add(c.cfg.OpDeadline)}
 	defer func() {
-		c.m.opBatchLkp.ObserveSinceExemplar(opStart, sp.TraceID())
+		c.m.opBatchLkp.ObserveExemplar(micros(c.now().Sub(opStart)), sp.TraceID())
 		c.tracer.FinishOp(sp, "lookup_batch", guid.GUID{}, opStart, err)
 	}()
 
@@ -239,15 +238,22 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 			}
 		}
 		flush(atts)
-		c.finish(atts, time.Now())
+		c.finish(atts, c.now())
 		for k := range atts {
 			a := &atts[k]
 			if err := lookupAnswers(a, entries, found, &nas); err != nil {
 				// The whole chunk fails over to its next replica round,
-				// exactly like the sequential walk.
-				if r < rounds-1 {
-					c.m.failovers.Add(int64(len(a.idxs)))
-					sp.Eventf("failover round=%d as=%d guids=%d: %v", r, a.as, len(a.idxs), err)
+				// exactly like the sequential walk: a failover for each
+				// GUID with an AS left to ask.
+				left := 0
+				for _, i := range a.idxs {
+					if c.failoverLeft(gs[i], r) {
+						left++
+					}
+				}
+				if left > 0 {
+					c.m.failovers.Add(int64(left))
+					sp.Eventf("failover round=%d as=%d guids=%d: %v", r, a.as, left, err)
 				}
 				pending = append(pending, a.idxs...)
 				continue

@@ -49,7 +49,7 @@ func BenchmarkBatchClient(b *testing.B) {
 	}
 	defer c.Close()
 	nas := []store.NA{{AS: 3, Addr: 7}}
-	c.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	c.net = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		n, items, err := wire.DecodeBatchCount(payload)
 		if err != nil {
 			return 0, nil, err

@@ -12,6 +12,7 @@
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -50,6 +51,40 @@ type Config struct {
 	// Logger receives structured client logs (redials, failovers at warn
 	// and debug level). Nil discards.
 	Logger *trace.Logger
+	// Net is the network the client runs on. Nil, the default, is TCP:
+	// the node addresses through the shared connections, the wall clock,
+	// and reads in Algorithm 1's placement order. A simulated network
+	// (internal/nodesim) or a test script supplies its own; the address
+	// map is then unused.
+	Net Network
+}
+
+// Network is what a Cluster runs on: a clock, a way to put a request to
+// an AS's node without waiting for its reply, and what it knows of the
+// distance to each AS.
+type Network interface {
+	// Now and Sleep are the client's clock: every operation deadline,
+	// attempt timing and retry backoff reads them.
+	Now() time.Time
+	Sleep(d time.Duration)
+	// Start sends one request frame, carrying the attempt's trace
+	// context, to the node of AS as and returns its reply to wait on;
+	// it must not block on the network. The payload is valid until the
+	// reply has been waited on, and the reply's body becomes the
+	// client's (DESIGN.md §9), so it must not be a buffer Start reuses.
+	Start(as int, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) Reply
+	// RTT is the round trip to AS as, if known. A read asks the replica
+	// ASs whose RTT is known closest first (§III-C), then the others in
+	// placement order; knowing none, it walks placement order as over
+	// TCP.
+	RTT(as int) (d time.Duration, ok bool)
+}
+
+// Reply is a request on its way while its reply is not in yet.
+type Reply interface {
+	// Wait blocks for the reply — or the timeout the request was
+	// started with, which it carries.
+	Wait() (wire.MsgType, []byte, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -79,21 +114,8 @@ type Cluster struct {
 	tracer *trace.Tracer
 	logger *trace.Logger
 
-	// transport starts one request/response attempt, propagating the
-	// attempt's trace context (zero when unsampled) to trace-capable
-	// peers, and returns either its outcome or — the reply is not in —
-	// a pending the reply is taken from; it must not block on the
-	// network. Nil, the default, is (*Cluster).roundTrip; it exists so
-	// tests can script per-attempt outcomes (e.g. a stale conn on the
-	// second attempt, a reply that takes its time) that are impractical
-	// to stage over a real socket.
-	// Buffer contract (DESIGN.md §9): the payload is valid until the
-	// call returns or, if it returns a pending, until that has been
-	// waited on — implementations must not retain it longer — and the
-	// returned body may be pool-owned; the op layer releases it with
-	// putBody once decoded, so implementations must return bodies they
-	// own (fresh or pooled, never a shared buffer they reuse).
-	transport func(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error)
+	// net is cfg.Net: nil runs over TCP through mux and the wall clock.
+	net Network
 }
 
 // clusterMetrics holds the client's resolved metric handles. The
@@ -165,8 +187,7 @@ func NewWithConfig(resolver *core.Resolver, addrs map[int]string, cfg Config) (*
 		m[as] = a
 	}
 	c := &Cluster{resolver: resolver, cfg: cfg.withDefaults(), addrs: m, m: newClusterMetrics()}
-	c.tracer = c.cfg.Tracer
-	c.logger = c.cfg.Logger
+	c.tracer, c.logger, c.net = c.cfg.Tracer, c.cfg.Logger, c.cfg.Net
 	c.m.reg.GaugeFunc("client.mux.conns", func() float64 { return float64(c.mux.liveConns()) })
 	return c, nil
 }
@@ -234,10 +255,10 @@ var errStaleConn = errors.New("client: stale shared connection")
 // error is returned only when no replica could be reached (partial
 // success is the protocol's normal churn-tolerant mode).
 func (c *Cluster) Insert(e store.Entry) (acked int, err error) {
-	opStart := time.Now()
+	opStart := c.now()
 	sp := c.tracer.StartOp("client.insert")
 	defer func() {
-		c.m.opInsert.ObserveSinceExemplar(opStart, sp.TraceID())
+		c.m.opInsert.ObserveExemplar(micros(c.now().Sub(opStart)), sp.TraceID())
 		c.tracer.FinishOp(sp, "insert", e.GUID, opStart, err)
 	}()
 	var pbuf [stackK]core.Placement
@@ -283,7 +304,7 @@ func (c *Cluster) fanOut(atts []attempt, place []core.Placement, proto attempt, 
 			continue // placements collided on one AS: ask it once
 		}
 		if j > 0 {
-			now = time.Now() // a transport that answers in the call may have spent the budget
+			now = c.now() // a transport that answers in the call may have spent the budget
 		}
 		atts = append(atts, proto)
 		c.start(&atts[len(atts)-1], p.AS, now)
@@ -353,10 +374,14 @@ func insertFailure(g guid.GUID, place []core.Placement, atts []attempt) error {
 // Update is Insert with a higher version (freshest-wins at each node).
 func (c *Cluster) Update(e store.Entry) (int, error) { return c.Insert(e) }
 
-// Lookup resolves g, walking replicas in Algorithm 1's placement order:
-// a miss reply, timeout, connection error or rejection moves to the next
-// replica until the per-operation deadline expires (§III-D3). A replica
-// on an AS the walk has already asked is skipped, as fanOut does.
+// Lookup resolves g. Over a Network that knows RTTs the walk asks the
+// closest replica AS first (§III-C); the others, and every replica over
+// TCP, follow in Algorithm 1's placement order. A miss reply, timeout,
+// connection error or rejection moves to the next replica AS until the
+// per-operation deadline expires (§III-D3); each replica AS is asked
+// once. When they are spent and one answered "missing", the first that
+// did is asked once more: churn is transient, and §III-D1 pulls the copy
+// on the first miss.
 func (c *Cluster) Lookup(g guid.GUID) (store.Entry, error) {
 	var e store.Entry
 	if err := c.LookupInto(g, &e); err != nil {
@@ -373,7 +398,7 @@ func (c *Cluster) Lookup(g guid.GUID) (store.Entry, error) {
 func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 	payload := wire.AppendGUID(payloadBufs.Get(32), g)
 	defer payloadBufs.Put(payload) // the replica walk below is sequential
-	opStart := time.Now()
+	opStart := c.now()
 	sp := c.tracer.StartOp("client.lookup")
 	// now is the walk's last clock reading: a healthy single-attempt
 	// lookup reads the clock at its start and when its reply is in, and
@@ -387,30 +412,53 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 	a := &walk[0]
 	var lastErr error
 	asked := make([]int, 0, stackK)
-	// Replica i is placed as the walk reaches it (§III-D3 asks replica
-	// i+1 only once replica i failed or missed): a healthy read runs
-	// Algorithm 1 once, not K times.
-	for i, k := 0, c.resolver.K(); i < k; i++ {
-		p, perr := c.resolver.PlaceReplica(g, i)
-		if perr != nil {
-			now = time.Now()
-			return perr
+	k := c.resolver.K()
+	byRTT := false
+	if c.net != nil {
+		if asked, byRTT = c.closestFirst(g, asked); byRTT {
+			k = len(asked)
+		} else {
+			asked = asked[:0]
 		}
-		if slices.Contains(asked, p.AS) {
-			continue // placements collided on one AS: it has answered for both
+	}
+	missed := -1 // the first AS to answer "missing"
+	// Step i < k asks the i-th AS, step k re-asks the missed one. In
+	// placement order replica i is placed as the walk reaches it (§III-D3
+	// asks replica i+1 only once replica i failed or missed): a healthy
+	// read runs Algorithm 1 once, not K times.
+walk:
+	for i := 0; i <= k; i++ {
+		as := missed
+		switch {
+		case i == k:
+			if missed < 0 {
+				break walk
+			}
+		case byRTT:
+			as = asked[i]
+		default:
+			p, perr := c.resolver.PlaceReplica(g, i)
+			if perr != nil {
+				now = c.now()
+				return perr
+			}
+			if slices.Contains(asked, p.AS) {
+				continue // placements collided on one AS: it has answered for both
+			}
+			asked = append(asked, p.AS)
+			as = p.AS
 		}
-		asked = append(asked, p.AS)
-		c.start(a, p.AS, now)
+		c.start(a, as, now)
 		now = c.finish(walk[:], now)
 		if a.err != nil {
 			lastErr = a.err
 			if errors.Is(a.err, ErrDeadline) {
 				break // out of budget: later replicas cannot be tried either
 			}
-			if i < k-1 {
+			if i < k-1 && (byRTT || c.failoverLeft(g, i)) {
 				c.m.failovers.Inc()
-				sp.Eventf("failover: AS %d failed: %v", p.AS, a.err)
-				c.logger.Debug("lookup failover", "guid", g.Short(), "as", p.AS, "err", a.err)
+				sp.Eventf("failover: AS %d failed: %v", as, a.err)
+				c.logger.Debug("lookup failover", "guid", g.Short(), "as", as, "err", a.err)
 			}
 			continue
 		}
@@ -421,12 +469,13 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 		}
 		found, derr := wire.DecodeLookupRespInto(e, a.body)
 		putBody(a.body) // DecodeLookupRespInto copied everything it kept
-		if derr != nil {
+		switch {
+		case derr != nil:
 			lastErr = derr
-			continue
-		}
-		if found {
+		case found:
 			return nil
+		case missed < 0:
+			missed = as
 		}
 	}
 	if lastErr != nil {
@@ -438,15 +487,60 @@ func (c *Cluster) LookupInto(g guid.GUID, e *store.Entry) (err error) {
 	return ErrNotFound
 }
 
+// closestFirst appends g's distinct replica ASs to ases in the order a
+// read asks them over c.net: those whose RTT it knows by (RTT, AS), the
+// closed-form walk's order, then the others in placement order. ok
+// reports whether it knows the RTT to any of them and placement
+// succeeded; if not, the read walks placement order as over TCP.
+func (c *Cluster) closestFirst(g guid.GUID, ases []int) (_ []int, ok bool) {
+	var pbuf [stackK]core.Placement
+	place, err := c.resolver.PlaceInto(g, pbuf[:0])
+	for j, p := range place {
+		if !collided(place, j) {
+			ases = append(ases, p.AS)
+			_, known := c.net.RTT(p.AS)
+			ok = ok || known
+		}
+	}
+	slices.SortStableFunc(ases, func(x, y int) int {
+		dx, okx := c.net.RTT(x)
+		dy, oky := c.net.RTT(y)
+		switch {
+		case okx && oky:
+			return cmp.Or(cmp.Compare(dx, dy), cmp.Compare(x, y))
+		case okx:
+			return -1
+		case oky:
+			return 1
+		}
+		return 0
+	})
+	return ases, ok && err == nil
+}
+
+// failoverLeft reports whether one of g's replicas after placement i is
+// on an AS that placements 0..i do not name: whether a read that failed
+// at replica i has an AS left to fail over to.
+func (c *Cluster) failoverLeft(g guid.GUID, i int) bool {
+	var pbuf [stackK]core.Placement
+	place, _ := c.resolver.PlaceInto(g, pbuf[:0]) // none on error
+	for j := i + 1; j < len(place); j++ {
+		if !slices.ContainsFunc(place[:i+1], func(q core.Placement) bool { return q.AS == place[j].AS }) {
+			return true
+		}
+	}
+	return false
+}
+
 // Delete removes g from all replicas, asking each distinct replica AS
 // once and all of them at the same time. It returns how many held it.
 func (c *Cluster) Delete(g guid.GUID) (removed int, err error) {
 	payload := wire.AppendGUID(payloadBufs.Get(32), g)
 	defer payloadBufs.Put(payload) // fanOut returns with every attempt finished
-	opStart := time.Now()
+	opStart := c.now()
 	sp := c.tracer.StartOp("client.delete")
 	defer func() {
-		c.m.opDelete.ObserveSinceExemplar(opStart, sp.TraceID())
+		c.m.opDelete.ObserveExemplar(micros(c.now().Sub(opStart)), sp.TraceID())
 		c.tracer.FinishOp(sp, "delete", g, opStart, err)
 	}()
 	var pbuf [stackK]core.Placement
@@ -492,7 +586,7 @@ type attempt struct {
 	began    time.Time
 	timeout  time.Duration
 	wake     time.Time
-	pend     pending // its reply, when still to be taken
+	pend     Reply // its reply, when still to be taken
 
 	// The answer, final once done.
 	done bool
@@ -504,9 +598,12 @@ type attempt struct {
 // start sends a's first try at replica AS as. It does not wait for the
 // reply.
 func (c *Cluster) start(a *attempt, as int, now time.Time) {
-	c.mu.RLock()
-	addr, ok := c.addrs[as]
-	c.mu.RUnlock()
+	addr, ok := "", true // a Network reaches every AS
+	if c.net == nil {
+		c.mu.RLock()
+		addr, ok = c.addrs[as]
+		c.mu.RUnlock()
+	}
 	a.as, a.addr, a.n, a.redialed, a.done = as, addr, 1, false, !ok
 	a.rt, a.body, a.err = 0, nil, nil
 	if !ok {
@@ -537,8 +634,8 @@ func (c *Cluster) send(a *attempt, now time.Time) {
 		a.att.Eventf("as=%d addr=%s attempt=%d %v", a.as, a.addr, a.n, a.t)
 	}
 	a.began = now
-	if c.transport != nil {
-		a.rt, a.body, a.pend, a.err = c.transport(a.addr, a.t, a.att.Context(), a.payload, a.timeout)
+	if c.net != nil {
+		a.pend = c.net.Start(a.as, a.t, a.att.Context(), a.payload, a.timeout)
 	} else {
 		a.pend, a.err = c.roundTrip(a.addr, a.t, a.att.Context(), a.payload, now, a.timeout, a.cork)
 	}
@@ -566,8 +663,8 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 			if a := &atts[i]; !a.done {
 				more = true
 				if pause := a.wake.Sub(now); pause > 0 {
-					time.Sleep(pause)
-					now = time.Now()
+					c.sleep(pause)
+					now = c.now()
 				}
 				c.send(a, now)
 			}
@@ -587,11 +684,11 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 // a done, or ready for send at a.wake, and returns its clock reading.
 func (c *Cluster) settle(a *attempt) time.Time {
 	if a.pend != nil {
-		a.rt, a.body, a.err = a.pend.wait()
+		a.rt, a.body, a.err = a.pend.Wait()
 		a.pend = nil
 		c.m.inflight.Add(-1)
 	}
-	now := time.Now()
+	now := c.now()
 	c.m.attempt.ObserveExemplar(micros(now.Sub(a.began)), a.att.TraceID())
 	a.wake = now
 	if errors.Is(a.err, errStaleConn) && !a.redialed {
@@ -656,6 +753,23 @@ func (c *Cluster) settle(a *attempt) time.Time {
 	return now
 }
 
+// now reads the client's clock: its network's, or the wall clock.
+func (c *Cluster) now() time.Time {
+	if c.net != nil {
+		return c.net.Now()
+	}
+	return time.Now()
+}
+
+// sleep pauses on the client's clock.
+func (c *Cluster) sleep(d time.Duration) {
+	if c.net != nil {
+		c.net.Sleep(d)
+	} else {
+		time.Sleep(d)
+	}
+}
+
 // micros is d in the histograms' unit.
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
@@ -664,7 +778,7 @@ func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 // reply slot is handed back. A dial and handshake may block, so an
 // attempt that needs them runs beside the caller: several replicas'
 // blocks overlap instead of adding up.
-func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, cork bool) (pending, error) {
+func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, cork bool) (Reply, error) {
 	if mc := c.mux.live(addr); mc != nil {
 		return mc.begin(t, tc, payload, began, timeout, false, cork)
 	}
@@ -694,5 +808,5 @@ func (c *Cluster) exchange(addr string, t wire.MsgType, tc trace.Context, payloa
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.wait()
+	return s.Wait()
 }

@@ -117,10 +117,28 @@ func TestInsertLookupDeleteOverTCP(t *testing.T) {
 	}
 }
 
+// TestLookupUnknownGUID: every replica AS answers "missing", so the walk
+// asks each once and the first once more (§III-D1), then gives up.
 func TestLookupUnknownGUID(t *testing.T) {
-	c, _ := testCluster(t, 12, 3)
-	if _, err := c.Lookup(guid.New("ghost")); !errors.Is(err, ErrNotFound) {
+	c, nodes := testCluster(t, 12, 3)
+	g := guid.New("ghost")
+	if _, err := c.Lookup(g); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
+	}
+	placements, err := cResolver(c).Place(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[int]bool{}
+	for _, p := range placements {
+		distinct[p.AS] = true
+	}
+	var asked int64
+	for _, n := range nodes {
+		asked += n.Stats().Lookups
+	}
+	if want := int64(len(distinct) + 1); asked != want {
+		t.Errorf("%d lookups served, want %d: each replica AS of %v once, the first again", asked, want, placements)
 	}
 }
 

@@ -1,6 +1,6 @@
 // The K-replica operations start one attempt per distinct replica AS
 // from the calling goroutine and finish them in place. These tests pin
-// that shape through the scripted transport seam: which frames go out,
+// that shape through a scripted Network: which frames go out,
 // how acks are counted, what the retry policy grants a failed first
 // try, who owns the payload while tries are in flight, how long
 // failures may take, and that nothing spawns a goroutine.
@@ -39,10 +39,42 @@ const (
 
 func (f tryFate) String() string { return [...]string{"ack", "error", "shed", "reject"}[f] }
 
+// script puts a scripted transport on the Network seam: each try's
+// outcome, or a reply on its way, from addr — the AS number — and the
+// frame. It runs on the wall clock and knows no RTT, so reads walk
+// placement order.
+type script func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, Reply, error)
+
+func (s script) Now() time.Time                { return time.Now() }
+func (s script) Sleep(d time.Duration)         { time.Sleep(d) }
+func (s script) RTT(int) (time.Duration, bool) { return 0, false }
+func (s script) Start(as int, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) Reply {
+	rt, body, r, err := s(strconv.Itoa(as), mt, tc, payload, timeout)
+	if r == nil {
+		a := answeredPool.Get().(*answered)
+		*a = answered{rt, body, err}
+		r = a
+	}
+	return r
+}
+
+// answered is a reply that was in when its try returned. They are
+// pooled, so the alloc budgets count the client's allocations alone.
+type answered muxReply
+
+var answeredPool = sync.Pool{New: func() any { return new(answered) }}
+
+func (a *answered) Wait() (wire.MsgType, []byte, error) {
+	r := *a
+	*a = answered{}
+	answeredPool.Put(a)
+	return r.t, r.body, r.err
+}
+
 // synchronous adapts a transport whose whole round trip happens inside
 // the call — it never leaves a reply pending — to the seam.
-func synchronous(rt func(string, wire.MsgType, trace.Context, []byte, time.Duration) (wire.MsgType, []byte, error)) func(string, wire.MsgType, trace.Context, []byte, time.Duration) (wire.MsgType, []byte, pending, error) {
-	return func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+func synchronous(rt func(string, wire.MsgType, trace.Context, []byte, time.Duration) (wire.MsgType, []byte, error)) script {
+	return func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, Reply, error) {
 		t, body, err := rt(addr, mt, tc, payload, timeout)
 		return t, body, nil, err
 	}
@@ -58,7 +90,7 @@ type lateReply struct {
 	body    []byte
 }
 
-func (l *lateReply) wait() (wire.MsgType, []byte, error) {
+func (l *lateReply) Wait() (wire.MsgType, []byte, error) {
 	select {
 	case <-l.ready:
 		return l.rt, l.body, nil
@@ -120,7 +152,7 @@ func newFanCluster(t *testing.T, cfg Config) *fanCluster {
 	t.Cleanup(c.Close)
 	fc := &fanCluster{Cluster: c, t: t}
 	fc.reset(nil, nil)
-	c.transport = fc.roundTrip
+	c.net = script(fc.roundTrip)
 	return fc
 }
 
@@ -130,7 +162,7 @@ func (fc *fanCluster) reset(first map[int]tryFate, delay map[int]time.Duration) 
 	fc.first, fc.delay, fc.frames = first, delay, make(map[int][]wire.MsgType)
 }
 
-func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+func (fc *fanCluster) roundTrip(addr string, mt wire.MsgType, _ trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, Reply, error) {
 	as, err := strconv.Atoi(addr)
 	if err != nil {
 		return 0, nil, nil, err
@@ -734,7 +766,7 @@ func TestInsertAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	fc := newFanCluster(t, Config{})
-	fc.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, _ []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	fc.net = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, _ []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		if mt == wire.MsgDelete {
 			return wire.MsgDeleteAck, append(replyBufs.Get(1), 1), nil
 		}

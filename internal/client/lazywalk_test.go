@@ -1,14 +1,18 @@
-// The read walks place replica i only as they reach it. These tests pin
-// that this is the same walk as placing all K up front: same contact
-// order, same failover count, same results — through a scripted
-// transport, so every pattern of failing and missing replicas is staged
-// without sockets.
+// The read walks follow Algorithm 1's placement order and place replica
+// i only as they reach it, over TCP and over a Network that knows no
+// RTT; over one that does, a lookup places all K up front and asks the
+// closest first. These tests pin the walks — contact order, failover
+// count, results — through scripted Networks, so every pattern of
+// failing and missing replicas is staged without sockets.
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -67,7 +71,7 @@ func newWalkCluster(t *testing.T, tbl *prefixtable.Table, cfg Config) *walkClust
 	t.Cleanup(c.Close)
 	sc := &walkCluster{Cluster: c}
 	sc.reset(nil)
-	c.transport = synchronous(sc.roundTrip)
+	c.net = synchronous(sc.roundTrip)
 	return sc
 }
 
@@ -183,33 +187,80 @@ func allFates() [][walkK]replicaFate {
 func TestLazyLookupWalkMatchesPlaceOrder(t *testing.T) {
 	sc := newWalkCluster(t, walkTable(t), Config{})
 	g := sc.distinctGUIDs(t, 1)[0]
+	sc.checkLookupFates(t, g, sc.placedASs(t, g))
+}
+
+// TestRTTLookupWalkAsksClosestFirst: over a Network that knows the RTT
+// to a replica the lookup asks the replicas it knows by (RTT, AS), the
+// closed-form walk's order, and the others after them in placement
+// order; failovers, the re-ask and the results follow that order.
+func TestRTTLookupWalkAsksClosestFirst(t *testing.T) {
+	sc := newWalkCluster(t, walkTable(t), Config{})
+	g := sc.distinctGUIDs(t, 1)[0]
 	ases := sc.placedASs(t, g)
+	far := func(as int) time.Duration { return time.Duration(100-as) * time.Millisecond }
+	byRTT := slices.Clone(ases)
+	slices.SortFunc(byRTT, func(x, y int) int { return cmp.Compare(far(x), far(y)) })
+	for _, tc := range []struct {
+		name  string
+		known func(as int) bool
+		want  []int
+	}{
+		{"every RTT known", func(int) bool { return true }, byRTT},
+		{"last replica's RTT known", func(as int) bool { return as == ases[2] }, []int{ases[2], ases[0], ases[1]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc.Cluster.net = knowsRTT{synchronous(sc.roundTrip), func(as int) (time.Duration, bool) { return far(as), tc.known(as) }}
+			sc.checkLookupFates(t, g, tc.want)
+		})
+	}
+}
+
+// knowsRTT is a script that knows the round trips rtt reports.
+type knowsRTT struct {
+	script
+	rtt func(as int) (time.Duration, bool)
+}
+
+func (k knowsRTT) RTT(as int) (time.Duration, bool) { return k.rtt(as) }
+
+// checkLookupFates stages every hit/miss/fail pattern over g's replicas
+// and checks that a lookup asks them in order — three distinct ASs —
+// stopping at the first hit, counting a failover for each failure with
+// an AS left to ask, and, with no hit, asking the first to miss once
+// more.
+func (sc *walkCluster) checkLookupFates(t *testing.T, g guid.GUID, order []int) {
+	t.Helper()
 	for _, fates := range allFates() {
 		fate := make(map[int]replicaFate)
-		// The walk must stop at the first hit; a failure anywhere but on
-		// the last replica is a failover.
 		var wantContacts []int
-		wantFailovers, wantFound, anyFailed := int64(0), false, false
+		wantFailovers, wantFound, anyFailed, missed := int64(0), false, false, -1
 		for i, f := range fates {
-			fate[ases[i]] = f
+			fate[order[i]] = f
 			if wantFound {
 				continue
 			}
-			wantContacts = append(wantContacts, ases[i])
+			wantContacts = append(wantContacts, order[i])
 			if f == fateFail {
 				anyFailed = true
 				if i < walkK-1 {
 					wantFailovers++
 				}
 			}
+			if f == fateMiss && missed < 0 {
+				missed = order[i]
+			}
 			wantFound = f == fateHit
+		}
+		if !wantFound && missed >= 0 {
+			wantContacts = append(wantContacts, missed)
 		}
 		sc.reset(fate)
 		before := sc.Stats().Failovers
 		var e store.Entry
 		err := sc.LookupInto(g, &e)
 		if got := sc.contacts[g]; !reflect.DeepEqual(got, wantContacts) {
-			t.Errorf("%v: contacted ASs %v, want %v (Place order %v)", fates, got, wantContacts, ases)
+			t.Errorf("%v: contacted ASs %v, want %v (walk order %v)", fates, got, wantContacts, order)
 		}
 		if got := sc.Stats().Failovers - before; got != wantFailovers {
 			t.Errorf("%v: %d failovers, want %d", fates, got, wantFailovers)
@@ -307,44 +358,84 @@ func TestLazyLookupBatchWalkMatchesPlaceOrder(t *testing.T) {
 	}
 }
 
-// TestReadWalksAskEachASOnce: a GUID whose first two placements share a
-// dead AS costs one contact with it and one failover, after which its
-// third, live replica serves — in both read walks. Asking the dead AS for
-// the second placement too would pay its whole retry budget again for an
-// answer the walk already has.
+// TestReadWalksAskEachASOnce: a dead AS that two placements share costs
+// one contact and one failover at most, in both read walks — placed
+// [A A B] with A dead, the live B serves; placed [A B B] with both dead,
+// the walk fails over from A to B and, with no AS left, no further.
+// Asking the dead AS for its second placement would pay its whole retry
+// budget again for an answer the walk already has. Over TCP, where the
+// walk places replica i only as it reaches it, a dead cluster costs a
+// GUID one failover per distinct replica AS but the last.
 func TestReadWalksAskEachASOnce(t *testing.T) {
 	sc := newWalkCluster(t, walkTable(t), Config{})
-	var g guid.GUID
-	var ases []int
-	for i := 0; ; i++ {
-		g = guid.New(fmt.Sprintf("collide-%d", i))
-		if ases = sc.placedASs(t, g); ases[0] == ases[1] && ases[2] != ases[0] {
-			break
+	placedLike := func(same func(ases []int) bool) (guid.GUID, []int) {
+		for i := 0; ; i++ {
+			g := guid.New(fmt.Sprintf("collide-%d", i))
+			if ases := sc.placedASs(t, g); same(ases) {
+				return g, ases
+			}
 		}
 	}
-	dead, live := ases[0], ases[2]
-	fate := map[int]replicaFate{dead: fateFail, live: fateHit}
-	lookups := map[string]func() bool{
-		"LookupInto": func() bool {
-			var e store.Entry
-			return sc.LookupInto(g, &e) == nil && e.GUID == g
-		},
-		"LookupBatch": func() bool {
-			entries, found, err := sc.LookupBatch([]guid.GUID{g})
-			return err == nil && found[0] && entries[0].GUID == g
-		},
+	aab, aabASs := placedLike(func(a []int) bool { return a[0] == a[1] && a[2] != a[0] })
+	abb, abbASs := placedLike(func(a []int) bool { return a[1] == a[2] && a[0] != a[1] })
+	cases := []struct {
+		name     string
+		g        guid.GUID
+		fate     map[int]replicaFate
+		contacts []int
+		found    bool
+	}{
+		{"[A A B]", aab, map[int]replicaFate{aabASs[0]: fateFail, aabASs[2]: fateHit}, []int{aabASs[0], aabASs[2]}, true},
+		{"[A B B]", abb, map[int]replicaFate{abbASs[0]: fateFail, abbASs[1]: fateFail}, []int{abbASs[0], abbASs[1]}, false},
 	}
-	for name, lookup := range lookups {
-		sc.reset(fate)
-		before := sc.Stats().Failovers
-		if !lookup() {
-			t.Errorf("%s: %v (placed on %v) not served by the live AS %d", name, g.Short(), ases, live)
+	for _, tc := range cases {
+		lookups := map[string]func() bool{
+			"LookupInto": func() bool {
+				var e store.Entry
+				return sc.LookupInto(tc.g, &e) == nil && e.GUID == tc.g
+			},
+			"LookupBatch": func() bool {
+				entries, found, err := sc.LookupBatch([]guid.GUID{tc.g})
+				return err == nil && found[0] && entries[0].GUID == tc.g
+			},
 		}
-		if got := sc.contacts[g]; !reflect.DeepEqual(got, []int{dead, live}) {
-			t.Errorf("%s: contacted ASs %v, want [%d %d] (placed on %v)", name, got, dead, live, ases)
+		for name, lookup := range lookups {
+			sc.reset(tc.fate)
+			before := sc.Stats().Failovers
+			if got := lookup(); got != tc.found {
+				t.Errorf("%s %s: found %v, want %v", tc.name, name, got, tc.found)
+			}
+			if got := sc.contacts[tc.g]; !reflect.DeepEqual(got, tc.contacts) {
+				t.Errorf("%s %s: contacted ASs %v, want %v", tc.name, name, got, tc.contacts)
+			}
+			if got := sc.Stats().Failovers - before; got != 1 {
+				t.Errorf("%s %s: %d failovers, want 1 (one AS abandoned)", tc.name, name, got)
+			}
 		}
-		if got := sc.Stats().Failovers - before; got != 1 {
-			t.Errorf("%s: %d failovers, want 1 (one AS abandoned)", name, got)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	addrs := make(map[int]string, 16)
+	for as := 0; as < 16; as++ {
+		addrs[as] = dead
+	}
+	tcp, err := NewWithConfig(sc.resolver, addrs, Config{Timeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tcp.Close)
+	for _, g := range []guid.GUID{aab, abb} {
+		before := tcp.Stats().Failovers
+		if _, err := tcp.Lookup(g); err == nil {
+			t.Fatalf("TCP lookup of %v with every node down succeeded", g.Short())
+		}
+		if got := tcp.Stats().Failovers - before; got != 1 {
+			t.Errorf("TCP lookup of %v (placed on %v): %d failovers, want 1", g.Short(), sc.placedASs(t, g), got)
 		}
 	}
 }
@@ -379,15 +470,15 @@ func TestLookupBatchChunkCommitsWhole(t *testing.T) {
 		"wrongCount": func(b []byte) []byte { b[1]++; return b },
 		"badFlag":    func(b []byte) []byte { b[len(b)-len(hit)] = 2; return b },
 	}
-	scripted := sc.transport
+	scripted := sc.net.(script)
 	for name, breakReply := range breaks {
-		sc.transport = func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+		sc.net = script(func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, Reply, error) {
 			rt, body, p, err := scripted(addr, mt, tc, payload, timeout)
 			if addr == strconv.Itoa(bad) && err == nil {
 				body = breakReply(body)
 			}
 			return rt, body, p, err
-		}
+		})
 		for _, others := range []replicaFate{fateHit, fateMiss} {
 			fate := map[int]replicaFate{bad: fateHit}
 			for as := 0; as < 16; as++ {
@@ -438,7 +529,7 @@ func TestLookupBatchMultiHomedEntriesDoNotAlias(t *testing.T) {
 		}
 		return e
 	}
-	sc.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	sc.net = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		gs, err := wire.DecodeBatchLookup(payload)
 		if err != nil {
 			return 0, nil, err
@@ -478,11 +569,11 @@ func TestLazyWalkStopsAtDeadline(t *testing.T) {
 	g := sc.distinctGUIDs(t, 1)[0]
 	ases := sc.placedASs(t, g)
 	sc.reset(map[int]replicaFate{ases[0]: fateFail, ases[1]: fateHit, ases[2]: fateHit})
-	inner := sc.transport
-	sc.transport = func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, pending, error) {
+	inner := sc.net.(script)
+	sc.net = script(func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, Reply, error) {
 		time.Sleep(30 * time.Millisecond) // the first attempt outlives the whole budget
 		return inner(addr, mt, tc, payload, timeout)
-	}
+	})
 	var e store.Entry
 	if err := sc.LookupInto(g, &e); !errors.Is(err, ErrDeadline) {
 		t.Errorf("LookupInto = %v, want ErrDeadline", err)
@@ -537,7 +628,7 @@ func TestInsertBatchAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	sc := newWalkCluster(t, walkTable(t), Config{})
-	sc.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	sc.net = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		if mt != wire.MsgBatchInsert {
 			return 0, nil, fmt.Errorf("stub transport: unexpected %v", mt)
 		}
@@ -576,7 +667,7 @@ func TestLookupBatchAllocBudget(t *testing.T) {
 	}
 	sc := newWalkCluster(t, walkTable(t), Config{})
 	nas := []store.NA{{AS: 3, Addr: 7}}
-	sc.transport = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
+	sc.net = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, payload []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		if mt != wire.MsgBatchLookup {
 			return 0, nil, fmt.Errorf("stub transport: unexpected %v", mt)
 		}

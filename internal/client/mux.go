@@ -58,15 +58,6 @@ type muxReply struct {
 	err  error
 }
 
-// pending is a request that is on its way while its reply is not in
-// yet: what a transport hands back instead of an outcome, and what
-// settle takes the reply from.
-type pending interface {
-	// wait blocks for the reply — or the timeout the request was
-	// started with, which it carries.
-	wait() (wire.MsgType, []byte, error)
-}
-
 // muxSlot is one reusable in-flight table slot: the rendezvous between
 // a requester and whoever claims the slot — the demux reader with the
 // reply, the watchdog with a timeout, or fail. Slots are pooled — the
@@ -87,7 +78,7 @@ type muxSlot struct {
 // caller (roundTrip); such an attempt times itself out.
 type deferred chan muxReply
 
-func (d deferred) wait() (wire.MsgType, []byte, error) {
+func (d deferred) Wait() (wire.MsgType, []byte, error) {
 	r := <-d
 	return r.t, r.body, r.err
 }
@@ -257,13 +248,13 @@ func (m *muxConn) readLoop() {
 // own span still records the attempt). The payload is copied into the
 // writer before start returns. The request times out at began+timeout.
 // fresh: m was dialed for this request.
-func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, fresh bool) (pending, error) {
+func (m *muxConn) start(t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, fresh bool) (Reply, error) {
 	return m.begin(t, tc, payload, began, timeout, fresh, false)
 }
 
 // begin is start or, corked, start without the write: the frame is only
 // enqueued, for its set's flush; a failed flush reaches it through its slot.
-func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, fresh, cork bool) (pending, error) {
+func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, fresh, cork bool) (Reply, error) {
 	s, err := m.register(began, timeout)
 	if err != nil {
 		return nil, staleUnless(fresh, err)
@@ -295,11 +286,11 @@ func (m *muxConn) begin(t wire.MsgType, tc trace.Context, payload []byte, began 
 	return s, nil
 }
 
-// wait takes the reply of the request s carries — the answer, the
+// Wait takes the reply of the request s carries — the answer, the
 // watchdog's timeout or the connection's death, whichever claimed the
 // slot first — and recycles the slot. The body, when non-nil, is
 // pool-owned: release it with putBody after decoding.
-func (s *muxSlot) wait() (wire.MsgType, []byte, error) {
+func (s *muxSlot) Wait() (wire.MsgType, []byte, error) {
 	r := <-s.ch
 	err := staleUnless(s.fresh, r.err)
 	slotPool.Put(s)

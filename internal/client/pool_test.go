@@ -103,7 +103,7 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 				var body []byte
 				s, err := m.start(wire.MsgLookup, trace.Context{}, want, time.Now(), timeout, true)
 				if err == nil {
-					typ, body, err = s.wait()
+					typ, body, err = s.Wait()
 				}
 				switch {
 				case err == nil:
@@ -152,7 +152,7 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 			s, err := m.start(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Now(), time.Minute, true)
 			if err == nil {
 				var body []byte
-				_, body, err = s.wait()
+				_, body, err = s.Wait()
 				putBody(body)
 			}
 			errs <- err
@@ -210,7 +210,7 @@ func TestMuxDeadlineLateReplyIsTheAnswer(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		answer(m, s)
 	}()
-	if typ, _, err := s.wait(); err != nil || typ != wire.MsgLookupResp {
+	if typ, _, err := s.Wait(); err != nil || typ != wire.MsgLookupResp {
 		t.Fatalf("reply 20 ms late under a 1 s deadline: (%v, %v), want the reply", typ, err)
 	}
 }
@@ -224,7 +224,7 @@ func TestMuxDeadlineSilentPeerTimesOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.wait(); !errors.Is(err, timeoutError{}) || time.Since(began) < 20*time.Millisecond {
+	if _, _, err := s.Wait(); !errors.Is(err, timeoutError{}) || time.Since(began) < 20*time.Millisecond {
 		t.Fatalf("no reply under a 20 ms deadline: %v after %v, want a timeout after 20 ms", err, time.Since(began))
 	}
 	if m.claim(s.id) != nil {
@@ -247,7 +247,7 @@ func TestMuxDeadlineShorterFiresFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := short.wait(); !errors.Is(err, timeoutError{}) {
+	if _, _, err := short.Wait(); !errors.Is(err, timeoutError{}) {
 		t.Fatalf("short deadline: %v, want a timeout", err)
 	}
 	if took := time.Since(began); took < 20*time.Millisecond || took > 10*time.Second {
@@ -256,7 +256,7 @@ func TestMuxDeadlineShorterFiresFirst(t *testing.T) {
 	if !answer(m, long) {
 		t.Fatal("the watchdog took the long request with the short one")
 	}
-	if typ, _, err := long.wait(); err != nil || typ != wire.MsgLookupResp {
+	if typ, _, err := long.Wait(); err != nil || typ != wire.MsgLookupResp {
 		t.Fatalf("long request: (%v, %v), want its reply", typ, err)
 	}
 }
@@ -281,7 +281,7 @@ func TestMuxDeadlineReplyRacesExpiry(t *testing.T) {
 			time.Sleep(d - time.Millisecond + time.Duration(i%20)*100*time.Microsecond)
 			answer(m, s)
 		}()
-		typ, _, err := s.wait()
+		typ, _, err := s.Wait()
 		<-done
 		switch {
 		case err == nil && typ == wire.MsgLookupResp:
@@ -314,7 +314,7 @@ func TestMuxDeadlineWatchdogStoppedByFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.fail(errors.New("injected failure"))
-	if _, _, err := s.wait(); !errors.Is(err, errConnDead) {
+	if _, _, err := s.Wait(); !errors.Is(err, errConnDead) {
 		t.Fatalf("waiter on a failed connection: %v, want errConnDead", err)
 	}
 	m.mu.Lock()

@@ -49,7 +49,7 @@ func TestStaleRedialSkipsBackoffAndRetryCount(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	var calls int32
-	c.transport = synchronous(func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	c.net = synchronous(func(addr string, mt wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
 		switch atomic.AddInt32(&calls, 1) {
 		case 1:
 			return 0, nil, errors.New("connection reset")

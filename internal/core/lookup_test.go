@@ -13,9 +13,9 @@ import (
 	"dmap/internal/topology"
 )
 
-// The lookup walk over core's placements lives in nodesim; these tests
-// drive it on a system built here, so core's K placements are what the
-// walk tries.
+// The lookup walk over core's placements is the shipped client's; these
+// tests drive it over nodesim's simulated link on a system built here,
+// so core's K placements are what the walk tries.
 
 // flatOracle makes the RTT between ASs a and b |a-b|+1 ms: enough
 // structure for "closest replica first" to be observable.
@@ -34,8 +34,8 @@ func flatRTT(a, b int) topology.Micros {
 }
 
 // lookupDeployment builds a K-replica system over a generated 500-AS
-// table and wraps it in an event-driven deployment with the given
-// per-attempt timeout.
+// table and puts it on a simulated link with the given per-attempt
+// timeout.
 func lookupDeployment(t *testing.T, k int, timeout simnet.Time) *nodesim.Deployment {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
@@ -62,17 +62,14 @@ func lookupDeployment(t *testing.T, k int, timeout simnet.Time) *nodesim.Deploym
 	return d
 }
 
+// lookup resolves g from AS src with the shipped client on the link.
 func lookup(t *testing.T, d *nodesim.Deployment, src int, g guid.GUID) nodesim.LookupResult {
 	t.Helper()
-	var res *nodesim.LookupResult
-	if err := d.Lookup(src, g, func(r nodesim.LookupResult) { res = &r }); err != nil {
+	res, err := d.Read(src, g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.Sim().Run(0)
-	if res == nil {
-		t.Fatal("lookup never completed")
-	}
-	return *res
+	return res
 }
 
 func TestLookupNotFound(t *testing.T) {

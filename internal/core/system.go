@@ -23,8 +23,8 @@ type SystemConfig struct {
 
 // System is an in-memory DMap deployment: one mapping store per AS plus
 // the protocol logic that moves entries between them. It holds no
-// latency model: internal/nodesim runs the lookup walk as messages and
-// internal/experiments evaluates it in closed form. Insert, Delete and
+// latency model: the shipped client walks it over internal/nodesim's
+// simulated link and internal/experiments evaluates it in closed form. Insert, Delete and
 // the read-only accessors are safe for concurrent use: per-AS stores are
 // allocated lazily behind atomic pointers with striped locks, and each
 // store serializes its own map. The BGP-churn protocol methods
@@ -89,7 +89,7 @@ func (s *System) storeAt(as int) *store.Store {
 }
 
 // Store exposes the mapping store of as (allocating it if needed), for
-// event-driven deployments that deliver protocol messages themselves.
+// simulated nodes that answer protocol messages themselves.
 func (s *System) Store(as int) (*store.Store, error) {
 	if as < 0 || as >= len(s.stores) {
 		return nil, fmt.Errorf("core: AS %d out of range [0,%d)", as, len(s.stores))

@@ -14,10 +14,10 @@ import (
 )
 
 // ChurnSimConfig drives the protocol-level churn experiment: real timed
-// BGP withdrawals and announcements applied to a live event-driven
-// deployment while a lookup stream runs — the end-to-end version of
-// Fig. 5's abstracted miss-rate model, exercising the §III-D1 migration
-// protocol itself.
+// BGP withdrawals and announcements applied to a live simulated
+// deployment while a stream of the shipped client's lookups runs — the
+// end-to-end version of Fig. 5's abstracted miss-rate model, exercising
+// the §III-D1 migration protocol itself.
 type ChurnSimConfig struct {
 	K          int
 	NumGUIDs   int
@@ -122,19 +122,19 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	for i, ev := range trace.Lookups {
 		at := simnet.Time(float64(i) * rngStep)
 		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
-		if err := sim.At(at, func() {
-			err := dep.Lookup(ev.SrcAS, g, func(r nodesim.LookupResult) {
-				if !r.Found {
-					res.Failures++
-					return
-				}
+		// Each lookup is the shipped client's walk, run as a simnet
+		// process: concurrent with the others and the churn in virtual
+		// time, one after another they would finish minutes late.
+		if err := dep.Sim().Go(at, func() {
+			r, err := dep.Read(ev.SrcAS, g)
+			switch {
+			case err != nil || !r.Found:
+				res.Failures++
+			default:
 				if r.Attempts > 1 {
 					res.Retried++
 				}
 				col.Add(float64(r.Latency) / 1000)
-			})
-			if err != nil {
-				res.Failures++
 			}
 		}); err != nil {
 			return nil, err

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestChurnSimValidation(t *testing.T) {
@@ -91,5 +94,36 @@ func TestChurnSimConsistentAfterRepair(t *testing.T) {
 	}
 	if res.Consistency.VersionSkews != 0 {
 		t.Errorf("version skews after churn: %v", res.Consistency)
+	}
+}
+
+// TestChurnSimRepeatsOnTheLink: churnsim's lookups are the shipped
+// client's walks, each a simnet process, concurrent in virtual time with
+// the others and with churn. Two runs agree exactly, and every process
+// has ended when a run returns.
+func TestChurnSimRepeatsOnTheLink(t *testing.T) {
+	before := runtime.NumGoroutine()
+	run := func() *ChurnSimResult {
+		w, err := NewWorld(TestScale(500, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunChurnSim(w, ChurnSimConfig{
+			K: 3, NumGUIDs: 300, NumLookups: 2000, DurationSec: 60,
+			WithdrawPerSec: 0.3, AnnouncePerSec: 0.3, Seed: 5, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Errorf("two runs differ:\n%v\n%v", a, b)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // an ended process's goroutine exits just after its last hand-off
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("%d goroutines after two runs, %d before", got, before)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -18,14 +19,18 @@ import (
 // CrossValConfig drives the engine cross-validation: the same workload
 // evaluated through (a) evalLookup, the closed-form grouped evaluator
 // every Fig. 4/5, Table I and A12 number comes from, fed exactly what
-// RunLatency feeds it, and (b) nodesim's message-level discrete-event
-// walk. The two implementations share no latency code paths beyond the
+// RunLatency feeds it, and (b) the shipped client's walk
+// (client.Cluster) over nodesim's simulated link, message by message.
+// The two implementations share no latency code paths beyond the
 // topology, so agreement validates both (DESIGN.md "Scale strategy").
 type CrossValConfig struct {
 	K          int
 	NumGUIDs   int
 	NumLookups int
 	Seed       int64
+	// timeout bounds each attempt in both engines; 0 selects
+	// DefaultAvailabilityTimeout.
+	timeout topology.Micros
 }
 
 // crossValMissRate is Fig. 5's 5% miss rate.
@@ -41,7 +46,8 @@ type CrossValRow struct {
 	// lookups included (on found/failed the engines must agree).
 	MaxAbsDiffMs float64
 	// Failed counts lookups both engines failed; Reasked those whose
-	// every replica answered "missing", so the closest was asked again.
+	// replicas were spent with no hit and one had answered "missing", so
+	// the closest such one was asked again.
 	Failed, Reasked int
 }
 
@@ -73,11 +79,14 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	}
 	_, sources := bySource(trace.Lookups) // a crashed node sends nothing: keep the queriers up
 	names := []string{"no local copy", "local copy (Fig. 4)", "local copy, 5% misses (Fig. 5)", "10% failed, no retries (A12)"}
+	// The closed form takes the client's timeout in every configuration:
+	// a replica that far away times out in both engines.
+	timeout := cmp.Or(cfg.timeout, DefaultAvailabilityTimeout)
 	cells := []cell{
-		{cfg.K, false, &faults{}},
-		{cfg.K, true, &faults{}},
-		{cfg.K, true, &faults{seed: cfg.Seed, missRate: crossValMissRate}},
-		{cfg.K, false, &faults{failed: w.failedSet(0.10, cfg.Seed, sources), timeout: DefaultAvailabilityTimeout}},
+		{cfg.K, false, &faults{timeout: timeout}},
+		{cfg.K, true, &faults{timeout: timeout}},
+		{cfg.K, true, &faults{seed: cfg.Seed, missRate: crossValMissRate, timeout: timeout}},
+		{cfg.K, false, &faults{failed: w.failedSet(0.10, cfg.Seed, sources), timeout: timeout}},
 	}
 	// (a) Closed form: the sweep RunLatency and RunAvailability run.
 	closed := make([][]walkResult, len(cells))
@@ -118,9 +127,10 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	return res, nil
 }
 
-// eventLookups runs trace's lookups one at a time through nodesim's walk
-// on a populated deployment with c's K and local copies, each meeting
-// c's faults, and returns their results in trace order.
+// eventLookups runs trace's lookups one at a time through the shipped
+// client on the link, on a populated deployment with c's K, local
+// copies and timeout, each meeting c's faults, and returns their results
+// in trace order.
 func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell) ([]nodesim.LookupResult, error) {
 	sys, err := w.populatedSystem(trace, c.k, c.local)
 	if err != nil {
@@ -130,7 +140,7 @@ func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell
 	if err != nil {
 		return nil, err
 	}
-	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, DefaultAvailabilityTimeout)
+	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, c.f.timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +154,7 @@ func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell
 		return nil, err
 	}
 
+	sim := dep.Sim()
 	out := make([]nodesim.LookupResult, len(trace.Lookups))
 	for i, ev := range trace.Lookups {
 		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
@@ -163,18 +174,24 @@ func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell
 				held[st] = nil
 			}
 		}
-		var res *nodesim.LookupResult
-		if err := dep.Lookup(ev.SrcAS, g, func(r nodesim.LookupResult) { res = &r }); err != nil {
+		var (
+			res     nodesim.LookupResult
+			readErr error
+			done    bool
+		)
+		if err := sim.Go(sim.Now(), func() { res, readErr = dep.Read(ev.SrcAS, g); done = true }); err != nil {
 			return nil, err
 		}
 		// A withheld copy comes back once its replica has answered
-		// "missing": once its store is read after the querier's local read.
+		// "missing": once its store is read after the querier's local
+		// read, which the lookup's first step makes.
+		sim.Step()
 		for st := range held {
 			reg := metrics.NewRegistry()
 			st.Instrument(reg, "s")
 			held[st] = reg.Counter("s.gets")
 		}
-		for res == nil && dep.Sim().Step() {
+		for !done && sim.Step() {
 			for st, reads := range held {
 				if reads.Value() > 0 {
 					if _, err := st.Put(e); err != nil {
@@ -189,11 +206,14 @@ func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell
 				return nil, err
 			}
 		}
-		dep.Sim().Run(0) // drain: the next lookup starts alone
-		if res == nil {
+		switch {
+		case readErr != nil:
+			return nil, readErr
+		case !done:
 			return nil, fmt.Errorf("experiments: event-sim lookup %d never completed", i)
 		}
-		out[i] = *res
+		sim.Run(0) // drain: the next lookup starts alone
+		out[i] = res
 	}
 	return out, nil
 }

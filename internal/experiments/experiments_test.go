@@ -383,7 +383,7 @@ func TestRunMSweep(t *testing.T) {
 
 func TestCrossValidationEnginesAgree(t *testing.T) {
 	w := testWorld(t)
-	// At K = 2 some lookups meet every replica missing (Fig. 5's re-ask)
+	// At K = 2 some lookups meet misses and no hit (Fig. 5's re-ask)
 	// and some meet every replica dead (A12's failed lookups).
 	res, err := RunCrossVal(w, CrossValConfig{K: 2, NumGUIDs: 200, NumLookups: 2000, Seed: 10})
 	if err != nil {
@@ -392,8 +392,9 @@ func TestCrossValidationEnginesAgree(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("%d configurations, want 4", len(res.Rows))
 	}
-	// The closed-form evaluator and the message-level event simulator
-	// share no latency arithmetic beyond the topology; they must agree
+	// The closed-form evaluator and the shipped client's walk over the
+	// simulated link share no latency arithmetic beyond the topology;
+	// they must agree
 	// per query to within integer-microsecond rounding (and on whether
 	// the lookup was answered at all, or RunCrossVal fails).
 	for _, row := range res.Rows {
@@ -413,6 +414,27 @@ func TestCrossValidationEnginesAgree(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Error("String output")
+	}
+}
+
+// TestCrossValLateRepliesAgree: with a timeout below many replicas'
+// RTTs, an answer that would come later than the timeout is a timeout
+// in both engines — the client drops the late reply and moves on, and
+// the closed form charges the timeout — so they still agree per query,
+// and a lookup whose every replica is that far fails in both.
+func TestCrossValLateRepliesAgree(t *testing.T) {
+	w := testWorld(t)
+	res, err := RunCrossVal(w, CrossValConfig{K: 2, NumGUIDs: 200, NumLookups: 1000, Seed: 10, timeout: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row.MaxAbsDiffMs > 0.01 {
+			t.Errorf("%s: engines disagree by up to %.3f ms", row.Name, row.MaxAbsDiffMs)
+		}
+	}
+	if got := res.Rows[0].Failed; got == 0 {
+		t.Errorf("%s: no lookup met only late replicas", res.Rows[0].Name)
 	}
 }
 

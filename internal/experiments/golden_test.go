@@ -32,7 +32,18 @@ import (
 // drawn by a pure function of (seed, lookup, AS, attempt) instead of
 // per-unit PRNG streams, it asks each replica AS once, the local lookup
 // reads a querier that is itself a replica, and crossval checks four
-// configurations instead of one.
+// configurations instead of one. The fourth rewrote churnsim.txt alone,
+// when its lookups became the shipped client's walk over nodesim's link:
+// one lookup, from an AS whose round trips to all three replicas take
+// 2.41–2.53 s, outlasts the 2 s timeout at each. nodesim's own walk took
+// the first replica's late reply as the answer (2,410 ms, retried); the
+// client settles an attempt at its timeout, as over TCP, so the lookup
+// fails after three. The fifth rewrote availability.txt alone, when
+// evalLookup began treating an answer that takes the timeout or longer
+// as a timeout, as the client does: a lookup from a querier whose
+// replicas all answer that late fails at every failure fraction (K = 3
+// and 5 at 0% failed read 99.975%, not 100%), and the late attempts
+// count as timeouts.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what

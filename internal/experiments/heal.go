@@ -162,11 +162,10 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 			NAs:     []store.NA{{AS: rng.Intn(g.NumAS()), Addr: netaddr.AddrFromOctets(10, 0, byte(i>>8), byte(i))}},
 			Version: 1,
 		}
-		if err := d.Insert(entries[i].NAs[0].AS, entries[i], func(nodesim.InsertResult) {}); err != nil {
+		if _, err := d.Write(entries[i].NAs[0].AS, entries[i]); err != nil {
 			return cell, err
 		}
 	}
-	d.Sim().Run(0)
 
 	// Partition the lower half from the upper half; write v2 from the
 	// lower side, v3 from the upper, so every entry's replicas disagree
@@ -181,17 +180,15 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	}); err != nil {
 		return cell, err
 	}
+	// A side that reaches none of an entry's replicas stores it nowhere:
+	// its write fails, and the run goes on.
 	for i := range entries {
 		v2 := entries[i]
 		v2.Version = 2
-		if err := d.Insert(0, v2, func(nodesim.InsertResult) {}); err != nil {
-			return cell, err
-		}
+		_, _ = d.Write(0, v2)
 		v3 := entries[i]
 		v3.Version = 3
-		if err := d.Insert(g.NumAS()-1, v3, func(nodesim.InsertResult) {}); err != nil {
-			return cell, err
-		}
+		_, _ = d.Write(g.NumAS()-1, v3)
 	}
 	d.Sim().Run(0)
 	if err := d.Network().SetFaults(nil); err != nil {
@@ -206,12 +203,12 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	for p := 0; p < probes; p++ {
 		i := rng.Intn(len(entries))
 		src := rng.Intn(g.NumAS())
-		if err := d.Lookup(src, entries[i].GUID, func(r nodesim.LookupResult) {
-			if !r.Found || r.Entry.Version != maxVersion {
-				cell.StaleReads++
-			}
-		}); err != nil {
+		r, err := d.Read(src, entries[i].GUID)
+		if err != nil {
 			return cell, err
+		}
+		if !r.Found || r.Entry.Version != maxVersion {
+			cell.StaleReads++
 		}
 	}
 	d.Sim().Run(0)

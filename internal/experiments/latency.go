@@ -198,7 +198,7 @@ type faults struct {
 	missRate float64         // P(a live replica answers "GUID missing"), Fig. 5
 	loss     float64         // P(an attempt's request or reply is lost)
 	failed   []bool          // ASs whose mapping node never answers; nil: none
-	timeout  topology.Micros // charged per dead or lost attempt
+	timeout  topology.Micros // charged per dead, lost or late attempt; 0: none (Figs. 4, 5)
 	// retries is how many same-replica attempts follow a timeout before
 	// the walk fails over (client.RetryPolicy's MaxAttempts − 1).
 	retries int
@@ -290,7 +290,9 @@ type walkResult struct {
 // evalLookup is the §III-C/§III-D3 lookup walk in closed form, behind
 // every Fig. 4/5, Table I and A12 number. Each distinct replica AS is
 // asked once, in selection-policy order, each attempt meeting f's
-// outcome; a timed-out replica is retried up to f.retries times. When
+// outcome; an answer f.timeout or more away is late, a timeout, as the
+// client settles the attempt at its timeout and drops the late reply. A
+// timed-out replica is retried up to f.retries times. When
 // every replica is spent and one answered "missing", the closest such
 // one is asked again and answers: §III-D1 pulls the copy on the first
 // miss. With local copies (home ≥ 0) a parallel local lookup wins if it
@@ -321,7 +323,11 @@ func (wk *walker) evalLookup(li int, replicas []int32, home int, f *faults) walk
 walk:
 	for i, c := range cands {
 		for attempt := 0; attempt <= f.retries; attempt++ {
-			switch f.outcome(li, c.as, attempt, home) {
+			o := f.outcome(li, c.as, attempt, home)
+			if f.timeout > 0 && c.rtt >= f.timeout {
+				o = lost
+			}
+			switch o {
 			case hit:
 				r.latency += c.rtt
 				r.found, r.servedBy = true, c.as

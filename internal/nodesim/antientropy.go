@@ -136,41 +136,33 @@ func (d *Deployment) GossipRound() error {
 	return nil
 }
 
-// handleGossip dispatches the anti-entropy payloads; it returns false if
-// the message was not a gossip message.
-func (d *Deployment) handleGossip(self int, msg simnet.Message) bool {
+// handleGossip dispatches the anti-entropy payloads.
+func (d *Deployment) handleGossip(self int, msg simnet.Message) {
+	st, err := d.sys.Store(self)
+	if err != nil {
+		return
+	}
 	switch p := msg.Payload.(type) {
 	case digestReq:
-		st, err := d.sys.Store(self)
-		if err != nil {
-			return true
-		}
 		newer, want, covered := core.DiffRangeIn(st, p.after, p.through, p.page, true, wire.MaxBatch, d.scope(st, msg.From))
 		_ = d.net.Send(self, msg.From, digestResp{reqID: p.reqID, covered: covered, newer: newer, want: want})
 	case digestResp:
 		c, ok := d.chains[p.reqID]
 		if !ok {
-			return true // timed out: the chain was aborted
+			return // timed out: the chain was aborted
 		}
 		delete(d.chains, p.reqID)
 		n, err := c.sw.Advance(p.covered, p.newer)
 		d.gossip.EntriesPulled += n
 		if err != nil {
-			return true
+			return
 		}
 		if entries := c.sw.Wanted(p.want, nil); len(entries) > 0 {
 			_ = d.net.Send(self, msg.From, repairPush{entries: entries})
 		}
 		_ = d.sendPage(c)
 	case repairPush:
-		st, err := d.sys.Store(self)
-		if err != nil {
-			return true
-		}
 		n, _ := core.ApplyEntries(st, p.entries)
 		d.gossip.EntriesPushed += n
-	default:
-		return false
 	}
-	return true
 }

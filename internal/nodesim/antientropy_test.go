@@ -34,9 +34,7 @@ func versionAt(t *testing.T, d *Deployment, as int, g guid.GUID) uint64 {
 func TestGossipSweepConvergesBothDirections(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
 	e := entryFor("pair", 1, 5)
-	if err := d.Insert(5, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 5, e)
 	d.Sim().Run(0)
 
 	// Diverge the replicas behind the protocol's back: the first holds
@@ -114,9 +112,7 @@ func TestGossipHealsPartitionDivergence(t *testing.T) {
 	for i := range entries {
 		src := (i * 13) % numAS
 		entries[i] = entryFor(fmt.Sprintf("heal-%d", i), 1, src)
-		if err := d.Insert(src, entries[i], func(InsertResult) {}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, d, src, entries[i])
 	}
 	d.Sim().Run(0)
 
@@ -137,14 +133,10 @@ func TestGossipHealsPartitionDivergence(t *testing.T) {
 	for i := range entries {
 		v2 := entries[i]
 		v2.Version = 2
-		if err := d.Insert(0, v2, func(InsertResult) {}); err != nil {
-			t.Fatal(err)
-		}
+		_, _ = d.Write(0, v2) // a side that reaches no replica stores nothing
 		v3 := entries[i]
 		v3.Version = 3
-		if err := d.Insert(numAS-1, v3, func(InsertResult) {}); err != nil {
-			t.Fatal(err)
-		}
+		_, _ = d.Write(numAS-1, v3)
 	}
 	d.Sim().Run(0)
 	if d.Network().FaultStats().PartitionDrops == 0 {
@@ -200,9 +192,7 @@ func TestGossipDeterministic(t *testing.T) {
 		d, _ := testDeployment(t, 2, false)
 		for i := 0; i < 12; i++ {
 			e := entryFor(fmt.Sprintf("det-%d", i), 1, i)
-			if err := d.Insert(i, e, func(InsertResult) {}); err != nil {
-				t.Fatal(err)
-			}
+			write(t, d, i, e)
 		}
 		d.Sim().Run(0)
 		group := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
@@ -214,9 +204,7 @@ func TestGossipDeterministic(t *testing.T) {
 		}
 		for i := 0; i < 12; i++ {
 			e := entryFor(fmt.Sprintf("det-%d", i), 2, i)
-			if err := d.Insert((i*3)%d.System().NumAS(), e, func(InsertResult) {}); err != nil {
-				t.Fatal(err)
-			}
+			_, _ = d.Write((i*3)%d.System().NumAS(), e) // a side that reaches no replica stores nothing
 		}
 		d.Sim().Run(0)
 		if err := d.Network().SetFaults(nil); err != nil {
@@ -239,9 +227,7 @@ func TestGossipDeterministic(t *testing.T) {
 func TestGossipSkipsCrashedNodes(t *testing.T) {
 	d, _ := testDeployment(t, 2, false)
 	e := entryFor("crashed-sweep", 1, 3)
-	if err := d.Insert(3, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 3, e)
 	d.Sim().Run(0)
 	reps := replicasOf(t, d, e)
 
@@ -287,9 +273,7 @@ func TestGossipSweepFetchesWhatSweeperLacks(t *testing.T) {
 	d, _ := testDeployment(t, 3, true)
 	const src = 5
 	g := entryFor("lost-here", 1, src)
-	if err := d.Insert(src, g, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, src, g)
 	d.Sim().Run(0)
 	a := replicasOf(t, d, g)[0] // a global placement
 	if a == src {
@@ -337,9 +321,7 @@ func TestGossipSweepFetchesWhatSweeperLacks(t *testing.T) {
 func TestGossipLostReplyAbortsOnlyThatChain(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
 	e := entryFor("aborted", 1, 7)
-	if err := d.Insert(7, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 7, e)
 	d.Sim().Run(0)
 	reps := replicasOf(t, d, e)
 	if len(reps) != 3 {
@@ -405,9 +387,7 @@ func TestGossipHealsCopyOutsideReplicaSet(t *testing.T) {
 	d, _ := testDeployment(t, 3, true)
 	const from, to = 5, 9
 	e := entryFor("mover", 1, from)
-	if err := d.Insert(from, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, from, e)
 	d.Sim().Run(0)
 	moved := entryFor("mover", 2, to)
 	reps := replicasOf(t, d, moved)
@@ -415,9 +395,7 @@ func TestGossipHealsCopyOutsideReplicaSet(t *testing.T) {
 		t.Fatalf("replica set %v still names the former attachment AS %d; pick another", reps, from)
 	}
 	// The move reaches every replica but leaves the old local copy.
-	if err := d.Insert(to, moved, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, to, moved)
 	d.Sim().Run(0)
 	if v := versionAt(t, d, from, e.GUID); v != 1 {
 		t.Fatalf("former attachment AS at version %d before gossip, want its stale 1", v)

@@ -34,9 +34,7 @@ func restore(t *testing.T, d *Deployment) {
 func TestFaultPlanCrashLooksLikeDeadReplica(t *testing.T) {
 	d, _ := testDeployment(t, 2, false)
 	e := entryFor("netcrash", 1, 7)
-	if err := d.Insert(7, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 7, e)
 	d.Sim().Run(0)
 
 	// The querier tries replicas in RTT order; crash the nearer one: the
@@ -56,12 +54,8 @@ func TestFaultPlanCrashLooksLikeDeadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var res *LookupResult
-	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found {
+	res := read(t, d, src, e.GUID)
+	if !res.Found {
 		t.Fatalf("result = %+v", res)
 	}
 	if res.Attempts != 2 {
@@ -81,12 +75,8 @@ func TestFaultPlanCrashLooksLikeDeadReplica(t *testing.T) {
 	if err := d.Network().SetFaults(nil); err != nil {
 		t.Fatal(err)
 	}
-	res = nil
-	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found || res.Attempts != 1 {
+	res = read(t, d, src, e.GUID)
+	if !res.Found || res.Attempts != 1 {
 		t.Fatalf("post-heal result = %+v, want 1-attempt hit", res)
 	}
 }
@@ -98,9 +88,7 @@ func runLossyWorkload(t *testing.T) (string, simnet.FaultStats) {
 	d, _ := testDeployment(t, 3, false)
 	for i := 0; i < 20; i++ {
 		e := entryFor(fmt.Sprintf("g%d", i), 1, i)
-		if err := d.Insert(i, e, func(InsertResult) {}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, d, i, e)
 	}
 	d.Sim().Run(0)
 
@@ -114,14 +102,19 @@ func runLossyWorkload(t *testing.T) (string, simnet.FaultStats) {
 		t.Fatal(err)
 	}
 
+	// The lookups run at once, each the shipped client's walk on a
+	// goroutine of its own; the transcript is in completion order.
 	transcript := ""
 	for i := 0; i < 20; i++ {
 		i := i
-		if err := d.Lookup((i*7)%d.System().NumAS(), entryFor(fmt.Sprintf("g%d", i), 1, i).GUID,
-			func(r LookupResult) {
-				transcript += fmt.Sprintf("%d: found=%v attempts=%d servedBy=%d lat=%d\n",
-					i, r.Found, r.Attempts, r.ServedBy, r.Latency)
-			}); err != nil {
+		if err := d.Sim().Go(d.Sim().Now(), func() {
+			r, err := d.Read((i*7)%d.System().NumAS(), entryFor(fmt.Sprintf("g%d", i), 1, i).GUID)
+			if err != nil {
+				t.Error(err) // not Fatal: this is not the test's goroutine
+			}
+			transcript += fmt.Sprintf("%d: found=%v attempts=%d servedBy=%d lat=%d\n",
+				i, r.Found, r.Attempts, r.ServedBy, r.Latency)
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,52 +1,34 @@
-// Package nodesim runs DMap as an event-driven protocol over simnet: one
-// node per AS border gateway, real insert/update/lookup messages with
-// topology latencies, querier-side timeouts and retries. Where
-// experiments.evalLookup prices the same walk in closed form, nodesim
-// exercises the interleavings: a lookup racing a mobility update observes
-// the old mapping (§III-D2), a crashed replica costs a timeout before the
-// next replica is tried (§III-D3).
+// Package nodesim is the simulated link under the shipped client: one
+// DMap node per AS on simnet, answering MsgInsert, MsgLookup and
+// MsgDelete frames from its store, and a client.Network per querier AS
+// over which client.Cluster itself runs in virtual time — a lookup
+// racing a mobility update (§III-D2), a crashed replica's timeout
+// (§III-D3). The shipped prober's connections and the gossip chains
+// (antientropy.go) ride the same network.
 package nodesim
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"os"
 	"slices"
-	"sort"
+	"strconv"
+	"time"
 
+	"dmap/internal/client"
 	"dmap/internal/core"
 	"dmap/internal/guid"
+	"dmap/internal/obs"
 	"dmap/internal/simnet"
 	"dmap/internal/store"
+	"dmap/internal/trace"
+	"dmap/internal/wire"
 )
 
-// message payloads
-type (
-	insertReq struct {
-		entry store.Entry
-		reqID uint64
-	}
-	insertAck struct {
-		reqID uint64
-	}
-	lookupReq struct {
-		guid  guid.GUID
-		reqID uint64
-	}
-	lookupResp struct {
-		reqID uint64
-		entry store.Entry
-		found bool
-	}
-)
-
-// InsertResult reports a completed insert/update: Latency is the time
-// until the last replica acknowledged (the paper's max-over-K update
-// cost).
-type InsertResult struct {
-	Latency simnet.Time
-	Acks    int
-}
-
-// LookupResult reports a completed lookup.
+// LookupResult reports a completed lookup: Attempts counts the requests
+// its walk sent, ServedBy is the answering AS (the querier's own for a
+// local answer, -1 if none).
 type LookupResult struct {
 	Entry     store.Entry
 	Found     bool
@@ -59,40 +41,18 @@ type LookupResult struct {
 // DefaultTimeout is the querier's per-attempt timeout.
 const DefaultTimeout = simnet.Time(2_000_000) // 2 s
 
-// Deployment is an event-driven DMap network.
+// Deployment is DMap on simnet: a node per AS, and the shipped client at
+// every querier AS.
 type Deployment struct {
 	sys     *core.System
 	net     *simnet.Network
 	oracle  simnet.LatencyOracle
 	timeout simnet.Time
-
+	clients map[int]*client.Cluster        // by querier AS
+	reads   map[*simnet.Proc]*LookupResult // the Read on each process; nil: the top level
 	nextReq uint64
-	inserts map[uint64]*insertOp
-	lookups map[uint64]*lookupOp
 	gossip  GossipStats
 	chains  map[uint64]*sweepChain // gossip chains by the reply they await
-}
-
-type insertOp struct {
-	start   simnet.Time
-	pending int
-	acks    int
-	done    func(InsertResult)
-}
-
-type lookupOp struct {
-	g         guid.GUID
-	src       int
-	start     simnet.Time
-	order     []int // distinct replica ASs in selection order
-	next      int   // next index in order to try
-	missed    bool  // a replica answered "missing"
-	attempts  int
-	answered  bool
-	localHit  bool
-	localTime simnet.Time
-	local     store.Entry
-	done      func(LookupResult)
 }
 
 // NewDeployment binds one DMap node per AS onto the network. timeout ≤ 0
@@ -113,241 +73,242 @@ func NewDeployment(sys *core.System, sim *simnet.Sim, oracle simnet.LatencyOracl
 		net:     net,
 		oracle:  oracle,
 		timeout: timeout,
-		inserts: make(map[uint64]*insertOp),
-		lookups: make(map[uint64]*lookupOp),
+		clients: make(map[int]*client.Cluster),
+		reads:   make(map[*simnet.Proc]*LookupResult),
 		chains:  make(map[uint64]*sweepChain),
 	}
 	for as := 0; as < sys.NumAS(); as++ {
-		as := as
-		if err := net.Bind(as, simnet.HandlerFunc(func(n *simnet.Network, msg simnet.Message) {
-			d.handle(as, msg)
-		})); err != nil {
+		if err := net.Bind(as, simnet.HandlerFunc(func(_ *simnet.Network, msg simnet.Message) { d.handle(as, msg) })); err != nil {
 			return nil, err
 		}
 	}
 	return d, nil
 }
 
-// Sim returns the underlying scheduler.
+// Sim returns the scheduler, whose Go runs client calls as processes.
 func (d *Deployment) Sim() *simnet.Sim { return d.net.Sim() }
 
 // Network returns the underlying simnet, e.g. to install a
-// simnet.FaultPlan (loss, delay, crash windows, partitions) under the
-// deployment's protocol traffic.
+// simnet.FaultPlan under the deployment's traffic.
 func (d *Deployment) Network() *simnet.Network { return d.net }
 
 // System returns the underlying DMap system.
 func (d *Deployment) System() *core.System { return d.sys }
 
-// handle dispatches a message arriving at AS self. A crashed node needs
-// no check here: simnet drops every delivery to a node inside a crash
-// window of the installed fault plan, so its queriers time out (§III-D3).
-func (d *Deployment) handle(self int, msg simnet.Message) {
-	if d.handleGossip(self, msg) {
-		return
-	}
-	switch p := msg.Payload.(type) {
-	case insertReq:
-		st, err := d.sys.Store(self)
-		if err != nil {
-			return
-		}
-		// Put may reject stale versions; the ack is sent either way (the
-		// protocol acknowledges receipt, not freshness).
-		_, _ = st.Put(p.entry)
-		_ = d.net.Send(self, msg.From, insertAck{reqID: p.reqID})
-	case insertAck:
-		op, ok := d.inserts[p.reqID]
-		if !ok {
-			return
-		}
-		op.acks++
-		op.pending--
-		if op.pending == 0 {
-			delete(d.inserts, p.reqID)
-			op.done(InsertResult{Latency: d.Sim().Now() - op.start, Acks: op.acks})
-		}
-	case lookupReq:
-		st, err := d.sys.Store(self)
-		if err != nil {
-			return
-		}
-		e, ok := st.Get(p.guid)
-		_ = d.net.Send(self, msg.From, lookupResp{reqID: p.reqID, entry: e, found: ok})
-	case lookupResp:
-		d.handleLookupResp(msg.From, p)
-	}
-}
-
-// Insert stores e at its K replicas (plus the local copy) from srcAS,
-// invoking done when every replica acknowledged. Update is the same
-// operation with a higher version.
-func (d *Deployment) Insert(srcAS int, e store.Entry, done func(InsertResult)) error {
-	placements, err := d.sys.Resolver().Place(e.GUID)
-	if err != nil {
-		return err
-	}
-	if d.sys.LocalReplicaEnabled() {
-		st, err := d.sys.Store(srcAS)
-		if err != nil {
-			return err
-		}
-		if _, err := st.Put(e); err != nil {
-			return err
-		}
-	}
-	d.nextReq++
-	op := &insertOp{start: d.Sim().Now(), pending: len(placements), done: done}
-	d.inserts[d.nextReq] = op
-	for _, p := range placements {
-		if err := d.net.Send(srcAS, p.AS, insertReq{entry: e, reqID: d.nextReq}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Lookup resolves g from srcAS: the closest replica AS (by the oracle's
-// RTT estimate) is tried first, with a parallel local check, falling to
-// the next replica AS on a miss reply or timeout. done fires exactly once.
-func (d *Deployment) Lookup(srcAS int, g guid.GUID, done func(LookupResult)) error {
-	placements, err := d.sys.Resolver().Place(g)
-	if err != nil {
-		return err
-	}
-	order := make([]int, 0, len(placements)) // each AS once
-	for _, p := range placements {
-		if !slices.Contains(order, p.AS) {
-			order = append(order, p.AS)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		ri, rj := d.rtt(srcAS, order[i]), d.rtt(srcAS, order[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return order[i] < order[j]
-	})
-
-	d.nextReq++
-	op := &lookupOp{
-		g:     g,
-		src:   srcAS,
-		start: d.Sim().Now(),
-		order: order,
-		done:  done,
-	}
-	reqID := d.nextReq
-	d.lookups[reqID] = op
-
-	// Parallel local lookup (§III-C): modeled as an intra-AS round trip,
-	// which a querier inside a crash window cannot make.
-	if d.sys.LocalReplicaEnabled() && !d.net.NodeDown(srcAS, d.Sim().Now()) {
-		st, err := d.sys.Store(srcAS)
-		if err != nil {
-			return err
-		}
-		if e, ok := st.Get(g); ok {
-			localRTT := 2 * d.oracle.OneWay(srcAS, srcAS)
-			op.localHit = true
-			op.localTime = d.Sim().Now() + localRTT
-			op.local = e
-			if err := d.Sim().After(localRTT, func() {
-				d.maybeAnswerLocal(reqID)
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return d.tryNext(reqID)
-}
-
 func (d *Deployment) rtt(a, b int) simnet.Time {
 	return d.oracle.OneWay(a, b) + d.oracle.OneWay(b, a)
 }
 
-// maybeAnswerLocal completes the lookup from the local copy if no global
-// replica has answered yet.
-func (d *Deployment) maybeAnswerLocal(reqID uint64) {
-	op, ok := d.lookups[reqID]
-	if !ok || op.answered {
-		return
+// clientAt returns the shipped client at querier AS src, made on first
+// use: one try per replica AS under the deployment's timeout, within a
+// budget no walk reaches (K replica ASs and the re-ask), so that what
+// ends a walk is §III-D3's, as in the closed form.
+func (d *Deployment) clientAt(src int) *client.Cluster {
+	if c, ok := d.clients[src]; ok {
+		return c
 	}
-	op.answered = true
-	delete(d.lookups, reqID)
-	op.done(LookupResult{
-		Entry:     op.local,
-		Found:     true,
-		Latency:   d.Sim().Now() - op.start,
-		Attempts:  op.attempts,
-		ServedBy:  op.src,
-		UsedLocal: true,
+	timeout := time.Duration(d.timeout) * time.Microsecond
+	c, _ := client.NewWithConfig(d.sys.Resolver(), nil, client.Config{ // a System has a resolver
+		Net: querier{d: d, src: src}, Timeout: timeout, Retry: client.RetryPolicy{MaxAttempts: 1},
+		OpDeadline: time.Duration(d.sys.Resolver().K()+1) * timeout,
 	})
+	d.clients[src] = c
+	return c
 }
 
-// tryNext contacts the next replica in order, arming a timeout.
-func (d *Deployment) tryNext(reqID uint64) error {
-	op, ok := d.lookups[reqID]
-	if !ok || op.answered {
-		return nil
+// Write stores e from AS src with src's client, after the §III-C local
+// copy at src, and returns the placements acknowledged. It returns when
+// the last replica has acked or timed out: §V's max-over-K update cost.
+func (d *Deployment) Write(src int, e store.Entry) (int, error) {
+	if _, _, err := d.local(src, e.GUID, &e); err != nil {
+		return 0, err
 	}
-	if op.next >= len(op.order) {
-		// All replicas exhausted; if a local answer is in flight it will
-		// still fire. Otherwise the lookup fails now.
-		if op.localHit {
-			return nil
-		}
-		op.answered = true
-		delete(d.lookups, reqID)
-		op.done(LookupResult{
-			Found:    false,
-			Latency:  d.Sim().Now() - op.start,
-			Attempts: op.attempts,
-		})
-		return nil
-	}
-	target := op.order[op.next]
-	op.next++
-	op.attempts++
-	attemptIdx := op.next // value after increment identifies this attempt
-	if err := d.net.Send(op.src, target, lookupReq{guid: op.g, reqID: reqID}); err != nil {
-		return err
-	}
-	return d.Sim().After(d.timeout, func() {
-		cur, ok := d.lookups[reqID]
-		if !ok || cur.answered {
-			return
-		}
-		// Fire only if no later attempt superseded this one.
-		if cur.next == attemptIdx {
-			_ = d.tryNext(reqID)
-		}
-	})
+	return d.clientAt(src).Insert(e)
 }
 
-func (d *Deployment) handleLookupResp(from int, p lookupResp) {
-	op, ok := d.lookups[p.reqID]
-	if !ok || op.answered {
-		return
+// Read resolves g from AS src with src's client, the §III-C local read
+// racing its walk. Finding nothing is a result, not an error.
+func (d *Deployment) Read(src int, g guid.GUID) (LookupResult, error) {
+	start, p := d.Sim().Now(), d.Sim().Running()
+	res := &LookupResult{}
+	d.reads[p] = res
+	defer delete(d.reads, p)
+	local, held, err := d.local(src, g, nil)
+	if err == nil {
+		err = d.clientAt(src).LookupInto(g, &res.Entry)
 	}
-	if !p.found {
-		// "GUID missing" (churn inconsistency): move on immediately. The
-		// first replica to answer so is asked again once all are spent:
-		// churn is transient and §III-D1 pulls the copy on the first miss.
-		if !op.missed {
-			op.missed = true
-			op.order = append(op.order, from)
+	if res.Latency, res.Found = d.Sim().Now()-start, err == nil; !res.Found {
+		res.ServedBy = -1 // not the last AS asked
+	}
+	if lat := d.rtt(src, src); held && (!res.Found || lat < res.Latency) {
+		res.Entry, res.Found, res.Latency, res.ServedBy, res.UsedLocal = local, true, lat, src, true
+	}
+	if errors.Is(err, client.ErrNotFound) {
+		err = nil
+	}
+	return *res, err
+}
+
+// local is the §III-C local copy at AS src, when the system keeps one: a
+// write (put non-nil) stores *put there; a read looks g up there beside
+// the walk, unless src is inside a crash window — its process is down,
+// not only its links.
+func (d *Deployment) local(src int, g guid.GUID, put *store.Entry) (e store.Entry, ok bool, err error) {
+	if !d.sys.LocalReplicaEnabled() {
+		return e, false, nil
+	}
+	st, err := d.sys.Store(src)
+	switch {
+	case err != nil:
+	case put != nil:
+		_, err = st.Put(*put)
+	case !d.net.NodeDown(src, d.Sim().Now()):
+		e, ok = st.Get(g)
+	}
+	return e, ok, err
+}
+
+// frame is a wire frame on the link: a request, or — resp — its reply.
+type frame struct {
+	r    *reply
+	resp bool
+	t    wire.MsgType
+	body []byte
+}
+
+// reply is the client.Reply of a request on the link, or a timer.
+type reply struct {
+	sim    *simnet.Sim
+	waiter *simnet.Proc // the process parked on it
+	done   bool
+	t      wire.MsgType
+	body   []byte
+	err    error
+}
+
+var errTimeout = &net.OpError{Op: "read", Net: "simnet", Err: os.ErrDeadlineExceeded}
+
+// start sends the request frame (t, payload) from AS src to AS dst and
+// returns its reply, which times out after timeout; a nil payload makes
+// a timer. The frame carries a copy of payload: it may outlive the
+// timeout, after which the caller reuses the buffer.
+func (d *Deployment) start(src, dst int, t wire.MsgType, payload []byte, timeout time.Duration) *reply {
+	r := &reply{sim: d.Sim()}
+	if payload != nil {
+		if read, ok := d.reads[r.sim.Running()]; ok {
+			read.Attempts, read.ServedBy = read.Attempts+1, dst
 		}
-		_ = d.tryNext(p.reqID)
-		return
+		_ = d.net.Send(src, dst, frame{r: r, t: t, body: slices.Clone(payload)}) // no such AS: no answer
 	}
-	op.answered = true
-	delete(d.lookups, p.reqID)
-	op.done(LookupResult{
-		Entry:    p.entry,
-		Found:    true,
-		Latency:  d.Sim().Now() - op.start,
-		Attempts: op.attempts,
-		ServedBy: from,
-	})
+	_ = r.sim.After(simnet.Time(timeout.Microseconds()), func() { r.answer(0, nil, errTimeout) })
+	return r
+}
+
+// answer settles r once — a late reply or a spent timer finds it done —
+// and wakes the process parked on it.
+func (r *reply) answer(t wire.MsgType, body []byte, err error) {
+	if !r.done {
+		r.done, r.t, r.body, r.err = true, t, body, err
+		if r.waiter != nil {
+			r.waiter.Wake()
+		}
+	}
+}
+
+// Wait parks the running process until the reply is in; the top level
+// steps the simulator until it is.
+func (r *reply) Wait() (wire.MsgType, []byte, error) {
+	if p := r.sim.Running(); p != nil && !r.done {
+		r.waiter = p
+		p.Park()
+	}
+	for !r.done && r.sim.Step() {
+	}
+	return r.t, r.body, r.err
+}
+
+// querier is the link as AS src sees it, on a virtual clock: the
+// client.Network of src's client or, aimed at dst, an obs.ProbeConn.
+type querier struct {
+	d        *Deployment
+	src, dst int
+}
+
+func (q querier) Now() time.Time          { return time.UnixMicro(int64(q.d.Sim().Now())) }
+func (q querier) Sleep(dur time.Duration) { _, _, _ = q.d.start(q.src, q.src, 0, nil, dur).Wait() }
+
+func (q querier) RTT(as int) (time.Duration, bool) {
+	return time.Duration(q.d.rtt(q.src, as)) * time.Microsecond, true
+}
+
+func (q querier) Start(as int, t wire.MsgType, _ trace.Context, payload []byte, timeout time.Duration) client.Reply {
+	return q.d.start(q.src, as, t, payload, timeout)
+}
+
+// probeConfig puts the shipped prober (internal/obs) on the link as seen
+// from AS src: its clock, and a dialer that reads a target's Addr as its
+// AS number. Faults hit probes as they hit protocol traffic, so the
+// chaos suite can assert that a partition is VISIBLE to the prober
+// before anti-entropy repairs the divergence.
+func (d *Deployment) probeConfig(src int, cfg obs.ProberConfig) obs.ProberConfig {
+	cfg.Now = querier{d: d, src: src}.Now
+	cfg.Dial = func(addr string, _ time.Duration) (obs.ProbeConn, error) {
+		dst, err := strconv.Atoi(addr)
+		if err != nil || dst < 0 || dst >= d.sys.NumAS() {
+			return nil, fmt.Errorf("nodesim: probe target %q is not an AS of this deployment", addr)
+		}
+		return querier{d: d, src: src, dst: dst}, nil
+	}
+	return cfg
+}
+
+func (q querier) Close() error { return nil }
+
+// RoundTrip steps the simulator to the reply or the deadline, so it is
+// called from a scenario's top level only.
+func (q querier) RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	return q.d.start(q.src, q.dst, t, payload, timeout).Wait()
+}
+
+// handle dispatches a message arriving at AS self. A crashed node needs
+// no check: simnet drops every delivery to a node inside a crash window,
+// so its queriers time out (§III-D3).
+func (d *Deployment) handle(self int, msg simnet.Message) {
+	switch f, ok := msg.Payload.(frame); {
+	case !ok:
+		d.handleGossip(self, msg)
+	case f.resp:
+		f.r.answer(f.t, f.body, nil)
+	default:
+		t, body := d.serve(self, f.t, f.body)
+		_ = d.net.Send(self, msg.From, frame{r: f.r, resp: true, t: t, body: body})
+	}
+}
+
+// serve is AS as's node answering a request frame from its store. An
+// insert is acked on receipt: the store keeps the fresher version.
+func (d *Deployment) serve(as int, t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+	st, _ := d.sys.Store(as) // a bound AS is in range
+	g, rest, err := wire.DecodeGUID(payload)
+	switch {
+	case t == wire.MsgInsert:
+		var e store.Entry
+		if e, rest, err = wire.DecodeEntry(payload); err == nil && len(rest) == 0 {
+			_, _ = st.Put(e)
+			return wire.MsgInsertAck, nil
+		}
+	case err != nil || len(rest) != 0:
+	case t == wire.MsgDelete:
+		flag := []byte{0}
+		if st.Delete(g) {
+			flag[0] = 1
+		}
+		return wire.MsgDeleteAck, flag
+	case t == wire.MsgLookup:
+		e, found := st.Get(g)
+		if body, err := wire.AppendLookupResp(nil, wire.LookupResp{Found: found, Entry: e}); err == nil {
+			return wire.MsgLookupResp, body
+		}
+	}
+	return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "malformed "+t.String())
 }

@@ -2,6 +2,7 @@ package nodesim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -50,6 +51,28 @@ func testDeployment(t *testing.T, k int, local bool) (*Deployment, *topology.Gra
 	return d, g
 }
 
+// write stores e from AS src with the shipped client on the link and
+// returns the placements acked and how long it took.
+func write(t *testing.T, d *Deployment, src int, e store.Entry) (int, simnet.Time) {
+	t.Helper()
+	start := d.Sim().Now()
+	acks, err := d.Write(src, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acks, d.Sim().Now() - start
+}
+
+// read resolves g from AS src with the shipped client on the link.
+func read(t *testing.T, d *Deployment, src int, g guid.GUID) LookupResult {
+	t.Helper()
+	r, err := d.Read(src, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func entryFor(name string, version uint64, as int) store.Entry {
 	return store.Entry{
 		GUID:    guid.New(name),
@@ -62,27 +85,16 @@ func TestInsertThenLookup(t *testing.T) {
 	d, _ := testDeployment(t, 5, false)
 	e := entryFor("laptop", 1, 42)
 
-	var ins *InsertResult
-	if err := d.Insert(42, e, func(r InsertResult) { ins = &r }); err != nil {
-		t.Fatal(err)
+	acks, took := write(t, d, 42, e)
+	if acks != 5 {
+		t.Errorf("acks = %d, want 5", acks)
 	}
-	d.Sim().Run(0)
-	if ins == nil {
-		t.Fatal("insert never completed")
-	}
-	if ins.Acks != 5 {
-		t.Errorf("acks = %d, want 5", ins.Acks)
-	}
-	if ins.Latency <= 0 {
+	if took <= 0 {
 		t.Error("insert latency must be positive")
 	}
 
-	var res *LookupResult
-	if err := d.Lookup(17, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found {
+	res := read(t, d, 17, e.GUID)
+	if !res.Found {
 		t.Fatalf("lookup result = %+v", res)
 	}
 	if res.Entry.NAs[0].AS != 42 {
@@ -93,6 +105,35 @@ func TestInsertThenLookup(t *testing.T) {
 	}
 	if res.Latency <= 0 {
 		t.Error("lookup latency must be positive")
+	}
+}
+
+// TestClientStartsNoGoroutine: on the link the shipped client's fan-out
+// and walk run on the caller's goroutine — no dial beside it, no reader
+// for its replies.
+func TestClientStartsNoGoroutine(t *testing.T) {
+	d, _ := testDeployment(t, 5, false)
+	e := entryFor("solo", 1, 42)
+	write(t, d, 42, e)
+	before := runtime.NumGoroutine()
+	most, samples, done := before, 0, false
+	var sample func() // every 100 µs of virtual time while the lookup runs
+	sample = func() {
+		most, samples = max(most, runtime.NumGoroutine()), samples+1
+		if !done {
+			_ = d.Sim().After(100, sample)
+		}
+	}
+	if err := d.Sim().After(0, sample); err != nil {
+		t.Fatal(err)
+	}
+	res := read(t, d, 17, e.GUID)
+	done = true
+	if !res.Found || samples < 2 {
+		t.Fatalf("lookup result = %+v after %d samples", res, samples)
+	}
+	if after := runtime.NumGoroutine(); most != before || after != before {
+		t.Errorf("%d goroutines before, at most %d during the lookup, %d after", before, most, after)
 	}
 }
 
@@ -110,14 +151,7 @@ func TestLookupMissingGUID(t *testing.T) {
 	for _, p := range placements {
 		distinct[p.AS] = true
 	}
-	var res *LookupResult
-	if err := d.Lookup(0, g, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil {
-		t.Fatal("lookup never completed")
-	}
+	res := read(t, d, 0, g)
 	if res.Found {
 		t.Error("found a never-inserted GUID")
 	}
@@ -143,16 +177,8 @@ func TestUpdateLatencyIsMaxOverReplicas(t *testing.T) {
 			want = rtt
 		}
 	}
-	var ins *InsertResult
-	if err := d.Insert(3, e, func(r InsertResult) { ins = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if ins == nil {
-		t.Fatal("no result")
-	}
-	if ins.Latency != want {
-		t.Errorf("insert latency = %v, want max replica RTT %v", ins.Latency, want)
+	if _, took := write(t, d, 3, e); took != want {
+		t.Errorf("insert latency = %v, want max replica RTT %v", took, want)
 	}
 }
 
@@ -160,17 +186,11 @@ func TestLocalReplicaWinsAtHome(t *testing.T) {
 	d, g := testDeployment(t, 5, true)
 	const home = 50
 	e := entryFor("homebody", 1, home)
-	if err := d.Insert(home, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, home, e)
 	d.Sim().Run(0)
 
-	var res *LookupResult
-	if err := d.Lookup(home, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found {
+	res := read(t, d, home, e.GUID)
+	if !res.Found {
 		t.Fatalf("result = %+v", res)
 	}
 	if !res.UsedLocal {
@@ -189,9 +209,7 @@ func TestLocalReplicaWinsAtHome(t *testing.T) {
 func TestCrashedReplicaCostsTimeout(t *testing.T) {
 	d, _ := testDeployment(t, 2, false)
 	e := entryFor("crashy", 1, 7)
-	if err := d.Insert(7, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 7, e)
 	d.Sim().Run(0)
 
 	// Determine the querier's replica order and crash the first.
@@ -206,12 +224,8 @@ func TestCrashedReplicaCostsTimeout(t *testing.T) {
 	}
 	crash(t, d, first)
 
-	var res *LookupResult
-	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found {
+	res := read(t, d, src, e.GUID)
+	if !res.Found {
 		t.Fatalf("result = %+v", res)
 	}
 	if res.Attempts != 2 {
@@ -283,12 +297,8 @@ func TestLookupMissRetries(t *testing.T) {
 		t.Fatalf("replica order %v leaves no miss to retry past; pick another GUID", order)
 	}
 
-	var res *LookupResult
-	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found {
+	res := read(t, d, src, e.GUID)
+	if !res.Found {
 		t.Fatalf("result = %+v", res)
 	}
 	if res.Attempts != wantAttempts {
@@ -327,12 +337,8 @@ func TestCollidedDeadReplicaCostsOneTimeout(t *testing.T) {
 	}
 	crash(t, d, as)
 
-	var res *LookupResult
-	if err := d.Lookup(99, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || res.Found {
+	res := read(t, d, 99, e.GUID)
+	if res.Found {
 		t.Fatalf("result = %+v, want a failed lookup", res)
 	}
 	if res.Attempts != 1 || res.Latency != DefaultTimeout {
@@ -379,12 +385,8 @@ func TestAllMissedAsksClosestAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var res *LookupResult
-	if err := d.Lookup(src, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found || res.ServedBy != closest {
+	res := read(t, d, src, e.GUID)
+	if !res.Found || res.ServedBy != closest {
 		t.Fatalf("result = %+v, want the closest replica %d to answer the re-ask", res, closest)
 	}
 	if want := sum + d.rtt(src, closest); res.Latency != want || res.Attempts != len(seen)+1 {
@@ -415,12 +417,8 @@ func TestLookupAllCrashedFallsBackToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var res *LookupResult
-	if err := d.Lookup(home, e.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found || !res.UsedLocal || res.Entry.GUID != e.GUID {
+	res := read(t, d, home, e.GUID)
+	if !res.Found || !res.UsedLocal || res.Entry.GUID != e.GUID {
 		t.Fatalf("result = %+v, want the local copy", res)
 	}
 	if want := 2 * g.Intra(home); res.Latency != want {
@@ -436,28 +434,18 @@ func TestCrashWindowStopsLocalRead(t *testing.T) {
 	d, _ := testDeployment(t, 2, true)
 	const home = 50
 	e := entryFor("grounded", 1, home)
-	if err := d.Insert(home, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, home, e)
 	d.Sim().Run(0)
 
 	crash(t, d, home)
-	var down *LookupResult
-	if err := d.Lookup(home, e.GUID, func(r LookupResult) { down = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if down == nil || down.Found || down.UsedLocal {
+	down := read(t, d, home, e.GUID)
+	if down.Found || down.UsedLocal {
 		t.Fatalf("lookup from inside a crash window = %+v, want a miss with no local read", down)
 	}
 
 	restore(t, d)
-	var up *LookupResult
-	if err := d.Lookup(home, e.GUID, func(r LookupResult) { up = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if up == nil || !up.Found || (!up.UsedLocal && up.ServedBy != home) {
+	up := read(t, d, home, e.GUID)
+	if !up.Found || (!up.UsedLocal && up.ServedBy != home) {
 		t.Fatalf("lookup after the window = %+v, want the local copy", up)
 	}
 }
@@ -467,37 +455,38 @@ func TestMobilityRaceObservesOldThenNew(t *testing.T) {
 	// mapping; the querier marks it obsolete and re-checks.
 	d, _ := testDeployment(t, 3, false)
 	e1 := entryFor("vehicle", 1, 10)
-	if err := d.Insert(10, e1, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 10, e1)
 	d.Sim().Run(0)
 
 	// The vehicle moves to AS 20 (version 2) at t0; a distant node
-	// queries at t0+1µs, racing the update's propagation.
+	// queries at t0+1µs, racing the update's propagation: two client
+	// calls, each on a goroutine of its own, concurrent in virtual time.
 	e2 := entryFor("vehicle", 2, 20)
-	if err := d.Insert(20, e2, func(InsertResult) {}); err != nil {
+	t0 := d.Sim().Now()
+	if err := d.Sim().Go(t0, func() {
+		if _, err := d.Write(20, e2); err != nil {
+			t.Error(err) // not Fatal: this is not the test's goroutine
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	var raced *LookupResult
-	if err := d.Sim().After(1, func() {
-		if err := d.Lookup(150, e1.GUID, func(r LookupResult) { raced = &r }); err != nil {
+	var raced LookupResult
+	if err := d.Sim().Go(t0+1, func() {
+		var err error
+		if raced, err = d.Read(150, e1.GUID); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
 	d.Sim().Run(0)
-	if raced == nil || !raced.Found {
+	if !raced.Found {
 		t.Fatalf("raced result = %+v", raced)
 	}
 	// Either version may win the race, but a version-1 answer must be
 	// recognizably stale; re-querying afterwards must see version 2.
-	var settled *LookupResult
-	if err := d.Lookup(150, e1.GUID, func(r LookupResult) { settled = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if settled == nil || !settled.Found {
+	settled := read(t, d, 150, e1.GUID)
+	if !settled.Found {
 		t.Fatal("settled lookup failed")
 	}
 	if settled.Entry.Version != 2 || settled.Entry.NAs[0].AS != 20 {
@@ -509,20 +498,12 @@ func TestStaleUpdateNeverRollsBack(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
 	eNew := entryFor("rollback", 5, 30)
 	eOld := entryFor("rollback", 4, 10)
-	if err := d.Insert(30, eNew, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 30, eNew)
 	d.Sim().Run(0)
-	if err := d.Insert(10, eOld, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 10, eOld)
 	d.Sim().Run(0)
-	var res *LookupResult
-	if err := d.Lookup(0, eNew.GUID, func(r LookupResult) { res = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if res == nil || !res.Found || res.Entry.Version != 5 {
+	res := read(t, d, 0, eNew.GUID)
+	if !res.Found || res.Entry.Version != 5 {
 		t.Fatalf("result = %+v, want version 5 preserved", res)
 	}
 }
@@ -530,29 +511,19 @@ func TestStaleUpdateNeverRollsBack(t *testing.T) {
 func TestRestore(t *testing.T) {
 	d, _ := testDeployment(t, 1, false)
 	e := entryFor("backup", 1, 5)
-	if err := d.Insert(5, e, func(InsertResult) {}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, d, 5, e)
 	d.Sim().Run(0)
 	placements, _ := d.System().Resolver().Place(e.GUID)
 	crash(t, d, placements[0].AS)
 
-	var down *LookupResult
-	if err := d.Lookup(0, e.GUID, func(r LookupResult) { down = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if down == nil || down.Found {
+	down := read(t, d, 0, e.GUID)
+	if down.Found {
 		t.Fatalf("lookup against crashed sole replica = %+v, want not found", down)
 	}
 
 	restore(t, d)
-	var up *LookupResult
-	if err := d.Lookup(0, e.GUID, func(r LookupResult) { up = &r }); err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().Run(0)
-	if up == nil || !up.Found {
+	up := read(t, d, 0, e.GUID)
+	if !up.Found {
 		t.Fatalf("lookup after restore = %+v", up)
 	}
 }
@@ -572,9 +543,7 @@ func TestChurnWithdrawDuringLiveTraffic(t *testing.T) {
 			Version: 1,
 		}
 		entries = append(entries, e)
-		if err := d.Insert(i%50, e, func(InsertResult) {}); err != nil {
-			t.Fatal(err)
-		}
+		write(t, d, i%50, e)
 	}
 	d.Sim().Run(0)
 
@@ -596,15 +565,14 @@ func TestChurnWithdrawDuringLiveTraffic(t *testing.T) {
 	for i, e := range entries {
 		e := e
 		at := base + simnet.Time(i)*1_000_000
-		if err := d.Sim().At(at, func() {
-			err := d.Lookup(90, e.GUID, func(r LookupResult) {
-				completed++
-				if !r.Found {
-					failures++
-				}
-			})
+		if err := d.Sim().Go(at, func() {
+			r, err := d.Read(90, e.GUID)
 			if err != nil {
 				t.Error(err)
+			}
+			completed++
+			if !r.Found {
+				failures++
 			}
 		}); err != nil {
 			t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package simnet is the discrete-event engine behind the paper's
 // "detailed discrete-event simulation" (§IV-B1): a virtual clock, an
-// event heap, and a message-passing network whose delivery delays come
-// from the AS-level topology.
+// event heap, processes that block in virtual time, and a
+// message-passing network whose delivery delays come from the AS-level
+// topology.
 //
-// The engine is deliberately single-threaded: handlers run one at a time
+// The engine is deliberately single-threaded: handlers — and processes,
+// each on a goroutine of its own but handed the run one at a time — run
 // in timestamp order, which makes protocol races (mobility updates vs.
 // in-flight queries, churn vs. lookups) reproducible bit-for-bit.
 package simnet
@@ -23,11 +25,58 @@ type Sim struct {
 	now    Time
 	events eventHeap
 	seq    uint64 // tie-break: FIFO among same-timestamp events
+	cur    *Proc  // the process running, nil while events do
+	parked chan struct{}
 }
 
 // New returns an empty simulation at time zero.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{parked: make(chan struct{})}
+}
+
+// Proc is a process: a function started by Go, on a goroutine of its
+// own, that may block in virtual time.
+type Proc struct {
+	s      *Sim
+	resume chan struct{}
+}
+
+// Go schedules fn to run at time t as a process, so that it may block —
+// Park — while the simulation runs around it. Exactly one goroutine runs
+// at a time: the event that starts or wakes a process hands it the run
+// and waits until it parks again or ends. The clock therefore advances
+// only while every process is parked, and a run is as reproducible as
+// one of plain handlers. A process must not step the simulator.
+func (s *Sim) Go(t Time, fn func()) error {
+	return s.At(t, func() {
+		p := &Proc{s: s, resume: make(chan struct{})}
+		go func() {
+			<-p.resume
+			fn()
+			s.parked <- struct{}{}
+		}()
+		p.Wake()
+	})
+}
+
+// Running returns the process running now, nil when the goroutine
+// stepping the simulator is.
+func (s *Sim) Running() *Proc { return s.cur }
+
+// Park hands the run back from p, which is running, until an event
+// wakes it.
+func (p *Proc) Park() {
+	p.s.parked <- struct{}{}
+	<-p.resume
+}
+
+// Wake runs the parked process p until it parks again or ends. Call it
+// from an event.
+func (p *Proc) Wake() {
+	p.s.cur = p
+	p.resume <- struct{}{}
+	<-p.s.parked
+	p.s.cur = nil
 }
 
 // Now returns the current virtual time.
@@ -89,24 +138,6 @@ func (s *Sim) RunUntil(deadline Time) int {
 		s.now = deadline
 	}
 	return n
-}
-
-// StepUntil executes events in timestamp order until done reports true,
-// which it returns, or until the next event lies past deadline: then the
-// clock advances to deadline and StepUntil returns false. It is how a
-// blocking call (one request, one awaited reply) is laid over the event
-// loop, so call it from a scenario's top level, never from a handler.
-func (s *Sim) StepUntil(deadline Time, done func() bool) bool {
-	for !done() {
-		if len(s.events.items) == 0 || s.events.items[0].at > deadline {
-			if s.now < deadline {
-				s.now = deadline
-			}
-			return false
-		}
-		s.Step()
-	}
-	return true
 }
 
 type event struct {

@@ -1,7 +1,11 @@
 package simnet
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"dmap/internal/topology"
 )
@@ -116,30 +120,42 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// TestStepUntil: the clock stops at the event that satisfied the
-// predicate — later events stay queued — and a predicate nothing
-// satisfies costs exactly the deadline, without running what lies past it.
-func TestStepUntil(t *testing.T) {
+// TestProcsInterleaveInVirtualTime: processes block in virtual time and
+// interleave only where they park, the clock moving only while every one
+// is parked, and none outlives its function.
+func TestProcsInterleaveInVirtualTime(t *testing.T) {
 	s := New()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		_ = s.At(at, func() { fired = append(fired, at) })
+	before := runtime.NumGoroutine()
+	var log []string
+	sleep := func(d Time) {
+		p := s.Running()
+		if err := s.After(d, p.Wake); err != nil {
+			t.Error(err)
+		}
+		p.Park()
 	}
-	if !s.StepUntil(100, func() bool { return len(fired) == 2 }) {
-		t.Fatal("predicate satisfied at t=10 reported as a deadline")
+	for i, d := range []Time{30, 10} {
+		name := string(rune('a' + i))
+		if err := s.Go(5, func() {
+			log = append(log, fmt.Sprintf("%s@%d", name, s.Now()))
+			sleep(d)
+			log = append(log, fmt.Sprintf("%s@%d", name, s.Now()))
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s.Now() != 10 || s.Pending() != 2 {
-		t.Errorf("Now = %d with %d pending, want 10 with 2", s.Now(), s.Pending())
+	s.Run(0)
+	if want := []string{"a@5", "b@5", "b@15", "a@35"}; !slices.Equal(log, want) {
+		t.Errorf("log %v, want %v", log, want)
 	}
-	if s.StepUntil(17, func() bool { return false }) {
-		t.Fatal("unsatisfied predicate reported done")
+	if s.Running() != nil {
+		t.Error("a process still running after Run")
 	}
-	if s.Now() != 17 || len(fired) != 3 || s.Pending() != 1 {
-		t.Errorf("Now = %d, fired %v, %d pending; want the clock at the deadline and t=20 still queued", s.Now(), fired, s.Pending())
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // an ended process's goroutine exits just after its last hand-off
 	}
-	if s.StepUntil(50, func() bool { return false }) || s.Now() != 50 || len(fired) != 4 {
-		t.Errorf("Now = %d, fired %v: an empty queue must still advance to the deadline", s.Now(), fired)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after the run, %d before", got, before)
 	}
 }
 

@@ -69,9 +69,15 @@ go test -race -cpu 1,4 ./internal/client/...
 go test -race -cpu 1,4 -count 20 -run 'TestMuxDeadline' ./internal/client
 # The anti-entropy sweep (core.Sweep) on one P and on four, under both of
 # its transports: the server's gossip goroutine over TCP beside its
-# connections' read loops, and nodesim's event chains over simnet, plus the
-# partition-heal experiment that times it.
+# connections' read loops, and nodesim's gossip chains over simnet, plus
+# the partition-heal experiment that times it.
 go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodesim ./internal/server ./internal/experiments
+# The shipped client on nodesim's link, on one P and on four: lookups and
+# writes scheduled with simnet's Go run as processes, each on a goroutine
+# of its own, handed the run one at a time — a missing hand-off is a data
+# race here, a wrong one a deadlock. churnsim runs thousands of them
+# beside the churn, the mobility test races a write against a read.
+go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink' ./internal/simnet ./internal/nodesim ./internal/experiments
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
