@@ -141,14 +141,25 @@ func serve(args []string) error {
 	if *hotKeys > 0 {
 		hot = trace.NewHotKeys(*hotKeys)
 	}
-	node, err := server.Open(server.Options{
+	// A -data-dir store is durable (WAL + snapshots): acknowledged writes
+	// survive a crash and are recovered here on the next start. Without
+	// one the node makes a memory-only store.
+	var st *store.Store
+	if *dataDir != "" {
+		st, err = store.Open(store.Options{
+			Dir:           *dataDir,
+			Shards:        *shards,
+			Fsync:         fsync,
+			SnapshotBytes: int64(*snapshotMB) << 20,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	node := server.NewWithOptions(st, server.Options{
 		Logger:          trace.NewLogger(os.Stderr, level),
 		Tracer:          tracer,
 		HotKeys:         hot,
-		DataDir:         *dataDir,
-		Fsync:           fsync,
-		Shards:          *shards,
-		SnapshotBytes:   int64(*snapshotMB) << 20,
 		MaxInflight:     *maxInflight,
 		MaxConnInflight: *maxConnInflight,
 		Gossip: server.GossipOptions{
@@ -156,7 +167,13 @@ func serve(args []string) error {
 			Interval: *gossipInterval,
 		},
 	})
-	if err != nil {
+	// The node's handlers drain before the store is flushed and closed, so
+	// a clean shutdown needs no WAL replay beyond the last snapshot.
+	shutdown := func() error {
+		err := node.Close()
+		if cerr := node.Store().Close(); err == nil {
+			err = cerr
+		}
 		return err
 	}
 	if *runtimeMetrics {
@@ -164,18 +181,19 @@ func serve(args []string) error {
 	}
 	bound, err := node.Start(*addr)
 	if err != nil {
+		shutdown()
 		return err
 	}
 	fmt.Printf("mapping node listening on %s\n", bound)
 	if *dataDir != "" {
-		rec := node.Store().Recovery()
+		rec := st.Recovery()
 		fmt.Printf("recovered %d mappings from %s (%d snapshot entries, %d WAL records replayed, %d torn bytes discarded) in %v\n",
-			node.Store().Len(), *dataDir, rec.SnapshotEntries, rec.ReplayedRecords, rec.TornBytes, rec.Elapsed.Round(time.Millisecond))
+			st.Len(), *dataDir, rec.SnapshotEntries, rec.ReplayedRecords, rec.TornBytes, rec.Elapsed.Round(time.Millisecond))
 	}
 	if *debugAddr != "" {
 		dbgBound, stop, err := startDebugServer(*debugAddr, node.Metrics(), tracer, hot)
 		if err != nil {
-			node.Close()
+			shutdown()
 			return err
 		}
 		defer stop()
@@ -186,7 +204,7 @@ func serve(args []string) error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
-	return node.Close()
+	return shutdown()
 }
 
 func demo(args []string) error {

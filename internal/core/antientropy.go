@@ -1,6 +1,6 @@
-// Anti-entropy repair (DESIGN.md §12): the one sweep that the server's
-// gossip loop drives over TCP and nodesim drives over simnet, and the
-// version compare that answers it. The store's §III-D2 freshest-wins Put
+// Anti-entropy repair (DESIGN.md §12): the one sweep, which
+// server.Node.Sweep drives over TCP and over nodesim's simulated link,
+// and the version compare that answers it. The store's §III-D2 freshest-wins Put
 // makes every transfer idempotent, so repair needs no coordination
 // beyond the compare itself.
 package core

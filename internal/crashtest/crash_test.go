@@ -46,8 +46,8 @@ func TestMain(m *testing.M) {
 // traffic until the parent SIGKILLs it. It prints its bound address and
 // then blocks forever — the only way out is the kill.
 func runChild() {
-	n, err := server.Open(server.Options{
-		DataDir: os.Getenv("DMAP_CRASH_DIR"),
+	st, err := store.Open(store.Options{
+		Dir: os.Getenv("DMAP_CRASH_DIR"),
 		// Small snapshot threshold so the burst also exercises
 		// compaction (snapshot + WAL truncation) racing the kill.
 		SnapshotBytes: 32 << 10,
@@ -56,6 +56,7 @@ func runChild() {
 		fmt.Fprintln(os.Stderr, "child:", err)
 		os.Exit(1)
 	}
+	n := server.NewWithOptions(st, server.Options{})
 	addr, err := n.Start("127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "child:", err)

@@ -7,8 +7,8 @@ import (
 	"strings"
 
 	"dmap/internal/guid"
-	"dmap/internal/metrics"
 	"dmap/internal/nodesim"
+	"dmap/internal/server"
 	"dmap/internal/simnet"
 	"dmap/internal/stats"
 	"dmap/internal/store"
@@ -159,19 +159,19 @@ func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell
 	for i, ev := range trace.Lookups {
 		g := guid.FromUint64(uint64(ev.GUIDIndex) + 1)
 		var e store.Entry
-		held := make(map[*store.Store]*metrics.Counter) // withheld copies
+		held := make(map[*server.Node]int64) // withheld copies, by the lookups their node had served
 		for _, as := range placements[ev.GUIDIndex] {
 			if c.f.outcome(i, int(as), 0, homeAS(c.local, trace, ev.GUIDIndex)) != miss {
 				continue
 			}
-			st, err := sys.Store(int(as))
+			n, err := dep.Node(int(as))
 			if err != nil {
 				return nil, err
 			}
-			if got, ok := st.Get(g); ok { // not yet withheld for a collided placement
+			if got, ok := n.Store().Get(g); ok { // not yet withheld for a collided placement
 				e = got
-				st.Delete(g)
-				held[st] = nil
+				n.Store().Delete(g)
+				held[n] = n.Stats().Lookups
 			}
 		}
 		var (
@@ -183,26 +183,19 @@ func (w *World) eventLookups(trace *workload.Trace, placements [][]int32, c cell
 			return nil, err
 		}
 		// A withheld copy comes back once its replica has answered
-		// "missing": once its store is read after the querier's local
-		// read, which the lookup's first step makes.
-		sim.Step()
-		for st := range held {
-			reg := metrics.NewRegistry()
-			st.Instrument(reg, "s")
-			held[st] = reg.Counter("s.gets")
-		}
+		// "missing": once its node has served a lookup.
 		for !done && sim.Step() {
-			for st, reads := range held {
-				if reads.Value() > 0 {
-					if _, err := st.Put(e); err != nil {
+			for n, before := range held {
+				if n.Stats().Lookups > before {
+					if _, err := n.Store().Put(e); err != nil {
 						return nil, err
 					}
-					delete(held, st)
+					delete(held, n)
 				}
 			}
 		}
-		for st := range held {
-			if _, err := st.Put(e); err != nil {
+		for n := range held {
+			if _, err := n.Store().Put(e); err != nil {
 				return nil, err
 			}
 		}

@@ -43,7 +43,12 @@ import (
 // as a timeout, as the client does: a lookup from a querier whose
 // replicas all answer that late fails at every failure fraction (K = 3
 // and 5 at 0% failed read 99.975%, not 100%), and the late attempts
-// count as timeouts.
+// count as timeouts. The sixth rewrote heal.txt alone, when each
+// simulated AS became a server.Node running the TCP node's own sweep: a
+// repair push now waits for its ack before the next page, as over TCP,
+// where nodesim's gossip messages pushed one-way, so convergence comes
+// 163.2 ms later at both intervals; rounds, entries repaired and the
+// stale rate did not move.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what

@@ -221,9 +221,9 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	// sets, and any other AS still holding a GUID, like the writers'
 	// §III-C local copies lookups there would race — holds the max
 	// version. Each round runs event by event until the copies agree —
-	// the convergence instant — or its sweep chains have all finished;
-	// their timeouts outlive the exchange, so a drained queue would
-	// overstate it. The next round starts at its tick or then.
+	// the convergence instant — or its sweeps have all finished; an
+	// exchange's timer outlives it, so a drained queue would overstate
+	// it. The next round starts at its tick or then.
 	var current []func() bool // one per copy: at the max version?
 	for _, e := range entries {
 		reps, err := sys.ReplicaASs(e, nil)
@@ -249,7 +249,18 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 		return true
 	}
 
-	before := d.GossipStats()
+	// A repair is counted where it lands: a put that advanced a store. A
+	// push acked stale — another sweep delivered the copy first — is not
+	// one, so the sweepers' own counters would overstate it.
+	advanced := func() (n int64) {
+		for as := 0; as < sys.NumAS(); as++ {
+			node, _ := d.Node(as) // in range
+			reg := node.Metrics()
+			n += reg.Counter("store.puts").Value() - reg.Counter("store.stale_puts").Value()
+		}
+		return n
+	}
+	before := advanced()
 	const maxRounds = 16
 	for !converged() {
 		if cell.Rounds++; cell.Rounds > maxRounds {
@@ -262,9 +273,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 		for !converged() && d.GossipInFlight() > 0 && d.Sim().Step() {
 		}
 	}
-	after := d.GossipStats()
-	cell.EntriesRepaired = (after.EntriesPulled + after.EntriesPushed) -
-		(before.EntriesPulled + before.EntriesPushed)
+	cell.EntriesRepaired = int(advanced() - before)
 	cell.ConvergenceTime = d.Sim().Now() - gossipStart
 	return cell, nil
 }

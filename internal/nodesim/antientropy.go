@@ -1,60 +1,45 @@
-// Anti-entropy gossip over simnet: a transport for core.Sweep, the sweep
-// the server's gossip loop drives over TCP (DESIGN.md §12). A sweep runs
-// one chain of exchanges per replica peer, all concurrent in virtual
-// time. All traffic rides net.Send, so fault plans apply: a healed
-// partition converges through ordinary gossip rounds.
+// Anti-entropy gossip over simnet (DESIGN.md §12): the server's own
+// sweep, server.Node.Sweep, run by each simulated node against its
+// replica peers, one simnet process per peer, all concurrent in virtual
+// time, over the link's frames. The peer's node answers each digest page
+// under the scope the pair shares. All traffic rides net.Send, so fault
+// plans apply: a healed partition converges through ordinary gossip
+// rounds.
 package nodesim
 
 import (
 	"slices"
+	"time"
 
-	"dmap/internal/core"
 	"dmap/internal/guid"
-	"dmap/internal/simnet"
 	"dmap/internal/store"
-	"dmap/internal/wire"
 )
-
-// gossip message payloads
-type (
-	digestReq struct {
-		after, through guid.GUID
-		page           []store.Digest // range-complete over (after, through], in scope
-		reqID          uint64
-	}
-	digestResp struct {
-		reqID   uint64
-		covered guid.GUID     // compared through here
-		newer   []store.Entry // peer's fresher copies: sweeper pulls
-		want    []guid.GUID   // sweeper's fresher copies: peer asks for a push
-	}
-	repairPush struct {
-		entries []store.Entry
-	}
-)
-
-// sweepChain is one sweeper→peer chain of a sweep.
-type sweepChain struct {
-	sw   *core.Sweep
-	self int
-	peer int
-}
 
 // GossipStats counts cumulative anti-entropy activity.
 type GossipStats struct {
 	// Sweeps counts GossipSweep calls that ran (none while the sweeper is
 	// down).
 	Sweeps int
-	// DigestsSent counts digest pages sent to peers.
+	// DigestsSent counts digest pages peers answered.
 	DigestsSent int
 	// EntriesPulled counts entries a sweeper applied from peer replies.
 	EntriesPulled int
-	// EntriesPushed counts entries peers applied from sweeper pushes.
+	// EntriesPushed counts sweeper pushes the peers acknowledged.
 	EntriesPushed int
 }
 
-// GossipStats returns the cumulative gossip counters.
-func (d *Deployment) GossipStats() GossipStats { return d.gossip }
+// GossipStats returns the cumulative gossip counters: the sweeping
+// nodes' own repair counters, summed.
+func (d *Deployment) GossipStats() GossipStats {
+	s := GossipStats{Sweeps: d.sweeps}
+	for _, n := range d.nodes {
+		reg := n.Metrics()
+		s.DigestsSent += int(reg.Counter("server.repair.digests_sent").Value())
+		s.EntriesPulled += int(reg.Counter("server.repair.entries_pulled").Value())
+		s.EntriesPushed += int(reg.Counter("server.repair.entries_pushed").Value())
+	}
+	return s
+}
 
 // scope is the keyspace as shares with peer, as as sees it: the GUIDs
 // it holds whose replica set names peer.
@@ -71,20 +56,22 @@ func (d *Deployment) scope(st *store.Store, peer int) func(guid.GUID) bool {
 	}
 }
 
-// GossipSweep starts one anti-entropy sweep from as: a chain to every
-// AS that replicates a mapping as holds, each sweeping the keyspace the
-// pair shares, which reconciles both directions — what the sweeper
-// lacks included. A reply that does not arrive within the deployment's
-// timeout aborts that chain alone; the next sweep starts over. A sweeper
-// inside a crash window does nothing.
+// GossipSweep starts one anti-entropy sweep from as: a simnet process
+// per AS that replicates a mapping as holds, each running as's node's
+// Sweep over the keyspace the pair shares, which reconciles both
+// directions — what the sweeper lacks included. An exchange that gets no
+// reply within the deployment's timeout aborts that peer's sweep alone;
+// the next sweep starts over. A sweeper inside a crash window does
+// nothing.
 func (d *Deployment) GossipSweep(as int) error {
 	if d.net.NodeDown(as, d.Sim().Now()) {
 		return nil
 	}
-	st, err := d.sys.Store(as)
+	n, err := d.Node(as)
 	if err != nil {
 		return err
 	}
+	st := n.Store()
 	var peers []int
 	st.Range(func(e store.Entry) bool {
 		peers, err = d.sys.ReplicaASs(e, peers)
@@ -94,39 +81,25 @@ func (d *Deployment) GossipSweep(as int) error {
 		return err
 	}
 	peers = slices.DeleteFunc(peers, func(p int) bool { return p == as })
-	slices.Sort(peers) // Range iterates maps: fix the send order
-	d.gossip.Sweeps++
+	slices.Sort(peers) // Range iterates maps: fix the start order
+	d.sweeps++
+	wait := time.Duration(d.timeout) * time.Microsecond
 	for _, p := range peers {
-		if err := d.sendPage(&sweepChain{sw: core.NewSweep(st, d.scope(st, p)), self: as, peer: p}); err != nil {
-			return err
-		}
+		d.sweeping++
+		_ = d.Sim().Go(d.Sim().Now(), func() { // now is never in the past
+			_ = n.Sweep(querier{d: d, src: as, dst: p}, d.scope(st, p), wait)
+			d.sweeping--
+		})
 	}
 	return nil
 }
 
-// sendPage sends c's next page and arms its timeout; a finished sweep
-// sends nothing.
-func (d *Deployment) sendPage(c *sweepChain) error {
-	after, through, page, ok := c.sw.Next()
-	if !ok {
-		return nil
-	}
-	d.nextReq++
-	reqID := d.nextReq
-	d.chains[reqID] = c
-	d.gossip.DigestsSent++
-	if err := d.net.Send(c.self, c.peer, digestReq{after: after, through: through, page: page, reqID: reqID}); err != nil {
-		return err
-	}
-	return d.Sim().After(d.timeout, func() { delete(d.chains, reqID) })
-}
-
-// GossipInFlight counts the sweep chains awaiting a reply (their
-// timeouts may outlive them in the event queue).
-func (d *Deployment) GossipInFlight() int { return len(d.chains) }
+// GossipInFlight counts the per-peer sweeps still running (a finished
+// exchange's timer may outlive it in the event queue).
+func (d *Deployment) GossipInFlight() int { return d.sweeping }
 
 // GossipRound sweeps every AS once, in AS order. Driving the simulator
-// afterwards (Sim().Run or RunUntil) delivers the whole exchange.
+// afterwards (Sim().Run or RunUntil) runs the whole exchange.
 func (d *Deployment) GossipRound() error {
 	for as := 0; as < d.sys.NumAS(); as++ {
 		if err := d.GossipSweep(as); err != nil {
@@ -134,35 +107,4 @@ func (d *Deployment) GossipRound() error {
 		}
 	}
 	return nil
-}
-
-// handleGossip dispatches the anti-entropy payloads.
-func (d *Deployment) handleGossip(self int, msg simnet.Message) {
-	st, err := d.sys.Store(self)
-	if err != nil {
-		return
-	}
-	switch p := msg.Payload.(type) {
-	case digestReq:
-		newer, want, covered := core.DiffRangeIn(st, p.after, p.through, p.page, true, wire.MaxBatch, d.scope(st, msg.From))
-		_ = d.net.Send(self, msg.From, digestResp{reqID: p.reqID, covered: covered, newer: newer, want: want})
-	case digestResp:
-		c, ok := d.chains[p.reqID]
-		if !ok {
-			return // timed out: the chain was aborted
-		}
-		delete(d.chains, p.reqID)
-		n, err := c.sw.Advance(p.covered, p.newer)
-		d.gossip.EntriesPulled += n
-		if err != nil {
-			return
-		}
-		if entries := c.sw.Wanted(p.want, nil); len(entries) > 0 {
-			_ = d.net.Send(self, msg.From, repairPush{entries: entries})
-		}
-		_ = d.sendPage(c)
-	case repairPush:
-		n, _ := core.ApplyEntries(st, p.entries)
-		d.gossip.EntriesPushed += n
-	}
 }

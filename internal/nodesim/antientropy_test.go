@@ -315,8 +315,8 @@ func TestGossipSweepFetchesWhatSweeperLacks(t *testing.T) {
 }
 
 // TestGossipLostReplyAbortsOnlyThatChain: a digest reply lost to a
-// partition aborts the sweep's chain to that peer at the deployment's
-// timeout; the chain to the other peer completes, the simulator drains,
+// partition aborts the sweep to that peer at the deployment's timeout;
+// the sweep to the other peer completes, the simulator drains,
 // and the next clean round converges the cut-off replica.
 func TestGossipLostReplyAbortsOnlyThatChain(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
@@ -352,14 +352,14 @@ func TestGossipLostReplyAbortsOnlyThatChain(t *testing.T) {
 	if d.Network().FaultStats().PartitionDrops == 0 {
 		t.Fatal("the partition dropped nothing")
 	}
-	if len(d.chains) != 0 {
-		t.Fatalf("%d sweep chains still waiting after the simulator drained", len(d.chains))
+	if n := d.GossipInFlight(); n != 0 {
+		t.Fatalf("%d sweeps still running after the simulator drained", n)
 	}
 	if v := versionAt(t, d, y, e.GUID); v != 2 {
-		t.Fatalf("uncut peer at version %d: the lost reply aborted its chain too", v)
+		t.Fatalf("uncut peer at version %d: the lost reply aborted its sweep too", v)
 	}
 	if v := versionAt(t, d, x, e.GUID); v != 1 {
-		t.Fatalf("cut-off peer at version %d, want its chain aborted", v)
+		t.Fatalf("cut-off peer at version %d, want its sweep aborted", v)
 	}
 
 	if err := d.Network().SetFaults(nil); err != nil {

@@ -1,9 +1,9 @@
-// Package nodesim is the simulated link under the shipped client: one
-// DMap node per AS on simnet, answering MsgInsert, MsgLookup and
-// MsgDelete frames from its store, and a client.Network per querier AS
-// over which client.Cluster itself runs in virtual time — a lookup
-// racing a mobility update (§III-D2), a crashed replica's timeout
-// (§III-D3). The shipped prober's connections and the gossip chains
+// Package nodesim is the simulated link under the shipped client and the
+// shipped node: one server.Node per AS on simnet, answering every frame
+// the AS receives, and a client.Network per querier AS over which
+// client.Cluster itself runs in virtual time — a lookup racing a
+// mobility update (§III-D2), a crashed replica's timeout (§III-D3). The
+// shipped prober's connections and the nodes' gossip sweeps
 // (antientropy.go) ride the same network.
 package nodesim
 
@@ -20,6 +20,7 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/obs"
+	"dmap/internal/server"
 	"dmap/internal/simnet"
 	"dmap/internal/store"
 	"dmap/internal/trace"
@@ -44,15 +45,15 @@ const DefaultTimeout = simnet.Time(2_000_000) // 2 s
 // Deployment is DMap on simnet: a node per AS, and the shipped client at
 // every querier AS.
 type Deployment struct {
-	sys     *core.System
-	net     *simnet.Network
-	oracle  simnet.LatencyOracle
-	timeout simnet.Time
-	clients map[int]*client.Cluster        // by querier AS
-	reads   map[*simnet.Proc]*LookupResult // the Read on each process; nil: the top level
-	nextReq uint64
-	gossip  GossipStats
-	chains  map[uint64]*sweepChain // gossip chains by the reply they await
+	sys      *core.System
+	net      *simnet.Network
+	oracle   simnet.LatencyOracle
+	timeout  simnet.Time
+	clients  map[int]*client.Cluster        // by querier AS
+	nodes    map[int]*server.Node           // by AS, made on first use
+	reads    map[*simnet.Proc]*LookupResult // the Read on each process; nil: the top level
+	sweeps   int                            // GossipSweep calls that ran
+	sweeping int                            // gossip sweep processes still running
 }
 
 // NewDeployment binds one DMap node per AS onto the network. timeout ≤ 0
@@ -74,8 +75,8 @@ func NewDeployment(sys *core.System, sim *simnet.Sim, oracle simnet.LatencyOracl
 		oracle:  oracle,
 		timeout: timeout,
 		clients: make(map[int]*client.Cluster),
+		nodes:   make(map[int]*server.Node),
 		reads:   make(map[*simnet.Proc]*LookupResult),
-		chains:  make(map[uint64]*sweepChain),
 	}
 	for as := 0; as < sys.NumAS(); as++ {
 		if err := net.Bind(as, simnet.HandlerFunc(func(_ *simnet.Network, msg simnet.Message) { d.handle(as, msg) })); err != nil {
@@ -94,6 +95,21 @@ func (d *Deployment) Network() *simnet.Network { return d.net }
 
 // System returns the underlying DMap system.
 func (d *Deployment) System() *core.System { return d.sys }
+
+// Node returns AS as's node, made on first use: a server.Node over the
+// AS's store, which answers every frame the AS receives.
+func (d *Deployment) Node(as int) (*server.Node, error) {
+	if n, ok := d.nodes[as]; ok {
+		return n, nil
+	}
+	st, err := d.sys.Store(as)
+	if err != nil {
+		return nil, err
+	}
+	n := server.NewWithOptions(st, server.Options{})
+	d.nodes[as] = n
+	return n, nil
+}
 
 func (d *Deployment) rtt(a, b int) simnet.Time {
 	return d.oracle.OneWay(a, b) + d.oracle.OneWay(b, a)
@@ -189,12 +205,12 @@ type reply struct {
 var errTimeout = &net.OpError{Op: "read", Net: "simnet", Err: os.ErrDeadlineExceeded}
 
 // start sends the request frame (t, payload) from AS src to AS dst and
-// returns its reply, which times out after timeout; a nil payload makes
-// a timer. The frame carries a copy of payload: it may outlive the
-// timeout, after which the caller reuses the buffer.
+// returns its reply, which times out after timeout; t = 0, no message
+// type, makes a timer. The frame carries a copy of payload: it may
+// outlive the timeout, after which the caller reuses the buffer.
 func (d *Deployment) start(src, dst int, t wire.MsgType, payload []byte, timeout time.Duration) *reply {
 	r := &reply{sim: d.Sim()}
-	if payload != nil {
+	if t != 0 {
 		if read, ok := d.reads[r.sim.Running()]; ok {
 			read.Attempts, read.ServedBy = read.Attempts+1, dst
 		}
@@ -265,50 +281,29 @@ func (d *Deployment) probeConfig(src int, cfg obs.ProberConfig) obs.ProberConfig
 func (q querier) Close() error { return nil }
 
 // RoundTrip steps the simulator to the reply or the deadline, so it is
-// called from a scenario's top level only.
+// called from a scenario's top level or a simnet process — the prober's
+// rounds, the gossip sweeps — never from a handler.
 func (q querier) RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
 	return q.d.start(q.src, q.dst, t, payload, timeout).Wait()
 }
 
-// handle dispatches a message arriving at AS self. A crashed node needs
-// no check: simnet drops every delivery to a node inside a crash window,
-// so its queriers time out (§III-D3).
+// handle dispatches a frame arriving at AS self: a reply settles its
+// request, a request is answered by self's node. A digest page is
+// answered under the scope self shares with the sweeper, which only the
+// link knows. A crashed node needs no check: simnet drops every delivery
+// to a node inside a crash window, so its peers time out (§III-D3).
 func (d *Deployment) handle(self int, msg simnet.Message) {
-	switch f, ok := msg.Payload.(frame); {
-	case !ok:
-		d.handleGossip(self, msg)
-	case f.resp:
+	f := msg.Payload.(frame)
+	if f.resp {
 		f.r.answer(f.t, f.body, nil)
-	default:
-		t, body := d.serve(self, f.t, f.body)
-		_ = d.net.Send(self, msg.From, frame{r: f.r, resp: true, t: t, body: body})
+		return
 	}
-}
-
-// serve is AS as's node answering a request frame from its store. An
-// insert is acked on receipt: the store keeps the fresher version.
-func (d *Deployment) serve(as int, t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
-	st, _ := d.sys.Store(as) // a bound AS is in range
-	g, rest, err := wire.DecodeGUID(payload)
-	switch {
-	case t == wire.MsgInsert:
-		var e store.Entry
-		if e, rest, err = wire.DecodeEntry(payload); err == nil && len(rest) == 0 {
-			_, _ = st.Put(e)
-			return wire.MsgInsertAck, nil
-		}
-	case err != nil || len(rest) != 0:
-	case t == wire.MsgDelete:
-		flag := []byte{0}
-		if st.Delete(g) {
-			flag[0] = 1
-		}
-		return wire.MsgDeleteAck, flag
-	case t == wire.MsgLookup:
-		e, found := st.Get(g)
-		if body, err := wire.AppendLookupResp(nil, wire.LookupResp{Found: found, Entry: e}); err == nil {
-			return wire.MsgLookupResp, body
-		}
+	n, _ := d.Node(self) // a bound AS is in range
+	answer := frame{r: f.r, resp: true}
+	if f.t == wire.MsgRepairDigest {
+		answer.t, answer.body = n.AnswerDigest(f.body, nil, d.scope(n.Store(), msg.From))
+	} else {
+		answer.t, answer.body = n.ServeFrame(f.t, f.body)
 	}
-	return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "malformed "+t.String())
+	_ = d.net.Send(self, msg.From, answer)
 }

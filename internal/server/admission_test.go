@@ -119,11 +119,7 @@ func TestAdmissionZeroAlloc(t *testing.T) {
 // memory-only node or a durable one, at any NA count, with the hot-key
 // tracker on as `serve` has it.
 func TestServedOpsZeroAlloc(t *testing.T) {
-	durable, err := Open(Options{DataDir: t.TempDir(), HotKeys: trace.NewHotKeys(32)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer durable.Close()
+	durable := durableNode(t, store.Options{Dir: t.TempDir()}, Options{HotKeys: trace.NewHotKeys(32)})
 	for name, n := range map[string]*Node{"memory": NewWithOptions(nil, Options{HotKeys: trace.NewHotKeys(32)}), "durable": durable} {
 		e := burstEntry(1)
 		for j := 1; j < store.MaxNAs; j++ {
@@ -141,7 +137,7 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 			e.Version++
 			e.NAs = nas[:1+e.Version%store.MaxNAs]
 			payload, _ := wire.AppendEntry(ins[:0], e)
-			n.serveFrameV2(conn, 0, w, &run, wire.MsgInsert, e.Version, payload, dst[:0])
+			n.serveFrameV2(conn.RemoteAddr(), 0, w, &run, wire.MsgInsert, e.Version, payload, dst[:0])
 			n.commitInserts(&run, w, dst[:0])
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)

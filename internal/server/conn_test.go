@@ -391,13 +391,9 @@ func readReplies(t *testing.T, conn net.Conn, count int) map[uint64]wire.MsgType
 func TestPipelinedInsertsOneBurstFreshestWins(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		for _, versions := range [][2]uint64{{5, 6}, {6, 5}} {
-			opts := Options{}
+			n := NewWithOptions(nil, Options{})
 			if durable {
-				opts.DataDir = t.TempDir()
-			}
-			n, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
+				n = durableNode(t, store.Options{Dir: t.TempDir()}, Options{})
 			}
 			conn, _ := serveCounted(t, n)
 			e := burstEntry(0)
@@ -425,11 +421,7 @@ func TestPipelinedInsertsOneBurstFreshestWins(t *testing.T) {
 // the durable node at most one log write(2) per shard per read — the
 // records per write that store.wal_writes and store.wal_records expose.
 func TestInsertBurstOneLogWritePerShard(t *testing.T) {
-	n, err := Open(Options{DataDir: t.TempDir(), Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := durableNode(t, store.Options{Dir: t.TempDir(), Shards: 8}, Options{})
 	conn, cc := serveCounted(t, n)
 	const burst = 64
 	var reqs []byte
@@ -1057,33 +1049,50 @@ func TestIdleV2ConnHoldsNoPooledBuffer(t *testing.T) {
 	}
 }
 
-// TestDeleteWithTrailingBytesIsRefused: a delete is one GUID. A payload
-// with bytes after it is refused BadRequest under its own ID, deletes
-// nothing, and the connection goes on serving.
+// TestDeleteWithTrailingBytesIsRefused: a delete is one GUID and an
+// insert one entry. A payload with bytes after it is refused BadRequest
+// under its own ID, changes nothing in the store, and the connection
+// goes on serving.
 func TestDeleteWithTrailingBytesIsRefused(t *testing.T) {
-	n := NewWithOptions(nil, Options{})
-	e := burstEntry(0)
-	if _, err := n.store.Put(e); err != nil {
+	held, fresh := burstEntry(0), burstEntry(1)
+	insert, err := wire.AppendEntry(nil, fresh)
+	if err != nil {
 		t.Fatal(err)
 	}
-	conn, _ := serveCounted(t, n)
-	reqs := appendFrame(t, nil, wire.MsgDelete, 7, append(wire.AppendGUID(nil, e.GUID), "junk"...))
-	if _, err := conn.Write(appendFrame(t, reqs, wire.MsgPing, 8, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if typ, id, body, err := wire.ReadFrameID(conn); err != nil || id != 7 || typ != wire.MsgError {
-		t.Fatalf("delete with trailing bytes answered (%v, id %d, %v), want MsgError id 7", typ, id, err)
-	} else if kind, _, derr := wire.DecodeErrorKind(body); derr != nil || kind != wire.ErrKindBadRequest {
-		t.Fatalf("refusal kind %v (%v), want BadRequest", kind, derr)
-	}
-	if typ, id, _, err := wire.ReadFrameID(conn); err != nil || id != 8 || typ != wire.MsgPong {
-		t.Fatalf("ping behind it answered (%v, id %d, %v)", typ, id, err)
-	}
-	if _, ok := n.store.Get(e.GUID); !ok {
-		t.Fatal("a refused delete deleted the entry")
-	}
-	if st := n.Stats(); st.BadRequests != 1 || st.Deletes != 0 {
-		t.Fatalf("bad_requests = %d, deletes = %d; want 1, 0", st.BadRequests, st.Deletes)
+	for _, c := range []struct {
+		name string
+		typ  wire.MsgType
+		body []byte
+	}{
+		{"delete", wire.MsgDelete, wire.AppendGUID(nil, held.GUID)},
+		{"insert", wire.MsgInsert, insert},
+	} {
+		n := NewWithOptions(nil, Options{})
+		if _, err := n.store.Put(held); err != nil {
+			t.Fatal(err)
+		}
+		conn, _ := serveCounted(t, n)
+		reqs := appendFrame(t, nil, c.typ, 7, append(c.body, "junk"...))
+		if _, err := conn.Write(appendFrame(t, reqs, wire.MsgPing, 8, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, id, body, err := wire.ReadFrameID(conn); err != nil || id != 7 || typ != wire.MsgError {
+			t.Fatalf("%s with trailing bytes answered (%v, id %d, %v), want MsgError id 7", c.name, typ, id, err)
+		} else if kind, _, derr := wire.DecodeErrorKind(body); derr != nil || kind != wire.ErrKindBadRequest {
+			t.Fatalf("%s: refusal kind %v (%v), want BadRequest", c.name, kind, derr)
+		}
+		if typ, id, _, err := wire.ReadFrameID(conn); err != nil || id != 8 || typ != wire.MsgPong {
+			t.Fatalf("%s: ping behind it answered (%v, id %d, %v)", c.name, typ, id, err)
+		}
+		if _, ok := n.store.Get(held.GUID); !ok {
+			t.Fatalf("a refused %s deleted the entry", c.name)
+		}
+		if _, ok := n.store.Get(fresh.GUID); ok {
+			t.Fatalf("a refused %s stored the entry", c.name)
+		}
+		if st := n.Stats(); st.BadRequests != 1 || st.Deletes != 0 || st.Inserts != 0 {
+			t.Fatalf("%s: %+v; want 1 bad request, no delete, no insert", c.name, st)
+		}
 	}
 }
 

@@ -8,14 +8,32 @@ import (
 	"dmap/internal/wire"
 )
 
-// Open → write → Close → Open must serve the written state: the node
-// owns the durable store and flushes it on clean shutdown.
-func TestOpenDurableLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	n, err := Open(Options{DataDir: dir})
+// durableNode serves a store opened with so, as `dmapnode serve
+// -data-dir` does; the test's cleanup closes the node, then the store.
+func durableNode(t *testing.T, so store.Options, opts Options) *Node {
+	t.Helper()
+	st, err := store.Open(so)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := NewWithOptions(st, opts)
+	t.Cleanup(func() {
+		n.Close()
+		st.Close()
+	})
+	return n
+}
+
+// store.Open → serve → write → Close the node, then the store → reopen
+// must serve the written state; the node leaves the store open, and
+// closing it after the node is the clean shutdown.
+func TestOpenDurableLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewWithOptions(st, Options{})
 	if _, err := n.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +44,22 @@ func TestOpenDurableLifecycle(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The store was closed with the node: further writes must fail.
+	// The node does not own the store: it is still writable.
 	fresh := e
 	fresh.GUID[0] ^= 0xFF
-	if _, err := n.Store().Put(fresh); err == nil {
-		t.Fatal("store still writable after node Close")
+	if _, err := st.Put(fresh); err != nil {
+		t.Fatalf("store closed by the node: %v", err)
 	}
-
-	r, err := Open(Options{DataDir: dir})
-	if err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	got, ok := r.Store().Get(e.GUID)
-	if !ok || got.Version != e.Version {
-		t.Fatalf("recovered entry = (%+v, %v)", got, ok)
+
+	r := durableNode(t, store.Options{Dir: dir}, Options{})
+	for _, want := range []store.Entry{e, fresh} {
+		got, ok := r.Store().Get(want.GUID)
+		if !ok || got.Version != want.Version {
+			t.Fatalf("recovered entry = (%+v, %v), want version %d", got, ok, want.Version)
+		}
 	}
 }
 
@@ -49,11 +68,7 @@ func TestOpenDurableLifecycle(t *testing.T) {
 // error, while an entry that is invalid (a zero GUID) is still the
 // peer's fault, ErrKindBadRequest.
 func TestUnloggedInsertIsInternal(t *testing.T) {
-	n, err := Open(Options{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := durableNode(t, store.Options{Dir: t.TempDir()}, Options{})
 	conn, _ := serveCounted(t, n)
 	n.Store().Close() // closed under the serving node
 	valid, err := wire.AppendEntry(nil, testEntry())
@@ -87,35 +102,15 @@ func TestUnloggedInsertIsInternal(t *testing.T) {
 	}
 }
 
-// An empty DataDir falls back to a memory-only store, and Close leaves
-// a caller-provided store open (the node does not own it).
-func TestOpenWithoutDataDir(t *testing.T) {
-	n, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := store.New()
-	m := NewWithOptions(st, Options{})
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(testEntry()); err != nil {
-		t.Fatalf("caller-owned store closed by node: %v", err)
-	}
-}
-
 // Drain must leave every acknowledged write durable (Sync), and a
-// shard-count mismatch must surface as an Open error.
+// shard-count mismatch must surface as a store.Open error.
 func TestOpenDrainSyncsAndShardMismatch(t *testing.T) {
 	dir := t.TempDir()
-	n, err := Open(Options{DataDir: dir, Fsync: store.FsyncInterval, Shards: 4})
+	st, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncInterval, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := NewWithOptions(st, Options{})
 	if _, err := n.Store().Put(testEntry()); err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +119,12 @@ func TestOpenDrainSyncsAndShardMismatch(t *testing.T) {
 		t.Fatal("not draining")
 	}
 	n.Close()
-	if _, err := Open(Options{DataDir: dir, Shards: 8}); err == nil {
+	st.Close()
+	if _, err := store.Open(store.Options{Dir: dir, Shards: 8}); err == nil {
 		t.Fatal("shard-count change accepted")
 	}
-	r, err := Open(Options{DataDir: dir, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	r := durableNode(t, store.Options{Dir: dir, Shards: 4}, Options{})
+	if _, ok := r.Store().Get(testEntry().GUID); !ok {
+		t.Fatal("drained write not recovered")
 	}
-	r.Close()
 }

@@ -3,16 +3,19 @@
 // A node configured with gossip peers periodically drives a core.Sweep
 // of its store against one peer over a dedicated connection
 // (negotiated with wire.FeatRepair): bounded range-complete digest
-// pages in shard order, the same sweep nodesim drives over simnet. The
-// peer answers each page with a MsgRepairDiff: its fresher copies (the
-// sweeper pulls them) and the GUIDs the sweeper's side holds fresher
-// (the sweeper pushes them back as ordinary MsgBatchInsert frames, made
-// idempotent by the store's §III-D2 freshest-wins Put). Divergence left
-// behind by a partition, a lost ack or a restart therefore decays at
-// the gossip rate without any foreground traffic — and because repair
-// frames ride the same admission control as client requests, an
-// overloaded peer sheds them first; the sweeper backs off and retries a
-// full interval later.
+// pages in shard order. The peer answers each page with a
+// MsgRepairDiff: its fresher copies (the sweeper pulls them) and the
+// GUIDs the sweeper's side holds fresher (the sweeper pushes them back
+// as ordinary MsgBatchInsert frames, made idempotent by the store's
+// §III-D2 freshest-wins Put). Divergence left behind by a partition, a
+// lost ack or a restart therefore decays at the gossip rate without any
+// foreground traffic — and because repair frames ride the same
+// admission control as client requests, an overloaded peer sheds them
+// first; the sweeper backs off and retries a full interval later.
+//
+// Sweep is that exchange over any request/reply connection, and
+// AnswerDigest the peer's half: nodesim's simulated nodes run both over
+// simnet, scoped to the keyspace each pair shares.
 package server
 
 import (
@@ -78,11 +81,8 @@ func (n *Node) gossipLoop() {
 var errPeerShed = fmt.Errorf("server: peer shed repair frame")
 
 // gossipSweep reconciles the whole store against one peer: dial,
-// negotiate FeatRepair, then drive a core.Sweep through the repair
-// exchange, a page at a time. The peer set is static and assumed to
-// replicate the whole keyspace, so the sweep is unscoped. Any error
-// aborts the sweep — the next tick retries from scratch, and
-// freshest-wins makes re-covered ground free.
+// negotiate FeatRepair, then Sweep. The peer set is static and assumed
+// to replicate the whole keyspace, so the sweep is unscoped.
 func (n *Node) gossipSweep(addr string) error {
 	n.repairSweeps.Add(1)
 	gc, err := dialGossip(n.gossipCtx, addr)
@@ -91,27 +91,44 @@ func (n *Node) gossipSweep(addr string) error {
 		return err
 	}
 	defer gc.Close()
+	return n.Sweep(gc, nil, gossipExchangeWait)
+}
 
-	sw := core.NewSweep(n.store, nil)
+// RoundTripper is one sequential request/reply connection to a peer —
+// a *wire.Conn, or a simulated link — each exchange bounded by timeout.
+// It is obs.ProbeConn's RoundTrip.
+type RoundTripper interface {
+	RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error)
+}
+
+// Sweep drives one core.Sweep of the node's store over scope (nil: the
+// whole keyspace) against the peer at the other end of rt, a page at a
+// time: the digest exchange, the pull applied, then the push of what the
+// peer asked for, each exchange bounded by wait. The repair counters
+// count it. Any error aborts the sweep — the next one starts from
+// scratch, and freshest-wins makes re-covered ground free. Close or
+// Drain stops it at the next page.
+func (n *Node) Sweep(rt RoundTripper, scope func(guid.GUID) bool, wait time.Duration) error {
+	sw := core.NewSweep(n.store, scope)
 	for n.gossipCtx.Err() == nil && !n.draining.Load() {
 		after, through, page, ok := sw.Next()
 		if !ok {
 			return nil
 		}
-		covered, newer, want, err := exchangeDigest(gc, after, through, page)
+		covered, newer, want, err := exchangeDigest(rt, wait, after, through, page)
 		if err != nil {
 			n.countRepairErr(err)
 			return err
 		}
 		n.repairDigestsSent.Add(1)
 		pulled, err := sw.Advance(covered, newer)
-		n.repairPulled.Add(int64(pulled))
+		n.repairEntriesPulled.Add(int64(pulled))
 		if err != nil {
 			n.repairPeerErrs.Add(1)
 			return err
 		}
-		pushed, err := pushWanted(gc, sw.Wanted(want, nil))
-		n.repairPushed.Add(int64(pushed))
+		pushed, err := pushWanted(rt, wait, sw.Wanted(want, nil))
+		n.repairEntriesPushed.Add(int64(pushed))
 		if err != nil {
 			n.countRepairErr(err)
 			return err
@@ -146,11 +163,11 @@ func dialGossip(ctx context.Context, addr string) (*wire.Conn, error) {
 	return gc, nil
 }
 
-// repairRoundTrip is one exchange with the peer, whose refusals become
-// errors: errPeerShed when it is overloaded, the reason otherwise. The
-// returned body is valid until the next exchange on gc.
-func repairRoundTrip(gc *wire.Conn, t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
-	rt, body, err := gc.RoundTrip(t, payload, gossipExchangeWait)
+// repairRoundTrip is one exchange with the peer, bounded by wait, whose
+// refusals become errors: errPeerShed when it is overloaded, the reason
+// otherwise. The returned body is valid until the next exchange on gc.
+func repairRoundTrip(gc RoundTripper, wait time.Duration, t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
+	rt, body, err := gc.RoundTrip(t, payload, wait)
 	if err != nil {
 		return 0, nil, fmt.Errorf("server: gossip: %w", err)
 	}
@@ -165,12 +182,12 @@ func repairRoundTrip(gc *wire.Conn, t wire.MsgType, payload []byte) (wire.MsgTyp
 }
 
 // exchangeDigest sends one digest page and decodes the peer's diff.
-func exchangeDigest(gc *wire.Conn, after, through guid.GUID, page []store.Digest) (covered guid.GUID, newer []store.Entry, want []guid.GUID, err error) {
+func exchangeDigest(gc RoundTripper, wait time.Duration, after, through guid.GUID, page []store.Digest) (covered guid.GUID, newer []store.Entry, want []guid.GUID, err error) {
 	body, err := wire.AppendRepairDigest(nil, after, through, page)
 	if err != nil {
 		return covered, nil, nil, err
 	}
-	rt, resp, err := repairRoundTrip(gc, wire.MsgRepairDigest, body)
+	rt, resp, err := repairRoundTrip(gc, wait, wire.MsgRepairDigest, body)
 	if err != nil {
 		return covered, nil, nil, err
 	}
@@ -183,7 +200,7 @@ func exchangeDigest(gc *wire.Conn, after, through guid.GUID, page []store.Digest
 // pushWanted sends the peer the entries it asked for, batched into
 // MsgBatchInsert frames, and returns how many the peer acknowledged
 // applying.
-func pushWanted(gc *wire.Conn, entries []store.Entry) (int, error) {
+func pushWanted(gc RoundTripper, wait time.Duration, entries []store.Entry) (int, error) {
 	pushed := 0
 	for len(entries) > 0 {
 		b := entries
@@ -195,7 +212,7 @@ func pushWanted(gc *wire.Conn, entries []store.Entry) (int, error) {
 		if err != nil {
 			return pushed, err
 		}
-		rt, resp, err := repairRoundTrip(gc, wire.MsgBatchInsert, body)
+		rt, resp, err := repairRoundTrip(gc, wait, wire.MsgBatchInsert, body)
 		if err != nil {
 			return pushed, err
 		}
@@ -215,19 +232,20 @@ func pushWanted(gc *wire.Conn, entries []store.Entry) (int, error) {
 	return pushed, nil
 }
 
-// handleRepairDigest answers one MsgRepairDigest into dst, as handle
-// answers the other frames. The caller has already verified FeatRepair
-// was negotiated. A draining node answers with wantMissing=false: it
-// keeps exporting its fresher copies but asks for nothing — the handoff
-// posture.
-func (n *Node) handleRepairDigest(payload, dst []byte) (wire.MsgType, []byte) {
+// AnswerDigest answers one MsgRepairDigest into dst, as handle answers
+// the other frames, comparing the page over scope (nil: the whole
+// keyspace; see core.DiffRangeIn). Over TCP the read loop calls it once
+// FeatRepair was negotiated, unscoped. A draining node answers with
+// wantMissing=false: it keeps exporting its fresher copies but asks for
+// nothing — the handoff posture.
+func (n *Node) AnswerDigest(payload, dst []byte, scope func(guid.GUID) bool) (wire.MsgType, []byte) {
 	after, through, page, err := wire.DecodeRepairDigest(payload)
 	if err != nil {
 		n.badReqs.Add(1)
 		return wire.MsgError, wire.AppendErrorKind(dst, wire.ErrKindBadRequest, "malformed repair digest")
 	}
 	n.repairDigestsRecv.Add(1)
-	newer, want, covered := core.DiffRangeIn(n.store, after, through, page, !n.draining.Load(), wire.MaxBatch, nil)
+	newer, want, covered := core.DiffRangeIn(n.store, after, through, page, !n.draining.Load(), wire.MaxBatch, scope)
 	out, err := wire.AppendRepairDiff(dst, covered, newer, want)
 	if err != nil {
 		n.countErr()

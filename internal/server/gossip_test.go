@@ -88,11 +88,11 @@ func TestGossipConvergesTwoNodes(t *testing.T) {
 		t.Fatalf("sweeper counters: sweeps=%d digests=%d",
 			sweeper.repairSweeps.Value(), sweeper.repairDigestsSent.Value())
 	}
-	if sweeper.repairPulled.Value() < 2 {
-		t.Fatalf("entries_pulled = %d, want >= 2", sweeper.repairPulled.Value())
+	if sweeper.repairEntriesPulled.Value() < 2 {
+		t.Fatalf("entries_pulled = %d, want >= 2", sweeper.repairEntriesPulled.Value())
 	}
-	if sweeper.repairPushed.Value() < 2 {
-		t.Fatalf("entries_pushed = %d, want >= 2", sweeper.repairPushed.Value())
+	if sweeper.repairEntriesPushed.Value() < 2 {
+		t.Fatalf("entries_pushed = %d, want >= 2", sweeper.repairEntriesPushed.Value())
 	}
 	if peer.repairDigestsRecv.Value() == 0 {
 		t.Fatal("peer answered no digest pages")
@@ -128,8 +128,8 @@ func TestGossipRepairsEmptyRestartedNode(t *testing.T) {
 	waitFor(t, "restarted node refill", func() bool {
 		return restarted.Store().Len() == n
 	})
-	if restarted.repairPulled.Value() != int64(n) {
-		t.Fatalf("entries_pulled = %d, want %d", restarted.repairPulled.Value(), n)
+	if restarted.repairEntriesPulled.Value() != int64(n) {
+		t.Fatalf("entries_pulled = %d, want %d", restarted.repairEntriesPulled.Value(), n)
 	}
 	if sent, shards := restarted.repairDigestsSent.Value(), restarted.Store().ShardCount(); sent <= int64(shards) {
 		t.Fatalf("digests_sent = %d over %d shards: no page was resumed at the covered cursor", sent, shards)
@@ -204,7 +204,7 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 	if guid.Compare(page[0].GUID, page[1].GUID) > 0 {
 		page[0], page[1] = page[1], page[0]
 	}
-	covered, newer, want, err := exchangeDigest(gc, guid.GUID{}, guid.Max(), page)
+	covered, newer, want, err := exchangeDigest(gc, gossipExchangeWait, guid.GUID{}, guid.Max(), page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestGossipReplyBufferReused(t *testing.T) {
 		buf   *byte
 	)
 	for i := 0; i < 4; i++ {
-		rt, body, err := repairRoundTrip(gc, wire.MsgRepairDigest, page)
+		rt, body, err := repairRoundTrip(gc, gossipExchangeWait, wire.MsgRepairDigest, page)
 		if err != nil || rt != wire.MsgRepairDiff {
 			t.Fatalf("exchange %d: (%v, %v)", i+1, rt, err)
 		}

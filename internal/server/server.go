@@ -28,14 +28,12 @@ import (
 	"dmap/internal/wire"
 )
 
-// Node is a TCP mapping server. Create with NewWithOptions or Open, start
-// with Start, stop with Close.
+// Node is a mapping server over a store. Create with NewWithOptions,
+// serve TCP with Start, stop with Close; ServeFrame answers frames that
+// arrive some other way.
 type Node struct {
-	store *store.Store
-	// ownsStore marks a store this node opened itself (Open): Close
-	// flushes and closes it once the last handler has drained.
-	ownsStore bool
-	logger    *trace.Logger
+	store  *store.Store
+	logger *trace.Logger
 	// tracer, when set, joins sampled request traces arriving over the
 	// trace extension and feeds the slow-op log. Nil = tracing off;
 	// the frame loop then never touches trace state.
@@ -107,13 +105,13 @@ type Node struct {
 	// Anti-entropy repair activity, both roles: sweeps/digests_sent/
 	// pulled/pushed/backoffs/peer_errors count this node sweeping its
 	// peers; digests_recv counts pages answered for peers sweeping it.
-	repairSweeps      *metrics.Counter
-	repairDigestsSent *metrics.Counter
-	repairDigestsRecv *metrics.Counter
-	repairPulled      *metrics.Counter
-	repairPushed      *metrics.Counter
-	repairBackoffs    *metrics.Counter
-	repairPeerErrs    *metrics.Counter
+	repairSweeps        *metrics.Counter
+	repairDigestsSent   *metrics.Counter
+	repairDigestsRecv   *metrics.Counter
+	repairEntriesPulled *metrics.Counter
+	repairEntriesPushed *metrics.Counter
+	repairBackoffs      *metrics.Counter
+	repairPeerErrs      *metrics.Counter
 }
 
 // Stats counts served operations.
@@ -144,20 +142,6 @@ type Options struct {
 	// nil = off.
 	HotKeys *trace.HotKeys
 
-	// DataDir, when non-empty, makes Open build a durable store there
-	// (WAL + snapshots) instead of a memory-only one: acknowledged
-	// writes survive a crash and are recovered on the next Open.
-	// NewWithOptions ignores it — it takes the store it is given.
-	DataDir string
-	// Fsync selects the durable store's flush policy (store.FsyncOS,
-	// FsyncAlways, FsyncInterval).
-	Fsync store.FsyncMode
-	// Shards overrides the store's shard count (0 = store default).
-	Shards int
-	// SnapshotBytes overrides the per-shard WAL growth that triggers a
-	// snapshot (0 = store default, negative disables).
-	SnapshotBytes int64
-
 	// MaxInflight caps requests in flight across the whole node;
 	// beyond it new frames are answered with an ErrKindShed MsgError
 	// instead of queueing. 0 = unbounded.
@@ -171,30 +155,10 @@ type Options struct {
 	Gossip GossipOptions
 }
 
-// Open creates a node backed by a durable store in opts.DataDir: it
-// recovers whatever a previous process persisted (snapshot + WAL tail,
-// tolerating a torn final record), then serves from it. The node owns
-// the store — Close flushes and closes it. With an empty DataDir it is
-// NewWithOptions over a fresh memory-only store.
-func Open(opts Options) (*Node, error) {
-	if opts.DataDir == "" {
-		return NewWithOptions(nil, opts), nil
-	}
-	st, err := store.Open(store.Options{
-		Dir:           opts.DataDir,
-		Shards:        opts.Shards,
-		Fsync:         opts.Fsync,
-		SnapshotBytes: opts.SnapshotBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := NewWithOptions(st, opts)
-	n.ownsStore = true
-	return n, nil
-}
-
-// NewWithOptions creates a node with the full observability surface.
+// NewWithOptions creates a node serving st (nil: a fresh memory-only
+// store) with the full observability surface. The store stays the
+// caller's: Close leaves it open, so a durable one (store.Open) is closed
+// by the caller after the node.
 func NewWithOptions(st *store.Store, opts Options) *Node {
 	if st == nil {
 		st = store.New()
@@ -226,13 +190,13 @@ func NewWithOptions(st *store.Store, opts Options) *Node {
 		v2Conns:     reg.Counter("server.v2_conns"),
 		v2Frames:    reg.Counter("server.v2_frames"),
 
-		repairSweeps:      reg.Counter("server.repair.sweeps"),
-		repairDigestsSent: reg.Counter("server.repair.digests_sent"),
-		repairDigestsRecv: reg.Counter("server.repair.digests_recv"),
-		repairPulled:      reg.Counter("server.repair.entries_pulled"),
-		repairPushed:      reg.Counter("server.repair.entries_pushed"),
-		repairBackoffs:    reg.Counter("server.repair.backoffs"),
-		repairPeerErrs:    reg.Counter("server.repair.peer_errors"),
+		repairSweeps:        reg.Counter("server.repair.sweeps"),
+		repairDigestsSent:   reg.Counter("server.repair.digests_sent"),
+		repairDigestsRecv:   reg.Counter("server.repair.digests_recv"),
+		repairEntriesPulled: reg.Counter("server.repair.entries_pulled"),
+		repairEntriesPushed: reg.Counter("server.repair.entries_pushed"),
+		repairBackoffs:      reg.Counter("server.repair.backoffs"),
+		repairPeerErrs:      reg.Counter("server.repair.peer_errors"),
 
 		gossipOpts: opts.Gossip,
 	}
@@ -393,7 +357,8 @@ func (n *Node) acceptLoop(ln net.Listener) {
 }
 
 // Close stops accepting, closes every live connection and waits for the
-// handlers to drain.
+// handlers to drain. Once it returns, nothing of the node touches its
+// store.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -419,13 +384,6 @@ func (n *Node) Close() error {
 		err = ln.Close()
 	}
 	n.wg.Wait()
-	if n.ownsStore {
-		// Handlers have drained: flush and close the durable store so a
-		// clean shutdown needs no WAL replay beyond the last snapshot.
-		if serr := n.store.Close(); serr != nil && err == nil {
-			err = serr
-		}
-	}
 	return err
 }
 
@@ -739,6 +697,7 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte) {
 	// connection is done for: kill it, which also unblocks the read loop.
 	w := wire.NewWriter(conn, func(error) { conn.Close() })
 	rd := wire.NewReader(conn)
+	remote := conn.RemoteAddr()
 	var scratch []byte // the loop's single-op reply buffer
 	var corked int64   // frames served since the last flush
 	var run insertRun  // the burst's inserts, committed by the flush
@@ -755,13 +714,13 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte) {
 		if err != nil {
 			flush() // a refused header reads as buffered: its burst's replies still go out
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				n.logger.Debug("v2 read failed", "remote", conn.RemoteAddr(), "err", err)
+				n.logger.Debug("v2 read failed", "remote", remote, "err", err)
 			}
 			return
 		}
 		n.v2Frames.Add(1)
 		if ok, global := n.tryAdmit(&corked, wire.BaseType(t)); ok {
-			scratch = n.serveFrameV2(conn, feat, w, &run, t, id, payload, scratch[:0])
+			scratch = n.serveFrameV2(remote, feat, w, &run, t, id, payload, scratch[:0])
 		} else {
 			// Refused where it was read, with zero allocations; the reply
 			// leaves with the burst's.
@@ -774,6 +733,12 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte) {
 	}
 }
 
+// replies is where a served frame's answer goes: the connection's
+// corked wire.Writer, or ServeFrame's one reply. Enqueue copies payload.
+type replies interface {
+	Enqueue(t wire.MsgType, id uint64, tc trace.Context, payload []byte) error
+}
+
 // serveFrameV2 serves one admitted frame and enqueues the reply on w,
 // corked for the flush that ends the burst; a MsgInsert is staged in run
 // instead, for that flush to commit and answer. On a failed write the
@@ -784,7 +749,7 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte) {
 // worth, is encoded into a serverBufs buffer instead, back in the pool
 // before serveFrameV2 returns: Enqueue has copied it. payload stays the
 // caller's.
-func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *insertRun, t wire.MsgType, id uint64, payload, dst []byte) []byte {
+func (n *Node) serveFrameV2(remote net.Addr, feat byte, w replies, run *insertRun, t wire.MsgType, id uint64, payload, dst []byte) []byte {
 	start := time.Now()
 	var tc trace.Context
 	if wire.IsTraced(t) && feat&wire.FeatTrace != 0 {
@@ -805,15 +770,15 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 	if t == wire.MsgInsert { // staged, for the flush to commit and answer
 		in := stagedInsert{id: id, start: start, tc: tc, sp: sp}
 		run.nas = slices.Grow(run.nas, store.MaxNAs)
-		e, _, err := wire.DecodeEntryAppend(run.nas[len(run.nas):], payload)
+		e, rest, err := wire.DecodeEntryAppend(run.nas[len(run.nas):], payload)
 		switch {
 		case n.draining.Load():
 			n.rejects.Add(1)
 			sp.Eventf("rejected: draining")
 			n.answerInsert(w, &in, dst, wire.ErrKindDraining, "draining: writes refused")
-		case err != nil:
+		case err != nil || len(rest) != 0: // an insert is one entry
 			n.badReqs.Add(1)
-			n.logger.Warn("bad insert", "remote", conn.RemoteAddr(), "err", err)
+			n.logger.Warn("bad insert", "remote", remote, "err", err, "trailing", len(rest))
 			n.answerInsert(w, &in, dst, wire.ErrKindBadRequest, "malformed insert")
 		default:
 			run.nas = run.nas[:len(run.nas)+len(e.NAs)]
@@ -830,9 +795,9 @@ func (n *Node) serveFrameV2(conn net.Conn, feat byte, w *wire.Writer, run *inser
 	if t == wire.MsgRepairDigest && feat&wire.FeatRepair != 0 {
 		// A negotiated anti-entropy page (gossip.go). An un-negotiated one
 		// is handle's unknown frame.
-		respType, out = n.handleRepairDigest(payload, buf)
+		respType, out = n.AnswerDigest(payload, buf, nil)
 	} else {
-		respType, out = n.handle(t, payload, conn.RemoteAddr(), sp, buf, start)
+		respType, out = n.handle(t, payload, remote, sp, buf, start)
 	}
 	sp.End()
 	if n.tracer.SlowEnabled() {
@@ -868,7 +833,7 @@ type stagedInsert struct {
 // (a stale version's too), else ErrKindInternal — each entry was
 // validated where it was decoded, so a store error is the node's. dst is
 // the read loop's reply scratch.
-func (n *Node) commitInserts(run *insertRun, w *wire.Writer, dst []byte) {
+func (n *Node) commitInserts(run *insertRun, w replies, dst []byte) {
 	if len(run.reqs) == 0 {
 		return
 	}
@@ -898,7 +863,7 @@ func (n *Node) commitInserts(run *insertRun, w *wire.Writer, dst []byte) {
 
 // answerInsert enqueues an insert's ack, or when reason is set a MsgError
 // encoded into dst, and observes it as serveFrameV2 observes a frame.
-func (n *Node) answerInsert(w *wire.Writer, in *stagedInsert, dst []byte, kind wire.ErrKind, reason string) {
+func (n *Node) answerInsert(w replies, in *stagedInsert, dst []byte, kind wire.ErrKind, reason string) {
 	in.sp.End()
 	if n.tracer.SlowEnabled() {
 		n.tracer.ObserveServerOp("server.insert", in.id, in.tc, in.start)
@@ -908,4 +873,29 @@ func (n *Node) answerInsert(w *wire.Writer, in *stagedInsert, dst []byte, kind w
 		t, body = wire.MsgError, wire.AppendErrorKind(dst[:0], kind, reason)
 	}
 	_ = w.Enqueue(t, in.id, trace.Context{}, body)
+}
+
+// ServeFrame answers one request frame as a connection's read loop does,
+// for a transport without connections — nodesim's simulated link: the
+// same decode, refusal and store code, the repair extension granted (a
+// link has no hello), an insert committed as a run of one. No admission
+// limit applies. The reply body is a fresh slice; payload stays the
+// caller's.
+func (n *Node) ServeFrame(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+	var r oneReply
+	var run insertRun
+	n.serveFrameV2(nil, wire.FeatRepair, &r, &run, t, 0, payload, nil)
+	n.commitInserts(&run, &r, nil)
+	return r.t, r.body
+}
+
+// oneReply is ServeFrame's replies: the one answer its frame gets.
+type oneReply struct {
+	t    wire.MsgType
+	body []byte
+}
+
+func (r *oneReply) Enqueue(t wire.MsgType, _ uint64, _ trace.Context, payload []byte) error {
+	r.t, r.body = t, append([]byte(nil), payload...)
+	return nil
 }

@@ -67,17 +67,22 @@ go test -race -cpu 1,4 ./internal/client/...
 # on a goroutine of its own and races the demux reader for every slot it
 # expires, and fail for the timer: twenty rounds, at one P and at four.
 go test -race -cpu 1,4 -count 20 -run 'TestMuxDeadline' ./internal/client
-# The anti-entropy sweep (core.Sweep) on one P and on four, under both of
-# its transports: the server's gossip goroutine over TCP beside its
-# connections' read loops, and nodesim's gossip chains over simnet, plus
-# the partition-heal experiment that times it.
+# The anti-entropy sweep (server.Node.Sweep over core.Sweep) on one P and
+# on four, under both of its transports: the server's gossip goroutine
+# over TCP beside its connections' read loops, and the simulated nodes'
+# sweeps over simnet, one simnet process per peer, handed the run one at
+# a time beside the handlers that answer them, plus the partition-heal
+# experiment that times them.
 go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodesim ./internal/server ./internal/experiments
 # The shipped client on nodesim's link, on one P and on four: lookups and
 # writes scheduled with simnet's Go run as processes, each on a goroutine
 # of its own, handed the run one at a time — a missing hand-off is a data
 # race here, a wrong one a deadlock. churnsim runs thousands of them
-# beside the churn, the mobility test races a write against a read.
-go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink' ./internal/simnet ./internal/nodesim ./internal/experiments
+# beside the churn, the mobility test races a write against a read. The
+# frame table sends one set of frames to a TCP node, whose read loop
+# serves them on its own goroutine, and to a simulated one, through the
+# same server code.
+go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink|FrameTable|BatchFramesMatch' ./internal/simnet ./internal/nodesim ./internal/experiments
 go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
