@@ -15,7 +15,43 @@ import (
 	"dmap/internal/metrics"
 	"dmap/internal/obs"
 	"dmap/internal/server"
+	"dmap/internal/trace"
 )
+
+// TestHandlersNegotiateJSONAlike: /debug/metrics, /debug/traces,
+// /debug/hotkeys and /fleet answer JSON by one rule — ?format=json, or an
+// Accept header that names application/json anywhere in its list.
+func TestHandlersNegotiateJSONAlike(t *testing.T) {
+	handlers := map[string]http.Handler{
+		"/debug/metrics": metrics.Handler(metrics.NewRegistry()),
+		"/debug/traces":  trace.TracesHandler(trace.New(trace.Config{Sample: 1})),
+		"/debug/hotkeys": trace.HotKeysHandler(trace.NewHotKeys(4)),
+		"/fleet":         obs.FleetHandler(func() (obs.FleetView, bool) { return obs.FleetView{}, true }),
+	}
+	asks := []struct{ query, accept string }{
+		{"", "application/json; charset=utf-8"},
+		{"", "text/html, application/json;q=0.9"},
+		{"?format=json", ""},
+	}
+	for path, h := range handlers {
+		for _, ask := range asks {
+			req := httptest.NewRequest(http.MethodGet, path+ask.query, nil)
+			if ask.accept != "" {
+				req.Header.Set("Accept", ask.accept)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" || !json.Valid(rec.Body.Bytes()) {
+				t.Errorf("%s%s with Accept %q: Content-Type %q, want JSON", path, ask.query, ask.accept, ct)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("%s with no Accept: Content-Type %q, want text", path, ct)
+		}
+	}
+}
 
 // fleetCluster starts n live mapping nodes with debug metric servers,
 // returning the -scrape and -probe flag values addressing them.

@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -102,6 +103,22 @@ func splitPeers(s string) []string {
 	return peers
 }
 
+// stderrLogger is serve's -log-level: slog's level names (any case),
+// "warning" for warn, and "off" or "none" for no logger at all.
+func stderrLogger(name string) (*slog.Logger, error) {
+	var level slog.Level
+	switch strings.ToLower(name) {
+	case "off", "none":
+		return nil, nil
+	case "warning":
+		name = "warn"
+	}
+	if err := level.UnmarshalText([]byte(name)); err != nil {
+		return nil, fmt.Errorf("-log-level: %w", err)
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})), nil
+}
+
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":4500", "listen address")
@@ -122,7 +139,7 @@ func serve(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	level, err := trace.ParseLevel(*logLevel)
+	logger, err := stderrLogger(*logLevel)
 	if err != nil {
 		return err
 	}
@@ -157,7 +174,7 @@ func serve(args []string) error {
 		}
 	}
 	node := server.NewWithOptions(st, server.Options{
-		Logger:          trace.NewLogger(os.Stderr, level),
+		Logger:          logger,
 		Tracer:          tracer,
 		HotKeys:         hot,
 		MaxInflight:     *maxInflight,

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -37,6 +39,40 @@ func TestDemoValidation(t *testing.T) {
 	}
 	if err := demo([]string{"-bogus"}); err == nil {
 		t.Error("bad flag should fail")
+	}
+}
+
+// TestLogLevelNames: serve's -log-level takes slog's level names in any
+// case, "warning" for warn, "off" and "none" for no logger, and refuses
+// anything else before it opens a listener.
+func TestLogLevelNames(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		want slog.Level
+	}{
+		{"debug", slog.LevelDebug}, {"INFO", slog.LevelInfo},
+		{"warn", slog.LevelWarn}, {"warning", slog.LevelWarn},
+		{"error", slog.LevelError},
+	} {
+		lg, err := stderrLogger(tc.name)
+		if err != nil {
+			t.Fatalf("-log-level %s: %v", tc.name, err)
+		}
+		if !lg.Enabled(ctx, tc.want) || lg.Enabled(ctx, tc.want-1) {
+			t.Fatalf("-log-level %s is not enabled from %v up", tc.name, tc.want)
+		}
+	}
+	for _, name := range []string{"off", "none", "OFF"} {
+		if lg, err := stderrLogger(name); lg != nil || err != nil {
+			t.Fatalf("-log-level %s = %v, %v; want no logger", name, lg, err)
+		}
+	}
+	if _, err := stderrLogger("bogus"); err == nil {
+		t.Fatal("-log-level bogus was accepted")
+	}
+	if err := serve([]string{"-addr", "127.0.0.1:0", "-log-level", "bogus"}); err == nil {
+		t.Fatal("serve -log-level bogus was accepted")
 	}
 }
 

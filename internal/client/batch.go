@@ -59,7 +59,8 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 
 	atts := make([]attempt, 0, len(groups))
 	var batch []store.Entry
-	for as, idxs := range groups {
+	for _, as := range inASOrder(groups) {
+		idxs := groups[as]
 		for start := 0; start < len(idxs); start += wire.MaxBatch {
 			chunk := idxs[start:min(start+wire.MaxBatch, len(idxs))]
 			batch = batch[:0]
@@ -97,6 +98,18 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (acks []int, err error) {
 		return acks, errors.New("client: batch insert: no entry stored anywhere")
 	}
 	return acks, nil
+}
+
+// inASOrder returns the ASs groups maps in ascending order, the order a
+// batch starts its chunks in: a simulated network draws loss and jitter
+// in send order, so map order would make a seeded run unrepeatable.
+func inASOrder(groups map[int][]int) []int {
+	ass := make([]int, 0, len(groups))
+	for as := range groups {
+		ass = append(ass, as)
+	}
+	slices.Sort(ass)
+	return ass
 }
 
 // collided reports whether ps[j] is on the AS of an earlier placement.
@@ -226,7 +239,8 @@ func (c *Cluster) LookupBatch(gs []guid.GUID) (resolved []store.Entry, hits []bo
 		}
 		pending = skipped // the round's misses and failures join them below
 		atts = slices.Grow(atts[:0], len(groups))
-		for as, idxs := range groups {
+		for _, as := range inASOrder(groups) {
+			idxs := groups[as]
 			for start := 0; start < len(idxs); start += wire.MaxBatch {
 				chunk := idxs[start:min(start+wire.MaxBatch, len(idxs))]
 				batch = batch[:0]

@@ -27,6 +27,7 @@ import (
 type chaosCluster struct {
 	c      *Cluster
 	stores []*store.Store
+	addrs  map[int]string
 
 	mu    sync.Mutex
 	nodes []*server.Node
@@ -52,6 +53,7 @@ func newChaosCluster(t *testing.T, numAS, k int) *chaosCluster {
 		nodes:  make([]*server.Node, numAS),
 	}
 	addrs := make(map[int]string, numAS)
+	cc.addrs = addrs
 	for as := 0; as < numAS; as++ {
 		cc.stores[as] = store.New()
 		n := server.NewWithOptions(cc.stores[as], server.Options{})
@@ -89,19 +91,17 @@ func (cc *chaosCluster) kill(as int) {
 	cc.nodes[as].Close()
 }
 
-// revive restarts as's node on a fresh port with the surviving store and
-// repoints the client at it.
+// revive restarts as's node on the address it had, with the surviving
+// store, as a restarted process would come back.
 func (cc *chaosCluster) revive(t *testing.T, as int) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	n := server.NewWithOptions(cc.stores[as], server.Options{})
-	addr, err := n.Start("127.0.0.1:0")
-	if err != nil {
+	if _, err := n.Start(cc.addrs[as]); err != nil {
 		t.Errorf("revive AS %d: %v", as, err)
 		return
 	}
 	cc.nodes[as] = n
-	cc.c.SetNode(as, addr)
 }
 
 func TestChaosNoLostAcknowledgedWrites(t *testing.T) {

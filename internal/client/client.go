@@ -18,7 +18,6 @@ import (
 	"net"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"dmap/internal/core"
@@ -48,9 +47,6 @@ type Config struct {
 	// nil-check and nothing else. When set, sampled requests carry their
 	// trace context to trace-capable servers (negotiated in the hello).
 	Tracer *trace.Tracer
-	// Logger receives structured client logs (redials, failovers at warn
-	// and debug level). Nil discards.
-	Logger *trace.Logger
 	// Net is the network the client runs on. Nil, the default, is TCP:
 	// the node addresses through the shared connections, the wall clock,
 	// and reads in Algorithm 1's placement order. A simulated network
@@ -103,16 +99,13 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	resolver *core.Resolver
 	cfg      Config
-
-	mu    sync.RWMutex
-	addrs map[int]string // AS index → node address
+	addrs    map[int]string // AS index → node address, fixed at NewWithConfig
 
 	mux muxTable // one shared pipelined connection per node address
 	m   clusterMetrics
 
-	// tracer and logger mirror cfg.Tracer/cfg.Logger; both are nil-safe.
+	// tracer mirrors cfg.Tracer; nil-safe.
 	tracer *trace.Tracer
-	logger *trace.Logger
 
 	// net is cfg.Net: nil runs over TCP through mux and the wall clock.
 	net Network
@@ -187,17 +180,9 @@ func NewWithConfig(resolver *core.Resolver, addrs map[int]string, cfg Config) (*
 		m[as] = a
 	}
 	c := &Cluster{resolver: resolver, cfg: cfg.withDefaults(), addrs: m, m: newClusterMetrics()}
-	c.tracer, c.logger, c.net = c.cfg.Tracer, c.cfg.Logger, c.cfg.Net
+	c.tracer, c.net = c.cfg.Tracer, c.cfg.Net
 	c.m.reg.GaugeFunc("client.mux.conns", func() float64 { return float64(c.mux.liveConns()) })
 	return c, nil
-}
-
-// SetNode adds or replaces the node address of an AS (e.g. after a
-// crashed node is revived elsewhere).
-func (c *Cluster) SetNode(as int, addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addrs[as] = addr
 }
 
 // Stats returns a snapshot of the failure-path counters (the same
@@ -458,7 +443,6 @@ walk:
 			if i < k-1 && (byRTT || c.failoverLeft(g, i)) {
 				c.m.failovers.Inc()
 				sp.Eventf("failover: AS %d failed: %v", as, a.err)
-				c.logger.Debug("lookup failover", "guid", g.Short(), "as", as, "err", a.err)
 			}
 			continue
 		}
@@ -600,9 +584,7 @@ type attempt struct {
 func (c *Cluster) start(a *attempt, as int, now time.Time) {
 	addr, ok := "", true // a Network reaches every AS
 	if c.net == nil {
-		c.mu.RLock()
 		addr, ok = c.addrs[as]
-		c.mu.RUnlock()
 	}
 	a.as, a.addr, a.n, a.redialed, a.done = as, addr, 1, false, !ok
 	a.rt, a.body, a.err = 0, nil, nil
@@ -699,7 +681,6 @@ func (c *Cluster) settle(a *attempt) time.Time {
 		c.m.redials.Inc()
 		a.att.Eventf("redial: stale connection replaced")
 		a.att.End()
-		c.logger.Debug("redial", "addr", a.addr, "as", a.as)
 		return now
 	}
 	if a.err == nil {

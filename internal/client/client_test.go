@@ -401,9 +401,7 @@ func TestStaleRedialIsObservableAndRecovers(t *testing.T) {
 	as := placements[0].AS
 	old := nodes[as]
 	st := old.Store()
-	c.mu.RLock()
 	addr := c.addrs[as]
-	c.mu.RUnlock()
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -386,7 +386,7 @@ func TestFanOutPayloadOutlivesEveryTry(t *testing.T) {
 		var got store.Entry
 		switch mt {
 		case wire.MsgInsert:
-			e, _, err := wire.DecodeEntry(payload)
+			e, _, err := wire.DecodeEntryAppend(nil, payload)
 			if err != nil {
 				t.Errorf("AS %d: try carries a damaged payload: %v", as, err)
 				return

@@ -76,7 +76,7 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 	var pending sync.WaitGroup
 	go func() {
 		for {
-			_, id, payload, err := wire.ReadFrameID(sc)
+			_, id, payload, err := wire.ReadFrameIDInto(sc, nil)
 			if err != nil {
 				return
 			}
@@ -162,7 +162,7 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 	// Consume the frames so the writers get past their flush, then kill.
 	go func() {
 		for i := 0; i < waiters; i++ {
-			if _, _, _, err := wire.ReadFrameID(sc); err != nil {
+			if _, _, _, err := wire.ReadFrameIDInto(sc, nil); err != nil {
 				return
 			}
 		}

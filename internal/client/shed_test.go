@@ -62,12 +62,13 @@ func scriptedNode(t *testing.T, grant func(conn int64) bool, script func(req int
 					return
 				}
 				for {
-					typ, id, payload, err := wire.ReadFrameID(conn)
+					typ, id, payload, err := wire.ReadFrameIDInto(conn, nil)
 					if err != nil {
 						return
 					}
 					rt, body := script(reqs.Add(1), typ, payload)
-					if err := wire.WriteFrameID(conn, rt, id, body); err != nil {
+					frame, _ := wire.AppendFrameID(nil, rt, id, body)
+					if _, err := conn.Write(frame); err != nil {
 						return
 					}
 				}

@@ -100,26 +100,6 @@ func (s *System) Store(as int) (*store.Store, error) {
 // LocalReplicaEnabled reports whether §III-C local replication is on.
 func (s *System) LocalReplicaEnabled() bool { return s.localReplica }
 
-// StoreLen returns the number of mappings hosted at as (0 if none).
-func (s *System) StoreLen(as int) int {
-	st := s.loadStore(as)
-	if st == nil {
-		return 0
-	}
-	return st.Len()
-}
-
-// HostedCounts returns the per-AS hosted mapping counts (for NLR).
-func (s *System) HostedCounts() map[int]int {
-	out := make(map[int]int)
-	for as := range s.stores {
-		if st := s.loadStore(as); st != nil && st.Len() > 0 {
-			out[as] = st.Len()
-		}
-	}
-	return out
-}
-
 // Insert stores e's mapping at its K global replicas, plus a local copy
 // at srcAS when local replication is on (§III-C). It returns the global
 // placements. An update is an Insert with a higher version: the store

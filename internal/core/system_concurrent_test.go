@@ -45,8 +45,7 @@ func TestSystemConcurrentHammer(t *testing.T) {
 				}
 				// Read-side inspectors race against writers on other
 				// goroutines' stores.
-				sys.StoreLen(srcAS)
-				sys.HostedCounts()
+				hosted(sys)
 				// Every fourth GUID is deleted again, so the audit also
 				// sees stores that shrank concurrently.
 				if i%4 == 3 {

@@ -86,24 +86,29 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 		home.Register(guids[gi], trace.HomeAS[gi])
 	}
 
-	// Group lookups by source AS: one engine unit per source. All four
-	// schemes share the concurrent sharded DistCache — Chord's multi-hop
-	// paths pull vectors for intermediate ASs, so the cache, not a
-	// per-unit scratch vector, is the right distance oracle here. RTTs
-	// are pure functions of the graph, so cache interleaving cannot
-	// change any value, and hop counts are integers summed exactly in
-	// float64, so the source-order merge is bit-identical at every
-	// worker count.
+	// Group lookups by source AS: one engine unit per source. The DMap
+	// row is the fault-free evalLookup walk every other closed-form
+	// figure takes, on the worker's walker; the three baselines share
+	// the concurrent sharded DistCache — Chord's multi-hop paths pull
+	// vectors for intermediate ASs, so the cache, not a per-unit scratch
+	// vector, is the right distance oracle for them. Both read the same
+	// Dijkstra distances, which are pure functions of the graph, so
+	// cache interleaving cannot change any value, and hop counts are
+	// integers summed exactly in float64, so the source-order merge is
+	// bit-identical at every worker count.
 	bySrc, srcs := bySource(trace.Lookups)
 
 	type baselineUnit struct {
 		dmap, chord, oneHop, home *stats.Collector
 		chordHops, oneHopHops     float64
 	}
-	units, err := engine.MapNoScratch(cfg.Workers, len(srcs),
-		func(u int) (baselineUnit, error) {
+	var none faults
+	units, err := engine.Map(cfg.Workers, len(srcs),
+		func() *walker { return newWalker(w.Graph, cfg.K, false) },
+		func(u int, wk *walker) (baselineUnit, error) {
 			src := srcs[u]
 			lookups := bySrc[src]
+			wk.from(src)
 			unit := baselineUnit{
 				dmap:   stats.NewCollector(len(lookups)),
 				chord:  stats.NewCollector(len(lookups)),
@@ -114,13 +119,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 				gi := trace.Lookups[li].GUIDIndex
 
 				// DMap: closest of K replicas, single overlay hop.
-				best := topology.InfMicros
-				for _, as := range placements[gi] {
-					if rtt := cache.RTT(src, int(as)); rtt < best {
-						best = rtt
-					}
-				}
-				unit.dmap.Add(best.Millis())
+				unit.dmap.Add(wk.evalLookup(li, placements[gi], -1, &none).latency.Millis())
 
 				// Chord: recursive route to the owner, direct reply.
 				path, err := chord.LookupPath(src, guids[gi])

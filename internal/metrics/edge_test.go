@@ -163,7 +163,7 @@ func TestExemplars(t *testing.T) {
 	if len(seen) != 2 || seen[0] != 222 && seen[1] != 222 {
 		t.Fatalf("exemplars = %v, want 222 (last-wins) and 333", seen)
 	}
-	text := reg.Snapshot().Text()
+	text := textOf(t, reg.Snapshot())
 	if strings.Contains(text, "exemplar") {
 		t.Fatalf("text encoding mentions exemplars:\n%s", text)
 	}

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Snapshot is a point-in-time copy of a registry's metrics.
@@ -128,13 +127,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Text returns the WriteText encoding as a string.
-func (s Snapshot) Text() string {
-	var sb strings.Builder
-	_ = s.WriteText(&sb)
-	return sb.String()
 }
 
 // JSON returns the snapshot as indented JSON (map keys sorted by

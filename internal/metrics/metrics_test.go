@@ -89,11 +89,11 @@ func TestSnapshotDeterminism(t *testing.T) {
 		return reg
 	}
 	r1, r2 := build(), build()
-	t1, t2 := r1.Snapshot().Text(), r2.Snapshot().Text()
+	t1, t2 := textOf(t, r1.Snapshot()), textOf(t, r2.Snapshot())
 	if t1 != t2 {
 		t.Errorf("text encodings differ:\n%s\nvs\n%s", t1, t2)
 	}
-	if t1 != r1.Snapshot().Text() {
+	if t1 != textOf(t, r1.Snapshot()) {
 		t.Error("repeated snapshot of quiescent registry differs")
 	}
 	j1, err1 := r1.Snapshot().JSON()
@@ -219,4 +219,14 @@ func TestHandler(t *testing.T) {
 	if snap.Counters["srv.ops"] != 11 || snap.Histograms["srv.lat_us"].Count != 1 {
 		t.Errorf("JSON snapshot wrong: %+v", snap)
 	}
+}
+
+// textOf is s's WriteText encoding.
+func textOf(t *testing.T, s Snapshot) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"dmap/internal/guid"
 	"dmap/internal/simnet"
+	"dmap/internal/store"
 )
 
 // These tests drive simnet's fault plan through the full protocol stack:
@@ -133,5 +135,39 @@ func TestFaultPlanDeterministicThroughProtocol(t *testing.T) {
 	}
 	if s1.Lost == 0 {
 		t.Error("loss plan dropped nothing; workload too small?")
+	}
+}
+
+// runLossyBatch writes 60 entries with one InsertBatch and reads them
+// back with one LookupBatch, under a seeded loss plan, and returns what
+// came of it: acks, hits, error, the plan's counters and the virtual
+// time the run ended at.
+func runLossyBatch(t *testing.T) string {
+	t.Helper()
+	d, _ := testDeployment(t, 3, false)
+	if err := d.Network().SetFaults(&simnet.FaultPlan{Seed: 7, Loss: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]store.Entry, 60)
+	gs := make([]guid.GUID, len(entries))
+	for i := range entries {
+		entries[i] = entryFor(fmt.Sprintf("lossy-batch-%d", i), 1, 50+i)
+		gs[i] = entries[i].GUID
+	}
+	acks, ierr := d.clientAt(42).InsertBatch(entries)
+	_, hits, lerr := d.clientAt(17).LookupBatch(gs)
+	return fmt.Sprintf("acks %v (%v)\nhits %v (%v)\n%+v at %d\n",
+		acks, ierr, hits, lerr, d.Network().FaultStats(), d.Sim().Now())
+}
+
+// TestBatchFaultPlanDeterministicThroughProtocol: a batch starts its
+// frames in ascending AS order, so a seeded lossy run replays exactly
+// (simnet draws loss in send order, so map order would not replay).
+func TestBatchFaultPlanDeterministicThroughProtocol(t *testing.T) {
+	first := runLossyBatch(t)
+	for run := 2; run <= 4; run++ {
+		if again := runLossyBatch(t); again != first {
+			t.Fatalf("lossy batch run %d diverged:\n--- run 1\n%s--- run %d\n%s", run, first, run, again)
+		}
 	}
 }

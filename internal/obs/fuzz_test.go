@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"dmap/internal/metrics"
@@ -32,7 +33,7 @@ func FuzzDecodeFleetSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc1, err := EncodeSnapshot(s)
+		enc1, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted snapshot does not encode: %v", err)
 		}
@@ -40,7 +41,7 @@ func FuzzDecodeFleetSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical encoding rejected by own decoder: %v\n%s", err, enc1)
 		}
-		enc2, err := EncodeSnapshot(s2)
+		enc2, err := json.Marshal(s2)
 		if err != nil {
 			t.Fatal(err)
 		}

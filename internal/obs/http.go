@@ -5,11 +5,12 @@ package obs
 
 import (
 	"net/http"
-	"strings"
+
+	"dmap/internal/metrics"
 )
 
 // FleetHandler serves the latest fleet view from latest(): a text table
-// by default, JSON with ?format=json or Accept: application/json.
+// by default, JSON when metrics.WantsJSON.
 // latest returning false means no round has completed yet (503).
 func FleetHandler(latest func() (FleetView, bool)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -19,7 +20,7 @@ func FleetHandler(latest func() (FleetView, bool)) http.Handler {
 			http.Error(w, "no fleet view collected yet", http.StatusServiceUnavailable)
 			return
 		}
-		if wantsJSON(r) {
+		if metrics.WantsJSON(r) {
 			b, err := view.JSON()
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -47,11 +48,4 @@ func FlightHandler(rec *FlightRecorder) http.Handler {
 		w.Write(b)
 		w.Write([]byte("\n"))
 	})
-}
-
-func wantsJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "json" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/json")
 }

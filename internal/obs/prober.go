@@ -372,11 +372,9 @@ func (p *Prober) lookup(t int, g guid.GUID) (version uint64, found bool, err err
 	if rt != wire.MsgLookupResp {
 		return 0, false, respError(rt, resp)
 	}
-	lr, err := wire.DecodeLookupResp(resp)
-	if err != nil {
-		return 0, false, err
-	}
-	return lr.Entry.Version, lr.Found, nil
+	var e store.Entry
+	found, err = wire.DecodeLookupRespInto(&e, resp)
+	return e.Version, found, err
 }
 
 func respError(t wire.MsgType, payload []byte) error {

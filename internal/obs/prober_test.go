@@ -212,22 +212,24 @@ func TestProberTimesExchangesNotHandshake(t *testing.T) {
 		}
 		st := store.New()
 		for {
-			mt, id, payload, err := wire.ReadFrameID(conn)
+			mt, id, payload, err := wire.ReadFrameIDInto(conn, nil)
 			if err != nil {
 				return
 			}
+			rt, resp := wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "unexpected")
 			switch mt {
 			case wire.MsgInsert:
-				e, _, _ := wire.DecodeEntry(payload)
+				e, _, _ := wire.DecodeEntryAppend(nil, payload)
 				st.Put(e)
-				wire.WriteFrameID(conn, wire.MsgInsertAck, id, nil)
+				rt, resp = wire.MsgInsertAck, nil
 			case wire.MsgLookup:
 				g, _, _ := wire.DecodeGUID(payload)
 				e, ok := st.Get(g)
-				resp, _ := wire.AppendLookupResp(nil, wire.LookupResp{Found: ok, Entry: e})
-				wire.WriteFrameID(conn, wire.MsgLookupResp, id, resp)
-			default:
-				wire.WriteFrameID(conn, wire.MsgError, id, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "unexpected"))
+				rt = wire.MsgLookupResp
+				resp, _ = wire.AppendLookupResp(nil, wire.LookupResp{Found: ok, Entry: e})
+			}
+			frame, _ := wire.AppendFrameID(nil, rt, id, resp)
+			if _, err := conn.Write(frame); err != nil || rt == wire.MsgError {
 				return
 			}
 		}

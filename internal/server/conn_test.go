@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"runtime"
 	"sync"
@@ -158,12 +159,13 @@ func TestPipelinedBurstSharesSyscalls(t *testing.T) {
 				t.Fatalf("reply (%v, id %d) unexpected or repeated", typ, id)
 			}
 			seen[id] = true
-			resp, err := wire.DecodeLookupResp(body)
+			var e store.Entry
+			found, err := wire.DecodeLookupRespInto(&e, body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := burstEntry(i); resp.Found != (i%2 == 0) || (resp.Found && (resp.Entry.GUID != want.GUID || resp.Entry.Version != want.Version || resp.Entry.NAs[0] != want.NAs[0])) {
-				t.Fatalf("reply %d = %+v, want found=%t %+v", id, resp, i%2 == 0, want)
+			if want := burstEntry(i); found != (i%2 == 0) || (found && (e.GUID != want.GUID || e.Version != want.Version || e.NAs[0] != want.NAs[0])) {
+				t.Fatalf("reply %d = %t %+v, want found=%t %+v", id, found, e, i%2 == 0, want)
 			}
 		}
 		reads, writes = cc.reads.Load()-reads, cc.writes.Load()-writes
@@ -329,8 +331,9 @@ func TestBufferFillingLookupIsRefused(t *testing.T) {
 				t.Fatalf("buffer-filling lookup answered (%v, kind %v, %v), want BadRequest", typ, kind, derr)
 			}
 		case 8:
-			if resp, derr := wire.DecodeLookupResp(body); typ != wire.MsgLookupResp || derr != nil || !resp.Found || resp.Entry.Version != burstEntry(0).Version {
-				t.Fatalf("lookup behind it answered (%v, %+v, %v)", typ, resp, derr)
+			var e store.Entry
+			if found, derr := wire.DecodeLookupRespInto(&e, body); typ != wire.MsgLookupResp || derr != nil || !found || e.Version != burstEntry(0).Version {
+				t.Fatalf("lookup behind it answered (%v, %+v, %v)", typ, e, derr)
 			}
 		case 9:
 			if typ != wire.MsgPong {
@@ -565,7 +568,7 @@ func TestMixedBurstNothingStranded(t *testing.T) {
 							if typ != wire.MsgPong || len(body) != 0 {
 								t.Fatalf("reply id %d = (%v, %d bytes), want an empty MsgPong", id, typ, len(body))
 							}
-						} else if _, err := wire.DecodeLookupResp(body); typ != wire.MsgLookupResp || err != nil {
+						} else if _, err := wire.DecodeLookupRespInto(new(store.Entry), body); typ != wire.MsgLookupResp || err != nil {
 							t.Fatalf("reply id %d = (%v, %v), want a MsgLookupResp", id, typ, err)
 						}
 					default:
@@ -666,7 +669,7 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 		g := newGate()
 		var once sync.Once
 		release := func() { once.Do(func() { close(g.open) }) }
-		n := NewWithOptions(nil, Options{Logger: trace.NewLogger(g, trace.LevelWarn)})
+		n := NewWithOptions(nil, Options{Logger: slog.New(slog.NewTextHandler(g, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 		base := runtime.NumGoroutine()
 		conn, _ := serveCounted(t, n, wire.FeatRepair)
 		t.Cleanup(release) // registered last, runs first: the loop must finish for serveConn to return
@@ -778,11 +781,11 @@ func TestInlineLookupShed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ping {
-			if typ, got, _, err := wire.ReadFrameID(conn); err != nil || typ != wire.MsgPong || got != 99 {
+			if typ, got, _, err := wire.ReadFrameIDInto(conn, nil); err != nil || typ != wire.MsgPong || got != 99 {
 				t.Fatalf("ping reply = (%v, id %d, %v), want MsgPong id 99", typ, got, err)
 			}
 		}
-		typ, got, body, err := wire.ReadFrameID(conn)
+		typ, got, body, err := wire.ReadFrameIDInto(conn, nil)
 		if err != nil || got != id {
 			t.Fatalf("reply = (id %d, %v), want id %d", got, err, id)
 		}
@@ -1036,7 +1039,7 @@ func TestIdleV2ConnHoldsNoPooledBuffer(t *testing.T) {
 		if _, err := conn.Write(appendFrame(t, nil, c.typ, 1, c.body)); err != nil {
 			t.Fatal(err)
 		}
-		if typ, _, _, err := wire.ReadFrameID(conn); err != nil || typ != c.want {
+		if typ, _, _, err := wire.ReadFrameIDInto(conn, nil); err != nil || typ != c.want {
 			t.Fatalf("%v reply = (%v, %v), want %v", c.typ, typ, err, c.want)
 		}
 		deadline := time.Now().Add(5 * time.Second)
@@ -1076,12 +1079,12 @@ func TestDeleteWithTrailingBytesIsRefused(t *testing.T) {
 		if _, err := conn.Write(appendFrame(t, reqs, wire.MsgPing, 8, nil)); err != nil {
 			t.Fatal(err)
 		}
-		if typ, id, body, err := wire.ReadFrameID(conn); err != nil || id != 7 || typ != wire.MsgError {
+		if typ, id, body, err := wire.ReadFrameIDInto(conn, nil); err != nil || id != 7 || typ != wire.MsgError {
 			t.Fatalf("%s with trailing bytes answered (%v, id %d, %v), want MsgError id 7", c.name, typ, id, err)
 		} else if kind, _, derr := wire.DecodeErrorKind(body); derr != nil || kind != wire.ErrKindBadRequest {
 			t.Fatalf("%s: refusal kind %v (%v), want BadRequest", c.name, kind, derr)
 		}
-		if typ, id, _, err := wire.ReadFrameID(conn); err != nil || id != 8 || typ != wire.MsgPong {
+		if typ, id, _, err := wire.ReadFrameIDInto(conn, nil); err != nil || id != 8 || typ != wire.MsgPong {
 			t.Fatalf("%s: ping behind it answered (%v, id %d, %v)", c.name, typ, id, err)
 		}
 		if _, ok := n.store.Get(held.GUID); !ok {

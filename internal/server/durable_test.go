@@ -89,7 +89,7 @@ func TestUnloggedInsertIsInternal(t *testing.T) {
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		typ, _, body, err := wire.ReadFrameID(conn)
+		typ, _, body, err := wire.ReadFrameIDInto(conn, nil)
 		if err != nil || typ != wire.MsgError {
 			t.Fatalf("%s: reply = (%v, %v), want MsgError", c.name, typ, err)
 		}

@@ -300,7 +300,7 @@ func TestCloseDoesNotWaitForSilentGossipPeer(t *testing.T) {
 					if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, wire.Version2, wire.FeatRepair)); err != nil {
 						return
 					}
-					if typ, _, _, err := wire.ReadFrameID(conn); err != nil || typ != wire.MsgRepairDigest {
+					if typ, _, _, err := wire.ReadFrameIDInto(conn, nil); err != nil || typ != wire.MsgRepairDigest {
 						return
 					}
 				}

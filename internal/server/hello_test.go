@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"testing"
@@ -81,7 +82,7 @@ func TestHelloVersionClamped(t *testing.T) {
 	if _, err := conn.Write(ping); err != nil {
 		t.Fatal(err)
 	}
-	if typ, id, _, err := wire.ReadFrameID(conn); err != nil || typ != wire.MsgPong || id != 7 {
+	if typ, id, _, err := wire.ReadFrameIDInto(conn, nil); err != nil || typ != wire.MsgPong || id != 7 {
 		t.Fatalf("ping after the clamped hello = (%v, id %d, %v)", typ, id, err)
 	}
 }
@@ -138,11 +139,11 @@ func TestSilentPeerIsClosed(t *testing.T) {
 // connection must be closed; never a panic.
 func FuzzServerFirstFrame(f *testing.F) {
 	frame := func(t wire.MsgType, payload []byte) []byte {
-		b, err := wire.AppendFrame(nil, t, payload)
-		if err != nil {
+		var b bytes.Buffer
+		if err := wire.WriteFrame(&b, t, payload); err != nil {
 			f.Fatal(err)
 		}
-		return b
+		return b.Bytes()
 	}
 	f.Add(frame(wire.MsgLookup, wire.AppendGUID(nil, guid.New("v1")))) // a pre-hello client's request
 	f.Add(frame(wire.MsgHello, wire.AppendHello(nil, wire.Version2)))

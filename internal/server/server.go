@@ -11,10 +11,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -33,7 +36,7 @@ import (
 // arrive some other way.
 type Node struct {
 	store  *store.Store
-	logger *trace.Logger
+	logger *slog.Logger
 	// tracer, when set, joins sampled request traces arriving over the
 	// trace extension and feeds the slow-op log. Nil = tracing off;
 	// the frame loop then never touches trace state.
@@ -134,8 +137,8 @@ type Stats struct {
 // Options configures optional node subsystems. The zero value is a
 // quiet node: no logging, no tracing, no hot-key profiling.
 type Options struct {
-	// Logger receives structured key=value records; nil discards.
-	Logger *trace.Logger
+	// Logger receives the node's records; nil logs nothing.
+	Logger *slog.Logger
 	// Tracer joins request traces and captures slow ops; nil = off.
 	Tracer *trace.Tracer
 	// HotKeys tracks the hottest GUIDs by lookup and insert load;
@@ -155,6 +158,10 @@ type Options struct {
 	Gossip GossipOptions
 }
 
+// quiet stands in for a nil Options.Logger: a logger enabled at no level
+// (slog.DiscardHandler needs Go 1.24).
+var quiet = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+
 // NewWithOptions creates a node serving st (nil: a fresh memory-only
 // store) with the full observability surface. The store stays the
 // caller's: Close leaves it open, so a durable one (store.Open) is closed
@@ -166,7 +173,7 @@ func NewWithOptions(st *store.Store, opts Options) *Node {
 	reg := metrics.NewRegistry()
 	n := &Node{
 		store:   st,
-		logger:  opts.Logger,
+		logger:  cmp.Or(opts.Logger, quiet),
 		tracer:  opts.Tracer,
 		hot:     opts.HotKeys,
 		conns:   make(map[net.Conn]struct{}),
@@ -288,7 +295,7 @@ func (n *Node) Drain() {
 	n.draining.Store(true)
 	// A drained node is the §III-D1 handoff posture: make everything it
 	// acknowledged durable now, whatever the fsync policy.
-	if err := n.store.Sync(); err != nil && n.logger != nil {
+	if err := n.store.Sync(); err != nil {
 		n.logger.Warn("drain sync failed", "err", err)
 	}
 }

@@ -94,15 +94,16 @@ func TestRawProtocolRoundTrip(t *testing.T) {
 	if typ != wire.MsgLookupResp {
 		t.Fatalf("lookup reply = %v", typ)
 	}
-	resp, err := wire.DecodeLookupResp(body)
-	if err != nil || !resp.Found || resp.Entry.Version != 3 {
-		t.Fatalf("lookup resp = (%+v, %v)", resp, err)
+	var e store.Entry
+	found, err := wire.DecodeLookupRespInto(&e, body)
+	if err != nil || !found || e.Version != 3 {
+		t.Fatalf("lookup resp = (%t %+v, %v)", found, e, err)
 	}
 
 	// Lookup miss.
 	_, body = exchange(t, conn, wire.MsgLookup, wire.AppendGUID(nil, guid.New("missing")))
-	if resp, err := wire.DecodeLookupResp(body); err != nil || resp.Found {
-		t.Fatalf("miss resp = (%+v, %v)", resp, err)
+	if found, err := wire.DecodeLookupRespInto(&e, body); err != nil || found {
+		t.Fatalf("miss resp = (%t, %v)", found, err)
 	}
 
 	// Delete.
@@ -198,9 +199,9 @@ func TestDrainRejectsWritesServesReads(t *testing.T) {
 	if typ != wire.MsgLookupResp {
 		t.Fatalf("draining lookup: %v", typ)
 	}
-	resp, err := wire.DecodeLookupResp(body)
-	if err != nil || !resp.Found {
-		t.Fatalf("draining lookup lost the entry: (%+v, %v)", resp, err)
+	found, err := wire.DecodeLookupRespInto(new(store.Entry), body)
+	if err != nil || !found {
+		t.Fatalf("draining lookup lost the entry: (%t, %v)", found, err)
 	}
 
 	if st := n.Stats(); st.Rejects != 2 {

@@ -82,9 +82,6 @@ func (p *Proc) Wake() {
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.events.items) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error: the causality violation would silently reorder the run.
 func (s *Sim) At(t Time, fn func()) error {

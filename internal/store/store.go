@@ -535,14 +535,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-// ShardLen returns the number of mappings hosted by shard i.
-func (s *Store) ShardLen(i int) int {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.m)
-}
-
 // SizeBits returns the total §IV-A storage footprint of the store: the
 // sum of the per-shard incremental counters, so the NLR accounting is
 // O(shards) regardless of how many mappings are hosted.

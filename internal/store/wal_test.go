@@ -597,20 +597,6 @@ func makeASes(n int) []int {
 	return out
 }
 
-func TestShardLenSumsToLen(t *testing.T) {
-	s := New()
-	for i := 0; i < 200; i++ {
-		mustPut(t, s, entry(fmt.Sprintf("g%d", i), 1, 1))
-	}
-	total := 0
-	for i := 0; i < s.ShardCount(); i++ {
-		total += s.ShardLen(i)
-	}
-	if total != s.Len() || total != 200 {
-		t.Fatalf("ShardLen sum = %d, Len = %d", total, s.Len())
-	}
-}
-
 func TestNewShardedValidation(t *testing.T) {
 	for _, n := range []int{0, -1, 3, 6, MaxShards * 2} {
 		if _, err := NewSharded(n); err == nil {

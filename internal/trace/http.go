@@ -1,7 +1,7 @@
 // Debug HTTP handlers: /debug/traces (completed span trees + slow-op
 // log) and /debug/hotkeys (Space-Saving top-K per op class). Both
-// default to a human-readable text rendering and switch to JSON with
-// ?format=json, mirroring the /debug/metrics convention.
+// default to a human-readable text rendering and switch to JSON by
+// /debug/metrics's rule, metrics.WantsJSON.
 package trace
 
 import (
@@ -9,11 +9,14 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"dmap/internal/metrics"
 )
 
 // TracesHandler serves the tracer's retained traces and slow ops.
-// Query parameters: format=json for machine output, n=<count> to limit
-// to the most recent n traces.
+// Query parameters: format=json for machine output (or an Accept that
+// names application/json), n=<count> to limit to the most recent n
+// traces.
 func TracesHandler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		traces := t.Traces()
@@ -21,7 +24,7 @@ func TracesHandler(t *Tracer) http.Handler {
 		if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(traces) {
 			traces = traces[len(traces)-n:]
 		}
-		if r.URL.Query().Get("format") == "json" {
+		if metrics.WantsJSON(r) {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
@@ -89,7 +92,8 @@ func hotClass(s *SpaceSaving, n int) hotClassJSON {
 }
 
 // HotKeysHandler serves the node's hot-GUID trackers. Query
-// parameters: format=json, n=<count> to limit each class (default 20).
+// parameters: format=json (or an Accept that names application/json),
+// n=<count> to limit each class (default 20).
 func HotKeysHandler(h *HotKeys) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := 20
@@ -101,7 +105,7 @@ func HotKeysHandler(h *HotKeys) http.Handler {
 			lookups, inserts = h.lookups, h.inserts
 		}
 		doc := hotKeysJSON{Lookups: hotClass(lookups, n), Inserts: hotClass(inserts, n)}
-		if r.URL.Query().Get("format") == "json" {
+		if metrics.WantsJSON(r) {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")

@@ -53,14 +53,6 @@ func TestNilSafety(t *testing.T) {
 	if got := hk.TopLookups(5); got != nil {
 		t.Fatalf("nil hotkeys TopLookups = %v", got)
 	}
-
-	var lg *Logger
-	lg.Debug("x")
-	lg.Warn("x", "k", "v")
-	lg.Error("x")
-	if lg.Enabled(LevelError) {
-		t.Fatal("nil logger Enabled = true")
-	}
 }
 
 func TestNewTraceIDDeterministic(t *testing.T) {
@@ -427,44 +419,6 @@ func TestHotKeysClasses(t *testing.T) {
 	}
 	if len(ins) != 1 || ins[0].GUID != b || ins[0].Count != 1 {
 		t.Fatalf("TopInserts = %+v", ins)
-	}
-}
-
-func TestLogger(t *testing.T) {
-	var sb strings.Builder
-	lg := NewLogger(&sb, LevelInfo)
-	lg.now = func() time.Time { return time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC) }
-	lg.Debug("dropped")
-	lg.Warn("bad insert", "remote", "1.2.3.4:5", "err", fmt.Errorf("wire: truncated message"))
-	lg.Error("odd args", "dangling")
-	got := sb.String()
-	want := "" +
-		"ts=2026-08-06T12:00:00.000Z level=warn msg=\"bad insert\" remote=1.2.3.4:5 err=\"wire: truncated message\"\n" +
-		"ts=2026-08-06T12:00:00.000Z level=error msg=\"odd args\" arg=dangling\n"
-	if got != want {
-		t.Fatalf("log output:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-
-	for _, tc := range []struct {
-		in   string
-		want Level
-		err  bool
-	}{
-		{"debug", LevelDebug, false}, {"INFO", LevelInfo, false},
-		{"warn", LevelWarn, false}, {"warning", LevelWarn, false},
-		{"error", LevelError, false}, {"off", LevelOff, false},
-		{"bogus", 0, true},
-	} {
-		got, err := ParseLevel(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParseLevel(%q) err = %v", tc.in, err)
-		}
-		if err == nil && got != tc.want {
-			t.Fatalf("ParseLevel(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	if LevelWarn.String() != "warn" || Level(99).String() != "Level(99)" {
-		t.Fatal("Level.String misbehaved")
 	}
 }
 

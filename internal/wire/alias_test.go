@@ -29,28 +29,20 @@ func appendCases() []appendCase {
 	tc := trace.Context{Trace: 0xABCDEF0123456789, Span: 99, Sampled: true}
 	g := guid.New("alias-test")
 	return []appendCase{
-		{"AppendFrame", func(dst []byte) ([]byte, error) {
-			return AppendFrame(dst, MsgLookup, []byte("payload"))
-		}, func(t *testing.T, enc []byte) {
-			typ, body, err := ReadFrame(bytes.NewReader(enc))
-			if err != nil || typ != MsgLookup || string(body) != "payload" {
-				t.Fatalf("ReadFrame = %v %q %v", typ, body, err)
-			}
-		}},
 		{"AppendFrameID", func(dst []byte) ([]byte, error) {
 			return AppendFrameID(dst, MsgLookupResp, 12345, []byte("resp"))
 		}, func(t *testing.T, enc []byte) {
-			typ, id, body, err := ReadFrameID(bytes.NewReader(enc))
+			typ, id, body, err := ReadFrameIDInto(bytes.NewReader(enc), nil)
 			if err != nil || typ != MsgLookupResp || id != 12345 || string(body) != "resp" {
-				t.Fatalf("ReadFrameID = %v %d %q %v", typ, id, body, err)
+				t.Fatalf("ReadFrameIDInto = %v %d %q %v", typ, id, body, err)
 			}
 		}},
 		{"AppendFrameIDTrace", func(dst []byte) ([]byte, error) {
 			return AppendFrameIDTrace(dst, MsgLookup, 77, tc, []byte("traced"))
 		}, func(t *testing.T, enc []byte) {
-			typ, id, body, err := ReadFrameID(bytes.NewReader(enc))
+			typ, id, body, err := ReadFrameIDInto(bytes.NewReader(enc), nil)
 			if err != nil || !IsTraced(typ) || BaseType(typ) != MsgLookup || id != 77 {
-				t.Fatalf("ReadFrameID = %v %d %v", typ, id, err)
+				t.Fatalf("ReadFrameIDInto = %v %d %v", typ, id, err)
 			}
 			gotTC, rest, err := DecodeTraceContext(body)
 			if err != nil || gotTC != tc || string(rest) != "traced" {
@@ -60,9 +52,9 @@ func appendCases() []appendCase {
 		{"AppendEntry", func(dst []byte) ([]byte, error) {
 			return AppendEntry(dst, entry)
 		}, func(t *testing.T, enc []byte) {
-			dec, rest, err := DecodeEntry(enc)
+			dec, rest, err := DecodeEntryAppend(nil, enc)
 			if err != nil || len(rest) != 0 || dec.GUID != entry.GUID || len(dec.NAs) != len(entry.NAs) {
-				t.Fatalf("DecodeEntry = %+v rest=%d %v", dec, len(rest), err)
+				t.Fatalf("DecodeEntryAppend = %+v rest=%d %v", dec, len(rest), err)
 			}
 		}},
 		{"AppendGUID", func(dst []byte) ([]byte, error) {
@@ -84,9 +76,10 @@ func appendCases() []appendCase {
 		{"AppendLookupResp", func(dst []byte) ([]byte, error) {
 			return AppendLookupResp(dst, LookupResp{Found: true, Entry: entry})
 		}, func(t *testing.T, enc []byte) {
-			resp, err := DecodeLookupResp(enc)
-			if err != nil || !resp.Found || resp.Entry.GUID != entry.GUID {
-				t.Fatalf("DecodeLookupResp = %+v %v", resp, err)
+			var e store.Entry
+			found, err := DecodeLookupRespInto(&e, enc)
+			if err != nil || !found || e.GUID != entry.GUID {
+				t.Fatalf("DecodeLookupRespInto = %t %+v %v", found, e, err)
 			}
 		}},
 		{"AppendTraceContext", func(dst []byte) ([]byte, error) {
@@ -204,7 +197,7 @@ func TestDecodedValuesSurvivePoisonedPut(t *testing.T) {
 	buf = AppendGUID(buf, g)
 	buf = AppendErrorKind(buf, ErrKindGeneric, "poisoned reason")
 
-	dec, _, err := DecodeEntry(buf[:mark])
+	dec, _, err := DecodeEntryAppend(nil, buf[:mark])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +260,12 @@ func TestReadFrameIDIntoReuse(t *testing.T) {
 // TestReadFrameIntoReuse mirrors TestReadFrameIDIntoReuse for the v1
 // frame reader.
 func TestReadFrameIntoReuse(t *testing.T) {
-	frame, err := AppendFrame(nil, MsgInsert, []byte("v1-payload"))
-	if err != nil {
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, MsgInsert, []byte("v1-payload")); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 0, 256)
-	typ, payload, err := ReadFrameInto(bytes.NewReader(frame), dst)
+	typ, payload, err := ReadFrameInto(&frame, dst)
 	if err != nil || typ != MsgInsert || string(payload) != "v1-payload" {
 		t.Fatalf("ReadFrameInto = %v %q %v", typ, payload, err)
 	}

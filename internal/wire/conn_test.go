@@ -117,17 +117,19 @@ func TestConnRoundTrip(t *testing.T) {
 			return
 		}
 		for {
-			typ, id, payload, err := ReadFrameID(conn)
+			typ, id, payload, err := ReadFrameIDInto(conn, nil)
 			if err != nil {
 				return
 			}
+			var reply []byte
 			switch typ {
 			case MsgPing: // echo
-				_ = WriteFrameID(conn, MsgPong, id, payload)
+				reply, _ = AppendFrameID(nil, MsgPong, id, payload)
 			case MsgLookup: // answer under the wrong ID
-				_ = WriteFrameID(conn, MsgLookupResp, id+1, nil)
+				reply, _ = AppendFrameID(nil, MsgLookupResp, id+1, nil)
 			default: // never answer
 			}
+			_, _ = conn.Write(reply)
 		}
 	})
 	c, err := Dial(context.Background(), addr, time.Second, 0)

@@ -22,7 +22,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, rest, err := DecodeEntry(data)
+		e, rest, err := DecodeEntryAppend(nil, data)
 		if err != nil {
 			return
 		}
@@ -45,7 +45,7 @@ func FuzzDecodeLookupResp(f *testing.F) {
 	f.Add(ok)
 	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeLookupResp(data)
+		_, _ = DecodeLookupRespInto(new(store.Entry), data)
 	})
 }
 
@@ -100,11 +100,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		// the framing layer hands them.
 		switch typ {
 		case MsgInsert:
-			_, _, _ = DecodeEntry(payload)
+			_, _, _ = DecodeEntryAppend(nil, payload)
 		case MsgLookup, MsgDelete:
 			_, _, _ = DecodeGUID(payload)
 		case MsgLookupResp:
-			_, _ = DecodeLookupResp(payload)
+			_, _ = DecodeLookupRespInto(new(store.Entry), payload)
 		case MsgError:
 			_, _, _ = DecodeErrorKind(payload)
 		}
@@ -123,12 +123,15 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzDecodeFrameV2 covers the identified (v2) frame path: header with
-// request ID via ReadFrameID, then the per-type payload decoder —
+// request ID via ReadFrameIDInto, then the per-type payload decoder —
 // including the batch codecs and handshake bodies. Accepted frames must
-// round-trip canonically through WriteFrameID with the same ID, and the
+// round-trip canonically through AppendFrameID with the same ID, and the
 // per-type decoders must be panic-free.
 func FuzzDecodeFrameV2(f *testing.F) {
-	var seed bytes.Buffer
+	seed := func(t MsgType, id uint64, payload []byte) {
+		frame, _ := AppendFrameID(nil, t, id, payload)
+		f.Add(frame)
+	}
 	entry, _ := AppendEntry(nil, store.Entry{
 		GUID:    [20]byte{9},
 		NAs:     []store.NA{{AS: 1, Addr: netaddr.AddrFromOctets(198, 51, 100, 7)}},
@@ -138,51 +141,42 @@ func FuzzDecodeFrameV2(f *testing.F) {
 		{GUID: [20]byte{1}, NAs: []store.NA{{AS: 2, Addr: netaddr.AddrFromOctets(10, 0, 0, 9)}}, Version: 1},
 		{GUID: [20]byte{2}, NAs: []store.NA{{AS: 3, Addr: netaddr.AddrFromOctets(10, 0, 0, 8)}}, Version: 2},
 	})
-	_ = WriteFrameID(&seed, MsgBatchInsert, 1, batch)
-	f.Add(append([]byte(nil), seed.Bytes()...))
-	seed.Reset()
+	seed(MsgBatchInsert, 1, batch)
 	lookups, _ := AppendBatchLookup(nil, []guid.GUID{{1}, {2}, {3}})
-	_ = WriteFrameID(&seed, MsgBatchLookup, 2, lookups)
-	f.Add(append([]byte(nil), seed.Bytes()...))
-	seed.Reset()
+	seed(MsgBatchLookup, 2, lookups)
 	resp, _ := AppendBatchLookupResp(nil, []LookupResp{{}, {Found: true, Entry: mustEntry(entry)}})
-	_ = WriteFrameID(&seed, MsgBatchLookupResp, 3, resp)
-	f.Add(append([]byte(nil), seed.Bytes()...))
-	seed.Reset()
+	seed(MsgBatchLookupResp, 3, resp)
 	acks, _ := AppendBatchInsertAck(nil, []bool{true, false})
-	_ = WriteFrameID(&seed, MsgBatchInsertAck, 4, acks)
-	f.Add(append([]byte(nil), seed.Bytes()...))
-	seed.Reset()
-	_ = WriteFrameID(&seed, MsgInsert, 5, entry)
-	f.Add(append([]byte(nil), seed.Bytes()...))
+	seed(MsgBatchInsertAck, 4, acks)
+	seed(MsgInsert, 5, entry)
 	// Hostile shapes: length below the ID width, huge length claim.
 	f.Add([]byte{0, 0, 0, 3, byte(MsgPing), 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgBatchInsert), 0, 0, 0, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		typ, id, payload, err := ReadFrameID(r)
+		typ, id, payload, err := ReadFrameIDInto(r, nil)
 		if err != nil {
 			return
 		}
 		consumed := len(data) - r.Len()
 		if want := 13 + len(payload); consumed != want {
-			t.Fatalf("ReadFrameID consumed %d bytes, want header+payload = %d", consumed, want)
+			t.Fatalf("ReadFrameIDInto consumed %d bytes, want header+payload = %d", consumed, want)
 		}
-		var out bytes.Buffer
-		if err := WriteFrameID(&out, typ, id, payload); err != nil {
+		out, err := AppendFrameID(nil, typ, id, payload)
+		if err != nil {
 			t.Fatalf("accepted frame fails re-encode: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data[:consumed]) {
+		if !bytes.Equal(out, data[:consumed]) {
 			t.Fatal("re-encoded frame differs from accepted bytes")
 		}
 		switch typ {
 		case MsgInsert:
-			_, _, _ = DecodeEntry(payload)
+			_, _, _ = DecodeEntryAppend(nil, payload)
 		case MsgLookup, MsgDelete:
 			_, _, _ = DecodeGUID(payload)
 		case MsgLookupResp:
-			_, _ = DecodeLookupResp(payload)
+			_, _ = DecodeLookupRespInto(new(store.Entry), payload)
 		case MsgError:
 			_, _, _ = DecodeErrorKind(payload)
 		case MsgHello:
@@ -264,7 +258,7 @@ func FuzzDecodeTraceContext(f *testing.F) {
 }
 
 func mustEntry(b []byte) store.Entry {
-	e, _, err := DecodeEntry(b)
+	e, _, err := DecodeEntryAppend(nil, b)
 	if err != nil {
 		panic(err)
 	}

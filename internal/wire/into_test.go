@@ -27,25 +27,24 @@ func TestDecodeEntryInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e store.Entry
-	e.NAs = make([]store.NA, 0, store.MaxNAs)
-	rest, err := DecodeEntryInto(&e, enc)
+	nas := make([]store.NA, 0, store.MaxNAs)
+	e, rest, err := DecodeEntryAppend(nas, enc)
 	if err != nil || len(rest) != 0 {
-		t.Fatalf("DecodeEntryInto = (%d rest, %v)", len(rest), err)
+		t.Fatalf("DecodeEntryAppend = (%d rest, %v)", len(rest), err)
 	}
-	if e.GUID != want.GUID || e.Version != want.Version || e.Meta != want.Meta || len(e.NAs) != 3 || e.NAs[2] != want.NAs[2] {
-		t.Fatalf("decoded %+v, want %+v", e, want)
+	if e.GUID != want.GUID || e.Version != want.Version || e.Meta != want.Meta || len(e.NAs) != 3 || e.NAs[2] != want.NAs[2] || &e.NAs[0] != &nas[:1][0] {
+		t.Fatalf("decoded %+v, want %+v in the caller's buffer", e, want)
 	}
 	// Reuse across decodes with pre-grown capacity allocates nothing.
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeEntryInto(&e, enc); err != nil {
+		if _, _, err := DecodeEntryAppend(nas, enc); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("DecodeEntryInto allocs/op = %v, want 0", allocs)
+		t.Fatalf("DecodeEntryAppend allocs/op = %v, want 0", allocs)
 	}
-	if _, err := DecodeEntryInto(&e, enc[:5]); err == nil {
+	if _, _, err := DecodeEntryAppend(nas, enc[:5]); err == nil {
 		t.Fatal("accepted truncated entry")
 	}
 }

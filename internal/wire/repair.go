@@ -155,7 +155,7 @@ func DecodeRepairDiff(b []byte) (covered guid.GUID, newer []store.Entry, want []
 	if n > 0 {
 		newer = make([]store.Entry, n)
 		for i := 0; i < n; i++ {
-			if newer[i], b, err = DecodeEntry(b); err != nil {
+			if newer[i], b, err = DecodeEntryAppend(nil, b); err != nil {
 				return covered, nil, nil, err
 			}
 		}

@@ -150,7 +150,7 @@ func TestRepairFramesFitTheirPayloadBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendFrame(nil, MsgRepairDigest, b); err != nil {
+	if _, err := AppendFrameID(nil, MsgRepairDigest, 1, b); err != nil {
 		t.Fatalf("maximal digest page exceeds MaxPayload: %d bytes", len(b))
 	}
 
@@ -173,7 +173,7 @@ func TestRepairFramesFitTheirPayloadBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendFrame(nil, MsgRepairDiff, b); err != nil {
+	if _, err := AppendFrameID(nil, MsgRepairDiff, 1, b); err != nil {
 		t.Fatalf("maximal diff exceeds MaxPayload: %d bytes", len(b))
 	}
 	if len(b) <= MaxFrame {

@@ -15,7 +15,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 
 	"dmap/internal/trace"
 )
@@ -105,17 +104,4 @@ func AppendFrameIDTrace(dst []byte, t MsgType, id uint64, tc trace.Context, payl
 	dst = append(dst, hdr[:]...)
 	dst = AppendTraceContext(dst, tc)
 	return append(dst, payload...), nil
-}
-
-// WriteFrameIDTrace writes one traced identified frame: the frame type
-// gains TraceBit and the payload is prefixed with tc. Callers must
-// have negotiated FeatTrace on the connection. It allocates per call;
-// hot paths go through Writer or AppendFrameIDTrace.
-func WriteFrameIDTrace(w io.Writer, t MsgType, id uint64, tc trace.Context, payload []byte) error {
-	buf, err := AppendFrameIDTrace(nil, t, id, tc, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"net"
 	"testing"
 
 	"dmap/internal/trace"
@@ -66,16 +67,20 @@ func TestTraceContextRoundTrip(t *testing.T) {
 }
 
 func TestWriteFrameIDTrace(t *testing.T) {
-	var buf bytes.Buffer
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
 	payload := AppendGUID(nil, [20]byte{9})
 	tc := trace.Context{Trace: 0x1111, Span: 7, Sampled: true}
 	const id = 0xABCDEF
-	if err := WriteFrameIDTrace(&buf, MsgLookup, id, tc, payload); err != nil {
-		t.Fatalf("WriteFrameIDTrace: %v", err)
-	}
-	typ, gotID, body, err := ReadFrameID(&buf)
+	errc := make(chan error, 1)
+	go func() { errc <- NewWriter(client, nil).WriteFrameIDTrace(MsgLookup, id, tc, payload) }()
+	typ, gotID, body, err := ReadFrameIDInto(server, nil)
 	if err != nil {
-		t.Fatalf("ReadFrameID: %v", err)
+		t.Fatalf("ReadFrameIDInto: %v", err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("WriteFrameIDTrace: %v", err)
 	}
 	if !IsTraced(typ) || BaseType(typ) != MsgLookup || gotID != id {
 		t.Fatalf("frame = (%v, %#x)", typ, gotID)
@@ -90,8 +95,7 @@ func TestWriteFrameIDTrace(t *testing.T) {
 
 	// A max-size base payload still fits once the prefix is added.
 	big := make([]byte, MaxFrame)
-	var buf2 bytes.Buffer
-	if err := WriteFrameIDTrace(&buf2, MsgPing, 1, tc, big); err != nil {
+	if _, err := AppendFrameIDTrace(nil, MsgPing, 1, tc, big); err != nil {
 		t.Fatalf("max-size traced frame rejected: %v", err)
 	}
 }

@@ -128,28 +128,6 @@ func AppendFrameID(dst []byte, t MsgType, id uint64, payload []byte) ([]byte, er
 	return append(dst, payload...), nil
 }
 
-// WriteFrameID writes one identified (v2) frame:
-// uint32 length (= 8 + payload) ‖ type ‖ uint64 request ID ‖ payload.
-// Header and payload go out in a single Write so a frame is one syscall
-// on the pipelined path. It allocates a frame buffer per call; hot
-// paths should append with AppendFrameID into a pooled buffer or go
-// through Writer instead.
-func WriteFrameID(w io.Writer, t MsgType, id uint64, payload []byte) error {
-	buf, err := AppendFrameID(nil, t, id, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadFrameID reads one identified (v2) frame, rejecting oversized
-// payloads before allocating. The payload is freshly allocated; prefer
-// ReadFrameIDInto on hot paths.
-func ReadFrameID(r io.Reader) (MsgType, uint64, []byte, error) {
-	return ReadFrameIDInto(r, nil)
-}
-
 // ReadFrameIDInto reads one identified (v2) frame into dst's capacity,
 // growing it only when the payload does not fit. The returned payload
 // aliases the (possibly grown) dst: the caller owns it and must not
@@ -253,7 +231,7 @@ func DecodeBatchInsert(b []byte) ([]store.Entry, error) {
 	}
 	entries := make([]store.Entry, n)
 	for i := 0; i < n; i++ {
-		if entries[i], b, err = DecodeEntry(b); err != nil {
+		if entries[i], b, err = DecodeEntryAppend(nil, b); err != nil {
 			return nil, err
 		}
 	}

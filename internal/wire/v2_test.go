@@ -79,15 +79,16 @@ func TestHelloFeatRoundTrip(t *testing.T) {
 }
 
 func TestFrameIDRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := AppendGUID(nil, [20]byte{7})
 	const id = 0xDEADBEEFCAFE0001
-	if err := WriteFrameID(&buf, MsgLookup, id, payload); err != nil {
-		t.Fatalf("WriteFrameID: %v", err)
-	}
-	typ, gotID, got, err := ReadFrameID(&buf)
+	frame, err := AppendFrameID(nil, MsgLookup, id, payload)
 	if err != nil {
-		t.Fatalf("ReadFrameID: %v", err)
+		t.Fatalf("AppendFrameID: %v", err)
+	}
+	buf := bytes.NewBuffer(frame)
+	typ, gotID, got, err := ReadFrameIDInto(buf, nil)
+	if err != nil {
+		t.Fatalf("ReadFrameIDInto: %v", err)
 	}
 	if typ != MsgLookup || gotID != id || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip = (%v, %#x, %x)", typ, gotID, got)
@@ -98,11 +99,11 @@ func TestFrameIDRoundTrip(t *testing.T) {
 }
 
 func TestFrameIDEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrameID(&buf, MsgPing, 42, nil); err != nil {
-		t.Fatalf("WriteFrameID: %v", err)
+	frame, err := AppendFrameID(nil, MsgPing, 42, nil)
+	if err != nil {
+		t.Fatalf("AppendFrameID: %v", err)
 	}
-	typ, id, payload, err := ReadFrameID(&buf)
+	typ, id, payload, err := ReadFrameIDInto(bytes.NewReader(frame), nil)
 	if err != nil || typ != MsgPing || id != 42 || len(payload) != 0 {
 		t.Fatalf("round trip = (%v, %d, %x, %v)", typ, id, payload, err)
 	}
@@ -112,31 +113,31 @@ func TestFrameIDBounds(t *testing.T) {
 	// A length claim below the 8-byte ID is truncated, not a read of
 	// negative payload.
 	short := []byte{0, 0, 0, 7, byte(MsgPing), 0, 0, 0, 0, 0, 0, 0, 1}
-	if _, _, _, err := ReadFrameID(bytes.NewReader(short)); !errors.Is(err, ErrTruncated) {
+	if _, _, _, err := ReadFrameIDInto(bytes.NewReader(short), nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("length < idSize: err = %v, want ErrTruncated", err)
 	}
 
 	// Non-batch types keep the small bound even in v2 framing.
 	big := make([]byte, MaxFrame+1)
-	if err := WriteFrameID(&bytes.Buffer{}, MsgInsert, 1, big); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendFrameID(nil, MsgInsert, 1, big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized non-batch write: err = %v, want ErrFrameTooLarge", err)
 	}
 	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgInsert), 0, 0, 0, 0, 0, 0, 0, 1}
-	if _, _, _, err := ReadFrameID(bytes.NewReader(hostile)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := ReadFrameIDInto(bytes.NewReader(hostile), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("hostile length claim: err = %v, want ErrFrameTooLarge", err)
 	}
 
 	// Batch types get the larger bound: the same payload size that is
 	// rejected for MsgInsert is accepted for MsgBatchInsert framing.
-	var buf bytes.Buffer
-	if err := WriteFrameID(&buf, MsgBatchInsert, 1, big); err != nil {
+	frame, err := AppendFrameID(nil, MsgBatchInsert, 1, big)
+	if err != nil {
 		t.Fatalf("batch frame rejected at %d bytes: %v", len(big), err)
 	}
-	if _, _, _, err := ReadFrameID(&buf); err != nil {
+	if _, _, _, err := ReadFrameIDInto(bytes.NewReader(frame), nil); err != nil {
 		t.Fatalf("batch frame read: %v", err)
 	}
 	over := make([]byte, MaxBatchFrame+1)
-	if err := WriteFrameID(&bytes.Buffer{}, MsgBatchInsert, 1, over); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendFrameID(nil, MsgBatchInsert, 1, over); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized batch write: err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -144,15 +145,17 @@ func TestFrameIDBounds(t *testing.T) {
 func TestFrameIDPipelined(t *testing.T) {
 	// Many frames written back-to-back demux in order with their IDs
 	// intact — the invariant the client's reader goroutine relies on.
-	var buf bytes.Buffer
+	var frames []byte
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := WriteFrameID(&buf, MsgLookup, uint64(i)<<32|1, AppendGUID(nil, [20]byte{byte(i)})); err != nil {
+		var err error
+		if frames, err = AppendFrameID(frames, MsgLookup, uint64(i)<<32|1, AppendGUID(nil, [20]byte{byte(i)})); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
+	buf := bytes.NewReader(frames)
 	for i := 0; i < n; i++ {
-		typ, id, payload, err := ReadFrameID(&buf)
+		typ, id, payload, err := ReadFrameIDInto(buf, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

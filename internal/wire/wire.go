@@ -132,22 +132,6 @@ var (
 // spoken in: uint32 length ‖ type byte.
 const FrameHeaderLen = 5
 
-// AppendFrame appends one complete un-identified frame (header +
-// payload) to dst.
-// Like every Append* in this package it works against a reused,
-// non-empty dst: existing bytes are preserved and the frame lands after
-// them.
-func AppendFrame(dst []byte, t MsgType, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload(t) {
-		return nil, ErrFrameTooLarge
-	}
-	var hdr [FrameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = byte(t)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
-}
-
 // WriteFrame writes one un-identified frame: uint32 payload length,
 // type byte, payload.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
@@ -224,33 +208,12 @@ func AppendEntry(dst []byte, e store.Entry) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeEntry decodes an entry and returns the remaining bytes. It
-// allocates a fresh NAs slice; hot paths that can reuse a buffer should
-// call DecodeEntryInto or DecodeEntryAppend.
-func DecodeEntry(b []byte) (store.Entry, []byte, error) {
-	return DecodeEntryAppend(nil, b)
-}
-
-// DecodeEntryInto decodes an entry into e, reusing e.NAs' capacity, and
-// returns the remaining bytes. With cap(e.NAs) >= store.MaxNAs it
-// allocates nothing — the caller-supplied-buffer decode the client's
-// LookupInto path is built on. On error e is left as it was.
-func DecodeEntryInto(e *store.Entry, b []byte) ([]byte, error) {
-	d, rest, err := DecodeEntryAppend(e.NAs[:0], b)
-	if err != nil {
-		return nil, err
-	}
-	*e = d
-	return rest, nil
-}
-
 // DecodeEntryAppend decodes an entry whose NAs are nas with the decoded
-// ones appended, and returns the remaining bytes. It is the one body of
-// the entry decode, by value so that a buffer on the caller's stack —
-// nas[:0] of a [store.MaxNAs]store.NA, as the server decodes an insert —
-// stays there: handed to DecodeEntryInto the same buffer would move to
-// the heap, since what is stored through a pointer, as e.NAs is there,
-// escapes.
+// ones appended, and returns the remaining bytes; nil nas allocates a
+// fresh slice. It is the one entry decode, by value so that a buffer on
+// the caller's stack — nas[:0] of a [store.MaxNAs]store.NA, as the server
+// decodes an insert — stays there: stored through a pointer, as
+// DecodeLookupRespInto stores e.NAs, the same buffer would escape.
 func DecodeEntryAppend(nas []store.NA, b []byte) (e store.Entry, rest []byte, err error) {
 	const fixed = guid.Size + 8 + 4 + 1
 	if len(b) < fixed {
@@ -384,22 +347,10 @@ func AppendLookupResp(dst []byte, r LookupResp) ([]byte, error) {
 	return AppendEntry(dst, r.Entry)
 }
 
-// DecodeLookupResp decodes a lookup response, allocating a fresh entry.
-func DecodeLookupResp(b []byte) (LookupResp, error) {
-	var e store.Entry
-	found, err := DecodeLookupRespInto(&e, b)
-	if err != nil {
-		return LookupResp{}, err
-	}
-	if !found {
-		return LookupResp{}, nil
-	}
-	return LookupResp{Found: true, Entry: e}, nil
-}
-
 // DecodeLookupRespInto decodes a lookup response into e, reusing its
 // NAs capacity, and reports whether the entry was found (e is untouched
-// on a miss). On error e's contents are unspecified.
+// on a miss and on an error). With cap(e.NAs) >= store.MaxNAs it
+// allocates nothing — the client's LookupInto path is built on that.
 func DecodeLookupRespInto(e *store.Entry, b []byte) (bool, error) {
 	if len(b) < 1 {
 		return false, ErrTruncated
@@ -408,9 +359,11 @@ func DecodeLookupRespInto(e *store.Entry, b []byte) (bool, error) {
 	case 0:
 		return false, nil
 	case 1:
-		if _, err := DecodeEntryInto(e, b[1:]); err != nil {
+		d, _, err := DecodeEntryAppend(e.NAs[:0], b[1:])
+		if err != nil {
 			return false, err
 		}
+		*e = d
 		return true, nil
 	default:
 		return false, fmt.Errorf("wire: bad found flag %d", b[0])

@@ -80,7 +80,7 @@ func TestEntryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, rest, err := DecodeEntry(enc)
+		dec, rest, err := DecodeEntryAppend(nil, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +125,11 @@ func TestEntryValidationOnBothSides(t *testing.T) {
 	e := sampleEntry(1)
 	enc, _ := AppendEntry(nil, e)
 	enc[guid.Size+8+4] = 0
-	if _, _, err := DecodeEntry(enc); err == nil {
+	if _, _, err := DecodeEntryAppend(nil, enc); err == nil {
 		t.Error("zero NA count should fail")
 	}
 	enc[guid.Size+8+4] = store.MaxNAs + 1
-	if _, _, err := DecodeEntry(enc); err == nil {
+	if _, _, err := DecodeEntryAppend(nil, enc); err == nil {
 		t.Error("excessive NA count should fail")
 	}
 }
@@ -162,7 +162,7 @@ func TestEntryASIndexBounds(t *testing.T) {
 func TestDecodeEntryTruncated(t *testing.T) {
 	enc, _ := AppendEntry(nil, sampleEntry(3))
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeEntry(enc[:cut]); err == nil {
+		if _, _, err := DecodeEntryAppend(nil, enc[:cut]); err == nil {
 			t.Errorf("cut=%d should fail", cut)
 		}
 	}
@@ -189,9 +189,10 @@ func TestLookupRespRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeLookupResp(enc)
-	if err != nil || dec.Found {
-		t.Errorf("not-found round trip: %+v, %v", dec, err)
+	var dec store.Entry
+	found, err := DecodeLookupRespInto(&dec, enc)
+	if err != nil || found {
+		t.Errorf("not-found round trip: %t, %v", found, err)
 	}
 	// Found.
 	e := sampleEntry(2)
@@ -199,15 +200,15 @@ func TestLookupRespRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err = DecodeLookupResp(enc)
-	if err != nil || !dec.Found || dec.Entry.GUID != e.GUID {
-		t.Errorf("found round trip: %+v, %v", dec, err)
+	found, err = DecodeLookupRespInto(&dec, enc)
+	if err != nil || !found || dec.GUID != e.GUID {
+		t.Errorf("found round trip: %t %+v, %v", found, dec, err)
 	}
 	// Garbage flag.
-	if _, err := DecodeLookupResp([]byte{9}); err == nil {
+	if _, err := DecodeLookupRespInto(&dec, []byte{9}); err == nil {
 		t.Error("bad flag should fail")
 	}
-	if _, err := DecodeLookupResp(nil); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeLookupRespInto(&dec, nil); !errors.Is(err, ErrTruncated) {
 		t.Error("empty should fail")
 	}
 }

@@ -77,7 +77,7 @@ func TestWriterLoneFrameIsFlushed(t *testing.T) {
 				t.Fatalf("frame %d: %d Writes issued by the time WriteFrameID returned, want %d", i, n, i)
 			}
 			_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
-			_, id, body, err := ReadFrameID(peer)
+			_, id, body, err := ReadFrameIDInto(peer, nil)
 			if err != nil || id != i || string(body) != "alone" {
 				t.Fatalf("frame %d stranded: peer read (id %d, %q, %v)", i, id, body, err)
 			}
@@ -153,7 +153,7 @@ func TestWriterConcurrent(t *testing.T) {
 	go func() {
 		r := bufio.NewReader(server)
 		for i := 0; i < writers*perWriter; i++ {
-			typ, id, payload, err := ReadFrameID(r)
+			typ, id, payload, err := ReadFrameIDInto(r, nil)
 			if err != nil {
 				done <- err
 				return
@@ -216,7 +216,7 @@ func TestWriterPayloadNotRetained(t *testing.T) {
 		payload[i] = 0xFF
 	}
 
-	_, id, body, err := ReadFrameID(server)
+	_, id, body, err := ReadFrameIDInto(server, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
