@@ -22,6 +22,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -158,20 +159,9 @@ func serve(args []string) error {
 	if *hotKeys > 0 {
 		hot = trace.NewHotKeys(*hotKeys)
 	}
-	// A -data-dir store is durable (WAL + snapshots): acknowledged writes
-	// survive a crash and are recovered here on the next start. Without
-	// one the node makes a memory-only store.
-	var st *store.Store
-	if *dataDir != "" {
-		st, err = store.Open(store.Options{
-			Dir:           *dataDir,
-			Shards:        *shards,
-			Fsync:         fsync,
-			SnapshotBytes: int64(*snapshotMB) << 20,
-		})
-		if err != nil {
-			return err
-		}
+	st, err := serveStore(*dataDir, *shards, fsync, *snapshotMB)
+	if err != nil {
+		return err
 	}
 	node := server.NewWithOptions(st, server.Options{
 		Logger:          logger,
@@ -222,6 +212,22 @@ func serve(args []string) error {
 	<-sig
 	fmt.Println("shutting down")
 	return shutdown()
+}
+
+// serveStore builds serve's store with the given shard count (0 =
+// store.DefaultShards). Under a data directory it is durable (WAL +
+// snapshots): acknowledged writes survive a crash and are recovered here
+// on the next start. Without one it is memory-only.
+func serveStore(dataDir string, shards int, fsync store.FsyncMode, snapshotMB int) (*store.Store, error) {
+	if dataDir == "" {
+		return store.NewSharded(cmp.Or(shards, store.DefaultShards))
+	}
+	return store.Open(store.Options{
+		Dir:           dataDir,
+		Shards:        shards,
+		Fsync:         fsync,
+		SnapshotBytes: int64(snapshotMB) << 20,
+	})
 }
 
 func demo(args []string) error {

@@ -76,6 +76,24 @@ func TestLogLevelNames(t *testing.T) {
 	}
 }
 
+// TestServeShards: -shards sizes a memory-only store as it does a
+// durable one, and a count that is not a power of two is refused before
+// serve opens a listener.
+func TestServeShards(t *testing.T) {
+	for flag, want := range map[int]int{64: 64, 0: store.DefaultShards} {
+		st, err := serveStore("", flag, store.FsyncOS, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.ShardCount(); got != want {
+			t.Fatalf("-shards %d without -data-dir: %d shards, want %d", flag, got, want)
+		}
+	}
+	if err := serve([]string{"-addr", "127.0.0.1:0", "-shards", "3"}); err == nil {
+		t.Fatal("serve -shards 3 was accepted")
+	}
+}
+
 // TestDebugMetricsEndpoint drives a live mapping node over real TCP and
 // then scrapes /debug/metrics, checking that the served text exposes
 // the per-op counters and latency quantiles.

@@ -18,12 +18,9 @@ import (
 	"strings"
 	"time"
 
-	"dmap/internal/engine"
 	"dmap/internal/experiments"
-	"dmap/internal/metrics"
 	"dmap/internal/simnet"
 	"dmap/internal/topology"
-	"dmap/internal/trace"
 )
 
 func main() {
@@ -36,62 +33,23 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dmapsim", flag.ContinueOnError)
 	var (
-		experiment  = fs.String("experiment", "fig4", "which experiment to run")
-		scale       = fs.Int("scale", 26424, "number of ASs (26424 = paper scale)")
-		guids       = fs.Int("guids", 100000, "GUID population for latency experiments")
-		lookups     = fs.Int("lookups", 1000000, "lookup count for latency experiments")
-		seed        = fs.Int64("seed", 1, "PRNG seed")
-		k           = fs.Int("k", 5, "replication factor for single-K experiments")
-		workers     = fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS, 1 = serial reference)")
-		cdfPoints   = fs.Int("cdf", 0, "also print an n-point CDF per series")
-		hist        = fs.Bool("hist", false, "also print an ASCII latency histogram per series")
-		failFracs   = fs.String("failfracs", "0,0.05,0.10,0.20", "failed-node fractions for the availability sweep (comma-separated)")
-		loss        = fs.Float64("loss", 0, "per-attempt message loss probability for the availability sweep")
-		retries     = fs.Int("retries", 1, "same-replica retransmissions before failover (availability sweep)")
-		timeoutMs   = fs.Int("attempt-timeout-ms", 2000, "per-attempt timeout charged for dead replicas and lost messages")
-		batch       = fs.Int("batch", 1, "modeled v2 batch size for update/queryload wire-frame accounting (1 = sequential v1)")
-		showMetrics = fs.Bool("metrics", false, "print a metrics snapshot (engine occupancy, unit latency, driver gauges) after the experiment")
-		traceSample = fs.Int("trace-sample", 0, "sample 1 in N engine.Map calls into a trace (0 = off)")
-		slowOpMs    = fs.Int("slow-op-ms", 0, "log engine work units slower than this many milliseconds (0 = off)")
-		gossipMs    = fs.String("gossip-ms", "100,500,1000,5000", "gossip intervals in ms for the partition-heal sweep (comma-separated)")
+		experiment = fs.String("experiment", "fig4", "which experiment to run")
+		scale      = fs.Int("scale", 26424, "number of ASs (26424 = paper scale)")
+		guids      = fs.Int("guids", 100000, "GUID population for latency experiments")
+		lookups    = fs.Int("lookups", 1000000, "lookup count for latency experiments")
+		seed       = fs.Int64("seed", 1, "PRNG seed")
+		k          = fs.Int("k", 5, "replication factor for single-K experiments")
+		workers    = fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS, 1 = serial reference)")
+		cdfPoints  = fs.Int("cdf", 0, "also print an n-point CDF per series")
+		failFracs  = fs.String("failfracs", "0,0.05,0.10,0.20", "failed-node fractions for the availability sweep (comma-separated)")
+		loss       = fs.Float64("loss", 0, "per-attempt message loss probability for the availability sweep")
+		retries    = fs.Int("retries", 1, "same-replica retransmissions before failover (availability sweep)")
+		timeoutMs  = fs.Int("attempt-timeout-ms", 2000, "per-attempt timeout charged for dead replicas and lost messages")
+		gossipMs   = fs.String("gossip-ms", "100,500,1000,5000", "gossip intervals in ms for the partition-heal sweep (comma-separated)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var tracer *trace.Tracer
-	if *traceSample > 0 || *slowOpMs > 0 {
-		tracer = trace.New(trace.Config{
-			Sample: *traceSample,
-			SlowOp: time.Duration(*slowOpMs) * time.Millisecond,
-			Seed:   uint64(*seed),
-		})
-		engine.SetTracer(tracer)
-	}
-	// printSnap dumps the process-wide registry once the experiment has
-	// finished populating it (the engine reports unit latency and
-	// occupancy; some drivers add gauges of their own), followed by any
-	// tracer captures (sampled engine.map traces, slow work units).
-	printSnap := func() {
-		if !*showMetrics {
-			return
-		}
-		fmt.Println("\n# metrics (deterministic values only are stable across runs)")
-		_ = metrics.Default.Snapshot().WriteText(os.Stdout)
-	}
-	printTraces := func() {
-		if tracer == nil {
-			return
-		}
-		st := tracer.Stats()
-		fmt.Printf("\n# tracing: %d maps, %d sampled, %d slow units\n", st.Ops, st.Sampled, st.SlowOps)
-		for _, v := range tracer.Traces() {
-			fmt.Print(v.Tree(true))
-		}
-		for _, so := range tracer.SlowOps() {
-			fmt.Printf("slow %s %s %dµs\n", so.Op, so.Detail, so.DurUs)
-		}
-	}
-
 	// Experiments that need no world.
 	switch *experiment {
 	case "fig7":
@@ -101,8 +59,6 @@ func run(args []string) error {
 		}
 		fmt.Println("# Figure 7: analytical RTT upper bound vs replicas")
 		fmt.Print(res)
-		printSnap()
-		printTraces()
 		return nil
 	case "overhead":
 		res, err := experiments.RunOverhead(*scale, 5e9, *k, 100)
@@ -111,8 +67,6 @@ func run(args []string) error {
 		}
 		fmt.Println("# §IV-A storage and traffic overhead")
 		fmt.Print(res)
-		printSnap()
-		printTraces()
 		return nil
 	case "heal":
 		intervals, err := parseList(*gossipMs, "gossip interval", func(p string) (simnet.Time, error) {
@@ -142,8 +96,6 @@ func run(args []string) error {
 		}
 		fmt.Println("# partition-heal convergence vs gossip interval (DESIGN §12)")
 		fmt.Print(res)
-		printSnap()
-		printTraces()
 		return nil
 	}
 
@@ -166,18 +118,6 @@ func run(args []string) error {
 				fmt.Printf("\n# CDF K=%d (RTT ms, fraction)\n", kk)
 				for _, p := range res.CDFSeries(kk, *cdfPoints) {
 					fmt.Printf("%10.2f %8.4f\n", p.Value, p.Fraction)
-				}
-			}
-		}
-		if *hist {
-			for _, kk := range ks {
-				col, ok := res.PerK[kk]
-				if !ok {
-					continue
-				}
-				fmt.Printf("\n# histogram K=%d (RTT ms, clipped at p99)\n", kk)
-				if h := col.Clip(99).NewHistogram(16); h != nil {
-					fmt.Print(h.Render(48))
 				}
 			}
 		}
@@ -226,7 +166,6 @@ func run(args []string) error {
 	case "update":
 		res, err := experiments.RunUpdate(w, experiments.UpdateConfig{
 			Ks: []int{1, 3, 5}, NumUpdates: *guids, Seed: *seed, Workers: *workers,
-			Batch: *batch,
 		})
 		if err != nil {
 			return err
@@ -243,7 +182,7 @@ func run(args []string) error {
 	case "queryload":
 		res, err := experiments.RunQueryLoad(w, experiments.QueryLoadConfig{
 			Ks: []int{1, 3, 5}, NumGUIDs: *guids, NumLookups: *lookups,
-			Seed: *seed, Workers: *workers, Batch: *batch,
+			Seed: *seed, Workers: *workers,
 		})
 		if err != nil {
 			return err
@@ -291,11 +230,6 @@ func run(args []string) error {
 		}
 		fmt.Println("# §VII extension: per-AS query caching (latency vs staleness)")
 		fmt.Print(res)
-		for _, row := range res.Rows {
-			name := fmt.Sprintf("caching.ttl_%gs", float64(row.TTL)/1e6)
-			metrics.Default.Gauge(name + ".hit_rate").Set(row.HitRate)
-			metrics.Default.Gauge(name + ".stale_rate").Set(row.StaleRate)
-		}
 
 	case "holes":
 		res, err := experiments.RunHoles(w, 1, 10, *guids)
@@ -429,8 +363,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
-	printSnap()
-	printTraces()
 
 	fmt.Fprintf(os.Stderr, "total %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -29,8 +29,8 @@ func TestRunOverhead(t *testing.T) {
 func TestRunSmallWorldExperiments(t *testing.T) {
 	// Exercise the world-building paths end to end at tiny scale.
 	cases := [][]string{
-		{"-experiment", "table1", "-scale", "300", "-guids", "200", "-lookups", "1000", "-cdf", "5", "-hist", "-metrics"},
-		{"-experiment", "caching", "-scale", "300", "-guids", "100", "-lookups", "500", "-metrics"},
+		{"-experiment", "table1", "-scale", "300", "-guids", "200", "-lookups", "1000", "-cdf", "5"},
+		{"-experiment", "caching", "-scale", "300", "-guids", "100", "-lookups", "500"},
 		{"-experiment", "holes", "-scale", "300", "-guids", "500"},
 		{"-experiment", "update", "-scale", "300", "-guids", "300"},
 		{"-experiment", "crossval", "-scale", "300", "-guids", "50", "-lookups", "100"},

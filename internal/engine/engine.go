@@ -22,64 +22,10 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"dmap/internal/guid"
-	"dmap/internal/metrics"
-	"dmap/internal/trace"
 )
-
-// Engine metrics live on metrics.Default (the engine has no natural
-// owner object): unit-latency histogram, busy/wall time counters and a
-// derived occupancy gauge. Instrumentation never touches results —
-// determinism is about outputs, and these are observations.
-var (
-	engOnce    sync.Once
-	engMaps    *metrics.Counter
-	engUnits   *metrics.Counter
-	engBusyUs  *metrics.Counter
-	engWallUs  *metrics.Counter
-	engWorkers *metrics.Gauge
-	engUnitUs  *metrics.Histogram
-)
-
-func engMetrics() {
-	engOnce.Do(func() {
-		reg := metrics.Default
-		engMaps = reg.Counter("engine.maps")
-		engUnits = reg.Counter("engine.units")
-		engBusyUs = reg.Counter("engine.busy_us")
-		engWallUs = reg.Counter("engine.wall_us")
-		engWorkers = reg.Gauge("engine.workers")
-		engUnitUs = reg.Histogram("engine.unit_us")
-		// Occupancy = fraction of worker-time spent evaluating units,
-		// cumulative over all Map calls: busy / (wall × workers).
-		reg.GaugeFunc("engine.occupancy", func() float64 {
-			wall := float64(engWallUs.Value()) * engWorkers.Value()
-			if wall <= 0 {
-				return 0
-			}
-			occ := float64(engBusyUs.Value()) / wall
-			if occ > 1 {
-				occ = 1
-			}
-			return occ
-		})
-	})
-}
-
-// engTracer, when set, samples Map calls into "engine.map" traces and
-// feeds slow work units into the slow-op log. Swappable at runtime
-// (dmapsim sets it from -trace-sample/-slow-op-ms before driving
-// experiments); a nil tracer keeps the hot loop untouched.
-var engTracer atomic.Pointer[trace.Tracer]
-
-// SetTracer attaches t to all subsequent Map calls (nil detaches).
-func SetTracer(t *trace.Tracer) { engTracer.Store(t) }
 
 // ResolveWorkers maps a Workers configuration value to an actual worker
 // count: n <= 0 selects GOMAXPROCS, anything else is used as given.
@@ -113,42 +59,10 @@ func Map[S, R any](workers, n int, newScratch func() S, eval func(unit int, scra
 	}
 	results := make([]R, n)
 
-	engMetrics()
-	engMaps.Inc()
-	engWorkers.Set(float64(workers))
-	tr := engTracer.Load()
-	sp := tr.StartOp("engine.map")
-	if sp != nil {
-		sp.Eventf("units=%d workers=%d", n, workers)
-	}
-	mapStart := time.Now()
-	defer func() {
-		engWallUs.Add(time.Since(mapStart).Microseconds())
-		tr.FinishOp(sp, "engine.map", guid.GUID{}, mapStart, nil)
-	}()
-	// timedEval wraps eval with per-unit latency accounting; it is the
-	// only difference between the instrumented and bare hot loops. Spans
-	// are never opened per unit — worker interleaving would make the
-	// recorded tree depend on the worker count, which the determinism
-	// guarantee forbids — but units over the slow threshold land in the
-	// slow-op log (an unordered set, so concurrency-safe to observe).
-	timedEval := func(i int, scratch S) (R, error) {
-		t0 := time.Now()
-		r, err := eval(i, scratch)
-		d := time.Since(t0)
-		engUnits.Inc()
-		engBusyUs.Add(d.Microseconds())
-		engUnitUs.ObserveDuration(d)
-		if tr.SlowEnabled() && d >= tr.SlowThreshold() {
-			tr.ObserveSlow("engine.unit", fmt.Sprintf("unit=%d of %d", i, n), t0)
-		}
-		return r, err
-	}
-
 	if workers == 1 {
 		scratch := newScratch()
 		for i := 0; i < n; i++ {
-			r, err := timedEval(i, scratch)
+			r, err := eval(i, scratch)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +89,7 @@ func Map[S, R any](workers, n int, newScratch func() S, eval func(unit int, scra
 				if i >= n || failed.Load() {
 					return
 				}
-				r, err := timedEval(i, scratch)
+				r, err := eval(i, scratch)
 				if err != nil {
 					errMu.Lock()
 					if i < errUnit {

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"dmap/internal/trace"
 )
 
 func TestMapOrdersResultsByUnit(t *testing.T) {
@@ -140,50 +137,5 @@ func TestResolveWorkers(t *testing.T) {
 	}
 	if ResolveWorkers(5) != 5 {
 		t.Error("explicit worker count must be respected")
-	}
-}
-
-// TestMapTracing: with a sampling tracer attached, every Map publishes
-// an "engine.map" trace and slow units land in the slow-op log; a
-// detached tracer restores the bare path.
-func TestMapTracing(t *testing.T) {
-	tr := trace.New(trace.Config{Sample: 1, SlowOp: time.Nanosecond})
-	SetTracer(tr)
-	defer SetTracer(nil)
-
-	if _, err := MapNoScratch(2, 4, func(unit int) (int, error) { return unit, nil }); err != nil {
-		t.Fatal(err)
-	}
-	views := tr.Traces()
-	if len(views) != 1 {
-		t.Fatalf("traces = %d, want 1", len(views))
-	}
-	if got := views[0].Spans[0].Name; got != "engine.map" {
-		t.Errorf("root span = %q, want engine.map", got)
-	}
-	units, maps := 0, 0
-	for _, so := range tr.SlowOps() {
-		switch so.Op {
-		case "engine.unit":
-			units++
-			if so.Detail == "" {
-				t.Errorf("slow unit without detail: %+v", so)
-			}
-		case "engine.map":
-			maps++
-		default:
-			t.Errorf("unexpected slow op %+v", so)
-		}
-	}
-	if units != 4 || maps != 1 {
-		t.Errorf("slow ops = %d units + %d maps, want 4 + 1 (1ns threshold catches all)", units, maps)
-	}
-
-	SetTracer(nil)
-	if _, err := MapNoScratch(1, 2, func(unit int) (int, error) { return unit, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tr.Traces()); got != 1 {
-		t.Errorf("detached tracer still recorded: %d traces", got)
 	}
 }

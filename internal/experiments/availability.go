@@ -131,7 +131,7 @@ func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, err
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, maxK, 0, false)
+	placements, err := w.placementTable(cfg.NumGUIDs, maxK, false)
 	if err != nil {
 		return nil, err
 	}

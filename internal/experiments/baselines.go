@@ -64,7 +64,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 		return nil, err
 	}
 
-	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
+	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, false)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
+	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, false)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func RunCrossVal(w *World, cfg CrossValConfig) (*CrossValResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, 0, false)
+	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, false)
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,9 @@ import (
 // repair push now waits for its ack before the next page, as over TCP,
 // where nodesim's gossip messages pushed one-way, so convergence comes
 // 163.2 ms later at both intervals; rounds, entries repaired and the
-// stale rate did not move.
+// stale rate did not move. The seventh rewrote update.txt and
+// queryload.txt, when the drivers' batch frame model went: each table
+// lost its last column, frames(B=8), and nothing else in either moved.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what
@@ -73,11 +75,11 @@ func TestGoldenAtTestScale(t *testing.T) {
 			})
 		}},
 		{"update", func() (fmt.Stringer, error) {
-			return RunUpdate(w, UpdateConfig{Ks: []int{1, 3, 5}, NumUpdates: 2000, Batch: 8, Seed: 21})
+			return RunUpdate(w, UpdateConfig{Ks: []int{1, 3, 5}, NumUpdates: 2000, Seed: 21})
 		}},
 		{"queryload", func() (fmt.Stringer, error) {
 			return RunQueryLoad(w, QueryLoadConfig{
-				Ks: []int{1, 5}, NumGUIDs: 400, NumLookups: 4000, Batch: 8, Seed: 21,
+				Ks: []int{1, 5}, NumGUIDs: 400, NumLookups: 4000, Seed: 21,
 			})
 		}},
 		{"caching", func() (fmt.Stringer, error) {

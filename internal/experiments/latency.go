@@ -45,8 +45,6 @@ type LatencyConfig struct {
 	LocalReplica bool
 	// Selection is the replica-choice policy; zero means lowest RTT.
 	Selection SelectionPolicy
-	// MaxRehash is Algorithm 1's M; zero selects the default (10).
-	MaxRehash int
 	// HashToASNumbers switches to the §VII variant placing GUIDs
 	// uniformly over AS numbers instead of announced addresses.
 	HashToASNumbers bool
@@ -84,7 +82,7 @@ func RunLatency(w *World, cfg LatencyConfig) (*LatencyResult, error) {
 		return nil, err
 	}
 	// Placements per GUID at max K, computed once and shared by every K.
-	placements, err := w.placementTable(cfg.NumGUIDs, maxK, cfg.MaxRehash, cfg.HashToASNumbers)
+	placements, err := w.placementTable(cfg.NumGUIDs, maxK, cfg.HashToASNumbers)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,6 @@ type LoadConfig struct {
 	GUIDCounts []int
 	// K is the replication factor (paper: 5).
 	K int
-	// MaxRehash is Algorithm 1's M; zero selects the default.
-	MaxRehash int
 	// HashToASNumbers evaluates the §VII AS-number variant instead.
 	HashToASNumbers bool
 }
@@ -44,7 +42,7 @@ func RunLoad(w *World, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("experiments: K must be positive, got %d", cfg.K)
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, cfg.MaxRehash)
+	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, 0)
 	if err != nil {
 		return nil, err
 	}

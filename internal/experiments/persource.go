@@ -45,11 +45,11 @@ func maxK(ks []int) (int, error) {
 }
 
 // placementTable returns the AS of each of the k replicas of a trace's n
-// GUIDs (index gi is guid.FromUint64(gi+1)) under Algorithm 1 with M =
-// maxRehash (0 = default) or, with byASNumber, under the §VII variant
-// that hashes to AS numbers.
-func (w *World) placementTable(n, k, maxRehash int, byASNumber bool) ([][]int32, error) {
-	resolver, err := core.NewResolver(guid.MustHasher(k, 0), w.Table, maxRehash)
+// GUIDs (index gi is guid.FromUint64(gi+1)) under Algorithm 1 with the
+// default M or, with byASNumber, under the §VII variant that hashes to
+// AS numbers.
+func (w *World) placementTable(n, k int, byASNumber bool) ([][]int32, error) {
+	resolver, err := core.NewResolver(guid.MustHasher(k, 0), w.Table, 0)
 	if err != nil {
 		return nil, err
 	}

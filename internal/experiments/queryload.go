@@ -25,13 +25,6 @@ type QueryLoadConfig struct {
 	// Workers bounds the evaluation parallelism (0 = GOMAXPROCS, 1 =
 	// serial reference); results are identical for every setting.
 	Workers int
-	// Batch models the v2 batched wire protocol: lookups from one
-	// source AS to one serving AS share frames, up to Batch GUIDs per
-	// frame. ≤ 1 models the sequential v1 protocol (one frame per
-	// lookup). Load *shares* are unchanged — batching moves bytes, not
-	// placement — but the frame counts show what the serving ASs
-	// actually field.
-	Batch int
 }
 
 // QueryLoadRow summarizes one K.
@@ -45,16 +38,11 @@ type QueryLoadRow struct {
 	// NLRp99 is the 99th percentile of the per-AS query NLR (share of
 	// queries ÷ share of announced space).
 	NLRp99 float64
-	// Frames is the wire-frame count under the configured batch size:
-	// Σ over (source AS, serving AS) pairs of ⌈lookups/Batch⌉.
-	Frames int64
 }
 
 // QueryLoadResult holds one row per K.
 type QueryLoadResult struct {
 	Rows []QueryLoadRow
-	// Batch echoes the modeled batch size (1 = sequential v1).
-	Batch int
 }
 
 // RunQueryLoad evaluates query-serving concentration.
@@ -67,7 +55,7 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, maxK, 0, false)
+	placements, err := w.placementTable(cfg.NumGUIDs, maxK, false)
 	if err != nil {
 		return nil, err
 	}
@@ -84,18 +72,11 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	}
 
 	shares := w.announcedShares()
-	batch := max(cfg.Batch, 1)
-	res := &QueryLoadResult{Rows: make([]QueryLoadRow, 0, len(cfg.Ks)), Batch: batch}
+	res := &QueryLoadResult{Rows: make([]QueryLoadRow, 0, len(cfg.Ks))}
 	for i, k := range cfg.Ks {
 		served := make(map[int]int, w.NumAS())
-		perPair := make(map[[2]int]int) // (source AS, serving AS) → lookups
-		for li, as := range servedBy[i] {
+		for _, as := range servedBy[i] {
 			served[as]++
-			perPair[[2]int{trace.Lookups[li].SrcAS, as}]++
-		}
-		var frames int64
-		for _, n := range perPair {
-			frames += int64((n + batch - 1) / batch)
 		}
 
 		counts := make([]int, 0, len(served))
@@ -104,7 +85,7 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 		total := float64(cfg.NumLookups)
-		row := QueryLoadRow{K: k, MaxShare: float64(counts[0]) / total, Frames: frames}
+		row := QueryLoadRow{K: k, MaxShare: float64(counts[0]) / total}
 		for i := 0; i < 10 && i < len(counts); i++ {
 			row.Top10Share += float64(counts[i]) / total
 		}
@@ -114,22 +95,12 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	return res, nil
 }
 
-// String renders the query-load table. With Batch > 1 it adds the
-// modeled wire-frame count per K; the Batch ≤ 1 rendering is unchanged
-// from the sequential protocol's.
+// String renders the query-load table.
 func (r *QueryLoadResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %12s %12s %12s", "K", "maxAS share", "top-10 share", "queryNLR p99")
-	if r.Batch > 1 {
-		fmt.Fprintf(&b, " %12s", fmt.Sprintf("frames(B=%d)", r.Batch))
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "%-4s %12s %12s %12s\n", "K", "maxAS share", "top-10 share", "queryNLR p99")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-4d %11.2f%% %11.2f%% %12.1f", row.K, 100*row.MaxShare, 100*row.Top10Share, row.NLRp99)
-		if r.Batch > 1 {
-			fmt.Fprintf(&b, " %12d", row.Frames)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%-4d %11.2f%% %11.2f%% %12.1f\n", row.K, 100*row.MaxShare, 100*row.Top10Share, row.NLRp99)
 	}
 	return b.String()
 }

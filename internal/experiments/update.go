@@ -27,28 +27,14 @@ type UpdateConfig struct {
 	// Workers bounds the evaluation parallelism (0 = GOMAXPROCS, 1 =
 	// serial reference); results are identical for every setting.
 	Workers int
-	// Batch models the v2 batched wire protocol: updates from one
-	// source AS to one replica AS share frames, up to Batch entries per
-	// frame (wire.MaxBatch on the real path). ≤ 1 models the sequential
-	// v1 protocol: one frame per (update, replica). Latency is
-	// unaffected — replicas are still written in parallel — but the
-	// frame count, the actual per-message cost §VI's update rates
-	// multiply, drops by up to Batch×.
-	Batch int
 }
 
-// UpdateResult holds the per-K update-latency distributions (ms), the
+// UpdateResult holds the per-K update-latency distributions (ms) and the
 // per-K fraction of updates completing within the 500 ms handoff
-// budget, and the per-K wire-frame counts under the configured batch
-// size.
+// budget.
 type UpdateResult struct {
 	PerK         map[int]*stats.Collector
 	WithinBudget map[int]float64
-	// Frames is the number of wire frames the update stream costs per K:
-	// Σ over (source AS, replica AS) pairs of ⌈updates/Batch⌉.
-	Frames map[int]int64
-	// Batch echoes the modeled batch size (1 = sequential v1).
-	Batch int
 }
 
 // HandoffBudgetMs is the conservative end of the paper's cited handoff
@@ -66,7 +52,7 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	if cfg.NumUpdates <= 0 {
 		return nil, fmt.Errorf("experiments: NumUpdates must be positive")
 	}
-	placements, err := w.placementTable(cfg.NumUpdates, maxK, 0, false)
+	placements, err := w.placementTable(cfg.NumUpdates, maxK, false)
 	if err != nil {
 		return nil, err
 	}
@@ -86,30 +72,15 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	}
 	sources := sortedSources(bySrc)
 
-	batch := max(cfg.Batch, 1)
-
-	type updateUnit struct {
-		cols   []*stats.Collector
-		frames []int64 // per-K wire frames from this source
-	}
 	units, err := engine.Map(cfg.Workers, len(sources),
 		func() []topology.Micros { return make([]topology.Micros, w.NumAS()) },
-		func(u int, dist []topology.Micros) (updateUnit, error) {
+		func(u int, dist []topology.Micros) ([]*stats.Collector, error) {
 			s := sources[u]
 			guids := bySrc[s]
 			w.Graph.Dijkstra(s, dist)
-			out := updateUnit{
-				cols:   make([]*stats.Collector, len(cfg.Ks)),
-				frames: make([]int64, len(cfg.Ks)),
-			}
-			for i := range out.cols {
-				out.cols[i] = stats.NewCollector(len(guids))
-			}
-			// perAS[i] counts updates from this source per replica AS at
-			// K = cfg.Ks[i], for the batched frame model.
-			perAS := make([]map[int]int, len(cfg.Ks))
-			for i := range perAS {
-				perAS[i] = make(map[int]int)
+			cols := make([]*stats.Collector, len(cfg.Ks))
+			for i := range cols {
+				cols[i] = stats.NewCollector(len(guids))
 			}
 			for _, gi := range guids {
 				for i, k := range cfg.Ks {
@@ -118,17 +89,11 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 						if rtt := w.Graph.RTT(s, int(as), dist); rtt > max {
 							max = rtt
 						}
-						perAS[i][int(as)]++
 					}
-					out.cols[i].Add(max.Millis())
+					cols[i].Add(max.Millis())
 				}
 			}
-			for i := range cfg.Ks {
-				for _, n := range perAS[i] {
-					out.frames[i] += int64((n + batch - 1) / batch)
-				}
-			}
-			return out, nil
+			return cols, nil
 		})
 	if err != nil {
 		return nil, err
@@ -137,26 +102,19 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	res := &UpdateResult{
 		PerK:         make(map[int]*stats.Collector, len(cfg.Ks)),
 		WithinBudget: make(map[int]float64, len(cfg.Ks)),
-		Frames:       make(map[int]int64, len(cfg.Ks)),
-		Batch:        batch,
 	}
 	for i, k := range cfg.Ks {
 		col := stats.NewCollector(cfg.NumUpdates)
-		var frames int64
 		for _, u := range units {
-			col.Merge(u.cols[i])
-			frames += u.frames[i]
+			col.Merge(u[i])
 		}
 		res.PerK[k] = col
 		res.WithinBudget[k] = col.FractionBelow(HandoffBudgetMs)
-		res.Frames[k] = frames
 	}
 	return res, nil
 }
 
-// String renders the update-latency table. With Batch > 1 it adds the
-// modeled wire-frame count per K; the Batch ≤ 1 rendering is unchanged
-// from the sequential protocol's.
+// String renders the update-latency table.
 func (r *UpdateResult) String() string {
 	ks := make([]int, 0, len(r.PerK))
 	for k := range r.PerK {
@@ -164,19 +122,11 @@ func (r *UpdateResult) String() string {
 	}
 	sort.Ints(ks)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %10s %10s %10s %16s", "K", "mean(ms)", "median(ms)", "p95(ms)", "within 500ms")
-	if r.Batch > 1 {
-		fmt.Fprintf(&b, " %12s", fmt.Sprintf("frames(B=%d)", r.Batch))
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "%-4s %10s %10s %10s %16s\n", "K", "mean(ms)", "median(ms)", "p95(ms)", "within 500ms")
 	for _, k := range ks {
 		c := r.PerK[k]
-		fmt.Fprintf(&b, "%-4d %10.1f %10.1f %10.1f %15.2f%%",
+		fmt.Fprintf(&b, "%-4d %10.1f %10.1f %10.1f %15.2f%%\n",
 			k, c.Mean(), c.Median(), c.Percentile(95), 100*r.WithinBudget[k])
-		if r.Batch > 1 {
-			fmt.Fprintf(&b, " %12d", r.Frames[k])
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

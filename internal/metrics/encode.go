@@ -1,7 +1,7 @@
 // Snapshot types and the two stable encodings: a line-oriented text
-// format (what /debug/metrics and dmapsim -metrics print) and JSON
-// (what tooling consumes). Both are deterministic — names sorted, fixed
-// float formatting — so snapshot equality is textual equality.
+// format (what /debug/metrics prints) and JSON (what tooling consumes).
+// Both are deterministic — names sorted, fixed float formatting — so
+// snapshot equality is textual equality.
 package metrics
 
 import (

@@ -1,14 +1,13 @@
 // Package metrics is the repository's observability kernel: a
 // stdlib-only registry of named counters, gauges and fixed-bucket
 // latency histograms, designed so that the instrumented hot paths
-// (store puts, wire round trips, engine work units) pay only a handful
+// (store puts, wire round trips, served frames) pay only a handful
 // of uncontended atomic operations per event and zero allocations.
 //
 // The registry is the single source of truth for operational numbers:
 // server.Stats() and client.Stats() read the same counters that
-// cmd/dmapnode serves on /debug/metrics and cmd/dmapsim prints with
-// -metrics, so tests, simulations and live deployments observe one set
-// of books.
+// cmd/dmapnode serves on /debug/metrics, so tests and live deployments
+// observe one set of books.
 //
 // Concurrency model: metric handles (*Counter, *Gauge, *Histogram) are
 // resolved once — typically at construction time of the instrumented
@@ -89,10 +88,6 @@ func NewRegistry() *Registry {
 		hooks:      make(map[string]func()),
 	}
 }
-
-// Default is the process-wide registry used by components without a
-// natural owner (the evaluation engine, cmd/dmapsim drivers).
-var Default = NewRegistry()
 
 func (r *Registry) checkFree(name, kind string) {
 	if name == "" {

@@ -27,20 +27,19 @@ type Source struct {
 // more than this is broken and must fail the scrape, not OOM the plane.
 const maxScrapeBody = 16 << 20
 
+// The skew report's thresholds: a node is flagged when its windowed
+// value exceeds outlierFactor × fleet median, and never below
+// outlierMin, which silences noise on idle clusters.
+const (
+	outlierFactor = 4
+	outlierMin    = 1
+)
+
 // CollectorConfig configures a Collector. Zero values pick defaults.
 type CollectorConfig struct {
 	Sources []Source
 	// Timeout bounds one scrape round trip (default 2s).
 	Timeout time.Duration
-	// Client overrides the HTTP client (tests); Timeout is applied to
-	// the default client only.
-	Client *http.Client
-	// OutlierFactor is the skew threshold: a node is flagged when its
-	// windowed value exceeds Factor × fleet median (default 4).
-	OutlierFactor float64
-	// OutlierMin is the absolute floor below which values are never
-	// flagged, silencing noise on idle clusters (default 1).
-	OutlierMin float64
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
 }
@@ -67,21 +66,11 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.OutlierFactor <= 1 {
-		cfg.OutlierFactor = 4
-	}
-	if cfg.OutlierMin <= 0 {
-		cfg.OutlierMin = 1
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	return &Collector{cfg: cfg, client: client, now: now, prev: make(map[string]scrapeState)}
+	return &Collector{cfg: cfg, client: &http.Client{Timeout: cfg.Timeout}, now: now, prev: make(map[string]scrapeState)}
 }
 
 // Collect scrapes every source concurrently and returns this round's
@@ -161,7 +150,7 @@ func (c *Collector) Collect() FleetView {
 	c.mu.Unlock()
 
 	view.Cluster = cluster
-	view.Outliers = findOutliers(view.Nodes, c.cfg.OutlierFactor, c.cfg.OutlierMin)
+	view.Outliers = findOutliers(view.Nodes)
 	return view
 }
 
@@ -192,12 +181,12 @@ func (c *Collector) scrape(url string) (metrics.Snapshot, error) {
 
 // findOutliers builds the skew report: for every windowed rate and p99
 // present on at least three up nodes, a node whose value exceeds
-// factor × fleet median (and the absolute floor) is flagged. Medians
-// need ≥3 nodes to mean anything; smaller fleets report no outliers.
-func findOutliers(nodes []NodeView, factor, minAbs float64) []Outlier {
+// outlierFactor × fleet median (and outlierMin) is flagged. Medians need
+// ≥3 nodes to mean anything; smaller fleets report no outliers.
+func findOutliers(nodes []NodeView) []Outlier {
 	var out []Outlier
-	out = append(out, skewOver(nodes, "rate", func(n NodeView) map[string]float64 { return n.Rates }, factor, minAbs)...)
-	out = append(out, skewOver(nodes, "p99", func(n NodeView) map[string]float64 { return n.P99 }, factor, minAbs)...)
+	out = append(out, skewOver(nodes, "rate", func(n NodeView) map[string]float64 { return n.Rates })...)
+	out = append(out, skewOver(nodes, "p99", func(n NodeView) map[string]float64 { return n.P99 })...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Metric != out[j].Metric {
 			return out[i].Metric < out[j].Metric
@@ -207,7 +196,7 @@ func findOutliers(nodes []NodeView, factor, minAbs float64) []Outlier {
 	return out
 }
 
-func skewOver(nodes []NodeView, kind string, get func(NodeView) map[string]float64, factor, minAbs float64) []Outlier {
+func skewOver(nodes []NodeView, kind string, get func(NodeView) map[string]float64) []Outlier {
 	byMetric := map[string][]float64{}
 	for _, n := range nodes {
 		if !n.Up {
@@ -228,10 +217,10 @@ func skewOver(nodes []NodeView, kind string, get func(NodeView) map[string]float
 				continue
 			}
 			v, ok := get(n)[name]
-			if !ok || v < minAbs || v <= med*factor {
+			if !ok || v < outlierMin || v <= med*outlierFactor {
 				continue
 			}
-			f := v / minAbs
+			f := v / outlierMin
 			if med > 0 {
 				f = v / med
 			}

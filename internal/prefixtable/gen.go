@@ -24,13 +24,14 @@ type GenConfig struct {
 	// must end up announced (the paper measures 0.52–0.55; 1−fraction is
 	// the per-hash hole probability).
 	AnnouncedFraction float64
-	// ShareSkew is the Pareto exponent of per-AS address share; larger
-	// means a few ASs own most of the space. 0 selects the default (0.9),
-	// which yields a realistic mix of /8-scale carriers and /24 stubs.
-	ShareSkew float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
+
+// shareSkew is the Pareto exponent of per-AS address share; larger
+// means a few ASs own most of the space. 0.9 yields a realistic mix of
+// /8-scale carriers and /24 stubs.
+const shareSkew = 0.9
 
 // DefaultGenConfig mirrors the paper's measured DFZ at full scale.
 func DefaultGenConfig(seed int64) GenConfig {
@@ -90,11 +91,6 @@ func Generate(cfg GenConfig) (*Table, error) {
 	if cfg.AnnouncedFraction <= 0 || cfg.AnnouncedFraction > 1 {
 		return nil, fmt.Errorf("prefixtable: AnnouncedFraction must be in (0,1], got %g", cfg.AnnouncedFraction)
 	}
-	skew := cfg.ShareSkew
-	if skew == 0 {
-		skew = 0.9
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := New()
 
@@ -125,7 +121,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 	sort.Ints(announced)
 
 	// Per-AS Pareto weights turned into a sampling alias-free CDF.
-	asCDF := paretoCDF(cfg.NumAS, skew, rng)
+	asCDF := paretoCDF(cfg.NumAS, shareSkew, rng)
 
 	// Aim the count: each super-block is carved into approximately
 	// perBlock prefixes, adjusting lengths so packing stays exact.

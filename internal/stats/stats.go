@@ -107,21 +107,6 @@ func (c *Collector) FractionBelow(x float64) float64 {
 	return float64(sort.SearchFloat64s(c.vals, math.Nextafter(x, math.Inf(1)))) / float64(len(c.vals))
 }
 
-// Clip returns a new collector holding only the samples at or below the
-// p-th percentile — useful for rendering histograms whose extreme tail
-// (the paper's multi-second stub ASs) would otherwise flatten every
-// bucket.
-func (c *Collector) Clip(p float64) *Collector {
-	cut := c.Percentile(p)
-	out := NewCollector(len(c.vals))
-	for _, v := range c.vals {
-		if v <= cut {
-			out.Add(v)
-		}
-	}
-	return out
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	Value    float64

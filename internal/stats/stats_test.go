@@ -181,21 +181,3 @@ func TestNormalizedLoadRatiosEdge(t *testing.T) {
 		t.Errorf("zero-share AS must be skipped: n=%d", c.N())
 	}
 }
-
-func TestClip(t *testing.T) {
-	c := NewCollector(100)
-	for i := 1; i <= 100; i++ {
-		c.Add(float64(i))
-	}
-	clipped := c.Clip(90)
-	if clipped.N() < 88 || clipped.N() > 92 {
-		t.Errorf("Clip(90) kept %d samples", clipped.N())
-	}
-	if clipped.Max() > c.Percentile(90)+1e-9 {
-		t.Errorf("Clip kept %v above p90 %v", clipped.Max(), c.Percentile(90))
-	}
-	// Original collector is untouched.
-	if c.N() != 100 {
-		t.Errorf("Clip mutated the source: N=%d", c.N())
-	}
-}

@@ -36,8 +36,9 @@ func walTail(f *testing.F) []byte {
 
 // FuzzDecodeWALRecord hardens recovery against arbitrary log contents:
 // replay must never panic, must report a valid prefix length within the
-// input, and every entry it admits must pass Validate. Real record
-// streams replay losslessly.
+// input, every entry it admits must pass Validate, and the overflow map
+// must hold a tail for exactly the multi-homed GUIDs it admits. Real
+// record streams replay losslessly.
 func FuzzDecodeWALRecord(f *testing.F) {
 	tail := walTail(f)
 	f.Add(tail)
@@ -69,11 +70,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if bad {
 			t.Fatal("replay admitted an invalid entry")
 		}
-		var scan int64
-		s.Range(func(e Entry) bool { scan += int64(e.SizeBits()); return true })
-		if scan != s.SizeBits() {
-			t.Fatalf("replay broke size accounting: %d != %d", s.SizeBits(), scan)
-		}
+		checkOverflow(t, s, "replay")
 	})
 }
 

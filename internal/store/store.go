@@ -63,12 +63,6 @@ type Entry struct {
 	Meta uint32
 }
 
-// SizeBits returns the §IV-A wire/storage size of the entry:
-// 160-bit GUID + 32 bits per NA + 32 bits of metadata.
-func (e Entry) SizeBits() int { return sizeBits(len(e.NAs)) }
-
-func sizeBits(nas int) int { return guid.Size*8 + 32*nas + 32 }
-
 // Validate checks structural constraints.
 func (e Entry) Validate() error {
 	if e.GUID.IsZero() {
@@ -143,16 +137,15 @@ const MaxShards = 1 << 16
 // no tail behind. Both are written under mu held for writing and read
 // under mu held for reading, together: a reader never pairs the first NA
 // of one version with the tail of another. Each map is allocated on its
-// first write, so an empty shard costs only its header. sizeBits is
-// maintained incrementally under mu — SizeBits never rescans the table.
-// The pad keeps two hot shards off one cache line.
+// first write, so an empty shard costs only its header. The pad fills
+// the shard to one 64-byte cache line, so that two hot shards never
+// share one.
 type shard struct {
-	mu       sync.RWMutex
-	m        map[guid.GUID]slim
-	more     map[guid.GUID]moreNAs
-	sizeBits int64
-	log      *shardLog // nil on a memory-only store
-	_        [8]byte
+	mu   sync.RWMutex
+	m    map[guid.GUID]slim
+	more map[guid.GUID]moreNAs
+	log  *shardLog // nil on a memory-only store
+	_    [16]byte
 }
 
 // record returns a copy of g's record. Callers hold sh.mu.
@@ -197,10 +190,6 @@ func (sh *shard) set(g guid.GUID, r *record, oldN uint8) {
 	case oldN > 1:
 		delete(sh.more, g)
 	}
-	sh.sizeBits += int64(sizeBits(int(r.n)))
-	if oldN > 0 {
-		sh.sizeBits -= int64(sizeBits(int(oldN)))
-	}
 }
 
 // remove deletes g's record, whose slim is old. Callers hold sh.mu for
@@ -210,7 +199,6 @@ func (sh *shard) remove(g guid.GUID, old slim) {
 	if old.n > 1 {
 		delete(sh.more, g)
 	}
-	sh.sizeBits -= int64(sizeBits(int(old.n)))
 }
 
 // Store is a thread-safe per-AS mapping table. The zero value is not
@@ -533,25 +521,6 @@ func (s *Store) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// SizeBits returns the total §IV-A storage footprint of the store: the
-// sum of the per-shard incremental counters, so the NLR accounting is
-// O(shards) regardless of how many mappings are hosted.
-func (s *Store) SizeBits() int64 {
-	var total int64
-	for i := range s.shards {
-		total += s.ShardSizeBits(i)
-	}
-	return total
-}
-
-// ShardSizeBits returns the §IV-A storage footprint of shard i.
-func (s *Store) ShardSizeBits(i int) int64 {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.sizeBits
 }
 
 // Range calls fn on a copy of every entry until fn returns false,

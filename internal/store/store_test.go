@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dmap/internal/guid"
 	"dmap/internal/metrics"
@@ -163,21 +164,12 @@ func TestRead(t *testing.T) {
 	}
 }
 
-func TestSizeBits(t *testing.T) {
-	// §IV-A: 160 + 32×5 + 32 = 352 bits with 5 NAs.
-	e := entry("z", 1, 1, 2, 3, 4, 5)
-	if got := e.SizeBits(); got != 352 {
-		t.Errorf("SizeBits = %d, want 352", got)
-	}
-	s := New()
-	if _, err := s.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(entry("w", 1, 1)); err != nil { // 160+32+32 = 224
-		t.Fatal(err)
-	}
-	if got := s.SizeBits(); got != 352+224 {
-		t.Errorf("store SizeBits = %d, want %d", got, 352+224)
+// A shard fills one 64-byte cache line, so that two neighbouring
+// shards' locks never share one: a field added or removed must resize
+// the pad.
+func TestShardIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(shard{}); got != 64 {
+		t.Errorf("shard is %d bytes, want 64", got)
 	}
 }
 

@@ -62,7 +62,6 @@ func TestReopenRecoversWAL(t *testing.T) {
 		t.Fatal("Delete missed")
 	}
 	want = append(want[:20], want[21:]...)
-	wantBits := s.SizeBits()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +69,6 @@ func TestReopenRecoversWAL(t *testing.T) {
 	r := openTemp(t, Options{Dir: dir, SnapshotBytes: -1})
 	if r.Len() != len(want) {
 		t.Fatalf("recovered Len = %d, want %d", r.Len(), len(want))
-	}
-	if got := r.SizeBits(); got != wantBits {
-		t.Fatalf("recovered SizeBits = %d, want %d", got, wantBits)
 	}
 	for _, e := range want {
 		got, ok := r.Get(e.GUID)
@@ -555,46 +551,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 			t.Fatal("snapshot image depends on insertion order")
 		}
 	}
-}
-
-// Per-shard storage accounting must sum to the same NLR numbers the old
-// single-map store reported (Σ Entry.SizeBits over a full scan).
-func TestShardSizeBitsSumsToScan(t *testing.T) {
-	for _, shards := range []int{1, 4, 32} {
-		s, err := NewSharded(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 500; i++ {
-			mustPut(t, s, entry(fmt.Sprintf("g%d", i), 1, makeASes(i%MaxNAs+1)...))
-		}
-		// Updates that change NA counts, plus deletes, must keep the
-		// incremental counters exact.
-		for i := 0; i < 100; i++ {
-			e := entry(fmt.Sprintf("g%d", i), 2, makeASes((i+2)%MaxNAs+1)...)
-			mustPut(t, s, e)
-		}
-		for i := 0; i < 50; i++ {
-			s.Delete(guid.New(fmt.Sprintf("g%d", i*7)))
-		}
-		var scan int64
-		s.Range(func(e Entry) bool { scan += int64(e.SizeBits()); return true })
-		var perShard int64
-		for i := 0; i < s.ShardCount(); i++ {
-			perShard += s.ShardSizeBits(i)
-		}
-		if s.SizeBits() != scan || perShard != scan {
-			t.Fatalf("shards=%d: SizeBits=%d perShard=%d scan=%d", shards, s.SizeBits(), perShard, scan)
-		}
-	}
-}
-
-func makeASes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
 }
 
 func TestNewShardedValidation(t *testing.T) {

@@ -21,62 +21,61 @@ type GenConfig struct {
 	// single link, producing the degree-1 "hang" nodes of the Jellyfish
 	// model.
 	StubFraction float64
-	// PeerLinkFraction is the share of TargetLinks added as random
-	// peering links after growth (the peer links §V's analysis ignores
-	// but the simulation includes).
-	PeerLinkFraction float64
 
-	// MedianLinkMs / LinkSigma shape the lognormal inter-AS link latency
+	// MedianLinkMs is the median of the lognormal inter-AS link latency
 	// (the per-hop cost excluding geographic propagation).
 	MedianLinkMs float64
-	LinkSigma    float64
 	// NumRegions splits the ASs into geographic regions (continents).
 	// Inter-region links additionally pay a propagation delay given by
 	// the distance between region centers, which is what makes replica
 	// choice matter: a nearby replica saves an ocean crossing.
 	NumRegions int
-	// RegionRadiusMs is the radius (in one-way milliseconds) of the disk
-	// region centers are placed on; diametral regions pay up to
-	// 2×RegionRadiusMs of propagation per crossing.
-	RegionRadiusMs float64
 	// SameRegionBias is the probability that a growing AS's links attach
 	// within its own region.
 	SameRegionBias float64
-	// MedianIntraMs / IntraSigma shape the lognormal intra-AS latency
-	// (paper: median 3.5 ms).
+	// MedianIntraMs is the median of the lognormal intra-AS latency
+	// (paper: 3.5 ms).
 	MedianIntraMs float64
-	IntraSigma    float64
-	// SlowStubFraction of ASs get pathological multi-second intra-AS
-	// latency (1–2.5 s), reproducing the long tail the paper traces to
-	// AS 23951 in Indonesia.
-	SlowStubFraction float64
-
-	// EndNodeExponent couples end-node population to degree:
-	// endNodes ∝ degree^exponent × lognormal noise.
-	EndNodeExponent float64
 
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
+// The generator's fixed shape parameters.
+const (
+	// peerLinkFraction is the share of TargetLinks added as random
+	// peering links after growth (the peer links §V's analysis ignores
+	// but the simulation includes).
+	peerLinkFraction = 0.05
+	// linkSigma and intraSigma are the lognormal sigmas of the inter-AS
+	// link and intra-AS latencies around MedianLinkMs and MedianIntraMs.
+	linkSigma  = 0.8
+	intraSigma = 1.1
+	// regionRadiusMs is the radius (in one-way milliseconds) of the disk
+	// region centers are placed on; diametral regions pay up to
+	// 2×regionRadiusMs of propagation per crossing.
+	regionRadiusMs = 21
+	// slowStubFraction of ASs get pathological multi-second intra-AS
+	// latency (1–2.5 s), reproducing the long tail the paper traces to
+	// AS 23951 in Indonesia.
+	slowStubFraction = 0.0005
+	// endNodeExponent couples end-node population to degree:
+	// endNodes ∝ degree^exponent × lognormal noise.
+	endNodeExponent = 1.3
+)
+
 // DefaultGenConfig mirrors the paper's topology at full scale.
 func DefaultGenConfig(seed int64) GenConfig {
 	return GenConfig{
-		NumAS:            26424,
-		TargetLinks:      90267,
-		CoreSize:         16,
-		StubFraction:     0.30,
-		PeerLinkFraction: 0.05,
-		MedianLinkMs:     4.5,
-		LinkSigma:        0.8,
-		NumRegions:       6,
-		RegionRadiusMs:   21,
-		SameRegionBias:   0.75,
-		MedianIntraMs:    3.5,
-		IntraSigma:       1.1,
-		SlowStubFraction: 0.0005,
-		EndNodeExponent:  1.3,
-		Seed:             seed,
+		NumAS:          26424,
+		TargetLinks:    90267,
+		CoreSize:       16,
+		StubFraction:   0.30,
+		MedianLinkMs:   4.5,
+		NumRegions:     6,
+		SameRegionBias: 0.75,
+		MedianIntraMs:  3.5,
+		Seed:           seed,
 	}
 }
 
@@ -130,7 +129,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 		for {
 			x, y := 2*rng.Float64()-1, 2*rng.Float64()-1
 			if x*x+y*y <= 1 {
-				centers[i] = point{x * cfg.RegionRadiusMs, y * cfg.RegionRadiusMs}
+				centers[i] = point{x * regionRadiusMs, y * regionRadiusMs}
 				break
 			}
 		}
@@ -171,7 +170,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	}
 
 	linkLat := func(a, b int) Micros {
-		ms := cfg.MedianLinkMs * math.Exp(rng.NormFloat64()*cfg.LinkSigma)
+		ms := cfg.MedianLinkMs * math.Exp(rng.NormFloat64()*linkSigma)
 		ms += regionDist[g.region[a]][g.region[b]]
 		return MicrosFromMillis(ms)
 	}
@@ -195,8 +194,8 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	}
 
 	// Growth arity: stubs take 1 link; others take enough on average to
-	// land on TargetLinks after reserving PeerLinkFraction.
-	growthLinks := float64(cfg.TargetLinks)*(1-cfg.PeerLinkFraction) - float64(g.numLinks)
+	// land on TargetLinks after reserving peerLinkFraction.
+	growthLinks := float64(cfg.TargetLinks)*(1-peerLinkFraction) - float64(g.numLinks)
 	grown := cfg.NumAS - cfg.CoreSize
 	meanNonStub := 1.0
 	if grown > 0 {
@@ -271,8 +270,8 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// Intra-AS latencies: lognormal around the median, with rare
 	// pathological stubs.
 	for i := 0; i < cfg.NumAS; i++ {
-		ms := cfg.MedianIntraMs * math.Exp(rng.NormFloat64()*cfg.IntraSigma)
-		if i >= cfg.CoreSize && g.Degree(i) <= 2 && rng.Float64() < cfg.SlowStubFraction/math.Max(cfg.StubFraction, 0.01) {
+		ms := cfg.MedianIntraMs * math.Exp(rng.NormFloat64()*intraSigma)
+		if i >= cfg.CoreSize && g.Degree(i) <= 2 && rng.Float64() < slowStubFraction/math.Max(cfg.StubFraction, 0.01) {
 			ms = 1000 + rng.Float64()*1500 // 1–2.5 s one-way, the AS-23951 tail
 		}
 		g.intra[i] = MicrosFromMillis(ms)
@@ -281,7 +280,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// End-node populations, coupled to degree.
 	for i := 0; i < cfg.NumAS; i++ {
 		noise := math.Exp(rng.NormFloat64() * 0.7)
-		g.endNodes[i] = math.Pow(float64(g.Degree(i)), cfg.EndNodeExponent) * noise
+		g.endNodes[i] = math.Pow(float64(g.Degree(i)), endNodeExponent) * noise
 	}
 
 	return g, nil

@@ -48,9 +48,6 @@ func TracesHandler(t *Tracer) http.Handler {
 			if so.GUID != "" {
 				fmt.Fprintf(w, " guid=%s", so.GUID)
 			}
-			if so.Detail != "" {
-				fmt.Fprintf(w, " detail=%q", so.Detail)
-			}
 			fmt.Fprintf(w, " dur=%dµs trace=%016x sampled=%v", so.DurUs, uint64(so.Trace), so.Sampled)
 			if so.Err != "" {
 				fmt.Fprintf(w, " err=%q", so.Err)

@@ -2,8 +2,7 @@
 // value shared by all of its spans; when the root span ends, the
 // assembly is frozen into an immutable TraceView and published to the
 // tracer's ring. Span IDs are sequential within a trace (1 = root), so
-// identically-ordered runs produce identical trees — the determinism
-// the engine's bit-identical-results guarantee extends to traces.
+// identically-ordered runs produce identical trees.
 package trace
 
 import (

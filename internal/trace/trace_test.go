@@ -33,7 +33,6 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 	tr.FinishOp(nil, "op", guid.GUID{}, time.Now(), nil)
 	tr.ObserveServerOp("op", 1, Context{}, time.Now())
-	tr.ObserveSlow("op", "d", time.Now())
 	if tr.SlowEnabled() {
 		t.Fatal("nil tracer SlowEnabled = true")
 	}
@@ -233,11 +232,10 @@ func TestSlowOpCapture(t *testing.T) {
 	start := time.Now().Add(-time.Millisecond)
 	tr.FinishOp(nil, "lookup", g, start, fmt.Errorf("not found"))
 	tr.ObserveServerOp("server.lookup", 17, Context{}, start)
-	tr.ObserveSlow("engine.unit", "unit=3", start)
 
 	slow := tr.SlowOps()
-	if len(slow) != 3 {
-		t.Fatalf("slow ops = %d, want 3", len(slow))
+	if len(slow) != 2 {
+		t.Fatalf("slow ops = %d, want 2", len(slow))
 	}
 	cli := slow[0]
 	if cli.Op != "lookup" || cli.GUID != g.String() || cli.Err != "not found" || cli.Sampled {
@@ -250,16 +248,11 @@ func TestSlowOpCapture(t *testing.T) {
 	if srv.Trace != FromRequestID(17) {
 		t.Fatalf("server slow op trace = %x, want FromRequestID(17) = %x", srv.Trace, FromRequestID(17))
 	}
-	eng := slow[2]
-	if eng.Detail != "unit=3" || eng.Op != "engine.unit" {
-		t.Fatalf("engine slow op = %+v", eng)
-	}
 
 	// Fast ops stay out of the log.
 	fast := New(Config{SlowOp: time.Hour})
 	fast.FinishOp(nil, "lookup", g, time.Now(), nil)
 	fast.ObserveServerOp("x", 1, Context{}, time.Now())
-	fast.ObserveSlow("x", "", time.Now())
 	if got := len(fast.SlowOps()); got != 0 {
 		t.Fatalf("fast ops recorded as slow: %d", got)
 	}

@@ -9,10 +9,11 @@ import (
 	"dmap/internal/guid"
 )
 
-// Default ring capacities.
+// Ring capacities: the completed-trace ring and the slow-op log each
+// retain this many of their most recent records.
 const (
-	DefaultRingSize    = 256
-	DefaultSlowLogSize = 256
+	ringSize    = 256
+	slowLogSize = 256
 )
 
 // Config tunes a Tracer. The zero value records nothing (no sampling,
@@ -28,10 +29,6 @@ type Config struct {
 	// above it lands in the slow-op log even when unsampled. 0 disables
 	// slow-op capture.
 	SlowOp time.Duration
-	// RingSize bounds the completed-trace ring (0 = DefaultRingSize).
-	RingSize int
-	// SlowLogSize bounds the slow-op log (0 = DefaultSlowLogSize).
-	SlowLogSize int
 	// Seed parameterizes trace-ID derivation; runs with equal seeds and
 	// equal op orders assign equal IDs.
 	Seed uint64
@@ -52,26 +49,11 @@ type Tracer struct {
 
 // New builds a Tracer from cfg.
 func New(cfg Config) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	if cfg.SlowLogSize <= 0 {
-		cfg.SlowLogSize = DefaultSlowLogSize
-	}
 	return &Tracer{
 		cfg:  cfg,
-		ring: newRing[TraceView](cfg.RingSize),
-		slow: newRing[SlowOp](cfg.SlowLogSize),
+		ring: newRing[TraceView](ringSize),
+		slow: newRing[SlowOp](slowLogSize),
 	}
-}
-
-// SlowThreshold returns the configured slow-op threshold (0 when
-// disabled or the tracer is nil).
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.SlowOp
 }
 
 // StartOp opens the root span of a new operation trace, or returns nil
@@ -169,22 +151,8 @@ func (t *Tracer) ObserveServerOp(op string, reqID uint64, tc Context, start time
 	})
 }
 
-// ObserveSlow records an arbitrary slow operation (e.g. an engine work
-// unit) when its duration reaches the threshold. detail is free-form
-// and only evaluated by the caller on the slow path.
-func (t *Tracer) ObserveSlow(op, detail string, start time.Time) {
-	if t == nil || t.cfg.SlowOp <= 0 {
-		return
-	}
-	d := time.Since(start)
-	if d < t.cfg.SlowOp {
-		return
-	}
-	t.recordSlow(&SlowOp{Time: start, Op: op, Detail: detail, DurUs: d.Microseconds()})
-}
-
 // SlowEnabled reports whether slow-op capture is on — the guard for
-// callers that want to skip building detail strings eagerly.
+// callers that want to skip reading the clock when it is off.
 func (t *Tracer) SlowEnabled() bool { return t != nil && t.cfg.SlowOp > 0 }
 
 func (t *Tracer) recordSlow(so *SlowOp) {
@@ -229,14 +197,11 @@ func (t *Tracer) Stats() Stats {
 // SlowOp is one slow-op log entry.
 type SlowOp struct {
 	Time time.Time `json:"time"`
-	// Op names the operation ("lookup", "server.batch_insert",
-	// "engine.unit", ...).
+	// Op names the operation ("lookup", "server.batch_insert", ...).
 	Op string `json:"op"`
 	// GUID is the operation's subject mapping, hex-encoded (empty when
 	// not applicable, e.g. batch ops).
 	GUID string `json:"guid,omitempty"`
-	// Detail is free-form context (engine unit index, batch size...).
-	Detail string `json:"detail,omitempty"`
 	// Trace correlates with the sampled trace ring when Sampled, or is
 	// derived (wire request ID) / zero when not.
 	Trace   TraceID `json:"trace"`

@@ -156,9 +156,6 @@ type TraceConfig struct {
 	// UpdatesPerGUID appends that many re-attachment updates per GUID
 	// (0 for the pure lookup experiments of Figures 4–6).
 	UpdatesPerGUID int
-	// Alpha, Q are the Mandelbrot-Zipf parameters; zero values select the
-	// paper defaults.
-	Alpha, Q float64
 	// SourceWeights are the per-AS end-node weights.
 	SourceWeights []float64
 	// Seed fixes the PRNG.
@@ -185,18 +182,11 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	if cfg.NumLookups < 0 || cfg.UpdatesPerGUID < 0 {
 		return nil, fmt.Errorf("workload: negative event counts")
 	}
-	alpha, q := cfg.Alpha, cfg.Q
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
-	if q == 0 {
-		q = DefaultQ
-	}
 	src, err := NewWeightedSampler(cfg.SourceWeights)
 	if err != nil {
 		return nil, err
 	}
-	pop, err := NewMandelbrotZipf(cfg.NumGUIDs, alpha, q)
+	pop, err := NewMandelbrotZipf(cfg.NumGUIDs, DefaultAlpha, DefaultQ)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodes
 # serves them on its own goroutine, and to a simulated one, through the
 # same server code.
 go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink|FrameTable|BatchFramesMatch' ./internal/simnet ./internal/nodesim ./internal/experiments
-go test -race ./internal/experiments/... -run 'BatchFrameModel|Determinism'
+go test -race ./internal/experiments/... -run 'Determinism'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
 # scripted transport, what the client side of that workload is profiled
@@ -167,8 +167,8 @@ go test -run '^$' -fuzz '^FuzzLoadSnapshot$' -fuzztime=10s ./internal/store
 # puts that walk a GUID's NA count up and down, stale puts, deletes,
 # extracts and reads must leave the store — at 1, 8 and 64 shards,
 # memory-only and durable across a reopen — agreeing with a plain
-# map[GUID]Entry on every read, on SizeBits and on the dump's bytes, with
-# the overflow map holding exactly the multi-homed GUIDs; and the warm op
+# map[GUID]Entry on every read and on the dump's bytes, with the
+# overflow map holding exactly the multi-homed GUIDs; and the warm op
 # (Store.Warm over held, absent and duplicate GUIDs) must count what the
 # model holds and move neither those nor a counter.
 go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime=10s ./internal/store
