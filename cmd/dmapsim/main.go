@@ -5,9 +5,10 @@
 //
 //	dmapsim -experiment fig4 [-scale 26424] [-guids 100000] [-lookups 1000000] [-seed 1]
 //
-// Experiments: fig4, table1, fig5, fig6, fig7, overhead, holes,
-// baselines, availability, ablation-selection, ablation-local,
-// ablation-m, ablation-asnum, ablation-k.
+// Experiments: fig7, overhead, heal, fig4, table1, fig5, fig6, update,
+// world, queryload, churnsim, caching, holes, availability, baselines,
+// ablation-selection, ablation-local, ablation-m, ablation-asnum,
+// ablation-k.
 package main
 
 import (
@@ -203,16 +204,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println("# Protocol-level BGP churn: live withdrawals/announcements with §III-D1 migration")
-		fmt.Print(res)
-
-	case "crossval":
-		res, err := experiments.RunCrossVal(w, experiments.CrossValConfig{
-			K: *k, NumGUIDs: *guids, NumLookups: *lookups, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println("# Engine cross-validation: closed-form evaluator vs discrete-event simulator")
 		fmt.Print(res)
 
 	case "caching":

@@ -33,7 +33,6 @@ func TestRunSmallWorldExperiments(t *testing.T) {
 		{"-experiment", "caching", "-scale", "300", "-guids", "100", "-lookups", "500"},
 		{"-experiment", "holes", "-scale", "300", "-guids", "500"},
 		{"-experiment", "update", "-scale", "300", "-guids", "300"},
-		{"-experiment", "crossval", "-scale", "300", "-guids", "50", "-lookups", "100"},
 		{"-experiment", "ablation-m", "-scale", "300", "-guids", "1000"},
 	}
 	for _, args := range cases {

@@ -472,8 +472,8 @@ walk:
 }
 
 // closestFirst appends g's distinct replica ASs to ases in the order a
-// read asks them over c.net: those whose RTT it knows by (RTT, AS), the
-// closed-form walk's order, then the others in placement order. ok
+// read asks them over c.net: those whose RTT it knows by (RTT, AS), then
+// the others in placement order. ok
 // reports whether it knows the RTT to any of them and placement
 // succeeded; if not, the read walks placement order as over TCP.
 func (c *Cluster) closestFirst(g guid.GUID, ases []int) (_ []int, ok bool) {

@@ -191,9 +191,9 @@ func TestLazyLookupWalkMatchesPlaceOrder(t *testing.T) {
 }
 
 // TestRTTLookupWalkAsksClosestFirst: over a Network that knows the RTT
-// to a replica the lookup asks the replicas it knows by (RTT, AS), the
-// closed-form walk's order, and the others after them in placement
-// order; failovers, the re-ask and the results follow that order.
+// to a replica the lookup asks the replicas it knows by (RTT, AS), and
+// the others after them in placement order; failovers, the re-ask and
+// the results follow that order.
 func TestRTTLookupWalkAsksClosestFirst(t *testing.T) {
 	sc := newWalkCluster(t, walkTable(t), Config{})
 	g := sc.distinctGUIDs(t, 1)[0]

@@ -47,6 +47,7 @@ type Resolver struct {
 	hasher    *guid.Hasher
 	table     *prefixtable.Table
 	maxRehash int
+	numAS     int // > 0: the §VII variant, placing over AS numbers without a table
 }
 
 // NewResolver builds a resolver over the shared hash family and prefix
@@ -64,13 +65,28 @@ func NewResolver(h *guid.Hasher, t *prefixtable.Table, maxRehash int) (*Resolver
 	return &Resolver{hasher: h, table: t, maxRehash: maxRehash}, nil
 }
 
+// NewASNumberResolver builds the resolver of the §VII variant that hashes
+// GUIDs directly to AS numbers instead of addresses: replica r of g lives
+// at AS h_r(g) mod numAS, the dense AS number space. It has no prefix
+// table, so it meets no holes and no churn.
+func NewASNumberResolver(h *guid.Hasher, numAS int) (*Resolver, error) {
+	if h == nil {
+		return nil, fmt.Errorf("core: nil hasher")
+	}
+	if numAS <= 0 {
+		return nil, fmt.Errorf("core: numAS must be positive, got %d", numAS)
+	}
+	return &Resolver{hasher: h, maxRehash: DefaultMaxRehash, numAS: numAS}, nil
+}
+
 // K returns the replication factor.
 func (r *Resolver) K() int { return r.hasher.K() }
 
 // MaxRehash returns M.
 func (r *Resolver) MaxRehash() int { return r.maxRehash }
 
-// Table returns the underlying prefix table.
+// Table returns the underlying prefix table, nil for the AS-number
+// variant.
 func (r *Resolver) Table() *prefixtable.Table { return r.table }
 
 // Hasher returns the shared hash family.
@@ -91,6 +107,14 @@ func (r *Resolver) PlaceBatch(dst []Placement, gs []guid.GUID, from, to int) err
 	n := to - from
 	if from < 0 || n < 0 || to > r.hasher.K() || len(dst) < len(gs)*n {
 		panic(fmt.Sprintf("core: replicas [%d,%d) of %d GUIDs into %d placements at K = %d", from, to, len(gs), len(dst), r.hasher.K()))
+	}
+	if r.numAS > 0 {
+		for i, g := range gs {
+			for j := range n {
+				dst[i*n+j], _ = r.PlaceExcluding(g, from+j, nil)
+			}
+		}
+		return nil
 	}
 	var words [8]uint32 // one digest's worth; a larger K spills to the heap
 	for i, g := range gs {
@@ -180,24 +204,14 @@ func (r *Resolver) PlaceInto(g guid.GUID, dst []Placement) ([]Placement, error) 
 // announcing AS locates the old deputy by pretending its new prefix is
 // still a hole.
 func (r *Resolver) PlaceExcluding(g guid.GUID, replica int, exclude func(netaddr.Addr) bool) (Placement, error) {
+	if r.numAS > 0 {
+		return Placement{AS: r.hasher.HashToRange(g, replica, r.numAS), Replica: replica}, nil
+	}
 	p := [1]Placement{{Addr: netaddr.Addr(r.hasher.Hash(g, replica)), Replica: replica}}
 	if err := r.walk(p[:], exclude); err != nil {
 		return Placement{}, err
 	}
 	return p[0], nil
-}
-
-// PlaceByASNumber is the §VII variant that hashes GUIDs directly to AS
-// numbers instead of addresses, bypassing the prefix table entirely.
-// numAS is the size of the (dense) AS number space.
-func (r *Resolver) PlaceByASNumber(g guid.GUID, replica, numAS int) (Placement, error) {
-	if numAS <= 0 {
-		return Placement{}, fmt.Errorf("core: numAS must be positive, got %d", numAS)
-	}
-	return Placement{
-		AS:      r.hasher.HashToRange(g, replica, numAS),
-		Replica: replica,
-	}, nil
 }
 
 // RehashStats measures Algorithm 1's behaviour over a set of GUIDs: how

@@ -289,20 +289,26 @@ func TestPlaceExcluding(t *testing.T) {
 }
 
 func TestPlaceByASNumber(t *testing.T) {
-	r, err := NewResolver(guid.MustHasher(3, 0), prefixtable.New(), 0)
+	if _, err := NewASNumberResolver(guid.MustHasher(3, 0), 0); err == nil {
+		t.Error("numAS=0 should fail")
+	}
+	r, err := NewASNumberResolver(guid.MustHasher(3, 0), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.PlaceByASNumber(guid.New("g"), 0, 0); err == nil {
-		t.Error("numAS=0 should fail")
-	}
 	counts := make([]int, 10)
 	for i := 0; i < 5000; i++ {
-		p, err := r.PlaceByASNumber(guid.FromUint64(uint64(i)), 0, 10)
+		g := guid.FromUint64(uint64(i))
+		ps, err := r.Place(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[p.AS]++
+		for rep, p := range ps {
+			if one, _ := r.PlaceReplica(g, rep); one != p {
+				t.Fatalf("PlaceReplica(%d) = %+v, Place has %+v", rep, one, p)
+			}
+		}
+		counts[ps[0].AS]++
 	}
 	for as, c := range counts {
 		if c < 300 || c > 700 {

@@ -24,7 +24,7 @@ type SystemConfig struct {
 // System is an in-memory DMap deployment: one mapping store per AS plus
 // the protocol logic that moves entries between them. It holds no
 // latency model: the shipped client walks it over internal/nodesim's
-// simulated link and internal/experiments evaluates it in closed form. Insert, Delete and
+// simulated link, which every figure of internal/experiments runs on. Insert, Delete and
 // the read-only accessors are safe for concurrent use: per-AS stores are
 // allocated lazily behind atomic pointers with striped locks, and each
 // store serializes its own map. The BGP-churn protocol methods

@@ -1,18 +1,20 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
+	"dmap/internal/nodesim"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 )
 
-// AvailabilityConfig drives the failure-fraction × K availability sweep:
-// the closed-form counterpart of §III-D3's failover story. A failed AS
-// hosts a mapping node that never answers, so each attempt against it
-// costs the querier a full timeout before the walk moves to the next
-// hashed replica; optional message loss makes even live replicas cost
+// AvailabilityConfig drives the failure-fraction × K availability sweep,
+// §III-D3's failover story on the shipped client. A failed AS hosts a
+// mapping node that never answers, so each attempt against it costs the
+// querier a full timeout before the walk moves to the next hashed
+// replica; optional message loss makes even live replicas cost
 // retransmissions.
 type AvailabilityConfig struct {
 	// Ks lists replication factors to evaluate (e.g. 1, 3, 5).
@@ -41,9 +43,6 @@ type AvailabilityConfig struct {
 	// reference); results are bit-identical at every setting.
 	Workers int
 }
-
-// DefaultAvailabilityTimeout matches client.DefaultTimeout.
-const DefaultAvailabilityTimeout = topology.Micros(2_000_000)
 
 // AvailabilityCell is one (K, failure fraction) sweep point.
 type AvailabilityCell struct {
@@ -113,47 +112,35 @@ func (r *AvailabilityResult) String() string {
 // failures on w: one sweep cell per (fraction, K), plus the same walk
 // with no faults per K as the baseline.
 func RunAvailability(w *World, cfg AvailabilityConfig) (*AvailabilityResult, error) {
-	maxK, err := maxK(cfg.Ks)
-	if err != nil {
-		return nil, err
-	}
 	if len(cfg.FailFracs) == 0 {
 		return nil, fmt.Errorf("experiments: availability sweep needs FailFracs")
 	}
 	if cfg.Loss < 0 || cfg.Loss >= 1 || cfg.Retries < 0 {
 		return nil, fmt.Errorf("experiments: loss %g out of [0,1) or retries %d negative", cfg.Loss, cfg.Retries)
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultAvailabilityTimeout
+	// One failed set per fraction, shared across Ks. The sets nest and the
+	// walk's outcomes do not depend on K, so success is monotone in both
+	// the fraction and K by construction.
+	cells, err := w.cells(cfg.Ks, false, false, &nodesim.Faults{}) // the baseline: the same walk with no faults
+	if err != nil {
+		return nil, err
+	}
+	for _, frac := range cfg.FailFracs {
+		if frac < 0 || frac >= 1 {
+			return nil, fmt.Errorf("experiments: failure fraction %g out of [0,1)", frac)
+		}
+		cs, err := w.cells(cfg.Ks, false, false, &nodesim.Faults{Seed: cfg.Seed, Loss: cfg.Loss, Failed: w.failedSet(frac, cfg.Seed),
+			Timeout: cmp.Or(max(cfg.Timeout, 0), nodesim.DefaultTimeout), Retries: cfg.Retries})
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, cs...)
 	}
 	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, maxK, false)
-	if err != nil {
-		return nil, err
-	}
-
-	// One failed set per fraction, shared across Ks. The sets nest and the
-	// walk's outcomes do not depend on K, so success is monotone in both
-	// the fraction and K by construction.
-	plans := []*faults{{}} // the baseline: the same walk with no faults
-	for _, frac := range cfg.FailFracs {
-		if frac < 0 || frac >= 1 {
-			return nil, fmt.Errorf("experiments: failure fraction %g out of [0,1)", frac)
-		}
-		plans = append(plans, &faults{seed: cfg.Seed, loss: cfg.Loss, failed: w.failedSet(frac, cfg.Seed, nil),
-			timeout: timeout, retries: cfg.Retries})
-	}
-	var cells []cell
-	for _, f := range plans {
-		for _, k := range cfg.Ks {
-			cells = append(cells, cell{k: k, f: f})
-		}
-	}
-	sums, err := w.sweep(trace, placements, cells, false, cfg.Workers, nil)
+	sums, err := w.sweep(trace, cells, false, cfg.Workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -153,26 +153,6 @@ func TestAvailabilityMonotoneInK(t *testing.T) {
 	}
 }
 
-// TestWalkAsksEachASOnce: two placements on one dead AS are one replica
-// to the walk, so they cost one timeout before the next replica answers.
-func TestWalkAsksEachASOnce(t *testing.T) {
-	w := testWorld(t)
-	const src, deadAS, liveAS = 0, 222, 333
-	failed := make([]bool, w.NumAS())
-	failed[deadAS] = true
-	wk := newWalker(w.Graph, 3, false)
-	wk.from(src)
-	// Least hops puts the dead AS first whatever the RTTs.
-	wk.hops = make([]int32, w.NumAS())
-	wk.hops[liveAS] = 1
-	f := faults{failed: failed, timeout: DefaultAvailabilityTimeout}
-	r := wk.evalLookup(0, []int32{deadAS, liveAS, deadAS}, -1, &f)
-	want := DefaultAvailabilityTimeout + w.Graph.RTT(src, liveAS, wk.dist)
-	if !r.found || r.servedBy != liveAS || r.latency != want || r.timeouts != 1 || r.failovers != 1 {
-		t.Errorf("walk %+v, want one timeout, one failover and AS %d at %v", r, liveAS, want)
-	}
-}
-
 func TestAvailabilityResultString(t *testing.T) {
 	w := testWorld(t)
 	res, err := RunAvailability(w, AvailabilityConfig{

@@ -10,6 +10,7 @@ import (
 	"dmap/internal/dht"
 	"dmap/internal/engine"
 	"dmap/internal/guid"
+	"dmap/internal/nodesim"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 )
@@ -23,8 +24,6 @@ type BaselinesConfig struct {
 	// NumGUIDs / NumLookups size the workload.
 	NumGUIDs   int
 	NumLookups int
-	// CacheCapacity bounds the Dijkstra cache used for multi-hop paths.
-	CacheCapacity int
 	// Seed fixes the workload.
 	Seed int64
 	// Workers bounds the evaluation parallelism (0 = GOMAXPROCS, 1 =
@@ -55,16 +54,13 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := cfg.CacheCapacity
-	if capacity <= 0 {
-		capacity = w.NumAS()
-	}
-	cache, err := topology.NewDistCache(w.Graph, capacity)
+	cache, err := topology.NewDistCache(w.Graph, w.NumAS())
 	if err != nil {
 		return nil, err
 	}
-
-	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, false)
+	// DMap: the fault-free sweep every figure takes — closest of K
+	// replicas, a single overlay hop.
+	dmap, err := w.sweep(trace, []cell{{res: w.resolver(cfg.K, false), f: &nodesim.Faults{}}}, false, cfg.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -78,48 +74,39 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 	}
 	home := dht.NewHomeAgent()
 
-	// DMap placements and home registration share the GUID index space;
-	// the first insert AS is the permanent MobileIP home.
+	// DMap's GUIDs and home registration share the GUID index space; the
+	// first insert AS is the permanent MobileIP home.
 	guids := make([]guid.GUID, cfg.NumGUIDs)
 	for gi := range guids {
 		guids[gi] = guid.FromUint64(uint64(gi) + 1)
 		home.Register(guids[gi], trace.HomeAS[gi])
 	}
 
-	// Group lookups by source AS: one engine unit per source. The DMap
-	// row is the fault-free evalLookup walk every other closed-form
-	// figure takes, on the worker's walker; the three baselines share
-	// the concurrent sharded DistCache — Chord's multi-hop paths pull
-	// vectors for intermediate ASs, so the cache, not a per-unit scratch
-	// vector, is the right distance oracle for them. Both read the same
-	// Dijkstra distances, which are pure functions of the graph, so
-	// cache interleaving cannot change any value, and hop counts are
+	// Group lookups by source AS: one engine unit per source. The three
+	// baselines share the concurrent sharded DistCache — Chord's
+	// multi-hop paths pull vectors for intermediate ASs, so the cache, not
+	// a per-unit scratch vector, is the right distance oracle for them.
+	// Distances are pure functions of the graph, so cache interleaving
+	// cannot change any value, and hop counts are
 	// integers summed exactly in float64, so the source-order merge is
 	// bit-identical at every worker count.
 	bySrc, srcs := bySource(trace.Lookups)
 
 	type baselineUnit struct {
-		dmap, chord, oneHop, home *stats.Collector
-		chordHops, oneHopHops     float64
+		chord, oneHop, home   *stats.Collector
+		chordHops, oneHopHops float64
 	}
-	var none faults
-	units, err := engine.Map(cfg.Workers, len(srcs),
-		func() *walker { return newWalker(w.Graph, cfg.K, false) },
-		func(u int, wk *walker) (baselineUnit, error) {
+	units, err := engine.MapNoScratch(cfg.Workers, len(srcs),
+		func(u int) (baselineUnit, error) {
 			src := srcs[u]
 			lookups := bySrc[src]
-			wk.from(src)
 			unit := baselineUnit{
-				dmap:   stats.NewCollector(len(lookups)),
 				chord:  stats.NewCollector(len(lookups)),
 				oneHop: stats.NewCollector(len(lookups)),
 				home:   stats.NewCollector(len(lookups)),
 			}
 			for _, li := range lookups {
 				gi := trace.Lookups[li].GUIDIndex
-
-				// DMap: closest of K replicas, single overlay hop.
-				unit.dmap.Add(wk.evalLookup(li, placements[gi], -1, &none).latency.Millis())
 
 				// Chord: recursive route to the owner, direct reply.
 				path, err := chord.LookupPath(src, guids[gi])
@@ -155,13 +142,11 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 		return nil, err
 	}
 
-	dmapCol := stats.NewCollector(cfg.NumLookups)
 	chordCol := stats.NewCollector(cfg.NumLookups)
 	oneHopCol := stats.NewCollector(cfg.NumLookups)
 	homeCol := stats.NewCollector(cfg.NumLookups)
 	var chordHops, oneHopHops float64
 	for _, u := range units {
-		dmapCol.Merge(u.dmap)
 		chordCol.Merge(u.chord)
 		oneHopCol.Merge(u.oneHop)
 		homeCol.Merge(u.home)
@@ -171,7 +156,7 @@ func RunBaselines(w *World, cfg BaselinesConfig) (*BaselinesResult, error) {
 
 	n := float64(cfg.NumLookups)
 	return &BaselinesResult{Rows: []BaselineRow{
-		{Scheme: fmt.Sprintf("DMap (K=%d)", cfg.K), RTT: dmapCol.Summarize(), OverlayHops: 1},
+		{Scheme: fmt.Sprintf("DMap (K=%d)", cfg.K), RTT: dmap[0].col.Summarize(), OverlayHops: 1},
 		{Scheme: "One-hop DHT", RTT: oneHopCol.Summarize(), OverlayHops: oneHopHops / n},
 		{Scheme: "Home agent", RTT: homeCol.Summarize(), OverlayHops: 1},
 		{Scheme: "Chord DHT", RTT: chordCol.Summarize(), OverlayHops: chordHops / n},

@@ -10,6 +10,7 @@ import (
 	"dmap/internal/cache"
 	"dmap/internal/engine"
 	"dmap/internal/guid"
+	"dmap/internal/nodesim"
 	"dmap/internal/stats"
 	"dmap/internal/store"
 	"dmap/internal/topology"
@@ -79,8 +80,16 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, cfg.K, false)
+	// A cache miss takes the fault-free walk, the same at every TTL: walk
+	// every lookup once.
+	cells, err := w.cells([]int{cfg.K}, false, false, &nodesim.Faults{})
 	if err != nil {
+		return nil, err
+	}
+	walked := make([]float64, len(trace.Lookups))
+	if _, err := w.sweep(trace, cells, false, cfg.Workers, func(_, li int, _ *nodesim.Deployment, r nodesim.LookupResult) {
+		walked[li] = r.Latency.Millis()
+	}); err != nil {
 		return nil, err
 	}
 
@@ -103,14 +112,11 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 		col         *stats.Collector
 		hits, stale int64
 	}
-	var none faults
 	for _, ttl := range cfg.TTLs {
-		units, err := engine.Map(cfg.Workers, len(sources),
-			func() *walker { return newWalker(w.Graph, cfg.K, false) },
-			func(u int, wk *walker) (cachingUnit, error) {
+		units, err := engine.MapNoScratch(cfg.Workers, len(sources),
+			func(u int) (cachingUnit, error) {
 				src := sources[u]
 				lookups := bySrc[src]
-				wk.from(src)
 				unit := cachingUnit{col: stats.NewCollector(len(lookups))}
 				staleRng := rand.New(rand.NewSource(cfg.Seed + int64(ttl)%7919 + 5 + int64(src)*104729))
 				var cc *cache.Cache
@@ -138,7 +144,7 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 							continue
 						}
 					}
-					unit.col.Add(wk.evalLookup(li, placements[ev.GUIDIndex], -1, &none).latency.Millis())
+					unit.col.Add(walked[li])
 					if cc != nil {
 						// The experiment measures latency and staleness, not
 						// payloads; an empty entry keeps the cache cheap.

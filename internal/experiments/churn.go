@@ -70,7 +70,7 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := w.populatedSystem(trace, cfg.K, false)
+	sys, err := w.populatedSystem(trace, w.resolver(cfg.K, false), false)
 	if err != nil {
 		return nil, err
 	}

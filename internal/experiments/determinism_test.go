@@ -84,7 +84,7 @@ func TestBaselinesDeterministicAcrossWorkers(t *testing.T) {
 	workerSweep(t, "RunBaselines", func(workers int) (any, error) {
 		return RunBaselines(w, BaselinesConfig{
 			K: 3, NumGUIDs: 100, NumLookups: 1000,
-			CacheCapacity: 256, Seed: 11, Workers: workers,
+			Seed: 11, Workers: workers,
 		})
 	})
 }

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"dmap/internal/topology"
 )
 
 var (
@@ -378,141 +376,5 @@ func TestRunMSweep(t *testing.T) {
 	}
 	if _, err := RunMSweep(w, nil, 10); err == nil {
 		t.Error("empty M list should fail")
-	}
-}
-
-func TestCrossValidationEnginesAgree(t *testing.T) {
-	w := testWorld(t)
-	// At K = 2 some lookups meet misses and no hit (Fig. 5's re-ask)
-	// and some meet every replica dead (A12's failed lookups).
-	res, err := RunCrossVal(w, CrossValConfig{K: 2, NumGUIDs: 200, NumLookups: 2000, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("%d configurations, want 4", len(res.Rows))
-	}
-	// The closed-form evaluator and the shipped client's walk over the
-	// simulated link share no latency arithmetic beyond the topology;
-	// they must agree
-	// per query to within integer-microsecond rounding (and on whether
-	// the lookup was answered at all, or RunCrossVal fails).
-	for _, row := range res.Rows {
-		if row.MaxAbsDiffMs > 0.01 {
-			t.Errorf("%s: engines disagree by up to %.3f ms", row.Name, row.MaxAbsDiffMs)
-		}
-		if row.ClosedForm.N != row.EventSim.N || row.ClosedForm.N+row.Failed != res.Queries {
-			t.Errorf("%s: sample counts %d / %d, %d failed, of %d", row.Name,
-				row.ClosedForm.N, row.EventSim.N, row.Failed, res.Queries)
-		}
-	}
-	if got := res.Rows[2].Reasked; got == 0 {
-		t.Errorf("%s: no lookup took the all-miss re-ask", res.Rows[2].Name)
-	}
-	if got := res.Rows[3].Failed; got == 0 {
-		t.Errorf("%s: no lookup failed on both sides", res.Rows[3].Name)
-	}
-	if res.String() == "" {
-		t.Error("String output")
-	}
-}
-
-// TestCrossValLateRepliesAgree: with a timeout below many replicas'
-// RTTs, an answer that would come later than the timeout is a timeout
-// in both engines — the client drops the late reply and moves on, and
-// the closed form charges the timeout — so they still agree per query,
-// and a lookup whose every replica is that far fails in both.
-func TestCrossValLateRepliesAgree(t *testing.T) {
-	w := testWorld(t)
-	res, err := RunCrossVal(w, CrossValConfig{K: 2, NumGUIDs: 200, NumLookups: 1000, Seed: 10, timeout: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		if row.MaxAbsDiffMs > 0.01 {
-			t.Errorf("%s: engines disagree by up to %.3f ms", row.Name, row.MaxAbsDiffMs)
-		}
-	}
-	if got := res.Rows[0].Failed; got == 0 {
-		t.Errorf("%s: no lookup met only late replicas", res.Rows[0].Name)
-	}
-}
-
-func TestCrossValValidation(t *testing.T) {
-	w := testWorld(t)
-	if _, err := RunCrossVal(w, CrossValConfig{}); err == nil {
-		t.Error("zero config should fail")
-	}
-}
-
-// TestCrossValClosedFormIsTable1 ties each A9 configuration to the figure
-// path it claims to check: on one trace the cross-check's closed-form
-// side is RunLatency itself — no local copy, Fig. 4's local copy, Fig. 5's
-// 5% misses — so its digests equal RunLatency's at the same K bit for
-// bit. If the figures ever stop going through the walk the cross-check
-// validates, this fails.
-func TestCrossValClosedFormIsTable1(t *testing.T) {
-	w := testWorld(t)
-	const k, guids, lookups, seed = 5, 200, 500, 10
-	cv, err := RunCrossVal(w, CrossValConfig{K: k, NumGUIDs: guids, NumLookups: lookups, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, lc := range []LatencyConfig{
-		{},
-		{LocalReplica: true},
-		{LocalReplica: true, MissRate: crossValMissRate},
-	} {
-		lc.Ks, lc.NumGUIDs, lc.NumLookups, lc.Seed = []int{k}, guids, lookups, seed
-		lat, err := RunLatency(w, lc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := cv.Rows[i].ClosedForm, lat.PerK[k].Summarize(); got != want {
-			t.Errorf("crossval %q closed form %#v, figure path %#v", cv.Rows[i].Name, got, want)
-		}
-	}
-}
-
-// TestSelectLeastHops: with hop counts the walk asks the fewest-hops
-// replica first even when it is the farthest by RTT; without them, the
-// lowest-RTT one.
-func TestSelectLeastHops(t *testing.T) {
-	w := testWorld(t)
-	const src = 0
-	dist := make([]topology.Micros, w.NumAS())
-	w.Graph.Dijkstra(src, dist)
-	replicas := []int32{11, 222, 333, 444, 555}
-	nearest, farthest := int(replicas[0]), int(replicas[0])
-	for _, r := range replicas {
-		as := int(r)
-		if w.Graph.RTT(src, as, dist) < w.Graph.RTT(src, nearest, dist) {
-			nearest = as
-		}
-		if w.Graph.RTT(src, as, dist) > w.Graph.RTT(src, farthest, dist) {
-			farthest = as
-		}
-	}
-	if nearest == farthest {
-		t.Fatal("replicas all equally far; pick others")
-	}
-	hops := make([]int32, w.NumAS())
-	for i := range hops {
-		hops[i] = 100
-	}
-	hops[farthest] = 1
-	var none faults
-	for _, leastHops := range []bool{false, true} {
-		wk := newWalker(w.Graph, len(replicas), leastHops)
-		wk.from(src)
-		want := nearest
-		if leastHops {
-			copy(wk.hops, hops)
-			want = farthest
-		}
-		r := wk.evalLookup(0, replicas, -1, &none)
-		if r.latency != w.Graph.RTT(src, want, dist) || r.servedBy != want || r.local || r.misses != 0 {
-			t.Errorf("leastHops=%v: %+v, want one attempt at AS %d", leastHops, r, want)
-		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // sweep chains finish: those copies take a second round, so rounds,
 // entries repaired and convergence time all moved. The third rewrote
 // latency_miss_leasthops.txt, availability.txt and crossval.txt, when
-// evalLookup became the only closed-form walk: its misses and losses are
+// the closed-form walk became the only one: its misses and losses are
 // drawn by a pure function of (seed, lookup, AS, attempt) instead of
 // per-unit PRNG streams, it asks each replica AS once, the local lookup
 // reads a querier that is itself a replica, and crossval checks four
@@ -38,9 +38,9 @@ import (
 // 2.41–2.53 s, outlasts the 2 s timeout at each. nodesim's own walk took
 // the first replica's late reply as the answer (2,410 ms, retried); the
 // client settles an attempt at its timeout, as over TCP, so the lookup
-// fails after three. The fifth rewrote availability.txt alone, when
-// evalLookup began treating an answer that takes the timeout or longer
-// as a timeout, as the client does: a lookup from a querier whose
+// fails after three. The fifth rewrote availability.txt alone, when the
+// closed-form walk began treating an answer that takes the timeout or
+// longer as a timeout, as the client does: a lookup from a querier whose
 // replicas all answer that late fails at every failure fraction (K = 3
 // and 5 at 0% failed read 99.975%, not 100%), and the late attempts
 // count as timeouts. The sixth rewrote heal.txt alone, when each
@@ -51,6 +51,13 @@ import (
 // stale rate did not move. The seventh rewrote update.txt and
 // queryload.txt, when the drivers' batch frame model went: each table
 // lost its last column, frames(B=8), and nothing else in either moved.
+// The eighth rewrote availability.txt alone and deleted crossval.txt,
+// when every figure's lookup became the shipped client's walk on
+// nodesim's link and the closed-form walk and its cross-check went: the
+// client pauses 5–10 ms (client.RetryPolicy.Backoff) before each
+// same-replica retry, which the closed form never charged, so each
+// cell's mean and added latency rose by a few tenths of a millisecond;
+// success, timeouts and failovers did not move, nor did any other file.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what
@@ -97,10 +104,7 @@ func TestGoldenAtTestScale(t *testing.T) {
 			})
 		}},
 		{"baselines", func() (fmt.Stringer, error) {
-			return RunBaselines(w, BaselinesConfig{K: 3, NumGUIDs: 100, NumLookups: 1000, CacheCapacity: 256, Seed: 21})
-		}},
-		{"crossval", func() (fmt.Stringer, error) {
-			return RunCrossVal(w, CrossValConfig{K: 5, NumGUIDs: 200, NumLookups: 500, Seed: 21})
+			return RunBaselines(w, BaselinesConfig{K: 3, NumGUIDs: 100, NumLookups: 1000, Seed: 21})
 		}},
 		{"heal", func() (fmt.Stringer, error) {
 			return RunHeal(HealConfig{

@@ -42,10 +42,7 @@ func RunLoad(w *World, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("experiments: K must be positive, got %d", cfg.K)
 	}
-	resolver, err := core.NewResolver(guid.MustHasher(cfg.K, 0), w.Table, 0)
-	if err != nil {
-		return nil, err
-	}
+	resolver := w.resolver(cfg.K, cfg.HashToASNumbers)
 
 	shares := w.announcedShares()
 	if cfg.HashToASNumbers {
@@ -70,21 +67,11 @@ func RunLoad(w *World, cfg LoadConfig) (*LoadResult, error) {
 	for gi := 1; gi <= maxCount; gi++ {
 		g := guid.FromUint64(uint64(gi))
 		for r := 0; r < cfg.K; r++ {
-			var as int
-			if cfg.HashToASNumbers {
-				p, err := resolver.PlaceByASNumber(g, r, w.NumAS())
-				if err != nil {
-					return nil, err
-				}
-				as = p.AS
-			} else {
-				p, err := resolver.PlaceReplica(g, r)
-				if err != nil {
-					return nil, err
-				}
-				as = p.AS
+			p, err := resolver.PlaceReplica(g, r)
+			if err != nil {
+				return nil, err
 			}
-			hosted[as]++
+			hosted[p.AS]++
 		}
 		if gi == counts[next] {
 			col := stats.NormalizedLoadRatios(hosted, shares)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"dmap/internal/core"
@@ -27,7 +26,7 @@ func (w *World) lookupTrace(numGUIDs, numLookups int, seed int64) (*workload.Tra
 // maxK validates a sweep's replication factors and returns the largest.
 // The hash family is domain-separated on the replica index, so a GUID's
 // placements at a smaller K are a prefix of those at the largest and one
-// placement table at maxK serves the whole sweep.
+// system populated at maxK serves the whole sweep.
 func maxK(ks []int) (int, error) {
 	if len(ks) == 0 {
 		return 0, fmt.Errorf("experiments: no K values")
@@ -44,34 +43,19 @@ func maxK(ks []int) (int, error) {
 	return max, nil
 }
 
-// placementTable returns the AS of each of the k replicas of a trace's n
-// GUIDs (index gi is guid.FromUint64(gi+1)) under Algorithm 1 with the
-// default M or, with byASNumber, under the §VII variant that hashes to
-// AS numbers.
-func (w *World) placementTable(n, k int, byASNumber bool) ([][]int32, error) {
-	resolver, err := core.NewResolver(guid.MustHasher(k, 0), w.Table, 0)
+// resolver returns Algorithm 1's resolver at K = k > 0 with the default
+// M over w's prefix table or, with byASNumber, the §VII variant's, which
+// hashes to AS numbers.
+func (w *World) resolver(k int, byASNumber bool) *core.Resolver {
+	h := guid.MustHasher(k, 0)
+	res, err := core.NewResolver(h, w.Table, 0)
+	if byASNumber {
+		res, err = core.NewASNumberResolver(h, w.NumAS())
+	}
 	if err != nil {
-		return nil, err
+		panic(err) // a world has a prefix table and ASs
 	}
-	table := make([][]int32, n)
-	for gi := range table {
-		g := guid.FromUint64(uint64(gi) + 1)
-		row := make([]int32, k)
-		for r := range row {
-			var p core.Placement
-			if byASNumber {
-				p, err = resolver.PlaceByASNumber(g, r, w.NumAS())
-			} else {
-				p, err = resolver.PlaceReplica(g, r)
-			}
-			if err != nil {
-				return nil, err
-			}
-			row[r] = int32(p.AS)
-		}
-		table[gi] = row
-	}
-	return table, nil
+	return res
 }
 
 // bySource groups lookups (by index, in trace order) under their source
@@ -97,32 +81,20 @@ func sortedSources(bySrc map[int][]int) []int {
 
 // failedSet marks the ASs whose mapping nodes are down: the first
 // frac·N of one seeded permutation, so the sets of one seed nest across
-// fractions (10% failed ⊃ 5% failed). ASs in keepUp are passed over, not
-// counted.
-func (w *World) failedSet(frac float64, seed int64, keepUp []int) []bool {
+// fractions (10% failed ⊃ 5% failed).
+func (w *World) failedSet(frac float64, seed int64) []bool {
 	failed := make([]bool, w.NumAS())
-	n := int(frac * float64(w.NumAS()))
-	for _, as := range rand.New(rand.NewSource(seed + 777)).Perm(w.NumAS()) {
-		if n == 0 {
-			break
-		}
-		if !slices.Contains(keepUp, as) {
-			failed[as] = true
-			n--
-		}
+	for _, as := range rand.New(rand.NewSource(seed + 777)).Perm(w.NumAS())[:int(frac*float64(w.NumAS()))] {
+		failed[as] = true
 	}
 	return failed
 }
 
-// populatedSystem returns a K-replica system over w, with §III-C local
-// copies if local, holding version 1 of every GUID of trace, inserted
-// from its home AS (state setup, not measured).
-func (w *World) populatedSystem(trace *workload.Trace, k int, local bool) (*core.System, error) {
-	resolver, err := core.NewResolver(guid.MustHasher(k, 0), w.Table, 0)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(core.SystemConfig{Resolver: resolver, NumAS: w.NumAS(), LocalReplica: local})
+// populatedSystem returns a system over w placing with res, with §III-C
+// local copies if local, holding version 1 of every GUID of trace,
+// inserted from its home AS (state setup, not measured).
+func (w *World) populatedSystem(trace *workload.Trace, res *core.Resolver, local bool) (*core.System, error) {
+	sys, err := core.NewSystem(core.SystemConfig{Resolver: res, NumAS: w.NumAS(), LocalReplica: local})
 	if err != nil {
 		return nil, err
 	}

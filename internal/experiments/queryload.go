@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"dmap/internal/nodesim"
 	"dmap/internal/stats"
 )
 
@@ -47,7 +48,7 @@ type QueryLoadResult struct {
 
 // RunQueryLoad evaluates query-serving concentration.
 func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
-	maxK, err := maxK(cfg.Ks)
+	cells, err := w.cells(cfg.Ks, false, false, &nodesim.Faults{})
 	if err != nil || cfg.NumGUIDs <= 0 || cfg.NumLookups <= 0 {
 		return nil, fmt.Errorf("experiments: invalid query-load config")
 	}
@@ -55,18 +56,13 @@ func RunQueryLoad(w *World, cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	placements, err := w.placementTable(cfg.NumGUIDs, maxK, false)
-	if err != nil {
-		return nil, err
-	}
 	// The AS serving each lookup, per K: the walk's closest replica.
-	cells := make([]cell, len(cfg.Ks))
 	servedBy := make([][]int, len(cfg.Ks))
-	for i, k := range cfg.Ks {
-		cells[i], servedBy[i] = cell{k: k, f: &faults{}}, make([]int, cfg.NumLookups)
+	for i := range servedBy {
+		servedBy[i] = make([]int, cfg.NumLookups)
 	}
-	if _, err := w.sweep(trace, placements, cells, false, cfg.Workers, func(c, li int, r walkResult) {
-		servedBy[c][li] = r.servedBy
+	if _, err := w.sweep(trace, cells, false, cfg.Workers, func(c, li int, _ *nodesim.Deployment, r nodesim.LookupResult) {
+		servedBy[c][li] = r.ServedBy
 	}); err != nil {
 		return nil, err
 	}

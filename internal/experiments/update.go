@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"dmap/internal/engine"
+	"dmap/internal/guid"
 	"dmap/internal/stats"
 	"dmap/internal/topology"
 	"dmap/internal/workload"
@@ -52,10 +53,7 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	if cfg.NumUpdates <= 0 {
 		return nil, fmt.Errorf("experiments: NumUpdates must be positive")
 	}
-	placements, err := w.placementTable(cfg.NumUpdates, maxK, false)
-	if err != nil {
-		return nil, err
-	}
+	resolver := w.resolver(maxK, false)
 	src, err := workload.NewWeightedSampler(w.Graph.EndNodeWeights())
 	if err != nil {
 		return nil, err
@@ -65,7 +63,7 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 	// Group events by source — the engine's work units — preserving
 	// GUID order within each group.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	bySrc := make(map[int][]int) // src → placement-table indices
+	bySrc := make(map[int][]int) // src → GUID indices
 	for i := 0; i < cfg.NumUpdates; i++ {
 		s := src.Sample(rng)
 		bySrc[s] = append(bySrc[s], i)
@@ -83,10 +81,14 @@ func RunUpdate(w *World, cfg UpdateConfig) (*UpdateResult, error) {
 				cols[i] = stats.NewCollector(len(guids))
 			}
 			for _, gi := range guids {
+				placements, err := resolver.Place(guid.FromUint64(uint64(gi) + 1))
+				if err != nil {
+					return nil, err
+				}
 				for i, k := range cfg.Ks {
 					var max topology.Micros
-					for _, as := range placements[gi][:k] {
-						if rtt := w.Graph.RTT(s, int(as), dist); rtt > max {
+					for _, p := range placements[:k] {
+						if rtt := w.Graph.RTT(s, p.AS, dist); rtt > max {
 							max = rtt
 						}
 					}

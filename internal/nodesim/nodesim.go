@@ -2,7 +2,8 @@
 // shipped node: one server.Node per AS on simnet, answering every frame
 // the AS receives, and a client.Network per querier AS over which
 // client.Cluster itself runs in virtual time — a lookup racing a
-// mobility update (§III-D2), a crashed replica's timeout (§III-D3). The
+// mobility update (§III-D2), a crashed replica's timeout (§III-D3). Every
+// lookup of the paper's figures is Lookup's walk on it (figure.go). The
 // shipped prober's connections and the nodes' gossip sweeps
 // (antientropy.go) ride the same network.
 package nodesim
@@ -29,7 +30,9 @@ import (
 
 // LookupResult reports a completed lookup: Attempts counts the requests
 // its walk sent, ServedBy is the answering AS (the querier's own for a
-// local answer, -1 if none).
+// local answer, -1 if none), Misses the "GUID missing" answers it took.
+// Timeouts and Failovers are the client's counts over a Lookup; a Read
+// leaves them zero.
 type LookupResult struct {
 	Entry     store.Entry
 	Found     bool
@@ -37,6 +40,8 @@ type LookupResult struct {
 	Attempts  int
 	ServedBy  int
 	UsedLocal bool
+
+	Misses, Timeouts, Failovers int
 }
 
 // DefaultTimeout is the querier's per-attempt timeout.
@@ -48,12 +53,17 @@ type Deployment struct {
 	sys      *core.System
 	net      *simnet.Network
 	oracle   simnet.LatencyOracle
+	rank     ranker // the oracle's own replica ranking, if it has one
 	timeout  simnet.Time
 	clients  map[int]*client.Cluster        // by querier AS
 	nodes    map[int]*server.Node           // by AS, made on first use
 	reads    map[*simnet.Proc]*LookupResult // the Read on each process; nil: the top level
 	sweeps   int                            // GossipSweep calls that ran
 	sweeping int                            // gossip sweep processes still running
+
+	figures map[figureKey]*client.Cluster // Lookup's clients
+	aimed   *querier                      // their network, aimed by each Lookup
+	walk    walk                          // the Lookup in progress
 }
 
 // NewDeployment binds one DMap node per AS onto the network. timeout ≤ 0
@@ -77,7 +87,10 @@ func NewDeployment(sys *core.System, sim *simnet.Sim, oracle simnet.LatencyOracl
 		clients: make(map[int]*client.Cluster),
 		nodes:   make(map[int]*server.Node),
 		reads:   make(map[*simnet.Proc]*LookupResult),
+		figures: make(map[figureKey]*client.Cluster),
 	}
+	d.aimed = &querier{d: d}
+	d.rank, _ = oracle.(ranker)
 	for as := 0; as < sys.NumAS(); as++ {
 		if err := net.Bind(as, simnet.HandlerFunc(func(_ *simnet.Network, msg simnet.Message) { d.handle(as, msg) })); err != nil {
 			return nil, err
@@ -116,19 +129,26 @@ func (d *Deployment) rtt(a, b int) simnet.Time {
 }
 
 // clientAt returns the shipped client at querier AS src, made on first
-// use: one try per replica AS under the deployment's timeout, within a
-// budget no walk reaches (K replica ASs and the re-ask), so that what
-// ends a walk is §III-D3's, as in the closed form.
+// use: one try per replica AS under the deployment's timeout.
 func (d *Deployment) clientAt(src int) *client.Cluster {
 	if c, ok := d.clients[src]; ok {
 		return c
 	}
-	timeout := time.Duration(d.timeout) * time.Microsecond
-	c, _ := client.NewWithConfig(d.sys.Resolver(), nil, client.Config{ // a System has a resolver
-		Net: querier{d: d, src: src}, Timeout: timeout, Retry: client.RetryPolicy{MaxAttempts: 1},
-		OpDeadline: time.Duration(d.sys.Resolver().K()+1) * timeout,
-	})
+	c := newClient(d.sys.Resolver(), querier{d: d, src: src}, d.timeout, 1) // a System has a resolver
 	d.clients[src] = c
+	return c
+}
+
+// newClient is a shipped client on the link that places with res and
+// tries each replica AS attempts times under timeout, within a budget no
+// walk reaches — every try of the K replica ASs, its backoff, and the
+// re-ask — so that what ends a walk is §III-D3's.
+func newClient(res *core.Resolver, q client.Network, timeout simnet.Time, attempts int) *client.Cluster {
+	t := time.Duration(timeout) * time.Microsecond
+	c, _ := client.NewWithConfig(res, nil, client.Config{ // res is not nil
+		Net: q, Timeout: t, Retry: client.RetryPolicy{MaxAttempts: attempts},
+		OpDeadline: time.Duration(res.K()*attempts+1) * (t + client.DefaultMaxBackoff),
+	})
 	return c
 }
 
@@ -145,14 +165,21 @@ func (d *Deployment) Write(src int, e store.Entry) (int, error) {
 // Read resolves g from AS src with src's client, the §III-C local read
 // racing its walk. Finding nothing is a result, not an error.
 func (d *Deployment) Read(src int, g guid.GUID) (LookupResult, error) {
+	local, held, err := d.local(src, g, nil)
+	if err != nil {
+		return LookupResult{ServedBy: -1}, err
+	}
+	return d.read(d.clientAt(src), src, g, local, held)
+}
+
+// read runs c's walk for g from src beside the local read, which holds
+// local if held, and returns whichever answers first.
+func (d *Deployment) read(c *client.Cluster, src int, g guid.GUID, local store.Entry, held bool) (LookupResult, error) {
 	start, p := d.Sim().Now(), d.Sim().Running()
 	res := &LookupResult{}
 	d.reads[p] = res
 	defer delete(d.reads, p)
-	local, held, err := d.local(src, g, nil)
-	if err == nil {
-		err = d.clientAt(src).LookupInto(g, &res.Entry)
-	}
+	err := c.LookupInto(g, &res.Entry)
 	if res.Latency, res.Found = d.Sim().Now()-start, err == nil; !res.Found {
 		res.ServedBy = -1 // not the last AS asked
 	}
@@ -184,10 +211,12 @@ func (d *Deployment) local(src int, g guid.GUID, put *store.Entry) (e store.Entr
 	return e, ok, err
 }
 
-// frame is a wire frame on the link: a request, or — resp — its reply.
+// frame is a wire frame on the link: a request, or — resp — its reply. A
+// request marked miss is answered "GUID missing" (Lookup's draw).
 type frame struct {
 	r    *reply
 	resp bool
+	miss bool
 	t    wire.MsgType
 	body []byte
 }
@@ -195,7 +224,8 @@ type frame struct {
 // reply is the client.Reply of a request on the link, or a timer.
 type reply struct {
 	sim    *simnet.Sim
-	waiter *simnet.Proc // the process parked on it
+	waiter *simnet.Proc  // the process parked on it
+	read   *LookupResult // the read that sent it, if any
 	done   bool
 	t      wire.MsgType
 	body   []byte
@@ -207,14 +237,18 @@ var errTimeout = &net.OpError{Op: "read", Net: "simnet", Err: os.ErrDeadlineExce
 // start sends the request frame (t, payload) from AS src to AS dst and
 // returns its reply, which times out after timeout; t = 0, no message
 // type, makes a timer. The frame carries a copy of payload: it may
-// outlive the timeout, after which the caller reuses the buffer.
+// outlive the timeout, after which the caller reuses the buffer. During a
+// Lookup the frame first meets the walk's draw: a dead or lost attempt is
+// never delivered.
 func (d *Deployment) start(src, dst int, t wire.MsgType, payload []byte, timeout time.Duration) *reply {
 	r := &reply{sim: d.Sim()}
 	if t != 0 {
-		if read, ok := d.reads[r.sim.Running()]; ok {
-			read.Attempts, read.ServedBy = read.Attempts+1, dst
+		if r.read = d.reads[r.sim.Running()]; r.read != nil {
+			r.read.Attempts, r.read.ServedBy = r.read.Attempts+1, dst
 		}
-		_ = d.net.Send(src, dst, frame{r: r, t: t, body: slices.Clone(payload)}) // no such AS: no answer
+		if o := d.walk.draw(dst); o != drop {
+			_ = d.net.Send(src, dst, frame{r: r, miss: o == miss, t: t, body: slices.Clone(payload)}) // no such AS: no answer
+		}
 	}
 	_ = r.sim.After(simnet.Time(timeout.Microseconds()), func() { r.answer(0, nil, errTimeout) })
 	return r
@@ -224,6 +258,9 @@ func (d *Deployment) start(src, dst int, t wire.MsgType, payload []byte, timeout
 // and wakes the process parked on it.
 func (r *reply) answer(t wire.MsgType, body []byte, err error) {
 	if !r.done {
+		if r.read != nil && t == wire.MsgLookupResp && len(body) > 0 && body[0] == 0 {
+			r.read.Misses++
+		}
 		r.done, r.t, r.body, r.err = true, t, body, err
 		if r.waiter != nil {
 			r.waiter.Wake()
@@ -254,6 +291,9 @@ func (q querier) Now() time.Time          { return time.UnixMicro(int64(q.d.Sim(
 func (q querier) Sleep(dur time.Duration) { _, _, _ = q.d.start(q.src, q.src, 0, nil, dur).Wait() }
 
 func (q querier) RTT(as int) (time.Duration, bool) {
+	if q.d.rank != nil {
+		return time.Duration(q.d.rank.Rank(q.src, as)), true
+	}
 	return time.Duration(q.d.rtt(q.src, as)) * time.Microsecond, true
 }
 
@@ -290,8 +330,10 @@ func (q querier) RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration
 // handle dispatches a frame arriving at AS self: a reply settles its
 // request, a request is answered by self's node. A digest page is
 // answered under the scope self shares with the sweeper, which only the
-// link knows. A crashed node needs no check: simnet drops every delivery
-// to a node inside a crash window, so its peers time out (§III-D3).
+// link knows; so is a miss, which leaves the store — shared by every
+// worker of a sweep — as it is. A crashed node needs no check: simnet
+// drops every delivery to a node inside a crash window, so its peers time
+// out (§III-D3).
 func (d *Deployment) handle(self int, msg simnet.Message) {
 	f := msg.Payload.(frame)
 	if f.resp {
@@ -300,9 +342,12 @@ func (d *Deployment) handle(self int, msg simnet.Message) {
 	}
 	n, _ := d.Node(self) // a bound AS is in range
 	answer := frame{r: f.r, resp: true}
-	if f.t == wire.MsgRepairDigest {
+	switch {
+	case f.miss:
+		answer.t, answer.body = wire.MsgLookupResp, []byte{0} // not found
+	case f.t == wire.MsgRepairDigest:
 		answer.t, answer.body = n.AnswerDigest(f.body, nil, d.scope(n.Store(), msg.From))
-	} else {
+	default:
 		answer.t, answer.body = n.ServeFrame(f.t, f.body)
 	}
 	_ = d.net.Send(self, msg.From, answer)

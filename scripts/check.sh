@@ -86,9 +86,14 @@ go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodes
 # beside the churn, the mobility test races a write against a read. The
 # frame table sends one set of frames to a TCP node, whose read loop
 # serves them on its own goroutine, and to a simulated one, through the
-# same server code.
-go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink|FrameTable|BatchFramesMatch' ./internal/simnet ./internal/nodesim ./internal/experiments
-go test -race ./internal/experiments/... -run 'Determinism'
+# same server code. The figure-path test runs a figure's lookups on three
+# engine workers at once: each worker's nodes serve frames from the one
+# populated store every worker shares.
+go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink|FrameTable|BatchFramesMatch|FigurePath' ./internal/simnet ./internal/nodesim ./internal/experiments
+# Every driver's output at workers 1, 0, 2, 3 and 7, compared whole: the
+# engine's determinism guarantee, here with the figures' lookups on
+# several workers' deployments over one shared system.
+go test -race ./internal/experiments/... -run 'DeterministicAcrossWorkers'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
 # scripted transport, what the client side of that workload is profiled
@@ -188,9 +193,11 @@ go test -run '^$' -fuzz '^FuzzDecodeFleetSnapshot$' -fuzztime=10s ./internal/obs
 # results/ is quoted by EXPERIMENTS.md and nothing else compares it: the
 # golden test runs at test scale, and results/churnsim.txt carried a
 # failing audit line for several PRs because its collision needs -scale
-# 2000. availability.txt is A12's table, the one loss-bearing path
-# crossval cannot check. The three take about half a minute together.
-sh scripts/results.sh --check churnsim crossval availability
+# 2000. availability.txt is A12's table, the shipped client's walk on the
+# simulated link under failed nodes, loss and retries; baselines.txt is
+# the same walk fault-free at mid scale, beside the comparators. The
+# three take about a minute together.
+sh scripts/results.sh --check churnsim availability baselines
 
 # The examples are mains that go build only compiles: run each once, so
 # that a change which stops one running fails here. All four take about

@@ -61,7 +61,6 @@ run ablation-asnum $mid -lookups 200000
 run ablation-k $mid -lookups 200000
 run update -scale 5000 -guids 50000
 run caching $mid -lookups 500000
-run crossval -scale 2000 -guids 500 -lookups 2000
 run churnsim -scale 2000 -guids 2000 -lookups 20000
 run queryload $mid -lookups 200000
 run availability $mid -lookups 200000 -loss 0.01
