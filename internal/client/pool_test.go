@@ -73,8 +73,12 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 	// the watchdog) or one well past it (clean timeout).
 	const timeout = 10 * time.Millisecond
 	sw := wire.NewWriter(sc, nil)
+	// pending counts the echo reader and the repliers it starts, so that
+	// no replier is added while the test waits on it.
 	var pending sync.WaitGroup
+	pending.Add(1)
 	go func() {
+		defer pending.Done()
 		for {
 			_, id, payload, err := wire.ReadFrameIDInto(sc, nil)
 			if err != nil {

@@ -77,7 +77,8 @@ func Dial(ctx context.Context, addr string, timeout time.Duration, want byte) (*
 		conn.Close()
 		return nil, err
 	}
-	return &Conn{conn: conn, stop: stop, rd: NewReader(conn), feat: feat}, nil
+	sock := raw(conn) // past the handshake, the socket a Reader or a Writer uses
+	return &Conn{conn: sock, stop: stop, rd: NewReader(sock), feat: feat}, nil
 }
 
 // Feat returns the feature flags the peer granted.

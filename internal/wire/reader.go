@@ -16,6 +16,7 @@ package wire
 import (
 	"bufio"
 	"io"
+	"net"
 )
 
 // readerBufSize is the per-connection read buffer. Single-op frames
@@ -32,8 +33,12 @@ type Reader struct {
 
 // NewReader returns a Reader over r. Bytes it has buffered are lost to
 // any other reader of r, so create it only once the connection speaks
-// identified frames and route every later read through it.
+// identified frames and route every later read through it. A TCP
+// connection is read with raw read(2)s (sock_linux.go).
 func NewReader(r io.Reader) *Reader {
+	if conn, ok := r.(net.Conn); ok {
+		r = raw(conn)
+	}
 	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
 }
 

@@ -1,0 +1,9 @@
+//go:build !linux
+
+package wire
+
+import "net"
+
+// raw returns conn: outside Linux every connection reads and writes
+// through the net package (sock_linux.go has the raw-syscall socket).
+func raw(conn net.Conn) net.Conn { return conn }

@@ -52,9 +52,10 @@ type Writer struct {
 
 // NewWriter returns a Writer for conn. onFail (optional) observes the
 // first write error — a partial frame write desynchronizes the stream
-// for every user of the connection, so the callback should kill it.
+// for every user of the connection, so the callback should kill it. A
+// TCP connection is written with raw write(2)s (sock_linux.go).
 func NewWriter(conn net.Conn, onFail func(error)) *Writer {
-	return &Writer{conn: conn, onFail: onFail}
+	return &Writer{conn: raw(conn), onFail: onFail}
 }
 
 // SetTimeout sets the per-flush write deadline. Zero or negative

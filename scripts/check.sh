@@ -26,6 +26,11 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Outside Linux, wire's sockets read and write through the net package
+# (sock_other.go): build for two such targets, so that fallback cannot
+# rot unnoticed. Both build offline.
+GOOS=darwin GOARCH=arm64 go build ./...
+GOOS=windows go build ./...
 
 # gofmt -l lists unformatted files; any output is a failure.
 unformatted=$(gofmt -l .)
