@@ -45,6 +45,16 @@ func fleetMain(args []string, out io.Writer, stop <-chan struct{}, ready func(ad
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *interval <= 0:
+		return fmt.Errorf("-interval must be positive, got %v", *interval)
+	case !(*objective > 0 && *objective < 1):
+		return fmt.Errorf("-objective must be in (0,1), got %g", *objective)
+	case *sentinels < 1:
+		return fmt.Errorf("-sentinels must be at least 1, got %d", *sentinels)
+	case *flight < 0 || *flight == 1:
+		return fmt.Errorf("-flight must be 0 (off) or at least 2 rounds, got %d", *flight)
+	}
 	sources, err := parseNamed(*scrape, "scrape")
 	if err != nil {
 		return err

@@ -137,6 +137,37 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsOutOfRangeFlags: a flag value the fleet loop cannot
+// honour is an error before any round runs, not a panic in the ticker
+// after the first (-interval 0) or a value silently replaced by a
+// default (-objective, -sentinels, -flight 1). The stop channel is
+// closed, so a fleet that accepted the flags returns after one round.
+func TestFleetRejectsOutOfRangeFlags(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	for _, c := range []struct{ flag, value string }{
+		{"-interval", "0"},
+		{"-interval", "-1s"},
+		{"-objective", "0"},
+		{"-objective", "1"},
+		{"-objective", "1.5"},
+		{"-objective", "NaN"},
+		{"-sentinels", "0"},
+		{"-sentinels", "-3"},
+		{"-flight", "1"},
+		{"-flight", "-1"},
+	} {
+		var out bytes.Buffer
+		err := fleetMain([]string{"-probe", "x=127.0.0.1:1", c.flag, c.value}, &out, stop, nil)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("fleet %s %s: err = %v, want one naming %s", c.flag, c.value, err, c.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("fleet %s %s: a round ran before the refusal: %q", c.flag, c.value, out.String())
+		}
+	}
+}
+
 // syncBuffer guards the output buffer: the fleet loop writes from its
 // own goroutine while the test reads.
 type syncBuffer struct {

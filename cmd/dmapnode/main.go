@@ -250,10 +250,9 @@ func demo(args []string) error {
 	}
 
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             *nodes,
-		NumPrefixes:       *nodes * 16,
-		AnnouncedFraction: 0.52,
-		Seed:              *seed,
+		NumAS:       *nodes,
+		NumPrefixes: *nodes * 16,
+		Seed:        *seed,
 	})
 	if err != nil {
 		return err

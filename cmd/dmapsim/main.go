@@ -87,7 +87,6 @@ func run(args []string) error {
 		res, err := experiments.RunHeal(experiments.HealConfig{
 			NumAS:           numAS,
 			K:               *k,
-			LocalReplica:    true,
 			NumGUIDs:        *guids / 1000,
 			GossipIntervals: intervals,
 			Seed:            *seed,
@@ -105,13 +104,13 @@ func run(args []string) error {
 		cfg = experiments.TestScale(*scale, *seed)
 	}
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "generating world: %d ASs, %d prefixes...\n", cfg.NumAS, cfg.NumPrefixes)
+	fmt.Fprintf(os.Stderr, "generating world: %d ASs...\n", *scale)
 	w, err := experiments.NewWorld(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "world ready in %v (links=%d, announced=%.1f%%)\n",
-		time.Since(start).Round(time.Millisecond), w.Graph.NumLinks(), 100*w.Table.AnnouncedFraction())
+	fmt.Fprintf(os.Stderr, "world ready in %v (links=%d, prefixes=%d, announced=%.1f%%)\n",
+		time.Since(start).Round(time.Millisecond), w.Graph.NumLinks(), w.Table.Len(), 100*w.Table.AnnouncedFraction())
 
 	printCDFs := func(res *experiments.LatencyResult, ks []int) {
 		if *cdfPoints > 0 {

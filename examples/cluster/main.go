@@ -35,7 +35,7 @@ func run() error {
 	// table and hash family; that shared view is what lets any client
 	// compute placements with zero directory round trips.
 	table, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: numAS, NumPrefixes: 64, AnnouncedFraction: 0.52, Seed: 11,
+		NumAS: numAS, NumPrefixes: 64, Seed: 11,
 	})
 	if err != nil {
 		return err

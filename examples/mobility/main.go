@@ -39,7 +39,7 @@ func run() error {
 		return err
 	}
 	table, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: numAS, NumPrefixes: 9000, AnnouncedFraction: 0.52, Seed: 7,
+		NumAS: numAS, NumPrefixes: 9000, Seed: 7,
 	})
 	if err != nil {
 		return err

@@ -35,7 +35,7 @@ func run() error {
 		return err
 	}
 	table, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: numAS, NumPrefixes: 5000, AnnouncedFraction: 0.52, Seed: 3,
+		NumAS: numAS, NumPrefixes: 5000, Seed: 3,
 	})
 	if err != nil {
 		return err

@@ -40,7 +40,7 @@ func run() error {
 		return err
 	}
 	table, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: numAS, NumPrefixes: 6000, AnnouncedFraction: 0.52, Seed: 42,
+		NumAS: numAS, NumPrefixes: 6000, Seed: 42,
 	})
 	if err != nil {
 		return err

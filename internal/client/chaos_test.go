@@ -36,10 +36,9 @@ type chaosCluster struct {
 func newChaosCluster(t *testing.T, numAS, k int) *chaosCluster {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             numAS,
-		NumPrefixes:       numAS * 12,
-		AnnouncedFraction: 0.52,
-		Seed:              5,
+		NumAS:       numAS,
+		NumPrefixes: numAS * 12,
+		Seed:        5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,7 @@ func newChaosCluster(t *testing.T, numAS, k int) *chaosCluster {
 	cc.c, err = NewWithConfig(resolver, addrs, Config{
 		Timeout:    300 * time.Millisecond,
 		OpDeadline: 3 * time.Second,
-		Retry:      RetryPolicy{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond},
+		Retry:      RetryPolicy{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,9 @@ func testCluster(t *testing.T, numAS, k int) (*Cluster, []*server.Node) {
 func testClusterOpts(t *testing.T, numAS, k int, opts server.Options) (*Cluster, []*server.Node) {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             numAS,
-		NumPrefixes:       numAS * 12,
-		AnnouncedFraction: 0.52,
-		Seed:              5,
+		NumAS:       numAS,
+		NumPrefixes: numAS * 12,
+		Seed:        5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +352,7 @@ func TestServerStats(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff: 80 * time.Millisecond, JitterSeed: 99}.withDefaults()
+	p := RetryPolicy{MaxAttempts: 5, JitterSeed: 99}.withDefaults()
 	if p.Backoff(3, 1) != 0 {
 		t.Error("first attempt must not pause")
 	}
@@ -364,9 +362,9 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		if a != b {
 			t.Fatalf("attempt %d: jitter not deterministic (%v vs %v)", attempt, a, b)
 		}
-		grown := p.BaseBackoff << (attempt - 2)
-		if grown <= 0 || grown > p.MaxBackoff {
-			grown = p.MaxBackoff
+		grown := DefaultBaseBackoff << (attempt - 2)
+		if grown <= 0 || grown > DefaultMaxBackoff {
+			grown = DefaultMaxBackoff
 		}
 		if a < grown/2 || a > grown {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, a, grown/2, grown)
@@ -425,7 +423,7 @@ func TestStaleRedialIsObservableAndRecovers(t *testing.T) {
 
 func TestRetryPolicyCountsRetries(t *testing.T) {
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: 4, NumPrefixes: 48, AnnouncedFraction: 0.52, Seed: 5,
+		NumAS: 4, NumPrefixes: 48, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +440,7 @@ func TestRetryPolicyCountsRetries(t *testing.T) {
 	c, err := NewWithConfig(resolver, addrs, Config{
 		Timeout:    200 * time.Millisecond,
 		OpDeadline: 2 * time.Second,
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Retry:      RetryPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

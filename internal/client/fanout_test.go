@@ -290,7 +290,7 @@ next:
 // always did.
 func TestFanOutFirstTryOutcomes(t *testing.T) {
 	for _, maxAttempts := range []int{1, 2} {
-		fc := newFanCluster(t, Config{Retry: RetryPolicy{MaxAttempts: maxAttempts, BaseBackoff: 100 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}})
+		fc := newFanCluster(t, Config{Retry: RetryPolicy{MaxAttempts: maxAttempts}})
 		for distinct := 1; distinct <= walkK; distinct++ {
 			g := fc.guidWithDistinct(distinct)
 			placed := fc.placedASs(g)
@@ -378,7 +378,7 @@ func TestFanOutFirstTryOutcomes(t *testing.T) {
 func TestFanOutPayloadOutlivesEveryTry(t *testing.T) {
 	defer func(was bool) { wire.Poison = was }(wire.Poison)
 	wire.Poison = true
-	fc := newFanCluster(t, Config{Timeout: 20 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}})
+	fc := newFanCluster(t, Config{Timeout: 20 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 3}})
 	g := fc.guidWithDistinct(walkK)
 	ases := fc.placedASs(g)
 	want := walkEntry(g)
@@ -422,8 +422,8 @@ func TestFanOutPayloadOutlivesEveryTry(t *testing.T) {
 // black-holed, Insert is back within ONE replica's retry budget — both
 // replicas' timeouts and both retries run side by side.
 func TestFanOutRetriesOfFailedReplicasOverlap(t *testing.T) {
-	const timeout, backoff = 100 * time.Millisecond, 4 * time.Millisecond
-	fc := newFanCluster(t, Config{Timeout: timeout, OpDeadline: time.Second, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: backoff, MaxBackoff: backoff}})
+	const timeout, backoff = 100 * time.Millisecond, DefaultBaseBackoff
+	fc := newFanCluster(t, Config{Timeout: timeout, OpDeadline: time.Second, Retry: RetryPolicy{MaxAttempts: 2}})
 	g := fc.guidWithDistinct(walkK)
 	ases := fc.placedASs(g)
 	fc.reset(nil, map[int]time.Duration{ases[0]: -1, ases[1]: -1})
@@ -459,7 +459,7 @@ func TestFanOutRetriesOfFailedReplicasOverlap(t *testing.T) {
 // write to the live replica, which an operation deadline of two timeouts
 // still has to reach.
 func TestFanOutDialsBesideTheCaller(t *testing.T) {
-	const timeout, backoff = 200 * time.Millisecond, 4 * time.Millisecond
+	const timeout, backoff = 200 * time.Millisecond, DefaultBaseBackoff
 	fc := newFanCluster(t, Config{})
 	g := fc.guidWithDistinct(walkK)
 	ases := fc.placedASs(g)
@@ -490,7 +490,7 @@ func TestFanOutDialsBesideTheCaller(t *testing.T) {
 	addrs[ases[2]] = live
 
 	for _, opDeadline := range []time.Duration{4 * timeout, 2 * timeout} {
-		c, err := NewWithConfig(fc.resolver, addrs, Config{Timeout: timeout, OpDeadline: opDeadline, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: backoff, MaxBackoff: backoff}})
+		c, err := NewWithConfig(fc.resolver, addrs, Config{Timeout: timeout, OpDeadline: opDeadline, Retry: RetryPolicy{MaxAttempts: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

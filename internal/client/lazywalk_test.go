@@ -77,7 +77,7 @@ func newWalkCluster(t *testing.T, tbl *prefixtable.Table, cfg Config) *walkClust
 
 func walkTable(t *testing.T) *prefixtable.Table {
 	t.Helper()
-	tbl, err := prefixtable.Generate(prefixtable.GenConfig{NumAS: 16, NumPrefixes: 192, AnnouncedFraction: 0.52, Seed: 5})
+	tbl, err := prefixtable.Generate(prefixtable.GenConfig{NumAS: 16, NumPrefixes: 192, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,17 +19,14 @@ type RetryPolicy struct {
 	// MaxAttempts is the total tries per replica per operation,
 	// including the first (≥ 1). Default 2.
 	MaxAttempts int
-	// BaseBackoff is the pause before the second attempt; it doubles
-	// every further attempt. Default 10 ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the grown backoff. Default 500 ms.
-	MaxBackoff time.Duration
 	// JitterSeed feeds the deterministic jitter hash. Two clients with
 	// equal seeds pause identically.
 	JitterSeed int64
 }
 
-// Retry defaults.
+// Retry defaults. The pause before the second attempt is
+// DefaultBaseBackoff; it doubles every further attempt, capped at
+// DefaultMaxBackoff.
 const (
 	DefaultMaxAttempts = 2
 	DefaultBaseBackoff = 10 * time.Millisecond
@@ -40,26 +37,20 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = DefaultMaxAttempts
 	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = DefaultBaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
-	}
 	return p
 }
 
 // Backoff returns the pause before attempt (2, 3, …) against replica
-// AS as: exponential growth capped at MaxBackoff, then scaled into
+// AS as: exponential growth capped at DefaultMaxBackoff, then scaled into
 // [50%, 100%] by a hash of (JitterSeed, as, attempt) — the "equal
 // jitter" scheme, decorrelating replicas without a PRNG stream.
 func (p RetryPolicy) Backoff(as, attempt int) time.Duration {
 	if attempt <= 1 {
 		return 0
 	}
-	d := p.BaseBackoff << (attempt - 2)
-	if d <= 0 || d > p.MaxBackoff { // <= 0 catches shift overflow
-		d = p.MaxBackoff
+	d := DefaultBaseBackoff << (attempt - 2)
+	if d <= 0 || d > DefaultMaxBackoff { // <= 0 catches shift overflow
+		d = DefaultMaxBackoff
 	}
 	h := mix64(uint64(p.JitterSeed) ^ uint64(as)*0x9e3779b97f4a7c15 ^ uint64(attempt)<<32)
 	frac := float64(h>>11) / float64(1<<53) // uniform [0, 1)

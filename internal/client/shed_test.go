@@ -84,10 +84,9 @@ func scriptedNode(t *testing.T, grant func(conn int64) bool, script func(req int
 func scriptedCluster(t *testing.T, addr string, retry RetryPolicy) *Cluster {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             2,
-		NumPrefixes:       24,
-		AnnouncedFraction: 0.52,
-		Seed:              5,
+		NumAS:       2,
+		NumPrefixes: 24,
+		Seed:        5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +143,7 @@ func TestShedBacksOffAndRetriesSameReplica(t *testing.T) {
 		}
 		return wire.MsgLookupResp, lookupRespBody(t, true)
 	})
-	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3})
 
 	start := time.Now()
 	if _, err := c.Lookup(guid.New("shed-once")); err != nil {
@@ -174,7 +173,7 @@ func TestShedExhaustionReturnsErrOverload(t *testing.T) {
 	addr := scriptedServer(t, func(int64, wire.MsgType, []byte) (wire.MsgType, []byte) {
 		return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindShed, "overloaded")
 	})
-	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 2})
 
 	// Drive the retry loop directly: Lookup folds the cause into
 	// ErrNotFound text, but the replica's own error is the contract.
@@ -202,7 +201,7 @@ func TestDrainAbortsRetriesImmediately(t *testing.T) {
 		served.Store(req)
 		return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindDraining, "draining: writes refused")
 	})
-	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3})
 
 	_, err := askAS0(c, wire.MsgLookup, wire.AppendGUID(nil, guid.New("drained")))
 	if err == nil {
@@ -227,7 +226,7 @@ func TestLegacyGenericErrorStillRejects(t *testing.T) {
 	addr := scriptedServer(t, func(int64, wire.MsgType, []byte) (wire.MsgType, []byte) {
 		return wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindGeneric, "no")
 	})
-	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
+	c := scriptedCluster(t, addr, RetryPolicy{MaxAttempts: 3})
 	_, err := askAS0(c, wire.MsgLookup, wire.AppendGUID(nil, guid.New("legacy")))
 	if !errors.Is(err, ErrRejected) {
 		t.Errorf("legacy generic error = %v, want ErrRejected", err)

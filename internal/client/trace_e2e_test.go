@@ -42,7 +42,7 @@ func startTracingNodes(t *testing.T, numAS int, slowOp time.Duration) ([]*server
 func tracingClient(t *testing.T, numAS, k int, addrs map[int]string, cfg Config) *Cluster {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: numAS, NumPrefixes: numAS * 12, AnnouncedFraction: 0.52, Seed: 5,
+		NumAS: numAS, NumPrefixes: numAS * 12, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ import (
 // attempt 1 fails, the retry hits a stale conn, the redial succeeds.
 func TestStaleRedialSkipsBackoffAndRetryCount(t *testing.T) {
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: 4, NumPrefixes: 48, AnnouncedFraction: 0.52, Seed: 5,
+		NumAS: 4, NumPrefixes: 48, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestStaleRedialSkipsBackoffAndRetryCount(t *testing.T) {
 	c, err := NewWithConfig(resolver, map[int]string{0: "unused:0"}, Config{
 		Timeout:    time.Second,
 		OpDeadline: 5 * time.Second,
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Retry:      RetryPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestMuxHammer(t *testing.T) {
 func twoNodeCluster(t *testing.T, addrs map[int]string) *Cluster {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS: 2, NumPrefixes: 24, AnnouncedFraction: 0.52, Seed: 5,
+		NumAS: 2, NumPrefixes: 24, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func twoNodeCluster(t *testing.T, addrs map[int]string) *Cluster {
 	c, err := NewWithConfig(resolver, addrs, Config{
 		Timeout:    time.Second,
 		OpDeadline: 5 * time.Second,
-		Retry:      RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
+		Retry:      RetryPolicy{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,10 +39,9 @@ func flatRTT(a, b int) topology.Micros {
 func lookupDeployment(t *testing.T, k int, timeout simnet.Time) *nodesim.Deployment {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             500,
-		NumPrefixes:       5000,
-		AnnouncedFraction: 0.52,
-		Seed:              11,
+		NumAS:       500,
+		NumPrefixes: 5000,
+		Seed:        11,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,9 @@ func halfTable(t *testing.T) *prefixtable.Table {
 func genTable(t *testing.T, seed int64) *prefixtable.Table {
 	t.Helper()
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             500,
-		NumPrefixes:       5000,
-		AnnouncedFraction: 0.52,
-		Seed:              seed,
+		NumAS:       500,
+		NumPrefixes: 5000,
+		Seed:        seed,
 	})
 	if err != nil {
 		t.Fatal(err)

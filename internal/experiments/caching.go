@@ -16,6 +16,9 @@ import (
 	"dmap/internal/topology"
 )
 
+// cacheCapacity bounds each AS's cache, in mappings.
+const cacheCapacity = 1024
+
 // CachingConfig drives the §VII in-network caching extension experiment:
 // each source AS caches resolved mappings with a TTL, trading lookup
 // latency against bounded staleness under host mobility.
@@ -33,8 +36,6 @@ type CachingConfig struct {
 	// TTLs lists cache TTLs to evaluate (0 in the list means "no cache",
 	// the baseline row).
 	TTLs []topology.Micros
-	// CacheCapacity bounds each AS's cache.
-	CacheCapacity int
 	// Seed fixes workloads and staleness sampling.
 	Seed int64
 	// Workers bounds the evaluation parallelism (0 = GOMAXPROCS, 1 =
@@ -71,11 +72,6 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 	if len(cfg.TTLs) == 0 {
 		return nil, fmt.Errorf("experiments: no TTLs")
 	}
-	capacity := cfg.CacheCapacity
-	if capacity <= 0 {
-		capacity = 1024
-	}
-
 	trace, err := w.lookupTrace(cfg.NumGUIDs, cfg.NumLookups, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -122,7 +118,7 @@ func RunCaching(w *World, cfg CachingConfig) (*CachingResult, error) {
 				var cc *cache.Cache
 				if ttl > 0 {
 					var err error
-					cc, err = cache.New(capacity, ttl)
+					cc, err = cache.New(cacheCapacity, ttl)
 					if err != nil {
 						return cachingUnit{}, err
 					}

@@ -54,15 +54,21 @@ func TestUpdateDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
+// TestCachingDeterministicAcrossWorkers runs on a 100-AS world, where
+// the busiest source AS looks up about 1,400 distinct GUIDs of the
+// 3,000 within one 600 s TTL: more than a cache holds (cacheCapacity,
+// 1,024), so LRU eviction of live entries runs and moves the 600 s row.
 func TestCachingDeterministicAcrossWorkers(t *testing.T) {
-	w := testWorld(t)
+	w, err := NewWorld(TestScale(100, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	workerSweep(t, "RunCaching", func(workers int) (any, error) {
 		return RunCaching(w, CachingConfig{
-			K: 3, NumGUIDs: 500, NumLookups: 5000,
-			DurationSec:      3600,
+			K: 3, NumGUIDs: 3000, NumLookups: 10000,
+			DurationSec:      600,
 			UpdateRatePerSec: 100.0 / 86400,
 			TTLs:             []topology.Micros{0, 10_000_000, 600_000_000},
-			CacheCapacity:    64,
 			Seed:             11,
 			Workers:          workers,
 		})

@@ -58,6 +58,11 @@ import (
 // same-replica retry, which the closed form never charged, so each
 // cell's mean and added latency rose by a few tenths of a millisecond;
 // success, timeouts and failovers did not move, nor did any other file.
+// The ninth rewrote heal.txt's stale-rate column alone, when the heal
+// experiment's stale-read probe count became a constant: this case had
+// asked for 120 probes per cell, and every run now takes the 200 that
+// dmapsim always took, so 127 of 200 reads come back stale (63.5%) where
+// 74 of 120 did (61.7%); convergence, rounds and repairs did not move.
 func TestGoldenAtTestScale(t *testing.T) {
 	// A world of its own: TestChurnSim* run RunChurnSim on the shared
 	// fixture, which withdraws and announces prefixes in place, so what
@@ -94,7 +99,7 @@ func TestGoldenAtTestScale(t *testing.T) {
 				K: 3, NumGUIDs: 50, NumLookups: 8000, DurationSec: 600,
 				UpdateRatePerSec: 100.0 / 86400,
 				TTLs:             []topology.Micros{0, 10_000_000, 600_000_000},
-				CacheCapacity:    64, Seed: 21,
+				Seed:             21,
 			})
 		}},
 		{"availability", func() (fmt.Stringer, error) {
@@ -108,7 +113,7 @@ func TestGoldenAtTestScale(t *testing.T) {
 		}},
 		{"heal", func() (fmt.Stringer, error) {
 			return RunHeal(HealConfig{
-				NumAS: 80, K: 3, LocalReplica: true, NumGUIDs: 15, StaleProbes: 120,
+				NumAS: 80, K: 3, NumGUIDs: 15,
 				GossipIntervals: []simnet.Time{100_000, 1_000_000}, Seed: 21,
 			})
 		}},

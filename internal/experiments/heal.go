@@ -20,27 +20,27 @@ import (
 // network, write divergent versions on both sides, heal, and measure how
 // long anti-entropy gossip (DESIGN.md §12) takes to restore §III-D2
 // agreement — and how many stale reads slip through before it does —
-// as a function of the gossip interval.
+// as a function of the gossip interval. Every AS keeps the §III-C
+// per-attachment-AS copies, which the repair protocol must also
+// converge.
 type HealConfig struct {
 	// NumAS sizes the topology (default 200).
 	NumAS int
 	// K is the replication factor (default 3).
 	K int
-	// LocalReplica enables the §III-C per-attachment-AS copies, which
-	// the repair protocol must also converge.
-	LocalReplica bool
 	// NumGUIDs sizes the diverged population (default 50).
 	NumGUIDs int
 	// GossipIntervals lists the sweep points: simulated time between
 	// gossip rounds after the heal.
 	GossipIntervals []simnet.Time
-	// StaleProbes is the number of post-heal, pre-convergence lookups
-	// probed per cell for staleness (default 200).
-	StaleProbes int
 	// Seed fixes the topology, prefix table, write placement and probe
 	// sampling.
 	Seed int64
 }
+
+// staleProbes is the number of post-heal, pre-convergence lookups each
+// cell probes for staleness.
+const staleProbes = 200
 
 // HealCell is one gossip-interval sweep point.
 type HealCell struct {
@@ -99,9 +99,6 @@ func RunHeal(cfg HealConfig) (*HealResult, error) {
 	if cfg.NumGUIDs <= 0 {
 		cfg.NumGUIDs = 50
 	}
-	if cfg.StaleProbes <= 0 {
-		cfg.StaleProbes = 200
-	}
 	if len(cfg.GossipIntervals) == 0 {
 		return nil, fmt.Errorf("experiments: heal sweep needs GossipIntervals")
 	}
@@ -126,10 +123,9 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 		return cell, err
 	}
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             g.NumAS(),
-		NumPrefixes:       3000,
-		AnnouncedFraction: 0.52,
-		Seed:              cfg.Seed,
+		NumAS:       g.NumAS(),
+		NumPrefixes: 3000,
+		Seed:        cfg.Seed,
 	})
 	if err != nil {
 		return cell, err
@@ -139,7 +135,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 		return cell, err
 	}
 	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: g.NumAS(), LocalReplica: cfg.LocalReplica,
+		Resolver: resolver, NumAS: g.NumAS(), LocalReplica: true,
 	})
 	if err != nil {
 		return cell, err
@@ -199,8 +195,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	// client sees in the window gossip has not yet closed. Mobility
 	// means a stale mapping routes traffic to a stale locator (§III-B).
 	const maxVersion = 3
-	probes := cfg.StaleProbes
-	for p := 0; p < probes; p++ {
+	for p := 0; p < staleProbes; p++ {
 		i := rng.Intn(len(entries))
 		src := rng.Intn(g.NumAS())
 		r, err := d.Read(src, entries[i].GUID)
@@ -212,7 +207,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 		}
 	}
 	d.Sim().Run(0)
-	cell.Probes = probes
+	cell.Probes = staleProbes
 	// The probe phase drags the clock to its last armed (if unused)
 	// timeout; gossip timing is measured from its own start.
 	gossipStart := d.Sim().Now()

@@ -11,9 +11,7 @@ func healTestConfig() HealConfig {
 	return HealConfig{
 		NumAS:           80,
 		K:               3,
-		LocalReplica:    true,
 		NumGUIDs:        15,
-		StaleProbes:     120,
 		GossipIntervals: []simnet.Time{100_000, 1_000_000}, // 100 ms, 1 s
 		Seed:            7,
 	}
@@ -43,7 +41,7 @@ func TestRunHealConverges(t *testing.T) {
 			t.Errorf("interval %d: post-heal probes saw no staleness; the divergence window is not being measured",
 				c.GossipInterval)
 		}
-		if c.Probes != 120 {
+		if c.Probes != staleProbes {
 			t.Errorf("interval %d: probes = %d", c.GossipInterval, c.Probes)
 		}
 	}

@@ -20,25 +20,23 @@ type World struct {
 	Table *prefixtable.Table
 }
 
-// WorldConfig sizes a world. The zero value is invalid; use FullScale or
-// TestScale.
+// WorldConfig sizes a world. The zero value is invalid; FullScale and
+// TestScale are the sizes there are.
 type WorldConfig struct {
-	NumAS             int
-	NumLinks          int
-	NumPrefixes       int
-	AnnouncedFraction float64
-	Seed              int64
+	numAS       int
+	numLinks    int
+	numPrefixes int
+	seed        int64
 }
 
 // FullScale reproduces the paper's environment: 26,424 ASs, 90,267
 // links, ≈330k prefixes spanning ≈52% of the IPv4 space.
 func FullScale(seed int64) WorldConfig {
 	return WorldConfig{
-		NumAS:             26424,
-		NumLinks:          90267,
-		NumPrefixes:       330000,
-		AnnouncedFraction: 0.52,
-		Seed:              seed,
+		numAS:       26424,
+		numLinks:    90267,
+		numPrefixes: 330000,
+		seed:        seed,
 	}
 }
 
@@ -46,34 +44,23 @@ func FullScale(seed int64) WorldConfig {
 // every distributional parameter.
 func TestScale(numAS int, seed int64) WorldConfig {
 	return WorldConfig{
-		NumAS:             numAS,
-		NumLinks:          int(float64(numAS) * 3.42),
-		NumPrefixes:       numAS * 12,
-		AnnouncedFraction: 0.52,
-		Seed:              seed,
+		numAS:       numAS,
+		numLinks:    int(float64(numAS) * 3.42),
+		numPrefixes: numAS * 12,
+		seed:        seed,
 	}
 }
 
 // NewWorld generates a world.
 func NewWorld(cfg WorldConfig) (*World, error) {
-	tcfg := topology.DefaultGenConfig(cfg.Seed)
-	tcfg.NumAS = cfg.NumAS
-	tcfg.TargetLinks = cfg.NumLinks
-	if tcfg.CoreSize > cfg.NumAS/4 {
-		tcfg.CoreSize = cfg.NumAS / 4
-		if tcfg.CoreSize < 2 {
-			tcfg.CoreSize = 2
-		}
-	}
-	g, err := topology.Generate(tcfg)
+	g, err := topology.Generate(topology.GenConfig{NumAS: cfg.numAS, TargetLinks: cfg.numLinks, Seed: cfg.seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: topology: %w", err)
 	}
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             cfg.NumAS,
-		NumPrefixes:       cfg.NumPrefixes,
-		AnnouncedFraction: cfg.AnnouncedFraction,
-		Seed:              cfg.Seed + 1,
+		NumAS:       cfg.numAS,
+		NumPrefixes: cfg.numPrefixes,
+		Seed:        cfg.seed + 1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prefix table: %w", err)

@@ -39,7 +39,7 @@ func TestFrameTableMatchesTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	conn, err := wire.Dial(context.Background(), addr, time.Second, wire.FeatRepair)
+	conn, err := wire.Dial(context.Background(), addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,9 @@ func testDeployment(t *testing.T, k int, local bool) (*Deployment, *topology.Gra
 		t.Fatal(err)
 	}
 	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:             g.NumAS(),
-		NumPrefixes:       3000,
-		AnnouncedFraction: 0.52,
-		Seed:              21,
+		NumAS:       g.NumAS(),
+		NumPrefixes: 3000,
+		Seed:        21,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,10 @@ import (
 // proberWorld builds a deployment plus the shipped prober, dialing
 // simulated links from a non-replica AS, whose targets are the
 // sentinel's actual replica set — the ASs anti-entropy reconciles — so
-// gossip repair is observable from the outside.
-func proberWorld(t *testing.T, sentinels int, slo obs.SLOConfig) (*obs.Prober, *Deployment, []int) {
+// gossip repair is observable from the outside. Both objectives are the
+// default 99.9 %: one failed probe in a healthy round's six burns the
+// budget faster than the 14.4× fast-burn threshold.
+func proberWorld(t *testing.T, sentinels int) (*obs.Prober, *Deployment, []int) {
 	t.Helper()
 	d, _ := testDeployment(t, 3, false)
 
@@ -44,17 +46,19 @@ func proberWorld(t *testing.T, sentinels int, slo obs.SLOConfig) (*obs.Prober, *
 	for seen[src] {
 		src++
 	}
-	cfg := obs.ProberConfig{Sentinels: 1, Availability: slo, Staleness: slo}
+	cfg := obs.ProberConfig{Sentinels: 1}
 	for _, as := range targets {
 		cfg.Targets = append(cfg.Targets, obs.ProbeTarget{Name: fmt.Sprintf("as%d", as), Addr: strconv.Itoa(as)})
 	}
 	return obs.NewProber(d.probeConfig(src, cfg)), d, targets
 }
 
-var chaosSLO = obs.SLOConfig{Objective: 0.9, Window: 6, ShortWindow: 1, FastBurn: 2, SlowBurn: 2}
+// sloWindow is obs's long burn window, in probe rounds: a bad round
+// slides out of every window sloWindow rounds after it.
+const sloWindow = 60
 
 func TestProberHealthyRounds(t *testing.T) {
-	p, d, targets := proberWorld(t, 1, chaosSLO)
+	p, d, targets := proberWorld(t, 1)
 	st := p.Round()
 	// An answered operation waits for its reply, not for its timeout: a
 	// healthy round costs the round trips it made.
@@ -83,7 +87,7 @@ func TestProberHealthyRounds(t *testing.T) {
 }
 
 func TestProberFlagsCrashedTarget(t *testing.T) {
-	p, d, targets := proberWorld(t, 1, chaosSLO)
+	p, d, targets := proberWorld(t, 1)
 	p.Round()
 	crash(t, d, targets[1])
 	st := p.Round()
@@ -103,7 +107,7 @@ func TestProberFlagsCrashedTarget(t *testing.T) {
 // converges the divergence, and the breach must clear after gossip
 // delivers the missed version.
 func TestProberDetectsPartitionBeforeGossipHeals(t *testing.T) {
-	p, d, targets := proberWorld(t, 1, chaosSLO)
+	p, d, targets := proberWorld(t, 1)
 	g := guid.New("dmap.obs.sentinel.0")
 	cut := targets[0]
 
@@ -176,11 +180,11 @@ func TestProberDetectsPartitionBeforeGossipHeals(t *testing.T) {
 
 	// Healthy probing resumes and the breach clears as the bad rounds
 	// slide out of both burn windows.
-	for i := 0; i < chaosSLO.Window+1; i++ {
+	for i := 0; i < sloWindow+1; i++ {
 		st = p.Round()
 	}
 	if st.Breaching() {
-		t.Fatalf("SLOs still breaching %d healthy rounds after repair: %+v", chaosSLO.Window+1, st.SLOs)
+		t.Fatalf("SLOs still breaching %d healthy rounds after repair: %+v", sloWindow+1, st.SLOs)
 	}
 	for _, ts := range st.Targets {
 		if !ts.WriteOK || !ts.ReadOK || ts.Stale {
@@ -194,7 +198,7 @@ func TestProberDetectsPartitionBeforeGossipHeals(t *testing.T) {
 // error strings included.
 func TestProberDeterministic(t *testing.T) {
 	run := func() []obs.ProbeStatus {
-		p, d, targets := proberWorld(t, 1, chaosSLO)
+		p, d, targets := proberWorld(t, 1)
 		var out []obs.ProbeStatus
 		out = append(out, p.Round())
 		crash(t, d, targets[2])

@@ -35,14 +35,13 @@ const (
 	outlierMin    = 1
 )
 
-// CollectorConfig configures a Collector. Zero values pick defaults.
+// CollectorConfig configures a Collector.
 type CollectorConfig struct {
 	Sources []Source
-	// Timeout bounds one scrape round trip (default 2s).
-	Timeout time.Duration
-	// Now overrides the clock (tests). Defaults to time.Now.
-	Now func() time.Time
 }
+
+// scrapeTimeout bounds one scrape round trip.
+const scrapeTimeout = 2 * time.Second
 
 // Collector scrapes the configured sources and remembers each node's
 // previous snapshot so every Collect call yields one delta window per
@@ -50,7 +49,7 @@ type CollectorConfig struct {
 type Collector struct {
 	cfg    CollectorConfig
 	client *http.Client
-	now    func() time.Time
+	now    func() time.Time // time.Now; the tests step a clock of their own
 
 	mu   sync.Mutex
 	prev map[string]scrapeState
@@ -63,14 +62,7 @@ type scrapeState struct {
 
 // NewCollector returns a collector over cfg.Sources.
 func NewCollector(cfg CollectorConfig) *Collector {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	return &Collector{cfg: cfg, client: &http.Client{Timeout: cfg.Timeout}, now: now, prev: make(map[string]scrapeState)}
+	return &Collector{cfg: cfg, client: &http.Client{Timeout: scrapeTimeout}, now: time.Now, prev: make(map[string]scrapeState)}
 }
 
 // Collect scrapes every source concurrently and returns this round's

@@ -23,7 +23,9 @@ func newTestCollector(t *testing.T, regs map[string]*metrics.Registry) (*Collect
 		t.Cleanup(srv.Close)
 		sources = append(sources, Source{Name: name, URL: srv.URL})
 	}
-	return NewCollector(CollectorConfig{Sources: sources, Now: clock.now}), clock
+	c := NewCollector(CollectorConfig{Sources: sources})
+	c.now = clock.now
+	return c, clock
 }
 
 func TestCollectorWindowsAndClusterMerge(t *testing.T) {

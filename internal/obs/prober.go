@@ -35,6 +35,9 @@ type ProbeTarget struct {
 	Addr string
 }
 
+// probeTimeout bounds one probe operation, the dial included.
+const probeTimeout = 2 * time.Second
+
 // ProberConfig configures a Prober. Zero values pick defaults.
 type ProberConfig struct {
 	Targets []ProbeTarget
@@ -42,8 +45,6 @@ type ProberConfig struct {
 	// (default 3). More sentinels smooth the signal; each costs one
 	// write and one read per target per round.
 	Sentinels int
-	// Timeout bounds one probe operation (default 2s).
-	Timeout time.Duration
 	// MaxLag is the acceptable staleness in versions: a read observing
 	// a version more than MaxLag behind the newest acknowledged write
 	// of that sentinel is a staleness failure (default 0 — reads must
@@ -53,15 +54,14 @@ type ProberConfig struct {
 	// default to "availability" and "staleness".
 	Availability SLOConfig
 	Staleness    SLOConfig
-	// BaseVersion seeds the sentinel version counter. Defaults to the
-	// current time in milliseconds so a restarted prober's writes still
-	// supersede its previous incarnation's.
-	BaseVersion uint64
 	// Registry, when set, receives the prober's own metrics
 	// (probe.op_us, probe.ops, probe.failures, probe.stale,
 	// probe.repaired).
 	Registry *metrics.Registry
 	// Now overrides the clock; every time the prober reads goes through it.
+	// The sentinels' first version is its time in milliseconds, so a
+	// restarted prober's writes still supersede its previous
+	// incarnation's.
 	Now func() time.Time
 	// Dial opens the connection to a target's Addr. Nil selects wire.Dial
 	// (TCP and the handshake); internal/nodesim dials simulated links.
@@ -128,7 +128,7 @@ type Prober struct {
 
 	conns []ProbeConn // per target, nil when down
 	// dialErr[t] is the dial failure target t met this round; the rest of
-	// its operations fail with it, so a silent target costs one Timeout.
+	// its operations fail with it, so a silent target costs one probeTimeout.
 	dialErr []error
 	// acked[t][s] is the newest version target t directly acknowledged
 	// for sentinel s; maxAcked[s] is the newest version ANY target
@@ -152,15 +152,12 @@ func NewProber(cfg ProberConfig) *Prober {
 	if cfg.Sentinels <= 0 {
 		cfg.Sentinels = 3
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string, timeout time.Duration) (ProbeConn, error) {
-			return wire.Dial(context.Background(), addr, timeout, 0)
+			return wire.Dial(context.Background(), addr, timeout)
 		}
 	}
 	if cfg.Availability.Name == "" {
@@ -169,12 +166,9 @@ func NewProber(cfg ProberConfig) *Prober {
 	if cfg.Staleness.Name == "" {
 		cfg.Staleness.Name = "staleness"
 	}
-	if cfg.BaseVersion == 0 {
-		cfg.BaseVersion = uint64(cfg.Now().UnixMilli())
-	}
 	p := &Prober{
 		cfg:          cfg,
-		version:      cfg.BaseVersion,
+		version:      uint64(cfg.Now().UnixMilli()),
 		availability: NewSLOTracker(cfg.Availability),
 		staleness:    NewSLOTracker(cfg.Staleness),
 		conns:        make([]ProbeConn, len(cfg.Targets)),
@@ -394,7 +388,7 @@ func respError(t wire.MsgType, payload []byte) error {
 func (p *Prober) roundTrip(t int, mt wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
 	if p.conns[t] == nil {
 		if p.dialErr[t] == nil {
-			p.conns[t], p.dialErr[t] = p.cfg.Dial(p.cfg.Targets[t].Addr, p.cfg.Timeout)
+			p.conns[t], p.dialErr[t] = p.cfg.Dial(p.cfg.Targets[t].Addr, probeTimeout)
 		}
 		if p.dialErr[t] != nil {
 			p.conns[t] = nil // a dialer may hand back a nil *wire.Conn beside its error
@@ -402,7 +396,7 @@ func (p *Prober) roundTrip(t int, mt wire.MsgType, payload []byte) (wire.MsgType
 		}
 	}
 	start := p.cfg.Now()
-	rt, resp, err := p.conns[t].RoundTrip(mt, payload, p.cfg.Timeout)
+	rt, resp, err := p.conns[t].RoundTrip(mt, payload, probeTimeout)
 	if err != nil {
 		p.conns[t].Close()
 		p.conns[t] = nil

@@ -28,11 +28,9 @@ func TestProberHealthyCluster(t *testing.T) {
 	_, b := startProbeNode(t)
 	reg := metrics.NewRegistry()
 	p := NewProber(ProberConfig{
-		Targets:     []ProbeTarget{{Name: "a", Addr: a}, {Name: "b", Addr: b}},
-		Sentinels:   2,
-		Timeout:     2 * time.Second,
-		BaseVersion: 100,
-		Registry:    reg,
+		Targets:   []ProbeTarget{{Name: "a", Addr: a}, {Name: "b", Addr: b}},
+		Sentinels: 2,
+		Registry:  reg,
 	})
 	defer p.Close()
 
@@ -73,11 +71,8 @@ func TestProberDetectsDownNode(t *testing.T) {
 	na, a := startProbeNode(t)
 	_, b := startProbeNode(t)
 	p := NewProber(ProberConfig{
-		Targets:      []ProbeTarget{{Name: "a", Addr: a}, {Name: "b", Addr: b}},
-		Sentinels:    1,
-		Timeout:      500 * time.Millisecond,
-		BaseVersion:  100,
-		Availability: SLOConfig{Objective: 0.9, Window: 8, ShortWindow: 2, FastBurn: 2, SlowBurn: 2},
+		Targets:   []ProbeTarget{{Name: "a", Addr: a}, {Name: "b", Addr: b}},
+		Sentinels: 1,
 	})
 	defer p.Close()
 
@@ -116,10 +111,8 @@ func TestProberSeesRepair(t *testing.T) {
 	_, a := startProbeNode(t)
 	nb, b := startProbeNode(t)
 	p := NewProber(ProberConfig{
-		Targets:     []ProbeTarget{{Name: "a", Addr: a}, {Name: "b", Addr: b}},
-		Sentinels:   1,
-		Timeout:     2 * time.Second,
-		BaseVersion: 100,
+		Targets:   []ProbeTarget{{Name: "a", Addr: a}, {Name: "b", Addr: b}},
+		Sentinels: 1,
 	})
 	defer p.Close()
 	p.Round()
@@ -156,11 +149,8 @@ func TestProberSeesRepair(t *testing.T) {
 func TestProberStaleRead(t *testing.T) {
 	_, a := startProbeNode(t)
 	p := NewProber(ProberConfig{
-		Targets:     []ProbeTarget{{Name: "a", Addr: a}},
-		Sentinels:   1,
-		Timeout:     2 * time.Second,
-		BaseVersion: 100,
-		Staleness:   SLOConfig{Objective: 0.9, Window: 8, ShortWindow: 1, FastBurn: 2, SlowBurn: 2},
+		Targets:   []ProbeTarget{{Name: "a", Addr: a}},
+		Sentinels: 1,
 	})
 	defer p.Close()
 	p.Round()
@@ -237,11 +227,9 @@ func TestProberTimesExchangesNotHandshake(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	p := NewProber(ProberConfig{
-		Targets:     []ProbeTarget{{Name: "slow-hello", Addr: ln.Addr().String()}},
-		Sentinels:   1,
-		Timeout:     2 * time.Second,
-		BaseVersion: 7,
-		Registry:    reg,
+		Targets:   []ProbeTarget{{Name: "slow-hello", Addr: ln.Addr().String()}},
+		Sentinels: 1,
+		Registry:  reg,
 	})
 	start := time.Now()
 	st := p.Round()
@@ -264,9 +252,9 @@ func TestProberTimesExchangesNotHandshake(t *testing.T) {
 }
 
 // TestProberDialsSickTargetOncePerRound: a target that accepts and never
-// answers the hello costs a round one dial and one Timeout, not one per
+// answers the hello costs a round one dial and one timeout, not one per
 // operation — Run cannot stop between a round's operations, so at the 2 s
-// default six dials held a round (and a shutdown) for 12 s per sick
+// probeTimeout six dials held a round (and a shutdown) for 12 s per sick
 // target. Every operation is still an availability failure, and the next
 // round dials again.
 func TestProberDialsSickTargetOncePerRound(t *testing.T) {
@@ -285,14 +273,19 @@ func TestProberDialsSickTargetOncePerRound(t *testing.T) {
 		}
 	}()
 
+	// The dial bounds the handshake itself, shorter than probeTimeout, so
+	// that the round stays short; one sick dial per operation would still
+	// cost six of it.
 	const timeout = 100 * time.Millisecond
 	dials := 0
 	p := NewProber(ProberConfig{
 		Targets: []ProbeTarget{{Name: "silent", Addr: ln.Addr().String()}},
-		Timeout: timeout,
 		Dial: func(addr string, d time.Duration) (ProbeConn, error) {
 			dials++
-			return wire.Dial(context.Background(), addr, d, 0)
+			if d != probeTimeout {
+				t.Errorf("dial bounded by %v, want probeTimeout (%v)", d, probeTimeout)
+			}
+			return wire.Dial(context.Background(), addr, timeout)
 		},
 	})
 	defer p.Close()

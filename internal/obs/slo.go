@@ -16,55 +16,40 @@ package obs
 
 import "fmt"
 
-// SLOConfig parameterizes one service-level objective tracked over a
-// sliding window of probe rounds. Windows are counted in ROUNDS, not
-// wall time, so the same tracker is exact under the real prober (one
-// round per interval tick) and under simulated virtual time.
+// SLOConfig names one service-level objective tracked over a sliding
+// window of probe rounds. Windows are counted in ROUNDS, not wall time,
+// so the same tracker is exact under the real prober (one round per
+// interval tick) and under simulated virtual time.
 type SLOConfig struct {
 	// Name labels the objective in reports ("availability",
 	// "staleness").
 	Name string
 	// Objective is the target good fraction in (0,1), e.g. 0.999. The
-	// error budget is 1−Objective.
+	// error budget is 1−Objective. Outside (0,1) it is 0.999.
 	Objective float64
-	// Window is the long-window length in rounds (≥1). Burn rates are
-	// measured against this window and the short window below.
-	Window int
-	// ShortWindow is the fast-burn window in rounds (≥1, ≤ Window). A
-	// fresh outage shows up here first.
-	ShortWindow int
-	// FastBurn and SlowBurn are the burn-rate thresholds over the short
-	// and long windows; the SLO is breaching when EITHER window burns
-	// faster than its threshold. The classic multiwindow values are
-	// 14.4 (fast) and 6 (slow) for a 99.9% objective.
-	FastBurn float64
-	SlowBurn float64
 }
+
+// The burn-rate windows and thresholds, the classic multiwindow values
+// for a 99.9% objective: the SLO is breaching when the last sloShort
+// rounds burn the budget at least sloFastBurn times too fast (a fresh
+// outage shows up here first), or the last sloWindow rounds at least
+// sloSlowBurn times.
+const (
+	sloWindow   = 60
+	sloShort    = 5
+	sloFastBurn = 14.4
+	sloSlowBurn = 6
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Objective <= 0 || c.Objective >= 1 {
 		c.Objective = 0.999
 	}
-	if c.Window <= 0 {
-		c.Window = 60
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 5
-	}
-	if c.ShortWindow > c.Window {
-		c.ShortWindow = c.Window
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
 	return c
 }
 
 // SLOTracker accumulates good/bad probe outcomes into per-round ring
-// buckets and answers burn-rate questions over the configured windows.
+// buckets and answers burn-rate questions over the last sloWindow rounds.
 // It is deterministic — rounds advance only via Advance(), never via
 // the clock — and not safe for concurrent use (the prober owns it).
 type SLOTracker struct {
@@ -80,8 +65,8 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	cfg = cfg.withDefaults()
 	return &SLOTracker{
 		cfg:  cfg,
-		good: make([]uint64, cfg.Window),
-		bad:  make([]uint64, cfg.Window),
+		good: make([]uint64, sloWindow),
+		bad:  make([]uint64, sloWindow),
 		n:    1,
 	}
 }
@@ -138,20 +123,20 @@ func (t *SLOTracker) BurnRate(window int) float64 {
 
 // Breaching reports whether either burn window is above its threshold.
 func (t *SLOTracker) Breaching() bool {
-	return t.BurnRate(t.cfg.ShortWindow) >= t.cfg.FastBurn ||
-		t.BurnRate(t.cfg.Window) >= t.cfg.SlowBurn
+	return t.BurnRate(sloShort) >= sloFastBurn ||
+		t.BurnRate(sloWindow) >= sloSlowBurn
 }
 
 // Status summarizes the tracker for reports.
 func (t *SLOTracker) Status() SLOStatus {
-	good, bad := t.Totals(t.cfg.Window)
+	good, bad := t.Totals(sloWindow)
 	return SLOStatus{
 		Name:      t.cfg.Name,
 		Objective: t.cfg.Objective,
 		Good:      good,
 		Bad:       bad,
-		FastBurn:  t.BurnRate(t.cfg.ShortWindow),
-		SlowBurn:  t.BurnRate(t.cfg.Window),
+		FastBurn:  t.BurnRate(sloShort),
+		SlowBurn:  t.BurnRate(sloWindow),
 		Breaching: t.Breaching(),
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSLOBurnRate(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Name: "avail", Objective: 0.9, Window: 10, ShortWindow: 2})
+	tr := NewSLOTracker(SLOConfig{Name: "avail", Objective: 0.9})
 	// 1 bad in 10 probes = 10% error rate = exactly 1x burn at 90%.
 	for i := 0; i < 9; i++ {
 		tr.Observe(true)
@@ -30,15 +30,15 @@ func TestSLOBurnRate(t *testing.T) {
 }
 
 func TestSLOBreachAndRecovery(t *testing.T) {
-	cfg := SLOConfig{Objective: 0.9, Window: 8, ShortWindow: 2, FastBurn: 5, SlowBurn: 3}
-	tr := NewSLOTracker(cfg)
+	tr := NewSLOTracker(SLOConfig{Objective: 0.99})
 	for i := 0; i < 4; i++ {
 		tr.Observe(true)
 	}
 	if tr.Breaching() {
 		t.Fatal("healthy tracker breaching")
 	}
-	// An outage round trips the fast window immediately.
+	// An outage round trips the fast window immediately: half the short
+	// window's probes failed, 50 times the 1% budget.
 	tr.Advance()
 	for i := 0; i < 4; i++ {
 		tr.Observe(false)
@@ -47,7 +47,7 @@ func TestSLOBreachAndRecovery(t *testing.T) {
 		t.Fatal("fast-burn outage not flagged")
 	}
 	// Enough healthy rounds push the bad bucket out of both windows.
-	for i := 0; i < cfg.Window+1; i++ {
+	for i := 0; i < sloWindow; i++ {
 		tr.Advance()
 		for j := 0; j < 4; j++ {
 			tr.Observe(true)
@@ -60,7 +60,7 @@ func TestSLOBreachAndRecovery(t *testing.T) {
 }
 
 func TestSLOWindowSlides(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Objective: 0.5, Window: 3, ShortWindow: 1})
+	tr := NewSLOTracker(SLOConfig{Objective: 0.5})
 	tr.Observe(false)
 	tr.Advance()
 	tr.Observe(true)

@@ -20,13 +20,14 @@ type GenConfig struct {
 	NumAS int
 	// NumPrefixes is the approximate number of prefixes to announce.
 	NumPrefixes int
-	// AnnouncedFraction is the approximate share of the IPv4 space that
-	// must end up announced (the paper measures 0.52–0.55; 1−fraction is
-	// the per-hash hole probability).
-	AnnouncedFraction float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
+
+// announcedFraction is the approximate share of the IPv4 space that a
+// generated table announces (the paper measures 0.52–0.55; 1−fraction is
+// the per-hash hole probability).
+const announcedFraction = 0.52
 
 // shareSkew is the Pareto exponent of per-AS address share; larger
 // means a few ASs own most of the space. 0.9 yields a realistic mix of
@@ -36,10 +37,9 @@ const shareSkew = 0.9
 // DefaultGenConfig mirrors the paper's measured DFZ at full scale.
 func DefaultGenConfig(seed int64) GenConfig {
 	return GenConfig{
-		NumAS:             26424,
-		NumPrefixes:       330000,
-		AnnouncedFraction: 0.52,
-		Seed:              seed,
+		NumAS:       26424,
+		NumPrefixes: 330000,
+		Seed:        seed,
 	}
 }
 
@@ -88,9 +88,6 @@ func Generate(cfg GenConfig) (*Table, error) {
 	if cfg.NumPrefixes <= 0 {
 		return nil, fmt.Errorf("prefixtable: NumPrefixes must be positive, got %d", cfg.NumPrefixes)
 	}
-	if cfg.AnnouncedFraction <= 0 || cfg.AnnouncedFraction > 1 {
-		return nil, fmt.Errorf("prefixtable: AnnouncedFraction must be in (0,1], got %g", cfg.AnnouncedFraction)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := New()
 
@@ -112,12 +109,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 
-	wantBlocks := int(cfg.AnnouncedFraction * numSuper)
-	if wantBlocks > len(candidates) {
-		return nil, fmt.Errorf("prefixtable: AnnouncedFraction %g exceeds non-reserved space (%g)",
-			cfg.AnnouncedFraction, float64(len(candidates))/numSuper)
-	}
-	announced := candidates[:wantBlocks]
+	announced := candidates[:int(math.Floor(announcedFraction*numSuper))]
 	sort.Ints(announced)
 
 	// Per-AS Pareto weights turned into a sampling alias-free CDF.

@@ -10,11 +10,8 @@ import (
 
 func TestGenerateValidation(t *testing.T) {
 	bad := []GenConfig{
-		{NumAS: 0, NumPrefixes: 10, AnnouncedFraction: 0.5},
-		{NumAS: 10, NumPrefixes: 0, AnnouncedFraction: 0.5},
-		{NumAS: 10, NumPrefixes: 10, AnnouncedFraction: 0},
-		{NumAS: 10, NumPrefixes: 10, AnnouncedFraction: 1.5},
-		{NumAS: 10, NumPrefixes: 10, AnnouncedFraction: 0.95}, // exceeds non-reserved space
+		{NumAS: 0, NumPrefixes: 10},
+		{NumAS: 10, NumPrefixes: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
@@ -25,10 +22,9 @@ func TestGenerateValidation(t *testing.T) {
 
 func TestGenerateMeetsTargets(t *testing.T) {
 	cfg := GenConfig{
-		NumAS:             2000,
-		NumPrefixes:       20000,
-		AnnouncedFraction: 0.52,
-		Seed:              1,
+		NumAS:       2000,
+		NumPrefixes: 20000,
+		Seed:        1,
 	}
 	tbl, err := Generate(cfg)
 	if err != nil {
@@ -54,7 +50,7 @@ func TestGenerateMeetsTargets(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{NumAS: 500, NumPrefixes: 5000, AnnouncedFraction: 0.5, Seed: 42}
+	cfg := GenConfig{NumAS: 500, NumPrefixes: 5000, Seed: 42}
 	t1, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +74,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSeedsDiffer(t *testing.T) {
-	cfg := GenConfig{NumAS: 500, NumPrefixes: 5000, AnnouncedFraction: 0.5}
+	cfg := GenConfig{NumAS: 500, NumPrefixes: 5000}
 	cfg.Seed = 1
 	t1, err := Generate(cfg)
 	if err != nil {
@@ -109,7 +105,7 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 }
 
 func TestGenerateNoOverlaps(t *testing.T) {
-	tbl, err := Generate(GenConfig{NumAS: 300, NumPrefixes: 4000, AnnouncedFraction: 0.4, Seed: 3})
+	tbl, err := Generate(GenConfig{NumAS: 300, NumPrefixes: 4000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +129,7 @@ func TestGenerateNoOverlaps(t *testing.T) {
 }
 
 func TestGenerateHeavyTailedShares(t *testing.T) {
-	tbl, err := Generate(GenConfig{NumAS: 1000, NumPrefixes: 10000, AnnouncedFraction: 0.5, Seed: 9})
+	tbl, err := Generate(GenConfig{NumAS: 1000, NumPrefixes: 10000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +161,12 @@ func TestDefaultGenConfig(t *testing.T) {
 	if cfg.NumPrefixes != 330000 {
 		t.Errorf("NumPrefixes = %d, want the paper's 330000", cfg.NumPrefixes)
 	}
-	if cfg.AnnouncedFraction != 0.52 {
-		t.Errorf("AnnouncedFraction = %v, want 0.52", cfg.AnnouncedFraction)
-	}
 }
 
 func TestGenerateHoleProbability(t *testing.T) {
 	// A uniformly hashed address must miss the table with probability
-	// ≈ 1 − AnnouncedFraction (the §III-B hole probability).
-	tbl, err := Generate(GenConfig{NumAS: 1000, NumPrefixes: 10000, AnnouncedFraction: 0.5, Seed: 5})
+	// ≈ 1 − the announced fraction (the §III-B hole probability).
+	tbl, err := Generate(GenConfig{NumAS: 1000, NumPrefixes: 10000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +189,7 @@ func TestGenerateHoleProbability(t *testing.T) {
 }
 
 func TestGenerateChurn(t *testing.T) {
-	tbl, err := Generate(GenConfig{NumAS: 200, NumPrefixes: 3000, AnnouncedFraction: 0.5, Seed: 2})
+	tbl, err := Generate(GenConfig{NumAS: 200, NumPrefixes: 3000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -462,7 +462,7 @@ func TestCoverageMatchesSampling(t *testing.T) {
 // one shared table, so Lookup must write nothing — run under -race by
 // scripts/check.sh.
 func TestLookupConcurrentReaders(t *testing.T) {
-	tbl, err := Generate(GenConfig{NumAS: 64, NumPrefixes: 4096, AnnouncedFraction: 0.52, Seed: 3})
+	tbl, err := Generate(GenConfig{NumAS: 64, NumPrefixes: 4096, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func TestShedDistinctFromDrainOverWire(t *testing.T) {
 
 	refusal := func(n *Node, addr string) wire.ErrKind {
 		t.Helper()
-		typ, body := exchange(t, dialConn(t, addr, 0), wire.MsgInsert, insert)
+		typ, body := exchange(t, dialConn(t, addr), wire.MsgInsert, insert)
 		if typ != wire.MsgError {
 			t.Fatalf("reply = %v, want MsgError", typ)
 		}
@@ -346,7 +346,7 @@ func TestPingNeverShed(t *testing.T) {
 	n, addr := startNodeOpts(t, Options{MaxInflight: 1})
 	n.admit.acquire()
 	defer n.admit.release()
-	if typ, _ := exchange(t, dialConn(t, addr, 0), wire.MsgPing, nil); typ != wire.MsgPong {
+	if typ, _ := exchange(t, dialConn(t, addr), wire.MsgPing, nil); typ != wire.MsgPong {
 		t.Fatalf("ping on saturated node = %v, want MsgPong", typ)
 	}
 }
@@ -443,7 +443,7 @@ func TestLimiterReleaseOnConnDeath(t *testing.T) {
 	}
 
 	// The freed capacity is usable by a new connection.
-	if typ, _ := exchange(t, dialConn(t, addr, 0), wire.MsgLookup, wire.AppendGUID(nil, guid.New("alive"))); typ != wire.MsgLookupResp {
+	if typ, _ := exchange(t, dialConn(t, addr), wire.MsgLookup, wire.AppendGUID(nil, guid.New("alive"))); typ != wire.MsgLookupResp {
 		t.Fatalf("post-death lookup = %v, want MsgLookupResp", typ)
 	}
 }

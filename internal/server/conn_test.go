@@ -671,7 +671,7 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 		release := func() { once.Do(func() { close(g.open) }) }
 		n := NewWithOptions(nil, Options{Logger: slog.New(slog.NewTextHandler(g, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 		base := runtime.NumGoroutine()
-		conn, _ := serveCounted(t, n, wire.FeatRepair)
+		conn, _ := serveCounted(t, n)
 		t.Cleanup(release) // registered last, runs first: the loop must finish for serveConn to return
 		const heavy = 64
 		var reqs []byte
@@ -892,7 +892,7 @@ func TestStagedInsertsHoldSlotsToFlush(t *testing.T) {
 func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
 	tr := trace.New(trace.Config{SlowOp: time.Nanosecond})
 	n := NewWithOptions(nil, Options{Tracer: tr, HotKeys: trace.NewHotKeys(4)})
-	conn, _ := serveCounted(t, n, wire.FeatTrace, wire.FeatRepair)
+	conn, _ := serveCounted(t, n, wire.FeatTrace)
 	e := burstEntry(0)
 	entry, err := wire.AppendEntry(nil, e)
 	if err != nil {

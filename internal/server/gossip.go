@@ -1,10 +1,9 @@
 // Background anti-entropy sweeps between live nodes (DESIGN.md §12).
 //
 // A node configured with gossip peers periodically drives a core.Sweep
-// of its store against one peer over a dedicated connection
-// (negotiated with wire.FeatRepair): bounded range-complete digest
-// pages in shard order. The peer answers each page with a
-// MsgRepairDiff: its fresher copies (the sweeper pulls them) and the
+// of its store against one peer over a dedicated connection: bounded
+// range-complete digest pages in shard order. The peer answers each page
+// with a MsgRepairDiff: its fresher copies (the sweeper pulls them) and the
 // GUIDs the sweeper's side holds fresher (the sweeper pushes them back
 // as ordinary MsgBatchInsert frames, made idempotent by the store's
 // §III-D2 freshest-wins Put). Divergence left behind by a partition, a
@@ -80,9 +79,9 @@ func (n *Node) gossipLoop() {
 // frame under overload; the sweeper backs off until the next tick.
 var errPeerShed = fmt.Errorf("server: peer shed repair frame")
 
-// gossipSweep reconciles the whole store against one peer: dial,
-// negotiate FeatRepair, then Sweep. The peer set is static and assumed
-// to replicate the whole keyspace, so the sweep is unscoped.
+// gossipSweep reconciles the whole store against one peer: dial, then
+// Sweep. The peer set is static and assumed to replicate the whole
+// keyspace, so the sweep is unscoped.
 func (n *Node) gossipSweep(addr string) error {
 	n.repairSweeps.Add(1)
 	gc, err := dialGossip(n.gossipCtx, addr)
@@ -148,17 +147,11 @@ func (n *Node) countRepairErr(err error) {
 }
 
 // dialGossip opens the sweeper's side of a repair connection: one
-// exchange in flight, FeatRepair granted. A peer that does not grant
-// the repair extension is an error: sweeping it would only burn
-// unknown-frame rejections.
+// exchange in flight.
 func dialGossip(ctx context.Context, addr string) (*wire.Conn, error) {
-	gc, err := wire.Dial(ctx, addr, gossipDialTimeout, wire.FeatRepair)
+	gc, err := wire.Dial(ctx, addr, gossipDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("server: gossip: %w", err)
-	}
-	if gc.Feat()&wire.FeatRepair == 0 {
-		gc.Close()
-		return nil, fmt.Errorf("server: peer %s did not grant repair", addr)
 	}
 	return gc, nil
 }
@@ -234,10 +227,10 @@ func pushWanted(gc RoundTripper, wait time.Duration, entries []store.Entry) (int
 
 // AnswerDigest answers one MsgRepairDigest into dst, as handle answers
 // the other frames, comparing the page over scope (nil: the whole
-// keyspace; see core.DiffRangeIn). Over TCP the read loop calls it once
-// FeatRepair was negotiated, unscoped. A draining node answers with
-// wantMissing=false: it keeps exporting its fresher copies but asks for
-// nothing — the handoff posture.
+// keyspace; see core.DiffRangeIn). Over TCP the read loop calls it for
+// every digest frame past the hello, unscoped. A draining node answers
+// with wantMissing=false: it keeps exporting its fresher copies but asks
+// for nothing — the handoff posture.
 func (n *Node) AnswerDigest(payload, dst []byte, scope func(guid.GUID) bool) (wire.MsgType, []byte) {
 	after, through, page, err := wire.DecodeRepairDigest(payload)
 	if err != nil {

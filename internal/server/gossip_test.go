@@ -136,40 +136,20 @@ func TestGossipRepairsEmptyRestartedNode(t *testing.T) {
 	}
 }
 
-// TestRepairFrameRequiresNegotiation pins the feature gate: a repair
-// digest on a connection that never negotiated FeatRepair is an unknown
-// frame, not a serviced one.
-func TestRepairFrameRequiresNegotiation(t *testing.T) {
+// TestRepairFrameOnPlainConnection: a node answers a repair digest on
+// any connection past the hello, one that asked for no feature included,
+// with a real diff.
+func TestRepairFrameOnPlainConnection(t *testing.T) {
 	n, addr := startNode(t)
-	putAll(t, n.Store(), gossipEntry("gated", 2))
+	putAll(t, n.Store(), gossipEntry("held", 2))
 
 	digest, err := wire.AppendRepairDigest(nil, guid.GUID{}, guid.Max(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A connection without FeatRepair: per-frame MsgError, connection
-	// stays alive.
-	conn := dialConn(t, addr, 0)
-	rt, rbody := exchange(t, conn, wire.MsgRepairDigest, digest)
-	if rt != wire.MsgError {
-		t.Fatalf("un-negotiated repair digest answered with %v", rt)
-	}
-	if kind, _, _ := wire.DecodeErrorKind(rbody); kind != wire.ErrKindBadRequest {
-		t.Fatalf("error kind = %v, want bad request", kind)
-	}
-	if rt, _ := exchange(t, conn, wire.MsgPing, nil); rt != wire.MsgPong {
-		t.Fatalf("connection unusable after the refusal: ping answered %v", rt)
-	}
-
-	// A negotiated connection gets a real diff for the same bytes.
-	conn2 := dialConn(t, addr, wire.FeatRepair)
-	if conn2.Feat()&wire.FeatRepair == 0 {
-		t.Fatal("server refused FeatRepair")
-	}
-	rt, rbody = exchange(t, conn2, wire.MsgRepairDigest, digest)
+	rt, rbody := exchange(t, dialConn(t, addr), wire.MsgRepairDigest, digest)
 	if rt != wire.MsgRepairDiff {
-		t.Fatalf("negotiated repair digest answered with %v", rt)
+		t.Fatalf("repair digest answered with %v", rt)
 	}
 	covered, newer, _, err := wire.DecodeRepairDiff(rbody)
 	if err != nil {
@@ -297,7 +277,7 @@ func TestCloseDoesNotWaitForSilentGossipPeer(t *testing.T) {
 					return
 				}
 				if tc.ackHello {
-					if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, wire.Version2, wire.FeatRepair)); err != nil {
+					if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAck(nil, wire.Version2)); err != nil {
 						return
 					}
 					if typ, _, _, err := wire.ReadFrameIDInto(conn, nil); err != nil || typ != wire.MsgRepairDigest {

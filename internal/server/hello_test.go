@@ -107,7 +107,7 @@ func TestSilentPeerIsClosed(t *testing.T) {
 		t.Errorf("peers that have not said hello hold %d pooled buffer(s)", idle-got)
 	}
 
-	healthy := dialConn(t, addr, 0)
+	healthy := dialConn(t, addr)
 	if typ, _ := exchange(t, healthy, wire.MsgPing, nil); typ != wire.MsgPong {
 		t.Fatalf("healthy client beside the silent peers: ping answered %v", typ)
 	}
@@ -147,7 +147,7 @@ func FuzzServerFirstFrame(f *testing.F) {
 	}
 	f.Add(frame(wire.MsgLookup, wire.AppendGUID(nil, guid.New("v1")))) // a pre-hello client's request
 	f.Add(frame(wire.MsgHello, wire.AppendHello(nil, wire.Version2)))
-	f.Add(frame(wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, wire.FeatRepair)))
+	f.Add(frame(wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, 1<<1))) // a flag no node grants
 	f.Add(frame(wire.MsgHello, wire.AppendHello(nil, 1)))
 	f.Add(frame(wire.MsgHello, []byte{'D', 'M', 'a', 'X', 2}))   // bad magic
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(wire.MsgHello)})   // oversized length

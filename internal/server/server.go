@@ -641,12 +641,11 @@ func (n *Node) serveConn(conn net.Conn) {
 		_ = wire.WriteFrame(conn, wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "expected a hello for protocol version 2"))
 		return
 	}
-	// Grant the intersection of what the peer asked for and what this
-	// node supports: repair needs nothing more, the trace extension an
-	// attached tracer.
-	granted := feat & wire.FeatRepair
+	// Grant the trace extension if the peer asked for it and a tracer is
+	// attached; it is the one negotiated feature.
+	var granted byte
 	if n.tracer != nil {
-		granted |= feat & wire.FeatTrace
+		granted = feat & wire.FeatTrace
 	}
 	if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, wire.Version2, granted)); err != nil {
 		return
@@ -799,9 +798,7 @@ func (n *Node) serveFrameV2(remote net.Addr, feat byte, w replies, run *insertRu
 	}
 	var respType wire.MsgType
 	var out []byte
-	if t == wire.MsgRepairDigest && feat&wire.FeatRepair != 0 {
-		// A negotiated anti-entropy page (gossip.go). An un-negotiated one
-		// is handle's unknown frame.
+	if t == wire.MsgRepairDigest { // an anti-entropy page (gossip.go)
 		respType, out = n.AnswerDigest(payload, buf, nil)
 	} else {
 		respType, out = n.handle(t, payload, remote, sp, buf, start)
@@ -884,14 +881,14 @@ func (n *Node) answerInsert(w replies, in *stagedInsert, dst []byte, kind wire.E
 
 // ServeFrame answers one request frame as a connection's read loop does,
 // for a transport without connections — nodesim's simulated link: the
-// same decode, refusal and store code, the repair extension granted (a
-// link has no hello), an insert committed as a run of one. No admission
-// limit applies. The reply body is a fresh slice; payload stays the
+// same decode, refusal and store code, no trace extension (a link has
+// no hello), an insert committed as a run of one. No admission limit
+// applies. The reply body is a fresh slice; payload stays the
 // caller's.
 func (n *Node) ServeFrame(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
 	var r oneReply
 	var run insertRun
-	n.serveFrameV2(nil, wire.FeatRepair, &r, &run, t, 0, payload, nil)
+	n.serveFrameV2(nil, 0, &r, &run, t, 0, payload, nil)
 	n.commitInserts(&run, &r, nil)
 	return r.t, r.body
 }

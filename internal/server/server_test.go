@@ -33,12 +33,12 @@ func dial(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// dialConn opens a connection to addr through the handshake, asking for
-// the want feature flags: the one-exchange-at-a-time connection the
-// sweeper and the prober use. Tests that pipeline dial and call hello.
-func dialConn(t *testing.T, addr string, want byte) *wire.Conn {
+// dialConn opens a connection to addr through the handshake: the
+// one-exchange-at-a-time connection the sweeper and the prober use. Tests
+// that pipeline dial and call hello.
+func dialConn(t *testing.T, addr string) *wire.Conn {
 	t.Helper()
-	conn, err := wire.Dial(context.Background(), addr, time.Second, want)
+	conn, err := wire.Dial(context.Background(), addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func testEntry() store.Entry {
 
 func TestRawProtocolRoundTrip(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dialConn(t, addr, 0)
+	conn := dialConn(t, addr)
 
 	// Insert.
 	payload, err := wire.AppendEntry(nil, testEntry())
@@ -129,7 +129,7 @@ func TestRawProtocolRoundTrip(t *testing.T) {
 // framing being intact — the connection goes on serving.
 func TestMalformedFrameKeepsConnection(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dialConn(t, addr, 0)
+	conn := dialConn(t, addr)
 
 	typ, body := exchange(t, conn, wire.MsgInsert, []byte{1, 2, 3})
 	if typ != wire.MsgError {
@@ -150,7 +150,7 @@ func TestMalformedFrameKeepsConnection(t *testing.T) {
 // under its ID and the connection stays usable.
 func TestUnknownFrameType(t *testing.T) {
 	_, addr := startNode(t)
-	conn := dialConn(t, addr, 0)
+	conn := dialConn(t, addr)
 	typ, body := exchange(t, conn, wire.MsgType(200), nil)
 	if typ != wire.MsgError {
 		t.Fatalf("want MsgError reply, got %v", typ)
@@ -165,7 +165,7 @@ func TestUnknownFrameType(t *testing.T) {
 
 func TestDrainRejectsWritesServesReads(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dialConn(t, addr, 0)
+	conn := dialConn(t, addr)
 
 	// Seed one entry while healthy.
 	payload, err := wire.AppendEntry(nil, testEntry())
@@ -240,7 +240,7 @@ func TestCloseIsIdempotentAndStopsAccepting(t *testing.T) {
 	}
 	// A dial may succeed briefly on some platforms via the backlog; the
 	// handshake behind it must not.
-	if conn, err := wire.Dial(context.Background(), addr, 300*time.Millisecond, 0); err == nil {
+	if conn, err := wire.Dial(context.Background(), addr, 300*time.Millisecond); err == nil {
 		conn.Close()
 		t.Fatal("closed node completed a handshake")
 	}
@@ -266,7 +266,7 @@ func TestStartBadAddress(t *testing.T) {
 
 func TestVersionConflictOverWire(t *testing.T) {
 	n, addr := startNode(t)
-	conn := dialConn(t, addr, 0)
+	conn := dialConn(t, addr)
 	put := func(version uint64, as int) {
 		t.Helper()
 		e := testEntry()

@@ -56,7 +56,7 @@ const (
 	// FsyncAlways fsyncs after every log write — a run's records share
 	// one: acked writes survive power loss, at a large per-op latency cost.
 	FsyncAlways
-	// FsyncInterval fsyncs dirty logs every Options.SyncInterval from a
+	// FsyncInterval fsyncs dirty logs every syncInterval (100 ms) from a
 	// background goroutine: bounded power-loss window, near-FsyncOS
 	// throughput.
 	FsyncInterval
@@ -96,8 +96,6 @@ type Options struct {
 	Shards int
 	// Fsync selects the flush-to-stable-storage policy.
 	Fsync FsyncMode
-	// SyncInterval is the FsyncInterval flush period. 0 means 100ms.
-	SyncInterval time.Duration
 	// SnapshotBytes is the per-shard WAL growth that triggers a
 	// background snapshot + log truncation. 0 means 4 MiB; negative
 	// disables automatic snapshots (the log grows until Snapshot is
@@ -136,7 +134,8 @@ const (
 	maxRecordBody = 8 + 1 + maxEntryLen
 
 	defaultSnapshotBytes = 4 << 20
-	defaultSyncInterval  = 100 * time.Millisecond
+	// syncInterval is the FsyncInterval flush period.
+	syncInterval = 100 * time.Millisecond
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -191,9 +190,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.SnapshotBytes == 0 {
 		opts.SnapshotBytes = defaultSnapshotBytes
 	}
-	if opts.SyncInterval == 0 {
-		opts.SyncInterval = defaultSyncInterval
-	}
 	s, err := NewSharded(opts.Shards)
 	if err != nil {
 		return nil, err
@@ -233,7 +229,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	if w.fsync == FsyncInterval {
 		n++
-		go w.syncer(opts.SyncInterval)
+		go w.syncer()
 	}
 	w.refs.Store(int32(n))
 	if n == 0 {
@@ -562,10 +558,10 @@ func (w *wal) compactor() {
 	}
 }
 
-// syncer flushes dirty logs every interval (FsyncInterval mode).
-func (w *wal) syncer(interval time.Duration) {
+// syncer flushes dirty logs every syncInterval (FsyncInterval mode).
+func (w *wal) syncer() {
 	defer w.release()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

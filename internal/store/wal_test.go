@@ -471,7 +471,7 @@ func TestFsyncModes(t *testing.T) {
 	for _, mode := range []FsyncMode{FsyncOS, FsyncAlways, FsyncInterval} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			s := openTemp(t, Options{Dir: dir, Fsync: mode, SyncInterval: time.Millisecond})
+			s := openTemp(t, Options{Dir: dir, Fsync: mode})
 			for i := 0; i < 20; i++ {
 				mustPut(t, s, entry(fmt.Sprintf("g%d", i), 1, i))
 			}

@@ -6,51 +6,50 @@ import (
 	"math/rand"
 )
 
-// GenConfig parameterizes the synthetic Internet generator. Defaults
-// reproduce the aggregates of the DIMES dataset used in the paper.
+// GenConfig parameterizes the synthetic Internet generator. The shape
+// and latency parameters below reproduce the aggregates of the DIMES
+// dataset used in the paper.
 type GenConfig struct {
 	// NumAS is the number of autonomous systems (paper: 26,424).
 	NumAS int
 	// TargetLinks is the approximate number of inter-AS links
 	// (paper: 90,267). The generator tunes attachment arity to hit it.
 	TargetLinks int
-	// CoreSize is the size of the fully meshed bootstrap clique, which
-	// becomes the Jellyfish core (Shell-0).
-	CoreSize int
-	// StubFraction is the probability that a new AS attaches with a
-	// single link, producing the degree-1 "hang" nodes of the Jellyfish
-	// model.
-	StubFraction float64
-
-	// MedianLinkMs is the median of the lognormal inter-AS link latency
-	// (the per-hop cost excluding geographic propagation).
-	MedianLinkMs float64
-	// NumRegions splits the ASs into geographic regions (continents).
-	// Inter-region links additionally pay a propagation delay given by
-	// the distance between region centers, which is what makes replica
-	// choice matter: a nearby replica saves an ocean crossing.
-	NumRegions int
-	// SameRegionBias is the probability that a growing AS's links attach
-	// within its own region.
-	SameRegionBias float64
-	// MedianIntraMs is the median of the lognormal intra-AS latency
-	// (paper: 3.5 ms).
-	MedianIntraMs float64
-
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
 // The generator's fixed shape parameters.
 const (
+	// maxCoreSize bounds the fully meshed bootstrap clique, which becomes
+	// the Jellyfish core (Shell-0); a small graph's clique is a quarter
+	// of its ASs, at least two (coreSize).
+	maxCoreSize = 16
+	// stubFraction is the probability that a new AS attaches with a
+	// single link, producing the degree-1 "hang" nodes of the Jellyfish
+	// model.
+	stubFraction = 0.30
 	// peerLinkFraction is the share of TargetLinks added as random
 	// peering links after growth (the peer links §V's analysis ignores
 	// but the simulation includes).
 	peerLinkFraction = 0.05
+	// medianLinkMs is the median of the lognormal inter-AS link latency
+	// (the per-hop cost excluding geographic propagation); medianIntraMs
+	// that of the intra-AS latency (paper: 3.5 ms).
+	medianLinkMs  = 4.5
+	medianIntraMs = 3.5
 	// linkSigma and intraSigma are the lognormal sigmas of the inter-AS
-	// link and intra-AS latencies around MedianLinkMs and MedianIntraMs.
+	// link and intra-AS latencies around medianLinkMs and medianIntraMs.
 	linkSigma  = 0.8
 	intraSigma = 1.1
+	// numRegions splits the ASs into geographic regions (continents).
+	// Inter-region links additionally pay a propagation delay given by
+	// the distance between region centers, which is what makes replica
+	// choice matter: a nearby replica saves an ocean crossing.
+	numRegions = 6
+	// sameRegionBias is the probability that a growing AS's links attach
+	// within its own region.
+	sameRegionBias = 0.75
 	// regionRadiusMs is the radius (in one-way milliseconds) of the disk
 	// region centers are placed on; diametral regions pay up to
 	// 2×regionRadiusMs of propagation per crossing.
@@ -64,34 +63,16 @@ const (
 	endNodeExponent = 1.3
 )
 
-// DefaultGenConfig mirrors the paper's topology at full scale.
-func DefaultGenConfig(seed int64) GenConfig {
-	return GenConfig{
-		NumAS:          26424,
-		TargetLinks:    90267,
-		CoreSize:       16,
-		StubFraction:   0.30,
-		MedianLinkMs:   4.5,
-		NumRegions:     6,
-		SameRegionBias: 0.75,
-		MedianIntraMs:  3.5,
-		Seed:           seed,
-	}
+// SmallGenConfig scales the topology down for tests and examples while
+// keeping the paper's mean degree.
+func SmallGenConfig(numAS int, seed int64) GenConfig {
+	return GenConfig{NumAS: numAS, TargetLinks: int(float64(numAS) * 3.42), Seed: seed}
 }
 
-// SmallGenConfig scales the topology down for tests and examples while
-// keeping the same structural and latency parameters.
-func SmallGenConfig(numAS int, seed int64) GenConfig {
-	cfg := DefaultGenConfig(seed)
-	cfg.NumAS = numAS
-	cfg.TargetLinks = int(float64(numAS) * 3.42)
-	if cfg.CoreSize > numAS/4 {
-		cfg.CoreSize = numAS / 4
-		if cfg.CoreSize < 2 {
-			cfg.CoreSize = 2
-		}
-	}
-	return cfg
+// coreSize is the bootstrap clique of a numAS-AS graph: a quarter of
+// the ASs, within [2, maxCoreSize].
+func coreSize(numAS int) int {
+	return min(max(numAS/4, 2), maxCoreSize)
 }
 
 // Generate builds a Jellyfish-structured AS graph by preferential
@@ -101,13 +82,8 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	if cfg.NumAS < 2 {
 		return nil, fmt.Errorf("topology: NumAS must be >= 2, got %d", cfg.NumAS)
 	}
-	if cfg.CoreSize < 2 || cfg.CoreSize > cfg.NumAS {
-		return nil, fmt.Errorf("topology: CoreSize %d out of range [2,%d]", cfg.CoreSize, cfg.NumAS)
-	}
-	if cfg.StubFraction < 0 || cfg.StubFraction >= 1 {
-		return nil, fmt.Errorf("topology: StubFraction %g out of range [0,1)", cfg.StubFraction)
-	}
-	minLinks := cfg.CoreSize*(cfg.CoreSize-1)/2 + (cfg.NumAS - cfg.CoreSize)
+	core := coreSize(cfg.NumAS)
+	minLinks := core*(core-1)/2 + (cfg.NumAS - core)
 	if cfg.TargetLinks < minLinks {
 		return nil, fmt.Errorf("topology: TargetLinks %d below connectivity minimum %d", cfg.TargetLinks, minLinks)
 	}
@@ -118,10 +94,6 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// Geography: region centers on a disk; each AS samples a region with
 	// population-skewed weights. Propagation between regions is the
 	// Euclidean distance between centers (in one-way milliseconds).
-	numRegions := cfg.NumRegions
-	if numRegions <= 0 {
-		numRegions = 1
-	}
 	type point struct{ x, y float64 }
 	centers := make([]point, numRegions)
 	for i := range centers {
@@ -170,14 +142,14 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	}
 
 	linkLat := func(a, b int) Micros {
-		ms := cfg.MedianLinkMs * math.Exp(rng.NormFloat64()*linkSigma)
+		ms := medianLinkMs * math.Exp(rng.NormFloat64()*linkSigma)
 		ms += regionDist[g.region[a]][g.region[b]]
 		return MicrosFromMillis(ms)
 	}
 
 	// Bootstrap core clique.
-	for i := 0; i < cfg.CoreSize; i++ {
-		for j := i + 1; j < cfg.CoreSize; j++ {
+	for i := 0; i < core; i++ {
+		for j := i + 1; j < core; j++ {
 			if err := g.addEdge(i, j, linkLat(i, j)); err != nil {
 				return nil, err
 			}
@@ -187,7 +159,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// endpointBag holds each AS once per incident link, so uniform
 	// sampling from it is degree-proportional (preferential attachment).
 	bag := make([]int32, 0, 2*cfg.TargetLinks)
-	for i := 0; i < cfg.CoreSize; i++ {
+	for i := 0; i < core; i++ {
 		for range g.adj[i] {
 			bag = append(bag, int32(i))
 		}
@@ -195,20 +167,23 @@ func Generate(cfg GenConfig) (*Graph, error) {
 
 	// Growth arity: stubs take 1 link; others take enough on average to
 	// land on TargetLinks after reserving peerLinkFraction.
+	// stub is a float64 variable, not the untyped constant, so that 1−stub
+	// rounds as float64 arithmetic does.
+	stub := float64(stubFraction)
 	growthLinks := float64(cfg.TargetLinks)*(1-peerLinkFraction) - float64(g.numLinks)
-	grown := cfg.NumAS - cfg.CoreSize
+	grown := cfg.NumAS - core
 	meanNonStub := 1.0
 	if grown > 0 {
 		mean := growthLinks / float64(grown)
-		meanNonStub = (mean - cfg.StubFraction) / (1 - cfg.StubFraction)
+		meanNonStub = (mean - stub) / (1 - stub)
 		if meanNonStub < 1 {
 			meanNonStub = 1
 		}
 	}
 
-	for v := cfg.CoreSize; v < cfg.NumAS; v++ {
+	for v := core; v < cfg.NumAS; v++ {
 		m := 1
-		if rng.Float64() >= cfg.StubFraction {
+		if rng.Float64() >= stub {
 			// Spread around meanNonStub: uniform on [2, 2*meanNonStub-2].
 			lo, hi := 2, int(math.Round(2*meanNonStub))-2
 			if hi < lo {
@@ -224,7 +199,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 			}
 			// Geographic attachment bias: most provider links stay in
 			// region (real ASs buy transit locally).
-			if g.region[target] != g.region[v] && rng.Float64() < cfg.SameRegionBias {
+			if g.region[target] != g.region[v] && rng.Float64() < sameRegionBias {
 				continue
 			}
 			if err := g.addEdge(v, target, linkLat(v, target)); err != nil {
@@ -237,8 +212,8 @@ func Generate(cfg GenConfig) (*Graph, error) {
 			// Degenerate fallback (tiny graphs or isolated regions):
 			// attach to some core node we are not yet linked to; the core
 			// clique guarantees one exists while v has fewer than
-			// CoreSize links.
-			for c := 0; c < cfg.CoreSize; c++ {
+			// core links.
+			for c := 0; c < core; c++ {
 				if !g.hasEdge(v, c) {
 					if err := g.addEdge(v, c, linkLat(v, c)); err != nil {
 						return nil, err
@@ -258,7 +233,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 		if a == b || g.hasEdge(a, b) {
 			continue
 		}
-		if g.region[a] != g.region[b] && rng.Float64() < cfg.SameRegionBias {
+		if g.region[a] != g.region[b] && rng.Float64() < sameRegionBias {
 			continue
 		}
 		if err := g.addEdge(a, b, linkLat(a, b)); err != nil {
@@ -270,8 +245,8 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	// Intra-AS latencies: lognormal around the median, with rare
 	// pathological stubs.
 	for i := 0; i < cfg.NumAS; i++ {
-		ms := cfg.MedianIntraMs * math.Exp(rng.NormFloat64()*intraSigma)
-		if i >= cfg.CoreSize && g.Degree(i) <= 2 && rng.Float64() < slowStubFraction/math.Max(cfg.StubFraction, 0.01) {
+		ms := medianIntraMs * math.Exp(rng.NormFloat64()*intraSigma)
+		if i >= core && g.Degree(i) <= 2 && rng.Float64() < slowStubFraction/stub {
 			ms = 1000 + rng.Float64()*1500 // 1–2.5 s one-way, the AS-23951 tail
 		}
 		g.intra[i] = MicrosFromMillis(ms)

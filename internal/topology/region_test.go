@@ -6,21 +6,20 @@ import (
 
 func TestRegionsAssigned(t *testing.T) {
 	g := testGraph(t, 3000, 12)
-	cfg := SmallGenConfig(3000, 12)
 	counts := make(map[int]int)
 	for i := 0; i < g.NumAS(); i++ {
 		r := g.Region(i)
-		if r < 0 || r >= cfg.NumRegions {
+		if r < 0 || r >= numRegions {
 			t.Fatalf("AS %d region %d out of range", i, r)
 		}
 		counts[r]++
 	}
-	if len(counts) != cfg.NumRegions {
-		t.Errorf("only %d/%d regions populated", len(counts), cfg.NumRegions)
+	if len(counts) != numRegions {
+		t.Errorf("only %d/%d regions populated", len(counts), numRegions)
 	}
 	// Region weights are 1/(i+1)-skewed: region 0 must dominate region
-	// NumRegions-1.
-	if counts[0] <= counts[cfg.NumRegions-1] {
+	// numRegions-1.
+	if counts[0] <= counts[numRegions-1] {
 		t.Errorf("region sizes not skewed: %v", counts)
 	}
 }
@@ -41,7 +40,7 @@ func TestRegionalAttachmentBias(t *testing.T) {
 		})
 	}
 	total := same + cross
-	// With SameRegionBias = 0.75, intra-region links must clearly
+	// With sameRegionBias = 0.75, intra-region links must clearly
 	// dominate what region sizes alone would produce. A null model with
 	// the skewed region weights gives ≈26% same-region link endpoints;
 	// require well above that.

@@ -17,16 +17,36 @@ func testGraph(t *testing.T, numAS int, seed int64) *Graph {
 
 func TestGenerateValidation(t *testing.T) {
 	bad := []GenConfig{
-		{NumAS: 1, CoreSize: 2, TargetLinks: 100},
-		{NumAS: 100, CoreSize: 1, TargetLinks: 400},
-		{NumAS: 100, CoreSize: 200, TargetLinks: 400},
-		{NumAS: 100, CoreSize: 4, TargetLinks: 10},                      // below connectivity minimum
-		{NumAS: 100, CoreSize: 4, TargetLinks: 400, StubFraction: 1.0},  // stub fraction out of range
-		{NumAS: 100, CoreSize: 4, TargetLinks: 400, StubFraction: -0.1}, // negative
+		{NumAS: 1, TargetLinks: 100},
+		{NumAS: 100, TargetLinks: 10}, // below connectivity minimum
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("config %d should be rejected: %+v", i, cfg)
+		}
+	}
+}
+
+// TestGenerateCoreSize pins the bootstrap clique Generate derives from
+// NumAS to the clamp its callers applied to the 16-AS default core
+// before it was derived: a quarter of the ASs, at least 2, at most 16.
+// The first that many ASs are fully meshed.
+func TestGenerateCoreSize(t *testing.T) {
+	for _, numAS := range []int{8, 64, 2000} {
+		want := 16
+		if want > numAS/4 {
+			want = max(numAS/4, 2)
+		}
+		if got := coreSize(numAS); got != want {
+			t.Errorf("coreSize(%d) = %d, want %d", numAS, got, want)
+		}
+		g := testGraph(t, numAS, 1)
+		for i := 0; i < want; i++ {
+			for j := i + 1; j < want; j++ {
+				if !g.hasEdge(i, j) {
+					t.Errorf("NumAS %d: core ASs %d and %d not linked", numAS, i, j)
+				}
+			}
 		}
 	}
 }
@@ -321,7 +341,7 @@ func TestComputeStats(t *testing.T) {
 	if fracSum < 0.999 || fracSum > 1.001 {
 		t.Errorf("layer fractions sum %v", fracSum)
 	}
-	if st.NumRegions != SmallGenConfig(2000, 16).NumRegions {
+	if st.NumRegions != numRegions {
 		t.Errorf("regions = %d", st.NumRegions)
 	}
 	if st.SameRegionLinkShare < 0.4 {

@@ -54,35 +54,30 @@ type Conn struct {
 	conn net.Conn
 	stop func() bool // detaches conn from the context it was dialed under
 	rd   *Reader
-	feat byte
 	next uint64
 	buf  []byte // outgoing frame scratch
 	in   []byte // reply payload, reused by every round trip
 }
 
-// Dial connects to addr and performs the handshake, both within timeout.
-// The connection lives no longer than ctx: when ctx is done it is closed,
+// Dial connects to addr and performs the handshake, asking for no
+// feature, both within timeout. The connection lives no longer than ctx: when ctx is done it is closed,
 // which fails the dial, the handshake or the RoundTrip in progress, so
 // whoever owns ctx never waits out a silent peer.
-func Dial(ctx context.Context, addr string, timeout time.Duration, want byte) (*Conn, error) {
+func Dial(ctx context.Context, addr string, timeout time.Duration) (*Conn, error) {
 	d := net.Dialer{Timeout: timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	feat, err := Handshake(conn, timeout, want)
-	if err != nil {
+	if _, err := Handshake(conn, timeout, 0); err != nil {
 		stop()
 		conn.Close()
 		return nil, err
 	}
 	sock := raw(conn) // past the handshake, the socket a Reader or a Writer uses
-	return &Conn{conn: sock, stop: stop, rd: NewReader(sock), feat: feat}, nil
+	return &Conn{conn: sock, stop: stop, rd: NewReader(sock)}, nil
 }
-
-// Feat returns the feature flags the peer granted.
-func (c *Conn) Feat() byte { return c.feat }
 
 // Close closes the connection.
 func (c *Conn) Close() error {

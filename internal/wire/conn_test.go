@@ -43,7 +43,7 @@ func TestHandshakeOutcomes(t *testing.T) {
 	if err := WriteFrame(&plain, MsgHello, AppendHello(nil, Version2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&featured, MsgHello, AppendHelloFeat(nil, Version2, FeatRepair)); err != nil {
+	if err := WriteFrame(&featured, MsgHello, AppendHelloFeat(nil, Version2, FeatTrace)); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -56,8 +56,8 @@ func TestHandshakeOutcomes(t *testing.T) {
 		errMatch string
 	}{
 		{"granted", 0, plain.Bytes(), MsgHelloAck, AppendHelloAck(nil, Version2), 0, ""},
-		{"features masked to the wanted ones", FeatRepair, featured.Bytes(), MsgHelloAck, AppendHelloAckFeat(nil, Version2, FeatRepair|FeatTrace), FeatRepair, ""},
-		{"feature not granted", FeatRepair, featured.Bytes(), MsgHelloAck, AppendHelloAck(nil, Version2), 0, ""},
+		{"features masked to the wanted ones", FeatTrace, featured.Bytes(), MsgHelloAck, AppendHelloAckFeat(nil, Version2, FeatTrace|1<<1), FeatTrace, ""},
+		{"feature not granted", FeatTrace, featured.Bytes(), MsgHelloAck, AppendHelloAck(nil, Version2), 0, ""},
 		{"answered MsgError", 0, plain.Bytes(), MsgError, AppendErrorKind(nil, ErrKindBadRequest, "unknown frame type"), 0, "peer refused the hello: unknown frame type"},
 		{"settled on version 1", 0, plain.Bytes(), MsgHelloAck, AppendHelloAck(nil, 1), 0, "peer refused the hello: it speaks version 1"},
 		{"answered something else", 0, plain.Bytes(), MsgPong, nil, 0, "hello answered with pong"},
@@ -97,7 +97,7 @@ func TestHandshakeBounded(t *testing.T) {
 	addr := fakePeer(t, func(net.Conn) { <-release })
 	defer close(release)
 	start := time.Now()
-	if _, err := Dial(context.Background(), addr, 100*time.Millisecond, 0); err == nil {
+	if _, err := Dial(context.Background(), addr, 100*time.Millisecond); err == nil {
 		t.Fatal("Dial succeeded against a peer that never answers the hello")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -132,7 +132,7 @@ func TestConnRoundTrip(t *testing.T) {
 			_, _ = conn.Write(reply)
 		}
 	})
-	c, err := Dial(context.Background(), addr, time.Second, 0)
+	c, err := Dial(context.Background(), addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 // Anti-entropy repair frames: the v2 wire extension behind the
 // background replica-repair protocol (DESIGN.md §12).
 //
-// The extension is negotiated per connection exactly like tracing: a
-// peer advertising FeatRepair in its MsgHello, answered by a server
-// echoing FeatRepair in MsgHelloAck, may send MsgRepairDigest frames. A
-// digest frame advertises a bounded page of (GUID, version)
+// Any peer past the hello may send MsgRepairDigest frames; nothing is
+// negotiated, since every node answers them. A digest frame advertises a bounded page of (GUID, version)
 // fingerprints covering a keyspace interval (after, through] —
 // range-complete: every mapping the sender holds in the interval is
 // fingerprinted, so absence is information. The receiver answers
@@ -14,9 +12,6 @@
 // fully compared, so an oversized diff resumes from there instead of
 // silently truncating. Entry pushes reuse MsgBatchInsert — the store's
 // §III-D2 freshest-wins Put makes them idempotent.
-//
-// Un-negotiated peers never see these types: a server that did not
-// grant FeatRepair refuses them per frame, as unknown.
 package wire
 
 import (

@@ -24,9 +24,6 @@ import (
 const (
 	// FeatTrace enables traced request frames on the connection.
 	FeatTrace byte = 1 << 0
-	// FeatRepair enables anti-entropy repair frames (repair.go) on the
-	// connection.
-	FeatRepair byte = 1 << 1
 )
 
 // TraceBit marks a frame type as trace-prefixed. The bit is outside

@@ -42,9 +42,9 @@ const (
 	MsgBatchLookup    // uint16 count + GUIDs → batch lookup resp
 	MsgBatchLookupResp
 
-	// Anti-entropy repair frames (repair.go), gated behind the
-	// FeatRepair hello flag: a digest page advertising (GUID, version)
-	// fingerprints over a keyspace range, answered by the differences.
+	// Anti-entropy repair frames (repair.go): a digest page advertising
+	// (GUID, version) fingerprints over a keyspace range, answered by the
+	// differences.
 	MsgRepairDigest // after + through + digests → repair diff
 	MsgRepairDiff   // covered + newer entries + wanted GUIDs
 )

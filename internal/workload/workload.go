@@ -112,61 +112,28 @@ func (s *WeightedSampler) Sample(rng *rand.Rand) int {
 // Len returns the number of indices.
 func (s *WeightedSampler) Len() int { return len(s.cdf) }
 
-// EventKind labels a trace event (§IV-B1: "three types of events: GUID
-// inserts, GUID updates and GUID lookups").
-type EventKind int
-
-// Event kinds.
-const (
-	Insert EventKind = iota + 1
-	Update
-	Lookup
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case Insert:
-		return "insert"
-	case Update:
-		return "update"
-	case Lookup:
-		return "lookup"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one workload element: at Time (abstract units), SrcAS performs
-// Kind on the GUID with index GUIDIndex.
+// Event is one lookup: SrcAS queries the GUID with index GUIDIndex.
 type Event struct {
-	Time      float64
-	Kind      EventKind
 	GUIDIndex int
 	SrcAS     int
 }
 
 // TraceConfig parameterizes Generate.
 type TraceConfig struct {
-	// NumGUIDs is the GUID population; each is inserted once from a
+	// NumGUIDs is the GUID population; each is attached once to a
 	// weighted-random home AS.
 	NumGUIDs int
 	// NumLookups queries drawn from the Mandelbrot-Zipf popularity.
 	NumLookups int
-	// UpdatesPerGUID appends that many re-attachment updates per GUID
-	// (0 for the pure lookup experiments of Figures 4–6).
-	UpdatesPerGUID int
 	// SourceWeights are the per-AS end-node weights.
 	SourceWeights []float64
 	// Seed fixes the PRNG.
 	Seed int64
 }
 
-// Trace is a generated workload: Inserts (and updates) define mapping
-// state; Lookups measure it. HomeAS[i] is the AS where GUID i was last
-// attached.
+// Trace is a generated workload: HomeAS[i] is the AS where GUID i is
+// attached; Lookups measure the mappings.
 type Trace struct {
-	Inserts []Event
 	Lookups []Event
 	HomeAS  []int
 }
@@ -179,8 +146,8 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	if cfg.NumGUIDs <= 0 {
 		return nil, fmt.Errorf("workload: NumGUIDs must be positive, got %d", cfg.NumGUIDs)
 	}
-	if cfg.NumLookups < 0 || cfg.UpdatesPerGUID < 0 {
-		return nil, fmt.Errorf("workload: negative event counts")
+	if cfg.NumLookups < 0 {
+		return nil, fmt.Errorf("workload: negative lookup count")
 	}
 	src, err := NewWeightedSampler(cfg.SourceWeights)
 	if err != nil {
@@ -193,31 +160,17 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	tr := &Trace{
-		Inserts: make([]Event, 0, cfg.NumGUIDs*(1+cfg.UpdatesPerGUID)),
-		Lookups: make([]Event, 0, cfg.NumLookups),
+		Lookups: make([]Event, cfg.NumLookups),
 		HomeAS:  make([]int, cfg.NumGUIDs),
 	}
-	now := 0.0
-	for i := 0; i < cfg.NumGUIDs; i++ {
-		home := src.Sample(rng)
-		tr.HomeAS[i] = home
-		tr.Inserts = append(tr.Inserts, Event{Time: now, Kind: Insert, GUIDIndex: i, SrcAS: home})
-		now++
-		for u := 0; u < cfg.UpdatesPerGUID; u++ {
-			home = src.Sample(rng)
-			tr.HomeAS[i] = home
-			tr.Inserts = append(tr.Inserts, Event{Time: now, Kind: Update, GUIDIndex: i, SrcAS: home})
-			now++
-		}
+	for i := range tr.HomeAS {
+		tr.HomeAS[i] = src.Sample(rng)
 	}
-	for i := 0; i < cfg.NumLookups; i++ {
-		tr.Lookups = append(tr.Lookups, Event{
-			Time:      now,
-			Kind:      Lookup,
-			GUIDIndex: pop.Sample(rng),
-			SrcAS:     src.Sample(rng),
-		})
-		now++
+	for i := range tr.Lookups {
+		// The target is drawn before the source: the draw order fixes
+		// every seed's trace.
+		tr.Lookups[i].GUIDIndex = pop.Sample(rng)
+		tr.Lookups[i].SrcAS = src.Sample(rng)
 	}
 	return tr, nil
 }

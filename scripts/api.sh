@@ -9,24 +9,29 @@
 # A second pass does the same for configuration knobs: every exported
 # field of a struct under internal/ whose type name is or ends in Config,
 # Options or Policy, printed as pkg.Type.Field, that no non-test line of
-# those trees outside the declaring file sets. A line sets a field by
-# naming it as a composite-literal key (`Field:`) or by assigning it
-# (`.Field =`, `.Field +=`, `.Field -=`). Both passes print into one
-# list.
+# those trees outside the declaring file sets. Setters resolve to their
+# struct type: a composite-literal key `Field:` sets pkg.Type.Field only
+# inside a `Type{…}` literal (`pkg.Type{…}` from another package, or an
+# element of a `[]Type{…}` or `map[K]Type{…}` literal whose type is
+# elided), and an assignment `.Field =` (or `+=`, `-=`) sets it only in
+# a file that names Type (as `pkg.Type` outside pkg). Both passes print
+# into one list.
 #
 # `api.sh --check` prints nothing of its own and exits 1 when the list
 # and scripts/api.allow (one `pkg.Name reason` per line) disagree: a
 # printed name that is not allowed, or an allowed name that now has a
 # caller or setter or no longer exists. scripts/check.sh runs the check.
 #
-# Blind spot: both passes match names, not types. A dead method whose
-# name is also used by a call to anything else (another type's method of
-# that name, a package-level function, an interface) counts as called
-# and is not printed; so does a dead name that a string literal spells.
-# Likewise a field counts as set when a field of that name is set on any
-# type: setting topology.GraphStats.MedianLinkMs hides
-# topology.GenConfig.MedianLinkMs, which only its own file sets. A label
-# or a `case` of that name hides it too.
+# Blind spot: the function pass matches names, not types. A dead method
+# whose name is also used by a call to anything else (another type's
+# method of that name, a package-level function, an interface) counts
+# as called and is not printed; so does a dead name that a string
+# literal spells. The knob pass trusts a file that names a struct type
+# with every `.Field =` of that field name in it, whatever the variable's
+# type; an assignment in a file that reaches the struct only through a
+# value whose type it never spells counts for nothing, so the field is
+# printed although it is set. A literal key is read only from gofmt's
+# layout: `Type{` with no space before the brace.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -72,29 +77,98 @@ scan() {
                     home[pkgOf(file) "." ktype "." f[i]] = file
                 }
         }
-        # sets counts, per file, the field names a line sets.
-        function sets(file, line,   rest, w) {
-            rest = line
-            while (match(rest, /[A-Za-z_][A-Za-z0-9_]*:([^=]|$)/)) {
-                w = substr(rest, RSTART, RLENGTH)
-                sub(/:.*/, "", w)
-                set[w]++
-                setIn[w, file]++
-                rest = substr(rest, RSTART + RLENGTH - 1)
+        # strip blanks out the string and rune literals of a line, so that
+        # braces and keys inside them are not read as code; inRaw carries
+        # a raw string across lines.
+        function strip(s,   out, c, i, n) {
+            out = ""
+            if (inRaw) {
+                i = index(s, "`")
+                if (i == 0) return ""
+                s = substr(s, i + 1)
+                inRaw = 0
             }
-            rest = line
-            while (match(rest, /\.[A-Za-z_][A-Za-z0-9_]* [-+]?=( |$)/)) {
-                w = substr(rest, RSTART + 1, RLENGTH - 1)
+            while (match(s, /["\047`]/)) {
+                out = out substr(s, 1, RSTART - 1) " "
+                c = substr(s, RSTART, 1)
+                s = substr(s, RSTART + 1)
+                if (c == "`") {
+                    i = index(s, "`")
+                    if (i == 0) {
+                        inRaw = 1
+                        return out
+                    }
+                    s = substr(s, i + 1)
+                    continue
+                }
+                n = length(s)
+                for (i = 1; i <= n; i++) {
+                    if (substr(s, i, 1) == "\\") i++
+                    else if (substr(s, i, 1) == c) break
+                }
+                s = substr(s, i + 1)
+            }
+            return out s
+        }
+        # litType names what a "{" at the end of pre opens: "pkg.Type" for
+        # a literal of a named type, "[]pkg.Type" for a slice, array or map
+        # literal whose elements are pkg.Type (and may elide it), "" for a
+        # block or anything else.
+        function litType(file, pre,   m, elems) {
+            if (match(pre, /(\][*]*)?([A-Za-z_][A-Za-z0-9_]*\.)?[A-Za-z_][A-Za-z0-9_]*$/)) {
+                m = substr(pre, RSTART, RLENGTH)
+                elems = m ~ /^\]/
+                sub(/^\][*]*/, "", m)
+                if (m == "struct" || m == "interface") return ""
+                if (index(m, ".") == 0) m = pkgOf(file) "." m
+                return (elems ? "[]" : "") m
+            }
+            if (pre ~ /(^|[{,:])[ \t]*$/ && sp > 0 && stack[sp] ~ /^\[\]/)
+                return substr(stack[sp], 3)
+            return ""
+        }
+        # sets records what a line sets: a literal key against the type of
+        # the literal it is in (stack holds one entry per open brace of
+        # the file), an assigned field name against the file. It also
+        # records the types the file names, as pkg.Type.
+        function sets(file, line,   s, pre, tok, w) {
+            s = strip(line)
+            pre = ""
+            line = s
+            while (match(s, /[{}]|[A-Za-z_][A-Za-z0-9_]*:/)) {
+                tok = substr(s, RSTART, RLENGTH)
+                w = substr(s, 1, RSTART - 1)
+                s = substr(s, RSTART + RLENGTH)
+                if (tok == "{")
+                    stack[++sp] = litType(file, pre w)
+                else if (tok == "}") {
+                    if (sp > 0) sp--
+                } else if (substr(s, 1, 1) != "=" && w !~ /\.$/ && sp > 0 && stack[sp] != "" && stack[sp] !~ /^\[\]/)
+                    litSet[stack[sp] "." substr(tok, 1, length(tok) - 1), file] = 1
+                pre = pre w tok
+            }
+            s = line
+            while (match(s, /\.[A-Za-z_][A-Za-z0-9_]* [-+]?=( |$)/)) {
+                w = substr(s, RSTART + 1, RLENGTH - 1)
                 sub(/ .*/, "", w)
-                set[w]++
-                setIn[w, file]++
-                rest = substr(rest, RSTART + RLENGTH)
+                assigned[w, file] = 1
+                s = substr(s, RSTART + RLENGTH)
+            }
+            s = line
+            while (match(s, /[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?/)) {
+                w = substr(s, RSTART, RLENGTH)
+                named[file, index(w, ".") ? w : pkgOf(file) "." w] = 1
+                s = substr(s, RSTART + RLENGTH)
             }
         }
         {
             file = substr($0, 1, index($0, "\t") - 1)
             line = substr($0, index($0, "\t") + 1)
-            if (file != lastFile) depth = 0
+            if (file != lastFile) {
+                depth = 0
+                sp = 0
+                inRaw = 0
+            }
             lastFile = file
             sub(/^[ \t]+/, "", line)
             if (line ~ /^\/\//) next
@@ -126,7 +200,20 @@ scan() {
         }
         END {
             for (q in decl) if (!(decl[q] in used)) print q
-            for (q in field) if (set[field[q]] == setIn[field[q], home[q]]) print q
+            for (kf in litSet) {
+                split(kf, a, SUBSEP)
+                if ((a[1] in home) && a[2] != home[a[1]]) isSet[a[1]] = 1
+            }
+            for (kf in assigned) {
+                split(kf, a, SUBSEP)
+                for (q in field) {
+                    if (field[q] != a[1] || a[2] == home[q]) continue
+                    t = q
+                    sub(/\.[^.]*$/, "", t)
+                    if ((a[2], t) in named) isSet[q] = 1
+                }
+            }
+            for (q in field) if (!(q in isSet)) print q
         }' | sort
 }
 
