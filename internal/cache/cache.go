@@ -29,8 +29,6 @@ type Cache struct {
 	ttl      topology.Micros
 	lru      *list.List // front = most recently used
 	m        map[guid.GUID]*list.Element
-
-	hits, misses, expired int64
 }
 
 type item struct {
@@ -66,19 +64,15 @@ func (c *Cache) Len() int { return c.lru.Len() }
 func (c *Cache) Get(g guid.GUID, now topology.Micros) (store.Entry, topology.Micros, bool) {
 	el, ok := c.m[g]
 	if !ok {
-		c.misses++
 		return store.Entry{}, 0, false
 	}
 	it := el.Value.(*item)
 	if now-it.cachedAt > c.ttl {
 		c.lru.Remove(el)
 		delete(c.m, g)
-		c.expired++
-		c.misses++
 		return store.Entry{}, 0, false
 	}
 	c.lru.MoveToFront(el)
-	c.hits++
 	return it.e, it.cachedAt, true
 }
 
@@ -98,16 +92,4 @@ func (c *Cache) Put(g guid.GUID, e store.Entry, now topology.Micros) {
 		delete(c.m, oldest.Value.(*item).g)
 	}
 	c.m[g] = c.lru.PushFront(&item{g: g, e: e, cachedAt: now})
-}
-
-// Stats reports cumulative counters.
-type Stats struct {
-	Hits    int64
-	Misses  int64
-	Expired int64
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.hits, Misses: c.misses, Expired: c.expired}
 }

@@ -149,7 +149,7 @@ func chunkReply(a *attempt, want wire.MsgType) ([]byte, error) {
 		return nil, a.err
 	}
 	if a.rt != want {
-		putBody(a.body)
+		wire.Replies.Put(a.body)
 		return nil, fmt.Errorf("client: unexpected frame %v", a.rt)
 	}
 	return a.body, nil
@@ -164,7 +164,7 @@ func insertAcks(a *attempt) ([]bool, error) {
 		return nil, err
 	}
 	got, err := wire.DecodeBatchInsertAck(body)
-	putBody(body) // DecodeBatchInsertAck copied the flags
+	wire.Replies.Put(body) // DecodeBatchInsertAck copied the flags
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func lookupAnswers(a *attempt, entries []store.Entry, found []bool, nas *[]store
 		return err
 	}
 	defer func() {
-		putBody(body) // every kept byte was copied out
+		wire.Replies.Put(body) // every kept byte was copied out
 		if err != nil {
 			for _, i := range a.idxs {
 				entries[i], found[i] = store.Entry{}, false

@@ -56,7 +56,7 @@ func BenchmarkBatchClient(b *testing.B) {
 		}
 		switch mt {
 		case wire.MsgBatchLookup:
-			body := append(replyBufs.Get(2+n*64), payload[:2]...)
+			body := append(wire.Replies.Get(2+n*64), payload[:2]...)
 			for ; len(items) >= guid.Size; items = items[guid.Size:] {
 				e := store.Entry{GUID: guid.GUID(items[:guid.Size]), NAs: nas, Version: 1}
 				if body, err = wire.AppendLookupResp(body, wire.LookupResp{Found: true, Entry: e}); err != nil {
@@ -65,7 +65,7 @@ func BenchmarkBatchClient(b *testing.B) {
 			}
 			return wire.MsgBatchLookupResp, body, nil
 		case wire.MsgBatchInsert:
-			ack := append(replyBufs.Get(2+n), payload[:2]...)
+			ack := append(wire.Replies.Get(2+n), payload[:2]...)
 			for i := 0; i < n; i++ {
 				ack = append(ack, 1)
 			}

@@ -45,7 +45,7 @@ type Config struct {
 	// Tracer samples operations into traces and captures slow ops. Nil
 	// (the default) disables tracing entirely: the request path takes a
 	// nil-check and nothing else. When set, sampled requests carry their
-	// trace context to trace-capable servers (negotiated in the hello).
+	// trace context, which a node with a tracer joins.
 	Tracer *trace.Tracer
 	// Net is the network the client runs on. Nil, the default, is TCP:
 	// the node addresses through the shared connections, the wall clock,
@@ -261,7 +261,7 @@ func (c *Cluster) Insert(e store.Entry) (acked int, err error) {
 	var abuf [stackK]attempt
 	atts := c.fanOut(abuf[:0], place, attempt{sp: sp, t: wire.MsgInsert, payload: payload, opDeadline: opStart.Add(c.cfg.OpDeadline)}, opStart)
 	for i := range atts {
-		putBody(atts[i].body) // an insert ack carries no payload worth keeping
+		wire.Replies.Put(atts[i].body) // an insert ack carries no payload worth keeping
 	}
 	for _, p := range place {
 		if a := replicaAt(atts, p.AS); a.err == nil && a.rt == wire.MsgInsertAck {
@@ -308,8 +308,8 @@ func flush(atts []attempt) {
 	runtime.Gosched()
 	for i := range atts {
 		atts[i].cork = false
-		if s, ok := atts[i].pend.(*muxSlot); ok {
-			_ = s.m.w.Flush()
+		if atts[i].conn != nil {
+			_ = atts[i].conn.Flush()
 		}
 	}
 }
@@ -447,12 +447,12 @@ walk:
 			continue
 		}
 		if a.rt != wire.MsgLookupResp {
-			putBody(a.body)
+			wire.Replies.Put(a.body)
 			lastErr = fmt.Errorf("client: unexpected frame %v", a.rt)
 			continue
 		}
 		found, derr := wire.DecodeLookupRespInto(e, a.body)
-		putBody(a.body) // DecodeLookupRespInto copied everything it kept
+		wire.Replies.Put(a.body) // DecodeLookupRespInto copied everything it kept
 		switch {
 		case derr != nil:
 			lastErr = derr
@@ -539,7 +539,7 @@ func (c *Cluster) Delete(g guid.GUID) (removed int, err error) {
 		if a.err == nil && a.rt == wire.MsgDeleteAck && len(a.body) >= 1 && a.body[0] == 1 {
 			removed++
 		}
-		putBody(a.body)
+		wire.Replies.Put(a.body)
 	}
 	return removed, nil
 }
@@ -570,7 +570,8 @@ type attempt struct {
 	began    time.Time
 	timeout  time.Duration
 	wake     time.Time
-	pend     Reply // its reply, when still to be taken
+	pend     Reply      // its reply, when still to be taken
+	conn     *wire.Conn // the shared connection it was started on, if that was up
 
 	// The answer, final once done.
 	done bool
@@ -617,9 +618,9 @@ func (c *Cluster) send(a *attempt, now time.Time) {
 	}
 	a.began = now
 	if c.net != nil {
-		a.pend = c.net.Start(a.as, a.t, a.att.Context(), a.payload, a.timeout)
+		a.pend, a.conn = c.net.Start(a.as, a.t, a.att.Context(), a.payload, a.timeout), nil
 	} else {
-		a.pend, a.err = c.roundTrip(a.addr, a.t, a.att.Context(), a.payload, now, a.timeout, a.cork)
+		a.pend, a.conn, a.err = c.roundTrip(a.addr, a.t, a.att.Context(), a.payload, now, a.timeout, a.cork)
 	}
 	if a.pend != nil {
 		c.m.inflight.Add(1)
@@ -667,6 +668,9 @@ func (c *Cluster) finish(atts []attempt, now time.Time) time.Time {
 func (c *Cluster) settle(a *attempt) time.Time {
 	if a.pend != nil {
 		a.rt, a.body, a.err = a.pend.Wait()
+		if a.conn != nil { // started on a connection that was already up
+			a.err = stale(a.err)
+		}
 		a.pend = nil
 		c.m.inflight.Add(-1)
 	}
@@ -690,7 +694,7 @@ func (c *Cluster) settle(a *attempt) time.Time {
 			return now
 		}
 		kind, reason, derr := wire.DecodeErrorKind(a.body)
-		putBody(a.body) // DecodeErrorKind copied the reason string
+		wire.Replies.Put(a.body) // DecodeErrorKind copied the reason string
 		a.rt, a.body = 0, nil
 		if derr != nil {
 			reason = "unreadable reason"
@@ -753,41 +757,3 @@ func (c *Cluster) sleep(d time.Duration) {
 
 // micros is d in the histograms' unit.
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-// roundTrip is the real transport. A peer whose shared connection is up
-// gets the request started — or, corked, enqueued — here and now, and the
-// reply slot is handed back. A dial and handshake may block, so an
-// attempt that needs them runs beside the caller: several replicas'
-// blocks overlap instead of adding up.
-func (c *Cluster) roundTrip(addr string, t wire.MsgType, tc trace.Context, payload []byte, began time.Time, timeout time.Duration, cork bool) (Reply, error) {
-	if mc := c.mux.live(addr); mc != nil {
-		return mc.begin(t, tc, payload, began, timeout, false, cork)
-	}
-	d := make(deferred, 1)
-	go func() {
-		rt, body, err := c.exchange(addr, t, tc, payload, timeout)
-		d <- muxReply{rt, body, err}
-	}()
-	return d, nil
-}
-
-// exchange performs one whole request/response against addr on its
-// shared connection, dialing and handshaking if it must. A reused
-// connection dying underneath the request is reported as errStaleConn
-// so settle can replace it without consuming a try; a refused dial and
-// a refused hello are ordinary failed tries. tc, when sampled, rides to
-// peers that granted the trace extension.
-func (c *Cluster) exchange(addr string, t wire.MsgType, tc trace.Context, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	mc, fresh, err := c.muxGet(addr, timeout)
-	if err != nil {
-		return 0, nil, err
-	}
-	if fresh {
-		c.m.dials.Inc()
-	}
-	s, err := mc.start(t, tc, payload, time.Now(), timeout, fresh)
-	if err != nil {
-		return 0, nil, err
-	}
-	return s.Wait()
-}

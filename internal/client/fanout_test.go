@@ -7,9 +7,11 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -60,7 +62,7 @@ func (s script) Start(as int, mt wire.MsgType, tc trace.Context, payload []byte,
 
 // answered is a reply that was in when its try returned. They are
 // pooled, so the alloc budgets count the client's allocations alone.
-type answered muxReply
+type answered outcome
 
 var answeredPool = sync.Pool{New: func() any { return new(answered) }}
 
@@ -100,7 +102,7 @@ func (l *lateReply) Wait() (wire.MsgType, []byte, error) {
 	case <-l.ready:
 		return l.rt, l.body, nil
 	case <-l.expired:
-		return 0, nil, timeoutError{}
+		return 0, nil, os.ErrDeadlineExceeded
 	}
 }
 
@@ -522,22 +524,20 @@ func (c *writeCounter) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// countedMux dials addr, does the handshake and installs the connection,
-// behind a writeCounter, as c's live shared connection to addr.
+// countedMux dials addr, behind a writeCounter, and installs the
+// connection as c's live shared connection to addr.
 func countedMux(t *testing.T, c *Cluster, addr string) *writeCounter {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	feat, err := wire.Handshake(conn, time.Second, 0)
+	wc := &writeCounter{Conn: conn}
+	mc, err := wire.NewConn(context.Background(), wc, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := &writeCounter{Conn: conn}
-	mc := newMuxConn(wc, feat)
-	c.mux.entry(addr).conn.Store(mc) // c.Close fails it, which closes conn
-	go mc.readLoop()
+	c.mux.entry(addr).conn.Store(mc) // c.Close closes it
 	return wc
 }
 
@@ -768,9 +768,9 @@ func TestInsertAllocBudget(t *testing.T) {
 	fc := newFanCluster(t, Config{})
 	fc.net = synchronous(func(_ string, mt wire.MsgType, _ trace.Context, _ []byte, _ time.Duration) (wire.MsgType, []byte, error) {
 		if mt == wire.MsgDelete {
-			return wire.MsgDeleteAck, append(replyBufs.Get(1), 1), nil
+			return wire.MsgDeleteAck, append(wire.Replies.Get(1), 1), nil
 		}
-		return wire.MsgInsertAck, replyBufs.Get(0), nil
+		return wire.MsgInsertAck, wire.Replies.Get(0), nil
 	})
 	e := walkEntry(fc.guidWithDistinct(walkK))
 	if allocs := testing.AllocsPerRun(200, func() {

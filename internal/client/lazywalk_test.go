@@ -633,7 +633,7 @@ func TestInsertBatchAllocBudget(t *testing.T) {
 			return 0, nil, fmt.Errorf("stub transport: unexpected %v", mt)
 		}
 		n := int(payload[0])<<8 | int(payload[1])
-		ack := append(replyBufs.Get(2+n), payload[:2]...)
+		ack := append(wire.Replies.Get(2+n), payload[:2]...)
 		for i := 0; i < n; i++ {
 			ack = append(ack, 1)
 		}
@@ -675,7 +675,7 @@ func TestLookupBatchAllocBudget(t *testing.T) {
 		if err != nil {
 			return 0, nil, err
 		}
-		body := append(replyBufs.Get(2+n*64), payload[:2]...)
+		body := append(wire.Replies.Get(2+n*64), payload[:2]...)
 		for ; len(gs) >= guid.Size; gs = gs[guid.Size:] {
 			e := store.Entry{GUID: guid.GUID(gs[:guid.Size]), NAs: nas, Version: 1}
 			if body, err = wire.AppendLookupResp(body, wire.LookupResp{Found: true, Entry: e}); err != nil {
@@ -700,7 +700,7 @@ func TestLookupBatchAllocBudget(t *testing.T) {
 // drainPools empties the client's buffer pools, so that an allocation
 // count does not depend on the buffer sizes earlier tests left there.
 func drainPools() {
-	for _, p := range []*wire.BufPool{replyBufs, payloadBufs} {
+	for _, p := range []*wire.BufPool{wire.Replies, payloadBufs} {
 		for p.Idle() > 0 {
 			p.Get(0)
 		}

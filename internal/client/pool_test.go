@@ -1,12 +1,14 @@
-// White-box tests for the mux pools and its deadline watchdog: reply
-// slots and response buffers are recycled across requests, so the
-// dangerous interleavings are timeout-vs-reply races — a slot or buffer
-// recycled while the demux reader still holds a reference would
-// cross-wire two requests.
+// Tests of the shared connection the client runs every request on
+// (wire.Conn), played against by hand from the node's end: reply slots
+// and reply buffers are recycled across requests, so the dangerous
+// interleavings are timeout-vs-reply races — a slot or buffer recycled
+// while the demux reader still holds a reference would cross-wire two
+// requests.
 package client
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -23,7 +25,7 @@ import (
 
 // TestMain lets scripts/check.sh run this package with buffer poisoning
 // on (DMAP_POISON_BUFS=1): released pooled buffers are scribbled over,
-// so a response body used after putBody corrupts visibly under -race
+// so a reply body used after its release corrupts visibly under -race
 // load instead of silently.
 func TestMain(m *testing.M) {
 	if os.Getenv("DMAP_POISON_BUFS") == "1" {
@@ -32,17 +34,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestMuxSlotRecycleUnderTimeoutRaces drives one muxConn with request
-// timeouts tuned to straddle the server's reply delays, so the three
-// outcomes — clean reply, clean timeout, and reply racing the watchdog —
-// all occur while slots and body buffers recycle. Every
-// reply is the request's own payload echoed back; any slot cross-wiring
-// or premature buffer recycle surfaces as a payload mismatch.
-func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
-	// A real TCP loopback pair, not net.Pipe: the request timeout doubles
-	// as the coalescing writer's deadline, and an unbuffered pipe would
-	// turn any scheduler hiccup on the echo server into a write timeout
-	// that kills the shared connection and the test with it.
+// muxPair dials a shared connection over loopback TCP and returns it
+// with the node's end, past the hello, for the test to play the node on.
+func muxPair(t *testing.T) (*wire.Conn, net.Conn) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -51,21 +46,61 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 	accepted := make(chan net.Conn, 1)
 	go func() {
 		conn, err := ln.Accept()
-		if err != nil {
-			return
+		if err == nil {
+			if typ, _, err := wire.ReadFrame(conn); err == nil && typ == wire.MsgHello {
+				_ = wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAck(nil, wire.Version2))
+			}
 		}
 		accepted <- conn
 	}()
-	cc, err := net.Dial("tcp", ln.Addr().String())
+	m, err := wire.Dial(context.Background(), ln.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := <-accepted
-	defer sc.Close()
+	t.Cleanup(func() { m.Close(); sc.Close() })
+	return m, sc
+}
 
-	m := newMuxConn(cc, 0)
-	go m.readLoop()
-	defer m.fail(net.ErrClosed)
+// start puts one lookup carrying payload on m under timeout.
+func start(t *testing.T, m *wire.Conn, payload []byte, timeout time.Duration) *wire.Pending {
+	t.Helper()
+	p, err := m.Start(wire.MsgLookup, trace.Context{}, payload, time.Now(), timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// reply writes a lookup reply carrying body under id from the node's end.
+func reply(t *testing.T, sc net.Conn, id uint64, body []byte) {
+	frame, err := wire.AppendFrameID(nil, wire.MsgLookupResp, id, body)
+	if err == nil {
+		_, err = sc.Write(frame)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// isTimeout reports a request's own timeout, as settle tells it apart.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// TestMuxSlotRecycleUnderTimeoutRaces drives one connection with request
+// timeouts tuned to straddle the node's reply delays, so the three
+// outcomes — clean reply, clean timeout, and reply racing the watchdog —
+// all occur while slots and body buffers recycle. Every reply is the
+// request's own payload echoed back; any slot cross-wiring or premature
+// buffer recycle surfaces as a payload mismatch.
+func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
+	// A real TCP loopback pair, not net.Pipe: the request timeout doubles
+	// as the coalescing writer's deadline, and an unbuffered pipe would
+	// turn any scheduler hiccup on the echo server into a write timeout
+	// that kills the shared connection and the test with it.
+	m, sc := muxPair(t)
 
 	// Echo server: replies carry the request's payload back under its
 	// ID. Delays straddle the client's deadline — id%3 picks an instant
@@ -105,18 +140,18 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 				want := []byte(fmt.Sprintf("req-%d-%d", g, i))
 				var typ wire.MsgType
 				var body []byte
-				s, err := m.start(wire.MsgLookup, trace.Context{}, want, time.Now(), timeout, true)
+				p, err := m.Start(wire.MsgLookup, trace.Context{}, want, time.Now(), timeout)
 				if err == nil {
-					typ, body, err = s.Wait()
+					typ, body, err = p.Wait()
 				}
 				switch {
 				case err == nil:
 					if typ != wire.MsgLookupResp || !bytes.Equal(body, want) {
 						t.Errorf("reply cross-wired: sent %q, got type %v body %q", want, typ, body)
 					}
-					putBody(body)
+					wire.Replies.Put(body)
 					ok.Add(1)
-				case errors.Is(err, timeoutError{}):
+				case isTimeout(err):
 					timeouts.Add(1)
 				default:
 					t.Errorf("request %q: %v", want, err)
@@ -133,106 +168,85 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 		t.Log("no request timed out this run; the race path went unexercised")
 	}
 	t.Logf("%d replies, %d timeouts", ok.Load(), timeouts.Load())
-	m.fail(net.ErrClosed) // stop the reader before the echo writer dies
+	m.Close() // stop the reader before the echo writer dies
 	pending.Wait()
 }
 
-// TestMuxFailDrainsInflight kills a connection with requests parked in
-// the in-flight table and checks every waiter is failed with
-// errConnDead rather than left blocked (or handed a recycled slot).
+// TestMuxFailDrainsInflight: a node that hangs up with requests parked
+// in the in-flight table fails every waiter with wire.ErrConnDead rather
+// than leaving it blocked (or handing it a recycled slot), and the dead
+// connection takes no new request.
 func TestMuxFailDrainsInflight(t *testing.T) {
-	cc, sc := net.Pipe()
-	m := newMuxConn(cc, 0)
-	go m.readLoop()
-	defer sc.Close()
-
+	m, sc := muxPair(t)
 	const waiters = 16
 	errs := make(chan error, waiters)
-	var started sync.WaitGroup
 	for i := 0; i < waiters; i++ {
-		started.Add(1)
 		go func(i int) {
-			started.Done()
-			s, err := m.start(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Now(), time.Minute, true)
+			p, err := m.Start(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Now(), time.Minute)
 			if err == nil {
 				var body []byte
-				_, body, err = s.Wait()
-				putBody(body)
+				_, body, err = p.Wait()
+				wire.Replies.Put(body)
 			}
 			errs <- err
 		}(i)
 	}
-	started.Wait()
-	// Consume the frames so the writers get past their flush, then kill.
-	go func() {
-		for i := 0; i < waiters; i++ {
-			if _, _, _, err := wire.ReadFrameIDInto(sc, nil); err != nil {
-				return
-			}
-		}
-		m.fail(errors.New("injected failure"))
-	}()
+	// Take every frame off the wire, then hang up.
 	for i := 0; i < waiters; i++ {
-		if err := <-errs; !errors.Is(err, errConnDead) {
-			t.Fatalf("waiter %d err = %v, want errConnDead", i, err)
+		if _, _, _, err := wire.ReadFrameIDInto(sc, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := m.register(time.Now(), time.Minute); !errors.Is(err, errConnDead) {
-		t.Fatalf("register after fail = %v, want errConnDead", err)
+	sc.Close()
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; !errors.Is(err, wire.ErrConnDead) {
+			t.Fatalf("waiter %d err = %v, want wire.ErrConnDead", i, err)
+		}
 	}
-}
-
-// idleMux returns a muxConn over one end of a pipe whose other end
-// never answers; its reader is not running, so a test plays the reader
-// with answer.
-func idleMux(t *testing.T) *muxConn {
-	cc, sc := net.Pipe()
-	m := newMuxConn(cc, 0)
-	t.Cleanup(func() { m.fail(net.ErrClosed); sc.Close() })
-	return m
-}
-
-// answer does what the demux reader does with a reply to s: it claims
-// the slot and sends, or reports that the watchdog claimed it first.
-func answer(m *muxConn, s *muxSlot) bool {
-	late := m.claim(s.id)
-	if late != nil {
-		late.ch <- muxReply{t: wire.MsgLookupResp}
+	if _, err := m.Start(wire.MsgLookup, trace.Context{}, nil, time.Now(), time.Minute); !errors.Is(err, wire.ErrConnDead) {
+		t.Fatalf("Start after the hang-up = %v, want wire.ErrConnDead", err)
 	}
-	return late != nil
 }
 
 // TestMuxDeadlineLateReplyIsTheAnswer: a reply 20 ms late under a 1 s
 // deadline is the request's answer, not a timeout.
 func TestMuxDeadlineLateReplyIsTheAnswer(t *testing.T) {
-	m := idleMux(t)
-	s, err := m.register(time.Now(), time.Second)
+	m, sc := muxPair(t)
+	p := start(t, m, nil, time.Second)
+	_, id, _, err := wire.ReadFrameIDInto(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		answer(m, s)
-	}()
-	if typ, _, err := s.Wait(); err != nil || typ != wire.MsgLookupResp {
+	time.Sleep(20 * time.Millisecond)
+	reply(t, sc, id, nil)
+	if typ, _, err := p.Wait(); err != nil || typ != wire.MsgLookupResp {
 		t.Fatalf("reply 20 ms late under a 1 s deadline: (%v, %v), want the reply", typ, err)
 	}
 }
 
 // TestMuxDeadlineSilentPeerTimesOut: a request nobody answers times out
-// through the watchdog, and no earlier than its deadline.
+// through the watchdog, and no earlier than its deadline; its reply,
+// should it come after all, is dropped, not handed to the next request.
 func TestMuxDeadlineSilentPeerTimesOut(t *testing.T) {
-	m := idleMux(t)
+	m, sc := muxPair(t)
 	began := time.Now()
-	s, err := m.register(began, 20*time.Millisecond)
+	p := start(t, m, nil, 20*time.Millisecond)
+	if _, _, err := p.Wait(); !isTimeout(err) || time.Since(began) < 20*time.Millisecond {
+		t.Fatalf("no reply under a 20 ms deadline: %v after %v, want a timeout after 20 ms", err, time.Since(began))
+	}
+	_, late, _, err := wire.ReadFrameIDInto(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Wait(); !errors.Is(err, timeoutError{}) || time.Since(began) < 20*time.Millisecond {
-		t.Fatalf("no reply under a 20 ms deadline: %v after %v, want a timeout after 20 ms", err, time.Since(began))
+	reply(t, sc, late, []byte("late"))
+	next := start(t, m, nil, time.Second)
+	_, id, _, err := wire.ReadFrameIDInto(sc, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.claim(s.id) != nil {
-		t.Fatal("timed-out request still in the in-flight table")
+	reply(t, sc, id, []byte("next"))
+	if _, body, err := next.Wait(); err != nil || string(body) != "next" {
+		t.Fatalf("the request after a timed-out one: (%q, %v), want its own reply", body, err)
 	}
 }
 
@@ -241,25 +255,21 @@ func TestMuxDeadlineSilentPeerTimesOut(t *testing.T) {
 // below Timeout — re-arms the watchdog and times out on its own
 // deadline, while the longer one is still waiting and still answerable.
 func TestMuxDeadlineShorterFiresFirst(t *testing.T) {
-	m := idleMux(t)
-	long, err := m.register(time.Now(), time.Minute)
+	m, sc := muxPair(t)
+	long := start(t, m, nil, time.Minute)
+	_, longID, _, err := wire.ReadFrameIDInto(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	began := time.Now()
-	short, err := m.register(began, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := short.Wait(); !errors.Is(err, timeoutError{}) {
+	short := start(t, m, nil, 20*time.Millisecond)
+	if _, _, err := short.Wait(); !isTimeout(err) {
 		t.Fatalf("short deadline: %v, want a timeout", err)
 	}
 	if took := time.Since(began); took < 20*time.Millisecond || took > 10*time.Second {
 		t.Fatalf("short deadline fired after %v, want 20 ms (not the long one's minute)", took)
 	}
-	if !answer(m, long) {
-		t.Fatal("the watchdog took the long request with the short one")
-	}
+	reply(t, sc, longID, nil)
 	if typ, _, err := long.Wait(); err != nil || typ != wire.MsgLookupResp {
 		t.Fatalf("long request: (%v, %v), want its reply", typ, err)
 	}
@@ -267,15 +277,17 @@ func TestMuxDeadlineShorterFiresFirst(t *testing.T) {
 
 // TestMuxDeadlineReplyRacesExpiry answers requests at about their
 // deadline, so the reader's claim and the watchdog's race: each request
-// gets exactly one outcome — the reply or the timeout, the loser's send
-// never happens — and its slot goes back to the pool once: a slot put
-// twice would come out of it twice.
+// gets exactly one outcome — its own reply or the timeout — and a slot
+// that went back to the pool twice would hand a later request another's
+// reply.
 func TestMuxDeadlineReplyRacesExpiry(t *testing.T) {
-	m := idleMux(t)
+	m, sc := muxPair(t)
 	const d = 2 * time.Millisecond
 	var replies, timeouts int
 	for i := 0; i < 200; i++ {
-		s, err := m.register(time.Now(), d)
+		want := []byte(fmt.Sprint(i))
+		p := start(t, m, want, d)
+		_, id, payload, err := wire.ReadFrameIDInto(sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,63 +295,46 @@ func TestMuxDeadlineReplyRacesExpiry(t *testing.T) {
 		go func() {
 			defer close(done)
 			time.Sleep(d - time.Millisecond + time.Duration(i%20)*100*time.Microsecond)
-			answer(m, s)
+			reply(t, sc, id, payload)
 		}()
-		typ, _, err := s.Wait()
+		typ, body, err := p.Wait()
 		<-done
 		switch {
-		case err == nil && typ == wire.MsgLookupResp:
+		case err == nil && typ == wire.MsgLookupResp && bytes.Equal(body, want):
 			replies++
-		case errors.Is(err, timeoutError{}):
+		case isTimeout(err):
 			timeouts++
 		default:
-			t.Fatalf("request %d: (%v, %v)", i, typ, err)
+			t.Fatalf("request %d: (%v, %q, %v), want its own reply or a timeout", i, typ, body, err)
 		}
-		if len(s.ch) != 0 {
-			t.Fatalf("request %d: a second outcome was sent into its slot", i)
-		}
-		a, b := slotPool.Get().(*muxSlot), slotPool.Get().(*muxSlot)
-		if a == b {
-			t.Fatalf("request %d: its slot was recycled twice", i)
-		}
-		slotPool.Put(a)
-		slotPool.Put(b)
+		wire.Replies.Put(body)
 	}
 	t.Logf("%d replies, %d timeouts", replies, timeouts)
 }
 
-// TestMuxDeadlineWatchdogStoppedByFail: a dead connection's watchdog is
-// stopped by fail, not left to fire, and its waiter has the
-// connection's error rather than a timeout.
+// TestMuxDeadlineWatchdogStoppedByFail: a request waiting on a
+// connection that dies has the connection's error, not the watchdog's
+// timeout, however long its deadline.
 func TestMuxDeadlineWatchdogStoppedByFail(t *testing.T) {
-	m := idleMux(t)
-	s, err := m.register(time.Now(), time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.fail(errors.New("injected failure"))
-	if _, _, err := s.Wait(); !errors.Is(err, errConnDead) {
-		t.Fatalf("waiter on a failed connection: %v, want errConnDead", err)
-	}
-	m.mu.Lock()
-	running := m.watch.Stop()
-	m.mu.Unlock()
-	if running {
-		t.Fatal("fail left the watchdog armed")
+	m, sc := muxPair(t)
+	p := start(t, m, nil, time.Minute)
+	sc.Close()
+	if _, _, err := p.Wait(); !errors.Is(err, wire.ErrConnDead) {
+		t.Fatalf("waiter on a failed connection: %v, want wire.ErrConnDead", err)
 	}
 }
 
 // TestMuxIdleConnHoldsNoReplyBuffer: a shared connection whose reader is
 // blocked waiting for the next reply must have taken nothing from
-// replyBufs — the payload buffer is drawn once a reply's header is
+// wire.Replies — the payload buffer is drawn once a reply's header is
 // parsed, not ahead of the read. The pool is pre-filled so every Get is
 // served from it and a buffer not given back shows as a lower idle
 // count.
 func TestMuxIdleConnHoldsNoReplyBuffer(t *testing.T) {
 	for i := 0; i < 8; i++ {
-		replyBufs.Put(make([]byte, 0, 512))
+		wire.Replies.Put(make([]byte, 0, 512))
 	}
-	idle := replyBufs.Idle()
+	idle := wire.Replies.Idle()
 	c, _ := testCluster(t, 4, 1)
 	// One round trip dials the shared connection and proves its reader
 	// is up; Lookup has released the reply's body by the time it returns.
@@ -347,9 +342,9 @@ func TestMuxIdleConnHoldsNoReplyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for replyBufs.Idle() != idle {
+	for wire.Replies.Idle() != idle {
 		if time.Now().After(deadline) {
-			t.Fatalf("idle shared connection holds %d pooled buffer(s)", idle-replyBufs.Idle())
+			t.Fatalf("idle shared connection holds %d pooled buffer(s)", idle-wire.Replies.Idle())
 		}
 		time.Sleep(time.Millisecond)
 	}

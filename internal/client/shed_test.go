@@ -128,7 +128,7 @@ func lookupRespBody(t *testing.T, found bool) []byte {
 func askAS0(c *Cluster, t wire.MsgType, payload []byte) (wire.MsgType, error) {
 	now := time.Now()
 	atts := c.fanOut(nil, []core.Placement{{AS: 0}}, attempt{t: t, payload: payload, opDeadline: now.Add(5 * time.Second)}, now)
-	putBody(atts[0].body)
+	wire.Replies.Put(atts[0].body)
 	return atts[0].rt, atts[0].err
 }
 

@@ -184,10 +184,10 @@ func TestTraceSlowOpEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceNonTracingServerInterop is the peer-without-the-extension
-// interop test: a plain server.New node never grants FeatTrace, so the
-// tracing client keeps its frames unprefixed and everything round-trips;
-// the client still records its own spans.
+// TestTraceNonTracingServerInterop is the node-without-a-tracer interop
+// test: a plain server.New node strips the trace context the tracing
+// client's frames carry, and everything round-trips; the client still
+// records its own spans.
 func TestTraceNonTracingServerInterop(t *testing.T) {
 	nodes, addrs := startNodes(t, 8)
 	tr := trace.New(trace.Config{Sample: 1})
@@ -209,8 +209,8 @@ func TestTraceNonTracingServerInterop(t *testing.T) {
 			t.Errorf("AS %d: plain node unexpectedly has a tracer", as)
 		}
 	}
-	// And the reverse asymmetry: a non-tracing client against tracing
-	// servers never asks for the extension, so no server joins anything.
+	// And the reverse asymmetry: a non-tracing client sends no trace
+	// context, so no server joins anything.
 	c2 := tracingClient(t, 8, 3, addrs, Config{})
 	if _, err := c2.Lookup(e.GUID); err != nil {
 		t.Fatal(err)

@@ -126,27 +126,6 @@ func (s *System) Insert(e store.Entry, srcAS int) ([]Placement, error) {
 	return placements, nil
 }
 
-// Delete removes g's mapping from its K replicas (and the local copy at
-// srcAS), reporting how many copies existed.
-func (s *System) Delete(g guid.GUID, srcAS int) (int, error) {
-	placements, err := s.res.Place(g)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, p := range placements {
-		if st := s.loadStore(p.AS); st != nil && st.Delete(g) {
-			removed++
-		}
-	}
-	if s.localReplica && srcAS >= 0 && srcAS < len(s.stores) {
-		if st := s.loadStore(srcAS); st != nil && st.Delete(g) {
-			removed++
-		}
-	}
-	return removed, nil
-}
-
 // ConsistencyReport summarizes an audit of the deployment's invariants.
 type ConsistencyReport struct {
 	// Mappings is the number of distinct GUIDs audited.

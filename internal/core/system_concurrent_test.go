@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestSystemConcurrentHammer drives Insert/Delete, replica reads and the
+// TestSystemConcurrentHammer drives inserts, deletes, replica reads and the
 // read-side inspectors from many goroutines at once. Run under -race it
 // exercises the striped lazy store allocation and the atomic store
 // loads; afterwards the surviving GUIDs must still pass the consistency
@@ -46,12 +46,19 @@ func TestSystemConcurrentHammer(t *testing.T) {
 				// Read-side inspectors race against writers on other
 				// goroutines' stores.
 				hosted(sys)
-				// Every fourth GUID is deleted again, so the audit also
-				// sees stores that shrank concurrently.
+				// Every fourth GUID is deleted again, from its replicas
+				// and its local copy, so the audit also sees stores that
+				// shrank concurrently.
 				if i%4 == 3 {
-					if _, err := sys.Delete(e.GUID, srcAS); err != nil {
+					placements, err := sys.res.Place(e.GUID)
+					if err != nil {
 						errs <- err
 						return
+					}
+					for _, as := range append([]int{srcAS}, placementASs(placements)...) {
+						if st := sys.loadStore(as); st != nil {
+							st.Delete(e.GUID)
+						}
 					}
 				}
 			}
@@ -124,4 +131,13 @@ func TestSystemConcurrentSameGUID(t *testing.T) {
 	if !rep.Ok() {
 		t.Errorf("audit failed: %+v", rep)
 	}
+}
+
+// placementASs lists the ASs that placements name.
+func placementASs(placements []Placement) []int {
+	ases := make([]int, len(placements))
+	for i, p := range placements {
+		ases[i] = p.AS
+	}
+	return ases
 }

@@ -155,29 +155,6 @@ func TestUpdateVersioning(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	sys := newTestSystem(t, 5, true)
-	e := testEntry("gone", 1, 3)
-	if _, err := sys.Insert(e, 3); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := sys.Delete(e.GUID, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed < 5 {
-		t.Errorf("removed = %d, want >= K=5", removed)
-	}
-	// No replica and no local copy is left anywhere.
-	rep, err := sys.VerifyConsistency()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mappings != 0 {
-		t.Errorf("deleted GUID still stored: %v", rep)
-	}
-}
-
 func TestLocalReplica(t *testing.T) {
 	sys := newTestSystem(t, 5, true)
 	const home = 123

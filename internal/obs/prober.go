@@ -68,10 +68,10 @@ type ProberConfig struct {
 	Dial func(addr string, timeout time.Duration) (ProbeConn, error)
 }
 
-// ProbeConn is one sequential request/reply connection to a target: what
+// ProbeConn is a connection to a target, one exchange at a time: what
 // the prober uses of a *wire.Conn.
 type ProbeConn interface {
-	RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error)
+	wire.RoundTripper
 	Close() error
 }
 

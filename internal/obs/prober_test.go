@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -177,7 +178,8 @@ func TestProberStaleRead(t *testing.T) {
 // TestProberTimesExchangesNotHandshake: probe.op_us measures what a node
 // takes to answer, so the dial and the handshake — slow here — stay
 // outside it, as the dial always did. The fake speaks exactly what a
-// node does: hello ack, then identified replies.
+// node does: hello ack, then identified replies. Close ends the
+// connection's reader goroutine with it.
 func TestProberTimesExchangesNotHandshake(t *testing.T) {
 	const helloDelay = 300 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -185,6 +187,7 @@ func TestProberTimesExchangesNotHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	base := runtime.NumGoroutine()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -236,6 +239,11 @@ func TestProberTimesExchangesNotHandshake(t *testing.T) {
 	elapsed := time.Since(start)
 	p.Close()
 	<-done
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the round", runtime.NumGoroutine(), base)
+		}
+	}
 	if ts := st.Targets[0]; !ts.WriteOK || !ts.ReadOK || ts.Stale {
 		t.Fatalf("node not probed cleanly: %+v", ts)
 	}

@@ -137,7 +137,7 @@ func TestServedOpsZeroAlloc(t *testing.T) {
 			e.Version++
 			e.NAs = nas[:1+e.Version%store.MaxNAs]
 			payload, _ := wire.AppendEntry(ins[:0], e)
-			n.serveFrameV2(conn.RemoteAddr(), 0, w, &run, wire.MsgInsert, e.Version, payload, dst[:0])
+			n.serveFrameV2(conn.RemoteAddr(), w, &run, wire.MsgInsert, e.Version, payload, dst[:0])
 			n.commitInserts(&run, w, dst[:0])
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)

@@ -80,17 +80,13 @@ func serveOn(t *testing.T, conn net.Conn, serve func()) {
 
 // serveCounted runs n.serveConn on the accepted end of a loopback TCP
 // pair, wrapped in a countedConn, and returns the dialed end with the
-// handshake done, the want features asked for.
-func serveCounted(t *testing.T, n *Node, want ...byte) (net.Conn, *countedConn) {
+// handshake done.
+func serveCounted(t *testing.T, n *Node) (net.Conn, *countedConn) {
 	t.Helper()
 	conn, cc := tcpPair(t)
 	serveOn(t, conn, func() { n.serveConn(cc) })
-	var ask byte
-	for _, f := range want {
-		ask |= f
-	}
-	if got, err := wire.Handshake(conn, time.Second, ask); err != nil || got != ask {
-		t.Fatalf("handshake: granted %#x of %#x, %v", got, ask, err)
+	if err := wire.Handshake(conn, time.Second); err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second)) // after the handshake, which clears the deadline
 	return conn, cc
@@ -767,7 +763,7 @@ func TestCorkedBytesBounded(t *testing.T) {
 func TestInlineLookupShed(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxInflight: 1, MaxConnInflight: 1})
 	conn, cc := tcpPair(t)
-	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0) })
+	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc) })
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	// ask sends a lookup, after a ping in the same write when ping is set,
 	// and returns the lookup's reply.
@@ -858,7 +854,7 @@ func waitNoClaims(t *testing.T, n *Node) {
 func TestStagedInsertsHoldSlotsToFlush(t *testing.T) {
 	n := NewWithOptions(nil, Options{MaxConnInflight: 2})
 	conn, cc := tcpPair(t)
-	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc, 0) })
+	serveOn(t, conn, func() { defer cc.Close(); n.serveConnV2(cc) })
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	const burst = 16
 	var reqs []byte
@@ -892,7 +888,7 @@ func TestStagedInsertsHoldSlotsToFlush(t *testing.T) {
 func TestInlineFramesObservedLikeWorkerFrames(t *testing.T) {
 	tr := trace.New(trace.Config{SlowOp: time.Nanosecond})
 	n := NewWithOptions(nil, Options{Tracer: tr, HotKeys: trace.NewHotKeys(4)})
-	conn, _ := serveCounted(t, n, wire.FeatTrace)
+	conn, _ := serveCounted(t, n)
 	e := burstEntry(0)
 	entry, err := wire.AppendEntry(nil, e)
 	if err != nil {
@@ -988,7 +984,7 @@ func TestFailedFlushKillsConnection(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n.serveConnV2(fc, 0)
+		n.serveConnV2(fc)
 	}()
 	defer conn.Close()
 	var reqs []byte

@@ -18,7 +18,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -84,20 +83,13 @@ var errPeerShed = fmt.Errorf("server: peer shed repair frame")
 // keyspace, so the sweep is unscoped.
 func (n *Node) gossipSweep(addr string) error {
 	n.repairSweeps.Add(1)
-	gc, err := dialGossip(n.gossipCtx, addr)
+	gc, err := wire.Dial(n.gossipCtx, addr, gossipDialTimeout)
 	if err != nil {
 		n.repairPeerErrs.Add(1)
-		return err
+		return fmt.Errorf("server: gossip: %w", err)
 	}
 	defer gc.Close()
 	return n.Sweep(gc, nil, gossipExchangeWait)
-}
-
-// RoundTripper is one sequential request/reply connection to a peer —
-// a *wire.Conn, or a simulated link — each exchange bounded by timeout.
-// It is obs.ProbeConn's RoundTrip.
-type RoundTripper interface {
-	RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error)
 }
 
 // Sweep drives one core.Sweep of the node's store over scope (nil: the
@@ -107,7 +99,7 @@ type RoundTripper interface {
 // count it. Any error aborts the sweep — the next one starts from
 // scratch, and freshest-wins makes re-covered ground free. Close or
 // Drain stops it at the next page.
-func (n *Node) Sweep(rt RoundTripper, scope func(guid.GUID) bool, wait time.Duration) error {
+func (n *Node) Sweep(rt wire.RoundTripper, scope func(guid.GUID) bool, wait time.Duration) error {
 	sw := core.NewSweep(n.store, scope)
 	for n.gossipCtx.Err() == nil && !n.draining.Load() {
 		after, through, page, ok := sw.Next()
@@ -146,26 +138,18 @@ func (n *Node) countRepairErr(err error) {
 	}
 }
 
-// dialGossip opens the sweeper's side of a repair connection: one
-// exchange in flight.
-func dialGossip(ctx context.Context, addr string) (*wire.Conn, error) {
-	gc, err := wire.Dial(ctx, addr, gossipDialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("server: gossip: %w", err)
-	}
-	return gc, nil
-}
-
 // repairRoundTrip is one exchange with the peer, bounded by wait, whose
 // refusals become errors: errPeerShed when it is overloaded, the reason
-// otherwise. The returned body is valid until the next exchange on gc.
-func repairRoundTrip(gc RoundTripper, wait time.Duration, t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
+// otherwise. The returned body is the caller's to hand back to
+// wire.Replies once decoded.
+func repairRoundTrip(gc wire.RoundTripper, wait time.Duration, t wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
 	rt, body, err := gc.RoundTrip(t, payload, wait)
 	if err != nil {
 		return 0, nil, fmt.Errorf("server: gossip: %w", err)
 	}
 	if rt == wire.MsgError {
 		kind, reason, _ := wire.DecodeErrorKind(body)
+		wire.Replies.Put(body)
 		if kind == wire.ErrKindShed {
 			return 0, nil, errPeerShed
 		}
@@ -175,7 +159,7 @@ func repairRoundTrip(gc RoundTripper, wait time.Duration, t wire.MsgType, payloa
 }
 
 // exchangeDigest sends one digest page and decodes the peer's diff.
-func exchangeDigest(gc RoundTripper, wait time.Duration, after, through guid.GUID, page []store.Digest) (covered guid.GUID, newer []store.Entry, want []guid.GUID, err error) {
+func exchangeDigest(gc wire.RoundTripper, wait time.Duration, after, through guid.GUID, page []store.Digest) (covered guid.GUID, newer []store.Entry, want []guid.GUID, err error) {
 	body, err := wire.AppendRepairDigest(nil, after, through, page)
 	if err != nil {
 		return covered, nil, nil, err
@@ -184,6 +168,7 @@ func exchangeDigest(gc RoundTripper, wait time.Duration, after, through guid.GUI
 	if err != nil {
 		return covered, nil, nil, err
 	}
+	defer wire.Replies.Put(resp) // the diff decodes into fresh entries
 	if rt != wire.MsgRepairDiff {
 		return covered, nil, nil, fmt.Errorf("server: repair digest answered with %v", rt)
 	}
@@ -193,7 +178,7 @@ func exchangeDigest(gc RoundTripper, wait time.Duration, after, through guid.GUI
 // pushWanted sends the peer the entries it asked for, batched into
 // MsgBatchInsert frames, and returns how many the peer acknowledged
 // applying.
-func pushWanted(gc RoundTripper, wait time.Duration, entries []store.Entry) (int, error) {
+func pushWanted(gc wire.RoundTripper, wait time.Duration, entries []store.Entry) (int, error) {
 	pushed := 0
 	for len(entries) > 0 {
 		b := entries
@@ -213,6 +198,7 @@ func pushWanted(gc RoundTripper, wait time.Duration, entries []store.Entry) (int
 			return pushed, fmt.Errorf("server: repair push answered with %v", rt)
 		}
 		acked, err := wire.DecodeBatchInsertAck(resp)
+		wire.Replies.Put(resp)
 		if err != nil {
 			return pushed, err
 		}

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,11 +168,7 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 	putAll(t, n.Store(), gossipEntry("theirs", 9))
 	n.Drain()
 
-	gc, err := dialGossip(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gc.Close()
+	gc := dialConn(t, addr)
 
 	// The peer lacks "ours" (v3) and holds "theirs" (v9, we claim v1):
 	// an eager peer would want "ours" and the fresher "theirs"; a
@@ -199,41 +195,32 @@ func TestDrainingPeerStopsWanting(t *testing.T) {
 	}
 }
 
-// TestGossipReplyBufferReused: every round trip on a repair connection
-// reads its reply into the one buffer the connection owns — a reply is
-// valid until the next round trip — and what an earlier exchange decoded
-// is untouched by the next: decoders copy.
+// TestGossipReplyBufferReused: the sweeper hands every reply body back
+// to wire.Replies once it is decoded, so a repair connection's exchanges
+// run on recycled buffers, and what an earlier exchange decoded is
+// untouched by the next: decoders copy (under DMAP_POISON_BUFS=1 a
+// released body is scribbled over).
 func TestGossipReplyBufferReused(t *testing.T) {
 	n, addr := startNode(t)
 	putAll(t, n.Store(), gossipEntry("theirs-a", 5), gossipEntry("theirs-b", 6))
-	gc, err := dialGossip(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
+	gc := dialConn(t, addr)
+	for i := 0; i < 8; i++ {
+		wire.Replies.Put(make([]byte, 0, 4096))
 	}
-	defer gc.Close()
+	idle := wire.Replies.Idle()
 
-	// An empty page over the whole keyspace: the peer exports everything.
-	page, err := wire.AppendRepairDigest(nil, guid.GUID{}, guid.Max(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		first []store.Entry
-		buf   *byte
-	)
+	var first []store.Entry
 	for i := 0; i < 4; i++ {
-		rt, body, err := repairRoundTrip(gc, gossipExchangeWait, wire.MsgRepairDigest, page)
-		if err != nil || rt != wire.MsgRepairDiff {
-			t.Fatalf("exchange %d: (%v, %v)", i+1, rt, err)
-		}
-		_, newer, _, err := wire.DecodeRepairDiff(body)
+		// An empty page over the whole keyspace: the peer exports everything.
+		_, newer, _, err := exchangeDigest(gc, gossipExchangeWait, guid.GUID{}, guid.Max(), nil)
 		if err != nil || len(newer) != 2 {
 			t.Fatalf("exchange %d: %d newer, %v", i+1, len(newer), err)
 		}
+		if got := wire.Replies.Idle(); got != idle {
+			t.Fatalf("exchange %d: %d idle reply buffers, %d before: the reply was not handed back", i+1, got, idle)
+		}
 		if i == 0 {
-			first, buf = newer, &body[0]
-		} else if &body[0] != buf {
-			t.Fatalf("exchange %d replaced the reply buffer", i+1)
+			first = newer
 		}
 	}
 	want := map[guid.GUID]store.Entry{}
@@ -251,7 +238,8 @@ func TestGossipReplyBufferReused(t *testing.T) {
 // the sweeper's hello unanswered, or its first digest page — holds a
 // sweep for gossipDialTimeout or gossipExchangeWait, seconds both; Close
 // must end the sweep's connection, not wait the timeout out. The aborted
-// sweep is counted once at most.
+// sweep is counted once at most, and the connection's reader goroutine is
+// gone with it.
 func TestCloseDoesNotWaitForSilentGossipPeer(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -267,7 +255,10 @@ func TestCloseDoesNotWaitForSilentGossipPeer(t *testing.T) {
 			}
 			defer ln.Close()
 			waiting := make(chan struct{}) // closed once the sweeper waits for an answer
+			peerDone := make(chan struct{})
+			base := runtime.NumGoroutine()
 			go func() {
+				defer close(peerDone)
 				conn, err := ln.Accept()
 				if err != nil {
 					return
@@ -310,6 +301,12 @@ func TestCloseDoesNotWaitForSilentGossipPeer(t *testing.T) {
 			}
 			if sweeps, failed := n.repairSweeps.Value(), n.repairPeerErrs.Value()+n.repairBackoffs.Value(); sweeps != 1 || failed > 1 {
 				t.Errorf("sweeps = %d, peer errors + backoffs = %d; want one sweep, counted once at most", sweeps, failed)
+			}
+			<-peerDone // the peer reads until the sweeper hangs up
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the node started", runtime.NumGoroutine(), base)
+				}
 			}
 		})
 	}

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"dmap/internal/guid"
+	"dmap/internal/store"
+	"dmap/internal/trace"
 	"dmap/internal/wire"
 )
 
@@ -87,6 +89,35 @@ func TestHelloVersionClamped(t *testing.T) {
 	}
 }
 
+// TestTracedLookupAfterPlainHello: the hello negotiates nothing, so a
+// traced frame is understood on a connection opened with the 5-byte
+// hello, by a node without a tracer too: its context is stripped and the
+// lookup is answered under its ID.
+func TestTracedLookupAfterPlainHello(t *testing.T) {
+	n, addr := startNode(t)
+	e := testEntry()
+	n.Store().Put(e)
+	conn := dial(t, addr)
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	hello(t, conn)
+	tc := trace.Context{Trace: 7, Span: 9, Sampled: true}
+	frame, err := wire.AppendFrameIDTrace(nil, wire.MsgLookup, 5, tc, wire.AppendGUID(nil, e.GUID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	typ, id, body, err := wire.ReadFrameIDInto(conn, nil)
+	if err != nil || typ != wire.MsgLookupResp || id != 5 {
+		t.Fatalf("traced lookup answered (%v, id %d, %v), want MsgLookupResp under id 5", typ, id, err)
+	}
+	var got store.Entry
+	if found, err := wire.DecodeLookupRespInto(&got, body); err != nil || !found || got.GUID != e.GUID || got.Version != e.Version {
+		t.Fatalf("traced lookup found %t: %+v, %v; want %+v", found, got, err, e)
+	}
+}
+
 // TestSilentPeerIsClosed: a peer that connects and sends nothing, and
 // one that sends half a frame header, are closed by the node within the
 // handshake bound, having held no pooled buffer — while a client that
@@ -147,7 +178,7 @@ func FuzzServerFirstFrame(f *testing.F) {
 	}
 	f.Add(frame(wire.MsgLookup, wire.AppendGUID(nil, guid.New("v1")))) // a pre-hello client's request
 	f.Add(frame(wire.MsgHello, wire.AppendHello(nil, wire.Version2)))
-	f.Add(frame(wire.MsgHello, wire.AppendHelloFeat(nil, wire.Version2, 1<<1))) // a flag no node grants
+	f.Add(frame(wire.MsgHello, append(wire.AppendHello(nil, wire.Version2), 1<<1))) // a feature byte, ignored
 	f.Add(frame(wire.MsgHello, wire.AppendHello(nil, 1)))
 	f.Add(frame(wire.MsgHello, []byte{'D', 'M', 'a', 'X', 2}))   // bad magic
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(wire.MsgHello)})   // oversized length
@@ -164,7 +195,7 @@ func FuzzServerFirstFrame(f *testing.F) {
 			if size <= uint32(wire.MaxPayload(typ)) && uint32(len(data)-wire.FrameHeaderLen) >= size {
 				complete = true
 				if typ == wire.MsgHello {
-					v, _, err := wire.DecodeHello(data[wire.FrameHeaderLen : wire.FrameHeaderLen+int(size)])
+					v, err := wire.DecodeHello(data[wire.FrameHeaderLen : wire.FrameHeaderLen+int(size)])
 					granted = err == nil && v >= wire.Version2
 				}
 			}

@@ -611,9 +611,9 @@ const helloTimeout = 3 * time.Second
 
 // serveConn is the handshake (DESIGN.md §7): the first frame must be a
 // well-formed MsgHello asking for at least Version2, answered with the
-// version and the features granted, after which the connection carries
-// identified frames (serveConnV2). Anything else — a pre-hello client's
-// bare request, a hello for version 1, junk — is answered one
+// version — nothing else is negotiated — after which the connection
+// carries identified frames (serveConnV2). Anything else — a pre-hello
+// client's bare request, a hello for version 1, junk — is answered one
 // un-identified MsgError, which such a client reads as the reply to its
 // request, and closed: no handler runs and no admission slot is taken
 // for a peer that has not said hello.
@@ -631,9 +631,9 @@ func (n *Node) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	var v, feat byte
+	var v byte
 	if t == wire.MsgHello {
-		v, feat, err = wire.DecodeHello(payload)
+		v, err = wire.DecodeHello(payload)
 	}
 	if t != wire.MsgHello || err != nil || v < wire.Version2 {
 		n.badReqs.Add(1)
@@ -641,20 +641,14 @@ func (n *Node) serveConn(conn net.Conn) {
 		_ = wire.WriteFrame(conn, wire.MsgError, wire.AppendErrorKind(nil, wire.ErrKindBadRequest, "expected a hello for protocol version 2"))
 		return
 	}
-	// Grant the trace extension if the peer asked for it and a tracer is
-	// attached; it is the one negotiated feature.
-	var granted byte
-	if n.tracer != nil {
-		granted = feat & wire.FeatTrace
-	}
-	if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAckFeat(nil, wire.Version2, granted)); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgHelloAck, wire.AppendHelloAck(nil, wire.Version2)); err != nil {
 		return
 	}
 	// Idle multiplexed connections are legitimate: the bound ends here.
 	_ = conn.SetDeadline(time.Time{})
 	n.v2Conns.Add(1)
-	n.logger.Debug("connection open", "remote", conn.RemoteAddr(), "feat", granted)
-	n.serveConnV2(conn, granted)
+	n.logger.Debug("connection open", "remote", conn.RemoteAddr())
+	n.serveConnV2(conn)
 }
 
 // requestBuf is the read loop's payload source (wire.Reader.Next): a view
@@ -684,13 +678,6 @@ func requestBuf(_ wire.MsgType, n int) []byte {
 // slowest frame, and a connection uses at most one core: a peer that
 // wants more parallelism opens more connections.
 //
-// feat holds the hello-granted feature flags: when FeatTrace was
-// negotiated, frames with the trace bit carry a trace-context prefix
-// that is stripped here, joined into a server-side span and answered
-// with the base frame type. Without the negotiation, a traced frame is
-// simply an unknown type — handle answers MsgError, the interop
-// contract for peers that never asked for the extension.
-//
 // Admission: each frame claims a global slot and counts in corked, the
 // frames served since the last flush, which is what the per-connection
 // limit bounds; a refusal is answered with a pre-encoded ErrKindShed
@@ -698,7 +685,7 @@ func requestBuf(_ wire.MsgType, n int) []byte {
 // fail over. A frame is in flight until the flush that carries its reply,
 // which releases the burst's slots; so do the flushes on the way out when
 // the connection dies.
-func (n *Node) serveConnV2(conn net.Conn, feat byte) {
+func (n *Node) serveConnV2(conn net.Conn) {
 	// A failed flush desynchronizes nothing (identified framing), but the
 	// connection is done for: kill it, which also unblocks the read loop.
 	w := wire.NewWriter(conn, func(error) { conn.Close() })
@@ -726,7 +713,7 @@ func (n *Node) serveConnV2(conn net.Conn, feat byte) {
 		}
 		n.v2Frames.Add(1)
 		if ok, global := n.tryAdmit(&corked, wire.BaseType(t)); ok {
-			scratch = n.serveFrameV2(remote, feat, w, &run, t, id, payload, scratch[:0])
+			scratch = n.serveFrameV2(remote, w, &run, t, id, payload, scratch[:0])
 		} else {
 			// Refused where it was read, with zero allocations; the reply
 			// leaves with the burst's.
@@ -754,11 +741,13 @@ type replies interface {
 // into, for the loop to reuse. A batch or repair reply, up to a frame's
 // worth, is encoded into a serverBufs buffer instead, back in the pool
 // before serveFrameV2 returns: Enqueue has copied it. payload stays the
-// caller's.
-func (n *Node) serveFrameV2(remote net.Addr, feat byte, w replies, run *insertRun, t wire.MsgType, id uint64, payload, dst []byte) []byte {
+// caller's. A traced frame's context is stripped here, and joined into a
+// server-side span when the node has a tracer; the reply carries the
+// base frame type.
+func (n *Node) serveFrameV2(remote net.Addr, w replies, run *insertRun, t wire.MsgType, id uint64, payload, dst []byte) []byte {
 	start := time.Now()
 	var tc trace.Context
-	if wire.IsTraced(t) && feat&wire.FeatTrace != 0 {
+	if wire.IsTraced(t) {
 		var terr error
 		tc, payload, terr = wire.DecodeTraceContext(payload)
 		if terr != nil {
@@ -881,14 +870,14 @@ func (n *Node) answerInsert(w replies, in *stagedInsert, dst []byte, kind wire.E
 
 // ServeFrame answers one request frame as a connection's read loop does,
 // for a transport without connections — nodesim's simulated link: the
-// same decode, refusal and store code, no trace extension (a link has
-// no hello), an insert committed as a run of one. No admission limit
+// same decode, refusal and store code, an insert committed as a run of
+// one. No admission limit
 // applies. The reply body is a fresh slice; payload stays the
 // caller's.
 func (n *Node) ServeFrame(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
 	var r oneReply
 	var run insertRun
-	n.serveFrameV2(nil, 0, &r, &run, t, 0, payload, nil)
+	n.serveFrameV2(nil, &r, &run, t, 0, payload, nil)
 	n.commitInserts(&run, &r, nil)
 	return r.t, r.body
 }

@@ -34,8 +34,8 @@ func dial(t *testing.T, addr string) net.Conn {
 }
 
 // dialConn opens a connection to addr through the handshake: the
-// one-exchange-at-a-time connection the sweeper and the prober use. Tests
-// that pipeline dial and call hello.
+// connection the client, the sweeper and the prober use. Tests that write
+// frames by hand dial and call hello.
 func dialConn(t *testing.T, addr string) *wire.Conn {
 	t.Helper()
 	conn, err := wire.Dial(context.Background(), addr, time.Second)
@@ -50,7 +50,7 @@ func dialConn(t *testing.T, addr string) *wire.Conn {
 // identified frames written by hand.
 func hello(t *testing.T, conn net.Conn) {
 	t.Helper()
-	if _, err := wire.Handshake(conn, time.Second, 0); err != nil {
+	if err := wire.Handshake(conn, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

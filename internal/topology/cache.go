@@ -29,8 +29,6 @@ type distShard struct {
 	cap int
 	lru *list.List // of *cacheEntry, front = most recent
 	m   map[int]*list.Element
-
-	hits, misses int64
 }
 
 type cacheEntry struct {
@@ -72,12 +70,10 @@ func (c *DistCache) vector(src int) []Micros {
 	sh.mu.Lock()
 	if el, ok := sh.m[src]; ok {
 		sh.lru.MoveToFront(el)
-		sh.hits++
 		dist := el.Value.(*cacheEntry).dist
 		sh.mu.Unlock()
 		return dist
 	}
-	sh.misses++
 	sh.mu.Unlock()
 
 	// Compute outside the lock; duplicate work on a race is harmless.
@@ -113,16 +109,4 @@ func (c *DistCache) RTT(s, t int) Micros {
 		return InfMicros
 	}
 	return 2 * ow
-}
-
-// Stats returns cumulative hit and miss counts summed over all shards.
-func (c *DistCache) Stats() (hits, misses int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.misses
-		sh.mu.Unlock()
-	}
-	return hits, misses
 }

@@ -26,8 +26,8 @@
 //     monitored keys (Space-Saving, Metwally et al.).
 //
 // Trace context (trace ID, parent span ID, sampled flag) propagates on
-// the wire via the frame extension in internal/wire, negotiated per
-// connection in MsgHello; peers without the extension are untouched.
+// the wire via the frame extension in internal/wire, which every node
+// accepts and a node without a tracer strips.
 package trace
 
 import "time"
@@ -79,8 +79,8 @@ func NewTraceID(seed, n uint64) TraceID {
 
 // FromRequestID derives a trace ID from a v2 wire request ID. Servers
 // use it to stamp slow-op log entries for requests that arrived
-// without trace context (unsampled, or the peer never negotiated the
-// extension), so a slow frame is still correlatable with the client's
+// without trace context (unsampled, or from an untraced client), so a
+// slow frame is still correlatable with the client's
 // connection logs by request ID.
 func FromRequestID(id uint64) TraceID {
 	t := TraceID(splitmix64(id))

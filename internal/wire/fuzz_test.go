@@ -180,7 +180,7 @@ func FuzzDecodeFrameV2(f *testing.F) {
 		case MsgError:
 			_, _, _ = DecodeErrorKind(payload)
 		case MsgHello:
-			_, _, _ = DecodeHello(payload)
+			_, _ = DecodeHello(payload)
 		case MsgHelloAck:
 			_, _, _ = DecodeHelloAck(payload)
 		case MsgBatchInsert:
@@ -223,10 +223,10 @@ func FuzzDecodeBatchInsert(f *testing.F) {
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(AppendHello(nil, Version2))
 	f.Add(AppendHelloAck(nil, 1))
-	f.Add(AppendHelloFeat(nil, Version2, FeatTrace))
-	f.Add(AppendHelloAckFeat(nil, Version2, FeatTrace))
+	f.Add(append(AppendHello(nil, Version2), 1)) // a feature byte, ignored
+	f.Add(append(AppendHelloAck(nil, Version2), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = DecodeHello(data)
+		_, _ = DecodeHello(data)
 		_, _, _ = DecodeHelloAck(data)
 	})
 }

@@ -1,7 +1,12 @@
+//go:build linux && !race
+
 // The Linux socket path (DESIGN.md §7): a TCP connection's reads and
 // writes as raw syscalls on its non-blocking fd, which skip the
 // runtime's entersyscall and so never wake its sysmon thread; an EAGAIN
 // parks the goroutine on the poller, so deadlines and Close still work.
+// A race build reads and writes through the net package instead
+// (sock_other.go): the race detector sees the kernel's writes into a
+// Reader's buffer only through the runtime's own syscalls.
 package wire
 
 import (

@@ -1,3 +1,5 @@
+//go:build linux && !race
+
 package wire
 
 import (

@@ -1,15 +1,12 @@
 // Trace-context propagation: the frame extension behind the
 // internal/trace distributed tracer.
 //
-// The extension is negotiated per connection: a client advertising
-// FeatTrace in its MsgHello, answered by a server echoing FeatTrace in
-// MsgHelloAck, may send *traced frames* — request frames whose type
-// byte carries the high TraceBit and whose payload is prefixed with a
-// fixed 17-byte trace context: trace ID(8) ‖ parent span ID(8) ‖
-// flags(1). Responses are never traced (the client already owns the
-// trace). Peers that never negotiated the feature never see the bit: a
-// server that did not grant FeatTrace receives only plain frames —
-// compatible by construction rather than by tolerance.
+// A request frame may be *traced*: its type byte carries the high
+// TraceBit and its payload is prefixed with a fixed 17-byte trace
+// context: trace ID(8) ‖ parent span ID(8) ‖ flags(1). Every node
+// accepts traced frames, on every connection, with nothing negotiated:
+// it strips the context and joins it only when it has a tracer.
+// Responses are never traced (the client already owns the trace).
 package wire
 
 import (
@@ -19,16 +16,9 @@ import (
 	"dmap/internal/trace"
 )
 
-// Hello feature flags (bitmask). A flag appears in a MsgHelloAck only
-// if the hello advertised it, so either side can veto an extension.
-const (
-	// FeatTrace enables traced request frames on the connection.
-	FeatTrace byte = 1 << 0
-)
-
 // TraceBit marks a frame type as trace-prefixed. The bit is outside
-// the range of defined message types, so an un-negotiated traced frame
-// decodes as an unknown type and is rejected, not misparsed.
+// the range of defined message types, so a traced frame cannot be
+// misparsed as a plain one.
 const TraceBit MsgType = 0x80
 
 // TraceContextLen is the fixed size of the wire trace context:
@@ -86,8 +76,7 @@ func DecodeTraceContext(b []byte) (trace.Context, []byte, error) {
 
 // AppendFrameIDTrace appends one complete traced identified frame to
 // dst: the frame type gains TraceBit and the payload is prefixed with
-// the encoded tc. Callers must have negotiated FeatTrace on the
-// connection. Like AppendFrameID it preserves existing dst bytes, so
+// the encoded tc. Like AppendFrameID it preserves existing dst bytes, so
 // traced and plain frames coalesce into the same buffer.
 func AppendFrameIDTrace(dst []byte, t MsgType, id uint64, tc trace.Context, payload []byte) ([]byte, error) {
 	t = WithTrace(t)

@@ -2,9 +2,9 @@
 // pipelined frames with batched operations.
 //
 // A connection opens with a two-frame handshake under the plain 5-byte
-// header — MsgHello (magic + version + wanted feature flags), answered
-// by MsgHelloAck with the version and features granted (Handshake in
-// conn.go; the server's half is server.serveConn) — and from then on
+// header — MsgHello (magic + version), answered by MsgHelloAck with the
+// version (Handshake in conn.go; the server's half is server.serveConn),
+// negotiating nothing else — and from then on
 // carries identified frames only: an 8-byte request ID sits between the
 // type byte and the payload, so responses may return in any order and
 // many requests can be in flight on one connection. Request IDs are
@@ -38,63 +38,36 @@ const helloMagic = 0x444D6150 // "DMaP"
 // ErrBadHello reports a MsgHello payload that is not a DMap handshake.
 var ErrBadHello = errors.New("wire: malformed hello")
 
-// AppendHello encodes a MsgHello body with no feature flags:
-// magic(4) ‖ version(1).
+// AppendHello encodes a MsgHello body: magic(4) ‖ version(1).
 func AppendHello(dst []byte, version byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, helloMagic)
 	return append(dst, version)
 }
 
-// AppendHelloFeat encodes a MsgHello body advertising feature flags:
-// magic(4) ‖ version(1) [‖ feat(1)]. A zero feat byte is omitted,
-// producing AppendHello's 5-byte encoding — a peer that requests no
-// extensions is indistinguishable from one that predates them.
-func AppendHelloFeat(dst []byte, version, feat byte) []byte {
-	dst = AppendHello(dst, version)
-	if feat != 0 {
-		dst = append(dst, feat)
-	}
-	return dst
-}
-
 // DecodeHello decodes a MsgHello body and returns the requested
-// version and feature flags. Both the 5-byte form (feat = 0) and the
-// 6-byte feature form are accepted.
-func DecodeHello(b []byte) (version, feat byte, err error) {
+// version. A sixth byte, the feature flags a hello once carried, is
+// accepted and ignored: the hello negotiates nothing.
+func DecodeHello(b []byte) (version byte, err error) {
 	if len(b) != 5 && len(b) != 6 {
-		return 0, 0, ErrBadHello
+		return 0, ErrBadHello
 	}
 	if binary.BigEndian.Uint32(b) != helloMagic {
-		return 0, 0, ErrBadHello
+		return 0, ErrBadHello
 	}
-	v := b[4]
-	if v == 0 {
-		return 0, 0, ErrBadHello
+	if b[4] == 0 {
+		return 0, ErrBadHello
 	}
-	if len(b) == 6 {
-		feat = b[5]
-	}
-	return v, feat, nil
+	return b[4], nil
 }
 
-// AppendHelloAck encodes a MsgHelloAck body with no feature flags.
+// AppendHelloAck encodes a MsgHelloAck body: the accepted version.
 func AppendHelloAck(dst []byte, version byte) []byte {
 	return append(dst, version)
 }
 
-// AppendHelloAckFeat encodes a MsgHelloAck body: the accepted version,
-// then — only when non-zero — the accepted feature flags. The accepted
-// set must be a subset of what the hello advertised.
-func AppendHelloAckFeat(dst []byte, version, feat byte) []byte {
-	dst = AppendHelloAck(dst, version)
-	if feat != 0 {
-		dst = append(dst, feat)
-	}
-	return dst
-}
-
 // DecodeHelloAck decodes a MsgHelloAck body, returning the accepted
-// version and feature flags (1- and 2-byte forms).
+// version and the feature byte a 2-byte ack carries, which nothing
+// grants any more and a dialer ignores.
 func DecodeHelloAck(b []byte) (version, feat byte, err error) {
 	if (len(b) != 1 && len(b) != 2) || b[0] == 0 {
 		return 0, 0, fmt.Errorf("wire: malformed hello ack")

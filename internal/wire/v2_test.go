@@ -25,12 +25,12 @@ func TestHelloRoundTrip(t *testing.T) {
 	if len(b) != 5 {
 		t.Fatalf("legacy hello = %d bytes, want 5", len(b))
 	}
-	v, feat, err := DecodeHello(b)
-	if err != nil || v != Version2 || feat != 0 {
-		t.Fatalf("DecodeHello = %d, %#x, %v; want %d, 0, nil", v, feat, err, Version2)
+	v, err := DecodeHello(b)
+	if err != nil || v != Version2 {
+		t.Fatalf("DecodeHello = %d, %v; want %d, nil", v, err, Version2)
 	}
 	for _, bad := range [][]byte{nil, {1, 2, 3, 4}, {0, 0, 0, 0, 2}, AppendHello(nil, 0)} {
-		if _, _, err := DecodeHello(bad); err == nil {
+		if _, err := DecodeHello(bad); err == nil {
 			t.Fatalf("DecodeHello(%v) accepted malformed hello", bad)
 		}
 	}
@@ -39,7 +39,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if len(ack) != 1 {
 		t.Fatalf("legacy hello ack = %d bytes, want 1", len(ack))
 	}
-	v, feat, err = DecodeHelloAck(ack)
+	v, feat, err := DecodeHelloAck(ack)
 	if err != nil || v != Version2 || feat != 0 {
 		t.Fatalf("DecodeHelloAck = %d, %#x, %v; want %d, 0, nil", v, feat, err, Version2)
 	}
@@ -51,30 +51,21 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHelloFeatRoundTrip: the feature byte a hello once carried, sixth
+// in the hello and second in the ack, still decodes — a node ignores the
+// hello's, and a dialer the ack's — so a peer that sends one is not
+// refused for it.
 func TestHelloFeatRoundTrip(t *testing.T) {
-	b := AppendHelloFeat(nil, Version2, FeatTrace)
-	if len(b) != 6 {
-		t.Fatalf("feature hello = %d bytes, want 6", len(b))
+	v, err := DecodeHello(append(AppendHello(nil, Version2), 1))
+	if err != nil || v != Version2 {
+		t.Fatalf("DecodeHello of a 6-byte hello = %d, %v; want %d, nil", v, err, Version2)
 	}
-	v, feat, err := DecodeHello(b)
-	if err != nil || v != Version2 || feat != FeatTrace {
-		t.Fatalf("DecodeHello = %d, %#x, %v; want %d, %#x, nil", v, feat, err, Version2, FeatTrace)
+	v, feat, err := DecodeHelloAck(append(AppendHelloAck(nil, Version2), 1))
+	if err != nil || v != Version2 || feat != 1 {
+		t.Fatalf("DecodeHelloAck of a 2-byte ack = %d, %#x, %v; want %d, 0x1, nil", v, feat, err, Version2)
 	}
-	// A zero feat byte collapses to the canonical legacy encoding.
-	if got := AppendHelloFeat(nil, Version2, 0); len(got) != 5 {
-		t.Fatalf("zero-feat hello = %d bytes, want legacy 5", len(got))
-	}
-
-	ack := AppendHelloAckFeat(nil, Version2, FeatTrace)
-	if len(ack) != 2 {
-		t.Fatalf("feature hello ack = %d bytes, want 2", len(ack))
-	}
-	v, feat, err = DecodeHelloAck(ack)
-	if err != nil || v != Version2 || feat != FeatTrace {
-		t.Fatalf("DecodeHelloAck = %d, %#x, %v; want %d, %#x, nil", v, feat, err, Version2, FeatTrace)
-	}
-	if got := AppendHelloAckFeat(nil, Version2, 0); len(got) != 1 {
-		t.Fatalf("zero-feat hello ack = %d bytes, want legacy 1", len(got))
+	if _, err := DecodeHello(append(AppendHello(nil, Version2), 1, 1)); err == nil {
+		t.Fatal("DecodeHello accepted a 7-byte hello")
 	}
 }
 

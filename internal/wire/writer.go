@@ -82,9 +82,9 @@ func (w *Writer) WriteFrameIDTrace(t MsgType, id uint64, tc trace.Context, paylo
 }
 
 // Enqueue appends one identified frame — traced (TraceBit set, payload
-// prefixed with tc; callers must have negotiated FeatTrace) when tc is
-// sampled — and leaves it there: the caller owes the connection a Flush
-// before it blocks on anything the peer does in answer. One goroutine
+// prefixed with tc) when tc is sampled — and leaves it there: the caller
+// owes the connection a Flush before it blocks on anything the peer does
+// in answer. One goroutine
 // enqueues a burst of frames this way, on one connection or across
 // several, and pays for one Write per connection.
 func (w *Writer) Enqueue(t MsgType, id uint64, tc trace.Context, payload []byte) (err error) {

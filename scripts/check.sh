@@ -65,17 +65,20 @@ go test -race ./internal/trace/... ./internal/store/...
 # second goroutine. -cpu 1 is GOMAXPROCS=1 spelled so that the test cache
 # keys on it: set through the environment, this pass would be served from
 # the pass above.
-go test -race -cpu 1 ./internal/wire/...
 go test -race -cpu 1,4 ./internal/server/...
-# The client on one P and on four: a K-replica operation starts every
-# frame from the calling goroutine and takes the replies in place, so
-# whether a reply is in its slot before finish looks (four Ps: the
-# reader runs beside the caller) or after (one P: only once the caller
-# blocks) is the scheduler's choice, and both orders must be exercised.
-go test -race -cpu 1,4 ./internal/client/...
-# The deadline watchdog (one time.AfterFunc per shared connection) runs
-# on a goroutine of its own and races the demux reader for every slot it
-# expires, and fail for the timer: twenty rounds, at one P and at four.
+# The client and its connection, wire.Conn, on one P and on four: a
+# K-replica operation starts every frame from the calling goroutine and
+# takes the replies in place, so whether a reply is in its slot before
+# finish looks (four Ps: the Conn's demux reader runs beside the caller)
+# or after (one P: only once the caller blocks) is the scheduler's
+# choice, and both orders must be exercised. The in-flight table, the
+# watchdog and the reader are wire's; the gossip sweeper and the prober
+# dial the same Conn.
+go test -race -cpu 1,4 ./internal/client/... ./internal/wire/...
+# The deadline watchdog (one time.AfterFunc per wire.Conn) runs on a
+# goroutine of its own and races the demux reader for every request it
+# expires, and fail for the timer: twenty rounds, at one P and at four,
+# of the client's shared-connection tests.
 go test -race -cpu 1,4 -count 20 -run 'TestMuxDeadline' ./internal/client
 # The anti-entropy sweep (server.Node.Sweep over core.Sweep) on one P and
 # on four, under both of its transports: the server's gossip goroutine
@@ -135,7 +138,7 @@ go test -race ./internal/crashtest/
 # the cache keys on is open: without it this pass is the unpoisoned one
 # above, replayed.
 DMAP_POISON_BUFS=1 go test -race \
-    -run 'TestMux|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame|LookupBatch|TestBatchChunking|TestReadWalksAskEachASOnce' \
+    -run 'TestMux|TestConn|TestFanOut|TestWriter|TestReader|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame|LookupBatch|TestBatchChunking|TestReadWalksAskEachASOnce' \
     ./internal/client/... ./internal/wire/...
 DMAP_POISON_BUFS=1 go test -count=1 -race -cpu 1,4 ./internal/server/...
 # Batch frames are served from views into the reader's buffer too, so a
