@@ -128,10 +128,10 @@ func serve(args []string) error {
 	traceSample := fs.Int("trace-sample", 0, "join 1 in N traced requests into /debug/traces (0 = tracing off)")
 	slowOpMs := fs.Int("slow-op-ms", 0, "log any request slower than this many milliseconds (0 = off)")
 	hotKeys := fs.Int("hotkeys", 32, "track the hottest N GUIDs per class at /debug/hotkeys (0 = off)")
-	dataDir := fs.String("data-dir", "", "durable store directory: WAL + snapshots, recovered on restart (empty = memory-only)")
-	fsyncMode := fs.String("fsync", "os", "WAL flush policy: os (write-only, survives process crash), always (fsync per record), interval (periodic fsync)")
+	dataDir := fs.String("data-dir", "", "durable store directory: one WAL for the node + per-shard snapshots, recovered on restart (empty = memory-only)")
+	fsyncMode := fs.String("fsync", "os", "WAL flush policy: os (write-only, survives process crash), always (fsync per log write: one per burst of inserts), interval (periodic fsync)")
 	shards := fs.Int("shards", 0, "store shard count, power of two (0 = default; must match an existing -data-dir)")
-	snapshotMB := fs.Int("snapshot-mb", 0, "per-shard WAL growth in MiB before a background snapshot truncates it (0 = default 4, negative = disabled)")
+	snapshotMB := fs.Int("snapshot-mb", 0, "per shard's share of the node log: MiB one shard logs before a background compaction snapshots the shards and retires the log (0 = default 4, negative = disabled)")
 	maxInflight := fs.Int("max-inflight", 0, "shed requests beyond this many in flight node-wide (0 = unbounded)")
 	maxConnInflight := fs.Int("max-conn-inflight", 0, "shed requests beyond this many in flight per connection (0 = unbounded)")
 	gossipPeers := fs.String("gossip-peers", "", "comma-separated replica addresses for background anti-entropy repair (empty = off)")

@@ -380,7 +380,10 @@ func TestFanOutFirstTryOutcomes(t *testing.T) {
 func TestFanOutPayloadOutlivesEveryTry(t *testing.T) {
 	defer func(was bool) { wire.Poison = was }(wire.Poison)
 	wire.Poison = true
-	fc := newFanCluster(t, Config{Timeout: 20 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 3}})
+	// The silent replica's three 20 ms tries and their two backoffs take
+	// about 90 ms: the deadline leaves a scheduling delay room, so that
+	// the third try is never cut short by the operation's budget.
+	fc := newFanCluster(t, Config{Timeout: 20 * time.Millisecond, OpDeadline: time.Second, Retry: RetryPolicy{MaxAttempts: 3}})
 	g := fc.guidWithDistinct(walkK)
 	ases := fc.placedASs(g)
 	want := walkEntry(g)

@@ -165,17 +165,16 @@ func DiffRangeIn(st *store.Store, after, through guid.GUID, page []store.Digest,
 }
 
 // ApplyEntries installs pulled or pushed entries into st under
-// freshest-wins and returns how many actually advanced the store (stale
-// transfers are no-ops, not errors).
+// freshest-wins, as one run (store.PutRun: on a durable store, one log
+// write), and returns how many actually advanced the store (stale
+// transfers are no-ops, not errors) and the first entry's error, if one
+// was refused.
 func ApplyEntries(st *store.Store, entries []store.Entry) (int, error) {
-	applied := 0
-	for _, e := range entries {
-		ok, err := st.Put(e)
+	errs := make([]error, len(entries))
+	applied := st.PutRun(entries, errs)
+	for _, err := range errs {
 		if err != nil {
 			return applied, err
-		}
-		if ok {
-			applied++
 		}
 	}
 	return applied, nil

@@ -549,27 +549,29 @@ func (n *Node) handle(t wire.MsgType, payload []byte, remote net.Addr, sp *trace
 // the store took. A first walk decodes every entry for its GUID — so a
 // body malformed anywhere is refused before anything is stored or the
 // tracker told: a refused frame has no effect — and warms the store 64
-// GUIDs at a time from the stack (store.Warm). The second decodes each
-// entry into the stack again and stores it before the next is looked at:
-// no []Entry, no NA slice per entry.
+// GUIDs at a time from the stack (store.Warm). The second decodes 64
+// entries at a time into arrays on the stack again and stores them as one
+// run (store.PutRun: on a durable store, one log write): no heap []Entry,
+// no NA slice per entry.
 func (n *Node) putBatch(body []byte) ([]bool, error) {
 	cnt, items, err := wire.DecodeBatchCount(body)
 	if err != nil {
 		return nil, err
 	}
 	var (
-		nas [store.MaxNAs]store.NA
-		gs  [64]guid.GUID
-		e   store.Entry
+		nas  [64][store.MaxNAs]store.NA
+		es   [64]store.Entry
+		errs [64]error
+		gs   [64]guid.GUID
 	)
 	rest := items
 	for at := 0; at < cnt; at += len(gs) {
 		chunk := gs[:min(len(gs), cnt-at)]
 		for j := range chunk {
-			if e, rest, err = wire.DecodeEntryAppend(nas[:0], rest); err != nil {
+			if es[0], rest, err = wire.DecodeEntryAppend(nas[0][:0], rest); err != nil {
 				return nil, err
 			}
-			chunk[j] = e.GUID
+			chunk[j] = es[0].GUID
 		}
 		n.store.Warm(chunk)
 	}
@@ -581,9 +583,12 @@ func (n *Node) putBatch(body []byte) ([]bool, error) {
 	for at := 0; at < cnt; at += len(gs) {
 		chunk := gs[:min(len(gs), cnt-at)]
 		for j := range chunk {
-			e, items, _ = wire.DecodeEntryAppend(nas[:0], items) // decoded once above
-			chunk[j] = e.GUID
-			if _, err := n.store.Put(e); err != nil {
+			es[j], items, _ = wire.DecodeEntryAppend(nas[j][:0], items) // decoded once above
+			chunk[j] = es[j].GUID
+		}
+		n.store.PutRun(es[:len(chunk)], errs[:len(chunk)])
+		for j, err := range errs[:len(chunk)] {
+			if err != nil {
 				n.countErr()
 				continue
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 // walTail returns the record bytes (header stripped) of a freshly
-// written single-shard WAL containing a few real puts and a delete.
+// written single-shard log containing a few real puts and a delete.
 func walTail(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -46,19 +46,16 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := NewSharded(1)
+		s, err := NewSharded(8) // records bucket by shard
 		if err != nil {
 			t.Fatal(err)
 		}
-		lg := &shardLog{path: "fuzz"}
-		b := writeFileHeader(nil, walMagic, 0, 1)
-		b = append(b, data...)
-		valid, err := s.replayWAL(&s.shards[0], lg, b, 0, 1)
-		if err != nil {
-			t.Fatalf("replay of a well-headed log errored: %v", err)
+		for i := range s.shards {
+			s.shards[i].log = &shardLog{index: i}
 		}
-		if valid < walHeaderLen || valid > int64(len(b)) {
-			t.Fatalf("valid prefix %d out of range [%d, %d]", valid, walHeaderLen, len(b))
+		valid := s.replayLog(data)
+		if valid < 0 || valid > len(data) {
+			t.Fatalf("valid prefix %d out of range [0, %d]", valid, len(data))
 		}
 		bad := false
 		s.Range(func(e Entry) bool {

@@ -60,7 +60,7 @@ func TestWriteGolden(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wal := walPath(data, int(victim.GUID[0]>>7))
+	wal := legacyWALPath(data, int(victim.GUID[0]>>7))
 	fi, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ func counters(s *Store) [6]int64 {
 //	      keys of arg's set bits, the op's own twice and one never stored ·
 //	      2 stale Put · 3 Delete · 4 Extract of the keys of arg's parity ·
 //	      5 Get and Read · 6 ViewInto · 7 Version, and on a durable store a
-//	      snapshot
+//	      compaction (Snapshot)
 //	op/8%8: the key
 //	op >= 0xc0: instead, a PutRun of 1+arg%6 entries over the key and the
 //	      one after it (modelPutRun)
@@ -239,10 +239,9 @@ func modelRun(t *testing.T, s *Store, reopen func(*Store) *Store, ops []byte) {
 			if want, held := model[g]; ok != held || v != want.Version {
 				t.Fatalf("%s: Version = %d, %v; model %d, %v", step, v, ok, want.Version, held)
 			}
-			if s.wal != nil { // the key's shard only: a snapshot is two fsyncs
-				shard := int(s.shardIndex(g))
-				if err := s.snapshotShard(shard); err != nil {
-					t.Fatalf("%s: snapshot of shard %d: %v", step, shard, err)
+			if s.wal != nil { // a compaction: it images only the shards written since
+				if err := s.Snapshot(); err != nil {
+					t.Fatalf("%s: Snapshot: %v", step, err)
 				}
 			}
 		}

@@ -12,8 +12,9 @@
 // each with its own RWMutex, table and incremental storage accounting,
 // so concurrent writers on a many-core node do not serialize on one lock
 // and the NLR metric is the cheap sum of per-shard counters. A store
-// built with New is memory-only; Open builds a durable store whose
-// shards each keep a write-ahead log and periodic snapshot (wal.go).
+// built with New is memory-only; Open builds a durable store: one
+// write-ahead log for the whole store, periodic per-shard snapshots
+// (wal.go).
 //
 // Entry, with its NA slice, is what callers exchange with the store,
 // never what a shard holds: Put packs the entry into a fixed-size record
@@ -215,10 +216,12 @@ type Store struct {
 
 // instruments are the store's optional metrics handles. An
 // uninstrumented store pays one atomic load per operation; an
-// instrumented one adds a single uncontended atomic add (two a log write).
+// instrumented one adds a single uncontended atomic add (two counters, a
+// clock pair and a histogram sample a log write).
 type instruments struct {
 	puts, stalePuts, gets, hits, deletes, snapshots *metrics.Counter
 	walWrites, walRecords                           *metrics.Counter
+	commitUs, compactionMs                          *metrics.Histogram
 }
 
 // New returns an empty memory-only store with DefaultShards shards.
@@ -257,9 +260,10 @@ func (s *Store) shardFor(g guid.GUID) *shard { return &s.shards[s.shardIndex(g)]
 
 // Instrument registers the store's operation counters and size gauge
 // on reg under prefix (e.g. "store" → "store.puts", "store.size"), and
-// the durability plane's: shard snapshots completed, log write(2)s and
-// the records in them, the bytes its logs hold, and what Open found on
-// disk (all zero on a memory-only store).
+// the durability plane's: shard snapshots written, log write(2)s and the
+// records in them, each commit's write and fsync in µs (commit_us), each
+// compaction in ms (compaction_ms), the bytes the log holds, and what
+// Open found on disk (all zero on a memory-only store).
 // Call once, before serving traffic; re-instrumenting replaces the
 // counters but leaves gauges registered on the previous registry.
 func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
@@ -271,8 +275,10 @@ func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
 		deletes:   reg.Counter(prefix + ".deletes"),
 		snapshots: reg.Counter(prefix + ".snapshots"),
 
-		walWrites:  reg.Counter(prefix + ".wal_writes"),
-		walRecords: reg.Counter(prefix + ".wal_records"),
+		walWrites:    reg.Counter(prefix + ".wal_writes"),
+		walRecords:   reg.Counter(prefix + ".wal_records"),
+		commitUs:     reg.Histogram(prefix + ".commit_us"),
+		compactionMs: reg.Histogram(prefix + ".compaction_ms"),
 	}
 	reg.GaugeFunc(prefix+".size", func() float64 { return float64(s.Len()) })
 	reg.GaugeFunc(prefix+".wal_bytes", func() float64 { return float64(s.walBytes()) })
@@ -291,19 +297,20 @@ func (s *Store) Instrument(reg *metrics.Registry, prefix string) {
 // crash of the process. Put, the one-entry run, keeps no reference to
 // e.NAs and allocates nothing: the caller may reuse the slice at once.
 func (s *Store) Put(e Entry) (bool, error) {
-	errs, ord := [1]error{e.Validate()}, [1]uint32{}
+	errs, ord := [1]error{e.Validate()}, [1]uint32{s.shardIndex(e.GUID) << 16}
 	// A view of e, not a copy: copying the Entry into a one-element array
 	// measured +70 ns a Put on a store larger than the cache.
 	es := unsafe.Slice(&e, 1)
-	if errs[0] == nil && s.putRun(s.shardFor(e.GUID), es, ord[:], errs[:]) == 1 {
+	if errs[0] == nil && s.run(es, ord[:], errs[:]) == 1 {
 		return true, nil
 	}
 	return false, errs[0]
 }
 
-// PutRun stores es as Put would each in turn, a log write per shard (one
-// run each, in the order of es), and returns how many it applied: errs[i]
-// is nil when entry i was applied or stale, else why it was refused.
+// PutRun stores es as Put would each in turn and returns how many it
+// applied: errs[i] is nil when entry i was applied or stale, else why it
+// was refused. On a durable store each 512 entries of es are one log
+// write, whatever shards they touch.
 func (s *Store) PutRun(es []Entry, errs []error) (applied int) {
 	var order [512]uint32 // shard<<16 | position in the chunk
 	for len(es) > 0 {
@@ -314,32 +321,44 @@ func (s *Store) PutRun(es []Entry, errs []error) (applied int) {
 			ord[i] = s.shardIndex(chunk[i].GUID)<<16 | uint32(i)
 		}
 		slices.Sort(ord) // by shard, and within one in the order of es
-		for i, j := 0, 0; i < len(ord); i = j {
-			for j = i + 1; j < len(ord) && ord[j]>>16 == ord[i]>>16; j++ {
-			}
-			applied += s.putRun(&s.shards[ord[i]>>16], chunk, ord[i:j], errs)
-		}
+		applied += s.run(chunk, ord, errs)
 		es, errs = es[len(chunk):], errs[len(chunk):]
 	}
 	return applied
 }
 
-// A run's ord: pos bits index es, fresh marks an entry the check passed,
-// and the bits above hold then the NA count of what it replaces.
-const fresh, pos = 1 << 15, 1<<15 - 1
+// A run's ord[k] is shard<<16 | position: pos bits index es. The check
+// sets fresh on an entry it passed, and the nShift bits above pos to the
+// NA count of what that entry replaces.
+const (
+	pos    = 1<<12 - 1
+	nShift = 12
+	fresh  = 1 << 15
+)
 
-// putRun stores the valid entries of es at ord, all sh's, under sh's lock
-// taken once (DESIGN.md §10): each is checked against the table and the
-// run's earlier fresh entries; the fresh ones are logged by one write(2)
-// and only then applied — or, that refused, none is and every valid one
-// fails. Without a log each is applied as it is checked.
+// run stores the valid entries of es at ord, which is sorted by shard:
+// on a durable store as one logged commit (logRun), else a shard at a
+// time.
+func (s *Store) run(es []Entry, ord []uint32, errs []error) (applied int) {
+	if s.wal != nil {
+		return s.logRun(es, ord, errs)
+	}
+	for i, j := 0, 0; i < len(ord); i = j {
+		for j = i + 1; j < len(ord) && ord[j]>>16 == ord[i]>>16; j++ {
+		}
+		applied += s.putRun(&s.shards[ord[i]>>16], es, ord[i:j], errs)
+	}
+	return applied
+}
+
+// putRun stores the valid entries of es at ord, all sh's, in a
+// memory-only store: under sh's lock taken once, each is applied as it
+// is checked against the table.
 func (s *Store) putRun(sh *shard, es []Entry, ord []uint32, errs []error) (applied int) {
 	ins := s.ins.Load()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	lg := sh.log
 	valid := 0
-	for k, o := range ord {
+	sh.mu.Lock()
+	for _, o := range ord {
 		e := &es[o&pos]
 		if errs[o&pos] != nil {
 			continue
@@ -347,7 +366,43 @@ func (s *Store) putRun(sh *shard, es []Entry, ord []uint32, errs []error) (appli
 		valid++
 		r := pack(e) // ahead of the lookup: measured cheaper on a store larger than the cache
 		old, held := sh.m[e.GUID]
-		for j := k - 1; lg != nil && j >= 0; j-- { // the run is newer than the table
+		if held && e.Version <= old.version {
+			continue
+		}
+		applied++
+		sh.set(e.GUID, &r, old.n)
+	}
+	sh.mu.Unlock()
+	ins.countPuts(valid, applied)
+	return applied
+}
+
+// logRun stores the valid entries of es at ord, sorted by shard, on a
+// durable store as one commit (DESIGN.md §10): it write-locks every
+// shard the run touches, in index order, and checks each entry against
+// its shard's table and the run's earlier fresh entries; then, under the
+// log mutex, frames every fresh one with its shard's next seq and writes
+// them all by one write(2); and only then applies them. A commit the log
+// refuses applies nothing, and every valid entry fails with its error.
+func (s *Store) logRun(es []Entry, ord []uint32, errs []error) (applied int) {
+	ins := s.ins.Load()
+	for k, o := range ord {
+		if k == 0 || o>>16 != ord[k-1]>>16 {
+			s.shards[o>>16].mu.Lock()
+		}
+	}
+	valid, first := 0, 0 // first: where the shard of ord[k] starts
+	for k, o := range ord {
+		if k > 0 && o>>16 != ord[k-1]>>16 {
+			first = k
+		}
+		e := &es[o&pos]
+		if errs[o&pos] != nil {
+			continue
+		}
+		valid++
+		old, held := s.shards[o>>16].m[e.GUID]
+		for j := k - 1; j >= first; j-- { // the run is newer than the table
 			if p := ord[j]; p&fresh != 0 && es[p&pos].GUID == e.GUID {
 				old, held = slim{version: es[p&pos].Version, n: uint8(len(es[p&pos].NAs))}, true
 				break
@@ -356,39 +411,75 @@ func (s *Store) putRun(sh *shard, es []Entry, ord []uint32, errs []error) (appli
 		if held && e.Version <= old.version {
 			continue
 		}
-		ord[k] = o&pos | fresh | uint32(old.n)<<16
+		ord[k] |= fresh | uint32(old.n)<<nShift
 		applied++
-		if lg == nil {
-			sh.set(e.GUID, &r, old.n)
+	}
+	ins.countPuts(valid, applied)
+	if applied > 0 {
+		if err := s.commitRun(es, ord, applied, ins); err != nil {
+			for _, o := range ord {
+				if errs[o&pos] == nil {
+					errs[o&pos] = err
+				}
+			}
+			applied = 0
+		}
+	}
+	for k, o := range ord {
+		sh := &s.shards[o>>16]
+		if o&fresh != 0 && applied > 0 {
+			r := pack(&es[o&pos])
+			sh.set(es[o&pos].GUID, &r, uint8(o>>nShift&7))
+			sh.log.seq++
+		}
+		if k == len(ord)-1 || o>>16 != ord[k+1]>>16 {
+			sh.mu.Unlock()
+		}
+	}
+	return applied
+}
+
+// commitRun frames the fresh entries of es at ord, each with its shard's
+// next seq, and commits them as one log write. Callers hold the write
+// lock of every shard in ord.
+func (s *Store) commitRun(es []Entry, ord []uint32, records int, ins *instruments) error {
+	w := s.wal
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	seq, prev := uint64(0), ^uint32(0)
+	for _, o := range ord {
+		if o&fresh == 0 {
 			continue
 		}
-		lg.scratch = appendRecord(lg.scratch, lg.seq+uint64(applied), opPut, func(b []byte) []byte { return appendEntry(b, e.GUID, &r) })
-	}
-	if ins != nil {
-		ins.puts.Add(int64(valid))
-		if valid > applied { // an atomic add is a fence, even of 0
-			ins.stalePuts.Add(int64(valid - applied))
+		if o>>16 != prev {
+			prev, seq = o>>16, s.shards[o>>16].log.seq
 		}
+		seq++
+		e := &es[o&pos]
+		r := pack(e)
+		w.scratch = appendRecord(w.scratch, seq, opPut, func(b []byte) []byte { return appendEntry(b, e.GUID, &r) })
 	}
-	if lg == nil || applied == 0 {
-		return applied
-	}
-	if err := lg.write(applied, ins); err != nil {
-		for _, o := range ord {
-			if errs[o&pos] == nil {
-				errs[o&pos] = err
-			}
-		}
-		return 0
+	if err := w.commit(records, ins); err != nil {
+		return err
 	}
 	for _, o := range ord {
 		if o&fresh != 0 {
-			r := pack(&es[o&pos])
-			sh.set(es[o&pos].GUID, &r, uint8(o>>16))
+			w.grew(s.shards[o>>16].log, putRecordLen(len(es[o&pos].NAs)))
 		}
 	}
-	s.maybeSnapshot(sh)
-	return applied
+	return nil
+}
+
+// countPuts counts a run's valid entries and its stale ones on an
+// instrumented store.
+func (ins *instruments) countPuts(valid, applied int) {
+	if ins == nil {
+		return
+	}
+	ins.puts.Add(int64(valid))
+	if valid > applied { // an atomic add is a fence, even of 0
+		ins.stalePuts.Add(int64(valid - applied))
+	}
 }
 
 // countRead counts one read, a hit or not, on an instrumented store.
@@ -500,14 +591,13 @@ func (s *Store) Delete(g guid.GUID) bool {
 		return false
 	}
 	if sh.log != nil {
-		if err := sh.log.appendDelete(g, ins); err != nil {
+		if err := s.logDelete(sh, g, ins); err != nil {
 			// The removal could not be made durable; keep serving the
 			// entry rather than resurrect it on the next restart.
 			return false
 		}
 	}
 	sh.remove(g, old)
-	s.maybeSnapshot(sh)
 	return true
 }
 
@@ -600,7 +690,7 @@ func (s *Store) Extract(pred func(guid.GUID) bool) []Entry {
 				continue
 			}
 			if sh.log != nil {
-				if err := sh.log.appendDelete(g, ins); err != nil {
+				if err := s.logDelete(sh, g, ins); err != nil {
 					continue // keep it: an unlogged removal would resurrect
 				}
 			}

@@ -1,14 +1,19 @@
-// Durability for the sharded store: per-shard write-ahead logs,
-// periodic snapshots with log truncation, and crash recovery that
-// replays snapshot+tail and tolerates a torn final record.
+// Durability for the sharded store: one write-ahead log for the whole
+// store, periodic per-shard snapshots, and crash recovery that replays
+// snapshot+log and tolerates a torn final record.
 //
 // Layout under Options.Dir:
 //
-//	shard-%04x.wal   append-only log:   header ‖ record*
-//	shard-%04x.snap  latest snapshot, replaced atomically (tmp+rename)
+//	log-0.wal, log-1.wal  the store's log, two segments used in turn:
+//	                      header ‖ record*, or empty while retired
+//	shard-%04x.snap       shard i's latest snapshot, replaced atomically
+//	                      (tmp+rename)
+//	shard-%04x.wal        a per-shard log of an older layout: read at
+//	                      Open, removed by the first compaction
 //
-// WAL header:  "DWAL" ‖ version(1) ‖ shardCount(u32) ‖ shardIndex(u32)
-// WAL record:  crc32c(u32, over body) ‖ bodyLen(u32) ‖ body
+// Log header:  "DLOG" ‖ version(1) ‖ shardCount(u32) ‖ generation(u32)
+// Shard log:   "DWAL" ‖ version(1) ‖ shardCount(u32) ‖ shardIndex(u32)
+// Record:      crc32c(u32, over body) ‖ bodyLen(u32) ‖ body
 //
 //	body:        seq(u64) ‖ op(1) ‖ payload
 //	op opPut:    payload = entry (codec.go)
@@ -19,17 +24,23 @@
 //	seq(u64) ‖ count(u64) ‖ count × entry ‖ crc32c(u32, over
 //	all preceding bytes)
 //
-// seq is per-shard and strictly monotonic; it never resets, even across
-// snapshot truncation. Recovery loads the snapshot, then replays only
-// WAL records with seq > snapshot seq — so a crash between snapshot
-// rename and log truncation merely replays no-ops, and a stale delete
-// in a pre-snapshot log tail can never undo a newer snapshotted entry.
+// A record belongs to the shard of the GUID its payload starts with, and
+// seq is that shard's: strictly monotonic, never reset. Recovery loads
+// each snapshot, then replays only the records with seq > their shard's
+// snapshot seq — so a crash anywhere in a compaction merely replays
+// no-ops, and a stale delete the log still holds can never undo a newer
+// snapshotted entry.
 //
-// Records are appended under the shard write lock through a per-shard
-// reusable scratch buffer (the PR-6 ownership discipline: one owner,
-// zero per-record allocation), a run of them (Store.PutRun) by a single
-// write(2) on an O_APPEND handle. A write that fails is truncated away so
-// the log never carries a half-record in the middle.
+// Writers lock the shards they write, then the log mutex (wal.mu): a run
+// of records (Store.PutRun), whatever shards it spans, is framed into
+// the log's reusable scratch buffer (zero per-record allocation) and
+// leaves by one write(2) on an O_APPEND handle. A write that fails is
+// truncated away so the log never carries a half-record in the middle.
+//
+// A compaction switches appends to the other segment, writes each
+// shard's image — built under the shard's read lock, written, fsynced
+// and renamed outside it — and then retires the old segment by
+// truncating it to nothing (DESIGN.md §10).
 package store
 
 import (
@@ -39,6 +50,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,8 +68,8 @@ const (
 	// FsyncAlways fsyncs after every log write — a run's records share
 	// one: acked writes survive power loss, at a large per-op latency cost.
 	FsyncAlways
-	// FsyncInterval fsyncs dirty logs every syncInterval (100 ms) from a
-	// background goroutine: bounded power-loss window, near-FsyncOS
+	// FsyncInterval fsyncs the dirty log every syncInterval (100 ms) from
+	// a background goroutine: bounded power-loss window, near-FsyncOS
 	// throughput.
 	FsyncInterval
 )
@@ -96,10 +108,11 @@ type Options struct {
 	Shards int
 	// Fsync selects the flush-to-stable-storage policy.
 	Fsync FsyncMode
-	// SnapshotBytes is the per-shard WAL growth that triggers a
-	// background snapshot + log truncation. 0 means 4 MiB; negative
-	// disables automatic snapshots (the log grows until Snapshot is
-	// called).
+	// SnapshotBytes is each shard's share of the log: a background
+	// compaction starts once one shard has logged SnapshotBytes of records
+	// since the last, so under uniform load the log compacts at
+	// SnapshotBytes × Shards. 0 means 4 MiB; negative disables automatic
+	// compaction (the log grows until Snapshot is called).
 	SnapshotBytes int64
 }
 
@@ -121,11 +134,12 @@ type RecoveryStats struct {
 var ErrClosed = errors.New("store: closed")
 
 const (
+	logMagic     = "DLOG"
 	walMagic     = "DWAL"
 	snapMagic    = "DSNP"
 	fileVersion  = 1
-	walHeaderLen = 4 + 1 + 4 + 4
-	recHeaderLen = 4 + 4 // crc ‖ bodyLen
+	walHeaderLen = 4 + 1 + 4 + 4 // every file's header: the log's, a shard log's, a snapshot's
+	recHeaderLen = 4 + 4         // crc ‖ bodyLen
 
 	opPut    = 1
 	opDelete = 2
@@ -140,29 +154,57 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// shardLog is the durable side of one shard. All fields except walSize
-// are guarded by the owning shard's mutex.
+// shardLog is one shard's share of the log: its index; the seq of its
+// last record written (or recovered), guarded by the shard's mutex; the
+// seq its last durable image holds, guarded by wal.snapMu; and the bytes
+// of its records logged since the last rotation (at Open: all the logs
+// hold), guarded by wal.mu.
 type shardLog struct {
-	index   int
-	path    string
-	f       *os.File // O_APPEND write handle
-	seq     uint64   // last seq written (or recovered)
-	scratch []byte   // reusable record buffer; owned by the shard lock
-	always  bool     // FsyncAlways: flush after every write
-	dirty   atomic.Bool
-	closed  bool
-	// walSize is the validated file length; atomic so the compactor can
-	// check thresholds without taking shard locks.
-	walSize atomic.Int64
+	index  int
+	seq    uint64
+	imaged uint64
+	logged int64
 }
 
-// wal is the store-wide durable state: options plus the background
-// compactor/syncer machinery.
+// segment is one of the log's two files.
+type segment struct {
+	f    *os.File // O_APPEND write handle
+	path string
+	gen  uint32 // its header's generation; guarded by wal.mu
+	// size is the validated file length, 0 while retired; atomic so the
+	// gauge reads it without the log mutex.
+	size  atomic.Int64
+	dirty atomic.Bool // written since the last fsync (FsyncOS, FsyncInterval)
+}
+
+// wal is the store's durable state: the log, its options, and the
+// background compactor/syncer machinery.
 type wal struct {
-	s      *Store
-	dir    string
-	fsync  FsyncMode
-	snapB  int64
+	s     *Store
+	dir   string
+	fsync FsyncMode
+	snapB int64 // a shard's share of the log (Options.SnapshotBytes)
+
+	// mu serialises the log's writers. It is taken after the shard locks
+	// a writer holds and never before one, so a failed write is cut back
+	// before anyone appends behind it.
+	mu      sync.Mutex
+	seg     [2]segment
+	cur     int    // the segment appends go to
+	scratch []byte // the records of the commit being framed
+	full    bool   // a shard has logged snapB since the last rotation
+	// failed is set when a failed write could not be cut back: the log
+	// holds a torn record that recovery would stop at, so it takes no more.
+	failed error
+
+	// snapMu serialises compactions, so that two images of one shard are
+	// never renamed out of order, and guards legacy and shardLog.imaged.
+	snapMu sync.Mutex
+	legacy []string // shard-%04x.wal files still to remove
+	// syncImage fsyncs a snapshot image before its rename: (*os.File).Sync,
+	// or a test's seam around it.
+	syncImage func(*os.File) error
+
 	notify chan struct{}
 	stop   chan struct{}
 	joined chan struct{}
@@ -170,15 +212,18 @@ type wal struct {
 	closed atomic.Bool
 }
 
-func walPath(dir string, i int) string  { return filepath.Join(dir, fmt.Sprintf("shard-%04x.wal", i)) }
+func walPath(dir string, seg int) string { return filepath.Join(dir, fmt.Sprintf("log-%d.wal", seg)) }
+func legacyWALPath(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04x.wal", i))
+}
 func snapPath(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("shard-%04x.snap", i)) }
 
 // Open opens (creating if needed) a durable store in opts.Dir,
-// recovering any state a previous process left behind: per shard it
-// loads the snapshot, replays the WAL tail, discards a torn final
-// record, and reopens the log for appending. Recovery details are
-// available via Recovery. The caller must Close the store to stop its
-// background goroutines and flush the logs.
+// recovering any state a previous process left behind: it loads every
+// shard's snapshot, replays the logs, discards a torn final record, and
+// reopens the log for appending. Recovery details are available via
+// Recovery. The caller must Close the store to stop its background
+// goroutines and flush the log.
 func Open(opts Options) (*Store, error) {
 	start := time.Now()
 	if opts.Dir == "" {
@@ -201,24 +246,23 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	w := &wal{
-		s:      s,
-		dir:    opts.Dir,
-		fsync:  opts.Fsync,
-		snapB:  opts.SnapshotBytes,
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		joined: make(chan struct{}),
+		s:         s,
+		dir:       opts.Dir,
+		fsync:     opts.Fsync,
+		snapB:     opts.SnapshotBytes,
+		syncImage: (*os.File).Sync,
+		notify:    make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		joined:    make(chan struct{}),
 	}
 	s.wal = w
-	for i := range s.shards {
-		if err := s.recoverShard(i, opts); err != nil {
-			for j := 0; j < i; j++ {
-				if lg := s.shards[j].log; lg != nil {
-					lg.f.Close()
-				}
+	if err := w.recover(); err != nil {
+		for k := range w.seg {
+			if f := w.seg[k].f; f != nil {
+				f.Close()
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	s.rec.Elapsed = time.Since(start)
 
@@ -265,56 +309,122 @@ func checkShardFiles(dir string, shards int) error {
 // with New.
 func (s *Store) Recovery() RecoveryStats { return s.rec }
 
-// recoverShard loads shard i's snapshot, replays its WAL tail, and
-// leaves an open append handle in place.
-func (s *Store) recoverShard(i int, opts Options) error {
-	sh := &s.shards[i]
-	lg := &shardLog{index: i, path: walPath(opts.Dir, i), always: opts.Fsync == FsyncAlways}
-
-	snapSeq, n, err := s.loadSnapshot(sh, snapPath(opts.Dir, i), i, opts.Shards)
-	if err != nil {
-		return err
-	}
-	s.rec.SnapshotEntries += n
-	lg.seq = snapSeq
-
-	b, err := os.ReadFile(lg.path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		b = nil
-	case err != nil:
-		return fmt.Errorf("store: read %s: %w", lg.path, err)
-	}
-	valid := int64(0)
-	if len(b) > 0 {
-		valid, err = s.replayWAL(sh, lg, b, i, opts.Shards)
+// recover loads every shard's snapshot, then replays, oldest first, the
+// per-shard logs of the older layout and the log's two segments, and
+// leaves the newest segment open for appending. Records are replayed in
+// order; the first invalid one ends the replay, and it and everything
+// after it — the rest of its file and any newer segment — is discarded
+// as torn: what survives is a prefix of what was written.
+func (w *wal) recover() error {
+	s, shards := w.s, len(w.s.shards)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		seq, n, err := s.loadSnapshot(sh, snapPath(w.dir, i), i, shards)
 		if err != nil {
 			return err
 		}
-		if torn := int64(len(b)) - valid; torn > 0 {
-			s.rec.TornBytes += torn
-			if err := os.Truncate(lg.path, valid); err != nil {
-				return fmt.Errorf("store: truncate torn tail of %s: %w", lg.path, err)
-			}
+		s.rec.SnapshotEntries += n
+		sh.log = &shardLog{index: i, seq: seq, imaged: seq}
+	}
+	for i := range s.shards {
+		if err := w.replayLegacy(i); err != nil {
+			return err
 		}
 	}
 
-	f, err := os.OpenFile(lg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open %s: %w", lg.path, err)
-	}
-	if len(b) == 0 {
-		var hdr [walHeaderLen]byte
-		writeFileHeader(hdr[:0], walMagic, i, opts.Shards)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("store: write %s header: %w", lg.path, err)
+	var logs [2][]byte // each segment's records, its header stripped
+	for k := range w.seg {
+		seg := &w.seg[k]
+		seg.path = walPath(w.dir, k)
+		f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("store: open %s: %w", seg.path, err)
 		}
-		valid = walHeaderLen
+		seg.f = f
+		b, err := os.ReadFile(seg.path)
+		if err != nil {
+			return fmt.Errorf("store: read %s: %w", seg.path, err)
+		}
+		seg.size.Store(int64(len(b)))
+		switch {
+		case len(b) >= walHeaderLen:
+			if err := checkHeader(b, logMagic, shards, seg.path); err != nil {
+				return err
+			}
+			seg.gen = binary.BigEndian.Uint32(b[9:])
+			logs[k] = b[walHeaderLen:]
+		case len(b) > 0: // a header torn on its way in: the segment was empty
+			if err := w.cut(seg, 0); err != nil {
+				return err
+			}
+		}
 	}
-	lg.f = f
-	lg.walSize.Store(valid)
-	sh.log = lg
+	older := 0
+	if w.seg[1].size.Load() > 0 && (w.seg[0].size.Load() == 0 || w.seg[1].gen < w.seg[0].gen) {
+		older = 1
+	}
+	torn := false
+	for _, k := range [2]int{older, 1 - older} {
+		seg := &w.seg[k]
+		if seg.size.Load() == 0 {
+			continue
+		}
+		if torn {
+			if err := w.cut(seg, 0); err != nil {
+				return err
+			}
+			continue
+		}
+		valid := int64(walHeaderLen + s.replayLog(logs[k]))
+		if torn = valid < seg.size.Load(); torn {
+			if err := w.cut(seg, valid); err != nil {
+				return err
+			}
+		}
+		w.cur = k
+	}
+	if w.seg[w.cur].size.Load() == 0 {
+		return w.seg[w.cur].start(w.seg[1-w.cur].gen+1, shards)
+	}
+	return nil
+}
+
+// cut truncates seg to its first valid bytes, counting the rest as torn.
+func (w *wal) cut(seg *segment, valid int64) error {
+	w.s.rec.TornBytes += seg.size.Load() - valid
+	if err := seg.f.Truncate(valid); err != nil {
+		return fmt.Errorf("store: truncate torn tail of %s: %w", seg.path, err)
+	}
+	seg.size.Store(valid)
+	return nil
+}
+
+// replayLegacy replays shard i's log of the older per-shard layout, if
+// the directory has one, and keeps its path for the first compaction to
+// remove.
+func (w *wal) replayLegacy(i int) error {
+	path := legacyWALPath(w.dir, i)
+	b, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil
+	case err != nil:
+		return fmt.Errorf("store: read %s: %w", path, err)
+	}
+	w.legacy = append(w.legacy, path)
+	if len(b) == 0 {
+		return nil
+	}
+	if err := checkFileHeader(b, walMagic, i, len(w.s.shards), path); err != nil {
+		return err
+	}
+	valid := walHeaderLen + w.s.replayLog(b[walHeaderLen:])
+	if torn := int64(len(b) - valid); torn > 0 {
+		w.s.rec.TornBytes += torn
+		if err := os.Truncate(path, int64(valid)); err != nil {
+			return fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
+		}
+	}
 	return nil
 }
 
@@ -327,6 +437,18 @@ func writeFileHeader(dst []byte, magic string, index, shards int) []byte {
 }
 
 func checkFileHeader(b []byte, magic string, index, shards int, path string) error {
+	if err := checkHeader(b, magic, shards, path); err != nil {
+		return err
+	}
+	if got := int(binary.BigEndian.Uint32(b[9:])); got != index {
+		return fmt.Errorf("store: %s: shard index %d does not match filename", path, got)
+	}
+	return nil
+}
+
+// checkHeader checks the magic, version and shard count of the header b
+// starts with; the word after them is the file's to interpret.
+func checkHeader(b []byte, magic string, shards int, path string) error {
 	if len(b) < walHeaderLen {
 		return fmt.Errorf("store: %s: short header", path)
 	}
@@ -339,67 +461,96 @@ func checkFileHeader(b []byte, magic string, index, shards int, path string) err
 	if got := int(binary.BigEndian.Uint32(b[5:])); got != shards {
 		return fmt.Errorf("store: %s written with %d shards, opened with %d; reopen with the original shard count", path, got, shards)
 	}
-	if got := int(binary.BigEndian.Uint32(b[9:])); got != index {
-		return fmt.Errorf("store: %s: shard index %d does not match filename", path, got)
-	}
 	return nil
 }
 
-// replayWAL applies every valid record with seq > the snapshot seq and
-// returns the length of the longest valid prefix. A torn or corrupt
-// record ends the replay without error — that is the expected shape of
-// a crash mid-append — and everything after it is discarded by the
-// caller.
-func (s *Store) replayWAL(sh *shard, lg *shardLog, b []byte, index, shards int) (int64, error) {
-	if err := checkFileHeader(b, walMagic, index, shards, lg.path); err != nil {
-		return 0, err
+// nextRecord returns the length of the record b starts with, or 0 when
+// b does not start with a whole, intact one whose payload decodes — a
+// torn or corrupt record. A put's entry is decoded into r.
+func nextRecord(b []byte, r *record) int {
+	if len(b) < recHeaderLen {
+		return 0 // torn record header
 	}
-	off := int64(walHeaderLen)
-	rest := b[walHeaderLen:]
+	crc := binary.BigEndian.Uint32(b)
+	n := int(binary.BigEndian.Uint32(b[4:]))
+	if n < 9 || n > maxRecordBody || len(b) < recHeaderLen+n {
+		return 0 // torn or corrupt length
+	}
+	body := b[recHeaderLen : recHeaderLen+n]
+	if crc32.Checksum(body, castagnoli) != crc {
+		return 0 // corrupt body
+	}
+	switch payload := body[9:]; body[8] {
+	case opPut:
+		if _, tail, err := decodeEntry(r, payload); err != nil || len(tail) != 0 {
+			return 0
+		}
+	case opDelete:
+		if len(payload) != guid.Size {
+			return 0
+		}
+	default:
+		return 0
+	}
+	return recHeaderLen + n
+}
+
+// replayLog applies the records of b — a log's bytes past its header —
+// each to the shard of its GUID, when its seq is above that shard's, and
+// returns the length of b's longest valid prefix; a torn or corrupt
+// record ends it, without error: that is the expected shape of a crash
+// mid-append, and the caller discards the rest. The log interleaves the
+// shards; replay first copies each shard's records together, in log
+// order, and then applies them a shard at a time, so that both the
+// records being read and the table being written stay in the cache
+// (replaying in log order, or a shard at a time straight from the log,
+// measured 35 % and 25 % slower on 150k records over 8 shards).
+func (s *Store) replayLog(b []byte) (valid int) {
+	const body, payload = recHeaderLen, recHeaderLen + 9 // offsets in a record
+	shardOf := func(rec []byte) int { return int((uint32(rec[payload])<<8 | uint32(rec[payload+1])) >> s.shift) }
 	var r record
-	for len(rest) > 0 {
-		if len(rest) < recHeaderLen {
-			break // torn record header
+	// ends[i+1] counts shard i's bytes; summed, ends[i] is where shard i's
+	// records start in byShard, and once they are copied, where they end.
+	ends := make([]int, len(s.shards)+1)
+	for valid < len(b) {
+		n := nextRecord(b[valid:], &r)
+		if n == 0 {
+			break
 		}
-		crc := binary.BigEndian.Uint32(rest)
-		n := int(binary.BigEndian.Uint32(rest[4:]))
-		if n < 9 || n > maxRecordBody || len(rest) < recHeaderLen+n {
-			break // torn or corrupt length
-		}
-		body := rest[recHeaderLen : recHeaderLen+n]
-		if crc32.Checksum(body, castagnoli) != crc {
-			break // corrupt body
-		}
-		seq := binary.BigEndian.Uint64(body)
-		op := body[8]
-		payload := body[9:]
-		if seq > lg.seq {
-			switch op {
-			case opPut:
-				g, tail, err := decodeEntry(&r, payload)
-				if err != nil || len(tail) != 0 {
-					return off, nil // corrupt payload: treat as torn
-				}
-				sh.set(g, &r, sh.m[g].n)
-			case opDelete:
-				if len(payload) != guid.Size {
-					return off, nil
-				}
+		ends[shardOf(b[valid:])+1] += n
+		valid += n
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	byShard := make([]byte, valid)
+	for off, n := 0, 0; off < valid; off += n {
+		i := shardOf(b[off:])
+		n = body + int(binary.BigEndian.Uint32(b[off+4:]))
+		ends[i] += copy(byShard[ends[i]:], b[off:off+n])
+	}
+	for at, i := 0, 0; i < len(s.shards); i++ {
+		sh := &s.shards[i]
+		sh.log.logged += int64(ends[i] - at)
+		for at < ends[i] {
+			rec := byShard[at:]
+			at += body + int(binary.BigEndian.Uint32(rec[4:]))
+			if seq := binary.BigEndian.Uint64(rec[body:]); seq > sh.log.seq {
 				var g guid.GUID
-				copy(g[:], payload)
-				if old, ok := sh.m[g]; ok {
+				copy(g[:], rec[payload:])
+				old := sh.m[g]
+				if rec[body+8] == opPut {
+					decodeEntry(&r, rec[payload:]) // valid: nextRecord decoded it
+					sh.set(g, &r, old.n)
+				} else if old.n > 0 {
 					sh.remove(g, old)
 				}
-			default:
-				return off, nil
+				sh.log.seq = seq
+				s.rec.ReplayedRecords++
 			}
-			lg.seq = seq
-			s.rec.ReplayedRecords++
 		}
-		rest = rest[recHeaderLen+n:]
-		off += int64(recHeaderLen + n)
 	}
-	return off, nil
+	return valid
 }
 
 // loadSnapshot reads a snapshot file into sh, returning the snapshot
@@ -471,75 +622,115 @@ func appendRecord(dst []byte, seq uint64, op byte, payload func([]byte) []byte) 
 	return dst
 }
 
-// appendDelete logs a Delete before it is applied, under the shard lock.
-func (lg *shardLog) appendDelete(g guid.GUID, ins *instruments) error {
-	lg.scratch = appendRecord(lg.scratch, lg.seq+1, opDelete, func(b []byte) []byte { return append(b, g[:]...) })
-	return lg.write(1, ins)
+// logDelete logs g's removal from sh before it is applied. Callers hold
+// sh.mu for writing.
+func (s *Store) logDelete(sh *shard, g guid.GUID, ins *instruments) error {
+	w := s.wal
+	w.mu.Lock()
+	w.scratch = appendRecord(w.scratch, sh.log.seq+1, opDelete, func(b []byte) []byte { return append(b, g[:]...) })
+	err := w.commit(1, ins)
+	if err == nil {
+		w.grew(sh.log, deleteRecordLen)
+	}
+	w.mu.Unlock()
+	if err == nil {
+		sh.log.seq++
+	}
+	return err
 }
 
-// write issues the scratch — records records, framed with the seqs after
-// lg.seq — as one write(2) and, under FsyncAlways, one fsync, and empties
-// it. A failed write is cut off again and lg.seq does not move. Called
-// under the shard write lock, as the framing before it.
-func (lg *shardLog) write(records int, ins *instruments) error {
-	buf := lg.scratch
-	lg.scratch = buf[:0]
-	if lg.closed {
+// commit issues the scratch — records records — as one write(2) to the
+// active segment and, under FsyncAlways, one fsync, and empties it; a
+// write or fsync that fails is cut off again. Called with w.mu held,
+// after the framing; the shards' seqs move only once it returned nil.
+func (w *wal) commit(records int, ins *instruments) error {
+	buf := w.scratch
+	w.scratch = buf[:0]
+	if w.closed.Load() {
 		return ErrClosed
 	}
+	if w.failed != nil {
+		return w.failed
+	}
+	seg := &w.seg[w.cur]
+	var t0 time.Time
 	if ins != nil {
 		ins.walWrites.Inc()
 		ins.walRecords.Add(int64(records))
+		t0 = time.Now()
 	}
-	n, err := lg.f.Write(buf)
+	was := seg.size.Load()
+	n, err := seg.f.Write(buf)
+	if err == nil && w.fsync == FsyncAlways {
+		err = seg.f.Sync()
+	}
 	if err != nil {
-		// Recovery only tolerates a tear at the very end of the log.
+		// Recovery only tolerates a tear at the very end of the log, and a
+		// seq is reused only if its record is gone.
 		if n > 0 {
-			lg.f.Truncate(lg.walSize.Load())
+			if terr := seg.f.Truncate(was); terr != nil {
+				w.failed = fmt.Errorf("store: wal holds a write it could not cut back: %w", terr)
+			}
 		}
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	lg.seq += uint64(records)
-	lg.walSize.Add(int64(len(buf)))
-	if lg.always {
-		if err := lg.f.Sync(); err != nil {
-			return fmt.Errorf("store: wal fsync: %w", err)
-		}
-	} else {
-		lg.dirty.Store(true)
+	if w.fsync != FsyncAlways {
+		seg.dirty.Store(true)
 	}
+	if ins != nil {
+		ins.commitUs.Observe(float64(time.Since(t0).Nanoseconds()) / 1e3)
+	}
+	seg.size.Store(was + int64(n))
 	return nil
 }
 
-// walBytes returns the bytes every shard's log holds, 0 on a memory-only
-// store. It takes no lock: a shard's log is set by Open and never after.
-func (s *Store) walBytes() (n int64) {
-	for i := range s.shards {
-		if lg := s.shards[i].log; lg != nil {
-			n += lg.walSize.Load()
+// Record lengths: a put's of an entry with nas NAs, and a delete's.
+func putRecordLen(nas int) int { return recHeaderLen + 9 + entryFixedLen + 8*nas }
+
+const deleteRecordLen = recHeaderLen + 9 + guid.Size
+
+// grew counts n bytes of lg's shard's records into the log and nudges
+// the compactor while the shard has logged SnapshotBytes since the last
+// rotation (under uniform load, once the log holds SnapshotBytes ×
+// shards), so that a compaction that failed is retried. Called with w.mu
+// held.
+func (w *wal) grew(lg *shardLog, n int) {
+	lg.logged += int64(n)
+	if w.snapB > 0 && lg.logged >= w.snapB {
+		w.full = true
+		select {
+		case w.notify <- struct{}{}:
+		default:
 		}
 	}
-	return n
 }
 
-// maybeSnapshot nudges the compactor when sh's log has outgrown the
-// snapshot threshold. Called under the shard lock; never blocks.
-func (s *Store) maybeSnapshot(sh *shard) {
-	w := s.wal
-	if w == nil || sh.log == nil || w.snapB <= 0 {
-		return
+// start writes a fresh header of generation gen to seg, which is empty
+// but for what an earlier start that failed may have left.
+func (seg *segment) start(gen uint32, shards int) error {
+	hdr := writeFileHeader(make([]byte, 0, walHeaderLen), logMagic, int(gen), shards)
+	if err := seg.f.Truncate(0); err != nil {
+		return fmt.Errorf("store: start %s: %w", seg.path, err)
 	}
-	if sh.log.walSize.Load()-walHeaderLen < w.snapB {
-		return
+	if _, err := seg.f.Write(hdr); err != nil {
+		return fmt.Errorf("store: start %s: %w", seg.path, err)
 	}
-	select {
-	case w.notify <- struct{}{}:
-	default:
-	}
+	seg.gen = gen
+	seg.size.Store(walHeaderLen)
+	return nil
 }
 
-// compactor snapshots shards whose logs have outgrown the threshold.
-// Snapshot errors are non-fatal: the log keeps growing and keeps the
+// walBytes returns the bytes the log's segments hold, 0 on a memory-only
+// store.
+func (s *Store) walBytes() int64 {
+	if s.wal == nil {
+		return 0
+	}
+	return s.wal.seg[0].size.Load() + s.wal.seg[1].size.Load()
+}
+
+// compactor compacts the log whenever a nudge finds it over the
+// threshold. Errors are non-fatal: the log keeps growing and keeps the
 // data safe; the next nudge retries.
 func (w *wal) compactor() {
 	defer w.release()
@@ -549,16 +740,25 @@ func (w *wal) compactor() {
 			return
 		case <-w.notify:
 		}
-		for i := range w.s.shards {
-			sh := &w.s.shards[i]
-			if sh.log != nil && sh.log.walSize.Load()-walHeaderLen >= w.snapB {
-				w.s.snapshotShard(i)
+		// A compaction that found the other segment not yet retired (its
+		// predecessor failed) could not rotate: the next one can.
+		for !w.closed.Load() && w.due() {
+			if w.compact() != nil {
+				break
 			}
 		}
 	}
 }
 
-// syncer flushes dirty logs every syncInterval (FsyncInterval mode).
+// due reports whether a shard has logged SnapshotBytes since the last
+// rotation.
+func (w *wal) due() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.full
+}
+
+// syncer flushes the dirty log every syncInterval (FsyncInterval mode).
 func (w *wal) syncer() {
 	defer w.release()
 	t := time.NewTicker(syncInterval)
@@ -568,16 +768,11 @@ func (w *wal) syncer() {
 		case <-w.stop:
 			return
 		case <-t.C:
-			w.syncDirty()
-		}
-	}
-}
-
-func (w *wal) syncDirty() {
-	for i := range w.s.shards {
-		lg := w.s.shards[i].log
-		if lg != nil && lg.dirty.Swap(false) {
-			lg.f.Sync() // *os.File is safe for concurrent Sync/Write
+			for k := range w.seg {
+				if seg := &w.seg[k]; seg.dirty.Swap(false) {
+					seg.f.Sync() // *os.File is safe for concurrent Sync/Write
+				}
+			}
 		}
 	}
 }
@@ -588,60 +783,107 @@ func (w *wal) release() {
 	}
 }
 
-// Snapshot forces a snapshot (and log truncation) of every shard.
-// Returns the first error; remaining shards are still attempted.
+// Snapshot forces a compaction: every shard written since its last image
+// gets a new one, and the log keeps only what was appended since.
+// Returns the first error; the remaining shards are still attempted.
 func (s *Store) Snapshot() error {
 	if s.wal == nil {
 		return nil
 	}
+	return s.wal.compact()
+}
+
+// compact switches appends to the other segment — unless that one still
+// holds records a failed compaction left, which this one retires
+// instead — writes the image of every shard that changed since its last,
+// and then retires the segment that is not taking appends, and any log of
+// the older layout: every record they hold is in an image by then. No
+// shard is write-locked across a file operation.
+func (w *wal) compact() error {
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
+	start := time.Now()
+	w.mu.Lock()
+	if w.closed.Load() {
+		w.mu.Unlock()
+		return ErrClosed
+	}
+	if next := &w.seg[1-w.cur]; next.size.Load() == 0 {
+		if err := next.start(w.seg[w.cur].gen+1, len(w.s.shards)); err != nil {
+			w.mu.Unlock()
+			return err
+		}
+		w.cur = 1 - w.cur
+		for i := range w.s.shards {
+			w.s.shards[i].log.logged = 0
+		}
+		w.full = false
+	}
+	old := &w.seg[1-w.cur]
+	w.mu.Unlock()
+
 	var first error
-	for i := range s.shards {
-		if err := s.snapshotShard(i); err != nil && first == nil {
+	for i := range w.s.shards {
+		if err := w.s.snapshotShard(&w.s.shards[i]); err != nil && first == nil {
 			first = err
 		}
 	}
-	return first
+	if first != nil {
+		return first
+	}
+	if err := old.f.Truncate(0); err != nil {
+		return fmt.Errorf("store: retire %s: %w", old.path, err)
+	}
+	old.size.Store(0)
+	old.dirty.Store(false)
+	for _, path := range w.legacy {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("store: retire %s: %w", path, err)
+		}
+	}
+	w.legacy = nil
+	if ins := w.s.ins.Load(); ins != nil {
+		ins.compactionMs.Observe(float64(time.Since(start).Microseconds()) / 1e3)
+	}
+	return nil
 }
 
-// snapshotShard writes shard i's table to an atomically-replaced
-// snapshot file and truncates its WAL, all under the shard write lock:
-// no record can land between the snapshot image and the truncation, so
-// the pair is equivalent to an instantaneous log rewrite. seq is
-// preserved — it never moves backwards.
-func (s *Store) snapshotShard(i int) error {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	lg := sh.log
-	if lg == nil || lg.closed {
-		return ErrClosed
+// snapshotShard writes sh's table to an atomically replaced
+// snapshot file, unless its last image already holds its every record.
+// The image is built under the shard's read lock, so its seq is exactly
+// the shard's last logged record; writing it — file, fsync, rename,
+// directory fsync — happens outside the lock, so neither a write nor a
+// read of the shard waits for the disk. Callers hold w.snapMu.
+func (s *Store) snapshotShard(sh *shard) error {
+	w, i := s.wal, sh.log.index
+	sh.mu.RLock()
+	seq := sh.log.seq
+	if seq == sh.log.imaged {
+		sh.mu.RUnlock()
+		return nil
 	}
-
 	img := writeFileHeader(nil, snapMagic, i, len(s.shards))
-	img = binary.BigEndian.AppendUint64(img, lg.seq)
+	img = binary.BigEndian.AppendUint64(img, seq)
 	img = binary.BigEndian.AppendUint64(img, uint64(len(sh.m)))
 	img = sh.appendSorted(img)
+	sh.mu.RUnlock()
 	img = binary.BigEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
 
-	final := snapPath(s.wal.dir, i)
-	tmp := final + ".tmp"
-	if err := writeFileAtomic(tmp, final, img); err != nil {
+	final := snapPath(w.dir, i)
+	if err := writeFileAtomic(final+".tmp", final, img, w.syncImage); err != nil {
 		return err
 	}
-	if err := lg.f.Truncate(walHeaderLen); err != nil {
-		return fmt.Errorf("store: truncate %s: %w", lg.path, err)
-	}
-	lg.walSize.Store(walHeaderLen)
+	sh.log.imaged = seq
 	if ins := s.ins.Load(); ins != nil {
 		ins.snapshots.Inc()
 	}
 	return nil
 }
 
-// writeFileAtomic writes data to tmp, fsyncs it, renames it over final
-// and fsyncs the directory, so the file is either the old image or the
-// complete new one — never a prefix.
-func writeFileAtomic(tmp, final string, data []byte) error {
+// writeFileAtomic writes data to tmp, syncs it with sync, renames it
+// over final and fsyncs the directory, so the file is either the old
+// image or the complete new one — never a prefix.
+func writeFileAtomic(tmp, final string, data []byte, sync func(*os.File) error) error {
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -651,7 +893,7 @@ func writeFileAtomic(tmp, final string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := sync(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -671,31 +913,38 @@ func writeFileAtomic(tmp, final string, data []byte) error {
 	return nil
 }
 
-// Sync flushes every shard's WAL to stable storage, regardless of the
-// fsync policy. Drain calls this so a drained node is fully durable.
+// Sync flushes the log to stable storage, regardless of the fsync
+// policy. Drain calls this so a drained node is fully durable.
 func (s *Store) Sync() error {
-	if s.wal == nil {
+	w := s.wal
+	if w == nil {
 		return nil
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed.Load() {
+		return nil
+	}
+	return w.syncLocked()
+}
+
+// syncLocked fsyncs both segments. Called with w.mu held.
+func (w *wal) syncLocked() error {
 	var first error
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		lg := sh.log
-		if lg != nil && !lg.closed {
-			if err := lg.f.Sync(); err != nil && first == nil {
-				first = err
-			}
-			lg.dirty.Store(false)
+	for k := range w.seg {
+		seg := &w.seg[k]
+		if err := seg.f.Sync(); err != nil && first == nil {
+			first = err
 		}
-		sh.mu.Unlock()
+		seg.dirty.Store(false)
 	}
 	return first
 }
 
-// Close stops the background goroutines and flushes and closes every
-// shard log. Mutations after Close fail with ErrClosed; reads keep
-// working. Closing a memory-only store is a no-op.
+// Close stops the background goroutines, waits for a compaction in
+// progress, and flushes and closes the log. Mutations after Close fail
+// with ErrClosed; reads keep working. Closing a memory-only store is a
+// no-op.
 func (s *Store) Close() error {
 	w := s.wal
 	if w == nil || !w.closed.CompareAndSwap(false, true) {
@@ -703,21 +952,15 @@ func (s *Store) Close() error {
 	}
 	close(w.stop)
 	<-w.joined
-	var first error
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		lg := sh.log
-		if lg != nil && !lg.closed {
-			if err := lg.f.Sync(); err != nil && first == nil {
-				first = err
-			}
-			if err := lg.f.Close(); err != nil && first == nil {
-				first = err
-			}
-			lg.closed = true
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	first := w.syncLocked()
+	for k := range w.seg {
+		if err := w.seg[k].f.Close(); err != nil && first == nil {
+			first = err
 		}
-		sh.mu.Unlock()
 	}
 	return first
 }

@@ -97,10 +97,8 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range s.shards {
-		if got := s.shards[i].log.walSize.Load(); got != walHeaderLen {
-			t.Fatalf("shard %d WAL not truncated: size %d", i, got)
-		}
+	if got := s.walBytes(); got != walHeaderLen {
+		t.Fatalf("log not retired: %d bytes, want the new segment's header", got)
 	}
 	// Post-snapshot writes land in the truncated log and must survive.
 	mustPut(t, s, entry("after", 1, 9))
@@ -257,7 +255,7 @@ func TestTornRunEveryOffset(t *testing.T) {
 	s.Instrument(reg, "store")
 	before := entry("before", 1, 1)
 	mustPut(t, s, before)
-	start := int(s.shards[0].log.walSize.Load())
+	start := int(s.walBytes())
 	run := []Entry{entry("r0", 1, 1), entry("r1", 1, 2, 3), entry("r0", 2, 4), entry("r2", 1, 5), entry("r1", 3, 6)}
 	if applied := s.PutRun(run, make([]error, len(run))); applied != len(run) {
 		t.Fatalf("PutRun applied %d of %d", applied, len(run))
@@ -398,10 +396,10 @@ func TestAutomaticSnapshotByThreshold(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustPut(t, s, entry(fmt.Sprintf("g%d", i), 1, i%3))
 	}
-	// The compactor runs asynchronously; wait for it to truncate.
+	// The compactor runs asynchronously; wait for it to retire a segment.
 	truncated := false
 	for i := 0; i < 5000 && !truncated; i++ {
-		truncated = s.shards[0].log.walSize.Load() < 1024+walHeaderLen
+		truncated = s.walBytes() < 1024+walHeaderLen
 		time.Sleep(time.Millisecond)
 	}
 	if !truncated {
@@ -630,12 +628,12 @@ func TestDurabilityMetrics(t *testing.T) {
 	if got := snap.Counters["store.snapshots"]; got != 2 {
 		t.Errorf("store.snapshots = %d after one Snapshot of two shards, want 2", got)
 	}
-	if got := snap.Gauges["store.wal_bytes"]; got != 2*walHeaderLen {
-		t.Errorf("store.wal_bytes = %g after truncation, want the two headers", got)
+	if got := snap.Gauges["store.wal_bytes"]; got != walHeaderLen || float64(files()) != got {
+		t.Errorf("store.wal_bytes = %g after a compaction, the logs hold %d bytes; want the new segment's header", got, files())
 	}
 	mustPut(t, s, entry("tail", 1, 1))
 	s.Close()
-	f, err := os.OpenFile(walPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(walPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0) // the segment the compaction switched to
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,13 @@ sh scripts/api.sh --check
 go test -race ./internal/prefixtable/... ./internal/core/... ./internal/engine/... ./internal/topology/...
 go test -race ./internal/wire/... ./internal/simnet/... ./internal/nodesim/...
 go test -race ./internal/server/... ./internal/metrics/... ./internal/obs/...
-go test -race ./internal/trace/... ./internal/store/...
+go test -race ./internal/trace/...
+# The durable store on one P and on four: a burst commit write-locks
+# every shard it spans, in index order, and then the log mutex, beside a
+# compaction that rotates the log under that mutex and builds each
+# shard's image under its read lock; which writer meets the compaction
+# where is the scheduler's choice.
+go test -race -cpu 1,4 ./internal/store/...
 
 # The connection layer once more on a single P and on four: wire.Writer's
 # flush policy (yield once, then drain) is scheduler-dependent, and one P
