@@ -50,6 +50,13 @@ func ResolveWorkers(n int) int {
 // stopped. Drivers validate configuration up front, so in practice a
 // unit error is a programming bug, not a data-dependent path.
 func Map[S, R any](workers, n int, newScratch func() S, eval func(unit int, scratch S) (R, error)) ([]R, error) {
+	return mapUnits(workers, n, newScratch, eval, nil)
+}
+
+// mapUnits is Map. stopped, if not nil, is called by the worker whose
+// unit failed once it has stopped the pool: a test's units can wait for
+// it, so that none outruns the stop.
+func mapUnits[S, R any](workers, n int, newScratch func() S, eval func(unit int, scratch S) (R, error), stopped func()) ([]R, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -97,6 +104,9 @@ func Map[S, R any](workers, n int, newScratch func() S, eval func(unit int, scra
 					}
 					errMu.Unlock()
 					failed.Store(true)
+					if stopped != nil {
+						stopped()
+					}
 					return
 				}
 				results[i] = r

@@ -54,22 +54,27 @@ func TestMapScratchPerWorker(t *testing.T) {
 }
 
 func TestMapErrorStopsEngine(t *testing.T) {
-	// Unit 0 is handed out first, so its error lands before the pool can
-	// drain the other 99999 units.
+	// Unit 0 is handed out first and fails. Every other unit waits until
+	// the pool has stopped, so a worker that finishes one takes no other,
+	// whichever goroutine the scheduler runs when: at most one unit a
+	// worker is evaluated.
+	const workers = 4
 	var evaluated atomic.Int64
-	_, err := Map(4, 100_000, func() int { return 0 },
+	stopped := make(chan struct{})
+	_, err := mapUnits(workers, 100_000, func() int { return 0 },
 		func(unit int, _ int) (int, error) {
 			evaluated.Add(1)
 			if unit == 0 {
 				return 0, fmt.Errorf("unit %d boom", unit)
 			}
+			<-stopped
 			return unit, nil
-		})
-	if err == nil {
-		t.Fatal("want error")
+		}, func() { close(stopped) })
+	if err == nil || err.Error() != "unit 0 boom" {
+		t.Fatalf("err = %v, want unit 0's", err)
 	}
-	if evaluated.Load() == 100_000 {
-		t.Error("error did not short-circuit the remaining units")
+	if n := evaluated.Load(); n > workers {
+		t.Errorf("%d units evaluated after unit 0 failed; the pool should stop at one a worker (%d)", n, workers)
 	}
 }
 

@@ -83,6 +83,12 @@ func TestGossipConvergesTwoNodes(t *testing.T) {
 			version(peer.Store(), "shared-sweeper-fresh") == 5 &&
 			version(peer.Store(), "only-sweeper") == 2
 	})
+	// The peer applies a push before it acks, and the sweeper counts the
+	// push only once the ack is back: wait for the sweep that converged
+	// the stores to end. The gossip loop sweeps one peer at a time and
+	// counts a sweep as it starts, so the next one starting is that end.
+	sweeps := sweeper.repairSweeps.Value()
+	waitFor(t, "the next sweep", func() bool { return sweeper.repairSweeps.Value() > sweeps })
 
 	if sweeper.repairSweeps.Value() == 0 || sweeper.repairDigestsSent.Value() == 0 {
 		t.Fatalf("sweeper counters: sweeps=%d digests=%d",

@@ -34,8 +34,9 @@
 // Writers lock the shards they write, then the log mutex (wal.mu): a run
 // of records (Store.PutRun), whatever shards it spans, is framed into
 // the log's reusable scratch buffer (zero per-record allocation) and
-// leaves by one write(2) on an O_APPEND handle. A write that fails is
-// truncated away so the log never carries a half-record in the middle.
+// leaves by one write(2) on an O_APPEND handle — on Linux a raw one
+// (wal_linux.go). A write that fails is truncated away so the log never
+// carries a half-record in the middle.
 //
 // A compaction switches appends to the other segment, writes each
 // shard's image — built under the shard's read lock, written, fsynced
@@ -169,6 +170,7 @@ type shardLog struct {
 // segment is one of the log's two files.
 type segment struct {
 	f    *os.File // O_APPEND write handle
+	app  appender // f's raw write(2), on Linux (wal_linux.go)
 	path string
 	gen  uint32 // its header's generation; guarded by wal.mu
 	// size is the validated file length, 0 while retired; atomic so the
@@ -341,6 +343,9 @@ func (w *wal) recover() error {
 			return fmt.Errorf("store: open %s: %w", seg.path, err)
 		}
 		seg.f = f
+		if err := seg.bindAppend(); err != nil {
+			return fmt.Errorf("store: open %s: %w", seg.path, err)
+		}
 		b, err := os.ReadFile(seg.path)
 		if err != nil {
 			return fmt.Errorf("store: read %s: %w", seg.path, err)
@@ -660,7 +665,7 @@ func (w *wal) commit(records int, ins *instruments) error {
 		t0 = time.Now()
 	}
 	was := seg.size.Load()
-	n, err := seg.f.Write(buf)
+	n, err := seg.append(buf)
 	if err == nil && w.fsync == FsyncAlways {
 		err = seg.f.Sync()
 	}
