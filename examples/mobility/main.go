@@ -48,9 +48,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: numAS, LocalReplica: true,
-	})
+	nodes, err := nodesim.NewNodes(resolver, numAS, true)
 	if err != nil {
 		return err
 	}
@@ -58,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	dep, err := nodesim.NewDeployment(nodes, cache)
 	if err != nil {
 		return err
 	}

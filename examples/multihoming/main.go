@@ -17,7 +17,6 @@ import (
 	"dmap/internal/netaddr"
 	"dmap/internal/nodesim"
 	"dmap/internal/prefixtable"
-	"dmap/internal/simnet"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
@@ -44,9 +43,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: numAS, LocalReplica: true,
-	})
+	nodes, err := nodesim.NewNodes(resolver, numAS, true)
 	if err != nil {
 		return err
 	}
@@ -54,7 +51,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	dep, err := nodesim.NewDeployment(nodes, cache)
 	if err != nil {
 		return err
 	}
@@ -70,7 +67,7 @@ func run() error {
 		},
 		Version: 1,
 	}
-	if _, err := sys.Insert(lapEntry, wifiAS); err != nil {
+	if _, err := dep.Write(wifiAS, lapEntry); err != nil {
 		return err
 	}
 
@@ -84,7 +81,7 @@ func run() error {
 		},
 		Version: 1,
 	}
-	if _, err := sys.Insert(videoEntry, 20); err != nil {
+	if _, err := dep.Write(20, videoEntry); err != nil {
 		return err
 	}
 
@@ -116,7 +113,7 @@ func run() error {
 	fmt.Println("\n== WiFi detaches (version 2) ==")
 	lapEntry.NAs = lapEntry.NAs[1:]
 	lapEntry.Version = 2
-	if _, err := sys.Insert(lapEntry, cellAS); err != nil {
+	if _, err := dep.Write(cellAS, lapEntry); err != nil {
 		return err
 	}
 	if err := show("LapA", lap, 250); err != nil {

@@ -17,7 +17,6 @@ import (
 	"dmap/internal/netaddr"
 	"dmap/internal/nodesim"
 	"dmap/internal/prefixtable"
-	"dmap/internal/simnet"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
@@ -47,19 +46,27 @@ func run() error {
 	}
 
 	// 2. The DMap system: a shared hash family (agreed among all
-	// routers), Algorithm 1 placement, and per-AS mapping stores.
+	// routers), Algorithm 1 placement, and a mapping node per AS, on a
+	// simulated network whose latencies come from the topology.
 	resolver, err := core.NewResolver(guid.MustHasher(k, 0), table, 0)
 	if err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: numAS, LocalReplica: true,
-	})
+	nodes, err := nodesim.NewNodes(resolver, numAS, true)
+	if err != nil {
+		return err
+	}
+	cache, err := topology.NewDistCache(graph, 16)
+	if err != nil {
+		return err
+	}
+	dep, err := nodesim.NewDeployment(nodes, cache)
 	if err != nil {
 		return err
 	}
 
-	// 3. A phone attaches to AS 137 and registers its GUID→NA mapping.
+	// 3. A phone attaches to AS 137 and registers its GUID→NA mapping
+	// with its AS's client, which writes every replica.
 	phone := guid.New("imsi-310-150-123456789")
 	const phoneAS = 137
 	entry := store.Entry{
@@ -67,7 +74,10 @@ func run() error {
 		NAs:     []store.NA{{AS: phoneAS, Addr: netaddr.AddrFromOctets(10, 1, 2, 3)}},
 		Version: 1,
 	}
-	placements, err := sys.Insert(entry, phoneAS)
+	if _, err := dep.Write(phoneAS, entry); err != nil {
+		return err
+	}
+	placements, err := resolver.Place(phone)
 	if err != nil {
 		return err
 	}
@@ -78,16 +88,7 @@ func run() error {
 	}
 
 	// 4. A correspondent in AS 9 resolves the GUID: one overlay hop to
-	// the closest replica. The lookup runs as messages over a simulated
-	// network whose latencies come from the topology.
-	cache, err := topology.NewDistCache(graph, 16)
-	if err != nil {
-		return err
-	}
-	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
-	if err != nil {
-		return err
-	}
+	// the closest replica, as messages over the simulated network.
 	got, err := resolve(dep, 9, phone)
 	if err != nil {
 		return err
@@ -103,7 +104,7 @@ func run() error {
 	// 5. The phone moves to AS 260; version 2 supersedes everywhere.
 	entry.NAs = []store.NA{{AS: 260, Addr: netaddr.AddrFromOctets(172, 16, 9, 1)}}
 	entry.Version = 2
-	if _, err := sys.Insert(entry, 260); err != nil {
+	if _, err := dep.Write(260, entry); err != nil {
 		return err
 	}
 	got, err = resolve(dep, 9, phone)

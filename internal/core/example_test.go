@@ -6,6 +6,7 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
+	"dmap/internal/nodesim"
 	"dmap/internal/prefixtable"
 	"dmap/internal/store"
 )
@@ -20,21 +21,21 @@ func Example() {
 	_ = table.Announce(netaddr.MustPrefix(netaddr.AddrFromOctets(128, 0, 0, 0), 1), 2)
 
 	resolver, _ := core.NewResolver(guid.MustHasher(3, 0), table, 0)
-	sys, _ := core.NewSystem(core.SystemConfig{Resolver: resolver, NumAS: 3})
+	nodes, _ := nodesim.NewNodes(resolver, 3, false) // a mapping node per AS
 
-	// A phone registers its GUID→NA mapping.
+	// A phone's GUID→NA mapping, stored at its K hosting ASs.
 	g := guid.New("phone-42")
-	_, _ = sys.Insert(store.Entry{
+	_ = nodes.Preload(store.Entry{
 		GUID:    g,
 		NAs:     []store.NA{{AS: 1, Addr: netaddr.AddrFromOctets(10, 1, 2, 3)}},
 		Version: 1,
-	}, 1)
+	})
 
 	// Anyone derives the hosting ASs with local computation alone; one
 	// overlay hop to any of them returns the locators.
 	placements, _ := resolver.Place(g)
-	st, _ := sys.Store(placements[0].AS)
-	entry, _ := st.Get(g)
+	node, _ := nodes.Node(placements[0].AS)
+	entry, _ := node.Store().Get(g)
 	fmt.Printf("%d replicas; replica 0 at AS %d holds locator AS %d\n",
 		len(placements), placements[0].AS, entry.NAs[0].AS)
 	// Output: 3 replicas; replica 0 at AS 2 holds locator AS 1

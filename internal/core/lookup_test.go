@@ -7,15 +7,14 @@ import (
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
 	"dmap/internal/nodesim"
-	"dmap/internal/prefixtable"
 	"dmap/internal/simnet"
 	"dmap/internal/store"
 	"dmap/internal/topology"
 )
 
 // The lookup walk over core's placements is the shipped client's; these
-// tests drive it over nodesim's simulated link on a system built here,
-// so core's K placements are what the walk tries.
+// tests drive it over nodesim's simulated link on a node table built
+// here, so core's K placements are what the walk tries.
 
 // flatOracle makes the RTT between ASs a and b |a-b|+1 ms: enough
 // structure for "closest replica first" to be observable.
@@ -33,32 +32,16 @@ func flatRTT(a, b int) topology.Micros {
 	return flatOracle{}.OneWay(a, b) + flatOracle{}.OneWay(b, a)
 }
 
-// lookupDeployment builds a K-replica system over a generated 500-AS
-// table and puts it on a simulated link with the given per-attempt
-// timeout.
-func lookupDeployment(t *testing.T, k int, timeout simnet.Time) *nodesim.Deployment {
+// lookupDeployment builds a K-replica node table over a generated
+// 500-AS table and puts it on a simulated link.
+func lookupDeployment(t *testing.T, k int) (*nodesim.Deployment, *nodesim.Nodes, *core.Resolver) {
 	t.Helper()
-	tbl, err := prefixtable.Generate(prefixtable.GenConfig{
-		NumAS:       500,
-		NumPrefixes: 5000,
-		Seed:        11,
-	})
+	nodes, res := newTestNodes(t, k, false)
+	d, err := nodesim.NewDeployment(nodes, flatOracle{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewResolver(guid.MustHasher(k, 0), tbl, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{Resolver: res, NumAS: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := nodesim.NewDeployment(sys, simnet.New(), flatOracle{}, timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return d, nodes, res
 }
 
 // lookup resolves g from AS src with the shipped client on the link.
@@ -72,7 +55,7 @@ func lookup(t *testing.T, d *nodesim.Deployment, src int, g guid.GUID) nodesim.L
 }
 
 func TestLookupNotFound(t *testing.T) {
-	d := lookupDeployment(t, 3, 0)
+	d, _, _ := lookupDeployment(t, 3)
 	res := lookup(t, d, 0, guid.New("ghost"))
 	if res.Found {
 		t.Fatal("found a never-inserted GUID")
@@ -88,17 +71,13 @@ func TestLookupNotFound(t *testing.T) {
 }
 
 func TestLookupCrashTimeout(t *testing.T) {
-	const timeout = simnet.Time(500_000) // 500 ms
-	d := lookupDeployment(t, 2, timeout)
+	d, nodes, r := lookupDeployment(t, 2)
 	e := store.Entry{
 		GUID:    guid.New("crash"),
 		NAs:     []store.NA{{AS: 9, Addr: netaddr.AddrFromOctets(10, 0, 0, 1)}},
 		Version: 1,
 	}
-	placements, err := d.System().Insert(e, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	placements := insert(t, nodes, r, e)
 	// Crash the closer replica, for good.
 	first, second := placements[0].AS, placements[1].AS
 	if flatRTT(0, second) < flatRTT(0, first) || (flatRTT(0, second) == flatRTT(0, first) && second < first) {
@@ -114,7 +93,7 @@ func TestLookupCrashTimeout(t *testing.T) {
 	if !res.Found || res.ServedBy != second {
 		t.Fatalf("result = %+v, want served by AS %d", res, second)
 	}
-	if want := timeout + flatRTT(0, second); res.Latency != want {
+	if want := nodesim.DefaultTimeout + flatRTT(0, second); res.Latency != want {
 		t.Errorf("latency = %v, want timeout+retry %v", res.Latency, want)
 	}
 	if res.Attempts != 2 {

@@ -41,8 +41,8 @@ type Placement struct {
 }
 
 // Resolver derives hosting ASs from GUIDs. It is safe for concurrent use
-// as long as the prefix table is not mutated concurrently (System
-// serializes churn).
+// as long as the prefix table is not mutated concurrently (churn is
+// driven from one goroutine).
 type Resolver struct {
 	hasher    *guid.Hasher
 	table     *prefixtable.Table

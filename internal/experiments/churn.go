@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dmap/internal/core"
 	"dmap/internal/engine"
 	"dmap/internal/guid"
 	"dmap/internal/nodesim"
@@ -55,9 +54,9 @@ type ChurnSimResult struct {
 	// Retried counts lookups that needed more than one replica attempt.
 	Retried int
 	// Consistency is the post-run audit of the deployment's invariants
-	// (core.System.VerifyConsistency): after churn settles there must be
-	// no missing replicas, version skews or stray entries.
-	Consistency core.ConsistencyReport
+	// (nodesim.Nodes.VerifyConsistency): after churn settles there must
+	// be no missing replicas, version skews or stray entries.
+	Consistency nodesim.ConsistencyReport
 }
 
 // RunChurnSim executes the experiment at protocol level (moderate world
@@ -70,7 +69,7 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := w.populatedSystem(trace, w.resolver(cfg.K, false), false)
+	nodes, err := w.populated(trace, w.resolver(cfg.K, false), false)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	dep, err := nodesim.NewDeployment(nodes, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -102,14 +101,14 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 		if err := sim.At(at, func() {
 			switch ev.Kind {
 			case prefixtable.ChurnWithdraw:
-				n, err := sys.WithdrawPrefix(ev.Prefix.Prefix, ev.Prefix.AS)
+				n, err := nodes.WithdrawPrefix(ev.Prefix.Prefix, ev.Prefix.AS)
 				if err != nil {
 					return // already withdrawn by an overlapping event
 				}
 				res.Migrated += n
 				res.Withdrawals++
 			case prefixtable.ChurnAnnounce:
-				if err := sys.AnnouncePrefix(ev.Prefix.Prefix, ev.Prefix.AS); err == nil {
+				if err := nodes.AnnouncePrefix(ev.Prefix.Prefix, ev.Prefix.AS); err == nil {
 					res.Announcements++
 				}
 			}
@@ -160,7 +159,7 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 		repaired, err := engine.MapNoScratch(cfg.Workers, cfg.NumGUIDs,
 			func(gi int) (bool, error) {
 				g := guid.FromUint64(uint64(gi) + 1)
-				return sys.RepairMiss(g, ev.Prefix.Prefix, ev.Prefix.AS)
+				return nodes.RepairMiss(g, ev.Prefix.Prefix, ev.Prefix.AS)
 			})
 		if err != nil {
 			return nil, err
@@ -172,7 +171,7 @@ func RunChurnSim(w *World, cfg ChurnSimConfig) (*ChurnSimResult, error) {
 		}
 	}
 
-	rep, err := sys.VerifyConsistency()
+	rep, err := nodes.VerifyConsistency()
 	if err != nil {
 		return nil, err
 	}

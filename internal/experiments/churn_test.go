@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"strings"
@@ -100,7 +101,8 @@ func TestChurnSimConsistentAfterRepair(t *testing.T) {
 // TestChurnSimRepeatsOnTheLink: churnsim's lookups are the shipped
 // client's walks, each a simnet process, concurrent in virtual time with
 // the others and with churn. Two runs agree exactly, and every process
-// has ended when a run returns.
+// has ended when a run returns: no more goroutines than before (one an
+// earlier test left may exit meanwhile), and none inside simnet.
 func TestChurnSimRepeatsOnTheLink(t *testing.T) {
 	before := runtime.NumGoroutine()
 	run := func() *ChurnSimResult {
@@ -120,10 +122,24 @@ func TestChurnSimRepeatsOnTheLink(t *testing.T) {
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 		t.Errorf("two runs differ:\n%v\n%v", a, b)
 	}
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+	// A frame in simnet's source, by file: a process's own frames inline
+	// into the caller's symbol names.
+	inSimnet := func() []byte { // the first stack holding a simnet frame
+		buf := make([]byte, 1<<20)
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("/internal/simnet/")) {
+				return g
+			}
+		}
+		return nil
+	}
+	for deadline := time.Now().Add(time.Second); (runtime.NumGoroutine() > before || inSimnet() != nil) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond) // an ended process's goroutine exits just after its last hand-off
 	}
-	if got := runtime.NumGoroutine(); got != before {
+	if got := runtime.NumGoroutine(); got > before {
 		t.Errorf("%d goroutines after two runs, %d before", got, before)
+	}
+	if g := inSimnet(); g != nil {
+		t.Errorf("a simnet process outlived its run:\n%s", g)
 	}
 }

@@ -134,9 +134,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Resolver: resolver, NumAS: g.NumAS(), LocalReplica: true,
-	})
+	nodes, err := nodesim.NewNodes(resolver, g.NumAS(), true)
 	if err != nil {
 		return cell, err
 	}
@@ -144,7 +142,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	d, err := nodesim.NewDeployment(sys, simnet.New(), cache, 0)
+	d, err := nodesim.NewDeployment(nodes, cache)
 	if err != nil {
 		return cell, err
 	}
@@ -221,15 +219,16 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	// it. The next round starts at its tick or then.
 	var current []func() bool // one per copy: at the max version?
 	for _, e := range entries {
-		reps, err := sys.ReplicaASs(e, nil)
+		reps, err := nodes.ReplicaASs(e, nil)
 		if err != nil {
 			return cell, err
 		}
-		for as := 0; as < sys.NumAS(); as++ {
-			st, err := sys.Store(as)
+		for as := 0; as < g.NumAS(); as++ {
+			node, err := d.Node(as)
 			if err != nil {
 				return cell, err
 			}
+			st := node.Store()
 			if _, held := st.Get(e.GUID); held || slices.Contains(reps, as) {
 				current = append(current, func() bool { v, _ := st.Version(e.GUID); return v == maxVersion })
 			}
@@ -248,7 +247,7 @@ func runHealCell(cfg HealConfig, interval simnet.Time) (HealCell, error) {
 	// push acked stale — another sweep delivered the copy first — is not
 	// one, so the sweepers' own counters would overstate it.
 	advanced := func() (n int64) {
-		for as := 0; as < sys.NumAS(); as++ {
+		for as := 0; as < g.NumAS(); as++ {
 			node, _ := d.Node(as) // in range
 			reg := node.Metrics()
 			n += reg.Counter("store.puts").Value() - reg.Counter("store.stale_puts").Value()

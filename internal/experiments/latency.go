@@ -126,23 +126,23 @@ type cellSums struct {
 }
 
 // sweep resolves every lookup of trace in every cell with the shipped
-// client on nodesim's link, over one system holding the trace's GUIDs at
-// the cells' largest K, and hands each result to each, if not nil (from
+// client on nodesim's link, over one node table holding the trace's GUIDs
+// at the cells' largest K, and hands each result to each, if not nil (from
 // several workers, once per cell and lookup, with the deployment that ran
 // it). Lookups grouped by source AS — one Dijkstra each, exact because
 // lookups are independent (DESIGN.md, "Scale strategy") — are the
-// engine's work units; a worker runs its units on one deployment,
-// re-aimed at each source, and their sums merge in source order, so every
-// worker count yields bit-identical results.
+// engine's work units; a worker runs its units on one deployment over
+// the shared table, re-aimed at each source, and their sums merge in
+// source order, so every worker count yields bit-identical results.
 func (w *World) sweep(trace *workload.Trace, cells []cell, leastHops bool, workers int, each func(c, li int, d *nodesim.Deployment, r nodesim.LookupResult)) ([]cellSums, error) {
 	top := slices.MaxFunc(cells, func(a, b cell) int { return cmp.Compare(a.res.K(), b.res.K()) })
-	sys, err := w.populatedSystem(trace, top.res, top.local)
+	nodes, err := w.populated(trace, top.res, top.local)
 	if err != nil {
 		return nil, err
 	}
 	bySrc, sources := bySource(trace.Lookups)
 	units, err := engine.Map(workers, len(sources),
-		func() *link { return w.newLink(sys, leastHops) },
+		func() *link { return w.newLink(nodes, leastHops) },
 		func(u int, l *link) ([]cellSums, error) {
 			lookups := bySrc[sources[u]]
 			l.aim(sources[u])
@@ -192,9 +192,10 @@ func (w *World) sweep(trace *workload.Trace, cells []cell, leastHops bool, worke
 	return sums, nil
 }
 
-// link is an engine worker's deployment on nodesim's link — a node per
-// AS over the sweep's shared system, and the shipped client — aimed at
-// one querier at a time, whose Dijkstra row answers its latencies.
+// link is an engine worker's deployment on nodesim's link — over the
+// sweep's one node table, which every worker shares, and the shipped
+// client — aimed at one querier at a time, whose Dijkstra row answers
+// its latencies.
 type link struct {
 	dep  *nodesim.Deployment
 	g    *topology.Graph
@@ -203,14 +204,14 @@ type link struct {
 	hops []int32 // hop counts from the querier; nil: replicas rank by RTT
 }
 
-func (w *World) newLink(sys *core.System, leastHops bool) *link {
+func (w *World) newLink(nodes *nodesim.Nodes, leastHops bool) *link {
 	l := &link{g: w.Graph, dist: make([]topology.Micros, w.NumAS())}
 	var o simnet.LatencyOracle = l
 	if leastHops {
 		l.hops = make([]int32, w.NumAS())
 		o = byHops{l}
 	}
-	l.dep, _ = nodesim.NewDeployment(sys, simnet.New(), o, 0) // a system and an oracle make one
+	l.dep, _ = nodesim.NewDeployment(nodes, o) // a table and an oracle make one
 	return l
 }
 

@@ -29,17 +29,17 @@ func findGUID(t *testing.T, res *core.Resolver, ok func([]core.Placement) bool) 
 	return guid.GUID{}, nil
 }
 
-// holding returns a system over w placing with res that holds g.
-func holding(t *testing.T, w *World, res *core.Resolver, g guid.GUID) *core.System {
+// holding returns a node table over w placing with res that holds g.
+func holding(t *testing.T, w *World, res *core.Resolver, g guid.GUID) *nodesim.Nodes {
 	t.Helper()
-	sys, err := core.NewSystem(core.SystemConfig{Resolver: res, NumAS: w.NumAS()})
+	nodes, err := nodesim.NewNodes(res, w.NumAS(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Insert(store.Entry{GUID: g, NAs: []store.NA{{AS: 1, Addr: netaddr.Addr(1)}}, Version: 1}, 1); err != nil {
+	if err := nodes.Preload(store.Entry{GUID: g, NAs: []store.NA{{AS: 1, Addr: netaddr.Addr(1)}}, Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return nodes
 }
 
 // rttFrom returns the round trip from src to each AS, in µs.
@@ -104,9 +104,9 @@ func TestSelectLeastHops(t *testing.T) {
 		}
 		return true
 	})
-	sys := holding(t, w, res, g)
+	nodes := holding(t, w, res, g)
 	for _, leastHops := range []bool{false, true} {
-		l := w.newLink(sys, leastHops)
+		l := w.newLink(nodes, leastHops)
 		l.aim(src)
 		want := nearest
 		if leastHops {
@@ -163,9 +163,10 @@ func TestLateRepliesTimeOut(t *testing.T) {
 
 // TestFigurePathIsTheClients: a figure's lookups are frames the shipped
 // nodes serve. Over a fault-free RunLatency cell without local copies,
-// run on several workers at once over the one shared system, the nodes
-// served exactly the lookup frames the cell's walks sent, and hit for
-// exactly the lookups the cell found.
+// run on several workers at once over the one shared node table, the
+// nodes served exactly the lookup frames the cell's walks sent, and hit
+// for exactly the lookups the cell found; and each node keeps one set of
+// books: its served lookups are its store's reads.
 func TestFigurePathIsTheClients(t *testing.T) {
 	w := testWorld(t)
 	cfg := LatencyConfig{Ks: []int{3}, NumGUIDs: 200, NumLookups: 2000, Seed: 5, Workers: 3}
@@ -179,14 +180,14 @@ func TestFigurePathIsTheClients(t *testing.T) {
 	}
 	res := w.resolver(3, false)
 	var (
-		mu   sync.Mutex
-		deps = map[*nodesim.Deployment]bool{}
-		sent int64
+		mu    sync.Mutex
+		table *nodesim.Deployment // any worker's: each is over the one table
+		sent  int64
 	)
 	sums, err := w.sweep(trace, []cell{{res: res, f: &nodesim.Faults{}}}, false, cfg.Workers,
 		func(_, _ int, d *nodesim.Deployment, r nodesim.LookupResult) {
 			mu.Lock()
-			deps[d] = true
+			table = d
 			sent += int64(r.Attempts)
 			mu.Unlock()
 		})
@@ -196,15 +197,19 @@ func TestFigurePathIsTheClients(t *testing.T) {
 	if got, want := sums[0].col.Summarize(), lat.PerK[3].Summarize(); got != want {
 		t.Fatalf("sweep %+v, RunLatency %+v: not the figure's cell", got, want)
 	}
+	if table == nil {
+		t.Fatal("the sweep ran no lookup")
+	}
 	var lookups, hits int64
-	for d := range deps {
-		for as := 0; as < w.NumAS(); as++ {
-			n, err := d.Node(as)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lookups += n.Stats().Lookups
-			hits += n.Stats().Hits
+	for as := 0; as < w.NumAS(); as++ {
+		n, err := table.Node(as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lookups += n.Stats().Lookups
+		hits += n.Stats().Hits
+		if l, g := n.Metrics().Counter("server.lookups").Value(), n.Metrics().Counter("store.gets").Value(); l != g {
+			t.Errorf("AS %d: node served %d lookups, its store counted %d reads", as, l, g)
 		}
 	}
 	if found := int64(sums[0].col.N()); lookups != sent || hits != found || found == 0 {

@@ -8,6 +8,7 @@ import (
 	"dmap/internal/core"
 	"dmap/internal/guid"
 	"dmap/internal/netaddr"
+	"dmap/internal/nodesim"
 	"dmap/internal/store"
 	"dmap/internal/workload"
 )
@@ -26,7 +27,7 @@ func (w *World) lookupTrace(numGUIDs, numLookups int, seed int64) (*workload.Tra
 // maxK validates a sweep's replication factors and returns the largest.
 // The hash family is domain-separated on the replica index, so a GUID's
 // placements at a smaller K are a prefix of those at the largest and one
-// system populated at maxK serves the whole sweep.
+// node table populated at maxK serves the whole sweep.
 func maxK(ks []int) (int, error) {
 	if len(ks) == 0 {
 		return 0, fmt.Errorf("experiments: no K values")
@@ -90,23 +91,21 @@ func (w *World) failedSet(frac float64, seed int64) []bool {
 	return failed
 }
 
-// populatedSystem returns a system over w placing with res, with §III-C
-// local copies if local, holding version 1 of every GUID of trace,
-// inserted from its home AS (state setup, not measured).
-func (w *World) populatedSystem(trace *workload.Trace, res *core.Resolver, local bool) (*core.System, error) {
-	sys, err := core.NewSystem(core.SystemConfig{Resolver: res, NumAS: w.NumAS(), LocalReplica: local})
+// populated returns a node table over w placing with res, with §III-C
+// local copies if local, preloaded with version 1 of every GUID of
+// trace, attached at its home AS (state setup, not measured).
+func (w *World) populated(trace *workload.Trace, res *core.Resolver, local bool) (*nodesim.Nodes, error) {
+	nodes, err := nodesim.NewNodes(res, w.NumAS(), local)
 	if err != nil {
 		return nil, err
 	}
+	es := make([]store.Entry, len(trace.HomeAS))
 	for gi, home := range trace.HomeAS {
-		e := store.Entry{
+		es[gi] = store.Entry{
 			GUID:    guid.FromUint64(uint64(gi) + 1),
 			NAs:     []store.NA{{AS: home, Addr: netaddr.Addr(gi)}},
 			Version: 1,
 		}
-		if _, err := sys.Insert(e, home); err != nil {
-			return nil, err
-		}
 	}
-	return sys, nil
+	return nodes, nodes.Preload(es...)
 }

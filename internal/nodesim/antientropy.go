@@ -28,11 +28,16 @@ type GossipStats struct {
 	EntriesPushed int
 }
 
-// GossipStats returns the cumulative gossip counters: the sweeping
-// nodes' own repair counters, summed.
+// GossipStats returns the cumulative gossip counters: the table's nodes'
+// own repair counters, summed (every deployment over the table counts
+// into them).
 func (d *Deployment) GossipStats() GossipStats {
 	s := GossipStats{Sweeps: d.sweeps}
-	for _, n := range d.nodes {
+	for as := range d.nodes.ases {
+		n := d.nodes.ases[as].node.Load()
+		if n == nil {
+			continue
+		}
 		reg := n.Metrics()
 		s.DigestsSent += int(reg.Counter("server.repair.digests_sent").Value())
 		s.EntriesPulled += int(reg.Counter("server.repair.entries_pulled").Value())
@@ -51,7 +56,7 @@ func (d *Deployment) scope(st *store.Store, peer int) func(guid.GUID) bool {
 			return false
 		}
 		var err error
-		reps, err = d.sys.ReplicaASs(e, reps[:0])
+		reps, err = d.nodes.ReplicaASs(e, reps[:0])
 		return err == nil && slices.Contains(reps, peer)
 	}
 }
@@ -60,7 +65,7 @@ func (d *Deployment) scope(st *store.Store, peer int) func(guid.GUID) bool {
 // per AS that replicates a mapping as holds, each running as's node's
 // Sweep over the keyspace the pair shares, which reconciles both
 // directions — what the sweeper lacks included. An exchange that gets no
-// reply within the deployment's timeout aborts that peer's sweep alone;
+// reply within DefaultTimeout aborts that peer's sweep alone;
 // the next sweep starts over. A sweeper inside a crash window does
 // nothing.
 func (d *Deployment) GossipSweep(as int) error {
@@ -74,7 +79,7 @@ func (d *Deployment) GossipSweep(as int) error {
 	st := n.Store()
 	var peers []int
 	st.Range(func(e store.Entry) bool {
-		peers, err = d.sys.ReplicaASs(e, peers)
+		peers, err = d.nodes.ReplicaASs(e, peers)
 		return err == nil
 	})
 	if err != nil {
@@ -83,7 +88,7 @@ func (d *Deployment) GossipSweep(as int) error {
 	peers = slices.DeleteFunc(peers, func(p int) bool { return p == as })
 	slices.Sort(peers) // Range iterates maps: fix the start order
 	d.sweeps++
-	wait := time.Duration(d.timeout) * time.Microsecond
+	wait := time.Duration(DefaultTimeout) * time.Microsecond
 	for _, p := range peers {
 		d.sweeping++
 		_ = d.Sim().Go(d.Sim().Now(), func() { // now is never in the past
@@ -101,7 +106,7 @@ func (d *Deployment) GossipInFlight() int { return d.sweeping }
 // GossipRound sweeps every AS once, in AS order. Driving the simulator
 // afterwards (Sim().Run or RunUntil) runs the whole exchange.
 func (d *Deployment) GossipRound() error {
-	for as := 0; as < d.sys.NumAS(); as++ {
+	for as := range d.nodes.ases {
 		if err := d.GossipSweep(as); err != nil {
 			return err
 		}

@@ -13,7 +13,7 @@ import (
 // replicasOf returns every AS that should hold e.
 func replicasOf(t *testing.T, d *Deployment, e store.Entry) []int {
 	t.Helper()
-	reps, err := d.System().ReplicaASs(e, nil)
+	reps, err := d.nodes.ReplicaASs(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func replicasOf(t *testing.T, d *Deployment, e store.Entry) []int {
 // versionAt reads the stored version of g at as (0 when absent).
 func versionAt(t *testing.T, d *Deployment, as int, g guid.GUID) uint64 {
 	t.Helper()
-	st, err := d.System().Store(as)
+	st, err := d.nodes.store(as)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestGossipSweepConvergesBothDirections(t *testing.T) {
 		t.Fatalf("replicas = %v, want 3", reps)
 	}
 	for i, as := range reps {
-		st, err := d.System().Store(as)
+		st, err := d.nodes.store(as)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestGossipSweepConvergesBothDirections(t *testing.T) {
 // bounded number of rounds.
 func TestGossipHealsPartitionDivergence(t *testing.T) {
 	d, _ := testDeployment(t, 3, true)
-	numAS := d.System().NumAS()
+	numAS := len(d.nodes.ases)
 
 	// Seed a population at v1 while the network is whole.
 	const n = 25
@@ -204,7 +204,7 @@ func TestGossipDeterministic(t *testing.T) {
 		}
 		for i := 0; i < 12; i++ {
 			e := entryFor(fmt.Sprintf("det-%d", i), 2, i)
-			_, _ = d.Write((i*3)%d.System().NumAS(), e) // a side that reaches no replica stores nothing
+			_, _ = d.Write((i*3)%len(d.nodes.ases), e) // a side that reaches no replica stores nothing
 		}
 		d.Sim().Run(0)
 		if err := d.Network().SetFaults(nil); err != nil {
@@ -235,7 +235,7 @@ func TestGossipSkipsCrashedNodes(t *testing.T) {
 	// whatever is sent to it is lost.
 	up := e
 	up.Version = 2
-	st, err := d.System().Store(reps[0])
+	st, err := d.nodes.store(reps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +284,14 @@ func TestGossipSweepFetchesWhatSweeperLacks(t *testing.T) {
 	// shares a multihomed mapping with the source, so it sweeps it.
 	up := g
 	up.Version = 2
-	stSrc, err := d.System().Store(src)
+	stSrc, err := d.nodes.store(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := stSrc.Put(up); err != nil {
 		t.Fatal(err)
 	}
-	stA, err := d.System().Store(a)
+	stA, err := d.nodes.store(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestGossipLostReplyAbortsOnlyThatChain(t *testing.T) {
 	a, x, y := reps[0], reps[1], reps[2]
 	up := e
 	up.Version = 2
-	st, err := d.System().Store(a)
+	st, err := d.nodes.store(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestGossipHealsCopyOutsideReplicaSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Sim().Run(0)
-	for as := 0; as < d.System().NumAS(); as++ {
+	for as := 0; as < len(d.nodes.ases); as++ {
 		if v := versionAt(t, d, as, e.GUID); v != 0 && v != 2 {
 			t.Fatalf("AS %d holds version %d after a round, want 2", as, v)
 		}

@@ -41,7 +41,7 @@ func TestFaultPlanCrashLooksLikeDeadReplica(t *testing.T) {
 
 	// The querier tries replicas in RTT order; crash the nearer one: the
 	// network eats everything addressed to it.
-	placements, err := d.System().Resolver().Place(e.GUID)
+	placements, err := d.nodes.res.Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func runLossyWorkload(t *testing.T) (string, simnet.FaultStats) {
 	for i := 0; i < 20; i++ {
 		i := i
 		if err := d.Sim().Go(d.Sim().Now(), func() {
-			r, err := d.Read((i*7)%d.System().NumAS(), entryFor(fmt.Sprintf("g%d", i), 1, i).GUID)
+			r, err := d.Read((i*7)%len(d.nodes.ases), entryFor(fmt.Sprintf("g%d", i), 1, i).GUID)
 			if err != nil {
 				t.Error(err) // not Fatal: this is not the test's goroutine
 			}

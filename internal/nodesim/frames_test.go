@@ -24,7 +24,7 @@ func TestFrameTableMatchesTCP(t *testing.T) {
 	held := entryFor("frame-table", 3, 42)
 	reps := replicasOf(t, d, held)
 	as, src := reps[0], reps[1] // src shares held with as: the link's digest scope names it
-	simStore, err := d.System().Store(as)
+	simStore, err := d.nodes.store(as)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package nodesim is the simulated link under the shipped client and the
-// shipped node: one server.Node per AS on simnet, answering every frame
-// the AS receives, and a client.Network per querier AS over which
+// shipped node: one server.Node per AS (Nodes, the node table every
+// deployment over it shares) on simnet, answering every frame the AS
+// receives, and a client.Network per querier AS over which
 // client.Cluster itself runs in virtual time — a lookup racing a
 // mobility update (§III-D2), a crashed replica's timeout (§III-D3). Every
 // lookup of the paper's figures is Lookup's walk on it (figure.go). The
@@ -47,16 +48,14 @@ type LookupResult struct {
 // DefaultTimeout is the querier's per-attempt timeout.
 const DefaultTimeout = simnet.Time(2_000_000) // 2 s
 
-// Deployment is DMap on simnet: a node per AS, and the shipped client at
-// every querier AS.
+// Deployment is DMap on simnet: a node table's nodes, and the shipped
+// client at every querier AS.
 type Deployment struct {
-	sys      *core.System
+	nodes    *Nodes
 	net      *simnet.Network
 	oracle   simnet.LatencyOracle
-	rank     ranker // the oracle's own replica ranking, if it has one
-	timeout  simnet.Time
+	rank     ranker                         // the oracle's own replica ranking, if it has one
 	clients  map[int]*client.Cluster        // by querier AS
-	nodes    map[int]*server.Node           // by AS, made on first use
 	reads    map[*simnet.Proc]*LookupResult // the Read on each process; nil: the top level
 	sweeps   int                            // GossipSweep calls that ran
 	sweeping int                            // gossip sweep processes still running
@@ -66,32 +65,28 @@ type Deployment struct {
 	walk    walk                          // the Lookup in progress
 }
 
-// NewDeployment binds one DMap node per AS onto the network. timeout ≤ 0
-// selects DefaultTimeout.
-func NewDeployment(sys *core.System, sim *simnet.Sim, oracle simnet.LatencyOracle, timeout simnet.Time) (*Deployment, error) {
-	if sys == nil {
-		return nil, fmt.Errorf("nodesim: nil system")
+// NewDeployment binds nodes' ASs onto a network of their own, with
+// oracle's latencies and DefaultTimeout per attempt. Deployments over one
+// table share its nodes, each with its own clock.
+func NewDeployment(nodes *Nodes, oracle simnet.LatencyOracle) (*Deployment, error) {
+	if nodes == nil {
+		return nil, fmt.Errorf("nodesim: nil node table")
 	}
-	net, err := simnet.NewNetwork(sim, oracle, sys.NumAS())
+	net, err := simnet.NewNetwork(simnet.New(), oracle, len(nodes.ases))
 	if err != nil {
 		return nil, err
 	}
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
 	d := &Deployment{
-		sys:     sys,
+		nodes:   nodes,
 		net:     net,
 		oracle:  oracle,
-		timeout: timeout,
 		clients: make(map[int]*client.Cluster),
-		nodes:   make(map[int]*server.Node),
 		reads:   make(map[*simnet.Proc]*LookupResult),
 		figures: make(map[figureKey]*client.Cluster),
 	}
 	d.aimed = &querier{d: d}
 	d.rank, _ = oracle.(ranker)
-	for as := 0; as < sys.NumAS(); as++ {
+	for as := range nodes.ases {
 		if err := net.Bind(as, simnet.HandlerFunc(func(_ *simnet.Network, msg simnet.Message) { d.handle(as, msg) })); err != nil {
 			return nil, err
 		}
@@ -106,35 +101,22 @@ func (d *Deployment) Sim() *simnet.Sim { return d.net.Sim() }
 // simnet.FaultPlan under the deployment's traffic.
 func (d *Deployment) Network() *simnet.Network { return d.net }
 
-// System returns the underlying DMap system.
-func (d *Deployment) System() *core.System { return d.sys }
-
-// Node returns AS as's node, made on first use: a server.Node over the
-// AS's store, which answers every frame the AS receives.
-func (d *Deployment) Node(as int) (*server.Node, error) {
-	if n, ok := d.nodes[as]; ok {
-		return n, nil
-	}
-	st, err := d.sys.Store(as)
-	if err != nil {
-		return nil, err
-	}
-	n := server.NewWithOptions(st, server.Options{})
-	d.nodes[as] = n
-	return n, nil
-}
+// Node returns AS as's node in the deployment's table, made on first
+// use: a server.Node over the AS's store, which answers every frame the
+// AS receives.
+func (d *Deployment) Node(as int) (*server.Node, error) { return d.nodes.Node(as) }
 
 func (d *Deployment) rtt(a, b int) simnet.Time {
 	return d.oracle.OneWay(a, b) + d.oracle.OneWay(b, a)
 }
 
 // clientAt returns the shipped client at querier AS src, made on first
-// use: one try per replica AS under the deployment's timeout.
+// use: one try per replica AS under DefaultTimeout.
 func (d *Deployment) clientAt(src int) *client.Cluster {
 	if c, ok := d.clients[src]; ok {
 		return c
 	}
-	c := newClient(d.sys.Resolver(), querier{d: d, src: src}, d.timeout, 1) // a System has a resolver
+	c := newClient(d.nodes.res, querier{d: d, src: src}, DefaultTimeout, 1)
 	d.clients[src] = c
 	return c
 }
@@ -192,15 +174,15 @@ func (d *Deployment) read(c *client.Cluster, src int, g guid.GUID, local store.E
 	return *res, err
 }
 
-// local is the §III-C local copy at AS src, when the system keeps one: a
+// local is the §III-C local copy at AS src, when the table keeps one: a
 // write (put non-nil) stores *put there; a read looks g up there beside
 // the walk, unless src is inside a crash window — its process is down,
 // not only its links.
 func (d *Deployment) local(src int, g guid.GUID, put *store.Entry) (e store.Entry, ok bool, err error) {
-	if !d.sys.LocalReplicaEnabled() {
+	if !d.nodes.local {
 		return e, false, nil
 	}
-	st, err := d.sys.Store(src)
+	st, err := d.nodes.store(src)
 	switch {
 	case err != nil:
 	case put != nil:
@@ -310,7 +292,7 @@ func (d *Deployment) probeConfig(src int, cfg obs.ProberConfig) obs.ProberConfig
 	cfg.Now = querier{d: d, src: src}.Now
 	cfg.Dial = func(addr string, _ time.Duration) (obs.ProbeConn, error) {
 		dst, err := strconv.Atoi(addr)
-		if err != nil || dst < 0 || dst >= d.sys.NumAS() {
+		if err != nil || dst < 0 || dst >= len(d.nodes.ases) {
 			return nil, fmt.Errorf("nodesim: probe target %q is not an AS of this deployment", addr)
 		}
 		return querier{d: d, src: src, dst: dst}, nil
@@ -330,8 +312,8 @@ func (q querier) RoundTrip(t wire.MsgType, payload []byte, timeout time.Duration
 // handle dispatches a frame arriving at AS self: a reply settles its
 // request, a request is answered by self's node. A digest page is
 // answered under the scope self shares with the sweeper, which only the
-// link knows; so is a miss, which leaves the store — shared by every
-// worker of a sweep — as it is. A crashed node needs no check: simnet
+// link knows; so is a miss, which leaves the node's store — shared by
+// every deployment over the table — as it is. A crashed node needs no check: simnet
 // drops every delivery to a node inside a crash window, so its peers time
 // out (§III-D3).
 func (d *Deployment) handle(self int, msg simnet.Message) {

@@ -3,6 +3,7 @@ package nodesim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // testDeployment builds a small generated world: topology, DFZ, resolver,
-// system, event-driven deployment.
+// node table, event-driven deployment.
 func testDeployment(t *testing.T, k int, local bool) (*Deployment, *topology.Graph) {
 	t.Helper()
 	g, err := topology.Generate(topology.SmallGenConfig(200, 21))
@@ -35,7 +36,7 @@ func testDeployment(t *testing.T, k int, local bool) (*Deployment, *topology.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystem(core.SystemConfig{Resolver: res, NumAS: g.NumAS(), LocalReplica: local})
+	nodes, err := NewNodes(res, g.NumAS(), local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func testDeployment(t *testing.T, k int, local bool) (*Deployment, *topology.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDeployment(sys, simnet.New(), cache, 0)
+	d, err := NewDeployment(nodes, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +108,43 @@ func TestInsertThenLookup(t *testing.T) {
 	}
 }
 
+// TestPreloadMakesNoNode: a preload fills the replica set's stores and
+// makes no node; the first frame an AS serves makes its node, over the
+// store the preload filled.
+func TestPreloadMakesNoNode(t *testing.T) {
+	d, _ := testDeployment(t, 3, true)
+	e := entryFor("preloaded", 1, 42)
+	if err := d.nodes.Preload(e); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := d.nodes.ReplicaASs(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for as := range d.nodes.ases {
+		h := &d.nodes.ases[as]
+		if h.node.Load() != nil {
+			t.Fatalf("AS %d has a node before serving a frame", as)
+		}
+		if held := h.st.Load() != nil && h.st.Load().Len() == 1; held != slices.Contains(reps, as) {
+			t.Errorf("AS %d holds the entry: %v; in its replica set %v: %v", as, held, reps, slices.Contains(reps, as))
+		}
+	}
+	r := read(t, d, 17, e.GUID)
+	if !r.Found || r.UsedLocal {
+		t.Fatalf("lookup = %+v, want a replica's answer", r)
+	}
+	for as := range d.nodes.ases {
+		n := d.nodes.ases[as].node.Load()
+		if served := n != nil; served != (as == r.ServedBy) {
+			t.Errorf("AS %d has a node: %v; served the lookup: %v", as, served, as == r.ServedBy)
+		}
+		if n != nil && n.Store() != d.nodes.ases[as].st.Load() {
+			t.Errorf("AS %d's node is over another store", as)
+		}
+	}
+}
+
 // TestClientStartsNoGoroutine: on the link the shipped client's fan-out
 // and walk run on the caller's goroutine — no dial beside it, no reader
 // for its replies.
@@ -142,7 +180,7 @@ func TestClientStartsNoGoroutine(t *testing.T) {
 func TestLookupMissingGUID(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
 	g := guid.New("ghost")
-	placements, err := d.System().Resolver().Place(g)
+	placements, err := d.nodes.res.Place(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +200,7 @@ func TestLookupMissingGUID(t *testing.T) {
 func TestUpdateLatencyIsMaxOverReplicas(t *testing.T) {
 	d, g := testDeployment(t, 5, false)
 	e := entryFor("upd", 1, 3)
-	placements, err := d.System().Resolver().Place(e.GUID)
+	placements, err := d.nodes.res.Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +250,7 @@ func TestCrashedReplicaCostsTimeout(t *testing.T) {
 	d.Sim().Run(0)
 
 	// Determine the querier's replica order and crash the first.
-	placements, err := d.System().Resolver().Place(e.GUID)
+	placements, err := d.nodes.res.Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +281,9 @@ func TestCrashedReplicaCostsTimeout(t *testing.T) {
 // asks the next replica in RTT order.
 func TestLookupMissRetries(t *testing.T) {
 	d, _ := testDeployment(t, 5, false)
-	sys := d.System()
+	sys := d.nodes
 	e := entryFor("churny", 1, 9)
-	placements, err := sys.Resolver().Place(e.GUID)
+	placements, err := sys.res.Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +311,7 @@ func TestLookupMissRetries(t *testing.T) {
 		if missing[as] {
 			continue
 		}
-		st, err := sys.Store(as)
+		st, err := sys.store(as)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +361,7 @@ func TestCollidedDeadReplicaCostsOneTimeout(t *testing.T) {
 			t.Fatal("no GUID with both placements on one AS")
 		}
 		e = entryFor(fmt.Sprintf("collided-%d", i), 1, 7)
-		placements, err := d.System().Resolver().Place(e.GUID)
+		placements, err := d.nodes.res.Place(e.GUID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +369,7 @@ func TestCollidedDeadReplicaCostsOneTimeout(t *testing.T) {
 			break
 		}
 	}
-	if _, err := d.System().Insert(e, 7); err != nil {
+	if err := d.nodes.Preload(e); err != nil {
 		t.Fatal(err)
 	}
 	crash(t, d, as)
@@ -353,7 +391,7 @@ func TestAllMissedAsksClosestAgain(t *testing.T) {
 	d, _ := testDeployment(t, 3, false)
 	const src = 50
 	e := entryFor("all-missed", 1, 9)
-	placements, err := d.System().Resolver().Place(e.GUID)
+	placements, err := d.nodes.res.Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +410,7 @@ func TestAllMissedAsksClosestAgain(t *testing.T) {
 	}
 	// No replica holds the entry when asked; the closest gets its copy
 	// back once its "missing" answer is home, before the re-ask arrives.
-	st, err := d.System().Store(closest)
+	st, err := d.nodes.store(closest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,10 +436,13 @@ func TestAllMissedAsksClosestAgain(t *testing.T) {
 // round trip.
 func TestLookupAllCrashedFallsBackToLocal(t *testing.T) {
 	d, g := testDeployment(t, 2, true)
-	sys := d.System()
+	sys := d.nodes
 	const home = 77
 	e := entryFor("resilient", 1, home)
-	placements, err := sys.Insert(e, home)
+	if err := sys.Preload(e); err != nil {
+		t.Fatal(err)
+	}
+	placements, err := sys.res.Place(e.GUID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +553,7 @@ func TestRestore(t *testing.T) {
 	e := entryFor("backup", 1, 5)
 	write(t, d, 5, e)
 	d.Sim().Run(0)
-	placements, _ := d.System().Resolver().Place(e.GUID)
+	placements, _ := d.nodes.res.Place(e.GUID)
 	crash(t, d, placements[0].AS)
 
 	down := read(t, d, 0, e.GUID)
@@ -532,7 +573,7 @@ func TestChurnWithdrawDuringLiveTraffic(t *testing.T) {
 	// a steady lookup stream, withdraw a replica-hosting prefix (with
 	// migration) mid-stream, and require every lookup to succeed.
 	d, _ := testDeployment(t, 3, false)
-	sys := d.System()
+	sys := d.nodes
 
 	entries := make([]store.Entry, 0, 30)
 	for i := 1; i <= 30; i++ {
@@ -547,11 +588,11 @@ func TestChurnWithdrawDuringLiveTraffic(t *testing.T) {
 	d.Sim().Run(0)
 
 	// Pick a victim prefix: the one hosting entry 7's replica 1.
-	pl, err := sys.Resolver().PlaceReplica(entries[7].GUID, 1)
+	pl, err := sys.res.PlaceReplica(entries[7].GUID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfx, ok := sys.Resolver().Table().Lookup(pl.Addr)
+	pfx, ok := sys.res.Table().Lookup(pl.Addr)
 	if !ok {
 		t.Fatal("placement prefix missing")
 	}

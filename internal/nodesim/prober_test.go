@@ -27,7 +27,7 @@ func proberWorld(t *testing.T, sentinels int) (*obs.Prober, *Deployment, []int) 
 		t.Fatalf("proberWorld supports exactly one sentinel, got %d", sentinels)
 	}
 	g := guid.New("dmap.obs.sentinel.0")
-	placements, err := d.System().Resolver().Place(g)
+	placements, err := d.nodes.res.Place(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,10 +150,14 @@ func Dial(ctx context.Context, addr string, timeout time.Duration) (*Conn, error
 // NewConn performs the handshake on conn, a connection the caller
 // dialed, within timeout, and starts the reader; Dial is net's dial and
 // NewConn. conn is the Conn's from here on, closed on failure too, and
-// lives no longer than ctx.
+// lives no longer than ctx. Every write must finish within timeout as
+// well. A request's own deadline is the watchdog's, never the writer's:
+// a sender descheduled past a short one would otherwise fail its write
+// and, with it, the connection every request shares.
 func NewConn(ctx context.Context, conn net.Conn, timeout time.Duration) (*Conn, error) {
 	c := &Conn{conn: conn, done: make(chan struct{}), inflight: make(map[uint64]*Pending)}
 	c.w = NewWriter(conn, c.fail)
+	c.w.SetTimeout(timeout)
 	c.watch = time.AfterFunc(time.Hour, c.expire)
 	c.watch.Stop() // until register arms it
 	c.stop = context.AfterFunc(ctx, func() { c.fail(context.Cause(ctx)) })
@@ -306,7 +310,6 @@ func (c *Conn) start(t MsgType, tc trace.Context, payload []byte, began time.Tim
 	if err != nil {
 		return nil, err
 	}
-	c.w.SetTimeout(timeout)
 	var werr error
 	if cork {
 		werr = c.w.Enqueue(t, p.id, tc, payload)

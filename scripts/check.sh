@@ -101,18 +101,22 @@ go test -race -cpu 1,4 -run 'Sweep|Gossip|Heal' ./internal/core ./internal/nodes
 # frame table sends one set of frames to a TCP node, whose read loop
 # serves them on its own goroutine, and to a simulated one, through the
 # same server code. The figure-path test runs a figure's lookups on three
-# engine workers at once: each worker's nodes serve frames from the one
-# populated store every worker shares.
+# engine workers at once: each worker's deployment sends its frames to
+# the one node table every worker shares, whose nodes serve them side by
+# side and are made on first use by whichever worker gets there first.
 go test -race -cpu 1,4 -run 'Procs|Mobility|LiveTraffic|ThroughProtocol|NoGoroutine|RepeatsOnTheLink|FrameTable|BatchFramesMatch|FigurePath' ./internal/simnet ./internal/nodesim ./internal/experiments
 # Every driver's output at workers 1, 0, 2, 3 and 7, compared whole: the
 # engine's determinism guarantee, here with the figures' lookups on
-# several workers' deployments over one shared system.
+# several workers' deployments over one shared node table.
 go test -race ./internal/experiments/... -run 'DeterministicAcrossWorkers'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
 # scripted transport, what the client side of that workload is profiled
-# with) once, so that it cannot rot unnoticed.
+# with) and the figure path's (one Deployment.Lookup on nodesim's link,
+# what every Fig. 4/5 lookup costs) once each, so that they cannot rot
+# unnoticed.
 go test -run '^$' -bench '^BenchmarkBatchClient$' -benchtime 1x ./internal/client/
+go test -run '^$' -bench '^BenchmarkFigureLookup$' -benchtime 1x ./internal/nodesim/
 
 # Crash-injection harness (DESIGN.md §10): a durable child node is
 # SIGKILLed mid-write-burst at a seeded random point and restarted;
