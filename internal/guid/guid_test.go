@@ -28,6 +28,32 @@ func TestIsZero(t *testing.T) {
 	if New("a").IsZero() {
 		t.Error("derived GUID should not be zero")
 	}
+	// Every bit is read: one set bit anywhere makes the GUID non-zero.
+	for i := 0; i < Size*8; i++ {
+		var g GUID
+		g[i/8] = 1 << (i % 8)
+		if g.IsZero() {
+			t.Errorf("GUID with only bit %d set reports IsZero", i)
+		}
+	}
+}
+
+// BenchmarkIsZero measures the check Entry.Validate makes of every GUID
+// in a batch frame, reading the GUIDs from memory as a frame's are.
+func BenchmarkIsZero(b *testing.B) {
+	gs := make([]GUID, 1024)
+	for i := range gs {
+		gs[i] = FromUint64(uint64(i) + 1)
+	}
+	zero := 0
+	for i := 0; i < b.N; i++ {
+		if gs[i&(len(gs)-1)].IsZero() {
+			zero++
+		}
+	}
+	if zero != 0 {
+		b.Fatal("non-zero GUID reported zero")
+	}
 }
 
 func TestShort(t *testing.T) {

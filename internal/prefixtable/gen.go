@@ -98,6 +98,16 @@ func Generate(cfg GenConfig) (*Table, error) {
 	const superBits = 12
 	const numSuper = 1 << superBits
 
+	// Presize the table so that it is built without regrowing. Measured
+	// at full scale: the block fill adds about 4% to NumPrefixes, the
+	// trie has two nodes per prefix plus the levels above the /12 blocks,
+	// and one /16 in about 76 prefixes gets a level-2 chunk (no generated
+	// prefix is longer than /24, so there are no level-3 chunks).
+	ents := cfg.NumPrefixes + cfg.NumPrefixes/16
+	t.nodes = append(make([]node, 0, 2*ents+2*numSuper), t.nodes...)
+	t.entries = make([]Entry, 0, ents)
+	t.chunks = make([]chunk, 0, cfg.NumPrefixes/64)
+
 	candidates := make([]int, 0, numSuper)
 	for i := 0; i < numSuper; i++ {
 		if i>>(superBits-4) == 0xE || i>>(superBits-4) == 0xF {
@@ -113,7 +123,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 	sort.Ints(announced)
 
 	// Per-AS Pareto weights turned into a sampling alias-free CDF.
-	asCDF := paretoCDF(cfg.NumAS, shareSkew, rng)
+	asCDF := newCDFSampler(paretoCDF(cfg.NumAS, shareSkew, rng))
 
 	// Aim the count: each super-block is carved into approximately
 	// perBlock prefixes, adjusting lengths so packing stays exact.
@@ -153,7 +163,7 @@ func Generate(cfg GenConfig) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("prefixtable: generator produced bad prefix: %w", err)
 			}
-			if err := t.Announce(p, sampleCDF(asCDF, rng)); err != nil {
+			if err := t.Announce(p, asCDF.sample(rng.Float64())); err != nil {
 				return nil, err
 			}
 			carved++
@@ -185,7 +195,42 @@ func paretoCDF(n int, skew float64, rng *rand.Rand) []float64 {
 	return cdf
 }
 
-func sampleCDF(cdf []float64, rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(cdf, u)
+// cdfSampler inverts a CDF by a guide table: guide[j] is the first index
+// whose cumulative probability reaches j/len(guide), so the answer for u
+// lies at or just above guide[⌊u·len(guide)⌋]. The walk from there is
+// checked against cdf itself in both directions, which makes sample equal
+// sort.SearchFloat64s(cdf, u) for every u however u·len(guide) rounds;
+// with one bucket per index it takes about one step.
+type cdfSampler struct {
+	cdf   []float64
+	guide []int32
+}
+
+func newCDFSampler(cdf []float64) cdfSampler {
+	guide := make([]int32, len(cdf))
+	m := float64(len(guide))
+	i := 0
+	for j := range guide {
+		for i < len(cdf)-1 && cdf[i] < float64(j)/m {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return cdfSampler{cdf: cdf, guide: guide}
+}
+
+// sample returns the smallest index i with cdf[i] ≥ u, for u in [0, 1).
+func (s cdfSampler) sample(u float64) int {
+	j := int(u * float64(len(s.guide)))
+	if j >= len(s.guide) {
+		j = len(s.guide) - 1
+	}
+	i := int(s.guide[j])
+	for i > 0 && s.cdf[i-1] >= u {
+		i--
+	}
+	for i < len(s.cdf) && s.cdf[i] < u {
+		i++
+	}
+	return i
 }

@@ -1,9 +1,16 @@
 package prefixtable
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math"
+	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"dmap/internal/netaddr"
 )
@@ -264,5 +271,152 @@ func TestChurnKindString(t *testing.T) {
 	}
 	if ChurnKind(9).String() == "" {
 		t.Error("unknown kind should format")
+	}
+}
+
+// entriesDigest is the SHA-256 of a table's Entries(), in their order,
+// each as its address (4 bytes), length (1) and AS (4), big-endian.
+func entriesDigest(t *Table) string {
+	h := sha256.New()
+	var b [9]byte
+	for _, e := range t.Entries() {
+		binary.BigEndian.PutUint32(b[:4], uint32(e.Prefix.Addr()))
+		b[4] = byte(e.Prefix.Bits())
+		binary.BigEndian.PutUint32(b[5:], uint32(e.AS))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// indexDigest is the SHA-256 of the flat index: the root slots, then
+// every chunk in chunk order. Slots hold entry numbers, so this pins the
+// numbering too.
+func indexDigest(t *Table) string {
+	h := sha256.New()
+	writeSlots := func(h hash.Hash, slots []uint32) {
+		var b [4]byte
+		for _, s := range slots {
+			binary.BigEndian.PutUint32(b[:], s)
+			h.Write(b[:])
+		}
+	}
+	writeSlots(h, t.root)
+	for i := range t.chunks {
+		writeSlots(h, t.chunks[i][:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratePinnedDigests pins the full-scale synthetic DFZ for two
+// seeds: its entries in Entries() order, its index (slot values, chunk
+// order, entry numbering), and the entries after bench's fold, which
+// re-announces every prefix with its AS mod 3. Every results/ file and
+// golden is computed over these tables; a faster build must build the
+// same one.
+func TestGeneratePinnedDigests(t *testing.T) {
+	pins := []struct {
+		seed                   int64
+		n                      int
+		entries, index, folded string
+	}{
+		{1, 342667,
+			"b3526b2be8b03b20d2b56fff3f80c56b99809d5491c702fb88b815252a7fb836",
+			"46dc0a2b9ecb4c6a24c5c50f640fd4dcffb0ee499d87aca9505fa40b97c0de2e",
+			"3ff5684a18d72423dd7cda31afe67187c9018d3fc4ac986f70f54e92ab20fa95"},
+		{7, 342305,
+			"c9c5444a86bd716035db5d75aee8674b19ed8bed19c6a2fee5e235275f7332fc",
+			"e6d895752aa8fe346bd8cbe0073640b4fa142c4bf4408829d26b24658581ecb6",
+			"edfa46cf520ab259ff7f1164b66c8922d75bdf451f4f4ec110313bc03ab4843e"},
+	}
+	for _, pin := range pins {
+		tbl, err := Generate(DefaultGenConfig(pin.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Len() != pin.n {
+			t.Errorf("seed %d: Len = %d, want %d", pin.seed, tbl.Len(), pin.n)
+		}
+		if got := entriesDigest(tbl); got != pin.entries {
+			t.Errorf("seed %d: entries digest %s, want %s", pin.seed, got, pin.entries)
+		}
+		if got := indexDigest(tbl); got != pin.index {
+			t.Errorf("seed %d: index digest %s, want %s", pin.seed, got, pin.index)
+		}
+		for _, e := range tbl.Entries() {
+			if err := tbl.Announce(e.Prefix, e.AS%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := entriesDigest(tbl); got != pin.folded {
+			t.Errorf("seed %d: folded entries digest %s, want %s", pin.seed, got, pin.folded)
+		}
+		if got := indexDigest(tbl); got != pin.index {
+			t.Errorf("seed %d: the fold moved the index: digest %s, want %s", pin.seed, got, pin.index)
+		}
+	}
+}
+
+// TestCDFSamplerMatchesSearch checks the guide-table sampler against the
+// binary search it replaces, on the full-scale AS CDF and on small ones
+// with plateaus (zero-weight ASs): a million random u, and every cdf[i]
+// with its float neighbours, where an off-by-one would show.
+func TestCDFSamplerMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cdfs := [][]float64{
+		paretoCDF(DefaultGenConfig(1).NumAS, shareSkew, rng),
+		paretoCDF(3, shareSkew, rng),
+		{1},
+		{0, 0, 0.5, 0.5, 0.5, 1, 1},
+		{0.25, 0.25, 0.25, 1},
+	}
+	for _, cdf := range cdfs {
+		s := newCDFSampler(cdf)
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return // outside rand.Float64's range
+			}
+			if got, want := s.sample(u), sort.SearchFloat64s(cdf, u); got != want {
+				t.Fatalf("%d-AS CDF: sample(%v) = %d, sort.SearchFloat64s = %d", len(cdf), u, got, want)
+			}
+		}
+		for _, c := range cdf {
+			check(c)
+			check(math.Nextafter(c, 0))
+			check(math.Nextafter(c, 2))
+		}
+		check(0)
+		check(math.Nextafter(1, 0))
+		for i := 0; i < 1_000_000; i++ {
+			check(rng.Float64())
+		}
+	}
+}
+
+// tableBytes is the memory a table holds: the capacity of every slice
+// behind it.
+func tableBytes(t *Table) uint64 {
+	return uint64(cap(t.nodes))*uint64(unsafe.Sizeof(node{})) +
+		uint64(cap(t.entries))*uint64(unsafe.Sizeof(Entry{})) +
+		uint64(cap(t.chunks))*uint64(unsafe.Sizeof(chunk{})) +
+		uint64(cap(t.root)+cap(t.freeChunks))*4 +
+		uint64(cap(t.freeNodes)+cap(t.freeEnts))*4
+}
+
+// TestGenerateAllocBudget bounds what building the full-scale DFZ
+// allocates at twice the table it returns: the build neither regrows
+// the table's slices nor leaves large scratch behind. Not parallel: it
+// reads the process-wide allocation counter.
+func TestGenerateAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl, err := Generate(DefaultGenConfig(1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, held := after.TotalAlloc-before.TotalAlloc, tableBytes(tbl)
+	t.Logf("Generate allocated %.1f MB for a %.1f MB table", float64(alloc)/1e6, float64(held)/1e6)
+	if alloc > 2*held {
+		t.Errorf("Generate allocated %d bytes, over twice the %d-byte table it returns", alloc, held)
 	}
 }

@@ -106,8 +106,19 @@ func (m *refModel) lookup(a netaddr.Addr) (Entry, bool) {
 
 // TestTableMatchesModelRandomOps drives the trie and the oracle through
 // the same random operation sequences (testing/quick generates the
-// seeds) and checks LPM agreement on random probes after every step.
+// seeds) and checks LPM agreement after every step, at the edges of the
+// touched prefix and on random probes. Besides random announcements and
+// withdrawals the sequences hold the two shapes Announce has fast paths
+// for: ascending runs of consecutive entries of a generated table, which
+// resume the descent from the last path, and re-announcements of live
+// prefixes with a new AS, which the index resolves; withdrawals in the
+// middle of a run hit the prefix the last path ends at as often as not.
 func TestTableMatchesModelRandomOps(t *testing.T) {
+	gen, err := Generate(GenConfig{NumAS: 50, NumPrefixes: 20000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := gen.Entries()
 	f := func(seed int64) bool {
 		defer func() {
 			if t.Failed() {
@@ -118,40 +129,95 @@ func TestTableMatchesModelRandomOps(t *testing.T) {
 		tbl := New()
 		model := newRefModel()
 		var live []netaddr.Prefix
+		var last netaddr.Prefix // the last prefix announced: after a descent, where the cursor ends
+		next, runLeft := 0, 0   // the run's next entry in runs, and how many more
 
-		for step := 0; step < 120; step++ {
-			switch {
-			case len(live) == 0 || rng.Float64() < 0.55:
+		announce := func(p netaddr.Prefix, as int) bool {
+			if err := tbl.Announce(p, as); err != nil {
+				return false
+			}
+			if _, ok := model.entries[p.String()]; !ok {
+				live = append(live, p)
+			}
+			model.announce(p, as)
+			last = p
+			return true
+		}
+		withdraw := func(i int) bool {
+			p := live[i]
+			if got, want := tbl.Withdraw(p), model.withdraw(p); got != want {
+				t.Logf("seed %d: withdraw(%v) = %v, model %v", seed, p, got, want)
+				return false
+			}
+			live = append(live[:i], live[i+1:]...)
+			return true
+		}
+		liveIndex := func(p netaddr.Prefix) int {
+			for i, q := range live {
+				if q == p {
+					return i
+				}
+			}
+			return -1
+		}
+
+		for step := 0; step < 200; step++ {
+			var touched netaddr.Prefix
+			ok := true
+			switch u := rng.Float64(); {
+			case runLeft > 0 && (u < 0.8 || len(live) == 0): // the run's next prefix
+				touched = runs[next].Prefix
+				ok = announce(touched, rng.Intn(50))
+				next, runLeft = (next+1)%len(runs), runLeft-1
+			case runLeft > 0: // a withdrawal in the middle of the run
+				i := liveIndex(last)
+				if i < 0 || rng.Intn(2) == 0 {
+					i = rng.Intn(len(live))
+				}
+				touched = live[i]
+				ok = withdraw(i)
+			case len(live) == 0 || u < 0.35: // a random prefix
 				p, err := netaddr.NewPrefix(netaddr.Addr(rng.Uint32()), rng.Intn(33))
 				if err != nil {
 					return false
 				}
-				as := rng.Intn(50)
-				if err := tbl.Announce(p, as); err != nil {
-					return false
-				}
-				model.announce(p, as)
-				live = append(live, p)
+				touched = p
+				ok = announce(p, rng.Intn(50))
+			case u < 0.5: // a run starts
+				next, runLeft = rng.Intn(len(runs)), 1+rng.Intn(40)
+				continue
+			case u < 0.65: // an origin change
+				touched = live[rng.Intn(len(live))]
+				ok = announce(touched, 50+rng.Intn(50))
 			default:
 				i := rng.Intn(len(live))
-				got := tbl.Withdraw(live[i])
-				want := model.withdraw(live[i])
-				if got != want {
-					t.Logf("seed %d: withdraw(%v) = %v, model %v", seed, live[i], got, want)
-					return false
-				}
-				live = append(live[:i], live[i+1:]...)
+				touched = live[i]
+				ok = withdraw(i)
+			}
+			if !ok {
+				return false
 			}
 			if tbl.Len() != len(model.entries) {
 				t.Logf("seed %d: Len %d vs model %d", seed, tbl.Len(), len(model.entries))
 				return false
+			}
+			for _, a := range edges(touched) {
+				checkLookup(t, tbl, model, a)
 			}
 			for probe := 0; probe < 8; probe++ {
 				a := netaddr.Addr(rng.Uint32())
 				checkLookup(t, tbl, model, a)
 			}
 		}
-		return true
+		for _, e := range tbl.Entries() {
+			if want, ok := model.entries[e.Prefix.String()]; !ok || want != e {
+				t.Logf("seed %d: Entries() holds %+v, model %+v %v", seed, e, want, ok)
+				return false
+			}
+			tbl.Withdraw(e.Prefix)
+		}
+		checkIndexEmpty(t, tbl)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -344,35 +410,80 @@ func TestIndexMatchesTrieFullScale(t *testing.T) {
 	t.Logf("%d prefixes: %d chunks, index %d KiB", tbl.Len(), len(tbl.chunks), (len(tbl.root)*4+len(tbl.chunks)*1024)/1024)
 }
 
-// FuzzTableOps turns a byte stream into announce / withdraw steps (six
-// bytes each: op and AS, length, address) and checks the flat index
-// against the trie walk and the model after every one. The seed corpus in
-// testdata/fuzz holds the nested-prefix sequences the maintenance rules
-// turn on.
+// FuzzTableOps turns a byte stream into steps of six bytes each (op,
+// length, address) and checks the flat index against the trie walk and
+// the model after every one. An even op announces the prefix with AS
+// op>>1. An odd op is picked by bits 1–2: 0 withdraws the prefix; 1
+// re-announces, with AS op>>3, the live entry the address picks (in
+// Entries() order); 2 announces an ascending run of op>>3 + 1 adjacent
+// prefixes of the length from the address on, as Generate does; 3
+// withdraws the live entry the address picks. The seed corpus in
+// testdata/fuzz holds the nested-prefix sequences the index maintenance
+// turns on and the runs, withdrawals and re-announcements the descent's
+// cursor and the index re-announce turn on.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, model := New(), newRefModel()
 		var touched []netaddr.Prefix
+		announce := func(p netaddr.Prefix, as int) {
+			if err := tbl.Announce(p, as); err != nil {
+				t.Fatal(err)
+			}
+			model.announce(p, as)
+			touched = append(touched, p)
+		}
+		withdraw := func(p netaddr.Prefix) {
+			if got, want := tbl.Withdraw(p), model.withdraw(p); got != want {
+				t.Fatalf("Withdraw(%v) = %v, model %v", p, got, want)
+			}
+			touched = append(touched, p)
+		}
+		// pick returns the live entry a picks, if any.
+		pick := func(a netaddr.Addr) (Entry, bool) {
+			live := tbl.Entries()
+			if len(live) != len(model.entries) {
+				t.Fatalf("Entries() holds %d prefixes, model %d", len(live), len(model.entries))
+			}
+			if len(live) == 0 {
+				return Entry{}, false
+			}
+			return live[int(a)%len(live)], true
+		}
 		for ; len(data) >= 6; data = data[6:] {
+			op := data[0]
 			a := netaddr.Addr(uint32(data[2])<<24 | uint32(data[3])<<16 | uint32(data[4])<<8 | uint32(data[5]))
 			p, err := netaddr.NewPrefix(a, int(data[1])%33)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if data[0]&1 == 1 {
-				if got, want := tbl.Withdraw(p), model.withdraw(p); got != want {
-					t.Fatalf("Withdraw(%v) = %v, model %v", p, got, want)
+			n := len(touched)
+			switch {
+			case op&1 == 0:
+				announce(p, int(op>>1))
+			case op>>1&3 == 0:
+				withdraw(p)
+			case op>>1&3 == 1:
+				if e, ok := pick(a); ok {
+					announce(e.Prefix, int(op>>3))
 				}
-			} else {
-				if err := tbl.Announce(p, int(data[0]>>1)); err != nil {
-					t.Fatal(err)
+			case op>>1&3 == 2:
+				for i := 0; i <= int(op>>3); i++ {
+					announce(p, i)
+					if p.Last() == ^netaddr.Addr(0) {
+						break
+					}
+					p, _ = netaddr.NewPrefix(p.Last()+1, p.Bits())
 				}
-				model.announce(p, int(data[0]>>1))
+			default:
+				if e, ok := pick(a); ok {
+					withdraw(e.Prefix)
+				}
 			}
-			touched = append(touched, p)
-			for _, a := range edges(p) {
-				checkLookup(t, tbl, model, a)
+			for _, p := range touched[n:] {
+				for _, a := range edges(p) {
+					checkLookup(t, tbl, model, a)
+				}
 			}
 		}
 		for _, p := range touched {
@@ -412,6 +523,7 @@ func BenchmarkTableLookup(b *testing.B) {
 // BenchmarkGenerate measures building the full-scale DFZ, trie and index:
 // 330k announcements.
 func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(DefaultGenConfig(int64(i))); err != nil {
 			b.Fatal(err)

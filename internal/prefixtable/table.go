@@ -21,6 +21,7 @@ package prefixtable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dmap/internal/netaddr"
 )
@@ -68,6 +69,19 @@ type Table struct {
 	root       []uint32 // 1<<16 slots
 	chunks     []chunk
 	freeChunks []uint32
+
+	// The cursor: the trie path Announce last descended, so that the next
+	// descent starts at the deepest node the two prefixes share instead of
+	// at the root. path[d] is the node at depth d on last's path and
+	// cover[d] the index slot value of the longest prefix announced above
+	// it (at a depth < d), for d ≤ lastBits. Announce only ever adds an
+	// entry at the end of its own path, which changes no cover[d] with
+	// d ≤ lastBits; Withdraw, which removes entries and frees nodes, takes
+	// the cursor back to the root. The zero cursor is the root.
+	last     netaddr.Addr
+	lastBits int
+	path     [33]int32
+	cover    [33]uint32
 }
 
 // New returns an empty table.
@@ -110,28 +124,43 @@ func bitAt(a netaddr.Addr, depth int) int {
 
 // Announce inserts (or re-announces, overwriting the origin AS of) the
 // given prefix. as must be a non-negative AS index.
+//
+// Two shapes cost little: a re-announcement the index resolves (p's
+// first address maps to p itself) is one index read and one store, and
+// a run of prefixes in ascending address order, as Generate emits, walks
+// only the few trie levels below where each one leaves the last.
 func (t *Table) Announce(p netaddr.Prefix, as int) error {
 	if as < 0 {
 		return fmt.Errorf("prefixtable: announce %v: negative AS index %d", p, as)
 	}
-	cover := uint32(0) // index slot value of the longest shorter prefix covering p
-	cur := int32(0)
-	for depth := 0; depth < p.Bits(); depth++ {
+	a, plen := p.Addr(), p.Bits()
+	if s := t.resolve(a); s != 0 && t.entries[s-1].Prefix == p {
+		// Re-announcement: origin change. Index slots hold entry indices,
+		// not ASs, so none of them changes.
+		t.entries[s-1].AS = as
+		return nil
+	}
+	// Resume the descent at the deepest node p shares with the cursor.
+	depth := min(plen, t.lastBits, bits.LeadingZeros32(uint32(a^t.last)))
+	cur := t.path[depth]
+	cover := t.cover[depth] // index slot value of the longest shorter prefix covering p
+	for ; depth < plen; depth++ {
 		n := &t.nodes[cur]
 		if n.entry != nilRef {
 			cover = uint32(n.entry) + 1
 		}
-		b := bitAt(p.Addr(), depth)
+		b := bitAt(a, depth)
 		next := n.child[b]
 		if next == nilRef {
 			next = t.newNode() // may move t.nodes: index again
 			t.nodes[cur].child[b] = next
 		}
 		cur = next
+		t.path[depth+1], t.cover[depth+1] = cur, cover
 	}
+	t.last, t.lastBits = a, plen
 	if e := t.nodes[cur].entry; e != nilRef {
-		// Re-announcement: origin change. Index slots hold entry indices,
-		// not ASs, so none of them changes.
+		// A re-announcement whose first address a more-specific owns.
 		t.entries[e].AS = as
 		return nil
 	}
@@ -232,6 +261,7 @@ func (t *Table) Withdraw(p netaddr.Prefix) bool {
 	if e == nilRef {
 		return false
 	}
+	t.lastBits = 0 // entries go and nodes are freed below the root
 	// The slots that resolved to p fall back to the prefix covering it;
 	// after this no slot holds e and its index may be reused.
 	t.paint(t.slotsFor(p), uint32(e)+1, cover)
@@ -275,6 +305,16 @@ func (t *Table) hasChildren(path []int32, depth int) bool {
 // most-specific announced prefix containing it: at most three index loads
 // and the entry itself.
 func (t *Table) Lookup(a netaddr.Addr) (Entry, bool) {
+	s := t.resolve(a)
+	if s == 0 {
+		return Entry{}, false
+	}
+	return t.entries[s-1], true
+}
+
+// resolve returns the leaf index slot a falls in: 0 in a hole, else the
+// number of the longest announced prefix containing a, plus one.
+func (t *Table) resolve(a netaddr.Addr) uint32 {
 	s := t.root[a>>16]
 	if s&chunkFlag != 0 {
 		s = t.chunks[s&^chunkFlag][uint8(a>>8)]
@@ -282,10 +322,7 @@ func (t *Table) Lookup(a netaddr.Addr) (Entry, bool) {
 			s = t.chunks[s&^chunkFlag][uint8(a)]
 		}
 	}
-	if s == 0 {
-		return Entry{}, false
-	}
-	return t.entries[s-1], true
+	return s
 }
 
 // Nearest returns the announced prefix with minimum IP distance to a (and
@@ -366,22 +403,36 @@ func (t *Table) greedyNearest(idx int32, depth int, a netaddr.Addr) Entry {
 	}
 }
 
-// Entries returns all announced prefixes in unspecified order. The result
-// is freshly allocated.
+// Entries returns all announced prefixes in trie pre-order: a prefix
+// before its more-specifics, and otherwise by ascending address (for
+// non-overlapping prefixes, plain address order). The order depends only
+// on which prefixes are announced, not on the order they were announced
+// in. The result is freshly allocated.
 func (t *Table) Entries() []Entry {
 	out := make([]Entry, 0, t.count)
-	t.walk(0, func(e Entry) { out = append(out, e) })
-	return out
-}
-
-func (t *Table) walk(idx int32, fn func(Entry)) {
-	n := t.nodes[idx]
-	if n.entry != nilRef {
-		fn(t.entries[n.entry])
-	}
-	for _, c := range n.child {
-		if c != nilRef {
-			t.walk(c, fn)
+	// Depth-first, the 0 child before the 1 child. The stack holds the
+	// 1 children still to visit: at most one per level.
+	var stack [33]int32
+	sp := 0
+	for idx := int32(0); ; {
+		n := &t.nodes[idx]
+		if n.entry != nilRef {
+			out = append(out, t.entries[n.entry])
+		}
+		switch {
+		case n.child[0] != nilRef:
+			if n.child[1] != nilRef {
+				stack[sp] = n.child[1]
+				sp++
+			}
+			idx = n.child[0]
+		case n.child[1] != nilRef:
+			idx = n.child[1]
+		case sp > 0:
+			sp--
+			idx = stack[sp]
+		default:
+			return out
 		}
 	}
 }

@@ -112,11 +112,13 @@ go test -race ./internal/experiments/... -run 'DeterministicAcrossWorkers'
 
 # The batch client's owner benchmark (batch_mobility's mix over a
 # scripted transport, what the client side of that workload is profiled
-# with) and the figure path's (one Deployment.Lookup on nodesim's link,
-# what every Fig. 4/5 lookup costs) once each, so that they cannot rot
-# unnoticed.
+# with), the figure path's (one Deployment.Lookup on nodesim's link,
+# what every Fig. 4/5 lookup costs) and the DFZ build's (one full-scale
+# Generate, what every world and bench set-up pays first) once each, so
+# that they cannot rot unnoticed.
 go test -run '^$' -bench '^BenchmarkBatchClient$' -benchtime 1x ./internal/client/
 go test -run '^$' -bench '^BenchmarkFigureLookup$' -benchtime 1x ./internal/nodesim/
+go test -run '^$' -bench '^BenchmarkGenerate$' -benchtime 1x ./internal/prefixtable/
 
 # Crash-injection harness (DESIGN.md §10): a durable child node is
 # SIGKILLed mid-write-burst at a seeded random point and restarted;
